@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet staticcheck race check bench bench-smoke bench-diff
+.PHONY: build test vet staticcheck race check bench bench-smoke bench-module bench-diff
 
 build:
 	$(GO) build ./...
@@ -38,10 +38,18 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/dse/
 	$(GO) test -run '^$$' -bench BenchmarkFleetWarm -benchtime 1x ./internal/dist/
 
+# The end-to-end benchmark (BENCHMARK.json, benchmark/) is a module of
+# its own, so `go build ./...` and `go test ./...` at the root never
+# compile it: its ledger calls sched, regalloc and ddg directly, and a
+# changed signature there breaks it silently. Vet it and run its tests
+# (a smoke pass of every workload over a twentieth of its inputs, ~20 s).
+bench-module:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
 # Extended verify: everything the tier-1 gate runs, plus vet,
-# staticcheck (when installed), the race pass, and the benchmark smoke
-# (see ROADMAP.md).
-check: build vet staticcheck test race bench-smoke
+# staticcheck (when installed), the race pass, the benchmark smoke and
+# the benchmark module's own vet and tests (see ROADMAP.md).
+check: build vet staticcheck test race bench-smoke bench-module
 
 # Measure the exploration and fleet benchmarks and record the
 # trajectory against the pre-optimization baseline (the cfp-benchjson
@@ -59,7 +67,10 @@ bench:
 # Regression gate: re-measure the tracked benchmarks and fail if one
 # regressed beyond its limit against the recorded trajectory in
 # BENCH_explore.json. Repeats gated on the minimum, so scheduler noise
-# cannot fail an unchanged tree. BenchmarkExploreSubset gates ns/op and
+# cannot fail an unchanged tree. BenchmarkEvaluate — one cold
+# evaluation with every cache off, one lap over its 192 machines —
+# gates ns/op and allocs/op at 15% (a ~3 ms op is noisier than a
+# 100 ms grid). BenchmarkExploreSubset gates ns/op and
 # allocs/op at 10%. BenchmarkExploreOpsSubset (the op-crossed grid, so
 # pattern rewrite and custom-unit scheduling are on the measured path)
 # gates ns/op only, at 15% — fused placement makes its allocation
@@ -71,6 +82,9 @@ bench:
 # through) is several-fold slower, so the loose limit still catches the
 # failure mode.
 bench-diff:
+	$(GO) test -run '^$$' -bench 'BenchmarkEvaluate$$' -benchtime 192x -count 3 ./internal/dse/ | \
+		$(GO) run ./cmd/cfp-benchjson -against BENCH_explore.json \
+			-regress-bench BenchmarkEvaluate -max-regress 0.15
 	$(GO) test -run '^$$' -bench BenchmarkExploreSubset -benchtime 3x -count 3 ./internal/dse/ | \
 		$(GO) run ./cmd/cfp-benchjson -against BENCH_explore.json
 	$(GO) test -run '^$$' -bench BenchmarkExploreOpsSubset -benchtime 3x -count 3 ./internal/dse/ | \

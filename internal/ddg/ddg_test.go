@@ -1,6 +1,7 @@
 package ddg
 
 import (
+	"math/rand"
 	"testing"
 
 	"customfit/internal/ir"
@@ -138,4 +139,78 @@ func TestOutputDependenceOrdersCommits(t *testing.T) {
 	if !ok || d != 8-1+1 {
 		t.Errorf("output edge = %d,%v, want 8 (loadLat-movLat+1)", d, ok)
 	}
+}
+
+// TestMemoryEdgesMatchAllPairs holds the per-array bookkeeping of
+// BuildSkeleton to the definition: every earlier memory operation
+// against every later one through memDependence. Random blocks over
+// three arrays with constant and register addresses, on machines with
+// different Level-2 latencies.
+func TestMemoryEdgesMatchAllPairs(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	mems := []*ir.MemRef{
+		{Name: "a", Space: ir.L2, Elem: ir.ElemI32, Size: 64},
+		{Name: "b", Space: ir.L2, Elem: ir.ElemI32, Size: 64},
+		{Name: "s", Space: ir.L1, Elem: ir.ElemI32, Size: 64},
+	}
+	for trial := 0; trial < 200; trial++ {
+		var ins []*ir.Instr
+		next := ir.Reg(4) // r0..r3 are address bases
+		for n := 1 + rng.Intn(60); n > 0; n-- {
+			addr := ir.Imm(int32(rng.Intn(4)))
+			if rng.Intn(2) == 0 {
+				addr = ir.R(ir.Reg(rng.Intn(4)))
+			}
+			in := &ir.Instr{Mem: mems[rng.Intn(len(mems))], Off: int32(rng.Intn(3)), Elem: ir.ElemI32}
+			if rng.Intn(3) == 0 {
+				in.Op, in.Dest, in.Args = ir.OpStore, ir.NoReg, []ir.Operand{addr, ir.Imm(1)}
+			} else {
+				in.Op, in.Dest, in.Args = ir.OpLoad, next, []ir.Operand{addr}
+				next++
+			}
+			ins = append(ins, in)
+		}
+		b := block(ins...)
+		arch := machine.Baseline
+		arch.L2Lat = []int{2, 4, 8}[rng.Intn(3)]
+		sk := BuildSkeleton(b, arch)
+		for i, later := range b.Instrs {
+			for m, first := range b.Instrs[:i] {
+				if !first.Op.IsMem() || !later.Op.IsMem() {
+					continue
+				}
+				d, dep := memDependence(first, later)
+				got := -1
+				for _, e := range sk.Succs[m] {
+					if e.To == i {
+						got = e.MinDelta
+					}
+				}
+				// A register edge between the pair may only be stronger.
+				if dep && got < d {
+					t.Fatalf("trial %d: %s then %s: edge %d, want at least %d", trial, first, later, got, d)
+				}
+				if !dep && got >= 0 && !regDependent(first, later) {
+					t.Fatalf("trial %d: %s then %s: edge %d between independent operations", trial, first, later, got)
+				}
+			}
+		}
+	}
+}
+
+// regDependent reports whether later reads or rewrites a register
+// first writes, or rewrites one it reads.
+func regDependent(first, later *ir.Instr) bool {
+	uses := func(in *ir.Instr, r ir.Reg) bool {
+		for _, a := range in.Args {
+			if a.IsReg() && a.Reg == r {
+				return true
+			}
+		}
+		return false
+	}
+	if first.Op.HasDest() && (uses(later, first.Dest) || later.Op.HasDest() && later.Dest == first.Dest) {
+		return true
+	}
+	return later.Op.HasDest() && uses(first, later.Dest)
 }

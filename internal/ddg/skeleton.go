@@ -77,7 +77,15 @@ func BuildSkeleton(b *ir.Block, arch machine.Arch) *Skeleton {
 	}
 	lastDef := make([]int, maxReg+1) // node index + 1; 0 = no def seen
 	lastUses := make([][]int, maxReg+1)
-	var memOps []int
+	// Memory operations seen so far, per array and kind: only accesses
+	// to the same array can depend on each other, and two loads never
+	// do, so a load is compared against its array's stores alone. A
+	// kernel names a handful of arrays; a linear probe finds the list.
+	type arrayOps struct {
+		mem           *ir.MemRef
+		loads, stores []int
+	}
+	var arrays []arrayOps
 
 	for i, in := range ins {
 		// Register dependences.
@@ -110,12 +118,34 @@ func BuildSkeleton(b *ir.Block, arch machine.Arch) *Skeleton {
 		}
 		// Memory dependences.
 		if in.Op.IsMem() {
-			for _, m := range memOps {
-				if d, dep := memDependence(ins[m], in); dep {
-					addEdge(m, i, d)
+			var ao *arrayOps
+			for k := range arrays {
+				if arrays[k].mem == in.Mem {
+					ao = &arrays[k]
+					break
 				}
 			}
-			memOps = append(memOps, i)
+			if ao == nil {
+				arrays = append(arrays, arrayOps{mem: in.Mem})
+				ao = &arrays[len(arrays)-1]
+			}
+			// The edges out of one earlier operation land in its own
+			// successor list, so the order the earlier ones are visited
+			// in does not show in the graph.
+			earlier := func(ms []int) {
+				for _, m := range ms {
+					if d, dep := memDependence(ins[m], in); dep {
+						addEdge(m, i, d)
+					}
+				}
+			}
+			earlier(ao.stores)
+			if in.Op == ir.OpStore {
+				earlier(ao.loads)
+				ao.stores = append(ao.stores, i)
+			} else {
+				ao.loads = append(ao.loads, i)
+			}
 		}
 	}
 

@@ -88,8 +88,9 @@ func TestMergedTraceOneFleetOneTrace(t *testing.T) {
 	if names["dist.shard"] < 2 {
 		t.Errorf("dist.shard spans = %d, want >= 2 (two workers)", names["dist.shard"])
 	}
-	// Worker-side pipeline phases made it across the wire.
-	for _, phase := range []string{"serve.job", "dse.explore", "evaluate", "sched", "sim.reference"} {
+	// Worker-side pipeline phases made it across the wire. The backend's
+	// span is sched.delta: the default compile path, spill rounds included.
+	for _, phase := range []string{"serve.job", "dse.explore", "evaluate", "sched.delta", "sim.reference"} {
 		if names[phase] == 0 {
 			t.Errorf("merged trace missing worker-side %q spans (got %v)", phase, names)
 		}
@@ -116,7 +117,7 @@ func TestMergedTraceOneFleetOneTrace(t *testing.T) {
 	}
 	checked := 0
 	for i, e := range tr.TraceEvents {
-		if e.Name != "evaluate" && e.Name != "sched" && e.Name != "sim.reference" {
+		if e.Name != "evaluate" && e.Name != "sched.delta" && e.Name != "sim.reference" {
 			continue
 		}
 		checked++

@@ -3,11 +3,13 @@ package dse
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
 	"customfit/internal/bench"
 	"customfit/internal/machine"
+	"customfit/internal/obs"
 	"customfit/internal/sched"
 	"customfit/internal/search"
 )
@@ -19,7 +21,9 @@ import (
 // of every visited architecture. Two walkers per kernel share one
 // delta-enabled evaluator, so under -race this also exercises
 // concurrent access to the per-kernel delta caches (block-schedule
-// ring, allocation memo, partition-class state construction).
+// ring, allocation memo, partition-class state construction). The
+// walks rarely meet a cell that spills, so deltaSpillingCells then
+// compares those directly.
 func TestDeltaNeighborWalksBitIdentical(t *testing.T) {
 	space := machine.FullSpace()
 	inSpace := make(map[machine.Arch]bool, len(space))
@@ -82,6 +86,88 @@ func TestDeltaNeighborWalksBitIdentical(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+	deltaSpillingCells(t, fresh, kernels)
+}
+
+// progText renders everything a compile decides: per block the length,
+// the forced placements and every op with its cycle and clusters, then
+// the allocation.
+func progText(res *sched.Result) string {
+	var sb strings.Builder
+	p := res.Prog
+	fmt.Fprintf(&sb, "iterations %d spilled %d spills %d maxlive %v assign %v\n",
+		res.Iterations, res.Spilled, p.Spills, p.MaxLive, p.PhysAssign)
+	for _, blk := range p.Blocks {
+		fmt.Fprintf(&sb, "%s: len %d forced %d peak %v\n", blk.IR.Name, blk.Len, blk.Forced, blk.SchedPeak)
+		for _, op := range blk.Ops {
+			fmt.Fprintf(&sb, "  %d c%d s%d %s\n", op.Cycle, op.Cluster, op.SrcCluster, op.Instr)
+		}
+	}
+	return sb.String()
+}
+
+// deltaSpillingCells covers what the neighbor walks rarely reach: cells
+// whose first allocation does not fit, where CompilePreparedDelta hands
+// its attempt to the spill loop as round 1. On two register-starved
+// machines at unroll 2 and 4 the delta compile — on an empty cache, then
+// again with every block of round 1 (and its blame) served from the
+// cache — must equal sched.CompilePrepared in everything it decides,
+// Iterations and Spilled included, and must list-schedule exactly the
+// blocks the cold driver does, minus the round the cache answered:
+// no round is ever run twice.
+func deltaSpillingCells(t *testing.T, ev *Evaluator, kernels []*bench.Benchmark) {
+	col := obs.NewCollector()
+	obs.Install(col)
+	defer obs.Install(nil)
+	scheduled := col.Counter("sched.blocks_scheduled")
+	counting := func(compile func() (*sched.Result, error)) (string, int64) {
+		before := scheduled.Value()
+		res, err := compile()
+		n := scheduled.Value() - before
+		if err != nil {
+			return "error: " + err.Error(), n
+		}
+		return progText(res), n
+	}
+	archs := []machine.Arch{
+		machine.Baseline,
+		{ALUs: 8, MULs: 2, Regs: 128, L2Ports: 1, L2Lat: 8, Clusters: 4},
+	}
+	spillRounds := 0
+	for _, bm := range kernels {
+		for _, u := range []int{2, 4} {
+			p := ev.prepare(nil, bm, u)
+			if p.err != nil {
+				continue // unroll limit of this kernel
+			}
+			for _, arch := range archs {
+				// A Prepared of its own: an empty delta cache.
+				prep := sched.NewPrepared(p.kernel.F)
+				sc := sched.NewScratch()
+				want, cold := counting(func() (*sched.Result, error) { return sched.CompilePrepared(nil, prep, arch, nil) })
+				first, n1 := counting(func() (*sched.Result, error) { return sched.CompilePreparedDelta(nil, prep, arch, sc) })
+				again, n2 := counting(func() (*sched.Result, error) { return sched.CompilePreparedDelta(nil, prep, arch, sc) })
+				where := fmt.Sprintf("%s u=%d %s", bm.Name, u, arch)
+				if first != want {
+					t.Errorf("%s: delta compile on an empty cache differs from CompilePrepared\n--- delta\n%s--- cold\n%s", where, first, want)
+				}
+				if again != want {
+					t.Errorf("%s: delta compile on a warm cache differs from CompilePrepared\n--- delta\n%s--- cold\n%s", where, again, want)
+				}
+				blocks := int64(len(p.kernel.F.Blocks))
+				if n1 != cold || n2 != cold-blocks {
+					t.Errorf("%s: scheduled %d blocks cold, %d through an empty delta cache (want %d), %d through a warm one (want %d)",
+						where, cold, n1, cold, n2, cold-blocks)
+				}
+				if cold > blocks {
+					spillRounds++
+				}
+			}
+		}
+	}
+	if spillRounds == 0 {
+		t.Error("no cell needed a second round: the handoff was never exercised")
 	}
 }
 

@@ -520,9 +520,13 @@ func (e *Evaluator) SpeedupBound(b *bench.Benchmark, baselineTime float64, cost 
 
 // runSweep performs the real unroll-until-spill sweep for one
 // (benchmark, architecture), returning the signature-invariant result.
-// Cancellation is observed between backend compiles (each is
-// milliseconds), so a cancelled sweep returns promptly with cancelled
-// set and failed cleared — abandoned work is not a compile failure.
+// Cancellation is observed between backend compiles, not inside one.
+// Most are milliseconds, but the compile that ends a sweep usually
+// spills, runs up to sched.MaxSpillIterations schedule/allocate rounds
+// and takes up to ~0.2 s on a 2-core box (kernel GEF at unroll 4 on
+// (8 2 128 1 8 4); docs/PERFORMANCE.md, "Cold path"): that is how long
+// a cancelled sweep can take to return, with cancelled set and failed
+// cleared — abandoned work is not a compile failure.
 func (e *Evaluator) runSweep(ctx context.Context, esp *obs.Span, b *bench.Benchmark, arch machine.Arch, sc *sched.Scratch) sweepResult {
 	sw := sweepResult{failed: true}
 	for _, u := range UnrollFactors {

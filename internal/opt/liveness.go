@@ -14,7 +14,11 @@
 // from.
 package opt
 
-import "customfit/internal/ir"
+import (
+	"math/bits"
+
+	"customfit/internal/ir"
+)
 
 // Liveness holds per-block live-in/live-out register sets.
 type Liveness struct {
@@ -81,6 +85,30 @@ func (lv *Liveness) LiveOut(b *ir.Block, r ir.Reg) bool {
 func (lv *Liveness) LiveIn(b *ir.Block, r ir.Reg) bool {
 	s, ok := lv.in[b]
 	return ok && int(r) < lv.nregs && s.get(r)
+}
+
+// Sets returns b's live-in and live-out sets as bitset words (bit r%64
+// of word r/64 is register r), for callers that walk the live registers
+// instead of probing each one. The words are the analysis's own: read
+// only. Both are nil for a block the analysis never saw.
+func (lv *Liveness) Sets(b *ir.Block) (in, out []uint64) {
+	if s, ok := lv.in[b]; ok {
+		in = s.w
+	}
+	if s, ok := lv.out[b]; ok {
+		out = s.w
+	}
+	return in, out
+}
+
+// EachReg calls fn for every register of a set returned by Sets, in
+// ascending order.
+func EachReg(set []uint64, fn func(ir.Reg)) {
+	for w, word := range set {
+		for ; word != 0; word &= word - 1 {
+			fn(ir.Reg(w<<6 + bits.TrailingZeros64(word)))
+		}
+	}
 }
 
 // regset is a dense register bitset.

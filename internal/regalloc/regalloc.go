@@ -228,11 +228,8 @@ func allocate(prog *vliw.Program, lv *opt.Liveness, sc *Scratch, res *Result) {
 		ops := sb.Ops
 		hi := len(ops)
 		// Backward sweep seeded with the block's live-out set.
-		for r := ir.Reg(0); int(r) < nregs; r++ {
-			if lv.LiveOut(sb.IR, r) {
-				addLive(r, b0+sb.Len)
-			}
-		}
+		_, liveOut := lv.Sets(sb.IR)
+		opt.EachReg(liveOut, func(r ir.Reg) { addLive(r, b0+sb.Len) })
 		for t := sb.Len - 1; t >= 0; t-- {
 			at := b0 + t
 			lo := hi

@@ -23,10 +23,6 @@ const MaxSpillIterations = 32
 // considering this unroll factor and all larger ones.
 var ErrNoFit = errors.New("register pressure does not fit")
 
-// DebugCompileLog, when set, receives per-iteration compile diagnostics
-// (test instrumentation).
-var DebugCompileLog func(format string, args ...interface{})
-
 // Result is a completed compilation for one architecture.
 type Result struct {
 	Prog *vliw.Program
@@ -52,11 +48,12 @@ func CompileSpan(sp *obs.Span, prepared *ir.Func, arch machine.Arch) (*Result, e
 	return CompilePrepared(sp, NewPrepared(prepared), arch, nil)
 }
 
-// CompilePrepared is the explorer's hot path: it compiles a shared
-// Prepared kernel for one architecture, reusing the kernel's cached
-// dependence skeletons (per L2 latency class) and the caller's Scratch
-// arena. prep may be shared across concurrent workers; sc may not
-// (pass nil to allocate a private one). The prepared IR is not mutated.
+// CompilePrepared compiles a shared Prepared kernel for one
+// architecture from nothing: no delta cache is read or written, only the
+// kernel's cached dependence skeletons (per L2 latency class) and the
+// caller's Scratch arena are reused. prep may be shared across
+// concurrent workers; sc may not (pass nil to allocate a private one).
+// The prepared IR is not mutated, and the Result owns its memory.
 func CompilePrepared(sp *obs.Span, prep *Prepared, arch machine.Arch, sc *Scratch) (*Result, error) {
 	if err := arch.Validate(); err != nil {
 		return nil, err
@@ -69,63 +66,108 @@ func CompilePrepared(sp *obs.Span, prep *Prepared, arch machine.Arch, sc *Scratc
 	if sc == nil {
 		sc = NewScratch()
 	}
-	work := prep.F.Clone()
+	return spillLoop(csp, prep, arch, sc, lowerFor(prep.F, arch), nil)
+}
+
+// lowerFor returns a private copy of the prepared kernel with the
+// architecture's instruction-set rewrites applied: custom-op fusion and
+// min/max fusion. It is the IR the partitioner reads and the spill loop
+// rewrites.
+func lowerFor(src *ir.Func, arch machine.Arch) *ir.Func {
+	work := src.Clone()
 	if !arch.Ops.Empty() {
 		ops.Rewrite(work, arch.Ops)
 	}
 	if arch.MinMax {
 		FuseMinMax(work)
 	}
-	spilled := 0
-	alreadySpilled := map[ir.Reg]bool{}
-	cap := arch.RegsPC() - 2
+	return work
+}
+
+// attempt is one schedule/allocate round's outcome: the scheduled
+// program (blame filled in) and the allocator's verdict on it.
+type attempt struct {
+	prog *vliw.Program
+	ra   *regalloc.Result
+}
+
+// blamed is a spill candidate with its blame count.
+type blamed struct {
+	r ir.Reg
+	n int
+}
+
+// runRound partitions, schedules and allocates work as round iter of
+// the spill loop.
+func runRound(csp *obs.Span, prep *Prepared, arch machine.Arch, sc *Scratch, work *ir.Func, iter int) (attempt, error) {
+	var g *ir.Func
+	psp := csp.Child("sched.partition").Int("iter", int64(iter))
+	var pl *Placement
+	singleCluster := arch.Clusters <= 1
+	if singleCluster {
+		// Partitioning a single-cluster machine only stamps cluster
+		// 0 on every instruction — idempotent, so the work copy is
+		// scheduled in place with no per-iteration clone at all.
+		g = work
+		pl = Partition(g, arch)
+	} else {
+		// Clustered machines rewrite the instruction stream (copy
+		// insertion, operand localization), so partitioning clones:
+		// one fused pass instead of Clone followed by Partition.
+		g, pl = PartitionClone(work, arch)
+	}
+	psp.End()
 	// The cached skeletons describe prep.F's pristine blocks, so they
 	// apply only while work is instruction-identical to them: single
 	// cluster (partitioning inserts no copies), no min/max or custom-op
 	// fusion, and no spill rewrites yet.
-	singleCluster := arch.Clusters <= 1
-	pristine := arch.Ops.Empty() && !arch.MinMax
+	var skels []*ddg.Skeleton
+	if singleCluster && arch.Ops.Empty() && !arch.MinMax && iter == 1 {
+		skels = prep.skeletons(arch)
+	}
+	// After two failed greedy rounds, fall back to program-order
+	// priority: a valid execution order whose pressure tracks the
+	// source's depth-first evaluation, trading ILP for fit.
+	inOrder := iter >= 3
+	ssp := csp.Child("sched.schedule").Int("iter", int64(iter))
+	// The cap stays fixed across rounds: shrinking it only multiplies
+	// forced placements. In-order mode plus spilling is what converges.
+	prog, lv, err := scheduleFunc(g, arch, pl, arch.RegsPC()-pressureReserve, inOrder, skels, sc)
+	if err != nil {
+		ssp.End()
+		return attempt{}, err
+	}
+	ssp.Int("bundles", int64(prog.BundleCount())).Int("ops", int64(prog.OpCount())).End()
+	return attempt{prog, regalloc.AllocateWith(csp, prog, lv, sc.RA)}, nil
+}
+
+// spillLoop is the schedule → allocate → spill iteration over work, the
+// architecture-lowered pre-partition IR (which it rewrites). first,
+// when non-nil, is round 1 already run on an instruction-identical copy
+// of work — the delta compiler's attempt, whose allocation did not fit —
+// and the loop continues from it instead of repeating the round.
+func spillLoop(csp *obs.Span, prep *Prepared, arch machine.Arch, sc *Scratch, work *ir.Func, first *attempt) (*Result, error) {
+	spilled := 0
+	sc.alreadySpilled = sc.alreadySpilled[:0]
 	for iter := 1; iter <= MaxSpillIterations; iter++ {
-		var g *ir.Func
-		psp := csp.Child("sched.partition").Int("iter", int64(iter))
-		var pl *Placement
-		if singleCluster {
-			// Partitioning a single-cluster machine only stamps cluster
-			// 0 on every instruction — idempotent, so the work copy is
-			// scheduled in place with no per-iteration clone at all.
-			g = work
-			pl = Partition(g, arch)
+		var at attempt
+		if iter == 1 && first != nil {
+			at = *first
 		} else {
-			// Clustered machines rewrite the instruction stream (copy
-			// insertion, operand localization), so partitioning clones:
-			// one fused pass instead of Clone followed by Partition.
-			g, pl = PartitionClone(work, arch)
+			var err error
+			if at, err = runRound(csp, prep, arch, sc, work, iter); err != nil {
+				return nil, err
+			}
 		}
-		psp.End()
-		var skels []*ddg.Skeleton
-		if singleCluster && pristine && iter == 1 {
-			skels = prep.skeletons(arch)
-		}
-		// After two failed greedy rounds, fall back to program-order
-		// priority: a valid execution order whose pressure tracks the
-		// source's depth-first evaluation, trading ILP for fit.
-		inOrder := iter >= 3
-		ssp := csp.Child("sched.schedule").Int("iter", int64(iter))
-		prog, lv, err := scheduleFunc(g, arch, pl, cap, inOrder, skels, sc)
-		if err != nil {
-			ssp.End()
-			return nil, err
-		}
-		ssp.Int("bundles", int64(prog.BundleCount())).Int("ops", int64(prog.OpCount())).End()
-		ra := regalloc.AllocateWith(csp, prog, lv, sc.RA)
-		if DebugCompileLog != nil {
-			DebugCompileLog("iter %d inorder=%v cap=%d maxlive=%v fits=%v bundles=%d", iter, inOrder, cap, ra.MaxLive, ra.Fits, prog.BundleCount())
-		}
+		prog, ra := at.prog, at.ra
 		if ra.Fits {
 			prog.Spills = spilled
 			prog.MaxLive = ra.MaxLive
 			prog.PhysAssign = ra.Assign
 			csp.Int("iterations", int64(iter)).Int("spilled", int64(spilled))
+			if iter > 1 {
+				obs.GetHistogram("sched.spill_rounds").Observe(float64(iter - 1))
+			}
 			return &Result{Prog: prog, Spilled: spilled, Iterations: iter}, nil
 		}
 		spsp := csp.Child("sched.spill").Int("iter", int64(iter))
@@ -133,8 +175,12 @@ func CompilePrepared(sp *obs.Span, prep *Prepared, arch machine.Arch, sc *Scratc
 		// below work's register count; partitioning appends copies).
 		// Prefer the registers the scheduler blamed for its pressure
 		// stalls; fall back to the allocator's longest live ranges.
-		var victims []ir.Reg
+		victims := sc.victims[:0]
 		limit := ir.Reg(work.NumRegs())
+		for len(sc.alreadySpilled) < int(limit) {
+			sc.alreadySpilled = append(sc.alreadySpilled, false)
+		}
+		alreadySpilled := sc.alreadySpilled
 		// Spill decisively: re-partitioning between rounds adds ±2-3 of
 		// placement noise per cluster, so small batches just oscillate.
 		// Scale with the total overflow across clusters.
@@ -155,23 +201,14 @@ func CompilePrepared(sp *obs.Span, prep *Prepared, arch machine.Arch, sc *Scratc
 				alreadySpilled[v] = true
 			}
 		}
-		overflowing := map[int]bool{}
-		for c, o := range ra.Overflow {
-			if o > 0 {
-				overflowing[c] = true
-			}
-		}
-		type blamed struct {
-			r ir.Reg
-			n int
-		}
-		var byBlame []blamed
+		byBlame := sc.byBlame[:0]
 		for r, n := range prog.Blame {
-			if n > 0 && ir.Reg(r) < limit && !alreadySpilled[ir.Reg(r)] &&
-				r < len(prog.RegCluster) && overflowing[prog.RegCluster[r]] {
+			if n > 0 && ir.Reg(r) < limit && !alreadySpilled[r] &&
+				r < len(prog.RegCluster) && ra.Overflow[prog.RegCluster[r]] > 0 {
 				byBlame = append(byBlame, blamed{ir.Reg(r), n})
 			}
 		}
+		sc.byBlame = byBlame[:0]
 		sort.Slice(byBlame, func(i, j int) bool { return byBlame[i].n > byBlame[j].n })
 		for _, bl := range byBlame {
 			victims = append(victims, bl.r)
@@ -180,6 +217,7 @@ func CompilePrepared(sp *obs.Span, prep *Prepared, arch machine.Arch, sc *Scratc
 				break
 			}
 		}
+		sc.victims = victims[:0]
 		if len(victims) == 0 {
 			spsp.End()
 			return nil, fmt.Errorf("sched %s on %s: pressure %v exceeds %d regs/cluster with no spillable candidates",
@@ -191,12 +229,12 @@ func CompilePrepared(sp *obs.Span, prep *Prepared, arch machine.Arch, sc *Scratc
 			return nil, fmt.Errorf("sched %s on %s: spill made no progress (pressure %v)",
 				prep.F.Name, arch, ra.MaxLive)
 		}
+		obs.GetCounter("sched.spill_rewritten").Add(int64(n))
 		spilled += n
-		// The cap stays fixed: shrinking it only multiplies forced
-		// placements. In-order mode plus spilling is what converges.
 		// Deliberately no Clean here: CSE would merge the per-use
 		// reloads back into one long-lived value and undo the spill.
 	}
+	obs.GetHistogram("sched.spill_rounds").Observe(MaxSpillIterations)
 	return nil, fmt.Errorf("sched %s on %s after %d spill rounds: %w",
 		prep.F.Name, arch, MaxSpillIterations, ErrNoFit)
 }

@@ -7,7 +7,6 @@ import (
 	"customfit/internal/ir"
 	"customfit/internal/machine"
 	"customfit/internal/obs"
-	"customfit/internal/ops"
 	"customfit/internal/opt"
 	"customfit/internal/regalloc"
 	"customfit/internal/vliw"
@@ -30,10 +29,10 @@ import (
 // Correctness is by reconstruction, not approximation: a cached block
 // is reused only when every architecture parameter the scheduler read
 // while building it compares equal (or provably never mattered — see
-// blockInfo and schedCert), so the delta path returns bit-identical
-// programs to CompilePrepared's first iteration. Anything the delta
-// path cannot prove — a spill, a scheduler error, a pressure-bound
-// block under a different budget — falls back to the full driver.
+// blockInfo and schedCert), so the delta attempt is bit-identical to
+// CompilePrepared's first round. When its allocation does not fit, the
+// attempt — program, allocator verdict and the blame its blocks carry —
+// is the spill loop's round 1: nothing is computed twice.
 
 // deltaKey selects a cached partition class. Custom-op rewriting,
 // min/max fusion and cluster partitioning are the only transforms that
@@ -60,7 +59,9 @@ type blockInfo struct {
 
 // blockEntry is one cached block schedule: the exact parameters it was
 // built under, the certificates that extend its validity (schedCert),
-// and the finished immutable schedule.
+// the finished immutable schedule, and the blame scheduling it charged
+// (sparse, immutable; what the spill loop picks victims by when the
+// assembled program does not fit).
 type blockEntry struct {
 	id      uint32 // state-unique, never reused (allocMemo identity)
 	aluPC   int
@@ -71,6 +72,7 @@ type blockEntry struct {
 	budget  int // per-cycle ready-scan budget
 	cert    schedCert
 	sb      *vliw.Block
+	blame   []regBlame
 }
 
 // allocEntry memoizes one successful register allocation over a
@@ -135,19 +137,13 @@ func (p *Prepared) delta(arch machine.Arch) *deltaState {
 	return ds
 }
 
-// build replays exactly what CompilePrepared's first iteration does to
-// the instruction stream for this class: clone, optionally rewrite
-// custom ops and fuse min/max, partition. The clone keeps every
-// per-compile mutation off the shared Prepared (Partition stamps
-// clusters in place, and ComputeLiveness recomputes the CFG).
+// build replays exactly what the spill loop's first round does to the
+// instruction stream for this class: clone, optionally rewrite custom
+// ops and fuse min/max, partition. The clone keeps every per-compile
+// mutation off the shared Prepared (Partition stamps clusters in place,
+// and ComputeLiveness recomputes the CFG).
 func (ds *deltaState) build(src *ir.Func, arch machine.Arch) {
-	work := src.Clone()
-	if !arch.Ops.Empty() {
-		ops.Rewrite(work, arch.Ops)
-	}
-	if arch.MinMax {
-		FuseMinMax(work)
-	}
+	work := lowerFor(src, arch)
 	if arch.Clusters <= 1 {
 		ds.g = work
 		ds.pl = Partition(work, arch)
@@ -230,7 +226,7 @@ type deltaParams struct {
 // dominance over the recorded certificates (when it provably never
 // did). The schedule block is immutable, so it is safe to share across
 // workers and programs after the lock is dropped.
-func (ds *deltaState) lookup(bi int, p deltaParams) (*vliw.Block, uint32, bool) {
+func (ds *deltaState) lookup(bi int, p deltaParams) (blockEntry, bool) {
 	info := ds.info[bi]
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
@@ -259,21 +255,25 @@ func (ds *deltaState) lookup(bi int, p deltaParams) (*vliw.Block, uint32, bool) 
 		} else if p.budget < e.cert.maxScan {
 			continue
 		}
-		return e.sb, e.id, true
+		return *e, true
 	}
-	return nil, 0, false
+	return blockEntry{}, false
 }
 
 // insert records a freshly scheduled block, evicting round-robin past
-// the per-block cap, and returns the entry's id.
-func (ds *deltaState) insert(bi int, p deltaParams, cert schedCert, sb *vliw.Block) uint32 {
+// the per-block cap, and returns the entry. blame is copied: the
+// scheduler's list lives in a Scratch.
+func (ds *deltaState) insert(bi int, p deltaParams, cert schedCert, sb *vliw.Block, blame []regBlame) blockEntry {
+	if len(blame) > 0 {
+		blame = append([]regBlame(nil), blame...)
+	}
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
 	ds.nextID++
 	e := blockEntry{
 		id: ds.nextID, aluPC: p.aluPC, mulPC: p.mulPC,
 		l2Lat: p.l2Lat, l2Ports: p.l2Ports, capEff: p.capEff,
-		budget: p.budget, cert: cert, sb: sb,
+		budget: p.budget, cert: cert, sb: sb, blame: blame,
 	}
 	if len(ds.blocks[bi]) < deltaBlockEntries {
 		ds.blocks[bi] = append(ds.blocks[bi], e)
@@ -281,7 +281,7 @@ func (ds *deltaState) insert(bi int, p deltaParams, cert schedCert, sb *vliw.Blo
 		ds.blocks[bi][ds.blockPos[bi]] = e
 		ds.blockPos[bi] = (ds.blockPos[bi] + 1) % deltaBlockEntries
 	}
-	return e.id
+	return e
 }
 
 // allocLookup returns a memoized allocation (peak pressure, physical
@@ -336,36 +336,19 @@ func (ds *deltaState) allocInsert(ids []uint32, maxLive, assign []int) (ml, as [
 	return ae.maxLive, ae.assign
 }
 
-// CompilePreparedDelta is CompilePrepared routed through the delta
-// cache: it attempts the cheap one-iteration reconstruction and falls
-// back to the full driver whenever the delta path cannot prove the
-// result (spills, scheduler errors, unprovable reuse). Results are
-// bit-identical to CompilePrepared in every case.
+// CompilePreparedDelta is CompilePrepared through the delta cache: round
+// 1 is assembled from cached block schedules (scheduling only the
+// blocks no entry proves) and a memoized allocation verdict, and when
+// the program does not fit the spill loop continues from that round.
+// Results are bit-identical to CompilePrepared in every case.
 //
-// The returned Result's Program shell, block table and blame buffer
-// live in sc's arenas when the delta path succeeds: the Result is
-// valid only until the next compile through the same Scratch. Callers
-// that retain programs should use CompilePrepared.
+// A Result that needed no spill round has its Program shell and block
+// table in sc's arenas and no blame table: it is valid only until the
+// next compile through the same Scratch. Callers that retain programs
+// should use CompilePrepared.
 func CompilePreparedDelta(sp *obs.Span, prep *Prepared, arch machine.Arch, sc *Scratch) (*Result, error) {
-	res, ok, err := CompileDelta(sp, prep, arch, sc)
-	if err != nil {
-		return nil, err
-	}
-	if ok {
-		return res, nil
-	}
-	obs.GetCounter("sched.delta_fallbacks").Inc()
-	return CompilePrepared(sp, prep, arch, sc)
-}
-
-// CompileDelta attempts the delta-path compile. ok=false means the
-// caller must run the full CompilePrepared (the program needs spill
-// iterations, or scheduling failed — the full driver reproduces the
-// identical error). See CompilePreparedDelta for the Result's arena
-// lifetime.
-func CompileDelta(sp *obs.Span, prep *Prepared, arch machine.Arch, sc *Scratch) (*Result, bool, error) {
 	if err := arch.Validate(); err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	if sc == nil {
 		sc = NewScratch()
@@ -390,34 +373,39 @@ func CompileDelta(sp *obs.Span, prep *Prepared, arch machine.Arch, sc *Scratch) 
 		defer csp.End()
 	}
 
-	blame := growInt(&sc.blame, ds.g.NumRegs())
 	blocks := sc.progBlocks[:0]
 	ids := sc.entryIDs[:0]
+	blames := sc.entryBlame[:0]
 	var skels []*ddg.Skeleton
 	hits := 0
-	for bi := range ds.g.Blocks {
-		sb, id, ok := ds.lookup(bi, params)
+	for bi, b := range ds.g.Blocks {
+		e, ok := ds.lookup(bi, params)
 		if !ok {
 			if skels == nil {
 				skels = ds.skeletons(prep, arch)
 			}
-			fresh, cert, err := scheduleBlock(ds.g, ds.g.Blocks[bi], arch, ds.pl, ds.lv, capRaw, blame, false, skels[bi], sc)
+			sb, cert, blame, err := scheduleBlock(ds.g, b, arch, ds.pl, ds.lv, capRaw, false, skels[bi], sc)
 			if err != nil {
-				// The full driver reproduces this error with its own
-				// wrapping; don't duplicate the formatting here.
-				return nil, false, nil
+				// Cached blocks cannot fail, so this is the block and the
+				// error scheduleFunc stops at.
+				return nil, blockError(ds.g, b, err)
 			}
-			sb, id = fresh, ds.insert(bi, params, cert, fresh)
+			e = ds.insert(bi, params, cert, sb, blame)
 		} else {
 			hits++
 		}
-		blocks = append(blocks, sb)
-		ids = append(ids, id)
+		blocks = append(blocks, e.sb)
+		ids = append(ids, e.id)
+		blames = append(blames, e.blame)
 	}
 	sc.progBlocks = blocks[:0]
 	sc.entryIDs = ids[:0]
+	sc.entryBlame = blames[:0]
 	obs.GetCounter("sched.delta_block_hits").Add(int64(hits))
 	obs.GetCounter("sched.delta_block_misses").Add(int64(len(blocks) - hits))
+	if csp != nil {
+		csp.Int("block_hits", int64(hits)).Int("blocks", int64(len(blocks)))
+	}
 
 	prog := &sc.prog
 	*prog = vliw.Program{
@@ -425,7 +413,6 @@ func CompileDelta(sp *obs.Span, prep *Prepared, arch machine.Arch, sc *Scratch) 
 		F:          ds.g,
 		Blocks:     blocks,
 		RegCluster: ds.pl.RegCluster,
-		Blame:      blame,
 	}
 
 	capacity := arch.RegsPC()
@@ -433,7 +420,15 @@ func CompileDelta(sp *obs.Span, prep *Prepared, arch machine.Arch, sc *Scratch) 
 	if !ok {
 		ra := regalloc.AllocateReuse(csp, prog, ds.lv, sc.RA)
 		if !ra.Fits {
-			return nil, false, nil
+			// The attempt is the spill loop's round 1. The loop rewrites
+			// the lowered IR, so it gets a copy of its own: the one
+			// build partitioned into g, made again.
+			obs.GetCounter("sched.delta_fallbacks").Inc()
+			prog.Blame = grow(&sc.blame, ds.g.NumRegs())
+			for _, blame := range blames {
+				addBlame(prog.Blame, blame)
+			}
+			return spillLoop(csp, prep, arch, sc, lowerFor(prep.F, arch), &attempt{prog, ra})
 		}
 		maxLive, assign = ds.allocInsert(ids, ra.MaxLive, ra.Assign)
 	} else {
@@ -442,10 +437,7 @@ func CompileDelta(sp *obs.Span, prep *Prepared, arch machine.Arch, sc *Scratch) 
 	prog.Spills = 0
 	prog.MaxLive = maxLive
 	prog.PhysAssign = assign
-	if csp != nil {
-		csp.Int("block_hits", int64(hits)).Int("blocks", int64(len(blocks)))
-	}
 	res := &sc.result
 	*res = Result{Prog: prog, Spilled: 0, Iterations: 1}
-	return res, true, nil
+	return res, nil
 }

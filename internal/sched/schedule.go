@@ -2,10 +2,12 @@ package sched
 
 import (
 	"fmt"
+	"math/bits"
 
 	"customfit/internal/ddg"
 	"customfit/internal/ir"
 	"customfit/internal/machine"
+	"customfit/internal/obs"
 	"customfit/internal/opt"
 	"customfit/internal/vliw"
 )
@@ -77,6 +79,7 @@ func scheduleFunc(f *ir.Func, arch machine.Arch, pl *Placement, cap int, inOrder
 	}
 	lv := opt.ComputeLiveness(f)
 	prog.Blame = make([]int, f.NumRegs())
+	prog.Blocks = make([]*vliw.Block, 0, len(f.Blocks))
 	for bi, b := range f.Blocks {
 		var sk *ddg.Skeleton
 		if skels != nil {
@@ -84,13 +87,27 @@ func scheduleFunc(f *ir.Func, arch machine.Arch, pl *Placement, cap int, inOrder
 		} else {
 			sk = ddg.BuildSkeleton(b, arch)
 		}
-		sb, _, err := scheduleBlock(f, b, arch, pl, lv, cap, prog.Blame, inOrder, sk, sc)
+		sb, _, blame, err := scheduleBlock(f, b, arch, pl, lv, cap, inOrder, sk, sc)
 		if err != nil {
-			return nil, nil, fmt.Errorf("sched %s/%s: %w", f.Name, b.Name, err)
+			return nil, nil, blockError(f, b, err)
 		}
+		addBlame(prog.Blame, blame)
 		prog.Blocks = append(prog.Blocks, sb)
 	}
 	return prog, lv, nil
+}
+
+// blockError names the block a scheduling error came from. Both compile
+// entries word it through here, so they fail alike.
+func blockError(f *ir.Func, b *ir.Block, err error) error {
+	return fmt.Errorf("sched %s/%s: %w", f.Name, b.Name, err)
+}
+
+// addBlame folds a block's sparse blame into a per-register table.
+func addBlame(dst []int, blame []regBlame) {
+	for _, bl := range blame {
+		dst[bl.r] += int(bl.n)
+	}
 }
 
 // pressureReserve is how many registers per cluster the throttle keeps
@@ -98,76 +115,139 @@ func scheduleFunc(f *ir.Func, arch machine.Arch, pl *Placement, cap int, inOrder
 // the scheduler's exact liveness).
 const pressureReserve = 2
 
-// readyHeap is a min-heap of instruction indices ordered by descending
-// critical-path height (ties to earlier program order), or pure program
-// order when inOrder is set (the pressure-safe fallback: program order
-// is a valid execution order, so the front of the queue is always
-// placeable and pressure tracks the program-order peak). The ordering
-// is total — no two entries compare equal — so the pop sequence is
-// independent of heap layout.
-type readyHeap struct {
-	idx     []int32
-	heights []int
-	inOrder bool
+// readySet is the scheduler's ready queue. The priority — descending
+// critical-path height with ties to earlier program order, or pure
+// program order when inOrder is set (the pressure-safe fallback: program
+// order is a valid execution order, so the front of the queue is always
+// placeable and pressure tracks the program-order peak) — is static per
+// block and total, so every instruction gets a rank once (rank 0 issues
+// first) and the set is a bitset over ranks. Visiting candidates in
+// priority order is find-next-set-bit from a cursor: a deferred
+// candidate keeps its bit and costs nothing, a placed one clears it.
+//
+// The visit sequence is exactly that of a binary heap that pops each
+// candidate once per cycle and pushes the deferred ones back at the end
+// of it: an instruction readied mid-scan above the cursor is met when
+// the cursor reaches it, and one readied below the cursor — which the
+// heap would pop next — is queued in late and visited first.
+type readySet struct {
+	rank  []int32  // instruction index -> rank
+	order []int32  // rank -> instruction index
+	bits  []uint64 // ready ranks
+	lo    int      // no word below this index has a bit set (scans start here)
+	cur   int      // ranks below the cursor were visited this cycle
+	late  []int32  // ranks readied below the cursor, sorted descending
 }
 
-func (q *readyHeap) less(a, b int32) bool {
-	if q.inOrder {
-		return a < b
-	}
-	if q.heights[a] != q.heights[b] {
-		return q.heights[a] > q.heights[b]
-	}
-	return a < b
-}
-
-func (q *readyHeap) push(x int32) {
-	q.idx = append(q.idx, x)
-	i := len(q.idx) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !q.less(q.idx[i], q.idx[p]) {
-			break
+// init ranks the block's n instructions, reusing sc's buffers. Heights
+// are small non-negative integers, so the ranking is a counting sort.
+func (q *readySet) init(sc *Scratch, heights []int, inOrder bool) {
+	n := len(heights)
+	q.rank = grow(&sc.rank, n)
+	q.order = grow(&sc.order, n)
+	q.bits = grow(&sc.readyBits, (n+63)/64)
+	q.lo, q.cur, q.late = len(q.bits), 0, sc.late[:0]
+	if inOrder {
+		for i := range q.rank {
+			q.rank[i], q.order[i] = int32(i), int32(i)
 		}
-		q.idx[i], q.idx[p] = q.idx[p], q.idx[i]
-		i = p
+		return
+	}
+	maxH := 0
+	for _, h := range heights {
+		if h > maxH {
+			maxH = h
+		}
+	}
+	// start[h] = number of instructions taller than h; filling in
+	// program order keeps equal heights in index order.
+	start := grow(&sc.rankStart, maxH+1)
+	for _, h := range heights {
+		start[h]++
+	}
+	below := int32(0)
+	for h := maxH; h >= 0; h-- {
+		start[h], below = below, below+start[h]
+	}
+	for i, h := range heights {
+		r := start[h]
+		start[h]++
+		q.rank[i], q.order[r] = r, int32(i)
 	}
 }
 
-func (q *readyHeap) pop() int32 {
-	top := q.idx[0]
-	n := len(q.idx) - 1
-	q.idx[0] = q.idx[n]
-	q.idx = q.idx[:n]
-	if n > 0 {
-		q.down(0)
+// add marks instruction i ready.
+func (q *readySet) add(i int32) {
+	r := q.rank[i]
+	w := int(r >> 6)
+	q.bits[w] |= 1 << (uint(r) & 63)
+	if w < q.lo {
+		q.lo = w
 	}
-	return top
-}
-
-func (q *readyHeap) down(i int) {
-	n := len(q.idx)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
+	if int(r) < q.cur {
+		// Sorted insertion: the scan loop itself never takes this path
+		// (a successor ranks after the instruction that readied it), so
+		// the list stays tiny.
+		q.late = append(q.late, r)
+		for k := len(q.late) - 1; k > 0 && q.late[k-1] < r; k-- {
+			q.late[k], q.late[k-1] = q.late[k-1], q.late[k]
 		}
-		m := l
-		if r := l + 1; r < n && q.less(q.idx[r], q.idx[l]) {
-			m = r
-		}
-		if !q.less(q.idx[m], q.idx[i]) {
-			return
-		}
-		q.idx[i], q.idx[m] = q.idx[m], q.idx[i]
-		i = m
 	}
 }
 
-func (q *readyHeap) reinit() {
-	for i := len(q.idx)/2 - 1; i >= 0; i-- {
-		q.down(i)
+// remove takes a placed instruction out of the set.
+func (q *readySet) remove(i int32) {
+	r := q.rank[i]
+	q.bits[r>>6] &^= 1 << (uint(r) & 63)
+}
+
+// scan returns the lowest ready rank at or above from, or -1.
+func (q *readySet) scan(from int) int {
+	if lo := q.lo << 6; from < lo {
+		from = lo
 	}
+	w := from >> 6
+	if w >= len(q.bits) {
+		return -1
+	}
+	word := q.bits[w] &^ (1<<(uint(from)&63) - 1)
+	for word == 0 {
+		if w++; w >= len(q.bits) {
+			return -1
+		}
+		word = q.bits[w]
+	}
+	return w<<6 + bits.TrailingZeros64(word)
+}
+
+// next visits the best-priority ready instruction not yet visited this
+// cycle; ok is false when every ready instruction has been.
+func (q *readySet) next() (i int32, ok bool) {
+	if n := len(q.late); n > 0 {
+		r := q.late[n-1]
+		q.late = q.late[:n-1]
+		return q.order[r], true
+	}
+	r := q.scan(q.cur)
+	if r < 0 {
+		return 0, false
+	}
+	q.cur = r + 1
+	return q.order[r], true
+}
+
+// pending reports whether next would still yield a candidate.
+func (q *readySet) pending() bool {
+	return len(q.late) > 0 || q.scan(q.cur) >= 0
+}
+
+// endScan closes the cycle's scan: every instruction still in the set
+// is a candidate again.
+func (q *readySet) endScan() {
+	for q.lo < len(q.bits) && q.bits[q.lo] == 0 {
+		q.lo++
+	}
+	q.cur, q.late = 0, q.late[:0]
 }
 
 // resources tracks per-cycle slot usage and port occupancy in flat
@@ -191,7 +271,7 @@ func (rs *resources) reset(arch machine.Arch) {
 	rs.nc = arch.Clusters
 	rs.rows = 0
 	rs.l1FreeAt = 0
-	rs.l2FreeAt = growInt(&rs.l2FreeAt, arch.L2Ports)
+	rs.l2FreeAt = grow(&rs.l2FreeAt, arch.L2Ports)
 }
 
 // growTo batch-extends per-cycle slot tracking, zeroing only the newly
@@ -297,6 +377,13 @@ func (rs *resources) tryPlace(in *ir.Instr, cycle int, pl *Placement) bool {
 	return true
 }
 
+// regBlame is one sparse blame contribution: register r occupied a
+// saturated cluster through n of a block's pressure-stuck cycles.
+type regBlame struct {
+	r ir.Reg
+	n int32
+}
+
 // pressure tracks exact per-cluster live-value counts as the schedule
 // is built. All state except the escaping peak slice lives in the
 // Scratch arena.
@@ -309,6 +396,20 @@ type pressure struct {
 	immortal   []bool
 	regCluster []int
 
+	// Blame is charged lazily. A pressure-stuck cycle blames every value
+	// live in a saturated cluster, so instead of walking the registers
+	// on each one, stalls[c] counts the stuck cycles that saturated
+	// cluster c and since[r] holds stalls[cluster(r)] as of r becoming
+	// live: r's blame for this stretch of its life is the difference,
+	// taken when it dies (or at block end, see finish). Liveness changes
+	// only in place and stuck cycles fall between places, so the
+	// difference counts exactly the stuck cycles r was live for.
+	stalls  []int32
+	since   []int32
+	stalled bool
+	blame   []regBlame
+	liveOut []uint64
+
 	// Reuse certificate (see schedCert): the largest live-value count
 	// any wouldExceed check compared against the budget, and whether
 	// any check actually fired.
@@ -319,11 +420,14 @@ type pressure struct {
 func (p *pressure) init(f *ir.Func, b *ir.Block, arch machine.Arch, pl *Placement, lv *opt.Liveness, cap int, sc *Scratch) {
 	n := f.NumRegs()
 	p.cap = cap
-	p.live = growInt(&sc.live, arch.Clusters)
+	p.live = grow(&sc.live, arch.Clusters)
 	p.peak = make([]int, arch.Clusters) // escapes via vliw.Block.SchedPeak
-	p.isLive = growBool(&sc.isLive, n)
-	p.remaining = grow32(&sc.remaining, n)
-	p.immortal = growBool(&sc.immortal, n)
+	p.isLive = grow(&sc.isLive, n)
+	p.remaining = grow(&sc.remaining, n)
+	p.immortal = grow(&sc.immortal, n)
+	p.stalls = grow(&sc.stalls, arch.Clusters)
+	p.since = grow(&sc.since, n)
+	p.blame = sc.blameOut[:0]
 	p.regCluster = pl.RegCluster
 	if p.cap < 3 {
 		p.cap = 3
@@ -335,15 +439,53 @@ func (p *pressure) init(f *ir.Func, b *ir.Block, arch machine.Arch, pl *Placemen
 			}
 		}
 	}
-	for r := ir.Reg(0); int(r) < n; r++ {
-		if lv.LiveOut(b, r) {
-			p.immortal[r] = true
-		}
-		if lv.LiveIn(b, r) && (p.remaining[r] > 0 || p.immortal[r]) {
+	// Only registers live into or out of the block start out live, so
+	// walk those two sets rather than every register of the function.
+	liveIn, liveOut := lv.Sets(b)
+	p.liveOut = liveOut
+	opt.EachReg(liveOut, func(r ir.Reg) { p.immortal[r] = true })
+	opt.EachReg(liveIn, func(r ir.Reg) {
+		if p.remaining[r] > 0 || p.immortal[r] {
 			p.isLive[r] = true
 			p.live[p.clusterOf(r)]++
 		}
+	})
+}
+
+// stall records a pressure-stuck cycle that saturated cluster c.
+func (p *pressure) stall(c int) {
+	p.stalls[c]++
+	p.stalled = true
+}
+
+// settle charges r, which lived in cluster c, for the stuck cycles
+// since it became live.
+func (p *pressure) settle(r ir.Reg, c int) {
+	if n := p.stalls[c] - p.since[r]; n > 0 {
+		p.blame = append(p.blame, regBlame{r, n})
 	}
+}
+
+// finish settles the values still live at the end of the block — the
+// live-out set and any result nothing in the block consumed — and
+// returns the block's sparse blame (backed by the Scratch).
+func (p *pressure) finish(b *ir.Block, sc *Scratch) []regBlame {
+	if p.stalled {
+		end := func(r ir.Reg) {
+			if p.isLive[r] {
+				p.isLive[r] = false
+				p.settle(r, p.clusterOf(r))
+			}
+		}
+		opt.EachReg(p.liveOut, end)
+		for _, in := range b.Instrs {
+			if in.Op.HasDest() {
+				end(in.Dest)
+			}
+		}
+	}
+	sc.blameOut = p.blame[:0]
+	return p.blame
 }
 
 func (p *pressure) clusterOf(r ir.Reg) int {
@@ -409,12 +551,15 @@ func (p *pressure) place(in *ir.Instr) {
 		}
 		if p.remaining[a.Reg] <= 0 && !p.immortal[a.Reg] && p.isLive[a.Reg] {
 			p.isLive[a.Reg] = false
-			p.live[p.clusterOf(a.Reg)]--
+			c := p.clusterOf(a.Reg)
+			p.live[c]--
+			p.settle(a.Reg, c)
 		}
 	}
 	if in.Op.HasDest() && !p.isLive[in.Dest] {
 		p.isLive[in.Dest] = true
 		cd := p.clusterOf(in.Dest)
+		p.since[in.Dest] = p.stalls[cd]
 		p.live[cd]++
 		if p.live[cd] > p.peak[cd] {
 			p.peak[cd] = p.live[cd]
@@ -446,24 +591,27 @@ type schedCert struct {
 	scanBound bool
 }
 
-func scheduleBlock(f *ir.Func, b *ir.Block, arch machine.Arch, pl *Placement, lv *opt.Liveness, cap int, blame []int, inOrder bool, sk *ddg.Skeleton, sc *Scratch) (*vliw.Block, schedCert, error) {
+// scheduleBlock list-schedules one block. The third result is the
+// block's sparse blame (see pressure.finish), valid until the next call
+// through the same Scratch.
+func scheduleBlock(f *ir.Func, b *ir.Block, arch machine.Arch, pl *Placement, lv *opt.Liveness, cap int, inOrder bool, sk *ddg.Skeleton, sc *Scratch) (*vliw.Block, schedCert, []regBlame, error) {
+	obs.GetCounter("sched.blocks_scheduled").Inc()
 	var cert schedCert
 	ins := b.Instrs
 	n := len(ins)
 	sb := &vliw.Block{IR: b}
 	if n == 0 {
-		return sb, cert, nil
+		return sb, cert, nil, nil
 	}
 
-	unschedPreds := grow32(&sc.unschedPreds, n)
-	earliest := grow32(&sc.earliest, n)
+	unschedPreds := grow(&sc.unschedPreds, n)
+	earliest := grow(&sc.earliest, n)
+	var ready readySet
+	ready.init(sc, sk.Heights, inOrder)
 	for i, np := range sk.NPreds {
 		unschedPreds[i] = int32(np)
-	}
-	ready := readyHeap{idx: sc.ready[:0], heights: sk.Heights, inOrder: inOrder}
-	for i := 0; i < n; i++ {
-		if unschedPreds[i] == 0 {
-			ready.push(int32(i))
+		if np == 0 {
+			ready.add(int32(i))
 		}
 	}
 	rs := &sc.res
@@ -473,6 +621,9 @@ func scheduleBlock(f *ir.Func, b *ir.Block, arch machine.Arch, pl *Placement, lv
 	placed := 0
 	cycle := 0
 	last := 0
+	// deferred lists the candidates this cycle's scan found issuable
+	// (operands ready) but could not place: what a pressure deadlock
+	// chooses its forced placement from.
 	deferred := sc.deferred[:0]
 	cooloff := 0 // cycles to wait after a forced placement before forcing again
 	maxCycles := 64*n + 4096
@@ -481,6 +632,7 @@ func scheduleBlock(f *ir.Func, b *ir.Block, arch machine.Arch, pl *Placement, lv
 	emit := func(i int32) {
 		in := ins[i]
 		pr.place(in)
+		ready.remove(i)
 		if cycle > last {
 			last = cycle
 		}
@@ -497,29 +649,31 @@ func scheduleBlock(f *ir.Func, b *ir.Block, arch machine.Arch, pl *Placement, lv
 			}
 			unschedPreds[e.To]--
 			if unschedPreds[e.To] == 0 {
-				ready.push(int32(e.To))
+				ready.add(int32(e.To))
 			}
 		}
 	}
 
 	for placed < n {
 		if cycle > maxCycles {
-			sc.ready, sc.deferred = ready.idx[:0], deferred[:0]
-			return nil, cert, fmt.Errorf("schedule did not converge after %d cycles (%d/%d ops placed)", cycle, placed, n)
+			sc.late, sc.deferred = ready.late[:0], deferred[:0]
+			return nil, cert, nil, fmt.Errorf("schedule did not converge after %d cycles (%d/%d ops placed)", cycle, placed, n)
 		}
 		deferred = deferred[:0]
 		placedThisCycle := 0
 		pressureDeferrals := 0
 		// Scanning the whole ready set every cycle is quadratic; after
-		// enough candidates fail, the rest of the heap almost certainly
+		// enough candidates fail, the rest of the set almost certainly
 		// cannot issue this cycle either.
 		scanBudget := 8 * (arch.ALUs + arch.L2Ports + arch.Clusters + 4)
 		scanStart := scanBudget
-		for len(ready.idx) > 0 && scanBudget > 0 {
+		for scanBudget > 0 {
+			i, ok := ready.next()
+			if !ok {
+				break
+			}
 			scanBudget--
-			i := ready.pop()
 			if int(earliest[i]) > cycle {
-				deferred = append(deferred, i)
 				continue
 			}
 			if pr.wouldExceed(ins[i]) {
@@ -537,9 +691,10 @@ func scheduleBlock(f *ir.Func, b *ir.Block, arch machine.Arch, pl *Placement, lv
 		if pops := scanStart - scanBudget; pops > cert.maxScan {
 			cert.maxScan = pops
 		}
-		if scanBudget == 0 && len(ready.idx) > 0 {
+		if scanBudget == 0 && ready.pending() {
 			cert.scanBound = true
 		}
+		ready.endScan()
 		// Pressure deadlock: every issuable candidate would overflow the
 		// budget, and the consumers that would relieve it are not ready
 		// because these very candidates block them. Force exactly one
@@ -552,22 +707,15 @@ func scheduleBlock(f *ir.Func, b *ir.Block, arch machine.Arch, pl *Placement, lv
 		if placedThisCycle == 0 && pressureDeferrals > 0 && cooloff == 0 {
 			// Blame the values occupying the saturated clusters: they
 			// are what a pressure-aware compiler would spill.
-			stuck := growBool(&sc.stuck, arch.Clusters)
-			for _, i := range deferred {
-				if int(earliest[i]) <= cycle && ins[i].Op.HasDest() {
-					stuck[pr.clusterOf(ins[i].Dest)] = true
-				}
-			}
-			for r := 0; r < len(pr.isLive) && r < len(blame); r++ {
-				if pr.isLive[r] && stuck[pr.clusterOf(ir.Reg(r))] {
-					blame[r]++
-				}
-			}
+			stuck := grow(&sc.stuck, arch.Clusters)
 			best := int32(-1)
 			bestKey := [2]int{-1, -1 << 30}
 			for _, i := range deferred {
-				if int(earliest[i]) > cycle {
-					continue
+				if ins[i].Op.HasDest() {
+					if c := pr.clusterOf(ins[i].Dest); !stuck[c] {
+						stuck[c] = true
+						pr.stall(c)
+					}
 				}
 				enables := 0
 				for _, e := range sk.Succs[i] {
@@ -590,22 +738,14 @@ func scheduleBlock(f *ir.Func, b *ir.Block, arch machine.Arch, pl *Placement, lv
 				// latency) before forcing more pressure in.
 				cooloff = 1 + ddg.Latency(ins[best], arch)
 				emit(best)
-				for i, d := range deferred {
-					if d == best {
-						deferred = append(deferred[:i], deferred[i+1:]...)
-						break
-					}
-				}
 			}
 		}
-		ready.idx = append(ready.idx, deferred...)
-		ready.reinit()
 		cycle++
 	}
-	sc.ready, sc.deferred = ready.idx[:0], deferred[:0]
+	sc.late, sc.deferred = ready.late[:0], deferred[:0]
 	sb.Len = last + 1
 	sb.SchedPeak = pr.peak
 	cert.maxPressure = pr.maxChecked
 	cert.pressureBound = pr.bound
-	return sb, cert, nil
+	return sb, cert, pr.finish(b, sc), nil
 }

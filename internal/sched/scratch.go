@@ -1,12 +1,13 @@
 package sched
 
 import (
+	"customfit/internal/ir"
 	"customfit/internal/regalloc"
 	"customfit/internal/vliw"
 )
 
 // Scratch is a per-worker arena of reusable scheduling and allocation
-// buffers. One compile's transient state — ready heaps, per-cycle
+// buffers. One compile's transient state — ready sets, per-cycle
 // resource tables, liveness bitsets, the allocator's segment builders —
 // dominates the backend's allocation profile when the explorer runs
 // hundreds of compiles per architecture class, so workers keep one
@@ -18,28 +19,49 @@ type Scratch struct {
 	// per-block scheduler state (sized to the block's op count)
 	unschedPreds []int32
 	earliest     []int32
-	ready        []int32
 	deferred     []int32
 
-	// per-function pressure state (sized to the register count)
+	// the ready set (see readySet): priority ranks, their inverse, the
+	// counting sort's bucket starts, the bitset over ranks, and the
+	// below-cursor side list
+	rank      []int32
+	order     []int32
+	rankStart []int32
+	readyBits []uint64
+	late      []int32
+
+	// per-function pressure state (sized to the register count, or to
+	// the cluster count for live/stuck/stalls)
 	isLive    []bool
 	immortal  []bool
 	remaining []int32
+	since     []int32
 	live      []int
 	stuck     []bool
+	stalls    []int32
+	blameOut  []regBlame
 
 	// flattened per-cycle resource tables
 	res resources
 
-	// Delta-path program assembly arenas (see delta.go): the blame
-	// buffer, the block-pointer table, the entry-id table, and the
-	// vliw.Program shell are all owned by the Scratch, so a fully
-	// cache-hit neighbor re-evaluation assembles its Result without
-	// heap allocation. A Result produced through these arenas is valid
-	// only until the next compile that uses the same Scratch.
+	// spill-loop state (see spillLoop): which registers earlier rounds
+	// of this compile spilled, and the round's candidate lists
+	alreadySpilled []bool
+	victims        []ir.Reg
+	byBlame        []blamed
+
+	// Delta-path program assembly arenas (see delta.go): the
+	// block-pointer table, the entry-id table, the per-block blame
+	// lists, the blame table they add up to when the attempt continues
+	// into the spill loop, and the vliw.Program shell are all owned by
+	// the Scratch, so a fully cache-hit neighbor re-evaluation assembles
+	// its Result without heap allocation. A Result produced through
+	// these arenas is valid only until the next compile that uses the
+	// same Scratch.
 	blame      []int
 	progBlocks []*vliw.Block
 	entryIDs   []uint32
+	entryBlame [][]regBlame
 	prog       vliw.Program
 	result     Result
 
@@ -54,47 +76,15 @@ func NewScratch() *Scratch {
 	return &Scratch{RA: regalloc.NewScratch()}
 }
 
-// grow32 returns buf resized to n entries with every entry zeroed,
+// grow returns *buf resized to n entries with every entry zeroed,
 // reusing capacity, and stores the resized slice back.
-func grow32(buf *[]int32, n int) []int32 {
+func grow[T any](buf *[]T, n int) []T {
 	s := *buf
 	if cap(s) < n {
-		s = make([]int32, n)
+		s = make([]T, n)
 	} else {
 		s = s[:n]
-		for i := range s {
-			s[i] = 0
-		}
-	}
-	*buf = s
-	return s
-}
-
-// growBool is grow32 for bool buffers.
-func growBool(buf *[]bool, n int) []bool {
-	s := *buf
-	if cap(s) < n {
-		s = make([]bool, n)
-	} else {
-		s = s[:n]
-		for i := range s {
-			s[i] = false
-		}
-	}
-	*buf = s
-	return s
-}
-
-// growInt is grow32 for int buffers.
-func growInt(buf *[]int, n int) []int {
-	s := *buf
-	if cap(s) < n {
-		s = make([]int, n)
-	} else {
-		s = s[:n]
-		for i := range s {
-			s[i] = 0
-		}
+		clear(s)
 	}
 	*buf = s
 	return s

@@ -15,135 +15,185 @@ const SpillMemName = "spill$"
 // undoing LICM's hoist (cheaper than store+reload, and exactly the
 // pressure/bandwidth trade the paper's pathological FIR case shows).
 //
+// regs must be distinct registers of f. The result is the one rewriting
+// them one after the other, in order, would give — fresh temporaries
+// and spill slots are numbered victim by victim, reloads in front of an
+// instruction stand in victim order — but all of them are classified in
+// one scan of f and only the blocks that mention one are rebuilt, once.
+//
 // Returns the number of registers actually rewritten.
 func SpillRewrite(f *ir.Func, regs []ir.Reg) int {
-	done := 0
-	for _, r := range regs {
-		if rewriteOne(f, r) {
-			done++
+	const (
+		skip  = iota // no use to relieve, or no value to save
+		remat        // replay the defining constant load at each use
+		slot         // store after each def, reload before each use
+	)
+	type victim struct {
+		uses, defs int
+		def        *ir.Instr // the definition, when there is only one
+		kind       int
+		param      bool
+		slot       int32
+		next       ir.Reg // the victim's next fresh temporary
+	}
+	vs := make([]victim, len(regs))
+	index := make([]int32, f.NumRegs()) // register -> 1 + its position in regs
+	for k, r := range regs {
+		index[r] = int32(k + 1)
+	}
+	victimOf := func(r ir.Reg) *victim {
+		if index[r] == 0 {
+			return nil
 		}
+		return &vs[index[r]-1]
 	}
-	return done
-}
-
-func rewriteOne(f *ir.Func, r ir.Reg) bool {
-	// Collect definitions and uses.
-	type site struct {
-		b   *ir.Block
-		idx int
-	}
-	var defs, uses []site
-	for _, b := range f.Blocks {
-		for i, in := range b.Instrs {
-			for _, a := range in.Args {
-				if a.IsReg() && a.Reg == r {
-					uses = append(uses, site{b, i})
-					break
-				}
-			}
-			if in.Op.HasDest() && in.Dest == r {
-				defs = append(defs, site{b, i})
-			}
+	defined := func(in *ir.Instr) *victim {
+		if !in.Op.HasDest() {
+			return nil
 		}
-	}
-	if len(uses) == 0 {
-		return false // nothing to relieve
+		return victimOf(in.Dest)
 	}
 
-	// Rematerialization: single def by a constant-table load.
-	if len(defs) == 1 {
-		d := defs[0].b.Instrs[defs[0].idx]
-		if d.Op == ir.OpLoad && d.Mem.Const && d.Args[0].IsImm() {
-			rematerialize(f, r, d)
-			return true
-		}
-	}
-
-	isParam := false
-	for _, p := range f.Params {
-		if p.Reg == r {
-			isParam = true
-		}
-	}
-	if len(defs) == 0 && !isParam {
-		return false
-	}
-
-	spill := f.MemByName(SpillMemName)
-	if spill == nil {
-		spill = f.AddMem(&ir.MemRef{Name: SpillMemName, Space: ir.L1, Elem: ir.ElemI32})
-	}
-	slot := int32(spill.Size)
-	spill.Size++
-
-	// Insert per block, rebuilding instruction lists. Stores follow
-	// defs; loads into fresh temps precede uses.
-	for _, b := range f.Blocks {
-		var out []*ir.Instr
+	// Classify. A rewrite of one victim inserts and drops only
+	// instructions that mention no other, so the counts are those each
+	// victim would see in its turn.
+	mentions := make([]bool, len(f.Blocks))
+	for bi, b := range f.Blocks {
 		for _, in := range b.Instrs {
-			usesR := false
-			for _, a := range in.Args {
-				if a.IsReg() && a.Reg == r {
-					usesR = true
+			for ai, a := range in.Args {
+				if !a.IsReg() || dupArg(in.Args[:ai], a.Reg) {
+					continue
+				}
+				if v := victimOf(a.Reg); v != nil {
+					v.uses++
+					mentions[bi] = true
 				}
 			}
-			if usesR {
-				t := f.NewReg()
-				out = append(out, &ir.Instr{
-					Op: ir.OpLoad, Dest: t,
-					Args: []ir.Operand{ir.Imm(slot)},
-					Mem:  spill, Elem: ir.ElemI32,
-				})
-				for i, a := range in.Args {
-					if a.IsReg() && a.Reg == r {
-						in.Args[i] = ir.R(t)
-					}
-				}
-			}
-			out = append(out, in)
-			if in.Op.HasDest() && in.Dest == r {
-				out = append(out, &ir.Instr{
-					Op: ir.OpStore, Dest: ir.NoReg,
-					Args: []ir.Operand{ir.Imm(slot), ir.R(r)},
-					Mem:  spill, Elem: ir.ElemI32,
-				})
+			if v := defined(in); v != nil {
+				v.defs++
+				v.def = in
+				mentions[bi] = true
 			}
 		}
-		b.Instrs = out
 	}
-	if isParam {
-		// The incoming value must reach the slot before any reload.
-		entry := f.Entry()
-		st := &ir.Instr{
+	var spill *ir.MemRef
+	next := ir.Reg(f.NumRegs())
+	done, params := 0, 0
+	for k := range vs {
+		v := &vs[k]
+		if v.uses == 0 {
+			continue // nothing to relieve
+		}
+		if d := v.def; v.defs == 1 && d.Op == ir.OpLoad && d.Mem.Const && d.Args[0].IsImm() {
+			v.kind = remat
+		} else {
+			for _, p := range f.Params {
+				if p.Reg == regs[k] {
+					v.param = true
+				}
+			}
+			if v.defs == 0 && !v.param {
+				continue
+			}
+			v.kind = slot
+			if spill == nil {
+				if spill = f.MemByName(SpillMemName); spill == nil {
+					spill = f.AddMem(&ir.MemRef{Name: SpillMemName, Space: ir.L1, Elem: ir.ElemI32})
+				}
+			}
+			v.slot = int32(spill.Size)
+			spill.Size++
+			if v.param {
+				params++
+			}
+		}
+		v.next = next
+		next += ir.Reg(v.uses)
+		done++
+	}
+	if done == 0 {
+		return 0
+	}
+	f.SetNumRegs(int(next))
+
+	store := func(v *victim, r ir.Reg) *ir.Instr {
+		return &ir.Instr{
 			Op: ir.OpStore, Dest: ir.NoReg,
-			Args: []ir.Operand{ir.Imm(slot), ir.R(r)},
+			Args: []ir.Operand{ir.Imm(v.slot), ir.R(r)},
 			Mem:  spill, Elem: ir.ElemI32,
 		}
-		entry.Instrs = append([]*ir.Instr{st}, entry.Instrs...)
 	}
-	return true
-}
-
-// rematerialize deletes the hoisted constant load defining r and
-// replays it in front of every use.
-func rematerialize(f *ir.Func, r ir.Reg, def *ir.Instr) {
-	for _, b := range f.Blocks {
-		var out []*ir.Instr
-		for _, in := range b.Instrs {
-			if in == def {
-				continue // drop the hoisted load
+	// reloaded lists, in victim order, the rewritten victims in reads.
+	var ks []int32
+	reloaded := func(in *ir.Instr) []int32 {
+		ks = ks[:0]
+		for ai, a := range in.Args {
+			if !a.IsReg() || dupArg(in.Args[:ai], a.Reg) {
+				continue
 			}
-			usesR := false
-			for _, a := range in.Args {
-				if a.IsReg() && a.Reg == r {
-					usesR = true
+			if v := victimOf(a.Reg); v != nil && v.kind != skip {
+				k := index[a.Reg]
+				ks = append(ks, k)
+				for i := len(ks) - 1; i > 0 && ks[i-1] > k; i-- {
+					ks[i], ks[i-1] = ks[i-1], ks[i]
 				}
 			}
-			if usesR {
-				t := f.NewReg()
-				cp := def.Clone()
-				cp.Dest = t
-				out = append(out, cp)
+		}
+		return ks
+	}
+
+	for bi, b := range f.Blocks {
+		entry := bi == 0 && params > 0
+		if !mentions[bi] && !entry {
+			continue
+		}
+		size := len(b.Instrs)
+		if entry {
+			size += params
+		}
+		for _, in := range b.Instrs {
+			size += len(reloaded(in))
+			if v := defined(in); v != nil {
+				switch v.kind {
+				case slot:
+					size++
+				case remat:
+					size-- // the hoisted load goes
+				}
+			}
+		}
+		out := make([]*ir.Instr, 0, size)
+		if entry {
+			// The incoming value must reach the slot before any reload.
+			// Each victim's store went in front of the block in its
+			// turn, so the last victim's stands first.
+			for k := len(vs) - 1; k >= 0; k-- {
+				if v := &vs[k]; v.kind == slot && v.param {
+					out = append(out, store(v, regs[k]))
+				}
+			}
+		}
+		for _, in := range b.Instrs {
+			def := defined(in)
+			if def != nil && def.kind == remat {
+				continue // drop the hoisted load
+			}
+			// Loads into fresh temporaries precede uses.
+			for _, k := range reloaded(in) {
+				v, r := &vs[k-1], regs[k-1]
+				t := v.next
+				v.next++
+				if v.kind == remat {
+					cp := v.def.Clone()
+					cp.Dest = t
+					out = append(out, cp)
+				} else {
+					out = append(out, &ir.Instr{
+						Op: ir.OpLoad, Dest: t,
+						Args: []ir.Operand{ir.Imm(v.slot)},
+						Mem:  spill, Elem: ir.ElemI32,
+					})
+				}
 				for i, a := range in.Args {
 					if a.IsReg() && a.Reg == r {
 						in.Args[i] = ir.R(t)
@@ -151,7 +201,12 @@ func rematerialize(f *ir.Func, r ir.Reg, def *ir.Instr) {
 				}
 			}
 			out = append(out, in)
+			// Stores follow defs.
+			if def != nil && def.kind == slot {
+				out = append(out, store(def, in.Dest))
+			}
 		}
 		b.Instrs = out
 	}
+	return done
 }
