@@ -32,11 +32,13 @@ staticcheck:
 race:
 	$(GO) test -race -timeout 20m ./internal/obs/... ./internal/dse/... ./internal/sched/... ./internal/evcache/... ./internal/fleetcache/... ./internal/serve/... ./internal/dist/... ./internal/ops/...
 
-# One-iteration pass over the exploration and fleet benchmarks: catches
-# bit-rot in the benchmark harness without paying for a real measurement.
+# One-iteration pass over the exploration, fleet and simulator
+# benchmarks: catches bit-rot in the benchmark harness without paying
+# for a real measurement.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/dse/
 	$(GO) test -run '^$$' -bench BenchmarkFleetWarm -benchtime 1x ./internal/dist/
+	$(GO) test -run '^$$' -bench BenchmarkSimRun -benchtime 1x ./internal/sim/
 
 # The end-to-end benchmark (BENCHMARK.json, benchmark/) is a module of
 # its own, so `go build ./...` and `go test ./...` at the root never
@@ -51,13 +53,14 @@ bench-module:
 # the benchmark module's own vet and tests (see ROADMAP.md).
 check: build vet staticcheck test race bench-smoke bench-module
 
-# Measure the exploration and fleet benchmarks and record the
-# trajectory against the pre-optimization baseline (the cfp-benchjson
-# parser handles multi-package `go test` output; see
+# Measure the exploration, fleet and simulator benchmarks and record
+# the trajectory against the pre-optimization baseline (the
+# cfp-benchjson parser handles multi-package `go test` output; see
 # docs/PERFORMANCE.md).
 bench:
 	( $(GO) test -run '^$$' -bench . -benchmem ./internal/dse/ && \
-	  $(GO) test -run '^$$' -bench BenchmarkFleetWarm -benchmem ./internal/dist/ ) | \
+	  $(GO) test -run '^$$' -bench BenchmarkFleetWarm -benchmem ./internal/dist/ && \
+	  $(GO) test -run '^$$' -bench BenchmarkSimRun -benchmem ./internal/sim/ ) | \
 		$(GO) run ./cmd/cfp-benchjson \
 			-baseline internal/dse/testdata/bench_baseline_pr2.txt \
 			-baseline-note "pre-optimization seed (PR2 start)" \
@@ -80,7 +83,10 @@ bench:
 # (tens-of-ms scale), which even a minimum-of-repeats does not fully
 # de-noise — while a broken cache tier (recomputing instead of reading
 # through) is several-fold slower, so the loose limit still catches the
-# failure mode.
+# failure mode. BenchmarkSimRun (the sim layer alone: four programs
+# decoded and executed per op, ~8 ms) gates ns/op at 15% and allocs/op
+# at 10%: its allocations are a function of program size only, so any
+# growth there means something crept back into the cycle loop.
 bench-diff:
 	$(GO) test -run '^$$' -bench 'BenchmarkEvaluate$$' -benchtime 192x -count 3 ./internal/dse/ | \
 		$(GO) run ./cmd/cfp-benchjson -against BENCH_explore.json \
@@ -93,3 +99,9 @@ bench-diff:
 	$(GO) test -run '^$$' -bench BenchmarkFleetWarm -benchtime 10x -count 3 ./internal/dist/ | \
 		$(GO) run ./cmd/cfp-benchjson -against BENCH_explore.json \
 			-regress-bench BenchmarkFleetWarm -regress-metrics ns/op -max-regress 0.30
+	$(GO) test -run '^$$' -bench BenchmarkSimRun -benchtime 100x -count 3 ./internal/sim/ | \
+		$(GO) run ./cmd/cfp-benchjson -against BENCH_explore.json \
+			-regress-bench BenchmarkSimRun -regress-metrics ns/op -max-regress 0.15
+	$(GO) test -run '^$$' -bench BenchmarkSimRun -benchtime 20x ./internal/sim/ | \
+		$(GO) run ./cmd/cfp-benchjson -against BENCH_explore.json \
+			-regress-bench BenchmarkSimRun -regress-metrics allocs/op -max-regress 0.10

@@ -150,14 +150,14 @@ func (c *Compiled) Run(args []int32, mem map[string][]int32) (*RunStats, error) 
 }
 
 // RunCtx is Run with the simulation span parented under the context's
-// current span (see ParseKernelCtx).
+// current span (see ParseKernelCtx). A context that ends mid-run stops
+// the simulation promptly with an error wrapping ErrCancelled.
 func (c *Compiled) RunCtx(ctx context.Context, args []int32, mem map[string][]int32) (*RunStats, error) {
-	env := ir.NewEnv(args...)
-	for name, data := range mem {
-		env.Bind(name, data)
-	}
-	st, err := sim.RunCtx(ctx, c.Prog, env)
+	st, err := sim.RunCtx(ctx, c.Prog, newEnv(args, mem))
 	if err != nil {
+		if ctx.Err() != nil {
+			return nil, fmt.Errorf("%w: %w", ErrCancelled, err)
+		}
 		return nil, err
 	}
 	return newRunStats(st, c.Arch), nil
@@ -168,25 +168,26 @@ func (c *Compiled) RunCtx(ctx context.Context, args []int32, mem map[string][]in
 // its cluster's file, so the run additionally proves the allocation
 // conflict-free.
 func (c *Compiled) RunPhysical(args []int32, mem map[string][]int32) (*RunStats, error) {
-	env := ir.NewEnv(args...)
-	for name, data := range mem {
-		env.Bind(name, data)
-	}
-	st, err := sim.RunPhysical(c.Prog, env)
+	st, err := sim.RunPhysical(c.Prog, newEnv(args, mem))
 	if err != nil {
 		return nil, err
 	}
 	return newRunStats(st, c.Arch), nil
 }
 
-// Interpret runs the kernel's (unscheduled) IR directly — the semantic
-// reference, useful for validating against Run.
-func (k *Kernel) Interpret(args []int32, mem map[string][]int32) error {
+// newEnv binds scalar arguments and named arrays for a run.
+func newEnv(args []int32, mem map[string][]int32) *ir.Env {
 	env := ir.NewEnv(args...)
 	for name, data := range mem {
 		env.Bind(name, data)
 	}
-	_, err := ir.Interp(k.fn, env)
+	return env
+}
+
+// Interpret runs the kernel's (unscheduled) IR directly — the semantic
+// reference, useful for validating against Run.
+func (k *Kernel) Interpret(args []int32, mem map[string][]int32) error {
+	_, err := ir.Interp(k.fn, newEnv(args, mem))
 	return err
 }
 

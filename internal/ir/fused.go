@@ -99,24 +99,30 @@ func (s *FusedSpec) Validate() error {
 }
 
 // Eval computes the fused result on concrete inputs; it is shared by
-// the constant-free simulator paths exactly like Op.Eval, so the fused
-// and unfused programs can never disagree.
+// the constant-free simulator paths exactly like Op.Eval3, so the fused
+// and unfused programs can never disagree. The step results live in a
+// stack buffer: the miner emits at most four steps, and a longer
+// hand-written spec only costs the append.
 func (s *FusedSpec) Eval(in []int32) int32 {
-	tmp := make([]int32, len(s.Steps))
-	ref := func(r int) int32 {
-		if IsStepRef(r) {
-			return tmp[RefStep(r)]
+	var buf [4]int32
+	tmp := buf[:0]
+	for _, st := range s.Steps {
+		var b int32
+		if st.Op.NArgs() > 1 {
+			b = fusedRef(st.B, in, tmp)
 		}
-		return in[r]
-	}
-	for i, st := range s.Steps {
-		if st.Op.NArgs() == 1 {
-			tmp[i] = st.Op.Eval(ref(st.A))
-		} else {
-			tmp[i] = st.Op.Eval(ref(st.A), ref(st.B))
-		}
+		tmp = append(tmp, st.Op.Eval3(fusedRef(st.A, in, tmp), b, 0))
 	}
 	return tmp[len(tmp)-1]
+}
+
+// fusedRef resolves an operand reference against the external inputs
+// and the step results so far.
+func fusedRef(ref int, in, steps []int32) int32 {
+	if IsStepRef(ref) {
+		return steps[RefStep(ref)]
+	}
+	return in[ref]
 }
 
 // stepLat is the latency a step contributes on the chained datapath.

@@ -124,17 +124,20 @@ func Interp(f *Func, env *Env) (int, error) {
 		case OpRet:
 			return steps, nil
 		case OpFused:
-			vals := make([]int32, len(in.Args))
-			for i, a := range in.Args {
-				vals[i] = arg(a)
+			// Stack buffers: the custom unit wires at most four inputs
+			// (machine.MaxFusedIn), a pure op takes at most three.
+			var buf [4]int32
+			vals := buf[:0]
+			for _, a := range in.Args {
+				vals = append(vals, arg(a))
 			}
 			regs[in.Dest] = in.Fused.Eval(vals)
 		default:
-			vals := make([]int32, len(in.Args))
+			var v [3]int32
 			for i, a := range in.Args {
-				vals[i] = arg(a)
+				v[i] = arg(a)
 			}
-			regs[in.Dest] = in.Op.Eval(vals...)
+			regs[in.Dest] = in.Op.Eval3(v[0], v[1], v[2])
 		}
 		pc++
 	}

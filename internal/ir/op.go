@@ -168,60 +168,71 @@ func (op Op) NArgs() int {
 	}
 }
 
-// Eval computes the result of a pure (non-memory, non-control) operation
-// on concrete 32-bit values. It is shared by the constant folder and the
-// simulator so the two can never disagree.
-func (op Op) Eval(args ...int32) int32 {
+// Eval3 computes the result of a pure (non-memory, non-control)
+// operation on concrete 32-bit values; operands the op does not take
+// (b and c of a move, c of everything but select) are ignored. It is
+// the one opcode table: the constant folders, the interpreter, the
+// fused-step evaluator and the simulator all come here, so they can
+// never disagree.
+func (op Op) Eval3(a, b, c int32) int32 {
 	switch op {
 	case OpAdd:
-		return args[0] + args[1]
+		return a + b
 	case OpSub:
-		return args[0] - args[1]
+		return a - b
 	case OpMul:
-		return args[0] * args[1]
+		return a * b
 	case OpShl:
-		return args[0] << (uint32(args[1]) & 31)
+		return a << (uint32(b) & 31)
 	case OpShrA:
-		return args[0] >> (uint32(args[1]) & 31)
+		return a >> (uint32(b) & 31)
 	case OpShrU:
-		return int32(uint32(args[0]) >> (uint32(args[1]) & 31))
+		return int32(uint32(a) >> (uint32(b) & 31))
 	case OpAnd:
-		return args[0] & args[1]
+		return a & b
 	case OpOr:
-		return args[0] | args[1]
+		return a | b
 	case OpXor:
-		return args[0] ^ args[1]
+		return a ^ b
 	case OpCmpEQ:
-		return b2i(args[0] == args[1])
+		return b2i(a == b)
 	case OpCmpNE:
-		return b2i(args[0] != args[1])
+		return b2i(a != b)
 	case OpCmpLT:
-		return b2i(args[0] < args[1])
+		return b2i(a < b)
 	case OpCmpLE:
-		return b2i(args[0] <= args[1])
+		return b2i(a <= b)
 	case OpCmpGT:
-		return b2i(args[0] > args[1])
+		return b2i(a > b)
 	case OpCmpGE:
-		return b2i(args[0] >= args[1])
+		return b2i(a >= b)
 	case OpSelect:
-		if args[0] != 0 {
-			return args[1]
+		if a != 0 {
+			return b
 		}
-		return args[2]
+		return c
 	case OpMin:
-		if args[0] < args[1] {
-			return args[0]
+		if a < b {
+			return a
 		}
-		return args[1]
+		return b
 	case OpMax:
-		if args[0] > args[1] {
-			return args[0]
+		if a > b {
+			return a
 		}
-		return args[1]
+		return b
 	case OpMov, OpXMov:
-		return args[0]
+		return a
 	}
 	panic(fmt.Sprintf("ir: Eval of non-pure op %s", op))
+}
+
+// Eval is Eval3 over an operand list, for callers that hold one (the
+// constant folders); operands beyond the list read as zero.
+func (op Op) Eval(args ...int32) int32 {
+	var v [3]int32
+	copy(v[:], args)
+	return op.Eval3(v[0], v[1], v[2])
 }
 
 func b2i(b bool) int32 {

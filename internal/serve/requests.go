@@ -130,9 +130,13 @@ type SimulateRequest struct {
 	Bench  string `json:"bench"`
 	Arch   string `json:"arch"`
 	Unroll int    `json:"unroll,omitempty"` // default 1
-	Width  int    `json:"width,omitempty"`  // default 96
+	Width  int    `json:"width,omitempty"`  // default 96, at most maxSimulateWidth
 	Seed   int64  `json:"seed,omitempty"`   // default 1
 }
+
+// maxSimulateWidth bounds SimulateRequest.Width: simulated cycles grow
+// with it, and a worker should not be held by one request for minutes.
+const maxSimulateWidth = 4096
 
 // SimulateResult is a simulate job's payload.
 type SimulateResult struct {
@@ -173,6 +177,10 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	if req.Width <= 0 {
 		req.Width = 96
 	}
+	if req.Width > maxSimulateWidth {
+		writeErr(w, http.StatusBadRequest, fmt.Sprintf("width %d exceeds %d", req.Width, maxSimulateWidth))
+		return
+	}
 	if req.Seed == 0 {
 		req.Seed = 1
 	}
@@ -196,8 +204,9 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 			return nil, err
 		}
 		mismatches := 0
+		golden := cse.Golden()
 		for _, name := range cse.Outputs {
-			want, got := cse.Golden()[name], run.Mem[name]
+			want, got := golden[name], run.Mem[name]
 			for i := range want {
 				if want[i] != got[i] {
 					mismatches++

@@ -171,6 +171,7 @@ func TestBadRequests(t *testing.T) {
 		body any
 	}{
 		{"unknown bench", "/v1/simulate", SimulateRequest{Bench: "nope", Arch: "2 1 64 1 4 1"}},
+		{"simulate width", "/v1/simulate", SimulateRequest{Bench: "G", Arch: "2 1 64 1 4 1", Width: maxSimulateWidth + 1}},
 		{"bad arch", "/v1/compile", CompileRequest{Bench: "A", Arch: "banana"}},
 		{"no kernel", "/v1/compile", CompileRequest{Arch: "2 1 64 1 4 1"}},
 		{"fit without cap", "/v1/fit", FitRequest{Benchmarks: []string{"A"}}},

@@ -1,10 +1,9 @@
 package sim
 
 import (
+	"context"
 	"fmt"
-	"sort"
 
-	"customfit/internal/ddg"
 	"customfit/internal/ir"
 	"customfit/internal/vliw"
 )
@@ -17,214 +16,39 @@ import (
 // model is an end-to-end proof of the allocation — something the
 // structural checks in regalloc cannot give.
 //
-// Requires a program whose allocation fit (PhysAssign populated).
+// Requires a program whose allocation fit (PhysAssign populated). It is
+// Run in every other respect: same checks, same errors, same Stats.
 func RunPhysical(prog *vliw.Program, env *ir.Env) (*Stats, error) {
-	f := prog.F
-	if prog.PhysAssign == nil {
-		return nil, fmt.Errorf("sim: program has no physical assignment")
+	return run(context.Background(), prog, env, true)
+}
+
+// registerSlots is the mapping of virtual registers to register-file
+// slots a run decodes with, and the file's size. Run's is the identity;
+// RunPhysical's lays the clusters' files end to end.
+func registerSlots(prog *vliw.Program, physical bool) (slot func(ir.Reg) (int32, error), nslots int, err error) {
+	if !physical {
+		return func(r ir.Reg) (int32, error) { return int32(r), nil }, prog.F.NumRegs(), nil
 	}
-	if len(env.Args) != len(f.Params) {
-		return nil, fmt.Errorf("sim: %d args for %d params", len(env.Args), len(f.Params))
+	if prog.PhysAssign == nil {
+		return nil, 0, fmt.Errorf("program has no physical assignment")
 	}
 	rc := prog.Arch.RegsPC()
-	files := make([][]int32, prog.Arch.Clusters)
-	for c := range files {
-		files[c] = make([]int32, rc)
-	}
-	locate := func(r ir.Reg) (int, int, error) {
+	slot = func(r ir.Reg) (int32, error) {
 		c := 0
 		if int(r) < len(prog.RegCluster) {
 			c = prog.RegCluster[r]
 		}
 		if int(r) >= len(prog.PhysAssign) || prog.PhysAssign[r] < 0 {
-			return 0, 0, fmt.Errorf("sim: virtual register v%d has no physical assignment", r)
+			return 0, fmt.Errorf("virtual register v%d has no physical assignment", r)
 		}
 		p := prog.PhysAssign[r]
 		if p >= rc {
-			return 0, 0, fmt.Errorf("sim: v%d assigned phys %d beyond file size %d", r, p, rc)
+			return 0, fmt.Errorf("v%d assigned phys %d beyond file size %d", r, p, rc)
 		}
-		return c, p, nil
+		if c < 0 || c >= prog.Arch.Clusters {
+			return 0, fmt.Errorf("v%d homed in cluster %d of %d", r, c, prog.Arch.Clusters)
+		}
+		return int32(c*rc + p), nil
 	}
-	for i, prm := range f.Params {
-		c, p, err := locate(prm.Reg)
-		if err != nil {
-			return nil, err
-		}
-		files[c][p] = env.Args[i]
-	}
-
-	mems := make(map[*ir.MemRef][]int32, len(f.Mems))
-	for _, m := range f.Mems {
-		data, ok := env.Mem[m.Name]
-		if !ok {
-			if m.IsParam {
-				return nil, fmt.Errorf("sim: parameter array %q not bound", m.Name)
-			}
-			data = make([]int32, m.Size)
-			env.Mem[m.Name] = data
-		}
-		for i, v := range m.Init {
-			data[i] = v
-		}
-		mems[m] = data
-	}
-
-	type physWrite struct {
-		at   int64
-		c, p int
-		val  int32
-	}
-	var pend []physWrite
-	commit := func(upto int64) {
-		kept := pend[:0]
-		for _, w := range pend {
-			if w.at <= upto {
-				files[w.c][w.p] = w.val
-			} else {
-				kept = append(kept, w)
-			}
-		}
-		pend = kept
-	}
-
-	images := map[*ir.Block][][]vliw.Op{}
-	lens := map[*ir.Block]int{}
-	for _, sb := range prog.Blocks {
-		byCycle := make([][]vliw.Op, sb.Len)
-		ops := append([]vliw.Op(nil), sb.Ops...)
-		sort.Slice(ops, func(i, j int) bool { return ops[i].Cycle < ops[j].Cycle })
-		for _, op := range ops {
-			byCycle[op.Cycle] = append(byCycle[op.Cycle], op)
-		}
-		images[sb.IR] = byCycle
-		lens[sb.IR] = sb.Len
-	}
-
-	st := &Stats{BlockVisits: map[string]int64{}}
-	var occ occTally
-	var now int64
-	blk := f.Entry()
-	maxCycles := int64(env.MaxSteps)
-	if maxCycles == 0 {
-		maxCycles = 200_000_000
-	}
-	read := func(o ir.Operand) (int32, error) {
-		if o.IsImm() {
-			return o.Imm, nil
-		}
-		c, p, err := locate(o.Reg)
-		if err != nil {
-			return 0, err
-		}
-		return files[c][p], nil
-	}
-
-	for blk != nil {
-		byCycle, ok := images[blk]
-		if !ok {
-			return nil, fmt.Errorf("sim: block %s has no schedule", blk.Name)
-		}
-		st.BlockVisits[blk.Name]++
-		st.Bundles += int64(lens[blk])
-		var next *ir.Block
-		done := false
-		for t := 0; t < lens[blk]; t++ {
-			commit(now)
-			type result struct {
-				op   vliw.Op
-				vals []int32
-			}
-			occ.note(byCycle[t], prog.Arch)
-			var results []result
-			for _, op := range byCycle[t] {
-				vals := make([]int32, len(op.Instr.Args))
-				for i, a := range op.Instr.Args {
-					v, err := read(a)
-					if err != nil {
-						return nil, err
-					}
-					vals[i] = v
-				}
-				results = append(results, result{op, vals})
-			}
-			for pass := 0; pass < 2; pass++ {
-				for _, r := range results {
-					in := r.op.Instr
-					if (in.Op == ir.OpStore) != (pass == 1) {
-						continue
-					}
-					st.Ops++
-					switch in.Op {
-					case ir.OpNop:
-					case ir.OpLoad:
-						data := mems[in.Mem]
-						idx := int(r.vals[0]) + int(in.Off)
-						if idx < 0 || idx >= len(data) {
-							return nil, fmt.Errorf("sim: load %s[%d] out of bounds", in.Mem.Name, idx)
-						}
-						c, p, err := locate(in.Dest)
-						if err != nil {
-							return nil, err
-						}
-						st.MemAccesses++
-						pend = append(pend, physWrite{
-							at: now + int64(ddg.Latency(in, prog.Arch)),
-							c:  c, p: p, val: in.Elem.Extend(data[idx]),
-						})
-					case ir.OpStore:
-						data := mems[in.Mem]
-						idx := int(r.vals[0]) + int(in.Off)
-						if idx < 0 || idx >= len(data) {
-							return nil, fmt.Errorf("sim: store %s[%d] out of bounds", in.Mem.Name, idx)
-						}
-						st.MemAccesses++
-						data[idx] = in.Elem.Truncate(r.vals[1])
-					case ir.OpBr:
-						next = in.Targets[0]
-					case ir.OpCBr:
-						if r.vals[0] != 0 {
-							next = in.Targets[0]
-						} else {
-							next = in.Targets[1]
-						}
-					case ir.OpRet:
-						done = true
-					case ir.OpFused:
-						c, p, err := locate(in.Dest)
-						if err != nil {
-							return nil, err
-						}
-						pend = append(pend, physWrite{
-							at: now + int64(ddg.Latency(in, prog.Arch)),
-							c:  c, p: p, val: in.Fused.Eval(r.vals),
-						})
-					default:
-						c, p, err := locate(in.Dest)
-						if err != nil {
-							return nil, err
-						}
-						pend = append(pend, physWrite{
-							at: now + int64(ddg.Latency(in, prog.Arch)),
-							c:  c, p: p, val: in.Op.Eval(r.vals...),
-						})
-					}
-				}
-			}
-			now++
-			st.Cycles++
-			if st.Cycles > maxCycles {
-				return nil, fmt.Errorf("sim: exceeded %d cycles", maxCycles)
-			}
-		}
-		if done {
-			break
-		}
-		if next == nil {
-			return nil, fmt.Errorf("sim: block %s fell through", blk.Name)
-		}
-		blk = next
-	}
-	commit(now)
-	st.finalize(prog.Arch, &occ)
-	return st, nil
+	return slot, prog.Arch.Clusters * rc, nil
 }

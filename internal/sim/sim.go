@@ -5,12 +5,19 @@
 // port occupancy across block boundaries. Running the same kernel
 // through sim and through the plain IR interpreter and comparing memory
 // images is the pipeline's end-to-end correctness oracle.
+//
+// A run decodes the program once into flat arrays and executes those
+// without a map lookup or an allocation per cycle; Run and RunPhysical
+// are that one engine under two register-to-slot mappings.
 package sim
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
+	"strconv"
 
 	"customfit/internal/ddg"
 	"customfit/internal/ir"
@@ -54,60 +61,39 @@ type Stats struct {
 	Bound string
 }
 
-// occTally accumulates dynamic occupancy during a run; one note() call
-// per executed cycle.
-type occTally struct {
-	alu, mul, l1, l2, cu, stalls int64
+// addVisits adds n executions of a block whose single execution is b.
+func (st *Stats) addVisits(b *Stats, n int64) {
+	st.Cycles += n * b.Cycles
+	st.Ops += n * b.Ops
+	st.Bundles += n * b.Bundles
+	st.MemAccesses += n * b.MemAccesses
+	st.ALUBusy += n * b.ALUBusy
+	st.MULBusy += n * b.MULBusy
+	st.L1Busy += n * b.L1Busy
+	st.L2Busy += n * b.L2Busy
+	st.CUBusy += n * b.CUBusy
+	st.StallCycles += n * b.StallCycles
 }
 
-func (o *occTally) note(bundle []vliw.Op, arch machine.Arch) {
-	if len(bundle) == 0 {
-		o.stalls++
-		return
-	}
-	for _, op := range bundle {
-		switch op.Instr.Op {
-		case ir.OpNop, ir.OpBr, ir.OpCBr, ir.OpRet:
-		case ir.OpLoad, ir.OpStore:
-			if op.Instr.Mem.Space == ir.L1 {
-				o.l1 += machine.L1Occupancy
-			} else {
-				o.l2 += int64(arch.L2Lat)
-			}
-		case ir.OpMul:
-			o.alu++
-			o.mul++
-		case ir.OpFused:
-			o.cu++ // custom unit; no ALU issue slot charged
-		default: // ALU ops, including the source slot of an XMov
-			o.alu++
-		}
-	}
-}
-
-// finalize folds the tally into st and computes occupancy fractions.
-func (st *Stats) finalize(arch machine.Arch, o *occTally) {
-	st.ALUBusy, st.MULBusy = o.alu, o.mul
-	st.L1Busy, st.L2Busy = o.l1, o.l2
-	st.CUBusy = o.cu
-	st.StallCycles = o.stalls
+// finalize computes the occupancy fractions from the busy tallies.
+func (st *Stats) finalize(arch machine.Arch) {
 	st.Bound = "none"
 	if st.Cycles == 0 {
 		return
 	}
 	cyc := float64(st.Cycles)
 	if arch.ALUs > 0 {
-		st.ALUOcc = float64(o.alu) / (cyc * float64(arch.ALUs))
+		st.ALUOcc = float64(st.ALUBusy) / (cyc * float64(arch.ALUs))
 	}
 	if arch.MULs > 0 {
-		st.MULOcc = float64(o.mul) / (cyc * float64(arch.MULs))
+		st.MULOcc = float64(st.MULBusy) / (cyc * float64(arch.MULs))
 	}
-	st.L1Occ = float64(o.l1) / cyc // single L1 port
+	st.L1Occ = float64(st.L1Busy) / cyc // single L1 port
 	if arch.L2Ports > 0 {
-		st.L2Occ = float64(o.l2) / (cyc * float64(arch.L2Ports))
+		st.L2Occ = float64(st.L2Busy) / (cyc * float64(arch.L2Ports))
 	}
 	if !arch.Ops.Empty() {
-		st.CUOcc = float64(o.cu) / (cyc * float64(arch.Clusters))
+		st.CUOcc = float64(st.CUBusy) / (cyc * float64(arch.Clusters))
 	}
 	best := 0.0
 	for _, r := range []struct {
@@ -121,11 +107,90 @@ func (st *Stats) finalize(arch machine.Arch, o *occTally) {
 	}
 }
 
-type pendingWrite struct {
-	at  int64
-	reg ir.Reg
-	val int32
+// opKind is what the cycle loop switches on.
+type opKind uint8
+
+const (
+	kNop   opKind = iota
+	kPure         // dest ← op.Eval3(arg[0], arg[1], arg[2]) after delay
+	kFused        // dest ← spec.Eval(arg) after delay
+	kLoad         // dest ← mem[arg[0]+off] after delay
+	kStore        // mem[arg[0]+off] ← arg[1]
+	kBr           // next block: then
+	kCBr          // next block: then if arg[0] != 0, else els
+	kRet
+	kBad // names a register with no slot: executing it is error bad[dest]
+)
+
+// dop is one scheduled operation, decoded. Operands index engine.regs —
+// a register-file slot, or an immediate's entry behind the file — so
+// reading one never branches on its kind.
+type dop struct {
+	kind      opKind
+	op        ir.Op
+	elem      ir.ElemType
+	l1        bool  // memory op on the Level-1 port
+	delay     int32 // cycles from issue until dest changes, at least 1
+	dest      int32
+	arg       [machine.MaxFusedIn]int32
+	mem, off  int32 // index into engine.mems, element offset
+	then, els int32 // branch targets, as indices into engine.blocks
+	spec      *ir.FusedSpec
 }
+
+// dblock is one block, decoded. once is the Stats of one execution: a
+// visited block executes all of its cycles (control leaves only after
+// the last; an error abandons the run and its Stats), so a run's totals
+// are these static counts weighted by visits, and the cycle loop counts
+// nothing. A block that is branched to but was never scheduled has
+// missing set; visiting it is the error.
+type dblock struct {
+	name    string
+	first   int32 // index into engine.cyc of the block's cycle 0
+	missing bool
+	once    Stats
+	visits  int64
+}
+
+// memory is a bound array; write is a register result in flight.
+type (
+	memory struct {
+		name string
+		data []int32
+	}
+	write struct{ slot, val int32 }
+)
+
+// engine is a program decoded for one run, and the run's state.
+type engine struct {
+	kernel string
+	blocks []dblock
+	entry  int32
+	// ops holds every block's operations grouped by issue cycle, stores
+	// after non-stores (a load samples memory before a same-cycle store
+	// lands: the dependence model's store→load distance of 1), otherwise
+	// in Block.Ops order. Cycle i, counting through all blocks, issues
+	// ops[cyc[i]:cyc[i+1]].
+	ops []dop
+	cyc []int32
+	bad []error
+	// regs is the register file — one slot per virtual register, or the
+	// clusters' physical files end to end — followed by the immediates.
+	regs []int32
+	mems []memory
+	// The write-back ring: bucket t&mask holds, in issue order, the
+	// writes visible from cycle t on. It spans the longest delay; a bucket
+	// fits the widest bundle once per distinct delay, all that can land
+	// together.
+	ring   []write
+	ringN  []int32
+	mask   int64
+	bucket int64
+}
+
+// pollCycles is how many simulated cycles may pass between two looks at
+// the context: tens of microseconds of host time.
+const pollCycles = 1 << 14
 
 // Run executes prog against env (same binding conventions as
 // ir.Interp), mutating bound memories, and returns cycle-accurate
@@ -134,25 +199,42 @@ func Run(prog *vliw.Program, env *ir.Env) (*Stats, error) {
 	return RunCtx(context.Background(), prog, env)
 }
 
-// RunCtx is Run with the sim span parented under the context's current
-// span (obs.SpanFromContext) — a traced serve job's simulation then
-// joins the job's trace instead of starting an orphan root.
+// RunCtx is Run under a context: the sim span is parented under the
+// context's current span (obs.SpanFromContext), so a traced serve job's
+// simulation joins the job's trace, and a cancelled context ends the
+// run within pollCycles cycles with an error wrapping context.Cause.
 func RunCtx(ctx context.Context, prog *vliw.Program, env *ir.Env) (*Stats, error) {
+	return run(ctx, prog, env, false)
+}
+
+// run is the one simulator behind Run and RunPhysical.
+func run(ctx context.Context, prog *vliw.Program, env *ir.Env, physical bool) (*Stats, error) {
 	f := prog.F
 	sp := obs.StartSpanCtx(ctx, "sim")
 	if sp != nil {
-		sp.Str("kernel", f.Name).Str("arch", prog.Arch.String())
+		sp.Str("kernel", f.Name).Str("arch", prog.Arch.String()).Str("physical", strconv.FormatBool(physical))
 	}
 	defer sp.End()
+
+	slot, nslots, err := registerSlots(prog, physical)
+	if err != nil {
+		return nil, fmt.Errorf("sim %s: %w", f.Name, err)
+	}
 	if len(env.Args) != len(f.Params) {
 		return nil, fmt.Errorf("sim %s: %d args for %d params", f.Name, len(env.Args), len(f.Params))
 	}
-	regs := make([]int32, f.NumRegs())
-	for i, p := range f.Params {
-		regs[p.Reg] = env.Args[i]
+	e, err := decode(prog, slot, nslots)
+	if err != nil {
+		return nil, fmt.Errorf("sim %s: %w", f.Name, err)
 	}
-	mems := make(map[*ir.MemRef][]int32, len(f.Mems))
-	for _, m := range f.Mems {
+	for i, p := range f.Params {
+		s, err := slot(p.Reg)
+		if err != nil {
+			return nil, fmt.Errorf("sim %s: parameter %s: %w", f.Name, p.Name, err)
+		}
+		e.regs[s] = env.Args[i]
+	}
+	for i, m := range f.Mems {
 		data, ok := env.Mem[m.Name]
 		if !ok {
 			if m.IsParam {
@@ -164,170 +246,25 @@ func RunCtx(ctx context.Context, prog *vliw.Program, env *ir.Env) (*Stats, error
 		if m.Size > 0 && len(data) < m.Size {
 			return nil, fmt.Errorf("sim %s: memory %q has %d elements, needs %d", f.Name, m.Name, len(data), m.Size)
 		}
-		for i, v := range m.Init {
-			data[i] = v
-		}
-		mems[m] = data
+		copy(data, m.Init)
+		e.mems[i] = memory{m.Name, data}
 	}
-
-	// Pre-sort each block's ops by cycle.
-	type blockImage struct {
-		sb      *vliw.Block
-		byCycle [][]vliw.Op
-	}
-	images := map[*ir.Block]*blockImage{}
-	for _, sb := range prog.Blocks {
-		img := &blockImage{sb: sb, byCycle: make([][]vliw.Op, sb.Len)}
-		ops := append([]vliw.Op(nil), sb.Ops...)
-		sort.Slice(ops, func(i, j int) bool { return ops[i].Cycle < ops[j].Cycle })
-		for _, op := range ops {
-			img.byCycle[op.Cycle] = append(img.byCycle[op.Cycle], op)
-		}
-		images[sb.IR] = img
-	}
-
-	st := &Stats{BlockVisits: map[string]int64{}}
-	var occ occTally
-	var pend []pendingWrite
-	var now int64
-	l1FreeAt := int64(0)
-	l2FreeAt := make([]int64, prog.Arch.L2Ports)
-
-	commit := func(upto int64) {
-		kept := pend[:0]
-		for _, w := range pend {
-			if w.at <= upto {
-				regs[w.reg] = w.val
-			} else {
-				kept = append(kept, w)
-			}
-		}
-		pend = kept
-	}
-	read := func(o ir.Operand) int32 {
-		if o.IsImm() {
-			return o.Imm
-		}
-		return regs[o.Reg]
-	}
-
-	blk := f.Entry()
 	maxCycles := int64(env.MaxSteps)
 	if maxCycles == 0 {
 		maxCycles = 200_000_000
 	}
+	if err := e.exec(ctx, prog.Arch, maxCycles); err != nil {
+		return nil, err
+	}
 
-	for blk != nil {
-		img := images[blk]
-		if img == nil {
-			return nil, fmt.Errorf("sim %s: block %s has no schedule", f.Name, blk.Name)
+	st := &Stats{BlockVisits: map[string]int64{}}
+	for i := range e.blocks {
+		if b := &e.blocks[i]; b.visits > 0 {
+			st.BlockVisits[b.name] += b.visits
+			st.addVisits(&b.once, b.visits)
 		}
-		st.BlockVisits[blk.Name]++
-		st.Bundles += int64(img.sb.Len)
-		var next *ir.Block
-		done := false
-		for t := 0; t < img.sb.Len; t++ {
-			commit(now)
-			// Phase 1: reads and load sampling (start of cycle).
-			type result struct {
-				op   vliw.Op
-				vals []int32
-			}
-			bundle := img.byCycle[t]
-			occ.note(bundle, prog.Arch)
-			results := make([]result, 0, len(bundle))
-			for _, op := range bundle {
-				in := op.Instr
-				vals := make([]int32, len(in.Args))
-				for i, a := range in.Args {
-					vals[i] = read(a)
-				}
-				results = append(results, result{op, vals})
-			}
-			// Phase 2: effects. Loads sample memory before this cycle's
-			// stores commit (a same-cycle store is not yet visible),
-			// matching the dependence model's store→load distance of 1.
-			for pass := 0; pass < 2; pass++ {
-				for _, r := range results {
-					in := r.op.Instr
-					if (in.Op == ir.OpStore) != (pass == 1) {
-						continue
-					}
-					st.Ops++
-					switch in.Op {
-					case ir.OpNop:
-					case ir.OpLoad:
-						data := mems[in.Mem]
-						idx := int(r.vals[0]) + int(in.Off)
-						if idx < 0 || idx >= len(data) {
-							return nil, fmt.Errorf("sim %s/%s@%d: load %s[%d] out of bounds (len %d)",
-								f.Name, blk.Name, t, in.Mem.Name, idx, len(data))
-						}
-						if err := reservePort(in, now, &l1FreeAt, l2FreeAt, prog.Arch); err != nil {
-							return nil, fmt.Errorf("sim %s/%s@%d: %w", f.Name, blk.Name, t, err)
-						}
-						st.MemAccesses++
-						pend = append(pend, pendingWrite{
-							at:  now + int64(ddg.Latency(in, prog.Arch)),
-							reg: in.Dest,
-							val: in.Elem.Extend(data[idx]),
-						})
-					case ir.OpStore:
-						data := mems[in.Mem]
-						idx := int(r.vals[0]) + int(in.Off)
-						if idx < 0 || idx >= len(data) {
-							return nil, fmt.Errorf("sim %s/%s@%d: store %s[%d] out of bounds (len %d)",
-								f.Name, blk.Name, t, in.Mem.Name, idx, len(data))
-						}
-						if err := reservePort(in, now, &l1FreeAt, l2FreeAt, prog.Arch); err != nil {
-							return nil, fmt.Errorf("sim %s/%s@%d: %w", f.Name, blk.Name, t, err)
-						}
-						st.MemAccesses++
-						data[idx] = in.Elem.Truncate(r.vals[1])
-					case ir.OpBr:
-						next = in.Targets[0]
-					case ir.OpCBr:
-						if r.vals[0] != 0 {
-							next = in.Targets[0]
-						} else {
-							next = in.Targets[1]
-						}
-					case ir.OpRet:
-						done = true
-					case ir.OpFused:
-						pend = append(pend, pendingWrite{
-							at:  now + int64(ddg.Latency(in, prog.Arch)),
-							reg: in.Dest,
-							val: in.Fused.Eval(r.vals),
-						})
-					default:
-						pend = append(pend, pendingWrite{
-							at:  now + int64(ddg.Latency(in, prog.Arch)),
-							reg: in.Dest,
-							val: in.Op.Eval(r.vals...),
-						})
-					}
-				}
-			}
-			now++
-			st.Cycles++
-			if st.Cycles > maxCycles {
-				return nil, fmt.Errorf("sim %s: exceeded %d cycles", f.Name, maxCycles)
-			}
-		}
-		if done {
-			break
-		}
-		if next == nil {
-			return nil, fmt.Errorf("sim %s: block %s fell through without a branch", f.Name, blk.Name)
-		}
-		blk = next
 	}
-	commit(now)
-	if len(pend) != 0 {
-		return nil, fmt.Errorf("sim %s: %d writes still in flight at exit", f.Name, len(pend))
-	}
-	st.finalize(prog.Arch, &occ)
+	st.finalize(prog.Arch)
 	if sp != nil {
 		sp.Int("cycles", st.Cycles).Int("ops", st.Ops).Str("bound", st.Bound)
 		obs.GetCounter("sim.runs").Inc()
@@ -336,21 +273,256 @@ func RunCtx(ctx context.Context, prog *vliw.Program, env *ir.Env) (*Stats, error
 	return st, nil
 }
 
-// reservePort enforces non-pipelined memory port occupancy across the
-// whole run, including across block boundaries.
-func reservePort(in *ir.Instr, now int64, l1FreeAt *int64, l2FreeAt []int64, arch machine.Arch) error {
-	if in.Mem.Space == ir.L1 {
-		if *l1FreeAt > now {
-			return fmt.Errorf("L1 port busy until %d at cycle %d (scheduler bug)", *l1FreeAt, now)
-		}
-		*l1FreeAt = now + machine.L1Occupancy
-		return nil
+// decode flattens prog into an engine. slot maps a virtual register to
+// its place in a register file of nslots entries; an operation naming a
+// register it rejects becomes a kBad, an error only if it executes.
+func decode(prog *vliw.Program, slot func(ir.Reg) (int32, error), nslots int) (*engine, error) {
+	f := prog.F
+	if f.Entry() == nil {
+		return nil, fmt.Errorf("function has no blocks")
 	}
-	for i := range l2FreeAt {
-		if l2FreeAt[i] <= now {
-			l2FreeAt[i] = now + int64(arch.L2Lat)
-			return nil
+	e := &engine{kernel: f.Name, blocks: make([]dblock, len(prog.Blocks)), mems: make([]memory, len(f.Mems))}
+	blockIdx := make(map[*ir.Block]int32, len(prog.Blocks))
+	for i, sb := range prog.Blocks {
+		blockIdx[sb.IR] = int32(i)
+	}
+	// blockOf indexes a branch target or the entry; an unscheduled block gets a missing entry.
+	blockOf := func(b *ir.Block) int32 {
+		i, ok := blockIdx[b]
+		if !ok {
+			i = int32(len(e.blocks))
+			blockIdx[b] = i
+			e.blocks = append(e.blocks, dblock{name: b.Name, missing: true})
+		}
+		return i
+	}
+	e.entry = blockOf(f.Entry())
+	e.ops = make([]dop, prog.OpCount())
+	e.regs = make([]int32, nslots, nslots+len(e.ops)) // room for an immediate per op before append grows it
+	e.cyc = make([]int32, 0, prog.BundleCount()+1)
+	var sorted []vliw.Op
+	var delays []int32 // the distinct ones: a handful
+	var longest int32
+	widest, base := 0, 0
+	for bi, sb := range prog.Blocks {
+		once := Stats{Cycles: int64(sb.Len), Bundles: int64(sb.Len), Ops: int64(len(sb.Ops))}
+		first := int32(len(e.cyc))
+		sorted = append(sorted[:0], sb.Ops...)
+		slices.SortStableFunc(sorted, func(a, b vliw.Op) int { return cmp.Compare(issueKey(a), issueKey(b)) })
+		j := 0
+		for t := 0; t < sb.Len; t++ {
+			e.cyc = append(e.cyc, int32(base+j))
+			start := j
+			for j < len(sorted) && sorted[j].Cycle == t {
+				j++
+			}
+			if j == start {
+				once.StallCycles++
+			}
+			widest = max(widest, j-start)
+		}
+		if j < len(sorted) {
+			return nil, fmt.Errorf("block %s: %s scheduled at cycle %d of %d", sb.IR.Name, sorted[j].Instr.Op, sorted[j].Cycle, sb.Len)
+		}
+		for _, op := range sorted {
+			in, d := op.Instr, &e.ops[base]
+			base++
+			if len(in.Args) > len(d.arg) {
+				return nil, fmt.Errorf("block %s: %s has %d operands, the datapath reads %d", sb.IR.Name, in.Op, len(in.Args), len(d.arg))
+			}
+			if err := e.operands(d, in, slot); err != nil {
+				*d = dop{kind: kBad, dest: int32(len(e.bad))}
+				e.bad = append(e.bad, err)
+				continue
+			}
+			d.op = in.Op
+			switch in.Op {
+			case ir.OpNop:
+				d.kind = kNop
+			case ir.OpLoad, ir.OpStore:
+				d.kind = kLoad
+				if in.Op == ir.OpStore {
+					d.kind = kStore
+				}
+				mem := slices.Index(f.Mems, in.Mem) // a handful
+				if mem < 0 {
+					return nil, fmt.Errorf("block %s: %s of %q, a memory the function does not declare", sb.IR.Name, in.Op, in.Mem.Name)
+				}
+				d.mem, d.off, d.elem, d.l1 = int32(mem), int32(in.Off), in.Elem, in.Mem.Space == ir.L1
+				once.MemAccesses++
+				if d.l1 {
+					once.L1Busy += machine.L1Occupancy
+				} else {
+					once.L2Busy += int64(prog.Arch.L2Lat)
+				}
+			case ir.OpBr:
+				d.kind, d.then = kBr, blockOf(in.Targets[0])
+			case ir.OpCBr:
+				d.kind, d.then, d.els = kCBr, blockOf(in.Targets[0]), blockOf(in.Targets[1])
+			case ir.OpRet:
+				d.kind = kRet
+			case ir.OpFused:
+				d.kind, d.spec = kFused, in.Fused
+				once.CUBusy++ // custom unit; no ALU issue slot charged
+			default: // ALU ops, including the source slot of an XMov
+				d.kind = kPure
+				once.ALUBusy++
+				if in.Op == ir.OpMul {
+					once.MULBusy++
+				}
+			}
+			if in.Op.HasDest() {
+				// Below 1 still lands next cycle: this cycle's commit is over.
+				d.delay = int32(max(ddg.Latency(in, prog.Arch), 1))
+				if longest = max(longest, d.delay); !slices.Contains(delays, d.delay) {
+					delays = append(delays, d.delay)
+				}
+			}
+		}
+		e.blocks[bi] = dblock{name: sb.IR.Name, first: first, once: once}
+	}
+	e.cyc = append(e.cyc, int32(base))
+
+	size := int64(1) << bits.Len32(uint32(longest)) // the power of two above it
+	e.mask, e.bucket = size-1, int64(widest)*int64(len(delays))
+	e.ring, e.ringN = make([]write, size*e.bucket), make([]int32, size)
+	return e, nil
+}
+
+// issueKey orders a block's operations for issue: by cycle, stores after
+// non-stores; a stable sort keeps Block.Ops order otherwise.
+func issueKey(op vliw.Op) int {
+	if op.Instr.Op == ir.OpStore {
+		return 2*op.Cycle + 1
+	}
+	return 2 * op.Cycle
+}
+
+// operands resolves in's operands and destination into d.
+func (e *engine) operands(d *dop, in *ir.Instr, slot func(ir.Reg) (int32, error)) (err error) {
+	for i, a := range in.Args {
+		if a.IsImm() {
+			d.arg[i] = int32(len(e.regs))
+			e.regs = append(e.regs, a.Imm)
+		} else if d.arg[i], err = slot(a.Reg); err != nil {
+			return err
 		}
 	}
-	return fmt.Errorf("all %d L2 ports busy at cycle %d (scheduler bug)", len(l2FreeAt), now)
+	if in.Op.HasDest() {
+		d.dest, err = slot(in.Dest)
+	}
+	return err
+}
+
+// errAt reports a failure of the operation issuing in cycle t of b.
+func (e *engine) errAt(b *dblock, t int, format string, args ...any) error {
+	return fmt.Errorf("sim %s/%s@%d: %s", e.kernel, b.name, t, fmt.Sprintf(format, args...))
+}
+
+// exec runs the decoded program from its entry block to a return.
+func (e *engine) exec(ctx context.Context, arch machine.Arch, maxCycles int64) error {
+	ops, regs, mems := e.ops, e.regs, e.mems
+	ring, ringN, mask, bucket := e.ring, e.ringN, e.mask, e.bucket
+	l1FreeAt, l2FreeAt, l2Lat := int64(0), make([]int64, arch.L2Ports), int64(arch.L2Lat)
+	var now, nextPoll int64
+	for bi, done := e.entry, false; !done; {
+		b := &e.blocks[bi]
+		if b.missing {
+			return fmt.Errorf("sim %s: block %s has no schedule", e.kernel, b.name)
+		}
+		if now >= nextPoll {
+			if ctx.Err() != nil {
+				return fmt.Errorf("sim %s: stopped at cycle %d: %w", e.kernel, now, context.Cause(ctx))
+			}
+			nextPoll = now + pollCycles
+		}
+		b.visits++
+		next := int32(-1)
+		starts := e.cyc[b.first : int64(b.first)+b.once.Cycles+1]
+		for t := range starts[1:] {
+			// Writes due now become visible before anything issues.
+			if s := now & mask; ringN[s] > 0 {
+				for _, w := range ring[s*bucket:][:ringN[s]] {
+					regs[w.slot] = w.val
+				}
+				ringN[s] = 0
+			}
+			bundle := ops[starts[t]:starts[t+1]]
+			for i := range bundle {
+				op := &bundle[i]
+				var val int32
+				switch op.kind {
+				case kNop:
+					continue
+				case kPure:
+					val = op.op.Eval3(regs[op.arg[0]], regs[op.arg[1]], regs[op.arg[2]])
+				case kFused:
+					in := [...]int32{regs[op.arg[0]], regs[op.arg[1]], regs[op.arg[2]], regs[op.arg[3]]}
+					val = op.spec.Eval(in[:])
+				case kLoad, kStore:
+					m := &mems[op.mem]
+					idx := int(regs[op.arg[0]]) + int(op.off)
+					if idx < 0 || idx >= len(m.data) {
+						return e.errAt(b, t, "%s %s[%d] out of bounds (len %d)", op.op, m.name, idx, len(m.data))
+					}
+					// Ports are not pipelined and stay reserved across blocks.
+					if op.l1 {
+						if l1FreeAt > now {
+							return e.errAt(b, t, "L1 port busy until %d at cycle %d (scheduler bug)", l1FreeAt, now)
+						}
+						l1FreeAt = now + machine.L1Occupancy
+					} else {
+						p := 0
+						for p < len(l2FreeAt) && l2FreeAt[p] > now {
+							p++
+						}
+						if p == len(l2FreeAt) {
+							return e.errAt(b, t, "all %d L2 ports busy at cycle %d (scheduler bug)", len(l2FreeAt), now)
+						}
+						l2FreeAt[p] = now + l2Lat
+					}
+					if op.kind == kStore {
+						m.data[idx] = op.elem.Truncate(regs[op.arg[1]])
+						continue
+					}
+					val = op.elem.Extend(m.data[idx])
+				case kBr:
+					next = op.then
+					continue
+				case kCBr:
+					next = op.els
+					if regs[op.arg[0]] != 0 {
+						next = op.then
+					}
+					continue
+				case kRet:
+					done = true
+					continue
+				case kBad:
+					return e.errAt(b, t, "%v", e.bad[op.dest])
+				}
+				s := (now + int64(op.delay)) & mask
+				ring[s*bucket+int64(ringN[s])] = write{op.dest, val}
+				ringN[s]++
+			}
+			now++
+			if now > maxCycles {
+				return fmt.Errorf("sim %s: exceeded %d cycles", e.kernel, maxCycles)
+			}
+		}
+		if !done && next < 0 {
+			return fmt.Errorf("sim %s: block %s fell through without a branch", e.kernel, b.name)
+		}
+		bi = next
+	}
+	// now is the cycle after the last: what lands in it was issued in
+	// time, anything later was not.
+	inFlight := -int(ringN[now&mask])
+	for _, n := range ringN {
+		inFlight += int(n)
+	}
+	if inFlight != 0 {
+		return fmt.Errorf("sim %s: %d writes still in flight at exit", e.kernel, inFlight)
+	}
+	return nil
 }
