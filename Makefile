@@ -73,7 +73,11 @@ bench:
 # cannot fail an unchanged tree. BenchmarkEvaluate — one cold
 # evaluation with every cache off, one lap over its 192 machines —
 # gates ns/op and allocs/op at 15% (a ~3 ms op is noisier than a
-# 100 ms grid). BenchmarkExploreSubset gates ns/op and
+# 100 ms grid). BenchmarkEvaluateWarmCache — a cache hit, which is what
+# every evaluation that does not compile costs (~3 us, two dozen
+# allocations: the kernel-class hash, the key, the lookup) — gates
+# allocs/op at 10% and ns/op at 25% (a microsecond-scale op on a shared
+# box). BenchmarkExploreSubset gates ns/op and
 # allocs/op at 10%. BenchmarkExploreOpsSubset (the op-crossed grid, so
 # pattern rewrite and custom-unit scheduling are on the measured path)
 # gates ns/op only, at 15% — fused placement makes its allocation
@@ -91,6 +95,12 @@ bench-diff:
 	$(GO) test -run '^$$' -bench 'BenchmarkEvaluate$$' -benchtime 192x -count 3 ./internal/dse/ | \
 		$(GO) run ./cmd/cfp-benchjson -against BENCH_explore.json \
 			-regress-bench BenchmarkEvaluate -max-regress 0.15
+	$(GO) test -run '^$$' -bench BenchmarkEvaluateWarmCache -benchtime 20000x -count 3 ./internal/dse/ | \
+		$(GO) run ./cmd/cfp-benchjson -against BENCH_explore.json \
+			-regress-bench BenchmarkEvaluateWarmCache -regress-metrics allocs/op -max-regress 0.10
+	$(GO) test -run '^$$' -bench BenchmarkEvaluateWarmCache -benchtime 20000x -count 3 ./internal/dse/ | \
+		$(GO) run ./cmd/cfp-benchjson -against BENCH_explore.json \
+			-regress-bench BenchmarkEvaluateWarmCache -regress-metrics ns/op -max-regress 0.25
 	$(GO) test -run '^$$' -bench BenchmarkExploreSubset -benchtime 3x -count 3 ./internal/dse/ | \
 		$(GO) run ./cmd/cfp-benchjson -against BENCH_explore.json
 	$(GO) test -run '^$$' -bench BenchmarkExploreOpsSubset -benchtime 3x -count 3 ./internal/dse/ | \

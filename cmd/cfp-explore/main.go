@@ -89,10 +89,7 @@ func main() {
 		load       = flag.String("load", "", "load previously saved results instead of exploring")
 		sample     = flag.Int("sample", 1, "evaluate every Nth machine (1 = full space)")
 		progress   = flag.Bool("progress", true, "print progress while exploring")
-		noMemo     = flag.Bool("no-memo", false, "disable arch-signature memoization (every arrangement runs real compiles; see docs/PERFORMANCE.md)")
-		noDelta    = flag.Bool("no-delta", false, "disable delta compilation (block-schedule reuse across neighboring architectures; see docs/PERFORMANCE.md)")
 		claims     = flag.Bool("claims", false, "print the paper's headline-claim quantities from the results")
-		cachePush  = flag.Bool("cache-push", true, "distributed runs: ship warm cache entries with each shard so workers skip compiles the fleet already did (needs -cache-dir; see docs/DISTRIBUTED.md)")
 		ablation   = flag.Bool("ablation", false, "run the compiler design-choice ablation study and exit")
 		corr       = flag.Bool("correction", false, "run the cluster-correction validation study and exit")
 		repertoire = flag.Bool("repertoire", false, "run the min/max ALU repertoire study and exit")
@@ -173,62 +170,34 @@ func main() {
 		// instead of killing the process mid-flight (telemetry and the
 		// cache still flush).
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+		cache, cerr := tool.OpenCache()
+		if cerr != nil {
+			fatal(cerr)
+		}
 		if len(fleet) > 0 {
 			// Distributed run: shard the grid across cfp-serve workers
 			// and merge to the same Results a local run would produce.
 			// The coordinator's cache (when configured) seeds warm-up
 			// pushes; -cache=off rides every shard request so the whole
 			// fleet runs cold.
-			cache, cerr := tool.OpenCache()
-			if cerr != nil {
-				fatal(cerr)
-			}
 			res, err = dist.Explore(ctx, dist.Options{
-				Workers:    fleet,
-				Width:      *width,
-				Sample:     *sample,
-				Ops:        opSet,
-				Cache:      cache,
-				PushWarmup: *cachePush,
-				CacheMode:  tool.CacheCfg.Mode,
+				Workers:   fleet,
+				Width:     *width,
+				Sample:    *sample,
+				Ops:       opSet,
+				Cache:     cache,
+				CacheMode: tool.CacheCfg.Mode,
 			})
 		} else {
-			e := dse.NewExplorer()
-			e.Width = *width
-			e.Workers = localWorkers
-			e.DisableMemo = *noMemo
-			e.DisableDelta = *noDelta
-			cache, cerr := tool.OpenCache()
-			if cerr != nil {
-				fatal(cerr)
-			}
-			e.Cache = cache
-			if *sample > 1 || opSet != nil {
-				archs := machine.FullSpace()
-				if *sample > 1 {
-					var thinned []machine.Arch
-					for i := 0; i < len(archs); i += *sample {
-						thinned = append(thinned, archs[i])
-					}
-					archs = thinned
-				}
-				// The baseline must be present for speedups.
-				hasBase := false
-				for _, a := range archs {
-					if a == machine.Baseline {
-						hasBase = true
-					}
-				}
-				if !hasBase {
-					archs = append(archs, machine.Baseline)
-				}
-				if opSet != nil {
-					archs = machine.CrossOps(archs, opSet, machine.DefaultMasks(opSet))
-				}
-				e.Archs = archs
+			opts := core.ExploreOptions{
+				Sample:      *sample,
+				Ops:         opSet,
+				Width:       *width,
+				Parallelism: localWorkers,
+				Cache:       cache,
 			}
 			if *progress {
-				e.Progress = func(p dse.ProgressInfo) {
+				opts.Progress = func(p dse.ProgressInfo) {
 					if p.Done%25 == 0 || p.Done == p.Total {
 						fmt.Fprintf(os.Stderr, "\rexploring: %d/%d evaluations  %.1f/s  ETA %-8v failures %d",
 							p.Done, p.Total, p.RatePerSec, p.ETA.Round(time.Second), p.Failed)
@@ -242,7 +211,7 @@ func main() {
 					}
 				}
 			}
-			res, err = e.RunCtx(ctx)
+			res, err = core.Explore(ctx, opts)
 		}
 		stop()
 		if errors.Is(err, dse.ErrCancelled) {

@@ -18,8 +18,12 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"os"
+	"os/signal"
 	"strconv"
 	"strings"
 
@@ -53,18 +57,23 @@ func main() {
 		if oerr != nil {
 			tool.Fatal(oerr)
 		}
-		e := dse.NewExplorer()
-		e.Width = *width
 		if opSet != nil {
 			fmt.Printf("custom ops: %s\n", strings.Join(opSet.Wire(), " | "))
-			e.Archs = machine.CrossOps(machine.FullSpace(), opSet, machine.DefaultMasks(opSet))
 		}
 		cache, cerr := tool.OpenCache()
 		if cerr != nil {
 			tool.Fatal(cerr)
 		}
-		e.Cache = cache
-		res, err = e.Run()
+		// Ctrl-C abandons the exploration and exits promptly (telemetry
+		// and the cache still flush).
+		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+		res, err = core.Explore(ctx, core.ExploreOptions{Ops: opSet, Width: *width, Cache: cache})
+		stop()
+		if errors.Is(err, core.ErrCancelled) {
+			fmt.Fprintln(os.Stderr, "cfp-frontier: interrupted, exploration abandoned")
+			tool.Close()
+			os.Exit(130)
+		}
 		if err == nil && *save != "" {
 			err = res.Save(*save)
 		}

@@ -18,7 +18,10 @@
 //
 // and the paper's headline flow:
 //
-//	fit, _ := customfit.Fit([]*customfit.Benchmark{customfit.BenchmarkByName("A")}, 10)
+//	fit, _ := customfit.FitContext(ctx, customfit.FitOptions{
+//	        Benchmarks: []*customfit.Benchmark{customfit.BenchmarkByName("A")},
+//	        CostCap:    10,
+//	})
 //	fmt.Println(fit.Best, fit.Speedups)
 package customfit
 
@@ -85,13 +88,7 @@ type Template struct {
 
 // Space enumerates the template's concrete design points. With a nil
 // catalog it is exactly FullSpace.
-func (t Template) Space() []Arch {
-	space := machine.FullSpace()
-	if t.Ops == nil {
-		return space
-	}
-	return machine.CrossOps(space, t.Ops, machine.DefaultMasks(t.Ops))
-}
+func (t Template) Space() []Arch { return machine.Grid(nil, 1, t.Ops) }
 
 // Kernel is a parsed CKC kernel; Compiled is a kernel scheduled for one
 // concrete machine.
@@ -189,25 +186,4 @@ func FitContext(ctx context.Context, opts FitOptions) (*FitResult, error) {
 // in-flight strategy promptly with ErrCancelled.
 func Search(ctx context.Context, opts SearchOptions) ([]SearchResult, error) {
 	return core.SearchCompare(ctx, opts)
-}
-
-// Fit searches the full design space for the architecture maximizing
-// mean speedup over the given benchmarks within the cost budget — the
-// paper's custom-fit loop. For large budgets of time rather than cost,
-// see internal/dse and cmd/cfp-explore for the full experiment.
-//
-// Deprecated: use FitContext, which takes a context (cancellable) and
-// an options struct instead of positional knobs. This thin wrapper
-// behaves exactly as before.
-func Fit(benchmarks []*Benchmark, costCap float64) (*FitResult, error) {
-	return core.CustomFitCtx(context.Background(), FitOptions{Benchmarks: benchmarks, CostCap: costCap})
-}
-
-// FitIn is Fit over a caller-chosen subset of machines (for quick,
-// sampled runs).
-//
-// Deprecated: use FitContext with FitOptions.Archs. This thin wrapper
-// behaves exactly as before.
-func FitIn(benchmarks []*Benchmark, costCap float64, archs []Arch) (*FitResult, error) {
-	return core.CustomFitCtx(context.Background(), FitOptions{Benchmarks: benchmarks, CostCap: costCap, Archs: archs})
 }

@@ -55,12 +55,14 @@ func TestPublicAPIModelsAndSpaces(t *testing.T) {
 	}
 }
 
-func TestPublicAPIFitIn(t *testing.T) {
+func TestPublicAPIFitContext(t *testing.T) {
 	space := []customfit.Arch{
 		customfit.Baseline,
 		{ALUs: 4, MULs: 2, Regs: 128, L2Ports: 2, L2Lat: 4, Clusters: 2},
 	}
-	fit, err := customfit.FitIn([]*customfit.Benchmark{customfit.BenchmarkByName("G")}, 5, space)
+	fit, err := customfit.FitContext(context.Background(), customfit.FitOptions{
+		Benchmarks: []*customfit.Benchmark{customfit.BenchmarkByName("G")}, CostCap: 5, Archs: space,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,21 +117,24 @@ func TestPublicAPIExploreCancelled(t *testing.T) {
 	}
 }
 
-func TestPublicAPIFitContextMatchesDeprecatedFitIn(t *testing.T) {
-	benches := []*customfit.Benchmark{customfit.BenchmarkByName("G")}
-	old, err := customfit.FitIn(benches, 5, smallSpace())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctxFit, err := customfit.FitContext(context.Background(), customfit.FitOptions{
-		Benchmarks: benches, CostCap: 5, Archs: smallSpace(),
+// TestPublicAPIFitContextPicksBestFeasible: with Range 0 the fit is the
+// in-budget machine with the highest speedup in its own Results.
+func TestPublicAPIFitContextPicksBestFeasible(t *testing.T) {
+	fit, err := customfit.FitContext(context.Background(), customfit.FitOptions{
+		Benchmarks: []*customfit.Benchmark{customfit.BenchmarkByName("G")}, CostCap: 5, Archs: smallSpace(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if old.Best != ctxFit.Best || old.Cost != ctxFit.Cost {
-		t.Errorf("FitContext picked (%v, %f), FitIn picked (%v, %f)",
-			ctxFit.Best, ctxFit.Cost, old.Best, old.Cost)
+	res := fit.Results
+	for i, ev := range res.Eval["G"] {
+		if res.Cost[i] <= 5 && !ev.Failed && ev.Speedup > fit.Speedups["G"] {
+			t.Errorf("FitContext picked %v (%.3fx) but %v fits the cap at %.3fx",
+				fit.Best, fit.Speedups["G"], ev.Arch, ev.Speedup)
+		}
+	}
+	if fit.Cost != customfit.Cost(fit.Best) {
+		t.Errorf("FitResult.Cost %f is not the cost of %v", fit.Cost, fit.Best)
 	}
 }
 

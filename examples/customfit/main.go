@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -20,26 +21,27 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// Sample the design space for a quick run.
-	full := machine.FullSpace()
-	var space []machine.Arch
-	for i := 0; i < len(full); i += 16 {
-		space = append(space, full[i])
-	}
-	fmt.Printf("searching %d of %d machines, cost budget 10.0\n\n", len(space), len(full))
+	space := machine.Grid(nil, 16, nil)
+	fmt.Printf("searching %d of %d machines, cost budget 10.0\n\n", len(space), len(machine.FullSpace()))
 
 	budget := 10.0
 	a := bench.ByName("A") // 7x7 FIR: multiply- and register-hungry
 	h := bench.ByName("H") // 3x3 median: pure ALU issue width
 
-	fitA, err := core.CustomFitIn([]*bench.Benchmark{a}, budget, space)
+	fitA, err := core.CustomFitCtx(ctx, core.FitOptions{
+		Benchmarks: []*bench.Benchmark{a}, CostCap: budget, Archs: space,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("custom fit for %s: %s (cost %.1f) -> %.2fx on %s\n",
 		a.Name, fitA.Best, fitA.Cost, fitA.Speedups["A"], a.Name)
 
-	fitH, err := core.CustomFitIn([]*bench.Benchmark{h}, budget, space)
+	fitH, err := core.CustomFitCtx(ctx, core.FitOptions{
+		Benchmarks: []*bench.Benchmark{h}, CostCap: budget, Archs: space,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -48,7 +50,9 @@ func main() {
 
 	// Cross-evaluate: run each kernel on the other's machine.
 	crossEval := func(b *bench.Benchmark, arch machine.Arch) float64 {
-		fit, err := core.CustomFitIn([]*bench.Benchmark{b}, 1e9, []machine.Arch{arch})
+		fit, err := core.CustomFitCtx(ctx, core.FitOptions{
+			Benchmarks: []*bench.Benchmark{b}, CostCap: 1e9, Archs: []machine.Arch{arch},
+		})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -61,7 +65,9 @@ func main() {
 	fmt.Printf("  %s on %s's machine: %.2fx (vs %.2fx on its own)\n", h.Name, a.Name, hOnA, fitH.Speedups["H"])
 
 	// And the compromise: fit for both at once.
-	both, err := core.CustomFitIn([]*bench.Benchmark{a, h}, budget, space)
+	both, err := core.CustomFitCtx(ctx, core.FitOptions{
+		Benchmarks: []*bench.Benchmark{a, h}, CostCap: budget, Archs: space,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -19,6 +20,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	kernels := []*bench.Benchmark{
 		bench.ByName("C"), // dequantize + IDCT
 		bench.ByName("G"), // upsample
@@ -27,13 +29,11 @@ func main() {
 	fmt.Println("JPEG decoder tail: IDCT (C) → upsample (G) → color convert (E)")
 
 	// A quick sampled fit (full space in cmd/cfp-explore).
-	full := machine.FullSpace()
-	var space []machine.Arch
-	for i := 0; i < len(full); i += 12 {
-		space = append(space, full[i])
-	}
+	space := machine.Grid(nil, 12, nil)
 	budget := 8.0
-	fit, err := core.CustomFitIn(kernels, budget, space)
+	fit, err := core.CustomFitCtx(ctx, core.FitOptions{
+		Benchmarks: kernels, CostCap: budget, Archs: space,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -47,11 +47,15 @@ func main() {
 	// that maximizes one stage is rarely the one you should build.
 	fmt.Println("\nspecializing for a single stage instead:")
 	for _, target := range kernels {
-		only, err := core.CustomFitIn([]*bench.Benchmark{target}, budget, space)
+		only, err := core.CustomFitCtx(ctx, core.FitOptions{
+			Benchmarks: []*bench.Benchmark{target}, CostCap: budget, Archs: space,
+		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		cross, err := core.CustomFitIn(kernels, budget, []machine.Arch{only.Best})
+		cross, err := core.CustomFitCtx(ctx, core.FitOptions{
+			Benchmarks: kernels, CostCap: budget, Archs: []machine.Arch{only.Best},
+		})
 		if err != nil {
 			log.Fatal(err)
 		}

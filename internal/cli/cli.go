@@ -130,7 +130,7 @@ func AddCacheFlagsTo(fs *flag.FlagSet) *CacheConfig {
 	fs.StringVar(&c.Dir, "cache-dir", "",
 		"persist evaluation sweeps under DIR (content-addressed; identical results, warm re-runs skip all backend work — see docs/PERFORMANCE.md)")
 	fs.StringVar(&c.Mode, "cache", "on",
-		`"off" ignores -cache-dir for this run (cold measurement without clearing the directory)`)
+		`"on" or "off"; "off" ignores -cache-dir and -cache-peer for this run (cold measurement without clearing the directory)`)
 	fs.StringVar(&c.Peer, "cache-peer", "",
 		"cfp-serve URL backing the cache as a fleet-shared tier: misses read through to the peer, computes write behind to it (see docs/PERFORMANCE.md)")
 	return c
@@ -260,11 +260,16 @@ func NewToolOn(fs *flag.FlagSet, name string, opts ...ToolOption) *Tool {
 // Start brings up everything the parsed flags asked for (telemetry
 // collector, pprof listener). Call after flag.Parse. When -version was
 // given it prints the identity line and exits 0 before starting
-// anything.
+// anything. -cache is validated here, once: everything downstream
+// (CacheConfig.Open, the distributed coordinator) compares the value
+// with "off" and may rely on it being exactly "on" or "off".
 func (t *Tool) Start() error {
 	if t.version != nil && *t.version {
 		fmt.Println(VersionString(t.Name))
 		os.Exit(0)
+	}
+	if c := t.CacheCfg; c != nil && c.Mode != "on" && c.Mode != "off" {
+		return fmt.Errorf(`cli: -cache=%q: want "on" or "off"`, c.Mode)
 	}
 	lg, err := olog.Setup(os.Stderr, t.LogFormat, t.LogLevel)
 	if err != nil {

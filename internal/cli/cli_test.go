@@ -98,6 +98,33 @@ func TestToolCacheOffModes(t *testing.T) {
 	off.Close()
 }
 
+// TestCacheModeValidated: -cache takes exactly "on" and "off". A
+// near-miss ("OFF", "of") used to mean "on" locally and, for "OFF",
+// "off" on the fleet; now Start refuses it, naming both values.
+func TestCacheModeValidated(t *testing.T) {
+	for _, tc := range []struct {
+		mode string
+		ok   bool
+	}{{"on", true}, {"off", true}, {"OFF", false}, {"of", false}, {"", false}} {
+		fs := flag.NewFlagSet("mode", flag.ContinueOnError)
+		tool := NewToolOn(fs, "mode", WithCache())
+		if err := fs.Parse([]string{"-cache=" + tc.mode}); err != nil {
+			t.Fatal(err)
+		}
+		err := tool.Start()
+		tool.Close()
+		if tc.ok {
+			if err != nil {
+				t.Errorf("-cache=%q: Start failed: %v", tc.mode, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), `"on"`) || !strings.Contains(err.Error(), `"off"`) {
+			t.Errorf("-cache=%q: Start error %v, want one naming \"on\" and \"off\"", tc.mode, err)
+		}
+	}
+}
+
 // TestVersionString pins the identity line every tool prints for
 // -version: tool name, Go runtime, and the backend code-generation
 // fingerprint the distributed coordinator gates fleet admission on.

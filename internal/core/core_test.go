@@ -1,6 +1,9 @@
 package core
 
 import (
+	"context"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -77,7 +80,7 @@ func TestInterpretAgreesWithRun(t *testing.T) {
 	}
 }
 
-func TestCustomFitInPicksWithinBudget(t *testing.T) {
+func TestCustomFitCtxPicksWithinBudget(t *testing.T) {
 	space := []machine.Arch{
 		machine.Baseline,
 		{ALUs: 4, MULs: 2, Regs: 128, L2Ports: 2, L2Lat: 4, Clusters: 2},
@@ -85,7 +88,8 @@ func TestCustomFitInPicksWithinBudget(t *testing.T) {
 		{ALUs: 16, MULs: 8, Regs: 512, L2Ports: 4, L2Lat: 2, Clusters: 2},
 	}
 	d := bench.ByName("D")
-	fit, err := CustomFitIn([]*bench.Benchmark{d}, 8, space)
+	opts := FitOptions{Benchmarks: []*bench.Benchmark{d}, CostCap: 8, Archs: space}
+	fit, err := CustomFitCtx(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +100,8 @@ func TestCustomFitInPicksWithinBudget(t *testing.T) {
 		t.Errorf("fit speedup %.2f < 1", fit.Speedups["D"])
 	}
 	// An absurdly small budget must fail cleanly.
-	if _, err := CustomFitIn([]*bench.Benchmark{d}, 0.1, space); err == nil {
+	opts.CostCap = 0.1
+	if _, err := CustomFitCtx(context.Background(), opts); err == nil {
 		t.Error("impossible budget accepted")
 	}
 }
@@ -125,5 +130,78 @@ func TestRunPhysicalMatchesRun(t *testing.T) {
 	}
 	if s1.Cycles != s2.Cycles {
 		t.Errorf("cycles differ: %d vs %d", s1.Cycles, s2.Cycles)
+	}
+}
+
+// TestExploreGrid pins the one grid rule (machine.Grid, reached through
+// ExploreOptions the way every entry point reaches it): nil means the
+// full space, sampling keeps the baseline exactly once, an op catalog
+// doubles the grid in CrossOps order, and ExactArchs bypasses all of it.
+func TestExploreGrid(t *testing.T) {
+	ops, err := machine.ParseOpCatalog([]string{"mac/3/2:mul $0 $1;add %0 $2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := machine.FullSpace()
+	var every8 []machine.Arch
+	for i := 0; i < len(full); i += 8 {
+		every8 = append(every8, full[i])
+	}
+	noBaseline := []machine.Arch{full[0], full[1]}
+	for _, a := range append(every8, noBaseline...) {
+		if a == machine.Baseline {
+			t.Fatal("fixture: the baseline must not survive thinning by itself")
+		}
+	}
+	baselineFirst := append([]machine.Arch{machine.Baseline}, noBaseline...)
+	sampled := append(append([]machine.Arch(nil), every8...), machine.Baseline)
+	for _, tc := range []struct {
+		name string
+		opts ExploreOptions
+		want []machine.Arch
+	}{
+		{"nil space is the full space", ExploreOptions{}, full},
+		{"sample 8 appends the baseline", ExploreOptions{Sample: 8}, sampled},
+		{"a baseline already present is not repeated", ExploreOptions{Archs: baselineFirst}, baselineFirst},
+		{"an op catalog doubles the grid", ExploreOptions{Sample: 8, Ops: ops},
+			machine.CrossOps(sampled, ops, machine.DefaultMasks(ops))},
+		{"ExactArchs is verbatim", ExploreOptions{Archs: noBaseline, ExactArchs: true, Sample: 2, Ops: ops}, noBaseline},
+	} {
+		got := tc.opts.resolveArchs()
+		if len(got) != len(tc.want) {
+			t.Errorf("%s: %d machines, want %d", tc.name, len(got), len(tc.want))
+			continue
+		}
+		for i := range got {
+			if got[i] != tc.want[i] {
+				t.Errorf("%s: machine %d is %v, want %v", tc.name, i, got[i], tc.want[i])
+				break
+			}
+		}
+	}
+	if n := len(machine.CrossOps(sampled, ops, machine.DefaultMasks(ops))); n != 2*len(sampled) {
+		t.Errorf("fixture: crossed grid has %d machines, want %d", n, 2*len(sampled))
+	}
+}
+
+// TestSearchCompareReportsCacheFlushFailure: a cache SearchCompare
+// opened from CacheDir is its own to close, and a failed flush is the
+// comparison's error, not a silent loss of every sweep it computed.
+func TestSearchCompareReportsCacheFlushFailure(t *testing.T) {
+	dir := t.TempDir()
+	// A directory squatting on the shard's file name makes the flush's
+	// final rename fail.
+	if err := os.Mkdir(filepath.Join(dir, "G.jsonl"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	_, err := SearchCompare(context.Background(), SearchOptions{
+		Benchmark: bench.ByName("G"),
+		CostCap:   10,
+		Space:     []machine.Arch{machine.Baseline, {ALUs: 2, MULs: 1, Regs: 64, L2Ports: 1, L2Lat: 4, Clusters: 1}},
+		Width:     32,
+		CacheDir:  dir,
+	})
+	if err == nil || !strings.Contains(err.Error(), "flush") {
+		t.Errorf("SearchCompare over an unflushable CacheDir returned %v, want the flush error", err)
 	}
 }

@@ -51,13 +51,6 @@ type ExploreOptions struct {
 	// Parallelism bounds concurrent compile workers (default
 	// GOMAXPROCS).
 	Parallelism int
-	// DisableMemo turns off arch-signature memoization and the
-	// persistent cache (see docs/PERFORMANCE.md).
-	DisableMemo bool
-	// DisableDelta turns off delta compilation (the block-schedule reuse
-	// cache behind cheap neighbor re-evaluation; see docs/PERFORMANCE.md).
-	// Results are bit-identical either way.
-	DisableDelta bool
 	// CacheDir, when non-empty, persists evaluation sweeps under this
 	// directory (content-addressed; results identical, warm re-runs
 	// near-instant — see docs/PERFORMANCE.md).
@@ -80,28 +73,13 @@ type ExploreOptions struct {
 	Ops *machine.OpSet
 }
 
-// resolveArchs applies Archs and Sample, keeping the baseline present
-// (unless ExactArchs pins the grid verbatim).
+// resolveArchs is the explored grid: machine.Grid over Archs, Sample
+// and Ops, unless ExactArchs pins Archs verbatim.
 func (o *ExploreOptions) resolveArchs() []machine.Arch {
-	archs := o.Archs
-	if archs == nil {
-		archs = machine.FullSpace()
-	}
 	if o.ExactArchs {
-		return archs
+		return o.Archs
 	}
-	if o.Sample > 1 {
-		var thinned []machine.Arch
-		for i := 0; i < len(archs); i += o.Sample {
-			thinned = append(thinned, archs[i])
-		}
-		archs = thinned
-	}
-	archs = ensureBaseline(archs)
-	if o.Ops != nil {
-		archs = machine.CrossOps(archs, o.Ops, machine.DefaultMasks(o.Ops))
-	}
-	return archs
+	return machine.Grid(o.Archs, o.Sample, o.Ops)
 }
 
 // openCache resolves the cache the options ask for: the pre-opened one,
@@ -131,8 +109,6 @@ func Explore(ctx context.Context, opts ExploreOptions) (*dse.Results, error) {
 	e.Archs = opts.resolveArchs()
 	e.Width = opts.Width
 	e.Workers = opts.Parallelism
-	e.DisableMemo = opts.DisableMemo
-	e.DisableDelta = opts.DisableDelta
 	e.Progress = opts.Progress
 	cache, own, err := opts.openCache()
 	if err != nil {
@@ -229,9 +205,6 @@ type SearchOptions struct {
 	// Prune enables bound-guided pruning for the deterministic
 	// strategies (exact: identical optima, fewer compiles).
 	Prune bool
-	// DisableDelta turns off delta compilation in the evaluator backing
-	// the objective (see ExploreOptions.DisableDelta).
-	DisableDelta bool
 	// CacheDir / Cache as in ExploreOptions.
 	CacheDir string
 	Cache    *evcache.Cache
@@ -240,8 +213,10 @@ type SearchOptions struct {
 // SearchCompare runs every search strategy against the real
 // compile-and-measure objective under ctx and normalizes scores to the
 // exhaustive optimum. Cancelling ctx stops the in-flight strategy
-// promptly and returns ErrCancelled (wrapped).
-func SearchCompare(ctx context.Context, opts SearchOptions) ([]search.Result, error) {
+// promptly and returns ErrCancelled (wrapped). A cache opened from
+// CacheDir is closed before returning; a failed flush is the error of
+// an otherwise successful comparison.
+func SearchCompare(ctx context.Context, opts SearchOptions) (out []search.Result, err error) {
 	if opts.Benchmark == nil {
 		return nil, fmt.Errorf("customfit: no benchmark given")
 	}
@@ -249,6 +224,9 @@ func SearchCompare(ctx context.Context, opts SearchOptions) ([]search.Result, er
 	if space == nil {
 		space = search.SubLattice()
 	}
+	// Not machine.Grid: the baseline is only the speedup denominator
+	// here, and appending it as a candidate would change what the seeded
+	// strategies find.
 	if opts.Sample > 1 {
 		var thinned []machine.Arch
 		for i := 0; i < len(space); i += opts.Sample {
@@ -260,7 +238,6 @@ func SearchCompare(ctx context.Context, opts SearchOptions) ([]search.Result, er
 		space = machine.CrossOps(space, opts.Ops, machine.DefaultMasks(opts.Ops))
 	}
 	ev := dse.NewEvaluator()
-	ev.DisableDelta = opts.DisableDelta
 	if opts.Width > 0 {
 		ev.Width = opts.Width
 	} else {
@@ -273,7 +250,11 @@ func SearchCompare(ctx context.Context, opts SearchOptions) ([]search.Result, er
 	}
 	ev.Cache = cache
 	if own {
-		defer cache.Close()
+		defer func() {
+			if cerr := cache.Close(); err == nil && cerr != nil {
+				out, err = nil, cerr
+			}
+		}()
 	}
 	baseline := ev.EvaluateCtx(ctx, opts.Benchmark, machine.Baseline)
 	if baseline.Cancelled {
@@ -297,7 +278,7 @@ func SearchCompare(ctx context.Context, opts SearchOptions) ([]search.Result, er
 	if opts.Prune {
 		bound = ev.SpeedupBound(opts.Benchmark, baseline.Time, cost, opts.CostCap)
 	}
-	out, err := search.CompareCtx(ctx, space, search.Objective(obj), bound, opts.Seed)
+	out, err = search.CompareCtx(ctx, space, search.Objective(obj), bound, opts.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrCancelled, err)
 	}

@@ -3,8 +3,8 @@
 // their HTTP/JSON job API and merges the shard results into a
 // dse.Results bit-identical to a single local run.
 //
-// Determinism is the design center. The grid is resolved exactly like a
-// local run (Sample thinning, baseline ensured), shards are whole
+// Determinism is the design center. The grid is resolved by the same
+// function as a local run's (machine.Grid), shards are whole
 // backend-signature classes (dse.SigKey) so per-class memoization — and
 // with it the paper's Table-3 logical runs accounting — reproduces
 // per-shard, and the merge subtracts every shard's out-of-grid baseline
@@ -89,23 +89,22 @@ type Options struct {
 	PollInterval time.Duration
 	// Client overrides the HTTP client (tests; default http.DefaultClient).
 	Client *http.Client
-	// Cache is the coordinator's local evaluation cache (optional).
-	// With PushWarmup it is the source of warm-up shipping; it is
-	// never consulted for results — workers evaluate, the coordinator
-	// merges.
+	// Cache is the coordinator's local evaluation cache (optional). It
+	// is never consulted for results — workers evaluate, the coordinator
+	// merges — it is the source of warm-up shipping: before dispatching a
+	// shard, every entry it holds for the shard's signature classes (plus
+	// the baseline) is pushed to the worker's /v1/cache endpoint, so the
+	// worker pre-admits them and compiles nothing the fleet has seen
+	// before. Shards are whole dse.SigKey classes, so pushes are disjoint
+	// across shards of one benchmark. Push failures are non-fatal: the
+	// worker just computes cold.
 	Cache *evcache.Cache
-	// PushWarmup ships cache warm-up with shards: before dispatching a
-	// shard, every entry the coordinator's Cache holds for the shard's
-	// signature classes (plus the baseline) is pushed to the worker's
-	// /v1/cache endpoint, so the worker pre-admits them and compiles
-	// nothing the fleet has seen before. Shards are whole dse.SigKey
-	// classes, so pushes are disjoint across shards of one benchmark.
-	// Push failures are non-fatal: the worker just computes cold.
-	PushWarmup bool
 	// CacheMode "off" disables evaluation caching fleet-wide: every
 	// shard request carries it, so workers run cold even when they have
 	// their own caches attached (the operator's -cache=off is honored
-	// everywhere, not just coordinator-side).
+	// everywhere, not just coordinator-side) and nothing is pushed. The
+	// value is the -cache flag's, which cli.Tool.Start has validated to
+	// be exactly "on" or "off".
 	CacheMode string
 }
 
@@ -230,7 +229,10 @@ func Explore(ctx context.Context, opts Options) (*dse.Results, error) {
 	for _, w := range fleet {
 		capacity += w.capacity
 	}
-	grid := resolveGrid(o.Archs, o.Sample, o.Ops)
+	// The coordinator's grid always contains the baseline: every shard's
+	// out-of-grid baseline work is subtracted at merge, and the one grid
+	// cell that owns the baseline is counted once.
+	grid := machine.Grid(o.Archs, o.Sample, o.Ops)
 	opSet, err := gridOpSet(grid)
 	if err != nil {
 		return nil, err
@@ -264,9 +266,9 @@ func Explore(ctx context.Context, opts Options) (*dse.Results, error) {
 		root:     sp,
 		events:   make(chan outcome, len(units)+len(fleet)),
 		loopDone: make(chan struct{}),
-		cacheOff: strings.EqualFold(o.CacheMode, "off"),
+		cacheOff: o.CacheMode == "off",
 	}
-	if o.PushWarmup && o.Cache != nil && !c.cacheOff {
+	if o.Cache != nil && !c.cacheOff {
 		c.kcs = make(map[string]string, len(benches))
 		for _, b := range benches {
 			// Workers evaluate with the default evaluator (seed 1), so
@@ -344,7 +346,7 @@ type coordinator struct {
 	doneUnits   int
 	needUnits   int
 
-	// Warm-up shipping (PushWarmup): kcs maps bench name to its kernel
+	// Warm-up shipping (Options.Cache): kcs maps bench name to its kernel
 	// class under this run's width/seed, pushers holds one cache client
 	// per admitted worker. Both are built once before dispatch and read
 	// only from attempt goroutines thereafter. cacheOff propagates

@@ -338,7 +338,7 @@ func TestCancellation(t *testing.T) {
 // stay whole, every grid cell is covered exactly once per benchmark,
 // and duplicate-arch grids alias rather than re-dispatch.
 func TestPartitionInvariants(t *testing.T) {
-	grid := resolveGrid(nil, 8, nil)
+	grid := machine.Grid(nil, 8, nil)
 	benches := benchesByName("G", "F")
 	units := partitionUnits(grid, benches, 6)
 
@@ -365,17 +365,6 @@ func TestPartitionInvariants(t *testing.T) {
 		if len(covered[b.Name]) != len(grid) {
 			t.Fatalf("%s: %d of %d grid cells covered", b.Name, len(covered[b.Name]), len(grid))
 		}
-	}
-
-	// Baseline must be in the resolved grid even when thinning skips it.
-	found := false
-	for _, a := range grid {
-		if a == machine.Baseline {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("resolveGrid dropped the baseline")
 	}
 
 	// A duplicated grid dedups into aliases sharing one dispatch.

@@ -131,7 +131,7 @@ func TestGoldenFleetWarmThreePass(t *testing.T) {
 }
 
 // TestWarmupPushFreshWorker covers coordinator-side warm-up shipping:
-// with PushWarmup, a coordinator whose own cache is warm pushes each
+// a coordinator whose attached cache is warm pushes each
 // shard's entries to the worker before dispatch, so even a worker with
 // no cache peer compiles nothing.
 func TestWarmupPushFreshWorker(t *testing.T) {
@@ -159,7 +159,6 @@ func TestWarmupPushFreshWorker(t *testing.T) {
 	opts.Sample = 24
 	opts.Width = 32
 	opts.Cache = coordCache
-	opts.PushWarmup = true
 	got, err := Explore(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -200,7 +199,6 @@ func TestCacheModeOffPropagates(t *testing.T) {
 	opts.Sample = 24
 	opts.Width = 32
 	opts.Cache = coordCache
-	opts.PushWarmup = true
 	opts.CacheMode = "off"
 	got, err := Explore(context.Background(), opts)
 	if err != nil {

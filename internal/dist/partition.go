@@ -3,60 +3,12 @@ package dist
 import (
 	"encoding/json"
 	"fmt"
-	"strconv"
 
 	"customfit/internal/bench"
+	"customfit/internal/cli"
 	"customfit/internal/dse"
 	"customfit/internal/machine"
 )
-
-// archTuple renders an architecture in the positional wire form the
-// serve API parses ("a m r p2 l2 c", plus " ops=<hexmask>" for
-// op-enabled machines — cli.ParseArchOps's input, without Arch.String's
-// parentheses).
-func archTuple(a machine.Arch) string {
-	s := fmt.Sprintf("%d %d %d %d %d %d", a.ALUs, a.MULs, a.Regs, a.L2Ports, a.L2Lat, a.Clusters)
-	if !a.Ops.Empty() {
-		s += " ops=" + strconv.FormatUint(a.Ops.Mask, 16)
-	}
-	return s
-}
-
-// resolveGrid applies Archs, Sample and Ops exactly like a local run
-// (core.ExploreOptions.resolveArchs): nil means the full concrete
-// space, Sample > 1 keeps every Nth machine, the baseline is appended
-// when absent, and a non-nil op catalog then crosses the whole grid
-// with its default enable masks. The coordinator always explores a
-// grid that contains the baseline — that is what makes the merged
-// Stats.Runs equal a single local run's (every shard's out-of-grid
-// baseline work is subtracted; the one grid cell that owns the
-// baseline is counted once, here).
-func resolveGrid(archs []machine.Arch, sample int, set *machine.OpSet) []machine.Arch {
-	if archs == nil {
-		archs = machine.FullSpace()
-	}
-	if sample > 1 {
-		var thinned []machine.Arch
-		for i := 0; i < len(archs); i += sample {
-			thinned = append(thinned, archs[i])
-		}
-		archs = thinned
-	}
-	found := false
-	for _, a := range archs {
-		if a == machine.Baseline {
-			found = true
-			break
-		}
-	}
-	if !found {
-		archs = append(append([]machine.Arch(nil), archs...), machine.Baseline)
-	}
-	if set != nil {
-		archs = machine.CrossOps(archs, set, machine.DefaultMasks(set))
-	}
-	return archs
-}
 
 // gridOpSet returns the single custom-op catalog the grid's op-enabled
 // members draw from (nil for an op-free grid), or an error on a mixed
@@ -144,7 +96,7 @@ func partitionUnits(grid []machine.Arch, benches []*bench.Benchmark, targetUnits
 				attempts: map[int]*attempt{},
 			}
 			for _, gi := range chunk {
-				u.tuples = append(u.tuples, archTuple(grid[gi]))
+				u.tuples = append(u.tuples, cli.FormatArch(grid[gi]))
 			}
 			u.key = shardKey(u.bench, u.tuples)
 			if prior, ok := byKey[u.key]; ok {

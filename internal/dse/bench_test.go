@@ -77,10 +77,10 @@ func BenchmarkEvaluateDelta(b *testing.B) {
 	}
 }
 
-// BenchmarkEvaluateWarmCache measures the persistent-cache hit path as
-// a fresh process would see it: a new evaluator per iteration (so the
-// in-process memo never hits and the kernel-class hash is recomputed)
-// resolving evaluations from a shared warm cache.
+// BenchmarkEvaluateWarmCache measures the cache hit path as a fresh
+// process would see it: a new evaluator per iteration (so the
+// kernel-class hash is recomputed) resolving evaluations from a shared
+// warm cache.
 func BenchmarkEvaluateWarmCache(b *testing.B) {
 	cache, err := evcache.Open("")
 	if err != nil {

@@ -85,9 +85,44 @@ func TestWarmCacheSpeedsUpExploration(t *testing.T) {
 	}
 }
 
+// TestEvictingCacheSameResults: the memory tier can evict, and an
+// evicted class costs a recompute — never a different answer or a
+// different logical run count.
+func TestEvictingCacheSameResults(t *testing.T) {
+	run := func(maxEntries int) (*Results, evcache.Stats) {
+		t.Helper()
+		c, err := evcache.Open("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if maxEntries > 0 {
+			c.SetMaxEntries(maxEntries)
+		}
+		res, err := subsetExplorer(c).Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, c.Stats()
+	}
+	want, unbounded := run(0)
+	got, bounded := run(1)
+	if bounded.Computes <= unbounded.Computes {
+		t.Fatalf("one-entry cache computed %d sweeps, unbounded %d: nothing was evicted, the test proves nothing",
+			bounded.Computes, unbounded.Computes)
+	}
+	for i, w := range want.Eval["G"] {
+		if g := got.Eval["G"][i]; g != w {
+			t.Fatalf("%v: evicting cache gives %+v, unbounded %+v", w.Arch, g, w)
+		}
+	}
+	if got.Stats.Runs != want.Stats.Runs {
+		t.Errorf("logical runs: evicting cache %d, unbounded %d", got.Stats.Runs, want.Stats.Runs)
+	}
+}
+
 // TestSharedCacheConcurrentEvaluators exercises the cache's concurrent
-// paths the way separate warm processes would: several evaluators (each
-// with its own memo) sharing one cache, racing on the same keys.
+// paths the way separate warm processes would: several evaluators
+// sharing one cache, racing on the same keys.
 func TestSharedCacheConcurrentEvaluators(t *testing.T) {
 	cache, err := evcache.Open("")
 	if err != nil {

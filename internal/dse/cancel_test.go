@@ -5,6 +5,7 @@ import (
 	"errors"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"customfit/internal/bench"
 	"customfit/internal/evcache"
@@ -91,10 +92,75 @@ func TestRunCtxCancelMidFlight(t *testing.T) {
 	}
 }
 
-// TestCancelDoesNotPoisonCaches: a cancelled run must leave the memo
-// and the persistent cache in a state where a subsequent uncancelled
-// run over the same Evaluator/cache still produces the uncached
-// results.
+// gateCtx is a context whose cancellation the test places exactly: the
+// first Err call (runSweep's check before the first compile) reports it
+// live; the second (before the next unroll factor) announces the sweep
+// is in flight, waits for release, and reports it cancelled from then
+// on.
+type gateCtx struct {
+	context.Context
+	calls    atomic.Int32
+	inFlight chan struct{}
+	release  chan struct{}
+}
+
+func (g *gateCtx) Err() error {
+	switch g.calls.Add(1) {
+	case 1:
+		return nil
+	case 2:
+		close(g.inFlight)
+	}
+	<-g.release
+	return context.Canceled
+}
+
+// TestCancelledSweepNotStoredWaiterRecomputes covers the one
+// singleflight on the evaluation path (evcache.DoErr under
+// sweepThroughCache, here on the evaluator's private tier): a sweep
+// cancelled mid-way is not stored, and a live caller that coalesced
+// onto it recomputes the class instead of inheriting the cancellation.
+func TestCancelledSweepNotStoredWaiterRecomputes(t *testing.T) {
+	b, arch := bench.ByName("G"), machine.Baseline
+	ref := NewEvaluator()
+	ref.Width = 32
+	want := ref.Evaluate(b, arch)
+
+	ev := NewEvaluator()
+	ev.Width = 32
+	gate := &gateCtx{Context: context.Background(), inFlight: make(chan struct{}), release: make(chan struct{})}
+	doomed := make(chan Evaluation, 1)
+	go func() { doomed <- ev.EvaluateCtx(gate, b, arch) }()
+	select {
+	case <-gate.inFlight:
+	case e := <-doomed:
+		t.Fatalf("sweep finished after one compile (%+v): pick a machine whose sweep takes two", e)
+	}
+	waiter := make(chan Evaluation, 1)
+	go func() { waiter <- ev.EvaluateCtx(context.Background(), b, arch) }()
+	for ev.sweepCache().Stats().Coalesced == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	close(gate.release)
+
+	if e := <-doomed; !e.Cancelled || e.Failed {
+		t.Errorf("cancelled sweep returned %+v, want Cancelled and not Failed", e)
+	}
+	if e := <-waiter; e != want {
+		t.Errorf("waiter on a cancelled sweep got %+v, a clean evaluation gives %+v", e, want)
+	}
+	st := ev.sweepCache().Stats()
+	if st.Computes != 2 || st.Hits != 0 {
+		t.Errorf("cache stats %+v: want two computes (the cancelled sweep, then the waiter's own) and no hit", st)
+	}
+	if e, ok := ev.sweepCache().Get(b.Name, CacheKey(ev.kernelClass(b), arch)); !ok || e.Cycles != want.Cycles {
+		t.Errorf("stored entry (%+v, %v): want the waiter's completed sweep", e, ok)
+	}
+}
+
+// TestCancelDoesNotPoisonCaches: a cancelled run must leave the
+// persistent cache in a state where a subsequent uncancelled run over
+// the same directory still produces the uncached results.
 func TestCancelDoesNotPoisonCaches(t *testing.T) {
 	dir := t.TempDir()
 

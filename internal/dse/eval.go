@@ -82,9 +82,9 @@ type fnEntry struct {
 // sweepResult is the architecture-signature-invariant part of one
 // unroll sweep: everything Evaluate computes except the cycle-time
 // derate. runs is how many backend compilations the sweep performed
-// (memoized hits re-count them as logical runs, the paper's Table 3
+// (cache hits re-count them as logical runs, the paper's Table 3
 // accounting). cancelled marks a sweep abandoned mid-way because the
-// context ended; cancelled sweeps are never memoized or cached.
+// context ended; cancelled sweeps are never cached.
 type sweepResult struct {
 	unroll    int
 	cycles    int64
@@ -94,57 +94,63 @@ type sweepResult struct {
 	runs      int64
 }
 
-// sweepEntry is a once-guarded memoized sweep for one signature class.
-type sweepEntry struct {
-	once sync.Once
-	res  sweepResult
-}
-
-// memoKey identifies a memoized sweep: the backend sees only the
-// benchmark kernel and the architecture's backend signature.
-type memoKey struct {
-	bench string
-	sig   archSig
-}
-
-// Evaluator compiles benchmarks for architectures with caching.
-type Evaluator struct {
+// EvalConfig is the evaluation configuration, declared once and
+// embedded by both Evaluator and Explorer (which hands it to its
+// evaluator whole). DisableMemo, DisableDelta and Cache are
+// result-neutral: Results are bit-identical whatever they are set to.
+type EvalConfig struct {
 	// Width is the reference workload width in pixels.
 	Width int
 	// Seed generates the reference workload.
 	Seed int64
 	// Cycle is the cycle-time model applied to raw cycles.
 	Cycle machine.CycleModel
-	// DisableMemo turns off arch-signature memoization so every
-	// evaluation runs real backend compiles (benchmarks, equivalence
-	// tests). It also bypasses Cache: both layers exist to avoid
-	// backend work, which is exactly what DisableMemo runs measure.
+	// DisableMemo is the reference path: every evaluation runs real
+	// backend compiles, resolving through no cache at all — not the
+	// attached Cache, not the evaluator's private memory tier
+	// (benchmarks, equivalence tests).
 	DisableMemo bool
 	// DisableDelta turns off delta compilation (the per-kernel cache of
 	// reusable block schedules and allocation verdicts that makes
 	// one-parameter neighbor re-evaluation cheap; see
-	// sched.CompilePreparedDelta and docs/PERFORMANCE.md). Results are
-	// bit-identical either way — the switch exists for measurement and
-	// A/B verification, not correctness.
+	// sched.CompilePreparedDelta and docs/PERFORMANCE.md). The switch
+	// exists for measurement and A/B verification, not correctness.
 	DisableDelta bool
-	// Cache, when set, persists evaluation sweeps across processes:
-	// content-addressed by hash(kernel source, unroll policy, compiler
-	// fingerprint, reference workload) × backend signature (see
-	// internal/evcache and docs/PERFORMANCE.md). Exact by the same
-	// argument as the signature memo; a warm cache makes a re-run of
-	// the full sweep near-instant.
+	// Cache is where sweeps are kept: content-addressed by hash(kernel
+	// source, unroll policy, compiler fingerprint, reference workload) ×
+	// backend signature (see CacheKey, internal/evcache and
+	// docs/PERFORMANCE.md). Equal-signature architectures compile
+	// identically (see archSig), so one sweep answers its whole class.
+	// Attach one to share sweeps between evaluators, persist them across
+	// processes or read them from the fleet; nil gives the evaluator a
+	// private memory-only cache.
 	Cache *evcache.Cache
+}
+
+// defaultEvalConfig is the standard reference workload (96 pixels,
+// seed 1) under the default cycle-time model.
+func defaultEvalConfig() EvalConfig {
+	return EvalConfig{Width: 96, Seed: 1, Cycle: machine.DefaultCycleModel}
+}
+
+// Evaluator compiles benchmarks for architectures with caching.
+type Evaluator struct {
+	EvalConfig
 
 	mu    sync.Mutex
 	cache map[string]map[int]*prepared // bench -> unroll -> artifacts
 	fns   map[string]*fnEntry          // bench -> lowered IR
-	memo  map[memoKey]*sweepEntry      // signature class -> sweep
 	keys  map[string]string            // bench -> kernel-class hash
 
+	// private is the memory-only cache evaluations resolve through when
+	// no Cache is attached, created on first use.
+	privateOnce sync.Once
+	private     *evcache.Cache
+
 	// Compilations counts backend runs (the paper's Table 3 "# runs").
-	// Signature-memoized evaluations count the cached sweep's runs: the
-	// paper's metric is logical compilations, not deduplicated work
-	// (dse.compile_memo_hits tracks the dedup).
+	// An evaluation answered from the cache counts the cached sweep's
+	// runs: the paper's metric is logical compilations, not deduplicated
+	// work (evcache.hits tracks the dedup).
 	Compilations atomic.Int64
 
 	// Cumulative phase time (nanoseconds), attributing wall time to
@@ -164,12 +170,9 @@ func (e *Evaluator) PhaseTimes() (compile, simulate time.Duration) {
 // workload (96 pixels, seed 1).
 func NewEvaluator() *Evaluator {
 	return &Evaluator{
-		Width: 96,
-		Seed:  1,
-		Cycle: machine.DefaultCycleModel,
-		cache: map[string]map[int]*prepared{},
-		fns:   map[string]*fnEntry{},
-		memo:  map[memoKey]*sweepEntry{},
+		EvalConfig: defaultEvalConfig(),
+		cache:      map[string]map[int]*prepared{},
+		fns:        map[string]*fnEntry{},
 	}
 }
 
@@ -274,7 +277,7 @@ func (e *Evaluator) EvaluateScratchCtx(ctx context.Context, b *bench.Benchmark, 
 	if e.DisableMemo {
 		sw = e.runSweep(ctx, esp, b, arch, sc)
 	} else {
-		sw = e.memoSweep(ctx, esp, b, arch, sc)
+		sw = e.sweepThroughCache(ctx, esp, b, arch, sc)
 	}
 	ev := Evaluation{
 		Arch:      arch,
@@ -304,63 +307,31 @@ func (e *Evaluator) EvaluateScratchCtx(ctx context.Context, b *bench.Benchmark, 
 	return ev
 }
 
-// memoSweep resolves one evaluation through the arch-signature memo.
-// Cancelled computes never stay memoized: the poisoned entry is dropped
-// so a later (live) caller recomputes it, and a live waiter that
-// coalesced onto a cancelled compute retries instead of inheriting the
-// cancellation.
-func (e *Evaluator) memoSweep(ctx context.Context, esp *obs.Span, b *bench.Benchmark, arch machine.Arch, sc *sched.Scratch) sweepResult {
-	key := memoKey{bench: b.Name, sig: sigOf(arch)}
-	for {
-		e.mu.Lock()
-		ent, ok := e.memo[key]
-		if !ok {
-			ent = &sweepEntry{}
-			e.memo[key] = ent
-		}
-		e.mu.Unlock()
-		hit := true
-		ent.once.Do(func() {
-			ent.res = e.sweepThroughCache(ctx, esp, b, arch, sc)
-			hit = false
-		})
-		sw := ent.res
-		if !sw.cancelled {
-			if hit {
-				// The memoized sweep stands in for this arrangement's
-				// compilations: count them as logical runs (Table 3) and
-				// record the dedup.
-				e.Compilations.Add(sw.runs)
-				obs.GetCounter("dse.compiles").Add(sw.runs)
-				obs.GetCounter("dse.compile_memo_hits").Inc()
-			}
-			return sw
-		}
-		e.mu.Lock()
-		if e.memo[key] == ent {
-			delete(e.memo, key)
-		}
-		e.mu.Unlock()
-		if !hit || ctx.Err() != nil {
-			return sw // our own compute was cancelled, or we are too
-		}
-		// A live caller coalesced onto someone else's cancelled compute:
-		// retry against a fresh memo entry.
+// sweepCache returns the cache evaluations resolve through: the
+// attached one, or the evaluator's private memory-only one.
+func (e *Evaluator) sweepCache() *evcache.Cache {
+	if e.Cache != nil {
+		return e.Cache
 	}
+	e.privateOnce.Do(func() {
+		// A memory-only Open creates no directory, so it cannot fail.
+		e.private, _ = evcache.Open("")
+	})
+	return e.private
 }
 
-// sweepThroughCache resolves one signature class's sweep through the
-// persistent cache when one is attached, running the real sweep only
-// on a cache miss. A hit stands in for this class's compilations the
-// same way a memo hit does: the cached sweep's runs are re-counted as
-// logical runs (Table 3 accounting), so Results and Stats are
-// bit-identical whether the cache is cold, warm, or absent.
+// sweepThroughCache resolves one evaluation's signature class through
+// the cache, running the real sweep only on a miss. evcache.DoErr is
+// the one singleflight on the evaluation path: concurrent misses on a
+// class share one sweep, a cancelled sweep is never stored, and a live
+// waiter coalesced onto a cancelled sweep recomputes instead of
+// inheriting the cancellation. A hit stands in for this architecture's
+// compilations: the cached sweep's runs are re-counted as logical runs
+// (Table 3 accounting), so Results and Stats are bit-identical whether
+// the cache is cold, warm, shared, evicting or private.
 func (e *Evaluator) sweepThroughCache(ctx context.Context, esp *obs.Span, b *bench.Benchmark, arch machine.Arch, sc *sched.Scratch) sweepResult {
-	if e.Cache == nil {
-		return e.runSweep(ctx, esp, b, arch, sc)
-	}
 	key := CacheKey(e.kernelClass(b), arch)
-	ce, hit, err := e.Cache.DoErr(b.Name, key, func() (evcache.Entry, error) {
+	ce, hit, err := e.sweepCache().DoErr(b.Name, key, func() (evcache.Entry, error) {
 		sw := e.runSweep(ctx, esp, b, arch, sc)
 		if sw.cancelled {
 			// Abort the singleflight: a half-finished sweep must never be

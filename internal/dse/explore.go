@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"customfit/internal/bench"
-	"customfit/internal/evcache"
 	"customfit/internal/machine"
 	"customfit/internal/obs"
 	"customfit/internal/sched"
@@ -38,25 +37,14 @@ type ProgressInfo struct {
 // design space (design points × cluster arrangements) against every
 // benchmark.
 type Explorer struct {
+	// EvalConfig is handed to the run's evaluator whole. When Cache
+	// covers a benchmark's whole (arch × kernel) slice, the prepare
+	// warm-up is skipped too.
+	EvalConfig
 	Cost       machine.CostModel
-	Cycle      machine.CycleModel
 	Benchmarks []*bench.Benchmark
 	Archs      []machine.Arch // default: machine.FullSpace()
 	Workers    int            // default: GOMAXPROCS
-	Width      int            // reference workload width (default 96)
-	// DisableMemo turns off the evaluator's arch-signature memoization
-	// (see docs/PERFORMANCE.md) so every arrangement runs real backend
-	// compiles.
-	DisableMemo bool
-	// DisableDelta turns off the evaluator's delta compilation (see
-	// Evaluator.DisableDelta); results are bit-identical either way.
-	DisableDelta bool
-	// Cache, when set, is the persistent evaluation cache threaded into
-	// the evaluator (see internal/evcache). Results are identical with
-	// or without it; a warm cache skips backend work entirely, and when
-	// it covers a benchmark's whole (arch × kernel) slice the prepare
-	// warm-up is skipped too.
-	Cache *evcache.Cache
 	// Progress, if set, is called with monotonically increasing Done
 	// counts as evaluations complete. Calls are serialized, but never
 	// block the workers: when the sink is slower than the fleet,
@@ -69,11 +57,10 @@ type Explorer struct {
 // suite with default models.
 func NewExplorer() *Explorer {
 	return &Explorer{
+		EvalConfig: defaultEvalConfig(),
 		Cost:       machine.DefaultCostModel,
-		Cycle:      machine.DefaultCycleModel,
 		Benchmarks: bench.All(),
 		Archs:      machine.FullSpace(),
-		Width:      96,
 	}
 }
 
@@ -159,17 +146,12 @@ func (e *Explorer) RunCtx(ctx context.Context) (*Results, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	width := e.Width
-	if width <= 0 {
-		width = 96
-	}
 
 	ev := NewEvaluator()
-	ev.Width = width
-	ev.Cycle = e.Cycle
-	ev.DisableMemo = e.DisableMemo
-	ev.DisableDelta = e.DisableDelta
-	ev.Cache = e.Cache
+	ev.EvalConfig = e.EvalConfig
+	if ev.Width <= 0 {
+		ev.Width = 96
+	}
 
 	res := &Results{
 		Archs:   archs,

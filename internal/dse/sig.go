@@ -63,8 +63,8 @@ func (s archSig) key() string {
 // keys are compiled identically (see archSig), so anything that
 // partitions the design space across evaluators — the distributed
 // coordinator in internal/dist — should keep equal-keyed architectures
-// in one partition: the memo layer then deduplicates their backend
-// work exactly as a single local run would.
+// in one partition: each evaluator's cache then deduplicates their
+// backend work exactly as a single local run would.
 func SigKey(a machine.Arch) string { return sigOf(a).key() }
 
 // sigOf maps an architecture to its backend signature.

@@ -1,10 +1,14 @@
-// Package evcache is the explorer's persistent, content-addressed
-// evaluation cache: a two-level store (an in-memory LRU in front of
-// on-disk JSON-lines shards) keyed by hashes that cover everything an
-// evaluation sweep can observe — the kernel source, the unroll policy,
-// the compiler fingerprint, the reference workload, and the target's
-// backend signature. A re-run of the full design-space sweep against a
-// warm cache is near-instant, and an interrupted sweep resumes warm.
+// Package evcache is the explorer's content-addressed evaluation
+// cache, the one place a finished unroll sweep is kept: an in-memory
+// LRU, in front of on-disk JSON-lines shards when opened on a
+// directory, keyed by hashes that cover everything an evaluation sweep
+// can observe — the kernel source, the unroll policy, the compiler
+// fingerprint, the reference workload, and the target's backend
+// signature. Every dse evaluation resolves through one (memory-only
+// and private to the evaluator when none is attached), so the same
+// lookup answers the second member of a signature class within a run
+// and a re-run of the full design-space sweep against a warm
+// directory, which is near-instant; an interrupted sweep resumes warm.
 //
 // Layout: one shard file per benchmark under the cache directory
 // (`<bench>.jsonl`), each starting with a versioned header line.
@@ -84,7 +88,7 @@ type Entry struct {
 	Failed  bool  `json:"f,omitempty"`
 	// Runs is how many backend compilations the sweep performed, so a
 	// cache hit can re-count them as logical runs (the paper's Table 3
-	// accounting, matching the arch-signature memo layer).
+	// accounting).
 	Runs int64 `json:"r"`
 }
 

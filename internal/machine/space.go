@@ -118,3 +118,34 @@ func FullSpace() []Arch {
 	}
 	return out
 }
+
+// Grid resolves the grid an exploration covers: archs (nil = FullSpace)
+// thinned to every sample-th machine when sample > 1, the baseline
+// appended when absent (speedups are measured against it), and the
+// result crossed with ops under DefaultMasks when ops is non-nil. Every
+// entry point — core.Explore, the distributed coordinator, the CLIs —
+// resolves its grid here, which is what keeps a distributed run's grid
+// (and with it the merged run count) equal to a local run's.
+func Grid(archs []Arch, sample int, ops *OpSet) []Arch {
+	if archs == nil {
+		archs = FullSpace()
+	}
+	if sample > 1 {
+		var thinned []Arch
+		for i := 0; i < len(archs); i += sample {
+			thinned = append(thinned, archs[i])
+		}
+		archs = thinned
+	}
+	hasBaseline := false
+	for _, a := range archs {
+		if a == Baseline {
+			hasBaseline = true
+			break
+		}
+	}
+	if !hasBaseline {
+		archs = append(append([]Arch(nil), archs...), Baseline)
+	}
+	return CrossOps(archs, ops, DefaultMasks(ops))
+}

@@ -49,8 +49,7 @@ func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req fleetcache.PutRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err.Error())
+	if !decodeJSON(w, r, maxCachePutBytes, &req) {
 		return
 	}
 	if req.Fingerprint != sched.Fingerprint() || req.Schema != evcache.SchemaVersion {

@@ -117,7 +117,7 @@ func TestExploreCacheOff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ts, col := newTestServer(t, Options{Workers: 1, Cache: cache})
+	_, ts, _ := newTestServer(t, Options{Workers: 1, Cache: cache})
 
 	req := ExploreRequest{
 		Benchmarks: []string{"G"},
@@ -135,7 +135,48 @@ func TestExploreCacheOff(t *testing.T) {
 	if n := cache.Resident(); n != 0 {
 		t.Errorf("cache holds %d entries after a -cache=off job, want 0", n)
 	}
-	if v := col.Counter("evcache.misses").Value(); v != 0 {
-		t.Errorf("evcache.misses = %d after a -cache=off job, want 0 (cache bypassed)", v)
+	// The server cache's own counters, not the global evcache.misses: a
+	// -cache=off job's evaluator counts its private memory tier there.
+	if st := cache.Stats(); st.Hits != 0 || st.Misses != 0 {
+		t.Errorf("server cache stats %+v after a -cache=off job, want untouched (cache bypassed)", st)
+	}
+}
+
+// TestOversizedBodiesRefused: request bodies are bounded. An explore
+// submit over maxSubmitBytes and a cache put over maxCachePutBytes are
+// answered 413, and nothing is queued or stored.
+func TestOversizedBodiesRefused(t *testing.T) {
+	cache, err := evcache.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts, col := newTestServer(t, Options{Workers: 1, Cache: cache})
+
+	explore := ExploreRequest{Benchmarks: []string{"G"}, Width: 32}
+	for n := 0; n <= maxSubmitBytes; n += len(`"2 1 64 1 4 1",`) {
+		explore.Archs = append(explore.Archs, "2 1 64 1 4 1")
+	}
+	put := fleetcache.PutRequest{Fingerprint: sched.Fingerprint(), Schema: evcache.SchemaVersion}
+	for n := 0; n <= maxCachePutBytes; n += 64 {
+		key := fmt.Sprintf("k%063d", len(put.Put))
+		put.Put = append(put.Put, evcache.Record{Key: key, Entry: cacheEntry(1)})
+	}
+	for _, c := range []struct {
+		name, path string
+		body       any
+	}{
+		{"explore submit", "/v1/explore", explore},
+		{"cache put", "/v1/cache/G", put},
+	} {
+		var e ErrorResponse
+		if code := postJSON(t, ts.URL+c.path, c.body, &e); code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status %d (%s), want 413", c.name, code, e.Error)
+		}
+	}
+	if v := col.Counter("serve.jobs_submitted").Value(); v != 0 {
+		t.Errorf("an oversized submit queued %d jobs", v)
+	}
+	if n := cache.Resident(); n != 0 {
+		t.Errorf("an oversized put stored %d entries", n)
 	}
 }

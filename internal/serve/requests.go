@@ -3,7 +3,9 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 
 	"customfit/internal/bench"
@@ -14,14 +16,34 @@ import (
 	"customfit/internal/obs"
 )
 
-// decodeJSON reads a request body into v (empty body = zero value, so
-// defaultable requests need no payload).
-func decodeJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
-	if err := dec.Decode(v); err != nil && err.Error() != "EOF" {
-		return fmt.Errorf("bad request body: %w", err)
+// Request body limits. A job submit is a handful of fields, at most a
+// kernel's CKC source or an explicit grid (the full op-crossed space is
+// ~1500 tuples of ~30 bytes). A cache put is a batch of records of a
+// few hundred bytes each: the limit leaves room for 32 default
+// write-behind batches (evcache.RemoteOptions.BatchSize = 256) at a
+// generous 1 KiB a record, which also covers a coordinator's warm-up
+// push of one benchmark's whole grid.
+const (
+	maxSubmitBytes   = 1 << 20
+	maxCachePutBytes = 8 << 20
+)
+
+// decodeJSON reads a request body of at most limit bytes into v (empty
+// body = zero value, so defaultable requests need no payload). On
+// failure it answers the request itself — 413 for an oversized body,
+// 400 for a malformed one — and returns false.
+func decodeJSON(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	if err == nil || errors.Is(err, io.EOF) {
+		return true
 	}
-	return nil
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeErr(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", limit))
+		return false
+	}
+	writeErr(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+	return false
 }
 
 // resolveBenches maps names to benchmarks; empty means the full suite.
@@ -67,8 +89,7 @@ type CompileResult struct {
 
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	var req CompileRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err.Error())
+	if !decodeJSON(w, r, maxSubmitBytes, &req) {
 		return
 	}
 	src := req.Source
@@ -157,8 +178,7 @@ type SimulateResult struct {
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	var req SimulateRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err.Error())
+	if !decodeJSON(w, r, maxSubmitBytes, &req) {
 		return
 	}
 	b := bench.ByName(req.Bench)
@@ -285,8 +305,7 @@ type ExploreRequest struct {
 
 func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	var req ExploreRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err.Error())
+	if !decodeJSON(w, r, maxSubmitBytes, &req) {
 		return
 	}
 	benches, err := resolveBenches(req.Benchmarks)
@@ -407,8 +426,7 @@ type FitResultJSON struct {
 
 func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 	var req FitRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err.Error())
+	if !decodeJSON(w, r, maxSubmitBytes, &req) {
 		return
 	}
 	benches, err := resolveBenches(req.Benchmarks)
