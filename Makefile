@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet staticcheck race check bench bench-smoke bench-module bench-diff
+.PHONY: build test vet staticcheck race check bench bench-smoke bench-module bench-diff fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -48,10 +48,19 @@ bench-smoke:
 bench-module:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
+# Five seconds of native fuzzing on the parser that guards the fleet
+# cache tier (fleetcache.Handler's POST body): long enough to replay the
+# seed corpus and mutate it a few tens of thousands of times, short
+# enough for every `make check`. Findings land under
+# internal/fleetcache/testdata/fuzz/ and then fail plain `go test` too.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzHandlerPut$$' -fuzztime 5s ./internal/fleetcache/
+
 # Extended verify: everything the tier-1 gate runs, plus vet,
-# staticcheck (when installed), the race pass, the benchmark smoke and
-# the benchmark module's own vet and tests (see ROADMAP.md).
-check: build vet staticcheck test race bench-smoke bench-module
+# staticcheck (when installed), the race pass, the benchmark smoke, the
+# benchmark module's own vet and tests and the fuzz smoke (see
+# ROADMAP.md).
+check: build vet staticcheck test race bench-smoke bench-module fuzz-smoke
 
 # Measure the exploration, fleet and simulator benchmarks and record
 # the trajectory against the pre-optimization baseline (the

@@ -8,6 +8,7 @@
 package customfit_test
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -236,7 +237,7 @@ func BenchmarkSearchMethods(b *testing.B) {
 	var cmp []search.Result
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cmp = search.Compare(res.Archs, obj, int64(i)+1)
+		cmp, _ = search.CompareCtx(context.Background(), res.Archs, obj, nil, int64(i)+1)
 	}
 	for _, r := range cmp {
 		b.ReportMetric(float64(r.Evaluations), r.Strategy+"-evals")

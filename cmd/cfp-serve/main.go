@@ -18,6 +18,8 @@
 //	                             stack is context-threaded end to end)
 //	GET    /v1/cache/{shard}/{key}  fleet cache read-through (one entry)
 //	POST   /v1/cache/{shard}     fleet cache batched put / has-check
+//	                             (both served by fleetcache.Handler, and
+//	                             only when a cache is attached)
 //	GET    /healthz              liveness (503 while draining), capacity
 //	                             and backend fingerprint
 //	GET    /metrics              obs counters/gauges/span totals as JSON
@@ -61,7 +63,6 @@ func main() {
 		queueDepth   = flag.Int("queue", 16, "queued-job bound (submits beyond it get 503)")
 		evalWorkers  = flag.Int("eval-workers", 0, "compile workers per explore/fit job (0 = GOMAXPROCS)")
 		maxJobs      = flag.Int("max-jobs", 256, "retained finished jobs before eviction")
-		cacheGC      = flag.Int("cache-gc", 0, "resident cache-entry budget: past it, shards no recent job references are dropped (0 = no GC)")
 		drainTimeout = flag.Duration("drain-timeout", 60*time.Second, "grace period for in-flight jobs on shutdown before they are cancelled")
 	)
 	tool := cli.NewTool("cfp-serve", cli.WithCache())
@@ -80,7 +81,6 @@ func main() {
 		QueueDepth:      *queueDepth,
 		EvalParallelism: *evalWorkers,
 		Cache:           cache,
-		CacheGCEntries:  *cacheGC,
 		MaxJobs:         *maxJobs,
 	})
 	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}

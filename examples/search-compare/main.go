@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -44,7 +45,10 @@ func main() {
 
 	fmt.Printf("fitting %s (%s)\nbudget %.1f over %d machines; every evaluation is a real compile\n\n",
 		b.Name, b.Desc, budget, len(space))
-	results := search.Compare(space, obj, 2026)
+	results, err := search.CompareCtx(context.Background(), space, obj, nil, 2026)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("%-12s %-20s %9s %7s %12s\n", "strategy", "best arch", "speedup", "evals", "of optimum")
 	for _, r := range results {
 		fmt.Printf("%-12s %-20s %8.2fx %7d %11.1f%%\n",

@@ -87,14 +87,8 @@ type Telemetry struct {
 	collector *obs.Collector
 }
 
-// AddTelemetryFlags registers -trace, -metrics and -pprof on the
-// default flag set. Call before flag.Parse; call Start after it and
-// Stop before exiting.
-func AddTelemetryFlags() *Telemetry {
-	return AddTelemetryFlagsTo(flag.CommandLine)
-}
-
-// AddTelemetryFlagsTo registers the telemetry flags on fs.
+// AddTelemetryFlagsTo registers -trace, -metrics and -pprof on fs. Call
+// before parsing; call Start after it and Stop before exiting.
 func AddTelemetryFlagsTo(fs *flag.FlagSet) *Telemetry {
 	t := &Telemetry{}
 	fs.StringVar(&t.TracePath, "trace", "",
@@ -118,13 +112,8 @@ type CacheConfig struct {
 	Peer string
 }
 
-// AddCacheFlags registers -cache-dir and -cache on the default flag
-// set. Call before flag.Parse; call Open after it.
-func AddCacheFlags() *CacheConfig {
-	return AddCacheFlagsTo(flag.CommandLine)
-}
-
-// AddCacheFlagsTo registers the cache flags on fs.
+// AddCacheFlagsTo registers -cache-dir, -cache and -cache-peer on fs.
+// Call before parsing; call Open after it.
 func AddCacheFlagsTo(fs *flag.FlagSet) *CacheConfig {
 	c := &CacheConfig{}
 	fs.StringVar(&c.Dir, "cache-dir", "",

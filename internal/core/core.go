@@ -9,7 +9,6 @@ import (
 	"context"
 	"fmt"
 
-	"customfit/internal/bench"
 	"customfit/internal/cc"
 	"customfit/internal/dse"
 	"customfit/internal/ir"
@@ -201,41 +200,4 @@ type FitResult struct {
 	Speedups map[string]float64
 	// Results is the full exploration for further analysis.
 	Results *dse.Results
-}
-
-func pickBest(res *dse.Results, benchmarks []*bench.Benchmark, costCap float64) (*FitResult, error) {
-	best, bestScore := -1, -1.0
-	for i := range res.Archs {
-		if res.Cost[i] > costCap {
-			continue
-		}
-		sum, ok := 0.0, true
-		for _, b := range benchmarks {
-			ev := res.Eval[b.Name][i]
-			if ev.Failed {
-				ok = false
-				break
-			}
-			sum += ev.Speedup
-		}
-		if !ok {
-			continue
-		}
-		if avg := sum / float64(len(benchmarks)); avg > bestScore {
-			best, bestScore = i, avg
-		}
-	}
-	if best < 0 {
-		return nil, fmt.Errorf("%w: cost cap %.1f", ErrInfeasible, costCap)
-	}
-	out := &FitResult{
-		Best:     res.Archs[best],
-		Cost:     res.Cost[best],
-		Speedups: map[string]float64{},
-		Results:  res,
-	}
-	for _, b := range benchmarks {
-		out.Speedups[b.Name] = res.Eval[b.Name][best].Speedup
-	}
-	return out, nil
 }

@@ -178,7 +178,7 @@ func CustomFitCtx(ctx context.Context, opts FitOptions) (*FitResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return pickBestRange(res, opts.Benchmarks, opts.CostCap, opts.Range)
+	return pickBest(res, opts.Benchmarks, opts.CostCap, opts.Range)
 }
 
 // SearchOptions configures a search-strategy comparison (the paper's
@@ -285,21 +285,10 @@ func SearchCompare(ctx context.Context, opts SearchOptions) (out []search.Result
 	return out, nil
 }
 
-// pickBestRange is pickBest extended with the Range back-off: Range = 0
-// keeps pickBest's pure-specialization choice; Range > 0 takes, among
-// cap-feasible architectures whose mean speedup on the target
-// benchmarks is within Range of the best achievable mean, the cheapest
-// (ties broken by higher speedup).
-func pickBestRange(res *dse.Results, benchmarks []*bench.Benchmark, costCap, rng float64) (*FitResult, error) {
-	if rng <= 0 {
-		return pickBest(res, benchmarks, costCap)
-	}
-	type cand struct {
-		idx  int
-		mean float64
-	}
-	var cands []cand
-	bestMean := -1.0
+// feasible calls yield, in grid order, for every architecture under the
+// cost cap on which every target benchmark compiled, with its mean
+// speedup over those benchmarks.
+func feasible(res *dse.Results, benchmarks []*bench.Benchmark, costCap float64, yield func(i int, mean float64)) {
 	for i := range res.Archs {
 		if res.Cost[i] > costCap {
 			continue
@@ -313,30 +302,40 @@ func pickBestRange(res *dse.Results, benchmarks []*bench.Benchmark, costCap, rng
 			}
 			sum += ev.Speedup
 		}
-		if !ok {
-			continue
-		}
-		mean := sum / float64(len(benchmarks))
-		cands = append(cands, cand{i, mean})
-		if mean > bestMean {
-			bestMean = mean
+		if ok {
+			yield(i, sum/float64(len(benchmarks)))
 		}
 	}
-	if len(cands) == 0 {
+}
+
+// pickBest is the selection step of a fit. Range = 0 is pure
+// specialization: the first feasible architecture with the best mean
+// speedup on the target benchmarks. Range > 0 backs off: among feasible
+// architectures whose mean is within Range of that best, the cheapest
+// (ties broken by higher speedup).
+func pickBest(res *dse.Results, benchmarks []*bench.Benchmark, costCap, rng float64) (*FitResult, error) {
+	best, bestMean := -1, -1.0
+	feasible(res, benchmarks, costCap, func(i int, mean float64) {
+		if mean > bestMean {
+			best, bestMean = i, mean
+		}
+	})
+	if best < 0 {
 		return nil, fmt.Errorf("%w: cost cap %.1f", ErrInfeasible, costCap)
 	}
-	floor := bestMean * (1 - rng)
-	best := -1
-	bestMeanAt := -1.0
-	for _, c := range cands {
-		if c.mean < floor {
-			continue
-		}
-		if best < 0 ||
-			res.Cost[c.idx] < res.Cost[best] ||
-			(res.Cost[c.idx] == res.Cost[best] && c.mean > bestMeanAt) {
-			best, bestMeanAt = c.idx, c.mean
-		}
+	if rng > 0 {
+		floor, pickMean := bestMean*(1-rng), 0.0
+		best = -1
+		feasible(res, benchmarks, costCap, func(i int, mean float64) {
+			if mean < floor {
+				return
+			}
+			if best < 0 ||
+				res.Cost[i] < res.Cost[best] ||
+				(res.Cost[i] == res.Cost[best] && mean > pickMean) {
+				best, pickMean = i, mean
+			}
+		})
 	}
 	out := &FitResult{
 		Best:     res.Archs[best],

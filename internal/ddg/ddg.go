@@ -129,25 +129,6 @@ func disjoint(a, b *ir.Instr) bool {
 	return false
 }
 
-// computeHeights fills in latency-weighted critical-path heights by a
-// reverse topological sweep (nodes are in program order, a valid
-// topological order).
-func (g *Graph) computeHeights(arch machine.Arch) {
-	for i := len(g.Nodes) - 1; i >= 0; i-- {
-		nd := g.Nodes[i]
-		h := Latency(nd.Instr, arch)
-		if !nd.Instr.Op.HasDest() {
-			h = 1
-		}
-		for _, e := range nd.Succs {
-			if v := e.MinDelta + e.To.Height; v > h {
-				h = v
-			}
-		}
-		nd.Height = h
-	}
-}
-
 // CriticalPath returns the graph's critical path length in cycles — a
 // lower bound on the block's schedule length regardless of resources.
 func (g *Graph) CriticalPath() int {

@@ -683,20 +683,7 @@ func (c *coordinator) maybeHedge(ctx context.Context) {
 // single run over the full grid counts (the baseline's own grid cell is
 // inside exactly one shard, where BaselineRuns is 0).
 func (c *coordinator) merge(start time.Time) (*dse.Results, error) {
-	res := &dse.Results{
-		Archs:   c.grid,
-		Eval:    map[string][]dse.Evaluation{},
-		CostMdl: machine.DefaultCostModel,
-	}
-	for _, b := range c.benches {
-		res.Benches = append(res.Benches, b.Name)
-		res.Eval[b.Name] = make([]dse.Evaluation, len(c.grid))
-	}
-	res.Cost = make([]float64, len(c.grid))
-	for i, a := range c.grid {
-		res.Cost[i] = machine.DefaultCostModel.Cost(a)
-	}
-
+	res := dse.NewResults(c.grid, c.benches, machine.DefaultCostModel)
 	var runs, failures int64
 	var phases dse.PhaseTimes
 	for _, u := range c.units {
@@ -723,21 +710,6 @@ func (c *coordinator) merge(start time.Time) (*dse.Results, error) {
 			phases.CostModel += r.Stats.Phases.CostModel
 		}
 	}
-	wall := time.Since(start)
-	res.Stats = dse.Stats{
-		Runs:          runs,
-		Architectures: len(c.grid),
-		DesignPoints:  len(machine.DesignSpace()),
-		Benchmarks:    len(c.benches),
-		WallTime:      wall,
-		Failures:      failures,
-		Phases:        phases,
-	}
-	if len(c.grid) > 0 {
-		res.Stats.PerArch = wall / time.Duration(len(c.grid))
-	}
-	if runs > 0 {
-		res.Stats.PerRun = wall / time.Duration(runs)
-	}
+	res.Finish(dse.Stats{Runs: runs, Failures: failures, Phases: phases}, time.Since(start))
 	return res, nil
 }

@@ -423,7 +423,7 @@ func (e *Evaluator) CacheCovers(b *bench.Benchmark, archs []machine.Arch) bool {
 	}
 	kc := e.kernelClass(b)
 	for _, a := range archs {
-		if !e.Cache.Contains(b.Name, CacheKey(kc, a)) {
+		if _, ok := e.Cache.Peek(b.Name, CacheKey(kc, a)); !ok {
 			return false
 		}
 	}

@@ -118,6 +118,45 @@ type Results struct {
 	CostMdl machine.CostModel
 }
 
+// NewResults allocates the shell every exploration fills, whether one
+// process runs it (Explorer.RunCtx) or a fleet does (internal/dist's
+// merge): the grid, one zero Evaluation per (benchmark, architecture)
+// cell, and every architecture's cost under model.
+func NewResults(archs []machine.Arch, benches []*bench.Benchmark, model machine.CostModel) *Results {
+	res := &Results{
+		Archs:   archs,
+		Cost:    make([]float64, len(archs)),
+		Eval:    map[string][]Evaluation{},
+		CostMdl: model,
+	}
+	for _, b := range benches {
+		res.Benches = append(res.Benches, b.Name)
+		res.Eval[b.Name] = make([]Evaluation, len(archs))
+	}
+	for i, a := range archs {
+		res.Cost[i] = model.Cost(a)
+	}
+	return res
+}
+
+// Finish sets Stats from what the caller counted — s carries Runs,
+// Failures, Cancelled, BaselineRuns and Phases — and adds what follows
+// from the shell and the wall time: the grid's dimensions and the
+// per-architecture and per-run means.
+func (r *Results) Finish(s Stats, wall time.Duration) {
+	s.Architectures = len(r.Archs)
+	s.DesignPoints = len(machine.DesignSpace())
+	s.Benchmarks = len(r.Benches)
+	s.WallTime = wall
+	if len(r.Archs) > 0 {
+		s.PerArch = wall / time.Duration(len(r.Archs))
+	}
+	if s.Runs > 0 {
+		s.PerRun = wall / time.Duration(s.Runs)
+	}
+	r.Stats = s
+}
+
 // Run executes the exploration to completion (RunCtx with a background
 // context).
 func (e *Explorer) Run() (*Results, error) {
@@ -153,20 +192,8 @@ func (e *Explorer) RunCtx(ctx context.Context) (*Results, error) {
 		ev.Width = 96
 	}
 
-	res := &Results{
-		Archs:   archs,
-		Eval:    map[string][]Evaluation{},
-		CostMdl: e.Cost,
-	}
-	for _, b := range e.Benchmarks {
-		res.Benches = append(res.Benches, b.Name)
-		res.Eval[b.Name] = make([]Evaluation, len(archs))
-	}
 	start := time.Now()
-	res.Cost = make([]float64, len(archs))
-	for i, a := range archs {
-		res.Cost[i] = e.Cost.Cost(a)
-	}
+	res := NewResults(archs, e.Benchmarks, e.Cost)
 	costTime := time.Since(start)
 
 	// Warm the per-benchmark caches serially (one prepare per unroll)
@@ -319,27 +346,17 @@ feed:
 	wall := time.Since(start)
 	runs := ev.Compilations.Load()
 	compileTime, simTime := ev.PhaseTimes()
-	res.Stats = Stats{
-		Runs:          runs,
-		Architectures: len(archs),
-		DesignPoints:  len(machine.DesignSpace()),
-		Benchmarks:    len(e.Benchmarks),
-		WallTime:      wall,
-		Failures:      failed.Load(),
-		Cancelled:     cancelled.Load(),
-		BaselineRuns:  runs - preBaselineRuns,
+	res.Finish(Stats{
+		Runs:         runs,
+		Failures:     failed.Load(),
+		Cancelled:    cancelled.Load(),
+		BaselineRuns: runs - preBaselineRuns,
 		Phases: PhaseTimes{
 			Compile:   compileTime,
 			Simulate:  simTime,
 			CostModel: costTime,
 		},
-	}
-	if len(archs) > 0 {
-		res.Stats.PerArch = wall / time.Duration(len(archs))
-	}
-	if runs > 0 {
-		res.Stats.PerRun = wall / time.Duration(runs)
-	}
+	}, wall)
 	if obs.Enabled() && wall > 0 {
 		obs.SetGauge("dse.compiles_per_sec", float64(runs)/wall.Seconds())
 		obs.SetGauge("dse.evals_per_sec", float64(total)/wall.Seconds())

@@ -1,6 +1,7 @@
 package dse
 
 import (
+	"context"
 	"flag"
 	"math"
 	"testing"
@@ -155,8 +156,8 @@ func TestGoldenFullSpaceEquivalence(t *testing.T) {
 		obs.Install(pcol)
 		defer obs.Install(nil)
 		space := res2.Archs
-		plain := search.Exhaustive(space, obj)
-		bounded := search.ExhaustiveBounded(space, obj, ev.SpeedupBound(b, baseline.Time, cost, costCap))
+		plain, _ := search.ExhaustiveCtx(context.Background(), space, obj, nil)
+		bounded, _ := search.ExhaustiveCtx(context.Background(), space, obj, ev.SpeedupBound(b, baseline.Time, cost, costCap))
 		if bounded.Best != plain.Best || bounded.BestScore != plain.BestScore {
 			t.Errorf("pruned selector found (%v, %g), exhaustive found (%v, %g)",
 				bounded.Best, bounded.BestScore, plain.Best, plain.BestScore)

@@ -2,7 +2,6 @@ package dse
 
 import (
 	"math"
-	"sort"
 )
 
 // DisplayBenches are the columns of the paper's Tables 8-10 (benchmark
@@ -200,19 +199,4 @@ func (r *Results) SpreadAtCost(benchName string, cost, tol float64) (lo, hi floa
 		lo = 0
 	}
 	return lo, hi
-}
-
-// SortedCosts returns the distinct architecture costs, ascending
-// (useful for choosing cost-cap sweeps in reports).
-func (r *Results) SortedCosts() []float64 {
-	seen := map[float64]bool{}
-	var out []float64
-	for _, c := range r.Cost {
-		if !seen[c] {
-			seen[c] = true
-			out = append(out, c)
-		}
-	}
-	sort.Float64s(out)
-	return out
 }

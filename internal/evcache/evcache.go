@@ -19,7 +19,7 @@
 // writer can never leave a half-written shard behind: readers see
 // either the old complete file or the new one.
 //
-// Concurrency: every method is safe for concurrent use. Do gives
+// Concurrency: every method is safe for concurrent use. DoErr gives
 // lookups singleflight semantics — workers racing on the same cold key
 // share one compute instead of duplicating the miss.
 //
@@ -103,7 +103,7 @@ type Stats struct {
 	// not decode (typically one truncated trailing line from a crash
 	// mid-flush). The rest of the shard still loads.
 	CorruptLines int64
-	// Computes counts Do/DoErr calls that fell through both cache
+	// Computes counts DoErr calls that fell through both cache
 	// levels and ran the compute here — the fleet test's "backend
 	// compilations actually performed by this process" signal.
 	Computes int64
@@ -227,17 +227,6 @@ func (c *Cache) Get(shardName, key string) (Entry, bool) {
 	return Entry{}, false
 }
 
-// Contains reports whether (shardName, key) is resident without
-// touching hit/miss accounting or LRU order (used to decide whether
-// warm-up work can be skipped).
-func (c *Cache) Contains(shardName, key string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s := c.loadLocked(shardName)
-	_, ok := s.entries[key]
-	return ok
-}
-
 // Put stores an entry, scheduling it for persistence on the next
 // flush (or inline once the shard accumulates enough dirty entries).
 // With a remote tier attached, the entry is also enqueued for
@@ -251,19 +240,13 @@ func (c *Cache) Put(shardName, key string, e Entry) {
 	c.writeBehind(shardName, key, e)
 }
 
-// Do returns the cached entry for (shardName, key), computing and
+// DoErr returns the cached entry for (shardName, key), computing and
 // storing it on a miss. Concurrent callers racing on the same cold key
 // share a single compute: the first runs it, the rest block and reuse
 // its result. The boolean reports whether the entry came from the
 // cache (including a shared in-flight compute) rather than this
-// caller's own compute.
-func (c *Cache) Do(shardName, key string, compute func() Entry) (Entry, bool) {
-	e, hit, _ := c.DoErr(shardName, key, func() (Entry, error) { return compute(), nil })
-	return e, hit
-}
-
-// DoErr is Do for computes that can abort (typically on context
-// cancellation): a compute returning an error stores nothing — the key
+// caller's own compute. A compute can abort (typically on context
+// cancellation): one returning an error stores nothing — the key
 // stays cold, so a later caller recomputes it cleanly. Waiters
 // coalesced onto an aborted compute retry the lookup themselves rather
 // than inheriting the aborter's error; a waiter whose own compute then
@@ -320,9 +303,7 @@ func (c *Cache) DoErr(shardName, key string, compute func() (Entry, error)) (Ent
 }
 
 // settleFlight stores a finished flight's entry (when store is set),
-// clears the flight and wakes waiters. The shard is re-resolved under
-// the lock: a concurrent DropShard may have detached the view the
-// caller loaded before computing.
+// clears the flight and wakes waiters.
 func (c *Cache) settleFlight(shardName, key string, f *flight, fkey string, store bool) {
 	c.mu.Lock()
 	s := c.loadLocked(shardName)

@@ -128,21 +128,28 @@ func (c *Cache) remoteLookup(shardName, key string) (Entry, bool) {
 
 // writeBehind enqueues one locally computed entry for async flush.
 // Never blocks: a full queue drops the entry (the local tier still
-// holds it; the fleet just re-computes it once somewhere else).
+// holds it; the fleet just re-computes it once somewhere else), and so
+// does a stopped flusher — stop is checked on its own first, because a
+// select that also offered the send could park the entry in a queue
+// nobody drains any more and count it nowhere.
 func (c *Cache) writeBehind(shardName, key string, e Entry) {
 	rs := c.remote
 	if rs == nil {
 		return
 	}
 	select {
-	case rs.ch <- wbItem{shard: shardName, key: key, e: e}:
 	case <-rs.stop:
 	default:
-		c.mu.Lock()
-		c.stats.WriteBehindDropped++
-		c.mu.Unlock()
-		obs.GetCounter("evcache.writebehind_dropped").Inc()
+		select {
+		case rs.ch <- wbItem{shard: shardName, key: key, e: e}:
+			return
+		default:
+		}
 	}
+	c.mu.Lock()
+	c.stats.WriteBehindDropped++
+	c.mu.Unlock()
+	obs.GetCounter("evcache.writebehind_dropped").Inc()
 }
 
 // writeBehindLoop is the single flusher goroutine: it batches whatever

@@ -109,10 +109,6 @@ func TestStoreInterfaceRoundtrip(t *testing.T) {
 	if n := c.Resident(); n != 2 {
 		t.Errorf("Resident = %d, want 2", n)
 	}
-	names := c.ShardNames()
-	if len(names) != 1 || names[0] != "G" {
-		t.Errorf("ShardNames = %v, want [G]", names)
-	}
 	// Admitted records persist like Put entries.
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
@@ -121,44 +117,8 @@ func TestStoreInterfaceRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !c2.Contains("G", "k1") || !c2.Contains("G", "k2") {
+	if !holds(c2, "G", "k1") || !holds(c2, "G", "k2") {
 		t.Error("StoreBatch records lost across reopen")
-	}
-}
-
-func TestDropShard(t *testing.T) {
-	c, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Put("G", "k1", testEntry(1))
-	c.Put("DH", "k2", testEntry(2))
-	if err := c.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.DropShard("G"); err != nil {
-		t.Fatal(err)
-	}
-	if c.Resident() != 1 {
-		t.Errorf("Resident = %d after drop, want 1", c.Resident())
-	}
-	// Dropped on disk too: a reopen must not resurrect it.
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	c2, err := Open(c.Dir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c2.Contains("G", "k1") {
-		t.Error("dropped shard resurrected from disk")
-	}
-	if !c2.Contains("DH", "k2") {
-		t.Error("unrelated shard lost by DropShard")
-	}
-	// Dropping an absent shard is a no-op, not an error.
-	if err := c2.DropShard("nope"); err != nil {
-		t.Errorf("DropShard of absent shard: %v", err)
 	}
 }
 
@@ -209,7 +169,7 @@ func TestReadThroughHit(t *testing.T) {
 	defer c.Close()
 
 	computes := 0
-	e, hit := c.Do("G", "warm", func() Entry {
+	e, hit := do(c, "G", "warm", func() Entry {
 		computes++
 		return testEntry(999)
 	})
@@ -247,7 +207,7 @@ func TestWriteBehindPropagates(t *testing.T) {
 	c.SetRemote(remote, RemoteOptions{})
 	defer c.Close()
 
-	e, hit := c.Do("G", "cold", func() Entry { return testEntry(3) })
+	e, hit := do(c, "G", "cold", func() Entry { return testEntry(3) })
 	if hit || e != testEntry(3) {
 		t.Fatalf("Do = %+v, hit=%v; want computed miss", e, hit)
 	}
@@ -279,7 +239,7 @@ func TestRemoteUnavailableDegrades(t *testing.T) {
 	defer c.Close()
 
 	for i := 0; i < 10; i++ {
-		e, hit := c.Do("G", fmt.Sprintf("k%d", i), func() Entry { return testEntry(i) })
+		e, hit := do(c, "G", fmt.Sprintf("k%d", i), func() Entry { return testEntry(i) })
 		if hit || e != testEntry(i) {
 			t.Fatalf("k%d: Do = %+v, hit=%v with remote down", i, e, hit)
 		}
@@ -300,7 +260,7 @@ func TestRemoteUnavailableDegrades(t *testing.T) {
 	c2, _ := Open("")
 	c2.SetRemote(remote, RemoteOptions{})
 	defer c2.Close()
-	if e, hit := c2.Do("G", "healed", func() Entry { return testEntry(0) }); !hit || e != testEntry(42) {
+	if e, hit := do(c2, "G", "healed", func() Entry { return testEntry(0) }); !hit || e != testEntry(42) {
 		t.Errorf("healed remote not consulted: %+v, %v", e, hit)
 	}
 }
@@ -328,7 +288,7 @@ func TestWriteBehindFailureCounted(t *testing.T) {
 }
 
 // TestTierConcurrentRace exercises read-through, write-behind, direct
-// puts and whole-shard eviction concurrently — the -race coverage the
+// puts and batch admission concurrently — the -race coverage the
 // fleet tier requires. Assertions are minimal; the value is the
 // interleaving under the race detector.
 func TestTierConcurrentRace(t *testing.T) {
@@ -351,19 +311,15 @@ func TestTierConcurrentRace(t *testing.T) {
 				shard := []string{"G", "DH"}[i%2]
 				switch i % 5 {
 				case 0: // read-through candidates
-					c.Do("G", fmt.Sprintf("warm%d", i%25), func() Entry { return testEntry(i) })
+					do(c, "G", fmt.Sprintf("warm%d", i%25), func() Entry { return testEntry(i) })
 				case 1: // cold computes → write-behind
-					c.Do(shard, fmt.Sprintf("cold%d-%d", w, i), func() Entry { return testEntry(i) })
+					do(c, shard, fmt.Sprintf("cold%d-%d", w, i), func() Entry { return testEntry(i) })
 				case 2:
 					c.Put(shard, fmt.Sprintf("put%d", i%40), testEntry(i))
 				case 3:
 					c.Get(shard, fmt.Sprintf("put%d", i%40))
 				default:
-					if i%30 == 4 {
-						_ = c.DropShard("DH")
-					} else {
-						c.StoreBatch(shard, []Record{{Key: fmt.Sprintf("adm%d", i%20), Entry: testEntry(i)}})
-					}
+					c.StoreBatch(shard, []Record{{Key: fmt.Sprintf("adm%d", i%20), Entry: testEntry(i)}})
 				}
 			}
 		}(w)
@@ -399,5 +355,21 @@ func TestCloseDrainsWriteBehind(t *testing.T) {
 	}
 	if got != n {
 		t.Errorf("%d/%d entries reached the remote after Close", got, n)
+	}
+
+	// A write after Close has no flusher left to ship it: it stays local
+	// and is counted as dropped, never parked in the queue uncounted.
+	const late = 16
+	for i := 0; i < late; i++ {
+		c.Put("G", fmt.Sprintf("late%d", i), testEntry(i))
+	}
+	if st := c.Stats(); st.WriteBehindDropped != late {
+		t.Errorf("WriteBehindDropped = %d after %d puts on a closed cache, want %d", st.WriteBehindDropped, late, late)
+	}
+	if parked := len(c.remote.ch); parked != 0 {
+		t.Errorf("%d entries parked in the write-behind queue after Close", parked)
+	}
+	if !holds(c, "G", "late0") {
+		t.Error("a put after Close was not kept locally")
 	}
 }

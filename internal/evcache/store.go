@@ -1,10 +1,5 @@
 package evcache
 
-import (
-	"os"
-	"sort"
-)
-
 // Record is one shard line on the wire and on disk: a cache key plus
 // its entry. It is the unit the fleet protocol batches (see Store and
 // internal/fleetcache).
@@ -90,47 +85,9 @@ func (c *Cache) Peek(shard, key string) (Entry, bool) {
 }
 
 // Resident returns the number of entries currently held in memory
-// (the serving-side GC budget is expressed against this).
+// (what the LRU bounds; cfp-serve exports it as a gauge).
 func (c *Cache) Resident() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.n
-}
-
-// ShardNames returns every shard name this process has touched, sorted.
-// Shards load lazily on first touch, so any shard that was read,
-// written or served is listed; untouched files from earlier processes
-// are not (they cost no memory, which is what GC bounds).
-func (c *Cache) ShardNames() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	names := make([]string, 0, len(c.shards))
-	for name := range c.shards {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// DropShard evicts one whole shard: every resident entry — dirty ones
-// included — and the on-disk file. This is the GC primitive (see
-// internal/serve's reference-counted eviction); a concurrent compute
-// for the shard simply re-creates it on insert.
-func (c *Cache) DropShard(name string) error {
-	c.mu.Lock()
-	if s := c.shards[name]; s != nil {
-		for _, el := range s.entries {
-			c.lru.Remove(el)
-			c.n--
-		}
-		delete(c.shards, name)
-	}
-	c.mu.Unlock()
-	if c.dir == "" {
-		return nil
-	}
-	if err := os.Remove(c.shardPath(name)); err != nil && !os.IsNotExist(err) {
-		return err
-	}
-	return nil
 }

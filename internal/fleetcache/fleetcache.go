@@ -1,14 +1,19 @@
 // Package fleetcache is the network level of the fleet-wide evaluation
-// cache: an evcache.Store implemented over a cfp-serve peer's
-// /v1/cache endpoints, so one process's compiled sweeps are readable
-// (and writable, via write-behind) by the whole fleet.
+// cache, and the only place its wire protocol is written down. It is
+// both ends of it: Client is an evcache.Store implemented over a peer's
+// /v1/cache endpoints, and Handler serves any evcache.Store on those
+// endpoints (cfp-serve mounts it over its cache), so one process's
+// compiled sweeps are readable (and writable, via write-behind) by the
+// whole fleet.
 //
 // Protocol (see docs/DISTRIBUTED.md):
 //
 //	GET  /v1/cache/{shard}/{key}   -> 200 Entry JSON + X-CFP-Fingerprint
 //	                                  404 miss (or no cache attached)
 //	POST /v1/cache/{shard}         -> batched put/has (PutRequest), 200
-//	                                  PutResponse; 409 on admission refusal
+//	                                  PutResponse; 409 on admission
+//	                                  refusal, 400 on a malformed body or
+//	                                  an empty key, 413 past 8 MiB
 //
 // Admission is fingerprint-gated in both directions, mirroring the
 // distributed coordinator's worker admission: a PutRequest carries the
@@ -23,6 +28,7 @@ package fleetcache
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -47,6 +53,13 @@ const DefaultTimeout = 5 * time.Second
 // maxEntryBytes bounds a GET response body; real entries are tens of
 // bytes.
 const maxEntryBytes = 1 << 16
+
+// maxPutBytes bounds a POST body. A record is a few hundred bytes: the
+// limit leaves room for 32 default write-behind batches
+// (evcache.RemoteOptions.BatchSize = 256) at a generous 1 KiB a record,
+// which also covers a coordinator's warm-up push of one benchmark's
+// whole grid.
+const maxPutBytes = 8 << 20
 
 // PutRequest is the body of POST /v1/cache/{shard}: a batched put
 // and/or has-check in one round trip.
@@ -167,4 +180,87 @@ func (c *Client) post(shard string, req PutRequest) (PutResponse, error) {
 		return out, fmt.Errorf("fleetcache: POST %s: %w", shard, err)
 	}
 	return out, nil
+}
+
+// Handler serves store to the fleet on the two /v1/cache endpoints.
+// The store is all it knows of the cache behind it: a tier failure (a
+// non-nil error from the store) is answered 500, never as a hit or a
+// miss. Traffic is counted on serve.cache_gets, serve.cache_get_misses,
+// serve.cache_puts and serve.cache_put_refused.
+func Handler(store evcache.Store) http.Handler {
+	mux := http.NewServeMux()
+	// Every GET response carries the backend fingerprint so clients can
+	// refuse skewed entries.
+	mux.HandleFunc("GET /v1/cache/{shard}/{key}", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set(FingerprintHeader, sched.Fingerprint())
+		e, ok, err := store.Lookup(r.PathValue("shard"), r.PathValue("key"))
+		switch {
+		case err != nil:
+			replyErr(w, http.StatusInternalServerError, err.Error())
+		case !ok:
+			obs.GetCounter("serve.cache_get_misses").Inc()
+			replyErr(w, http.StatusNotFound, "no such entry")
+		default:
+			obs.GetCounter("serve.cache_gets").Inc()
+			reply(w, http.StatusOK, e)
+		}
+	})
+	mux.HandleFunc("POST /v1/cache/{shard}", func(w http.ResponseWriter, r *http.Request) {
+		var req PutRequest
+		err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxPutBytes)).Decode(&req)
+		var tooBig *http.MaxBytesError
+		switch {
+		case errors.As(err, &tooBig):
+			replyErr(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", maxPutBytes))
+			return
+		case err != nil && !errors.Is(err, io.EOF):
+			replyErr(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+			return
+		}
+		// Version-skewed batches are refused — the cache-tier analogue of
+		// the coordinator refusing fingerprint-mismatched workers.
+		if req.Fingerprint != sched.Fingerprint() || req.Schema != evcache.SchemaVersion {
+			obs.GetCounter("serve.cache_put_refused").Inc()
+			replyErr(w, http.StatusConflict, fmt.Sprintf(
+				"cache admission refused: sender fingerprint/schema %q/%d vs server %q/%d (mixed backends would poison fleet results)",
+				req.Fingerprint, req.Schema, sched.Fingerprint(), evcache.SchemaVersion))
+			return
+		}
+		for _, rec := range req.Put {
+			if rec.Key == "" {
+				replyErr(w, http.StatusBadRequest, "put record with an empty key; nothing admitted")
+				return
+			}
+		}
+		shard := r.PathValue("shard")
+		var resp PutResponse
+		if len(req.Put) > 0 {
+			if err := store.StoreBatch(shard, req.Put); err != nil {
+				replyErr(w, http.StatusInternalServerError, err.Error())
+				return
+			}
+			resp.Accepted = len(req.Put)
+			obs.GetCounter("serve.cache_puts").Add(int64(len(req.Put)))
+		}
+		if len(req.Has) > 0 {
+			if resp.Missing, err = store.Missing(shard, req.Has); err != nil {
+				replyErr(w, http.StatusInternalServerError, err.Error())
+				return
+			}
+		}
+		reply(w, http.StatusOK, resp)
+	})
+	return mux
+}
+
+func reply(w http.ResponseWriter, code int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	_ = json.NewEncoder(w).Encode(v)
+}
+
+// replyErr writes the {"error": msg} body every non-2xx cfp-serve
+// reply carries.
+func replyErr(w http.ResponseWriter, code int, msg string) {
+	reply(w, code, map[string]string{"error": msg})
 }

@@ -110,14 +110,6 @@ func (s *OpSet) Len() int {
 // Spec returns the i-th spec in canonical order.
 func (s *OpSet) Spec(i int) *ir.FusedSpec { return s.specs[i] }
 
-// Specs returns the catalog in canonical order (do not mutate).
-func (s *OpSet) Specs() []*ir.FusedSpec {
-	if s == nil {
-		return nil
-	}
-	return s.specs
-}
-
 // Key returns the catalog's canonical content key.
 func (s *OpSet) Key() string {
 	if s == nil {

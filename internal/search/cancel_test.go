@@ -9,40 +9,28 @@ import (
 	"customfit/internal/machine"
 )
 
-// TestCtxVariantsMatchLegacy: under an uncancelled context, every Ctx
-// strategy must be bit-identical to its legacy wrapper — the context
-// checks may never touch the RNG stream or the visit order.
+// TestCtxVariantsMatchLegacy: a context that can end but never does
+// must not change a result — every strategy under a live cancellable
+// context is bit-identical to its run under context.Background(); the
+// context checks may never touch the RNG stream or the visit order.
 func TestCtxVariantsMatchLegacy(t *testing.T) {
 	space := SubLattice()
 	obj := costSpeedupObjective(10)
-	ctx := context.Background()
+	ctx, cancel := context.WithCancel(bg)
+	defer cancel()
 	const seed = 7
 
-	if got, err := ExhaustiveCtx(ctx, space, obj, nil); err != nil {
-		t.Fatal(err)
-	} else if want := Exhaustive(space, obj); !reflect.DeepEqual(got, want) {
-		t.Errorf("ExhaustiveCtx %+v != Exhaustive %+v", got, want)
+	same := func(name string, got, want any) {
+		t.Helper()
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s under a cancellable context %+v != under Background %+v", name, got, want)
+		}
 	}
-	if got, err := HillClimbCtx(ctx, space, obj, 4, seed, nil); err != nil {
-		t.Fatal(err)
-	} else if want := HillClimb(space, obj, 4, seed); !reflect.DeepEqual(got, want) {
-		t.Errorf("HillClimbCtx %+v != HillClimb %+v", got, want)
-	}
-	if got, err := AnnealCtx(ctx, space, obj, 400, seed); err != nil {
-		t.Fatal(err)
-	} else if want := Anneal(space, obj, 400, seed); !reflect.DeepEqual(got, want) {
-		t.Errorf("AnnealCtx %+v != Anneal %+v", got, want)
-	}
-	if got, err := GeneticCtx(ctx, space, obj, 24, 12, seed); err != nil {
-		t.Fatal(err)
-	} else if want := Genetic(space, obj, 24, 12, seed); !reflect.DeepEqual(got, want) {
-		t.Errorf("GeneticCtx %+v != Genetic %+v", got, want)
-	}
-	if got, err := CompareCtx(ctx, space, obj, nil, seed); err != nil {
-		t.Fatal(err)
-	} else if want := Compare(space, obj, seed); !reflect.DeepEqual(got, want) {
-		t.Errorf("CompareCtx %+v != Compare %+v", got, want)
-	}
+	same("ExhaustiveCtx", must(ExhaustiveCtx(ctx, space, obj, nil)), must(ExhaustiveCtx(bg, space, obj, nil)))
+	same("HillClimbCtx", must(HillClimbCtx(ctx, space, obj, 4, seed, nil)), must(HillClimbCtx(bg, space, obj, 4, seed, nil)))
+	same("AnnealCtx", must(AnnealCtx(ctx, space, obj, 400, seed)), must(AnnealCtx(bg, space, obj, 400, seed)))
+	same("GeneticCtx", must(GeneticCtx(ctx, space, obj, 24, 12, seed)), must(GeneticCtx(bg, space, obj, 24, 12, seed)))
+	same("CompareCtx", must(CompareCtx(ctx, space, obj, nil, seed)), must(CompareCtx(bg, space, obj, nil, seed)))
 }
 
 // TestCtxVariantsCancelPromptly: every strategy must stop quickly once

@@ -90,7 +90,7 @@ func TestSearchFindsOpOptimum(t *testing.T) {
 		// datapath step, so the optimum has mask 3.
 		return float64(a.ALUs+a.MULs) + 100*float64(len(a.Ops.Enabled()))
 	}
-	want := Exhaustive(space, obj)
+	want := must(ExhaustiveCtx(bg, space, obj, nil))
 	if want.Best.Ops.Mask != 3 {
 		t.Fatalf("exhaustive optimum %v should enable both ops", want.Best)
 	}

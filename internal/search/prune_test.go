@@ -23,8 +23,8 @@ func slackBound(obj Objective, slack float64) Bound {
 func TestExhaustiveBoundedExactAndPrunes(t *testing.T) {
 	space := machine.FullSpace()
 	obj := costSpeedupObjective(10)
-	plain := Exhaustive(space, obj)
-	bounded := ExhaustiveBounded(space, obj, slackBound(obj, 0.25))
+	plain := must(ExhaustiveCtx(bg, space, obj, nil))
+	bounded := must(ExhaustiveCtx(bg, space, obj, slackBound(obj, 0.25)))
 	if bounded.Best != plain.Best || bounded.BestScore != plain.BestScore {
 		t.Fatalf("pruned optimum (%v, %g) differs from exhaustive (%v, %g)",
 			bounded.Best, bounded.BestScore, plain.Best, plain.BestScore)
@@ -45,8 +45,8 @@ func TestHillClimbBoundedExact(t *testing.T) {
 	space := machine.FullSpace()
 	obj := costSpeedupObjective(10)
 	for _, seed := range []int64{1, 7, 42} {
-		plain := HillClimb(space, obj, 4, seed)
-		bounded := HillClimbBounded(space, obj, 4, seed, slackBound(obj, 0.25))
+		plain := must(HillClimbCtx(bg, space, obj, 4, seed, nil))
+		bounded := must(HillClimbCtx(bg, space, obj, 4, seed, slackBound(obj, 0.25)))
 		if bounded.Best != plain.Best || bounded.BestScore != plain.BestScore {
 			t.Fatalf("seed %d: pruned climb found (%v, %g), plain found (%v, %g)",
 				seed, bounded.Best, bounded.BestScore, plain.Best, plain.BestScore)
@@ -65,8 +65,8 @@ func TestHillClimbBoundedExact(t *testing.T) {
 func TestCompareWithBoundMatchesCompare(t *testing.T) {
 	space := machine.FullSpace()
 	obj := costSpeedupObjective(10)
-	plain := Compare(space, obj, 42)
-	bounded := CompareWithBound(space, obj, slackBound(obj, 0.25), 42)
+	plain := must(CompareCtx(bg, space, obj, nil, 42))
+	bounded := must(CompareCtx(bg, space, obj, slackBound(obj, 0.25), 42))
 	if len(plain) != len(bounded) {
 		t.Fatalf("strategy counts differ: %d vs %d", len(plain), len(bounded))
 	}
@@ -86,8 +86,8 @@ func TestCompareWithBoundDeterministicForSeed(t *testing.T) {
 	space := machine.FullSpace()
 	obj := costSpeedupObjective(15)
 	bound := slackBound(obj, 0.5)
-	a := CompareWithBound(space, obj, bound, 9)
-	b := CompareWithBound(space, obj, bound, 9)
+	a := must(CompareCtx(bg, space, obj, bound, 9))
+	b := must(CompareCtx(bg, space, obj, bound, 9))
 	if len(a) != len(b) {
 		t.Fatal("strategy counts differ across identical runs")
 	}

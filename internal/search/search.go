@@ -87,28 +87,15 @@ func (c *counter) cutoff(a machine.Arch, incumbent float64) bool {
 	return true
 }
 
-// Exhaustive evaluates every point (the paper's method).
-func Exhaustive(space []machine.Arch, obj Objective) Result {
-	r, _ := ExhaustiveCtx(context.Background(), space, obj, nil)
-	return r
-}
-
-// ExhaustiveBounded is Exhaustive with bound-guided pruning: points the
-// admissible bound proves cannot beat the incumbent are skipped without
-// evaluation. With an admissible bound the returned Best and BestScore
-// are identical to Exhaustive's — the incumbent only advances on strict
-// improvement, which a pruned point cannot provide — while Evaluations
-// drops by exactly Pruned.
-func ExhaustiveBounded(space []machine.Arch, obj Objective, bound Bound) Result {
-	r, _ := ExhaustiveCtx(context.Background(), space, obj, bound)
-	return r
-}
-
-// ExhaustiveCtx is ExhaustiveBounded under a context. Cancellation is
-// observed before each candidate evaluation; a cancelled search stops
-// promptly and returns the best point seen so far together with the
-// context's error. An uncancelled run is identical to
-// ExhaustiveBounded (pass bound nil for plain Exhaustive).
+// ExhaustiveCtx evaluates every point (the paper's method). A non-nil
+// bound prunes: points the admissible bound proves cannot beat the
+// incumbent are skipped without evaluation. With an admissible bound
+// the returned Best and BestScore are identical to the unbounded
+// search's — the incumbent only advances on strict improvement, which a
+// pruned point cannot provide — while Evaluations drops by exactly
+// Pruned. Cancellation is observed before each candidate evaluation; a
+// cancelled search stops promptly and returns the best point seen so
+// far together with the context's error.
 func ExhaustiveCtx(ctx context.Context, space []machine.Arch, obj Objective, bound Bound) (Result, error) {
 	c := newCounter(obj)
 	c.bound = bound
@@ -235,26 +222,15 @@ func clampMul(a machine.Arch) int {
 	return m
 }
 
-// HillClimb runs steepest-ascent hill climbing with random restarts.
-func HillClimb(space []machine.Arch, obj Objective, restarts int, seed int64) Result {
-	return HillClimbBounded(space, obj, restarts, seed, nil)
-}
-
-// HillClimbBounded is HillClimb with bound-guided pruning of neighbor
-// evaluations: a neighbor whose bound cannot exceed the current score
-// is skipped. Exact for steepest ascent — a pruned neighbor could not
-// have been an improving move, so the climb trajectory (and the RNG
-// stream, which pruning never touches) is unchanged.
-func HillClimbBounded(space []machine.Arch, obj Objective, restarts int, seed int64, bound Bound) Result {
-	r, _ := HillClimbCtx(context.Background(), space, obj, restarts, seed, bound)
-	return r
-}
-
-// HillClimbCtx is HillClimbBounded under a context, checked before the
-// restart point and every neighbor evaluation. A cancelled climb
-// returns the best point reached so far plus the context's error;
-// cancellation never touches the RNG stream, so an uncancelled run is
-// identical to HillClimbBounded.
+// HillClimbCtx runs steepest-ascent hill climbing with random restarts.
+// A non-nil bound prunes neighbor evaluations: a neighbor whose bound
+// cannot exceed the current score is skipped. Exact for steepest ascent
+// — a pruned neighbor could not have been an improving move, so the
+// climb trajectory (and the RNG stream, which pruning never touches) is
+// unchanged. The context is checked before the restart point and every
+// neighbor evaluation; a cancelled climb returns the best point reached
+// so far plus the context's error, and the checks never touch the RNG
+// stream either.
 func HillClimbCtx(ctx context.Context, space []machine.Arch, obj Objective, restarts int, seed int64, bound Bound) (Result, error) {
 	c := newCounter(obj)
 	c.bound = bound
@@ -301,16 +277,9 @@ climb:
 	return Result{Strategy: "hill-climb", Best: best, BestScore: bestScore, Evaluations: c.evals, Pruned: c.pruned}, err
 }
 
-// Anneal runs simulated annealing.
-func Anneal(space []machine.Arch, obj Objective, steps int, seed int64) Result {
-	r, _ := AnnealCtx(context.Background(), space, obj, steps, seed)
-	return r
-}
-
-// AnnealCtx is Anneal under a context, checked once per step. A
-// cancelled anneal returns the best point seen so far plus the
-// context's error; uncancelled runs are identical to Anneal (the RNG
-// stream is untouched by the checks).
+// AnnealCtx runs simulated annealing, checking the context once per
+// step. A cancelled anneal returns the best point seen so far plus the
+// context's error (the RNG stream is untouched by the checks).
 func AnnealCtx(ctx context.Context, space []machine.Arch, obj Objective, steps int, seed int64) (Result, error) {
 	c := newCounter(obj)
 	rng := rand.New(rand.NewSource(seed))
@@ -354,16 +323,10 @@ func AnnealCtx(ctx context.Context, space []machine.Arch, obj Objective, steps i
 	return Result{Strategy: "anneal", Best: best, BestScore: bestScore, Evaluations: c.evals}, err
 }
 
-// Genetic runs a small generational GA with tournament selection,
-// parameter-wise crossover and step mutation.
-func Genetic(space []machine.Arch, obj Objective, generations, popSize int, seed int64) Result {
-	r, _ := GeneticCtx(context.Background(), space, obj, generations, popSize, seed)
-	return r
-}
-
-// GeneticCtx is Genetic under a context, checked once per generation.
-// A cancelled run returns the best individual bred so far plus the
-// context's error; uncancelled runs are identical to Genetic.
+// GeneticCtx runs a small generational GA with tournament selection,
+// parameter-wise crossover and step mutation, checking the context once
+// per generation. A cancelled run returns the best individual bred so
+// far plus the context's error.
 func GeneticCtx(ctx context.Context, space []machine.Arch, obj Objective, generations, popSize int, seed int64) (Result, error) {
 	c := newCounter(obj)
 	rng := rand.New(rand.NewSource(seed))
@@ -452,29 +415,17 @@ func spaceSet(space []machine.Arch) map[machine.Arch]bool {
 	return m
 }
 
-// Compare runs every strategy against the same objective and normalizes
-// scores to the exhaustive optimum.
-func Compare(space []machine.Arch, obj Objective, seed int64) []Result {
-	return CompareWithBound(space, obj, nil, seed)
-}
-
-// CompareWithBound is Compare with an optional admissible bound: the
-// deterministic strategies (exhaustive, hill climbing) prune candidates
-// the bound rules out, reporting how many evaluations that saved. The
-// stochastic strategies (annealing, genetic) run unpruned — their
-// trajectories depend on the values of non-improving moves, so pruning
-// would change their results rather than just their cost.
-func CompareWithBound(space []machine.Arch, obj Objective, bound Bound, seed int64) []Result {
-	out, _ := CompareCtx(context.Background(), space, obj, bound, seed)
-	return out
-}
-
-// CompareCtx is CompareWithBound under a context. The strategies run in
-// sequence; cancellation stops the in-flight strategy promptly and
-// skips the rest, returning whatever completed (with Optimality
-// normalized to the possibly-partial exhaustive score) alongside the
-// context's error. Uncancelled, the results are identical to
-// CompareWithBound.
+// CompareCtx runs every strategy against the same objective and
+// normalizes scores to the exhaustive optimum. With a non-nil admissible
+// bound the deterministic strategies (exhaustive, hill climbing) prune
+// candidates the bound rules out, reporting how many evaluations that
+// saved. The stochastic strategies (annealing, genetic) run unpruned —
+// their trajectories depend on the values of non-improving moves, so
+// pruning would change their results rather than just their cost. The
+// strategies run in sequence; cancellation stops the in-flight strategy
+// promptly and skips the rest, returning whatever completed (with
+// Optimality normalized to the possibly-partial exhaustive score)
+// alongside the context's error.
 func CompareCtx(ctx context.Context, space []machine.Arch, obj Objective, bound Bound, seed int64) ([]Result, error) {
 	ex, err := ExhaustiveCtx(ctx, space, obj, bound)
 	out := []Result{ex}

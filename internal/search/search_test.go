@@ -1,11 +1,23 @@
 package search
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"customfit/internal/machine"
 )
+
+// must unwraps a strategy run under a context that does not end (bg, or
+// one the test never cancels), which cannot return an error.
+var bg = context.Background()
+
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
 
 // costSpeedupObjective is a synthetic but realistically-shaped
 // objective: diminishing returns in ALUs and registers, a cycle-time
@@ -28,7 +40,7 @@ func costSpeedupObjective(costCap float64) Objective {
 func TestExhaustiveFindsOptimum(t *testing.T) {
 	space := machine.FullSpace()
 	obj := costSpeedupObjective(10)
-	r := Exhaustive(space, obj)
+	r := must(ExhaustiveCtx(bg, space, obj, nil))
 	if r.Evaluations != len(space) {
 		t.Errorf("exhaustive evaluated %d of %d", r.Evaluations, len(space))
 	}
@@ -43,7 +55,7 @@ func TestExhaustiveFindsOptimum(t *testing.T) {
 func TestStrategiesRespectBudgetAndFindGoodPoints(t *testing.T) {
 	space := machine.FullSpace()
 	obj := costSpeedupObjective(10)
-	results := Compare(space, obj, 42)
+	results := must(CompareCtx(bg, space, obj, nil, 42))
 	if len(results) != 4 {
 		t.Fatalf("got %d strategies", len(results))
 	}
@@ -64,13 +76,13 @@ func TestStrategiesRespectBudgetAndFindGoodPoints(t *testing.T) {
 func TestSearchDeterministicForSeed(t *testing.T) {
 	space := machine.FullSpace()
 	obj := costSpeedupObjective(15)
-	a := HillClimb(space, obj, 3, 7)
-	b := HillClimb(space, obj, 3, 7)
+	a := must(HillClimbCtx(bg, space, obj, 3, 7, nil))
+	b := must(HillClimbCtx(bg, space, obj, 3, 7, nil))
 	if a.Best != b.Best || a.Evaluations != b.Evaluations {
 		t.Error("hill climb not deterministic for fixed seed")
 	}
-	c := Anneal(space, obj, 100, 7)
-	d := Anneal(space, obj, 100, 7)
+	c := must(AnnealCtx(bg, space, obj, 100, 7))
+	d := must(AnnealCtx(bg, space, obj, 100, 7))
 	if c.Best != d.Best {
 		t.Error("annealing not deterministic for fixed seed")
 	}

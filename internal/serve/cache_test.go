@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"testing"
@@ -16,6 +15,12 @@ func cacheEntry(i int) evcache.Entry {
 	return evcache.Entry{Unroll: 1 + i%4, Cycles: int64(100 + i), Runs: 1}
 }
 
+// TestCacheEndpoints: the fleet-cache endpoints are fleetcache.Handler
+// over Options.Cache, mounted iff a cache is attached (the protocol
+// itself is tested in internal/fleetcache). With a cache a peer's
+// client round-trips through it and the four serve.cache_* counters
+// move; without one the paths do not exist, which a read-through client
+// sees as a miss and a write-behind client as an error.
 func TestCacheEndpoints(t *testing.T) {
 	cache, err := evcache.Open("")
 	if err != nil {
@@ -23,90 +28,38 @@ func TestCacheEndpoints(t *testing.T) {
 	}
 	_, ts, col := newTestServer(t, Options{Workers: 1, Cache: cache})
 	cache.Put("G", "k1", cacheEntry(1))
-
-	// GET hit: entry + fingerprint header.
-	resp, err := http.Get(ts.URL + "/v1/cache/G/k1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET hit status %s", resp.Status)
-	}
-	if fp := resp.Header.Get(fleetcache.FingerprintHeader); fp != sched.Fingerprint() {
-		t.Errorf("fingerprint header %q, want %q", fp, sched.Fingerprint())
-	}
-	var e evcache.Entry
-	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || e != cacheEntry(1) {
-		t.Fatalf("GET body = %+v, %v", e, err)
-	}
-	resp.Body.Close()
-
-	// GET miss: 404 (still fingerprinted).
-	resp, err = http.Get(ts.URL + "/v1/cache/G/absent")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("GET miss status %s, want 404", resp.Status)
-	}
-
-	// Batched put + has via the client.
 	cl := fleetcache.New(ts.URL, nil)
+
+	if e, ok, err := cl.Lookup("G", "k1"); err != nil || !ok || e != cacheEntry(1) {
+		t.Fatalf("Lookup hit = %+v, %v, %v", e, ok, err)
+	}
+	if _, ok, err := cl.Lookup("G", "absent"); ok || err != nil {
+		t.Fatalf("Lookup miss = %v, %v; want false, nil", ok, err)
+	}
 	if err := cl.StoreBatch("G", []evcache.Record{{Key: "k2", Entry: cacheEntry(2)}}); err != nil {
 		t.Fatal(err)
 	}
 	if got, ok := cache.Peek("G", "k2"); !ok || got != cacheEntry(2) {
 		t.Errorf("put entry = %+v, %v", got, ok)
 	}
-	miss, err := cl.Missing("G", []string{"k1", "k2", "k3"})
-	if err != nil || len(miss) != 1 || miss[0] != "k3" {
-		t.Fatalf("Missing = %v, %v", miss, err)
+	skewed := fleetcache.PutRequest{Fingerprint: "bogus-backend-v0", Schema: evcache.SchemaVersion,
+		Put: []evcache.Record{{Key: "poison", Entry: cacheEntry(3)}}}
+	if code := postJSON(t, ts.URL+"/v1/cache/G", skewed, nil); code != http.StatusConflict {
+		t.Errorf("skewed put status %d, want 409", code)
 	}
-
-	if v := col.Counter("serve.cache_gets").Value(); v != 1 {
-		t.Errorf("serve.cache_gets = %d, want 1", v)
-	}
-	if v := col.Counter("serve.cache_get_misses").Value(); v != 1 {
-		t.Errorf("serve.cache_get_misses = %d, want 1", v)
-	}
-	if v := col.Counter("serve.cache_puts").Value(); v != 1 {
-		t.Errorf("serve.cache_puts = %d, want 1", v)
-	}
-}
-
-func TestCacheGCDropsUnreferencedShards(t *testing.T) {
-	cache, err := evcache.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, _, col := newTestServer(t, Options{
-		Workers: 1, Cache: cache,
-		CacheGCEntries: 10, CacheGCJobs: 2,
-	})
-	// Three shards, 6 entries each: over the 10-entry budget.
-	for _, sh := range []string{"A", "B", "C"} {
-		for i := 0; i < 6; i++ {
-			cache.Put(sh, fmt.Sprintf("k%d", i), cacheEntry(i))
+	for _, name := range []string{"serve.cache_gets", "serve.cache_get_misses", "serve.cache_puts", "serve.cache_put_refused"} {
+		if v := col.Counter(name).Value(); v != 1 {
+			t.Errorf("%s = %d, want 1", name, v)
 		}
 	}
-	// Recent jobs reference only B and C; A is unreferenced and must be
-	// dropped to move back toward the budget.
-	s.noteCacheUse("B", "C")
-	s.noteCacheUse("B", "C")
-	if cache.Contains("A", "k0") {
-		t.Error("unreferenced shard A survived GC over budget")
+
+	_, bare, _ := newTestServer(t, Options{Workers: 1})
+	cl = fleetcache.New(bare.URL, nil)
+	if _, ok, err := cl.Lookup("G", "k1"); ok || err != nil {
+		t.Errorf("cacheless Lookup = %v, %v; want miss, nil", ok, err)
 	}
-	if !cache.Contains("B", "k0") || !cache.Contains("C", "k0") {
-		t.Error("referenced shard dropped by GC")
-	}
-	if v := col.Counter("serve.cache_gc_shards").Value(); v < 1 {
-		t.Errorf("serve.cache_gc_shards = %d, want >= 1", v)
-	}
-	// Referenced shards are never dropped, even while still over budget:
-	// B+C hold 12 > 10 entries, but both are in the window.
-	if cache.Resident() != 12 {
-		t.Errorf("Resident = %d, want 12 (only A dropped)", cache.Resident())
+	if err := cl.StoreBatch("G", []evcache.Record{{Key: "k", Entry: cacheEntry(1)}}); err == nil {
+		t.Error("StoreBatch against a cacheless server succeeded")
 	}
 }
 
@@ -143,8 +96,8 @@ func TestExploreCacheOff(t *testing.T) {
 }
 
 // TestOversizedBodiesRefused: request bodies are bounded. An explore
-// submit over maxSubmitBytes and a cache put over maxCachePutBytes are
-// answered 413, and nothing is queued or stored.
+// submit over maxSubmitBytes and a cache put over fleetcache.Handler's
+// 8 MiB are answered 413, and nothing is queued or stored.
 func TestOversizedBodiesRefused(t *testing.T) {
 	cache, err := evcache.Open("")
 	if err != nil {
@@ -157,7 +110,7 @@ func TestOversizedBodiesRefused(t *testing.T) {
 		explore.Archs = append(explore.Archs, "2 1 64 1 4 1")
 	}
 	put := fleetcache.PutRequest{Fingerprint: sched.Fingerprint(), Schema: evcache.SchemaVersion}
-	for n := 0; n <= maxCachePutBytes; n += 64 {
+	for n := 0; n <= 8<<20; n += 64 {
 		key := fmt.Sprintf("k%063d", len(put.Put))
 		put.Put = append(put.Put, evcache.Record{Key: key, Entry: cacheEntry(1)})
 	}

@@ -16,30 +16,24 @@ import (
 	"customfit/internal/obs"
 )
 
-// Request body limits. A job submit is a handful of fields, at most a
-// kernel's CKC source or an explicit grid (the full op-crossed space is
-// ~1500 tuples of ~30 bytes). A cache put is a batch of records of a
-// few hundred bytes each: the limit leaves room for 32 default
-// write-behind batches (evcache.RemoteOptions.BatchSize = 256) at a
-// generous 1 KiB a record, which also covers a coordinator's warm-up
-// push of one benchmark's whole grid.
-const (
-	maxSubmitBytes   = 1 << 20
-	maxCachePutBytes = 8 << 20
-)
+// maxSubmitBytes bounds a job submit's body: a handful of fields, at
+// most a kernel's CKC source or an explicit grid (the full op-crossed
+// space is ~1500 tuples of ~30 bytes). The cache endpoints bound their
+// own bodies (fleetcache.Handler).
+const maxSubmitBytes = 1 << 20
 
-// decodeJSON reads a request body of at most limit bytes into v (empty
-// body = zero value, so defaultable requests need no payload). On
-// failure it answers the request itself — 413 for an oversized body,
+// decodeJSON reads a submit body of at most maxSubmitBytes into v
+// (empty body = zero value, so defaultable requests need no payload).
+// On failure it answers the request itself — 413 for an oversized body,
 // 400 for a malformed one — and returns false.
-func decodeJSON(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes)).Decode(v)
 	if err == nil || errors.Is(err, io.EOF) {
 		return true
 	}
 	var tooBig *http.MaxBytesError
 	if errors.As(err, &tooBig) {
-		writeErr(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", limit))
+		writeErr(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", maxSubmitBytes))
 		return false
 	}
 	writeErr(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
@@ -89,7 +83,7 @@ type CompileResult struct {
 
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	var req CompileRequest
-	if !decodeJSON(w, r, maxSubmitBytes, &req) {
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	src := req.Source
@@ -178,7 +172,7 @@ type SimulateResult struct {
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	var req SimulateRequest
-	if !decodeJSON(w, r, maxSubmitBytes, &req) {
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	b := bench.ByName(req.Bench)
@@ -305,7 +299,7 @@ type ExploreRequest struct {
 
 func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	var req ExploreRequest
-	if !decodeJSON(w, r, maxSubmitBytes, &req) {
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	benches, err := resolveBenches(req.Benchmarks)
@@ -384,22 +378,10 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		if cache != nil {
-			s.noteCacheUse(benchNames(benches)...)
-		}
 		// The result is the exact schema dse.Save persists, so a client
 		// can feed it straight back to cfp-explore -load / cfp-frontier.
 		return res.JSON()
 	})
-}
-
-// benchNames maps benchmarks to their cache-shard names.
-func benchNames(bs []*bench.Benchmark) []string {
-	out := make([]string, len(bs))
-	for i, b := range bs {
-		out[i] = b.Name
-	}
-	return out
 }
 
 // FitRequest asks for the paper's custom-fit loop: explore, then select
@@ -426,7 +408,7 @@ type FitResultJSON struct {
 
 func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 	var req FitRequest
-	if !decodeJSON(w, r, maxSubmitBytes, &req) {
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	benches, err := resolveBenches(req.Benchmarks)
@@ -464,9 +446,6 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 		})
 		if err != nil {
 			return nil, err
-		}
-		if cache != nil {
-			s.noteCacheUse(benchNames(benches)...)
 		}
 		return json.Marshal(FitResultJSON{
 			Best:     fit.Best.String(),

@@ -17,8 +17,7 @@
 // GET /v1/cache/{shard}/{key} and batched POST /v1/cache/{shard}
 // (put/has) make this process a cache peer other workers read through
 // and write behind to (see internal/fleetcache and docs/DISTRIBUTED.md),
-// with fingerprint-gated admission and optional reference-counted GC
-// (Options.CacheGCEntries).
+// with fingerprint-gated admission.
 // GET /healthz reports liveness (503 while draining); GET /metrics
 // dumps the obs collector's counters, gauges and span totals.
 package serve
@@ -36,6 +35,7 @@ import (
 
 	"customfit/internal/dse"
 	"customfit/internal/evcache"
+	"customfit/internal/fleetcache"
 	"customfit/internal/obs"
 	olog "customfit/internal/obs/log"
 	"customfit/internal/sched"
@@ -58,15 +58,9 @@ type Options struct {
 	// Cache is a pre-opened persistent evaluation cache shared by every
 	// job (optional; caller keeps ownership and closes it after
 	// Shutdown). When set it is also served to the fleet over
-	// GET/POST /v1/cache/{shard} (see internal/fleetcache).
+	// GET/POST /v1/cache/{shard} (fleetcache.Handler); without one those
+	// paths are not mounted, which a read-through peer sees as a miss.
 	Cache *evcache.Cache
-	// CacheGCEntries, when > 0, bounds the shared cache's resident
-	// entries: once exceeded, shards not referenced by any of the last
-	// CacheGCJobs jobs (or cache requests) are dropped whole —
-	// reference-counted GC for a long-lived server.
-	CacheGCEntries int
-	// CacheGCJobs is the GC reference window (default 32).
-	CacheGCJobs int
 	// MaxJobs bounds retained terminal jobs (default 256); the oldest
 	// finished jobs are evicted first. Live jobs are never evicted.
 	MaxJobs int
@@ -96,10 +90,6 @@ type Server struct {
 	baseCtx   context.Context
 	baseStop  context.CancelFunc
 	closeOnce sync.Once
-
-	// gc is the shared cache's reference-counted GC (nil when
-	// CacheGCEntries is 0).
-	gc *cacheGC
 
 	mu       sync.Mutex
 	draining bool
@@ -141,7 +131,6 @@ func New(opts Options) *Server {
 		baseStop:  stop,
 		jobs:      make(map[string]*Job),
 		inflight:  make(map[string]*Job),
-		gc:        newCacheGC(opts.CacheGCEntries, opts.CacheGCJobs),
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/compile", s.handleCompile)
@@ -151,10 +140,11 @@ func New(opts Options) *Server {
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobGet)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleJobEvents)
 	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleJobCancel)
-	s.mux.HandleFunc("GET /v1/cache/{shard}/{key}", s.handleCacheGet)
-	s.mux.HandleFunc("POST /v1/cache/{shard}", s.handleCachePut)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
+	if opts.Cache != nil {
+		s.mux.Handle("/v1/cache/", fleetcache.Handler(opts.Cache))
+	}
 	for i := 0; i < opts.Workers; i++ {
 		s.wg.Add(1)
 		go s.worker()
