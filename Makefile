@@ -32,12 +32,11 @@ staticcheck:
 race:
 	$(GO) test -race -timeout 20m ./internal/obs/... ./internal/dse/... ./internal/sched/... ./internal/evcache/... ./internal/fleetcache/... ./internal/serve/... ./internal/dist/... ./internal/ops/...
 
-# One-iteration pass over the exploration, fleet and simulator
-# benchmarks: catches bit-rot in the benchmark harness without paying
-# for a real measurement.
+# One-iteration pass over the exploration and simulator benchmarks:
+# catches bit-rot in the benchmark harness without paying for a real
+# measurement.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/dse/
-	$(GO) test -run '^$$' -bench BenchmarkFleetWarm -benchtime 1x ./internal/dist/
 	$(GO) test -run '^$$' -bench BenchmarkSimRun -benchtime 1x ./internal/sim/
 
 # The end-to-end benchmark (BENCHMARK.json, benchmark/) is a module of
@@ -62,65 +61,49 @@ fuzz-smoke:
 # ROADMAP.md).
 check: build vet staticcheck test race bench-smoke bench-module fuzz-smoke
 
-# Measure the exploration, fleet and simulator benchmarks and record
-# the trajectory against the pre-optimization baseline (the
-# cfp-benchjson parser handles multi-package `go test` output; see
-# docs/PERFORMANCE.md).
+# Measure the four layer benchmarks nothing else isolates and record
+# them, with the environment they ran in, as the trajectory document
+# (docs/PERFORMANCE.md, "Tracking the numbers"). A record, never a
+# baseline: numbers from another day or host are not comparable.
 bench:
 	( $(GO) test -run '^$$' -bench . -benchmem ./internal/dse/ && \
-	  $(GO) test -run '^$$' -bench BenchmarkFleetWarm -benchmem ./internal/dist/ && \
 	  $(GO) test -run '^$$' -bench BenchmarkSimRun -benchmem ./internal/sim/ ) | \
-		$(GO) run ./cmd/cfp-benchjson \
-			-baseline internal/dse/testdata/bench_baseline_pr2.txt \
-			-baseline-note "pre-optimization seed (PR2 start)" \
-			-o BENCH_explore.json
+		$(GO) run ./cmd/cfp-benchjson -o BENCH_explore.json
 	@echo wrote BENCH_explore.json
 
-# Regression gate: re-measure the tracked benchmarks and fail if one
-# regressed beyond its limit against the recorded trajectory in
-# BENCH_explore.json. Repeats gated on the minimum, so scheduler noise
-# cannot fail an unchanged tree. BenchmarkEvaluate — one cold
-# evaluation with every cache off, one lap over its 192 machines —
-# gates ns/op and allocs/op at 15% (a ~3 ms op is noisier than a
-# 100 ms grid). BenchmarkEvaluateWarmCache — a cache hit, which is what
-# every evaluation that does not compile costs (~3 us, two dozen
-# allocations: the kernel-class hash, the key, the lookup) — gates
-# allocs/op at 10% and ns/op at 25% (a microsecond-scale op on a shared
-# box). BenchmarkExploreSubset gates ns/op and
-# allocs/op at 10%. BenchmarkExploreOpsSubset (the op-crossed grid, so
-# pattern rewrite and custom-unit scheduling are on the measured path)
-# gates ns/op only, at 15% — fused placement makes its allocation
-# profile noisier than the op-free twin. BenchmarkFleetWarm gates
-# ns/op only, at 30%: its
-# per-op time is dominated by HTTP round trips and job-poll alignment
-# (tens-of-ms scale), which even a minimum-of-repeats does not fully
-# de-noise — while a broken cache tier (recomputing instead of reading
-# through) is several-fold slower, so the loose limit still catches the
-# failure mode. BenchmarkSimRun (the sim layer alone: four programs
-# decoded and executed per op, ~8 ms) gates ns/op at 15% and allocs/op
-# at 10%: its allocations are a function of program size only, so any
-# growth there means something crept back into the cycle loop.
+# The perf gate: this tree against its parent commit, measured side by
+# side. The parent is HEAD when the tree has uncommitted changes and
+# HEAD~1 when it is clean; it is checked out into a git worktree under
+# .bench_build/ (removed again on any exit), the dse and sim test
+# binaries are built once per tree, and ten rounds run each benchmark
+# on both binaries back to back at a fixed iteration count, alternating
+# which tree goes first. cfp-benchjson then judges every (benchmark,
+# metric): counts that repeat exactly on both sides are compared
+# exactly, timings on the per-round change/parent ratio against the
+# parent's own spread — so host drift fails nowhere and one more
+# allocation or scheduled block fails everywhere (cmd/cfp-benchjson,
+# docs/PERFORMANCE.md). About a minute at 2 procs.
 bench-diff:
-	$(GO) test -run '^$$' -bench 'BenchmarkEvaluate$$' -benchtime 192x -count 3 ./internal/dse/ | \
-		$(GO) run ./cmd/cfp-benchjson -against BENCH_explore.json \
-			-regress-bench BenchmarkEvaluate -max-regress 0.15
-	$(GO) test -run '^$$' -bench BenchmarkEvaluateWarmCache -benchtime 20000x -count 3 ./internal/dse/ | \
-		$(GO) run ./cmd/cfp-benchjson -against BENCH_explore.json \
-			-regress-bench BenchmarkEvaluateWarmCache -regress-metrics allocs/op -max-regress 0.10
-	$(GO) test -run '^$$' -bench BenchmarkEvaluateWarmCache -benchtime 20000x -count 3 ./internal/dse/ | \
-		$(GO) run ./cmd/cfp-benchjson -against BENCH_explore.json \
-			-regress-bench BenchmarkEvaluateWarmCache -regress-metrics ns/op -max-regress 0.25
-	$(GO) test -run '^$$' -bench BenchmarkExploreSubset -benchtime 3x -count 3 ./internal/dse/ | \
-		$(GO) run ./cmd/cfp-benchjson -against BENCH_explore.json
-	$(GO) test -run '^$$' -bench BenchmarkExploreOpsSubset -benchtime 3x -count 3 ./internal/dse/ | \
-		$(GO) run ./cmd/cfp-benchjson -against BENCH_explore.json \
-			-regress-bench BenchmarkExploreOpsSubset -regress-metrics ns/op -max-regress 0.15
-	$(GO) test -run '^$$' -bench BenchmarkFleetWarm -benchtime 10x -count 3 ./internal/dist/ | \
-		$(GO) run ./cmd/cfp-benchjson -against BENCH_explore.json \
-			-regress-bench BenchmarkFleetWarm -regress-metrics ns/op -max-regress 0.30
-	$(GO) test -run '^$$' -bench BenchmarkSimRun -benchtime 100x -count 3 ./internal/sim/ | \
-		$(GO) run ./cmd/cfp-benchjson -against BENCH_explore.json \
-			-regress-bench BenchmarkSimRun -regress-metrics ns/op -max-regress 0.15
-	$(GO) test -run '^$$' -bench BenchmarkSimRun -benchtime 20x ./internal/sim/ | \
-		$(GO) run ./cmd/cfp-benchjson -against BENCH_explore.json \
-			-regress-bench BenchmarkSimRun -regress-metrics allocs/op -max-regress 0.10
+	@set -e; out=$(CURDIR)/.bench_build/bench-diff; \
+	rev=HEAD~1; [ -z "$$(git status --porcelain)" ] || rev=HEAD; \
+	rm -rf $$out; git worktree prune; mkdir -p $$out; \
+	trap 'git worktree remove --force $$out/parent' EXIT; trap 'exit 130' INT TERM; \
+	git worktree add --quiet --detach $$out/parent $$rev; \
+	echo "bench-diff: parent is $$rev ($$(git rev-parse --short $$rev))"; \
+	src() { [ $$1 = change ] && echo $(CURDIR) || echo $$out/parent; }; \
+	for side in parent change; do for pkg in dse sim; do \
+		(cd $$(src $$side) && $(GO) test -c -o $$out/$$side-$$pkg.test ./internal/$$pkg/); \
+	done; done; \
+	for round in 1 2 3 4 5 6 7 8 9 10; do \
+		order="parent change"; [ $$((round % 2)) = 1 ] || order="change parent"; \
+		echo "bench-diff: round $$round of 10 ($$order)"; \
+		for spec in dse:BenchmarkEvaluate:192x dse:BenchmarkEvaluateDelta:20000x \
+				dse:BenchmarkExploreOpsSubset:3x sim:BenchmarkSimRun:50x; do \
+			set -- $$(echo $$spec | tr : ' '); \
+			for side in $$order; do \
+				(cd $$(src $$side)/internal/$$1 && $$out/$$side-$$1.test -test.run '^$$' \
+					-test.bench "^$$2\$$" -test.benchtime $$3 -test.timeout 10m) >> $$out/$$side.txt; \
+			done; \
+		done; \
+	done; \
+	$(GO) run ./cmd/cfp-benchjson -against $$out/parent.txt < $$out/change.txt

@@ -1,39 +1,45 @@
-// cfp-benchjson converts `go test -bench` text output into a stable
-// JSON document so benchmark trajectories can be tracked across PRs
-// (see docs/PERFORMANCE.md and the Makefile's `bench` target).
+// cfp-benchjson reads `go test -bench` text and either records it or
+// judges it against a second run (see docs/PERFORMANCE.md, "Tracking
+// the numbers", and the Makefile's `bench` and `bench-diff` targets).
 //
-// Usage:
+// Recording turns the text into a stable JSON document — the benchmark
+// lines plus where they were measured — so the trajectory can be
+// tracked across PRs:
 //
-//	go test -bench=. -benchmem ./internal/dse/ | cfp-benchjson -o BENCH_explore.json \
-//	    -baseline internal/dse/testdata/bench_baseline_pr2.txt \
-//	    -baseline-note "pre-optimization seed"
+//	go test -bench=. -benchmem ./internal/dse/ | cfp-benchjson -o BENCH_explore.json
+//
+// Judging compares two runs of the same benchmarks, each repeated over
+// the same number of rounds (`make bench-diff` alternates a build of
+// the parent commit with a build of the change):
+//
+//	cfp-benchjson -against parent.txt < change.txt
+//
+// One rule covers every (benchmark, metric). Where all rounds of a side
+// agree, on both sides, the metric counts deterministic work and the
+// two values are compared exactly: any growth fails. Everything else is
+// timing and is judged round by round on change/parent: it fails only
+// when the change is worse in at least nine rounds of ten and the
+// median ratio is off by more than the parent's own inter-quartile
+// spread; short of that it is ok, improved or unresolved. Units ending
+// in "/s" are better when higher, all others when lower. The exit
+// status is 1 when anything failed.
 //
 // The parser understands the standard benchmark line shape — a tab- or
 // space-separated name, an iteration count, then repeated "value unit"
 // pairs — and ignores everything else (goos/pkg headers, PASS, ok).
-// When a baseline is given, the output also reports per-metric deltas
-// for benchmarks present on both sides.
-//
-// Regression-gate mode (the Makefile's `bench-diff` target):
-//
-//	go test -bench BenchmarkExploreSubset ./internal/dse/ | \
-//	    cfp-benchjson -against BENCH_explore.json
-//
-// compares the tracked metrics (-regress-bench/-regress-metrics, a
-// comma-separated list defaulting to ns/op and allocs/op) of the fresh
-// run against the recorded document and exits nonzero when any of them
-// regressed by more than -max-regress (default 10%).
 package main
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -46,17 +52,6 @@ type Benchmark struct {
 	Name       string             `json:"name"`
 	Iterations int64              `json:"iterations"`
 	Metrics    map[string]float64 `json:"metrics"`
-}
-
-// Delta compares one metric of one benchmark against the baseline.
-type Delta struct {
-	Benchmark string  `json:"benchmark"`
-	Metric    string  `json:"metric"`
-	Baseline  float64 `json:"baseline"`
-	Current   float64 `json:"current"`
-	// Change is (current-baseline)/baseline; negative means improvement
-	// for cost-like metrics (ns/op, B/op, allocs/op).
-	Change float64 `json:"change"`
 }
 
 // Environment records where the numbers came from, so a trajectory
@@ -74,24 +69,15 @@ type Environment struct {
 }
 
 type document struct {
-	Generated    string       `json:"generated"`
-	Environment  *Environment `json:"environment,omitempty"`
-	Benchmarks   []Benchmark  `json:"benchmarks"`
-	BaselineNote string       `json:"baseline_note,omitempty"`
-	Baseline     []Benchmark  `json:"baseline,omitempty"`
-	Deltas       []Delta      `json:"deltas,omitempty"`
+	Generated   string       `json:"generated"`
+	Environment *Environment `json:"environment,omitempty"`
+	Benchmarks  []Benchmark  `json:"benchmarks"`
 }
 
 func main() {
 	var (
-		out      = flag.String("o", "", "write JSON here (default stdout)")
-		baseFile = flag.String("baseline", "", "baseline `go test -bench` text to embed and diff against")
-		baseNote = flag.String("baseline-note", "", "free-form provenance note for the baseline")
-
-		against        = flag.String("against", "", "recorded cfp-benchjson document to gate against (exit 1 on regression; suppresses JSON output unless -o is given)")
-		maxRegress     = flag.Float64("max-regress", 0.10, "with -against: fail when a tracked metric grew by more than this fraction")
-		regressBench   = flag.String("regress-bench", "BenchmarkExploreSubset", "with -against: benchmark to gate on")
-		regressMetrics = flag.String("regress-metrics", "ns/op,allocs/op", "with -against: comma-separated metrics to gate on")
+		out     = flag.String("o", "", "write JSON here (default stdout)")
+		against = flag.String("against", "", "`go test -bench` text of the parent's rounds: judge stdin against it (exit 1 when a metric fails; no JSON unless -o is given)")
 	)
 	tool := cli.NewTool("cfp-benchjson")
 	flag.Parse()
@@ -108,39 +94,38 @@ func main() {
 		fatal(fmt.Errorf("no benchmark lines on stdin"))
 	}
 	if *against != "" {
-		for _, metric := range strings.Split(*regressMetrics, ",") {
-			metric = strings.TrimSpace(metric)
-			if metric == "" {
-				continue
+		f, err := os.Open(*against)
+		if err != nil {
+			fatal(err)
+		}
+		parent, _, err := parse(f)
+		f.Close()
+		if err != nil {
+			fatal(fmt.Errorf("%s: %w", *against, err))
+		}
+		verdicts, err := judge(parent, cur)
+		if err != nil {
+			fatal(err)
+		}
+		failed := 0
+		for _, v := range verdicts {
+			fmt.Printf("%-26s %-21s %-6s %-10s %s\n", v.Benchmark, v.Metric, v.Rule, v.Result, v.Detail)
+			if v.Result == "fail" {
+				failed++
 			}
-			if err := checkRegression(*against, cur, *regressBench, metric, *maxRegress); err != nil {
-				fatal(err)
-			}
+		}
+		if failed > 0 {
+			fatal(fmt.Errorf("%d of %d comparisons failed", failed, len(verdicts)))
 		}
 		if *out == "" {
 			return
 		}
 	}
-	doc := document{
-		Generated:    time.Now().UTC().Format(time.RFC3339),
-		Environment:  env,
-		Benchmarks:   cur,
-		BaselineNote: *baseNote,
-	}
-	if *baseFile != "" {
-		f, err := os.Open(*baseFile)
-		if err != nil {
-			fatal(err)
-		}
-		doc.Baseline, _, err = parse(f)
-		f.Close()
-		if err != nil {
-			fatal(fmt.Errorf("%s: %w", *baseFile, err))
-		}
-		doc.Deltas = diff(doc.Baseline, cur)
-	}
-
-	buf, err := json.MarshalIndent(doc, "", "  ")
+	buf, err := json.MarshalIndent(document{
+		Generated:   time.Now().UTC().Format(time.RFC3339),
+		Environment: env,
+		Benchmarks:  cur,
+	}, "", "  ")
 	if err != nil {
 		fatal(err)
 	}
@@ -187,13 +172,16 @@ func parse(r io.Reader) ([]Benchmark, *Environment, error) {
 		if err != nil {
 			continue
 		}
-		if suffix := goMaxProcsSuffix(fields[0]); suffix != "" {
-			if n, err := strconv.Atoi(suffix); err == nil {
-				env.GOMAXPROCS = n
+		// A trailing "-N" is the GOMAXPROCS decoration: strip it, so
+		// BenchmarkFoo-8 and BenchmarkFoo are one benchmark across machines.
+		name := fields[0]
+		if i := strings.LastIndexByte(name, '-'); i >= 0 {
+			if n, err := strconv.Atoi(name[i+1:]); err == nil {
+				env.GOMAXPROCS, name = n, name[:i]
 			}
 		}
 		b := Benchmark{
-			Name:       strings.TrimSuffix(fields[0], "-"+goMaxProcsSuffix(fields[0])),
+			Name:       name,
 			Iterations: iters,
 			Metrics:    map[string]float64{},
 		}
@@ -213,111 +201,121 @@ func parse(r io.Reader) ([]Benchmark, *Environment, error) {
 	return out, env, sc.Err()
 }
 
-// goMaxProcsSuffix returns the trailing "-N" procs decoration of a
-// benchmark name if present ("" otherwise), so BenchmarkFoo-8 and
-// BenchmarkFoo compare as the same benchmark across machines.
-func goMaxProcsSuffix(name string) string {
-	i := strings.LastIndexByte(name, '-')
-	if i < 0 {
-		return ""
-	}
-	tail := name[i+1:]
-	if _, err := strconv.Atoi(tail); err != nil {
-		return ""
-	}
-	return tail
+// series names one metric of one benchmark.
+type series struct{ Benchmark, Metric string }
+
+// verdict is the judgement of one series of the change against the
+// parent.
+type verdict struct {
+	series
+	Rule   string // "exact" or "paired"; "" when nothing was compared
+	Result string // "ok", "improved", "unresolved", "fail", or "new" (not gated)
+	Detail string
 }
 
-func diff(base, cur []Benchmark) []Delta {
-	byName := map[string]Benchmark{}
-	for _, b := range base {
-		byName[b.Name] = b
-	}
-	var out []Delta
-	for _, c := range cur {
-		b, ok := byName[c.Name]
-		if !ok {
-			continue
-		}
-		for metric, bv := range b.Metrics {
-			cv, ok := c.Metrics[metric]
-			if !ok || bv == 0 {
-				continue
-			}
-			out = append(out, Delta{
-				Benchmark: c.Name,
-				Metric:    metric,
-				Baseline:  bv,
-				Current:   cv,
-				Change:    (cv - bv) / bv,
-			})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Benchmark != out[j].Benchmark {
-			return out[i].Benchmark < out[j].Benchmark
-		}
-		return out[i].Metric < out[j].Metric
-	})
-	return out
-}
-
-// checkRegression gates one (benchmark, metric) of the fresh run
-// against a previously recorded document: an increase beyond maxRegress
-// is an error, everything else prints a one-line verdict.
-func checkRegression(path string, cur []Benchmark, benchName, metric string, maxRegress float64) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var doc document
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	recorded, err := findMetric(doc.Benchmarks, benchName, metric)
-	if err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	fresh, err := findMetric(cur, benchName, metric)
-	if err != nil {
-		return fmt.Errorf("current run: %w", err)
-	}
-	if recorded <= 0 {
-		return fmt.Errorf("%s: recorded %s %s is %g, cannot gate", path, benchName, metric, recorded)
-	}
-	change := (fresh - recorded) / recorded
-	fmt.Printf("%s %s: recorded %.4g, current %.4g (%+.1f%%), limit +%.0f%%\n",
-		benchName, metric, recorded, fresh, 100*change, 100*maxRegress)
-	if change > maxRegress {
-		return fmt.Errorf("%s %s regressed %.1f%% (limit %.0f%%)", benchName, metric, 100*change, 100*maxRegress)
-	}
-	return nil
-}
-
-// findMetric locates one metric value by benchmark name (GOMAXPROCS
-// suffixes already stripped by parse; recorded documents are stored
-// stripped too). Repeated measurements of the same benchmark (`go test
-// -count=N`) are reduced to their minimum — the standard noise-robust
-// statistic for cost metrics, since interference only ever inflates.
-func findMetric(bs []Benchmark, benchName, metric string) (float64, error) {
-	best, found := 0.0, false
+// rounds collects one run's values per series, one per round.
+func rounds(bs []Benchmark) map[series][]float64 {
+	by := map[series][]float64{}
 	for _, b := range bs {
-		if b.Name != benchName {
-			continue
-		}
-		v, ok := b.Metrics[metric]
-		if !ok {
-			return 0, fmt.Errorf("%s has no %q metric", benchName, metric)
-		}
-		if !found || v < best {
-			best, found = v, true
+		for metric, v := range b.Metrics {
+			k := series{b.Name, metric}
+			by[k] = append(by[k], v)
 		}
 	}
-	if !found {
-		return 0, fmt.Errorf("benchmark %s not found", benchName)
-	}
-	return best, nil
+	return by
 }
+
+// judge compares every series of the parent's rounds with the change's.
+// What the parent measured and the change did not fails; what only the
+// change measures is reported and not gated. Round i of one side is
+// paired with round i of the other, so both sides must have run the
+// same number of rounds, and more than one: a single round cannot tell
+// deterministic work from timing.
+func judge(parent, change []Benchmark) ([]verdict, error) {
+	p, c := rounds(parent), rounds(change)
+	var out []verdict
+	for k, pv := range p {
+		cv := c[k]
+		switch {
+		case cv == nil:
+			out = append(out, verdict{k, "", "fail", "missing on the change side"})
+		case len(pv) != len(cv) || len(pv) < 2:
+			return nil, fmt.Errorf("%s %s: %d parent rounds, %d change rounds; need the same number, at least 2",
+				k.Benchmark, k.Metric, len(pv), len(cv))
+		default:
+			v := compare(pv, cv, strings.HasSuffix(k.Metric, "/s"))
+			v.series = k
+			out = append(out, v)
+		}
+	}
+	for k := range c {
+		if p[k] == nil {
+			out = append(out, verdict{k, "", "new", "only on the change side, not gated"})
+		}
+	}
+	slices.SortFunc(out, func(a, b verdict) int {
+		return cmp.Or(strings.Compare(a.Benchmark, b.Benchmark), strings.Compare(a.Metric, b.Metric))
+	})
+	return out, nil
+}
+
+// compare applies the one rule to the rounds of one series.
+func compare(pv, cv []float64, higherIsBetter bool) verdict {
+	if slices.Min(pv) == slices.Max(pv) && slices.Min(cv) == slices.Max(cv) {
+		v := verdict{Rule: "exact", Result: "ok", Detail: num(pv[0]) + " = " + num(cv[0])}
+		if cv[0] != pv[0] {
+			v.Result, v.Detail = "improved", num(pv[0])+" -> "+num(cv[0])
+			if cv[0] > pv[0] != higherIsBetter {
+				v.Result = "fail"
+			}
+		}
+		return v
+	}
+	n := len(pv)
+	ratios := make([]float64, n)
+	worse, better := 0, 0
+	for i := range pv {
+		ratios[i] = cv[i] / pv[i]
+		switch {
+		case cv[i] == pv[i]:
+			ratios[i] = 1 // also 0/0
+		case cv[i] > pv[i] != higherIsBetter:
+			worse++
+		default:
+			better++
+		}
+	}
+	med, pmed := quantile(ratios, 0.5), quantile(pv, 0.5)
+	spread := quantile(pv, 0.75) - quantile(pv, 0.25)
+	if spread > 0 {
+		spread /= pmed
+	}
+	beyond := math.Abs(med-1) > spread
+	need := (9*n + 9) / 10 // nine rounds of ten, rounded up
+	v := verdict{Rule: "paired", Result: "unresolved"}
+	switch {
+	case worse >= need && beyond:
+		v.Result = "fail"
+	case better >= need && beyond:
+		v.Result = "improved"
+	case worse < need && better < need && !beyond:
+		v.Result = "ok"
+	}
+	v.Detail = fmt.Sprintf("median %.4g -> %.4g, change/parent x%.3f, worse in %d and better in %d of %d rounds, parent spread %.1f%%",
+		pmed, quantile(cv, 0.5), med, worse, better, n, 100*spread)
+	return v
+}
+
+// quantile interpolates linearly between the order statistics of vs.
+func quantile(vs []float64, q float64) float64 {
+	s := slices.Clone(vs)
+	slices.Sort(s)
+	h := q * float64(len(s)-1)
+	lo := min(int(h), len(s)-2)
+	return s[lo] + (h-float64(lo))*(s[lo+1]-s[lo])
+}
+
+func num(v float64) string { return strconv.FormatFloat(v, 'f', -1, 64) }
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "cfp-benchjson:", err)

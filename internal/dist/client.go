@@ -64,15 +64,31 @@ func (c *client) health(ctx context.Context, workerURL string) (serve.HealthResp
 	return h, nil
 }
 
+// reapTimeout bounds the requests a cancelled run still makes to leave
+// no job behind: a DELETE, and a submit caught in flight.
+const reapTimeout = 3 * time.Second
+
 // submit POSTs one shard's exploration and returns the job id. A 400 is
 // permanent (the request itself is broken); 503 and transport errors
 // are retryable.
+//
+// Cancelling ctx does not cut the exchange short: once the worker has
+// read the POST it owns a job, and only its answer carries the id a
+// DELETE needs. A submit in flight when ctx ends gets reapTimeout to
+// finish and returns the id, for the caller to cancel.
 func (c *client) submit(ctx context.Context, workerURL string, ereq serve.ExploreRequest) (string, error) {
 	body, err := json.Marshal(ereq)
 	if err != nil {
 		return "", permanent(err)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, workerURL+"/v1/explore", bytes.NewReader(body))
+	if ctx.Err() != nil {
+		return "", ctx.Err()
+	}
+	sctx, cut := context.WithCancel(context.WithoutCancel(ctx))
+	defer cut()
+	unhook := context.AfterFunc(ctx, func() { time.AfterFunc(reapTimeout, cut) })
+	defer unhook()
+	req, err := http.NewRequestWithContext(sctx, http.MethodPost, workerURL+"/v1/explore", bytes.NewReader(body))
 	if err != nil {
 		return "", permanent(err)
 	}
@@ -126,7 +142,7 @@ func (c *client) jobStatus(ctx context.Context, workerURL, jobID string) (serve.
 // called while the run's context is already cancelled (shutdown) or to
 // reap a hedge loser, so it must not inherit either.
 func (c *client) cancel(workerURL, jobID string) {
-	ctx, stop := context.WithTimeout(context.Background(), 3*time.Second)
+	ctx, stop := context.WithTimeout(context.Background(), reapTimeout)
 	defer stop()
 	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, workerURL+"/v1/jobs/"+jobID, nil)
 	if err != nil {
@@ -143,7 +159,8 @@ func (c *client) cancel(workerURL, jobID string) {
 // state, returning the decoded shard Results plus the worker-side spans
 // the job captured (non-nil only when ereq carried a TraceParent).
 // Worker death mid-run surfaces as consecutive poll failures
-// (connection errors) and is reported as a retryable error.
+// (connection errors) and is reported as a retryable error. When ctx
+// ends, the job is DELETEd before runShard returns.
 func (c *client) runShard(ctx context.Context, a *attempt, ereq serve.ExploreRequest) (*dse.Results, []obs.WireSpan, error) {
 	jobID, err := c.submit(ctx, a.worker.url, ereq)
 	if err != nil {
@@ -157,13 +174,13 @@ func (c *client) runShard(ctx context.Context, a *attempt, ereq serve.ExploreReq
 		select {
 		case <-timer.C:
 		case <-ctx.Done():
-			go c.cancel(a.worker.url, jobID)
+			c.cancel(a.worker.url, jobID)
 			return nil, nil, ctx.Err()
 		}
 		st, err := c.jobStatus(ctx, a.worker.url, jobID)
 		if err != nil {
 			if ctx.Err() != nil {
-				go c.cancel(a.worker.url, jobID)
+				c.cancel(a.worker.url, jobID)
 				return nil, nil, ctx.Err()
 			}
 			if pollFails++; pollFails >= 3 {

@@ -338,7 +338,7 @@ type coordinator struct {
 
 	events   chan outcome
 	loopDone chan struct{}
-	bg       sync.WaitGroup // background job cancellations
+	bg       sync.WaitGroup // shard attempts and background job cancellations
 	rng      *rand.Rand
 
 	nextAttempt int
@@ -400,6 +400,7 @@ func (c *coordinator) run(ctx context.Context) (*dse.Results, error) {
 			return fail(fmt.Errorf("%w: %w", dse.ErrCancelled, context.Cause(ctx)))
 		}
 	}
+	stopRun()
 	c.shutdown()
 	return c.merge(start)
 }
@@ -507,7 +508,9 @@ func (c *coordinator) launch(ctx context.Context, u *unit, w *workerState) {
 			break
 		}
 	}
+	c.bg.Add(1)
 	go func() {
+		defer c.bg.Done()
 		c.warmupPush(u, w)
 		res, spans, err := c.client.runShard(ctx, a, req)
 		sp.AdoptRemote(spans)

@@ -224,6 +224,16 @@ type fakeWorker struct {
 	capacity    int
 	deletes     atomic.Int64
 	submits     atomic.Int64
+	// onSubmit, when set, runs after a submit is counted and before it
+	// is answered: the window in which the worker has a job whose id the
+	// coordinator does not know yet.
+	onSubmit func()
+	// deleted is closed by the first DELETE.
+	deleted chan struct{}
+}
+
+func newFakeWorker(capacity int) *fakeWorker {
+	return &fakeWorker{fingerprint: sched.Fingerprint(), capacity: capacity, deleted: make(chan struct{})}
 }
 
 func (f *fakeWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -232,12 +242,17 @@ func (f *fakeWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, `{"status":"ok","workers":%d,"fingerprint":%q}`, f.capacity, f.fingerprint)
 	case r.Method == http.MethodPost && r.URL.Path == "/v1/explore":
 		id := f.submits.Add(1)
+		if f.onSubmit != nil {
+			f.onSubmit()
+		}
 		w.WriteHeader(http.StatusAccepted)
 		fmt.Fprintf(w, `{"id":"stuck%d","state":"queued"}`, id)
 	case r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/jobs/"):
 		fmt.Fprint(w, `{"id":"stuck","kind":"explore","state":"running"}`)
 	case r.Method == http.MethodDelete && strings.HasPrefix(r.URL.Path, "/v1/jobs/"):
-		f.deletes.Add(1)
+		if f.deletes.Add(1) == 1 {
+			close(f.deleted)
+		}
 		fmt.Fprint(w, `{"id":"stuck","kind":"explore","state":"cancelled"}`)
 	default:
 		http.NotFound(w, r)
@@ -250,7 +265,7 @@ func (f *fakeWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 func TestHedgeStraggler(t *testing.T) {
 	col := installCollector(t)
 	healthy := startWorker(t, serve.Options{Workers: 2, Collector: col})
-	stuck := &fakeWorker{fingerprint: sched.Fingerprint(), capacity: 1}
+	stuck := newFakeWorker(1)
 	stuckTS := httptest.NewServer(stuck)
 	t.Cleanup(stuckTS.Close)
 
@@ -288,7 +303,9 @@ func TestHedgeStraggler(t *testing.T) {
 func TestFingerprintMismatch(t *testing.T) {
 	installCollector(t)
 	good := startWorker(t, serve.Options{Workers: 1})
-	bad := httptest.NewServer(&fakeWorker{fingerprint: "backend-v0;bogus", capacity: 1})
+	skewed := newFakeWorker(1)
+	skewed.fingerprint = "backend-v0;bogus"
+	bad := httptest.NewServer(skewed)
 	t.Cleanup(bad.Close)
 
 	opts := fastOpts(good.URL, bad.URL)
@@ -302,35 +319,44 @@ func TestFingerprintMismatch(t *testing.T) {
 }
 
 // TestCancellation: cancelling the coordinator's context must abort the
-// run with ErrCancelled and DELETE the in-flight shard jobs.
+// run with ErrCancelled and DELETE the in-flight shard jobs — also the
+// job whose submit the worker has accepted but not yet answered when
+// the cancel lands, whose id only that answer carries.
 func TestCancellation(t *testing.T) {
-	installCollector(t)
-	stuck := &fakeWorker{fingerprint: sched.Fingerprint(), capacity: 2}
-	stuckTS := httptest.NewServer(stuck)
-	t.Cleanup(stuckTS.Close)
+	for name, midSubmit := range map[string]bool{"while polling": false, "between submit and its answer": true} {
+		t.Run(name, func(t *testing.T) {
+			installCollector(t)
+			stuck := newFakeWorker(2)
+			stuckTS := httptest.NewServer(stuck)
+			t.Cleanup(stuckTS.Close)
 
-	opts := fastOpts(stuckTS.URL)
-	opts.Benchmarks = benchesByName("G")
-	opts.Sample = 64
-	opts.Width = 32
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		// Let at least one shard get submitted, then pull the plug.
-		for stuck.submits.Load() == 0 {
-			time.Sleep(2 * time.Millisecond)
-		}
-		cancel()
-	}()
-	_, err := Explore(ctx, opts)
-	if !errors.Is(err, dse.ErrCancelled) {
-		t.Fatalf("Explore error = %v, want ErrCancelled", err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for stuck.deletes.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("cancelled run never issued DELETE for its in-flight jobs")
-		}
-		time.Sleep(5 * time.Millisecond)
+			opts := fastOpts(stuckTS.URL)
+			opts.Benchmarks = benchesByName("G")
+			opts.Sample = 64
+			opts.Width = 32
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			if midSubmit {
+				stuck.onSubmit = cancel
+			} else {
+				go func() {
+					// Let at least one shard get submitted, then pull the plug.
+					for stuck.submits.Load() == 0 {
+						time.Sleep(2 * time.Millisecond)
+					}
+					cancel()
+				}()
+			}
+			_, err := Explore(ctx, opts)
+			if !errors.Is(err, dse.ErrCancelled) {
+				t.Fatalf("Explore error = %v, want ErrCancelled", err)
+			}
+			// Reaping is best effort with a bounded wait, so on a saturated
+			// machine Explore may return before a DELETE lands. Wait for
+			// the event itself; a run that never sends one ends in go
+			// test's -timeout, with this goroutine in the dump.
+			<-stuck.deleted
+		})
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"customfit/internal/core"
 	"customfit/internal/evcache"
@@ -13,31 +12,17 @@ import (
 	"customfit/internal/serve"
 )
 
-// startWorkerTB is startWorker for any testing.TB (benchmarks too).
-func startWorkerTB(tb testing.TB, opts serve.Options) *httptest.Server {
-	tb.Helper()
-	s := serve.New(opts)
-	ts := httptest.NewServer(s.Handler())
-	tb.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		_ = s.Shutdown(ctx)
-		ts.Close()
-	})
-	return ts
-}
-
 // fleetWorker spins up a cfp-serve worker whose local cache is tiered
 // onto hub's /v1/cache endpoints — the production -cache-peer topology.
-func fleetWorker(tb testing.TB, hubURL string, col *obs.Collector) (*httptest.Server, *evcache.Cache) {
-	tb.Helper()
+func fleetWorker(t *testing.T, hubURL string, col *obs.Collector) (*httptest.Server, *evcache.Cache) {
+	t.Helper()
 	c, err := evcache.Open("")
 	if err != nil {
-		tb.Fatal(err)
+		t.Fatal(err)
 	}
 	c.SetRemote(fleetcache.New(hubURL, nil), evcache.RemoteOptions{})
-	tb.Cleanup(func() { _ = c.Close() })
-	ts := startWorkerTB(tb, serve.Options{Workers: 2, Collector: col, Cache: c})
+	t.Cleanup(func() { _ = c.Close() })
+	ts := startWorker(t, serve.Options{Workers: 2, Collector: col, Cache: c})
 	return ts, c
 }
 
@@ -218,45 +203,5 @@ func TestCacheModeOffPropagates(t *testing.T) {
 	}
 	if v := col.Counter("dist.warmup_pushes").Value(); v != 0 {
 		t.Errorf("dist.warmup_pushes = %d with -cache=off, want 0", v)
-	}
-}
-
-// BenchmarkFleetWarm measures the fleet-cache payoff end to end: a
-// distributed exploration over a warm two-worker fleet sharing one hub
-// tier. The work left is dispatch, cache lookups and the merge — no
-// backend compilation (make bench-diff gates this number).
-func BenchmarkFleetWarm(b *testing.B) {
-	col := obs.NewCollector()
-	obs.Install(col)
-	defer obs.Install(nil)
-	hubCache, err := evcache.Open(b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer hubCache.Close()
-	hub := startWorkerTB(b, serve.Options{Workers: 1, Collector: col, Cache: hubCache})
-	wA, cA := fleetWorker(b, hub.URL, col)
-	wB, cB := fleetWorker(b, hub.URL, col)
-
-	opts := Options{
-		Workers:      []string{wA.URL, wB.URL},
-		Benchmarks:   benchesByName("G"),
-		Sample:       24,
-		Width:        32,
-		PollInterval: 5 * time.Millisecond,
-		RetryBackoff: 2 * time.Millisecond,
-	}
-	// Warm pass fills every tier.
-	if _, err := Explore(context.Background(), opts); err != nil {
-		b.Fatal(err)
-	}
-	cA.SyncRemote()
-	cB.SyncRemote()
-
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Explore(context.Background(), opts); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

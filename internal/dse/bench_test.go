@@ -4,8 +4,8 @@ import (
 	"testing"
 
 	"customfit/internal/bench"
-	"customfit/internal/evcache"
 	"customfit/internal/machine"
+	"customfit/internal/obs"
 	"customfit/internal/sched"
 )
 
@@ -31,6 +31,14 @@ func exploreBenchArchs() []machine.Arch {
 // both disabled so the number is an honest cold per-compile cost — the
 // baseline BenchmarkEvaluateDelta is measured against — and a reused
 // Scratch arena matches the explorer worker's steady state.
+//
+// Beside the timings it reports the work one lap over the machines
+// does, which repeats exactly and so is what `make bench-diff` can hold
+// to the last unit on any host: backend runs and static cycles per
+// evaluation, and the scheduler's own block and spill-rewrite counts.
+// Those come from one more lap after the clock has stopped, because the
+// sched.* counters only count under an installed collector and the
+// timed loop must not pay for one.
 func BenchmarkEvaluate(b *testing.B) {
 	ev := NewEvaluator()
 	ev.Width = 48
@@ -47,6 +55,21 @@ func BenchmarkEvaluate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ev.EvaluateScratch(bm, archs[i%len(archs)], sc)
 	}
+	b.StopTimer()
+	col := obs.NewCollector()
+	obs.Install(col)
+	before := ev.Compilations.Load()
+	var cycles int64
+	for _, a := range archs {
+		cycles += ev.EvaluateScratch(bm, a, sc).Cycles
+	}
+	runs := ev.Compilations.Load() - before
+	obs.Install(nil)
+	lap := float64(len(archs))
+	b.ReportMetric(float64(runs)/lap, "runs/op")
+	b.ReportMetric(float64(cycles)/lap, "cycles/op")
+	b.ReportMetric(float64(col.Counter("sched.blocks_scheduled").Value()), "blocks_scheduled/lap")
+	b.ReportMetric(float64(col.Counter("sched.spill_rewritten").Value()), "spill_rewritten/lap")
 }
 
 // BenchmarkEvaluateDelta measures the steady-state neighbor
@@ -77,45 +100,12 @@ func BenchmarkEvaluateDelta(b *testing.B) {
 	}
 }
 
-// BenchmarkEvaluateWarmCache measures the cache hit path as a fresh
-// process would see it: a new evaluator per iteration (so the
-// kernel-class hash is recomputed) resolving evaluations from a shared
-// warm cache.
-func BenchmarkEvaluateWarmCache(b *testing.B) {
-	cache, err := evcache.Open("")
-	if err != nil {
-		b.Fatal(err)
-	}
-	bm := bench.ByName("G")
-	archs := exploreBenchArchs()
-	warmer := NewEvaluator()
-	warmer.Width = 48
-	warmer.Cache = cache
-	for _, a := range archs {
-		warmer.Evaluate(bm, a)
-	}
-	if cache.Stats().Misses == 0 {
-		b.Fatal("cache never filled")
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ev := NewEvaluator()
-		ev.Width = 48
-		ev.Cache = cache
-		evl := ev.Evaluate(bm, archs[i%len(archs)])
-		if evl.Failed && evl.Cycles != 0 {
-			b.Fatal("inconsistent cached evaluation")
-		}
-	}
-}
-
-// BenchmarkExploreOpsSubset is BenchmarkExploreSubset's op-aware twin:
-// the same subspace crossed with a fixed two-op catalog (the paper's
-// MAC plus an add-add chain), so every iteration pays the pattern
-// rewrite, the custom-unit scheduling path, and the doubled grid. The
-// catalog is pinned rather than mined so the measurement tracks the
-// explorer, not the miner.
+// BenchmarkExploreOpsSubset explores the benchmark subspace crossed
+// with a fixed two-op catalog (the paper's MAC plus an add-add chain)
+// end to end, every caching layer on, so each iteration pays the
+// pattern rewrite, the custom-unit scheduling path and the doubled
+// grid. The catalog is pinned rather than mined so the measurement
+// tracks the explorer, not the miner.
 func BenchmarkExploreOpsSubset(b *testing.B) {
 	set, err := machine.ParseOpCatalog([]string{
 		"mac/3/2:mul $0 $1;add %0 $2",
@@ -125,31 +115,6 @@ func BenchmarkExploreOpsSubset(b *testing.B) {
 		b.Fatal(err)
 	}
 	archs := machine.CrossOps(exploreBenchArchs(), set, machine.DefaultMasks(set))
-	benches := []*bench.Benchmark{bench.ByName("G")}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e := NewExplorer()
-		e.Archs = archs
-		e.Width = 48
-		e.Benchmarks = benches
-		res, err := e.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(float64(len(archs)*len(benches)), "evals")
-			b.ReportMetric(float64(res.Stats.Runs), "runs")
-		}
-	}
-}
-
-// BenchmarkExploreSubset measures end-to-end exploration wall time over
-// a fixed subspace, including prepare, the cross-architecture caching
-// layers, and speedup post-processing — the number trajectory tracked
-// across PRs in BENCH_explore.json.
-func BenchmarkExploreSubset(b *testing.B) {
-	archs := exploreBenchArchs()
 	benches := []*bench.Benchmark{bench.ByName("G")}
 	b.ReportAllocs()
 	b.ResetTimer()

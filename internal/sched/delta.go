@@ -108,13 +108,13 @@ type deltaState struct {
 	pl     *Placement
 	lv     *opt.Liveness
 	info   []blockInfo
-	shared bool // pristine single-cluster: reuse Prepared's skeletons
+	shared bool      // pristine single-cluster: reuse Prepared's skeletons
+	skels  skelCache // of g's blocks, when !shared
 
 	mu       sync.Mutex
 	nextID   uint32
 	blocks   [][]blockEntry
 	blockPos []int
-	skels    map[int]*skelSet // own per-L2Lat skeletons when !shared
 	allocs   []allocEntry
 	allocPos int
 }
@@ -189,23 +189,7 @@ func (ds *deltaState) skeletons(p *Prepared, arch machine.Arch) []*ddg.Skeleton 
 	if ds.shared {
 		return p.skeletons(arch)
 	}
-	ds.mu.Lock()
-	if ds.skels == nil {
-		ds.skels = make(map[int]*skelSet)
-	}
-	s := ds.skels[arch.L2Lat]
-	if s == nil {
-		s = &skelSet{}
-		ds.skels[arch.L2Lat] = s
-	}
-	ds.mu.Unlock()
-	s.once.Do(func() {
-		s.blocks = make([]*ddg.Skeleton, len(ds.g.Blocks))
-		for i, b := range ds.g.Blocks {
-			s.blocks[i] = ddg.BuildSkeleton(b, arch)
-		}
-	})
-	return s.blocks
+	return ds.skels.get(ds.g, arch)
 }
 
 // deltaParams are the arch-derived values a cached block entry is

@@ -26,8 +26,9 @@ import (
 type Prepared struct {
 	F *ir.Func
 
+	skels skelCache // of F's pristine blocks
+
 	mu     sync.Mutex
-	skels  map[int]*skelSet         // L2 latency class -> per-block skeletons
 	deltas map[deltaKey]*deltaState // partition class -> delta-compile cache
 
 	// Per-block operation-class tallies for LowerBound, built once on
@@ -36,12 +37,41 @@ type Prepared struct {
 	counts     []opCounts
 }
 
-// skelSet carries per-key once semantics so two workers racing on a
-// cold latency class build it exactly once without holding the cache
-// lock during construction.
+// skelCache holds one function's per-block dependence skeletons, one
+// set per L2 latency class. Each set carries its own once, so two
+// workers racing on a cold latency class build it exactly once without
+// holding the cache lock during construction.
+type skelCache struct {
+	mu   sync.Mutex
+	sets map[int]*skelSet
+}
+
 type skelSet struct {
 	once   sync.Once
 	blocks []*ddg.Skeleton
+}
+
+// get returns the skeletons of f's blocks for arch's latency class,
+// building them on first use. Every call on one cache must pass the
+// same, no longer mutated f.
+func (c *skelCache) get(f *ir.Func, arch machine.Arch) []*ddg.Skeleton {
+	c.mu.Lock()
+	if c.sets == nil {
+		c.sets = make(map[int]*skelSet)
+	}
+	s := c.sets[arch.L2Lat]
+	if s == nil {
+		s = &skelSet{}
+		c.sets[arch.L2Lat] = s
+	}
+	c.mu.Unlock()
+	s.once.Do(func() {
+		s.blocks = make([]*ddg.Skeleton, len(f.Blocks))
+		for i, b := range f.Blocks {
+			s.blocks[i] = ddg.BuildSkeleton(b, arch)
+		}
+	})
+	return s.blocks
 }
 
 // NewPrepared wraps an optimized kernel for repeated compilation. The
@@ -50,24 +80,8 @@ func NewPrepared(f *ir.Func) *Prepared {
 	return &Prepared{F: f}
 }
 
-// skeletons returns the per-block dependence skeletons for arch's
-// latency class, building them on first use.
+// skeletons returns the per-block dependence skeletons of F for arch's
+// latency class.
 func (p *Prepared) skeletons(arch machine.Arch) []*ddg.Skeleton {
-	p.mu.Lock()
-	if p.skels == nil {
-		p.skels = make(map[int]*skelSet)
-	}
-	s := p.skels[arch.L2Lat]
-	if s == nil {
-		s = &skelSet{}
-		p.skels[arch.L2Lat] = s
-	}
-	p.mu.Unlock()
-	s.once.Do(func() {
-		s.blocks = make([]*ddg.Skeleton, len(p.F.Blocks))
-		for i, b := range p.F.Blocks {
-			s.blocks[i] = ddg.BuildSkeleton(b, arch)
-		}
-	})
-	return s.blocks
+	return p.skels.get(p.F, arch)
 }

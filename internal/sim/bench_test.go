@@ -17,6 +17,8 @@ import (
 // baseline and on a 4-cluster machine, at the width the end-to-end
 // benchmark simulates: short and long schedules, one and several
 // register files, L1-heavy spill code and L2 streaming in one figure.
+// cycles/op, the simulated cycles of the four programs, repeats exactly:
+// `make bench-diff` holds it and allocs/op to the last unit.
 func BenchmarkSimRun(b *testing.B) {
 	const width = 256
 	type run struct {
@@ -58,4 +60,5 @@ func BenchmarkSimRun(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds()/1e6, "Mcycles/s")
+	b.ReportMetric(float64(cycles)/float64(b.N), "cycles/op")
 }
