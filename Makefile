@@ -47,13 +47,17 @@ bench-smoke:
 bench-module:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-# Five seconds of native fuzzing on the parser that guards the fleet
-# cache tier (fleetcache.Handler's POST body): long enough to replay the
-# seed corpus and mutate it a few tens of thousands of times, short
-# enough for every `make check`. Findings land under
-# internal/fleetcache/testdata/fuzz/ and then fail plain `go test` too.
+# Five seconds of native fuzzing on each of the tree's two targets: the
+# parser that guards the fleet cache tier (fleetcache.Handler's POST
+# body), and the dependence-skeleton builder against the construction it
+# replaced (ddg.Builder vs internal/ddg/reference_test.go, on blocks
+# spelled by the bytes). Long enough to replay the seed corpus and
+# mutate it a few tens of thousands of times, short enough for every
+# `make check`. Findings land under the package's testdata/fuzz/ and
+# then fail plain `go test` too.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzHandlerPut$$' -fuzztime 5s ./internal/fleetcache/
+	$(GO) test -run '^$$' -fuzz '^FuzzSkeletonBuilder$$' -fuzztime 5s ./internal/ddg/
 
 # Extended verify: everything the tier-1 gate runs, plus vet,
 # staticcheck (when installed), the race pass, the benchmark smoke, the

@@ -86,12 +86,12 @@ func Occupancy(in *ir.Instr, arch machine.Arch) int {
 }
 
 // Build constructs the dependence graph for a block under the given
-// architecture's latencies. It is the pointer-form view of
-// BuildSkeleton; the scheduler consumes skeletons directly (optionally
-// cached per latency class), while the validator and tests use this
-// materialized form.
+// architecture's latencies. It is the pointer-form view of a skeleton;
+// the scheduler and the validator consume skeletons directly, tests and
+// the ablations use this materialized form.
 func Build(b *ir.Block, arch machine.Arch) *Graph {
-	return BuildSkeleton(b, arch).Materialize(b)
+	var bd Builder
+	return bd.Build(b, arch).Materialize(b)
 }
 
 // memDependence classifies the ordering constraint between two memory

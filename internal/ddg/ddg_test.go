@@ -181,7 +181,7 @@ func TestMemoryEdgesMatchAllPairs(t *testing.T) {
 				}
 				d, dep := memDependence(first, later)
 				got := -1
-				for _, e := range sk.Succs[m] {
+				for _, e := range sk.Succs(m) {
 					if e.To == i {
 						got = e.MinDelta
 					}

@@ -17,12 +17,18 @@ type SkelEdge struct {
 // heights are all keyed by instruction index. Because the only
 // architecture parameter the dependence rules read is the Level-2
 // latency (see Latency and Occupancy), a skeleton built once per
-// (block, L2Lat) class is valid for every architecture in that class
-// and can be shared across concurrent compiles — it is immutable after
-// construction.
+// (block, L2Lat) class is valid for every architecture in that class.
+//
+// A skeleton is four flat arrays and is never modified once built. One
+// returned by BuildSkeleton owns its arrays and can be cached and
+// shared across concurrent compiles; one returned by Builder.Build is a
+// view of the builder's arrays, gone with the builder's next Build.
 type Skeleton struct {
-	// Succs[i] lists i's forward dependence edges.
-	Succs [][]SkelEdge
+	// edges holds every forward dependence edge, grouped by source
+	// instruction in block order; off[i] and off[i+1] bound i's group.
+	// Within a group edges stand in ascending To.
+	edges []SkelEdge
+	off   []int32
 	// NPreds[i] is the number of incoming dependence edges of i.
 	NPreds []int
 	// Heights[i] is the latency-weighted critical-path distance from i
@@ -33,37 +39,118 @@ type Skeleton struct {
 	HasTerm bool
 }
 
+// Succs returns i's forward dependence edges: a view, read only.
+func (sk *Skeleton) Succs(i int) []SkelEdge {
+	return sk.edges[sk.off[i]:sk.off[i+1]]
+}
+
 // BuildSkeleton constructs the index-form dependence graph for a block
-// under the given architecture's latency class. The edge set and
-// heights are identical to Build's; Build is implemented on top of it.
+// under the given architecture's latency class, in memory of its own.
+// The edge set and heights are identical to Build's, which materializes
+// the same construction.
 func BuildSkeleton(b *ir.Block, arch machine.Arch) *Skeleton {
+	var bd Builder
+	sk := bd.Build(b, arch)
+	return &Skeleton{
+		edges:   append([]SkelEdge(nil), sk.edges...),
+		off:     append([]int32(nil), sk.off...),
+		NPreds:  append([]int(nil), sk.NPreds...),
+		Heights: append([]int(nil), sk.Heights...),
+		HasTerm: sk.HasTerm,
+	}
+}
+
+// indexBound bounds the constant-address index (see Builder): constant
+// addresses in [0, indexBound) are indexed, which covers every spill
+// slot and constant-table entry a kernel has; any other access is
+// compared the exhaustive way.
+const indexBound = 1 << 12
+
+// Builder builds skeletons into arrays it keeps, so a compile that
+// builds one skeleton per block per spill round allocates nothing once
+// the arrays have grown to its largest block. The zero value is ready
+// to use; a Builder is not safe for concurrent use.
+//
+// Every dependence rule emits edges into the instruction being visited,
+// so the edges out of one instruction are found in ascending To and a
+// repeated (from, to) pair can only repeat the newest edge out of from:
+// edges go into one pool in the order found, "keep the strongest
+// constraint between a pair" is one comparison, and a counting sort by
+// source packs the pool into the skeleton. Which earlier instruction a
+// rule visits first therefore never shows in the result.
+//
+// Memory operations are kept per array and kind, as only accesses to
+// one array can depend on each other and two loads never do. On top of
+// those lists sits the constant-address index: accesses whose address
+// is a constant in [0, indexBound) — Imm+Off, so every spill slot — are
+// also chained per address, and such an access is compared with its own
+// address's chain and with the accesses outside the index only.
+// That is exact, because disjoint proves two different constant
+// addresses independent; it turns the all-pairs comparison of a spill
+// round's spill$ traffic into one probe per access.
+type Builder struct {
+	sk Skeleton // the skeleton Build returns; its arrays are reused
+
+	pool []poolEdge
+	last []int32 // per instruction: 1 + its newest edge in pool, then the packing cursor
+
+	lastDef []int32 // per register: 1 + its latest definition
+	useHead []int32 // per register: 1 + the newest entry of uses reading it since
+	uses    []useLink
+
+	arrays   []arrayOps
+	sameAddr []int32 // per indexed access: 1 + the previous one of its array, kind and address
+}
+
+type poolEdge struct{ from, to, delta int32 }
+
+// useLink is one read of a register; next chains the earlier reads
+// since the register's last definition (1 + index into uses).
+type useLink struct{ node, next int32 }
+
+// Memory access kinds, indexing arrayOps's tables.
+const (
+	kindLoad = iota
+	kindStore
+)
+
+// arrayOps is the memory operations of one array seen so far, by kind.
+type arrayOps struct {
+	mem *ir.MemRef
+	all [2][]int32 // every access
+	off [2][]int32 // the accesses outside the constant-address index
+	at  [2][]int32 // per indexed address: 1 + the newest access there
+}
+
+// sized returns s resized to n zeroed entries, reusing its array.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// Build constructs b's skeleton under arch's latency class. The result
+// is valid until the next Build.
+func (bd *Builder) Build(b *ir.Block, arch machine.Arch) *Skeleton {
 	ins := b.Instrs
 	n := len(ins)
-	sk := &Skeleton{
-		Succs:   make([][]SkelEdge, n),
-		NPreds:  make([]int, n),
-		Heights: make([]int, n),
-	}
+	sk := &bd.sk
+	sk.off = sized(sk.off, n+1)
+	sk.NPreds = sized(sk.NPreds, n)
+	sk.Heights = sized(sk.Heights, n)
+	sk.edges = sk.edges[:0]
+	sk.HasTerm = false
 	if n == 0 {
 		return sk
 	}
-	addEdge := func(from, to, d int) {
-		// Keep only the strongest constraint between a pair.
-		succs := sk.Succs[from]
-		for i := range succs {
-			if succs[i].To == to {
-				if d > succs[i].MinDelta {
-					succs[i].MinDelta = d
-				}
-				return
-			}
-		}
-		sk.Succs[from] = append(succs, SkelEdge{To: to, MinDelta: d})
-		sk.NPreds[to]++
-	}
+	bd.pool = bd.pool[:0]
+	bd.last = sized(bd.last, n)
 
 	// Dense def/use tables sized by the largest register the block
-	// touches (maps here dominate graph-construction cost).
+	// touches.
 	maxReg := -1
 	for _, in := range ins {
 		for _, a := range in.Args {
@@ -75,17 +162,11 @@ func BuildSkeleton(b *ir.Block, arch machine.Arch) *Skeleton {
 			maxReg = int(in.Dest)
 		}
 	}
-	lastDef := make([]int, maxReg+1) // node index + 1; 0 = no def seen
-	lastUses := make([][]int, maxReg+1)
-	// Memory operations seen so far, per array and kind: only accesses
-	// to the same array can depend on each other, and two loads never
-	// do, so a load is compared against its array's stores alone. A
-	// kernel names a handful of arrays; a linear probe finds the list.
-	type arrayOps struct {
-		mem           *ir.MemRef
-		loads, stores []int
-	}
-	var arrays []arrayOps
+	bd.lastDef = sized(bd.lastDef, maxReg+1)
+	bd.useHead = sized(bd.useHead, maxReg+1)
+	bd.uses = bd.uses[:0]
+	bd.arrays = bd.arrays[:0]
+	bd.sameAddr = sized(bd.sameAddr, n)
 
 	for i, in := range ins {
 		// Register dependences.
@@ -93,59 +174,33 @@ func BuildSkeleton(b *ir.Block, arch machine.Arch) *Skeleton {
 			if !a.IsReg() {
 				continue
 			}
-			if def := lastDef[a.Reg]; def != 0 {
-				addEdge(def-1, i, Latency(ins[def-1], arch)) // true
+			if def := bd.lastDef[a.Reg]; def != 0 {
+				bd.addEdge(int(def-1), i, Latency(ins[def-1], arch)) // true
 			}
-			lastUses[a.Reg] = append(lastUses[a.Reg], i)
+			bd.uses = append(bd.uses, useLink{int32(i), bd.useHead[a.Reg]})
+			bd.useHead[a.Reg] = int32(len(bd.uses))
 		}
 		if in.Op.HasDest() {
 			r := in.Dest
-			if def := lastDef[r]; def != 0 {
+			if def := bd.lastDef[r]; def != 0 {
 				// Output: later def must commit strictly after earlier.
 				d := Latency(ins[def-1], arch) - Latency(in, arch) + 1
 				if d < 0 {
 					d = 0
 				}
-				addEdge(def-1, i, d)
+				bd.addEdge(int(def-1), i, d)
 			}
-			for _, u := range lastUses[r] {
-				if u != i {
-					addEdge(u, i, 0) // anti
+			for u := bd.useHead[r]; u != 0; u = bd.uses[u-1].next {
+				if node := int(bd.uses[u-1].node); node != i {
+					bd.addEdge(node, i, 0) // anti
 				}
 			}
-			lastDef[r] = i + 1
-			lastUses[r] = nil
+			bd.lastDef[r] = int32(i + 1)
+			bd.useHead[r] = 0
 		}
 		// Memory dependences.
 		if in.Op.IsMem() {
-			var ao *arrayOps
-			for k := range arrays {
-				if arrays[k].mem == in.Mem {
-					ao = &arrays[k]
-					break
-				}
-			}
-			if ao == nil {
-				arrays = append(arrays, arrayOps{mem: in.Mem})
-				ao = &arrays[len(arrays)-1]
-			}
-			// The edges out of one earlier operation land in its own
-			// successor list, so the order the earlier ones are visited
-			// in does not show in the graph.
-			earlier := func(ms []int) {
-				for _, m := range ms {
-					if d, dep := memDependence(ins[m], in); dep {
-						addEdge(m, i, d)
-					}
-				}
-			}
-			earlier(ao.stores)
-			if in.Op == ir.OpStore {
-				earlier(ao.loads)
-				ao.stores = append(ao.stores, i)
-			} else {
-				ao.loads = append(ao.loads, i)
-			}
+			bd.memEdges(ins, i)
 		}
 	}
 
@@ -162,8 +217,24 @@ func BuildSkeleton(b *ir.Block, arch machine.Arch) *Skeleton {
 			if occ := Occupancy(in, arch); occ-1 > d {
 				d = occ - 1
 			}
-			addEdge(i, n-1, d)
+			bd.addEdge(i, n-1, d)
 		}
+	}
+
+	// Pack the pool by source. addEdge left each instruction's edge
+	// count in off[i+1]; the scatter is stable, so a group keeps the
+	// order its edges were found in.
+	for i := 0; i < n; i++ {
+		bd.last[i] = sk.off[i]
+		sk.off[i+1] += sk.off[i]
+	}
+	if cap(sk.edges) < len(bd.pool) {
+		sk.edges = make([]SkelEdge, len(bd.pool))
+	}
+	sk.edges = sk.edges[:len(bd.pool)]
+	for _, e := range bd.pool {
+		sk.edges[bd.last[e.from]] = SkelEdge{To: int(e.to), MinDelta: int(e.delta)}
+		bd.last[e.from]++
 	}
 
 	// Latency-weighted critical-path heights by a reverse topological
@@ -174,7 +245,7 @@ func BuildSkeleton(b *ir.Block, arch machine.Arch) *Skeleton {
 		if !in.Op.HasDest() {
 			h = 1
 		}
-		for _, e := range sk.Succs[i] {
+		for _, e := range sk.Succs(i) {
 			if v := e.MinDelta + sk.Heights[e.To]; v > h {
 				h = v
 			}
@@ -182,6 +253,116 @@ func BuildSkeleton(b *ir.Block, arch machine.Arch) *Skeleton {
 		sk.Heights[i] = h
 	}
 	return sk
+}
+
+// addEdge records from → to at distance d, keeping only the strongest
+// constraint between a pair. Calls arrive in ascending to, so an
+// earlier edge between the pair is the newest edge out of from.
+func (bd *Builder) addEdge(from, to, d int) {
+	if k := bd.last[from]; k != 0 {
+		if e := &bd.pool[k-1]; int(e.to) == to {
+			if int32(d) > e.delta {
+				e.delta = int32(d)
+			}
+			return
+		}
+	}
+	bd.pool = append(bd.pool, poolEdge{int32(from), int32(to), int32(d)})
+	bd.last[from] = int32(len(bd.pool))
+	bd.sk.off[from+1]++
+	bd.sk.NPreds[to]++
+}
+
+// memEdges adds the edges into memory operation i from the earlier
+// operations on its array that it depends on, then files i with them.
+func (bd *Builder) memEdges(ins []*ir.Instr, i int) {
+	in := ins[i]
+	ao := bd.array(in.Mem)
+	kind := kindLoad
+	if in.Op == ir.OpStore {
+		kind = kindStore
+	}
+	// addr is the access's address inside the index, -1 outside it.
+	addr := -1
+	if a := in.Args[0]; a.IsImm() {
+		// int32 arithmetic, wrapping as disjoint's does.
+		if c := a.Imm + in.Off; c >= 0 && c < indexBound {
+			addr = int(c)
+		}
+	}
+	// A load depends on earlier stores alone, a store on both kinds.
+	bd.earlier(ins, ao, kindStore, addr, i)
+	if kind == kindStore {
+		bd.earlier(ins, ao, kindLoad, addr, i)
+	}
+	ao.all[kind] = append(ao.all[kind], int32(i))
+	if addr < 0 {
+		ao.off[kind] = append(ao.off[kind], int32(i))
+		return
+	}
+	at := ao.at[kind]
+	if addr >= len(at) {
+		// Extend with zeroes: the table may hold an earlier block's.
+		if addr >= cap(at) {
+			at = append(make([]int32, 0, 2*(addr+1)), at...)
+		}
+		old := len(at)
+		at = at[:addr+1]
+		clear(at[old:])
+		ao.at[kind] = at
+	}
+	bd.sameAddr[i] = at[addr]
+	at[addr] = int32(i + 1)
+}
+
+// earlier adds the edges into memory operation i, at indexed address
+// addr or outside the index (-1), from the accesses of one kind before
+// it on its array: all of them for an access outside the index, else
+// those at its address and those outside the index.
+func (bd *Builder) earlier(ins []*ir.Instr, ao *arrayOps, kind, addr, i int) {
+	ms := ao.all[kind]
+	if addr >= 0 {
+		ms = ao.off[kind]
+		if at := ao.at[kind]; addr < len(at) {
+			for m := at[addr]; m != 0; m = bd.sameAddr[m-1] {
+				bd.dependOn(ins, int(m-1), i)
+			}
+		}
+	}
+	for _, m := range ms {
+		bd.dependOn(ins, int(m), i)
+	}
+}
+
+// dependOn adds the edge from memory operation m into the later i, if
+// the two are ordered at all.
+func (bd *Builder) dependOn(ins []*ir.Instr, m, i int) {
+	if d, dep := memDependence(ins[m], ins[i]); dep {
+		bd.addEdge(m, i, d)
+	}
+}
+
+// array returns the record of the block's accesses to m. A kernel names
+// a handful of arrays; a linear probe finds the record.
+func (bd *Builder) array(m *ir.MemRef) *arrayOps {
+	for k := range bd.arrays {
+		if bd.arrays[k].mem == m {
+			return &bd.arrays[k]
+		}
+	}
+	if k := len(bd.arrays); k < cap(bd.arrays) {
+		bd.arrays = bd.arrays[:k+1] // an earlier block's record, for its arrays
+	} else {
+		bd.arrays = append(bd.arrays, arrayOps{})
+	}
+	ao := &bd.arrays[len(bd.arrays)-1]
+	ao.mem = m
+	for kind := range ao.all {
+		ao.all[kind] = ao.all[kind][:0]
+		ao.off[kind] = ao.off[kind][:0]
+		ao.at[kind] = ao.at[kind][:0]
+	}
+	return ao
 }
 
 // Materialize expands the skeleton into a pointer-form Graph over the
@@ -194,9 +375,8 @@ func (sk *Skeleton) Materialize(b *ir.Block) *Graph {
 	for i, in := range b.Instrs {
 		g.Nodes[i] = &Node{Index: i, Instr: in, Height: sk.Heights[i]}
 	}
-	for i, succs := range sk.Succs {
-		from := g.Nodes[i]
-		for _, e := range succs {
+	for i, from := range g.Nodes {
+		for _, e := range sk.Succs(i) {
 			to := g.Nodes[e.To]
 			from.Succs = append(from.Succs, Edge{To: to, MinDelta: e.MinDelta})
 			to.Preds = append(to.Preds, Edge{To: from, MinDelta: e.MinDelta})

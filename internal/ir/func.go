@@ -192,22 +192,26 @@ func (f *Func) RemoveUnreachable() int {
 // CloneShell clones the function's header — parameters, memory
 // references, register/block counters and loop metadata — plus empty
 // same-named blocks, returning the new function and the old→new block
-// mapping. Callers fill each block's instruction list (remapping branch
-// targets through the map) and then call ComputeCFG; see Clone for the
-// plain deep copy and sched.PartitionClone for a fused fill.
+// mapping. Callers fill each block's instruction list (cloning through
+// a Slab, which remaps branch targets through the map) and then call
+// ComputeCFG; see Clone for the plain deep copy and
+// sched.PartitionClone for a fused fill.
 func (f *Func) CloneShell() (*Func, map[*Block]*Block) {
 	nf := &Func{
 		Name:    f.Name,
 		Params:  append([]Param(nil), f.Params...),
 		Mems:    append([]*MemRef(nil), f.Mems...),
+		Blocks:  make([]*Block, len(f.Blocks)),
 		nextReg: f.nextReg,
 		nextBlk: f.nextBlk,
 	}
+	blocks := make([]Block, len(f.Blocks))
 	bmap := make(map[*Block]*Block, len(f.Blocks))
-	for _, b := range f.Blocks {
-		nb := &Block{Name: b.Name}
+	for i, b := range f.Blocks {
+		nb := &blocks[i]
+		nb.Name = b.Name
 		bmap[b] = nb
-		nf.Blocks = append(nf.Blocks, nb)
+		nf.Blocks[i] = nb
 	}
 	if f.Loop != nil {
 		nf.Loop = f.Loop.remap(bmap)
@@ -215,20 +219,76 @@ func (f *Func) CloneShell() (*Func, map[*Block]*Block) {
 	return nf, bmap
 }
 
+// Slab is the storage behind one cloned function's instructions: three
+// arrays sized for all of them, so cloning costs a constant number of
+// allocations instead of two per instruction. It is heap memory that
+// belongs to the clone — the instructions point into it and keep it
+// alive — and never part of a reusable arena: compile results, their
+// scheduled ops and cached partition classes hold on to cloned
+// instructions long after the call that made them.
+type Slab struct {
+	instrs  []Instr
+	args    []Operand
+	targets []*Block
+}
+
+// NewSlab returns a slab with room to clone each of f's instructions
+// once.
+func (f *Func) NewSlab() Slab {
+	var instrs, args, targets int
+	for _, b := range f.Blocks {
+		instrs += len(b.Instrs)
+		for _, in := range b.Instrs {
+			args += len(in.Args)
+			targets += len(in.Targets)
+		}
+	}
+	return Slab{
+		instrs:  make([]Instr, 0, instrs),
+		args:    make([]Operand, 0, args),
+		targets: make([]*Block, 0, targets),
+	}
+}
+
+// Clone is Instr.Clone into the slab, with the copy's branch targets
+// remapped through bmap. The copy's Args and Targets are cut to their
+// length, so appending to one cannot reach a neighbour's, and are nil
+// when empty, as Instr.Clone leaves them. Cloning more than the slab
+// was sized for panics.
+func (s *Slab) Clone(in *Instr, bmap map[*Block]*Block) *Instr {
+	n := len(s.instrs)
+	s.instrs = s.instrs[:n+1]
+	cp := &s.instrs[n]
+	*cp = *in
+	cp.Args, cp.Targets = nil, nil
+	if k := len(in.Args); k > 0 {
+		n := len(s.args)
+		s.args = s.args[:n+k]
+		cp.Args = s.args[n : n+k : n+k]
+		copy(cp.Args, in.Args)
+	}
+	if k := len(in.Targets); k > 0 {
+		n := len(s.targets)
+		s.targets = s.targets[:n+k]
+		cp.Targets = s.targets[n : n+k : n+k]
+		for i, t := range in.Targets {
+			cp.Targets[i] = bmap[t]
+		}
+	}
+	return cp
+}
+
 // Clone returns a deep copy of the function. MemRefs are shared (they
 // are identity objects naming storage, not mutable state).
 func (f *Func) Clone() *Func {
 	nf, bmap := f.CloneShell()
+	slab := f.NewSlab()
 	for i, b := range f.Blocks {
-		nb := nf.Blocks[i]
-		nb.Instrs = make([]*Instr, 0, len(b.Instrs))
-		for _, in := range b.Instrs {
-			cp := in.Clone()
-			for j, t := range cp.Targets {
-				cp.Targets[j] = bmap[t]
-			}
-			nb.Instrs = append(nb.Instrs, cp)
+		instrs := make([]*Instr, len(b.Instrs))
+		for j, in := range b.Instrs {
+			instrs[j] = slab.Clone(in, bmap)
 		}
+		nf.Blocks[i].Instrs = instrs
 	}
 	nf.ComputeCFG()
 	return nf

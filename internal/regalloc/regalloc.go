@@ -10,6 +10,8 @@
 package regalloc
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"customfit/internal/ir"
@@ -228,7 +230,7 @@ func allocate(prog *vliw.Program, lv *opt.Liveness, sc *Scratch, res *Result) {
 		ops := sb.Ops
 		hi := len(ops)
 		// Backward sweep seeded with the block's live-out set.
-		_, liveOut := lv.Sets(sb.IR)
+		liveIn, liveOut := lv.Sets(sb.IR)
 		opt.EachReg(liveOut, func(r ir.Reg) { addLive(r, b0+sb.Len) })
 		for t := sb.Len - 1; t >= 0; t-- {
 			at := b0 + t
@@ -276,13 +278,12 @@ func allocate(prog *vliw.Program, lv *opt.Liveness, sc *Scratch, res *Result) {
 				}
 			}
 		}
-		// Anything still live at block start is live-in; close its
-		// segment at the block's first cycle.
-		for r := ir.Reg(0); int(r) < nregs; r++ {
-			if isLive[r] {
-				dropLive(r, b0)
-			}
-		}
+		// Anything still live at block start is live-in: the sweep
+		// leaves a register live there only if its earliest read in the
+		// schedule has no definition before it, and a schedule issues a
+		// definition before every instruction that reads it. So close
+		// the segments of that set at the block's first cycle.
+		opt.EachReg(liveIn, func(r ir.Reg) { dropLive(r, b0) })
 		b0 += sb.Len + 1
 	}
 
@@ -299,7 +300,11 @@ func allocate(prog *vliw.Program, lv *opt.Liveness, sc *Scratch, res *Result) {
 			continue
 		}
 		segs := segments[r]
-		sort.Slice(segs, func(i, j int) bool { return segs[i].Start < segs[j].Start })
+		// Most registers live in one segment. Equal starts may land in
+		// either order: the merge below takes the larger end anyway.
+		if len(segs) > 1 {
+			slices.SortFunc(segs, func(a, b Segment) int { return cmp.Compare(a.Start, b.Start) })
+		}
 		merged := segs[:1]
 		for _, sg := range segs[1:] {
 			last := &merged[len(merged)-1]

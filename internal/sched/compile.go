@@ -109,12 +109,12 @@ func runRound(csp *obs.Span, prep *Prepared, arch machine.Arch, sc *Scratch, wor
 		// 0 on every instruction — idempotent, so the work copy is
 		// scheduled in place with no per-iteration clone at all.
 		g = work
-		pl = Partition(g, arch)
+		pl = partition(g, g, nil, arch, &sc.part)
 	} else {
 		// Clustered machines rewrite the instruction stream (copy
 		// insertion, operand localization), so partitioning clones:
 		// one fused pass instead of Clone followed by Partition.
-		g, pl = PartitionClone(work, arch)
+		g, pl = partitionClone(work, arch, &sc.part)
 	}
 	psp.End()
 	// The cached skeletons describe prep.F's pristine blocks, so they

@@ -11,49 +11,68 @@ import (
 )
 
 // TestCompilePreparedConcurrentSharing drives the explorer's sharing
-// contract: one Prepared kernel shared by many goroutines, each with a
+// contract: Prepared kernels shared by many goroutines, each with a
 // private Scratch arena, across architectures that hit every skeleton
 // path (cached single-cluster, clustered, spilling). Every concurrent
 // compile must reproduce the serial Result exactly. `make race` runs
-// this under the race detector to vet the skeleton singleflight.
+// this under the race detector to vet the skeleton singleflight, and —
+// through the last cell, a clustered machine that needs three spill
+// rounds at unroll 4 — workers reading the cached, owned skeletons of a
+// kernel while each builds the later rounds' into its own Scratch.
 func TestCompilePreparedConcurrentSharing(t *testing.T) {
 	fn, err := cc.CompileKernel(pipeSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := opt.Prepare(fn, 2)
-	if err != nil {
-		t.Fatal(err)
+	type cell struct {
+		unroll int
+		arch   machine.Arch
 	}
+	var cells []cell
+	for _, arch := range testArchs {
+		cells = append(cells, cell{2, arch})
+	}
+	spilling := cell{4, machine.Arch{ALUs: 8, MULs: 2, Regs: 32, L2Ports: 1, L2Lat: 4, Clusters: 4}}
+	cells = append(cells, cell{4, machine.Baseline}, spilling)
 
 	type shape struct{ spilled, iters, bundles, ops int }
-	ref := map[machine.Arch]shape{}
-	for _, arch := range testArchs {
-		res, err := Compile(g, arch)
-		if err != nil {
-			t.Fatalf("serial Compile %s: %v", arch, err)
+	ref := map[cell]shape{}
+	preps := map[int]*Prepared{}
+	for _, c := range cells {
+		if preps[c.unroll] == nil {
+			g, err := opt.Prepare(fn, c.unroll)
+			if err != nil {
+				t.Fatal(err)
+			}
+			preps[c.unroll] = NewPrepared(g)
 		}
-		ref[arch] = shape{res.Spilled, res.Iterations, res.Prog.BundleCount(), res.Prog.OpCount()}
+		res, err := Compile(preps[c.unroll].F, c.arch)
+		if err != nil {
+			t.Fatalf("serial Compile u=%d %s: %v", c.unroll, c.arch, err)
+		}
+		ref[c] = shape{res.Spilled, res.Iterations, res.Prog.BundleCount(), res.Prog.OpCount()}
+	}
+	if got := ref[spilling].iters; got < 4 {
+		t.Fatalf("u=%d %s took %d rounds; the test needs a cell with at least 3 spill rounds", spilling.unroll, spilling.arch, got)
 	}
 
-	prep := NewPrepared(g)
 	const workers = 8
-	errs := make(chan error, workers*len(testArchs))
+	errs := make(chan error, workers*len(cells))
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			sc := NewScratch()
-			for _, arch := range testArchs {
-				res, err := CompilePrepared(nil, prep, arch, sc)
+			for _, c := range cells {
+				res, err := CompilePrepared(nil, preps[c.unroll], c.arch, sc)
 				if err != nil {
-					errs <- fmt.Errorf("concurrent compile %s: %v", arch, err)
+					errs <- fmt.Errorf("concurrent compile u=%d %s: %v", c.unroll, c.arch, err)
 					continue
 				}
 				got := shape{res.Spilled, res.Iterations, res.Prog.BundleCount(), res.Prog.OpCount()}
-				if got != ref[arch] {
-					errs <- fmt.Errorf("%s: concurrent result %+v, serial %+v", arch, got, ref[arch])
+				if got != ref[c] {
+					errs <- fmt.Errorf("u=%d %s: concurrent result %+v, serial %+v", c.unroll, c.arch, got, ref[c])
 				}
 			}
 		}()

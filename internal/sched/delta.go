@@ -121,7 +121,7 @@ type deltaState struct {
 
 // delta returns the state for arch's partition class, building it on
 // first use (once per class, off the cache lock).
-func (p *Prepared) delta(arch machine.Arch) *deltaState {
+func (p *Prepared) delta(arch machine.Arch, sc *Scratch) *deltaState {
 	key := deltaKey{clusters: arch.Clusters, minmax: arch.MinMax, ops: arch.Ops.Key()}
 	p.mu.Lock()
 	if p.deltas == nil {
@@ -133,7 +133,7 @@ func (p *Prepared) delta(arch machine.Arch) *deltaState {
 		p.deltas[key] = ds
 	}
 	p.mu.Unlock()
-	ds.once.Do(func() { ds.build(p.F, arch) })
+	ds.once.Do(func() { ds.build(p.F, arch, sc) })
 	return ds
 }
 
@@ -142,13 +142,13 @@ func (p *Prepared) delta(arch machine.Arch) *deltaState {
 // ops and fuse min/max, partition. The clone keeps every per-compile
 // mutation off the shared Prepared (Partition stamps clusters in place,
 // and ComputeLiveness recomputes the CFG).
-func (ds *deltaState) build(src *ir.Func, arch machine.Arch) {
+func (ds *deltaState) build(src *ir.Func, arch machine.Arch, sc *Scratch) {
 	work := lowerFor(src, arch)
 	if arch.Clusters <= 1 {
 		ds.g = work
-		ds.pl = Partition(work, arch)
+		ds.pl = partition(work, work, nil, arch, &sc.part)
 	} else {
-		ds.g, ds.pl = PartitionClone(work, arch)
+		ds.g, ds.pl = partitionClone(work, arch, &sc.part)
 	}
 	ds.shared = arch.Clusters <= 1 && !arch.MinMax && arch.Ops.Empty()
 	ds.lv = opt.ComputeLiveness(ds.g)
@@ -337,7 +337,7 @@ func CompilePreparedDelta(sp *obs.Span, prep *Prepared, arch machine.Arch, sc *S
 	if sc == nil {
 		sc = NewScratch()
 	}
-	ds := prep.delta(arch)
+	ds := prep.delta(arch, sc)
 	params := deltaParams{
 		aluPC:   arch.ALUsPC(),
 		mulPC:   arch.MULsPC(),

@@ -54,7 +54,7 @@ const balanceWeight = 8
 // parameters arrive on cluster 0; the branch unit (and so every branch
 // condition) lives on cluster 0.
 func Partition(f *ir.Func, arch machine.Arch) *Placement {
-	return partition(f, f, nil, arch)
+	return partition(f, f, nil, arch, new(partScratch))
 }
 
 // PartitionClone partitions a copy of src, leaving src untouched: the
@@ -63,25 +63,69 @@ func Partition(f *ir.Func, arch machine.Arch) *Placement {
 // in-place Partition — the compile driver's per-spill-iteration path
 // for clustered machines.
 func PartitionClone(src *ir.Func, arch machine.Arch) (*ir.Func, *Placement) {
+	return partitionClone(src, arch, new(partScratch))
+}
+
+// partitionClone is PartitionClone working in the caller's tables.
+func partitionClone(src *ir.Func, arch machine.Arch, ps *partScratch) (*ir.Func, *Placement) {
 	nf, bmap := src.CloneShell()
-	pl := partition(src, nf, bmap, arch)
+	pl := partition(src, nf, bmap, arch, ps)
 	nf.ComputeCFG()
 	return nf, pl
+}
+
+// partScratch is the partitioner's working state, kept in the Scratch:
+// tables indexed by the source function's registers where maps keyed by
+// them used to be rebuilt for every block.
+type partScratch struct {
+	// Per function. home is 1 + the register's home cluster, 0 while
+	// it has none; fixed marks the registers live into some block.
+	home  []int32
+	fixed []bool
+
+	// Per block, zero between blocks: touched lists the registers whose
+	// remaining or isLive entry a block wrote, a block's own moves name
+	// its copies entries (1 + index into moves, at [r*clusters+c]), and
+	// every pending load is resolved by the end of its block.
+	remaining    []int32
+	isLive       []bool
+	touched      []ir.Reg
+	copies       []int32
+	pending      []*ir.Instr
+	pendingOrder []ir.Reg
+	load         []int
+	memLoad      []int
+	liveCnt      []int
+	out          []*ir.Instr
+
+	// moves lists the inter-cluster copies inserted so far. They become
+	// instructions only when the last block is done and their number is
+	// known (see partition); until then each is a hole in its block.
+	moves []xmove
+}
+
+// xmove is one inserted copy: dest = xmov src, executing on cluster,
+// standing at position pos of block blk.
+type xmove struct {
+	blk, pos  int32
+	dest, src ir.Reg
+	cluster   int16
 }
 
 // partition runs the partitioner reading src's blocks and writing dst's
 // (dst == src for the in-place form). bmap, non-nil only in clone mode,
 // remaps cloned branch targets into dst.
-func partition(src, dst *ir.Func, bmap map[*ir.Block]*ir.Block, arch machine.Arch) *Placement {
-	p := &partitioner{
-		f:     dst,
-		bmap:  bmap,
-		nc:    arch.Clusters,
-		pl:    &Placement{},
-		homed: map[ir.Reg]bool{},
-		fixed: map[ir.Reg]bool{},
+//
+// A clone's instructions live in two kinds of slab, never in heap
+// objects of their own: the copies of src's in an ir.Slab sized before
+// the first block, the inserted moves in a pair of arrays sized after
+// the last. So partitioning allocates per block, not per instruction.
+func partition(src, dst *ir.Func, bmap map[*ir.Block]*ir.Block, arch machine.Arch, ps *partScratch) *Placement {
+	p := &partitioner{partScratch: ps, f: dst, bmap: bmap, nc: arch.Clusters}
+	if bmap != nil {
+		p.slab = src.NewSlab()
 	}
-	p.pl.RegCluster = make([]int, src.NumRegs())
+	nregs := src.NumRegs()
 	if p.nc <= 1 {
 		for bi, b := range src.Blocks {
 			if bmap == nil {
@@ -90,40 +134,59 @@ func partition(src, dst *ir.Func, bmap map[*ir.Block]*ir.Block, arch machine.Arc
 				}
 				continue
 			}
-			nb := dst.Blocks[bi]
-			nb.Instrs = make([]*ir.Instr, 0, len(b.Instrs))
-			for _, in := range b.Instrs {
-				cp := p.emitCopy(in)
-				cp.Cluster = 0
-				nb.Instrs = append(nb.Instrs, cp)
+			instrs := make([]*ir.Instr, len(b.Instrs))
+			for i, in := range b.Instrs {
+				instrs[i] = p.emitCopy(in)
+				instrs[i].Cluster = 0
 			}
+			dst.Blocks[bi].Instrs = instrs
 		}
-		return p.pl
+		return &Placement{RegCluster: make([]int, nregs)}
 	}
+	grow(&p.home, nregs)
+	grow(&p.fixed, nregs)
+	grow(&p.remaining, nregs)
+	grow(&p.isLive, nregs)
+	grow(&p.copies, nregs*p.nc)
+	grow(&p.pending, nregs)
+	p.moves = p.moves[:0]
 	lv := opt.ComputeLiveness(src)
 	for _, b := range src.Blocks {
-		for r := ir.Reg(0); int(r) < src.NumRegs(); r++ {
-			if lv.LiveIn(b, r) {
-				p.fixed[r] = true
-			}
-		}
+		liveIn, _ := lv.Sets(b)
+		opt.EachReg(liveIn, func(r ir.Reg) { p.fixed[r] = true })
 	}
 	for _, prm := range src.Params {
 		p.setHome(prm.Reg, 0)
 	}
 	for bi, b := range src.Blocks {
-		p.block(b, dst.Blocks[bi])
+		p.block(bi, b)
 	}
-	return p.pl
+
+	regCluster := make([]int, dst.NumRegs())
+	for r, h := range p.home {
+		if h != 0 {
+			regCluster[r] = int(h - 1)
+		}
+	}
+	if len(p.moves) > 0 {
+		instrs := make([]ir.Instr, len(p.moves))
+		args := make([]ir.Operand, len(p.moves))
+		for k, m := range p.moves {
+			args[k] = ir.R(m.src)
+			instrs[k] = ir.Instr{Op: ir.OpXMov, Dest: m.dest, Args: args[k : k+1 : k+1], Cluster: m.cluster}
+			dst.Blocks[m.blk].Instrs[m.pos] = &instrs[k]
+			regCluster[m.dest] = int(m.cluster)
+		}
+	}
+	return &Placement{RegCluster: regCluster}
 }
 
 type partitioner struct {
-	f     *ir.Func
-	bmap  map[*ir.Block]*ir.Block // nil when partitioning in place
-	nc    int
-	pl    *Placement
-	homed map[ir.Reg]bool
-	fixed map[ir.Reg]bool
+	*partScratch
+	f    *ir.Func
+	bmap map[*ir.Block]*ir.Block // nil when partitioning in place
+	slab ir.Slab                 // the clone's instructions, in clone mode
+	nc   int
 }
 
 // emitCopy clones in for the output function in clone mode (remapping
@@ -132,47 +195,38 @@ func (p *partitioner) emitCopy(in *ir.Instr) *ir.Instr {
 	if p.bmap == nil {
 		return in
 	}
-	cp := in.Clone()
-	for i, t := range cp.Targets {
-		cp.Targets[i] = p.bmap[t]
-	}
-	return cp
+	return p.slab.Clone(in, p.bmap)
 }
 
 func (p *partitioner) setHome(r ir.Reg, c int) {
-	for int(r) >= len(p.pl.RegCluster) {
-		p.pl.RegCluster = append(p.pl.RegCluster, 0)
-	}
-	p.pl.RegCluster[r] = c
-	p.homed[r] = true
+	p.home[r] = int32(c + 1)
 }
 
 func (p *partitioner) homeOf(r ir.Reg) (int, bool) {
-	if !p.homed[r] {
-		return 0, false
-	}
-	return p.pl.RegCluster[r], true
+	h := p.home[r]
+	return int(h - 1), h != 0
 }
 
-type copyKey struct {
-	r ir.Reg
-	c int
-}
-
-func (p *partitioner) block(b, dst *ir.Block) {
-	load := make([]int, p.nc)
-	memLoad := make([]int, p.nc)
-	copies := map[copyKey]ir.Reg{}
-	var out []*ir.Instr
+// block partitions b, block bi of the source, into block bi of p.f.
+func (p *partitioner) block(bi int, b *ir.Block) {
+	nc := p.nc
+	load := grow(&p.load, nc)
+	memLoad := grow(&p.memLoad, nc)
+	copies := p.copies
+	firstMove := len(p.moves)
+	out := p.out[:0]
 
 	// Live-value estimate per cluster, maintained in program order, so
 	// placement balances register pressure as well as issue slots.
-	liveCnt := make([]int, p.nc)
-	remaining := map[ir.Reg]int{}
-	isLive := map[ir.Reg]bool{}
+	liveCnt := grow(&p.liveCnt, nc)
+	remaining, isLive := p.remaining, p.isLive
+	touched := p.touched[:0]
 	for _, in := range b.Instrs {
 		for _, a := range in.Args {
 			if a.IsReg() {
+				if remaining[a.Reg] == 0 {
+					touched = append(touched, a.Reg)
+				}
 				remaining[a.Reg]++
 			}
 		}
@@ -194,6 +248,7 @@ func (p *partitioner) block(b, dst *ir.Block) {
 			return
 		}
 		isLive[r] = true
+		touched = append(touched, r)
 		liveCnt[c]++
 	}
 
@@ -203,14 +258,14 @@ func (p *partitioner) block(b, dst *ir.Block) {
 	// the consumer's cluster avoids a long-lived cross-cluster copy —
 	// critical under register pressure, when these loads are exactly
 	// the values being staged through memory.
-	pending := map[ir.Reg]*ir.Instr{}
-	var pendingOrder []ir.Reg // deterministic end-of-block resolution
+	pending := p.pending
+	pendingOrder := p.pendingOrder[:0] // deterministic end-of-block resolution
 	resolvePending := func(r ir.Reg, c int) {
-		ld, ok := pending[r]
-		if !ok {
+		ld := pending[r]
+		if ld == nil {
 			return
 		}
-		delete(pending, r)
+		pending[r] = nil
 		p.setHome(r, c)
 		ld.Cluster = int16(c)
 		memLoad[c]++
@@ -228,32 +283,28 @@ func (p *partitioner) block(b, dst *ir.Block) {
 		if src == c {
 			return a
 		}
-		if cp, ok := copies[copyKey{a.Reg, c}]; ok {
-			return ir.R(cp)
+		if k := copies[int(a.Reg)*nc+c]; k != 0 {
+			return ir.R(p.moves[k-1].dest)
 		}
 		nr := p.f.NewReg()
-		p.setHome(nr, c)
-		mv := ir.NewInstr(ir.OpXMov, nr, ir.R(a.Reg))
-		mv.Cluster = int16(c)
-		out = append(out, mv)
-		copies[copyKey{a.Reg, c}] = nr
-		load[src]++ // the move occupies an issue slot on the source cluster
-		noteDef(nr, c)
+		p.moves = append(p.moves, xmove{int32(bi), int32(len(out)), nr, a.Reg, int16(c)})
+		out = append(out, nil) // the move's place, see partition
+		copies[int(a.Reg)*nc+c] = int32(len(p.moves))
+		load[src]++  // the move occupies an issue slot on the source cluster
+		liveCnt[c]++ // nr is fresh, and nothing below asks about it again
 		return ir.R(nr)
 	}
 
 	chooseCluster := func(args []ir.Operand, isMem bool) int {
 		best, bestCost := 0, int(^uint(0)>>1)
-		for c := 0; c < p.nc; c++ {
+		for c := 0; c < nc; c++ {
 			cost := 0
 			for _, a := range args {
 				if !a.IsReg() {
 					continue
 				}
-				if home, ok := p.homeOf(a.Reg); ok && home != c {
-					if _, cached := copies[copyKey{a.Reg, c}]; !cached {
-						cost += balanceWeight
-					}
+				if home, ok := p.homeOf(a.Reg); ok && home != c && copies[int(a.Reg)*nc+c] == 0 {
+					cost += balanceWeight
 				}
 			}
 			if isMem {
@@ -269,10 +320,13 @@ func (p *partitioner) block(b, dst *ir.Block) {
 		return best
 	}
 
-	invalidate := func(r ir.Reg) {
-		for c := 0; c < p.nc; c++ {
-			delete(copies, copyKey{r, c})
+	// define homes in's result on c; copies of its old value are stale.
+	define := func(in *ir.Instr, c int) {
+		if in.Dest == ir.NoReg {
+			return
 		}
+		p.setHome(in.Dest, c)
+		clear(copies[int(in.Dest)*nc : (int(in.Dest)+1)*nc])
 	}
 
 	resolveArgs := func(in *ir.Instr, c int) {
@@ -336,7 +390,7 @@ func (p *partitioner) block(b, dst *ir.Block) {
 					load[home]++
 					noteUse(in.Args[0])
 					noteDef(in.Dest, c)
-					p.define(in, c, invalidate)
+					define(in, c)
 					out = append(out, in)
 					continue
 				}
@@ -353,30 +407,27 @@ func (p *partitioner) block(b, dst *ir.Block) {
 				load[c]++
 			}
 			noteDef(in.Dest, c)
-			p.define(in, c, invalidate)
+			define(in, c)
 			out = append(out, in)
 		}
 	}
 	// Loads never consumed inside this block take the balanced default,
 	// resolved in program order for deterministic code generation.
 	for _, r := range pendingOrder {
-		ld, ok := pending[r]
-		if !ok {
-			continue // already resolved at a use
+		if ld := pending[r]; ld != nil { // else already resolved at a use
+			resolvePending(r, chooseCluster(ld.Args, true))
 		}
-		c := chooseCluster(ld.Args, true)
-		delete(pending, r)
-		p.setHome(r, c)
-		ld.Cluster = int16(c)
-		memLoad[c]++
 	}
-	dst.Instrs = out
-}
+	p.f.Blocks[bi].Instrs = append([]*ir.Instr(nil), out...)
 
-func (p *partitioner) define(in *ir.Instr, c int, invalidate func(ir.Reg)) {
-	if in.Dest == ir.NoReg {
-		return
+	// Leave the per-block tables as the next block expects them, and
+	// no instruction pointer behind in the arena.
+	for _, r := range touched {
+		remaining[r], isLive[r] = 0, false
 	}
-	p.setHome(in.Dest, c)
-	invalidate(in.Dest)
+	for _, m := range p.moves[firstMove:] {
+		copies[int(m.src)*nc+int(m.cluster)] = 0
+	}
+	clear(out)
+	p.touched, p.pendingOrder, p.out = touched[:0], pendingOrder[:0], out[:0]
 }

@@ -142,7 +142,7 @@ func refScheduleBlock(f *ir.Func, b *ir.Block, arch machine.Arch, pl *Placement,
 			SrcCluster: pl.SrcCluster(in),
 		})
 		placed++
-		for _, e := range sk.Succs[i] {
+		for _, e := range sk.Succs(int(i)) {
 			if t := int32(cycle + e.MinDelta); t > earliest[e.To] {
 				earliest[e.To] = t
 			}
@@ -220,7 +220,7 @@ func refScheduleBlock(f *ir.Func, b *ir.Block, arch machine.Arch, pl *Placement,
 					continue
 				}
 				enables := 0
-				for _, e := range sk.Succs[i] {
+				for _, e := range sk.Succs(int(i)) {
 					if unschedPreds[e.To] == 1 {
 						enables++ // i is the successor's last unscheduled input
 					}

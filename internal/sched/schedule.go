@@ -64,10 +64,11 @@ func ScheduleMode(f *ir.Func, arch machine.Arch, pl *Placement, cap int, inOrder
 	return prog, err
 }
 
-// scheduleFunc is the scheduling engine: it builds (or reuses) the
-// dependence skeleton of every block and list-schedules them, returning
-// the program together with the liveness analysis it computed so the
-// compile driver can hand the same analysis to the register allocator.
+// scheduleFunc is the scheduling engine: it builds (into sc's one
+// skeleton, block after block) or reuses the dependence skeleton of
+// every block and list-schedules them, returning the program together
+// with the liveness analysis it computed so the compile driver can hand
+// the same analysis to the register allocator.
 // skels, when non-nil, must be per-block skeletons built from a function
 // whose blocks are instruction-for-instruction identical to f's (the
 // Prepared cache guarantees this).
@@ -85,7 +86,7 @@ func scheduleFunc(f *ir.Func, arch machine.Arch, pl *Placement, cap int, inOrder
 		if skels != nil {
 			sk = skels[bi]
 		} else {
-			sk = ddg.BuildSkeleton(b, arch)
+			sk = sc.skel.Build(b, arch)
 		}
 		sb, _, blame, err := scheduleBlock(f, b, arch, pl, lv, cap, inOrder, sk, sc)
 		if err != nil {
@@ -643,7 +644,7 @@ func scheduleBlock(f *ir.Func, b *ir.Block, arch machine.Arch, pl *Placement, lv
 			SrcCluster: pl.SrcCluster(in),
 		})
 		placed++
-		for _, e := range sk.Succs[i] {
+		for _, e := range sk.Succs(int(i)) {
 			if t := int32(cycle + e.MinDelta); t > earliest[e.To] {
 				earliest[e.To] = t
 			}
@@ -718,7 +719,7 @@ func scheduleBlock(f *ir.Func, b *ir.Block, arch machine.Arch, pl *Placement, lv
 					}
 				}
 				enables := 0
-				for _, e := range sk.Succs[i] {
+				for _, e := range sk.Succs(int(i)) {
 					if unschedPreds[e.To] == 1 {
 						enables++ // i is the successor's last unscheduled input
 					}

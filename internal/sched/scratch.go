@@ -1,21 +1,39 @@
 package sched
 
 import (
+	"customfit/internal/ddg"
 	"customfit/internal/ir"
 	"customfit/internal/regalloc"
 	"customfit/internal/vliw"
 )
 
-// Scratch is a per-worker arena of reusable scheduling and allocation
-// buffers. One compile's transient state — ready sets, per-cycle
-// resource tables, liveness bitsets, the allocator's segment builders —
-// dominates the backend's allocation profile when the explorer runs
-// hundreds of compiles per architecture class, so workers keep one
-// Scratch each and thread it through CompilePrepared.
+// Scratch is a per-worker arena of reusable partitioning, scheduling and
+// allocation buffers. One compile's transient state — the partitioner's
+// register tables, each block's dependence skeleton, ready sets,
+// per-cycle resource tables, liveness bitsets, the allocator's segment
+// builders — dominates the backend's allocation profile when the
+// explorer runs hundreds of compiles per architecture class, so workers
+// keep one Scratch each and thread it through CompilePrepared.
+//
+// The ownership rule: whatever a spill round builds and throws away
+// lives here, and is valid only until the round's next use of the same
+// buffer (a skeleton until the next block's, the partitioner's tables
+// until the next block). Whatever outlives the round does not: cloned
+// and inserted instructions live in per-clone slabs on the heap
+// (ir.Slab, partition), because the Result, its vliw.Ops and the delta
+// class state point at them, and the skeletons a Prepared caches are
+// owned copies (ddg.BuildSkeleton), because workers share them.
 //
 // A Scratch is NOT safe for concurrent use; share Prepared kernels
 // across workers, never a Scratch.
 type Scratch struct {
+	// the dependence skeleton of the block being scheduled, when no
+	// cached one applies: rebuilt block after block, round after round
+	skel ddg.Builder
+
+	// the partitioner's tables (see partScratch)
+	part partScratch
+
 	// per-block scheduler state (sized to the block's op count)
 	unschedPreds []int32
 	earliest     []int32
