@@ -6,96 +6,18 @@ import (
 	"strings"
 	"testing"
 
+	"customfit/internal/cc/cctest"
 	"customfit/internal/ir"
 )
 
-// This file pits randomly generated CKC expressions against a direct
-// AST evaluator: the expression is compiled through the full frontend
-// and interpreted, and the result must match evaluating the same tree
-// in Go with C semantics. Hundreds of random trees exercise operator
-// precedence, ternaries, builtins, casts and the power-of-two
-// division lowering in combination.
-
-type exprGen struct {
-	r     *rand.Rand
-	depth int
-}
-
-// gen returns (source fragment, evaluator) for a random expression over
-// the variables a, b, c.
-func (g *exprGen) gen(d int) (string, func(a, b, c int32) int32) {
-	if d >= g.depth || g.r.Intn(4) == 0 {
-		switch g.r.Intn(5) {
-		case 0:
-			return "a", func(a, _, _ int32) int32 { return a }
-		case 1:
-			return "b", func(_, b, _ int32) int32 { return b }
-		case 2:
-			return "c", func(_, _, c int32) int32 { return c }
-		default:
-			v := int32(g.r.Intn(200) - 100)
-			return fmt.Sprintf("(%d)", v), func(_, _, _ int32) int32 { return v }
-		}
-	}
-	ls, lf := g.gen(d + 1)
-	rs, rf := g.gen(d + 1)
-	switch g.r.Intn(14) {
-	case 0:
-		return fmt.Sprintf("(%s + %s)", ls, rs), func(a, b, c int32) int32 { return lf(a, b, c) + rf(a, b, c) }
-	case 1:
-		return fmt.Sprintf("(%s - %s)", ls, rs), func(a, b, c int32) int32 { return lf(a, b, c) - rf(a, b, c) }
-	case 2:
-		return fmt.Sprintf("(%s * %s)", ls, rs), func(a, b, c int32) int32 { return lf(a, b, c) * rf(a, b, c) }
-	case 3:
-		sh := g.r.Intn(8)
-		return fmt.Sprintf("(%s << %d)", ls, sh), func(a, b, c int32) int32 { return lf(a, b, c) << sh }
-	case 4:
-		sh := g.r.Intn(8)
-		return fmt.Sprintf("(%s >> %d)", ls, sh), func(a, b, c int32) int32 { return lf(a, b, c) >> sh }
-	case 5:
-		return fmt.Sprintf("(%s & %s)", ls, rs), func(a, b, c int32) int32 { return lf(a, b, c) & rf(a, b, c) }
-	case 6:
-		return fmt.Sprintf("(%s | %s)", ls, rs), func(a, b, c int32) int32 { return lf(a, b, c) | rf(a, b, c) }
-	case 7:
-		return fmt.Sprintf("(%s ^ %s)", ls, rs), func(a, b, c int32) int32 { return lf(a, b, c) ^ rf(a, b, c) }
-	case 8:
-		cs, cf := g.gen(d + 1)
-		return fmt.Sprintf("(%s ? %s : %s)", cs, ls, rs), func(a, b, c int32) int32 {
-			if cf(a, b, c) != 0 {
-				return lf(a, b, c)
-			}
-			return rf(a, b, c)
-		}
-	case 9:
-		return fmt.Sprintf("min(%s, %s)", ls, rs), func(a, b, c int32) int32 {
-			l, r := lf(a, b, c), rf(a, b, c)
-			if l < r {
-				return l
-			}
-			return r
-		}
-	case 10:
-		return fmt.Sprintf("(%s < %s)", ls, rs), func(a, b, c int32) int32 {
-			if lf(a, b, c) < rf(a, b, c) {
-				return 1
-			}
-			return 0
-		}
-	case 11:
-		pw := int32(1) << (1 + g.r.Intn(4))
-		return fmt.Sprintf("(%s / %d)", ls, pw), func(a, b, c int32) int32 { return lf(a, b, c) / pw }
-	case 12:
-		return fmt.Sprintf("(byte)(%s)", ls), func(a, b, c int32) int32 { return lf(a, b, c) & 0xff }
-	default:
-		return fmt.Sprintf("abs(%s)", ls), func(a, b, c int32) int32 {
-			v := lf(a, b, c)
-			if v < 0 {
-				return -v
-			}
-			return v
-		}
-	}
-}
+// This file pits randomly generated CKC expressions (cctest.Expr)
+// against a direct AST evaluator: the expression is compiled through
+// the full frontend and interpreted, and the result must match
+// evaluating the same tree in Go with C semantics. Hundreds of random
+// trees exercise operator precedence, ternaries, builtins, casts and
+// the power-of-two division lowering in combination. The generator's
+// kernels (cctest.Kernel) must at least compile here; what the
+// optimizer makes of them is opt's test.
 
 func TestRandomExpressionsAgainstDirectEvaluation(t *testing.T) {
 	r := rand.New(rand.NewSource(20260705))
@@ -104,8 +26,7 @@ func TestRandomExpressionsAgainstDirectEvaluation(t *testing.T) {
 		{2147483647, -2147483648, 1}, {12345, -9876, 42},
 	}
 	for trial := 0; trial < 200; trial++ {
-		g := &exprGen{r: r, depth: 4}
-		src, eval := g.gen(0)
+		src, eval := cctest.Expr(r, 4)
 		kernel := fmt.Sprintf(`kernel f(int out[], int a, int b, int c) { out[0] = %s; }`, src)
 		fn, err := CompileKernel(kernel)
 		if err != nil {
@@ -130,12 +51,25 @@ func TestRandomExpressionsSurviveParsing(t *testing.T) {
 	// trees without the outer parens by stripping them and re-parsing.
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 100; trial++ {
-		g := &exprGen{r: r, depth: 3}
-		src, _ := g.gen(0)
+		src, _ := cctest.Expr(r, 3)
 		flat := strings.ReplaceAll(src, "(", " ( ")
 		kernel := fmt.Sprintf(`kernel f(int out[], int a, int b, int c) { out[0] = %s; }`, flat)
 		if _, err := CompileKernel(kernel); err != nil {
 			t.Fatalf("trial %d: %q: %v", trial, flat, err)
+		}
+	}
+}
+
+func TestRandomKernelsCompile(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 50; trial++ {
+		src := cctest.Kernel(r)
+		fn, err := CompileKernel(src)
+		if err != nil {
+			t.Fatalf("trial %d: %v\n%s", trial, err, src)
+		}
+		if fn.Loop == nil {
+			t.Fatalf("trial %d: no pixel loop\n%s", trial, src)
 		}
 	}
 }

@@ -50,7 +50,12 @@ func (sk *Skeleton) Succs(i int) []SkelEdge {
 // the same construction.
 func BuildSkeleton(b *ir.Block, arch machine.Arch) *Skeleton {
 	var bd Builder
-	sk := bd.Build(b, arch)
+	return bd.Build(b, arch).Clone()
+}
+
+// Clone returns a copy of the skeleton in memory of its own: what turns
+// a Builder's view into a skeleton that can be kept.
+func (sk *Skeleton) Clone() *Skeleton {
 	return &Skeleton{
 		edges:   append([]SkelEdge(nil), sk.edges...),
 		off:     append([]int32(nil), sk.off...),

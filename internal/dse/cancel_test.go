@@ -230,3 +230,34 @@ func TestCancelDoesNotPoisonCaches(t *testing.T) {
 		t.Errorf("completed run reports %d cancelled evaluations", res.Stats.Cancelled)
 	}
 }
+
+// TestExploreCancelDuringPrepare cancels from inside the first
+// preparation's reference run — before any evaluation has started — and
+// requires ErrCancelled with the remaining preparations skipped: the
+// one in flight finishes, the queued ones never reach their own
+// reference runs.
+func TestExploreCancelDuringPrepare(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	e := smallCancelExplorer()
+	e.Workers = 1
+	g := *bench.ByName("G")
+	newCase := g.NewCase
+	var referenceRuns atomic.Int64
+	g.NewCase = func(width int, seed int64) *bench.Case {
+		referenceRuns.Add(1)
+		cancel()
+		return newCase(width, seed)
+	}
+	e.Benchmarks = []*bench.Benchmark{&g}
+	res, err := e.RunCtx(ctx)
+	if res != nil {
+		t.Error("cancelled run returned partial results")
+	}
+	if !errors.Is(err, ErrCancelled) {
+		t.Errorf("error %v does not wrap ErrCancelled", err)
+	}
+	if n := referenceRuns.Load(); n != 1 {
+		t.Errorf("%d reference runs: the preparations queued behind the cancelled one must not run", n)
+	}
+}

@@ -72,7 +72,8 @@ type prepared struct {
 	err    error
 }
 
-// fnEntry is the once-guarded lowered IR of one benchmark.
+// fnEntry is the once-guarded part of a benchmark's preparation that
+// does not depend on the unroll factor: its IR, lowered and optimized.
 type fnEntry struct {
 	once sync.Once
 	fn   *ir.Func
@@ -139,7 +140,7 @@ type Evaluator struct {
 
 	mu    sync.Mutex
 	cache map[string]map[int]*prepared // bench -> unroll -> artifacts
-	fns   map[string]*fnEntry          // bench -> lowered IR
+	fns   map[string]*fnEntry          // bench -> optimized IR
 	keys  map[string]string            // bench -> kernel-class hash
 
 	// private is the memory-only cache evaluations resolve through when
@@ -176,9 +177,10 @@ func NewEvaluator() *Evaluator {
 	}
 }
 
-// compileFn returns the lowered IR for b, building it exactly once even
-// under concurrent callers.
-func (e *Evaluator) compileFn(sp *obs.Span, b *bench.Benchmark) (*ir.Func, error) {
+// optimized returns b's optimized IR, parsing, lowering and optimizing
+// the kernel exactly once even under concurrent callers. The function
+// is shared by the benchmark's unroll factors: each unrolls a clone.
+func (e *Evaluator) optimized(sp *obs.Span, b *bench.Benchmark) (*ir.Func, error) {
 	e.mu.Lock()
 	ent, ok := e.fns[b.Name]
 	if !ok {
@@ -187,15 +189,25 @@ func (e *Evaluator) compileFn(sp *obs.Span, b *bench.Benchmark) (*ir.Func, error
 	}
 	e.mu.Unlock()
 	ent.once.Do(func() {
-		ent.fn, ent.err = b.CompileSpan(sp)
+		fn, err := b.CompileSpan(sp)
+		if err == nil {
+			err = opt.OptimizeSpan(sp, fn)
+		}
+		if err != nil {
+			ent.err = err
+			return
+		}
+		ent.fn = fn
 	})
 	return ent.fn, ent.err
 }
 
 // prepare returns (cached) prepared IR and visit counts for b at unroll
 // u, recording frontend/opt/reference-run telemetry under sp on a cache
-// miss. The per-key once means two workers can never duplicate a
-// frontend compile or reference run of the same (benchmark, unroll).
+// miss: opt.PrepareSpan's result, reached by its two halves so that the
+// first is paid once per benchmark and only the unrolling per factor.
+// The per-key once means two workers can never duplicate an unroll or a
+// reference run of the same (benchmark, unroll).
 func (e *Evaluator) prepare(sp *obs.Span, b *bench.Benchmark, u int) *prepared {
 	e.mu.Lock()
 	byU, ok := e.cache[b.Name]
@@ -210,13 +222,13 @@ func (e *Evaluator) prepare(sp *obs.Span, b *bench.Benchmark, u int) *prepared {
 	}
 	e.mu.Unlock()
 	p.once.Do(func() {
-		fn, err := e.compileFn(sp, b)
+		fn, err := e.optimized(sp, b)
 		if err != nil {
 			p.err = err
 			return
 		}
-		g, err := opt.PrepareSpan(sp, fn, u)
-		if err != nil {
+		g := fn.Clone()
+		if err := opt.UnrollSpan(sp, g, u); err != nil {
 			p.err = err
 			return
 		}
@@ -386,7 +398,9 @@ func KernelClass(b *bench.Benchmark, width int, seed int64) string {
 // exactly this key, which is what makes "compile anything at most once
 // across the whole fleet" possible.
 func CacheKey(kernelClass string, a machine.Arch) string {
-	return kernelClass + ":" + sigOf(a).key()
+	var buf keyBuf
+	b := append(append(buf[:0], kernelClass...), ':')
+	return string(sigOf(a).appendKey(b))
 }
 
 // kernelClass memoizes KernelClass for this evaluator's workload.

@@ -38,8 +38,8 @@ type ProgressInfo struct {
 // benchmark.
 type Explorer struct {
 	// EvalConfig is handed to the run's evaluator whole. When Cache
-	// covers a benchmark's whole (arch × kernel) slice, the prepare
-	// warm-up is skipped too.
+	// covers a benchmark's whole (arch × kernel) slice, the benchmark
+	// is not prepared either.
 	EvalConfig
 	Cost       machine.CostModel
 	Benchmarks []*bench.Benchmark
@@ -157,6 +157,31 @@ func (r *Results) Finish(s Stats, wall time.Duration) {
 	r.Stats = s
 }
 
+// A job is one evaluation — benchmark bi on architecture ai — or, with
+// unroll set, one preparation of benchmark bi.
+type job struct {
+	bi, ai int
+	unroll int
+}
+
+// prepareJobs lists the preparations of the benchmarks in cold (indices
+// into the run's benchmarks) in the order a run queues them:
+// unroll-major, so neighbours in the queue belong to different
+// benchmarks and two workers do not meet on one benchmark's
+// optimize-once.
+func prepareJobs(cold []int) []job {
+	if len(cold) == 0 {
+		return nil
+	}
+	out := make([]job, 0, len(cold)*len(UnrollFactors))
+	for _, u := range UnrollFactors {
+		for _, bi := range cold {
+			out = append(out, job{bi: bi, unroll: u})
+		}
+	}
+	return out
+}
+
 // Run executes the exploration to completion (RunCtx with a background
 // context).
 func (e *Explorer) Run() (*Results, error) {
@@ -196,27 +221,22 @@ func (e *Explorer) RunCtx(ctx context.Context) (*Results, error) {
 	res := NewResults(archs, e.Benchmarks, e.Cost)
 	costTime := time.Since(start)
 
-	// Warm the per-benchmark caches serially (one prepare per unroll)
-	// so workers do not duplicate the work under the cache lock. When
-	// the persistent cache already covers a benchmark's whole slice of
-	// the space, skip its warm-up: no sweep will run, so the frontend
-	// compiles and reference runs — the dominant cost of a warm re-run —
-	// are never needed.
-	for _, b := range e.Benchmarks {
-		if ctx.Err() != nil {
-			return nil, cancelledErr(ctx)
-		}
-		if ev.CacheCovers(b, archs) {
-			continue
-		}
-		for _, u := range UnrollFactors {
-			ev.prepare(rsp, b, u)
+	// The benchmarks whose prepared IR (one per unroll factor: frontend
+	// compile, optimize, unroll, reference run) some evaluation will
+	// need. When the persistent cache already covers a benchmark's whole
+	// slice of the space no sweep will run, so it is never prepared —
+	// preparation is the dominant cost of a warm re-run.
+	var cold []int
+	for bi, b := range e.Benchmarks {
+		if !ev.CacheCovers(b, archs) {
+			cold = append(cold, bi)
 		}
 	}
 
-	type job struct {
-		bi, ai int
-	}
+	// Preparations are queued ahead of the evaluations and drained by
+	// the same workers, so they run on every core; the evaluator's
+	// per-key once makes an evaluation that overtakes its preparation
+	// wait for it (or do it) instead of repeating it.
 	jobs := make(chan job, workers*2)
 	var wg sync.WaitGroup
 	var done atomic.Int64
@@ -270,6 +290,17 @@ func (e *Explorer) RunCtx(ctx context.Context) (*Results, error) {
 				}
 				b := e.Benchmarks[j.bi]
 				t1 := time.Now()
+				if j.unroll != 0 {
+					// Queued before the context ended, like the
+					// evaluations below: skipped, not run.
+					if ctx.Err() == nil {
+						psp := rsp.Fork("dse.prepare").Str("bench", b.Name).Int("unroll", int64(j.unroll))
+						ev.prepare(psp, b, j.unroll)
+						psp.End()
+					}
+					busy += time.Since(t1)
+					continue
+				}
 				evl := ev.EvaluateScratchCtx(ctx, b, archs[j.ai], sc)
 				busy += time.Since(t1)
 				res.Eval[b.Name][j.ai] = evl
@@ -290,17 +321,30 @@ func (e *Explorer) RunCtx(ctx context.Context) (*Results, error) {
 	}
 	// Feed the fleet; a cancelled context stops scheduling right here —
 	// workers then drain only what is already queued, and each of those
-	// evaluations short-circuits to Cancelled before compiling.
-feed:
-	for bi := range e.Benchmarks {
-		for ai := range archs {
-			select {
-			case jobs <- job{bi, ai}:
-			case <-ctx.Done():
-				break feed
+	// jobs short-circuits (an evaluation to Cancelled) before compiling.
+	send := func(j job) bool {
+		select {
+		case jobs <- j:
+			return true
+		case <-ctx.Done():
+			return false
+		}
+	}
+	feed := func() {
+		for _, j := range prepareJobs(cold) {
+			if !send(j) {
+				return
+			}
+		}
+		for bi := range e.Benchmarks {
+			for ai := range archs {
+				if !send(job{bi: bi, ai: ai}) {
+					return
+				}
 			}
 		}
 	}
+	feed()
 	close(jobs)
 	wg.Wait()
 

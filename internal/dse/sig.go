@@ -1,7 +1,7 @@
 package dse
 
 import (
-	"fmt"
+	"strconv"
 
 	"customfit/internal/machine"
 )
@@ -43,20 +43,31 @@ type archSig struct {
 	OpsKey   string
 }
 
-// key renders the signature as the stable string that, combined with
-// the kernel-class hash, content-addresses a persistent cache entry
-// (see internal/evcache and Evaluator.Cache).
-func (s archSig) key() string {
-	k := fmt.Sprintf("c%d.a%d.m%d.r%d.p%d.l%d",
-		s.Clusters, s.ALUsPC, s.MULsPC, s.RegsPC, s.L2Ports, s.L2Lat)
+// appendKey appends to b the signature's rendering as the stable string
+// that, combined with the kernel-class hash, content-addresses a
+// persistent cache entry (see internal/evcache and Evaluator.Cache):
+// c<clusters>.a<ALUs>.m<MULs>.r<regs>.p<L2 ports>.l<L2 latency>, the
+// per-cluster values, then ".mm" and ".ops{<key>}" where they apply.
+// Every warm evaluation renders one, so it is spelled without fmt.
+func (s archSig) appendKey(b []byte) []byte {
+	b = strconv.AppendInt(append(b, 'c'), int64(s.Clusters), 10)
+	b = strconv.AppendInt(append(b, ".a"...), int64(s.ALUsPC), 10)
+	b = strconv.AppendInt(append(b, ".m"...), int64(s.MULsPC), 10)
+	b = strconv.AppendInt(append(b, ".r"...), int64(s.RegsPC), 10)
+	b = strconv.AppendInt(append(b, ".p"...), int64(s.L2Ports), 10)
+	b = strconv.AppendInt(append(b, ".l"...), int64(s.L2Lat), 10)
 	if s.MinMax {
-		k += ".mm"
+		b = append(b, ".mm"...)
 	}
 	if s.OpsKey != "" {
-		k += ".ops{" + s.OpsKey + "}"
+		b = append(append(append(b, ".ops{"...), s.OpsKey...), '}')
 	}
-	return k
+	return b
 }
+
+// keyBuf is room for a kernel-class hash and an op-free signature key;
+// a longer key moves to the heap on its own.
+type keyBuf [96]byte
 
 // SigKey returns the architecture's backend-signature key: the stable
 // string identifying its signature class. Two architectures with equal
@@ -65,7 +76,10 @@ func (s archSig) key() string {
 // coordinator in internal/dist — should keep equal-keyed architectures
 // in one partition: each evaluator's cache then deduplicates their
 // backend work exactly as a single local run would.
-func SigKey(a machine.Arch) string { return sigOf(a).key() }
+func SigKey(a machine.Arch) string {
+	var buf keyBuf
+	return string(sigOf(a).appendKey(buf[:0]))
+}
 
 // sigOf maps an architecture to its backend signature.
 func sigOf(a machine.Arch) archSig {

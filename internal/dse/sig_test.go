@@ -1,6 +1,7 @@
 package dse
 
 import (
+	"fmt"
 	"testing"
 
 	"customfit/internal/bench"
@@ -96,5 +97,55 @@ func TestMemoMatchesDirectCompile(t *testing.T) {
 	if runsAfterHit != 2*runsAfterMiss {
 		t.Errorf("Compilations after hit = %d, want %d (logical re-count of the %d-run sweep)",
 			runsAfterHit, 2*runsAfterMiss, runsAfterMiss)
+	}
+}
+
+// TestSigKeyMatchesSprintf holds the strconv-spelled signature key to
+// the fmt rendering it replaced, which every cache directory and every
+// peer in a fleet addresses entries by: over the full space, plain, with
+// MinMax, and crossed with a two-op catalog (every mask), SigKey and
+// CacheKey must give the old bytes.
+func TestSigKeyMatchesSprintf(t *testing.T) {
+	sprintfKey := func(s archSig) string {
+		k := fmt.Sprintf("c%d.a%d.m%d.r%d.p%d.l%d",
+			s.Clusters, s.ALUsPC, s.MULsPC, s.RegsPC, s.L2Ports, s.L2Lat)
+		if s.MinMax {
+			k += ".mm"
+		}
+		if s.OpsKey != "" {
+			k += ".ops{" + s.OpsKey + "}"
+		}
+		return k
+	}
+	set, err := machine.ParseOpCatalog([]string{
+		"mac/3/2:mul $0 $1;add %0 $2",
+		"add_add/3/1:add $0 $1;add %0 $2",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := machine.FullSpace()
+	archs := append([]machine.Arch(nil), full...)
+	for _, a := range full {
+		a.MinMax = true
+		archs = append(archs, a)
+	}
+	archs = append(archs, machine.CrossOps(full, set, []uint64{1, 2, 3})...)
+	const class = "0123456789abcdef01234567"
+	withOps := 0
+	for _, a := range archs {
+		want := sprintfKey(sigOf(a))
+		if got := SigKey(a); got != want {
+			t.Fatalf("SigKey(%v) = %q, want %q", a, got, want)
+		}
+		if got := CacheKey(class, a); got != class+":"+want {
+			t.Fatalf("CacheKey(%v) = %q, want %q", a, got, class+":"+want)
+		}
+		if !a.Ops.Empty() {
+			withOps++
+		}
+	}
+	if withOps != 3*len(full) {
+		t.Fatalf("%d op-enabled architectures, want %d", withOps, 3*len(full))
 	}
 }

@@ -64,3 +64,47 @@ func TestSlabCloneKeepsInstrCloneShape(t *testing.T) {
 		t.Errorf("the source changed: %v", f.Blocks[0].Instrs[0].Args)
 	}
 }
+
+// TestSlabGrowsByWhatItsOwnerExpects drives a slab past its arrays: the
+// first array is what Expect announced (so taking exactly that costs one
+// allocation per kind), the slab grows on its own account after that,
+// and growing never moves or overwrites what was cut before.
+func TestSlabGrowsByWhatItsOwnerExpects(t *testing.T) {
+	var slab ir.Slab
+	slab.Expect(3, 6)
+	var made []*ir.Instr
+	allocs := testing.AllocsPerRun(1, func() {
+		made = made[:0]
+		var s ir.Slab
+		s.Expect(3, 6)
+		for i := 0; i < 3; i++ {
+			made = append(made, s.New(ir.OpAdd, ir.Reg(i), ir.R(ir.Reg(i)), ir.Imm(int32(i))))
+		}
+	})
+	if allocs != 2 {
+		t.Errorf("three instructions out of a slab told to expect three cost %v allocations, want 2 (instructions, operands)", allocs)
+	}
+	made = made[:0]
+	for i := 0; i < 100; i++ {
+		made = append(made, slab.New(ir.OpAdd, ir.Reg(i), ir.R(ir.Reg(i)), ir.Imm(int32(i))))
+	}
+	ret := slab.New(ir.OpRet, ir.NoReg)
+	if ret.Args != nil || ret.Dest != ir.NoReg {
+		t.Errorf("an instruction without operands: Args %v, Dest %v", ret.Args, ret.Dest)
+	}
+	made[0].Args = append(made[0].Args, ir.Imm(7))
+	for i, in := range made {
+		want := []ir.Operand{ir.R(ir.Reg(i)), ir.Imm(int32(i))}
+		if i == 0 {
+			want = append(want, ir.Imm(7))
+		}
+		if in.Op != ir.OpAdd || in.Dest != ir.Reg(i) || len(in.Args) != len(want) {
+			t.Fatalf("instruction %d changed while the slab grew: %v", i, in)
+		}
+		for j := range want {
+			if in.Args[j] != want[j] {
+				t.Fatalf("instruction %d changed while the slab grew: %v", i, in)
+			}
+		}
+	}
+}

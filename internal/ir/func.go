@@ -219,18 +219,33 @@ func (f *Func) CloneShell() (*Func, map[*Block]*Block) {
 	return nf, bmap
 }
 
-// Slab is the storage behind one cloned function's instructions: three
-// arrays sized for all of them, so cloning costs a constant number of
-// allocations instead of two per instruction. It is heap memory that
-// belongs to the clone — the instructions point into it and keep it
-// alive — and never part of a reusable arena: compile results, their
-// scheduled ops and cached partition classes hold on to cloned
-// instructions long after the call that made them.
+// Slab is the storage behind instructions made in bulk — a cloned
+// function's, or the ones an optimizer pass or a spill rewrite emits:
+// instructions, operands and branch targets are cut from arrays sized
+// for many of them, so making one costs no allocation of its own. It is
+// heap memory that belongs to the function — the instructions point
+// into it and keep it alive — and never part of a reusable arena:
+// compile results, their scheduled ops and cached partition classes
+// hold on to instructions long after the call that made them.
+//
+// A slab grows: when an array is used up the next instruction starts a
+// fresh one (the old one lives on through the instructions cut from
+// it), sized by Expect. The zero value is an empty slab.
 type Slab struct {
 	instrs  []Instr
 	args    []Operand
 	targets []*Block
+
+	// the size of the next arrays: what the owner said it would still
+	// take when the current ones are used up (see Expect); zero once
+	// that has been granted
+	moreInstrs, moreArgs int
 }
+
+// minSlabChunk is the least a slab grows by on its own account: when
+// its owner's Expect fell short, or was never called, an array grows by
+// half the one before it and at least this.
+const minSlabChunk = 32
 
 // NewSlab returns a slab with room to clone each of f's instructions
 // once.
@@ -250,29 +265,68 @@ func (f *Func) NewSlab() Slab {
 	}
 }
 
+// Expect tells the slab that its owner is about to take some instrs
+// instructions with args operands between them — a pass sizes this from
+// the function it rewrites. The room already there counts: when it is
+// used up, the slab grows by what is then still missing, so a pass that
+// takes what it announced leaves nothing unused and costs at most one
+// array of each kind.
+func (s *Slab) Expect(instrs, args int) {
+	s.moreInstrs = instrs - (cap(s.instrs) - len(s.instrs))
+	s.moreArgs = args - (cap(s.args) - len(s.args))
+}
+
+// take cuts n elements off the unused end of *buf, starting a fresh
+// array when fewer are left: of *more elements, the owner's estimate,
+// which that uses up — or, without one, of the slab's own choosing.
+func take[T any](buf *[]T, n int, more *int) []T {
+	s := *buf
+	if cap(s)-len(s) < n {
+		size := *more
+		if size <= 0 {
+			size = max(minSlabChunk, cap(s)/2)
+		}
+		s = make([]T, 0, max(n, size))
+		*more = 0
+	}
+	k := len(s)
+	*buf = s[:k+n]
+	return s[k : k+n : k+n]
+}
+
+// New is NewInstr into the slab: the instruction and a copy of args are
+// cut from the slab's arrays. Args is cut to its length, so appending to
+// it cannot reach a neighbour's, and is nil when there are none.
+func (s *Slab) New(op Op, dest Reg, args ...Operand) *Instr {
+	in := &take(&s.instrs, 1, &s.moreInstrs)[0]
+	in.Op, in.Dest = op, dest
+	if len(args) > 0 {
+		in.Args = take(&s.args, len(args), &s.moreArgs)
+		copy(in.Args, args)
+	}
+	return in
+}
+
 // Clone is Instr.Clone into the slab, with the copy's branch targets
-// remapped through bmap. The copy's Args and Targets are cut to their
-// length, so appending to one cannot reach a neighbour's, and are nil
-// when empty, as Instr.Clone leaves them. Cloning more than the slab
-// was sized for panics.
+// remapped through bmap (kept as they are when bmap is nil). The copy's
+// Args and Targets are cut to their length and are nil when empty, as
+// Instr.Clone leaves them.
 func (s *Slab) Clone(in *Instr, bmap map[*Block]*Block) *Instr {
-	n := len(s.instrs)
-	s.instrs = s.instrs[:n+1]
-	cp := &s.instrs[n]
+	cp := &take(&s.instrs, 1, &s.moreInstrs)[0]
 	*cp = *in
 	cp.Args, cp.Targets = nil, nil
 	if k := len(in.Args); k > 0 {
-		n := len(s.args)
-		s.args = s.args[:n+k]
-		cp.Args = s.args[n : n+k : n+k]
+		cp.Args = take(&s.args, k, &s.moreArgs)
 		copy(cp.Args, in.Args)
 	}
 	if k := len(in.Targets); k > 0 {
-		n := len(s.targets)
-		s.targets = s.targets[:n+k]
-		cp.Targets = s.targets[n : n+k : n+k]
+		var none int // branch targets are never announced
+		cp.Targets = take(&s.targets, k, &none)
 		for i, t := range in.Targets {
-			cp.Targets[i] = bmap[t]
+			if bmap != nil {
+				t = bmap[t]
+			}
+			cp.Targets[i] = t
 		}
 	}
 	return cp

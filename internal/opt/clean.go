@@ -2,7 +2,7 @@ package opt
 
 import (
 	"math/bits"
-	"sort"
+	"slices"
 
 	"customfit/internal/ir"
 )
@@ -18,9 +18,33 @@ import (
 // group just before the terminator. Clean is idempotent and is re-run
 // after every structural pass.
 func Clean(f *ir.Func) {
-	lv := ComputeLiveness(f)
-	for _, b := range f.Blocks {
-		cleanBlock(f, b, lv)
+	new(workspace).cleanFunc(f)
+}
+
+func (ws *workspace) cleanFunc(f *ir.Func) {
+	lv := ws.liveness(f)
+	ws.expect(f)
+	c := &ws.clean
+	c.f, c.slab = f, &ws.slab
+	// A block's instructions name only registers that exist now: the
+	// temporaries this pass makes are local to the block that made them,
+	// about one per instruction, which is the room a table that has to
+	// grow gets on top.
+	c.spare = f.NumInstrs()
+	zeroed(&c.slot, f.NumRegs(), c.spare)
+	if c.cse == nil {
+		// Sized for the largest block, so that filling it the first
+		// time does not double its way there.
+		largest := 0
+		for _, b := range f.Blocks {
+			largest = max(largest, len(b.Instrs))
+		}
+		c.cse = make(map[vnKey]ir.Operand, largest)
+		c.epoch = map[*ir.MemRef]int{}
+		c.canonAddr = map[affineKey]canonEntry{}
+	}
+	for bi, b := range f.Blocks {
+		c.block(bi, b, lv)
 	}
 }
 
@@ -73,23 +97,46 @@ type affineForm struct {
 	scale, off int32
 }
 
+// blockCleaner is the cleaner's state, kept in the workspace: tables
+// that are dense over registers where a register indexes them, reset
+// block by block through what the block touched.
 type blockCleaner struct {
-	f       *ir.Func
-	bind    map[ir.Reg]ir.Operand // original reg -> current value
-	defined []ir.Reg              // original dest regs in definition order
-	wasDef  map[ir.Reg]bool
-	cse     map[vnKey]ir.Operand
-	epoch   map[*ir.MemRef]int
-	defOf   map[ir.Reg]*ir.Instr // fresh temp -> defining emitted instr
-	out     []*ir.Instr
+	f     *ir.Func
+	slab  *ir.Slab // where emitted instructions come from
+	spare int      // registers of room for a table that has to grow
 
-	// affine tracks linear forms of emitted temps; canonAddr maps
-	// (base, scale) to the first register computing that linear form,
-	// so every address with the same slope shares one base register and
-	// differs only in the constant offset. This is what lets the memory
-	// disambiguator prove unrolled copies' accesses disjoint.
-	affine    map[ir.Reg]affineForm
+	// defined lists the original destination registers in the order of
+	// their first definition and bind, in step with it, the value each
+	// currently holds. slot, dense over the registers that exist when
+	// the pass starts, finds a register there: 1 + its position, 0 for
+	// one the block has not defined. It is reset through defined.
+	defined []ir.Reg
+	bind    []ir.Operand
+	slot    []int32
+
+	// Over the block's fresh temporaries, which are contiguous from
+	// base, the register count at block entry (temp r is entry r-base;
+	// both reset by truncation): the emitted instruction defining it,
+	// and its linear form, with base NoReg when none is known.
+	base   ir.Reg
+	defOf  []*ir.Instr
+	affine []affineForm
+
+	cse   map[vnKey]ir.Operand
+	epoch map[*ir.MemRef]int
+
+	// canonAddr maps (base, scale) to the first register computing that
+	// linear form, so every address with the same slope shares one base
+	// register and differs only in the constant offset. This is what
+	// lets the memory disambiguator prove unrolled copies' accesses
+	// disjoint.
 	canonAddr map[affineKey]canonEntry
+
+	out       []*ir.Instr   // emitted, before dead-code elimination
+	args      [3]ir.Operand // a pure op's substituted operands
+	homes     []ir.Reg
+	pre, movs []*ir.Instr
+	needed    []uint64
 }
 
 type affineKey struct {
@@ -102,55 +149,59 @@ type canonEntry struct {
 	off int32
 }
 
-func cleanBlock(f *ir.Func, b *ir.Block, lv *Liveness) {
+// block cleans the bi-th block of the function.
+func (c *blockCleaner) block(bi int, b *ir.Block, lv *Liveness) {
+	f := c.f
 	term := b.Terminator()
 	if term == nil {
 		return // malformed; let Verify report it
 	}
-	c := &blockCleaner{
-		f:         f,
-		bind:      map[ir.Reg]ir.Operand{},
-		wasDef:    map[ir.Reg]bool{},
-		cse:       map[vnKey]ir.Operand{},
-		epoch:     map[*ir.MemRef]int{},
-		defOf:     map[ir.Reg]*ir.Instr{},
-		affine:    map[ir.Reg]affineForm{},
-		canonAddr: map[affineKey]canonEntry{},
-	}
-	for _, in := range b.Body() {
+	c.base = ir.Reg(f.NumRegs())
+	body := b.Body()
+	reserve(&c.defined, len(body))
+	reserve(&c.bind, len(body))
+	reserve(&c.out, len(body))
+	reserve(&c.defOf, len(body))
+	reserve(&c.affine, len(body))
+	for _, in := range body {
 		c.process(in)
 	}
 
 	// Final move group: restore home registers that are live out.
-	var homes []ir.Reg
-	inSet := map[ir.Reg]bool{}
+	isHome := func(r ir.Reg) bool { return c.slotOf(r) != 0 && lv.liveOut(bi, r) }
+	homes := c.homes[:0]
 	for _, r := range c.defined {
-		if lv.LiveOut(b, r) && !inSet[r] {
+		if lv.liveOut(bi, r) {
 			homes = append(homes, r)
-			inSet[r] = true
 		}
 	}
-	sort.Slice(homes, func(i, j int) bool { return homes[i] < homes[j] })
+	slices.Sort(homes)
+	c.homes = homes
 	// The final moves are a parallel assignment: if one home's value is
 	// another home register's live-in value, copy it to a temp first.
-	tempOf := map[ir.Reg]ir.Reg{}
-	var pre, movs []*ir.Instr
+	pre, movs := c.pre[:0], c.movs[:0]
 	for _, r := range homes {
-		v := c.bind[r]
-		if v.IsReg() && inSet[v.Reg] && v.Reg != r {
-			t, ok := tempOf[v.Reg]
-			if !ok {
+		v := c.bind[c.slot[r]-1]
+		if v.IsReg() && v.Reg != r && isHome(v.Reg) {
+			t := ir.NoReg
+			for _, cp := range pre {
+				if cp.Args[0].Reg == v.Reg {
+					t = cp.Dest
+					break
+				}
+			}
+			if t == ir.NoReg {
 				t = f.NewReg()
-				tempOf[v.Reg] = t
-				pre = append(pre, ir.NewInstr(ir.OpMov, t, ir.R(v.Reg)))
+				pre = append(pre, c.slab.New(ir.OpMov, t, ir.R(v.Reg)))
 			}
 			v = ir.R(t)
 		}
 		if v.IsReg() && v.Reg == r {
 			continue // mov r, r
 		}
-		movs = append(movs, ir.NewInstr(ir.OpMov, r, v))
+		movs = append(movs, c.slab.New(ir.OpMov, r, v))
 	}
+	c.pre, c.movs = pre, movs
 
 	// Rewrite the terminator's uses.
 	for i, a := range term.Args {
@@ -159,51 +210,78 @@ func cleanBlock(f *ir.Func, b *ir.Block, lv *Liveness) {
 
 	// DCE over the body: keep stores; keep defs transitively needed by
 	// the final moves, the pre-copies, and the terminator.
-	needed := newRegset(f.NumRegs())
-	markUses := func(ins []*ir.Instr) {
-		for _, in := range ins {
-			for _, a := range in.Args {
-				if a.IsReg() {
-					needed.set(a.Reg)
-				}
-			}
-		}
-	}
-	markUses(pre)
-	markUses(movs)
-	markUses([]*ir.Instr{term})
-	kept := make([]*ir.Instr, 0, len(c.out))
-	for i := len(c.out) - 1; i >= 0; i-- {
-		in := c.out[i]
-		if in.Op.HasDest() && !needed.get(in.Dest) {
-			continue // dead pure op or load
-		}
+	needed := regset(zeroed(&c.needed, (f.NumRegs()+63)/64, (c.spare+63)/64))
+	markUses := func(in *ir.Instr) {
 		for _, a := range in.Args {
 			if a.IsReg() {
 				needed.set(a.Reg)
 			}
 		}
-		kept = append(kept, in)
 	}
-	// Reverse kept.
-	for i, j := 0, len(kept)-1; i < j; i, j = i+1, j-1 {
-		kept[i], kept[j] = kept[j], kept[i]
+	for _, in := range pre {
+		markUses(in)
+	}
+	for _, in := range movs {
+		markUses(in)
+	}
+	markUses(term)
+	kept := 0
+	for i := len(c.out) - 1; i >= 0; i-- {
+		in := c.out[i]
+		if in.Op.HasDest() && !needed.get(in.Dest) {
+			c.out[i] = nil // dead pure op or load
+			continue
+		}
+		markUses(in)
+		kept++
 	}
 
-	instrs := kept
+	instrs := make([]*ir.Instr, 0, kept+len(pre)+len(movs)+1)
+	for _, in := range c.out {
+		if in != nil {
+			instrs = append(instrs, in)
+		}
+	}
 	instrs = append(instrs, pre...)
 	instrs = append(instrs, movs...)
-	instrs = append(instrs, term)
-	b.Instrs = instrs
+	b.Instrs = append(instrs, term)
+
+	// Leave the tables as the next block expects them.
+	for _, r := range c.defined {
+		c.slot[r] = 0
+	}
+	clear(c.cse)
+	clear(c.epoch)
+	clear(c.canonAddr)
+}
+
+// slotOf is slot[r], and 0 for a temporary made after the table was
+// sized.
+func (c *blockCleaner) slotOf(r ir.Reg) int32 {
+	if int(r) < len(c.slot) {
+		return c.slot[r]
+	}
+	return 0
 }
 
 func (c *blockCleaner) subst(a ir.Operand) ir.Operand {
 	if a.IsReg() {
-		if v, ok := c.bind[a.Reg]; ok {
-			return v
+		if s := c.slotOf(a.Reg); s != 0 {
+			return c.bind[s-1]
 		}
 	}
 	return a
+}
+
+// emit appends an instruction defining a fresh temporary to the block
+// under construction. Every temporary of the block is made here, which
+// is what keeps defOf and affine in step with the register numbers.
+func (c *blockCleaner) emit(op ir.Op, args ...ir.Operand) *ir.Instr {
+	ni := c.slab.New(op, c.f.NewReg(), args...)
+	c.out = append(c.out, ni)
+	c.defOf = append(c.defOf, ni)
+	c.affine = append(c.affine, affineForm{base: ir.NoReg})
+	return ni
 }
 
 func (c *blockCleaner) process(in *ir.Instr) {
@@ -213,45 +291,38 @@ func (c *blockCleaner) process(in *ir.Instr) {
 	case in.Op == ir.OpMov:
 		c.define(in.Dest, c.subst(in.Args[0]))
 	case in.Op == ir.OpLoad:
-		idx := c.subst(in.Args[0])
-		off := in.Off
-		idx, off = c.foldAddress(idx, off)
+		idx, off := c.foldAddress(c.subst(in.Args[0]), in.Off)
 		key := vnKey{op: ir.OpLoad, n: 1, k0: idx.Kind, v0: operandVal(idx),
 			mem: in.Mem, epoch: c.epoch[in.Mem], off: off, elem: in.Elem}
 		if v, ok := c.cse[key]; ok {
 			c.define(in.Dest, v)
 			return
 		}
-		d := c.f.NewReg()
-		ni := &ir.Instr{Op: ir.OpLoad, Dest: d, Args: []ir.Operand{idx}, Mem: in.Mem, Off: off, Elem: in.Elem}
-		c.out = append(c.out, ni)
-		c.defOf[d] = ni
-		c.cse[key] = ir.R(d)
-		c.define(in.Dest, ir.R(d))
+		ni := c.emit(ir.OpLoad, idx)
+		ni.Mem, ni.Off, ni.Elem = in.Mem, off, in.Elem
+		c.cse[key] = ir.R(ni.Dest)
+		c.define(in.Dest, ir.R(ni.Dest))
 	case in.Op == ir.OpStore:
 		idx := c.subst(in.Args[0])
 		val := c.subst(in.Args[1])
-		off := in.Off
-		idx, off = c.foldAddress(idx, off)
-		c.out = append(c.out, &ir.Instr{Op: ir.OpStore, Dest: ir.NoReg,
-			Args: []ir.Operand{idx, val}, Mem: in.Mem, Off: off, Elem: in.Elem})
+		idx, off := c.foldAddress(idx, in.Off)
+		ni := c.slab.New(ir.OpStore, ir.NoReg, idx, val)
+		ni.Mem, ni.Off, ni.Elem = in.Mem, off, in.Elem
+		c.out = append(c.out, ni)
 		c.epoch[in.Mem]++
 	case in.Op == ir.OpFused:
 		// Custom fused op: substitute the inputs and re-emit opaquely.
 		// No folding (Op.Eval does not know the spec) and no vnKey CSE
 		// (the three-operand key cannot carry a variable-arity spec);
 		// the op rewriter runs after Clean anyway, so nothing is lost.
-		args := make([]ir.Operand, len(in.Args))
-		for i, a := range in.Args {
-			args[i] = c.subst(a)
+		ni := c.emit(ir.OpFused, in.Args...)
+		for i, a := range ni.Args {
+			ni.Args[i] = c.subst(a)
 		}
-		d := c.f.NewReg()
-		ni := &ir.Instr{Op: ir.OpFused, Dest: d, Args: args, Fused: in.Fused}
-		c.out = append(c.out, ni)
-		c.defOf[d] = ni
-		c.define(in.Dest, ir.R(d))
+		ni.Fused = in.Fused
+		c.define(in.Dest, ir.R(ni.Dest))
 	default: // pure ALU op
-		args := make([]ir.Operand, len(in.Args))
+		args := c.args[:len(in.Args)]
 		for i, a := range in.Args {
 			args[i] = c.subst(a)
 		}
@@ -261,16 +332,19 @@ func (c *blockCleaner) process(in *ir.Instr) {
 
 // define records that original register r now holds value v.
 func (c *blockCleaner) define(r ir.Reg, v ir.Operand) {
-	if !c.wasDef[r] {
-		c.wasDef[r] = true
-		c.defined = append(c.defined, r)
+	if s := c.slot[r]; s != 0 {
+		c.bind[s-1] = v
+		return
 	}
-	c.bind[r] = v
+	c.defined = append(c.defined, r)
+	c.bind = append(c.bind, v)
+	c.slot[r] = int32(len(c.defined))
 }
 
 // emitPure folds, simplifies, strength-reduces and CSEs a pure
 // operation, emitting at most a couple of instructions and returning
-// the value operand.
+// the value operand. args is the caller's to lose: it may be reordered
+// and rewritten, and is not kept.
 func (c *blockCleaner) emitPure(op ir.Op, args []ir.Operand) ir.Operand {
 	// Full constant folding.
 	allImm := true
@@ -281,11 +355,11 @@ func (c *blockCleaner) emitPure(op ir.Op, args []ir.Operand) ir.Operand {
 		}
 	}
 	if allImm {
-		vals := make([]int32, len(args))
+		var vals [3]int32
 		for i, a := range args {
 			vals[i] = a.Imm
 		}
-		return ir.Imm(op.Eval(vals...))
+		return ir.Imm(op.Eval3(vals[0], vals[1], vals[2]))
 	}
 	// Canonicalize: immediate on the right for commutative ops; a-imm
 	// becomes a+(-imm) so addressing folds see a single shape.
@@ -294,7 +368,7 @@ func (c *blockCleaner) emitPure(op ir.Op, args []ir.Operand) ir.Operand {
 	}
 	if op == ir.OpSub && args[1].IsImm() && args[1].Imm != -2147483648 {
 		op = ir.OpAdd
-		args = []ir.Operand{args[0], ir.Imm(-args[1].Imm)}
+		args[1] = ir.Imm(-args[1].Imm)
 	}
 	if v, ok := simplify(op, args); ok {
 		return v
@@ -312,10 +386,7 @@ func (c *blockCleaner) emitPure(op ir.Op, args []ir.Operand) ir.Operand {
 		}
 		return v
 	}
-	d := c.f.NewReg()
-	ni := ir.NewInstr(op, d, args...)
-	c.out = append(c.out, ni)
-	c.defOf[d] = ni
+	d := c.emit(op, args...).Dest
 	c.cse[key] = ir.R(d)
 	c.recordAffine(d, op, args)
 	return ir.R(d)
@@ -328,13 +399,11 @@ func (c *blockCleaner) affineOf(o ir.Operand) (affineForm, bool) {
 	if o.IsImm() {
 		return affineForm{base: ir.NoReg, scale: 0, off: o.Imm}, true
 	}
-	if af, ok := c.affine[o.Reg]; ok {
-		return af, true
-	}
-	if _, fresh := c.defOf[o.Reg]; fresh {
+	if o.Reg >= c.base {
 		// An emitted temp with no recorded linear form (a load result,
 		// a compare, ...) is opaque.
-		return affineForm{}, false
+		af := c.affine[o.Reg-c.base]
+		return af, af.base != ir.NoReg
 	}
 	// Any other register is an original (live-in-valued) register:
 	// after regional renaming, substituted uses of original registers
@@ -342,26 +411,29 @@ func (c *blockCleaner) affineOf(o ir.Operand) (affineForm, bool) {
 	return affineForm{base: o.Reg, scale: 1, off: 0}, true
 }
 
-// recordAffine derives the linear form of d = op(args) when possible.
-func (c *blockCleaner) recordAffine(d ir.Reg, op ir.Op, args []ir.Operand) {
-	if _, done := c.affine[d]; done {
-		return
+// combineAffine adds (or subtracts) two linear forms over one base.
+func combineAffine(x, y affineForm, sub bool) (affineForm, bool) {
+	if sub {
+		y.scale, y.off = -y.scale, -y.off
 	}
-	combine := func(x, y affineForm, sub bool) (affineForm, bool) {
-		if sub {
-			y.scale, y.off = -y.scale, -y.off
-		}
-		switch {
-		case x.base == ir.NoReg:
-			y.off += x.off
-			return y, true
-		case y.base == ir.NoReg:
-			x.off += y.off
-			return x, true
-		case x.base == y.base:
-			return affineForm{base: x.base, scale: x.scale + y.scale, off: x.off + y.off}, true
-		}
-		return affineForm{}, false
+	switch {
+	case x.base == ir.NoReg:
+		y.off += x.off
+		return y, true
+	case y.base == ir.NoReg:
+		x.off += y.off
+		return x, true
+	case x.base == y.base:
+		return affineForm{base: x.base, scale: x.scale + y.scale, off: x.off + y.off}, true
+	}
+	return affineForm{}, false
+}
+
+// recordAffine derives the linear form of temp d = op(args) when
+// possible.
+func (c *blockCleaner) recordAffine(d ir.Reg, op ir.Op, args []ir.Operand) {
+	if c.affine[d-c.base].base != ir.NoReg {
+		return
 	}
 	var out affineForm
 	ok := false
@@ -370,7 +442,7 @@ func (c *blockCleaner) recordAffine(d ir.Reg, op ir.Op, args []ir.Operand) {
 		x, ok1 := c.affineOf(args[0])
 		y, ok2 := c.affineOf(args[1])
 		if ok1 && ok2 {
-			out, ok = combine(x, y, op == ir.OpSub)
+			out, ok = combineAffine(x, y, op == ir.OpSub)
 		}
 	case ir.OpShl:
 		if args[1].IsImm() {
@@ -393,7 +465,7 @@ func (c *blockCleaner) recordAffine(d ir.Reg, op ir.Op, args []ir.Operand) {
 		}
 	}
 	if ok && out.base != ir.NoReg {
-		c.affine[d] = out
+		c.affine[d-c.base] = out
 	}
 }
 
@@ -532,9 +604,9 @@ func (c *blockCleaner) mulByConst(x ir.Operand, v int32) (ir.Operand, bool) {
 // folding the constants into the access's element offset (the template
 // has base+offset addressing, so these adds are free).
 func (c *blockCleaner) foldAddress(idx ir.Operand, off int32) (ir.Operand, int32) {
-	for idx.IsReg() {
-		def, ok := c.defOf[idx.Reg]
-		if !ok || def.Op != ir.OpAdd || !def.Args[1].IsImm() {
+	for idx.IsReg() && idx.Reg >= c.base {
+		def := c.defOf[idx.Reg-c.base]
+		if def.Op != ir.OpAdd || !def.Args[1].IsImm() {
 			break
 		}
 		off += def.Args[1].Imm

@@ -1,6 +1,10 @@
 package opt
 
-import "customfit/internal/ir"
+import (
+	"slices"
+
+	"customfit/internal/ir"
+)
 
 // MaxIfConvertOps bounds the number of instructions speculated per arm
 // during if-conversion.
@@ -14,45 +18,49 @@ const MaxIfConvertOps = 64
 // writes become selects — the paper's "if-conversion" source
 // transformation, applied automatically.
 func IfConvert(f *ir.Func) {
-	lv := ComputeLiveness(f)
+	new(workspace).ifConvert(f)
+}
+
+func (ws *workspace) ifConvert(f *ir.Func) {
+	lv := ws.liveness(f)
 	for changed := true; changed; {
 		changed = false
 		f.ComputeCFG()
 		for _, b := range f.Blocks {
-			if convertAt(f, b, lv) {
+			if ws.convertAt(f, b, lv) {
 				changed = true
 				f.RemoveUnreachable()
-				lv = ComputeLiveness(f)
+				lv = ws.liveness(f)
 				break
 			}
 		}
 	}
 	mergeChains(f)
-	Clean(f)
+	ws.cleanFunc(f)
 }
 
 // convertAt tries to if-convert the branch terminating b.
-func convertAt(f *ir.Func, b *ir.Block, lv *Liveness) bool {
+func (ws *workspace) convertAt(f *ir.Func, b *ir.Block, lv *Liveness) bool {
 	term := b.Terminator()
 	if term == nil || term.Op != ir.OpCBr {
 		return false
 	}
 	t, e := term.Targets[0], term.Targets[1]
 	var join *ir.Block
-	var arms []*ir.Block
+	var arms [2]*ir.Block
 	switch {
 	case t != e && isConvertibleArm(t, b) && isConvertibleArm(e, b) &&
 		armTarget(t) == armTarget(e):
 		join = armTarget(t)
-		arms = []*ir.Block{t, e}
+		arms = [2]*ir.Block{t, e}
 	case isConvertibleArm(t, b) && armTarget(t) == e:
 		// Triangle: cbr c, t, join.
 		join = e
-		arms = []*ir.Block{t, nil}
+		arms = [2]*ir.Block{t, nil}
 	case isConvertibleArm(e, b) && armTarget(e) == t:
 		// Mirrored triangle: cbr c, join, e.
 		join = t
-		arms = []*ir.Block{nil, e}
+		arms = [2]*ir.Block{nil, e}
 	default:
 		return false
 	}
@@ -62,60 +70,59 @@ func convertAt(f *ir.Func, b *ir.Block, lv *Liveness) bool {
 	cond := term.Args[0]
 
 	// Drop the cbr; speculate both arms with renamed definitions; then
-	// select the surviving values.
+	// select the surviving values. final[i][r] is 1 + the register that
+	// holds r's value at the end of arm i (0: the arm leaves r alone);
+	// while an arm is copied it is also the renaming of its later reads.
+	// Both tables are dense over the registers that exist now, which are
+	// the ones the arms name; wrote lists the registers either arm writes.
 	b.Instrs = b.Instrs[:len(b.Instrs)-1]
-	finals := make([]map[ir.Reg]ir.Reg, 2)
+	final := &ws.arm
+	for i := range final {
+		zeroed(&final[i], f.NumRegs(), 0)
+	}
+	wrote := ws.wrote[:0]
 	for i, arm := range arms {
-		finals[i] = map[ir.Reg]ir.Reg{}
 		if arm == nil {
 			continue
 		}
-		rename := map[ir.Reg]ir.Reg{}
 		for _, in := range arm.Body() {
-			cp := in.Clone()
+			cp := ws.slab.Clone(in, nil)
 			for j, a := range cp.Args {
-				if a.IsReg() {
-					if nr, ok := rename[a.Reg]; ok {
-						cp.Args[j] = ir.R(nr)
-					}
+				if a.IsReg() && final[i][a.Reg] != 0 {
+					cp.Args[j] = ir.R(final[i][a.Reg] - 1)
 				}
 			}
 			if cp.Op.HasDest() {
 				nr := f.NewReg()
-				rename[cp.Dest] = nr
-				finals[i][cp.Dest] = nr
+				if final[0][cp.Dest] == 0 && final[1][cp.Dest] == 0 {
+					wrote = append(wrote, cp.Dest)
+				}
+				final[i][cp.Dest] = nr + 1
 				cp.Dest = nr
 			}
 			b.Append(cp)
 		}
 	}
-	// Emit selects for registers defined by either arm and live into the
-	// join (expression temps die inside their arm and need none).
-	written := map[ir.Reg]bool{}
-	for i := range finals {
-		for r := range finals[i] {
-			written[r] = true
-		}
-	}
-	var order []ir.Reg
-	for r := ir.Reg(0); int(r) < f.NumRegs(); r++ {
-		if written[r] {
-			order = append(order, r)
-		}
-	}
-	for _, r := range order {
+	// Emit selects, in register order, for registers defined by either
+	// arm and live into the join (expression temps die inside their arm
+	// and need none).
+	slices.Sort(wrote)
+	ws.wrote = wrote
+	for _, r := range wrote {
 		if !lv.LiveIn(join, r) && !usedBelow(join, r) {
 			continue
 		}
 		tv, fv := ir.R(r), ir.R(r)
-		if nr, ok := finals[0][r]; ok {
-			tv = ir.R(nr)
+		if nr := final[0][r]; nr != 0 {
+			tv = ir.R(nr - 1)
 		}
-		if nr, ok := finals[1][r]; ok {
-			fv = ir.R(nr)
+		if nr := final[1][r]; nr != 0 {
+			fv = ir.R(nr - 1)
 		}
-		b.Append(ir.NewInstr(ir.OpSelect, r, cond, tv, fv))
+		b.Append(ws.slab.New(ir.OpSelect, r, cond, tv, fv))
 	}
+	// The branch is not cut from the slab: terminators outlive every
+	// later Clean, and one would keep its whole array reachable.
 	b.Append(&ir.Instr{Op: ir.OpBr, Dest: ir.NoReg, Targets: []*ir.Block{join}})
 	return true
 }

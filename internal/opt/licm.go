@@ -13,28 +13,37 @@ import "customfit/internal/ir"
 // collapses on the 16-ALU 128-register machine, where the coefficients
 // no longer fit and get respilled.
 func LICM(f *ir.Func) {
+	new(workspace).licm(f)
+}
+
+// LICM's notes on a register, dense over the function's registers: how
+// often the loop body defines it (saturating at 2) and whether that
+// definition has been hoisted.
+const (
+	licmDefs    = 3 // mask: 0, 1, or 2 for "more than once"
+	licmHoisted = 4
+)
+
+func (ws *workspace) licm(f *ir.Func) {
 	l := f.Loop
 	if l == nil || !l.SingleBlock() || l.Preheader == nil {
 		return
 	}
 	h := l.Header
 	// Registers defined inside the loop body.
-	definedIn := map[ir.Reg]bool{}
-	defCount := map[ir.Reg]int{}
+	regs := zeroed(&ws.regs, f.NumRegs(), 0)
 	for _, in := range h.Instrs {
-		if in.Op.HasDest() {
-			definedIn[in.Dest] = true
-			defCount[in.Dest]++
+		if in.Op.HasDest() && regs[in.Dest]&licmDefs < 2 {
+			regs[in.Dest]++
 		}
 	}
-	lv := ComputeLiveness(f)
+	lv := ws.liveness(f)
 
-	hoisted := map[ir.Reg]bool{}
 	invariantArg := func(a ir.Operand) bool {
 		if a.IsImm() {
 			return true
 		}
-		return !definedIn[a.Reg] || hoisted[a.Reg]
+		return regs[a.Reg]&licmDefs == 0 || regs[a.Reg]&licmHoisted != 0
 	}
 	canHoist := func(in *ir.Instr) bool {
 		switch {
@@ -52,7 +61,7 @@ func LICM(f *ir.Func) {
 		default:
 			return false
 		}
-		if in.Dest == ir.NoReg || defCount[in.Dest] != 1 {
+		if in.Dest == ir.NoReg || regs[in.Dest]&licmDefs != 1 {
 			return false
 		}
 		// Home registers carry a value into the loop; redefining them
@@ -68,13 +77,15 @@ func LICM(f *ir.Func) {
 		return true
 	}
 
-	var moved []*ir.Instr
+	// Each round moves what has become hoistable out of the body, which
+	// is compacted in place.
+	moved := ws.moved[:0]
 	for changed := true; changed; {
 		changed = false
-		var stay []*ir.Instr
+		stay := h.Instrs[:0]
 		for _, in := range h.Instrs {
-			if !in.Op.IsTerminator() && canHoist(in) && !hoisted[in.Dest] {
-				hoisted[in.Dest] = true
+			if !in.Op.IsTerminator() && canHoist(in) && regs[in.Dest]&licmHoisted == 0 {
+				regs[in.Dest] |= licmHoisted
 				moved = append(moved, in)
 				changed = true
 				continue
@@ -83,6 +94,7 @@ func LICM(f *ir.Func) {
 		}
 		h.Instrs = stay
 	}
+	ws.moved = moved
 	if len(moved) == 0 {
 		return
 	}
@@ -90,6 +102,9 @@ func LICM(f *ir.Func) {
 	// safe to execute even when the loop runs zero times: pure ops
 	// cannot fault and constant-table loads have verified bounds.
 	pre := l.Preheader
-	term := pre.Instrs[len(pre.Instrs)-1]
-	pre.Instrs = append(pre.Instrs[:len(pre.Instrs)-1], append(moved, term)...)
+	body, term := pre.Instrs[:len(pre.Instrs)-1], pre.Instrs[len(pre.Instrs)-1]
+	instrs := make([]*ir.Instr, 0, len(pre.Instrs)+len(moved))
+	instrs = append(instrs, body...)
+	instrs = append(instrs, moved...)
+	pre.Instrs = append(instrs, term)
 }

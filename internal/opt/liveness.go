@@ -20,25 +20,44 @@ import (
 	"customfit/internal/ir"
 )
 
-// Liveness holds per-block live-in/live-out register sets.
+// Liveness holds per-block live-in/live-out register sets: one array of
+// bitset words, a live-in and a live-out set per block in function
+// order.
 type Liveness struct {
-	in, out map[*ir.Block]*regset
-	nregs   int
+	blocks []*ir.Block // the blocks analysed, in function order
+	sets   []uint64    // block i: live-in at [2i*words, (2i+1)*words), live-out after it
+	words  int         // words per set
+	nregs  int
 }
 
-// ComputeLiveness runs the standard backward dataflow over the CFG.
+// ComputeLiveness runs the standard backward dataflow over the CFG. The
+// result owns its memory and is never modified again, so it can be kept
+// and shared between goroutines.
 func ComputeLiveness(f *ir.Func) *Liveness {
+	lv := new(Liveness)
+	var tmp []uint64
+	lv.compute(f, &tmp, 0)
+	return lv
+}
+
+// compute runs the dataflow into lv's arrays, growing them as needed;
+// *tmp is working storage (the blocks' use and def sets and one set
+// more), also grown and reused. Arrays that have to grow get room for
+// spare registers more.
+func (lv *Liveness) compute(f *ir.Func, tmp *[]uint64, spare int) {
 	f.ComputeCFG()
 	n := f.NumRegs()
-	lv := &Liveness{
-		in:    make(map[*ir.Block]*regset, len(f.Blocks)),
-		out:   make(map[*ir.Block]*regset, len(f.Blocks)),
-		nregs: n,
-	}
-	use := make(map[*ir.Block]*regset, len(f.Blocks))
-	def := make(map[*ir.Block]*regset, len(f.Blocks))
-	for _, b := range f.Blocks {
-		u, d := newRegset(n), newRegset(n)
+	nb, words := len(f.Blocks), (n+63)/64
+	lv.blocks = append(lv.blocks[:0], f.Blocks...)
+	lv.words, lv.nregs = words, n
+	spare = (spare + 63) / 64 * (2*nb + 1)
+	zeroed(&lv.sets, 2*nb*words, spare)
+	work := zeroed(tmp, (2*nb+1)*words, spare)
+	use := func(i int) regset { return work[2*i*words : (2*i+1)*words] }
+	def := func(i int) regset { return work[(2*i+1)*words : (2*i+2)*words] }
+	nin := regset(work[2*nb*words:])
+	for i, b := range f.Blocks {
+		u, d := use(i), def(i)
 		for _, in := range b.Instrs {
 			for _, a := range in.Args {
 				if a.IsReg() && !d.get(a.Reg) {
@@ -49,42 +68,58 @@ func ComputeLiveness(f *ir.Func) *Liveness {
 				d.set(in.Dest)
 			}
 		}
-		use[b], def[b] = u, d
-		lv.in[b] = newRegset(n)
-		lv.out[b] = newRegset(n)
 	}
 	for changed := true; changed; {
 		changed = false
-		for i := len(f.Blocks) - 1; i >= 0; i-- {
-			b := f.Blocks[i]
-			out := lv.out[b]
-			for _, s := range b.Succs {
-				if out.unionWith(lv.in[s]) {
+		for i := nb - 1; i >= 0; i-- {
+			out := lv.out(i)
+			for _, s := range f.Blocks[i].Succs {
+				if out.unionWith(lv.in(lv.index(s))) {
 					changed = true
 				}
 			}
 			// in = use ∪ (out - def)
-			nin := out.clone()
-			nin.subtract(def[b])
-			nin.unionWith(use[b])
-			if lv.in[b].unionWith(nin) {
+			copy(nin, out)
+			nin.subtract(def(i))
+			nin.unionWith(use(i))
+			if lv.in(i).unionWith(nin) {
 				changed = true
 			}
 		}
 	}
-	return lv
+}
+
+// index returns b's position among the blocks analysed, or -1. A linear
+// search: kernels have a handful of blocks, callers ask once per block
+// (Sets) or know the index already (the passes of this package), and a
+// Liveness shared between goroutines cannot cache the last answer.
+func (lv *Liveness) index(b *ir.Block) int {
+	for i, x := range lv.blocks {
+		if x == b {
+			return i
+		}
+	}
+	return -1
+}
+
+func (lv *Liveness) in(i int) regset  { return lv.sets[2*i*lv.words : (2*i+1)*lv.words] }
+func (lv *Liveness) out(i int) regset { return lv.sets[(2*i+1)*lv.words : (2*i+2)*lv.words] }
+
+// liveOut is LiveOut for the i-th block analysed.
+func (lv *Liveness) liveOut(i int, r ir.Reg) bool {
+	return int(r) < lv.nregs && lv.out(i).get(r)
 }
 
 // LiveOut reports whether r is live on exit from b.
 func (lv *Liveness) LiveOut(b *ir.Block, r ir.Reg) bool {
-	s, ok := lv.out[b]
-	return ok && int(r) < lv.nregs && s.get(r)
+	i := lv.index(b)
+	return i >= 0 && lv.liveOut(i, r)
 }
 
 // LiveIn reports whether r is live on entry to b.
 func (lv *Liveness) LiveIn(b *ir.Block, r ir.Reg) bool {
-	s, ok := lv.in[b]
-	return ok && int(r) < lv.nregs && s.get(r)
+	i := lv.index(b)
+	return i >= 0 && int(r) < lv.nregs && lv.in(i).get(r)
 }
 
 // Sets returns b's live-in and live-out sets as bitset words (bit r%64
@@ -92,13 +127,11 @@ func (lv *Liveness) LiveIn(b *ir.Block, r ir.Reg) bool {
 // instead of probing each one. The words are the analysis's own: read
 // only. Both are nil for a block the analysis never saw.
 func (lv *Liveness) Sets(b *ir.Block) (in, out []uint64) {
-	if s, ok := lv.in[b]; ok {
-		in = s.w
+	i := lv.index(b)
+	if i < 0 {
+		return nil, nil
 	}
-	if s, ok := lv.out[b]; ok {
-		out = s.w
-	}
-	return in, out
+	return lv.in(i), lv.out(i)
 }
 
 // EachReg calls fn for every register of a set returned by Sets, in
@@ -111,30 +144,26 @@ func EachReg(set []uint64, fn func(ir.Reg)) {
 	}
 }
 
-// regset is a dense register bitset.
-type regset struct{ w []uint64 }
+// regset is a dense register bitset: a view of words someone else owns.
+type regset []uint64
 
-func newRegset(n int) *regset { return &regset{w: make([]uint64, (n+63)/64)} }
+func (s regset) set(r ir.Reg)      { s[r/64] |= 1 << (uint(r) % 64) }
+func (s regset) get(r ir.Reg) bool { return s[r/64]&(1<<(uint(r)%64)) != 0 }
 
-func (s *regset) set(r ir.Reg)      { s.w[r/64] |= 1 << (uint(r) % 64) }
-func (s *regset) get(r ir.Reg) bool { return s.w[r/64]&(1<<(uint(r)%64)) != 0 }
-
-func (s *regset) clone() *regset { return &regset{w: append([]uint64(nil), s.w...)} }
-
-func (s *regset) unionWith(o *regset) bool {
+func (s regset) unionWith(o regset) bool {
 	changed := false
-	for i := range s.w {
-		nw := s.w[i] | o.w[i]
-		if nw != s.w[i] {
-			s.w[i] = nw
+	for i := range s {
+		nw := s[i] | o[i]
+		if nw != s[i] {
+			s[i] = nw
 			changed = true
 		}
 	}
 	return changed
 }
 
-func (s *regset) subtract(o *regset) {
-	for i := range s.w {
-		s.w[i] &^= o.w[i]
+func (s regset) subtract(o regset) {
+	for i := range s {
+		s[i] &^= o[i]
 	}
 }

@@ -60,47 +60,70 @@ func Optimize(f *ir.Func) error {
 // sp (or under a fresh root span when sp is nil and a collector is
 // installed).
 func OptimizeSpan(sp *obs.Span, f *ir.Func) error {
+	return new(workspace).optimize(sp, f)
+}
+
+func (ws *workspace) optimize(sp *obs.Span, f *ir.Func) error {
 	osp := obs.Under(sp, "opt")
 	defer osp.End()
-	tracedPass(osp, "opt.clean", f, Clean)
-	tracedPass(osp, "opt.scalarize", f, Scalarize)
+	tracedPass(osp, "opt.clean", f, ws.cleanFunc)
+	tracedPass(osp, "opt.scalarize", f, ws.scalarize)
 	if !AblateIfConversion {
-		tracedPass(osp, "opt.ifconvert", f, IfConvert)
+		tracedPass(osp, "opt.ifconvert", f, ws.ifConvert)
 	}
 	if !AblateLICM {
-		tracedPass(osp, "opt.licm", f, LICM)
+		tracedPass(osp, "opt.licm", f, ws.licm)
 	}
-	tracedPass(osp, "opt.clean", f, Clean)
+	tracedPass(osp, "opt.clean", f, ws.cleanFunc)
 	if !AblateReassociation {
-		tracedPass(osp, "opt.reassoc", f, Reassociate)
+		tracedPass(osp, "opt.reassoc", f, ws.reassociate)
 	}
 	f.RemoveUnreachable()
 	return f.Verify()
 }
 
+// UnrollSpan is the second half of Prepare: it unrolls the pixel loop of
+// the optimized f by u, in place, under an opt.unroll span nested under
+// sp. A factor of 1, and a kernel without a pixel loop, leave f as it
+// is.
+func UnrollSpan(sp *obs.Span, f *ir.Func, u int) error {
+	return new(workspace).unrollSpan(sp, f, u)
+}
+
+func (ws *workspace) unrollSpan(sp *obs.Span, f *ir.Func, u int) error {
+	if u <= 1 || f.Loop == nil {
+		return nil
+	}
+	usp := obs.Under(sp, "opt.unroll").Int("factor", int64(u))
+	b0, i0 := irSize(f)
+	err := ws.unroll(f, u)
+	b1, i1 := irSize(f)
+	usp.Int("blocks_before", b0).Int("blocks_after", b1).
+		Int("instrs_before", i0).Int("instrs_after", i1).End()
+	return err
+}
+
 // Prepare clones f, optimizes it, and unrolls the pixel loop by u —
-// the per-(architecture, unroll-factor) compilation entry point used by
-// the explorer. The original function is never mutated.
+// the per-(architecture, unroll-factor) compilation entry point. The
+// original function is never mutated.
 func Prepare(f *ir.Func, u int) (*ir.Func, error) {
 	return PrepareSpan(nil, f, u)
 }
 
-// PrepareSpan is Prepare with telemetry spans under sp.
+// PrepareSpan is Prepare with telemetry spans under sp. It is its two
+// halves, OptimizeSpan and UnrollSpan, on one clone of f and out of one
+// workspace. The first half does not depend on u: a caller preparing
+// one kernel at several factors optimizes a clone once and hands a
+// clone of that to UnrollSpan per factor (the explorer's evaluator
+// does), with the same result.
 func PrepareSpan(sp *obs.Span, f *ir.Func, u int) (*ir.Func, error) {
 	g := f.Clone()
-	if err := OptimizeSpan(sp, g); err != nil {
+	ws := new(workspace)
+	if err := ws.optimize(sp, g); err != nil {
 		return nil, err
 	}
-	if u > 1 && g.Loop != nil {
-		usp := obs.Under(sp, "opt.unroll").Int("factor", int64(u))
-		b0, i0 := irSize(g)
-		err := Unroll(g, u)
-		b1, i1 := irSize(g)
-		usp.Int("blocks_before", b0).Int("blocks_after", b1).
-			Int("instrs_before", i0).Int("instrs_after", i1).End()
-		if err != nil {
-			return nil, err
-		}
+	if err := ws.unrollSpan(sp, g, u); err != nil {
+		return nil, err
 	}
 	return g, nil
 }

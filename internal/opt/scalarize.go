@@ -20,6 +20,10 @@ const MaxScalarizeElems = 64
 // are externally visible storage. Run Clean first so constant indices
 // are immediates.
 func Scalarize(f *ir.Func) {
+	new(workspace).scalarize(f)
+}
+
+func (ws *workspace) scalarize(f *ir.Func) {
 	// Snapshot: scalarizeMem removes entries from f.Mems in place.
 	mems := append([]*ir.MemRef(nil), f.Mems...)
 	for _, m := range mems {
@@ -29,9 +33,9 @@ func Scalarize(f *ir.Func) {
 		if !allAccessesConstant(f, m) {
 			continue
 		}
-		scalarizeMem(f, m)
+		ws.scalarizeMem(f, m)
 	}
-	Clean(f)
+	ws.cleanFunc(f)
 }
 
 func allAccessesConstant(f *ir.Func, m *ir.MemRef) bool {
@@ -53,7 +57,7 @@ func allAccessesConstant(f *ir.Func, m *ir.MemRef) bool {
 	return true
 }
 
-func scalarizeMem(f *ir.Func, m *ir.MemRef) {
+func (ws *workspace) scalarizeMem(f *ir.Func, m *ir.MemRef) {
 	elems := make([]ir.Reg, m.Size)
 	for i := range elems {
 		elems[i] = f.NewReg()
@@ -61,34 +65,38 @@ func scalarizeMem(f *ir.Func, m *ir.MemRef) {
 	// Initialize elements at function entry (locals start zeroed, with
 	// declared initializers applied).
 	entry := f.Entry()
-	var inits []*ir.Instr
+	inits := make([]*ir.Instr, 0, len(elems)+len(entry.Instrs))
 	for i, r := range elems {
 		v := int32(0)
 		if i < len(m.Init) {
 			v = m.Init[i]
 		}
-		inits = append(inits, ir.NewInstr(ir.OpMov, r, ir.Imm(v)))
+		inits = append(inits, ws.slab.New(ir.OpMov, r, ir.Imm(v)))
 	}
 	entry.Instrs = append(inits, entry.Instrs...)
 
 	for _, b := range f.Blocks {
-		var out []*ir.Instr
+		out, touched := ws.out[:0], false
 		for _, in := range b.Instrs {
 			if in.Mem != m {
 				out = append(out, in)
 				continue
 			}
+			touched = true
 			e := int(in.Args[0].Imm) + int(in.Off)
 			switch in.Op {
 			case ir.OpLoad:
 				// Stored values are kept in canonical (truncated) form,
 				// so a load is a plain copy.
-				out = append(out, ir.NewInstr(ir.OpMov, in.Dest, ir.R(elems[e])))
+				out = append(out, ws.slab.New(ir.OpMov, in.Dest, ir.R(elems[e])))
 			case ir.OpStore:
-				out = append(out, truncateTo(f, m.Elem, in.Args[1], elems[e], &out)...)
+				out = ws.truncateTo(out, f, m.Elem, in.Args[1], elems[e])
 			}
 		}
-		b.Instrs = out
+		ws.out = out
+		if touched {
+			b.Instrs = owned(out)
+		}
 	}
 	// Drop the MemRef.
 	kept := f.Mems[:0]
@@ -100,31 +108,28 @@ func scalarizeMem(f *ir.Func, m *ir.MemRef) {
 	f.Mems = kept
 }
 
-// truncateTo emits the operations storing val into the element register
-// dst with the narrowing semantics of the element type.
-func truncateTo(f *ir.Func, elem ir.ElemType, val ir.Operand, dst ir.Reg, out *[]*ir.Instr) []*ir.Instr {
+// truncateTo appends to out the operations storing val into the element
+// register dst with the narrowing semantics of the element type.
+func (ws *workspace) truncateTo(out []*ir.Instr, f *ir.Func, elem ir.ElemType, val ir.Operand, dst ir.Reg) []*ir.Instr {
 	if val.IsImm() {
-		return []*ir.Instr{ir.NewInstr(ir.OpMov, dst, ir.Imm(elem.Truncate(val.Imm)))}
+		return append(out, ws.slab.New(ir.OpMov, dst, ir.Imm(elem.Truncate(val.Imm))))
 	}
 	switch elem {
 	case ir.ElemI32:
-		return []*ir.Instr{ir.NewInstr(ir.OpMov, dst, val)}
+		return append(out, ws.slab.New(ir.OpMov, dst, val))
 	case ir.ElemU8:
-		return []*ir.Instr{ir.NewInstr(ir.OpAnd, dst, val, ir.Imm(0xff))}
+		return append(out, ws.slab.New(ir.OpAnd, dst, val, ir.Imm(0xff)))
 	case ir.ElemU16:
-		return []*ir.Instr{ir.NewInstr(ir.OpAnd, dst, val, ir.Imm(0xffff))}
-	case ir.ElemI8:
-		t := f.NewReg()
-		return []*ir.Instr{
-			ir.NewInstr(ir.OpShl, t, val, ir.Imm(24)),
-			ir.NewInstr(ir.OpShrA, dst, ir.R(t), ir.Imm(24)),
+		return append(out, ws.slab.New(ir.OpAnd, dst, val, ir.Imm(0xffff)))
+	case ir.ElemI8, ir.ElemI16:
+		sh := ir.Imm(24)
+		if elem == ir.ElemI16 {
+			sh = ir.Imm(16)
 		}
-	case ir.ElemI16:
 		t := f.NewReg()
-		return []*ir.Instr{
-			ir.NewInstr(ir.OpShl, t, val, ir.Imm(16)),
-			ir.NewInstr(ir.OpShrA, dst, ir.R(t), ir.Imm(16)),
-		}
+		return append(out,
+			ws.slab.New(ir.OpShl, t, val, sh),
+			ws.slab.New(ir.OpShrA, dst, ir.R(t), sh))
 	}
 	panic("opt: bad element type")
 }

@@ -24,6 +24,10 @@ const MaxUnrolledOps = 4096
 // the paper's "when the compiler started spilling register contents for
 // a given unrolling, we stopped considering that unrolling factor".
 func Unroll(f *ir.Func, u int) error {
+	return new(workspace).unroll(f, u)
+}
+
+func (ws *workspace) unroll(f *ir.Func, u int) error {
 	if u < 1 {
 		return fmt.Errorf("opt: unroll factor %d", u)
 	}
@@ -50,12 +54,27 @@ func Unroll(f *ir.Func, u int) error {
 	main := f.NewBlock("unroll")
 	remPre := f.NewBlock("rempre")
 
+	// The body is copied u times into the main block and once into the
+	// remainder; the guards add a handful of instructions more.
+	bodyArgs := 0
+	for _, in := range body {
+		bodyArgs += len(in.Args)
+	}
+	ws.slab.Expect((u+1)*len(body)+8, (u+1)*bodyArgs+16)
+	// Terminators outlive every later Clean, which keeps them as they
+	// are: one cut from the slab would keep the whole array of body
+	// copies reachable long after the copies are dead.
+	cbr := func(cond ir.Operand, taken, fallthru *ir.Block) *ir.Instr {
+		return &ir.Instr{Op: ir.OpCBr, Dest: ir.NoReg, Args: []ir.Operand{cond},
+			Targets: []*ir.Block{taken, fallthru}}
+	}
+
 	// Guard helper: g = (i + u-1) < limit, evaluated on the given block.
 	emitGuard := func(b *ir.Block) ir.Operand {
 		t := f.NewReg()
-		b.Append(ir.NewInstr(ir.OpAdd, t, ir.R(l.IndVar), ir.Imm(int32(u-1))))
+		b.Append(ws.slab.New(ir.OpAdd, t, ir.R(l.IndVar), ir.Imm(int32(u-1))))
 		g := f.NewReg()
-		b.Append(ir.NewInstr(ir.OpCmpLT, g, ir.R(t), l.Limit))
+		b.Append(ws.slab.New(ir.OpCmpLT, g, ir.R(t), l.Limit))
 		return ir.R(g)
 	}
 
@@ -68,33 +87,31 @@ func Unroll(f *ir.Func, u int) error {
 	}
 	pre.Instrs = pre.Instrs[:len(pre.Instrs)-1]
 	g0 := emitGuard(pre)
-	pre.Append(&ir.Instr{Op: ir.OpCBr, Dest: ir.NoReg, Args: []ir.Operand{g0},
-		Targets: []*ir.Block{main, remPre}})
+	pre.Append(cbr(g0, main, remPre))
 
 	// Main block: u copies of the body (including each copy's increment
 	// and now-dead test), then the back-edge guard.
+	main.Instrs = make([]*ir.Instr, 0, u*len(body)+3)
 	for k := 0; k < u; k++ {
 		for _, in := range body {
-			main.Append(in.Clone())
+			main.Append(ws.slab.Clone(in, nil))
 		}
 	}
 	gb := emitGuard(main)
-	main.Append(&ir.Instr{Op: ir.OpCBr, Dest: ir.NoReg, Args: []ir.Operand{gb},
-		Targets: []*ir.Block{main, remPre}})
+	main.Append(cbr(gb, main, remPre))
 
 	// Remainder: re-test, then run the original rotated loop.
 	rem := f.NewBlock("rem")
 	gr := f.NewReg()
-	remPre.Append(ir.NewInstr(ir.OpCmpLT, gr, ir.R(l.IndVar), l.Limit))
-	remPre.Append(&ir.Instr{Op: ir.OpCBr, Dest: ir.NoReg, Args: []ir.Operand{ir.R(gr)},
-		Targets: []*ir.Block{rem, l.Exit}})
+	remPre.Append(ws.slab.New(ir.OpCmpLT, gr, ir.R(l.IndVar), l.Limit))
+	remPre.Append(cbr(ir.R(gr), rem, l.Exit))
+	rem.Instrs = make([]*ir.Instr, 0, len(body)+2)
 	for _, in := range body {
-		rem.Append(in.Clone())
+		rem.Append(ws.slab.Clone(in, nil))
 	}
 	rt := f.NewReg()
-	rem.Append(ir.NewInstr(ir.OpCmpLT, rt, ir.R(l.IndVar), l.Limit))
-	rem.Append(&ir.Instr{Op: ir.OpCBr, Dest: ir.NoReg, Args: []ir.Operand{ir.R(rt)},
-		Targets: []*ir.Block{rem, l.Exit}})
+	rem.Append(ws.slab.New(ir.OpCmpLT, rt, ir.R(l.IndVar), l.Limit))
+	rem.Append(cbr(ir.R(rt), rem, l.Exit))
 
 	f.Loop = &ir.LoopInfo{
 		Preheader: pre,
@@ -106,11 +123,11 @@ func Unroll(f *ir.Func, u int) error {
 		Step:      l.Step * int32(u),
 	}
 	f.RemoveUnreachable()
-	Clean(f)
+	ws.cleanFunc(f)
 	// Unrolling concatenates the per-copy reduction chains into one long
 	// serial chain; rebalance it so the copies can actually overlap.
 	if !AblateReassociation {
-		Reassociate(f)
+		ws.reassociate(f)
 	}
 	return f.Verify()
 }

@@ -1,0 +1,79 @@
+package opt
+
+import (
+	"testing"
+
+	"customfit/internal/bench"
+	"customfit/internal/ir"
+)
+
+func lowered(t *testing.T, name string) *ir.Func {
+	t.Helper()
+	fn, err := bench.ByName(name).Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fn
+}
+
+// TestWorkspaceCarriesNothingOver runs kernels A, C and A again through
+// one workspace — optimize and unroll, so every pass and every table is
+// used, on functions of different sizes, block counts and memories —
+// and requires the second A to come out as the first did, and both as a
+// workspace of their own gives them: no binding, value number, liveness
+// set or instruction list of one block, pass or function may reach the
+// next.
+func TestWorkspaceCarriesNothingOver(t *testing.T) {
+	prepare := func(ws *workspace, name string, u int) *ir.Func {
+		g := lowered(t, name).Clone()
+		if err := ws.optimize(nil, g); err != nil {
+			t.Fatal(err)
+		}
+		if err := ws.unrollSpan(nil, g, u); err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	ws := new(workspace)
+	first := prepare(ws, "A", 4)
+	prepare(ws, "C", 2)
+	prepare(ws, "F", 8) // the one with branches to convert and arrays to scalarize
+	second := prepare(ws, "A", 4)
+	fresh := prepare(new(workspace), "A", 4)
+	if first.String() != fresh.String() || first.NumRegs() != fresh.NumRegs() {
+		t.Error("kernel A through a fresh workspace and through a shared one differ")
+	}
+	if second.String() != first.String() || second.NumRegs() != first.NumRegs() {
+		t.Error("kernel A came out differently the second time through one workspace: state leaked")
+	}
+}
+
+// TestCleanAllocatesPerBlock pins the cleaner's cost model without a
+// hand-set number, as ir.TestCloneAllocatesPerBlock pins Clone's: through
+// a warm workspace the tables are there, emitted instructions and
+// operands come out of one slab array each per pass and what is left is
+// per block — so cleaning (a fresh clone of) kernel A unrolled eight
+// times, the same blocks with well over twice the instructions, must
+// not cost one allocation more than unrolled twice.
+func TestCleanAllocatesPerBlock(t *testing.T) {
+	fn := lowered(t, "A")
+	ws := new(workspace)
+	count := func(u int) (float64, *ir.Func) {
+		g, err := Prepare(fn, u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws.cleanFunc(g.Clone()) // grows the tables
+		return testing.AllocsPerRun(5, func() { ws.cleanFunc(g.Clone()) }), g
+	}
+	a8, g8 := count(8) // the larger first, so neither run grows the workspace
+	a2, g2 := count(2)
+	if len(g2.Blocks) != len(g8.Blocks) || g8.NumInstrs() < 2*g2.NumInstrs() {
+		t.Fatalf("unroll 2: %d blocks, %d instructions; unroll 8: %d, %d — not the pair the test wants",
+			len(g2.Blocks), g2.NumInstrs(), len(g8.Blocks), g8.NumInstrs())
+	}
+	if a2 != a8 {
+		t.Errorf("Clean (of a clone) allocates %v times at unroll 2 and %v at unroll 8: it should depend on blocks alone", a2, a8)
+	}
+	t.Logf("%v allocations per clone and clean of %d blocks", a2, len(g2.Blocks))
+}

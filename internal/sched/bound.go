@@ -87,7 +87,7 @@ func (p *Prepared) countsOf() []opCounts {
 // search layer uses it to prove candidates cannot beat an incumbent
 // without paying for a compile.
 func LowerBound(prep *Prepared, arch machine.Arch) []int {
-	skels := prep.skeletons(arch)
+	skels := prep.skeletons(arch, nil)
 	counts := prep.countsOf()
 	aluCap := arch.ALUsPC() * arch.Clusters
 	mulCap := arch.MULsPC() * arch.Clusters

@@ -123,7 +123,7 @@ func runRound(csp *obs.Span, prep *Prepared, arch machine.Arch, sc *Scratch, wor
 	// fusion, and no spill rewrites yet.
 	var skels []*ddg.Skeleton
 	if singleCluster && arch.Ops.Empty() && !arch.MinMax && iter == 1 {
-		skels = prep.skeletons(arch)
+		skels = prep.skeletons(arch, &sc.skel)
 	}
 	// After two failed greedy rounds, fall back to program-order
 	// priority: a valid execution order whose pressure tracks the

@@ -185,11 +185,11 @@ func (ds *deltaState) build(src *ir.Func, arch machine.Arch, sc *Scratch) {
 // blocks are instruction-identical); fused or clustered states keep
 // their own, which extends skeleton reuse to machines the original
 // driver rebuilt them for every compile.
-func (ds *deltaState) skeletons(p *Prepared, arch machine.Arch) []*ddg.Skeleton {
+func (ds *deltaState) skeletons(p *Prepared, arch machine.Arch, bd *ddg.Builder) []*ddg.Skeleton {
 	if ds.shared {
-		return p.skeletons(arch)
+		return p.skeletons(arch, bd)
 	}
-	return ds.skels.get(ds.g, arch)
+	return ds.skels.get(ds.g, arch, bd)
 }
 
 // deltaParams are the arch-derived values a cached block entry is
@@ -366,7 +366,7 @@ func CompilePreparedDelta(sp *obs.Span, prep *Prepared, arch machine.Arch, sc *S
 		e, ok := ds.lookup(bi, params)
 		if !ok {
 			if skels == nil {
-				skels = ds.skeletons(prep, arch)
+				skels = ds.skeletons(prep, arch, &sc.skel)
 			}
 			sb, cert, blame, err := scheduleBlock(ds.g, b, arch, ds.pl, ds.lv, capRaw, false, skels[bi], sc)
 			if err != nil {

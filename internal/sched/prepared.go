@@ -52,9 +52,12 @@ type skelSet struct {
 }
 
 // get returns the skeletons of f's blocks for arch's latency class,
-// building them on first use. Every call on one cache must pass the
-// same, no longer mutated f.
-func (c *skelCache) get(f *ir.Func, arch machine.Arch) []*ddg.Skeleton {
+// building them on first use — with bd, whose tables are already grown
+// when it is a compile's Scratch builder (no skeleton view of it may be
+// in use), or with a builder of its own when bd is nil. Either way one
+// builder serves all of f's blocks and the cache keeps owned copies.
+// Every call on one cache must pass the same, no longer mutated f.
+func (c *skelCache) get(f *ir.Func, arch machine.Arch, bd *ddg.Builder) []*ddg.Skeleton {
 	c.mu.Lock()
 	if c.sets == nil {
 		c.sets = make(map[int]*skelSet)
@@ -66,9 +69,12 @@ func (c *skelCache) get(f *ir.Func, arch machine.Arch) []*ddg.Skeleton {
 	}
 	c.mu.Unlock()
 	s.once.Do(func() {
+		if bd == nil {
+			bd = new(ddg.Builder)
+		}
 		s.blocks = make([]*ddg.Skeleton, len(f.Blocks))
 		for i, b := range f.Blocks {
-			s.blocks[i] = ddg.BuildSkeleton(b, arch)
+			s.blocks[i] = bd.Build(b, arch).Clone()
 		}
 	})
 	return s.blocks
@@ -81,7 +87,7 @@ func NewPrepared(f *ir.Func) *Prepared {
 }
 
 // skeletons returns the per-block dependence skeletons of F for arch's
-// latency class.
-func (p *Prepared) skeletons(arch machine.Arch) []*ddg.Skeleton {
-	return p.skels.get(p.F, arch)
+// latency class (see skelCache.get for bd).
+func (p *Prepared) skeletons(arch machine.Arch, bd *ddg.Builder) []*ddg.Skeleton {
+	return p.skels.get(p.F, arch, bd)
 }

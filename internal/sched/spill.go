@@ -79,6 +79,7 @@ func SpillRewrite(f *ir.Func, regs []ir.Reg) int {
 	var spill *ir.MemRef
 	next := ir.Reg(f.NumRegs())
 	done, params := 0, 0
+	instrs, args := 0, 0 // what the rewrite will insert
 	for k := range vs {
 		v := &vs[k]
 		if v.uses == 0 {
@@ -86,6 +87,8 @@ func SpillRewrite(f *ir.Func, regs []ir.Reg) int {
 		}
 		if d := v.def; v.defs == 1 && d.Op == ir.OpLoad && d.Mem.Const && d.Args[0].IsImm() {
 			v.kind = remat
+			instrs += v.uses
+			args += v.uses * len(d.Args)
 		} else {
 			for _, p := range f.Params {
 				if p.Reg == regs[k] {
@@ -103,9 +106,13 @@ func SpillRewrite(f *ir.Func, regs []ir.Reg) int {
 			}
 			v.slot = int32(spill.Size)
 			spill.Size++
+			stores := v.defs
 			if v.param {
 				params++
+				stores++
 			}
+			instrs += v.uses + stores
+			args += v.uses + 2*stores
 		}
 		v.next = next
 		next += ir.Reg(v.uses)
@@ -116,12 +123,14 @@ func SpillRewrite(f *ir.Func, regs []ir.Reg) int {
 	}
 	f.SetNumRegs(int(next))
 
+	// Reloads and stores are cut from one slab that f's instructions
+	// keep alive, sized for exactly what the scan above counted.
+	var slab ir.Slab
+	slab.Expect(instrs, args)
 	store := func(v *victim, r ir.Reg) *ir.Instr {
-		return &ir.Instr{
-			Op: ir.OpStore, Dest: ir.NoReg,
-			Args: []ir.Operand{ir.Imm(v.slot), ir.R(r)},
-			Mem:  spill, Elem: ir.ElemI32,
-		}
+		in := slab.New(ir.OpStore, ir.NoReg, ir.Imm(v.slot), ir.R(r))
+		in.Mem, in.Elem = spill, ir.ElemI32
+		return in
 	}
 	// reloaded lists, in victim order, the rewritten victims in reads.
 	var ks []int32
@@ -184,15 +193,13 @@ func SpillRewrite(f *ir.Func, regs []ir.Reg) int {
 				t := v.next
 				v.next++
 				if v.kind == remat {
-					cp := v.def.Clone()
+					cp := slab.Clone(v.def, nil)
 					cp.Dest = t
 					out = append(out, cp)
 				} else {
-					out = append(out, &ir.Instr{
-						Op: ir.OpLoad, Dest: t,
-						Args: []ir.Operand{ir.Imm(v.slot)},
-						Mem:  spill, Elem: ir.ElemI32,
-					})
+					ld := slab.New(ir.OpLoad, t, ir.Imm(v.slot))
+					ld.Mem, ld.Elem = spill, ir.ElemI32
+					out = append(out, ld)
 				}
 				for i, a := range in.Args {
 					if a.IsReg() && a.Reg == r {
