@@ -65,7 +65,7 @@ fuzz-smoke:
 # ROADMAP.md).
 check: build vet staticcheck test race bench-smoke bench-module fuzz-smoke
 
-# Measure the five layer benchmarks nothing else isolates and record
+# Measure the six layer benchmarks nothing else isolates and record
 # them, with the environment they ran in, as the trajectory document
 # (docs/PERFORMANCE.md, "Tracking the numbers"). A record, never a
 # baseline: numbers from another day or host are not comparable.
@@ -101,7 +101,8 @@ bench-diff:
 	for round in 1 2 3 4 5 6 7 8 9 10; do \
 		order="parent change"; [ $$((round % 2)) = 1 ] || order="change parent"; \
 		echo "bench-diff: round $$round of 10 ($$order)"; \
-		for spec in dse:BenchmarkEvaluate:192x dse:BenchmarkEvaluateDelta:20000x \
+		for spec in dse:BenchmarkEvaluate:192x dse:BenchmarkEvaluateStarved:104x \
+				dse:BenchmarkEvaluateDelta:20000x \
 				dse:BenchmarkExploreOpsSubset:3x dse:BenchmarkPrepare:10x \
 				sim:BenchmarkSimRun:50x; do \
 			set -- $$(echo $$spec | tr : ' '); \

@@ -18,12 +18,32 @@ import (
 // same edges in the same order, the same predecessor counts and heights,
 // whatever the builder built before.
 
+// rankInvariant holds a skeleton to what the scheduler's ready set
+// stands on (sched.readySet): every edge runs forward in program order
+// at a distance that is not negative, so its head is no taller than its
+// tail and, ranked by descending height with ties to program order — or
+// by program order alone — comes after it: rank[to] > rank[from].
+func rankInvariant(sk *ddg.Skeleton) error {
+	for i := range sk.Heights {
+		for _, e := range sk.Succs(i) {
+			if e.MinDelta < 0 || e.To <= i || sk.Heights[e.To] > sk.Heights[i] {
+				return fmt.Errorf("edge %d -> %+v between heights %d and %d: a successor could outrank its predecessor",
+					i, e, sk.Heights[i], sk.Heights[e.To])
+			}
+		}
+	}
+	return nil
+}
+
 // diff reports the first difference between a built skeleton and the
-// reference's, or nil.
+// reference's, or a breach of the rank invariant, or nil.
 func diff(got *ddg.Skeleton, want *ddg.RefSkeleton) error {
 	n := len(want.Succs)
 	if len(got.NPreds) != n || len(got.Heights) != n {
 		return fmt.Errorf("%d/%d predecessor counts/heights for %d instructions", len(got.NPreds), len(got.Heights), n)
+	}
+	if err := rankInvariant(got); err != nil {
+		return err
 	}
 	if got.HasTerm != want.HasTerm {
 		return fmt.Errorf("HasTerm = %v, want %v", got.HasTerm, want.HasTerm)

@@ -35,10 +35,13 @@ func exploreBenchArchs() []machine.Arch {
 // Beside the timings it reports the work one lap over the machines
 // does, which repeats exactly and so is what `make bench-diff` can hold
 // to the last unit on any host: backend runs and static cycles per
-// evaluation, and the scheduler's own block and spill-rewrite counts.
-// Those come from one more lap after the clock has stopped, because the
-// sched.* counters only count under an installed collector and the
-// timed loop must not pay for one.
+// evaluation, and the scheduler's own counts — blocks, spill rewrites,
+// and the ready-set candidates it visited for the operations it placed
+// (the scan loop's waste ratio; the visit sequence is part of the
+// schedule's bit-identity, so the count may not move). Those come from
+// one more lap after the clock has stopped, because the sched.* counters
+// only count under an installed collector and the timed loop must not
+// pay for one.
 func BenchmarkEvaluate(b *testing.B) {
 	ev := NewEvaluator()
 	ev.Width = 48
@@ -70,6 +73,59 @@ func BenchmarkEvaluate(b *testing.B) {
 	b.ReportMetric(float64(cycles)/lap, "cycles/op")
 	b.ReportMetric(float64(col.Counter("sched.blocks_scheduled").Value()), "blocks_scheduled/lap")
 	b.ReportMetric(float64(col.Counter("sched.spill_rewritten").Value()), "spill_rewritten/lap")
+	b.ReportMetric(float64(col.Counter("sched.scan_visits").Value()), "scan_visits/lap")
+	b.ReportMetric(float64(col.Counter("sched.ops_placed").Value()), "ops_placed/lap")
+}
+
+// BenchmarkEvaluateStarved is BenchmarkEvaluate where the cold path
+// burns: BenchmarkEvaluate's machines have 256 registers or more and
+// never spill, these are every eighth of the full space's machines with
+// at most 32 registers per cluster, under A and H (alternating, one
+// evaluation an op), so the pressure throttle, forced placements, the
+// spill loop and the in-order fallback all run.
+func BenchmarkEvaluateStarved(b *testing.B) {
+	ev := NewEvaluator()
+	ev.Width = 48
+	ev.DisableMemo = true
+	ev.DisableDelta = true
+	bms := []*bench.Benchmark{bench.ByName("A"), bench.ByName("H")}
+	var archs []machine.Arch
+	starved := 0
+	for _, a := range machine.FullSpace() {
+		if a.RegsPC() <= 32 {
+			if starved%8 == 0 {
+				archs = append(archs, a)
+			}
+			starved++
+		}
+	}
+	for _, bm := range bms {
+		for _, u := range UnrollFactors {
+			ev.prepare(nil, bm, u)
+		}
+	}
+	sc := sched.NewScratch()
+	lap := len(bms) * len(archs)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ev.EvaluateScratch(bms[i%len(bms)], archs[i%lap/len(bms)], sc)
+	}
+	b.StopTimer()
+	col := obs.NewCollector()
+	obs.Install(col)
+	before := ev.Compilations.Load()
+	var cycles int64
+	for i := 0; i < lap; i++ {
+		cycles += ev.EvaluateScratch(bms[i%len(bms)], archs[i/len(bms)], sc).Cycles
+	}
+	runs := ev.Compilations.Load() - before
+	obs.Install(nil)
+	b.ReportMetric(float64(runs)/float64(lap), "runs/op")
+	b.ReportMetric(float64(cycles)/float64(lap), "cycles/op")
+	for _, c := range []string{"blocks_scheduled", "spill_rewritten", "scan_visits", "ops_placed"} {
+		b.ReportMetric(float64(col.Counter("sched."+c).Value()), c+"/lap")
+	}
 }
 
 // BenchmarkEvaluateDelta measures the steady-state neighbor

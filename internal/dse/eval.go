@@ -269,8 +269,8 @@ func (e *Evaluator) EvaluateCtx(ctx context.Context, b *bench.Benchmark, arch ma
 }
 
 // EvaluateScratch is Evaluate threading a per-worker scratch arena
-// through the backend (see sched.Scratch; pass nil to allocate one per
-// compile).
+// through the backend (see sched.Scratch; with nil every compile finds
+// one of its own).
 func (e *Evaluator) EvaluateScratch(b *bench.Benchmark, arch machine.Arch, sc *sched.Scratch) Evaluation {
 	return e.EvaluateScratchCtx(context.Background(), b, arch, sc)
 }

@@ -279,7 +279,10 @@ func (e *Explorer) RunCtx(ctx context.Context) (*Results, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sc := sched.NewScratch()
+			// Evaluations are plain values: once the worker is done,
+			// nothing refers to its arena.
+			sc := sched.GetScratch()
+			defer sched.PutScratch(sc)
 			var busy, wait time.Duration
 			for {
 				t0 := time.Now()

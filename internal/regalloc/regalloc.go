@@ -90,10 +90,15 @@ type Scratch struct {
 	ranges    []Range
 	byCluster [][]int32
 
-	// Coloring state: per-physical-register busy segment lists and the
-	// merge double-buffer.
+	// Coloring state: per-physical-register busy segment lists, how
+	// much of each is behind every range still to be coloured (see
+	// colorCluster), and the merge double-buffer.
 	busy     [][]Segment
+	past     []int
 	mergeBuf []Segment
+
+	// Registers already listed as victims, on the path that does not fit.
+	seen []bool
 
 	// AllocateReuse's arena-owned Result and its backing arrays.
 	res         Result
@@ -356,7 +361,7 @@ func allocate(prog *vliw.Program, lv *opt.Liveness, sc *Scratch, res *Result) {
 		}
 	}
 	if !res.Fits {
-		seen := map[ir.Reg]bool{}
+		seen := growBools(&sc.seen, nregs)
 		for _, ri := range victims {
 			if !seen[ranges[ri].Reg] {
 				seen[ranges[ri].Reg] = true
@@ -375,20 +380,33 @@ func allocate(prog *vliw.Program, lv *opt.Liveness, sc *Scratch, res *Result) {
 // overlap the range. Returns the index of the first uncolorable range,
 // or -1. Busy lists and the merge double-buffer live in the scratch
 // arena.
+//
+// Because births only move forward, a busy segment that ended before
+// the current range was born overlaps nothing from here on: past[p]
+// counts the segments at the front of busy[p] known to be such, the
+// overlap test and the merge start behind them, and a merge drops them.
 func colorCluster(idx []int32, ranges []Range, rc int, assign []int, sc *Scratch) int32 {
 	sort.Slice(idx, func(i, j int) bool {
 		return ranges[idx[i]].Segments[0].Start < ranges[idx[j]].Segments[0].Start
 	})
 	busy := sc.growBusy(rc)
+	past := growInts(&sc.past, rc)
 	for _, ri := range idx {
 		rg := &ranges[ri]
+		born := rg.Segments[0].Start
 		placed := false
 		for p := 0; p < rc && !placed; p++ {
-			if overlapsAny(busy[p], rg.Segments) {
+			b := busy[p][past[p]:]
+			for len(b) > 0 && b[0].End < born {
+				b = b[1:]
+				past[p]++
+			}
+			if overlapsAny(b, rg.Segments) {
 				continue
 			}
-			sc.mergeBuf = mergeInto(sc.mergeBuf[:0], busy[p], rg.Segments)
+			sc.mergeBuf = mergeInto(sc.mergeBuf[:0], b, rg.Segments)
 			busy[p] = append(busy[p][:0], sc.mergeBuf...)
+			past[p] = 0
 			assign[rg.Reg] = p
 			placed = true
 		}

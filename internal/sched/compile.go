@@ -52,7 +52,7 @@ func CompileSpan(sp *obs.Span, prepared *ir.Func, arch machine.Arch) (*Result, e
 // architecture from nothing: no delta cache is read or written, only the
 // kernel's cached dependence skeletons (per L2 latency class) and the
 // caller's Scratch arena are reused. prep may be shared across
-// concurrent workers; sc may not (pass nil to allocate a private one).
+// concurrent workers; sc may not (pass nil to borrow one for the call).
 // The prepared IR is not mutated, and the Result owns its memory.
 func CompilePrepared(sp *obs.Span, prep *Prepared, arch machine.Arch, sc *Scratch) (*Result, error) {
 	if err := arch.Validate(); err != nil {
@@ -64,7 +64,8 @@ func CompilePrepared(sp *obs.Span, prep *Prepared, arch machine.Arch, sc *Scratc
 	}
 	defer csp.End()
 	if sc == nil {
-		sc = NewScratch()
+		sc = GetScratch()
+		defer PutScratch(sc)
 	}
 	return spillLoop(csp, prep, arch, sc, lowerFor(prep.F, arch), nil)
 }

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -12,13 +13,17 @@ import (
 
 // TestCompilePreparedConcurrentSharing drives the explorer's sharing
 // contract: Prepared kernels shared by many goroutines, each with a
-// private Scratch arena, across architectures that hit every skeleton
-// path (cached single-cluster, clustered, spilling). Every concurrent
-// compile must reproduce the serial Result exactly. `make race` runs
-// this under the race detector to vet the skeleton singleflight, and —
-// through the last cell, a clustered machine that needs three spill
-// rounds at unroll 4 — workers reading the cached, owned skeletons of a
-// kernel while each builds the later rounds' into its own Scratch.
+// Scratch arena to itself — its own from the pool for the even cells,
+// one borrowed for the call (a nil Scratch) for the odd ones — across
+// architectures that hit every skeleton path (cached single-cluster,
+// clustered, spilling). Every concurrent compile must reproduce the
+// serial Result exactly, and still read the same once every arena has
+// gone back to the pool and been compiled with again: a Result owns
+// its memory. `make race` runs this under the race detector to vet the
+// skeleton singleflight, and — through the last cell, a clustered
+// machine that needs three spill rounds at unroll 4 — workers reading
+// the cached, owned skeletons of a kernel while each builds the later
+// rounds' into its own Scratch.
 func TestCompilePreparedConcurrentSharing(t *testing.T) {
 	fn, err := cc.CompileKernel(pipeSrc)
 	if err != nil {
@@ -35,7 +40,15 @@ func TestCompilePreparedConcurrentSharing(t *testing.T) {
 	spilling := cell{4, machine.Arch{ALUs: 8, MULs: 2, Regs: 32, L2Ports: 1, L2Lat: 4, Clusters: 4}}
 	cells = append(cells, cell{4, machine.Baseline}, spilling)
 
-	type shape struct{ spilled, iters, bundles, ops int }
+	type shape struct {
+		spilled, iters, bundles, ops int
+		digest                       string
+	}
+	shapeOf := func(res *Result) shape {
+		var d strings.Builder
+		scheduleDigest(&d, res, nil)
+		return shape{res.Spilled, res.Iterations, res.Prog.BundleCount(), res.Prog.OpCount(), d.String()}
+	}
 	ref := map[cell]shape{}
 	preps := map[int]*Prepared{}
 	for _, c := range cells {
@@ -50,7 +63,7 @@ func TestCompilePreparedConcurrentSharing(t *testing.T) {
 		if err != nil {
 			t.Fatalf("serial Compile u=%d %s: %v", c.unroll, c.arch, err)
 		}
-		ref[c] = shape{res.Spilled, res.Iterations, res.Prog.BundleCount(), res.Prog.OpCount()}
+		ref[c] = shapeOf(res)
 	}
 	if got := ref[spilling].iters; got < 4 {
 		t.Fatalf("u=%d %s took %d rounds; the test needs a cell with at least 3 spill rounds", spilling.unroll, spilling.arch, got)
@@ -58,28 +71,43 @@ func TestCompilePreparedConcurrentSharing(t *testing.T) {
 
 	const workers = 8
 	errs := make(chan error, workers*len(cells))
+	kept := make([][]*Result, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
-			sc := NewScratch()
-			for _, c := range cells {
+			own := GetScratch()
+			defer PutScratch(own)
+			kept[w] = make([]*Result, len(cells))
+			for ci, c := range cells {
+				sc := own
+				if ci%2 == 1 {
+					sc = nil
+				}
 				res, err := CompilePrepared(nil, preps[c.unroll], c.arch, sc)
 				if err != nil {
 					errs <- fmt.Errorf("concurrent compile u=%d %s: %v", c.unroll, c.arch, err)
 					continue
 				}
-				got := shape{res.Spilled, res.Iterations, res.Prog.BundleCount(), res.Prog.OpCount()}
-				if got != ref[c] {
-					errs <- fmt.Errorf("u=%d %s: concurrent result %+v, serial %+v", c.unroll, c.arch, got, ref[c])
+				if got := shapeOf(res); got != ref[c] {
+					errs <- fmt.Errorf("u=%d %s: concurrent result differs from the serial one (%d/%d spilled, %d/%d rounds)",
+						c.unroll, c.arch, got.spilled, ref[c].spilled, got.iters, ref[c].iters)
 				}
+				kept[w][ci] = res
 			}
-		}()
+		}(w)
 	}
 	wg.Wait()
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+	for w := range kept {
+		for ci, res := range kept[w] {
+			if res != nil && shapeOf(res) != ref[cells[ci]] {
+				t.Errorf("u=%d %s: worker %d's result changed after its arena was reused", cells[ci].unroll, cells[ci].arch, w)
+			}
+		}
 	}
 }

@@ -172,7 +172,7 @@ func (ds *deltaState) build(src *ir.Func, arch machine.Arch, sc *Scratch) {
 				// one-per-cycle throughput and a spec-carried latency, so
 				// they observe no matchable architecture parameter.
 			case ir.OpBr, ir.OpCBr, ir.OpRet, ir.OpNop:
-			default: // plain ALU class, mirroring resources.tryPlace
+			default: // plain ALU class, mirroring classify
 				bi.hasALU = true
 			}
 		}

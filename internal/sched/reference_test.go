@@ -1,9 +1,11 @@
 package sched
 
 // Reference implementations of the mechanisms the cold spill loop
-// replaced — the binary ready heap, eager blame, the per-victim spill
-// rewrite — kept verbatim as test oracles, and the tests that hold
-// their successors to them directly rather than only through goldens.
+// replaced — the binary ready heap, eager blame, the pressure check
+// worked out from the argument list, a resource check on every ask, the
+// per-victim spill rewrite — kept as test oracles, and the tests that
+// hold their successors to them directly rather than only through
+// goldens.
 
 import (
 	"fmt"
@@ -13,9 +15,11 @@ import (
 
 	"customfit/internal/bench"
 	"customfit/internal/cc"
+	"customfit/internal/cc/cctest"
 	"customfit/internal/ddg"
 	"customfit/internal/ir"
 	"customfit/internal/machine"
+	"customfit/internal/obs"
 	"customfit/internal/opt"
 	"customfit/internal/vliw"
 )
@@ -92,22 +96,52 @@ func (q *readyHeap) reinit() {
 	}
 }
 
-// refScheduleBlock is scheduleBlock as it stood before the ready set and
-// lazy blame replaced the heap and the per-stuck-cycle register walk:
-// the same resource and pressure model (shared with the scheduler under
-// test), a readyHeap re-heapified every cycle, and blame bumped eagerly
-// into a dense per-register table.
-func refScheduleBlock(f *ir.Func, b *ir.Block, arch machine.Arch, pl *Placement, lv *opt.Liveness, cap int, blame []int, inOrder bool, sk *ddg.Skeleton, sc *Scratch) (*vliw.Block, schedCert, error) {
+// refDelta is the definition of the change placing in now makes to the
+// live-value count of its destination's cluster, read off the
+// scheduler's liveness state and the argument list: +1 for a
+// destination not live yet, -1 per distinct non-immortal argument homed
+// on that cluster whose last use this is. The scheduler keeps the same
+// number current in cand.delta; the reference recounts it at every
+// visit.
+func refDelta(p *pressure, in *ir.Instr) int {
+	cd := p.clusterOf(in.Dest)
+	delta := 0
+	if !p.isLive[in.Dest] {
+		delta++
+	}
+	for ai, a := range in.Args {
+		if !a.IsReg() || dupArg(in.Args[:ai], a.Reg) {
+			continue
+		}
+		if p.isLive[a.Reg] && !p.immortal[a.Reg] && p.remaining[a.Reg] == 1 &&
+			p.clusterOf(a.Reg) == cd && a.Reg != in.Dest {
+			delta--
+		}
+	}
+	return delta
+}
+
+// refScheduleBlock is scheduleBlock as it stood before the ready set,
+// lazy blame, stored pressure deltas and remembered refusals: a
+// readyHeap re-heapified every cycle, blame bumped eagerly into a dense
+// per-register table, the pressure check recounted from the argument
+// list (and the scheduler's stored delta held to the recount, at every
+// visit), every candidate that gets that far put to tryPlace. The
+// liveness bookkeeping (pressure.init, pressure.place) and the resource
+// tables are the scheduler's own, under the identity ranking: which
+// ranking the records stand in is no business of theirs. The second
+// result is the number of candidates visited, over all cycles.
+func refScheduleBlock(t *testing.T, f *ir.Func, b *ir.Block, arch machine.Arch, pl *Placement, lv *opt.Liveness, cap int, blame []int, inOrder bool, sk *ddg.Skeleton, sc *Scratch) (*vliw.Block, int, schedCert, error) {
 	var cert schedCert
 	ins := b.Instrs
 	n := len(ins)
 	sb := &vliw.Block{IR: b}
 	if n == 0 {
-		return sb, cert, nil
+		return sb, 0, cert, nil
 	}
 
-	unschedPreds := grow(&sc.unschedPreds, n)
-	earliest := grow(&sc.earliest, n)
+	unschedPreds := make([]int32, n)
+	earliest := make([]int32, n)
 	for i, np := range sk.NPreds {
 		unschedPreds[i] = int32(np)
 	}
@@ -117,13 +151,40 @@ func refScheduleBlock(f *ir.Func, b *ir.Block, arch machine.Arch, pl *Placement,
 			ready.push(int32(i))
 		}
 	}
+	identity := make([]int32, n)
+	cands := make([]cand, n)
 	rs := &sc.res
 	rs.reset(arch)
+	for i, in := range ins {
+		identity[i] = int32(i)
+		cands[i].res = classify(in, pl)
+	}
 	var pr pressure
-	pr.init(f, b, arch, pl, lv, cap, sc)
+	pr.init(f, b, arch, pl, lv, cap, identity, cands, sc)
+	wouldExceed := func(i int32) bool {
+		in := ins[i]
+		if !in.Op.HasDest() {
+			return false
+		}
+		delta := refDelta(&pr, in)
+		if int(cands[i].delta) != delta || int(cands[i].cd) != pr.clusterOf(in.Dest) {
+			t.Fatalf("block %s, %s: stored delta %d on cluster %d, recount %d on cluster %d",
+				b.Name, in, cands[i].delta, cands[i].cd, delta, pr.clusterOf(in.Dest))
+		}
+		v := pr.live[pr.clusterOf(in.Dest)] + delta
+		if v > pr.maxChecked {
+			pr.maxChecked = v
+		}
+		if v > pr.cap {
+			pr.bound = true
+			return true
+		}
+		return false
+	}
 	placed := 0
 	cycle := 0
 	last := 0
+	visits := 0
 	var deferred []int32
 	cooloff := 0 // cycles to wait after a forced placement before forcing again
 	maxCycles := 64*n + 4096
@@ -155,7 +216,7 @@ func refScheduleBlock(f *ir.Func, b *ir.Block, arch machine.Arch, pl *Placement,
 
 	for placed < n {
 		if cycle > maxCycles {
-			return nil, cert, fmt.Errorf("schedule did not converge after %d cycles (%d/%d ops placed)", cycle, placed, n)
+			return nil, visits, cert, fmt.Errorf("schedule did not converge after %d cycles (%d/%d ops placed)", cycle, placed, n)
 		}
 		deferred = deferred[:0]
 		placedThisCycle := 0
@@ -172,19 +233,21 @@ func refScheduleBlock(f *ir.Func, b *ir.Block, arch machine.Arch, pl *Placement,
 				deferred = append(deferred, i)
 				continue
 			}
-			if pr.wouldExceed(ins[i]) {
+			if wouldExceed(i) {
 				pressureDeferrals++
 				deferred = append(deferred, i)
 				continue
 			}
-			if !rs.tryPlace(ins[i], cycle, pl) {
+			if !rs.tryPlace(cands[i].res, cycle) {
 				deferred = append(deferred, i)
 				continue
 			}
 			emit(i)
 			placedThisCycle++
 		}
-		if pops := scanStart - scanBudget; pops > cert.maxScan {
+		pops := scanStart - scanBudget
+		visits += pops
+		if pops > cert.maxScan {
 			cert.maxScan = pops
 		}
 		if scanBudget == 0 && len(ready.idx) > 0 {
@@ -234,7 +297,7 @@ func refScheduleBlock(f *ir.Func, b *ir.Block, arch machine.Arch, pl *Placement,
 					best, bestKey = i, key
 				}
 			}
-			if best >= 0 && rs.tryPlace(ins[best], cycle, pl) {
+			if best >= 0 && rs.tryPlace(cands[best].res, cycle) {
 				sb.Forced++
 				// Let the admitted value's consumer catch up (producer
 				// latency) before forcing more pressure in.
@@ -256,7 +319,7 @@ func refScheduleBlock(f *ir.Func, b *ir.Block, arch machine.Arch, pl *Placement,
 	sb.SchedPeak = pr.peak
 	cert.maxPressure = pr.maxChecked
 	cert.pressureBound = pr.bound
-	return sb, cert, nil
+	return sb, visits, cert, nil
 }
 
 // refSpillRewrite is SpillRewrite as it stood before the one-pass
@@ -403,14 +466,14 @@ func refRematerialize(f *ir.Func, r ir.Reg, def *ir.Instr) {
 
 // TestReadySetVisitsLikeHeap drives the rank-bitset ready set and the
 // reference heap through the same random cycles — candidates deferred or
-// placed, instructions readied mid-scan at any rank (below the cursor
-// included), scan budgets that run out, a forced placement after the
-// scan — and requires the same visit order and the same "anything left"
-// answer at every step.
+// placed, instructions readied mid-scan at any rank after the placement
+// that readies them (the rank invariant: see readySet), scan budgets that
+// run out, a forced placement after the scan — and requires the same
+// visit order and the same "anything left" answer at every step.
 func TestReadySetVisitsLikeHeap(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	sc := NewScratch()
-	lateVisits, exhausted := 0, 0
+	sameWord, exhausted := 0, 0
 	for trial := 0; trial < 400; trial++ {
 		n := 1 + rng.Intn(300)
 		spread := 1 + rng.Intn(12) // few distinct heights: many ties
@@ -424,41 +487,50 @@ func TestReadySetVisitsLikeHeap(t *testing.T) {
 		h := readyHeap{heights: heights, inOrder: inOrder}
 		waiting := rng.Perm(n) // not yet ready
 		inSet := 0
-		release := func(k int) {
-			for ; k > 0 && len(waiting) > 0; k-- {
-				i := int32(waiting[len(waiting)-1])
-				waiting = waiting[:len(waiting)-1]
-				q.add(i)
+		// release readies up to k waiting instructions ranking after
+		// above (-1: any).
+		release := func(k int, above int32) {
+			for w := len(waiting) - 1; w >= 0 && k > 0; w-- {
+				i := int32(waiting[w])
+				if q.rank[i] <= above {
+					continue
+				}
+				if above >= 0 && q.rank[i]>>6 == above>>6 {
+					sameWord++
+				}
+				waiting = append(waiting[:w], waiting[w+1:]...)
+				q.add(q.rank[i])
 				h.push(i)
 				inSet++
+				k--
 			}
 		}
-		release(1 + rng.Intn(16))
+		release(1+rng.Intn(16), -1)
 		for cycle := 0; inSet > 0 || len(waiting) > 0; cycle++ {
 			if cycle > 50*n+100 {
 				t.Fatalf("trial %d: no progress", trial)
 			}
 			budget := 1 + rng.Intn(12)
 			var deferred []int32
+			pos := q.begin()
 			for budget > 0 {
-				if len(q.late) > 0 {
-					lateVisits++
+				r := q.visit(&pos)
+				if (r >= 0) != (len(h.idx) > 0) {
+					t.Fatalf("trial %d cycle %d: visit gives rank %d with %d in the heap", trial, cycle, r, len(h.idx))
 				}
-				i, ok := q.next()
-				if ok != (len(h.idx) > 0) {
-					t.Fatalf("trial %d cycle %d: next ok=%v with %d in the heap", trial, cycle, ok, len(h.idx))
-				}
-				if !ok {
+				if r < 0 {
 					break
 				}
 				budget--
+				i := q.order[r]
 				if want := h.pop(); i != want {
 					t.Fatalf("trial %d cycle %d: visited %d, heap pops %d", trial, cycle, i, want)
 				}
 				if rng.Intn(3) == 0 {
-					q.remove(i)
+					q.remove(r)
 					inSet--
-					release(rng.Intn(4)) // readied mid-scan, any rank
+					release(rng.Intn(4), r) // readied mid-scan
+					q.placed(&pos, r)
 				} else {
 					deferred = append(deferred, i)
 				}
@@ -466,27 +538,26 @@ func TestReadySetVisitsLikeHeap(t *testing.T) {
 			if budget == 0 && len(h.idx) > 0 {
 				exhausted++
 			}
-			if q.pending() != (len(h.idx) > 0) {
-				t.Fatalf("trial %d cycle %d: pending=%v with %d in the heap", trial, cycle, q.pending(), len(h.idx))
+			if q.pending(pos) != (len(h.idx) > 0) {
+				t.Fatalf("trial %d cycle %d: pending=%v with %d in the heap", trial, cycle, q.pending(pos), len(h.idx))
 			}
-			q.endScan()
 			// The scheduler's forced placement comes after the scan.
 			if len(deferred) > 0 && rng.Intn(4) == 0 {
 				k := rng.Intn(len(deferred))
-				q.remove(deferred[k])
+				q.remove(q.rank[deferred[k]])
 				inSet--
 				deferred = append(deferred[:k], deferred[k+1:]...)
-				release(rng.Intn(3))
+				release(rng.Intn(3), -1)
 			}
 			h.idx = append(h.idx, deferred...)
 			h.reinit()
 			if inSet == 0 {
-				release(1)
+				release(1, -1)
 			}
 		}
 	}
-	if lateVisits == 0 || exhausted == 0 {
-		t.Fatalf("walk too tame: %d below-cursor visits, %d exhausted budgets", lateVisits, exhausted)
+	if sameWord == 0 || exhausted == 0 {
+		t.Fatalf("walk too tame: %d readied mid-scan into the word being walked, %d exhausted budgets", sameWord, exhausted)
 	}
 }
 
@@ -616,33 +687,77 @@ func sameBlock(a, b *vliw.Block) error {
 	return nil
 }
 
+// generatedKernels returns n seeded cctest.Kernel draws prepared at
+// unroll 1 and 4, keyed "gen<seed>/u<factor>".
+func generatedKernels(t *testing.T, n int) map[string]*ir.Func {
+	t.Helper()
+	out := map[string]*ir.Func{}
+	for seed := 0; seed < n; seed++ {
+		src := cctest.Kernel(rand.New(rand.NewSource(int64(seed))))
+		fn, err := cc.CompileKernel(src)
+		if err != nil {
+			t.Fatalf("seed %d: %v\n%s", seed, err, src)
+		}
+		for _, u := range []int{1, 4} {
+			g, err := opt.Prepare(fn, u)
+			if err != nil {
+				t.Fatalf("seed %d unroll %d: %v\n%s", seed, u, err, src)
+			}
+			out[fmt.Sprintf("gen%d/u%d", seed, u)] = g
+		}
+	}
+	return out
+}
+
 // TestSchedulerMatchesHeapAndEagerBlame schedules every block of the 11
-// kernels on register-starved machines — budgets down to the floor, both
+// kernels at unroll 1 and 2, and of 120 generated kernels at unroll 1
+// and 4, on register-starved machines — budgets down to the floor, both
 // priority modes — with the scheduler and with the reference (binary
-// heap, blame bumped on every stuck cycle), and requires the same
-// schedule, the same reuse certificate and the same blame.
+// heap, blame bumped on every stuck cycle, pressure recounted and
+// resources asked at every visit), and requires the same schedule, the
+// same number of candidates visited, the same reuse certificate and the
+// same blame.
 func TestSchedulerMatchesHeapAndEagerBlame(t *testing.T) {
 	archs := []machine.Arch{
 		{ALUs: 1, MULs: 1, Regs: 64, L2Ports: 1, L2Lat: 8, Clusters: 1},
 		{ALUs: 8, MULs: 2, Regs: 128, L2Ports: 1, L2Lat: 8, Clusters: 4},
 	}
+	kernels := preparedKernels(t, 1, 2)
+	generated := 120
+	if testing.Short() || raceEnabled {
+		generated = 12
+	}
+	for name, f := range generatedKernels(t, generated) {
+		kernels[name] = f
+	}
+	col := obs.NewCollector()
+	obs.Install(col)
+	defer obs.Install(nil)
+	visited := col.Counter("sched.scan_visits")
 	sc, refSC := NewScratch(), NewScratch()
-	blamed, forced, scanBound := 0, 0, 0
-	for name, f := range preparedKernels(t, 1, 2) {
+	blamed, forced, scanBound, repeated := 0, 0, 0, 0
+	for name, f := range kernels {
 		for _, arch := range archs {
 			g, pl := PartitionClone(f, arch)
 			lv := opt.ComputeLiveness(g)
 			skels := make([]*ddg.Skeleton, len(g.Blocks))
 			for bi, b := range g.Blocks {
 				skels[bi] = ddg.BuildSkeleton(b, arch)
+				for _, in := range b.Instrs {
+					if len(in.Args) == 2 && in.Args[0].IsReg() && in.Args[0] == in.Args[1] {
+						repeated++
+					}
+				}
 			}
 			for _, cap := range []int{3, arch.RegsPC() - pressureReserve} {
 				for _, inOrder := range []bool{false, true} {
 					for bi, b := range g.Blocks {
 						sk := skels[bi]
+						before := visited.Value()
 						sb, cert, sparse, err := scheduleBlock(g, b, arch, pl, lv, cap, inOrder, sk, sc)
+						visits := int(visited.Value() - before)
 						eager := make([]int, g.NumRegs())
-						refSB, refCert, refErr := refScheduleBlock(g, b, arch, pl, lv, cap, eager, inOrder, sk, refSC)
+						refSB, refVisits, refCert, refErr := refScheduleBlock(t, g, b, arch, pl, lv, cap, eager, inOrder, sk, refSC)
 						where := fmt.Sprintf("%s %s cap %d inOrder %v block %s", name, arch, cap, inOrder, b.Name)
 						if (err == nil) != (refErr == nil) {
 							t.Fatalf("%s: error %v, reference %v", where, err, refErr)
@@ -652,6 +767,9 @@ func TestSchedulerMatchesHeapAndEagerBlame(t *testing.T) {
 						}
 						if err := sameBlock(sb, refSB); err != nil {
 							t.Fatalf("%s: %v", where, err)
+						}
+						if visits != refVisits {
+							t.Fatalf("%s: visited %d candidates, reference %d", where, visits, refVisits)
 						}
 						if cert != refCert {
 							t.Fatalf("%s: certificate %+v, reference %+v", where, cert, refCert)
@@ -675,5 +793,11 @@ func TestSchedulerMatchesHeapAndEagerBlame(t *testing.T) {
 	}
 	if blamed == 0 || forced == 0 || scanBound == 0 {
 		t.Fatalf("machines not starved enough: blame %d, forced placements %d, scan-bound blocks %d", blamed, forced, scanBound)
+	}
+	// The generated kernels multiply a value by itself here and there,
+	// which the benchmark kernels never do: the stored deltas have to
+	// follow the use counts through it (see TestRepeatedOperandNeverDies).
+	if generated == 120 && repeated == 0 {
+		t.Fatal("no instruction names one register twice")
 	}
 }

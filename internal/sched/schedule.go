@@ -60,6 +60,9 @@ func ScheduleWithCap(f *ir.Func, arch machine.Arch, pl *Placement, cap int) (*vl
 // ScheduleMode additionally selects in-order priority, the
 // pressure-safe fallback used after repeated allocation failures.
 func ScheduleMode(f *ir.Func, arch machine.Arch, pl *Placement, cap int, inOrder bool) (*vliw.Program, error) {
+	if err := arch.Validate(); err != nil {
+		return nil, err
+	}
 	prog, _, err := scheduleFunc(f, arch, pl, cap, inOrder, nil, NewScratch())
 	return prog, err
 }
@@ -116,6 +119,25 @@ func addBlame(dst []int, blame []regBlame) {
 // the scheduler's exact liveness).
 const pressureReserve = 2
 
+// cand is what one visit of the scan reads about a candidate. The
+// records stand in rank order, so a scan walks memory forwards and a
+// refusal touches nothing else.
+type cand struct {
+	// earliest is the first cycle every operand is available.
+	earliest int32
+	// delta is the change in live values on cluster cd if the candidate
+	// issues now: +1 for a destination not live yet, -1 per distinct
+	// non-immortal argument homed on cd whose last use this is.
+	// pressure keeps it current (see pressure.place).
+	delta int16
+	// res is the issue resource the candidate needs (see
+	// resources.classify).
+	res resource
+	// cd is the destination's home cluster, -1 without a destination
+	// (nothing to check against the budget).
+	cd int8
+}
+
 // readySet is the scheduler's ready queue. The priority — descending
 // critical-path height with ties to earlier program order, or pure
 // program order when inOrder is set (the pressure-safe fallback: program
@@ -123,21 +145,22 @@ const pressureReserve = 2
 // placeable and pressure tracks the program-order peak) — is static per
 // block and total, so every instruction gets a rank once (rank 0 issues
 // first) and the set is a bitset over ranks. Visiting candidates in
-// priority order is find-next-set-bit from a cursor: a deferred
+// priority order is walking the set bits upward (scanPos): a deferred
 // candidate keeps its bit and costs nothing, a placed one clears it.
 //
 // The visit sequence is exactly that of a binary heap that pops each
 // candidate once per cycle and pushes the deferred ones back at the end
-// of it: an instruction readied mid-scan above the cursor is met when
-// the cursor reaches it, and one readied below the cursor — which the
-// heap would pop next — is queued in late and visited first.
+// of it, because an instruction readied mid-scan always ranks after the
+// placement that readied it and is met when the walk reaches it. That
+// is the rank invariant: every dependence edge runs forward in program
+// order with MinDelta >= 0, so a successor is no taller than its
+// predecessor and loses the tie — rank[to] > rank[from] in both
+// priority modes (asserted over every skeleton the ddg tests build).
 type readySet struct {
 	rank  []int32  // instruction index -> rank
 	order []int32  // rank -> instruction index
 	bits  []uint64 // ready ranks
 	lo    int      // no word below this index has a bit set (scans start here)
-	cur   int      // ranks below the cursor were visited this cycle
-	late  []int32  // ranks readied below the cursor, sorted descending
 }
 
 // init ranks the block's n instructions, reusing sc's buffers. Heights
@@ -147,7 +170,7 @@ func (q *readySet) init(sc *Scratch, heights []int, inOrder bool) {
 	q.rank = grow(&sc.rank, n)
 	q.order = grow(&sc.order, n)
 	q.bits = grow(&sc.readyBits, (n+63)/64)
-	q.lo, q.cur, q.late = len(q.bits), 0, sc.late[:0]
+	q.lo = len(q.bits)
 	if inOrder {
 		for i := range q.rank {
 			q.rank[i], q.order[i] = int32(i), int32(i)
@@ -177,79 +200,92 @@ func (q *readySet) init(sc *Scratch, heights []int, inOrder bool) {
 	}
 }
 
-// add marks instruction i ready.
-func (q *readySet) add(i int32) {
-	r := q.rank[i]
+// add marks rank r ready.
+func (q *readySet) add(r int32) {
 	w := int(r >> 6)
 	q.bits[w] |= 1 << (uint(r) & 63)
 	if w < q.lo {
 		q.lo = w
 	}
-	if int(r) < q.cur {
-		// Sorted insertion: the scan loop itself never takes this path
-		// (a successor ranks after the instruction that readied it), so
-		// the list stays tiny.
-		q.late = append(q.late, r)
-		for k := len(q.late) - 1; k > 0 && q.late[k-1] < r; k-- {
-			q.late[k], q.late[k-1] = q.late[k-1], q.late[k]
-		}
-	}
 }
 
-// remove takes a placed instruction out of the set.
-func (q *readySet) remove(i int32) {
-	r := q.rank[i]
+// remove takes a placed rank out of the set.
+func (q *readySet) remove(r int32) {
 	q.bits[r>>6] &^= 1 << (uint(r) & 63)
 }
 
-// scan returns the lowest ready rank at or above from, or -1.
-func (q *readySet) scan(from int) int {
-	if lo := q.lo << 6; from < lo {
-		from = lo
-	}
-	w := from >> 6
-	if w >= len(q.bits) {
-		return -1
-	}
-	word := q.bits[w] &^ (1<<(uint(from)&63) - 1)
-	for word == 0 {
-		if w++; w >= len(q.bits) {
-			return -1
-		}
-		word = q.bits[w]
-	}
-	return w<<6 + bits.TrailingZeros64(word)
+// scanPos is a walk's position in the ready set: the word it is in and
+// the bits of that word it has not visited yet.
+type scanPos struct {
+	w    int
+	word uint64
 }
 
-// next visits the best-priority ready instruction not yet visited this
-// cycle; ok is false when every ready instruction has been.
-func (q *readySet) next() (i int32, ok bool) {
-	if n := len(q.late); n > 0 {
-		r := q.late[n-1]
-		q.late = q.late[:n-1]
-		return q.order[r], true
-	}
-	r := q.scan(q.cur)
-	if r < 0 {
-		return 0, false
-	}
-	q.cur = r + 1
-	return q.order[r], true
-}
-
-// pending reports whether next would still yield a candidate.
-func (q *readySet) pending() bool {
-	return len(q.late) > 0 || q.scan(q.cur) >= 0
-}
-
-// endScan closes the cycle's scan: every instruction still in the set
-// is a candidate again.
-func (q *readySet) endScan() {
+// begin starts a walk at the lowest ready rank.
+func (q *readySet) begin() scanPos {
 	for q.lo < len(q.bits) && q.bits[q.lo] == 0 {
 		q.lo++
 	}
-	q.cur, q.late = 0, q.late[:0]
+	if q.lo == len(q.bits) {
+		return scanPos{w: q.lo}
+	}
+	return scanPos{q.lo, q.bits[q.lo]}
 }
+
+// visit returns the best-priority ready rank the walk has not visited,
+// or -1 when it has visited them all.
+func (q *readySet) visit(p *scanPos) int32 {
+	for p.word == 0 {
+		if p.w+1 >= len(q.bits) {
+			return -1
+		}
+		p.w++
+		p.word = q.bits[p.w]
+	}
+	r := p.w<<6 + bits.TrailingZeros64(p.word)
+	p.word &= p.word - 1
+	return int32(r)
+}
+
+// placed continues the walk after the rank it just visited was removed
+// and its successors added: those rank after it (the rank invariant),
+// so the ones that landed in its word are the word's bits above it, and
+// later words are read when the walk gets there.
+func (q *readySet) placed(p *scanPos, r int32) {
+	p.word = q.bits[p.w] &^ (2<<(uint(r)&63) - 1)
+}
+
+// pending reports whether visit would still yield a candidate.
+func (q *readySet) pending(p scanPos) bool {
+	if p.word != 0 {
+		return true
+	}
+	for w := p.w + 1; w < len(q.bits); w++ {
+		if q.bits[w] != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// resource is an issue resource a candidate needs: a kind on a cluster
+// (cluster<<resKindBits | kind; a machine has at most 16 clusters).
+// What tryPlace checks for a candidate depends on nothing else.
+type resource uint8
+
+// Issue resource kinds.
+const (
+	resNop  resource = iota // needs nothing
+	resALU                  // an ALU issue slot (incl. mov, select, compares)
+	resMul                  // an ALU issue slot on a multiplier
+	resXMov                 // the source cluster's ALU issue slot and a bus
+	resL1                   // the cluster's L1 path and the L1 port
+	resL2                   // one of the cluster's L2 paths and an L2 port
+	resCU                   // the cluster's custom-op unit
+	resBr                   // the branch unit
+
+	resKindBits = 3
+)
 
 // resources tracks per-cycle slot usage and port occupancy in flat
 // row-major tables (cycle*clusters + cluster), reused across blocks via
@@ -258,13 +294,19 @@ type resources struct {
 	arch machine.Arch
 	nc   int
 	rows int // per-cycle rows currently valid (zeroed)
-	// per cycle, per cluster slot counters
-	alu, mul, l1p, l2p, cu []int32
+	// per cycle, per cluster slot counters: bytes, a valid machine has
+	// at most 16 ALUs (every entry point validates the arch)
+	alu, mul, l1p, l2p, cu []uint8
 	// per cycle global counters
-	bus, br []int32
+	bus, br []uint8
 	// global non-pipelined port free-times
 	l1FreeAt int
 	l2FreeAt []int
+	// refusedAt[res] is 1 + the last cycle tryPlace refused resource
+	// res. Within a cycle slots and port free-times only fill, so a
+	// resource refused once stays refused until the next cycle and a
+	// scan need not ask again (see refused).
+	refusedAt []int32
 }
 
 func (rs *resources) reset(arch machine.Arch) {
@@ -273,6 +315,7 @@ func (rs *resources) reset(arch machine.Arch) {
 	rs.rows = 0
 	rs.l1FreeAt = 0
 	rs.l2FreeAt = grow(&rs.l2FreeAt, arch.L2Ports)
+	rs.refusedAt = grow(&rs.refusedAt, rs.nc<<resKindBits)
 }
 
 // growTo batch-extends per-cycle slot tracking, zeroing only the newly
@@ -297,9 +340,9 @@ func (rs *resources) growTo(cycle int) {
 
 // growRows resizes s to n entries, keeping the first used entries and
 // zeroing the rest, reusing capacity where possible.
-func growRows(s []int32, used, n int) []int32 {
+func growRows(s []uint8, used, n int) []uint8 {
 	if cap(s) < n {
-		ns := make([]int32, n)
+		ns := make([]uint8, n)
 		copy(ns, s[:used])
 		return ns
 	}
@@ -310,51 +353,87 @@ func growRows(s []int32, used, n int) []int32 {
 	return s
 }
 
-// tryPlace checks and reserves machine resources for in at the cycle.
-func (rs *resources) tryPlace(in *ir.Instr, cycle int, pl *Placement) bool {
-	rs.growTo(cycle)
-	a := rs.arch
-	c := pl.Cluster(in)
-	row := cycle * rs.nc
+// classify returns the issue resource in needs.
+func classify(in *ir.Instr, pl *Placement) resource {
+	kind, c := resALU, pl.Cluster(in)
 	switch in.Op {
 	case ir.OpXMov:
-		src := pl.SrcCluster(in)
-		if int(rs.alu[row+src]) >= a.ALUsPC() || int(rs.bus[cycle]) >= a.Buses() {
+		kind, c = resXMov, pl.SrcCluster(in)
+	case ir.OpMul:
+		kind = resMul
+	case ir.OpLoad, ir.OpStore:
+		kind = resL2
+		if in.Mem.Space == ir.L1 {
+			kind = resL1
+		}
+	case ir.OpFused:
+		kind = resCU
+	case ir.OpBr, ir.OpCBr, ir.OpRet:
+		kind, c = resBr, 0 // the one branch unit
+	case ir.OpNop:
+		kind, c = resNop, 0
+	}
+	return resource(c)<<resKindBits | kind
+}
+
+// refused reports whether tryPlace already refused res this cycle,
+// which it would do again.
+func (rs *resources) refused(res resource, cycle int) bool {
+	return rs.refusedAt[res] == int32(cycle)+1
+}
+
+// tryPlace checks and reserves res at the cycle, and notes a refusal
+// for refused.
+func (rs *resources) tryPlace(res resource, cycle int) bool {
+	rs.growTo(cycle)
+	if rs.reserve(res, cycle) {
+		return true
+	}
+	rs.refusedAt[res] = int32(cycle) + 1
+	return false
+}
+
+// reserve takes res at the cycle, if one is free.
+func (rs *resources) reserve(res resource, cycle int) bool {
+	a := rs.arch
+	c := int(res >> resKindBits)
+	row := cycle * rs.nc
+	switch res & (1<<resKindBits - 1) {
+	case resXMov:
+		if int(rs.alu[row+c]) >= a.ALUsPC() || int(rs.bus[cycle]) >= a.Buses() {
 			return false
 		}
-		rs.alu[row+src]++
+		rs.alu[row+c]++
 		rs.bus[cycle]++
-	case ir.OpMul:
+	case resMul:
 		if int(rs.alu[row+c]) >= a.ALUsPC() || int(rs.mul[row+c]) >= a.MULsPC() {
 			return false
 		}
 		rs.alu[row+c]++
 		rs.mul[row+c]++
-	case ir.OpLoad, ir.OpStore:
-		if in.Mem.Space == ir.L1 {
-			if rs.l1p[row+c] >= 1 || rs.l1FreeAt > cycle {
-				return false
-			}
-			rs.l1p[row+c]++
-			rs.l1FreeAt = cycle + machine.L1Occupancy
-		} else {
-			if int(rs.l2p[row+c]) >= a.L2PathsPC() {
-				return false
-			}
-			port := -1
-			for i, free := range rs.l2FreeAt {
-				if free <= cycle {
-					port = i
-					break
-				}
-			}
-			if port < 0 {
-				return false
-			}
-			rs.l2p[row+c]++
-			rs.l2FreeAt[port] = cycle + a.L2Lat
+	case resL1:
+		if rs.l1p[row+c] >= 1 || rs.l1FreeAt > cycle {
+			return false
 		}
-	case ir.OpFused:
+		rs.l1p[row+c]++
+		rs.l1FreeAt = cycle + machine.L1Occupancy
+	case resL2:
+		if int(rs.l2p[row+c]) >= a.L2PathsPC() {
+			return false
+		}
+		port := -1
+		for i, free := range rs.l2FreeAt {
+			if free <= cycle {
+				port = i
+				break
+			}
+		}
+		if port < 0 {
+			return false
+		}
+		rs.l2p[row+c]++
+		rs.l2FreeAt[port] = cycle + a.L2Lat
+	case resCU:
 		// One pipelined custom-op unit per cluster: it accepts one fused
 		// op per cycle without charging an ALU issue slot (the unit's
 		// silicon and register ports are priced by the cost and derate
@@ -363,13 +442,12 @@ func (rs *resources) tryPlace(in *ir.Instr, cycle int, pl *Placement) bool {
 			return false
 		}
 		rs.cu[row+c]++
-	case ir.OpBr, ir.OpCBr, ir.OpRet:
+	case resBr:
 		if rs.br[cycle] >= 1 {
 			return false
 		}
 		rs.br[cycle]++
-	case ir.OpNop:
-	default: // plain ALU op (incl. mov, select, compares)
+	case resALU:
 		if int(rs.alu[row+c]) >= a.ALUsPC() {
 			return false
 		}
@@ -397,6 +475,20 @@ type pressure struct {
 	immortal   []bool
 	regCluster []int
 
+	// What placing a candidate would do to its cluster's count is kept
+	// in its record (cand.delta) rather than worked out from its
+	// arguments on every visit. It depends on two facts about a
+	// register that flip a handful of times per block: whether it is
+	// live (a definition of a live register makes no new value), and
+	// whether it is dying — live with exactly one use left, so that use
+	// frees it. deps chains, per register, the records those facts
+	// enter: depHead[r] is 1 + the newest entry of deps for r, and an
+	// entry names a record's rank, doubled, plus 1 when the record
+	// defines r rather than reads it.
+	cands   []cand
+	depHead []int32
+	deps    []depLink
+
 	// Blame is charged lazily. A pressure-stuck cycle blames every value
 	// live in a saturated cluster, so instead of walking the registers
 	// on each one, stalls[c] counts the stuck cycles that saturated
@@ -418,7 +510,14 @@ type pressure struct {
 	bound      bool
 }
 
-func (p *pressure) init(f *ir.Func, b *ir.Block, arch machine.Arch, pl *Placement, lv *opt.Liveness, cap int, sc *Scratch) {
+// depLink is one entry of pressure.deps; next chains the register's
+// earlier entries (1 + index into deps).
+type depLink struct{ rec, next int32 }
+
+// init sets up the block's pressure state and fills in the pressure
+// half (cd, delta) of cands, the block's candidate records, which stand
+// at rank[i] for instruction i.
+func (p *pressure) init(f *ir.Func, b *ir.Block, arch machine.Arch, pl *Placement, lv *opt.Liveness, cap int, rank []int32, cands []cand, sc *Scratch) {
 	n := f.NumRegs()
 	p.cap = cap
 	p.live = grow(&sc.live, arch.Clusters)
@@ -430,6 +529,9 @@ func (p *pressure) init(f *ir.Func, b *ir.Block, arch machine.Arch, pl *Placemen
 	p.since = grow(&sc.since, n)
 	p.blame = sc.blameOut[:0]
 	p.regCluster = pl.RegCluster
+	p.cands = cands
+	p.depHead = grow(&sc.depHead, n)
+	p.deps = sc.deps[:0]
 	if p.cap < 3 {
 		p.cap = 3
 	}
@@ -451,6 +553,34 @@ func (p *pressure) init(f *ir.Func, b *ir.Block, arch machine.Arch, pl *Placemen
 			p.live[p.clusterOf(r)]++
 		}
 	})
+	link := func(r ir.Reg, rec int32) {
+		p.deps = append(p.deps, depLink{rec, p.depHead[r]})
+		p.depHead[r] = int32(len(p.deps))
+	}
+	for i, in := range b.Instrs {
+		k := &cands[rank[i]]
+		if !in.Op.HasDest() {
+			k.cd = -1
+			continue
+		}
+		cd := p.clusterOf(in.Dest)
+		k.cd = int8(cd)
+		link(in.Dest, 2*rank[i]+1)
+		if !p.isLive[in.Dest] {
+			k.delta++
+		}
+		for ai, a := range in.Args {
+			if !a.IsReg() || a.Reg == in.Dest || p.immortal[a.Reg] ||
+				p.clusterOf(a.Reg) != cd || dupArg(in.Args[:ai], a.Reg) {
+				continue
+			}
+			link(a.Reg, 2*rank[i])
+			if p.dying(a.Reg) {
+				k.delta--
+			}
+		}
+	}
+	sc.deps = p.deps[:0]
 }
 
 // stall records a pressure-stuck cycle that saturated cluster c.
@@ -496,34 +626,15 @@ func (p *pressure) clusterOf(r ir.Reg) int {
 	return 0
 }
 
-// wouldExceed reports whether placing in now pushes its destination
-// cluster past the budget, accounting for argument deaths. Duplicate
-// register arguments are detected by scanning the (tiny) argument list
-// rather than a heap-allocated set.
-func (p *pressure) wouldExceed(in *ir.Instr) bool {
-	if p.cap <= 0 || !in.Op.HasDest() {
-		return false
-	}
-	limit := p.cap
-	cd := p.clusterOf(in.Dest)
-	delta := 0
-	if !p.isLive[in.Dest] {
-		delta++
-	}
-	for ai, a := range in.Args {
-		if !a.IsReg() || dupArg(in.Args[:ai], a.Reg) {
-			continue
-		}
-		if p.isLive[a.Reg] && !p.immortal[a.Reg] && p.remaining[a.Reg] == 1 &&
-			p.clusterOf(a.Reg) == cd && a.Reg != in.Dest {
-			delta--
-		}
-	}
-	v := p.live[cd] + delta
+// wouldExceed reports whether placing k, which has a destination, now
+// pushes its destination cluster past the budget, accounting for
+// argument deaths.
+func (p *pressure) wouldExceed(k *cand) bool {
+	v := p.live[k.cd] + int(k.delta)
 	if v > p.maxChecked {
 		p.maxChecked = v
 	}
-	if v > limit {
+	if v > p.cap {
 		p.bound = true
 		return true
 	}
@@ -540,22 +651,54 @@ func dupArg(args []ir.Operand, reg ir.Reg) bool {
 	return false
 }
 
-// place updates liveness state for a placed instruction.
+// shift adds d to the delta of every record r's chain names with the
+// given role (1: defines r, 0: reads it).
+func (p *pressure) shift(r ir.Reg, role int32, d int16) {
+	for e := p.depHead[r]; e != 0; e = p.deps[e-1].next {
+		if rec := p.deps[e-1].rec; rec&1 == role {
+			p.cands[rec>>1].delta += d
+		}
+	}
+}
+
+// dying reports whether r is live with exactly one use left: that use
+// frees it.
+func (p *pressure) dying(r ir.Reg) bool {
+	return p.isLive[r] && p.remaining[r] == 1
+}
+
+// sync brings the deltas of r's readers up to date after its liveness
+// or use count changed: was is what dying(r) said before.
+func (p *pressure) sync(r ir.Reg, was bool) {
+	switch now := p.dying(r); {
+	case now && !was:
+		p.shift(r, 0, -1)
+	case was && !now:
+		p.shift(r, 0, +1)
+	}
+}
+
+// place updates liveness state for a placed instruction. Uses are
+// counted down per argument occurrence but a death is looked for at a
+// register's first occurrence only, so a register whose last reader
+// names it twice is never seen to die (pinned, not fixed: see
+// TestRepeatedOperandNeverDies).
 func (p *pressure) place(in *ir.Instr) {
 	for ai, a := range in.Args {
 		if !a.IsReg() {
 			continue
 		}
+		was := p.dying(a.Reg)
 		p.remaining[a.Reg]--
-		if dupArg(in.Args[:ai], a.Reg) {
-			continue
-		}
-		if p.remaining[a.Reg] <= 0 && !p.immortal[a.Reg] && p.isLive[a.Reg] {
+		if !dupArg(in.Args[:ai], a.Reg) &&
+			p.remaining[a.Reg] <= 0 && !p.immortal[a.Reg] && p.isLive[a.Reg] {
 			p.isLive[a.Reg] = false
 			c := p.clusterOf(a.Reg)
 			p.live[c]--
 			p.settle(a.Reg, c)
+			p.shift(a.Reg, 1, +1) // its next definition makes a new value
 		}
+		p.sync(a.Reg, was)
 	}
 	if in.Op.HasDest() && !p.isLive[in.Dest] {
 		p.isLive[in.Dest] = true
@@ -565,6 +708,8 @@ func (p *pressure) place(in *ir.Instr) {
 		if p.live[cd] > p.peak[cd] {
 			p.peak[cd] = p.live[cd]
 		}
+		p.shift(in.Dest, 1, -1)
+		p.sync(in.Dest, false)
 	}
 }
 
@@ -606,34 +751,36 @@ func scheduleBlock(f *ir.Func, b *ir.Block, arch machine.Arch, pl *Placement, lv
 	}
 
 	unschedPreds := grow(&sc.unschedPreds, n)
-	earliest := grow(&sc.earliest, n)
 	var ready readySet
 	ready.init(sc, sk.Heights, inOrder)
+	rank := ready.rank
 	for i, np := range sk.NPreds {
 		unschedPreds[i] = int32(np)
 		if np == 0 {
-			ready.add(int32(i))
+			ready.add(rank[i])
 		}
 	}
+	cands := grow(&sc.cands, n)
 	rs := &sc.res
 	rs.reset(arch)
+	for i, in := range ins {
+		cands[rank[i]].res = classify(in, pl)
+	}
 	var pr pressure
-	pr.init(f, b, arch, pl, lv, cap, sc)
+	pr.init(f, b, arch, pl, lv, cap, rank, cands, sc)
 	placed := 0
 	cycle := 0
 	last := 0
-	// deferred lists the candidates this cycle's scan found issuable
-	// (operands ready) but could not place: what a pressure deadlock
-	// chooses its forced placement from.
-	deferred := sc.deferred[:0]
 	cooloff := 0 // cycles to wait after a forced placement before forcing again
 	maxCycles := 64*n + 4096
+	visits := 0 // ready-set candidates visited, over all cycles
 	sb.Ops = make([]vliw.Op, 0, n)
 
-	emit := func(i int32) {
+	emit := func(r int32) {
+		i := ready.order[r]
 		in := ins[i]
 		pr.place(in)
-		ready.remove(i)
+		ready.remove(r)
 		if cycle > last {
 			last = cycle
 		}
@@ -645,57 +792,58 @@ func scheduleBlock(f *ir.Func, b *ir.Block, arch machine.Arch, pl *Placement, lv
 		})
 		placed++
 		for _, e := range sk.Succs(int(i)) {
-			if t := int32(cycle + e.MinDelta); t > earliest[e.To] {
-				earliest[e.To] = t
+			to := rank[e.To]
+			if t := int32(cycle + e.MinDelta); t > cands[to].earliest {
+				cands[to].earliest = t
 			}
 			unschedPreds[e.To]--
 			if unschedPreds[e.To] == 0 {
-				ready.add(int32(e.To))
+				ready.add(to)
 			}
 		}
 	}
 
+	// Scanning the whole ready set every cycle is quadratic; after
+	// enough candidates fail, the rest of the set almost certainly
+	// cannot issue this cycle either.
+	scanStart := 8 * (arch.ALUs + arch.L2Ports + arch.Clusters + 4)
 	for placed < n {
 		if cycle > maxCycles {
-			sc.late, sc.deferred = ready.late[:0], deferred[:0]
 			return nil, cert, nil, fmt.Errorf("schedule did not converge after %d cycles (%d/%d ops placed)", cycle, placed, n)
 		}
-		deferred = deferred[:0]
 		placedThisCycle := 0
 		pressureDeferrals := 0
-		// Scanning the whole ready set every cycle is quadratic; after
-		// enough candidates fail, the rest of the set almost certainly
-		// cannot issue this cycle either.
-		scanBudget := 8 * (arch.ALUs + arch.L2Ports + arch.Clusters + 4)
-		scanStart := scanBudget
+		scanBudget := scanStart
+		pos := ready.begin()
 		for scanBudget > 0 {
-			i, ok := ready.next()
-			if !ok {
+			r := ready.visit(&pos)
+			if r < 0 {
 				break
 			}
 			scanBudget--
-			if int(earliest[i]) > cycle {
+			k := &cands[r]
+			if int(k.earliest) > cycle {
 				continue
 			}
-			if pr.wouldExceed(ins[i]) {
+			if k.cd >= 0 && pr.wouldExceed(k) {
 				pressureDeferrals++
-				deferred = append(deferred, i)
 				continue
 			}
-			if !rs.tryPlace(ins[i], cycle, pl) {
-				deferred = append(deferred, i)
+			if rs.refused(k.res, cycle) || !rs.tryPlace(k.res, cycle) {
 				continue
 			}
-			emit(i)
+			emit(r)
 			placedThisCycle++
+			ready.placed(&pos, r)
 		}
-		if pops := scanStart - scanBudget; pops > cert.maxScan {
+		pops := scanStart - scanBudget
+		visits += pops
+		if pops > cert.maxScan {
 			cert.maxScan = pops
 		}
-		if scanBudget == 0 && ready.pending() {
+		if scanBudget == 0 && !cert.scanBound && ready.pending(pos) {
 			cert.scanBound = true
 		}
-		ready.endScan()
 		// Pressure deadlock: every issuable candidate would overflow the
 		// budget, and the consumers that would relieve it are not ready
 		// because these very candidates block them. Force exactly one
@@ -706,18 +854,27 @@ func scheduleBlock(f *ir.Func, b *ir.Block, arch machine.Arch, pl *Placement, lv
 			cooloff--
 		}
 		if placedThisCycle == 0 && pressureDeferrals > 0 && cooloff == 0 {
-			// Blame the values occupying the saturated clusters: they
-			// are what a pressure-aware compiler would spill.
+			// Nothing was placed, so the ready set is what the scan
+			// walked: the candidates it found issuable (operands ready)
+			// but could not place are the first pops ranks of it with
+			// earliest <= cycle. Blame the values occupying the
+			// saturated clusters: they are what a pressure-aware
+			// compiler would spill.
 			stuck := grow(&sc.stuck, arch.Clusters)
-			best := int32(-1)
-			bestKey := [2]int{-1, -1 << 30}
-			for _, i := range deferred {
-				if ins[i].Op.HasDest() {
-					if c := pr.clusterOf(ins[i].Dest); !stuck[c] {
-						stuck[c] = true
-						pr.stall(c)
-					}
+			best, bestRank := int32(-1), int32(-1)
+			bestEnables := -1
+			pos := ready.begin()
+			for left := pops; left > 0; left-- {
+				r := ready.visit(&pos)
+				k := &cands[r]
+				if int(k.earliest) > cycle {
+					continue
 				}
+				if k.cd >= 0 && !stuck[k.cd] {
+					stuck[k.cd] = true
+					pr.stall(int(k.cd))
+				}
+				i := ready.order[r]
 				enables := 0
 				for _, e := range sk.Succs(int(i)) {
 					if unschedPreds[e.To] == 1 {
@@ -728,22 +885,22 @@ func scheduleBlock(f *ir.Func, b *ir.Block, arch machine.Arch, pl *Placement, lv
 				// emits expressions depth-first, so program order is the
 				// register-lean (Sethi-Ullman-like) evaluation order —
 				// exactly what a fully serialized machine should follow.
-				key := [2]int{enables, -int(i)}
-				if key[0] > bestKey[0] || (key[0] == bestKey[0] && key[1] > bestKey[1]) {
-					best, bestKey = i, key
+				if enables > bestEnables || (enables == bestEnables && i < best) {
+					best, bestRank, bestEnables = i, r, enables
 				}
 			}
-			if best >= 0 && rs.tryPlace(ins[best], cycle, pl) {
+			if best >= 0 && rs.tryPlace(cands[bestRank].res, cycle) {
 				sb.Forced++
 				// Let the admitted value's consumer catch up (producer
 				// latency) before forcing more pressure in.
 				cooloff = 1 + ddg.Latency(ins[best], arch)
-				emit(best)
+				emit(bestRank)
 			}
 		}
 		cycle++
 	}
-	sc.late, sc.deferred = ready.late[:0], deferred[:0]
+	obs.GetCounter("sched.scan_visits").Add(int64(visits))
+	obs.GetCounter("sched.ops_placed").Add(int64(placed))
 	sb.Len = last + 1
 	sb.SchedPeak = pr.peak
 	cert.maxPressure = pr.maxChecked

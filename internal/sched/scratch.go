@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"sync"
+
 	"customfit/internal/ddg"
 	"customfit/internal/ir"
 	"customfit/internal/regalloc"
@@ -26,6 +28,11 @@ import (
 //
 // A Scratch is NOT safe for concurrent use; share Prepared kernels
 // across workers, never a Scratch.
+//
+// Arenas outlive the run that grew them: a worker that comes and goes
+// (an exploration's, a one-shot compile) takes its Scratch with
+// GetScratch and hands it back with PutScratch, so the next
+// exploration's workers start on grown tables.
 type Scratch struct {
 	// the dependence skeleton of the block being scheduled, when no
 	// cached one applies: rebuilt block after block, round after round
@@ -34,26 +41,27 @@ type Scratch struct {
 	// the partitioner's tables (see partScratch)
 	part partScratch
 
-	// per-block scheduler state (sized to the block's op count)
+	// per-block scheduler state (sized to the block's op count): the
+	// candidate records stand in rank order
 	unschedPreds []int32
-	earliest     []int32
-	deferred     []int32
+	cands        []cand
 
 	// the ready set (see readySet): priority ranks, their inverse, the
-	// counting sort's bucket starts, the bitset over ranks, and the
-	// below-cursor side list
+	// counting sort's bucket starts and the bitset over ranks
 	rank      []int32
 	order     []int32
 	rankStart []int32
 	readyBits []uint64
-	late      []int32
 
 	// per-function pressure state (sized to the register count, or to
-	// the cluster count for live/stuck/stalls)
+	// the cluster count for live/stuck/stalls), and the per-block chains
+	// from a register to the candidate records it enters
 	isLive    []bool
 	immortal  []bool
 	remaining []int32
 	since     []int32
+	depHead   []int32
+	deps      []depLink
 	live      []int
 	stuck     []bool
 	stalls    []int32
@@ -93,6 +101,18 @@ type Scratch struct {
 func NewScratch() *Scratch {
 	return &Scratch{RA: regalloc.NewScratch()}
 }
+
+// scratchPool holds the arenas nobody is compiling with. A pool, not a
+// list: what an idle process keeps is the collector's to decide.
+var scratchPool = sync.Pool{New: func() any { return NewScratch() }}
+
+// GetScratch returns an arena no one else is using: one an earlier
+// compile stream grew, when there is one.
+func GetScratch() *Scratch { return scratchPool.Get().(*Scratch) }
+
+// PutScratch gives sc up for reuse. The caller must be done with every
+// Result that lives in sc's arenas (see CompilePreparedDelta).
+func PutScratch(sc *Scratch) { scratchPool.Put(sc) }
 
 // grow returns *buf resized to n entries with every entry zeroed,
 // reusing capacity, and stores the resized slice back.

@@ -103,7 +103,7 @@ func validateBlock(sb *vliw.Block, a machine.Arch, bd *ddg.Builder) error {
 			}
 		case ir.OpFused:
 			// Fused ops issue on the cluster's custom unit (pipelined,
-			// one per cycle), not on an ALU slot — mirroring tryPlace.
+			// one per cycle), not on an ALU slot — mirroring resources.reserve.
 			perCluster[op.Cluster][cy].cu++
 		case ir.OpNop:
 		default:
