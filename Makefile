@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet staticcheck race check bench bench-smoke bench-module bench-diff fuzz-smoke
+.PHONY: build test vet staticcheck race check bench bench-smoke bench-module bench-diff fuzz-smoke loc
 
 build:
 	$(GO) build ./...
@@ -75,6 +75,10 @@ bench:
 		$(GO) run ./cmd/cfp-benchjson -o BENCH_explore.json
 	@echo wrote BENCH_explore.json
 
+# The commit this tree is compared with, by bench-diff and by loc: HEAD
+# when the tree has uncommitted changes, HEAD~1 when it is clean.
+parent_rev = $$([ -z "$$(git status --porcelain)" ] && echo HEAD~1 || echo HEAD)
+
 # The perf gate: this tree against its parent commit, measured side by
 # side. The parent is HEAD when the tree has uncommitted changes and
 # HEAD~1 when it is clean; it is checked out into a git worktree under
@@ -89,7 +93,7 @@ bench:
 # docs/PERFORMANCE.md). About a minute at 2 procs.
 bench-diff:
 	@set -e; out=$(CURDIR)/.bench_build/bench-diff; \
-	rev=HEAD~1; [ -z "$$(git status --porcelain)" ] || rev=HEAD; \
+	rev=$(parent_rev); \
 	rm -rf $$out; git worktree prune; mkdir -p $$out; \
 	trap 'git worktree remove --force $$out/parent' EXIT; trap 'exit 130' INT TERM; \
 	git worktree add --quiet --detach $$out/parent $$rev; \
@@ -113,3 +117,22 @@ bench-diff:
 		done; \
 	done; \
 	$(GO) run ./cmd/cfp-benchjson -against $$out/parent.txt < $$out/change.txt
+
+# Lines of non-test Go outside benchmark/, per package and in total, for
+# the parent commit and for this tree: the number a simplicity PR
+# reports (ROADMAP.md, aim 2). The parent is bench-diff's (parent_rev)
+# and is read from the object store, so nothing is checked out.
+# Untracked files count on this tree's side unless ignored. A report,
+# not a gate: not part of `make check`.
+loc:
+	@rev=$(parent_rev); \
+	echo "loc: parent is $$rev ($$(git rev-parse --short $$rev))"; \
+	{ git grep -c '' $$rev -- '*.go' ':!*_test.go' ':!benchmark/' | sed 's/^[^:]*:/parent /'; \
+	  git grep -c --untracked '' -- '*.go' ':!*_test.go' ':!benchmark/' | sed 's/^/change /'; } | \
+	awk '{ n = split($$2, f, ":"); pkg = substr($$2, 1, length($$2) - length(f[n]) - 1); \
+		if (!sub("/[^/]*$$", "", pkg)) pkg = "."; \
+		lines[$$1, pkg] += f[n]; lines[$$1, "total"] += f[n]; pkgs[pkg] = 1 } \
+	function row(p) { return sprintf("%-24s %7d %7d %+7d\n", p, lines["parent", p], lines["change", p], \
+		lines["change", p] - lines["parent", p]) } \
+	END { printf "%-24s %7s %7s %7s\n", "package", "parent", "change", "delta"; \
+		for (p in pkgs) printf "%s", row(p) | "sort"; close("sort"); printf "%s", row("total") }'

@@ -50,41 +50,6 @@ type Graph struct {
 	Term  *Node // terminator node, or nil
 }
 
-// Latency returns the def-use latency of an instruction's result.
-func Latency(in *ir.Instr, arch machine.Arch) int {
-	switch in.Op {
-	case ir.OpFused:
-		// Custom ops execute on the dedicated chained-datapath unit;
-		// the spec carries its modeled latency (ir.FusedSpec.ChainLatency).
-		return in.Fused.Lat
-	case ir.OpMul:
-		return machine.LatMUL
-	case ir.OpLoad:
-		if in.Mem.Space == ir.L1 {
-			return machine.LatL1
-		}
-		return arch.L2Lat
-	case ir.OpXMov:
-		return machine.LatMove
-	default:
-		return machine.LatALU
-	}
-}
-
-// Occupancy returns how many cycles an instruction holds its memory
-// port. L2's ports are non-pipelined (busy for the full configurable
-// latency, paper Table 4); the fixed-throughput L1 port accepts one
-// access per cycle. Non-memory operations return 0.
-func Occupancy(in *ir.Instr, arch machine.Arch) int {
-	if !in.Op.IsMem() {
-		return 0
-	}
-	if in.Mem.Space == ir.L1 {
-		return machine.L1Occupancy
-	}
-	return arch.L2Lat
-}
-
 // Build constructs the dependence graph for a block under the given
 // architecture's latencies. It is the pointer-form view of a skeleton;
 // the scheduler and the validator consume skeletons directly, tests and

@@ -83,7 +83,7 @@ func ReferenceSkeleton(b *ir.Block, arch machine.Arch) *RefSkeleton {
 				continue
 			}
 			if def := lastDef[a.Reg]; def != 0 {
-				addEdge(def-1, i, Latency(ins[def-1], arch)) // true
+				addEdge(def-1, i, machine.Latency(ins[def-1], arch)) // true
 			}
 			lastUses[a.Reg] = append(lastUses[a.Reg], i)
 		}
@@ -91,7 +91,7 @@ func ReferenceSkeleton(b *ir.Block, arch machine.Arch) *RefSkeleton {
 			r := in.Dest
 			if def := lastDef[r]; def != 0 {
 				// Output: later def must commit strictly after earlier.
-				d := Latency(ins[def-1], arch) - Latency(in, arch) + 1
+				d := machine.Latency(ins[def-1], arch) - machine.Latency(in, arch) + 1
 				if d < 0 {
 					d = 0
 				}
@@ -146,9 +146,9 @@ func ReferenceSkeleton(b *ir.Block, arch machine.Arch) *RefSkeleton {
 		for i, in := range ins[:n-1] {
 			d := 0
 			if in.Op.HasDest() {
-				d = Latency(in, arch) - 1
+				d = machine.Latency(in, arch) - 1
 			}
-			if occ := Occupancy(in, arch); occ-1 > d {
+			if occ := machine.Occupancy(in, arch); occ-1 > d {
 				d = occ - 1
 			}
 			addEdge(i, n-1, d)
@@ -159,7 +159,7 @@ func ReferenceSkeleton(b *ir.Block, arch machine.Arch) *RefSkeleton {
 	// sweep (program order is a valid topological order).
 	for i := n - 1; i >= 0; i-- {
 		in := ins[i]
-		h := Latency(in, arch)
+		h := machine.Latency(in, arch)
 		if !in.Op.HasDest() {
 			h = 1
 		}

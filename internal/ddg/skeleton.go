@@ -180,7 +180,7 @@ func (bd *Builder) Build(b *ir.Block, arch machine.Arch) *Skeleton {
 				continue
 			}
 			if def := bd.lastDef[a.Reg]; def != 0 {
-				bd.addEdge(int(def-1), i, Latency(ins[def-1], arch)) // true
+				bd.addEdge(int(def-1), i, machine.Latency(ins[def-1], arch)) // true
 			}
 			bd.uses = append(bd.uses, useLink{int32(i), bd.useHead[a.Reg]})
 			bd.useHead[a.Reg] = int32(len(bd.uses))
@@ -189,7 +189,7 @@ func (bd *Builder) Build(b *ir.Block, arch machine.Arch) *Skeleton {
 			r := in.Dest
 			if def := bd.lastDef[r]; def != 0 {
 				// Output: later def must commit strictly after earlier.
-				d := Latency(ins[def-1], arch) - Latency(in, arch) + 1
+				d := machine.Latency(ins[def-1], arch) - machine.Latency(in, arch) + 1
 				if d < 0 {
 					d = 0
 				}
@@ -215,11 +215,8 @@ func (bd *Builder) Build(b *ir.Block, arch machine.Arch) *Skeleton {
 	if b.Terminator() != nil {
 		sk.HasTerm = true
 		for i, in := range ins[:n-1] {
-			d := 0
-			if in.Op.HasDest() {
-				d = Latency(in, arch) - 1
-			}
-			if occ := Occupancy(in, arch); occ-1 > d {
+			d := machine.Latency(in, arch) - 1 // 0 without a result
+			if occ := machine.Occupancy(in, arch); occ-1 > d {
 				d = occ - 1
 			}
 			bd.addEdge(i, n-1, d)
@@ -246,10 +243,7 @@ func (bd *Builder) Build(b *ir.Block, arch machine.Arch) *Skeleton {
 	// sweep (program order is a valid topological order).
 	for i := n - 1; i >= 0; i-- {
 		in := ins[i]
-		h := Latency(in, arch)
-		if !in.Op.HasDest() {
-			h = 1
-		}
+		h := machine.Latency(in, arch) // 1 without a result
 		for _, e := range sk.Succs(i) {
 			if v := e.MinDelta + sk.Heights[e.To]; v > h {
 				h = v

@@ -167,11 +167,14 @@ func TestSharedCacheConcurrentEvaluators(t *testing.T) {
 
 // TestLowerBoundCyclesAdmissible pins the dse-level bound to the real
 // sweep: the visit-weighted lower bound must never exceed the cycles
-// the full unroll sweep actually achieves.
+// the full unroll sweep actually achieves, and is not offered where the
+// backend schedules other blocks than the bound counted (min/max
+// fusion, custom-op rewriting).
 func TestLowerBoundCyclesAdmissible(t *testing.T) {
 	ev := NewEvaluator()
 	ev.Width = 32
 	b := bench.ByName("G")
+	set := testOpSet(t)
 	archs := []machine.Arch{
 		machine.Baseline,
 		{ALUs: 2, MULs: 1, Regs: 64, L2Ports: 1, L2Lat: 8, Clusters: 1},
@@ -194,6 +197,13 @@ func TestLowerBoundCyclesAdmissible(t *testing.T) {
 		}
 		if lb > evl.Cycles {
 			t.Errorf("%v: bound %d exceeds real sweep cycles %d (inadmissible)", a, lb, evl.Cycles)
+		}
+		// The backend rewrites the blocks of these before scheduling;
+		// the bound of the unrewritten ones says nothing about them.
+		for _, rewritten := range []machine.Arch{a.WithMinMax(), a.WithOps(set, 1)} {
+			if lb, ok := ev.LowerBoundCycles(b, rewritten); ok {
+				t.Errorf("%v: bound %d claimed for blocks the backend rewrites", rewritten, lb)
+			}
 		}
 	}
 }

@@ -450,14 +450,16 @@ func (e *Evaluator) CacheCovers(b *bench.Benchmark, archs []machine.Arch) bool {
 // by the reference workload's block visit counts, and takes the
 // minimum across factors (the sweep keeps its own minimum over a
 // subset of those factors, so the bound can never exceed the real
-// result). ok is false when the benchmark cannot be prepared at all.
+// result). ok is false when the benchmark cannot be prepared at all or
+// the backend rewrites its blocks for arch before scheduling them.
 func (e *Evaluator) LowerBoundCycles(b *bench.Benchmark, arch machine.Arch) (bound int64, ok bool) {
-	if !arch.Ops.Empty() {
+	if arch.MinMax || !arch.Ops.Empty() {
 		// The per-block bounds are computed on the pristine
-		// (pre-rewrite) blocks; a custom-op rewrite can shorten the
-		// critical path below them, so no admissible bound exists for
-		// op-enabled architectures. SpeedupBound turns this into "never
-		// prune".
+		// (pre-rewrite) blocks; min/max fusion and a custom-op rewrite
+		// both put one op where there were several, which shortens ALU
+		// count and critical path below them (H on (1 1 64 1 2 1) with
+		// min/max: bound 4569, real 3005). No admissible bound exists
+		// there; SpeedupBound turns this into "never prune".
 		return 0, false
 	}
 	best := int64(-1)

@@ -103,8 +103,10 @@ func (op Op) String() string {
 	return fmt.Sprintf("Op(%d)", uint8(op))
 }
 
-// IsALU reports whether op executes on an integer ALU (including the
-// multiply, which additionally requires IMUL capability).
+// IsALU reports whether op is a pure integer computation on register
+// values: what the optimizer may speculate and the op miner may chain
+// into a fused op. It is not an issue class — which unit an operation
+// occupies, and for how long, is machine.ClassOf's to answer.
 func (op Op) IsALU() bool {
 	switch op {
 	case OpAdd, OpSub, OpShl, OpShrA, OpShrU, OpAnd, OpOr, OpXor,

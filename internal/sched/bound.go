@@ -3,7 +3,6 @@ package sched
 import (
 	"fmt"
 
-	"customfit/internal/ir"
 	"customfit/internal/machine"
 )
 
@@ -25,38 +24,14 @@ func Fingerprint() string {
 		machine.LatMove, machine.MaxBuses, MaxSpillIterations, pressureReserve)
 }
 
-// opCounts tallies one pristine block's operation classes, the inputs
-// to the resource-side lower bounds. Architecture-independent, so it is
-// computed once per Prepared kernel.
-type opCounts struct {
-	alu, mul, l1, l2, br int
-}
-
-// countsOf returns per-block operation-class tallies, built on first
-// use and cached on the Prepared kernel.
-func (p *Prepared) countsOf() []opCounts {
+// countsOf returns what issuing each pristine block takes, the inputs to
+// the resource-side lower bounds. Architecture-independent, so built on
+// first use and cached on the Prepared kernel.
+func (p *Prepared) countsOf() []machine.Charges {
 	p.countsOnce.Do(func() {
-		p.counts = make([]opCounts, len(p.F.Blocks))
+		p.counts = make([]machine.Charges, len(p.F.Blocks))
 		for i, b := range p.F.Blocks {
-			c := &p.counts[i]
-			for _, in := range b.Instrs {
-				switch in.Op {
-				case ir.OpMul:
-					c.alu++
-					c.mul++
-				case ir.OpLoad, ir.OpStore:
-					if in.Mem.Space == ir.L1 {
-						c.l1++
-					} else {
-						c.l2++
-					}
-				case ir.OpBr, ir.OpCBr, ir.OpRet:
-					c.br++
-				case ir.OpNop:
-				default: // plain ALU class (mov, select, compares, arithmetic)
-					c.alu++
-				}
-			}
+			p.counts[i] = machine.IssueCharges(b.Instrs)
 		}
 	})
 	return p.counts
@@ -100,24 +75,24 @@ func LowerBound(prep *Prepared, arch machine.Arch) []int {
 		} else if len(sk.Heights) > 0 {
 			lb = 1
 		}
-		if v := ceil(c.alu, aluCap); v > lb {
+		if v := ceil(c.ALU, aluCap); v > lb {
 			lb = v
 		}
-		if v := ceil(c.mul, mulCap); v > lb {
+		if v := ceil(c.MUL, mulCap); v > lb {
 			lb = v
 		}
-		if v := c.l1 * machine.L1Occupancy; v > lb {
+		if v := c.L1 * machine.L1Occupancy; v > lb {
 			lb = v
 		}
-		l2 := ceil(c.l2, arch.L2Ports)
+		l2 := ceil(c.L2, arch.L2Ports)
 		if sk.HasTerm {
-			l2 = ceil(c.l2*arch.L2Lat, arch.L2Ports)
+			l2 = ceil(c.L2*arch.L2Lat, arch.L2Ports)
 		}
 		if l2 > lb {
 			lb = l2
 		}
-		if c.br > lb {
-			lb = c.br
+		if c.Br > lb {
+			lb = c.Br
 		}
 		out[i] = lb
 	}

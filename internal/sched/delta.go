@@ -29,7 +29,7 @@ import (
 // Correctness is by reconstruction, not approximation: a cached block
 // is reused only when every architecture parameter the scheduler read
 // while building it compares equal (or provably never mattered — see
-// blockInfo and schedCert), so the delta attempt is bit-identical to
+// lookup and schedCert), so the delta attempt is bit-identical to
 // CompilePrepared's first round. When its allocation does not fit, the
 // attempt — program, allocator verdict and the blame its blocks carry —
 // is the spill loop's round 1: nothing is computed twice.
@@ -44,17 +44,6 @@ type deltaKey struct {
 	clusters int
 	minmax   bool
 	ops      string
-}
-
-// blockInfo records which architecture parameters a block's
-// instructions can observe during scheduling. A parameter no
-// instruction reads cannot affect the block's schedule, so cached
-// entries ignore it when matching.
-type blockInfo struct {
-	hasALU bool // any op occupying an ALU issue slot (incl. mul, xmov)
-	hasMul bool // any multiply (reads MULsPC)
-	hasL2  bool // any L2 access (reads L2PathsPC/L2Ports/L2Lat, and the
-	// skeleton's latency/occupancy edges depend on L2Lat)
 }
 
 // blockEntry is one cached block schedule: the exact parameters it was
@@ -107,9 +96,9 @@ type deltaState struct {
 	g      *ir.Func
 	pl     *Placement
 	lv     *opt.Liveness
-	info   []blockInfo
-	shared bool      // pristine single-cluster: reuse Prepared's skeletons
-	skels  skelCache // of g's blocks, when !shared
+	info   []machine.Charges // what issuing each block takes (see lookup)
+	shared bool              // pristine single-cluster: reuse Prepared's skeletons
+	skels  skelCache         // of g's blocks, when !shared
 
 	mu       sync.Mutex
 	nextID   uint32
@@ -152,30 +141,11 @@ func (ds *deltaState) build(src *ir.Func, arch machine.Arch, sc *Scratch) {
 	}
 	ds.shared = arch.Clusters <= 1 && !arch.MinMax && arch.Ops.Empty()
 	ds.lv = opt.ComputeLiveness(ds.g)
-	ds.info = make([]blockInfo, len(ds.g.Blocks))
+	ds.info = make([]machine.Charges, len(ds.g.Blocks))
 	ds.blocks = make([][]blockEntry, len(ds.g.Blocks))
 	ds.blockPos = make([]int, len(ds.g.Blocks))
 	for i, b := range ds.g.Blocks {
-		bi := &ds.info[i]
-		for _, in := range b.Instrs {
-			switch in.Op {
-			case ir.OpMul:
-				bi.hasALU, bi.hasMul = true, true
-			case ir.OpXMov:
-				bi.hasALU = true
-			case ir.OpLoad, ir.OpStore:
-				if in.Mem.Space != ir.L1 {
-					bi.hasL2 = true
-				}
-			case ir.OpFused:
-				// Custom ops issue on the per-cluster custom unit: fixed
-				// one-per-cycle throughput and a spec-carried latency, so
-				// they observe no matchable architecture parameter.
-			case ir.OpBr, ir.OpCBr, ir.OpRet, ir.OpNop:
-			default: // plain ALU class, mirroring classify
-				bi.hasALU = true
-			}
-		}
+		ds.info[i] = machine.IssueCharges(b.Instrs)
 	}
 }
 
@@ -204,25 +174,30 @@ type deltaParams struct {
 }
 
 // lookup returns a cached schedule for block bi valid under p, or nil.
-// The hit rule mirrors the scheduler's parameter reads: a parameter is
-// compared only when the block can observe it, and the budget/scan
+// The hit rule follows the scheduler's parameter reads: a parameter is
+// compared only when the block can observe it, since one no
+// instruction reads cannot affect the schedule. ALU slots (multiplies
+// and inter-cluster moves take one too) read ALUsPC, multiplier slots
+// MULsPC, L2 accesses L2PathsPC, L2Ports and L2Lat (the skeleton's
+// latency and occupancy edges too); the custom unit's one-per-cycle
+// throughput and spec-carried latency are no parameter. The budget/scan
 // limits match either exactly (when the recorded run hit them) or by
 // dominance over the recorded certificates (when it provably never
 // did). The schedule block is immutable, so it is safe to share across
 // workers and programs after the lock is dropped.
 func (ds *deltaState) lookup(bi int, p deltaParams) (blockEntry, bool) {
-	info := ds.info[bi]
+	info := &ds.info[bi]
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
 	for i := range ds.blocks[bi] {
 		e := &ds.blocks[bi][i]
-		if info.hasALU && e.aluPC != p.aluPC {
+		if info.ALU > 0 && e.aluPC != p.aluPC {
 			continue
 		}
-		if info.hasMul && e.mulPC != p.mulPC {
+		if info.MUL > 0 && e.mulPC != p.mulPC {
 			continue
 		}
-		if info.hasL2 && (e.l2Lat != p.l2Lat || e.l2Ports != p.l2Ports) {
+		if info.L2 > 0 && (e.l2Lat != p.l2Lat || e.l2Ports != p.l2Ports) {
 			continue
 		}
 		if e.cert.pressureBound {

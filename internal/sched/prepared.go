@@ -14,7 +14,7 @@ import (
 // dependence skeletons and latency-weighted critical-path heights.
 //
 // The dependence rules read exactly one architecture parameter — the
-// Level-2 latency (ddg.Latency / ddg.Occupancy) — so skeletons are
+// Level-2 latency (machine.Latency / machine.Occupancy) — so skeletons are
 // cached per L2 latency class and shared by every architecture in the
 // class. The cached skeletons describe F's pristine blocks; the compile
 // driver only consults them while the working copy is still
@@ -34,7 +34,7 @@ type Prepared struct {
 	// Per-block operation-class tallies for LowerBound, built once on
 	// first use (architecture-independent; see bound.go).
 	countsOnce sync.Once
-	counts     []opCounts
+	counts     []machine.Charges
 }
 
 // skelCache holds one function's per-block dependence skeletons, one

@@ -301,7 +301,7 @@ func refScheduleBlock(t *testing.T, f *ir.Func, b *ir.Block, arch machine.Arch, 
 				sb.Forced++
 				// Let the admitted value's consumer catch up (producer
 				// latency) before forcing more pressure in.
-				cooloff = 1 + ddg.Latency(ins[best], arch)
+				cooloff = 1 + machine.Latency(ins[best], arch)
 				emit(best)
 				for i, d := range deferred {
 					if d == best {

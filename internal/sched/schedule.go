@@ -16,17 +16,16 @@ import (
 // the architecture's resource model, producing a vliw.Program (without
 // register allocation; see Compile for the full driver).
 //
-// The resource model per cycle:
+// The resource model per cycle. What an operation takes when it issues
+// is its class's charges in the machine description (machine.Class);
+// what there is to take:
 //
-//   - each cluster issues at most ALUsPC ALU-class operations, of which
-//     at most MULsPC may be multiplies; inter-cluster moves charge their
-//     source cluster's ALU issue;
-//   - each cluster has 1 L1 access path and L2PathsPC L2 access paths;
-//   - globally, the single L1 port is busy LatL1 cycles per access and
-//     each of the p2 L2 ports is busy l2 cycles per access
-//     (non-pipelined memories, paper Table 4);
-//   - at most Buses() inter-cluster moves issue per cycle;
-//   - the single branch unit lives on cluster 0.
+//   - per cluster, ALUsPC ALU slots of which MULsPC on a multiplier, one
+//     L1 access path, L2PathsPC L2 access paths and one custom unit;
+//   - globally, the single L1 port and the p2 L2 ports, each busy for
+//     an access's occupancy (machine.Occupancy; L2 is not pipelined,
+//     paper Table 4), Buses() channels for inter-cluster moves, and the
+//     single branch unit.
 //
 // Priority is latency-weighted critical-path height. Issue is
 // register-pressure throttled: an operation that would push its
@@ -268,24 +267,15 @@ func (q *readySet) pending(p scanPos) bool {
 	return false
 }
 
-// resource is an issue resource a candidate needs: a kind on a cluster
-// (cluster<<resKindBits | kind; a machine has at most 16 clusters).
-// What tryPlace checks for a candidate depends on nothing else.
+// resource is an issue resource a candidate needs: a machine.Class on
+// a cluster (cluster<<resKindBits | class; a machine has at most 16
+// clusters). What tryPlace checks for a candidate depends on nothing
+// else.
 type resource uint8
 
-// Issue resource kinds.
-const (
-	resNop  resource = iota // needs nothing
-	resALU                  // an ALU issue slot (incl. mov, select, compares)
-	resMul                  // an ALU issue slot on a multiplier
-	resXMov                 // the source cluster's ALU issue slot and a bus
-	resL1                   // the cluster's L1 path and the L1 port
-	resL2                   // one of the cluster's L2 paths and an L2 port
-	resCU                   // the cluster's custom-op unit
-	resBr                   // the branch unit
+const resKindBits = 3
 
-	resKindBits = 3
-)
+var _ [1<<resKindBits - machine.NumClasses]struct{} // a class fits its bits
 
 // resources tracks per-cycle slot usage and port occupancy in flat
 // row-major tables (cycle*clusters + cluster), reused across blocks via
@@ -353,27 +343,14 @@ func growRows(s []uint8, used, n int) []uint8 {
 	return s
 }
 
-// classify returns the issue resource in needs.
+// classify returns the issue resource in needs: its class on the
+// cluster it issues from.
 func classify(in *ir.Instr, pl *Placement) resource {
-	kind, c := resALU, pl.Cluster(in)
-	switch in.Op {
-	case ir.OpXMov:
-		kind, c = resXMov, pl.SrcCluster(in)
-	case ir.OpMul:
-		kind = resMul
-	case ir.OpLoad, ir.OpStore:
-		kind = resL2
-		if in.Mem.Space == ir.L1 {
-			kind = resL1
-		}
-	case ir.OpFused:
-		kind = resCU
-	case ir.OpBr, ir.OpCBr, ir.OpRet:
-		kind, c = resBr, 0 // the one branch unit
-	case ir.OpNop:
-		kind, c = resNop, 0
+	class, c := machine.ClassOf(in), pl.SrcCluster(in)
+	if class == machine.ClassBr || class == machine.ClassNone {
+		c = 0 // the one branch unit; nothing at all
 	}
-	return resource(c)<<resKindBits | kind
+	return resource(c)<<resKindBits | resource(class)
 }
 
 // refused reports whether tryPlace already refused res this cycle,
@@ -398,26 +375,26 @@ func (rs *resources) reserve(res resource, cycle int) bool {
 	a := rs.arch
 	c := int(res >> resKindBits)
 	row := cycle * rs.nc
-	switch res & (1<<resKindBits - 1) {
-	case resXMov:
+	switch machine.Class(res & (1<<resKindBits - 1)) {
+	case machine.ClassXMov:
 		if int(rs.alu[row+c]) >= a.ALUsPC() || int(rs.bus[cycle]) >= a.Buses() {
 			return false
 		}
 		rs.alu[row+c]++
 		rs.bus[cycle]++
-	case resMul:
+	case machine.ClassMul:
 		if int(rs.alu[row+c]) >= a.ALUsPC() || int(rs.mul[row+c]) >= a.MULsPC() {
 			return false
 		}
 		rs.alu[row+c]++
 		rs.mul[row+c]++
-	case resL1:
+	case machine.ClassL1:
 		if rs.l1p[row+c] >= 1 || rs.l1FreeAt > cycle {
 			return false
 		}
 		rs.l1p[row+c]++
 		rs.l1FreeAt = cycle + machine.L1Occupancy
-	case resL2:
+	case machine.ClassL2:
 		if int(rs.l2p[row+c]) >= a.L2PathsPC() {
 			return false
 		}
@@ -433,21 +410,19 @@ func (rs *resources) reserve(res resource, cycle int) bool {
 		}
 		rs.l2p[row+c]++
 		rs.l2FreeAt[port] = cycle + a.L2Lat
-	case resCU:
-		// One pipelined custom-op unit per cluster: it accepts one fused
-		// op per cycle without charging an ALU issue slot (the unit's
-		// silicon and register ports are priced by the cost and derate
-		// models instead).
+	case machine.ClassCU:
+		// One pipelined unit per cluster; its silicon and register
+		// ports are priced by the cost and derate models.
 		if rs.cu[row+c] >= 1 {
 			return false
 		}
 		rs.cu[row+c]++
-	case resBr:
+	case machine.ClassBr:
 		if rs.br[cycle] >= 1 {
 			return false
 		}
 		rs.br[cycle]++
-	case resALU:
+	case machine.ClassALU:
 		if int(rs.alu[row+c]) >= a.ALUsPC() {
 			return false
 		}
@@ -893,7 +868,7 @@ func scheduleBlock(f *ir.Func, b *ir.Block, arch machine.Arch, pl *Placement, lv
 				sb.Forced++
 				// Let the admitted value's consumer catch up (producer
 				// latency) before forcing more pressure in.
-				cooloff = 1 + ddg.Latency(ins[best], arch)
+				cooloff = 1 + machine.Latency(ins[best], arch)
 				emit(bestRank)
 			}
 		}

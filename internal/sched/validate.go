@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 
 	"customfit/internal/ddg"
 	"customfit/internal/ir"
@@ -59,13 +60,11 @@ func validateBlock(sb *vliw.Block, a machine.Arch, bd *ddg.Builder) error {
 		}
 	}
 
-	// Resources.
-	type slot struct{ alu, mul, l1, l2, br, cu int }
-	use := make([]slot, sb.Len)
-	useBus := make([]int, sb.Len)
-	perCluster := make([][]slot, a.Clusters)
+	// Resources: what each op's class takes (machine.Class.Charges),
+	// summed per cycle and issuing cluster (a move's is its source).
+	perCluster := make([][]machine.Charges, a.Clusters)
 	for c := range perCluster {
-		perCluster[c] = make([]slot, sb.Len)
+		perCluster[c] = make([]machine.Charges, sb.Len)
 	}
 	l1Busy := -1
 	l2Busy := make([]int, 0, 64) // issue times of L2 accesses, checked greedily
@@ -75,70 +74,51 @@ func validateBlock(sb *vliw.Block, a machine.Arch, bd *ddg.Builder) error {
 		if cy < 0 || cy >= sb.Len {
 			return fmt.Errorf("%s at cycle %d outside block length %d", in, cy, sb.Len)
 		}
-		switch in.Op {
-		case ir.OpXMov:
-			perCluster[op.SrcCluster][cy].alu++
-			useBus[cy]++
-		case ir.OpMul:
-			perCluster[op.Cluster][cy].alu++
-			perCluster[op.Cluster][cy].mul++
-		case ir.OpLoad, ir.OpStore:
-			if in.Mem.Space == ir.L1 {
-				perCluster[op.Cluster][cy].l1++
-				if cy < l1Busy {
-					return fmt.Errorf("L1 port busy at cycle %d (free at %d)", cy, l1Busy)
-				}
-				l1Busy = cy + machine.L1Occupancy
-				if l1Busy > sb.Len {
-					return fmt.Errorf("L1 access at %d not drained by block end %d", cy, sb.Len)
-				}
-			} else {
-				perCluster[op.Cluster][cy].l2++
-				l2Busy = append(l2Busy, cy)
+		ch := machine.ClassOf(in).Charges()
+		perCluster[op.SrcCluster][cy].Add(ch)
+		if ch.L1 > 0 {
+			if cy < l1Busy {
+				return fmt.Errorf("L1 port busy at cycle %d (free at %d)", cy, l1Busy)
 			}
-		case ir.OpBr, ir.OpCBr, ir.OpRet:
-			use[cy].br++
-			if cy != sb.Len-1 {
-				return fmt.Errorf("terminator at cycle %d, block length %d", cy, sb.Len)
+			l1Busy = cy + machine.Occupancy(in, a)
+			if l1Busy > sb.Len {
+				return fmt.Errorf("L1 access at %d not drained by block end %d", cy, sb.Len)
 			}
-		case ir.OpFused:
-			// Fused ops issue on the cluster's custom unit (pipelined,
-			// one per cycle), not on an ALU slot — mirroring resources.reserve.
-			perCluster[op.Cluster][cy].cu++
-		case ir.OpNop:
-		default:
-			perCluster[op.Cluster][cy].alu++
+		}
+		if ch.L2 > 0 {
+			l2Busy = append(l2Busy, cy)
+		}
+		if in.Op.IsTerminator() && cy != sb.Len-1 {
+			return fmt.Errorf("terminator at cycle %d, block length %d", cy, sb.Len)
 		}
 	}
 	for cy := 0; cy < sb.Len; cy++ {
-		if use[cy].br > 1 {
-			return fmt.Errorf("two branches at cycle %d", cy)
-		}
-		if useBus[cy] > a.Buses() {
-			return fmt.Errorf("bus oversubscribed at cycle %d: %d > %d", cy, useBus[cy], a.Buses())
-		}
+		var all machine.Charges
 		for c := 0; c < a.Clusters; c++ {
 			s := perCluster[c][cy]
-			if s.alu > a.ALUsPC() {
-				return fmt.Errorf("cluster %d issues %d ALU ops at cycle %d (max %d)", c, s.alu, cy, a.ALUsPC())
+			all.Add(s)
+			for _, slot := range [...]struct {
+				what      string
+				used, max int
+			}{
+				{"ALU ops", s.ALU, a.ALUsPC()}, {"MULs", s.MUL, a.MULsPC()}, {"L1 accesses", s.L1, 1},
+				{"L2 accesses", s.L2, a.L2PathsPC()}, {"fused ops", s.CU, 1},
+			} {
+				if slot.used > slot.max {
+					return fmt.Errorf("cluster %d issues %d %s at cycle %d (max %d)", c, slot.used, slot.what, cy, slot.max)
+				}
 			}
-			if s.mul > a.MULsPC() {
-				return fmt.Errorf("cluster %d issues %d MULs at cycle %d (max %d)", c, s.mul, cy, a.MULsPC())
-			}
-			if s.l1 > 1 {
-				return fmt.Errorf("cluster %d issues %d L1 accesses at cycle %d", c, s.l1, cy)
-			}
-			if s.l2 > a.L2PathsPC() {
-				return fmt.Errorf("cluster %d issues %d L2 accesses at cycle %d (max %d)", c, s.l2, cy, a.L2PathsPC())
-			}
-			if s.cu > 1 {
-				return fmt.Errorf("cluster %d issues %d fused ops at cycle %d (custom unit is 1/cycle)", c, s.cu, cy)
-			}
+		}
+		if all.Br > 1 {
+			return fmt.Errorf("two branches at cycle %d", cy)
+		}
+		if all.Bus > a.Buses() {
+			return fmt.Errorf("bus oversubscribed at cycle %d: %d > %d", cy, all.Bus, a.Buses())
 		}
 	}
 	// Greedy port feasibility for the p2 interchangeable L2 ports.
 	freeAt := make([]int, a.L2Ports)
-	sortInts(l2Busy)
+	slices.Sort(l2Busy)
 	for _, t := range l2Busy {
 		best := -1
 		for i := range freeAt {
@@ -155,12 +135,4 @@ func validateBlock(sb *vliw.Block, a machine.Arch, bd *ddg.Builder) error {
 		}
 	}
 	return nil
-}
-
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"customfit/internal/bench"
-	"customfit/internal/ddg"
 	"customfit/internal/ir"
 	"customfit/internal/machine"
 	"customfit/internal/obs"
@@ -226,7 +225,7 @@ func refRun(prog *vliw.Program, env *ir.Env) (*Stats, error) {
 						}
 						st.MemAccesses++
 						pend = append(pend, refPendingWrite{
-							at:  now + int64(ddg.Latency(in, prog.Arch)),
+							at:  now + int64(machine.Latency(in, prog.Arch)),
 							reg: in.Dest,
 							val: in.Elem.Extend(data[idx]),
 						})
@@ -254,13 +253,13 @@ func refRun(prog *vliw.Program, env *ir.Env) (*Stats, error) {
 						done = true
 					case ir.OpFused:
 						pend = append(pend, refPendingWrite{
-							at:  now + int64(ddg.Latency(in, prog.Arch)),
+							at:  now + int64(machine.Latency(in, prog.Arch)),
 							reg: in.Dest,
 							val: in.Fused.Eval(r.vals),
 						})
 					default:
 						pend = append(pend, refPendingWrite{
-							at:  now + int64(ddg.Latency(in, prog.Arch)),
+							at:  now + int64(machine.Latency(in, prog.Arch)),
 							reg: in.Dest,
 							val: in.Op.Eval(r.vals...),
 						})
@@ -460,7 +459,7 @@ func refRunPhysical(prog *vliw.Program, env *ir.Env) (*Stats, error) {
 						}
 						st.MemAccesses++
 						pend = append(pend, physWrite{
-							at: now + int64(ddg.Latency(in, prog.Arch)),
+							at: now + int64(machine.Latency(in, prog.Arch)),
 							c:  c, p: p, val: in.Elem.Extend(data[idx]),
 						})
 					case ir.OpStore:
@@ -487,7 +486,7 @@ func refRunPhysical(prog *vliw.Program, env *ir.Env) (*Stats, error) {
 							return nil, err
 						}
 						pend = append(pend, physWrite{
-							at: now + int64(ddg.Latency(in, prog.Arch)),
+							at: now + int64(machine.Latency(in, prog.Arch)),
 							c:  c, p: p, val: in.Fused.Eval(r.vals),
 						})
 					default:
@@ -496,7 +495,7 @@ func refRunPhysical(prog *vliw.Program, env *ir.Env) (*Stats, error) {
 							return nil, err
 						}
 						pend = append(pend, physWrite{
-							at: now + int64(ddg.Latency(in, prog.Arch)),
+							at: now + int64(machine.Latency(in, prog.Arch)),
 							c:  c, p: p, val: in.Op.Eval(r.vals...),
 						})
 					}

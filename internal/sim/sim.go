@@ -19,7 +19,6 @@ import (
 	"slices"
 	"strconv"
 
-	"customfit/internal/ddg"
 	"customfit/internal/ir"
 	"customfit/internal/machine"
 	"customfit/internal/obs"
@@ -56,8 +55,8 @@ type Stats struct {
 	// ALUOcc..CUOcc are the *Busy tallies normalized to the fraction of
 	// available slot-cycles (ALU/MUL/CU) or port-cycles (L1/L2).
 	ALUOcc, MULOcc, L1Occ, L2Occ, CUOcc float64
-	// Bound is "alu", "mul", "l1", "l2", "cu", or "none": the resource
-	// class with the highest dynamic occupancy.
+	// Bound names the issue class (machine.Class: "alu", "mul", "l1",
+	// "l2", "cu", or "none") with the highest dynamic occupancy.
 	Bound string
 }
 
@@ -77,7 +76,7 @@ func (st *Stats) addVisits(b *Stats, n int64) {
 
 // finalize computes the occupancy fractions from the busy tallies.
 func (st *Stats) finalize(arch machine.Arch) {
-	st.Bound = "none"
+	st.Bound = machine.ClassNone.String()
 	if st.Cycles == 0 {
 		return
 	}
@@ -97,12 +96,12 @@ func (st *Stats) finalize(arch machine.Arch) {
 	}
 	best := 0.0
 	for _, r := range []struct {
-		name string
-		occ  float64
-	}{{"alu", st.ALUOcc}, {"mul", st.MULOcc}, {"l1", st.L1Occ}, {"l2", st.L2Occ}, {"cu", st.CUOcc}} {
+		class machine.Class
+		occ   float64
+	}{{machine.ClassALU, st.ALUOcc}, {machine.ClassMul, st.MULOcc}, {machine.ClassL1, st.L1Occ}, {machine.ClassL2, st.L2Occ}, {machine.ClassCU, st.CUOcc}} {
 		if r.occ > best {
 			best = r.occ
-			st.Bound = r.name
+			st.Bound = r.class.String()
 		}
 	}
 }
@@ -336,6 +335,14 @@ func decode(prog *vliw.Program, slot func(ir.Reg) (int32, error), nslots int) (*
 				continue
 			}
 			d.op = in.Op
+			// What the op keeps busy comes from the machine description;
+			// how it executes is decided below and never reads it.
+			ch, occ := machine.ClassOf(in).Charges(), int64(machine.Occupancy(in, prog.Arch))
+			once.ALUBusy += int64(ch.ALU)
+			once.MULBusy += int64(ch.MUL)
+			once.CUBusy += int64(ch.CU)
+			once.L1Busy += int64(ch.L1) * occ
+			once.L2Busy += int64(ch.L2) * occ
 			switch in.Op {
 			case ir.OpNop:
 				d.kind = kNop
@@ -350,11 +357,6 @@ func decode(prog *vliw.Program, slot func(ir.Reg) (int32, error), nslots int) (*
 				}
 				d.mem, d.off, d.elem, d.l1 = int32(mem), int32(in.Off), in.Elem, in.Mem.Space == ir.L1
 				once.MemAccesses++
-				if d.l1 {
-					once.L1Busy += machine.L1Occupancy
-				} else {
-					once.L2Busy += int64(prog.Arch.L2Lat)
-				}
 			case ir.OpBr:
 				d.kind, d.then = kBr, blockOf(in.Targets[0])
 			case ir.OpCBr:
@@ -363,17 +365,12 @@ func decode(prog *vliw.Program, slot func(ir.Reg) (int32, error), nslots int) (*
 				d.kind = kRet
 			case ir.OpFused:
 				d.kind, d.spec = kFused, in.Fused
-				once.CUBusy++ // custom unit; no ALU issue slot charged
-			default: // ALU ops, including the source slot of an XMov
+			default:
 				d.kind = kPure
-				once.ALUBusy++
-				if in.Op == ir.OpMul {
-					once.MULBusy++
-				}
 			}
 			if in.Op.HasDest() {
 				// Below 1 still lands next cycle: this cycle's commit is over.
-				d.delay = int32(max(ddg.Latency(in, prog.Arch), 1))
+				d.delay = int32(max(machine.Latency(in, prog.Arch), 1))
 				if longest = max(longest, d.delay); !slices.Contains(delays, d.delay) {
 					delays = append(delays, d.delay)
 				}

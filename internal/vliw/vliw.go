@@ -168,41 +168,23 @@ func (p *Program) Utilization() Utilization {
 	aluSlots := float64(bundles * p.Arch.ALUs)
 	mulSlots := float64(bundles * p.Arch.MULs)
 	busSlots := float64(bundles * p.Arch.Buses())
-	var alu, mul, l1, l2, bus, moves, ops float64
+	var issued machine.Charges
 	for _, sb := range p.Blocks {
 		for _, op := range sb.Ops {
-			ops++
-			switch op.Instr.Op {
-			case ir.OpXMov:
-				alu++
-				bus++
-				moves++
-			case ir.OpMul:
-				alu++
-				mul++
-			case ir.OpLoad, ir.OpStore:
-				if op.Instr.Mem.Space == ir.L1 {
-					l1++
-				} else {
-					l2++
-				}
-			case ir.OpBr, ir.OpCBr, ir.OpRet, ir.OpNop:
-			default:
-				alu++
-			}
+			issued.Add(machine.ClassOf(op.Instr).Charges())
 		}
 	}
-	u.ALU = alu / aluSlots
+	u.ALU = float64(issued.ALU) / aluSlots
 	if mulSlots > 0 {
-		u.MUL = mul / mulSlots
+		u.MUL = float64(issued.MUL) / mulSlots
 	}
-	u.L1 = l1 / float64(bundles)
-	u.L2 = l2 / float64(bundles)
+	u.L1 = float64(issued.L1) / float64(bundles)
+	u.L2 = float64(issued.L2) / float64(bundles)
 	if busSlots > 0 {
-		u.Bus = bus / busSlots
+		u.Bus = float64(issued.Bus) / busSlots
 	}
-	if ops > 0 {
-		u.Moves = moves / ops
+	if ops := p.OpCount(); ops > 0 {
+		u.Moves = float64(issued.Bus) / float64(ops) // a move is what takes a bus
 	}
 	return u
 }

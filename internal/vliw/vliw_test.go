@@ -86,6 +86,15 @@ func TestUtilization(t *testing.T) {
 	if u.Moves != 0 || u.Bus != 0 {
 		t.Errorf("single-cluster program reports moves/bus usage: %+v", u)
 	}
+
+	// A fused op issues on the custom unit: in a bundle with one add,
+	// the one ALU slot is filled once, not twice.
+	fused := &ir.Instr{Op: ir.OpFused, Dest: p.F.NewReg()}
+	add := ir.NewInstr(ir.OpAdd, p.F.NewReg(), ir.Imm(1), ir.Imm(2))
+	p.Blocks = []*Block{{Len: 1, Ops: []Op{{Instr: fused}, {Instr: add}}}}
+	if u := p.Utilization(); u.ALU != 1 {
+		t.Errorf("ALU utilization of {fused, add} on one ALU = %v, want 1", u.ALU)
+	}
 }
 
 func TestIPCAndEmpty(t *testing.T) {
