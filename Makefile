@@ -47,17 +47,20 @@ bench-smoke:
 bench-module:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-# Five seconds of native fuzzing on each of the tree's two targets: the
+# Five seconds of native fuzzing on each of the tree's targets: the
 # parser that guards the fleet cache tier (fleetcache.Handler's POST
-# body), and the dependence-skeleton builder against the construction it
+# body), the dependence-skeleton builder against the construction it
 # replaced (ddg.Builder vs internal/ddg/reference_test.go, on blocks
-# spelled by the bytes). Long enough to replay the seed corpus and
+# spelled by the bytes), and the disk cache's hand-written shard line
+# codec against encoding/json, which it abbreviates (evcache's
+# parseRecord and appendRecord). Long enough to replay the seed corpus and
 # mutate it a few tens of thousands of times, short enough for every
 # `make check`. Findings land under the package's testdata/fuzz/ and
 # then fail plain `go test` too.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzHandlerPut$$' -fuzztime 5s ./internal/fleetcache/
 	$(GO) test -run '^$$' -fuzz '^FuzzSkeletonBuilder$$' -fuzztime 5s ./internal/ddg/
+	$(GO) test -run '^$$' -fuzz '^FuzzShardLine$$' -fuzztime 5s ./internal/evcache/
 
 # Extended verify: everything the tier-1 gate runs, plus vet,
 # staticcheck (when installed), the race pass, the benchmark smoke, the
@@ -65,7 +68,7 @@ fuzz-smoke:
 # ROADMAP.md).
 check: build vet staticcheck test race bench-smoke bench-module fuzz-smoke
 
-# Measure the six layer benchmarks nothing else isolates and record
+# Measure the seven layer benchmarks nothing else isolates and record
 # them, with the environment they ran in, as the trajectory document
 # (docs/PERFORMANCE.md, "Tracking the numbers"). A record, never a
 # baseline: numbers from another day or host are not comparable.
@@ -108,6 +111,7 @@ bench-diff:
 		for spec in dse:BenchmarkEvaluate:192x dse:BenchmarkEvaluateStarved:104x \
 				dse:BenchmarkEvaluateDelta:20000x \
 				dse:BenchmarkExploreOpsSubset:3x dse:BenchmarkPrepare:10x \
+				dse:BenchmarkWarmOpen:100x \
 				sim:BenchmarkSimRun:50x; do \
 			set -- $$(echo $$spec | tr : ' '); \
 			for side in $$order; do \

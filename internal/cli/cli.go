@@ -27,13 +27,21 @@ import (
 )
 
 // ParseArch parses the paper's positional architecture tuple
-// "a m r p2 l2 c" (e.g. "8 2 128 1 4 4") and validates it.
+// "a m r p2 l2 c" (e.g. "8 2 128 1 4 4") and validates it: exactly six
+// decimal integers separated by white space, nothing before, between or
+// after them.
 func ParseArch(s string) (machine.Arch, error) {
 	var a machine.Arch
-	n, err := fmt.Sscanf(s, "%d %d %d %d %d %d",
-		&a.ALUs, &a.MULs, &a.Regs, &a.L2Ports, &a.L2Lat, &a.Clusters)
-	if err != nil || n != 6 {
-		return a, fmt.Errorf("architecture must be six integers \"a m r p2 l2 c\", got %q", s)
+	fields := strings.Fields(s)
+	dst := [...]*int{&a.ALUs, &a.MULs, &a.Regs, &a.L2Ports, &a.L2Lat, &a.Clusters}
+	ok := len(fields) == len(dst)
+	for i := 0; ok && i < len(dst); i++ {
+		var err error
+		*dst[i], err = strconv.Atoi(fields[i])
+		ok = err == nil
+	}
+	if !ok {
+		return machine.Arch{}, fmt.Errorf("architecture must be six integers \"a m r p2 l2 c\", got %q", s)
 	}
 	if err := a.Validate(); err != nil {
 		return a, err
@@ -69,11 +77,17 @@ func ParseArchOps(s string, set *machine.OpSet) (machine.Arch, error) {
 // ParseArchOps reads: "a m r p2 l2 c", plus " ops=<hexmask>" when the
 // architecture enables custom ops.
 func FormatArch(a machine.Arch) string {
-	s := fmt.Sprintf("%d %d %d %d %d %d", a.ALUs, a.MULs, a.Regs, a.L2Ports, a.L2Lat, a.Clusters)
-	if !a.Ops.Empty() {
-		s += " ops=" + strconv.FormatUint(a.Ops.Mask, 16)
+	b := make([]byte, 0, 32)
+	for i, v := range [...]int{a.ALUs, a.MULs, a.Regs, a.L2Ports, a.L2Lat, a.Clusters} {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(v), 10)
 	}
-	return s
+	if !a.Ops.Empty() {
+		b = strconv.AppendUint(append(b, " ops="...), a.Ops.Mask, 16)
+	}
+	return string(b)
 }
 
 // Telemetry carries the standard observability flag values and the

@@ -42,6 +42,89 @@ func TestParseArchErrors(t *testing.T) {
 	}
 }
 
+// TestParseArchExactlySixFields: the tuple is six integers and nothing
+// else. fmt.Sscanf stopped after the sixth verb with n == 6 and a nil
+// error, so a seventh field or trailing junk was silently cut off.
+func TestParseArchExactlySixFields(t *testing.T) {
+	want := machine.Arch{ALUs: 8, MULs: 2, Regs: 128, L2Ports: 1, L2Lat: 4, Clusters: 4}
+	for _, tc := range []struct {
+		in string
+		ok bool
+	}{
+		{"8 2 128 1 4 4", true},
+		{"  8 2 128 1 4 4", true},
+		{"8 2 128 1 4 4  ", true},
+		{"8  2   128 1\t4 4", true},
+		{"8 2 128 1 4 4 9", false},
+		{"8 2 128 1 4 4junk", false},
+		{"8 2 128 1 4 4 junk", false},
+		{"8 2 128 1 4 0x4", false},
+		{"8 2 128 1 4 4.0", false},
+		{"8,2,128,1,4,4", false},
+	} {
+		a, err := ParseArch(tc.in)
+		switch {
+		case tc.ok && (err != nil || a != want):
+			t.Errorf("ParseArch(%q) = %v, %v; want %v", tc.in, a, err, want)
+		case !tc.ok && (err == nil || !strings.Contains(err.Error(), "six integers")):
+			t.Errorf("ParseArch(%q) = %v, %v; want a six-integers error", tc.in, a, err)
+		}
+	}
+}
+
+// TestParseArchOpsAndFormatArch: the wire tuple with its optional
+// " ops=<hexmask>" suffix, and FormatArch as its inverse.
+func TestParseArchOpsAndFormatArch(t *testing.T) {
+	set, err := machine.ParseOpCatalog([]string{
+		"mac/3/2:mul $0 $1;add %0 $2",
+		"add_add/3/1:add $0 $1;add %0 $2",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain := machine.Arch{ALUs: 8, MULs: 2, Regs: 128, L2Ports: 1, L2Lat: 4, Clusters: 4}
+	for _, tc := range []struct {
+		in   string
+		set  *machine.OpSet
+		want machine.Arch
+		frag string // of the error; "" = must parse
+	}{
+		{"8 2 128 1 4 4", nil, plain, ""},
+		{"8 2 128 1 4 4", set, plain, ""},
+		{"8 2 128 1 4 4 ops=1", set, plain.WithOps(set, 1), ""},
+		{"8 2 128 1 4 4 ops=3", set, plain.WithOps(set, 3), ""},
+		{" 8  2 128 1 4 4 ops=2", set, plain.WithOps(set, 2), ""},
+		{"8 2 128 1 4 4 ops=1", nil, plain, "without an op catalog"},
+		{"8 2 128 1 4 4 ops=zz", set, plain, "bad op mask"},
+		{"8 2 128 1 4 4 ops=", set, plain, "bad op mask"},
+		{"8 2 128 1 4 4 9 ops=1", set, plain, "six integers"},
+		{"8 2 128 1 4 4junk ops=1", set, plain, "six integers"},
+		{"8 2 128 1 4 4 ops=1 9", set, plain, "bad op mask"},
+	} {
+		a, err := ParseArchOps(tc.in, tc.set)
+		if tc.frag != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.frag) {
+				t.Errorf("ParseArchOps(%q) = %v, %v; want an error containing %q", tc.in, a, err, tc.frag)
+			}
+			continue
+		}
+		if err != nil || a != tc.want {
+			t.Errorf("ParseArchOps(%q) = %v, %v; want %v", tc.in, a, err, tc.want)
+			continue
+		}
+		back, err := ParseArchOps(FormatArch(a), tc.set)
+		if err != nil || back != a {
+			t.Errorf("FormatArch(%v) = %q parses back as %v, %v", a, FormatArch(a), back, err)
+		}
+	}
+	if got := FormatArch(plain); got != "8 2 128 1 4 4" {
+		t.Errorf("FormatArch(%v) = %q", plain, got)
+	}
+	if got := FormatArch(plain.WithOps(set, 3)); got != "8 2 128 1 4 4 ops=3" {
+		t.Errorf("FormatArch with ops = %q", got)
+	}
+}
+
 func TestToolFlagRegistrationAndCache(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	tool := NewToolOn(fs, "test-tool", WithCache(), WithPrune(true))

@@ -342,8 +342,9 @@ func (e *Evaluator) sweepCache() *evcache.Cache {
 // (Table 3 accounting), so Results and Stats are bit-identical whether
 // the cache is cold, warm, shared, evicting or private.
 func (e *Evaluator) sweepThroughCache(ctx context.Context, esp *obs.Span, b *bench.Benchmark, arch machine.Arch, sc *sched.Scratch) sweepResult {
-	key := CacheKey(e.kernelClass(b), arch)
-	ce, hit, err := e.sweepCache().DoErr(b.Name, key, func() (evcache.Entry, error) {
+	var buf keyBuf
+	key := appendCacheKey(buf[:0], e.kernelClass(b), arch)
+	ce, hit, err := e.sweepCache().DoErrBytes(b.Name, key, func() (evcache.Entry, error) {
 		sw := e.runSweep(ctx, esp, b, arch, sc)
 		if sw.cancelled {
 			// Abort the singleflight: a half-finished sweep must never be
@@ -399,8 +400,14 @@ func KernelClass(b *bench.Benchmark, width int, seed int64) string {
 // across the whole fleet" possible.
 func CacheKey(kernelClass string, a machine.Arch) string {
 	var buf keyBuf
-	b := append(append(buf[:0], kernelClass...), ':')
-	return string(sigOf(a).appendKey(b))
+	return string(appendCacheKey(buf[:0], kernelClass, a))
+}
+
+// appendCacheKey appends CacheKey's bytes to b. Every warm evaluation
+// derives one and looks it up where it stands (evcache.DoErrBytes), so
+// the hit path makes no string of it.
+func appendCacheKey(b []byte, kernelClass string, a machine.Arch) []byte {
+	return sigOf(a).appendKey(append(append(b, kernelClass...), ':'))
 }
 
 // kernelClass memoizes KernelClass for this evaluator's workload.
@@ -436,8 +443,9 @@ func (e *Evaluator) CacheCovers(b *bench.Benchmark, archs []machine.Arch) bool {
 		return false
 	}
 	kc := e.kernelClass(b)
+	var buf keyBuf
 	for _, a := range archs {
-		if _, ok := e.Cache.Peek(b.Name, CacheKey(kc, a)); !ok {
+		if _, ok := e.Cache.PeekBytes(b.Name, appendCacheKey(buf[:0], kc, a)); !ok {
 			return false
 		}
 	}

@@ -19,6 +19,25 @@
 // writer can never leave a half-written shard behind: readers see
 // either the old complete file or the new one.
 //
+// A shard line is json.Marshal of a Record and is read back as
+// encoding/json reads it; the bytes on disk are what they have been
+// since SchemaVersion 1. Nearly every line a cache reads it also wrote,
+// though, in one fixed shape — {"k":"…","u":N,"c":N,"s":N[,"f":true],"r":N}
+// with a key JSON spells as itself — so that shape is written and read
+// by hand (codec.go), and encoding/json keeps everything else: a key
+// that needs an escape, a line edited by hand or written by another
+// program, junk. The rule is all or nothing per line, so which lines a
+// shard yields, which count as corrupt and what each decodes to are
+// exactly encoding/json's (FuzzShardLine holds the two equal). A shard
+// is read whole, lines of any length, and the keys of its entries are
+// slices of that one read.
+//
+// In memory every resident entry lives in one slab of nodes linked
+// into an LRU ring by index, with one key → slot map per shard: loading
+// a shard allocates its text, its map and room in the slab, not
+// something per entry. DoErrBytes and PeekBytes look a key up where the
+// caller rendered it, so a hit makes no string.
+//
 // Concurrency: every method is safe for concurrent use. DoErr gives
 // lookups singleflight semantics — workers racing on the same cold key
 // share one compute instead of duplicating the miss.
@@ -35,9 +54,11 @@
 // Telemetry (when an obs collector is installed): `evcache.hits`,
 // `evcache.misses`, `evcache.coalesced` (misses absorbed by an
 // in-flight compute), `evcache.bytes` (shard bytes read + written),
-// `evcache.invalidated` (shards discarded on schema mismatch) and
+// `evcache.invalidated` (shards discarded on schema mismatch),
 // `evcache.corrupt_lines` (undecodable shard lines skipped at load,
-// typically a line truncated by a crash mid-flush). The fleet tier
+// typically a line truncated by a crash mid-flush), `evcache.shard_loads`
+// (shard files read) and the `evcache.load_seconds` histogram (reading
+// and decoding one). The fleet tier
 // adds `evcache.net_hits`, `evcache.net_misses`, `evcache.net_errors`,
 // `evcache.net_degraded` (circuit-breaker trips),
 // `evcache.writebehind_flushes`, `evcache.writebehind_dropped` and the
@@ -46,12 +67,11 @@
 package evcache
 
 import (
-	"bufio"
-	"container/list"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -128,10 +148,14 @@ type Cache struct {
 	mu     sync.Mutex
 	max    int
 	shards map[string]*shard
-	lru    *list.List // of *node; front = most recently used
-	n      int        // resident entries
-	flight map[string]*flight
-	stats  Stats
+	// nodes is the slab every resident entry lives in, linked into one
+	// LRU ring by index: nodes[0] is the ring's root (its next the most
+	// recently used entry, its prev the least), free heads the list of
+	// vacated slots, chained through next.
+	nodes []node
+	free  int32
+	n     int // resident entries
+	stats Stats
 
 	// remote is the optional network tier (SetRemote), read without the
 	// lock — it is set once before concurrent use.
@@ -142,19 +166,21 @@ type Cache struct {
 	netDownUntil time.Time
 }
 
-// node is one resident entry, linked into the LRU.
+// node is one resident entry, linked into the LRU ring.
 type node struct {
-	shard string
-	key   string
-	e     Entry
-	dirty bool // not yet persisted (always false when memory-only)
+	key        string // of a loaded entry: a slice of the shard file's text
+	e          Entry
+	shard      *shard
+	prev, next int32
+	dirty      bool // not yet persisted (always false when memory-only)
 }
 
 // shard is the in-memory view of one on-disk shard file.
 type shard struct {
-	loaded  bool
-	entries map[string]*list.Element
-	dirty   int // unflushed entries
+	loaded bool
+	index  map[string]int32 // key -> slot in Cache.nodes
+	flight map[string]*flight
+	dirty  int // unflushed entries
 }
 
 // flight coordinates singleflight computes: waiters block on done and
@@ -184,8 +210,7 @@ func Open(dir string) (*Cache, error) {
 		dir:    dir,
 		max:    DefaultMaxEntries,
 		shards: map[string]*shard{},
-		lru:    list.New(),
-		flight: map[string]*flight{},
+		nodes:  make([]node, 1),
 	}, nil
 }
 
@@ -217,11 +242,8 @@ func (c *Cache) Stats() Stats {
 func (c *Cache) Get(shardName, key string) (Entry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	s := c.loadLocked(shardName)
-	if el, ok := s.entries[key]; ok {
-		c.lru.MoveToFront(el)
-		c.hitLocked()
-		return el.Value.(*node).e, true
+	if i, ok := c.loadLocked(shardName).index[key]; ok {
+		return c.hitLocked(i), true
 	}
 	c.missLocked()
 	return Entry{}, false
@@ -234,7 +256,7 @@ func (c *Cache) Get(shardName, key string) (Entry, bool) {
 func (c *Cache) Put(shardName, key string, e Entry) {
 	c.mu.Lock()
 	s := c.loadLocked(shardName)
-	c.insertLocked(s, shardName, key, e, c.dir != "")
+	c.insertLocked(s, key, e, c.dir != "")
 	c.autoFlushLocked(shardName, s)
 	c.mu.Unlock()
 	c.writeBehind(shardName, key, e)
@@ -252,18 +274,15 @@ func (c *Cache) Put(shardName, key string, e Entry) {
 // than inheriting the aborter's error; a waiter whose own compute then
 // aborts propagates its own error.
 func (c *Cache) DoErr(shardName, key string, compute func() (Entry, error)) (Entry, bool, error) {
-	fkey := shardName + "\x00" + key
 	for {
 		c.mu.Lock()
 		s := c.loadLocked(shardName)
-		if el, ok := s.entries[key]; ok {
-			c.lru.MoveToFront(el)
-			c.hitLocked()
-			e := el.Value.(*node).e
+		if i, ok := s.index[key]; ok {
+			e := c.hitLocked(i)
 			c.mu.Unlock()
 			return e, true, nil
 		}
-		if f, ok := c.flight[fkey]; ok {
+		if f, ok := s.flight[key]; ok {
 			c.stats.Coalesced++
 			obs.GetCounter("evcache.coalesced").Inc()
 			c.mu.Unlock()
@@ -274,7 +293,10 @@ func (c *Cache) DoErr(shardName, key string, compute func() (Entry, error)) (Ent
 			return f.e, true, nil
 		}
 		f := &flight{done: make(chan struct{})}
-		c.flight[fkey] = f
+		if s.flight == nil {
+			s.flight = map[string]*flight{}
+		}
+		s.flight[key] = f
 		c.missLocked()
 		c.mu.Unlock()
 
@@ -286,7 +308,7 @@ func (c *Cache) DoErr(shardName, key string, compute func() (Entry, error)) (Ent
 		// enqueued for write-behind — the fleet already has them.
 		if re, ok := c.remoteLookup(shardName, key); ok {
 			f.e = re
-			c.settleFlight(shardName, key, f, fkey, true)
+			c.settleFlight(shardName, key, f, true)
 			return re, true, nil
 		}
 
@@ -294,7 +316,7 @@ func (c *Cache) DoErr(shardName, key string, compute func() (Entry, error)) (Ent
 		c.mu.Lock()
 		c.stats.Computes++
 		c.mu.Unlock()
-		c.settleFlight(shardName, key, f, fkey, f.err == nil)
+		c.settleFlight(shardName, key, f, f.err == nil)
 		if f.err == nil {
 			c.writeBehind(shardName, key, f.e)
 		}
@@ -302,15 +324,29 @@ func (c *Cache) DoErr(shardName, key string, compute func() (Entry, error)) (Ent
 	}
 }
 
+// DoErrBytes is DoErr for a key the caller has rendered into a buffer
+// of its own: a hit — every lookup of a warm run — reads the buffer
+// where it stands, and only a miss makes a string of it.
+func (c *Cache) DoErrBytes(shardName string, key []byte, compute func() (Entry, error)) (Entry, bool, error) {
+	c.mu.Lock()
+	if i, ok := c.loadLocked(shardName).index[string(key)]; ok {
+		e := c.hitLocked(i)
+		c.mu.Unlock()
+		return e, true, nil
+	}
+	c.mu.Unlock()
+	return c.DoErr(shardName, string(key), compute)
+}
+
 // settleFlight stores a finished flight's entry (when store is set),
 // clears the flight and wakes waiters.
-func (c *Cache) settleFlight(shardName, key string, f *flight, fkey string, store bool) {
+func (c *Cache) settleFlight(shardName, key string, f *flight, store bool) {
 	c.mu.Lock()
 	s := c.loadLocked(shardName)
 	if store {
-		c.insertLocked(s, shardName, key, f.e, c.dir != "")
+		c.insertLocked(s, key, f.e, c.dir != "")
 	}
-	delete(c.flight, fkey)
+	delete(s.flight, key)
 	c.autoFlushLocked(shardName, s)
 	c.mu.Unlock()
 	close(f.done)
@@ -343,9 +379,13 @@ func (c *Cache) Close() error {
 	return c.Flush()
 }
 
-func (c *Cache) hitLocked() {
+// hitLocked counts a hit on the resident entry in slot i, makes it the
+// most recently used and returns it.
+func (c *Cache) hitLocked(i int32) Entry {
+	c.touchLocked(i)
 	c.stats.Hits++
 	obs.GetCounter("evcache.hits").Inc()
+	return c.nodes[i].e
 }
 
 func (c *Cache) missLocked() {
@@ -359,66 +399,110 @@ func (c *Cache) missLocked() {
 func (c *Cache) loadLocked(name string) *shard {
 	s := c.shards[name]
 	if s == nil {
-		s = &shard{entries: map[string]*list.Element{}}
+		s = &shard{index: map[string]int32{}}
 		c.shards[name] = s
 	}
 	if s.loaded {
 		return s
 	}
 	s.loaded = true
-	if c.dir == "" {
-		return s
+	if c.dir != "" {
+		t0 := time.Now()
+		if c.readInLocked(s, name) {
+			obs.GetCounter("evcache.shard_loads").Inc()
+			obs.GetHistogram("evcache.load_seconds").Observe(time.Since(t0).Seconds())
+		}
 	}
-	f, err := os.Open(c.shardPath(name))
-	if err != nil {
-		return s // no shard on disk yet
+	return s
+}
+
+// readInLocked fills the still empty s from name's file and reports
+// whether there was a file to read.
+func (c *Cache) readInLocked(s *shard, name string) bool {
+	head, body, ok := c.readShard(name)
+	if !ok {
+		return false // no shard on disk yet
 	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	if !sc.Scan() {
-		return s
-	}
-	var h header
-	line := sc.Bytes()
-	if json.Unmarshal(line, &h) != nil || h.Magic != headerMagic || h.Schema != SchemaVersion {
+	if !validHeader(head) {
 		obs.GetCounter("evcache.invalidated").Inc()
-		return s // stale or foreign: self-invalidate by ignoring it
+		return true // stale or foreign: self-invalidate by ignoring it
 	}
-	read := int64(len(line))
-	for sc.Scan() {
-		b := sc.Bytes()
-		var r Record
+	// Room for every line at once, in the index and in the slab, rather
+	// than by doubling on the way there.
+	room := min(strings.Count(body, "\n")+1, c.max)
+	s.index = make(map[string]int32, room)
+	c.nodes = slices.Grow(c.nodes, room)
+	read := int64(len(head))
+	for body != "" {
+		var line string
+		line, body = cutLine(body)
 		// A torn tail line (a crash mid-flush before the atomic rename
 		// landed, or filesystem truncation) or junk is skipped, not
 		// fatal: one bad line must never cost the rest of the shard.
-		if json.Unmarshal(b, &r) != nil || r.Key == "" {
+		r, ok := decodeRecord(line)
+		if !ok {
 			c.stats.CorruptLines++
 			obs.GetCounter("evcache.corrupt_lines").Inc()
 			continue
 		}
-		read += int64(len(b))
-		c.insertLocked(s, name, r.Key, r.Entry, false)
+		read += int64(len(line))
+		c.insertLocked(s, r.Key, r.Entry, false)
 	}
 	c.stats.BytesRead += read
 	obs.GetCounter("evcache.bytes").Add(read)
-	return s
+	return true
+}
+
+// readShard reads name's file whole — a line may be any length — and
+// returns its header line and the text of the lines after it. ok is
+// false when there is no file or nothing in it.
+func (c *Cache) readShard(name string) (head, body string, ok bool) {
+	data, err := os.ReadFile(c.shardPath(name))
+	if err != nil || len(data) == 0 {
+		return "", "", false
+	}
+	// One conversion: the keys of the lines read are slices of it.
+	head, body = cutLine(string(data))
+	return head, body, true
+}
+
+// cutLine cuts the first line off text: up to the first "\n" or, on a
+// last line without one, the end of the text; a "\r" before that is
+// dropped with it.
+func cutLine(text string) (line, rest string) {
+	line, rest, _ = strings.Cut(text, "\n")
+	return strings.TrimSuffix(line, "\r"), rest
+}
+
+// validHeader reports whether line is the header of a shard this
+// version reads.
+func validHeader(line string) bool {
+	var h header
+	return json.Unmarshal([]byte(line), &h) == nil && h.Magic == headerMagic && h.Schema == SchemaVersion
 }
 
 // insertLocked adds or refreshes one entry and evicts past capacity.
-func (c *Cache) insertLocked(s *shard, shardName, key string, e Entry, dirty bool) {
-	if el, ok := s.entries[key]; ok {
-		nd := el.Value.(*node)
+func (c *Cache) insertLocked(s *shard, key string, e Entry, dirty bool) {
+	if i, ok := s.index[key]; ok {
+		nd := &c.nodes[i]
 		if dirty && !nd.dirty {
 			s.dirty++
 		}
 		nd.e = e
 		nd.dirty = nd.dirty || dirty
-		c.lru.MoveToFront(el)
+		c.touchLocked(i)
 		return
 	}
-	el := c.lru.PushFront(&node{shard: shardName, key: key, e: e, dirty: dirty})
-	s.entries[key] = el
+	i := c.free
+	if i != 0 {
+		c.free = c.nodes[i].next
+	} else {
+		i = int32(len(c.nodes))
+		c.nodes = append(c.nodes, node{})
+	}
+	c.nodes[i] = node{key: key, e: e, shard: s, dirty: dirty}
+	c.pushFrontLocked(i)
+	s.index[key] = i
 	c.n++
 	if dirty {
 		s.dirty++
@@ -426,19 +510,45 @@ func (c *Cache) insertLocked(s *shard, shardName, key string, e Entry, dirty boo
 	c.evictLocked()
 }
 
+// pushFrontLocked links the unlinked slot i in as the most recently
+// used entry.
+func (c *Cache) pushFrontLocked(i int32) {
+	first := c.nodes[0].next
+	c.nodes[i].prev, c.nodes[i].next = 0, first
+	c.nodes[first].prev = i
+	c.nodes[0].next = i
+}
+
+// unlinkLocked takes slot i out of the LRU ring.
+func (c *Cache) unlinkLocked(i int32) {
+	prev, next := c.nodes[i].prev, c.nodes[i].next
+	c.nodes[prev].next = next
+	c.nodes[next].prev = prev
+}
+
+// touchLocked makes the resident entry in slot i the most recently used.
+func (c *Cache) touchLocked(i int32) {
+	if c.nodes[0].next != i {
+		c.unlinkLocked(i)
+		c.pushFrontLocked(i)
+	}
+}
+
 // evictLocked drops least-recently-used clean entries down to
 // capacity. Dirty entries are pinned (their data exists nowhere else)
 // until a flush cleans them.
 func (c *Cache) evictLocked() {
-	for el := c.lru.Back(); el != nil && c.n > c.max; {
-		nd := el.Value.(*node)
-		prev := el.Prev()
+	for i := c.nodes[0].prev; i != 0 && c.n > c.max; {
+		nd := &c.nodes[i]
+		prev := nd.prev
 		if !nd.dirty {
-			c.lru.Remove(el)
-			delete(c.shards[nd.shard].entries, nd.key)
+			c.unlinkLocked(i)
+			delete(nd.shard.index, nd.key)
+			*nd = node{next: c.free}
+			c.free = i
 			c.n--
 		}
-		el = prev
+		i = prev
 	}
 }
 
@@ -457,60 +567,50 @@ func (c *Cache) autoFlushLocked(name string, s *shard) {
 // include entries long evicted from memory) merged with every resident
 // entry, written to a temp file and atomically renamed into place.
 func (c *Cache) flushShardLocked(name string, s *shard) error {
-	merged := map[string]Entry{}
-	order := []string{} // stable-ish: disk order then new keys
-	if f, err := os.Open(c.shardPath(name)); err == nil {
-		sc := bufio.NewScanner(f)
-		sc.Buffer(make([]byte, 1<<20), 1<<20)
-		if sc.Scan() {
-			var h header
-			if json.Unmarshal(sc.Bytes(), &h) == nil && h.Magic == headerMagic && h.Schema == SchemaVersion {
-				for sc.Scan() {
-					var r Record
-					if json.Unmarshal(sc.Bytes(), &r) == nil && r.Key != "" {
-						if _, ok := merged[r.Key]; !ok {
-							order = append(order, r.Key)
-						}
-						merged[r.Key] = r.Entry
-					}
-				}
-			}
-		}
-		f.Close()
+	head, body, ok := c.readShard(name)
+	if !ok || !validHeader(head) {
+		body = ""
 	}
-	for key, el := range s.entries {
-		if _, ok := merged[key]; !ok {
-			order = append(order, key)
+	// Disk order, then new keys; a key's last value wins in its first
+	// place.
+	onDisk := len(body)
+	room := strings.Count(body, "\n") + 1 + len(s.index)
+	recs := make([]Record, 0, room)
+	at := make(map[string]int, room)
+	merge := func(key string, e Entry) {
+		if i, ok := at[key]; ok {
+			recs[i].Entry = e
+			return
 		}
-		merged[key] = el.Value.(*node).e
+		at[key] = len(recs)
+		recs = append(recs, Record{Key: key, Entry: e})
+	}
+	for body != "" {
+		var line string
+		line, body = cutLine(body)
+		if r, ok := decodeRecord(line); ok {
+			merge(r.Key, r.Entry)
+		}
+	}
+	for key, i := range s.index {
+		merge(key, c.nodes[i].e)
+	}
+
+	hb, _ := json.Marshal(header{Magic: headerMagic, Schema: SchemaVersion})
+	out := append(append(make([]byte, 0, onDisk+len(hb)+1), hb...), '\n')
+	var err error
+	for _, r := range recs {
+		if out, err = appendRecord(out, r.Key, r.Entry); err != nil {
+			return fmt.Errorf("evcache: flush %s: %w", name, err)
+		}
+		out = append(out, '\n')
 	}
 
 	tmp, err := os.CreateTemp(c.dir, "."+sanitize(name)+".tmp-*")
 	if err != nil {
 		return fmt.Errorf("evcache: flush %s: %w", name, err)
 	}
-	w := bufio.NewWriter(tmp)
-	var written int64
-	count := func(n int, err error) error {
-		written += int64(n)
-		return err
-	}
-	hb, _ := json.Marshal(header{Magic: headerMagic, Schema: SchemaVersion})
-	if err := count(w.Write(append(hb, '\n'))); err == nil {
-		for _, key := range order {
-			rb, merr := json.Marshal(Record{Key: key, Entry: merged[key]})
-			if merr != nil {
-				err = merr
-				break
-			}
-			if err = count(w.Write(append(rb, '\n'))); err != nil {
-				break
-			}
-		}
-	}
-	if err == nil {
-		err = w.Flush()
-	}
+	_, err = tmp.Write(out)
 	if err == nil {
 		// Durability, step 1: the data must be on stable storage before
 		// the rename can publish it.
@@ -532,10 +632,10 @@ func (c *Cache) flushShardLocked(name string, s *shard) error {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("evcache: flush %s: %w", name, err)
 	}
-	c.stats.BytesWrit += written
-	obs.GetCounter("evcache.bytes").Add(written)
-	for _, el := range s.entries {
-		el.Value.(*node).dirty = false
+	c.stats.BytesWrit += int64(len(out))
+	obs.GetCounter("evcache.bytes").Add(int64(len(out)))
+	for _, i := range s.index {
+		c.nodes[i].dirty = false
 	}
 	s.dirty = 0
 	c.evictLocked() // formerly pinned entries may now be evictable

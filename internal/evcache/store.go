@@ -51,7 +51,7 @@ func (c *Cache) StoreBatch(shard string, recs []Record) error {
 		if r.Key == "" {
 			continue
 		}
-		c.insertLocked(s, shard, r.Key, r.Entry, c.dir != "")
+		c.insertLocked(s, r.Key, r.Entry, c.dir != "")
 	}
 	c.autoFlushLocked(shard, s)
 	return nil
@@ -64,7 +64,7 @@ func (c *Cache) Missing(shard string, keys []string) ([]string, error) {
 	s := c.loadLocked(shard)
 	var out []string
 	for _, k := range keys {
-		if _, ok := s.entries[k]; !ok {
+		if _, ok := s.index[k]; !ok {
 			out = append(out, k)
 		}
 	}
@@ -77,9 +77,19 @@ func (c *Cache) Missing(shard string, keys []string) ([]string, error) {
 func (c *Cache) Peek(shard, key string) (Entry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	s := c.loadLocked(shard)
-	if el, ok := s.entries[key]; ok {
-		return el.Value.(*node).e, true
+	if i, ok := c.loadLocked(shard).index[key]; ok {
+		return c.nodes[i].e, true
+	}
+	return Entry{}, false
+}
+
+// PeekBytes is Peek for a key rendered into the caller's buffer (see
+// DoErrBytes): no string is made of it.
+func (c *Cache) PeekBytes(shard string, key []byte) (Entry, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if i, ok := c.loadLocked(shard).index[string(key)]; ok {
+		return c.nodes[i].e, true
 	}
 	return Entry{}, false
 }
