@@ -51,9 +51,12 @@ bench-module:
 # parser that guards the fleet cache tier (fleetcache.Handler's POST
 # body), the dependence-skeleton builder against the construction it
 # replaced (ddg.Builder vs internal/ddg/reference_test.go, on blocks
-# spelled by the bytes), and the disk cache's hand-written shard line
+# spelled by the bytes), the disk cache's hand-written shard line
 # codec against encoding/json, which it abbreviates (evcache's
-# parseRecord and appendRecord). Long enough to replay the seed corpus and
+# parseRecord and appendRecord), the results document's hand-written
+# codec against the same (dse's parseResults and appendResults), and the
+# coordinator's cut of a job status against json.Unmarshal of the whole
+# (dist's splitStatus and decodeStatus). Long enough to replay the seed corpus and
 # mutate it a few tens of thousands of times, short enough for every
 # `make check`. Findings land under the package's testdata/fuzz/ and
 # then fail plain `go test` too.
@@ -61,6 +64,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzHandlerPut$$' -fuzztime 5s ./internal/fleetcache/
 	$(GO) test -run '^$$' -fuzz '^FuzzSkeletonBuilder$$' -fuzztime 5s ./internal/ddg/
 	$(GO) test -run '^$$' -fuzz '^FuzzShardLine$$' -fuzztime 5s ./internal/evcache/
+	$(GO) test -run '^$$' -fuzz '^FuzzResultsDocument$$' -fuzztime 5s ./internal/dse/
+	$(GO) test -run '^$$' -fuzz '^FuzzSplitStatus$$' -fuzztime 5s ./internal/dist/
 
 # Extended verify: everything the tier-1 gate runs, plus vet,
 # staticcheck (when installed), the race pass, the benchmark smoke, the

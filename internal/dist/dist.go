@@ -85,7 +85,10 @@ type Options struct {
 	// idle before it is duplicated on another worker (default 30s;
 	// negative disables hedging).
 	HedgeAfter time.Duration
-	// PollInterval is the job-status polling period (default 200ms).
+	// PollInterval is the longest a worker is asked to hold a job-status
+	// poll before answering that the shard still runs (a worker that
+	// holds answers the moment it ends), and the polling period against
+	// a worker that does not hold (default 200ms).
 	PollInterval time.Duration
 	// Client overrides the HTTP client (tests; default http.DefaultClient).
 	Client *http.Client
@@ -512,7 +515,7 @@ func (c *coordinator) launch(ctx context.Context, u *unit, w *workerState) {
 	go func() {
 		defer c.bg.Done()
 		c.warmupPush(u, w)
-		res, spans, err := c.client.runShard(ctx, a, req)
+		res, spans, err := c.client.runShard(ctx, a, req, sp)
 		sp.AdoptRemote(spans)
 		sp.End()
 		select {

@@ -54,13 +54,14 @@ type Explorer struct {
 }
 
 // NewExplorer returns an explorer over the full space and benchmark
-// suite with default models.
+// suite with default models. Archs is left nil, which RunCtx reads as
+// the full space: a caller with a grid of its own does not pay for an
+// enumeration it overwrites.
 func NewExplorer() *Explorer {
 	return &Explorer{
 		EvalConfig: defaultEvalConfig(),
 		Cost:       machine.DefaultCostModel,
 		Benchmarks: bench.All(),
-		Archs:      machine.FullSpace(),
 	}
 }
 
@@ -139,13 +140,17 @@ func NewResults(archs []machine.Arch, benches []*bench.Benchmark, model machine.
 	return res
 }
 
+// designPoints is the size of the unclustered design space, which every
+// run's Stats reports and no run changes.
+var designPoints = sync.OnceValue(func() int { return len(machine.DesignSpace()) })
+
 // Finish sets Stats from what the caller counted — s carries Runs,
 // Failures, Cancelled, BaselineRuns and Phases — and adds what follows
 // from the shell and the wall time: the grid's dimensions and the
 // per-architecture and per-run means.
 func (r *Results) Finish(s Stats, wall time.Duration) {
 	s.Architectures = len(r.Archs)
-	s.DesignPoints = len(machine.DesignSpace())
+	s.DesignPoints = designPoints()
 	s.Benchmarks = len(r.Benches)
 	s.WallTime = wall
 	if len(r.Archs) > 0 {

@@ -14,6 +14,16 @@ import (
 // schema only grows: files saved before Stats gained Failures and the
 // per-phase time breakdown (Phases) still load, with those fields
 // zero-valued.
+//
+// The document is json.Marshal(resultsJSON{…}) and always has been, but
+// nearly every document read is one this package wrote, in one fixed
+// shape. JSON and FromJSON therefore try the hand-written codec first
+// (codec.go): appendResults writes Marshal's bytes and parseResults reads
+// exactly those. A document outside that shape — custom ops, a name that
+// needs an escape, a float JSON cannot spell; on the read side any
+// departure by a byte, such as whitespace, reordered, unknown or repeated
+// members, or the stats of a file saved before Failures existed — goes
+// through encoding/json whole, which also words every error.
 type resultsJSON struct {
 	Archs   []archJSON              `json:"archs"`
 	Benches []string                `json:"benches"`
@@ -45,6 +55,9 @@ func (r *Results) JSON() ([]byte, error) {
 		Eval:    r.Eval,
 		Stats:   r.Stats,
 	}
+	if len(r.Archs) > 0 {
+		out.Archs = make([]archJSON, 0, len(r.Archs))
+	}
 	var set *machine.OpSet
 	for _, a := range r.Archs {
 		aj := archJSON{A: a.ALUs, M: a.MULs, R: a.Regs, P2: a.L2Ports, L2: a.L2Lat, C: a.Clusters}
@@ -60,6 +73,9 @@ func (r *Results) JSON() ([]byte, error) {
 		}
 		out.Archs = append(out.Archs, aj)
 	}
+	if data, ok := appendResults(make([]byte, 0, encodedSize(&out)), &out); ok {
+		return data, nil
+	}
 	data, err := json.Marshal(out)
 	if err != nil {
 		return nil, fmt.Errorf("dse: encode results: %w", err)
@@ -69,9 +85,11 @@ func (r *Results) JSON() ([]byte, error) {
 
 // FromJSON decodes results encoded by JSON (or saved by Save).
 func FromJSON(data []byte) (*Results, error) {
-	var in resultsJSON
-	if err := json.Unmarshal(data, &in); err != nil {
-		return nil, fmt.Errorf("dse: decode results: %w", err)
+	in, ok := parseResults(data)
+	if !ok {
+		if err := json.Unmarshal(data, &in); err != nil {
+			return nil, fmt.Errorf("dse: decode results: %w", err)
+		}
 	}
 	r := &Results{
 		Benches: in.Benches,
@@ -86,6 +104,9 @@ func FromJSON(data []byte) (*Results, error) {
 			return nil, fmt.Errorf("dse: decode results: %w", err)
 		}
 		set = s
+	}
+	if len(in.Archs) > 0 {
+		r.Archs = make([]machine.Arch, 0, len(in.Archs))
 	}
 	for _, a := range in.Archs {
 		arch := machine.Arch{

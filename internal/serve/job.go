@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"customfit/internal/dse"
 	"customfit/internal/obs"
 )
 
@@ -65,10 +66,14 @@ type Job struct {
 
 	// run does the work; its ctx is cancelled by DELETE and by server
 	// shutdown past the drain deadline. It receives the job itself so
-	// long runners can publish progress.
+	// long runners can publish progress. The worker that takes the job
+	// off the queue takes run off the job: the closure holds the parsed
+	// request, which a retained job has no use for.
 	run    func(ctx context.Context, j *Job) (json.RawMessage, error)
 	ctx    context.Context
 	cancel context.CancelFunc
+	// done is closed by finish: what a held poll waits on.
+	done chan struct{}
 	// coalesceKey indexes the server's in-flight map ("" = never
 	// coalesced).
 	coalesceKey string
@@ -78,13 +83,18 @@ type Job struct {
 	// recorded under the remote trace and returned in JobStatus.Spans.
 	remote obs.SpanContext
 
-	mu       sync.Mutex
-	state    State
-	errMsg   string
-	result   json.RawMessage
-	progress json.RawMessage
-	spans    []obs.WireSpan
-	subs     map[chan Event]struct{}
+	mu     sync.Mutex
+	state  State
+	errMsg string
+	result json.RawMessage
+	// progress is the latest snapshot (hasProgress: there is one), and
+	// progressJSON its encoding, made when somebody first looks: an
+	// exploration reports per evaluation, to mostly nobody.
+	progress     dse.ProgressInfo
+	hasProgress  bool
+	progressJSON json.RawMessage
+	spans        []obs.WireSpan
+	subs         map[chan Event]struct{}
 	// seq numbers the job's SSE events; progressSeq/doneSeq remember
 	// which ids the latest progress snapshot and the terminal event
 	// carry, so reconnects with Last-Event-ID skip already-seen replays
@@ -103,7 +113,7 @@ func (j *Job) Status() JobStatus {
 		Kind:     j.Kind,
 		State:    j.state,
 		Error:    j.errMsg,
-		Progress: j.progress,
+		Progress: j.progressData(),
 		Result:   j.result,
 		Spans:    j.spans,
 	}
@@ -137,34 +147,47 @@ func (j *Job) startRunning() bool {
 	return true
 }
 
-// setProgress records and publishes a progress snapshot. Publishes are
-// lossy (a slow subscriber drops intermediate snapshots, never the
-// terminal event).
-func (j *Job) setProgress(snapshot json.RawMessage) {
+// progressData returns the latest snapshot's encoding (nil before the
+// first), encoding it if nobody has looked since it was set. The caller
+// holds j.mu.
+func (j *Job) progressData() json.RawMessage {
+	if j.progressJSON == nil && j.hasProgress {
+		// A snapshot that does not encode is one nobody sees.
+		j.progressJSON, _ = json.Marshal(j.progress)
+	}
+	return j.progressJSON
+}
+
+// setProgress records a progress snapshot and publishes it to the
+// subscribers there are. Publishes are lossy (a slow subscriber drops
+// intermediate snapshots, never the terminal event).
+func (j *Job) setProgress(p dse.ProgressInfo) {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	if j.state.Terminal() {
-		j.mu.Unlock()
 		return
 	}
-	j.progress = snapshot
+	j.progress, j.hasProgress, j.progressJSON = p, true, nil
 	j.seq++
 	j.progressSeq = j.seq
+	if len(j.subs) == 0 {
+		return
+	}
 	// Send under the lock: every send and close of a subscriber channel
 	// holds j.mu, so finish can never close a channel mid-send.
-	ev := Event{Name: "progress", ID: j.seq, Data: snapshot}
+	ev := Event{Name: "progress", ID: j.seq, Data: j.progressData()}
 	for ch := range j.subs {
 		select {
 		case ch <- ev:
 		default:
 		}
 	}
-	j.mu.Unlock()
 }
 
 // finish moves the job to a terminal state and wakes every subscriber
 // by closing its channel (the SSE handler then re-reads Status and
 // emits the "done" event, so the terminal notification can never be
-// dropped by a full buffer).
+// dropped by a full buffer) and every held poll by closing done.
 func (j *Job) finish(state State, result json.RawMessage, errMsg string) {
 	j.mu.Lock()
 	if j.state.Terminal() {
@@ -180,6 +203,7 @@ func (j *Job) finish(state State, result json.RawMessage, errMsg string) {
 		close(ch)
 	}
 	j.subs = nil
+	close(j.done)
 	j.mu.Unlock()
 	if j.cancel != nil {
 		j.cancel()
@@ -205,8 +229,8 @@ func (j *Job) subscribe(afterID int64) (ch chan Event, unsubscribe func()) {
 		j.subs = make(map[chan Event]struct{})
 	}
 	j.subs[ch] = struct{}{}
-	if j.progress != nil && j.progressSeq > afterID {
-		ch <- Event{Name: "progress", ID: j.progressSeq, Data: j.progress}
+	if data := j.progressData(); data != nil && j.progressSeq > afterID {
+		ch <- Event{Name: "progress", ID: j.progressSeq, Data: data}
 	}
 	j.mu.Unlock()
 	return ch, func() {

@@ -373,7 +373,7 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 			Width:       req.Width,
 			Parallelism: s.opts.EvalParallelism,
 			Cache:       cache,
-			Progress:    progressPublisher(j),
+			Progress:    j.setProgress,
 		})
 		if err != nil {
 			return nil, err
@@ -442,7 +442,7 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 			Width:       req.Width,
 			Parallelism: s.opts.EvalParallelism,
 			Cache:       cache,
-			Progress:    progressPublisher(j),
+			Progress:    j.setProgress,
 		})
 		if err != nil {
 			return nil, err
@@ -453,16 +453,6 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 			Speedups: fit.Speedups,
 		})
 	})
-}
-
-// progressPublisher adapts the explorer's progress callback to the
-// job's SSE stream.
-func progressPublisher(j *Job) func(dse.ProgressInfo) {
-	return func(p dse.ProgressInfo) {
-		if data, err := json.Marshal(p); err == nil {
-			j.setProgress(data)
-		}
-	}
 }
 
 // coalesceKey canonically encodes a request's result-affecting fields.

@@ -27,6 +27,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"strconv"
 	"strings"
@@ -202,6 +204,8 @@ func (s *Server) worker() {
 // removed from the collector — keeping a long-lived server's event
 // buffer bounded — and, for traced jobs, returned in JobStatus.Spans.
 func (s *Server) runJob(j *Job) {
+	run := j.run
+	j.run = nil
 	if !j.startRunning() {
 		s.clearInflight(j)
 		return
@@ -209,7 +213,7 @@ func (s *Server) runJob(j *Job) {
 	start := time.Now()
 	sp := obs.StartSpanIn(j.remote, "serve.job")
 	sp.Str("kind", j.Kind).Str("id", j.ID)
-	result, err := j.run(obs.ContextWithSpan(j.ctx, sp), j)
+	result, err := run(obs.ContextWithSpan(j.ctx, sp), j)
 	sp.End()
 	evs := sp.TakeSubtree()
 	if j.remote.Valid() && len(evs) > 0 {
@@ -224,7 +228,7 @@ func (s *Server) runJob(j *Job) {
 	switch {
 	case err == nil:
 		state = StateDone
-		j.finish(StateDone, result, "")
+		j.finish(StateDone, sized(result), "")
 		obs.GetCounter("serve.jobs_done").Inc()
 	case errors.Is(err, dse.ErrCancelled), errors.Is(err, context.Canceled),
 		errors.Is(err, context.DeadlineExceeded):
@@ -241,6 +245,19 @@ func (s *Server) runJob(j *Job) {
 		Dur("dur", time.Since(start)).
 		Str("trace", sp.Context().Trace.String()).
 		Err(err).Log()
+}
+
+// sized returns b in a buffer of its own length when the one it came in
+// has more than a sixteenth to spare: a runner sizes its buffer before
+// it knows the length, and a retained job keeps its result until
+// MaxJobs newer ones have come.
+func sized(b []byte) []byte {
+	if cap(b)-len(b) <= len(b)/16 {
+		return b
+	}
+	out := make([]byte, len(b))
+	copy(out, b)
+	return out
 }
 
 // logger returns the server's log sink: the explicit Options.Logger, or
@@ -299,6 +316,7 @@ func (s *Server) submit(kind, coalesceKey string, remote obs.SpanContext, run fu
 		run:         run,
 		ctx:         ctx,
 		cancel:      cancel,
+		done:        make(chan struct{}),
 		coalesceKey: coalesceKey,
 		created:     time.Now(),
 		remote:      remote,
@@ -385,13 +403,53 @@ func (s *Server) respondSubmit(w http.ResponseWriter, remote obs.SpanContext, ki
 	writeJSON(w, http.StatusAccepted, SubmitResponse{ID: j.ID, State: j.State(), Coalesced: coalesced})
 }
 
+// maxPollWait caps how long GET /v1/jobs/{id}?wait= holds an answer:
+// under the idle timeouts of the proxies a fleet may sit behind.
+const maxPollWait = 30 * time.Second
+
+// parseWait reads the wait parameter of a job poll: absent or empty is
+// no hold, a duration in time.ParseDuration's syntax holds that long at
+// most, above maxPollWait is maxPollWait. Unparsable or negative is an
+// error.
+func parseWait(v string) (time.Duration, error) {
+	if v == "" {
+		return 0, nil
+	}
+	d, err := time.ParseDuration(v)
+	if err != nil || d < 0 {
+		return 0, fmt.Errorf("bad wait %q: want a duration such as 200ms", v)
+	}
+	return min(d, maxPollWait), nil
+}
+
+// handleJobGet answers a poll. With ?wait=<duration> it holds the answer
+// until the job is terminal, the duration is over or the client is gone:
+// a coordinator is told when its shard ends instead of asking on a timer.
+// A drain does not wait on held polls — every job is terminal before
+// Shutdown returns, and that is what they wait for.
 func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 	j := s.job(r.PathValue("id"))
 	if j == nil {
 		writeErr(w, http.StatusNotFound, "no such job")
 		return
 	}
-	writeJSON(w, http.StatusOK, j.Status())
+	wait, err := parseWait(r.URL.Query().Get("wait"))
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	if wait > 0 && !j.State().Terminal() {
+		obs.GetCounter("serve.polls_held").Inc()
+		timer := time.NewTimer(wait)
+		defer timer.Stop()
+		select {
+		case <-j.done:
+		case <-timer.C:
+		case <-r.Context().Done():
+			return
+		}
+	}
+	writeStatus(w, j.Status())
 }
 
 func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
@@ -403,7 +461,7 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	if j.requestCancel() {
 		obs.GetCounter("serve.cancel_requests").Inc()
 	}
-	writeJSON(w, http.StatusOK, j.Status())
+	writeStatus(w, j.Status())
 }
 
 // handleJobEvents streams SSE: replayed + live "progress" events, then
@@ -437,8 +495,13 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 		select {
 		case ev, open := <-ch:
 			if !open {
-				data, _ := json.Marshal(j.Status())
-				fmt.Fprintf(w, "id: %d\nevent: done\ndata: %s\n\n", j.doneEventID(), data)
+				fmt.Fprintf(w, "id: %d\nevent: done\ndata: ", j.doneEventID())
+				// A status that does not encode is sent as before: empty.
+				if parts, err := statusParts(j.Status(), "\n\n"); err == nil {
+					_, _ = parts.WriteTo(w)
+				} else {
+					_, _ = io.WriteString(w, "\n\n")
+				}
 				fl.Flush()
 				return
 			}
@@ -554,6 +617,51 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(v)
+}
+
+// statusParts returns json.Marshal(st) followed by end, in pieces. The
+// small members go through encoding/json; the result — which only this
+// package's own runners write, compact and escaped as Marshal leaves it
+// — is handed on as it stands, where Marshal would parse and copy it
+// once more. It is the one encoder of a job's status: polls, cancels and
+// the SSE done event all send these bytes.
+func statusParts(st JobStatus, end string) (net.Buffers, error) {
+	result, spans := st.Result, st.Spans
+	st.Result, st.Spans = nil, nil
+	head, err := json.Marshal(st)
+	if err != nil {
+		return nil, err
+	}
+	parts := net.Buffers{head[:len(head)-1]} // reopened: the "}" goes last
+	if len(result) > 0 {
+		parts = append(parts, []byte(`,"result":`), result)
+	}
+	if len(spans) > 0 {
+		sp, err := json.Marshal(spans)
+		if err != nil {
+			return nil, err
+		}
+		parts = append(parts, []byte(`,"spans":`), sp)
+	}
+	return append(parts, []byte("}"+end)), nil
+}
+
+// writeStatus answers 200 with st, as writeJSON would spell it, under a
+// Content-Length.
+func writeStatus(w http.ResponseWriter, st JobStatus) {
+	parts, err := statusParts(st, "\n")
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, err.Error())
+		return
+	}
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(n))
+	w.WriteHeader(http.StatusOK)
+	_, _ = parts.WriteTo(w) // an error is a client that went away
 }
 
 // ErrorResponse is the body of every non-2xx JSON reply.

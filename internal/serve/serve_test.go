@@ -584,18 +584,19 @@ func TestSSEReconnectAfterDone(t *testing.T) {
 // logic directly: stored progress is replayed only to subscribers that
 // have not seen it yet.
 func TestSubscribeReplaySemantics(t *testing.T) {
-	j := &Job{ID: "t", Kind: "explore", state: StateQueued}
+	j := &Job{ID: "t", Kind: "explore", state: StateQueued, done: make(chan struct{})}
 	if !j.startRunning() {
 		t.Fatal("startRunning failed")
 	}
-	j.setProgress(json.RawMessage(`{"done":1}`))
-	j.setProgress(json.RawMessage(`{"done":2}`))
+	j.setProgress(dse.ProgressInfo{Done: 1})
+	j.setProgress(dse.ProgressInfo{Done: 2})
+	want, _ := json.Marshal(dse.ProgressInfo{Done: 2})
 
 	// A fresh subscriber (afterID 0) gets the latest snapshot replayed.
 	ch, unsub := j.subscribe(0)
 	select {
 	case ev := <-ch:
-		if ev.Name != "progress" || ev.ID != 2 || string(ev.Data) != `{"done":2}` {
+		if ev.Name != "progress" || ev.ID != 2 || string(ev.Data) != string(want) {
 			t.Errorf("fresh subscriber got %+v, want progress id 2", ev)
 		}
 	default:
