@@ -26,11 +26,14 @@ staticcheck:
 # shared-kernel/scratch machinery, the persistent evaluation cache,
 # the job-queueing HTTP server, and the distributed-exploration
 # coordinator (plus the context-cancellation paths threaded through
-# all of them) are the places where data races could hide; run them
-# under the race detector. Explicit -timeout so a deadlock fails the
-# build with goroutine dumps instead of hanging CI to its job limit.
+# all of them) are the places where data races could hide, and so are
+# the idle-arena list and its three users' one-shot paths (the ageing
+# tick runs on the finalizer goroutine; a clustered compile reads the
+# shared kernel itself): run them under the race detector. Explicit
+# -timeout so a deadlock fails the build with goroutine dumps instead of
+# hanging CI to its job limit.
 race:
-	$(GO) test -race -timeout 20m ./internal/obs/... ./internal/dse/... ./internal/sched/... ./internal/evcache/... ./internal/fleetcache/... ./internal/serve/... ./internal/dist/... ./internal/ops/...
+	$(GO) test -race -timeout 20m ./internal/obs/... ./internal/dse/... ./internal/sched/... ./internal/evcache/... ./internal/fleetcache/... ./internal/serve/... ./internal/dist/... ./internal/ops/... ./internal/idle/... ./internal/opt/... ./internal/sim/... ./internal/core/...
 
 # One-iteration pass over the exploration and simulator benchmarks:
 # catches bit-rot in the benchmark harness without paying for a real
@@ -38,6 +41,7 @@ race:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/dse/
 	$(GO) test -run '^$$' -bench BenchmarkSimRun -benchtime 1x ./internal/sim/
+	$(GO) test -run '^$$' -bench BenchmarkOneShot -benchtime 1x ./internal/core/
 
 # The end-to-end benchmark (BENCHMARK.json, benchmark/) is a module of
 # its own, so `go build ./...` and `go test ./...` at the root never
@@ -73,13 +77,14 @@ fuzz-smoke:
 # ROADMAP.md).
 check: build vet staticcheck test race bench-smoke bench-module fuzz-smoke
 
-# Measure the seven layer benchmarks nothing else isolates and record
+# Measure the eight layer benchmarks nothing else isolates and record
 # them, with the environment they ran in, as the trajectory document
 # (docs/PERFORMANCE.md, "Tracking the numbers"). A record, never a
 # baseline: numbers from another day or host are not comparable.
 bench:
 	( $(GO) test -run '^$$' -bench . -benchmem ./internal/dse/ && \
-	  $(GO) test -run '^$$' -bench BenchmarkSimRun -benchmem ./internal/sim/ ) | \
+	  $(GO) test -run '^$$' -bench BenchmarkSimRun -benchmem ./internal/sim/ && \
+	  $(GO) test -run '^$$' -bench BenchmarkOneShot -benchmem ./internal/core/ ) | \
 		$(GO) run ./cmd/cfp-benchjson -o BENCH_explore.json
 	@echo wrote BENCH_explore.json
 
@@ -90,7 +95,7 @@ parent_rev = $$([ -z "$$(git status --porcelain)" ] && echo HEAD~1 || echo HEAD)
 # The perf gate: this tree against its parent commit, measured side by
 # side. The parent is HEAD when the tree has uncommitted changes and
 # HEAD~1 when it is clean; it is checked out into a git worktree under
-# .bench_build/ (removed again on any exit), the dse and sim test
+# .bench_build/ (removed again on any exit), the dse, sim and core test
 # binaries are built once per tree, and ten rounds run each benchmark
 # on both binaries back to back at a fixed iteration count, alternating
 # which tree goes first. cfp-benchjson then judges every (benchmark,
@@ -107,7 +112,7 @@ bench-diff:
 	git worktree add --quiet --detach $$out/parent $$rev; \
 	echo "bench-diff: parent is $$rev ($$(git rev-parse --short $$rev))"; \
 	src() { [ $$1 = change ] && echo $(CURDIR) || echo $$out/parent; }; \
-	for side in parent change; do for pkg in dse sim; do \
+	for side in parent change; do for pkg in dse sim core; do \
 		(cd $$(src $$side) && $(GO) test -c -o $$out/$$side-$$pkg.test ./internal/$$pkg/); \
 	done; done; \
 	for round in 1 2 3 4 5 6 7 8 9 10; do \
@@ -117,7 +122,7 @@ bench-diff:
 				dse:BenchmarkEvaluateDelta:20000x \
 				dse:BenchmarkExploreOpsSubset:3x dse:BenchmarkPrepare:10x \
 				dse:BenchmarkWarmOpen:100x \
-				sim:BenchmarkSimRun:50x; do \
+				sim:BenchmarkSimRun:50x core:BenchmarkOneShot:4x; do \
 			set -- $$(echo $$spec | tr : ' '); \
 			for side in $$order; do \
 				(cd $$(src $$side)/internal/$$1 && $$out/$$side-$$1.test -test.run '^$$' \

@@ -7,7 +7,9 @@
 // metrics are the payload, not ns/op: nothing here is recorded by `make
 // bench` or gated by `make bench-diff` — per-compile and per-simulation
 // cost are measured by internal/dse's BenchmarkEvaluate, internal/sim's
-// BenchmarkSimRun and the oneshot_sim workload of benchmark/.
+// BenchmarkSimRun, internal/core's BenchmarkOneShot (parse, compile and
+// run with nothing amortised) and the oneshot_sim workload of
+// benchmark/.
 //
 //	go test -bench=. -benchmem
 package customfit_test

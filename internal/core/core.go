@@ -112,11 +112,13 @@ type RunStats struct {
 	// the paper's performance metric.
 	Time float64
 	// Dynamic, cycle-weighted resource occupancy (see sim.Stats):
-	// fractions of available ALU/MUL slot-cycles and L1/L2 port-cycles
-	// actually used, plus the resource that bounded the run.
-	ALUOcc, MULOcc, L1Occ, L2Occ float64
-	StallCycles                  int64
-	Bound                        string
+	// fractions of available ALU/MUL slot-cycles, L1/L2 port-cycles and
+	// custom-unit cycles (zero on an op-free machine) actually used, plus
+	// the resource that bounded the run: the class whose occupancy here
+	// is the largest.
+	ALUOcc, MULOcc, L1Occ, L2Occ, CUOcc float64
+	StallCycles                         int64
+	Bound                               string
 }
 
 // newRunStats converts simulator statistics to the facade's form.
@@ -136,6 +138,7 @@ func newRunStats(st *sim.Stats, arch machine.Arch) *RunStats {
 		MULOcc:      st.MULOcc,
 		L1Occ:       st.L1Occ,
 		L2Occ:       st.L2Occ,
+		CUOcc:       st.CUOcc,
 		StallCycles: st.StallCycles,
 		Bound:       st.Bound,
 	}

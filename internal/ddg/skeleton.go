@@ -364,6 +364,16 @@ func (bd *Builder) array(m *ir.MemRef) *arrayOps {
 	return ao
 }
 
+// Forget drops the builder's pointers into the blocks it has built for
+// (the arrays they access), keeping its tables: what an arena does with
+// its builder before it goes idle.
+func (bd *Builder) Forget() {
+	arrays := bd.arrays[:cap(bd.arrays)]
+	for k := range arrays {
+		arrays[k].mem = nil
+	}
+}
+
 // Materialize expands the skeleton into a pointer-form Graph over the
 // given block's instructions. The block must be structurally identical
 // to the one the skeleton was built from (same instruction sequence);

@@ -3,10 +3,13 @@ package dse
 import (
 	"math"
 	"os"
+	"runtime"
+	"sync"
 	"testing"
 
 	"customfit/internal/bench"
 	"customfit/internal/machine"
+	"customfit/internal/obs"
 )
 
 // smallSpace is a fast, representative subspace for tests.
@@ -279,5 +282,47 @@ func TestReferenceWidthInsensitivity(t *testing.T) {
 			t.Errorf("%s: speedup %.2f at width 48 vs %.2f at 192 (%.0f%% drift)",
 				name, a, c, 100*diff)
 		}
+	}
+}
+
+// TestExploreRunsReuseArenas: an exploration's workers hand their
+// arenas back when the run ends, and the next run's workers must find
+// them whichever P they start on — a collection and a storm of yielding
+// goroutines in between shuffle that. The sync.Pool this pins the
+// replacement of kept a Put in the putting P's private slot, so the
+// second worker of the next run found its arena only when the Ps lined
+// up (run with -count=20 to see the parent fail).
+func TestExploreRunsReuseArenas(t *testing.T) {
+	col := obs.NewCollector()
+	obs.Install(col)
+	defer obs.Install(nil)
+	made := col.Counter("sched.arenas_made").Value
+
+	run := func() {
+		e := NewExplorer()
+		e.Benchmarks = []*bench.Benchmark{bench.ByName("G"), bench.ByName("D")}
+		e.Archs = smallSpace
+		e.Workers = 2
+		if _, err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	runtime.GC()
+	var wg sync.WaitGroup
+	for g := 0; g < 4*runtime.GOMAXPROCS(0); g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				runtime.Gosched()
+			}
+		}()
+	}
+	wg.Wait()
+	before := made()
+	run()
+	if extra := made() - before; extra != 0 {
+		t.Errorf("the second exploration made %d arenas: the first one's two were idle", extra)
 	}
 }

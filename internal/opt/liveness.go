@@ -30,9 +30,11 @@ type Liveness struct {
 	nregs  int
 }
 
-// ComputeLiveness runs the standard backward dataflow over the CFG. The
-// result owns its memory and is never modified again, so it can be kept
-// and shared between goroutines.
+// ComputeLiveness runs the standard backward dataflow over the CFG, which
+// it reads off the terminators: f is not written, not even its blocks'
+// Preds and Succs, so workers may analyse one shared function at once.
+// The result owns its memory and is never modified again, so it can be
+// kept and shared between goroutines.
 func ComputeLiveness(f *ir.Func) *Liveness {
 	lv := new(Liveness)
 	var tmp []uint64
@@ -45,7 +47,6 @@ func ComputeLiveness(f *ir.Func) *Liveness {
 // more), also grown and reused. Arrays that have to grow get room for
 // spare registers more.
 func (lv *Liveness) compute(f *ir.Func, tmp *[]uint64, spare int) {
-	f.ComputeCFG()
 	n := f.NumRegs()
 	nb, words := len(f.Blocks), (n+63)/64
 	lv.blocks = append(lv.blocks[:0], f.Blocks...)
@@ -73,9 +74,11 @@ func (lv *Liveness) compute(f *ir.Func, tmp *[]uint64, spare int) {
 		changed = false
 		for i := nb - 1; i >= 0; i-- {
 			out := lv.out(i)
-			for _, s := range f.Blocks[i].Succs {
-				if out.unionWith(lv.in(lv.index(s))) {
-					changed = true
+			if t := f.Blocks[i].Terminator(); t != nil {
+				for _, s := range t.Targets {
+					if out.unionWith(lv.in(lv.index(s))) {
+						changed = true
+					}
 				}
 			}
 			// in = use ∪ (out - def)

@@ -112,13 +112,14 @@ func Prepare(f *ir.Func, u int) (*ir.Func, error) {
 
 // PrepareSpan is Prepare with telemetry spans under sp. It is its two
 // halves, OptimizeSpan and UnrollSpan, on one clone of f and out of one
-// workspace. The first half does not depend on u: a caller preparing
-// one kernel at several factors optimizes a clone once and hands a
-// clone of that to UnrollSpan per factor (the explorer's evaluator
-// does), with the same result.
+// workspace, borrowed from the idle ones. The first half does not
+// depend on u: a caller preparing one kernel at several factors
+// optimizes a clone once and hands a clone of that to UnrollSpan per
+// factor (the explorer's evaluator does), with the same result.
 func PrepareSpan(sp *obs.Span, f *ir.Func, u int) (*ir.Func, error) {
 	g := f.Clone()
-	ws := new(workspace)
+	ws := workspaces.Get()
+	defer ws.release()
 	if err := ws.optimize(sp, g); err != nil {
 		return nil, err
 	}

@@ -1,6 +1,9 @@
 package opt
 
-import "customfit/internal/ir"
+import (
+	"customfit/internal/idle"
+	"customfit/internal/ir"
+)
 
 // workspace is what the passes of one Prepare, Optimize or Unroll call
 // build for themselves and throw away: liveness sets, the cleaner's
@@ -17,7 +20,12 @@ import "customfit/internal/ir"
 // sized from the function and never reused — and every block's final
 // instruction list is an allocation of its own. The zero value is ready
 // to use; a workspace is not safe for concurrent use, and is never
-// package state.
+// package state while it is in use.
+//
+// Prepare takes its workspace from workspaces and hands it back when it
+// is done, so a stream of one-shot compiles optimizes out of grown
+// tables; Optimize, Unroll and the exported single passes, which the
+// explorer calls once per kernel and factor, make their own.
 type workspace struct {
 	slab ir.Slab
 
@@ -33,6 +41,35 @@ type workspace struct {
 	// instruction lists under construction; a pass copies what it
 	// built out to the block at its final length
 	out, moved []*ir.Instr
+}
+
+// workspaces holds the workspaces no Prepare is using (see idle.List:
+// the rule is sched.Scratch's).
+var workspaces = idle.New("opt", func() *workspace { return new(workspace) })
+
+// release hands ws back to workspaces with every pointer into the
+// function it last worked on dropped, through the capacity of the lists
+// that carry them: an idle workspace keeps its tables and pins neither
+// instruction, block, memory reference nor slab of a finished request.
+func (ws *workspace) release() {
+	ws.slab = ir.Slab{}
+	idle.Wipe(ws.lv.blocks)
+	idle.Wipe(ws.out)
+	idle.Wipe(ws.moved)
+	c := &ws.clean
+	c.f, c.slab = nil, nil
+	idle.Wipe(c.defOf)
+	idle.Wipe(c.out)
+	idle.Wipe(c.pre)
+	idle.Wipe(c.movs)
+	// The cleaner's maps go with the request: they are cleared block by
+	// block at a cost that follows their capacity, so each function gets
+	// maps sized for its own largest block (cleanFunc), not for the
+	// largest the workspace has seen.
+	c.cse, c.epoch, c.canonAddr = nil, nil, nil
+	ws.chain.lv = nil
+	idle.Wipe(ws.chain.instrs)
+	workspaces.Put(ws)
 }
 
 // liveness recomputes the workspace's liveness for f. The result is

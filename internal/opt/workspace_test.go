@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"customfit/internal/bench"
+	"customfit/internal/idle/idletest"
 	"customfit/internal/ir"
+	"customfit/internal/obs"
 )
 
 func lowered(t *testing.T, name string) *ir.Func {
@@ -76,4 +78,46 @@ func TestCleanAllocatesPerBlock(t *testing.T) {
 		t.Errorf("Clean (of a clone) allocates %v times at unroll 2 and %v at unroll 8: it should depend on blocks alone", a2, a8)
 	}
 	t.Logf("%v allocations per clone and clean of %d blocks", a2, len(g2.Blocks))
+}
+
+// TestReleasedArenaPinsNothing prepares kernel F — branches to convert,
+// arrays to scalarize, so every pass leaves its lists behind — out of a
+// borrowed workspace and drops source and result. The released
+// workspace must hold no reference at all (idletest.Pinned walks every
+// list to its capacity), and the collector must agree: the function and
+// the memory references its instructions name are collected while the
+// workspace sits idle in the list, which it does throughout: taking it
+// and handing it back between collections keeps the list from ageing it
+// out, and no second one is made.
+func TestReleasedArenaPinsNothing(t *testing.T) {
+	col := obs.NewCollector()
+	obs.Install(col)
+	defer obs.Install(nil)
+	made := col.Counter("opt.arenas_made")
+
+	var gone idletest.Watch
+	var before int64
+	func() {
+		f := lowered(t, "F")
+		g, err := Prepare(f, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before = made.Value()
+		ws := workspaces.Get() // the one Prepare just gave back
+		ws.release()
+		for _, path := range idletest.Pinned(ws) {
+			t.Errorf("the released workspace still holds %s", path)
+		}
+		gone.Add(g, "the prepared function")
+		for _, m := range f.Mems {
+			gone.Add(m, "memory "+m.Name)
+		}
+	}()
+	for _, name := range gone.Wait(func() { workspaces.Get().release() }) {
+		t.Errorf("an idle workspace pins %s", name)
+	}
+	if made.Value() != before {
+		t.Error("the workspace did not stay idle in the list while the function was collected")
+	}
 }

@@ -45,7 +45,9 @@ func Compile(prepared *ir.Func, arch machine.Arch) (*Result, error) {
 // CompileSpan is Compile with each backend stage (partition, schedule,
 // regalloc, spill) recorded as telemetry spans nested under sp.
 func CompileSpan(sp *obs.Span, prepared *ir.Func, arch machine.Arch) (*Result, error) {
-	return CompilePrepared(sp, NewPrepared(prepared), arch, nil)
+	prep := NewPrepared(prepared)
+	prep.oneShot = true
+	return CompilePrepared(sp, prep, arch, nil)
 }
 
 // CompilePrepared compiles a shared Prepared kernel for one
@@ -67,13 +69,25 @@ func CompilePrepared(sp *obs.Span, prep *Prepared, arch machine.Arch, sc *Scratc
 		sc = GetScratch()
 		defer PutScratch(sc)
 	}
-	return spillLoop(csp, prep, arch, sc, lowerFor(prep.F, arch), nil)
+	work := prep.F
+	if arch.Clusters <= 1 || rewritesISA(arch) {
+		work = lowerFor(prep.F, arch)
+	}
+	return spillLoop(csp, prep, arch, sc, work, nil)
 }
+
+// rewritesISA reports whether lowerFor changes the instruction stream
+// for arch, beyond copying it.
+func rewritesISA(arch machine.Arch) bool { return !arch.Ops.Empty() || arch.MinMax }
 
 // lowerFor returns a private copy of the prepared kernel with the
 // architecture's instruction-set rewrites applied: custom-op fusion and
 // min/max fusion. It is the IR the partitioner reads and the spill loop
-// rewrites.
+// rewrites. A clustered machine with neither rewrite needs no copy to
+// start with: partitionClone only reads what it partitions, so
+// CompilePrepared hands the spill loop the shared kernel itself, and the
+// loop takes its copy when it first has something to write (a single
+// cluster is partitioned in place, and always needs one).
 func lowerFor(src *ir.Func, arch machine.Arch) *ir.Func {
 	work := src.Clone()
 	if !arch.Ops.Empty() {
@@ -121,9 +135,11 @@ func runRound(csp *obs.Span, prep *Prepared, arch machine.Arch, sc *Scratch, wor
 	// The cached skeletons describe prep.F's pristine blocks, so they
 	// apply only while work is instruction-identical to them: single
 	// cluster (partitioning inserts no copies), no min/max or custom-op
-	// fusion, and no spill rewrites yet.
+	// fusion, and no spill rewrites yet. A Prepared made for this one
+	// compile has nobody to keep copies for: its blocks are scheduled
+	// from the builder's own skeleton, like every other round's.
 	var skels []*ddg.Skeleton
-	if singleCluster && arch.Ops.Empty() && !arch.MinMax && iter == 1 {
+	if singleCluster && !rewritesISA(arch) && iter == 1 && !prep.oneShot {
 		skels = prep.skeletons(arch, &sc.skel)
 	}
 	// After two failed greedy rounds, fall back to program-order
@@ -143,7 +159,8 @@ func runRound(csp *obs.Span, prep *Prepared, arch machine.Arch, sc *Scratch, wor
 }
 
 // spillLoop is the schedule → allocate → spill iteration over work, the
-// architecture-lowered pre-partition IR (which it rewrites). first,
+// architecture-lowered pre-partition IR, which it rewrites — a copy of
+// it, when work is the shared prep.F (see lowerFor). first,
 // when non-nil, is round 1 already run on an instruction-identical copy
 // of work — the delta compiler's attempt, whose allocation did not fit —
 // and the loop continues from it instead of repeating the round.
@@ -223,6 +240,9 @@ func spillLoop(csp *obs.Span, prep *Prepared, arch machine.Arch, sc *Scratch, wo
 			spsp.End()
 			return nil, fmt.Errorf("sched %s on %s: pressure %v exceeds %d regs/cluster with no spillable candidates",
 				prep.F.Name, arch, ra.MaxLive, ra.Capacity)
+		}
+		if work == prep.F {
+			work = work.Clone() // the first spill: prep.F is shared, and stays as it is
 		}
 		n := SpillRewrite(work, victims)
 		spsp.Int("victims", int64(len(victims))).Int("rewritten", int64(n)).End()

@@ -139,7 +139,7 @@ func (ds *deltaState) build(src *ir.Func, arch machine.Arch, sc *Scratch) {
 	} else {
 		ds.g, ds.pl = partitionClone(work, arch, &sc.part)
 	}
-	ds.shared = arch.Clusters <= 1 && !arch.MinMax && arch.Ops.Empty()
+	ds.shared = arch.Clusters <= 1 && !rewritesISA(arch)
 	ds.lv = opt.ComputeLiveness(ds.g)
 	ds.info = make([]machine.Charges, len(ds.g.Blocks))
 	ds.blocks = make([][]blockEntry, len(ds.g.Blocks))

@@ -26,6 +26,10 @@ import (
 type Prepared struct {
 	F *ir.Func
 
+	// oneShot marks a Prepared that CompileSpan wrapped around a kernel
+	// for a single compile: nothing is cached on it.
+	oneShot bool
+
 	skels skelCache // of F's pristine blocks
 
 	mu     sync.Mutex

@@ -1,10 +1,10 @@
 package sched
 
 import (
-	"sync"
-
 	"customfit/internal/ddg"
+	"customfit/internal/idle"
 	"customfit/internal/ir"
+	"customfit/internal/machine"
 	"customfit/internal/regalloc"
 	"customfit/internal/vliw"
 )
@@ -30,9 +30,11 @@ import (
 // across workers, never a Scratch.
 //
 // Arenas outlive the run that grew them: a worker that comes and goes
-// (an exploration's, a one-shot compile) takes its Scratch with
-// GetScratch and hands it back with PutScratch, so the next
-// exploration's workers start on grown tables.
+// (an exploration's, a one-shot compile, a Validate) takes its Scratch
+// with GetScratch and hands it back with PutScratch, so the next
+// exploration's workers, and the next request's compile, start on grown
+// tables. An idle arena pins nothing: PutScratch drops every pointer
+// into the kernel and the program it last worked on (see release).
 type Scratch struct {
 	// the dependence skeleton of the block being scheduled, when no
 	// cached one applies: rebuilt block after block, round after round
@@ -91,6 +93,16 @@ type Scratch struct {
 	prog       vliw.Program
 	result     Result
 
+	// Validate's tables (see validateBlock): where the schedule put each
+	// instruction, the same by position in the block being checked, what
+	// each cluster issues per cycle, the L2 issue times and when each L2
+	// port is free.
+	issueOf map[*ir.Instr]issue
+	cycles  []int
+	charges []machine.Charges
+	l2Times []int
+	l2Free  []int
+
 	// RA is the register allocator's scratch arena, threaded through
 	// regalloc.AllocateWith by the compile driver.
 	RA *regalloc.Scratch
@@ -102,17 +114,43 @@ func NewScratch() *Scratch {
 	return &Scratch{RA: regalloc.NewScratch()}
 }
 
-// scratchPool holds the arenas nobody is compiling with. A pool, not a
-// list: what an idle process keeps is the collector's to decide.
-var scratchPool = sync.Pool{New: func() any { return NewScratch() }}
+// scratches holds the arenas nobody is compiling with. A list with a
+// rule of its own, not a sync.Pool: what an idle process keeps is for
+// the process's use of it to decide — as many arenas as can be at work
+// at once, each for as long as somebody comes back for it within a few
+// collections (idle.List). The collector's rule, dropped after two
+// collections unused, loses the arena of every one-shot request, which
+// allocates enough to collect more than once; and a pool's Put is
+// private to one P, so an exploration's second worker found its arena
+// only when the Ps lined up.
+var scratches = idle.New("sched", NewScratch)
 
 // GetScratch returns an arena no one else is using: one an earlier
 // compile stream grew, when there is one.
-func GetScratch() *Scratch { return scratchPool.Get().(*Scratch) }
+func GetScratch() *Scratch { return scratches.Get() }
 
 // PutScratch gives sc up for reuse. The caller must be done with every
 // Result that lives in sc's arenas (see CompilePreparedDelta).
-func PutScratch(sc *Scratch) { scratchPool.Put(sc) }
+func PutScratch(sc *Scratch) {
+	sc.release()
+	scratches.Put(sc)
+}
+
+// release drops every pointer the arena holds into what it last worked
+// on — instructions, blocks, memory references, the op catalog, the
+// delta path's program shell — through the capacity of the lists that
+// carry them, so an idle arena keeps its own tables alive and nothing of
+// a finished request.
+func (sc *Scratch) release() {
+	sc.skel.Forget()
+	idle.Wipe(sc.part.pending)
+	idle.Wipe(sc.part.out)
+	idle.Wipe(sc.progBlocks)
+	idle.Wipe(sc.entryBlame)
+	sc.prog, sc.result = vliw.Program{}, Result{}
+	sc.res.arch = machine.Arch{} // names the op catalog
+	clear(sc.issueOf)
+}
 
 // grow returns *buf resized to n entries with every entry zeroed,
 // reusing capacity, and stores the resized slice back.

@@ -2,9 +2,9 @@ package sched
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
-	"customfit/internal/ddg"
 	"customfit/internal/ir"
 	"customfit/internal/machine"
 	"customfit/internal/vliw"
@@ -13,9 +13,17 @@ import (
 // Validate independently re-checks a scheduled program: every
 // dependence edge's minimum issue distance is respected, every resource
 // bound holds in every cycle, memory ports drain before block ends, and
-// the terminator issues last. It builds the dependence skeletons again
-// with a builder of its own, never reading one the scheduler made, so
-// scheduler and validator can only agree by being right.
+// the terminator issues last. It builds every dependence skeleton again
+// from the IR, never reading one the scheduler made, so scheduler and
+// validator can only agree by being right.
+//
+// What it shares with the scheduler is memory, not results: the call
+// borrows an idle arena (GetScratch) for the builder's tables, the index
+// from instruction to issue cycle (one map for the program, read out
+// into a table by block position), the per-cycle charges and the L2
+// issue and port times. Builder.Build recomputes each skeleton from b.Instrs into
+// tables it zeroes first and memoizes nothing by block, so which compile
+// grew the arena — the one being checked, usually — shows nowhere.
 //
 // One thing the ops carry is deliberately not checked: that each reads
 // and writes registers homed on the cluster it executes on. Shipping
@@ -25,32 +33,57 @@ import (
 // oracle item; TestOperandLocality is the reproducer).
 func Validate(prog *vliw.Program) error {
 	a := prog.Arch
-	var bd ddg.Builder
-	for _, sb := range prog.Blocks {
-		if err := validateBlock(sb, a, &bd); err != nil {
+	sc := GetScratch()
+	defer PutScratch(sc)
+	if sc.issueOf == nil {
+		sc.issueOf = make(map[*ir.Instr]issue)
+	}
+	for bi, sb := range prog.Blocks {
+		if err := validateBlock(int32(bi), sb, a, sc); err != nil {
 			return fmt.Errorf("validate %s/%s: %w", prog.F.Name, sb.IR.Name, err)
 		}
 	}
 	return nil
 }
 
-func validateBlock(sb *vliw.Block, a machine.Arch, bd *ddg.Builder) error {
+// issue is where a schedule put an instruction: the block (by position
+// in the program) whose ops name it, and the cycle.
+type issue struct {
+	blk   int32
+	cycle int
+}
+
+// unscheduled stands in the cycle table for an instruction the block's
+// ops do not name.
+const unscheduled = math.MinInt
+
+// validateBlock checks sb, block bi of its program. sc.issueOf holds the
+// blocks before it, which the tag keeps apart: the map is emptied once a
+// program (Scratch.release), not once a block, because emptying costs
+// its capacity.
+func validateBlock(bi int32, sb *vliw.Block, a machine.Arch, sc *Scratch) error {
 	ins := sb.IR.Instrs
 	if len(sb.Ops) != len(ins) {
 		return fmt.Errorf("%d ops scheduled for %d instructions", len(sb.Ops), len(ins))
 	}
-	cycleOf := make(map[*ir.Instr]int, len(sb.Ops))
 	for _, op := range sb.Ops {
-		cycleOf[op.Instr] = op.Cycle
+		sc.issueOf[op.Instr] = issue{bi, op.Cycle}
+	}
+	cycles := grow(&sc.cycles, len(ins))
+	for i, in := range ins {
+		cycles[i] = unscheduled
+		if at, ok := sc.issueOf[in]; ok && at.blk == bi {
+			cycles[i] = at.cycle
+		}
 	}
 
 	// Dependences.
-	sk := bd.Build(sb.IR, a)
+	sk := sc.skel.Build(sb.IR, a)
 	for i, in := range ins {
-		from, okF := cycleOf[in]
+		from := cycles[i]
 		for _, e := range sk.Succs(i) {
-			to, okT := cycleOf[ins[e.To]]
-			if !okF || !okT {
+			to := cycles[e.To]
+			if from == unscheduled || to == unscheduled {
 				return fmt.Errorf("instruction missing from schedule")
 			}
 			if to-from < e.MinDelta {
@@ -62,12 +95,9 @@ func validateBlock(sb *vliw.Block, a machine.Arch, bd *ddg.Builder) error {
 
 	// Resources: what each op's class takes (machine.Class.Charges),
 	// summed per cycle and issuing cluster (a move's is its source).
-	perCluster := make([][]machine.Charges, a.Clusters)
-	for c := range perCluster {
-		perCluster[c] = make([]machine.Charges, sb.Len)
-	}
+	charges := grow(&sc.charges, a.Clusters*sb.Len) // cluster c's cycles at [c*Len, (c+1)*Len)
 	l1Busy := -1
-	l2Busy := make([]int, 0, 64) // issue times of L2 accesses, checked greedily
+	l2 := sc.l2Times[:0] // issue times of L2 accesses, checked greedily
 
 	for _, op := range sb.Ops {
 		in, cy := op.Instr, op.Cycle
@@ -75,7 +105,7 @@ func validateBlock(sb *vliw.Block, a machine.Arch, bd *ddg.Builder) error {
 			return fmt.Errorf("%s at cycle %d outside block length %d", in, cy, sb.Len)
 		}
 		ch := machine.ClassOf(in).Charges()
-		perCluster[op.SrcCluster][cy].Add(ch)
+		charges[op.SrcCluster*sb.Len+cy].Add(ch)
 		if ch.L1 > 0 {
 			if cy < l1Busy {
 				return fmt.Errorf("L1 port busy at cycle %d (free at %d)", cy, l1Busy)
@@ -86,7 +116,7 @@ func validateBlock(sb *vliw.Block, a machine.Arch, bd *ddg.Builder) error {
 			}
 		}
 		if ch.L2 > 0 {
-			l2Busy = append(l2Busy, cy)
+			l2 = append(l2, cy)
 		}
 		if in.Op.IsTerminator() && cy != sb.Len-1 {
 			return fmt.Errorf("terminator at cycle %d, block length %d", cy, sb.Len)
@@ -95,7 +125,7 @@ func validateBlock(sb *vliw.Block, a machine.Arch, bd *ddg.Builder) error {
 	for cy := 0; cy < sb.Len; cy++ {
 		var all machine.Charges
 		for c := 0; c < a.Clusters; c++ {
-			s := perCluster[c][cy]
+			s := charges[c*sb.Len+cy]
 			all.Add(s)
 			for _, slot := range [...]struct {
 				what      string
@@ -117,9 +147,10 @@ func validateBlock(sb *vliw.Block, a machine.Arch, bd *ddg.Builder) error {
 		}
 	}
 	// Greedy port feasibility for the p2 interchangeable L2 ports.
-	freeAt := make([]int, a.L2Ports)
-	slices.Sort(l2Busy)
-	for _, t := range l2Busy {
+	sc.l2Times = l2[:0]
+	freeAt := grow(&sc.l2Free, a.L2Ports)
+	slices.Sort(l2)
+	for _, t := range l2 {
 		best := -1
 		for i := range freeAt {
 			if freeAt[i] <= t && (best < 0 || freeAt[i] > freeAt[best]) {

@@ -19,6 +19,7 @@ import (
 	"slices"
 	"strconv"
 
+	"customfit/internal/idle"
 	"customfit/internal/ir"
 	"customfit/internal/machine"
 	"customfit/internal/obs"
@@ -160,7 +161,9 @@ type (
 	write struct{ slot, val int32 }
 )
 
-// engine is a program decoded for one run, and the run's state.
+// engine is a program decoded for one run, and the run's state. Its
+// arrays outlast the run: a run borrows an idle engine (engines) and
+// decodes into arrays an earlier run grew.
 type engine struct {
 	kernel string
 	blocks []dblock
@@ -185,6 +188,45 @@ type engine struct {
 	ringN  []int32
 	mask   int64
 	bucket int64
+	// decode's working state: where each block stands in blocks, one
+	// block's operations in issue order, the distinct result delays; and
+	// exec's, when each L2 port is free.
+	blockIdx map[*ir.Block]int32
+	sorted   []vliw.Op
+	delays   []int32
+	l2FreeAt []int64
+}
+
+// engines holds the engines no run is using (see idle.List: the rule is
+// sched.Scratch's).
+var engines = idle.New("sim", func() *engine { return &engine{blockIdx: map[*ir.Block]int32{}} })
+
+// release hands e back to engines with every pointer into the program,
+// its kernel and the caller's memories dropped, through the capacity of
+// the arrays that carry them.
+func (e *engine) release() {
+	idle.Wipe(e.ops)
+	idle.Wipe(e.blocks)
+	idle.Wipe(e.mems)
+	idle.Wipe(e.bad)
+	idle.Wipe(e.sorted)
+	clear(e.blockIdx)
+	e.kernel = ""
+	engines.Put(e)
+}
+
+// zeroed returns *buf resized to n zeroed entries and stores it back,
+// reusing the array when it is large enough.
+func zeroed[T any](buf *[]T, n int) []T {
+	s := *buf
+	if cap(s) < n {
+		s = make([]T, n)
+	} else {
+		s = s[:n]
+		clear(s)
+	}
+	*buf = s
+	return s
 }
 
 // pollCycles is how many simulated cycles may pass between two looks at
@@ -222,8 +264,9 @@ func run(ctx context.Context, prog *vliw.Program, env *ir.Env, physical bool) (*
 	if len(env.Args) != len(f.Params) {
 		return nil, fmt.Errorf("sim %s: %d args for %d params", f.Name, len(env.Args), len(f.Params))
 	}
-	e, err := decode(prog, slot, nslots)
-	if err != nil {
+	e := engines.Get()
+	defer e.release()
+	if err := e.decode(prog, slot, nslots); err != nil {
 		return nil, fmt.Errorf("sim %s: %w", f.Name, err)
 	}
 	for i, p := range f.Params {
@@ -272,16 +315,21 @@ func run(ctx context.Context, prog *vliw.Program, env *ir.Env, physical bool) (*
 	return st, nil
 }
 
-// decode flattens prog into an engine. slot maps a virtual register to
-// its place in a register file of nslots entries; an operation naming a
-// register it rejects becomes a kBad, an error only if it executes.
-func decode(prog *vliw.Program, slot func(ir.Reg) (int32, error), nslots int) (*engine, error) {
+// decode flattens prog into e, whatever e held before. slot maps a
+// virtual register to its place in a register file of nslots entries; an
+// operation naming a register it rejects becomes a kBad, an error only
+// if it executes.
+func (e *engine) decode(prog *vliw.Program, slot func(ir.Reg) (int32, error), nslots int) error {
 	f := prog.F
 	if f.Entry() == nil {
-		return nil, fmt.Errorf("function has no blocks")
+		return fmt.Errorf("function has no blocks")
 	}
-	e := &engine{kernel: f.Name, blocks: make([]dblock, len(prog.Blocks)), mems: make([]memory, len(f.Mems))}
-	blockIdx := make(map[*ir.Block]int32, len(prog.Blocks))
+	e.kernel = f.Name
+	zeroed(&e.blocks, len(prog.Blocks))
+	zeroed(&e.mems, len(f.Mems))
+	e.bad = e.bad[:0]
+	blockIdx := e.blockIdx
+	clear(blockIdx)
 	for i, sb := range prog.Blocks {
 		blockIdx[sb.IR] = int32(i)
 	}
@@ -296,11 +344,17 @@ func decode(prog *vliw.Program, slot func(ir.Reg) (int32, error), nslots int) (*
 		return i
 	}
 	e.entry = blockOf(f.Entry())
-	e.ops = make([]dop, prog.OpCount())
-	e.regs = make([]int32, nslots, nslots+len(e.ops)) // room for an immediate per op before append grows it
-	e.cyc = make([]int32, 0, prog.BundleCount()+1)
-	var sorted []vliw.Op
-	var delays []int32 // the distinct ones: a handful
+	zeroed(&e.ops, prog.OpCount())
+	if cap(e.regs) < nslots+len(e.ops) {
+		e.regs = make([]int32, 0, nslots+len(e.ops)) // room for an immediate per op before append grows it
+	}
+	zeroed(&e.regs, nslots)
+	if cap(e.cyc) < prog.BundleCount()+1 {
+		e.cyc = make([]int32, 0, prog.BundleCount()+1)
+	}
+	e.cyc = e.cyc[:0]
+	sorted := e.sorted
+	delays := e.delays[:0] // the distinct ones: a handful
 	var longest int32
 	widest, base := 0, 0
 	for bi, sb := range prog.Blocks {
@@ -321,13 +375,13 @@ func decode(prog *vliw.Program, slot func(ir.Reg) (int32, error), nslots int) (*
 			widest = max(widest, j-start)
 		}
 		if j < len(sorted) {
-			return nil, fmt.Errorf("block %s: %s scheduled at cycle %d of %d", sb.IR.Name, sorted[j].Instr.Op, sorted[j].Cycle, sb.Len)
+			return fmt.Errorf("block %s: %s scheduled at cycle %d of %d", sb.IR.Name, sorted[j].Instr.Op, sorted[j].Cycle, sb.Len)
 		}
 		for _, op := range sorted {
 			in, d := op.Instr, &e.ops[base]
 			base++
 			if len(in.Args) > len(d.arg) {
-				return nil, fmt.Errorf("block %s: %s has %d operands, the datapath reads %d", sb.IR.Name, in.Op, len(in.Args), len(d.arg))
+				return fmt.Errorf("block %s: %s has %d operands, the datapath reads %d", sb.IR.Name, in.Op, len(in.Args), len(d.arg))
 			}
 			if err := e.operands(d, in, slot); err != nil {
 				*d = dop{kind: kBad, dest: int32(len(e.bad))}
@@ -353,7 +407,7 @@ func decode(prog *vliw.Program, slot func(ir.Reg) (int32, error), nslots int) (*
 				}
 				mem := slices.Index(f.Mems, in.Mem) // a handful
 				if mem < 0 {
-					return nil, fmt.Errorf("block %s: %s of %q, a memory the function does not declare", sb.IR.Name, in.Op, in.Mem.Name)
+					return fmt.Errorf("block %s: %s of %q, a memory the function does not declare", sb.IR.Name, in.Op, in.Mem.Name)
 				}
 				d.mem, d.off, d.elem, d.l1 = int32(mem), int32(in.Off), in.Elem, in.Mem.Space == ir.L1
 				once.MemAccesses++
@@ -379,11 +433,17 @@ func decode(prog *vliw.Program, slot func(ir.Reg) (int32, error), nslots int) (*
 		e.blocks[bi] = dblock{name: sb.IR.Name, first: first, once: once}
 	}
 	e.cyc = append(e.cyc, int32(base))
+	e.sorted, e.delays = sorted, delays
 
 	size := int64(1) << bits.Len32(uint32(longest)) // the power of two above it
 	e.mask, e.bucket = size-1, int64(widest)*int64(len(delays))
-	e.ring, e.ringN = make([]write, size*e.bucket), make([]int32, size)
-	return e, nil
+	if n := int(size * e.bucket); cap(e.ring) < n {
+		e.ring = make([]write, n)
+	} else {
+		e.ring = e.ring[:n] // a bucket is written before it is read
+	}
+	zeroed(&e.ringN, int(size))
+	return nil
 }
 
 // issueKey orders a block's operations for issue: by cycle, stores after
@@ -420,7 +480,7 @@ func (e *engine) errAt(b *dblock, t int, format string, args ...any) error {
 func (e *engine) exec(ctx context.Context, arch machine.Arch, maxCycles int64) error {
 	ops, regs, mems := e.ops, e.regs, e.mems
 	ring, ringN, mask, bucket := e.ring, e.ringN, e.mask, e.bucket
-	l1FreeAt, l2FreeAt, l2Lat := int64(0), make([]int64, arch.L2Ports), int64(arch.L2Lat)
+	l1FreeAt, l2FreeAt, l2Lat := int64(0), zeroed(&e.l2FreeAt, arch.L2Ports), int64(arch.L2Lat)
 	var now, nextPoll int64
 	for bi, done := e.entry, false; !done; {
 		b := &e.blocks[bi]

@@ -6,8 +6,10 @@ import (
 	"testing"
 
 	"customfit/internal/cc"
+	"customfit/internal/idle/idletest"
 	"customfit/internal/ir"
 	"customfit/internal/machine"
+	"customfit/internal/obs"
 	"customfit/internal/opt"
 	"customfit/internal/sched"
 	"customfit/internal/vliw"
@@ -404,5 +406,69 @@ func TestRunPhysicalAcrossClusters(t *testing.T) {
 		if want := x[i]*3 + y[i]; out[i] != want {
 			t.Errorf("out[%d] = %d, want %d", i, out[i], want)
 		}
+	}
+}
+
+// TestReleasedArenaPinsNothing runs a program with fused ops — so the
+// decoded operations carry spec pointers besides the memories, blocks
+// and names every run leaves — and drops program and memories. The
+// released engine must hold no reference at all (idletest.Pinned walks
+// every array to its capacity), and the collector must agree: the
+// function, its memory references and the caller's output array are
+// collected while the engine sits idle in the list, which it does
+// throughout — taking it and handing it back between collections keeps
+// the list from ageing it out, and no second one is made.
+func TestReleasedArenaPinsNothing(t *testing.T) {
+	col := obs.NewCollector()
+	obs.Install(col)
+	defer obs.Install(nil)
+	made := col.Counter("sim.arenas_made")
+
+	var gone idletest.Watch
+	var before int64
+	func() {
+		set, err := machine.ParseOpCatalog([]string{"mac/3/2:mul $0 $1;add %0 $2"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		arch := machine.Arch{ALUs: 4, MULs: 2, Regs: 128, L2Ports: 2, L2Lat: 4, Clusters: 2}
+		prog := compileKernel(t, `
+			kernel macs(int x[], int y[], int out[], int n) {
+				int i;
+				for (i = 0; i < n; i++) { out[i] = x[i] * y[i] + y[i]; }
+			}`, arch.WithOps(set, set.FullMask()), 2)
+		fused := 0
+		for _, sb := range prog.Blocks {
+			for _, op := range sb.Ops {
+				if op.Instr.Op == ir.OpFused {
+					fused++
+				}
+			}
+		}
+		if fused == 0 {
+			t.Fatal("no fused op in the program: the test needs one")
+		}
+		n := int32(16)
+		out := make([]int32, n)
+		if _, err := Run(prog, ir.NewEnv(n).Bind("x", make([]int32, n)).Bind("y", make([]int32, n)).Bind("out", out)); err != nil {
+			t.Fatal(err)
+		}
+		before = made.Value()
+		e := engines.Get() // the one Run just gave back
+		e.release()
+		for _, path := range idletest.Pinned(e) {
+			t.Errorf("the released engine still holds %s", path)
+		}
+		gone.Add(prog.F, "the function")
+		for _, m := range prog.F.Mems {
+			gone.Add(m, "memory "+m.Name)
+		}
+		gone.Add(&out[0], "the caller's output array")
+	}()
+	for _, name := range gone.Wait(func() { engines.Get().release() }) {
+		t.Errorf("an idle engine pins %s", name)
+	}
+	if made.Value() != before {
+		t.Error("the engine did not stay idle in the list while the run was collected")
 	}
 }
