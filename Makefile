@@ -41,7 +41,7 @@ race:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/dse/
 	$(GO) test -run '^$$' -bench BenchmarkSimRun -benchtime 1x ./internal/sim/
-	$(GO) test -run '^$$' -bench BenchmarkOneShot -benchtime 1x ./internal/core/
+	$(GO) test -run '^$$' -bench 'BenchmarkOneShot|BenchmarkWarmFit' -benchtime 1x ./internal/core/
 
 # The end-to-end benchmark (BENCHMARK.json, benchmark/) is a module of
 # its own, so `go build ./...` and `go test ./...` at the root never
@@ -77,14 +77,14 @@ fuzz-smoke:
 # ROADMAP.md).
 check: build vet staticcheck test race bench-smoke bench-module fuzz-smoke
 
-# Measure the eight layer benchmarks nothing else isolates and record
+# Measure the nine layer benchmarks nothing else isolates and record
 # them, with the environment they ran in, as the trajectory document
 # (docs/PERFORMANCE.md, "Tracking the numbers"). A record, never a
 # baseline: numbers from another day or host are not comparable.
 bench:
 	( $(GO) test -run '^$$' -bench . -benchmem ./internal/dse/ && \
 	  $(GO) test -run '^$$' -bench BenchmarkSimRun -benchmem ./internal/sim/ && \
-	  $(GO) test -run '^$$' -bench BenchmarkOneShot -benchmem ./internal/core/ ) | \
+	  $(GO) test -run '^$$' -bench 'BenchmarkOneShot|BenchmarkWarmFit' -benchmem ./internal/core/ ) | \
 		$(GO) run ./cmd/cfp-benchjson -o BENCH_explore.json
 	@echo wrote BENCH_explore.json
 
@@ -122,7 +122,8 @@ bench-diff:
 				dse:BenchmarkEvaluateDelta:20000x \
 				dse:BenchmarkExploreOpsSubset:3x dse:BenchmarkPrepare:10x \
 				dse:BenchmarkWarmOpen:100x \
-				sim:BenchmarkSimRun:50x core:BenchmarkOneShot:4x; do \
+				sim:BenchmarkSimRun:50x core:BenchmarkOneShot:4x \
+				core:BenchmarkWarmFit:100x; do \
 			set -- $$(echo $$spec | tr : ' '); \
 			for side in $$order; do \
 				(cd $$(src $$side)/internal/$$1 && $$out/$$side-$$1.test -test.run '^$$' \

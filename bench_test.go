@@ -9,7 +9,9 @@
 // cost are measured by internal/dse's BenchmarkEvaluate, internal/sim's
 // BenchmarkSimRun, internal/core's BenchmarkOneShot (parse, compile and
 // run with nothing amortised) and the oneshot_sim workload of
-// benchmark/.
+// benchmark/, the cost of asking again by internal/core's
+// BenchmarkWarmFit (a fit answered from a warm cache directory) and the
+// explore_warm workload.
 //
 //	go test -bench=. -benchmem
 package customfit_test

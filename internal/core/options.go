@@ -103,9 +103,7 @@ func (o *ExploreOptions) openCache() (c *evcache.Cache, ownClose bool, err error
 // cache).
 func Explore(ctx context.Context, opts ExploreOptions) (*dse.Results, error) {
 	e := dse.NewExplorer()
-	if opts.Benchmarks != nil {
-		e.Benchmarks = opts.Benchmarks
-	}
+	e.Benchmarks = opts.Benchmarks
 	e.Archs = opts.resolveArchs()
 	e.Width = opts.Width
 	e.Workers = opts.Parallelism

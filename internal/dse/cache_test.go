@@ -241,9 +241,14 @@ func TestCacheDisabledWithMemoOff(t *testing.T) {
 	if got := ev.Compilations.Load(); got < 2 {
 		t.Errorf("DisableMemo performed %d compilations for 2 evaluations", got)
 	}
-	// CacheCovers must report false under DisableMemo even though the
-	// key is resident.
-	if ev.CacheCovers(b, []machine.Arch{arch}) {
-		t.Error("CacheCovers ignored DisableMemo")
+	// Nor does a run answer a row from it, resident as the row is.
+	e := NewExplorer()
+	e.Archs, e.Benchmarks, e.Width = []machine.Arch{arch}, []*bench.Benchmark{b}, 32
+	e.Cache, e.DisableMemo = cache, true
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if after := cache.Stats(); after != before {
+		t.Errorf("DisableMemo exploration touched the cache: %+v -> %+v", before, after)
 	}
 }

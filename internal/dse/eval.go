@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -93,6 +94,42 @@ type sweepResult struct {
 	failed    bool
 	cancelled bool
 	runs      int64
+}
+
+// sweepOf is the sweep a cache entry records.
+func sweepOf(ce evcache.Entry) sweepResult {
+	return sweepResult{
+		unroll:  ce.Unroll,
+		cycles:  ce.Cycles,
+		spilled: ce.Spilled,
+		failed:  ce.Failed,
+		runs:    ce.Runs,
+	}
+}
+
+// evaluation is the measurement the sweep amounts to for arch, one of
+// the machines of its signature class, whose cycle-time derate is
+// derate: the one place a sweep — compiled, found in the cache by an
+// evaluation or answered to a whole benchmark at once (answerCached) —
+// becomes an Evaluation.
+func (sw sweepResult) evaluation(bench string, arch machine.Arch, derate float64) Evaluation {
+	ev := Evaluation{
+		Arch:      arch,
+		Bench:     bench,
+		Unroll:    sw.unroll,
+		Cycles:    sw.cycles,
+		Spilled:   sw.spilled,
+		Failed:    sw.failed,
+		Cancelled: sw.cancelled,
+	}
+	if !sw.failed && !sw.cancelled {
+		// The derate is the only architecture-specific factor the
+		// backend result does not cover; it is constant and positive
+		// across the sweep, so the min-cycles sweep winner is also the
+		// min-time winner.
+		ev.Time = float64(sw.cycles) * derate
+	}
+	return ev
 }
 
 // EvalConfig is the evaluation configuration, declared once and
@@ -291,22 +328,7 @@ func (e *Evaluator) EvaluateScratchCtx(ctx context.Context, b *bench.Benchmark, 
 	} else {
 		sw = e.sweepThroughCache(ctx, esp, b, arch, sc)
 	}
-	ev := Evaluation{
-		Arch:      arch,
-		Bench:     b.Name,
-		Unroll:    sw.unroll,
-		Cycles:    sw.cycles,
-		Spilled:   sw.spilled,
-		Failed:    sw.failed,
-		Cancelled: sw.cancelled,
-	}
-	if !sw.failed && !sw.cancelled {
-		// The derate is the only architecture-specific factor the
-		// backend result does not cover; it is constant and positive
-		// across the sweep, so the min-cycles sweep winner is also the
-		// min-time winner.
-		ev.Time = float64(sw.cycles) * e.Cycle.Derate(arch)
-	}
+	ev := sw.evaluation(b.Name, arch, e.Cycle.Derate(arch))
 	if esp != nil {
 		esp.Int("unroll", int64(ev.Unroll)).Int("cycles", ev.Cycles)
 	}
@@ -363,16 +385,16 @@ func (e *Evaluator) sweepThroughCache(ctx context.Context, esp *obs.Span, b *ben
 		return sweepResult{cancelled: true}
 	}
 	if hit {
-		e.Compilations.Add(ce.Runs)
-		obs.GetCounter("dse.compiles").Add(ce.Runs)
+		e.countCached(ce.Runs)
 	}
-	return sweepResult{
-		unroll:  ce.Unroll,
-		cycles:  ce.Cycles,
-		spilled: ce.Spilled,
-		failed:  ce.Failed,
-		runs:    ce.Runs,
-	}
+	return sweepOf(ce)
+}
+
+// countCached counts the backend runs of sweeps answered from the cache
+// as this evaluator's logical runs.
+func (e *Evaluator) countCached(runs int64) {
+	e.Compilations.Add(runs)
+	obs.GetCounter("dse.compiles").Add(runs)
 }
 
 // KernelClass returns a benchmark's content-addressed kernel-class
@@ -386,10 +408,32 @@ func (e *Evaluator) sweepThroughCache(ctx context.Context, esp *obs.Span, b *ben
 // invalidates cached sweeps. Exported so the distributed coordinator
 // can address cache entries without an Evaluator (warm-up shipping).
 func KernelClass(b *bench.Benchmark, width int, seed int64) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "kernel=%s\x00%s\x00unroll=%v\x00%s\x00prep-v%d\x00workload=%dx seed %d",
-		b.Name, b.Source, UnrollFactors, sched.Fingerprint(), prepPipelineVersion, width, seed)
-	return hex.EncodeToString(h.Sum(nil)[:12])
+	// The hashed text is what
+	//
+	//	fmt.Sprintf("kernel=%s\x00%s\x00unroll=%v\x00%s\x00prep-v%d\x00workload=%dx seed %d",
+	//		b.Name, b.Source, UnrollFactors, sched.Fingerprint(), prepPipelineVersion, width, seed)
+	//
+	// spells, and must stay so: every cache directory is addressed by it
+	// (TestKernelClassPinned).
+	fp := sched.Fingerprint()
+	t := make([]byte, 0, len(b.Name)+len(b.Source)+len(fp)+96)
+	t = append(append(t, "kernel="...), b.Name...)
+	t = append(append(t, 0), b.Source...)
+	t = append(t, "\x00unroll=["...)
+	for i, u := range UnrollFactors {
+		if i > 0 {
+			t = append(t, ' ')
+		}
+		t = strconv.AppendInt(t, int64(u), 10)
+	}
+	t = append(append(t, "]\x00"...), fp...)
+	t = strconv.AppendInt(append(t, "\x00prep-v"...), prepPipelineVersion, 10)
+	t = strconv.AppendInt(append(t, "\x00workload="...), int64(width), 10)
+	t = strconv.AppendInt(append(t, "x seed "...), seed, 10)
+	sum := sha256.Sum256(t)
+	var class [24]byte
+	hex.Encode(class[:], sum[:12])
+	return string(class[:])
 }
 
 // CacheKey returns the evcache key of one architecture within a kernel
@@ -413,18 +457,15 @@ func appendCacheKey(b []byte, kernelClass string, a machine.Arch) []byte {
 // kernelClass memoizes KernelClass for this evaluator's workload.
 func (e *Evaluator) kernelClass(b *bench.Benchmark) string {
 	e.mu.Lock()
-	if k, ok := e.keys[b.Name]; ok {
-		e.mu.Unlock()
-		return k
+	defer e.mu.Unlock()
+	k, ok := e.keys[b.Name]
+	if !ok {
+		k = KernelClass(b, e.Width, e.Seed)
+		if e.keys == nil {
+			e.keys = map[string]string{}
+		}
+		e.keys[b.Name] = k
 	}
-	e.mu.Unlock()
-	k := KernelClass(b, e.Width, e.Seed)
-	e.mu.Lock()
-	if e.keys == nil {
-		e.keys = map[string]string{}
-	}
-	e.keys[b.Name] = k
-	e.mu.Unlock()
 	return k
 }
 
@@ -434,22 +475,95 @@ func (e *Evaluator) kernelClass(b *bench.Benchmark) string {
 // observable IR or visit counts; cached sweeps self-invalidate.
 const prepPipelineVersion = 1
 
-// CacheCovers reports whether the attached persistent cache already
-// holds an entry for every (b, arch) pair — in which case an explorer
-// can skip the prepare warm-up (frontend compile plus reference run)
-// entirely, the dominant cost of a fully warm re-run.
-func (e *Evaluator) CacheCovers(b *bench.Benchmark, archs []machine.Arch) bool {
+// cachedGrid is what a run holds to answer whole rows of its results —
+// one benchmark on every architecture of the grid — from the attached
+// cache (answerCached).
+type cachedGrid struct {
+	archs []machine.Arch
+	cycle machine.CycleModel
+	// What a row needs of each architecture and not of the benchmark,
+	// derived once when several rows share the grid and nil otherwise
+	// (a fleet shard is one row: a table read once saves nothing): the
+	// signature half of the cache keys, end to end (architecture i's is
+	// sig[off[i]:off[i+1]]), and the cycle-time derates.
+	sig    []byte
+	off    []int32
+	derate []float64
+}
+
+// newCachedGrid returns the grid of a run of rows benchmarks over
+// archs, or nil when rows are never answered from the cache: without an
+// attached one, or with DisableMemo.
+func (e *Evaluator) newCachedGrid(archs []machine.Arch, rows int) *cachedGrid {
 	if e.Cache == nil || e.DisableMemo {
-		return false
+		return nil
 	}
-	kc := e.kernelClass(b)
-	var buf keyBuf
-	for _, a := range archs {
-		if _, ok := e.Cache.PeekBytes(b.Name, appendCacheKey(buf[:0], kc, a)); !ok {
-			return false
+	g := &cachedGrid{archs: archs, cycle: e.Cycle}
+	if rows > 1 {
+		g.sig = make([]byte, 0, 32*len(archs))
+		g.off = make([]int32, len(archs)+1)
+		g.derate = make([]float64, len(archs))
+		for i, a := range archs {
+			g.sig = sigOf(a).appendKey(g.sig)
+			g.off[i+1] = int32(len(g.sig))
+			g.derate[i] = g.cycle.Derate(a)
 		}
 	}
-	return true
+	return g
+}
+
+// appendSigKey appends architecture i's signature key to b.
+func (g *cachedGrid) appendSigKey(b []byte, i int) []byte {
+	if g.off == nil {
+		return sigOf(g.archs[i]).appendKey(b)
+	}
+	return append(b, g.sig[g.off[i]:g.off[i+1]]...)
+}
+
+// derateOf is architecture i's cycle-time derate.
+func (g *cachedGrid) derateOf(i int) float64 {
+	if g.derate == nil {
+		return g.cycle.Derate(g.archs[i])
+	}
+	return g.derate[i]
+}
+
+// answerCached fills row — b's evaluations on g's architectures — from
+// the attached cache when the cache holds all of them, and reports
+// whether it did. The whole row is one batch lookup (evcache.GetAll):
+// the pass that finds the benchmark covered is the pass that answers
+// it, every cell counted as the hit an evaluation of it would have
+// been, and b is neither prepared nor queued. A row with a single cell
+// missing is left alone — nothing filled, nothing counted — for
+// evaluations to resolve one by one. failed is how many of an answered
+// row's cells are failed sweeps.
+func (e *Evaluator) answerCached(sp *obs.Span, b *bench.Benchmark, g *cachedGrid, row []Evaluation) (covered bool, failed int64) {
+	asp := sp.Child("dse.answer_cached")
+	kc := e.kernelClass(b)
+	var runs int64
+	covered, loaded := e.Cache.GetAll(b.Name, len(g.archs),
+		func(buf []byte, i int) []byte {
+			return g.appendSigKey(append(append(buf, kc...), ':'), i)
+		},
+		func(i int, ce evcache.Entry) {
+			row[i] = sweepOf(ce).evaluation(b.Name, g.archs[i], g.derateOf(i))
+			runs += ce.Runs
+			if ce.Failed {
+				failed++
+			}
+		})
+	if !covered {
+		return false, 0 // asp never ends: nothing is recorded of it
+	}
+	e.countCached(runs)
+	if failed > 0 {
+		obs.GetCounter("dse.eval_failures").Add(failed)
+	}
+	obs.GetCounter("dse.evals_from_cache").Add(int64(len(row)))
+	if asp != nil {
+		asp.Str("bench", b.Name).Int("cells", int64(len(row))).Str("shard_loaded", strconv.FormatBool(loaded)).End()
+	}
+	return true, failed
 }
 
 // LowerBoundCycles returns an admissible lower bound on the unroll

@@ -37,16 +37,17 @@ type ProgressInfo struct {
 // design space (design points × cluster arrangements) against every
 // benchmark.
 type Explorer struct {
-	// EvalConfig is handed to the run's evaluator whole. When Cache
-	// covers a benchmark's whole (arch × kernel) slice, the benchmark
-	// is not prepared either.
+	// EvalConfig is handed to the run's evaluator whole. A benchmark
+	// whose whole (arch × kernel) slice Cache holds is answered from it
+	// in one pass: not prepared, not queued.
 	EvalConfig
 	Cost       machine.CostModel
-	Benchmarks []*bench.Benchmark
-	Archs      []machine.Arch // default: machine.FullSpace()
-	Workers    int            // default: GOMAXPROCS
+	Benchmarks []*bench.Benchmark // default: bench.All()
+	Archs      []machine.Arch     // default: machine.FullSpace()
+	Workers    int                // default: GOMAXPROCS
 	// Progress, if set, is called with monotonically increasing Done
-	// counts as evaluations complete. Calls are serialized, but never
+	// counts as evaluations complete (a benchmark answered whole from
+	// Cache is one call). Calls are serialized, but never
 	// block the workers: when the sink is slower than the fleet,
 	// intermediate updates are dropped; the final update (Done == Total)
 	// is always delivered.
@@ -54,14 +55,13 @@ type Explorer struct {
 }
 
 // NewExplorer returns an explorer over the full space and benchmark
-// suite with default models. Archs is left nil, which RunCtx reads as
-// the full space: a caller with a grid of its own does not pay for an
-// enumeration it overwrites.
+// suite with default models. Archs and Benchmarks are left nil, which
+// RunCtx reads as the full space and the full suite: a caller with a
+// grid or kernels of its own does not pay for what it overwrites.
 func NewExplorer() *Explorer {
 	return &Explorer{
 		EvalConfig: defaultEvalConfig(),
 		Cost:       machine.DefaultCostModel,
-		Benchmarks: bench.All(),
 	}
 }
 
@@ -175,9 +175,6 @@ type job struct {
 // benchmarks and two workers do not meet on one benchmark's
 // optimize-once.
 func prepareJobs(cold []int) []job {
-	if len(cold) == 0 {
-		return nil
-	}
 	out := make([]job, 0, len(cold)*len(UnrollFactors))
 	for _, u := range UnrollFactors {
 		for _, bi := range cold {
@@ -185,6 +182,53 @@ func prepareJobs(cold []int) []job {
 		}
 	}
 	return out
+}
+
+// progress is one run's count of finished evaluations and the delivery
+// of it to the Progress sink.
+type progress struct {
+	sink                    func(ProgressInfo) // nil: count only
+	start                   time.Time
+	total                   int
+	done, failed, cancelled atomic.Int64
+	// mu serializes the sink without ever making workers wait on it: the
+	// snapshot is assembled lock-free from the atomics, and a contended
+	// intermediate update is simply dropped. last (under mu) keeps
+	// delivered updates monotonic when snapshots race.
+	mu   sync.Mutex
+	last int
+}
+
+// finished counts n more evaluations done and reports the new total.
+func (p *progress) finished(n int) {
+	d := int(p.done.Add(int64(n)))
+	if p.sink == nil {
+		return
+	}
+	elapsed := time.Since(p.start)
+	info := ProgressInfo{
+		Done:      d,
+		Total:     p.total,
+		Failed:    p.failed.Load(),
+		Cancelled: p.cancelled.Load(),
+		Elapsed:   elapsed,
+	}
+	if elapsed > 0 {
+		info.RatePerSec = float64(d) / elapsed.Seconds()
+	}
+	if info.RatePerSec > 0 {
+		info.ETA = time.Duration(float64(p.total-d) / info.RatePerSec * float64(time.Second))
+	}
+	if d == p.total {
+		p.mu.Lock() // the final update must not be dropped
+	} else if !p.mu.TryLock() {
+		return // sink busy: skip this intermediate update
+	}
+	if d > p.last {
+		p.last = d
+		p.sink(info)
+	}
+	p.mu.Unlock()
 }
 
 // Run executes the exploration to completion (RunCtx with a background
@@ -211,9 +255,10 @@ func (e *Explorer) RunCtx(ctx context.Context) (*Results, error) {
 	if archs == nil {
 		archs = machine.FullSpace()
 	}
-	workers := e.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+
+	benches := e.Benchmarks
+	if benches == nil {
+		benches = bench.All()
 	}
 
 	ev := NewEvaluator()
@@ -223,139 +268,38 @@ func (e *Explorer) RunCtx(ctx context.Context) (*Results, error) {
 	}
 
 	start := time.Now()
-	res := NewResults(archs, e.Benchmarks, e.Cost)
+	res := NewResults(archs, benches, e.Cost)
 	costTime := time.Since(start)
+	r := &run{rsp: rsp, ev: ev, benches: benches, archs: archs, res: res}
+	r.sink, r.start, r.total = e.Progress, start, len(benches)*len(archs)
 
-	// The benchmarks whose prepared IR (one per unroll factor: frontend
-	// compile, optimize, unroll, reference run) some evaluation will
-	// need. When the persistent cache already covers a benchmark's whole
-	// slice of the space no sweep will run, so it is never prepared —
-	// preparation is the dominant cost of a warm re-run.
+	// A benchmark whose whole row the attached cache holds is answered
+	// here, in the pass that finds it so: it is not prepared (one
+	// prepared IR per unroll factor — frontend compile, optimize, unroll,
+	// reference run — is the dominant cost of a warm re-run), not queued,
+	// and a run of nothing else starts no worker. The others are cold.
 	var cold []int
-	for bi, b := range e.Benchmarks {
-		if !ev.CacheCovers(b, archs) {
-			cold = append(cold, bi)
+	grid := ev.newCachedGrid(archs, len(benches))
+	for bi, b := range benches {
+		if ctx.Err() != nil {
+			return nil, cancelledErr(ctx)
 		}
-	}
-
-	// Preparations are queued ahead of the evaluations and drained by
-	// the same workers, so they run on every core; the evaluator's
-	// per-key once makes an evaluation that overtakes its preparation
-	// wait for it (or do it) instead of repeating it.
-	jobs := make(chan job, workers*2)
-	var wg sync.WaitGroup
-	var done atomic.Int64
-	var failed atomic.Int64
-	var cancelled atomic.Int64
-	// cbMu serializes the Progress callback without ever making workers
-	// wait on it: the snapshot is assembled lock-free from the atomics,
-	// and a contended intermediate update is simply dropped. lastDone
-	// (under cbMu) keeps delivered updates monotonic when snapshots race.
-	var cbMu sync.Mutex
-	lastDone := 0
-	total := len(e.Benchmarks) * len(archs)
-	report := func(d int64) {
-		elapsed := time.Since(start)
-		p := ProgressInfo{
-			Done:      int(d),
-			Total:     total,
-			Failed:    failed.Load(),
-			Cancelled: cancelled.Load(),
-			Elapsed:   elapsed,
-		}
-		if elapsed > 0 {
-			p.RatePerSec = float64(d) / elapsed.Seconds()
-		}
-		if p.RatePerSec > 0 {
-			p.ETA = time.Duration(float64(total-int(d)) / p.RatePerSec * float64(time.Second))
-		}
-		if int(d) == total {
-			cbMu.Lock() // the final update must not be dropped
-		} else if !cbMu.TryLock() {
-			return // sink busy: skip this intermediate update
-		}
-		if p.Done > lastDone {
-			lastDone = p.Done
-			e.Progress(p)
-		}
-		cbMu.Unlock()
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Evaluations are plain values: once the worker is done,
-			// nothing refers to its arena.
-			sc := sched.GetScratch()
-			defer sched.PutScratch(sc)
-			var busy, wait time.Duration
-			for {
-				t0 := time.Now()
-				j, ok := <-jobs
-				wait += time.Since(t0)
-				if !ok {
-					break
-				}
-				b := e.Benchmarks[j.bi]
-				t1 := time.Now()
-				if j.unroll != 0 {
-					// Queued before the context ended, like the
-					// evaluations below: skipped, not run.
-					if ctx.Err() == nil {
-						psp := rsp.Fork("dse.prepare").Str("bench", b.Name).Int("unroll", int64(j.unroll))
-						ev.prepare(psp, b, j.unroll)
-						psp.End()
-					}
-					busy += time.Since(t1)
-					continue
-				}
-				evl := ev.EvaluateScratchCtx(ctx, b, archs[j.ai], sc)
-				busy += time.Since(t1)
-				res.Eval[b.Name][j.ai] = evl
-				switch {
-				case evl.Cancelled:
-					cancelled.Add(1)
-				case evl.Failed:
-					failed.Add(1)
-				}
-				d := done.Add(1)
-				if e.Progress != nil {
-					report(d)
-				}
-			}
-			obs.GetHistogram("dse.worker_busy_seconds").Observe(busy.Seconds())
-			obs.GetHistogram("dse.worker_queue_wait_seconds").Observe(wait.Seconds())
-		}()
-	}
-	// Feed the fleet; a cancelled context stops scheduling right here —
-	// workers then drain only what is already queued, and each of those
-	// jobs short-circuits (an evaluation to Cancelled) before compiling.
-	send := func(j job) bool {
-		select {
-		case jobs <- j:
-			return true
-		case <-ctx.Done():
-			return false
-		}
-	}
-	feed := func() {
-		for _, j := range prepareJobs(cold) {
-			if !send(j) {
-				return
+		if grid != nil {
+			if covered, failed := ev.answerCached(rsp, b, grid, res.Eval[b.Name]); covered {
+				r.failed.Add(failed)
+				r.finished(len(archs))
+				continue
 			}
 		}
-		for bi := range e.Benchmarks {
-			for ai := range archs {
-				if !send(job{bi: bi, ai: ai}) {
-					return
-				}
-			}
-		}
+		cold = append(cold, bi)
 	}
-	feed()
-	close(jobs)
-	wg.Wait()
-
+	if len(cold) > 0 {
+		workers := e.Workers
+		if workers <= 0 {
+			workers = runtime.GOMAXPROCS(0)
+		}
+		r.queue(ctx, workers, cold)
+	}
 	if ctx.Err() != nil {
 		return nil, cancelledErr(ctx)
 	}
@@ -373,7 +317,7 @@ func (e *Explorer) RunCtx(ctx context.Context) (*Results, error) {
 		}
 	}
 	preBaselineRuns := ev.Compilations.Load()
-	for _, b := range e.Benchmarks {
+	for _, b := range benches {
 		var baseTime float64
 		if baseIdx >= 0 {
 			baseTime = res.Eval[b.Name][baseIdx].Time
@@ -400,8 +344,8 @@ func (e *Explorer) RunCtx(ctx context.Context) (*Results, error) {
 	compileTime, simTime := ev.PhaseTimes()
 	res.Finish(Stats{
 		Runs:         runs,
-		Failures:     failed.Load(),
-		Cancelled:    cancelled.Load(),
+		Failures:     r.failed.Load(),
+		Cancelled:    r.cancelled.Load(),
 		BaselineRuns: runs - preBaselineRuns,
 		Phases: PhaseTimes{
 			Compile:   compileTime,
@@ -411,10 +355,107 @@ func (e *Explorer) RunCtx(ctx context.Context) (*Results, error) {
 	}, wall)
 	if obs.Enabled() && wall > 0 {
 		obs.SetGauge("dse.compiles_per_sec", float64(runs)/wall.Seconds())
-		obs.SetGauge("dse.evals_per_sec", float64(total)/wall.Seconds())
-		obs.GetCounter("dse.evaluations").Add(int64(total))
+		obs.SetGauge("dse.evals_per_sec", float64(r.total)/wall.Seconds())
+		obs.GetCounter("dse.evaluations").Add(int64(r.total))
 	}
 	return res, nil
+}
+
+// run is what the workers of one RunCtx share.
+type run struct {
+	rsp     *obs.Span
+	ev      *Evaluator
+	benches []*bench.Benchmark
+	archs   []machine.Arch
+	res     *Results
+	progress
+}
+
+// queue evaluates the cold benchmarks (indices into r.benches) on every
+// architecture into r.res, on that many workers. Preparations are
+// queued ahead of the evaluations and drained by the same workers, so
+// they run on every core; the evaluator's per-key once makes an
+// evaluation that overtakes its preparation wait for it (or do it)
+// instead of repeating it. It returns when the workers have: after the
+// last evaluation or, once ctx ends, after the jobs already queued have
+// short-circuited.
+func (r *run) queue(ctx context.Context, workers int, cold []int) {
+	// Room for two jobs a worker: the feeder runs ahead of the workers,
+	// not in step with them.
+	jobs := make(chan job, workers*2)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Evaluations are plain values: once the worker is done,
+			// nothing refers to its arena.
+			sc := sched.GetScratch()
+			defer sched.PutScratch(sc)
+			var busy, wait time.Duration
+			for {
+				t0 := time.Now()
+				j, ok := <-jobs
+				wait += time.Since(t0)
+				if !ok {
+					break
+				}
+				b := r.benches[j.bi]
+				t1 := time.Now()
+				if j.unroll != 0 {
+					// Queued before the context ended, like the
+					// evaluations below: skipped, not run.
+					if ctx.Err() == nil {
+						psp := r.rsp.Fork("dse.prepare").Str("bench", b.Name).Int("unroll", int64(j.unroll))
+						r.ev.prepare(psp, b, j.unroll)
+						psp.End()
+					}
+					busy += time.Since(t1)
+					continue
+				}
+				evl := r.ev.EvaluateScratchCtx(ctx, b, r.archs[j.ai], sc)
+				busy += time.Since(t1)
+				r.res.Eval[b.Name][j.ai] = evl
+				switch {
+				case evl.Cancelled:
+					r.cancelled.Add(1)
+				case evl.Failed:
+					r.failed.Add(1)
+				}
+				r.finished(1)
+			}
+			obs.GetHistogram("dse.worker_busy_seconds").Observe(busy.Seconds())
+			obs.GetHistogram("dse.worker_queue_wait_seconds").Observe(wait.Seconds())
+		}()
+	}
+	// Feed the fleet; a cancelled context stops scheduling right here —
+	// workers then drain only what is already queued, and each of those
+	// jobs short-circuits (an evaluation to Cancelled) before compiling.
+	send := func(j job) bool {
+		select {
+		case jobs <- j:
+			return true
+		case <-ctx.Done():
+			return false
+		}
+	}
+	feed := func() {
+		for _, j := range prepareJobs(cold) {
+			if !send(j) {
+				return
+			}
+		}
+		for _, bi := range cold {
+			for ai := range r.archs {
+				if !send(job{bi: bi, ai: ai}) {
+					return
+				}
+			}
+		}
+	}
+	feed()
+	close(jobs)
+	wg.Wait()
 }
 
 // ScatterPoint is one (cost, speedup) point of Figures 3/4.

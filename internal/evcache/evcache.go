@@ -35,8 +35,10 @@
 // In memory every resident entry lives in one slab of nodes linked
 // into an LRU ring by index, with one key → slot map per shard: loading
 // a shard allocates its text, its map and room in the slab, not
-// something per entry. DoErrBytes and PeekBytes look a key up where the
-// caller rendered it, so a hit makes no string.
+// something per entry. The slab grows by fixed-size chunks, so a node
+// never moves and a load never copies the nodes already resident.
+// DoErrBytes and GetAll look a key up where it was rendered, so a hit
+// makes no string.
 //
 // Concurrency: every method is safe for concurrent use. DoErr gives
 // lookups singleflight semantics — workers racing on the same cold key
@@ -71,10 +73,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"sync"
 	"time"
+	"unsafe"
 
 	"customfit/internal/obs"
 )
@@ -86,6 +88,15 @@ const SchemaVersion = 1
 
 // headerMagic identifies a shard file as ours.
 const headerMagic = "cfp-evcache"
+
+// headerLine is the first line of every shard Flush writes (Marshal of
+// a string and an int does not fail).
+var headerLine, _ = json.Marshal(header{Magic: headerMagic, Schema: SchemaVersion})
+
+// slabChunk is how many nodes one chunk of the slab holds (20 KiB, what
+// Open pays for the first): a power of two, so a slot number splits
+// into chunk and offset by a shift and a mask.
+const slabChunk = 256
 
 // autoFlushDirty bounds how many unflushed entries a shard may pin in
 // memory before it is written back inline.
@@ -148,14 +159,20 @@ type Cache struct {
 	mu     sync.Mutex
 	max    int
 	shards map[string]*shard
-	// nodes is the slab every resident entry lives in, linked into one
-	// LRU ring by index: nodes[0] is the ring's root (its next the most
-	// recently used entry, its prev the least), free heads the list of
-	// vacated slots, chained through next.
-	nodes []node
+	// slab is where every resident entry lives, in chunks that are never
+	// moved or given back, linked into one LRU ring by slot number (see
+	// node): slot 0 is the ring's root (its next the most recently used
+	// entry, its prev the least), used counts the slots ever handed out,
+	// free heads the list of vacated ones, chained through next.
+	slab  []*[slabChunk]node
+	used  int32
 	free  int32
 	n     int // resident entries
 	stats Stats
+	// Scratch of GetAll, kept at the size it grew to: the slots of a
+	// batch's keys, and the buffer its keys are rendered into.
+	batchSlots []int32
+	batchKey   []byte
 
 	// remote is the optional network tier (SetRemote), read without the
 	// lock — it is set once before concurrent use.
@@ -210,8 +227,15 @@ func Open(dir string) (*Cache, error) {
 		dir:    dir,
 		max:    DefaultMaxEntries,
 		shards: map[string]*shard{},
-		nodes:  make([]node, 1),
+		slab:   []*[slabChunk]node{new([slabChunk]node)},
+		used:   1,
 	}, nil
+}
+
+// node returns slot i of the slab. The pointer stays good while the
+// slot is resident: chunks do not move.
+func (c *Cache) node(i int32) *node {
+	return &c.slab[uint32(i)/slabChunk][uint32(i)%slabChunk]
 }
 
 // SetMaxEntries adjusts the in-memory LRU capacity. Dirty entries are
@@ -385,7 +409,7 @@ func (c *Cache) hitLocked(i int32) Entry {
 	c.touchLocked(i)
 	c.stats.Hits++
 	obs.GetCounter("evcache.hits").Inc()
-	return c.nodes[i].e
+	return c.node(i).e
 }
 
 func (c *Cache) missLocked() {
@@ -399,7 +423,7 @@ func (c *Cache) missLocked() {
 func (c *Cache) loadLocked(name string) *shard {
 	s := c.shards[name]
 	if s == nil {
-		s = &shard{index: map[string]int32{}}
+		s = &shard{}
 		c.shards[name] = s
 	}
 	if s.loaded {
@@ -412,6 +436,9 @@ func (c *Cache) loadLocked(name string) *shard {
 			obs.GetCounter("evcache.shard_loads").Inc()
 			obs.GetHistogram("evcache.load_seconds").Observe(time.Since(t0).Seconds())
 		}
+	}
+	if s.index == nil {
+		s.index = map[string]int32{}
 	}
 	return s
 }
@@ -427,11 +454,9 @@ func (c *Cache) readInLocked(s *shard, name string) bool {
 		obs.GetCounter("evcache.invalidated").Inc()
 		return true // stale or foreign: self-invalidate by ignoring it
 	}
-	// Room for every line at once, in the index and in the slab, rather
-	// than by doubling on the way there.
-	room := min(strings.Count(body, "\n")+1, c.max)
-	s.index = make(map[string]int32, room)
-	c.nodes = slices.Grow(c.nodes, room)
+	// Room in the index for every line at once rather than by doubling
+	// on the way there.
+	s.index = make(map[string]int32, min(strings.Count(body, "\n")+1, c.max))
 	read := int64(len(head))
 	for body != "" {
 		var line string
@@ -461,8 +486,11 @@ func (c *Cache) readShard(name string) (head, body string, ok bool) {
 	if err != nil || len(data) == 0 {
 		return "", "", false
 	}
-	// One conversion: the keys of the lines read are slices of it.
-	head, body = cutLine(string(data))
+	// The keys of the lines read are slices of the file's bytes, viewed
+	// as a string and not copied into one. Safe because data is written
+	// by nobody after os.ReadFile returned it: this function drops the
+	// only []byte reference to it here.
+	head, body = cutLine(unsafe.String(&data[0], len(data)))
 	return head, body, true
 }
 
@@ -475,8 +503,12 @@ func cutLine(text string) (line, rest string) {
 }
 
 // validHeader reports whether line is the header of a shard this
-// version reads.
+// version reads: the line Flush writes, or any other spelling of it
+// encoding/json reads the same.
 func validHeader(line string) bool {
+	if line == string(headerLine) {
+		return true
+	}
 	var h header
 	return json.Unmarshal([]byte(line), &h) == nil && h.Magic == headerMagic && h.Schema == SchemaVersion
 }
@@ -484,7 +516,7 @@ func validHeader(line string) bool {
 // insertLocked adds or refreshes one entry and evicts past capacity.
 func (c *Cache) insertLocked(s *shard, key string, e Entry, dirty bool) {
 	if i, ok := s.index[key]; ok {
-		nd := &c.nodes[i]
+		nd := c.node(i)
 		if dirty && !nd.dirty {
 			s.dirty++
 		}
@@ -495,12 +527,15 @@ func (c *Cache) insertLocked(s *shard, key string, e Entry, dirty bool) {
 	}
 	i := c.free
 	if i != 0 {
-		c.free = c.nodes[i].next
+		c.free = c.node(i).next
 	} else {
-		i = int32(len(c.nodes))
-		c.nodes = append(c.nodes, node{})
+		i = c.used
+		if int(i) == len(c.slab)*slabChunk {
+			c.slab = append(c.slab, new([slabChunk]node))
+		}
+		c.used++
 	}
-	c.nodes[i] = node{key: key, e: e, shard: s, dirty: dirty}
+	*c.node(i) = node{key: key, e: e, shard: s, dirty: dirty}
 	c.pushFrontLocked(i)
 	s.index[key] = i
 	c.n++
@@ -513,22 +548,23 @@ func (c *Cache) insertLocked(s *shard, key string, e Entry, dirty bool) {
 // pushFrontLocked links the unlinked slot i in as the most recently
 // used entry.
 func (c *Cache) pushFrontLocked(i int32) {
-	first := c.nodes[0].next
-	c.nodes[i].prev, c.nodes[i].next = 0, first
-	c.nodes[first].prev = i
-	c.nodes[0].next = i
+	root, nd := c.node(0), c.node(i)
+	first := root.next
+	nd.prev, nd.next = 0, first
+	c.node(first).prev = i
+	root.next = i
 }
 
 // unlinkLocked takes slot i out of the LRU ring.
 func (c *Cache) unlinkLocked(i int32) {
-	prev, next := c.nodes[i].prev, c.nodes[i].next
-	c.nodes[prev].next = next
-	c.nodes[next].prev = prev
+	nd := c.node(i)
+	c.node(nd.prev).next = nd.next
+	c.node(nd.next).prev = nd.prev
 }
 
 // touchLocked makes the resident entry in slot i the most recently used.
 func (c *Cache) touchLocked(i int32) {
-	if c.nodes[0].next != i {
+	if c.node(0).next != i {
 		c.unlinkLocked(i)
 		c.pushFrontLocked(i)
 	}
@@ -538,8 +574,8 @@ func (c *Cache) touchLocked(i int32) {
 // capacity. Dirty entries are pinned (their data exists nowhere else)
 // until a flush cleans them.
 func (c *Cache) evictLocked() {
-	for i := c.nodes[0].prev; i != 0 && c.n > c.max; {
-		nd := &c.nodes[i]
+	for i := c.node(0).prev; i != 0 && c.n > c.max; {
+		nd := c.node(i)
 		prev := nd.prev
 		if !nd.dirty {
 			c.unlinkLocked(i)
@@ -593,11 +629,10 @@ func (c *Cache) flushShardLocked(name string, s *shard) error {
 		}
 	}
 	for key, i := range s.index {
-		merge(key, c.nodes[i].e)
+		merge(key, c.node(i).e)
 	}
 
-	hb, _ := json.Marshal(header{Magic: headerMagic, Schema: SchemaVersion})
-	out := append(append(make([]byte, 0, onDisk+len(hb)+1), hb...), '\n')
+	out := append(append(make([]byte, 0, onDisk+len(headerLine)+1), headerLine...), '\n')
 	var err error
 	for _, r := range recs {
 		if out, err = appendRecord(out, r.Key, r.Entry); err != nil {
@@ -635,7 +670,7 @@ func (c *Cache) flushShardLocked(name string, s *shard) error {
 	c.stats.BytesWrit += int64(len(out))
 	obs.GetCounter("evcache.bytes").Add(int64(len(out)))
 	for _, i := range s.index {
-		c.nodes[i].dirty = false
+		c.node(i).dirty = false
 	}
 	s.dirty = 0
 	c.evictLocked() // formerly pinned entries may now be evictable

@@ -256,3 +256,127 @@ func TestEvictionOrder(t *testing.T) {
 		t.Error("F's entry lost")
 	}
 }
+
+// TestGetAllAllOrNothing: a batch whose keys are all resident is
+// accounted as that many DoErrBytes hits in order — counted, made the
+// most recently used, last key last — and a batch with one key absent
+// is accounted as nothing at all, whatever came before the absent key:
+// no hit, no miss, no entry moved in the LRU order.
+func TestGetAllAllOrNothing(t *testing.T) {
+	c, err := Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := func(i int) string { return fmt.Sprintf("k%d", i) }
+	for i := 0; i < 6; i++ {
+		c.Put("G", key(i), testEntry(i)) // oldest first: 0 1 2 3 4 5
+	}
+	batch := func(ids ...int) ([]Entry, bool) {
+		out := make([]Entry, len(ids))
+		covered, loaded := c.GetAll("G", len(ids),
+			func(buf []byte, i int) []byte { return append(buf, key(ids[i])...) },
+			func(i int, e Entry) { out[i] = e })
+		if loaded {
+			t.Error("a memory-only cache read a shard file")
+		}
+		return out, covered
+	}
+	resident := func(want ...int) {
+		t.Helper()
+		var got []int
+		for i := 0; i < 8; i++ {
+			if holds(c, "G", key(i)) {
+				got = append(got, i)
+			}
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("resident %v, want %v", got, want)
+		}
+	}
+
+	before := c.Stats()
+	if out, covered := batch(0, 1, 7, 2); covered || out[0] != (Entry{}) {
+		t.Fatalf("a batch with an absent key: covered %v, entries delivered %+v", covered, out)
+	}
+	if st := c.Stats(); st != before {
+		t.Errorf("the uncovered batch was accounted: %+v -> %+v", before, st)
+	}
+	c.SetMaxEntries(4) // 0 and 1 are still the oldest: they go
+	resident(2, 3, 4, 5)
+
+	out, covered := batch(3, 2, 3)
+	if !covered || out[0] != testEntry(3) || out[1] != testEntry(2) || out[2] != testEntry(3) {
+		t.Fatalf("covered batch: %v, %+v", covered, out)
+	}
+	if st := c.Stats(); st.Hits != before.Hits+3 || st.Misses != before.Misses {
+		t.Errorf("the covered batch of three: %+v -> %+v, want three hits", before, st)
+	}
+	c.Put("G", key(6), testEntry(6)) // oldest first was 4 5 2 3: 4 goes
+	resident(2, 3, 5, 6)
+	c.Put("G", key(7), testEntry(7)) // then 5
+	resident(2, 3, 6, 7)
+	c.Put("G", key(0), testEntry(0)) // then 2, touched before 3's second touch
+	resident(0, 3, 6, 7)
+}
+
+// TestSlabKeepsSlotsAcrossChunks: shards loaded past one slab chunk,
+// half of everything evicted, one more shard loaded. Every index entry
+// of every shard still names the slot that holds its key, the vacated
+// slots are handed out again before the slab grows, and Resident counts
+// what is there.
+func TestSlabKeepsSlotsAcrossChunks(t *testing.T) {
+	dir := t.TempDir()
+	const perShard = slabChunk/2 + 44 // four of them: past two chunks, into a third
+	shards := []string{"A", "B", "C", "D", "E"}
+	w, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for si, name := range shards {
+		for i := 0; i < perShard; i++ {
+			w.Put(name, fmt.Sprintf("%s-key-%d", name, i), testEntry(si*perShard+i))
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	c, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	consistent := func(when string, resident int) {
+		t.Helper()
+		indexed := 0
+		for name, s := range c.shards {
+			for key, slot := range s.index {
+				if nd := c.node(slot); nd.key != key || nd.shard != s {
+					t.Fatalf("%s: %s's index sends %q to slot %d, which holds %q", when, name, key, slot, nd.key)
+				}
+				indexed++
+			}
+		}
+		if indexed != resident || c.Resident() != resident {
+			t.Fatalf("%s: %d entries indexed, Resident() %d, want %d", when, indexed, c.Resident(), resident)
+		}
+	}
+	for _, name := range shards[:4] {
+		c.Peek(name, "")
+	}
+	consistent("four shards loaded", 4*perShard)
+	if len(c.slab) != 3 || int(c.used) != 1+4*perShard {
+		t.Fatalf("four shards of %d: %d chunks, %d slots used", perShard, len(c.slab), c.used)
+	}
+	c.SetMaxEntries(2 * perShard)
+	consistent("half evicted", 2*perShard)
+	c.Peek(shards[4], "")
+	consistent("a fifth shard loaded", 2*perShard)
+	if len(c.slab) != 3 || int(c.used) != 1+4*perShard {
+		t.Errorf("the fifth shard grew the slab to %d chunks, %d slots used: the vacated slots were not handed out again", len(c.slab), c.used)
+	}
+	for i := 0; i < perShard; i++ {
+		if e, ok := c.Peek("E", fmt.Sprintf("E-key-%d", i)); !ok || e != testEntry(4*perShard+i) {
+			t.Fatalf("E-key-%d = %+v, %v", i, e, ok)
+		}
+	}
+}

@@ -1,5 +1,7 @@
 package evcache
 
+import "customfit/internal/obs"
+
 // Record is one shard line on the wire and on disk: a cache key plus
 // its entry. It is the unit the fleet protocol batches (see Store and
 // internal/fleetcache).
@@ -78,20 +80,51 @@ func (c *Cache) Peek(shard, key string) (Entry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if i, ok := c.loadLocked(shard).index[key]; ok {
-		return c.nodes[i].e, true
+		return c.node(i).e, true
 	}
 	return Entry{}, false
 }
 
-// PeekBytes is Peek for a key rendered into the caller's buffer (see
-// DoErrBytes): no string is made of it.
-func (c *Cache) PeekBytes(shard string, key []byte) (Entry, bool) {
+// GetAll answers n lookups in one shard as one batch, all or nothing,
+// under one acquisition of the cache's lock. key renders the key of
+// lookup i into buf and returns it, the way DoErrBytes is handed one.
+// When every key is resident, each lookup is accounted as DoErrBytes
+// would have accounted it, in order — a hit counted, the entry made the
+// most recently used — and hit is called with its entry. At the first
+// key that is not resident the batch stops and reports covered false
+// with nothing counted, no entry touched and hit never called (Peek's
+// manners, so the caller can send the same lookups through DoErr with
+// their accounting intact). The remote tier is not consulted. loaded
+// reports whether this call read the shard's file.
+//
+// key and hit run under the cache's lock and must not call into the
+// cache — any method of c called from them deadlocks. They are given a
+// buffer, an index and an entry, and need nothing else.
+func (c *Cache) GetAll(shard string, n int, key func(buf []byte, i int) []byte, hit func(i int, e Entry)) (covered, loaded bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if i, ok := c.loadLocked(shard).index[string(key)]; ok {
-		return c.nodes[i].e, true
+	read := c.stats.BytesRead
+	s := c.loadLocked(shard)
+	loaded = c.stats.BytesRead != read
+	if cap(c.batchSlots) < n {
+		c.batchSlots = make([]int32, n)
 	}
-	return Entry{}, false
+	slots := c.batchSlots[:n]
+	for i := range slots {
+		c.batchKey = key(c.batchKey[:0], i)
+		slot, ok := s.index[string(c.batchKey)]
+		if !ok {
+			return false, loaded
+		}
+		slots[i] = slot
+	}
+	for i, slot := range slots {
+		c.touchLocked(slot)
+		hit(i, c.node(slot).e)
+	}
+	c.stats.Hits += int64(n)
+	obs.GetCounter("evcache.hits").Add(int64(n))
+	return true, loaded
 }
 
 // Resident returns the number of entries currently held in memory

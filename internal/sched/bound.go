@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"sync"
 
 	"customfit/internal/machine"
 )
@@ -18,11 +19,15 @@ const BackendVersion = 1
 // the fixed machine-template constants the schedule depends on, so a
 // latency-model change invalidates cached sweeps even without a
 // version bump.
-func Fingerprint() string {
+func Fingerprint() string { return fingerprint() }
+
+// Of constants only, and asked for by every kernel-class hash: spelled
+// once.
+var fingerprint = sync.OnceValue(func() string {
 	return fmt.Sprintf("backend-v%d;lat(alu=%d,mul=%d,l1=%d/%d,mv=%d);buses=%d;spill=%d;reserve=%d;ops-v1",
 		BackendVersion, machine.LatALU, machine.LatMUL, machine.LatL1, machine.L1Occupancy,
 		machine.LatMove, machine.MaxBuses, MaxSpillIterations, pressureReserve)
-}
+})
 
 // countsOf returns what issuing each pristine block takes, the inputs to
 // the resource-side lower bounds. Architecture-independent, so built on
