@@ -77,7 +77,7 @@ fuzz-smoke:
 # ROADMAP.md).
 check: build vet staticcheck test race bench-smoke bench-module fuzz-smoke
 
-# Measure the nine layer benchmarks nothing else isolates and record
+# Measure the ten layer benchmarks nothing else isolates and record
 # them, with the environment they ran in, as the trajectory document
 # (docs/PERFORMANCE.md, "Tracking the numbers"). A record, never a
 # baseline: numbers from another day or host are not comparable.
@@ -119,7 +119,7 @@ bench-diff:
 		order="parent change"; [ $$((round % 2)) = 1 ] || order="change parent"; \
 		echo "bench-diff: round $$round of 10 ($$order)"; \
 		for spec in dse:BenchmarkEvaluate:192x dse:BenchmarkEvaluateStarved:104x \
-				dse:BenchmarkEvaluateDelta:20000x \
+				dse:BenchmarkEvaluateDelta:20000x dse:BenchmarkEvaluateSearch:20000x \
 				dse:BenchmarkExploreOpsSubset:3x dse:BenchmarkPrepare:10x \
 				dse:BenchmarkWarmOpen:100x \
 				sim:BenchmarkSimRun:50x core:BenchmarkOneShot:4x \

@@ -6,8 +6,11 @@
 // reports the headline quantities as custom metrics. Those quality
 // metrics are the payload, not ns/op: nothing here is recorded by `make
 // bench` or gated by `make bench-diff` — per-compile and per-simulation
-// cost are measured by internal/dse's BenchmarkEvaluate, internal/sim's
-// BenchmarkSimRun, internal/core's BenchmarkOneShot (parse, compile and
+// cost are measured by internal/dse's BenchmarkEvaluate, a compiled
+// search move (Evaluate with no arena, as cfp-search and
+// core.SearchCompare call it; BenchmarkSearchMethods below scores
+// from sampled results instead) by its BenchmarkEvaluateSearch,
+// internal/sim's BenchmarkSimRun, internal/core's BenchmarkOneShot (parse, compile and
 // run with nothing amortised) and the oneshot_sim workload of
 // benchmark/, the cost of asking again by internal/core's
 // BenchmarkWarmFit (a fit answered from a warm cache directory) and the

@@ -28,9 +28,11 @@ func exploreBenchArchs() []machine.Arch {
 // sweep, partition, schedule, allocate) with the prepared-IR cache warm,
 // cycling through distinct architectures so every iteration performs
 // real backend work. Signature memoization and delta compilation are
-// both disabled so the number is an honest cold per-compile cost — the
-// baseline BenchmarkEvaluateDelta is measured against — and a reused
-// Scratch arena matches the explorer worker's steady state.
+// both disabled, so every block is scheduled and every program allocated
+// — the baseline BenchmarkEvaluateDelta is measured against. What the
+// kernel's partition classes keep is reused as every compile reuses it:
+// the lowered and partitioned IR, its liveness and its skeletons, built
+// once per class. A reused Scratch arena matches a sweep's steady state.
 //
 // Beside the timings it reports the work one lap over the machines
 // does, which repeats exactly and so is what `make bench-diff` can hold
@@ -135,24 +137,35 @@ func BenchmarkEvaluateStarved(b *testing.B) {
 // and annealing generate. Compare against BenchmarkEvaluate (the cold
 // full driver) for the delta speedup.
 func BenchmarkEvaluateDelta(b *testing.B) {
+	sc := sched.NewScratch()
+	benchmarkRing(b, func(ev *Evaluator, bm *bench.Benchmark, a machine.Arch) { ev.EvaluateScratch(bm, a, sc) })
+}
+
+// BenchmarkEvaluateSearch is BenchmarkEvaluateDelta through Evaluate,
+// which hands the backend no arena: the path cfp-search and
+// core.SearchCompare take, where every sweep borrows an arena from the
+// idle list and gives it back.
+func BenchmarkEvaluateSearch(b *testing.B) {
+	benchmarkRing(b, func(ev *Evaluator, bm *bench.Benchmark, a machine.Arch) { ev.Evaluate(bm, a) })
+}
+
+// benchmarkRing warms a delta-compiling evaluator on deltaNeighborRing
+// with eval, then times eval around the ring.
+func benchmarkRing(b *testing.B, eval func(*Evaluator, *bench.Benchmark, machine.Arch)) {
 	ev := NewEvaluator()
 	ev.Width = 48
 	ev.DisableMemo = true
 	bm := bench.ByName("G")
 	ring := deltaNeighborRing()
-	for _, u := range UnrollFactors {
-		ev.prepare(nil, bm, u)
-	}
-	sc := sched.NewScratch()
 	for r := 0; r < 2; r++ {
 		for _, a := range ring {
-			ev.EvaluateScratch(bm, a, sc)
+			eval(ev, bm, a)
 		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ev.EvaluateScratch(bm, ring[i%len(ring)], sc)
+		eval(ev, bm, ring[i%len(ring)])
 	}
 }
 

@@ -188,34 +188,52 @@ func deltaNeighborRing() []machine.Arch {
 // TestDeltaSteadyStateAllocs pins the steady-state allocation count of
 // delta-compiled neighbor re-evaluation: once the per-kernel caches are
 // warm, cycling through a one-parameter neighbor ring must run
-// allocation-free apart from small constant bookkeeping — the arenas in
-// sched.Scratch and regalloc.Scratch absorb everything sized by the
-// kernel or the architecture.
+// allocation-free — the arenas in sched.Scratch and regalloc.Scratch
+// absorb everything sized by the kernel or the architecture.
 func TestDeltaSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation accounting")
 	}
+	sc := sched.NewScratch()
+	if avg := ringAllocs(t, func(ev *Evaluator, bm *bench.Benchmark, a machine.Arch) Evaluation {
+		return ev.EvaluateScratch(bm, a, sc)
+	}); avg != 0 {
+		t.Errorf("steady-state neighbor re-evaluation allocates %.1f allocs/op, want 0", avg)
+	}
+}
+
+// TestEvaluateWithoutArenaAllocs is the same ring through Evaluate,
+// which hands the backend no arena — the path cfp-search and
+// core.SearchCompare take: each sweep borrows one from the idle list
+// and gives it back, and a warm neighbor move still allocates nothing
+// beyond the list's occasional ageing sentinel.
+func TestEvaluateWithoutArenaAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation accounting")
+	}
+	if avg := ringAllocs(t, (*Evaluator).Evaluate); avg > 1 {
+		t.Errorf("steady-state neighbor re-evaluation without an arena allocates %.1f allocs/op, want <= 1", avg)
+	}
+}
+
+// ringAllocs warms a delta-compiling evaluator on deltaNeighborRing with
+// eval, then returns what eval allocates per move around the ring.
+func ringAllocs(t *testing.T, eval func(*Evaluator, *bench.Benchmark, machine.Arch) Evaluation) float64 {
 	ev := NewEvaluator()
 	ev.Width = 48
 	ev.DisableMemo = true
 	bm := bench.ByName("G")
 	ring := deltaNeighborRing()
-	sc := sched.NewScratch()
 	for r := 0; r < 2; r++ {
 		for _, a := range ring {
-			if got := ev.EvaluateScratch(bm, a, sc); got.Failed {
+			if got := eval(ev, bm, a); got.Failed {
 				t.Fatalf("warmup compile failed for %+v", a)
 			}
 		}
 	}
 	i := 0
-	avg := testing.AllocsPerRun(50, func() {
-		ev.EvaluateScratch(bm, ring[i%len(ring)], sc)
+	return testing.AllocsPerRun(50, func() {
+		eval(ev, bm, ring[i%len(ring)])
 		i++
 	})
-	// Budget with headroom over the measured steady state (~0); the cold
-	// full driver spends thousands of allocations per evaluation.
-	if avg > 24 {
-		t.Errorf("steady-state neighbor re-evaluation allocates %.1f allocs/op, want <= 24", avg)
-	}
 }

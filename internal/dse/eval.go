@@ -294,7 +294,7 @@ func (e *Evaluator) countVisits(b *bench.Benchmark, g *ir.Func) (map[string]int6
 // Evaluate compiles benchmark b for arch, sweeping unroll factors until
 // the compiler spills, and returns the best-performing compilation.
 func (e *Evaluator) Evaluate(b *bench.Benchmark, arch machine.Arch) Evaluation {
-	return e.EvaluateCtx(context.Background(), b, arch)
+	return e.evaluate(context.Background(), b, arch, nil)
 }
 
 // EvaluateCtx is Evaluate under a context: a cancelled ctx abandons the
@@ -302,19 +302,16 @@ func (e *Evaluator) Evaluate(b *bench.Benchmark, arch machine.Arch) Evaluation {
 // Cancelled (never Failed). Results are identical to Evaluate whenever
 // ctx stays live.
 func (e *Evaluator) EvaluateCtx(ctx context.Context, b *bench.Benchmark, arch machine.Arch) Evaluation {
-	return e.EvaluateScratchCtx(ctx, b, arch, nil)
+	return e.evaluate(ctx, b, arch, nil)
 }
 
-// EvaluateScratch is Evaluate threading a per-worker scratch arena
-// through the backend (see sched.Scratch; with nil every compile finds
-// one of its own).
+// EvaluateScratch is Evaluate threading the caller's scratch arena
+// through the backend (see sched.Scratch; with nil a sweep borrows one).
 func (e *Evaluator) EvaluateScratch(b *bench.Benchmark, arch machine.Arch, sc *sched.Scratch) Evaluation {
-	return e.EvaluateScratchCtx(context.Background(), b, arch, sc)
+	return e.evaluate(context.Background(), b, arch, sc)
 }
 
-// EvaluateScratchCtx is EvaluateScratch under a context (see
-// EvaluateCtx for the cancellation contract).
-func (e *Evaluator) EvaluateScratchCtx(ctx context.Context, b *bench.Benchmark, arch machine.Arch, sc *sched.Scratch) Evaluation {
+func (e *Evaluator) evaluate(ctx context.Context, b *bench.Benchmark, arch machine.Arch, sc *sched.Scratch) Evaluation {
 	// StartSpanCtx parents the evaluation under the exploration's span
 	// when one rides ctx (each evaluation forks its own track).
 	esp := obs.StartSpanCtx(ctx, "evaluate")
@@ -573,17 +570,10 @@ func (e *Evaluator) answerCached(sp *obs.Span, b *bench.Benchmark, g *cachedGrid
 // minimum across factors (the sweep keeps its own minimum over a
 // subset of those factors, so the bound can never exceed the real
 // result). ok is false when the benchmark cannot be prepared at all or
-// the backend rewrites its blocks for arch before scheduling them.
+// sched.LowerBound has no bound, because the backend rewrites the blocks
+// for arch before scheduling them; SpeedupBound turns that into "never
+// prune".
 func (e *Evaluator) LowerBoundCycles(b *bench.Benchmark, arch machine.Arch) (bound int64, ok bool) {
-	if arch.MinMax || !arch.Ops.Empty() {
-		// The per-block bounds are computed on the pristine
-		// (pre-rewrite) blocks; min/max fusion and a custom-op rewrite
-		// both put one op where there were several, which shortens ALU
-		// count and critical path below them (H on (1 1 64 1 2 1) with
-		// min/max: bound 4569, real 3005). No admissible bound exists
-		// there; SpeedupBound turns this into "never prune".
-		return 0, false
-	}
 	best := int64(-1)
 	for _, u := range UnrollFactors {
 		p := e.prepare(nil, b, u)
@@ -591,6 +581,9 @@ func (e *Evaluator) LowerBoundCycles(b *bench.Benchmark, arch machine.Arch) (bou
 			break
 		}
 		lbs := sched.LowerBound(p.kernel, arch)
+		if lbs == nil {
+			return 0, false
+		}
 		var total int64
 		for i, blk := range p.kernel.F.Blocks {
 			total += int64(lbs[i]) * p.visits[blk.Name]
@@ -635,8 +628,15 @@ func (e *Evaluator) SpeedupBound(b *bench.Benchmark, baselineTime float64, cost 
 // and takes up to ~0.2 s on a 2-core box (kernel GEF at unroll 4 on
 // (8 2 128 1 8 4); docs/PERFORMANCE.md, "Cold path"): that is how long
 // a cancelled sweep can take to return, with cancelled set and failed
-// cleared — abandoned work is not a compile failure.
+// cleared — abandoned work is not a compile failure. A caller without
+// an arena has the sweep borrow one: each compile's Result is read
+// before the next compile, so the delta path may assemble it in the
+// arena and allocate nothing.
 func (e *Evaluator) runSweep(ctx context.Context, esp *obs.Span, b *bench.Benchmark, arch machine.Arch, sc *sched.Scratch) sweepResult {
+	if sc == nil {
+		sc = sched.GetScratch()
+		defer sched.PutScratch(sc)
+	}
 	sw := sweepResult{failed: true}
 	for _, u := range UnrollFactors {
 		if ctx.Err() != nil {

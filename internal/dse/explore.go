@@ -413,7 +413,7 @@ func (r *run) queue(ctx context.Context, workers int, cold []int) {
 					busy += time.Since(t1)
 					continue
 				}
-				evl := r.ev.EvaluateScratchCtx(ctx, b, r.archs[j.ai], sc)
+				evl := r.ev.evaluate(ctx, b, r.archs[j.ai], sc)
 				busy += time.Since(t1)
 				r.res.Eval[b.Name][j.ai] = evl
 				switch {

@@ -114,20 +114,15 @@ func NewScratch() *Scratch { return &Scratch{} }
 // Allocate computes exact liveness, pressure and physical registers for
 // a scheduled program.
 func Allocate(prog *vliw.Program) *Result {
-	return AllocateSpan(nil, prog)
+	return AllocateWith(nil, prog, nil, nil)
 }
 
-// AllocateSpan is Allocate recorded as a telemetry span under sp,
-// carrying the allocation verdict (capacity, peak pressure, fit).
-func AllocateSpan(sp *obs.Span, prog *vliw.Program) *Result {
-	return AllocateWith(sp, prog, nil, nil)
-}
-
-// AllocateWith is the compile driver's entry point: lv, when non-nil,
-// is a liveness analysis already computed over prog.F (the scheduler's
-// own — allocation recomputing it is pure waste), and sc, when non-nil,
-// is a reusable scratch arena. The returned Result is freshly
-// allocated and safe to retain.
+// AllocateWith is the compile driver's entry point, recorded as a
+// telemetry span under sp carrying the allocation verdict (capacity,
+// peak pressure, fit): lv, when non-nil, is a liveness analysis already
+// computed over prog.F (the scheduler's own — allocation recomputing it
+// is pure waste), and sc, when non-nil, is a reusable scratch arena.
+// The returned Result is freshly allocated and safe to retain.
 func AllocateWith(sp *obs.Span, prog *vliw.Program, lv *opt.Liveness, sc *Scratch) *Result {
 	res := &Result{
 		MaxLive:  make([]int, prog.Arch.Clusters),
@@ -138,14 +133,12 @@ func AllocateWith(sp *obs.Span, prog *vliw.Program, lv *opt.Liveness, sc *Scratc
 }
 
 // AllocateReuse is AllocateWith with the Result itself drawn from the
-// scratch arena: the delta compiler's steady state runs it with zero
-// heap allocation. The returned Result (and every slice it carries) is
-// valid only until the next Allocate call through the same Scratch;
-// callers that retain results must use AllocateWith.
+// scratch arena sc, which it needs: round 1 of every compile runs it,
+// with zero heap allocation in the delta compiler's steady state. The
+// returned Result (and every slice it carries) is valid only until the
+// next Allocate call through the same Scratch; callers that retain
+// results copy what they keep, or use AllocateWith.
 func AllocateReuse(sp *obs.Span, prog *vliw.Program, lv *opt.Liveness, sc *Scratch) *Result {
-	if sc == nil {
-		sc = NewScratch()
-	}
 	res := &sc.res
 	res.MaxLive = growInts(&sc.resMaxLive, prog.Arch.Clusters)
 	res.Overflow = growInts(&sc.resOverflow, prog.Arch.Clusters)

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"runtime"
 	"testing"
 
 	"customfit/internal/bench"
@@ -45,5 +46,73 @@ func TestPartitionCloneAllocatesPerBlock(t *testing.T) {
 	}
 	if a2 != a8 {
 		t.Errorf("PartitionClone allocates %v times at unroll 2 (%d instructions) and %v at unroll 8 (%d): it should depend on blocks alone", a2, n2, a8, n8)
+	}
+}
+
+// mallocs counts the heap objects one call of f makes.
+func mallocs(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestClassCopiesKernelOnce pins what building a partition class costs
+// on a clustered machine with no ISA rewrite: partitionClone copies the
+// kernel and only reads it, so the class is that one copy, its liveness
+// and its skeleton set — no lowered copy in front of it. The first delta
+// compile of a fresh Prepared builds the class; a neighbour in the same
+// class whose blocks all miss the ring repeats the rest of the work, so
+// the difference is the build, and must come in well under one more
+// copy of the kernel.
+func TestClassCopiesKernelOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation accounting")
+	}
+	g := prepareA(t, 2)
+	arch := testArchs[5] // four clusters, no custom ops, no min/max, no spill
+	neighbour := arch
+	neighbour.ALUs = 8
+	sc := NewScratch()
+	first, again := ^uint64(0), ^uint64(0)
+	for range 3 {
+		prep := NewPrepared(g)
+		first = min(first, mallocs(func() { CompilePreparedDelta(nil, prep, arch, sc) }))
+		again = min(again, mallocs(func() { CompilePreparedDelta(nil, prep, neighbour, sc) }))
+	}
+	pg, _ := partitionClone(g, arch, &sc.part)
+	build := testing.AllocsPerRun(3, func() { partitionClone(g, arch, &sc.part) }) +
+		testing.AllocsPerRun(3, func() { opt.ComputeLiveness(pg) }) +
+		testing.AllocsPerRun(3, func() { new(skelCache).get(pg, arch, &sc.skel) })
+	clone := testing.AllocsPerRun(3, func() { g.Clone() })
+	if got := float64(first - again); got > build+clone/2 {
+		t.Errorf("building the class makes %v objects: the partitioned copy, its liveness and skeletons are %v, a second copy of the kernel %v more",
+			got, build, clone)
+	}
+}
+
+// TestCompileSpanClonesNoSkeletonSet pins the one-shot compile's class:
+// built for the one compile and dropped with it, so its blocks are
+// scheduled from the arena's builder and no skeleton set is cloned for a
+// cache nobody will read. Beside a compile whose class is kept and
+// built, CompileSpan does the same work plus the build, and must come in
+// well under the build plus a skeleton set.
+func TestCompileSpanClonesNoSkeletonSet(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation accounting")
+	}
+	g := prepareA(t, 2)
+	arch := testArchs[5]
+	arch.Clusters = 1 // no spill round either: the kept class's would clone its copy
+	kept := NewPrepared(g)
+	span := testing.AllocsPerRun(3, func() { CompileSpan(nil, g, arch) })
+	again := testing.AllocsPerRun(3, func() { CompilePrepared(nil, kept, arch, nil) })
+	sc := NewScratch()
+	build := testing.AllocsPerRun(3, func() { new(classState).build(g, arch, sc, false) })
+	set := testing.AllocsPerRun(3, func() { new(skelCache).get(g, arch, &sc.skel) })
+	if span-again > build+set/2 {
+		t.Errorf("CompileSpan makes %v objects, a compile of a kept class %v and building the class %v: a skeleton set (%v) is cloned for nobody",
+			span, again, build, set)
 	}
 }

@@ -169,6 +169,37 @@ func TestArenasUnderCollection(t *testing.T) {
 	}
 }
 
+// TestDeltaResultOwnedWithoutArena pins the one arena rule on the delta
+// entry: handed no arena, CompilePreparedDelta borrows one from the idle
+// list for the call — no arena of its own per call — and returns a
+// Result that owns its memory, so it reads the same after later compiles
+// have borrowed, and reassembled programs in, that very arena.
+func TestDeltaResultOwnedWithoutArena(t *testing.T) {
+	read := arenaCounters(t)
+	prep := NewPrepared(preparePipe(t, 2))
+	digest := func(res *Result, err error) string {
+		var d strings.Builder
+		scheduleDigest(&d, res, err)
+		return d.String()
+	}
+	made, reused := read()
+	res, err := CompilePreparedDelta(nil, prep, testArchs[1], nil)
+	want := digest(res, err)
+	if m, r := read(); m+r != made+reused+1 {
+		t.Errorf("the compile took %d arenas from the idle list and made %d: want one borrowed", r-reused, m-made)
+	}
+	for _, arch := range testArchs {
+		for range 2 { // the second lap is assembled from the ring
+			if _, err := CompilePreparedDelta(nil, prep, arch, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got := digest(res, nil); got != want {
+		t.Errorf("the result changed after its arena was reused:\nbefore:\n%s\nafter:\n%s", want, got)
+	}
+}
+
 // TestCompileLeavesPreparedUntouched pins the other side of cloning on
 // the first spill: on a clustered machine the compile partitions and
 // analyses the shared kernel itself, so it must never write through it

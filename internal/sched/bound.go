@@ -29,23 +29,15 @@ var fingerprint = sync.OnceValue(func() string {
 		machine.LatMove, machine.MaxBuses, MaxSpillIterations, pressureReserve)
 })
 
-// countsOf returns what issuing each pristine block takes, the inputs to
-// the resource-side lower bounds. Architecture-independent, so built on
-// first use and cached on the Prepared kernel.
-func (p *Prepared) countsOf() []machine.Charges {
-	p.countsOnce.Do(func() {
-		p.counts = make([]machine.Charges, len(p.F.Blocks))
-		for i, b := range p.F.Blocks {
-			p.counts[i] = machine.IssueCharges(b.Instrs)
-		}
-	})
-	return p.counts
-}
-
 // LowerBound computes, without scheduling, an admissible per-block
 // lower bound (in cycles) on the backend's schedule length for prep's
 // kernel on arch — in the spirit of the resource/recurrence bounds
-// used by optimal software pipelining. Per block it takes the max of:
+// used by optimal software pipelining. It counts the kernel's pristine
+// blocks, so it returns nil for a machine whose instruction set the
+// backend rewrites first (rewritesISA: min/max fusion and custom ops put
+// one operation where there were several, which shortens both the
+// counts and the critical path below these — H on (1 1 64 1 2 1) with
+// min/max: bound 4569, real 3005). Per block it takes the max of:
 //
 //   - the latency-weighted critical-path height from the cached
 //     ddg.Skeleton (recurrence bound; only when the block ends in a
@@ -67,13 +59,19 @@ func (p *Prepared) countsOf() []machine.Charges {
 // search layer uses it to prove candidates cannot beat an incumbent
 // without paying for a compile.
 func LowerBound(prep *Prepared, arch machine.Arch) []int {
-	skels := prep.skeletons(arch, nil)
-	counts := prep.countsOf()
+	if rewritesISA(arch) {
+		return nil
+	}
+	// The single-cluster class's blocks are the pristine ones, with the
+	// cluster stamps partitioning adds: its skeletons and issue charges
+	// are theirs.
+	pristine := prep.class(machine.Arch{Clusters: 1}, nil)
+	skels := pristine.skels.get(pristine.g, arch, nil)
 	aluCap := arch.ALUsPC() * arch.Clusters
 	mulCap := arch.MULsPC() * arch.Clusters
 	out := make([]int, len(skels))
 	for i, sk := range skels {
-		c := counts[i]
+		c := pristine.blocks[i].info
 		lb := 0
 		if sk.HasTerm {
 			lb = sk.CriticalPath()

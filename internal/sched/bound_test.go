@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"customfit/internal/cc"
+	"customfit/internal/machine"
 	"customfit/internal/opt"
 )
 
@@ -84,6 +85,29 @@ func TestLowerBoundTightOnWideMachines(t *testing.T) {
 	}
 	if sumN <= sumW {
 		t.Errorf("narrow bound %d not above wide bound %d: resource terms never bite", sumN, sumW)
+	}
+}
+
+// TestLowerBoundAbstainsOnRewrittenISA: the bound counts the pristine
+// blocks, so it is offered for every machine whose blocks the backend
+// schedules as they are and for none whose instruction set it rewrites
+// first — min/max fusion, custom ops — where it would not be admissible.
+func TestLowerBoundAbstainsOnRewrittenISA(t *testing.T) {
+	prep := NewPrepared(preparePipe(t, 2))
+	set, err := machine.ParseOpCatalog([]string{"mac/3/2:mul $0 $1;add %0 $2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, arch := range testArchs {
+		if lbs := LowerBound(prep, arch); len(lbs) != len(prep.F.Blocks) {
+			t.Errorf("%s: %d bounds for %d blocks", arch, len(lbs), len(prep.F.Blocks))
+		}
+		for _, rewritten := range []machine.Arch{arch.WithMinMax(), arch.WithOps(set, set.FullMask())} {
+			if lbs := LowerBound(prep, rewritten); lbs != nil {
+				t.Errorf("%s (min/max %v, ops %q): bounds %v for blocks the backend rewrites",
+					rewritten, rewritten.MinMax, rewritten.Ops.Key(), lbs)
+			}
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"customfit/internal/ddg"
@@ -43,37 +44,37 @@ func Compile(prepared *ir.Func, arch machine.Arch) (*Result, error) {
 }
 
 // CompileSpan is Compile with each backend stage (partition, schedule,
-// regalloc, spill) recorded as telemetry spans nested under sp.
+// regalloc, spill) recorded as telemetry spans nested under sp. It
+// compiles once: the partition class is built for this compile alone
+// and caches no skeletons.
 func CompileSpan(sp *obs.Span, prepared *ir.Func, arch machine.Arch) (*Result, error) {
-	prep := NewPrepared(prepared)
-	prep.oneShot = true
-	return CompilePrepared(sp, prep, arch, nil)
+	return compile(sp, "sched", prepared, nil, arch, nil, false)
 }
 
 // CompilePrepared compiles a shared Prepared kernel for one
-// architecture from nothing: no delta cache is read or written, only the
-// kernel's cached dependence skeletons (per L2 latency class) and the
-// caller's Scratch arena are reused. prep may be shared across
+// architecture. Round 1 starts from the kernel's partition class, which
+// the Prepared keeps (the lowered and partitioned function, its
+// liveness and its dependence skeletons per L2 latency class); no
+// schedule or allocation is reused. prep may be shared across
 // concurrent workers; sc may not (pass nil to borrow one for the call).
 // The prepared IR is not mutated, and the Result owns its memory.
 func CompilePrepared(sp *obs.Span, prep *Prepared, arch machine.Arch, sc *Scratch) (*Result, error) {
-	if err := arch.Validate(); err != nil {
-		return nil, err
-	}
-	csp := obs.Under(sp, "sched")
-	if csp != nil {
-		csp.Str("kernel", prep.F.Name).Str("arch", arch.String())
-	}
-	defer csp.End()
-	if sc == nil {
-		sc = GetScratch()
-		defer PutScratch(sc)
-	}
-	work := prep.F
-	if arch.Clusters <= 1 || rewritesISA(arch) {
-		work = lowerFor(prep.F, arch)
-	}
-	return spillLoop(csp, prep, arch, sc, work, nil)
+	return compile(sp, "sched", prep.F, prep, arch, sc, false)
+}
+
+// CompilePreparedDelta is CompilePrepared through the delta cache: round
+// 1 is assembled from cached block schedules (scheduling only the
+// blocks no entry proves) and a memoized allocation verdict, and when
+// the program does not fit the spill loop continues from that round.
+// Results are bit-identical to CompilePrepared in every case.
+//
+// Given an arena, a Result that needed no spill round has its Program
+// shell and block table in sc's arenas and no blame table: it is valid
+// only until the next compile through the same Scratch. With sc nil the
+// call borrows one and the Result owns its memory, as CompilePrepared's
+// does.
+func CompilePreparedDelta(sp *obs.Span, prep *Prepared, arch machine.Arch, sc *Scratch) (*Result, error) {
+	return compile(sp, "sched.delta", prep.F, prep, arch, sc, true)
 }
 
 // rewritesISA reports whether lowerFor changes the instruction stream
@@ -82,12 +83,7 @@ func rewritesISA(arch machine.Arch) bool { return !arch.Ops.Empty() || arch.MinM
 
 // lowerFor returns a private copy of the prepared kernel with the
 // architecture's instruction-set rewrites applied: custom-op fusion and
-// min/max fusion. It is the IR the partitioner reads and the spill loop
-// rewrites. A clustered machine with neither rewrite needs no copy to
-// start with: partitionClone only reads what it partitions, so
-// CompilePrepared hands the spill loop the shared kernel itself, and the
-// loop takes its copy when it first has something to write (a single
-// cluster is partitioned in place, and always needs one).
+// min/max fusion.
 func lowerFor(src *ir.Func, arch machine.Arch) *ir.Func {
 	work := src.Clone()
 	if !arch.Ops.Empty() {
@@ -97,6 +93,150 @@ func lowerFor(src *ir.Func, arch machine.Arch) *ir.Func {
 		FuseMinMax(work)
 	}
 	return work
+}
+
+// partitionFor partitions src for arch. A single cluster is partitioned
+// in place — it only stamps cluster 0 on every instruction, which is
+// idempotent — and clustered machines rewrite the instruction stream
+// (copy insertion, operand localization), so src is cloned in the same
+// pass and only read.
+func partitionFor(src *ir.Func, arch machine.Arch, ps *partScratch) (*ir.Func, *Placement) {
+	if arch.Clusters <= 1 {
+		return src, partition(src, src, nil, arch, ps)
+	}
+	return partitionClone(src, arch, ps)
+}
+
+// compile is the one compile driver. Round 1 is assembled from arch's
+// partition class of f: prep's kept class, or with prep nil one built
+// for this compile alone. With reuse, blocks a cached schedule proves
+// and an allocation the memo holds are taken from the class (delta.go);
+// without, every block is scheduled. When the allocation does not fit,
+// the spill loop continues from that round. Handed no arena, the call
+// borrows one and returns a Result that owns its memory.
+func compile(sp *obs.Span, span string, f *ir.Func, prep *Prepared, arch machine.Arch, sc *Scratch, reuse bool) (*Result, error) {
+	if err := arch.Validate(); err != nil {
+		return nil, err
+	}
+	csp := obs.Under(sp, span)
+	if csp != nil {
+		csp.Str("kernel", f.Name).Str("arch", arch.String())
+		defer csp.End()
+	}
+	owned := !reuse || sc == nil
+	if sc == nil {
+		sc = GetScratch()
+		defer PutScratch(sc)
+	}
+	var cs *classState
+	if prep != nil {
+		cs = prep.class(arch, sc)
+	} else {
+		cs = new(classState)
+		cs.build(f, arch, sc, false)
+	}
+
+	capRaw := liveBudget(arch)
+	params := paramsOf(arch, capRaw)
+	blocks := sc.progBlocks[:0]
+	ids := sc.entryIDs[:0]
+	blames := sc.entryBlame[:0]
+	var blame []int // round 1's blame table, when no block comes from the ring
+	if !reuse {
+		blame = make([]int, cs.g.NumRegs())
+	}
+	var skels []*ddg.Skeleton
+	hits := 0
+	for bi, b := range cs.g.Blocks {
+		var e cachedBlock
+		ok := false
+		if reuse {
+			e, ok = cs.lookup(bi, params)
+		}
+		if ok {
+			hits++
+		} else {
+			var sk *ddg.Skeleton
+			if prep == nil {
+				sk = sc.skel.Build(b, arch)
+			} else {
+				if skels == nil {
+					skels = cs.skels.get(cs.g, arch, &sc.skel)
+				}
+				sk = skels[bi]
+			}
+			sb, cert, bl, err := scheduleBlock(cs.g, b, arch, cs.pl, cs.lv, capRaw, false, sk, sc)
+			if err != nil {
+				return nil, blockError(cs.g, b, err)
+			}
+			if reuse {
+				e = cs.insert(bi, params, cert, sb, bl)
+			} else {
+				e.sb = sb
+				addBlame(blame, bl)
+			}
+		}
+		blocks = append(blocks, e.sb)
+		ids = append(ids, e.id)
+		blames = append(blames, e.blame)
+	}
+	sc.progBlocks = blocks[:0]
+	sc.entryIDs = ids[:0]
+	sc.entryBlame = blames[:0]
+	if reuse {
+		obs.GetCounter("sched.delta_block_hits").Add(int64(hits))
+		obs.GetCounter("sched.delta_block_misses").Add(int64(len(blocks) - hits))
+		if csp != nil {
+			csp.Int("block_hits", int64(hits)).Int("blocks", int64(len(blocks)))
+		}
+	}
+
+	prog := &sc.prog
+	*prog = vliw.Program{
+		Arch:       arch,
+		F:          cs.g,
+		Blocks:     blocks,
+		RegCluster: cs.pl.RegCluster,
+		Blame:      blame,
+	}
+	maxLive, assign, ok := []int(nil), []int(nil), false
+	if reuse {
+		maxLive, assign, ok = cs.allocLookup(ids, arch.RegsPC())
+	}
+	if ok {
+		obs.GetCounter("sched.delta_alloc_hits").Inc()
+	} else {
+		ra := regalloc.AllocateReuse(csp, prog, cs.lv, sc.RA)
+		if !ra.Fits {
+			if reuse {
+				obs.GetCounter("sched.delta_fallbacks").Inc()
+				prog.Blame = grow(&sc.blame, cs.g.NumRegs())
+				for _, bl := range blames {
+					addBlame(prog.Blame, bl)
+				}
+			}
+			// The spill loop rewrites a copy of src when another compile
+			// may be reading it: every kept class's, and the kernel itself.
+			shared := prep != nil || cs.src == f
+			return spillLoop(csp, f.Name, arch, sc, cs.src, shared, attempt{prog, ra})
+		}
+		if reuse {
+			maxLive, assign = cs.allocInsert(ids, ra.MaxLive, ra.Assign)
+		} else {
+			maxLive, assign = slices.Clone(ra.MaxLive), slices.Clone(ra.Assign)
+		}
+	}
+	res := &sc.result
+	if owned {
+		shell := *prog
+		shell.Blocks = slices.Clone(blocks)
+		prog, res = &shell, new(Result)
+	}
+	prog.MaxLive = maxLive
+	prog.PhysAssign = assign
+	*res = Result{Prog: prog, Iterations: 1}
+	csp.Int("iterations", 1).Int("spilled", 0)
+	return res, nil
 }
 
 // attempt is one schedule/allocate round's outcome: the scheduled
@@ -112,36 +252,12 @@ type blamed struct {
 	n int
 }
 
-// runRound partitions, schedules and allocates work as round iter of
-// the spill loop.
-func runRound(csp *obs.Span, prep *Prepared, arch machine.Arch, sc *Scratch, work *ir.Func, iter int) (attempt, error) {
-	var g *ir.Func
+// runRound partitions, schedules and allocates work, the spill loop's
+// rewritten copy of the lowered IR, as spill round iter.
+func runRound(csp *obs.Span, arch machine.Arch, sc *Scratch, work *ir.Func, iter int) (attempt, error) {
 	psp := csp.Child("sched.partition").Int("iter", int64(iter))
-	var pl *Placement
-	singleCluster := arch.Clusters <= 1
-	if singleCluster {
-		// Partitioning a single-cluster machine only stamps cluster
-		// 0 on every instruction — idempotent, so the work copy is
-		// scheduled in place with no per-iteration clone at all.
-		g = work
-		pl = partition(g, g, nil, arch, &sc.part)
-	} else {
-		// Clustered machines rewrite the instruction stream (copy
-		// insertion, operand localization), so partitioning clones:
-		// one fused pass instead of Clone followed by Partition.
-		g, pl = partitionClone(work, arch, &sc.part)
-	}
+	g, pl := partitionFor(work, arch, &sc.part)
 	psp.End()
-	// The cached skeletons describe prep.F's pristine blocks, so they
-	// apply only while work is instruction-identical to them: single
-	// cluster (partitioning inserts no copies), no min/max or custom-op
-	// fusion, and no spill rewrites yet. A Prepared made for this one
-	// compile has nobody to keep copies for: its blocks are scheduled
-	// from the builder's own skeleton, like every other round's.
-	var skels []*ddg.Skeleton
-	if singleCluster && !rewritesISA(arch) && iter == 1 && !prep.oneShot {
-		skels = prep.skeletons(arch, &sc.skel)
-	}
 	// After two failed greedy rounds, fall back to program-order
 	// priority: a valid execution order whose pressure tracks the
 	// source's depth-first evaluation, trading ILP for fit.
@@ -149,7 +265,7 @@ func runRound(csp *obs.Span, prep *Prepared, arch machine.Arch, sc *Scratch, wor
 	ssp := csp.Child("sched.schedule").Int("iter", int64(iter))
 	// The cap stays fixed across rounds: shrinking it only multiplies
 	// forced placements. In-order mode plus spilling is what converges.
-	prog, lv, err := scheduleFunc(g, arch, pl, arch.RegsPC()-pressureReserve, inOrder, skels, sc)
+	prog, lv, err := scheduleFunc(g, arch, pl, liveBudget(arch), inOrder, sc)
 	if err != nil {
 		ssp.End()
 		return attempt{}, err
@@ -160,20 +276,14 @@ func runRound(csp *obs.Span, prep *Prepared, arch machine.Arch, sc *Scratch, wor
 
 // spillLoop is the schedule → allocate → spill iteration over work, the
 // architecture-lowered pre-partition IR, which it rewrites — a copy of
-// it, when work is the shared prep.F (see lowerFor). first,
-// when non-nil, is round 1 already run on an instruction-identical copy
-// of work — the delta compiler's attempt, whose allocation did not fit —
-// and the loop continues from it instead of repeating the round.
-func spillLoop(csp *obs.Span, prep *Prepared, arch machine.Arch, sc *Scratch, work *ir.Func, first *attempt) (*Result, error) {
+// it, when work is shared. at is round 1, which did not fit.
+func spillLoop(csp *obs.Span, name string, arch machine.Arch, sc *Scratch, work *ir.Func, shared bool, at attempt) (*Result, error) {
 	spilled := 0
 	sc.alreadySpilled = sc.alreadySpilled[:0]
 	for iter := 1; iter <= MaxSpillIterations; iter++ {
-		var at attempt
-		if iter == 1 && first != nil {
-			at = *first
-		} else {
+		if iter > 1 {
 			var err error
-			if at, err = runRound(csp, prep, arch, sc, work, iter); err != nil {
+			if at, err = runRound(csp, arch, sc, work, iter); err != nil {
 				return nil, err
 			}
 		}
@@ -183,9 +293,7 @@ func spillLoop(csp *obs.Span, prep *Prepared, arch machine.Arch, sc *Scratch, wo
 			prog.MaxLive = ra.MaxLive
 			prog.PhysAssign = ra.Assign
 			csp.Int("iterations", int64(iter)).Int("spilled", int64(spilled))
-			if iter > 1 {
-				obs.GetHistogram("sched.spill_rounds").Observe(float64(iter - 1))
-			}
+			obs.GetHistogram("sched.spill_rounds").Observe(float64(iter - 1))
 			return &Result{Prog: prog, Spilled: spilled, Iterations: iter}, nil
 		}
 		spsp := csp.Child("sched.spill").Int("iter", int64(iter))
@@ -239,16 +347,16 @@ func spillLoop(csp *obs.Span, prep *Prepared, arch machine.Arch, sc *Scratch, wo
 		if len(victims) == 0 {
 			spsp.End()
 			return nil, fmt.Errorf("sched %s on %s: pressure %v exceeds %d regs/cluster with no spillable candidates",
-				prep.F.Name, arch, ra.MaxLive, ra.Capacity)
+				name, arch, ra.MaxLive, ra.Capacity)
 		}
-		if work == prep.F {
-			work = work.Clone() // the first spill: prep.F is shared, and stays as it is
+		if shared {
+			work, shared = work.Clone(), false // the first spill: work stays as it is for the others
 		}
 		n := SpillRewrite(work, victims)
 		spsp.Int("victims", int64(len(victims))).Int("rewritten", int64(n)).End()
 		if n == 0 {
 			return nil, fmt.Errorf("sched %s on %s: spill made no progress (pressure %v)",
-				prep.F.Name, arch, ra.MaxLive)
+				name, arch, ra.MaxLive)
 		}
 		obs.GetCounter("sched.spill_rewritten").Add(int64(n))
 		spilled += n
@@ -257,5 +365,5 @@ func spillLoop(csp *obs.Span, prep *Prepared, arch machine.Arch, sc *Scratch, wo
 	}
 	obs.GetHistogram("sched.spill_rounds").Observe(MaxSpillIterations)
 	return nil, fmt.Errorf("sched %s on %s after %d spill rounds: %w",
-		prep.F.Name, arch, MaxSpillIterations, ErrNoFit)
+		name, arch, MaxSpillIterations, ErrNoFit)
 }

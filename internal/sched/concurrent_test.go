@@ -15,15 +15,16 @@ import (
 // contract: Prepared kernels shared by many goroutines, each with a
 // Scratch arena to itself — its own from the pool for the even cells,
 // one borrowed for the call (a nil Scratch) for the odd ones — across
-// architectures that hit every skeleton path (cached single-cluster,
+// architectures of several partition classes (single-cluster,
 // clustered, spilling). Every concurrent compile must reproduce the
 // serial Result exactly, and still read the same once every arena has
 // gone back to the pool and been compiled with again: a Result owns
 // its memory. `make race` runs this under the race detector to vet the
-// skeleton singleflight, and — through the last cell, a clustered
-// machine that needs three spill rounds at unroll 4 — workers reading
-// the cached, owned skeletons of a kernel while each builds the later
-// rounds' into its own Scratch.
+// class and skeleton singleflights, and — through the last cell, a
+// clustered machine that needs three spill rounds at unroll 4 — workers
+// reading a class's owned skeletons and its shared src while each
+// copies src and builds the later rounds' skeletons into its own
+// Scratch.
 func TestCompilePreparedConcurrentSharing(t *testing.T) {
 	fn, err := cc.CompileKernel(pipeSrc)
 	if err != nil {

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"customfit/internal/cc"
@@ -206,6 +207,33 @@ func TestSpillPathTriggersOnTinyRegfile(t *testing.T) {
 		if outRef[i] != outSim[i] {
 			t.Fatalf("out[%d] = %d, want %d", i, outSim[i], outRef[i])
 		}
+	}
+}
+
+// TestPressureThrottleAblationReachesTheDriver: the ablation switch sets
+// the one live-value budget every round of the compile driver schedules
+// under, so on a register-starved machine it must change what a compile
+// decides — through both entries, kept classes and all.
+func TestPressureThrottleAblationReachesTheDriver(t *testing.T) {
+	prep := NewPrepared(preparePipe(t, 4))
+	compiles := func() (cold, delta string) {
+		var c, d strings.Builder
+		res, err := CompilePrepared(nil, prep, spillingCell, nil)
+		scheduleDigest(&c, res, err)
+		res, err = CompilePreparedDelta(nil, prep, spillingCell, nil)
+		scheduleDigest(&d, res, err)
+		return c.String(), d.String()
+	}
+	cold, delta := compiles()
+	AblatePressureThrottle = true
+	blindCold, blindDelta := compiles()
+	AblatePressureThrottle = false
+	if blindCold == cold || blindDelta == delta {
+		t.Errorf("the switch left a compile on %s as it was (CompilePrepared changed: %v, CompilePreparedDelta: %v)",
+			spillingCell, blindCold != cold, blindDelta != delta)
+	}
+	if blindCold != blindDelta {
+		t.Error("with the switch set, the two entries disagree")
 	}
 }
 

@@ -35,11 +35,7 @@ import (
 // of demanding impossible allocations. Pressure the throttle cannot
 // avoid (long-lived loop invariants) is the spill iteration's job.
 func Schedule(f *ir.Func, arch machine.Arch, pl *Placement) (*vliw.Program, error) {
-	cap := arch.RegsPC() - pressureReserve
-	if AblatePressureThrottle {
-		cap = 1 << 20 // effectively unlimited: classic pressure-blind greedy
-	}
-	return ScheduleWithCap(f, arch, pl, cap)
+	return ScheduleWithCap(f, arch, pl, liveBudget(arch))
 }
 
 // AblatePressureThrottle disables the scheduler's live-value budget,
@@ -47,34 +43,35 @@ func Schedule(f *ir.Func, arch machine.Arch, pl *Placement) (*vliw.Program, erro
 // ablation switch; see EXPERIMENTS.md).
 var AblatePressureThrottle bool
 
+// liveBudget is the per-cluster live-value budget every schedule of the
+// compile driver and Schedule runs under: the register file less
+// pressureReserve, or effectively unlimited — classic pressure-blind
+// greedy — under AblatePressureThrottle.
+func liveBudget(arch machine.Arch) int {
+	if AblatePressureThrottle {
+		return 1 << 20
+	}
+	return arch.RegsPC() - pressureReserve
+}
+
 // ScheduleWithCap schedules with an explicit per-cluster live-value
-// budget. The compile driver tightens the cap across failing spill
-// iterations: a lower cap serializes the schedule, trading ILP for
+// budget: a lower cap serializes the schedule, trading ILP for
 // register pressure exactly the way a production compiler degrades on
 // register-starved machines.
 func ScheduleWithCap(f *ir.Func, arch machine.Arch, pl *Placement, cap int) (*vliw.Program, error) {
-	return ScheduleMode(f, arch, pl, cap, false)
-}
-
-// ScheduleMode additionally selects in-order priority, the
-// pressure-safe fallback used after repeated allocation failures.
-func ScheduleMode(f *ir.Func, arch machine.Arch, pl *Placement, cap int, inOrder bool) (*vliw.Program, error) {
 	if err := arch.Validate(); err != nil {
 		return nil, err
 	}
-	prog, _, err := scheduleFunc(f, arch, pl, cap, inOrder, nil, NewScratch())
+	prog, _, err := scheduleFunc(f, arch, pl, cap, false, NewScratch())
 	return prog, err
 }
 
-// scheduleFunc is the scheduling engine: it builds (into sc's one
-// skeleton, block after block) or reuses the dependence skeleton of
-// every block and list-schedules them, returning the program together
+// scheduleFunc is the scheduling engine of the spill rounds: it builds
+// the dependence skeleton of every block into sc's one builder, block
+// after block, and list-schedules them, returning the program together
 // with the liveness analysis it computed so the compile driver can hand
 // the same analysis to the register allocator.
-// skels, when non-nil, must be per-block skeletons built from a function
-// whose blocks are instruction-for-instruction identical to f's (the
-// Prepared cache guarantees this).
-func scheduleFunc(f *ir.Func, arch machine.Arch, pl *Placement, cap int, inOrder bool, skels []*ddg.Skeleton, sc *Scratch) (*vliw.Program, *opt.Liveness, error) {
+func scheduleFunc(f *ir.Func, arch machine.Arch, pl *Placement, cap int, inOrder bool, sc *Scratch) (*vliw.Program, *opt.Liveness, error) {
 	prog := &vliw.Program{
 		Arch:       arch,
 		F:          f,
@@ -83,14 +80,8 @@ func scheduleFunc(f *ir.Func, arch machine.Arch, pl *Placement, cap int, inOrder
 	lv := opt.ComputeLiveness(f)
 	prog.Blame = make([]int, f.NumRegs())
 	prog.Blocks = make([]*vliw.Block, 0, len(f.Blocks))
-	for bi, b := range f.Blocks {
-		var sk *ddg.Skeleton
-		if skels != nil {
-			sk = skels[bi]
-		} else {
-			sk = sc.skel.Build(b, arch)
-		}
-		sb, _, blame, err := scheduleBlock(f, b, arch, pl, lv, cap, inOrder, sk, sc)
+	for _, b := range f.Blocks {
+		sb, _, blame, err := scheduleBlock(f, b, arch, pl, lv, cap, inOrder, sc.skel.Build(b, arch), sc)
 		if err != nil {
 			return nil, nil, blockError(f, b, err)
 		}

@@ -15,22 +15,23 @@ import (
 // per-cycle resource tables, liveness bitsets, the allocator's segment
 // builders — dominates the backend's allocation profile when the
 // explorer runs hundreds of compiles per architecture class, so workers
-// keep one Scratch each and thread it through CompilePrepared.
+// keep one Scratch each and thread it through the compile entries.
 //
 // The ownership rule: whatever a spill round builds and throws away
 // lives here, and is valid only until the round's next use of the same
 // buffer (a skeleton until the next block's, the partitioner's tables
 // until the next block). Whatever outlives the round does not: cloned
 // and inserted instructions live in per-clone slabs on the heap
-// (ir.Slab, partition), because the Result, its vliw.Ops and the delta
-// class state point at them, and the skeletons a Prepared caches are
-// owned copies (ddg.BuildSkeleton), because workers share them.
+// (ir.Slab, partition), because the Result, its vliw.Ops and the
+// partition class point at them, and the skeletons a class keeps are
+// owned copies (ddg.Skeleton.Clone), because workers share them.
 //
 // A Scratch is NOT safe for concurrent use; share Prepared kernels
 // across workers, never a Scratch.
 //
 // Arenas outlive the run that grew them: a worker that comes and goes
-// (an exploration's, a one-shot compile, a Validate) takes its Scratch
+// (an exploration's, a compile or an unroll sweep handed no arena, a
+// Validate) takes its Scratch
 // with GetScratch and hands it back with PutScratch, so the next
 // exploration's workers, and the next request's compile, start on grown
 // tables. An idle arena pins nothing: PutScratch drops every pointer
@@ -78,14 +79,14 @@ type Scratch struct {
 	victims        []ir.Reg
 	byBlame        []blamed
 
-	// Delta-path program assembly arenas (see delta.go): the
+	// Round 1's program assembly arenas (see compile): the
 	// block-pointer table, the entry-id table, the per-block blame
 	// lists, the blame table they add up to when the attempt continues
 	// into the spill loop, and the vliw.Program shell are all owned by
 	// the Scratch, so a fully cache-hit neighbor re-evaluation assembles
 	// its Result without heap allocation. A Result produced through
 	// these arenas is valid only until the next compile that uses the
-	// same Scratch.
+	// same Scratch; one that owns its memory copies the shell out.
 	blame      []int
 	progBlocks []*vliw.Block
 	entryIDs   []uint32
