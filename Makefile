@@ -58,9 +58,11 @@ bench-module:
 # spelled by the bytes), the disk cache's hand-written shard line
 # codec against encoding/json, which it abbreviates (evcache's
 # parseRecord and appendRecord), the results document's hand-written
-# codec against the same (dse's parseResults and appendResults), and the
+# codec against the same (dse's parseResults and appendResults), the
 # coordinator's cut of a job status against json.Unmarshal of the whole
-# (dist's splitStatus and decodeStatus). Long enough to replay the seed corpus and
+# (dist's splitStatus and decodeStatus), and the CKC frontend on any
+# source: a diagnostic or functions that verify, never a panic (cc's
+# FuzzCompileKernel, seeded with the suite's kernels). Long enough to replay the seed corpus and
 # mutate it a few tens of thousands of times, short enough for every
 # `make check`. Findings land under the package's testdata/fuzz/ and
 # then fail plain `go test` too.
@@ -70,6 +72,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzShardLine$$' -fuzztime 5s ./internal/evcache/
 	$(GO) test -run '^$$' -fuzz '^FuzzResultsDocument$$' -fuzztime 5s ./internal/dse/
 	$(GO) test -run '^$$' -fuzz '^FuzzSplitStatus$$' -fuzztime 5s ./internal/dist/
+	$(GO) test -run '^$$' -fuzz '^FuzzCompileKernel$$' -fuzztime 5s ./internal/cc/
 
 # Extended verify: everything the tier-1 gate runs, plus vet,
 # staticcheck (when installed), the race pass, the benchmark smoke, the

@@ -101,15 +101,39 @@ func (s *lscope) lookup(name string) *lsym {
 	return nil
 }
 
+// MaxLoweredInstrs bounds the instructions one kernel lowers to, and the
+// copies of a loop body nested constant-trip loops make. Only full
+// unrolling multiplies code, nested loops by each trip count in turn,
+// and what it makes the verifier's dataflow pays for again, per block
+// and register. The suite's largest kernel lowers to about 2 500
+// instructions, and opt.MaxUnrolledOps caps an unrolled loop body at
+// 4 096: a source that would unroll past either bound is refused instead
+// of lowered until memory or patience runs out.
+const MaxLoweredInstrs = 1 << 14
+
+// lowerer lowers one kernel. Its instructions are cut from slab, which
+// the lowered function owns (ir.Slab): one array per many instructions
+// instead of an object, and an operand list, each. n counts them, and
+// copies is how many times the statement being lowered is, the product
+// of the enclosing constant loops' trip counts.
 type lowerer struct {
 	f       *ir.Func
+	slab    ir.Slab
+	n       int
+	copies  int
 	cur     *ir.Block
 	memSeq  int
 	retSeen bool
 }
 
+// add appends in to the current block.
+func (lw *lowerer) add(in *ir.Instr) *ir.Instr {
+	lw.n++
+	return lw.cur.Append(in)
+}
+
 func lowerKernel(file *File, k *Kernel) (*ir.Func, error) {
-	lw := &lowerer{f: ir.NewFunc(k.Name)}
+	lw := &lowerer{f: ir.NewFunc(k.Name), copies: 1}
 	globalScope := &lscope{syms: map[string]*lsym{}}
 
 	for _, g := range file.Globals {
@@ -149,7 +173,7 @@ func lowerKernel(file *File, k *Kernel) (*ir.Func, error) {
 		return nil, err
 	}
 	if lw.cur.Terminator() == nil {
-		lw.cur.Append(&ir.Instr{Op: ir.OpRet, Dest: ir.NoReg})
+		lw.branch(ir.OpRet, nil)
 	}
 	return lw.f, nil
 }
@@ -177,20 +201,25 @@ func (lw *lowerer) emit(op ir.Op, args ...ir.Operand) ir.Operand {
 		}
 	}
 	if allImm {
-		vals := make([]int32, len(args))
+		var vals [3]int32 // no pure op takes more
 		for i, a := range args {
 			vals[i] = a.Imm
 		}
-		return ir.Imm(op.Eval(vals...))
+		return ir.Imm(op.Eval3(vals[0], vals[1], vals[2]))
 	}
 	dest := lw.f.NewReg()
-	lw.cur.Append(ir.NewInstr(op, dest, args...))
+	lw.add(lw.slab.New(op, dest, args...))
 	return ir.R(dest)
 }
 
 // emitTo appends `mov dest, src` (no folding; dest is a home register).
 func (lw *lowerer) emitTo(dest ir.Reg, src ir.Operand) {
-	lw.cur.Append(ir.NewInstr(ir.OpMov, dest, src))
+	lw.add(lw.slab.New(ir.OpMov, dest, src))
+}
+
+// branch appends a terminator of op to the current block.
+func (lw *lowerer) branch(op ir.Op, targets []*ir.Block, args ...ir.Operand) {
+	lw.add(lw.slab.New(op, ir.NoReg, args...)).Targets = targets
 }
 
 func (lw *lowerer) block(parent *lscope, b *BlockStmt) error {
@@ -216,7 +245,7 @@ func (lw *lowerer) stmt(sc *lscope, s Stmt) error {
 	case *ForStmt:
 		return lw.forStmt(sc, st)
 	case *ReturnStmt:
-		lw.cur.Append(&ir.Instr{Op: ir.OpRet, Dest: ir.NoReg})
+		lw.branch(ir.OpRet, nil)
 		lw.cur = lw.f.NewBlock("dead")
 		return nil
 	}
@@ -294,11 +323,8 @@ func (lw *lowerer) assign(sc *lscope, st *AssignStmt) error {
 		lw.emitTo(sym.reg, val)
 		return nil
 	}
-	lw.cur.Append(&ir.Instr{
-		Op: ir.OpStore, Dest: ir.NoReg,
-		Args: []ir.Operand{idx, val},
-		Mem:  sym.mem, Elem: sym.mem.Elem,
-	})
+	in := lw.add(lw.slab.New(ir.OpStore, ir.NoReg, idx, val))
+	in.Mem, in.Elem = sym.mem, sym.mem.Elem
 	return nil
 }
 
@@ -330,11 +356,8 @@ func compoundBase(k Kind) Kind {
 
 func (lw *lowerer) load(mem *ir.MemRef, idx ir.Operand) ir.Operand {
 	dest := lw.f.NewReg()
-	lw.cur.Append(&ir.Instr{
-		Op: ir.OpLoad, Dest: dest,
-		Args: []ir.Operand{idx},
-		Mem:  mem, Elem: mem.Elem,
-	})
+	in := lw.add(lw.slab.New(ir.OpLoad, dest, idx))
+	in.Mem, in.Elem = mem, mem.Elem
 	return ir.R(dest)
 }
 
@@ -359,17 +382,13 @@ func (lw *lowerer) ifStmt(sc *lscope, st *IfStmt) error {
 	if st.Else != nil {
 		elseB = lw.f.NewBlock("else")
 	}
-	lw.cur.Append(&ir.Instr{
-		Op: ir.OpCBr, Dest: ir.NoReg,
-		Args:    []ir.Operand{cond},
-		Targets: []*ir.Block{thenB, elseB},
-	})
+	lw.branch(ir.OpCBr, []*ir.Block{thenB, elseB}, cond)
 	lw.cur = thenB
 	if err := lw.block(sc, st.Then); err != nil {
 		return err
 	}
 	if lw.cur.Terminator() == nil {
-		lw.cur.Append(&ir.Instr{Op: ir.OpBr, Dest: ir.NoReg, Targets: []*ir.Block{join}})
+		lw.branch(ir.OpBr, []*ir.Block{join})
 	}
 	if st.Else != nil {
 		lw.cur = elseB
@@ -377,7 +396,7 @@ func (lw *lowerer) ifStmt(sc *lscope, st *IfStmt) error {
 			return err
 		}
 		if lw.cur.Terminator() == nil {
-			lw.cur.Append(&ir.Instr{Op: ir.OpBr, Dest: ir.NoReg, Targets: []*ir.Block{join}})
+			lw.branch(ir.OpBr, []*ir.Block{join})
 		}
 	}
 	lw.cur = join
@@ -413,6 +432,11 @@ func loopBoundExpr(st *ForStmt) (Expr, bool) {
 // variable to each constant value in turn. The loop variable's home
 // register is left holding its final value, matching C semantics.
 func (lw *lowerer) fullUnroll(sc *lscope, st *ForStmt, init int32, trip int) error {
+	if lw.copies*trip > MaxLoweredInstrs {
+		return errf(st.Pos, "constant-trip loops nest to more than %d copies of a body", MaxLoweredInstrs)
+	}
+	lw.copies *= trip
+	defer func() { lw.copies /= trip }()
 	inner := &lscope{parent: sc, syms: map[string]*lsym{}}
 	bind := &lsym{kind: lConstVal}
 	inner.syms[st.Var] = bind
@@ -420,6 +444,9 @@ func (lw *lowerer) fullUnroll(sc *lscope, st *ForStmt, init int32, trip int) err
 		bind.val = init + int32(k)
 		if err := lw.block(inner, st.Body); err != nil {
 			return err
+		}
+		if lw.n > MaxLoweredInstrs {
+			return errf(st.Pos, "constant-trip loops unroll to more than %d instructions", MaxLoweredInstrs)
 		}
 	}
 	// Final value visible after the loop.
@@ -486,14 +513,10 @@ func (lw *lowerer) appendCBr(cond ir.Operand, t, f *ir.Block) {
 		if cond.Imm != 0 {
 			target = t
 		}
-		lw.cur.Append(&ir.Instr{Op: ir.OpBr, Dest: ir.NoReg, Targets: []*ir.Block{target}})
+		lw.branch(ir.OpBr, []*ir.Block{target})
 		return
 	}
-	lw.cur.Append(&ir.Instr{
-		Op: ir.OpCBr, Dest: ir.NoReg,
-		Args:    []ir.Operand{cond},
-		Targets: []*ir.Block{t, f},
-	})
+	lw.branch(ir.OpCBr, []*ir.Block{t, f}, cond)
 }
 
 // expr lowers an expression to an operand (immediate when constant).
@@ -588,13 +611,14 @@ func (lw *lowerer) expr(sc *lscope, e Expr) (ir.Operand, error) {
 }
 
 func (lw *lowerer) builtin(sc *lscope, ex *CallExpr) (ir.Operand, error) {
-	args := make([]ir.Operand, len(ex.Args))
-	for i, a := range ex.Args {
+	var argv [3]ir.Operand // clamp's, the most any builtin takes
+	args := argv[:0]
+	for _, a := range ex.Args {
 		v, err := lw.expr(sc, a)
 		if err != nil {
 			return ir.Operand{}, err
 		}
-		args[i] = v
+		args = append(args, v)
 	}
 	switch ex.Name {
 	case "min":

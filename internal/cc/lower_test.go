@@ -1,6 +1,9 @@
 package cc
 
 import (
+	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -407,6 +410,32 @@ func TestLowerArrayCompoundOps(t *testing.T) {
 	for i := range want {
 		if arr[i] != want[i] {
 			t.Errorf("a[%d] = %d, want %d", i, arr[i], want[i])
+		}
+	}
+}
+
+// TestFullUnrollIsBounded lowers constant-trip loops nested four deep:
+// 64⁴ copies of an empty body, and 8⁴ copies of a body of 32 stores.
+// The lowerer must refuse both with a diagnostic at a loop long before
+// that many copies or instructions exist.
+func TestFullUnrollIsBounded(t *testing.T) {
+	stores := strings.Repeat("out[i] = d; ", 32)
+	for bound, want := range map[int]string{64: "copies of a body", 8: "unroll to more than"} {
+		body := ""
+		if bound == 8 {
+			body = stores
+		}
+		src := fmt.Sprintf(`kernel f(int out[], int n) {
+			int i; int a; int b; int c; int d;
+			for (i = 0; i < n; i++) {
+				for (a = 0; a < %[1]d; a++) { for (b = 0; b < %[1]d; b++) {
+					for (c = 0; c < %[1]d; c++) { for (d = 0; d < %[1]d; d++) { %[2]s } } } }
+			}
+		}`, bound, body)
+		_, err := CompileKernel(src)
+		var ce *Error
+		if !errors.As(err, &ce) || !strings.Contains(err.Error(), want) {
+			t.Errorf("%d⁴ copies: CompileKernel = %v, want the diagnostic saying %q", bound, err, want)
 		}
 	}
 }

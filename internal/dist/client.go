@@ -214,12 +214,17 @@ func splitStatus(body []byte) (rest, result []byte, ok bool) {
 			continue
 		}
 		// The member goes with one of its commas: the one in front, or
-		// for a first member the one behind, if there is one.
+		// for a first member the one behind, if there is one — and then a
+		// member must follow it, or cutting both would hide a trailing
+		// comma from encoding/json.
 		from, to := key, i
 		switch {
 		case key > 1:
 			from--
 		case body[i] == ',':
+			if i+1 >= len(body) || body[i+1] != '"' {
+				return nil, nil, false
+			}
 			to++
 		}
 		rest = make([]byte, 0, len(body)-(to-from))

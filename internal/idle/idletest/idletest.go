@@ -3,9 +3,12 @@
 package idletest
 
 import (
+	"cmp"
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
+	"sort"
 	"time"
 )
 
@@ -67,9 +70,16 @@ type walker struct {
 	own   []reflect.Type
 	seen  map[uintptr]bool
 	found []string
+
+	// into, when set, makes the walk Into's: report what lands in it,
+	// and nothing else
+	into extents
 }
 
 func (w *walker) walk(v reflect.Value, path string) {
+	if w.into != nil {
+		w.check(v, path)
+	}
 	switch v.Kind() {
 	case reflect.Struct:
 		for i := 0; i < v.NumField(); i++ {
@@ -100,14 +110,32 @@ func (w *walker) walk(v reflect.Value, path string) {
 				return
 			}
 		}
-		w.found = append(w.found, path+" ("+v.Type().String()+")")
+		w.report(path + " (" + v.Type().String() + ")")
 	case reflect.Map, reflect.String:
 		if v.Len() > 0 {
-			w.found = append(w.found, fmt.Sprintf("%s (%s of %d)", path, v.Type(), v.Len()))
+			w.report(fmt.Sprintf("%s (%s of %d)", path, v.Type(), v.Len()))
 		}
 	case reflect.Interface, reflect.Func, reflect.Chan, reflect.UnsafePointer:
 		if !v.IsZero() {
-			w.found = append(w.found, path+" ("+v.Type().String()+")")
+			w.report(path + " (" + v.Type().String() + ")")
+		}
+	}
+}
+
+// report notes a reference Pinned finds. Into reports through check
+// instead.
+func (w *walker) report(what string) {
+	if w.into == nil {
+		w.found = append(w.found, what)
+	}
+}
+
+// check reports v, for Into, when it refers into the kernel.
+func (w *walker) check(v reflect.Value, path string) {
+	switch v.Kind() {
+	case reflect.Pointer, reflect.Map, reflect.Slice, reflect.UnsafePointer:
+		if !v.IsNil() && w.into.holds(v.Pointer()) {
+			w.found = append(w.found, path+" ("+v.Type().String()+") points into the kernel")
 		}
 	}
 }
@@ -129,4 +157,90 @@ func holdsPointers(t reflect.Type) bool {
 		return true
 	}
 	return false
+}
+
+// Into walks arena as Pinned does and returns the path of every
+// reference in it — pointer, map, or slice of any element type — that
+// lands in memory reachable from kernel: Pinned's check against one
+// request, extended to what Pinned takes for the arena's own tables. A
+// slice of pointer-free elements cut from a kernel's array (a copy of
+// its register homes that is a view instead, an operand list) pins that
+// array as surely as a pointer does, and only this finds it.
+func Into(arena, kernel any, own ...reflect.Type) []string {
+	var k extents
+	k.collect(reflect.ValueOf(kernel), map[extent]bool{})
+	// Objects nest (a block in its array), so the spans are merged into
+	// disjoint ones, in order.
+	slices.SortFunc(k, func(a, b extent) int { return cmp.Compare(a.start, b.start) })
+	merged := k[:0]
+	for _, e := range k {
+		if n := len(merged); n > 0 && e.start < merged[n-1].end {
+			merged[n-1].end = max(merged[n-1].end, e.end)
+		} else {
+			merged = append(merged, e)
+		}
+	}
+	w := walker{own: own, seen: map[uintptr]bool{}, into: merged}
+	w.walk(reflect.ValueOf(arena).Elem(), reflect.TypeOf(arena).Elem().Name())
+	return w.found
+}
+
+// extent is a span of memory [start, end): an object a pointer names,
+// or a slice's array through its capacity.
+type extent struct{ start, end uintptr }
+
+type extents []extent
+
+// collect records the memory v and everything reachable from it
+// occupies, outside v itself.
+func (k *extents) collect(v reflect.Value, seen map[extent]bool) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			k.collect(v.Field(i), seen)
+		}
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			k.collect(v.Index(i), seen)
+		}
+	case reflect.Pointer:
+		if v.IsNil() {
+			return
+		}
+		e := extent{v.Pointer(), v.Pointer() + v.Type().Elem().Size()}
+		if !seen[e] {
+			seen[e] = true
+			*k = append(*k, e)
+			k.collect(v.Elem(), seen)
+		}
+	case reflect.Slice:
+		if v.Cap() == 0 {
+			return
+		}
+		e := extent{v.Pointer(), v.Pointer() + uintptr(v.Cap())*v.Type().Elem().Size()}
+		if !seen[e] {
+			seen[e] = true
+			*k = append(*k, e)
+			all := v.Slice(0, v.Cap())
+			for i := 0; i < all.Len(); i++ {
+				k.collect(all.Index(i), seen)
+			}
+		}
+	case reflect.Map:
+		for it := v.MapRange(); it.Next(); {
+			k.collect(it.Key(), seen)
+			k.collect(it.Value(), seen)
+		}
+	case reflect.Interface:
+		if !v.IsNil() {
+			k.collect(v.Elem(), seen)
+		}
+	}
+}
+
+// holds reports whether p lies in one of the extents, disjoint and in
+// order.
+func (k extents) holds(p uintptr) bool {
+	i := sort.Search(len(k), func(i int) bool { return k[i].end > p })
+	return i < len(k) && k[i].start <= p
 }

@@ -71,12 +71,12 @@ func TestSlabCloneKeepsInstrCloneShape(t *testing.T) {
 // and growing never moves or overwrites what was cut before.
 func TestSlabGrowsByWhatItsOwnerExpects(t *testing.T) {
 	var slab ir.Slab
-	slab.Expect(3, 6)
+	slab.Expect(3, 6, 0)
 	var made []*ir.Instr
 	allocs := testing.AllocsPerRun(1, func() {
 		made = made[:0]
 		var s ir.Slab
-		s.Expect(3, 6)
+		s.Expect(3, 6, 0)
 		for i := 0; i < 3; i++ {
 			made = append(made, s.New(ir.OpAdd, ir.Reg(i), ir.R(ir.Reg(i)), ir.Imm(int32(i))))
 		}

@@ -1,6 +1,9 @@
 package ir
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // MemRef names an array in one of the two memory spaces. Kernel
 // parameters (image rows) live in L2; locals, constant tables and spill
@@ -101,7 +104,7 @@ func (f *Func) SetNumRegs(n int) {
 
 // NewBlock creates a new basic block with a unique name derived from hint.
 func (f *Func) NewBlock(hint string) *Block {
-	b := &Block{Name: fmt.Sprintf("%s%d", hint, f.nextBlk)}
+	b := &Block{Name: hint + strconv.Itoa(f.nextBlk)}
 	f.nextBlk++
 	f.Blocks = append(f.Blocks, b)
 	return b
@@ -197,49 +200,120 @@ func (f *Func) RemoveUnreachable() int {
 // ComputeCFG; see Clone for the plain deep copy and
 // sched.PartitionClone for a fused fill.
 func (f *Func) CloneShell() (*Func, map[*Block]*Block) {
-	nf := &Func{
-		Name:    f.Name,
-		Params:  append([]Param(nil), f.Params...),
-		Mems:    append([]*MemRef(nil), f.Mems...),
-		Blocks:  make([]*Block, len(f.Blocks)),
-		nextReg: f.nextReg,
-		nextBlk: f.nextBlk,
-	}
-	blocks := make([]Block, len(f.Blocks))
-	bmap := make(map[*Block]*Block, len(f.Blocks))
-	for i, b := range f.Blocks {
-		nb := &blocks[i]
-		nb.Name = b.Name
-		bmap[b] = nb
-		nf.Blocks[i] = nb
-	}
-	if f.Loop != nil {
-		nf.Loop = f.Loop.remap(bmap)
-	}
+	sh := new(Shell)
+	nf, bmap := f.CloneShellInto(sh)
+	sh.bmap = nil // the caller's to drop, not the function's to keep
 	return nf, bmap
 }
 
-// Slab is the storage behind instructions made in bulk — a cloned
-// function's, or the ones an optimizer pass or a spill rewrite emits:
-// instructions, operands and branch targets are cut from arrays sized
-// for many of them, so making one costs no allocation of its own. It is
-// heap memory that belongs to the function — the instructions point
-// into it and keep it alive — and never part of a reusable arena:
-// compile results, their scheduled ops and cached partition classes
-// hold on to instructions long after the call that made them.
-//
-// A slab grows: when an array is used up the next instruction starts a
-// fresh one (the old one lives on through the instructions cut from
-// it), sized by Expect. The zero value is an empty slab.
-type Slab struct {
-	instrs  []Instr
-	args    []Operand
-	targets []*Block
+// Shell is the memory of a function header and its blocks as CloneShell
+// makes them: the Func itself, its loop metadata, the blocks, the block
+// list, the parameter and memory lists and the old→new block map. A
+// caller that clones one function after another, each dead before the
+// next — a spill round's partitioned copy, the spill loop's working copy
+// — keeps one and clones into it (CloneShellInto), which costs nothing
+// once the Shell has grown. The zero value is ready to use.
+type Shell struct {
+	f      Func
+	loop   LoopInfo
+	blocks []Block
+	list   []*Block
+	params []Param
+	mems   []*MemRef
+	bmap   map[*Block]*Block
+}
 
-	// the size of the next arrays: what the owner said it would still
-	// take when the current ones are used up (see Expect); zero once
-	// that has been granted
-	moreInstrs, moreArgs int
+// CloneShellInto is CloneShell into sh's memory, which it reuses: the
+// function, its blocks and the block map it returns are sh's and are
+// valid until the next clone into sh. A block keeps the arrays of its
+// predecessor and successor lists for ComputeCFG to refill.
+func (f *Func) CloneShellInto(sh *Shell) (*Func, map[*Block]*Block) {
+	n := len(f.Blocks)
+	if cap(sh.blocks) < n {
+		sh.blocks = make([]Block, n)
+		sh.list = make([]*Block, n)
+	}
+	blocks, list := sh.blocks[:n], sh.list[:n]
+	if sh.bmap == nil {
+		sh.bmap = make(map[*Block]*Block, n)
+	} else {
+		clear(sh.bmap)
+	}
+	for i, b := range f.Blocks {
+		nb := &blocks[i]
+		*nb = Block{Name: b.Name, Preds: nb.Preds[:0], Succs: nb.Succs[:0]}
+		sh.bmap[b] = nb
+		list[i] = nb
+	}
+	sh.params = append(sh.params[:0], f.Params...)
+	sh.mems = append(sh.mems[:0], f.Mems...)
+	sh.f = Func{
+		Name:    f.Name,
+		Params:  sh.params,
+		Mems:    sh.mems,
+		Blocks:  list,
+		nextReg: f.nextReg,
+		nextBlk: f.nextBlk,
+	}
+	if f.Loop != nil {
+		sh.loop = f.Loop.remap(sh.bmap)
+		sh.f.Loop = &sh.loop
+	}
+	return &sh.f, sh.bmap
+}
+
+// Forget drops every pointer sh holds into the function it last cloned
+// and into the clone, keeping its arrays: what an arena does with a
+// Shell before it goes idle.
+func (sh *Shell) Forget() {
+	sh.f, sh.loop = Func{}, LoopInfo{}
+	clear(sh.blocks[:cap(sh.blocks)])
+	clear(sh.list[:cap(sh.list)])
+	clear(sh.params[:cap(sh.params)])
+	clear(sh.mems[:cap(sh.mems)])
+	clear(sh.bmap)
+}
+
+// Slab is the storage behind instructions made in bulk — a cloned
+// function's, or the ones an optimizer pass, a spill round or a spill
+// rewrite emits: instructions, operands, branch targets and the blocks'
+// instruction lists are cut from arrays sized for many of them, so
+// making one costs no allocation of its own.
+//
+// A slab is one of two things.
+//
+//   - Owned by the function that points into it: heap memory the
+//     function's instructions keep alive and nobody reuses — a clone's
+//     (Clone, NewSlab), a lowered kernel's, the exactly sized one Own
+//     moves a function into. Compile results, their scheduled ops and
+//     cached partition classes hold on to such instructions long after
+//     the call that made them.
+//   - A round or pass buffer: memory its keeper (a sched.Scratch, an
+//     optimizer workspace) reuses for one spill round or optimizer pass
+//     after another, whose instructions die with the round or pass that
+//     made them. Reset starts the next round or pass, Forget wipes the
+//     buffer before its keeper goes idle, and whatever must outlive the
+//     round or pass is copied out first (Clone, Own).
+//
+// A slab grows: when an array is used up the next cut starts a fresh one
+// (the old one lives on through what was cut from it), sized by Expect
+// or, for a buffer, by Reset. The zero value is an empty slab.
+type Slab struct {
+	instrs  part[Instr]
+	args    part[Operand]
+	targets part[*Block]
+	lists   part[*Instr]
+}
+
+// part is one of a slab's kinds of array.
+type part[T any] struct {
+	buf []T
+	// more is the size of the next array: what the owner said it would
+	// still take when buf is used up (see Expect); zero once granted.
+	more int
+	// took counts what was cut since the last reset, over every array:
+	// what the next reset sizes by.
+	took int
 }
 
 // minSlabChunk is the least a slab grows by on its own account: when
@@ -247,8 +321,8 @@ type Slab struct {
 // half the one before it and at least this.
 const minSlabChunk = 32
 
-// NewSlab returns a slab with room to clone each of f's instructions
-// once.
+// NewSlab returns a slab with room to clone each of f's instructions,
+// and the list of each of its blocks, once.
 func (f *Func) NewSlab() Slab {
 	var instrs, args, targets int
 	for _, b := range f.Blocks {
@@ -258,50 +332,92 @@ func (f *Func) NewSlab() Slab {
 			targets += len(in.Targets)
 		}
 	}
-	return Slab{
-		instrs:  make([]Instr, 0, instrs),
-		args:    make([]Operand, 0, args),
-		targets: make([]*Block, 0, targets),
-	}
+	var s Slab
+	s.instrs.buf = make([]Instr, 0, instrs)
+	s.args.buf = make([]Operand, 0, args)
+	s.targets.buf = make([]*Block, 0, targets)
+	s.lists.buf = make([]*Instr, 0, instrs)
+	return s
 }
 
 // Expect tells the slab that its owner is about to take some instrs
-// instructions with args operands between them — a pass sizes this from
-// the function it rewrites. The room already there counts: when it is
-// used up, the slab grows by what is then still missing, so a pass that
-// takes what it announced leaves nothing unused and costs at most one
-// array of each kind.
-func (s *Slab) Expect(instrs, args int) {
-	s.moreInstrs = instrs - (cap(s.instrs) - len(s.instrs))
-	s.moreArgs = args - (cap(s.args) - len(s.args))
+// instructions with args operands between them, and block lists of
+// lists entries in all — a pass sizes this from the function it
+// rewrites. The room already there counts: when it is used up, the slab
+// grows by what is then still missing, so a pass that takes what it
+// announced leaves nothing unused and costs at most one array of each
+// kind.
+func (s *Slab) Expect(instrs, args, lists int) {
+	s.instrs.expect(instrs)
+	s.args.expect(args)
+	s.lists.expect(lists)
 }
 
-// take cuts n elements off the unused end of *buf, starting a fresh
-// array when fewer are left: of *more elements, the owner's estimate,
-// which that uses up — or, without one, of the slab's own choosing.
-func take[T any](buf *[]T, n int, more *int) []T {
-	s := *buf
+// Reset empties s for a round or pass whose instructions replace every
+// one cut from it so far, all of which must be dead by then, and keeps
+// its arrays for it: what makes s a round or pass buffer. An array short
+// of what the last round or pass took, or of what the owner expects of
+// this one (instrs instructions, args operands), is replaced by one a
+// quarter larger than that, because a spill round's function is larger
+// than the last one's and an exactly sized buffer would be outgrown
+// every round.
+func (s *Slab) Reset(instrs, args int) {
+	s.instrs.reset(instrs)
+	s.args.reset(args)
+	s.targets.reset(0)
+	s.lists.reset(0)
+}
+
+// Forget drops every pointer s's arrays hold, keeping them: what a
+// buffer's keeper does before it goes idle. Whatever was cut from s must
+// be dead.
+func (s *Slab) Forget() {
+	s.instrs.forget()
+	s.targets.forget()
+	s.lists.forget()
+}
+
+func (p *part[T]) expect(n int) { p.more = n - (cap(p.buf) - len(p.buf)) }
+
+// take cuts n elements off the unused end of the current array, starting
+// a fresh one when fewer are left: of more elements, the owner's
+// estimate, which that uses up — or, without one, of the slab's own
+// choosing.
+func (p *part[T]) take(n int) []T {
+	s := p.buf
 	if cap(s)-len(s) < n {
-		size := *more
+		size := p.more
 		if size <= 0 {
 			size = max(minSlabChunk, cap(s)/2)
 		}
 		s = make([]T, 0, max(n, size))
-		*more = 0
+		p.more = 0
 	}
 	k := len(s)
-	*buf = s[:k+n]
+	p.buf = s[:k+n]
+	p.took += n
 	return s[k : k+n : k+n]
 }
+
+func (p *part[T]) reset(n int) {
+	if n = max(n, p.took); cap(p.buf) < n {
+		p.buf = make([]T, 0, n+n/4)
+	} else {
+		p.buf = p.buf[:0]
+	}
+	p.more, p.took = 0, 0
+}
+
+func (p *part[T]) forget() { clear(p.buf[:cap(p.buf)]) }
 
 // New is NewInstr into the slab: the instruction and a copy of args are
 // cut from the slab's arrays. Args is cut to its length, so appending to
 // it cannot reach a neighbour's, and is nil when there are none.
 func (s *Slab) New(op Op, dest Reg, args ...Operand) *Instr {
-	in := &take(&s.instrs, 1, &s.moreInstrs)[0]
-	in.Op, in.Dest = op, dest
+	in := &s.instrs.take(1)[0]
+	*in = Instr{Op: op, Dest: dest} // a buffer's array holds an older one here
 	if len(args) > 0 {
-		in.Args = take(&s.args, len(args), &s.moreArgs)
+		in.Args = s.args.take(len(args))
 		copy(in.Args, args)
 	}
 	return in
@@ -312,16 +428,15 @@ func (s *Slab) New(op Op, dest Reg, args ...Operand) *Instr {
 // Args and Targets are cut to their length and are nil when empty, as
 // Instr.Clone leaves them.
 func (s *Slab) Clone(in *Instr, bmap map[*Block]*Block) *Instr {
-	cp := &take(&s.instrs, 1, &s.moreInstrs)[0]
+	cp := &s.instrs.take(1)[0]
 	*cp = *in
 	cp.Args, cp.Targets = nil, nil
 	if k := len(in.Args); k > 0 {
-		cp.Args = take(&s.args, k, &s.moreArgs)
+		cp.Args = s.args.take(k)
 		copy(cp.Args, in.Args)
 	}
 	if k := len(in.Targets); k > 0 {
-		var none int // branch targets are never announced
-		cp.Targets = take(&s.targets, k, &none)
+		cp.Targets = s.targets.take(k)
 		for i, t := range in.Targets {
 			if bmap != nil {
 				t = bmap[t]
@@ -332,20 +447,67 @@ func (s *Slab) Clone(in *Instr, bmap map[*Block]*Block) *Instr {
 	return cp
 }
 
+// List cuts a block's instruction list of n entries, all nil. It is cut
+// to its length, so a block that grows past it copies it out of the
+// slab.
+func (s *Slab) List(n int) []*Instr {
+	l := s.lists.take(n)
+	clear(l)
+	return l
+}
+
 // Clone returns a deep copy of the function. MemRefs are shared (they
 // are identity objects naming storage, not mutable state).
 func (f *Func) Clone() *Func {
-	nf, bmap := f.CloneShell()
 	slab := f.NewSlab()
+	sh := new(Shell)
+	nf := f.CloneInto(sh, &slab)
+	sh.bmap = nil
+	return nf
+}
+
+// CloneInto is Clone into memory the caller keeps: the copy's header and
+// blocks are sh's (CloneShellInto), its instructions and their lists are
+// cut from s.
+func (f *Func) CloneInto(sh *Shell, s *Slab) *Func {
+	nf, bmap := f.CloneShellInto(sh)
 	for i, b := range f.Blocks {
-		instrs := make([]*Instr, len(b.Instrs))
+		list := s.List(len(b.Instrs))
 		for j, in := range b.Instrs {
-			instrs[j] = slab.Clone(in, bmap)
+			list[j] = s.Clone(in, bmap)
 		}
-		nf.Blocks[i].Instrs = instrs
+		nf.Blocks[i].Instrs = list
 	}
 	nf.ComputeCFG()
 	return nf
+}
+
+// Own moves every instruction of f, with its operands and branch
+// targets, and every block's instruction list into one slab of f's own,
+// sized exactly. Passes that cut them from buffers they reuse (see Slab)
+// call it before the buffers serve anything else; afterwards nothing of
+// f lies in memory someone else writes. The instructions are new, what
+// they say is not.
+func (f *Func) Own() {
+	s := f.NewSlab()
+	for _, b := range f.Blocks {
+		list := s.List(len(b.Instrs))
+		for i, in := range b.Instrs {
+			list[i] = s.Clone(in, nil)
+		}
+		b.Instrs = list
+	}
+}
+
+// Size counts f's instructions and their operands.
+func (f *Func) Size() (instrs, args int) {
+	for _, b := range f.Blocks {
+		instrs += len(b.Instrs)
+		for _, in := range b.Instrs {
+			args += len(in.Args)
+		}
+	}
+	return instrs, args
 }
 
 // NumInstrs returns the total instruction count across all blocks.

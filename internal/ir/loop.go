@@ -31,7 +31,7 @@ type LoopInfo struct {
 func (l *LoopInfo) SingleBlock() bool { return l.Header == l.Latch }
 
 // remap rewires block pointers through m (used by Func.Clone).
-func (l *LoopInfo) remap(m map[*Block]*Block) *LoopInfo {
+func (l *LoopInfo) remap(m map[*Block]*Block) LoopInfo {
 	cp := *l
 	if b, ok := m[l.Preheader]; ok {
 		cp.Preheader = b
@@ -45,5 +45,5 @@ func (l *LoopInfo) remap(m map[*Block]*Block) *LoopInfo {
 	if b, ok := m[l.Exit]; ok {
 		cp.Exit = b
 	}
-	return &cp
+	return cp
 }

@@ -17,15 +17,14 @@ import (
 // registers (live across blocks) written exactly once by a final move
 // group just before the terminator. Clean is idempotent and is re-run
 // after every structural pass.
-func Clean(f *ir.Func) {
-	new(workspace).cleanFunc(f)
-}
+func Clean(f *ir.Func) { run(f, (*workspace).cleanFunc) }
 
+// cleanFunc re-emits f into the buffer that holds none of it (see
+// workspace).
 func (ws *workspace) cleanFunc(f *ir.Func) {
 	lv := ws.liveness(f)
-	ws.expect(f)
 	c := &ws.clean
-	c.f, c.slab = f, &ws.slab
+	c.f, c.slab = f, ws.reemit(f.Size())
 	// A block's instructions name only registers that exist now: the
 	// temporaries this pass makes are local to the block that made them,
 	// about one per instruction, which is the room a table that has to
@@ -154,7 +153,12 @@ func (c *blockCleaner) block(bi int, b *ir.Block, lv *Liveness) {
 	f := c.f
 	term := b.Terminator()
 	if term == nil {
-		return // malformed; let Verify report it
+		// Malformed, which Verify reports; carried along into the
+		// buffer the rest of the function moves to.
+		for i, in := range b.Instrs {
+			b.Instrs[i] = c.slab.Clone(in, nil)
+		}
+		return
 	}
 	c.base = ir.Reg(f.NumRegs())
 	body := b.Body()

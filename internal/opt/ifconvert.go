@@ -17,9 +17,7 @@ const MaxIfConvertOps = 64
 // scheduler need: both arms execute unconditionally and conditional
 // writes become selects — the paper's "if-conversion" source
 // transformation, applied automatically.
-func IfConvert(f *ir.Func) {
-	new(workspace).ifConvert(f)
-}
+func IfConvert(f *ir.Func) { run(f, (*workspace).ifConvert) }
 
 func (ws *workspace) ifConvert(f *ir.Func) {
 	lv := ws.liveness(f)
@@ -86,7 +84,7 @@ func (ws *workspace) convertAt(f *ir.Func, b *ir.Block, lv *Liveness) bool {
 			continue
 		}
 		for _, in := range arm.Body() {
-			cp := ws.slab.Clone(in, nil)
+			cp := ws.slab().Clone(in, nil)
 			for j, a := range cp.Args {
 				if a.IsReg() && final[i][a.Reg] != 0 {
 					cp.Args[j] = ir.R(final[i][a.Reg] - 1)
@@ -119,10 +117,10 @@ func (ws *workspace) convertAt(f *ir.Func, b *ir.Block, lv *Liveness) bool {
 		if nr := final[1][r]; nr != 0 {
 			fv = ir.R(nr - 1)
 		}
-		b.Append(ws.slab.New(ir.OpSelect, r, cond, tv, fv))
+		b.Append(ws.slab().New(ir.OpSelect, r, cond, tv, fv))
 	}
-	// The branch is not cut from the slab: terminators outlive every
-	// later Clean, and one would keep its whole array reachable.
+	// The branch is not cut from a buffer: terminators outlive every
+	// later Clean (see workspace).
 	b.Append(&ir.Instr{Op: ir.OpBr, Dest: ir.NoReg, Targets: []*ir.Block{join}})
 	return true
 }

@@ -12,9 +12,7 @@ import "customfit/internal/ir"
 // which is why benchmark A wants a large register file — and why it
 // collapses on the 16-ALU 128-register machine, where the coefficients
 // no longer fit and get respilled.
-func LICM(f *ir.Func) {
-	new(workspace).licm(f)
-}
+func LICM(f *ir.Func) { run(f, (*workspace).licm) }
 
 // LICM's notes on a register, dense over the function's registers: how
 // often the loop body defines it (saturating at 2) and whether that

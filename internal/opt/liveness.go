@@ -28,6 +28,11 @@ type Liveness struct {
 	sets   []uint64    // block i: live-in at [2i*words, (2i+1)*words), live-out after it
 	words  int         // words per set
 	nregs  int
+
+	// work is the dataflow's working storage (the blocks' use and def
+	// sets and one set more): kept by Recompute, dropped by
+	// ComputeLiveness.
+	work []uint64
 }
 
 // ComputeLiveness runs the standard backward dataflow over the CFG, which
@@ -37,23 +42,34 @@ type Liveness struct {
 // kept and shared between goroutines.
 func ComputeLiveness(f *ir.Func) *Liveness {
 	lv := new(Liveness)
-	var tmp []uint64
-	lv.compute(f, &tmp, 0)
+	lv.compute(f, 0)
+	lv.work = nil
 	return lv
 }
 
-// compute runs the dataflow into lv's arrays, growing them as needed;
-// *tmp is working storage (the blocks' use and def sets and one set
-// more), also grown and reused. Arrays that have to grow get room for
-// spare registers more.
-func (lv *Liveness) compute(f *ir.Func, tmp *[]uint64, spare int) {
+// Recompute is ComputeLiveness into lv's own arrays, which it reuses,
+// for a caller that is done with each analysis before it asks for the
+// next: an optimizer pass's, a spill round's. The functions such a
+// caller analyses grow by about one register per instruction from one to
+// the next (a Clean renames into fresh temporaries, a spill rewrite adds
+// reloads), so an array that has to grow gets room for that many more.
+func (lv *Liveness) Recompute(f *ir.Func) { lv.compute(f, f.NumInstrs()) }
+
+// Forget drops lv's pointers into the function it last analysed,
+// keeping its arrays: what an arena does with a reused analysis before
+// it goes idle.
+func (lv *Liveness) Forget() { clear(lv.blocks[:cap(lv.blocks)]) }
+
+// compute runs the dataflow into lv's arrays, growing them as needed.
+// Arrays that have to grow get room for spare registers more.
+func (lv *Liveness) compute(f *ir.Func, spare int) {
 	n := f.NumRegs()
 	nb, words := len(f.Blocks), (n+63)/64
 	lv.blocks = append(lv.blocks[:0], f.Blocks...)
 	lv.words, lv.nregs = words, n
 	spare = (spare + 63) / 64 * (2*nb + 1)
 	zeroed(&lv.sets, 2*nb*words, spare)
-	work := zeroed(tmp, (2*nb+1)*words, spare)
+	work := zeroed(&lv.work, (2*nb+1)*words, spare)
 	use := func(i int) regset { return work[2*i*words : (2*i+1)*words] }
 	def := func(i int) regset { return work[(2*i+1)*words : (2*i+2)*words] }
 	nin := regset(work[2*nb*words:])

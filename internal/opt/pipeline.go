@@ -59,8 +59,9 @@ func Optimize(f *ir.Func) error {
 // OptimizeSpan is Optimize with per-pass telemetry spans nested under
 // sp (or under a fresh root span when sp is nil and a collector is
 // installed).
-func OptimizeSpan(sp *obs.Span, f *ir.Func) error {
-	return new(workspace).optimize(sp, f)
+func OptimizeSpan(sp *obs.Span, f *ir.Func) (err error) {
+	run(f, func(ws *workspace, f *ir.Func) { err = ws.optimize(sp, f) })
+	return err
 }
 
 func (ws *workspace) optimize(sp *obs.Span, f *ir.Func) error {
@@ -86,8 +87,12 @@ func (ws *workspace) optimize(sp *obs.Span, f *ir.Func) error {
 // the optimized f by u, in place, under an opt.unroll span nested under
 // sp. A factor of 1, and a kernel without a pixel loop, leave f as it
 // is.
-func UnrollSpan(sp *obs.Span, f *ir.Func, u int) error {
-	return new(workspace).unrollSpan(sp, f, u)
+func UnrollSpan(sp *obs.Span, f *ir.Func, u int) (err error) {
+	if u <= 1 || f.Loop == nil {
+		return nil
+	}
+	run(f, func(ws *workspace, f *ir.Func) { err = ws.unrollSpan(sp, f, u) })
+	return err
 }
 
 func (ws *workspace) unrollSpan(sp *obs.Span, f *ir.Func, u int) error {
@@ -112,18 +117,20 @@ func Prepare(f *ir.Func, u int) (*ir.Func, error) {
 
 // PrepareSpan is Prepare with telemetry spans under sp. It is its two
 // halves, OptimizeSpan and UnrollSpan, on one clone of f and out of one
-// workspace, borrowed from the idle ones. The first half does not
-// depend on u: a caller preparing one kernel at several factors
-// optimizes a clone once and hands a clone of that to UnrollSpan per
-// factor (the explorer's evaluator does), with the same result.
+// workspace, and the result moves into a slab of its own once, at the
+// end. The first half does not depend on u: a caller preparing one
+// kernel at several factors optimizes a clone once and hands a clone of
+// that to UnrollSpan per factor (the explorer's evaluator does), with
+// the same result.
 func PrepareSpan(sp *obs.Span, f *ir.Func, u int) (*ir.Func, error) {
 	g := f.Clone()
-	ws := workspaces.Get()
-	defer ws.release()
-	if err := ws.optimize(sp, g); err != nil {
-		return nil, err
-	}
-	if err := ws.unrollSpan(sp, g, u); err != nil {
+	var err error
+	run(g, func(ws *workspace, g *ir.Func) {
+		if err = ws.optimize(sp, g); err == nil {
+			err = ws.unrollSpan(sp, g, u)
+		}
+	})
+	if err != nil {
 		return nil, err
 	}
 	return g, nil

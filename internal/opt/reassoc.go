@@ -13,9 +13,7 @@ import "customfit/internal/ir"
 // the chain turns an O(n) critical path into O(log n) and lets each
 // product be consumed promptly — both the ILP the paper's speedups
 // require and register pressure a real machine can afford.
-func Reassociate(f *ir.Func) {
-	new(workspace).reassociate(f)
-}
+func Reassociate(f *ir.Func) { run(f, (*workspace).reassociate) }
 
 func (ws *workspace) reassociate(f *ir.Func) {
 	lv := ws.liveness(f)
@@ -145,7 +143,7 @@ func (ws *workspace) reassociateBlock(f *ir.Func, bi int, b *ir.Block) {
 				} else {
 					dst = f.NewReg()
 				}
-				out = append(out, ws.slab.New(ir.OpAdd, dst, level[i], level[i+1]))
+				out = append(out, ws.slab().New(ir.OpAdd, dst, level[i], level[i+1]))
 				level[n] = ir.R(dst)
 				n++
 			}

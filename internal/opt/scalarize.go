@@ -19,9 +19,7 @@ const MaxScalarizeElems = 64
 // Parameter arrays and file-level globals are never scalarized: they
 // are externally visible storage. Run Clean first so constant indices
 // are immediates.
-func Scalarize(f *ir.Func) {
-	new(workspace).scalarize(f)
-}
+func Scalarize(f *ir.Func) { run(f, (*workspace).scalarize) }
 
 func (ws *workspace) scalarize(f *ir.Func) {
 	// Snapshot: scalarizeMem removes entries from f.Mems in place.
@@ -71,7 +69,7 @@ func (ws *workspace) scalarizeMem(f *ir.Func, m *ir.MemRef) {
 		if i < len(m.Init) {
 			v = m.Init[i]
 		}
-		inits = append(inits, ws.slab.New(ir.OpMov, r, ir.Imm(v)))
+		inits = append(inits, ws.slab().New(ir.OpMov, r, ir.Imm(v)))
 	}
 	entry.Instrs = append(inits, entry.Instrs...)
 
@@ -88,7 +86,7 @@ func (ws *workspace) scalarizeMem(f *ir.Func, m *ir.MemRef) {
 			case ir.OpLoad:
 				// Stored values are kept in canonical (truncated) form,
 				// so a load is a plain copy.
-				out = append(out, ws.slab.New(ir.OpMov, in.Dest, ir.R(elems[e])))
+				out = append(out, ws.slab().New(ir.OpMov, in.Dest, ir.R(elems[e])))
 			case ir.OpStore:
 				out = ws.truncateTo(out, f, m.Elem, in.Args[1], elems[e])
 			}
@@ -111,16 +109,17 @@ func (ws *workspace) scalarizeMem(f *ir.Func, m *ir.MemRef) {
 // truncateTo appends to out the operations storing val into the element
 // register dst with the narrowing semantics of the element type.
 func (ws *workspace) truncateTo(out []*ir.Instr, f *ir.Func, elem ir.ElemType, val ir.Operand, dst ir.Reg) []*ir.Instr {
+	s := ws.slab()
 	if val.IsImm() {
-		return append(out, ws.slab.New(ir.OpMov, dst, ir.Imm(elem.Truncate(val.Imm))))
+		return append(out, s.New(ir.OpMov, dst, ir.Imm(elem.Truncate(val.Imm))))
 	}
 	switch elem {
 	case ir.ElemI32:
-		return append(out, ws.slab.New(ir.OpMov, dst, val))
+		return append(out, s.New(ir.OpMov, dst, val))
 	case ir.ElemU8:
-		return append(out, ws.slab.New(ir.OpAnd, dst, val, ir.Imm(0xff)))
+		return append(out, s.New(ir.OpAnd, dst, val, ir.Imm(0xff)))
 	case ir.ElemU16:
-		return append(out, ws.slab.New(ir.OpAnd, dst, val, ir.Imm(0xffff)))
+		return append(out, s.New(ir.OpAnd, dst, val, ir.Imm(0xffff)))
 	case ir.ElemI8, ir.ElemI16:
 		sh := ir.Imm(24)
 		if elem == ir.ElemI16 {
@@ -128,8 +127,8 @@ func (ws *workspace) truncateTo(out []*ir.Instr, f *ir.Func, elem ir.ElemType, v
 		}
 		t := f.NewReg()
 		return append(out,
-			ws.slab.New(ir.OpShl, t, val, sh),
-			ws.slab.New(ir.OpShrA, dst, ir.R(t), sh))
+			s.New(ir.OpShl, t, val, sh),
+			s.New(ir.OpShrA, dst, ir.R(t), sh))
 	}
 	panic("opt: bad element type")
 }

@@ -23,8 +23,9 @@ const MaxUnrolledOps = 4096
 // explorer raises u until the register allocator reports spilling —
 // the paper's "when the compiler started spilling register contents for
 // a given unrolling, we stopped considering that unrolling factor".
-func Unroll(f *ir.Func, u int) error {
-	return new(workspace).unroll(f, u)
+func Unroll(f *ir.Func, u int) (err error) {
+	run(f, func(ws *workspace, f *ir.Func) { err = ws.unroll(f, u) })
+	return err
 }
 
 func (ws *workspace) unroll(f *ir.Func, u int) error {
@@ -51,19 +52,33 @@ func (ws *workspace) unroll(f *ir.Func, u int) error {
 		return fmt.Errorf("opt: %s pixel loop is not in rotated form", f.Name)
 	}
 
-	main := f.NewBlock("unroll")
-	remPre := f.NewBlock("rempre")
-
-	// The body is copied u times into the main block and once into the
-	// remainder; the guards add a handful of instructions more.
+	// Unrolling re-emits the whole function into the buffer that holds
+	// none of it (see workspace): the body u times into the main block
+	// and once into the remainder, the guards, and every other block's
+	// instructions as they are, so that nothing live stays behind in the
+	// buffer the Clean below resets. The old header is left out: once
+	// the preheader's guard is replaced nothing reaches it.
 	bodyArgs := 0
 	for _, in := range body {
 		bodyArgs += len(in.Args)
 	}
-	ws.slab.Expect((u+1)*len(body)+8, (u+1)*bodyArgs+16)
-	// Terminators outlive every later Clean, which keeps them as they
-	// are: one cut from the slab would keep the whole array of body
-	// copies reachable long after the copies are dead.
+	instrs, args := f.Size()
+	s := ws.reemit(instrs+u*len(body)+8, args+u*bodyArgs+16)
+	for _, b := range f.Blocks {
+		if b == h {
+			continue
+		}
+		for i, in := range b.Instrs {
+			if !in.Op.IsTerminator() {
+				b.Instrs[i] = s.Clone(in, nil)
+			}
+		}
+	}
+	main := f.NewBlock("unroll")
+	remPre := f.NewBlock("rempre")
+
+	// Terminators are not cut from the buffer: they outlive every later
+	// Clean, which keeps them as they are.
 	cbr := func(cond ir.Operand, taken, fallthru *ir.Block) *ir.Instr {
 		return &ir.Instr{Op: ir.OpCBr, Dest: ir.NoReg, Args: []ir.Operand{cond},
 			Targets: []*ir.Block{taken, fallthru}}
@@ -72,9 +87,9 @@ func (ws *workspace) unroll(f *ir.Func, u int) error {
 	// Guard helper: g = (i + u-1) < limit, evaluated on the given block.
 	emitGuard := func(b *ir.Block) ir.Operand {
 		t := f.NewReg()
-		b.Append(ws.slab.New(ir.OpAdd, t, ir.R(l.IndVar), ir.Imm(int32(u-1))))
+		b.Append(s.New(ir.OpAdd, t, ir.R(l.IndVar), ir.Imm(int32(u-1))))
 		g := f.NewReg()
-		b.Append(ws.slab.New(ir.OpCmpLT, g, ir.R(t), l.Limit))
+		b.Append(s.New(ir.OpCmpLT, g, ir.R(t), l.Limit))
 		return ir.R(g)
 	}
 
@@ -94,7 +109,7 @@ func (ws *workspace) unroll(f *ir.Func, u int) error {
 	main.Instrs = make([]*ir.Instr, 0, u*len(body)+3)
 	for k := 0; k < u; k++ {
 		for _, in := range body {
-			main.Append(ws.slab.Clone(in, nil))
+			main.Append(s.Clone(in, nil))
 		}
 	}
 	gb := emitGuard(main)
@@ -103,14 +118,14 @@ func (ws *workspace) unroll(f *ir.Func, u int) error {
 	// Remainder: re-test, then run the original rotated loop.
 	rem := f.NewBlock("rem")
 	gr := f.NewReg()
-	remPre.Append(ws.slab.New(ir.OpCmpLT, gr, ir.R(l.IndVar), l.Limit))
+	remPre.Append(s.New(ir.OpCmpLT, gr, ir.R(l.IndVar), l.Limit))
 	remPre.Append(cbr(ir.R(gr), rem, l.Exit))
 	rem.Instrs = make([]*ir.Instr, 0, len(body)+2)
 	for _, in := range body {
-		rem.Append(ws.slab.Clone(in, nil))
+		rem.Append(s.Clone(in, nil))
 	}
 	rt := f.NewReg()
-	rem.Append(ws.slab.New(ir.OpCmpLT, rt, ir.R(l.IndVar), l.Limit))
+	rem.Append(s.New(ir.OpCmpLT, rt, ir.R(l.IndVar), l.Limit))
 	rem.Append(cbr(ir.R(rt), rem, l.Exit))
 
 	f.Loop = &ir.LoopInfo{

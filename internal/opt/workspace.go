@@ -7,30 +7,38 @@ import (
 
 // workspace is what the passes of one Prepare, Optimize or Unroll call
 // build for themselves and throw away: liveness sets, the cleaner's
-// value tables, the per-block instruction lists under construction. It
-// lasts one such call and is threaded through every pass of it, so a
-// table grown for one block or pass serves the next; every pass leaves
-// its tables reset, so nothing a block, pass or function learned reaches
-// the one after.
+// value tables, the per-block instruction lists under construction, the
+// instructions of every pass but the last. It lasts one such call and is
+// threaded through every pass of it, so a table grown for one block or
+// pass serves the next; every pass leaves its tables reset, so nothing a
+// block, pass or function learned reaches the one after.
 //
-// The ownership rule is the backend's (sched.Scratch), one level up:
-// what a pass builds and the next throws away lives here; what the
-// function keeps does not. Emitted instructions and their operands are
-// cut from slab — heap arrays the function's instructions keep alive,
-// sized from the function and never reused — and every block's final
-// instruction list is an allocation of its own. The zero value is ready
-// to use; a workspace is not safe for concurrent use, and is never
-// package state while it is in use.
+// The ownership rule is the backend's (sched.Scratch), one level up: a
+// slab is either owned by the function that points into it or a pass
+// buffer whose instructions die with the pass (ir.Slab). The workspace
+// keeps two pass buffers. A whole-function re-emit (Clean, Unroll)
+// writes the one that holds none of the function's instructions and
+// leaves every one of them in it, so the other one's are dead; a pass
+// that keeps instruction pointers (LICM, IfConvert, Reassociate,
+// Scalarize) appends to that live buffer. The buffer a re-emit resets is
+// therefore always dead. Terminators are never cut from a buffer: every
+// pass keeps them as they are, and one cut from a buffer would be
+// overwritten while its block still ends in it. When the call is done
+// the function moves into a slab of its own, exactly sized
+// (ir.Func.Own), and both buffers serve the next call. Block instruction
+// lists are allocations of their own. A workspace is not safe for
+// concurrent use, and is never package state while it is in use.
 //
-// Prepare takes its workspace from workspaces and hands it back when it
-// is done, so a stream of one-shot compiles optimizes out of grown
-// tables; Optimize, Unroll and the exported single passes, which the
-// explorer calls once per kernel and factor, make their own.
+// Every entry point takes its workspace from workspaces and hands it
+// back when it is done (run), so a stream of compiles optimizes out of
+// grown tables and buffers.
 type workspace struct {
-	slab ir.Slab
+	// bufs are the two pass buffers; live is the index of the one the
+	// last re-emit wrote (see reemit).
+	bufs [2]ir.Slab
+	live int
 
-	lv    Liveness // of the function as the running pass found it
-	lvTmp []uint64
+	lv Liveness // of the function as the running pass found it
 
 	clean blockCleaner
 	chain chainFinder // Reassociate
@@ -43,17 +51,30 @@ type workspace struct {
 	out, moved []*ir.Instr
 }
 
-// workspaces holds the workspaces no Prepare is using (see idle.List:
-// the rule is sched.Scratch's).
+// workspaces holds the workspaces no pass is using (see idle.List: the
+// rule is sched.Scratch's).
 var workspaces = idle.New("opt", func() *workspace { return new(workspace) })
+
+// run is every entry point of the package: it borrows a workspace, runs
+// pass over f in it and hands f back owning its instructions — also when
+// the pass failed — before the workspace goes back to the idle ones.
+func run(f *ir.Func, pass func(*workspace, *ir.Func)) {
+	ws := workspaces.Get()
+	defer ws.release()
+	pass(ws, f)
+	f.Own()
+}
 
 // release hands ws back to workspaces with every pointer into the
 // function it last worked on dropped, through the capacity of the lists
-// that carry them: an idle workspace keeps its tables and pins neither
-// instruction, block, memory reference nor slab of a finished request.
+// that carry them: an idle workspace keeps its tables and buffers and
+// pins neither instruction, block nor memory reference of a finished
+// request.
 func (ws *workspace) release() {
-	ws.slab = ir.Slab{}
-	idle.Wipe(ws.lv.blocks)
+	for i := range ws.bufs {
+		ws.bufs[i].Forget()
+	}
+	ws.lv.Forget()
 	idle.Wipe(ws.out)
 	idle.Wipe(ws.moved)
 	c := &ws.clean
@@ -75,21 +96,22 @@ func (ws *workspace) release() {
 // liveness recomputes the workspace's liveness for f. The result is
 // valid until the next call.
 func (ws *workspace) liveness(f *ir.Func) *Liveness {
-	ws.lv.compute(f, &ws.lvTmp, f.NumInstrs())
+	ws.lv.Recompute(f)
 	return &ws.lv
 }
 
-// expect sizes the slab for a pass about to re-emit f (see
-// ir.Slab.Expect): the function's own instruction and operand counts.
-func (ws *workspace) expect(f *ir.Func) {
-	instrs, args := 0, 0
-	for _, b := range f.Blocks {
-		instrs += len(b.Instrs)
-		for _, in := range b.Instrs {
-			args += len(in.Args)
-		}
-	}
-	ws.slab.Expect(instrs, args)
+// slab is where a pass that keeps the function's instructions cuts the
+// ones it adds: the live buffer.
+func (ws *workspace) slab() *ir.Slab { return &ws.bufs[ws.live] }
+
+// reemit hands a pass about to re-emit every instruction of the function
+// — about instrs of them, with args operands — the buffer that holds
+// none of them, reset, and makes it the live one.
+func (ws *workspace) reemit(instrs, args int) *ir.Slab {
+	ws.live ^= 1
+	s := &ws.bufs[ws.live]
+	s.Reset(instrs, args)
+	return s
 }
 
 // zeroed returns *buf resized to n zeroed entries and stores it back,

@@ -1,6 +1,8 @@
 package opt
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"customfit/internal/bench"
@@ -34,6 +36,7 @@ func TestWorkspaceCarriesNothingOver(t *testing.T) {
 		if err := ws.unrollSpan(nil, g, u); err != nil {
 			t.Fatal(err)
 		}
+		g.Own() // as run does, before the buffers serve the next function
 		return g
 	}
 	ws := new(workspace)
@@ -119,5 +122,95 @@ func TestReleasedArenaPinsNothing(t *testing.T) {
 	}
 	if made.Value() != before {
 		t.Error("the workspace did not stay idle in the list while the function was collected")
+	}
+}
+
+// nextBuffer returns the arrays of the buffer the next whole-function
+// re-emit will reset and write (see workspace) — instructions, operands,
+// branch targets, lists — as address ranges, read out of ir.Slab by
+// reflection.
+func nextBuffer(ws *workspace) [][2]uintptr {
+	s := reflect.ValueOf(&ws.bufs[ws.live^1]).Elem()
+	var spans [][2]uintptr
+	for _, kind := range []string{"instrs", "args", "targets", "lists"} {
+		buf := s.FieldByName(kind).FieldByName("buf")
+		if buf.Cap() > 0 {
+			p := buf.Pointer()
+			spans = append(spans, [2]uintptr{p, p + uintptr(buf.Cap())*buf.Type().Elem().Size()})
+		}
+	}
+	return spans
+}
+
+// inNextBuffer returns a description of the first instruction of f that
+// lies, with its operands, branch targets or block list, in the buffer
+// the next whole-function pass writes, or "".
+func inNextBuffer(ws *workspace, f *ir.Func) string {
+	spans := nextBuffer(ws)
+	in := func(v reflect.Value) bool {
+		if v.IsNil() {
+			return false
+		}
+		for _, s := range spans {
+			if p := v.Pointer(); s[0] <= p && p < s[1] {
+				return true
+			}
+		}
+		return false
+	}
+	for _, b := range f.Blocks {
+		if in(reflect.ValueOf(b.Instrs)) {
+			return "the list of " + b.Name
+		}
+		for _, x := range b.Instrs {
+			if in(reflect.ValueOf(x)) || in(reflect.ValueOf(x.Args)) || in(reflect.ValueOf(x.Targets)) {
+				return fmt.Sprintf("%s in %s", x, b.Name)
+			}
+		}
+	}
+	return ""
+}
+
+// TestPassesLeaveTheNextBufferDead runs Prepare's passes one by one
+// through one workspace — on kernels with branches to convert, arrays to
+// scalarize and reductions to rebalance — and checks after every
+// whole-function pass that no instruction of the function lies in the
+// buffer the next one will reset and write. The function that comes out
+// must be Prepare's.
+func TestPassesLeaveTheNextBufferDead(t *testing.T) {
+	ws := new(workspace)
+	for _, name := range []string{"A", "F", "C", "DHEF"} {
+		want, err := Prepare(lowered(t, name), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := lowered(t, name).Clone()
+		passes := []struct {
+			name string
+			run  func(*ir.Func)
+		}{
+			{"clean", ws.cleanFunc},
+			{"scalarize", ws.scalarize},
+			{"ifconvert", ws.ifConvert},
+			{"licm", ws.licm},
+			{"clean", ws.cleanFunc},
+			{"reassociate", ws.reassociate},
+			{"unroll", func(f *ir.Func) {
+				f.RemoveUnreachable()
+				if err := ws.unroll(f, 2); err != nil {
+					t.Fatal(err)
+				}
+			}},
+		}
+		for _, p := range passes {
+			p.run(f)
+			if what := inNextBuffer(ws, f); what != "" {
+				t.Errorf("%s, after %s: %s lies in the buffer the next pass writes", name, p.name, what)
+			}
+		}
+		if f.String() != want.String() {
+			t.Errorf("%s: the passes one by one give another function than Prepare", name)
+		}
+		f.Own()
 	}
 }

@@ -12,7 +12,6 @@ package regalloc
 import (
 	"cmp"
 	"slices"
-	"sort"
 
 	"customfit/internal/ir"
 	"customfit/internal/obs"
@@ -97,8 +96,10 @@ type Scratch struct {
 	past     []int
 	mergeBuf []Segment
 
-	// Registers already listed as victims, on the path that does not fit.
-	seen []bool
+	// On the path that does not fit: the ranges alive at a cluster's
+	// peak, the others, and the registers already listed as victims.
+	atPeak, others []int32
+	seen           []bool
 
 	// AllocateReuse's arena-owned Result and its backing arrays.
 	res         Result
@@ -321,7 +322,7 @@ func allocate(prog *vliw.Program, lv *opt.Liveness, sc *Scratch, res *Result) {
 	sc.ranges = ranges
 
 	res.Fits = true
-	var atPeak, others []int32
+	atPeak, others := sc.atPeak[:0], sc.others[:0]
 	for c := 0; c < nclusters; c++ {
 		if res.MaxLive[c] > rc {
 			res.Fits = false
@@ -337,10 +338,14 @@ func allocate(prog *vliw.Program, lv *opt.Liveness, sc *Scratch, res *Result) {
 			}
 		}
 	}
-	victims := atPeak
-	sort.Slice(victims, func(i, j int) bool { return ranges[victims[i]].Span() > ranges[victims[j]].Span() })
-	sort.Slice(others, func(i, j int) bool { return ranges[others[i]].Span() > ranges[others[j]].Span() })
-	victims = append(victims, others...)
+	// Longest span first. slices.SortFunc runs the same generated
+	// pdqsort as sort.Slice, comparison for comparison, so ranges of
+	// equal span keep the order sort.Slice gave them.
+	longer := func(a, b int32) int { return cmp.Compare(ranges[b].Span(), ranges[a].Span()) }
+	slices.SortFunc(atPeak, longer)
+	slices.SortFunc(others, longer)
+	victims := append(atPeak, others...)
+	sc.others = others[:0]
 	if res.Fits {
 		// Color each cluster; pressure fitting does not guarantee
 		// colorability of segment-union graphs, so a failure here
@@ -349,10 +354,11 @@ func allocate(prog *vliw.Program, lv *opt.Liveness, sc *Scratch, res *Result) {
 			if bad := colorCluster(byCluster[c], ranges, rc, res.Assign, sc); bad >= 0 {
 				res.Fits = false
 				res.Overflow[c]++
-				victims = append([]int32{bad}, victims...)
+				victims = slices.Insert(victims, 0, bad)
 			}
 		}
 	}
+	sc.atPeak = victims[:0]
 	if !res.Fits {
 		seen := growBools(&sc.seen, nregs)
 		for _, ri := range victims {
@@ -379,8 +385,9 @@ func allocate(prog *vliw.Program, lv *opt.Liveness, sc *Scratch, res *Result) {
 // counts the segments at the front of busy[p] known to be such, the
 // overlap test and the merge start behind them, and a merge drops them.
 func colorCluster(idx []int32, ranges []Range, rc int, assign []int, sc *Scratch) int32 {
-	sort.Slice(idx, func(i, j int) bool {
-		return ranges[idx[i]].Segments[0].Start < ranges[idx[j]].Segments[0].Start
+	// slices.SortFunc runs sort.Slice's pdqsort, so ties land alike.
+	slices.SortFunc(idx, func(a, b int32) int {
+		return cmp.Compare(ranges[a].Segments[0].Start, ranges[b].Segments[0].Start)
 	})
 	busy := sc.growBusy(rc)
 	past := growInts(&sc.past, rc)

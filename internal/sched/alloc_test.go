@@ -35,8 +35,8 @@ func TestPartitionCloneAllocatesPerBlock(t *testing.T) {
 	ps := new(partScratch)
 	count := func(u int) (allocs float64, instrs, moves int) {
 		g := prepareA(t, u)
-		pg, _ := partitionClone(g, arch, ps) // grows the tables
-		allocs = testing.AllocsPerRun(5, func() { partitionClone(g, arch, ps) })
+		pg, _ := partitionClone(g, arch, ps, nil) // grows the tables
+		allocs = testing.AllocsPerRun(5, func() { partitionClone(g, arch, ps, nil) })
 		return allocs, g.NumInstrs(), pg.NumInstrs() - g.NumInstrs()
 	}
 	a8, n8, m8 := count(8) // the larger first, so neither run grows the arena
@@ -81,8 +81,8 @@ func TestClassCopiesKernelOnce(t *testing.T) {
 		first = min(first, mallocs(func() { CompilePreparedDelta(nil, prep, arch, sc) }))
 		again = min(again, mallocs(func() { CompilePreparedDelta(nil, prep, neighbour, sc) }))
 	}
-	pg, _ := partitionClone(g, arch, &sc.part)
-	build := testing.AllocsPerRun(3, func() { partitionClone(g, arch, &sc.part) }) +
+	pg, _ := partitionClone(g, arch, &sc.part, nil)
+	build := testing.AllocsPerRun(3, func() { partitionClone(g, arch, &sc.part, nil) }) +
 		testing.AllocsPerRun(3, func() { opt.ComputeLiveness(pg) }) +
 		testing.AllocsPerRun(3, func() { new(skelCache).get(pg, arch, &sc.skel) })
 	clone := testing.AllocsPerRun(3, func() { g.Clone() })
@@ -115,4 +115,42 @@ func TestCompileSpanClonesNoSkeletonSet(t *testing.T) {
 		t.Errorf("CompileSpan makes %v objects, a compile of a kept class %v and building the class %v: a skeleton set (%v) is cloned for nobody",
 			span, again, build, set)
 	}
+}
+
+// starvedCell is BenchmarkEvaluateStarved's first machine: two clusters
+// of 32 registers, on which kernel A spills at every unroll factor.
+var starvedCell = machine.Arch{ALUs: 2, MULs: 1, Regs: 64, L2Ports: 1, L2Lat: 2, Clusters: 2}
+
+// TestSpillRoundAllocatesConstant pins the round memory on
+// BenchmarkEvaluateStarved's cell: a spill round after the first cuts
+// what it builds — the partitioned clone with its blocks, lists and
+// moves, its register homes and liveness, every block's schedule, the
+// block and blame tables, the allocation — from the Scratch, so once the
+// arena has grown a round allocates a constant number of objects, none
+// today, the same for kernel A unrolled twice as for A as it is, which
+// has less than half its instructions.
+func TestSpillRoundAllocatesConstant(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation accounting")
+	}
+	const most = 0
+	sc := NewScratch()
+	count := func(u int) (allocs float64, instrs int) {
+		work := lowerFor(prepareA(t, u), starvedCell)
+		if _, err := runRound(nil, starvedCell, sc, work, 2); err != nil { // grows the arena
+			t.Fatal(err)
+		}
+		allocs = testing.AllocsPerRun(5, func() { runRound(nil, starvedCell, sc, work, 2) })
+		return allocs, work.NumInstrs()
+	}
+	a2, n2 := count(2) // the larger first, so neither run grows the arena
+	a1, n1 := count(1)
+	if n2 < 2*n1 {
+		t.Fatalf("unroll 1: %d instructions, unroll 2: %d — not the pair the test wants", n1, n2)
+	}
+	if a1 != a2 || a2 > most {
+		t.Errorf("a spill round allocates %v objects on %d instructions and %v on %d: want the same, at most %d",
+			a1, n1, a2, n2, most)
+	}
+	t.Logf("%v allocations per spill round", a2)
 }

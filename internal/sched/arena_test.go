@@ -267,3 +267,99 @@ func TestValidateForgetsTheLastProgram(t *testing.T) {
 		t.Error("Validate did not borrow the arena the valid program went through")
 	}
 }
+
+// TestSpilledResultsOutliveTheirArena pins the owning entries' side of
+// the round memory. A spilled Result from CompilePrepared, given an
+// arena, and one from CompileSpan, which borrows one from the idle list,
+// are copied out of the arena when their round fits, so each reads the
+// same after 50 later compiles have rebuilt every spill round in that
+// very arena: clustered cells, whose rounds build a partitioned clone,
+// and a one-cluster cell, whose rounds schedule the working copy itself.
+func TestSpilledResultsOutliveTheirArena(t *testing.T) {
+	read := arenaCounters(t)
+	oneCluster := machine.Arch{ALUs: 1, MULs: 1, Regs: 64, L2Ports: 1, L2Lat: 2, Clusters: 1}
+	a1 := prepareA(t, 1)
+	prep := NewPrepared(a1)
+	digest := func(res *Result, err error) string {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Spilled == 0 {
+			t.Fatal("the cell did not spill: the test needs one that runs spill rounds")
+		}
+		var d strings.Builder
+		scheduleDigest(&d, res, nil)
+		return d.String()
+	}
+	sc := GetScratch()
+	defer PutScratch(sc)
+	kept := []*Result{}
+	var want []string
+	for _, arch := range []machine.Arch{starvedCell, oneCluster} {
+		res, err := CompilePrepared(nil, prep, arch, sc)
+		want = append(want, digest(res, err))
+		kept = append(kept, res)
+		res, err = CompileSpan(nil, a1, arch)
+		want = append(want, digest(res, err))
+		kept = append(kept, res)
+	}
+	made, _ := read()
+	cells := []machine.Arch{starvedCell, spillingCell, oneCluster, testArchs[1], testArchs[2]}
+	for i := range 50 {
+		arch := cells[i%len(cells)]
+		if _, err := CompilePrepared(nil, prep, arch, sc); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := CompileSpan(nil, a1, arch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if now, _ := read(); now != made {
+		t.Errorf("%d arenas made by the later compiles: CompileSpan's did not come back to it", now-made)
+	}
+	for i, res := range kept {
+		if got := digest(res, nil); got != want[i] {
+			t.Errorf("spilled result %d changed after its arena served later compiles:\nbefore:\n%s\nafter:\n%s", i, want[i], got)
+		}
+	}
+}
+
+// TestSpilledCompileLeavesNoPointerIntoKernel compiles spilling cells out
+// of one arena through both entries, CompilePreparedDelta leaving its
+// Result in the arena, and gives the arena back. The released arena must
+// hold no reference at all (idletest.Pinned) and nothing, not even a
+// table of ints, in the memory of the kernel, the Prepared around it or
+// the Results (idletest.Into): round memory and the working copy are
+// wiped through their capacity, and the copied-out Result shares none of
+// it.
+func TestSpilledCompileLeavesNoPointerIntoKernel(t *testing.T) {
+	oneCluster := machine.Arch{ALUs: 1, MULs: 1, Regs: 64, L2Ports: 1, L2Lat: 2, Clusters: 1}
+	prep := NewPrepared(prepareA(t, 1))
+	sc := GetScratch()
+	var results []*Result
+	for _, arch := range []machine.Arch{starvedCell, oneCluster} {
+		res, err := CompilePrepared(nil, prep, arch, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results = append(results, res)
+		if res, err = CompilePreparedDelta(nil, prep, arch, sc); err != nil {
+			t.Fatal(err)
+		}
+		if res.Spilled == 0 {
+			t.Fatalf("%s did not spill", arch)
+		}
+	}
+	PutScratch(sc)
+	own := reflect.TypeOf(regalloc.Scratch{})
+	for _, path := range idletest.Pinned(sc, own) {
+		t.Errorf("the released arena still holds %s", path)
+	}
+	for _, path := range idletest.Into(sc, prep, own) {
+		t.Errorf("the released arena: %s", path)
+	}
+	for _, path := range idletest.Into(sc, results, own) {
+		t.Errorf("the released arena, against the owned results: %s", path)
+	}
+}

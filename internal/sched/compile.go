@@ -1,10 +1,10 @@
 package sched
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 
 	"customfit/internal/ddg"
 	"customfit/internal/ir"
@@ -99,12 +99,13 @@ func lowerFor(src *ir.Func, arch machine.Arch) *ir.Func {
 // in place — it only stamps cluster 0 on every instruction, which is
 // idempotent — and clustered machines rewrite the instruction stream
 // (copy insertion, operand localization), so src is cloned in the same
-// pass and only read.
-func partitionFor(src *ir.Func, arch machine.Arch, ps *partScratch) (*ir.Func, *Placement) {
+// pass and only read. With r, a spill round's memory, what partitioning
+// makes is cut from it (see partition).
+func partitionFor(src *ir.Func, arch machine.Arch, ps *partScratch, r *roundMem) (*ir.Func, *Placement) {
 	if arch.Clusters <= 1 {
-		return src, partition(src, src, nil, arch, ps)
+		return src, partition(src, src, nil, arch, ps, r)
 	}
-	return partitionClone(src, arch, ps)
+	return partitionClone(src, arch, ps, r)
 }
 
 // compile is the one compile driver. Round 1 is assembled from arch's
@@ -165,7 +166,8 @@ func compile(sp *obs.Span, span string, f *ir.Func, prep *Prepared, arch machine
 				}
 				sk = skels[bi]
 			}
-			sb, cert, bl, err := scheduleBlock(cs.g, b, arch, cs.pl, cs.lv, capRaw, false, sk, sc)
+			sb := newBlock(b, arch.Clusters)
+			cert, bl, err := scheduleBlock(cs.g, b, arch, cs.pl, cs.lv, capRaw, false, sk, sc, sb)
 			if err != nil {
 				return nil, blockError(cs.g, b, err)
 			}
@@ -218,7 +220,7 @@ func compile(sp *obs.Span, span string, f *ir.Func, prep *Prepared, arch machine
 			// The spill loop rewrites a copy of src when another compile
 			// may be reading it: every kept class's, and the kernel itself.
 			shared := prep != nil || cs.src == f
-			return spillLoop(csp, f.Name, arch, sc, cs.src, shared, attempt{prog, ra})
+			return spillLoop(csp, f.Name, arch, sc, cs.src, shared, owned, attempt{prog, ra})
 		}
 		if reuse {
 			maxLive, assign = cs.allocInsert(ids, ra.MaxLive, ra.Assign)
@@ -253,10 +255,12 @@ type blamed struct {
 }
 
 // runRound partitions, schedules and allocates work, the spill loop's
-// rewritten copy of the lowered IR, as spill round iter.
+// rewritten copy of the lowered IR, as spill round iter, all of it in
+// the round's memory (roundMem) and the allocator's arena: the attempt
+// is valid until the next round through sc.
 func runRound(csp *obs.Span, arch machine.Arch, sc *Scratch, work *ir.Func, iter int) (attempt, error) {
 	psp := csp.Child("sched.partition").Int("iter", int64(iter))
-	g, pl := partitionFor(work, arch, &sc.part)
+	g, pl := partitionFor(work, arch, &sc.part, &sc.round)
 	psp.End()
 	// After two failed greedy rounds, fall back to program-order
 	// priority: a valid execution order whose pressure tracks the
@@ -271,15 +275,21 @@ func runRound(csp *obs.Span, arch machine.Arch, sc *Scratch, work *ir.Func, iter
 		return attempt{}, err
 	}
 	ssp.Int("bundles", int64(prog.BundleCount())).Int("ops", int64(prog.OpCount())).End()
-	return attempt{prog, regalloc.AllocateWith(csp, prog, lv, sc.RA)}, nil
+	return attempt{prog, regalloc.AllocateReuse(csp, prog, lv, sc.RA)}, nil
 }
 
 // spillLoop is the schedule → allocate → spill iteration over work, the
 // architecture-lowered pre-partition IR, which it rewrites — a copy of
-// it, when work is shared. at is round 1, which did not fit.
-func spillLoop(csp *obs.Span, name string, arch machine.Arch, sc *Scratch, work *ir.Func, shared bool, at attempt) (*Result, error) {
+// it in the Scratch (workMem), when work is shared. at is round 1, which
+// did not fit. The Result of the round that fits stays in the Scratch
+// unless owned, when it is copied out (roundMem.own).
+func spillLoop(csp *obs.Span, name string, arch machine.Arch, sc *Scratch, work *ir.Func, shared, owned bool, at attempt) (*Result, error) {
 	spilled := 0
 	sc.alreadySpilled = sc.alreadySpilled[:0]
+	// The loop's copy of work, when it makes one, and the reloads and
+	// stores its rounds add — about as many again — are the compile's.
+	w := &sc.work
+	w.rw.slab.Reset(work.Size())
 	for iter := 1; iter <= MaxSpillIterations; iter++ {
 		if iter > 1 {
 			var err error
@@ -294,7 +304,12 @@ func spillLoop(csp *obs.Span, name string, arch machine.Arch, sc *Scratch, work 
 			prog.PhysAssign = ra.Assign
 			csp.Int("iterations", int64(iter)).Int("spilled", int64(spilled))
 			obs.GetHistogram("sched.spill_rounds").Observe(float64(iter - 1))
-			return &Result{Prog: prog, Spilled: spilled, Iterations: iter}, nil
+			res := &sc.result
+			if owned {
+				prog, res = sc.round.own(), new(Result)
+			}
+			*res = Result{Prog: prog, Spilled: spilled, Iterations: iter}
+			return res, nil
 		}
 		spsp := csp.Child("sched.spill").Int("iter", int64(iter))
 		// Spill candidates must exist in the pre-partition IR (ids
@@ -335,7 +350,10 @@ func spillLoop(csp *obs.Span, name string, arch machine.Arch, sc *Scratch, work 
 			}
 		}
 		sc.byBlame = byBlame[:0]
-		sort.Slice(byBlame, func(i, j int) bool { return byBlame[i].n > byBlame[j].n })
+		// Most blamed first. slices.SortFunc runs the same generated
+		// pdqsort as sort.Slice, comparison for comparison, so equal
+		// counts keep the order sort.Slice gave them.
+		slices.SortFunc(byBlame, func(a, b blamed) int { return cmp.Compare(b.n, a.n) })
 		for _, bl := range byBlame {
 			victims = append(victims, bl.r)
 			alreadySpilled[bl.r] = true
@@ -350,9 +368,9 @@ func spillLoop(csp *obs.Span, name string, arch machine.Arch, sc *Scratch, work 
 				name, arch, ra.MaxLive, ra.Capacity)
 		}
 		if shared {
-			work, shared = work.Clone(), false // the first spill: work stays as it is for the others
+			work, shared = work.CloneInto(&w.shell, &w.rw.slab), false // the first spill: work stays as it is for the others
 		}
-		n := SpillRewrite(work, victims)
+		n := w.rw.rewrite(work, victims)
 		spsp.Int("victims", int64(len(victims))).Int("rewritten", int64(n)).End()
 		if n == 0 {
 			return nil, fmt.Errorf("sched %s on %s: spill made no progress (pressure %v)",

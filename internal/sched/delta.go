@@ -150,10 +150,13 @@ func (cs *classState) lookup(bi int, p deltaParams) (cachedBlock, bool) {
 
 // insert records a freshly scheduled block, evicting round-robin past
 // the per-block cap, and returns the entry. blame is copied: the
-// scheduler's list lives in a Scratch.
+// scheduler's list lives in a Scratch, and even an empty view of it
+// would have the shared class pin a worker's arena.
 func (cs *classState) insert(bi int, p deltaParams, cert schedCert, sb *vliw.Block, blame []regBlame) cachedBlock {
 	if len(blame) > 0 {
 		blame = append([]regBlame(nil), blame...)
+	} else {
+		blame = nil
 	}
 	ring := &cs.blocks[bi]
 	cs.mu.Lock()

@@ -54,7 +54,7 @@ const balanceWeight = 8
 // parameters arrive on cluster 0; the branch unit (and so every branch
 // condition) lives on cluster 0.
 func Partition(f *ir.Func, arch machine.Arch) *Placement {
-	return partition(f, f, nil, arch, new(partScratch))
+	return partition(f, f, nil, arch, new(partScratch), nil)
 }
 
 // PartitionClone partitions a copy of src, leaving src untouched: the
@@ -63,13 +63,21 @@ func Partition(f *ir.Func, arch machine.Arch) *Placement {
 // in-place Partition — the compile driver's per-spill-iteration path
 // for clustered machines.
 func PartitionClone(src *ir.Func, arch machine.Arch) (*ir.Func, *Placement) {
-	return partitionClone(src, arch, new(partScratch))
+	return partitionClone(src, arch, new(partScratch), nil)
 }
 
-// partitionClone is PartitionClone working in the caller's tables.
-func partitionClone(src *ir.Func, arch machine.Arch, ps *partScratch) (*ir.Func, *Placement) {
-	nf, bmap := src.CloneShell()
-	pl := partition(src, nf, bmap, arch, ps)
+// partitionClone is PartitionClone working in the caller's tables, and
+// with r (a spill round's memory) building the clone and its placement
+// there: see partition.
+func partitionClone(src *ir.Func, arch machine.Arch, ps *partScratch, r *roundMem) (*ir.Func, *Placement) {
+	var nf *ir.Func
+	var bmap map[*ir.Block]*ir.Block
+	if r == nil {
+		nf, bmap = src.CloneShell()
+	} else {
+		nf, bmap = src.CloneShellInto(&r.shell)
+	}
+	pl := partition(src, nf, bmap, arch, ps, r)
 	nf.ComputeCFG()
 	return nf, pl
 }
@@ -79,9 +87,15 @@ func partitionClone(src *ir.Func, arch machine.Arch, ps *partScratch) (*ir.Func,
 // them used to be rebuilt for every block.
 type partScratch struct {
 	// Per function. home is 1 + the register's home cluster, 0 while
-	// it has none; fixed marks the registers live into some block.
-	home  []int32
-	fixed []bool
+	// it has none; fixed marks the registers live into some block, which
+	// lv, the source's liveness, says. out is the output's instruction
+	// lists one after another, a nil hole where a move goes, and starts
+	// where each block's begins, and where the last one ends.
+	home   []int32
+	fixed  []bool
+	lv     opt.Liveness
+	out    []*ir.Instr
+	starts []int32
 
 	// Per block, zero between blocks: touched lists the registers whose
 	// remaining or isLive entry a block wrote, a block's own moves name
@@ -96,7 +110,6 @@ type partScratch struct {
 	load         []int
 	memLoad      []int
 	liveCnt      []int
-	out          []*ir.Instr
 
 	// moves lists the inter-cluster copies inserted so far. They become
 	// instructions only when the last block is done and their number is
@@ -105,9 +118,9 @@ type partScratch struct {
 }
 
 // xmove is one inserted copy: dest = xmov src, executing on cluster,
-// standing at position pos of block blk.
+// standing at position pos of the output's lists (partScratch.out).
 type xmove struct {
-	blk, pos  int32
+	pos       int32
 	dest, src ir.Reg
 	cluster   int16
 }
@@ -116,14 +129,23 @@ type xmove struct {
 // (dst == src for the in-place form). bmap, non-nil only in clone mode,
 // remaps cloned branch targets into dst.
 //
-// A clone's instructions live in two kinds of slab, never in heap
-// objects of their own: the copies of src's in an ir.Slab sized before
-// the first block, the inserted moves in a pair of arrays sized after
-// the last. So partitioning allocates per block, not per instruction.
-func partition(src, dst *ir.Func, bmap map[*ir.Block]*ir.Block, arch machine.Arch, ps *partScratch) *Placement {
-	p := &partitioner{partScratch: ps, f: dst, bmap: bmap, nc: arch.Clusters}
+// A clone's instructions live in a slab, never in heap objects of their
+// own: the copies of src's, and after the last block, when their number
+// is known, the inserted moves and every block's instruction list. So
+// partitioning allocates per function, not per block or instruction. The
+// slab and the placement are r's, a spill round's memory, or with r nil
+// of their own; the in-place form's lists and moves take a slab of f's.
+func partition(src, dst *ir.Func, bmap map[*ir.Block]*ir.Block, arch machine.Arch, ps *partScratch, r *roundMem) *Placement {
+	var own ir.Slab
+	p := &partitioner{partScratch: ps, f: dst, bmap: bmap, nc: arch.Clusters, slab: &own}
 	if bmap != nil {
-		p.slab = src.NewSlab()
+		instrs, args := src.Size()
+		if r != nil {
+			p.slab = &r.slab
+			p.slab.Reset(instrs, args)
+		} else {
+			p.slab.Expect(instrs, args, instrs)
+		}
 	}
 	nregs := src.NumRegs()
 	if p.nc <= 1 {
@@ -134,14 +156,14 @@ func partition(src, dst *ir.Func, bmap map[*ir.Block]*ir.Block, arch machine.Arc
 				}
 				continue
 			}
-			instrs := make([]*ir.Instr, len(b.Instrs))
+			instrs := p.slab.List(len(b.Instrs))
 			for i, in := range b.Instrs {
 				instrs[i] = p.emitCopy(in)
 				instrs[i].Cluster = 0
 			}
 			dst.Blocks[bi].Instrs = instrs
 		}
-		return &Placement{RegCluster: make([]int, nregs)}
+		return r.placement(nregs)
 	}
 	grow(&p.home, nregs)
 	grow(&p.fixed, nregs)
@@ -150,9 +172,11 @@ func partition(src, dst *ir.Func, bmap map[*ir.Block]*ir.Block, arch machine.Arc
 	grow(&p.copies, nregs*p.nc)
 	grow(&p.pending, nregs)
 	p.moves = p.moves[:0]
-	lv := opt.ComputeLiveness(src)
+	p.out = p.out[:0]
+	p.starts = append(p.starts[:0], 0)
+	p.lv.Recompute(src)
 	for _, b := range src.Blocks {
-		liveIn, _ := lv.Sets(b)
+		liveIn, _ := p.lv.Sets(b)
 		opt.EachReg(liveIn, func(r ir.Reg) { p.fixed[r] = true })
 	}
 	for _, prm := range src.Params {
@@ -162,30 +186,38 @@ func partition(src, dst *ir.Func, bmap map[*ir.Block]*ir.Block, arch machine.Arc
 		p.block(bi, b)
 	}
 
-	regCluster := make([]int, dst.NumRegs())
-	for r, h := range p.home {
+	// The moves become instructions and every block's list is cut, all
+	// from one list of the function's: the moves fill their holes in it.
+	out := p.out
+	p.slab.Expect(len(p.moves), len(p.moves), len(out))
+	lists := p.slab.List(len(out))
+	copy(lists, out)
+	pl := r.placement(dst.NumRegs())
+	regCluster := pl.RegCluster
+	for reg, h := range p.home {
 		if h != 0 {
-			regCluster[r] = int(h - 1)
+			regCluster[reg] = int(h - 1)
 		}
 	}
-	if len(p.moves) > 0 {
-		instrs := make([]ir.Instr, len(p.moves))
-		args := make([]ir.Operand, len(p.moves))
-		for k, m := range p.moves {
-			args[k] = ir.R(m.src)
-			instrs[k] = ir.Instr{Op: ir.OpXMov, Dest: m.dest, Args: args[k : k+1 : k+1], Cluster: m.cluster}
-			dst.Blocks[m.blk].Instrs[m.pos] = &instrs[k]
-			regCluster[m.dest] = int(m.cluster)
-		}
+	for _, m := range p.moves {
+		in := p.slab.New(ir.OpXMov, m.dest, ir.R(m.src))
+		in.Cluster = m.cluster
+		lists[m.pos] = in
+		regCluster[m.dest] = int(m.cluster)
 	}
-	return &Placement{RegCluster: regCluster}
+	for bi, b := range dst.Blocks {
+		s, e := p.starts[bi], p.starts[bi+1]
+		b.Instrs = lists[s:e:e]
+	}
+	clear(out) // no instruction pointer behind in the arena
+	return pl
 }
 
 type partitioner struct {
 	*partScratch
 	f    *ir.Func
 	bmap map[*ir.Block]*ir.Block // nil when partitioning in place
-	slab ir.Slab                 // the clone's instructions, in clone mode
+	slab *ir.Slab                // the output's instructions and lists: its own, or a round's
 	nc   int
 }
 
@@ -214,7 +246,7 @@ func (p *partitioner) block(bi int, b *ir.Block) {
 	memLoad := grow(&p.memLoad, nc)
 	copies := p.copies
 	firstMove := len(p.moves)
-	out := p.out[:0]
+	out := p.out
 
 	// Live-value estimate per cluster, maintained in program order, so
 	// placement balances register pressure as well as issue slots.
@@ -287,7 +319,7 @@ func (p *partitioner) block(bi int, b *ir.Block) {
 			return ir.R(p.moves[k-1].dest)
 		}
 		nr := p.f.NewReg()
-		p.moves = append(p.moves, xmove{int32(bi), int32(len(out)), nr, a.Reg, int16(c)})
+		p.moves = append(p.moves, xmove{int32(len(out)), nr, a.Reg, int16(c)})
 		out = append(out, nil) // the move's place, see partition
 		copies[int(a.Reg)*nc+c] = int32(len(p.moves))
 		load[src]++  // the move occupies an issue slot on the source cluster
@@ -418,16 +450,14 @@ func (p *partitioner) block(bi int, b *ir.Block) {
 			resolvePending(r, chooseCluster(ld.Args, true))
 		}
 	}
-	p.f.Blocks[bi].Instrs = append([]*ir.Instr(nil), out...)
+	p.starts = append(p.starts, int32(len(out)))
 
-	// Leave the per-block tables as the next block expects them, and
-	// no instruction pointer behind in the arena.
+	// Leave the per-block tables as the next block expects them.
 	for _, r := range touched {
 		remaining[r], isLive[r] = 0, false
 	}
 	for _, m := range p.moves[firstMove:] {
 		copies[int(m.src)*nc+int(m.cluster)] = 0
 	}
-	clear(out)
-	p.touched, p.pendingOrder, p.out = touched[:0], pendingOrder[:0], out[:0]
+	p.touched, p.pendingOrder, p.out = touched[:0], pendingOrder[:0], out
 }

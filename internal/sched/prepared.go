@@ -103,7 +103,7 @@ func (cs *classState) build(f *ir.Func, arch machine.Arch, sc *Scratch, keep boo
 	if arch.Clusters <= 1 || rewritesISA(arch) {
 		cs.src = lowerFor(f, arch)
 	}
-	cs.g, cs.pl = partitionFor(cs.src, arch, &sc.part)
+	cs.g, cs.pl = partitionFor(cs.src, arch, &sc.part, nil)
 	cs.lv = opt.ComputeLiveness(cs.g)
 	if keep {
 		cs.blocks = make([]blockRing, len(cs.g.Blocks))

@@ -160,7 +160,7 @@ func refScheduleBlock(t *testing.T, f *ir.Func, b *ir.Block, arch machine.Arch, 
 		cands[i].res = classify(in, pl)
 	}
 	var pr pressure
-	pr.init(f, b, arch, pl, lv, cap, identity, cands, sc)
+	pr.init(f, b, arch, pl, lv, cap, identity, cands, make([]int, arch.Clusters), sc)
 	wouldExceed := func(i int32) bool {
 		in := ins[i]
 		if !in.Op.HasDest() {
@@ -754,7 +754,8 @@ func TestSchedulerMatchesHeapAndEagerBlame(t *testing.T) {
 					for bi, b := range g.Blocks {
 						sk := skels[bi]
 						before := visited.Value()
-						sb, cert, sparse, err := scheduleBlock(g, b, arch, pl, lv, cap, inOrder, sk, sc)
+						sb := newBlock(b, arch.Clusters)
+						cert, sparse, err := scheduleBlock(g, b, arch, pl, lv, cap, inOrder, sk, sc, sb)
 						visits := int(visited.Value() - before)
 						eager := make([]int, g.NumRegs())
 						refSB, refVisits, refCert, refErr := refScheduleBlock(t, g, b, arch, pl, lv, cap, eager, inOrder, sk, refSC)

@@ -68,27 +68,46 @@ func ScheduleWithCap(f *ir.Func, arch machine.Arch, pl *Placement, cap int) (*vl
 
 // scheduleFunc is the scheduling engine of the spill rounds: it builds
 // the dependence skeleton of every block into sc's one builder, block
-// after block, and list-schedules them, returning the program together
-// with the liveness analysis it computed so the compile driver can hand
-// the same analysis to the register allocator.
+// after block, and list-schedules them into the round's memory
+// (roundMem), returning the program together with the liveness analysis
+// it computed so the compile driver can hand the same analysis to the
+// register allocator. Both are valid until the next round through sc.
 func scheduleFunc(f *ir.Func, arch machine.Arch, pl *Placement, cap int, inOrder bool, sc *Scratch) (*vliw.Program, *opt.Liveness, error) {
-	prog := &vliw.Program{
-		Arch:       arch,
-		F:          f,
-		RegCluster: pl.RegCluster,
-	}
-	lv := opt.ComputeLiveness(f)
-	prog.Blame = make([]int, f.NumRegs())
-	prog.Blocks = make([]*vliw.Block, 0, len(f.Blocks))
-	for _, b := range f.Blocks {
-		sb, _, blame, err := scheduleBlock(f, b, arch, pl, lv, cap, inOrder, sc.skel.Build(b, arch), sc)
+	r := &sc.round
+	r.lv.Recompute(f)
+	nc := arch.Clusters
+	r.begin(f.NumInstrs(), len(f.Blocks), nc)
+	blame := grow(&r.blame, f.NumRegs())
+	for bi, b := range f.Blocks {
+		sb := r.block(bi, b, nc)
+		_, bl, err := scheduleBlock(f, b, arch, pl, &r.lv, cap, inOrder, sc.skel.Build(b, arch), sc, sb)
 		if err != nil {
 			return nil, nil, blockError(f, b, err)
 		}
-		addBlame(prog.Blame, blame)
-		prog.Blocks = append(prog.Blocks, sb)
+		r.at = append(r.at, sc.issued...)
+		addBlame(blame, bl)
+		r.table = append(r.table, sb)
 	}
-	return prog, lv, nil
+	prog := &r.prog
+	*prog = vliw.Program{
+		Arch:       arch,
+		F:          f,
+		Blocks:     r.table,
+		RegCluster: pl.RegCluster,
+		Blame:      blame,
+	}
+	return prog, &r.lv, nil
+}
+
+// newBlock returns the empty schedule of b, with room for its ops and
+// its scheduler peak on nc clusters, for scheduleBlock to fill: one of
+// its own, for round 1, whose blocks the partition class's ring and the
+// Result keep (roundMem.block cuts a spill round's).
+func newBlock(b *ir.Block, nc int) *vliw.Block {
+	if len(b.Instrs) == 0 {
+		return &vliw.Block{IR: b}
+	}
+	return &vliw.Block{IR: b, Ops: make([]vliw.Op, 0, len(b.Instrs)), SchedPeak: make([]int, nc)}
 }
 
 // blockError names the block a scheduling error came from. Both compile
@@ -430,8 +449,8 @@ type regBlame struct {
 }
 
 // pressure tracks exact per-cluster live-value counts as the schedule
-// is built. All state except the escaping peak slice lives in the
-// Scratch arena.
+// is built. All state except the peak, which is the block's, lives in
+// the Scratch arena.
 type pressure struct {
 	cap        int // per-cluster live-value budget
 	live       []int
@@ -483,11 +502,11 @@ type depLink struct{ rec, next int32 }
 // init sets up the block's pressure state and fills in the pressure
 // half (cd, delta) of cands, the block's candidate records, which stand
 // at rank[i] for instruction i.
-func (p *pressure) init(f *ir.Func, b *ir.Block, arch machine.Arch, pl *Placement, lv *opt.Liveness, cap int, rank []int32, cands []cand, sc *Scratch) {
+func (p *pressure) init(f *ir.Func, b *ir.Block, arch machine.Arch, pl *Placement, lv *opt.Liveness, cap int, rank []int32, cands []cand, peak []int, sc *Scratch) {
 	n := f.NumRegs()
 	p.cap = cap
 	p.live = grow(&sc.live, arch.Clusters)
-	p.peak = make([]int, arch.Clusters) // escapes via vliw.Block.SchedPeak
+	p.peak = peak
 	p.isLive = grow(&sc.isLive, n)
 	p.remaining = grow(&sc.remaining, n)
 	p.immortal = grow(&sc.immortal, n)
@@ -703,17 +722,20 @@ type schedCert struct {
 	scanBound bool
 }
 
-// scheduleBlock list-schedules one block. The third result is the
-// block's sparse blame (see pressure.finish), valid until the next call
+// scheduleBlock list-schedules one block into sb, b's empty schedule
+// (newBlock, roundMem.block). The second result is the block's sparse
+// blame (see pressure.finish), and sc.issued lists the position in b of
+// the instruction each op issues; both are valid until the next call
 // through the same Scratch.
-func scheduleBlock(f *ir.Func, b *ir.Block, arch machine.Arch, pl *Placement, lv *opt.Liveness, cap int, inOrder bool, sk *ddg.Skeleton, sc *Scratch) (*vliw.Block, schedCert, []regBlame, error) {
+func scheduleBlock(f *ir.Func, b *ir.Block, arch machine.Arch, pl *Placement, lv *opt.Liveness, cap int, inOrder bool, sk *ddg.Skeleton, sc *Scratch, sb *vliw.Block) (schedCert, []regBlame, error) {
 	obs.GetCounter("sched.blocks_scheduled").Inc()
 	var cert schedCert
 	ins := b.Instrs
 	n := len(ins)
-	sb := &vliw.Block{IR: b}
+	issued := sc.issued[:0]
 	if n == 0 {
-		return sb, cert, nil, nil
+		sc.issued = issued
+		return cert, nil, nil
 	}
 
 	unschedPreds := grow(&sc.unschedPreds, n)
@@ -733,14 +755,13 @@ func scheduleBlock(f *ir.Func, b *ir.Block, arch machine.Arch, pl *Placement, lv
 		cands[rank[i]].res = classify(in, pl)
 	}
 	var pr pressure
-	pr.init(f, b, arch, pl, lv, cap, rank, cands, sc)
+	pr.init(f, b, arch, pl, lv, cap, rank, cands, sb.SchedPeak, sc)
 	placed := 0
 	cycle := 0
 	last := 0
 	cooloff := 0 // cycles to wait after a forced placement before forcing again
 	maxCycles := 64*n + 4096
 	visits := 0 // ready-set candidates visited, over all cycles
-	sb.Ops = make([]vliw.Op, 0, n)
 
 	emit := func(r int32) {
 		i := ready.order[r]
@@ -756,6 +777,7 @@ func scheduleBlock(f *ir.Func, b *ir.Block, arch machine.Arch, pl *Placement, lv
 			Cluster:    pl.Cluster(in),
 			SrcCluster: pl.SrcCluster(in),
 		})
+		issued = append(issued, i)
 		placed++
 		for _, e := range sk.Succs(int(i)) {
 			to := rank[e.To]
@@ -775,7 +797,7 @@ func scheduleBlock(f *ir.Func, b *ir.Block, arch machine.Arch, pl *Placement, lv
 	scanStart := 8 * (arch.ALUs + arch.L2Ports + arch.Clusters + 4)
 	for placed < n {
 		if cycle > maxCycles {
-			return nil, cert, nil, fmt.Errorf("schedule did not converge after %d cycles (%d/%d ops placed)", cycle, placed, n)
+			return cert, nil, fmt.Errorf("schedule did not converge after %d cycles (%d/%d ops placed)", cycle, placed, n)
 		}
 		placedThisCycle := 0
 		pressureDeferrals := 0
@@ -867,9 +889,9 @@ func scheduleBlock(f *ir.Func, b *ir.Block, arch machine.Arch, pl *Placement, lv
 	}
 	obs.GetCounter("sched.scan_visits").Add(int64(visits))
 	obs.GetCounter("sched.ops_placed").Add(int64(placed))
+	sc.issued = issued
 	sb.Len = last + 1
-	sb.SchedPeak = pr.peak
 	cert.maxPressure = pr.maxChecked
 	cert.pressureBound = pr.bound
-	return sb, cert, pr.finish(b, sc), nil
+	return cert, pr.finish(b, sc), nil
 }

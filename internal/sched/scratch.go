@@ -20,11 +20,22 @@ import (
 // The ownership rule: whatever a spill round builds and throws away
 // lives here, and is valid only until the round's next use of the same
 // buffer (a skeleton until the next block's, the partitioner's tables
-// until the next block). Whatever outlives the round does not: cloned
-// and inserted instructions live in per-clone slabs on the heap
-// (ir.Slab, partition), because the Result, its vliw.Ops and the
-// partition class point at them, and the skeletons a class keeps are
-// owned copies (ddg.Skeleton.Clone), because workers share them.
+// until the next block, a spill round's program until the next round).
+// Instructions follow ir.Slab's rule: a slab is either owned by the
+// function that points into it or it is a round buffer whose
+// instructions die with the round. Round 1 starts from the partition
+// class, whose instructions are the class's own (the Result, its
+// vliw.Ops and the class point at them), and the skeletons a class keeps
+// are owned copies (ddg.Skeleton.Clone), because workers share them.
+// Every later round builds into round (roundMem) — the partitioned
+// clone's instructions in a round buffer, its blocks, liveness, block
+// schedules and allocation — and the spill loop's working copy with the
+// reloads and stores each round adds lives in work (workMem) for the
+// compile. When a round fits, its Result stays in the arena for a
+// caller that brought one to CompilePreparedDelta (valid until the next
+// compile through the same Scratch, as round 1's is), and every other
+// entry copies out what the Result keeps, once and at its exact size
+// (roundMem.own). The arena keeps its round memory either way.
 //
 // A Scratch is NOT safe for concurrent use; share Prepared kernels
 // across workers, never a Scratch.
@@ -35,7 +46,8 @@ import (
 // with GetScratch and hands it back with PutScratch, so the next
 // exploration's workers, and the next request's compile, start on grown
 // tables. An idle arena pins nothing: PutScratch drops every pointer
-// into the kernel and the program it last worked on (see release).
+// into the kernel and the program it last worked on (see release),
+// through the capacity of the round memory too.
 type Scratch struct {
 	// the dependence skeleton of the block being scheduled, when no
 	// cached one applies: rebuilt block after block, round after round
@@ -73,11 +85,20 @@ type Scratch struct {
 	// flattened per-cycle resource tables
 	res resources
 
+	// issued lists, for the block scheduleBlock last built, the
+	// position in the block of the instruction each op issues
+	issued []int32
+
 	// spill-loop state (see spillLoop): which registers earlier rounds
 	// of this compile spilled, and the round's candidate lists
 	alreadySpilled []bool
 	victims        []ir.Reg
 	byBlame        []blamed
+
+	// the memory of the spill rounds after the first, and of the spill
+	// loop's working copy
+	round roundMem
+	work  workMem
 
 	// Round 1's program assembly arenas (see compile): the
 	// block-pointer table, the entry-id table, the per-block blame
@@ -144,8 +165,11 @@ func PutScratch(sc *Scratch) {
 // a finished request.
 func (sc *Scratch) release() {
 	sc.skel.Forget()
+	sc.part.lv.Forget()
 	idle.Wipe(sc.part.pending)
 	idle.Wipe(sc.part.out)
+	sc.round.forget()
+	sc.work.forget()
 	idle.Wipe(sc.progBlocks)
 	idle.Wipe(sc.entryBlame)
 	sc.prog, sc.result = vliw.Program{}, Result{}

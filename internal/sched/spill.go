@@ -23,21 +23,40 @@ const SpillMemName = "spill$"
 //
 // Returns the number of registers actually rewritten.
 func SpillRewrite(f *ir.Func, regs []ir.Reg) int {
+	return new(rewriter).rewrite(f, regs)
+}
+
+// rewriter is SpillRewrite's memory: the slab the reloads and stores are
+// cut from, and its tables. SpillRewrite's own is new per call, its slab
+// owned by the function; the spill loop keeps one in the Scratch
+// (workMem), whose slab is the working copy's.
+type rewriter struct {
+	slab     ir.Slab
+	vs       []victim
+	index    []int32 // register -> 1 + its position in regs
+	mentions []bool  // per block
+	ks       []int32
+}
+
+// victim is what the rewrite learns about one register it is asked to
+// spill.
+type victim struct {
+	uses, defs int
+	def        *ir.Instr // the definition, when there is only one
+	kind       int       // see rewrite
+	param      bool
+	slot       int32
+	next       ir.Reg // the victim's next fresh temporary
+}
+
+func (w *rewriter) rewrite(f *ir.Func, regs []ir.Reg) int {
 	const (
 		skip  = iota // no use to relieve, or no value to save
 		remat        // replay the defining constant load at each use
 		slot         // store after each def, reload before each use
 	)
-	type victim struct {
-		uses, defs int
-		def        *ir.Instr // the definition, when there is only one
-		kind       int
-		param      bool
-		slot       int32
-		next       ir.Reg // the victim's next fresh temporary
-	}
-	vs := make([]victim, len(regs))
-	index := make([]int32, f.NumRegs()) // register -> 1 + its position in regs
+	vs := grow(&w.vs, len(regs))
+	index := grow(&w.index, f.NumRegs())
 	for k, r := range regs {
 		index[r] = int32(k + 1)
 	}
@@ -57,7 +76,7 @@ func SpillRewrite(f *ir.Func, regs []ir.Reg) int {
 	// Classify. A rewrite of one victim inserts and drops only
 	// instructions that mention no other, so the counts are those each
 	// victim would see in its turn.
-	mentions := make([]bool, len(f.Blocks))
+	mentions := grow(&w.mentions, len(f.Blocks))
 	for bi, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			for ai, a := range in.Args {
@@ -123,17 +142,19 @@ func SpillRewrite(f *ir.Func, regs []ir.Reg) int {
 	}
 	f.SetNumRegs(int(next))
 
-	// Reloads and stores are cut from one slab that f's instructions
-	// keep alive, sized for exactly what the scan above counted.
-	var slab ir.Slab
-	slab.Expect(instrs, args)
+	// Reloads and stores are cut from the rewriter's slab, which has room
+	// for what the scan above counted. The blocks' new lists are
+	// allocations of their own: a round's replace the last round's, which
+	// a slab would keep to the end of the compile.
+	slab := &w.slab
+	slab.Expect(instrs, args, 0)
 	store := func(v *victim, r ir.Reg) *ir.Instr {
 		in := slab.New(ir.OpStore, ir.NoReg, ir.Imm(v.slot), ir.R(r))
 		in.Mem, in.Elem = spill, ir.ElemI32
 		return in
 	}
 	// reloaded lists, in victim order, the rewritten victims in reads.
-	var ks []int32
+	ks := w.ks[:0]
 	reloaded := func(in *ir.Instr) []int32 {
 		ks = ks[:0]
 		for ai, a := range in.Args {
@@ -215,5 +236,6 @@ func SpillRewrite(f *ir.Func, regs []ir.Reg) int {
 		}
 		b.Instrs = out
 	}
+	w.ks = ks[:0]
 	return done
 }
