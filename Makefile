@@ -42,6 +42,8 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/dse/
 	$(GO) test -run '^$$' -bench BenchmarkSimRun -benchtime 1x ./internal/sim/
 	$(GO) test -run '^$$' -bench 'BenchmarkOneShot|BenchmarkWarmFit' -benchtime 1x ./internal/core/
+	$(GO) test -run '^$$' -bench BenchmarkShardStatus -benchtime 1x ./internal/dist/
+	$(GO) test -run '^$$' -bench BenchmarkExploreSubmit -benchtime 1x ./internal/serve/
 
 # The end-to-end benchmark (BENCHMARK.json, benchmark/) is a module of
 # its own, so `go build ./...` and `go test ./...` at the root never
@@ -60,9 +62,15 @@ bench-module:
 # parseRecord and appendRecord), the results document's hand-written
 # codec against the same (dse's parseResults and appendResults), the
 # coordinator's cut of a job status against json.Unmarshal of the whole
-# (dist's splitStatus and decodeStatus), and the CKC frontend on any
-# source: a diagnostic or functions that verify, never a panic (cc's
-# FuzzCompileKernel, seeded with the suite's kernels). Long enough to replay the seed corpus and
+# (dist's splitStatus and decodeStatus, the in-place read of a finished
+# result against dse.FromJSON of the bytes cut out), the CKC frontend on
+# any source: a diagnostic or functions that verify, never a panic (cc's
+# FuzzCompileKernel, seeded with the suite's kernels), the worker's
+# reading of an explore request's archs against the strings.Fields
+# spelling and json.Unmarshal into []string (cli's FuzzArchTuple), and
+# the traceparent every explore submit carries (obs's
+# FuzzParseTraceParent: no panic, and what it takes re-renders as
+# itself). Long enough to replay the seed corpus and
 # mutate it a few tens of thousands of times, short enough for every
 # `make check`. Findings land under the package's testdata/fuzz/ and
 # then fail plain `go test` too.
@@ -73,6 +81,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzResultsDocument$$' -fuzztime 5s ./internal/dse/
 	$(GO) test -run '^$$' -fuzz '^FuzzSplitStatus$$' -fuzztime 5s ./internal/dist/
 	$(GO) test -run '^$$' -fuzz '^FuzzCompileKernel$$' -fuzztime 5s ./internal/cc/
+	$(GO) test -run '^$$' -fuzz '^FuzzArchTuple$$' -fuzztime 5s ./internal/cli/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseTraceParent$$' -fuzztime 5s ./internal/obs/
 
 # Extended verify: everything the tier-1 gate runs, plus vet,
 # staticcheck (when installed), the race pass, the benchmark smoke, the
@@ -80,14 +90,16 @@ fuzz-smoke:
 # ROADMAP.md).
 check: build vet staticcheck test race bench-smoke bench-module fuzz-smoke
 
-# Measure the ten layer benchmarks nothing else isolates and record
+# Measure the twelve layer benchmarks nothing else isolates and record
 # them, with the environment they ran in, as the trajectory document
 # (docs/PERFORMANCE.md, "Tracking the numbers"). A record, never a
 # baseline: numbers from another day or host are not comparable.
 bench:
 	( $(GO) test -run '^$$' -bench . -benchmem ./internal/dse/ && \
 	  $(GO) test -run '^$$' -bench BenchmarkSimRun -benchmem ./internal/sim/ && \
-	  $(GO) test -run '^$$' -bench 'BenchmarkOneShot|BenchmarkWarmFit' -benchmem ./internal/core/ ) | \
+	  $(GO) test -run '^$$' -bench 'BenchmarkOneShot|BenchmarkWarmFit' -benchmem ./internal/core/ && \
+	  $(GO) test -run '^$$' -bench BenchmarkShardStatus -benchmem ./internal/dist/ && \
+	  $(GO) test -run '^$$' -bench BenchmarkExploreSubmit -benchmem ./internal/serve/ ) | \
 		$(GO) run ./cmd/cfp-benchjson -o BENCH_explore.json
 	@echo wrote BENCH_explore.json
 
@@ -98,15 +110,16 @@ parent_rev = $$([ -z "$$(git status --porcelain)" ] && echo HEAD~1 || echo HEAD)
 # The perf gate: this tree against its parent commit, measured side by
 # side. The parent is HEAD when the tree has uncommitted changes and
 # HEAD~1 when it is clean; it is checked out into a git worktree under
-# .bench_build/ (removed again on any exit), the dse, sim and core test
-# binaries are built once per tree, and ten rounds run each benchmark
+# .bench_build/ (removed again on any exit), the dse, sim, core, dist
+# and serve test binaries are built once per tree, and ten rounds run each benchmark
 # on both binaries back to back at a fixed iteration count, alternating
 # which tree goes first. cfp-benchjson then judges every (benchmark,
 # metric): counts that repeat exactly on both sides are compared
 # exactly, timings on the per-round change/parent ratio against the
 # parent's own spread — so host drift fails nowhere and one more
 # allocation or scheduled block fails everywhere (cmd/cfp-benchjson,
-# docs/PERFORMANCE.md). About a minute at 2 procs.
+# docs/PERFORMANCE.md); a benchmark the parent does not have is reported
+# and not gated. About a minute at 2 procs.
 bench-diff:
 	@set -e; out=$(CURDIR)/.bench_build/bench-diff; \
 	rev=$(parent_rev); \
@@ -115,7 +128,7 @@ bench-diff:
 	git worktree add --quiet --detach $$out/parent $$rev; \
 	echo "bench-diff: parent is $$rev ($$(git rev-parse --short $$rev))"; \
 	src() { [ $$1 = change ] && echo $(CURDIR) || echo $$out/parent; }; \
-	for side in parent change; do for pkg in dse sim core; do \
+	for side in parent change; do for pkg in dse sim core dist serve; do \
 		(cd $$(src $$side) && $(GO) test -c -o $$out/$$side-$$pkg.test ./internal/$$pkg/); \
 	done; done; \
 	for round in 1 2 3 4 5 6 7 8 9 10; do \
@@ -126,7 +139,8 @@ bench-diff:
 				dse:BenchmarkExploreOpsSubset:3x dse:BenchmarkPrepare:10x \
 				dse:BenchmarkWarmOpen:100x \
 				sim:BenchmarkSimRun:50x core:BenchmarkOneShot:4x \
-				core:BenchmarkWarmFit:100x; do \
+				core:BenchmarkWarmFit:100x dist:BenchmarkShardStatus:200x \
+				serve:BenchmarkExploreSubmit:500x; do \
 			set -- $$(echo $$spec | tr : ' '); \
 			for side in $$order; do \
 				(cd $$(src $$side)/internal/$$1 && $$out/$$side-$$1.test -test.run '^$$' \

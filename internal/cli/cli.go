@@ -7,6 +7,8 @@
 package cli
 
 import (
+	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"net"
@@ -71,6 +73,155 @@ func ParseArchOps(s string, set *machine.OpSet) (machine.Arch, error) {
 		return a, err
 	}
 	return a, nil
+}
+
+// readArchOps is ParseArchOps on the bytes of a tuple, without a string
+// for the one spelling the coordinator sends an op-free machine in: six
+// unsigned decimal integers of at most maxDigits digits with one space
+// between each and nothing around them (FormatArch's), which it scans
+// where they lie (fast true). Every other spelling — an " ops=" suffix,
+// other white space, a sign — goes to ParseArchOps on a string of the
+// bytes (fast false). Either way it returns what ParseArchOps does.
+func readArchOps(b []byte, set *machine.OpSet) (a machine.Arch, fast bool, err error) {
+	if a, ok := scanArch(b); ok {
+		return a, true, a.Validate()
+	}
+	a, err = ParseArchOps(string(b), set)
+	return a, false, err
+}
+
+// maxDigits is the longest run of decimal digits an int always holds.
+const maxDigits = 9 * strconv.IntSize / 32
+
+// scanArch reads the six integers of FormatArch's op-free spelling, or
+// declines (ok false) anything else.
+func scanArch(b []byte) (a machine.Arch, ok bool) {
+	i := 0
+	for f, dst := range [...]*int{&a.ALUs, &a.MULs, &a.Regs, &a.L2Ports, &a.L2Lat, &a.Clusters} {
+		if f > 0 {
+			if i == len(b) || b[i] != ' ' {
+				return a, false
+			}
+			i++
+		}
+		start := i
+		for i < len(b) && b[i] >= '0' && b[i] <= '9' {
+			*dst = *dst*10 + int(b[i]-'0')
+			i++
+		}
+		if i == start || i-start > maxDigits {
+			return a, false
+		}
+	}
+	return a, i == len(b)
+}
+
+// ArchList is a JSON array of architecture tuples, as a request carries
+// it, decoded without a string per tuple. A list whose elements are all
+// plain strings — printable ASCII without a quote or backslash, which
+// encoding/json reads as the bytes between the quotes — is kept as one
+// copy of its text, and Archs reads the tuples where they lie; any other
+// list goes through encoding/json into strings.
+type ArchList struct {
+	text []byte   // the list as sent, when its elements are plain
+	strs []string // the elements, when they are not
+	n    int
+}
+
+// UnmarshalJSON implements json.Unmarshaler.
+func (l *ArchList) UnmarshalJSON(data []byte) error {
+	*l = ArchList{}
+	if n, ok := plainList(data); ok {
+		l.text, l.n = bytes.Clone(data), n
+		return nil
+	}
+	if err := json.Unmarshal(data, &l.strs); err != nil {
+		return err
+	}
+	l.n = len(l.strs)
+	return nil
+}
+
+// plainList reports whether data is a JSON array of plain strings, and
+// how many: white space around the tokens, nothing else.
+func plainList(data []byte) (n int, ok bool) {
+	i := skipSpace(data, 0)
+	if i == len(data) || data[i] != '[' {
+		return 0, false
+	}
+	if i = skipSpace(data, i+1); i < len(data) && data[i] == ']' {
+		return 0, skipSpace(data, i+1) == len(data)
+	}
+	for ; ; n++ {
+		if i == len(data) || data[i] != '"' {
+			return 0, false
+		}
+		for i++; i < len(data) && data[i] != '"'; i++ {
+			if c := data[i]; c < 0x20 || c >= 0x7f || c == '\\' {
+				return 0, false
+			}
+		}
+		if i == len(data) {
+			return 0, false
+		}
+		if i = skipSpace(data, i+1); i == len(data) {
+			return 0, false
+		}
+		switch data[i] {
+		case ',':
+			i = skipSpace(data, i+1)
+		case ']':
+			return n + 1, skipSpace(data, i+1) == len(data)
+		default:
+			return 0, false
+		}
+	}
+}
+
+// skipSpace returns the offset of the first byte at or after i that is
+// not JSON white space.
+func skipSpace(data []byte, i int) int {
+	for i < len(data) && (data[i] == ' ' || data[i] == '\t' || data[i] == '\n' || data[i] == '\r') {
+		i++
+	}
+	return i
+}
+
+// Len is the number of tuples in the list.
+func (l *ArchList) Len() int { return l.n }
+
+// Archs parses the tuples in order with readArchOps — ParseArchOps for a
+// list encoding/json decoded — and stops at the first that does not
+// parse. fallbacks counts the tuples readArchOps did not scan itself.
+func (l *ArchList) Archs(set *machine.OpSet) (archs []machine.Arch, fallbacks int, err error) {
+	if l.n == 0 {
+		return nil, 0, nil
+	}
+	archs = make([]machine.Arch, 0, l.n)
+	if l.text == nil {
+		for _, s := range l.strs {
+			a, err := ParseArchOps(s, set)
+			if err != nil {
+				return nil, len(archs) + 1, err
+			}
+			archs = append(archs, a)
+		}
+		return archs, len(archs), nil
+	}
+	for i := 0; len(archs) < l.n; {
+		start := i + bytes.IndexByte(l.text[i:], '"') + 1
+		i = start + bytes.IndexByte(l.text[start:], '"')
+		a, fast, err := readArchOps(l.text[start:i], set)
+		if !fast {
+			fallbacks++
+		}
+		if err != nil {
+			return nil, fallbacks, err
+		}
+		archs = append(archs, a)
+		i++
+	}
+	return archs, fallbacks, nil
 }
 
 // FormatArch renders an architecture in the positional wire form

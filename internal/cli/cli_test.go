@@ -1,8 +1,12 @@
 package cli
 
 import (
+	"encoding/json"
 	"flag"
+	"fmt"
 	"runtime"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -225,4 +229,157 @@ func TestVersionString(t *testing.T) {
 	if strings.Contains(v, "\n") {
 		t.Errorf("VersionString = %q, want a single line", v)
 	}
+}
+
+// referenceArchOps is ParseArchOps as strings.Fields and strconv.Atoi
+// spell it: the reference readArchOps and ArchList are held to.
+func referenceArchOps(s string, set *machine.OpSet) (machine.Arch, error) {
+	tuple, suffix, found := strings.Cut(s, " ops=")
+	var a machine.Arch
+	fields := strings.Fields(tuple)
+	dst := [...]*int{&a.ALUs, &a.MULs, &a.Regs, &a.L2Ports, &a.L2Lat, &a.Clusters}
+	ok := len(fields) == len(dst)
+	for i := 0; ok && i < len(dst); i++ {
+		var err error
+		*dst[i], err = strconv.Atoi(fields[i])
+		ok = err == nil
+	}
+	if !ok {
+		return machine.Arch{}, fmt.Errorf("architecture must be six integers \"a m r p2 l2 c\", got %q", tuple)
+	}
+	if err := a.Validate(); err != nil || !found {
+		return a, err
+	}
+	if set == nil {
+		return a, fmt.Errorf("op-enabled architecture %q without an op catalog", s)
+	}
+	mask, err := strconv.ParseUint(suffix, 16, 64)
+	if err != nil {
+		return a, fmt.Errorf("bad op mask in %q: %v", s, err)
+	}
+	a = a.WithOps(set, mask)
+	return a, a.Validate()
+}
+
+// testCatalog is the catalog the " ops=" masks index into.
+func testCatalog(t testing.TB) *machine.OpSet {
+	set, err := machine.ParseOpCatalog([]string{
+		"mac/3/2:mul $0 $1;add %0 $2",
+		"add_add/3/1:add $0 $1;add %0 $2",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return set
+}
+
+// sameResult reports whether two (Arch, error) results are one: the
+// same machine and the same error, word for word.
+func sameResult(a machine.Arch, err error, b machine.Arch, berr error) bool {
+	if (err == nil) != (berr == nil) || err != nil && err.Error() != berr.Error() {
+		return false
+	}
+	return err != nil || a == b
+}
+
+// checkArchTuple holds readArchOps to the reference on one tuple, with
+// and without a catalog.
+func checkArchTuple(t *testing.T, set *machine.OpSet, tuple []byte) {
+	t.Helper()
+	for _, s := range []*machine.OpSet{nil, set} {
+		got, _, err := readArchOps(tuple, s)
+		want, werr := referenceArchOps(string(tuple), s)
+		if !sameResult(got, err, want, werr) {
+			t.Fatalf("readArchOps(%q, catalog %v) = %v, %v; the reference reads %v, %v", tuple, s != nil, got, err, want, werr)
+		}
+	}
+}
+
+// checkArchList holds ArchList to json.Unmarshal into []string and the
+// reference on each element, with and without a catalog.
+func checkArchList(t *testing.T, set *machine.OpSet, data []byte) {
+	t.Helper()
+	var l ArchList
+	lerr := l.UnmarshalJSON(data)
+	var strs []string
+	if jerr := json.Unmarshal(data, &strs); (lerr == nil) != (jerr == nil) {
+		t.Fatalf("ArchList.UnmarshalJSON(%q) = %v; json.Unmarshal says %v", data, lerr, jerr)
+	}
+	if lerr != nil {
+		return
+	}
+	if l.Len() != len(strs) {
+		t.Fatalf("ArchList(%q) holds %d tuples; json.Unmarshal reads %q", data, l.Len(), strs)
+	}
+	for _, s := range []*machine.OpSet{nil, set} {
+		got, _, err := l.Archs(s)
+		var want []machine.Arch
+		var werr error
+		for _, tuple := range strs {
+			a, err := referenceArchOps(tuple, s)
+			if err != nil {
+				want, werr = nil, err
+				break
+			}
+			want = append(want, a)
+		}
+		if (err == nil) != (werr == nil) || err != nil && err.Error() != werr.Error() || !slices.Equal(got, want) {
+			t.Fatalf("ArchList(%q).Archs(catalog %v) = %v, %v; the reference reads %v, %v", data, s != nil, got, err, want, werr)
+		}
+	}
+}
+
+// archTupleSeeds are tuples and lists of them: the spellings the tests
+// above pin, and the shapes the scanner and the list decoder must hand
+// on.
+var archTupleSeeds = []string{
+	"8 2 128 1 4 4", "  8 2 128 1 4 4", "8 2 128 1 4 4  ", "8  2   128 1\t4 4", "8 2 128 1 4 4 9",
+	"8 2 128 1 4 4junk", "8 2 128 1 4 0x4", "8 2 128 1 4 4.0", "8,2,128,1,4,4", "+8 2 128 1 4 4",
+	"0 1 64 1 4 1", "8 2 128 1 4 3", "4 2 64 1 8 8", "008 2 128 1 4 4", "99999999999999999999 2 128 1 4 4",
+	"8 2 128 1 4 4 ops=1", "8 2 128 1 4 4 ops=3", "8 2 128 1 4 4 ops=ff", "8 2 128 1 4 4 ops=",
+	"8 2 128 1 4 4 ops=1 9", "8 2 128 1 4 4 9 ops=1", "",
+	`["8 2 128 1 4 4","1 1 64 1 8 1"]`, ` [ "8 2 128 1 4 4" , "2 1 64 1 4 1" ] `, `[]`, `null`,
+	`["8 2 128 1 4 4 ops=1"]`, `["8 2 128 1 4 4"]`, `["8 2 128 1 4 4",]`, `["a"] x`, `"8 2 128 1 4 4"`,
+	`["8 2 128 1 4 4","8 2 128 1 4 3"]`, "[\"8 2 128 1 4 4\xff\"]",
+}
+
+func TestArchTupleReaders(t *testing.T) {
+	set := testCatalog(t)
+	for _, s := range archTupleSeeds {
+		checkArchTuple(t, set, []byte(s))
+		checkArchList(t, set, []byte(s))
+	}
+	// The spelling the coordinator sends is scanned; every other one is
+	// ParseArchOps's.
+	for s, fast := range map[string]bool{"8 2 128 1 4 4": true, "8 2 128 1 4 3": true, "8  2 128 1 4 4": false, "8 2 128 1 4 4 ops=1": false} {
+		if _, got, _ := readArchOps([]byte(s), set); got != fast {
+			t.Errorf("readArchOps(%q) scans it: %v, want %v", s, got, fast)
+		}
+	}
+	var req struct {
+		Archs ArchList `json:"archs"`
+	}
+	if err := json.Unmarshal([]byte(`{"archs":["8 2 128 1 4 4","8 2 128 1 4 4 ops=3"]}`), &req); err != nil {
+		t.Fatal(err)
+	}
+	plain := machine.Arch{ALUs: 8, MULs: 2, Regs: 128, L2Ports: 1, L2Lat: 4, Clusters: 4}
+	archs, fallbacks, err := req.Archs.Archs(set)
+	if err != nil || fallbacks != 1 || !slices.Equal(archs, []machine.Arch{plain, plain.WithOps(set, 3)}) {
+		t.Errorf("a decoded list reads %v, %d fallbacks, %v", archs, fallbacks, err)
+	}
+}
+
+// FuzzArchTuple: on any bytes, as a tuple readArchOps reads what the
+// strings.Fields reference reads, with and without a catalog for an
+// " ops=" suffix; as a list ArchList decodes what json.Unmarshal into
+// []string decodes, and its tuples parse as the reference parses them.
+func FuzzArchTuple(f *testing.F) {
+	for _, s := range archTupleSeeds {
+		f.Add([]byte(s))
+	}
+	set := testCatalog(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkArchTuple(t, set, data)
+		checkArchList(t, set, data)
+	})
 }

@@ -168,50 +168,58 @@ func readBounded(r io.Reader, size, limit int64) ([]byte, error) {
 }
 
 // decodeStatus decodes a job status body. The result member — nearly
-// all of a finished shard's body — is cut out by splitStatus and handed
-// on as it stands (dse.FromJSON validates it when it decodes it), the
-// rest goes through encoding/json; a body splitStatus declines, or whose
+// all of a finished shard's body — is cut out by splitStatus and read
+// where it lies, by dse.ReadResults when it is a document in the shape a
+// worker writes (res, and st.Result aliases body), and otherwise handed
+// on as it stands for dse.FromJSON to validate when it decodes it; the
+// rest goes through encoding/json. A body splitStatus declines, or whose
 // rest names a result of its own (a repeated member, a key json matches
 // by case or escape), is decoded whole by encoding/json, as every body
-// used to be. A result handed on aliases body.
-func decodeStatus(body []byte) (serve.JobStatus, error) {
-	var st serve.JobStatus
-	if rest, result, ok := splitStatus(body); ok {
+// used to be, and res is nil.
+func decodeStatus(body []byte) (st serve.JobStatus, res *dse.Results, err error) {
+	if rest, result, doc, ok := splitStatus(body); ok {
 		if err := json.Unmarshal(rest, &st); err == nil && st.Result == nil {
 			st.Result = result
-			return st, nil
+			return st, doc, nil
 		}
 		st = serve.JobStatus{}
 	}
-	err := json.Unmarshal(body, &st)
-	return st, err
+	err = json.Unmarshal(body, &st)
+	return st, nil, err
 }
 
 // splitStatus cuts the top-level member "result" out of a JSON object:
 // rest is body without the member (a copy), result the member's value
-// (a slice of body). It walks the members in front of the result and the
-// result itself by quotes, escapes and bracket depth only, validating
-// nothing — rest is for encoding/json to validate, result for
-// dse.FromJSON — and declines (ok false) an object without the member,
-// and any byte between tokens that is not the next token.
-func splitStatus(body []byte) (rest, result []byte, ok bool) {
+// (a slice of body). It walks the members in front of the result by
+// quotes, escapes and bracket depth only, validating nothing — rest is
+// for encoding/json to validate — and reads the result with
+// dse.ReadResults, which validates what it takes (res); a result it
+// declines is walked over like the other members and left for
+// dse.FromJSON. splitStatus declines (ok false) an object without the
+// member, and any byte between tokens that is not the next token.
+func splitStatus(body []byte) (rest, result []byte, res *dse.Results, ok bool) {
 	if len(body) == 0 || body[0] != '{' {
-		return nil, nil, false
+		return nil, nil, nil, false
 	}
 	for i := 1; ; i++ {
 		key := i
 		if i = skipString(body, i); i < 0 || i >= len(body) || body[i] != ':' {
-			return nil, nil, false
+			return nil, nil, nil, false
 		}
 		val := i + 1
-		if i = skipValue(body, val); i < 0 || i >= len(body) || body[i] != ',' && body[i] != '}' {
-			return nil, nil, false
-		}
 		if string(body[key:val]) != `"result":` {
-			if body[i] == '}' {
-				return nil, nil, false
+			// Another member, which a result must follow.
+			if i = skipValue(body, val); i < 0 || i >= len(body) || body[i] != ',' {
+				return nil, nil, nil, false
 			}
 			continue
+		}
+		doc, n, read := dse.ReadResults(body[val:])
+		if i = val + n; !read {
+			i = skipValue(body, val)
+		}
+		if i < 0 || i >= len(body) || body[i] != ',' && body[i] != '}' {
+			return nil, nil, nil, false
 		}
 		// The member goes with one of its commas: the one in front, or
 		// for a first member the one behind, if there is one — and then a
@@ -223,13 +231,13 @@ func splitStatus(body []byte) (rest, result []byte, ok bool) {
 			from--
 		case body[i] == ',':
 			if i+1 >= len(body) || body[i+1] != '"' {
-				return nil, nil, false
+				return nil, nil, nil, false
 			}
 			to++
 		}
 		rest = make([]byte, 0, len(body)-(to-from))
 		rest = append(append(rest, body[:from]...), body[to:]...)
-		return rest, body[val:i], true
+		return rest, body[val:i], doc, true
 	}
 }
 
@@ -349,9 +357,10 @@ func (c *client) runShard(ctx context.Context, a *attempt, ereq serve.ExploreReq
 		polls++
 		body, err := c.pollJob(ctx, a.worker.url, jobID)
 		var st serve.JobStatus
+		var res *dse.Results
 		if err == nil {
 			t0 := time.Now()
-			if st, err = decodeStatus(body); err != nil {
+			if st, res, err = decodeStatus(body); err != nil {
 				err = fmt.Errorf("job %s: %w", jobID, err)
 			}
 			decode += time.Since(t0)
@@ -373,11 +382,14 @@ func (c *client) runShard(ctx context.Context, a *attempt, ereq serve.ExploreReq
 		switch st.State {
 		case serve.StateDone:
 			resultBytes = len(st.Result)
-			t0 := time.Now()
-			res, err := dse.FromJSON(st.Result)
-			decode += time.Since(t0)
-			if err != nil {
-				return nil, nil, permanent(fmt.Errorf("worker %s job %s: %w", a.worker.url, jobID, err))
+			if res == nil {
+				obs.GetCounter("dist.status_fallbacks").Inc()
+				t0 := time.Now()
+				res, err = dse.FromJSON(st.Result)
+				decode += time.Since(t0)
+				if err != nil {
+					return nil, nil, permanent(fmt.Errorf("worker %s job %s: %w", a.worker.url, jobID, err))
+				}
 			}
 			return res, st.Spans, nil
 		case serve.StateFailed:

@@ -23,7 +23,7 @@
 // coordinator's context drains the fleet. See docs/DISTRIBUTED.md.
 //
 // Telemetry: counters dist.shards, dist.retries, dist.hedges,
-// dist.worker_failures; spans dist.explore (root) and dist.shard (one
+// dist.worker_failures, dist.status_fallbacks; spans dist.explore (root) and dist.shard (one
 // per attempt, attributed with bench, arch count and worker).
 package dist
 
@@ -241,16 +241,10 @@ func Explore(ctx context.Context, opts Options) (*dse.Results, error) {
 		return nil, err
 	}
 	units := partitionUnits(grid, benches, capacity*o.ShardsPerWorker)
-	dispatchable := 0
-	for _, u := range units {
-		if u.aliasOf == nil {
-			dispatchable++
-		}
-	}
-	obs.GetCounter("dist.shards").Add(int64(dispatchable))
-	sp.Int("workers", int64(len(fleet))).Int("shards", int64(dispatchable)).Int("archs", int64(len(grid)))
+	obs.GetCounter("dist.shards").Add(int64(len(units)))
+	sp.Int("workers", int64(len(fleet))).Int("shards", int64(len(units))).Int("archs", int64(len(grid)))
 	olog.Info("distributed exploration starting").
-		Int("workers", int64(len(fleet))).Int("shards", int64(dispatchable)).
+		Int("workers", int64(len(fleet))).Int("shards", int64(len(units))).
 		Int("archs", int64(len(grid))).
 		Str("trace", sp.Context().Trace.String()).Log()
 
@@ -347,7 +341,6 @@ type coordinator struct {
 	nextAttempt int
 	pending     []*unit
 	doneUnits   int
-	needUnits   int
 
 	// Warm-up shipping (Options.Cache): kcs maps bench name to its kernel
 	// class under this run's width/seed, pushers holds one cache client
@@ -365,12 +358,7 @@ func (c *coordinator) run(ctx context.Context) (*dse.Results, error) {
 	defer stopRun()
 	c.rng = rand.New(rand.NewSource(1)) // jitter only; determinism of results never depends on it
 
-	for _, u := range c.units {
-		if u.aliasOf == nil {
-			c.pending = append(c.pending, u)
-			c.needUnits++
-		}
-	}
+	c.pending = append(c.pending, c.units...)
 
 	tick := c.opts.HedgeAfter / 4
 	if tick <= 0 || c.opts.HedgeAfter < 0 {
@@ -388,7 +376,7 @@ func (c *coordinator) run(ctx context.Context) (*dse.Results, error) {
 		return nil, err
 	}
 
-	for c.doneUnits < c.needUnits {
+	for c.doneUnits < len(c.units) {
 		if err := c.dispatch(runCtx); err != nil {
 			return fail(err)
 		}
@@ -405,7 +393,7 @@ func (c *coordinator) run(ctx context.Context) (*dse.Results, error) {
 	}
 	stopRun()
 	c.shutdown()
-	return c.merge(start)
+	return c.merge(start), nil
 }
 
 // shutdown ends the loop's side channels and reaps every outstanding
@@ -571,6 +559,11 @@ func (c *coordinator) warmupPush(u *unit, w *workerState) {
 	olog.Debug("cache warm-up pushed").
 		Str("worker", w.url).Str("bench", u.bench).Int("entries", int64(len(recs))).Log()
 }
+
+// handle takes one event of the loop: a unit due for retry, or an
+// attempt's end. A result is checked against its unit before the unit is
+// done; one that is not for the unit's machines fails the attempt like a
+// dead worker would.
 func (c *coordinator) handle(oc outcome) error {
 	if oc.requeue != nil {
 		c.pending = append(c.pending, oc.requeue)
@@ -579,6 +572,9 @@ func (c *coordinator) handle(oc outcome) error {
 	a, u, w := oc.a, oc.a.u, oc.a.worker
 	w.inflight--
 	delete(u.attempts, a.id)
+	if oc.err == nil {
+		oc.err = c.check(u, oc.res)
+	}
 
 	switch {
 	case oc.err == nil:
@@ -645,6 +641,24 @@ func (c *coordinator) handle(oc outcome) error {
 	return nil
 }
 
+// check reports whether res is the shard u asked for: one evaluation
+// per machine of the unit, in the unit's order, of the unit's benchmark.
+// Nothing else in the document is trusted at merge, so a worker that
+// answers for other machines or in another order is caught here.
+func (c *coordinator) check(u *unit, res *dse.Results) error {
+	evs := res.Eval[u.bench]
+	if len(evs) != len(u.indices) {
+		return fmt.Errorf("worker returned %d evaluations of %s for %d archs", len(evs), u.bench, len(u.indices))
+	}
+	for k, gi := range u.indices {
+		if evs[k].Arch != c.grid[gi] || evs[k].Bench != u.bench {
+			return fmt.Errorf("worker returned %s on %v as evaluation %d, want %s on %v",
+				evs[k].Bench, evs[k].Arch, k, u.bench, c.grid[gi])
+		}
+	}
+	return nil
+}
+
 // maybeHedge duplicates the longest-running lone shard onto an idle
 // worker once the queue is drained: a straggler (slow or silently dying
 // worker) must not hold the whole run hostage. One hedge per unit;
@@ -655,7 +669,7 @@ func (c *coordinator) maybeHedge(ctx context.Context) {
 	}
 	var oldest *attempt
 	for _, u := range c.units {
-		if u.done || u.hedged || u.aliasOf != nil || len(u.attempts) != 1 {
+		if u.done || u.hedged || len(u.attempts) != 1 {
 			continue
 		}
 		for _, a := range u.attempts {
@@ -688,34 +702,22 @@ func (c *coordinator) maybeHedge(ctx context.Context) {
 // baseline work is subtracted, leaving exactly the logical runs a
 // single run over the full grid counts (the baseline's own grid cell is
 // inside exactly one shard, where BaselineRuns is 0).
-func (c *coordinator) merge(start time.Time) (*dse.Results, error) {
+func (c *coordinator) merge(start time.Time) *dse.Results {
 	res := dse.NewResults(c.grid, c.benches, machine.DefaultCostModel)
 	var runs, failures int64
 	var phases dse.PhaseTimes
 	for _, u := range c.units {
-		src := u
-		if u.aliasOf != nil {
-			src = u.aliasOf
-		}
-		r := src.res
-		if r == nil {
-			return nil, fmt.Errorf("dist: shard %d has no result", u.id)
-		}
-		evs := r.Eval[u.bench]
-		if len(evs) != len(u.indices) {
-			return nil, fmt.Errorf("dist: shard %d returned %d evaluations for %d archs", u.id, len(evs), len(u.indices))
-		}
+		// Every unit is done, and handle checked its result.
+		r := u.res
 		for k, gi := range u.indices {
-			res.Eval[u.bench][gi] = evs[k]
+			res.Eval[u.bench][gi] = r.Eval[u.bench][k]
 		}
-		if u.aliasOf == nil {
-			runs += r.Stats.Runs - r.Stats.BaselineRuns
-			failures += r.Stats.Failures
-			phases.Compile += r.Stats.Phases.Compile
-			phases.Simulate += r.Stats.Phases.Simulate
-			phases.CostModel += r.Stats.Phases.CostModel
-		}
+		runs += r.Stats.Runs - r.Stats.BaselineRuns
+		failures += r.Stats.Failures
+		phases.Compile += r.Stats.Phases.Compile
+		phases.Simulate += r.Stats.Phases.Simulate
+		phases.CostModel += r.Stats.Phases.CostModel
 	}
 	res.Finish(dse.Stats{Runs: runs, Failures: failures, Phases: phases}, time.Since(start))
-	return res, nil
+	return res
 }

@@ -2,7 +2,6 @@ package dist
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -13,6 +12,7 @@ import (
 	"time"
 
 	"customfit/internal/bench"
+	"customfit/internal/cli"
 	"customfit/internal/core"
 	"customfit/internal/dse"
 	"customfit/internal/machine"
@@ -113,6 +113,12 @@ func TestDistributedMatchesLocalSampled(t *testing.T) {
 	}
 	if v := col.Counter("dist.shards").Value(); v < 2 {
 		t.Errorf("dist.shards = %d, want at least one shard per fleet slot", v)
+	}
+	// Op-free: every finished status read in place, every tuple scanned.
+	for _, name := range []string{"dist.status_fallbacks", "serve.tuple_fallbacks"} {
+		if v := col.Counter(name).Value(); v != 0 {
+			t.Errorf("%s = %d on an op-free run", name, v)
+		}
 	}
 }
 
@@ -362,7 +368,8 @@ func TestCancellation(t *testing.T) {
 
 // TestPartitionInvariants checks the sharding algebra directly: classes
 // stay whole, every grid cell is covered exactly once per benchmark,
-// and duplicate-arch grids alias rather than re-dispatch.
+// and the benchmarks' units of one chunk share its tuples, formatted
+// once.
 func TestPartitionInvariants(t *testing.T) {
 	grid := machine.Grid(nil, 8, nil)
 	benches := benchesByName("G", "F")
@@ -375,7 +382,7 @@ func TestPartitionInvariants(t *testing.T) {
 			classOfUnit[u.bench] = map[string]int{}
 			covered[u.bench] = map[int]bool{}
 		}
-		for _, gi := range u.indices {
+		for k, gi := range u.indices {
 			if covered[u.bench][gi] {
 				t.Fatalf("grid cell (%s, %d) covered twice", u.bench, gi)
 			}
@@ -385,6 +392,9 @@ func TestPartitionInvariants(t *testing.T) {
 				t.Fatalf("signature class %q split across units %d and %d", sig, prev, u.id)
 			}
 			classOfUnit[u.bench][sig] = u.id
+			if got, err := cli.ParseArch(u.tuples[k]); err != nil || got != grid[gi] {
+				t.Fatalf("unit %d tuple %q for %v", u.id, u.tuples[k], grid[gi])
+			}
 		}
 	}
 	for _, b := range benches {
@@ -392,35 +402,16 @@ func TestPartitionInvariants(t *testing.T) {
 			t.Fatalf("%s: %d of %d grid cells covered", b.Name, len(covered[b.Name]), len(grid))
 		}
 	}
-
-	// A duplicated grid dedups into aliases sharing one dispatch.
-	dup := []machine.Arch{machine.Baseline, machine.Baseline}
-	du := partitionUnits(dup, benchesByName("G"), 4)
-	aliases := 0
-	for _, u := range du {
-		if u.aliasOf != nil {
-			aliases++
+	perBench := len(units) / len(benches)
+	for i, g := range units[:perBench] {
+		if f := units[perBench+i]; &f.tuples[0] != &g.tuples[0] {
+			t.Errorf("units %d and %d format the tuples of one chunk twice", g.id, f.id)
 		}
 	}
-	if len(du) > 1 && aliases == 0 {
-		t.Errorf("duplicate-arch grid produced %d units and no aliases", len(du))
-	}
-}
 
-// TestShardKeyStability pins the dedup key to its canonical encoding:
-// identical work must always coalesce, different work never.
-func TestShardKeyStability(t *testing.T) {
-	a := shardKey("G", []string{"1 1 64 1 8 1"})
-	b := shardKey("G", []string{"1 1 64 1 8 1"})
-	c := shardKey("F", []string{"1 1 64 1 8 1"})
-	if a != b {
-		t.Error("identical shards got different keys")
-	}
-	if a == c {
-		t.Error("different benches share a key")
-	}
-	var decoded struct{ Bench string }
-	if err := json.Unmarshal([]byte(a), &decoded); err != nil || decoded.Bench != "G" {
-		t.Errorf("shard key is not canonical JSON: %q", a)
+	// A duplicated grid is one class, one unit, both cells dispatched.
+	du := partitionUnits([]machine.Arch{machine.Baseline, machine.Baseline}, benchesByName("G"), 4)
+	if len(du) != 1 || len(du[0].indices) != 2 {
+		t.Errorf("duplicate-arch grid produced %d units", len(du))
 	}
 }

@@ -59,4 +59,11 @@ func TestDistributedOpAwareMatchesLocal(t *testing.T) {
 	if !hasOps {
 		t.Error("merged grid lost its op-enabled architectures")
 	}
+	// Custom-op documents and tuples are outside the fast readers, and
+	// the counters say which decoder answered.
+	for _, name := range []string{"dist.status_fallbacks", "serve.tuple_fallbacks"} {
+		if v := col.Counter(name).Value(); v == 0 {
+			t.Errorf("%s = 0 on an op-crossed run", name)
+		}
+	}
 }

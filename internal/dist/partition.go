@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"customfit/internal/bench"
@@ -32,18 +31,15 @@ func gridOpSet(grid []machine.Arch) (*machine.OpSet, error) {
 // unit is one shard of the (benchmark × architecture) grid: a single
 // benchmark against a subset of the grid built from whole backend
 // signature classes. indices are positions in the coordinator's grid,
-// ascending; tuples is the parallel wire form. A unit whose key matches
-// an earlier unit's (possible only when the grid holds duplicate archs)
-// becomes an alias: it is never dispatched and shares the primary's
-// result at merge time — the coordinator-side analogue of serve's
-// in-flight coalescing.
+// ascending; tuples is the parallel wire form, shared with the other
+// benchmarks' units of the same chunk. Chunks partition the classes, so
+// no two units of a benchmark share a machine: every unit is its own
+// work.
 type unit struct {
 	id      int
 	bench   string
 	indices []int
 	tuples  []string
-	key     string
-	aliasOf *unit
 
 	// Scheduling state, owned by the coordinator loop.
 	retries  int
@@ -60,7 +56,8 @@ type unit struct {
 // physical sweep per (benchmark, class), every member arch charged the
 // class sweep's logical runs. Each benchmark is split into roughly
 // targetUnits/len(benches) chunks of near-equal arch count (never
-// splitting a class).
+// splitting a class). A chunk's tuples are formatted once, for all the
+// benchmarks' units.
 func partitionUnits(grid []machine.Arch, benches []*bench.Benchmark, targetUnits int) []*unit {
 	// Signature classes, first-seen order, members in grid order.
 	var classes [][]int
@@ -84,27 +81,24 @@ func partitionUnits(grid []machine.Arch, benches []*bench.Benchmark, targetUnits
 		perBench = len(classes)
 	}
 	chunks := chunkClasses(classes, perBench, len(grid))
+	tuples := make([][]string, len(chunks))
+	for ci, chunk := range chunks {
+		tuples[ci] = make([]string, len(chunk))
+		for k, gi := range chunk {
+			tuples[ci][k] = cli.FormatArch(grid[gi])
+		}
+	}
 
-	var units []*unit
-	byKey := map[string]*unit{}
+	units := make([]*unit, 0, len(benches)*len(chunks))
 	for _, b := range benches {
-		for _, chunk := range chunks {
-			u := &unit{
+		for ci, chunk := range chunks {
+			units = append(units, &unit{
 				id:       len(units),
 				bench:    b.Name,
 				indices:  chunk,
+				tuples:   tuples[ci],
 				attempts: map[int]*attempt{},
-			}
-			for _, gi := range chunk {
-				u.tuples = append(u.tuples, cli.FormatArch(grid[gi]))
-			}
-			u.key = shardKey(u.bench, u.tuples)
-			if prior, ok := byKey[u.key]; ok {
-				u.aliasOf = prior
-			} else {
-				byKey[u.key] = u
-			}
-			units = append(units, u)
+			})
 		}
 	}
 	return units
@@ -141,15 +135,4 @@ func chunkClasses(classes [][]int, k, total int) [][]int {
 		chunks = append(chunks, chunk)
 	}
 	return chunks
-}
-
-// shardKey canonically encodes everything that affects a shard's
-// result, mirroring serve's coalesce key: two units with equal keys are
-// the same work.
-func shardKey(bench string, tuples []string) string {
-	data, _ := json.Marshal(struct {
-		Bench string
-		Archs []string
-	}{bench, tuples})
-	return string(data)
 }

@@ -52,34 +52,65 @@ var statusBodies = []struct {
 	{"closed twice", `{"id":"j1","result":{}}}`, true},
 	{"not an object", `["result",{}]`, false},
 	{"empty", ``, false},
+	{"a worker's document", `{"id":"j1","kind":"explore","state":"done","result":` + workerDoc + "}\n", true},
+	{"a worker's document and spans", `{"id":"j1","state":"done","result":` + workerDoc + `,"spans":[{"name":"serve.job"}]}`, true},
+	{"a worker's document first", `{"result":` + workerDoc + `,"id":"j1","state":"done"}`, true},
+	{"a worker's document torn", `{"id":"j1","state":"done","result":` + workerDoc[:len(workerDoc)-1], false},
+	{"a worker's document, then junk", `{"id":"j1","state":"done","result":` + workerDoc + `x}`, false},
+	{"a worker's document twice", `{"result":` + workerDoc + `,"result":` + workerDoc + `}`, true},
 }
+
+// workerDoc is a results document in the one shape a worker writes:
+// dse.ReadResults reads it where it lies.
+const workerDoc = `{"archs":[{"A":1,"M":1,"R":64,"P2":1,"L2":8,"C":1}],"benches":["G"],"cost":[1],` +
+	`"eval":{"G":[{"Arch":{"ALUs":1,"MULs":1,"Regs":64,"L2Ports":1,"L2Lat":8,"Clusters":1,"MinMax":false},` +
+	`"Bench":"G","Unroll":2,"Cycles":1234,"Time":1234,"Speedup":1,"Spilled":0,"Failed":false}]},` +
+	`"stats":{"Runs":4,"Architectures":1,"DesignPoints":1,"Benchmarks":1,"WallTime":5,"PerArch":5,"PerRun":1,` +
+	`"Failures":0,"Phases":{"Compile":1,"Simulate":2,"CostModel":3}}}`
 
 // checkDecodeStatus holds decodeStatus to json.Unmarshal on one body:
 // what encoding/json decodes, decodeStatus decodes to the same value;
 // what it refuses, decodeStatus refuses too, or passes on with a result
-// that is not JSON, for dse.FromJSON to refuse.
+// that is not JSON, for dse.FromJSON to refuse. A result read in place
+// is what dse.FromJSON reads from the bytes cut out.
 func checkDecodeStatus(t *testing.T, body []byte) {
 	t.Helper()
 	var want serve.JobStatus
 	werr := json.Unmarshal(body, &want)
-	got, gerr := decodeStatus(body)
+	got, res, gerr := decodeStatus(body)
 	switch {
 	case werr == nil && (gerr != nil || !reflect.DeepEqual(got, want)):
 		t.Fatalf("decodeStatus(%q) = %+v, %v; json.Unmarshal gives %+v", body, got, gerr, want)
 	case werr != nil && gerr == nil && json.Valid(got.Result):
 		t.Fatalf("decodeStatus(%q) = %+v; json.Unmarshal says %v", body, got, werr)
 	}
-	rest, result, ok := splitStatus(body)
+	rest, result, cut, ok := splitStatus(body)
 	if !ok {
+		if res != nil {
+			t.Fatalf("decodeStatus(%q) read a result splitStatus does not cut", body)
+		}
 		return
 	}
 	// The cut is the member and at most one comma: rest and result are
 	// the rest of the body, and result lies in it behind its name.
-	if cut := len(body) - len(rest) - len(result); cut != len(`"result":,`) && cut != len(`"result":`) {
-		t.Fatalf("splitStatus(%q) = %q + %q: %d bytes cut", body, rest, result, cut)
+	if n := len(body) - len(rest) - len(result); n != len(`"result":,`) && n != len(`"result":`) {
+		t.Fatalf("splitStatus(%q) = %q + %q: %d bytes cut", body, rest, result, n)
 	}
 	if at := offsetIn(body, result); !bytes.HasSuffix(body[:at], []byte(`"result":`)) {
 		t.Fatalf("splitStatus(%q): result %q is not the value of a result member", body, result)
+	}
+	if cut == nil {
+		if res != nil {
+			t.Fatalf("decodeStatus(%q) read a result splitStatus does not read", body)
+		}
+		return
+	}
+	whole, err := dse.FromJSON(result)
+	if err != nil || !reflect.DeepEqual(cut, whole) {
+		t.Fatalf("splitStatus(%q) reads the result as %+v; dse.FromJSON gives %+v, %v", body, cut, whole, err)
+	}
+	if res != nil && !reflect.DeepEqual(res, whole) {
+		t.Fatalf("decodeStatus(%q) reads the result as %+v; dse.FromJSON gives %+v", body, res, whole)
 	}
 }
 
@@ -88,17 +119,26 @@ func offsetIn(body, part []byte) int { return cap(body) - cap(part) }
 
 func TestSplitStatus(t *testing.T) {
 	for _, tc := range statusBodies {
-		if _, _, ok := splitStatus([]byte(tc.body)); ok != tc.split {
+		_, _, res, ok := splitStatus([]byte(tc.body))
+		if ok != tc.split {
 			t.Errorf("%s: splitStatus takes it: %v, want %v", tc.name, ok, tc.split)
+		}
+		if read := strings.Contains(tc.body, workerDoc); ok && read != (res != nil) {
+			t.Errorf("%s: splitStatus reads the result: %v, want %v", tc.name, res != nil, read)
 		}
 		checkDecodeStatus(t, []byte(tc.body))
 	}
 	// What the split is for: the result of a finished shard is handed
-	// on where it lies.
-	body := []byte(statusBodies[2].body)
-	st, err := decodeStatus(body)
-	if err != nil || len(st.Result) == 0 || &st.Result[0] != &body[offsetIn(body, st.Result)] {
-		t.Errorf("decodeStatus copied the result: %+v, %v", st, err)
+	// on where it lies, and read there when it is a worker's document.
+	for _, i := range []int{2, 26} {
+		body := []byte(statusBodies[i].body)
+		st, res, err := decodeStatus(body)
+		if err != nil || len(st.Result) == 0 || &st.Result[0] != &body[offsetIn(body, st.Result)] {
+			t.Errorf("decodeStatus copied the result: %+v, %v", st, err)
+		}
+		if (res != nil) != (i == 26) {
+			t.Errorf("%s: decodeStatus reads the result: %v", statusBodies[i].name, res != nil)
+		}
 	}
 }
 

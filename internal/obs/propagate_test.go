@@ -225,3 +225,43 @@ func TestHistogramQuantiles(t *testing.T) {
 		t.Errorf("nil histogram quantiles = %v, want nil", got)
 	}
 }
+
+// FuzzParseTraceParent: on any string the parser answers without a
+// panic, and what it accepts re-renders as itself. TraceParent writes
+// version 00, flags 01 and lower-case hex; the parser takes any version
+// and flags and either case (ParseTraceParent), so the input is held to
+// the rendering with those three normalised. The rendering parses back
+// to the same context.
+func FuzzParseTraceParent(f *testing.F) {
+	for _, s := range []string{
+		"00-0123456789abcdef0123456789abcdef-0123456789abcdef-01",
+		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",
+		"01-0AF7651916CD43DD8448EB211C80319C-B7AD6B7169203331-00",
+		"",
+		"00-0123456789abcdef0123456789abcdef-0123456789abcdef",
+		"zz-0123456789abcdef0123456789abcdef-0123456789abcdef-01",
+		"00-0123456789abcdef0123456789abcdeg-0123456789abcdef-01",
+		"00-00000000000000000000000000000000-0123456789abcdef-01",
+		"00-0123456789abcdef0123456789abcdef-0000000000000000-01",
+		"00x0123456789abcdef0123456789abcdef-0123456789abcdef-01",
+		"00-0123456789abcdef0123456789abcdef-0123456789abcdef-01-x",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, v string) {
+		sc, ok := ParseTraceParent(v)
+		if !ok {
+			if sc != (SpanContext{}) {
+				t.Fatalf("ParseTraceParent(%q) refuses it but returns %+v", v, sc)
+			}
+			return
+		}
+		got := sc.TraceParent()
+		if want := "00" + strings.ToLower(v[2:len(v)-2]) + "01"; got != want {
+			t.Fatalf("ParseTraceParent(%q) renders as %q, want %q", v, got, want)
+		}
+		if back, ok := ParseTraceParent(got); !ok || back != sc {
+			t.Fatalf("ParseTraceParent(%q) = %+v renders as %q, which parses as %+v, %v", v, sc, got, back, ok)
+		}
+	})
+}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -297,54 +298,102 @@ type ExploreRequest struct {
 	Cache string `json:"cache,omitempty"`
 }
 
-func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
-	var req ExploreRequest
-	if !decodeJSON(w, r, &req) {
-		return
-	}
+// exploreBody is an ExploreRequest as the handler reads it: the same
+// members, but the archs list held as its text (cli.ArchList), which
+// encoding/json prefers to the embedded []string because it is
+// shallower.
+type exploreBody struct {
+	ExploreRequest
+	Archs cli.ArchList `json:"archs,omitempty"`
+}
+
+// exploreJob is an explore request checked and parsed: what the job runs
+// and the key it coalesces under.
+type exploreJob struct {
+	benches       []*bench.Benchmark
+	archs         []machine.Arch
+	opSet         *machine.OpSet
+	sample, width int
+	key           string
+}
+
+// resolve checks the request and parses what it names, or says why not
+// with the status to answer.
+func (req *exploreBody) resolve() (*exploreJob, int, error) {
 	benches, err := resolveBenches(req.Benchmarks)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err.Error())
-		return
+		return nil, http.StatusBadRequest, err
 	}
 	if req.Schema > SchemaVersion {
 		// 409, not 400: the request is well-formed, this worker is just
 		// too old to honor it — the coordinator should find another.
-		writeErr(w, http.StatusConflict, fmt.Sprintf(
+		return nil, http.StatusConflict, fmt.Errorf(
 			"request schema %d exceeds supported %d (op-aware request on an op-unaware worker?)",
-			req.Schema, SchemaVersion))
-		return
+			req.Schema, SchemaVersion)
 	}
 	if len(req.Ops) > 0 && req.Schema < 2 {
-		writeErr(w, http.StatusBadRequest, "ops requires schema >= 2")
-		return
+		return nil, http.StatusBadRequest, errors.New("ops requires schema >= 2")
 	}
-	if len(req.Archs) > 0 && req.Sample > 1 {
-		writeErr(w, http.StatusBadRequest, "archs and sample are mutually exclusive")
-		return
+	if req.Archs.Len() > 0 && req.Sample > 1 {
+		return nil, http.StatusBadRequest, errors.New("archs and sample are mutually exclusive")
 	}
-	var opSet *machine.OpSet
+	x := &exploreJob{benches: benches, sample: max(req.Sample, 1), width: req.Width}
+	if x.width <= 0 {
+		x.width = 96
+	}
 	if len(req.Ops) > 0 {
-		opSet, err = machine.ParseOpCatalog(req.Ops)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err.Error())
-			return
+		if x.opSet, err = machine.ParseOpCatalog(req.Ops); err != nil {
+			return nil, http.StatusBadRequest, err
 		}
 	}
-	var archs []machine.Arch
-	for _, tuple := range req.Archs {
-		a, err := cli.ParseArchOps(tuple, opSet)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err.Error())
-			return
+	archs, fallbacks, err := req.Archs.Archs(x.opSet)
+	if fallbacks > 0 {
+		obs.GetCounter("serve.tuple_fallbacks").Add(int64(fallbacks))
+	}
+	if err != nil {
+		return nil, http.StatusBadRequest, err
+	}
+	x.archs = archs
+	x.key = exploreKey(x, req.Ops)
+	return x, 0, nil
+}
+
+// exploreKey spells exactly the result-affecting fields of x, and ops
+// (the catalog as sent), unambiguously: counts and numbers as varints,
+// strings behind their length, the machines last. Worker counts,
+// caching and trace identity are left out because the pipeline is
+// deterministic regardless of them.
+func exploreKey(x *exploreJob, ops []string) string {
+	key := make([]byte, 0, 64+10*len(x.archs))
+	key = append(key, "explore:"...)
+	key = binary.AppendUvarint(key, uint64(len(x.benches)))
+	for _, b := range x.benches {
+		key = append(binary.AppendUvarint(key, uint64(len(b.Name))), b.Name...)
+	}
+	key = binary.AppendUvarint(key, uint64(x.sample))
+	key = binary.AppendUvarint(key, uint64(x.width))
+	key = binary.AppendUvarint(key, uint64(len(ops)))
+	for _, op := range ops {
+		key = append(binary.AppendUvarint(key, uint64(len(op))), op...)
+	}
+	for _, a := range x.archs {
+		for _, v := range [...]int{a.ALUs, a.MULs, a.Regs, a.L2Ports, a.L2Lat, a.Clusters} {
+			key = binary.AppendUvarint(key, uint64(v))
 		}
-		archs = append(archs, a)
+		key = binary.AppendUvarint(key, a.Ops.Mask)
 	}
-	if req.Sample < 1 {
-		req.Sample = 1
+	return string(key)
+}
+
+func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
+	var req exploreBody
+	if !decodeJSON(w, r, &req) {
+		return
 	}
-	if req.Width <= 0 {
-		req.Width = 96
+	x, code, err := req.resolve()
+	if err != nil {
+		writeErr(w, code, err.Error())
+		return
 	}
 	remote := remoteContext(r)
 	if req.TraceParent != "" {
@@ -352,25 +401,18 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 			remote = sc
 		}
 	}
-	// The key carries exactly the result-affecting fields; worker counts,
-	// caching and trace identity are excluded because the pipeline is
-	// deterministic regardless of them.
-	keyReq := req
-	keyReq.TraceParent = ""
-	keyReq.Cache = ""
-	key := coalesceKey("explore", keyReq)
 	cache := s.opts.Cache
 	if req.Cache == "off" {
 		cache = nil
 	}
-	s.respondSubmit(w, remote, "explore", key, func(ctx context.Context, j *Job) (json.RawMessage, error) {
+	s.respondSubmit(w, remote, "explore", x.key, func(ctx context.Context, j *Job) (json.RawMessage, error) {
 		res, err := core.Explore(ctx, core.ExploreOptions{
-			Benchmarks:  benches,
-			Archs:       archs,
-			ExactArchs:  len(archs) > 0,
-			Ops:         opSet,
-			Sample:      req.Sample,
-			Width:       req.Width,
+			Benchmarks:  x.benches,
+			Archs:       x.archs,
+			ExactArchs:  len(x.archs) > 0,
+			Ops:         x.opSet,
+			Sample:      x.sample,
+			Width:       x.width,
 			Parallelism: s.opts.EvalParallelism,
 			Cache:       cache,
 			Progress:    j.setProgress,
