@@ -67,10 +67,13 @@ bench-module:
 # any source: a diagnostic or functions that verify, never a panic (cc's
 # FuzzCompileKernel, seeded with the suite's kernels), the worker's
 # reading of an explore request's archs against the strings.Fields
-# spelling and json.Unmarshal into []string (cli's FuzzArchTuple), and
-# the traceparent every explore submit carries (obs's
-# FuzzParseTraceParent: no panic, and what it takes re-renders as
-# itself). Long enough to replay the seed corpus and
+# spelling and json.Unmarshal into []string (cli's FuzzArchTuple), the
+# traceparent every explore submit carries (obs's FuzzParseTraceParent:
+# no panic, and what it takes re-renders as itself), and the custom-op
+# codec every explore request's ops catalog and every op-carrying
+# results document reaches (ir's FuzzParseFusedSpec: a spec or an
+# error, never a panic, and what it takes renders to a text that parses
+# back to itself). Long enough to replay the seed corpus and
 # mutate it a few tens of thousands of times, short enough for every
 # `make check`. Findings land under the package's testdata/fuzz/ and
 # then fail plain `go test` too.
@@ -83,6 +86,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCompileKernel$$' -fuzztime 5s ./internal/cc/
 	$(GO) test -run '^$$' -fuzz '^FuzzArchTuple$$' -fuzztime 5s ./internal/cli/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTraceParent$$' -fuzztime 5s ./internal/obs/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseFusedSpec$$' -fuzztime 5s ./internal/ir/
 
 # Extended verify: everything the tier-1 gate runs, plus vet,
 # staticcheck (when installed), the race pass, the benchmark smoke, the

@@ -156,6 +156,9 @@ func main() {
 		if werr != nil {
 			fatal(werr)
 		}
+		if c := tool.CacheCfg; len(fleet) > 0 && (c.Dir != "" || c.Peer != "") {
+			fatal(errors.New("-cache-dir and -cache-peer configure a local run's cache; a distributed run caches on its workers: give each cfp-serve its own -cache-dir or -cache-peer"))
+		}
 		// Custom-op axis: "off" (nil set) keeps the exploration
 		// bit-identical to the 6-tuple era; "auto" mines the suite.
 		opSet, oerr := core.ResolveOps(*tool.OpsSel, bench.All(), *width, *tool.OpsN)
@@ -170,25 +173,23 @@ func main() {
 		// instead of killing the process mid-flight (telemetry and the
 		// cache still flush).
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-		cache, cerr := tool.OpenCache()
-		if cerr != nil {
-			fatal(cerr)
-		}
 		if len(fleet) > 0 {
 			// Distributed run: shard the grid across cfp-serve workers
 			// and merge to the same Results a local run would produce.
-			// The coordinator's cache (when configured) seeds warm-up
-			// pushes; -cache=off rides every shard request so the whole
-			// fleet runs cold.
+			// -cache=off rides every shard request so the whole fleet
+			// runs cold.
 			res, err = dist.Explore(ctx, dist.Options{
 				Workers:   fleet,
 				Width:     *width,
 				Sample:    *sample,
 				Ops:       opSet,
-				Cache:     cache,
 				CacheMode: tool.CacheCfg.Mode,
 			})
 		} else {
+			cache, cerr := tool.OpenCache()
+			if cerr != nil {
+				fatal(cerr)
+			}
 			opts := core.ExploreOptions{
 				Sample:      *sample,
 				Ops:         opSet,

@@ -114,9 +114,11 @@ func (g *exprGen) gen(d int) (string, func(a, b, c int32) int32) {
 // which Scalarize promotes; an if/else diamond and an if triangle over
 // scalars, which IfConvert collapses, beside a ?: the frontend lowers
 // to a select itself; a multiply-accumulate reduction of four to eight
-// terms, long enough for Reassociate; and a scalar carried from one
-// iteration to the next, which chains unrolled copies together. It
-// reads in[0 .. 2n+8) and writes out[0 .. 2n).
+// terms, long enough for Reassociate; and one to three scalars carried
+// from one iteration to the next, each updated from an expression and
+// the previous iteration's value of another, which chain unrolled
+// copies together. It reads in[0 .. 2n+8) and writes out[0 .. 2n]:
+// out[2n] is the carried state the loop leaves.
 func Kernel(r *rand.Rand) string {
 	expr := func() string {
 		s, _ := Expr(r, 3)
@@ -127,9 +129,19 @@ func Kernel(r *rand.Rand) string {
 	line := func(format string, args ...any) {
 		fmt.Fprintf(&sb, "\t\t"+format+"\n", args...)
 	}
-	sb.WriteString("kernel gen(int in[], int out[], int n) {\n")
-	sb.WriteString("\tint i; int carry; int t[3];\n\tcarry = 0;\n")
-	sb.WriteString("\tfor (i = 0; i < n; i++) {\n")
+	carried := []string{"carry"}
+	for s := r.Intn(3); s > 0; s-- {
+		carried = append(carried, fmt.Sprintf("s%d", len(carried)))
+	}
+	sb.WriteString("kernel gen(int in[], int out[], int n) {\n\tint i; int carry; int t[3];")
+	for _, v := range carried[1:] {
+		fmt.Fprintf(&sb, " int %s;", v)
+	}
+	sb.WriteString("\n\tcarry = 0;")
+	for _, v := range carried[1:] {
+		fmt.Fprintf(&sb, " %s = %d;", v, r.Intn(100))
+	}
+	sb.WriteString("\n\tfor (i = 0; i < n; i++) {\n")
 	line("int a; int b; int c; int x; int y; int acc;")
 	line("a = in[i + %d];", k())
 	line("b = in[i * 2 + %d] - in[%d];", k(), k())
@@ -144,9 +156,16 @@ func Kernel(r *rand.Rand) string {
 	for term, n := 0, 4+r.Intn(5); term < n; term++ {
 		line("acc += in[i + %d] * %d;", k(), r.Intn(31)-15)
 	}
+	// Each extra scalar reads the one after it (the last reads carry)
+	// before that one is updated: every read is of the previous
+	// iteration's value.
+	for j := len(carried) - 1; j > 0; j-- {
+		line("%s = %s + (%s ^ %s);", carried[j], expr(), carried[j], carried[(j+1)%len(carried)])
+	}
 	line("carry = (carry + %s) >> 1;", expr())
 	line("out[i * 2] = (%s ? x : y) + acc;", expr())
 	line("out[i * 2 + 1] = (t[1] ^ y) + carry;")
-	sb.WriteString("\t}\n}\n")
+	sb.WriteString("\t}\n")
+	fmt.Fprintf(&sb, "\tout[n * 2] = %s;\n}\n", strings.Join(carried, " ^ "))
 	return sb.String()
 }

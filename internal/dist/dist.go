@@ -40,8 +40,6 @@ import (
 
 	"customfit/internal/bench"
 	"customfit/internal/dse"
-	"customfit/internal/evcache"
-	"customfit/internal/fleetcache"
 	"customfit/internal/machine"
 	"customfit/internal/obs"
 	olog "customfit/internal/obs/log"
@@ -70,11 +68,6 @@ type Options struct {
 	Sample int
 	// Width is the reference workload width (default 96).
 	Width int
-	// ShardsPerWorker scales the shard count: the grid is cut into
-	// roughly fleet-capacity × ShardsPerWorker units (default 3), small
-	// enough to rebalance around a dead worker, large enough to amortize
-	// per-shard overhead.
-	ShardsPerWorker int
 	// MaxRetries bounds per-shard redispatch attempts (default 4);
 	// exceeding it fails the whole exploration.
 	MaxRetries int
@@ -92,32 +85,22 @@ type Options struct {
 	PollInterval time.Duration
 	// Client overrides the HTTP client (tests; default http.DefaultClient).
 	Client *http.Client
-	// Cache is the coordinator's local evaluation cache (optional). It
-	// is never consulted for results — workers evaluate, the coordinator
-	// merges — it is the source of warm-up shipping: before dispatching a
-	// shard, every entry it holds for the shard's signature classes (plus
-	// the baseline) is pushed to the worker's /v1/cache endpoint, so the
-	// worker pre-admits them and compiles nothing the fleet has seen
-	// before. Shards are whole dse.SigKey classes, so pushes are disjoint
-	// across shards of one benchmark. Push failures are non-fatal: the
-	// worker just computes cold.
-	Cache *evcache.Cache
 	// CacheMode "off" disables evaluation caching fleet-wide: every
 	// shard request carries it, so workers run cold even when they have
-	// their own caches attached (the operator's -cache=off is honored
-	// everywhere, not just coordinator-side) and nothing is pushed. The
-	// value is the -cache flag's, which cli.Tool.Start has validated to
-	// be exactly "on" or "off".
+	// their own caches attached. The value is the -cache flag's, which
+	// cli.Tool.Start has validated to be exactly "on" or "off".
 	CacheMode string
 }
+
+// shardsPerWorker scales the shard count: the grid is cut into roughly
+// fleet-capacity × shardsPerWorker units, small enough to rebalance
+// around a dead worker, large enough to amortize per-shard overhead.
+const shardsPerWorker = 3
 
 func (o *Options) withDefaults() Options {
 	out := *o
 	if out.Width <= 0 {
 		out.Width = 96
-	}
-	if out.ShardsPerWorker <= 0 {
-		out.ShardsPerWorker = 3
 	}
 	if out.MaxRetries <= 0 {
 		out.MaxRetries = 4
@@ -220,6 +203,15 @@ func Explore(ctx context.Context, opts Options) (*dse.Results, error) {
 		return nil, fmt.Errorf("dist: no benchmarks given")
 	}
 
+	// The coordinator's grid always contains the baseline: every shard's
+	// out-of-grid baseline work is subtracted at merge, and the one grid
+	// cell that owns the baseline is counted once.
+	grid := machine.Grid(o.Archs, o.Sample, o.Ops)
+	opSet, err := gridOpSet(grid)
+	if err != nil {
+		return nil, err
+	}
+
 	sp := obs.StartSpanCtx(ctx, "dist.explore")
 	defer sp.End()
 
@@ -232,15 +224,7 @@ func Explore(ctx context.Context, opts Options) (*dse.Results, error) {
 	for _, w := range fleet {
 		capacity += w.capacity
 	}
-	// The coordinator's grid always contains the baseline: every shard's
-	// out-of-grid baseline work is subtracted at merge, and the one grid
-	// cell that owns the baseline is counted once.
-	grid := machine.Grid(o.Archs, o.Sample, o.Ops)
-	opSet, err := gridOpSet(grid)
-	if err != nil {
-		return nil, err
-	}
-	units := partitionUnits(grid, benches, capacity*o.ShardsPerWorker)
+	units := partitionUnits(grid, benches, capacity*shardsPerWorker)
 	obs.GetCounter("dist.shards").Add(int64(len(units)))
 	sp.Int("workers", int64(len(fleet))).Int("shards", int64(len(units))).Int("archs", int64(len(grid)))
 	olog.Info("distributed exploration starting").
@@ -264,18 +248,6 @@ func Explore(ctx context.Context, opts Options) (*dse.Results, error) {
 		events:   make(chan outcome, len(units)+len(fleet)),
 		loopDone: make(chan struct{}),
 		cacheOff: o.CacheMode == "off",
-	}
-	if o.Cache != nil && !c.cacheOff {
-		c.kcs = make(map[string]string, len(benches))
-		for _, b := range benches {
-			// Workers evaluate with the default evaluator (seed 1), so
-			// warm-up keys must be derived the same way.
-			c.kcs[b.Name] = dse.KernelClass(b, o.Width, 1)
-		}
-		c.pushers = make(map[string]*fleetcache.Client, len(fleet))
-		for _, w := range fleet {
-			c.pushers[w.url] = fleetcache.New(w.url, o.Client)
-		}
 	}
 	return c.run(ctx)
 }
@@ -342,13 +314,7 @@ type coordinator struct {
 	pending     []*unit
 	doneUnits   int
 
-	// Warm-up shipping (Options.Cache): kcs maps bench name to its kernel
-	// class under this run's width/seed, pushers holds one cache client
-	// per admitted worker. Both are built once before dispatch and read
-	// only from attempt goroutines thereafter. cacheOff propagates
-	// -cache=off fleet-wide via ExploreRequest.Cache.
-	kcs      map[string]string
-	pushers  map[string]*fleetcache.Client
+	// cacheOff propagates -cache=off fleet-wide via ExploreRequest.Cache.
 	cacheOff bool
 }
 
@@ -502,7 +468,6 @@ func (c *coordinator) launch(ctx context.Context, u *unit, w *workerState) {
 	c.bg.Add(1)
 	go func() {
 		defer c.bg.Done()
-		c.warmupPush(u, w)
 		res, spans, err := c.client.runShard(ctx, a, req, sp)
 		sp.AdoptRemote(spans)
 		sp.End()
@@ -511,53 +476,6 @@ func (c *coordinator) launch(ctx context.Context, u *unit, w *workerState) {
 		case <-c.loopDone:
 		}
 	}()
-}
-
-// warmupPush ships the coordinator cache's warm entries for u's
-// signature classes to w before the shard runs, so the worker
-// pre-admits them and recompiles nothing the fleet already knows.
-// Shards are whole dse.SigKey classes, so pushes for different shards
-// of one benchmark are disjoint; the baseline entry is included because
-// every shard evaluates the baseline out-of-grid. Failures are
-// non-fatal — the worker just computes cold.
-func (c *coordinator) warmupPush(u *unit, w *workerState) {
-	if c.pushers == nil {
-		return
-	}
-	kc := c.kcs[u.bench]
-	pusher := c.pushers[w.url]
-	if kc == "" || pusher == nil {
-		return
-	}
-	seen := make(map[string]bool, len(u.indices)+1)
-	var recs []evcache.Record
-	push := func(a machine.Arch) {
-		key := dse.CacheKey(kc, a)
-		if seen[key] {
-			return
-		}
-		seen[key] = true
-		if e, ok := c.opts.Cache.Peek(u.bench, key); ok {
-			recs = append(recs, evcache.Record{Key: key, Entry: e})
-		}
-	}
-	push(machine.Baseline)
-	for _, gi := range u.indices {
-		push(c.grid[gi])
-	}
-	if len(recs) == 0 {
-		return
-	}
-	if err := pusher.StoreBatch(u.bench, recs); err != nil {
-		obs.GetCounter("dist.warmup_push_errors").Inc()
-		olog.Warn("cache warm-up push failed").
-			Str("worker", w.url).Str("bench", u.bench).Str("err", err.Error()).Log()
-		return
-	}
-	obs.GetCounter("dist.warmup_pushes").Inc()
-	obs.GetCounter("dist.warmup_entries").Add(int64(len(recs)))
-	olog.Debug("cache warm-up pushed").
-		Str("worker", w.url).Str("bench", u.bench).Int("entries", int64(len(recs))).Log()
 }
 
 // handle takes one event of the loop: a unit due for retry, or an
@@ -703,7 +621,7 @@ func (c *coordinator) maybeHedge(ctx context.Context) {
 // single run over the full grid counts (the baseline's own grid cell is
 // inside exactly one shard, where BaselineRuns is 0).
 func (c *coordinator) merge(start time.Time) *dse.Results {
-	res := dse.NewResults(c.grid, c.benches, machine.DefaultCostModel)
+	res := dse.NewResults(c.grid, c.benches)
 	var runs, failures int64
 	var phases dse.PhaseTimes
 	for _, u := range c.units {

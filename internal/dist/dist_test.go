@@ -324,6 +324,33 @@ func TestFingerprintMismatch(t *testing.T) {
 	}
 }
 
+// TestMinMaxGridRefused: the wire tuple has no min/max flag, so a grid
+// with a MinMax machine is refused, naming it, before any shard is
+// submitted: sharded, its results would fail every check and strike
+// healthy workers.
+func TestMinMaxGridRefused(t *testing.T) {
+	installCollector(t)
+	w := newFakeWorker(1)
+	ts := httptest.NewServer(w)
+	t.Cleanup(ts.Close)
+
+	mm := machine.Arch{ALUs: 4, MULs: 2, Regs: 128, L2Ports: 2, L2Lat: 2, Clusters: 1}.WithMinMax()
+	opts := fastOpts(ts.URL)
+	opts.Benchmarks = benchesByName("G")
+	opts.Archs = []machine.Arch{machine.Baseline, mm}
+	opts.Width = 32
+	// The fake worker never finishes a job: a run that submits ends here.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	_, err := Explore(ctx, opts)
+	if err == nil || !strings.Contains(err.Error(), mm.String()) || !strings.Contains(err.Error(), "min/max") {
+		t.Fatalf("Explore error = %v, want a refusal naming %v", err, mm)
+	}
+	if n := w.submits.Load(); n != 0 {
+		t.Errorf("worker saw %d submits, want 0", n)
+	}
+}
+
 // TestCancellation: cancelling the coordinator's context must abort the
 // run with ErrCancelled and DELETE the in-flight shard jobs — also the
 // job whose submit the worker has accepted but not yet answered when

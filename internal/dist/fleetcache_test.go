@@ -115,56 +115,9 @@ func TestGoldenFleetWarmThreePass(t *testing.T) {
 	}
 }
 
-// TestWarmupPushFreshWorker covers coordinator-side warm-up shipping:
-// a coordinator whose attached cache is warm pushes each
-// shard's entries to the worker before dispatch, so even a worker with
-// no cache peer compiles nothing.
-func TestWarmupPushFreshWorker(t *testing.T) {
-	col := installCollector(t)
-	coordCache, err := evcache.Open("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Warm the coordinator's cache with a local run of the same space.
-	want, err := core.Explore(context.Background(), core.ExploreOptions{
-		Benchmarks: benchesByName("G"), Sample: 24, Width: 32, Cache: coordCache,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	wCache, err := evcache.Open("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := startWorker(t, serve.Options{Workers: 2, Collector: col, Cache: wCache})
-
-	opts := fastOpts(w.URL)
-	opts.Benchmarks = benchesByName("G")
-	opts.Sample = 24
-	opts.Width = 32
-	opts.Cache = coordCache
-	got, err := Explore(context.Background(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g, w := canonicalJSON(t, got), canonicalJSON(t, want); g != w {
-		t.Errorf("warm-up-pushed results diverge from local run")
-	}
-	if n := wCache.Stats().Computes; n != 0 {
-		t.Errorf("worker computed %d sweeps despite warm-up push, want 0", n)
-	}
-	if v := col.Counter("dist.warmup_pushes").Value(); v == 0 {
-		t.Error("dist.warmup_pushes = 0, want every shard preceded by a push")
-	}
-	if v := col.Counter("dist.warmup_entries").Value(); v == 0 {
-		t.Error("dist.warmup_entries = 0, want warm entries shipped")
-	}
-}
-
 // TestCacheModeOffPropagates: the coordinator's -cache=off must ride
 // every shard request — workers with their own caches attached leave
-// them untouched, and no warm-up is pushed.
+// them untouched.
 func TestCacheModeOffPropagates(t *testing.T) {
 	col := installCollector(t)
 	wCache, err := evcache.Open("")
@@ -173,17 +126,10 @@ func TestCacheModeOffPropagates(t *testing.T) {
 	}
 	w := startWorker(t, serve.Options{Workers: 2, Collector: col, Cache: wCache})
 
-	coordCache, err := evcache.Open("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	coordCache.Put("G", "poison-detector", evcache.Entry{Cycles: 1, Runs: 1})
-
 	opts := fastOpts(w.URL)
 	opts.Benchmarks = benchesByName("G")
 	opts.Sample = 24
 	opts.Width = 32
-	opts.Cache = coordCache
 	opts.CacheMode = "off"
 	got, err := Explore(context.Background(), opts)
 	if err != nil {
@@ -200,8 +146,5 @@ func TestCacheModeOffPropagates(t *testing.T) {
 	}
 	if n := wCache.Resident(); n != 0 {
 		t.Errorf("worker cache holds %d entries after a -cache=off fleet run, want 0 (untouched)", n)
-	}
-	if v := col.Counter("dist.warmup_pushes").Value(); v != 0 {
-		t.Errorf("dist.warmup_pushes = %d with -cache=off, want 0", v)
 	}
 }

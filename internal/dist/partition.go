@@ -10,12 +10,16 @@ import (
 )
 
 // gridOpSet returns the single custom-op catalog the grid's op-enabled
-// members draw from (nil for an op-free grid), or an error on a mixed
-// grid — shards of one exploration must share one catalog, like one
-// Results file.
+// members draw from (nil for an op-free grid), or an error on a grid
+// the wire cannot carry: a mixed one — shards of one exploration must
+// share one catalog, like one Results file — or one with a MinMax
+// machine, which the wire tuple has no field for.
 func gridOpSet(grid []machine.Arch) (*machine.OpSet, error) {
 	var set *machine.OpSet
 	for _, a := range grid {
+		if a.MinMax {
+			return nil, fmt.Errorf("dist: grid architecture %v has the min/max repertoire, which a shard request cannot carry; explore it locally", a)
+		}
 		if a.Ops.Empty() {
 			continue
 		}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -216,6 +217,22 @@ func TestPersistRoundTrip(t *testing.T) {
 	bsel := back.SelectConstrained(10, 0)
 	if len(a) != len(bsel) || (len(a) > 0 && a[0].ArchIdx != bsel[0].ArchIdx) {
 		t.Error("selection differs after round-trip")
+	}
+}
+
+// TestMinMaxArchRefusedByDocument: the document's architecture list has
+// no min/max flag, so encoding a MinMax machine is an error rather than
+// a document that reloads as another machine.
+func TestMinMaxArchRefusedByDocument(t *testing.T) {
+	r := syntheticResults()
+	r.Archs[1] = r.Archs[1].WithMinMax()
+	data, err := r.JSON()
+	if err == nil {
+		back, _ := FromJSON(data)
+		t.Fatalf("JSON encoded %v with the min/max repertoire; it reloads with MinMax %v", r.Archs[1], back.Archs[1].MinMax)
+	}
+	if !strings.Contains(err.Error(), r.Archs[1].String()) {
+		t.Errorf("error %q does not name %v", err, r.Archs[1])
 	}
 }
 

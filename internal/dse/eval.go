@@ -139,10 +139,6 @@ func (sw sweepResult) evaluation(bench string, arch machine.Arch, derate float64
 type EvalConfig struct {
 	// Width is the reference workload width in pixels.
 	Width int
-	// Seed generates the reference workload.
-	Seed int64
-	// Cycle is the cycle-time model applied to raw cycles.
-	Cycle machine.CycleModel
 	// DisableMemo is the reference path: every evaluation runs real
 	// backend compiles, resolving through no cache at all — not the
 	// attached Cache, not the evaluator's private memory tier
@@ -165,10 +161,14 @@ type EvalConfig struct {
 	Cache *evcache.Cache
 }
 
+// workloadSeed generates every evaluation's reference workload. Cycle
+// counts are priced by machine.DefaultCycleModel.
+const workloadSeed = 1
+
 // defaultEvalConfig is the standard reference workload (96 pixels,
-// seed 1) under the default cycle-time model.
+// seed workloadSeed).
 func defaultEvalConfig() EvalConfig {
-	return EvalConfig{Width: 96, Seed: 1, Cycle: machine.DefaultCycleModel}
+	return EvalConfig{Width: 96}
 }
 
 // Evaluator compiles benchmarks for architectures with caching.
@@ -282,7 +282,7 @@ func (e *Evaluator) prepare(sp *obs.Span, b *bench.Benchmark, u int) *prepared {
 // countVisits interprets the prepared IR over the reference workload
 // and records how many times each block executes.
 func (e *Evaluator) countVisits(b *bench.Benchmark, g *ir.Func) (map[string]int64, error) {
-	c := b.NewCase(e.Width, e.Seed).Clone()
+	c := b.NewCase(e.Width, workloadSeed).Clone()
 	env := c.Env()
 	env.Visits = map[string]int64{}
 	if _, err := ir.Interp(g, env); err != nil {
@@ -325,7 +325,7 @@ func (e *Evaluator) evaluate(ctx context.Context, b *bench.Benchmark, arch machi
 	} else {
 		sw = e.sweepThroughCache(ctx, esp, b, arch, sc)
 	}
-	ev := sw.evaluation(b.Name, arch, e.Cycle.Derate(arch))
+	ev := sw.evaluation(b.Name, arch, machine.DefaultCycleModel.Derate(arch))
 	if esp != nil {
 		esp.Int("unroll", int64(ev.Unroll)).Int("cycles", ev.Cycles)
 	}
@@ -402,8 +402,8 @@ func (e *Evaluator) countCached(runs int64) {
 // version), and the reference workload whose visit counts weight the
 // cycle totals. Cost and cycle-time models are deliberately excluded:
 // they are applied outside the backend, so retuning them never
-// invalidates cached sweeps. Exported so the distributed coordinator
-// can address cache entries without an Evaluator (warm-up shipping).
+// invalidates cached sweeps. Exported so that cache entries can be
+// addressed without an Evaluator; evaluators always pass workloadSeed.
 func KernelClass(b *bench.Benchmark, width int, seed int64) string {
 	// The hashed text is what
 	//
@@ -435,10 +435,10 @@ func KernelClass(b *bench.Benchmark, width int, seed int64) string {
 
 // CacheKey returns the evcache key of one architecture within a kernel
 // class (KernelClass); the cache shard name is the benchmark name.
-// This is the fleet-wide content address: every layer — the evaluator,
-// the serving endpoints, the coordinator's warm-up pushes — derives
-// exactly this key, which is what makes "compile anything at most once
-// across the whole fleet" possible.
+// This is the fleet-wide content address: every evaluator, on any node,
+// and the fleet cache tier it reads through to use exactly this key,
+// which is what makes "compile anything at most once across the whole
+// fleet" possible.
 func CacheKey(kernelClass string, a machine.Arch) string {
 	var buf keyBuf
 	return string(appendCacheKey(buf[:0], kernelClass, a))
@@ -457,7 +457,7 @@ func (e *Evaluator) kernelClass(b *bench.Benchmark) string {
 	defer e.mu.Unlock()
 	k, ok := e.keys[b.Name]
 	if !ok {
-		k = KernelClass(b, e.Width, e.Seed)
+		k = KernelClass(b, e.Width, workloadSeed)
 		if e.keys == nil {
 			e.keys = map[string]string{}
 		}
@@ -477,7 +477,6 @@ const prepPipelineVersion = 1
 // cache (answerCached).
 type cachedGrid struct {
 	archs []machine.Arch
-	cycle machine.CycleModel
 	// What a row needs of each architecture and not of the benchmark,
 	// derived once when several rows share the grid and nil otherwise
 	// (a fleet shard is one row: a table read once saves nothing): the
@@ -495,7 +494,7 @@ func (e *Evaluator) newCachedGrid(archs []machine.Arch, rows int) *cachedGrid {
 	if e.Cache == nil || e.DisableMemo {
 		return nil
 	}
-	g := &cachedGrid{archs: archs, cycle: e.Cycle}
+	g := &cachedGrid{archs: archs}
 	if rows > 1 {
 		g.sig = make([]byte, 0, 32*len(archs))
 		g.off = make([]int32, len(archs)+1)
@@ -503,7 +502,7 @@ func (e *Evaluator) newCachedGrid(archs []machine.Arch, rows int) *cachedGrid {
 		for i, a := range archs {
 			g.sig = sigOf(a).appendKey(g.sig)
 			g.off[i+1] = int32(len(g.sig))
-			g.derate[i] = g.cycle.Derate(a)
+			g.derate[i] = machine.DefaultCycleModel.Derate(a)
 		}
 	}
 	return g
@@ -520,7 +519,7 @@ func (g *cachedGrid) appendSigKey(b []byte, i int) []byte {
 // derateOf is architecture i's cycle-time derate.
 func (g *cachedGrid) derateOf(i int) float64 {
 	if g.derate == nil {
-		return g.cycle.Derate(g.archs[i])
+		return machine.DefaultCycleModel.Derate(g.archs[i])
 	}
 	return g.derate[i]
 }
@@ -616,7 +615,7 @@ func (e *Evaluator) SpeedupBound(b *bench.Benchmark, baselineTime float64, cost 
 		if !ok || lb <= 0 {
 			return math.Inf(1) // cannot bound: never prune
 		}
-		return baselineTime / (float64(lb) * e.Cycle.Derate(a))
+		return baselineTime / (float64(lb) * machine.DefaultCycleModel.Derate(a))
 	}
 }
 

@@ -41,7 +41,6 @@ type Explorer struct {
 	// whose whole (arch × kernel) slice Cache holds is answered from it
 	// in one pass: not prepared, not queued.
 	EvalConfig
-	Cost       machine.CostModel
 	Benchmarks []*bench.Benchmark // default: bench.All()
 	Archs      []machine.Arch     // default: machine.FullSpace()
 	Workers    int                // default: GOMAXPROCS
@@ -59,10 +58,7 @@ type Explorer struct {
 // RunCtx reads as the full space and the full suite: a caller with a
 // grid or kernels of its own does not pay for what it overwrites.
 func NewExplorer() *Explorer {
-	return &Explorer{
-		EvalConfig: defaultEvalConfig(),
-		Cost:       machine.DefaultCostModel,
-	}
+	return &Explorer{EvalConfig: defaultEvalConfig()}
 }
 
 // PhaseTimes breaks exploration wall time down by pipeline phase.
@@ -116,26 +112,24 @@ type Results struct {
 	Cost    []float64               // per arch
 	Eval    map[string][]Evaluation // bench -> per-arch evaluations
 	Stats   Stats
-	CostMdl machine.CostModel
 }
 
 // NewResults allocates the shell every exploration fills, whether one
 // process runs it (Explorer.RunCtx) or a fleet does (internal/dist's
 // merge): the grid, one zero Evaluation per (benchmark, architecture)
-// cell, and every architecture's cost under model.
-func NewResults(archs []machine.Arch, benches []*bench.Benchmark, model machine.CostModel) *Results {
+// cell, and every architecture's cost under machine.DefaultCostModel.
+func NewResults(archs []machine.Arch, benches []*bench.Benchmark) *Results {
 	res := &Results{
-		Archs:   archs,
-		Cost:    make([]float64, len(archs)),
-		Eval:    map[string][]Evaluation{},
-		CostMdl: model,
+		Archs: archs,
+		Cost:  make([]float64, len(archs)),
+		Eval:  map[string][]Evaluation{},
 	}
 	for _, b := range benches {
 		res.Benches = append(res.Benches, b.Name)
 		res.Eval[b.Name] = make([]Evaluation, len(archs))
 	}
 	for i, a := range archs {
-		res.Cost[i] = model.Cost(a)
+		res.Cost[i] = machine.DefaultCostModel.Cost(a)
 	}
 	return res
 }
@@ -268,7 +262,7 @@ func (e *Explorer) RunCtx(ctx context.Context) (*Results, error) {
 	}
 
 	start := time.Now()
-	res := NewResults(archs, benches, e.Cost)
+	res := NewResults(archs, benches)
 	costTime := time.Since(start)
 	r := &run{rsp: rsp, ev: ev, benches: benches, archs: archs, res: res}
 	r.sink, r.start, r.total = e.Progress, start, len(benches)*len(archs)

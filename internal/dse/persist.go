@@ -60,6 +60,9 @@ func (r *Results) JSON() ([]byte, error) {
 	}
 	var set *machine.OpSet
 	for _, a := range r.Archs {
+		if a.MinMax {
+			return nil, fmt.Errorf("dse: encode results: architecture %v has the min/max repertoire, which the document cannot record", a)
+		}
 		aj := archJSON{A: a.ALUs, M: a.MULs, R: a.Regs, P2: a.L2Ports, L2: a.L2Lat, C: a.Clusters}
 		if !a.Ops.Empty() {
 			switch {

@@ -44,7 +44,7 @@ func TestSignatureClassesCompileIdentically(t *testing.T) {
 				a, repArch[sig], got.Unroll, got.Cycles, got.Spilled, got.Failed,
 				rep.Unroll, rep.Cycles, rep.Spilled, rep.Failed)
 		}
-		if d1, d2 := ev.Cycle.Derate(a), ev.Cycle.Derate(repArch[sig]); d1 != d2 {
+		if d1, d2 := machine.DefaultCycleModel.Derate(a), machine.DefaultCycleModel.Derate(repArch[sig]); d1 != d2 {
 			t.Errorf("%v derate %.15g differs from representative %v derate %.15g",
 				a, d1, repArch[sig], d2)
 		}

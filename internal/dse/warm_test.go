@@ -28,7 +28,7 @@ func fillWarmDir(tb testing.TB, dir string, archs []machine.Arch, names ...strin
 	for _, name := range names {
 		b := bench.ByName(name)
 		benches = append(benches, b)
-		kc := KernelClass(b, warmWidth, defaultEvalConfig().Seed)
+		kc := KernelClass(b, warmWidth, workloadSeed)
 		for i, a := range archs {
 			c.Put(b.Name, CacheKey(kc, a), evcache.Entry{
 				Unroll: 1 << (i % 4), Cycles: int64(20000 + 7*i), Spilled: i % 5, Runs: int64(i%4 + 1),

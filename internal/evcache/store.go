@@ -27,7 +27,7 @@ type Store interface {
 	// remote tier, so chained caches cannot echo entries in a loop.
 	StoreBatch(shard string, recs []Record) error
 	// Missing filters keys down to those the store does not hold
-	// (batched has-checks, so warm-up pushes can skip what the far side
+	// (batched has-checks, so a sender can skip what the far side
 	// already has).
 	Missing(shard string, keys []string) ([]string, error)
 }
@@ -74,8 +74,8 @@ func (c *Cache) Missing(shard string, keys []string) ([]string, error) {
 }
 
 // Peek returns an entry without touching hit/miss accounting, LRU
-// order, or the remote tier. Warm-up push scans use it so shipping
-// entries to workers does not skew the coordinator cache's stats.
+// order, or the remote tier: a probe of what the local tier holds that
+// leaves the cache's stats as they were.
 func (c *Cache) Peek(shard, key string) (Entry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

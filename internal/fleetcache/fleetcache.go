@@ -54,11 +54,10 @@ const DefaultTimeout = 5 * time.Second
 // bytes.
 const maxEntryBytes = 1 << 16
 
-// maxPutBytes bounds a POST body. A record is a few hundred bytes: the
-// limit leaves room for 32 default write-behind batches
-// (evcache.RemoteOptions.BatchSize = 256) at a generous 1 KiB a record,
-// which also covers a coordinator's warm-up push of one benchmark's
-// whole grid.
+// maxPutBytes bounds a POST body, which arrives from outside the
+// process. A record is a few hundred bytes: the limit leaves room for
+// 32 default write-behind batches (evcache.RemoteOptions.BatchSize =
+// 256) at a generous 1 KiB a record.
 const maxPutBytes = 8 << 20
 
 // PutRequest is the body of POST /v1/cache/{shard}: a batched put

@@ -27,7 +27,7 @@ func TestPreparePreservesGeneratedKernels(t *testing.T) {
 	r := rand.New(rand.NewSource(20261002))
 	in := make([]int32, 2*slices.Max(widths)+8)
 	run := func(fn *ir.Func, n int) []int32 {
-		out := make([]int32, 2*n)
+		out := make([]int32, 2*n+1)
 		src := slices.Clone(in)
 		if _, err := ir.Interp(fn, ir.NewEnv(int32(n)).Bind("in", src).Bind("out", out)); err != nil {
 			t.Fatalf("interp %s: %v", fn.Name, err)

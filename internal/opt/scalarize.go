@@ -9,7 +9,7 @@ import "customfit/internal/ir"
 // traffic.
 const MaxScalarizeElems = 64
 
-// Scalarize promotes small kernel-local arrays whose every access uses
+// scalarize promotes small kernel-local arrays whose every access uses
 // a constant index into per-element registers. After the frontend fully
 // unrolls constant-trip loops, scratch arrays indexed by unrolled
 // counters (Floyd-Steinberg's Err[3], out[3]) become constant-indexed
@@ -19,8 +19,6 @@ const MaxScalarizeElems = 64
 // Parameter arrays and file-level globals are never scalarized: they
 // are externally visible storage. Run Clean first so constant indices
 // are immediates.
-func Scalarize(f *ir.Func) { run(f, (*workspace).scalarize) }
-
 func (ws *workspace) scalarize(f *ir.Func) {
 	// Snapshot: scalarizeMem removes entries from f.Mems in place.
 	mems := append([]*ir.MemRef(nil), f.Mems...)

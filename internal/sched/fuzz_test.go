@@ -1,74 +1,28 @@
 package sched
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
 	"customfit/internal/cc"
+	"customfit/internal/cc/cctest"
 	"customfit/internal/ir"
 	"customfit/internal/machine"
 	"customfit/internal/opt"
 	"customfit/internal/sim"
 )
 
-// Random-kernel torture: generate kernels with random arithmetic
-// bodies, loop-carried state and stores, compile them for random
+func randomArch(r *rand.Rand, space []machine.Arch) machine.Arch {
+	return space[r.Intn(len(space))]
+}
+
+// TestRandomKernelsAcrossRandomMachines is random-kernel torture:
+// generate kernels (cctest.Kernel), compile them for random
 // architectures at random unroll factors, and require that the
 // cycle-accurate simulation of the scheduled program produces exactly
 // the memory image of the plain IR interpreter. This closes the loop
 // over every backend component at once: partitioning, scheduling,
 // pressure throttling, spilling and the simulator.
-
-// randomKernel emits a CKC kernel whose loop body mixes pure
-// expressions over in[i], loop-carried scalars, and scratch stores.
-func randomKernel(r *rand.Rand) string {
-	expr := func(vars []string, depth int) string {
-		var gen func(d int) string
-		ops := []string{"+", "-", "*", "&", "|", "^"}
-		gen = func(d int) string {
-			if d <= 0 || r.Intn(3) == 0 {
-				if r.Intn(2) == 0 {
-					return vars[r.Intn(len(vars))]
-				}
-				return fmt.Sprintf("%d", r.Intn(64)-32)
-			}
-			switch r.Intn(6) {
-			case 0:
-				return fmt.Sprintf("(%s >> %d)", gen(d-1), r.Intn(6))
-			case 1:
-				return fmt.Sprintf("(%s << %d)", gen(d-1), r.Intn(4))
-			case 2:
-				return fmt.Sprintf("(%s ? %s : %s)", gen(d-1), gen(d-1), gen(d-1))
-			case 3:
-				return fmt.Sprintf("min(%s, %s)", gen(d-1), gen(d-1))
-			default:
-				return fmt.Sprintf("(%s %s %s)", gen(d-1), ops[r.Intn(len(ops))], gen(d-1))
-			}
-		}
-		return gen(depth)
-	}
-	nCarried := 1 + r.Intn(3)
-	src := "kernel fz(int in[], int out[], int n) {\n\tint i;\n"
-	vars := []string{"v"}
-	for k := 0; k < nCarried; k++ {
-		src += fmt.Sprintf("\tint s%d;\n\ts%d = %d;\n", k, k, r.Intn(100))
-		vars = append(vars, fmt.Sprintf("s%d", k))
-	}
-	src += "\tfor (i = 0; i < n; i++) {\n\t\tint v;\n\t\tv = in[i];\n"
-	for k := 0; k < nCarried; k++ {
-		src += fmt.Sprintf("\t\ts%d = %s;\n", k, expr(vars, 3))
-	}
-	src += fmt.Sprintf("\t\tout[i] = %s;\n\t}\n", expr(vars, 3))
-	// Final state visible after the loop.
-	src += "\tout[n] = s0;\n}\n"
-	return src
-}
-
-func randomArch(r *rand.Rand, space []machine.Arch) machine.Arch {
-	return space[r.Intn(len(space))]
-}
-
 func TestRandomKernelsAcrossRandomMachines(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles dozens of random kernels")
@@ -77,7 +31,7 @@ func TestRandomKernelsAcrossRandomMachines(t *testing.T) {
 	space := machine.FullSpace()
 	trials := 150
 	for trial := 0; trial < trials; trial++ {
-		src := randomKernel(r)
+		src := cctest.Kernel(r)
 		fn, err := cc.CompileKernel(src)
 		if err != nil {
 			t.Fatalf("trial %d: %v\n%s", trial, err, src)
@@ -98,12 +52,12 @@ func TestRandomKernelsAcrossRandomMachines(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		n := int32(5 + r.Intn(20))
-		in := make([]int32, n)
+		in := make([]int32, 2*n+8)
 		for i := range in {
 			in[i] = int32(r.Intn(512) - 256)
 		}
-		ref := make([]int32, n+1)
-		got := make([]int32, n+1)
+		ref := make([]int32, 2*n+1)
+		got := make([]int32, 2*n+1)
 		if _, err := ir.Interp(fn, ir.NewEnv(n).Bind("in", in).Bind("out", ref)); err != nil {
 			t.Fatalf("trial %d: interp: %v\n%s", trial, err, src)
 		}
@@ -117,7 +71,7 @@ func TestRandomKernelsAcrossRandomMachines(t *testing.T) {
 			}
 		}
 		// And once more through the physical register assignment.
-		gotPhys := make([]int32, n+1)
+		gotPhys := make([]int32, 2*n+1)
 		if _, err := sim.RunPhysical(res.Prog, ir.NewEnv(n).Bind("in", in).Bind("out", gotPhys)); err != nil {
 			t.Fatalf("trial %d: physical sim on %s: %v\n%s", trial, arch, err, src)
 		}

@@ -73,10 +73,6 @@ type Options struct {
 	// SpanLimit bounds the spans returned per traced job (default
 	// 16384); overflow is dropped and counted on serve.spans_dropped.
 	SpanLimit int
-	// Logger receives the server's structured log entries. Nil falls
-	// back to the process-global obs/log logger at each call (so a
-	// logger installed by cli.Tool is picked up without plumbing).
-	Logger *olog.Logger
 }
 
 // Server is the exploration service. Create with New, expose via
@@ -167,7 +163,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.draining = true
 	s.mu.Unlock()
-	s.logger().Info("draining").Log()
+	olog.Info("draining").Log()
 	s.closeOnce.Do(func() { close(s.queue) })
 	done := make(chan struct{})
 	go func() {
@@ -240,7 +236,7 @@ func (s *Server) runJob(j *Job) {
 		j.finish(StateFailed, nil, err.Error())
 		obs.GetCounter("serve.jobs_failed").Inc()
 	}
-	s.logger().Info("job finished").
+	olog.Info("job finished").
 		Str("job", j.ID).Str("kind", j.Kind).Str("state", string(state)).
 		Dur("dur", time.Since(start)).
 		Str("trace", sp.Context().Trace.String()).
@@ -258,16 +254,6 @@ func sized(b []byte) []byte {
 	out := make([]byte, len(b))
 	copy(out, b)
 	return out
-}
-
-// logger returns the server's log sink: the explicit Options.Logger, or
-// the process-global one at call time (nil — a silent no-op chain —
-// when neither is configured).
-func (s *Server) logger() *olog.Logger {
-	if s.opts.Logger != nil {
-		return s.opts.Logger
-	}
-	return olog.Default()
 }
 
 // clearInflight drops the job from the coalescing index once it can no
@@ -328,7 +314,7 @@ func (s *Server) submit(kind, coalesceKey string, remote obs.SpanContext, run fu
 		s.mu.Unlock()
 		cancel()
 		obs.GetCounter("serve.queue_rejects").Inc()
-		s.logger().Warn("queue full, job rejected").Str("kind", kind).Log()
+		olog.Warn("queue full, job rejected").Str("kind", kind).Log()
 		return nil, false, errQueueFull
 	}
 	s.jobs[id] = j
@@ -339,7 +325,7 @@ func (s *Server) submit(kind, coalesceKey string, remote obs.SpanContext, run fu
 	s.evictLocked()
 	s.mu.Unlock()
 	obs.GetCounter("serve.jobs_submitted").Inc()
-	s.logger().Debug("job accepted").
+	olog.Debug("job accepted").
 		Str("job", id).Str("kind", kind).
 		Str("trace", remote.Trace.String()).Log()
 	return j, false, nil
