@@ -5,6 +5,9 @@ GO ?= go
 build:
 	$(GO) build ./...
 
+# Tier 1. Among the tests: EXPERIMENTS.md's report block must be the
+# report of results_full.json; after a change that moves a number on
+# purpose, rewrite it with `go test . -run TestExperimentsReport -update`.
 test:
 	$(GO) test -timeout 20m ./...
 

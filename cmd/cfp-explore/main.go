@@ -4,6 +4,7 @@
 // Typical usage:
 //
 //	cfp-explore -save results.json          # full run (all machines × all benchmarks)
+//	cfp-explore -load results.json          # the report EXPERIMENTS.md holds
 //	cfp-explore -load results.json -table 8 # reprint Table 8 from a saved run
 //	cfp-explore -load results.json -figure 3 -ascii
 //	cfp-explore -table 6                    # cost model only, no exploration
@@ -34,7 +35,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"os/signal"
 	"strconv"
@@ -79,7 +79,7 @@ var tool *cli.Tool
 
 func main() {
 	var (
-		table      = flag.Int("table", 0, "regenerate a paper table (3, 6, 7, 8, 9, 10); 0 = all")
+		table      = flag.Int("table", 0, "regenerate one paper table (3, 6, 7, 8, 9, 10); 0 = the whole report (tables, claims, frontier, failed cells)")
 		figure     = flag.Int("figure", 0, "emit a paper figure's data (3 or 4)")
 		ascii      = flag.Bool("ascii", true, "render figures as ASCII scatter plots (false = CSV)")
 		svgDir     = flag.String("svg", "", "also write figures as SVG files into this directory")
@@ -89,7 +89,6 @@ func main() {
 		load       = flag.String("load", "", "load previously saved results instead of exploring")
 		sample     = flag.Int("sample", 1, "evaluate every Nth machine (1 = full space)")
 		progress   = flag.Bool("progress", true, "print progress while exploring")
-		claims     = flag.Bool("claims", false, "print the paper's headline-claim quantities from the results")
 		ablation   = flag.Bool("ablation", false, "run the compiler design-choice ablation study and exit")
 		corr       = flag.Bool("correction", false, "run the cluster-correction validation study and exit")
 		repertoire = flag.Bool("repertoire", false, "run the min/max ALU repertoire study and exit")
@@ -231,11 +230,6 @@ func main() {
 		}
 	}
 
-	if *claims {
-		fmt.Print(res.ComputeClaims().String())
-		return
-	}
-
 	if *figure != 0 {
 		var names []string
 		switch *figure {
@@ -269,30 +263,13 @@ func main() {
 		return
 	}
 
-	ranges0 := []float64{0, 0.10, math.Inf(1)}
-	ranges50 := []float64{0, 0.10, 0.50, math.Inf(1)}
 	switch *table {
 	case 0:
-		fmt.Print(tables.Table6(machine.DefaultCostModel))
-		fmt.Println()
-		fmt.Print(tables.Table7(machine.DefaultCycleModel))
-		fmt.Println()
-		fmt.Print(tables.Stats(res.Stats))
-		fmt.Println()
-		fmt.Println("== Table 8: low cost (< 5.0) ==")
-		fmt.Print(tables.Selection(res, 5, ranges0))
-		fmt.Println("== Table 9: medium cost (< 10.0) ==")
-		fmt.Print(tables.Selection(res, 10, ranges50))
-		fmt.Println("== Table 10: high cost (< 15.0) ==")
-		fmt.Print(tables.Selection(res, 15, ranges0))
+		fmt.Print(tables.Report(res))
 	case 3:
 		fmt.Print(tables.Stats(res.Stats))
-	case 8:
-		fmt.Print(tables.Selection(res, 5, ranges0))
-	case 9:
-		fmt.Print(tables.Selection(res, 10, ranges50))
-	case 10:
-		fmt.Print(tables.Selection(res, 15, ranges0))
+	case 8, 9, 10:
+		fmt.Print(tables.SelectionTable(res, *table))
 	default:
 		fatal(fmt.Errorf("unknown table %d", *table))
 	}

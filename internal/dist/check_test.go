@@ -13,6 +13,7 @@ import (
 
 	"customfit/internal/core"
 	"customfit/internal/dse"
+	"customfit/internal/dse/dsetest"
 	"customfit/internal/serve"
 )
 
@@ -92,14 +93,11 @@ func TestMisorderedShardIsRetried(t *testing.T) {
 }
 
 // BenchmarkShardStatus decodes the status of a finished one-kernel shard
-// over the full space (762 machines): G of the golden full-space
-// snapshot, encoded as serve's status writer encodes it
-// (TestStatusBytesUnchanged holds the writer to json.Encoder's bytes).
+// over the full space (762 machines): G of the shipped results, encoded
+// as serve's status writer encodes it (TestStatusBytesUnchanged holds
+// the writer to json.Encoder's bytes).
 func BenchmarkShardStatus(b *testing.B) {
-	full, err := dse.Load("../dse/testdata/golden_fullspace.json")
-	if err != nil {
-		b.Fatal(err)
-	}
+	full := dsetest.Shipped(b)
 	shard := &dse.Results{
 		Archs:   full.Archs,
 		Benches: []string{"G"},

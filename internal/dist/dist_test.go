@@ -15,6 +15,7 @@ import (
 	"customfit/internal/cli"
 	"customfit/internal/core"
 	"customfit/internal/dse"
+	"customfit/internal/dse/dsetest"
 	"customfit/internal/machine"
 	"customfit/internal/obs"
 	"customfit/internal/sched"
@@ -123,9 +124,9 @@ func TestDistributedMatchesLocalSampled(t *testing.T) {
 }
 
 // TestGoldenDistributedFullSpace is the distributed leg of the golden
-// full-space equivalence: the full 762-arch grid on the golden
-// benchmarks, sharded over two workers, must merge to the exact golden
-// snapshot a local run pins (testdata shared with internal/dse).
+// full-space equivalence: the full 762-arch grid on G, F and DH,
+// sharded over two workers, must merge to exactly those rows of the
+// shipped results, which a local run pins (internal/dse).
 func TestGoldenDistributedFullSpace(t *testing.T) {
 	if testing.Short() {
 		t.Skip("explores the full 762-arch space")
@@ -139,12 +140,8 @@ func TestGoldenDistributedFullSpace(t *testing.T) {
 
 	opts := fastOpts(w1.URL, w2.URL)
 	opts.Benchmarks = benchesByName("G", "F", "DH")
-	opts.Width = 48
+	want := dsetest.GFDH(t)
 	got, err := Explore(context.Background(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := dse.Load("../dse/testdata/golden_fullspace.json")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -139,7 +139,7 @@ func TestRecordedResultsDocument(t *testing.T) {
 		t.Errorf("a %d-byte document was encoded into a %d-byte buffer", len(again), cap(again))
 	}
 
-	full, err := os.ReadFile(filepath.Join("..", "..", "results_full.json"))
+	full, err := os.ReadFile(shippedPath)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -123,6 +124,41 @@ func TestScatterFrontier(t *testing.T) {
 			t.Errorf("design point %v appears twice", k)
 		}
 		seen[k] = true
+	}
+}
+
+// TestScatterDeterministic: the shipped results hold design points that
+// tie on (cost, speedup) — F has 78 of them — and every reading of a
+// scatter must name the same machine for each, the first in Archs.
+func TestScatterDeterministic(t *testing.T) {
+	res, err := Load(shippedPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	index := map[machine.Arch]int{}
+	for i, a := range res.Archs {
+		index[a] = i
+	}
+	ties := 0
+	for _, b := range res.Benches {
+		first := res.Scatter(b)
+		for n := 1; n < len(first); n++ {
+			p, q := first[n-1], first[n]
+			if p.Cost == q.Cost && p.Speedup == q.Speedup {
+				ties++
+				if index[p.Arch] > index[q.Arch] {
+					t.Errorf("%s: tied %v comes before %v, which is earlier in Archs", b, p.Arch, q.Arch)
+				}
+			}
+		}
+		for range 20 {
+			if again := res.Scatter(b); !slices.Equal(again, first) {
+				t.Fatalf("%s: two calls to Scatter return different points", b)
+			}
+		}
+	}
+	if ties == 0 {
+		t.Error("no tied design points: the test no longer exercises the tie order")
 	}
 }
 

@@ -52,7 +52,10 @@ type Evaluation struct {
 	Time    float64 // Cycles × cycle-time derating
 	Speedup float64 // baseline time / Time (filled by the explorer)
 	Spilled int     // registers spilled at the chosen unroll
-	Failed  bool    // no unroll factor compiled (never expected at u=1)
+	// Failed: no unroll factor compiled, not even 1 — the spill loop
+	// gave up ("register pressure does not fit"). Rare, not impossible:
+	// the shipped results hold two such cells (EXPERIMENTS.md).
+	Failed bool
 	// Cancelled marks an evaluation abandoned because the caller's
 	// context ended. Cancelled work is not a compile failure: Failed
 	// stays false, and the explorer accounts it separately.

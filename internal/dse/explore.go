@@ -464,15 +464,18 @@ type ScatterPoint struct {
 // point appears once with its best cluster arrangement (the paper:
 // "after the best cluster arrangement had been selected"), and the
 // Pareto frontier of best cost/performance alternatives is marked.
+// Points run by cost, then by speedup, best first, then by index in
+// Archs, so a tie always names the same machine.
 func (r *Results) Scatter(benchName string) []ScatterPoint {
 	evs, ok := r.Eval[benchName]
 	if !ok {
 		return nil
 	}
 	// Group by unclustered design point; keep the best-speedup cluster
-	// arrangement. The op set is part of the design point (it changes
-	// the datapath, and the cost), so op-enabled variants chart as their
-	// own points rather than collapsing into their 6-tuple base.
+	// arrangement, the first in Archs on a tie. The op set is part of
+	// the design point (it changes the datapath, and the cost), so
+	// op-enabled variants chart as their own points rather than
+	// collapsing into their 6-tuple base.
 	type key struct {
 		a, m, reg, p2, l2 int
 		ops               string
@@ -487,20 +490,24 @@ func (r *Results) Scatter(benchName string) []ScatterPoint {
 			best[k] = i
 		}
 	}
-	var pts []ScatterPoint
+	idx := make([]int, 0, len(best))
 	for _, i := range best {
-		pts = append(pts, ScatterPoint{
-			Arch:    evs[i].Arch,
-			Cost:    r.Cost[i],
-			Speedup: evs[i].Speedup,
-		})
+		idx = append(idx, i)
 	}
-	sort.Slice(pts, func(i, j int) bool {
-		if pts[i].Cost != pts[j].Cost {
-			return pts[i].Cost < pts[j].Cost
+	sort.Slice(idx, func(x, y int) bool {
+		i, j := idx[x], idx[y]
+		if r.Cost[i] != r.Cost[j] {
+			return r.Cost[i] < r.Cost[j]
 		}
-		return pts[i].Speedup > pts[j].Speedup
+		if evs[i].Speedup != evs[j].Speedup {
+			return evs[i].Speedup > evs[j].Speedup
+		}
+		return i < j
 	})
+	pts := make([]ScatterPoint, len(idx))
+	for n, i := range idx {
+		pts[n] = ScatterPoint{Arch: evs[i].Arch, Cost: r.Cost[i], Speedup: evs[i].Speedup}
+	}
 	// Pareto frontier: increasing cost must strictly improve speedup.
 	bestSu := 0.0
 	for i := range pts {

@@ -421,7 +421,7 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 			return nil, err
 		}
 		// The result is the exact schema dse.Save persists, so a client
-		// can feed it straight back to cfp-explore -load / cfp-frontier.
+		// can feed it straight back to cfp-explore -load.
 		return res.JSON()
 	})
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"customfit/internal/dse"
+	"customfit/internal/dse/dsetest"
 	"customfit/internal/evcache"
 	"customfit/internal/obs"
 )
@@ -390,9 +391,10 @@ func TestHealthzOK(t *testing.T) {
 }
 
 // TestGoldenExploreViaServer is the server-path equivalence acceptance
-// test: an exploration submitted over HTTP must answer bit-identically
-// to the library/CLI path pinned by internal/dse's golden snapshot —
-// cold cache and warm cache alike (timing-only Stats fields aside).
+// test: an exploration of G, F and DH submitted over HTTP must answer
+// bit-identically to those rows of the shipped results, which the
+// library/CLI path pins (internal/dse) — cold cache and warm cache
+// alike (timing-only Stats fields aside).
 func TestGoldenExploreViaServer(t *testing.T) {
 	if testing.Short() {
 		t.Skip("explores the full 762-arch space")
@@ -407,11 +409,8 @@ func TestGoldenExploreViaServer(t *testing.T) {
 	defer cache.Close()
 	_, ts, _ := newTestServer(t, Options{Workers: 1, Cache: cache})
 
-	want, err := dse.Load("../dse/testdata/golden_fullspace.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := ExploreRequest{Benchmarks: []string{"G", "F", "DH"}, Width: 48}
+	want := dsetest.GFDH(t)
+	req := ExploreRequest{Benchmarks: []string{"G", "F", "DH"}}
 
 	var coldID string
 	passes := []struct {

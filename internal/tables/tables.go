@@ -1,12 +1,12 @@
 // Package tables renders the reproduction's results in the layout of
 // the paper's tables and figures: fixed-width text tables for Tables
-// 3/6/7/8/9/10, CSV series and ASCII scatter plots for Figures 3/4.
+// 3/6/7/8/9/10, CSV series and ASCII scatter plots for Figures 3/4,
+// and the report that gathers what EXPERIMENTS.md quotes.
 package tables
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"customfit/internal/dse"
@@ -198,34 +198,6 @@ func ScatterASCII(res *dse.Results, benchName string, width, height int) string 
 		sb.WriteString("  |" + string(row) + "\n")
 	}
 	sb.WriteString("  +" + strings.Repeat("-", width) + "\n")
-	return sb.String()
-}
-
-// FrontierSummary lists each benchmark's best architecture at a few
-// cost levels — a textual reading of Figures 3/4.
-func FrontierSummary(res *dse.Results, benchNames []string, costCaps []float64) string {
-	var sb strings.Builder
-	sort.Float64s(costCaps)
-	for _, b := range benchNames {
-		pts := res.Scatter(b)
-		fmt.Fprintf(&sb, "%-5s", b)
-		for _, cap := range costCaps {
-			best := -1.0
-			var bestArch machine.Arch
-			for _, p := range pts {
-				if p.Cost <= cap && p.Speedup > best {
-					best = p.Speedup
-					bestArch = p.Arch
-				}
-			}
-			if best < 0 {
-				fmt.Fprintf(&sb, "  cost<%.0f: -", cap)
-			} else {
-				fmt.Fprintf(&sb, "  cost<%.0f: %5.2fx %s", cap, best, bestArch)
-			}
-		}
-		sb.WriteString("\n")
-	}
 	return sb.String()
 }
 

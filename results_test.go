@@ -2,26 +2,19 @@ package customfit_test
 
 import (
 	"math"
-	"os"
 	"testing"
 
 	"customfit/internal/dse"
+	"customfit/internal/dse/dsetest"
 	"customfit/internal/machine"
 )
 
 // TestShippedResultsSanity guards the results artifact checked into the
 // repository (results_full.json, produced by cmd/cfp-explore): the
 // headline structure EXPERIMENTS.md reports must hold in the shipped
-// data. Skipped when the artifact is absent (fresh checkouts that have
-// not run the exploration).
+// data. A missing artifact fails: it is the exploration tests' golden.
 func TestShippedResultsSanity(t *testing.T) {
-	if _, err := os.Stat("results_full.json"); err != nil {
-		t.Skip("results_full.json not present; run cmd/cfp-explore -save results_full.json")
-	}
-	res, err := dse.Load("results_full.json")
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := dsetest.Shipped(t)
 	if len(res.Benches) != 11 {
 		t.Fatalf("benches = %d, want 11", len(res.Benches))
 	}
