@@ -6,8 +6,9 @@ build:
 	$(GO) build ./...
 
 # Tier 1. Among the tests: EXPERIMENTS.md's report block must be the
-# report of results_full.json; after a change that moves a number on
-# purpose, rewrite it with `go test . -run TestExperimentsReport -update`.
+# report of results_full.json, and its studies block what
+# `cfp-explore -studies` prints; after a change that moves a number on
+# purpose, rewrite both with `go test . -run TestExperiments -update`.
 test:
 	$(GO) test -timeout 20m ./...
 

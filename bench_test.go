@@ -1,6 +1,8 @@
 // The experiment index of DESIGN.md as runnable code: one testing.B
 // benchmark per table and figure in the paper's evaluation section, plus
-// the search, ablation and repertoire studies. Each regenerates its
+// the search study on a model-based objective (the compile studies
+// themselves are EXPERIMENTS.md's studies block, which the root test
+// TestExperimentsStudies pins exactly). Each regenerates its
 // table/figure from a shared sampled exploration (the full-space run is
 // cmd/cfp-explore; see EXPERIMENTS.md for full-space numbers) and
 // reports the headline quantities as custom metrics. Those quality
@@ -25,7 +27,6 @@ import (
 	"sync"
 	"testing"
 
-	"customfit"
 	"customfit/internal/dse"
 	"customfit/internal/machine"
 	"customfit/internal/search"
@@ -211,48 +212,5 @@ func BenchmarkSearchMethods(b *testing.B) {
 	for _, r := range cmp {
 		b.ReportMetric(float64(r.Evaluations), r.Strategy+"-evals")
 		b.ReportMetric(100*r.Optimality, r.Strategy+"-%opt")
-	}
-}
-
-// BenchmarkAblations measures the compiler design-choice ablation suite
-// (DESIGN.md §3b / EXPERIMENTS.md): mean cycle slowdown with each
-// choice disabled, reported as metrics.
-func BenchmarkAblations(b *testing.B) {
-	var results []dse.AblationResult
-	for i := 0; i < b.N; i++ {
-		results = dse.RunAblation(
-			[]*customfit.Benchmark{customfit.BenchmarkByName("A"), customfit.BenchmarkByName("F")},
-			[]machine.Arch{{ALUs: 8, MULs: 4, Regs: 256, L2Ports: 2, L2Lat: 4, Clusters: 2}},
-			48,
-		)
-	}
-	sums := map[string]float64{}
-	counts := map[string]int{}
-	for _, r := range results {
-		if !r.Failed && r.Slowdown > 0 {
-			sums[r.Config] += r.Slowdown
-			counts[r.Config]++
-		}
-	}
-	for cfg, s := range sums {
-		if cfg == "full" {
-			continue
-		}
-		b.ReportMetric(s/float64(counts[cfg]), cfg+"-slowdown")
-	}
-}
-
-// BenchmarkRepertoireStudy measures the min/max opcode-choice extension.
-func BenchmarkRepertoireStudy(b *testing.B) {
-	var results []dse.RepertoireResult
-	for i := 0; i < b.N; i++ {
-		results = dse.RunRepertoireStudy(
-			[]*customfit.Benchmark{customfit.BenchmarkByName("H")},
-			[]machine.Arch{{ALUs: 8, MULs: 4, Regs: 256, L2Ports: 4, L2Lat: 2, Clusters: 2}},
-			48,
-		)
-	}
-	for _, r := range results {
-		b.ReportMetric(r.Gain, r.Bench+"-minmax-gain")
 	}
 }

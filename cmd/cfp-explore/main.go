@@ -8,6 +8,7 @@
 //	cfp-explore -load results.json -table 8 # reprint Table 8 from a saved run
 //	cfp-explore -load results.json -figure 3 -ascii
 //	cfp-explore -table 6                    # cost model only, no exploration
+//	cfp-explore -studies                    # the compile studies EXPERIMENTS.md holds
 //
 // Observability (see docs/OBSERVABILITY.md):
 //
@@ -79,19 +80,17 @@ var tool *cli.Tool
 
 func main() {
 	var (
-		table      = flag.Int("table", 0, "regenerate one paper table (3, 6, 7, 8, 9, 10); 0 = the whole report (tables, claims, frontier, failed cells)")
-		figure     = flag.Int("figure", 0, "emit a paper figure's data (3 or 4)")
-		ascii      = flag.Bool("ascii", true, "render figures as ASCII scatter plots (false = CSV)")
-		svgDir     = flag.String("svg", "", "also write figures as SVG files into this directory")
-		width      = flag.Int("width", 96, "reference workload width in pixels")
-		workers    = flag.String("workers", "0", "parallel compile workers (0 = GOMAXPROCS), or a comma-separated list of cfp-serve URLs for a distributed run (e.g. http://h1:8080,http://h2:8080 — see docs/DISTRIBUTED.md)")
-		save       = flag.String("save", "", "save exploration results to this JSON file")
-		load       = flag.String("load", "", "load previously saved results instead of exploring")
-		sample     = flag.Int("sample", 1, "evaluate every Nth machine (1 = full space)")
-		progress   = flag.Bool("progress", true, "print progress while exploring")
-		ablation   = flag.Bool("ablation", false, "run the compiler design-choice ablation study and exit")
-		corr       = flag.Bool("correction", false, "run the cluster-correction validation study and exit")
-		repertoire = flag.Bool("repertoire", false, "run the min/max ALU repertoire study and exit")
+		table    = flag.Int("table", 0, "regenerate one paper table (3, 6, 7, 8, 9, 10); 0 = the whole report (tables, claims, frontier, failed cells)")
+		figure   = flag.Int("figure", 0, "emit a paper figure's data (3 or 4)")
+		ascii    = flag.Bool("ascii", true, "render figures as ASCII scatter plots (false = CSV)")
+		svgDir   = flag.String("svg", "", "also write figures as SVG files into this directory")
+		width    = flag.Int("width", 96, "reference workload width in pixels")
+		workers  = flag.String("workers", "0", "parallel compile workers (0 = GOMAXPROCS), or a comma-separated list of cfp-serve URLs for a distributed run (e.g. http://h1:8080,http://h2:8080 — see docs/DISTRIBUTED.md)")
+		save     = flag.String("save", "", "save exploration results to this JSON file")
+		load     = flag.String("load", "", "load previously saved results instead of exploring")
+		sample   = flag.Int("sample", 1, "evaluate every Nth machine (1 = full space)")
+		progress = flag.Bool("progress", true, "print progress while exploring")
+		studies  = flag.Bool("studies", false, "run the compile studies (cluster correction, ablations, repertoire, search) on their pinned inputs, print them and exit")
 	)
 	tool = cli.NewTool("cfp-explore", cli.WithCache(), cli.WithOps())
 	flag.Parse()
@@ -100,25 +99,14 @@ func main() {
 	}
 	defer tool.Close()
 
-	if *ablation {
-		runAblation(*width)
-		return
-	}
-	if *corr {
-		runCorrection(*width)
-		return
-	}
-	if *repertoire {
-		benches := []*bench.Benchmark{
-			bench.ByName("H"), bench.ByName("DH"), bench.ByName("DHEF"),
-			bench.ByName("D"), bench.ByName("A"),
+	if *studies {
+		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+		out, err := core.Studies(ctx)
+		stop()
+		if err != nil {
+			fatal(err)
 		}
-		archs := []machine.Arch{
-			{ALUs: 4, MULs: 2, Regs: 128, L2Ports: 2, L2Lat: 2, Clusters: 1},
-			{ALUs: 8, MULs: 4, Regs: 256, L2Ports: 4, L2Lat: 2, Clusters: 2},
-			{ALUs: 16, MULs: 4, Regs: 512, L2Ports: 4, L2Lat: 2, Clusters: 4},
-		}
-		fmt.Print(dse.SummarizeRepertoireStudy(dse.RunRepertoireStudy(benches, archs, *width)))
+		fmt.Print(out)
 		return
 	}
 
@@ -281,44 +269,4 @@ func fatal(err error) {
 	}
 	fmt.Fprintln(os.Stderr, "cfp-explore:", err)
 	os.Exit(1)
-}
-
-// runAblation measures each compiler design choice's contribution by
-// disabling it in isolation (internal/dse/ablation.go).
-func runAblation(width int) {
-	benches := []*bench.Benchmark{
-		bench.ByName("A"), bench.ByName("F"), bench.ByName("H"), bench.ByName("DHEF"),
-	}
-	archs := []machine.Arch{
-		{ALUs: 8, MULs: 4, Regs: 256, L2Ports: 2, L2Lat: 4, Clusters: 2},
-		{ALUs: 16, MULs: 4, Regs: 512, L2Ports: 4, L2Lat: 2, Clusters: 4},
-		{ALUs: 16, MULs: 4, Regs: 128, L2Ports: 1, L2Lat: 4, Clusters: 8},
-	}
-	results := dse.RunAblation(benches, archs, width)
-	fmt.Print(dse.SummarizeAblation(results))
-}
-
-// runCorrection reproduces and validates the paper's cluster-correction
-// approximation (internal/dse/correction.go).
-func runCorrection(width int) {
-	ev := dse.NewEvaluator()
-	ev.Width = width
-	fitBenches := []*bench.Benchmark{bench.ByName("D"), bench.ByName("G"), bench.ByName("C")}
-	fitPoints := []machine.Arch{
-		{ALUs: 8, MULs: 4, Regs: 256, L2Ports: 1, L2Lat: 4, Clusters: 1},
-		{ALUs: 16, MULs: 8, Regs: 512, L2Ports: 2, L2Lat: 4, Clusters: 1},
-	}
-	cor, err := dse.FitCorrections(ev, fitBenches, fitPoints)
-	if err != nil {
-		fatal(err)
-	}
-	valBenches := []*bench.Benchmark{
-		bench.ByName("A"), bench.ByName("F"), bench.ByName("H"), bench.ByName("DH"),
-	}
-	valPoints := []machine.Arch{
-		{ALUs: 8, MULs: 2, Regs: 128, L2Ports: 1, L2Lat: 4, Clusters: 1},
-		{ALUs: 16, MULs: 4, Regs: 512, L2Ports: 4, L2Lat: 2, Clusters: 1},
-	}
-	errs := dse.ValidateCorrections(ev, cor, valBenches, valPoints)
-	fmt.Print(dse.SummarizeCorrectionStudy(cor, errs))
 }

@@ -5,11 +5,12 @@
 //
 // The objective is the real thing: each evaluation compiles the
 // benchmark for the candidate machine and measures speedup over the
-// baseline, so use -sample to thin the space for quick runs.
+// baseline. The candidates are the whole search sub-lattice, whose ±1
+// neighbourhoods the local strategies move along.
 //
 // Usage:
 //
-//	cfp-search -bench A -cost 10 -sample 4
+//	cfp-search -bench D -cost 8 -seed 2026   # the search rows of cfp-explore -studies
 //
 // Telemetry: -trace FILE writes a Chrome trace of every candidate
 // compilation, -metrics FILE writes the counter/span dump, -pprof ADDR
@@ -28,13 +29,13 @@ import (
 	"customfit/internal/cli"
 	"customfit/internal/core"
 	"customfit/internal/search"
+	"customfit/internal/tables"
 )
 
 func main() {
 	var (
 		benchName = flag.String("bench", "A", "benchmark to fit")
 		costCap   = flag.Float64("cost", 10, "cost budget (relative to baseline)")
-		sample    = flag.Int("sample", 4, "evaluate every Nth machine of the space")
 		seed      = flag.Int64("seed", 1, "random seed for the stochastic strategies")
 		width     = flag.Int("width", 64, "reference workload width")
 	)
@@ -57,8 +58,7 @@ func main() {
 	if err != nil {
 		tool.Fatal(err)
 	}
-	space := search.SubLattice()
-	machines := (len(space) + *sample - 1) / max(*sample, 1)
+	machines := len(search.SubLattice())
 	if opSet != nil {
 		machines *= 2 // every point also appears with the full op set enabled
 	}
@@ -69,9 +69,7 @@ func main() {
 	results, err := core.SearchCompare(ctx, core.SearchOptions{
 		Benchmark: b,
 		CostCap:   *costCap,
-		Space:     space,
 		Ops:       opSet,
-		Sample:    *sample,
 		Width:     *width,
 		Seed:      *seed,
 		Prune:     *tool.Prune,
@@ -86,9 +84,5 @@ func main() {
 	if err != nil {
 		tool.Fatal(err)
 	}
-	fmt.Printf("%-12s %-22s %9s %7s %7s %11s\n", "strategy", "best arch", "speedup", "evals", "pruned", "of optimum")
-	for _, r := range results {
-		fmt.Printf("%-12s %-22s %9.2f %7d %7d %10.1f%%\n",
-			r.Strategy, r.Best, r.BestScore, r.Evaluations, r.Pruned, 100*r.Optimality)
-	}
+	fmt.Print(tables.Search(results))
 }

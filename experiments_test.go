@@ -1,55 +1,80 @@
 package customfit_test
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 	"testing"
 
+	"customfit/internal/core"
 	"customfit/internal/dse/dsetest"
 	"customfit/internal/tables"
 )
 
-var update = flag.Bool("update", false, "rewrite EXPERIMENTS.md's report block from results_full.json")
+var update = flag.Bool("update", false, "rewrite EXPERIMENTS.md's report and studies blocks")
 
-// The report block of EXPERIMENTS.md lies between these two lines.
+// EXPERIMENTS.md's two printed blocks, each between its two lines.
 const (
-	reportBegin = "<!-- BEGIN REPORT: cfp-explore -load results_full.json; rewrite with go test . -run TestExperimentsReport -update -->\n"
-	reportEnd   = "<!-- END REPORT -->\n"
+	reportBegin  = "<!-- BEGIN REPORT: cfp-explore -load results_full.json; rewrite with go test . -run TestExperimentsReport -update -->\n"
+	reportEnd    = "<!-- END REPORT -->\n"
+	studiesBegin = "<!-- BEGIN STUDIES: cfp-explore -studies; rewrite with go test . -run TestExperimentsStudies -update -->\n"
+	studiesEnd   = "<!-- END STUDIES -->\n"
 )
 
 // TestExperimentsReport holds EXPERIMENTS.md to the shipped results:
 // its report block is what `cfp-explore -load results_full.json`
 // prints, fenced, so no measured number in it is typed by hand. A
 // change that moves a number fails here with the document's lines that
-// no longer read true; when the move is intended, rewrite the block:
+// no longer read true; when the move is intended, rewrite the blocks:
 //
-//	go test . -run TestExperimentsReport -update
+//	go test . -run TestExperiments -update
 func TestExperimentsReport(t *testing.T) {
+	checkBlock(t, reportBegin, reportEnd, tables.Report(dsetest.Shipped(t)))
+}
+
+// TestExperimentsStudies holds EXPERIMENTS.md's studies block to what
+// `cfp-explore -studies` prints at HEAD: the compile studies on their
+// pinned inputs, compiled afresh. It must not call
+// t.Parallel: the ablation flips process-wide compiler switches, and a
+// compile running beside it would read them.
+func TestExperimentsStudies(t *testing.T) {
+	out, err := core.Studies(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkBlock(t, studiesBegin, studiesEnd, out)
+}
+
+// checkBlock requires the block of EXPERIMENTS.md between the lines
+// begin and end to be text, fenced; under -update it rewrites the block
+// instead.
+func checkBlock(t *testing.T, begin, end, text string) {
+	t.Helper()
 	raw, err := os.ReadFile("EXPERIMENTS.md")
 	if err != nil {
 		t.Fatal(err)
 	}
 	doc := string(raw)
-	begin, end := strings.Index(doc, reportBegin), strings.Index(doc, reportEnd)
-	if begin < 0 || end < begin {
-		t.Fatalf("EXPERIMENTS.md has no report block: want a line %q and, after it, %q", reportBegin, reportEnd)
+	b, e := strings.Index(doc, begin), strings.Index(doc, end)
+	if b < 0 || e < b {
+		t.Fatalf("EXPERIMENTS.md has no block %q … %q", begin, end)
 	}
-	begin += len(reportBegin)
-	want := "```text\n" + tables.Report(dsetest.Shipped(t)) + "```\n"
-	if doc[begin:end] == want {
+	b += len(begin)
+	want := "```text\n" + text + "```\n"
+	if doc[b:e] == want {
 		return
 	}
 	if *update {
-		if err := os.WriteFile("EXPERIMENTS.md", []byte(doc[:begin]+want+doc[end:]), 0o644); err != nil {
+		if err := os.WriteFile("EXPERIMENTS.md", []byte(doc[:b]+want+doc[e:]), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Log("rewrote EXPERIMENTS.md's report block")
+		t.Logf("rewrote EXPERIMENTS.md's block %q", strings.TrimSpace(begin))
 		return
 	}
-	t.Errorf("EXPERIMENTS.md's report block is not the report of results_full.json (rewrite it with -update if the change is intended):\n%s",
-		lineDiff(doc[begin:end], want, strings.Count(doc[:begin], "\n")+1))
+	t.Errorf("EXPERIMENTS.md's block is not what the code prints (rewrite it with -update if the change is intended):\n%s",
+		lineDiff(doc[b:e], want, strings.Count(doc[:b], "\n")+1))
 }
 
 // lineDiff names the lines of has, which starts on line first of its
@@ -71,7 +96,7 @@ func lineDiff(has, want string, first int) string {
 	if len(h) == len(w) {
 		for i := range h {
 			if h[i] != w[i] {
-				out = append(out, fmt.Sprintf("EXPERIMENTS.md:%d:\n  reads  %s\n  report %s", first+head+i, h[i], w[i]))
+				out = append(out, fmt.Sprintf("EXPERIMENTS.md:%d:\n  reads  %s\n  prints %s", first+head+i, h[i], w[i]))
 			}
 		}
 	} else {
@@ -79,7 +104,7 @@ func lineDiff(has, want string, first int) string {
 			out = append(out, fmt.Sprintf("EXPERIMENTS.md:%d: - %s", first+head+i, l))
 		}
 		for _, l := range w {
-			out = append(out, "report: + "+l)
+			out = append(out, "prints: + "+l)
 		}
 	}
 	if len(out) > 20 {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,6 +10,7 @@ import (
 
 	"customfit/internal/bench"
 	"customfit/internal/machine"
+	"customfit/internal/search"
 )
 
 const coreSrc = `
@@ -203,5 +205,35 @@ func TestSearchCompareReportsCacheFlushFailure(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "flush") {
 		t.Errorf("SearchCompare over an unflushable CacheDir returned %v, want the flush error", err)
+	}
+}
+
+// TestSearchCompareDefaultSpaceMoves: on the default space, the whole
+// search sub-lattice, the local strategies find neighbours to move to.
+// Hill climbing spends more evaluations than its four restarts (a
+// strided sample of the lattice leaves it only its starting points),
+// and every strategy ends on a feasible member of the lattice.
+func TestSearchCompareDefaultSpaceMoves(t *testing.T) {
+	results, err := SearchCompare(context.Background(), SearchOptions{
+		Benchmark: bench.ByName("G"),
+		CostCap:   10,
+		Width:     32,
+		Seed:      1,
+		Prune:     true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lattice := map[machine.Arch]bool{}
+	for _, a := range search.SubLattice() {
+		lattice[a] = true
+	}
+	for _, r := range results {
+		if r.Strategy == "hill-climb" && r.Evaluations <= 4 {
+			t.Errorf("hill climbing made %d evaluations, no more than its 4 restarts: it never moved", r.Evaluations)
+		}
+		if !lattice[r.Best] || math.IsInf(r.BestScore, 0) || math.IsNaN(r.BestScore) {
+			t.Errorf("%s ended on %s scoring %v, want a sub-lattice member with a finite score", r.Strategy, r.Best, r.BestScore)
+		}
 	}
 }

@@ -187,14 +187,15 @@ type SearchOptions struct {
 	Benchmark *bench.Benchmark
 	// CostCap is the cost budget; candidates over it score -Inf.
 	CostCap float64
-	// Space restricts the candidate set (nil = search.SubLattice()).
+	// Space restricts the candidate set (nil = search.SubLattice()). The
+	// local strategies move along its ±1 neighbourhoods, so a smaller
+	// space must keep them: a strided sample of the sub-lattice starves
+	// hill climbing and annealing of moves.
 	Space []machine.Arch
-	// Ops, when non-nil, crosses the (possibly sampled) space with the
-	// custom-op catalog (machine.CrossOps with the default masks); the
-	// strategies then explore op toggles as single-parameter moves.
+	// Ops, when non-nil, crosses the space with the custom-op catalog
+	// (machine.CrossOps with the default masks); the strategies then
+	// explore op toggles as single-parameter moves.
 	Ops *machine.OpSet
-	// Sample > 1 keeps every Nth machine of the space.
-	Sample int
 	// Width is the reference workload width (default 64, matching
 	// cfp-search).
 	Width int
@@ -225,13 +226,6 @@ func SearchCompare(ctx context.Context, opts SearchOptions) (out []search.Result
 	// Not machine.Grid: the baseline is only the speedup denominator
 	// here, and appending it as a candidate would change what the seeded
 	// strategies find.
-	if opts.Sample > 1 {
-		var thinned []machine.Arch
-		for i := 0; i < len(space); i += opts.Sample {
-			thinned = append(thinned, space[i])
-		}
-		space = thinned
-	}
 	if opts.Ops != nil {
 		space = machine.CrossOps(space, opts.Ops, machine.DefaultMasks(opts.Ops))
 	}

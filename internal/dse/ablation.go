@@ -2,6 +2,7 @@ package dse
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"customfit/internal/bench"
@@ -24,90 +25,103 @@ type AblationResult struct {
 }
 
 // ablationConfigs enumerates the compiler design choices DESIGN.md
-// calls out, each switched off in isolation.
+// calls out, each switched off in isolation by its process-wide switch
+// (none for the full pipeline).
 var ablationConfigs = []struct {
-	name  string
-	set   func()
-	unset func()
+	name string
+	off  *bool
 }{
-	{"full", func() {}, func() {}},
-	{"no-reassociation",
-		func() { opt.AblateReassociation = true },
-		func() { opt.AblateReassociation = false }},
-	{"no-licm",
-		func() { opt.AblateLICM = true },
-		func() { opt.AblateLICM = false }},
-	{"no-if-conversion",
-		func() { opt.AblateIfConversion = true },
-		func() { opt.AblateIfConversion = false }},
-	{"no-pressure-throttle",
-		func() { sched.AblatePressureThrottle = true },
-		func() { sched.AblatePressureThrottle = false }},
+	{"full", nil},
+	{"no-reassociation", &opt.AblateReassociation},
+	{"no-licm", &opt.AblateLICM},
+	{"no-if-conversion", &opt.AblateIfConversion},
+	{"no-pressure-throttle", &sched.AblatePressureThrottle},
 }
 
 // RunAblation evaluates each benchmark on each machine with each design
 // choice disabled in isolation. It is single-threaded by construction
-// (the ablation switches are globals).
+// (the ablation switches are globals), and must not overlap other
+// compiles in the process; each switch is reset on the way out, a panic
+// included.
 func RunAblation(benches []*bench.Benchmark, archs []machine.Arch, width int) []AblationResult {
 	var out []AblationResult
 	baseCycles := map[string]int64{}
 	for _, cfg := range ablationConfigs {
-		cfg.set()
-		ev := NewEvaluator() // fresh caches: prepared IR depends on the switches
-		ev.Width = width
-		for _, b := range benches {
-			for _, a := range archs {
-				e := ev.Evaluate(b, a)
-				r := AblationResult{
-					Config: cfg.name, Bench: b.Name, Arch: a,
-					Cycles: e.Cycles, Unroll: e.Unroll, Failed: e.Failed,
-				}
-				key := b.Name + a.String()
-				if cfg.name == "full" {
-					baseCycles[key] = e.Cycles
-				}
-				if base := baseCycles[key]; base > 0 && !e.Failed {
-					r.Slowdown = float64(e.Cycles) / float64(base)
-				}
-				out = append(out, r)
+		func() {
+			if cfg.off != nil {
+				*cfg.off = true
+				defer func() { *cfg.off = false }()
 			}
-		}
-		cfg.unset()
+			ev := NewEvaluator() // fresh caches: prepared IR depends on the switches
+			ev.Width = width
+			for _, b := range benches {
+				for _, a := range archs {
+					e := ev.Evaluate(b, a)
+					r := AblationResult{
+						Config: cfg.name, Bench: b.Name, Arch: a,
+						Cycles: e.Cycles, Unroll: e.Unroll, Failed: e.Failed,
+					}
+					key := b.Name + a.String()
+					if cfg.off == nil {
+						baseCycles[key] = e.Cycles
+					}
+					if base := baseCycles[key]; base > 0 && !e.Failed {
+						r.Slowdown = float64(e.Cycles) / float64(base)
+					}
+					out = append(out, r)
+				}
+			}
+		}()
 	}
 	return out
 }
 
-// SummarizeAblation renders mean slowdown per configuration.
+// SummarizeAblation renders the cycle slowdown of each switched-off
+// choice (a column) on each benchmark × machine (a row), and each
+// column's mean over the cells that compiled.
 func SummarizeAblation(results []AblationResult) string {
-	var sb strings.Builder
-	sb.WriteString("ablation: cycle slowdown vs the full pipeline (mean over benchmark×machine)\n")
-	order := []string{}
-	sums := map[string]float64{}
-	counts := map[string]int{}
-	fails := map[string]int{}
+	var configs, cells []string
+	byCell := map[string]map[string]AblationResult{}
 	for _, r := range results {
-		if _, seen := sums[r.Config]; !seen {
-			order = append(order, r.Config)
+		cell := fmt.Sprintf("  %-5s %-18s", r.Bench, r.Arch)
+		if byCell[cell] == nil {
+			cells = append(cells, cell)
+			byCell[cell] = map[string]AblationResult{}
 		}
-		if r.Failed {
-			fails[r.Config]++
-			continue
+		if r.Config != "full" && !slices.Contains(configs, r.Config) {
+			configs = append(configs, r.Config)
 		}
-		if r.Slowdown > 0 {
-			sums[r.Config] += r.Slowdown
-			counts[r.Config]++
+		byCell[cell][r.Config] = r
+	}
+	var sb strings.Builder
+	sb.WriteString("ablation: cycle slowdown vs the full pipeline, per benchmark × machine and mean\n")
+	fmt.Fprintf(&sb, "  %-5s %-18s", "bench", "machine")
+	for _, cfg := range configs {
+		fmt.Fprintf(&sb, "  %s", cfg)
+	}
+	sums, counts := map[string]float64{}, map[string]int{}
+	for _, cell := range cells {
+		sb.WriteString("\n" + cell)
+		for _, cfg := range configs {
+			v := "-"
+			if r := byCell[cell][cfg]; r.Failed {
+				v = "failed"
+			} else if r.Slowdown > 0 {
+				v = fmt.Sprintf("%.2fx", r.Slowdown)
+				sums[cfg] += r.Slowdown
+				counts[cfg]++
+			}
+			fmt.Fprintf(&sb, "  %*s", len(cfg), v)
 		}
 	}
-	for _, cfg := range order {
-		if counts[cfg] == 0 {
-			fmt.Fprintf(&sb, "  %-22s all failed\n", cfg)
-			continue
+	fmt.Fprintf(&sb, "\n  %-24s", "mean")
+	for _, cfg := range configs {
+		v := "-"
+		if counts[cfg] > 0 {
+			v = fmt.Sprintf("%.2fx", sums[cfg]/float64(counts[cfg]))
 		}
-		fmt.Fprintf(&sb, "  %-22s %.2fx", cfg, sums[cfg]/float64(counts[cfg]))
-		if fails[cfg] > 0 {
-			fmt.Fprintf(&sb, "  (%d configurations failed to compile)", fails[cfg])
-		}
-		sb.WriteString("\n")
+		fmt.Fprintf(&sb, "  %*s", len(cfg), v)
 	}
+	sb.WriteString("\n")
 	return sb.String()
 }

@@ -8,70 +8,38 @@ import (
 	"customfit/internal/machine"
 )
 
-// RepertoireResult measures the min/max ALU repertoire extension on one
-// benchmark × machine.
-type RepertoireResult struct {
-	Bench        string
-	Arch         machine.Arch
-	PlainCycles  int64
-	MinMaxCycles int64
-	// Gain is PlainCycles / MinMaxCycles (>1 = repertoire helped).
-	Gain float64
-}
-
-// RunRepertoireStudy evaluates each benchmark on each machine with and
+// RepertoireStudy evaluates each benchmark on each machine with and
 // without the min/max repertoire — the opcode-choice experiment the
-// paper's methodology supports but its evaluation deliberately skipped.
-func RunRepertoireStudy(benches []*bench.Benchmark, archs []machine.Arch, width int) []RepertoireResult {
+// paper's methodology supports but its evaluation deliberately skipped —
+// and renders each benchmark's cycle gain (plain over min/max cycles,
+// >1 = the repertoire helped) on the machines where both compiled: the
+// mean, and the best with its machine.
+func RepertoireStudy(benches []*bench.Benchmark, archs []machine.Arch, width int) string {
 	ev := NewEvaluator()
 	ev.Width = width
-	var out []RepertoireResult
-	for _, b := range benches {
-		for _, a := range archs {
-			plain := ev.Evaluate(b, a)
-			mm := ev.Evaluate(b, a.WithMinMax())
-			if plain.Failed || mm.Failed {
-				continue
-			}
-			out = append(out, RepertoireResult{
-				Bench:        b.Name,
-				Arch:         a,
-				PlainCycles:  plain.Cycles,
-				MinMaxCycles: mm.Cycles,
-				Gain:         float64(plain.Cycles) / float64(mm.Cycles),
-			})
-		}
-	}
-	return out
-}
-
-// SummarizeRepertoireStudy renders per-benchmark gains.
-func SummarizeRepertoireStudy(results []RepertoireResult) string {
 	var sb strings.Builder
 	sb.WriteString("ALU repertoire extension: cycle gain from single-cycle min/max\n")
 	sb.WriteString("(paper §2.2: \"our philosophy ... is to design an architecture from\n")
 	sb.WriteString(" building blocks rather than synthesizing special-purpose hardware\" —\n")
 	sb.WriteString(" this measures what one such block would have bought)\n")
-	byBench := map[string][]RepertoireResult{}
-	var order []string
-	for _, r := range results {
-		if _, ok := byBench[r.Bench]; !ok {
-			order = append(order, r.Bench)
-		}
-		byBench[r.Bench] = append(byBench[r.Bench], r)
-	}
-	for _, b := range order {
-		rs := byBench[b]
-		mean, best := 0.0, 0.0
+	for _, b := range benches {
+		n, mean, best := 0, 0.0, 0.0
 		var bestArch machine.Arch
-		for _, r := range rs {
-			mean += r.Gain
-			if r.Gain > best {
-				best, bestArch = r.Gain, r.Arch
+		for _, a := range archs {
+			plain, mm := ev.Evaluate(b, a), ev.Evaluate(b, a.WithMinMax())
+			if plain.Failed || mm.Failed {
+				continue
+			}
+			gain := float64(plain.Cycles) / float64(mm.Cycles)
+			n++
+			mean += gain
+			if gain > best {
+				best, bestArch = gain, a
 			}
 		}
-		mean /= float64(len(rs))
-		fmt.Fprintf(&sb, "  %-5s mean %.2fx, best %.2fx on %s\n", b, mean, best, bestArch)
+		if n > 0 {
+			fmt.Fprintf(&sb, "  %-5s mean %.2fx, best %.2fx on %s\n", b.Name, mean/float64(n), best, bestArch)
+		}
 	}
 	return sb.String()
 }

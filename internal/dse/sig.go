@@ -24,7 +24,7 @@ import (
 //     capacity;
 //   - L2Ports, L2Lat: global memory-port occupancy and the dependence
 //     latencies (L2PathsPC and Buses derive from these and Clusters);
-//   - MinMax: the opcode-repertoire fusion pass;
+//   - MinMax: the fusion pass of the min/max opcode repertoire;
 //   - OpsKey: the custom-op rewrite pass (machine.OpConfig.Key — the
 //     enabled specs' content keys, so two masks enabling the same specs
 //     share a class and op-free machines keep the historical empty key).

@@ -1,7 +1,8 @@
 // Package tables renders the reproduction's results in the layout of
 // the paper's tables and figures: fixed-width text tables for Tables
 // 3/6/7/8/9/10, CSV series and ASCII scatter plots for Figures 3/4,
-// and the report that gathers what EXPERIMENTS.md quotes.
+// the search-strategy table, and the report that gathers what
+// EXPERIMENTS.md quotes.
 package tables
 
 import (
@@ -11,6 +12,7 @@ import (
 
 	"customfit/internal/dse"
 	"customfit/internal/machine"
+	"customfit/internal/search"
 )
 
 // Table6 renders the cost model over the paper's example
@@ -220,4 +222,22 @@ func Table1And2(individual, jammed []BenchDesc) string {
 // to keep tables decoupled from the bench package.
 type BenchDesc struct {
 	Name, Desc string
+}
+
+// Search renders a search-strategy comparison, one row per strategy:
+// its best machine and speedup, the evaluations it spent and the ones
+// pruning saved, and its share of the exhaustive optimum. A strategy
+// that found no feasible machine reads "none".
+func Search(rs []search.Result) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "%-12s %-22s %9s %7s %7s %11s\n", "strategy", "best arch", "speedup", "evals", "pruned", "of optimum")
+	for _, r := range rs {
+		if math.IsInf(r.BestScore, -1) {
+			fmt.Fprintf(&sb, "%-12s %-22s %9s %7d %7d %11s\n", r.Strategy, "none", "-", r.Evaluations, r.Pruned, "-")
+			continue
+		}
+		fmt.Fprintf(&sb, "%-12s %-22s %9.2f %7d %7d %10.1f%%\n",
+			r.Strategy, r.Best, r.BestScore, r.Evaluations, r.Pruned, 100*r.Optimality)
+	}
+	return sb.String()
 }

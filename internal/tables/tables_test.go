@@ -8,6 +8,7 @@ import (
 
 	"customfit/internal/dse"
 	"customfit/internal/machine"
+	"customfit/internal/search"
 )
 
 // fakeResults builds a small synthetic Results so rendering can be
@@ -226,5 +227,21 @@ func TestScatterSVG(t *testing.T) {
 	}
 	if !strings.Contains(ScatterSVG(r, "nope", 100, 100), "no data") {
 		t.Error("unknown benchmark should render a message")
+	}
+}
+
+// TestSearchTable: a strategy that found no feasible machine reads
+// "none", not the zero machine at -Inf.
+func TestSearchTable(t *testing.T) {
+	best := machine.Arch{ALUs: 8, MULs: 2, Regs: 128, L2Ports: 4, L2Lat: 2, Clusters: 4}
+	got := Search([]search.Result{
+		{Strategy: "exhaustive", Best: best, BestScore: 7.11, Evaluations: 49, Pruned: 137, Optimality: 1},
+		{Strategy: "hill-climb", BestScore: math.Inf(-1), Evaluations: 4, Optimality: math.Inf(-1)},
+	})
+	want := "strategy     best arch                speedup   evals  pruned  of optimum\n" +
+		"exhaustive   (8 2 128 4 2 4)             7.11      49     137      100.0%\n" +
+		"hill-climb   none                           -       4       0           -\n"
+	if got != want {
+		t.Errorf("Search renders\n%s\nwant\n%s", got, want)
 	}
 }
