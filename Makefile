@@ -39,15 +39,16 @@ staticcheck:
 race:
 	$(GO) test -race -timeout 20m ./internal/obs/... ./internal/dse/... ./internal/sched/... ./internal/evcache/... ./internal/fleetcache/... ./internal/serve/... ./internal/dist/... ./internal/ops/... ./internal/idle/... ./internal/opt/... ./internal/sim/... ./internal/core/...
 
-# One-iteration pass over the exploration and simulator benchmarks:
-# catches bit-rot in the benchmark harness without paying for a real
-# measurement.
+# One-iteration pass over the exploration, simulator and frontend
+# benchmarks: catches bit-rot in the benchmark harness without paying
+# for a real measurement.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/dse/
 	$(GO) test -run '^$$' -bench BenchmarkSimRun -benchtime 1x ./internal/sim/
 	$(GO) test -run '^$$' -bench 'BenchmarkOneShot|BenchmarkWarmFit' -benchtime 1x ./internal/core/
 	$(GO) test -run '^$$' -bench BenchmarkShardStatus -benchtime 1x ./internal/dist/
 	$(GO) test -run '^$$' -bench BenchmarkExploreSubmit -benchtime 1x ./internal/serve/
+	$(GO) test -run '^$$' -bench BenchmarkFrontend -benchtime 1x ./internal/cc/
 
 # The end-to-end benchmark (BENCHMARK.json, benchmark/) is a module of
 # its own, so `go build ./...` and `go test ./...` at the root never
@@ -98,7 +99,7 @@ fuzz-smoke:
 # ROADMAP.md).
 check: build vet staticcheck test race bench-smoke bench-module fuzz-smoke
 
-# Measure the twelve layer benchmarks nothing else isolates and record
+# Measure the thirteen layer benchmarks nothing else isolates and record
 # them, with the environment they ran in, as the trajectory document
 # (docs/PERFORMANCE.md, "Tracking the numbers"). A record, never a
 # baseline: numbers from another day or host are not comparable.
@@ -107,7 +108,8 @@ bench:
 	  $(GO) test -run '^$$' -bench BenchmarkSimRun -benchmem ./internal/sim/ && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkOneShot|BenchmarkWarmFit' -benchmem ./internal/core/ && \
 	  $(GO) test -run '^$$' -bench BenchmarkShardStatus -benchmem ./internal/dist/ && \
-	  $(GO) test -run '^$$' -bench BenchmarkExploreSubmit -benchmem ./internal/serve/ ) | \
+	  $(GO) test -run '^$$' -bench BenchmarkExploreSubmit -benchmem ./internal/serve/ && \
+	  $(GO) test -run '^$$' -bench BenchmarkFrontend -benchmem ./internal/cc/ ) | \
 		$(GO) run ./cmd/cfp-benchjson -o BENCH_explore.json
 	@echo wrote BENCH_explore.json
 
@@ -118,8 +120,8 @@ parent_rev = $$([ -z "$$(git status --porcelain)" ] && echo HEAD~1 || echo HEAD)
 # The perf gate: this tree against its parent commit, measured side by
 # side. The parent is HEAD when the tree has uncommitted changes and
 # HEAD~1 when it is clean; it is checked out into a git worktree under
-# .bench_build/ (removed again on any exit), the dse, sim, core, dist
-# and serve test binaries are built once per tree, and ten rounds run each benchmark
+# .bench_build/ (removed again on any exit), the dse, sim, core, dist,
+# serve and cc test binaries are built once per tree, and ten rounds run each benchmark
 # on both binaries back to back at a fixed iteration count, alternating
 # which tree goes first. cfp-benchjson then judges every (benchmark,
 # metric): counts that repeat exactly on both sides are compared
@@ -136,7 +138,7 @@ bench-diff:
 	git worktree add --quiet --detach $$out/parent $$rev; \
 	echo "bench-diff: parent is $$rev ($$(git rev-parse --short $$rev))"; \
 	src() { [ $$1 = change ] && echo $(CURDIR) || echo $$out/parent; }; \
-	for side in parent change; do for pkg in dse sim core dist serve; do \
+	for side in parent change; do for pkg in dse sim core dist serve cc; do \
 		(cd $$(src $$side) && $(GO) test -c -o $$out/$$side-$$pkg.test ./internal/$$pkg/); \
 	done; done; \
 	for round in 1 2 3 4 5 6 7 8 9 10; do \
@@ -148,7 +150,7 @@ bench-diff:
 				dse:BenchmarkWarmOpen:100x \
 				sim:BenchmarkSimRun:50x core:BenchmarkOneShot:4x \
 				core:BenchmarkWarmFit:100x dist:BenchmarkShardStatus:200x \
-				serve:BenchmarkExploreSubmit:500x; do \
+				serve:BenchmarkExploreSubmit:500x cc:BenchmarkFrontend:100x; do \
 			set -- $$(echo $$spec | tr : ' '); \
 			for side in $$order; do \
 				(cd $$(src $$side)/internal/$$1 && $$out/$$side-$$1.test -test.run '^$$' \

@@ -1,6 +1,9 @@
 package cc
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // MaxFullUnroll is the largest constant trip count the frontend fully
 // unrolls at lowering time. Constant-trip loops up to this bound (color
@@ -14,15 +17,21 @@ const MaxFullUnroll = 64
 // and the canonical loop structure the backend depends on (exactly one
 // runtime-trip pixel loop per kernel, at the top level of the body).
 func Check(f *File) error {
-	c := &checker{}
-	globals := newScope(nil)
+	ws := workspaces.Get()
+	defer ws.release()
+	return ws.check(f)
+}
+
+// check is Check in ws.
+func (ws *workspace) check(f *File) error {
+	c := &checker{workspace: ws}
 	for _, g := range f.Globals {
-		if err := c.checkGlobal(globals, g); err != nil {
+		if err := c.checkGlobal(g); err != nil {
 			return err
 		}
 	}
 	for _, k := range f.Kernels {
-		if err := c.checkKernel(globals, k); err != nil {
+		if err := c.checkKernel(k); err != nil {
 			return err
 		}
 	}
@@ -42,48 +51,37 @@ type csym struct {
 	size    int // arrays; 0 = unsized parameter
 }
 
-type cscope struct {
-	parent *cscope
-	syms   map[string]*csym
-}
-
-func newScope(parent *cscope) *cscope {
-	return &cscope{parent: parent, syms: map[string]*csym{}}
-}
-
-func (s *cscope) lookup(name string) *csym {
-	for sc := s; sc != nil; sc = sc.parent {
-		if sym, ok := sc.syms[name]; ok {
-			return sym
-		}
-	}
-	return nil
-}
-
-func (s *cscope) declare(name string, sym *csym) bool {
-	if _, dup := s.syms[name]; dup {
-		return false
-	}
-	s.syms[name] = sym
-	return true
-}
-
+// checker checks a file in a workspace's symbol stack (csyms) and list
+// of frozen variables.
 type checker struct {
+	*workspace
 	// pixelLoops counts runtime-trip loops in the current kernel.
 	pixelLoops int
-	// loopVars tracks induction/bound variables of enclosing loops that
-	// must not be assigned inside their bodies.
-	frozen map[string]bool
 }
 
-func (c *checker) checkGlobal(globals *cscope, d *VarDecl) error {
+// freeze forbids assigning name inside the loop body being checked, and
+// thaw lifts that. frozen is a set: a name frozen by two enclosing loops
+// is thawed by the inner one's end.
+func (c *checker) freeze(name string) {
+	if !slices.Contains(c.frozen, name) {
+		c.frozen = append(c.frozen, name)
+	}
+}
+
+func (c *checker) thaw(name string) {
+	if i := slices.Index(c.frozen, name); i >= 0 {
+		c.frozen = slices.Delete(c.frozen, i, i+1)
+	}
+}
+
+func (c *checker) checkGlobal(d *VarDecl) error {
 	if !d.IsArray {
 		return errf(d.Pos, "top-level declarations must be arrays (scalar %q)", d.Name)
 	}
-	if err := c.checkArrayDecl(globals, d); err != nil {
+	if err := c.checkArrayDecl(d); err != nil {
 		return err
 	}
-	if !globals.declare(d.Name, &csym{kind: arraySym, isConst: d.IsConst, size: c.mustConstSize(d)}) {
+	if !c.csyms.declare(0, d.Name, csym{kind: arraySym, isConst: d.IsConst, size: c.mustConstSize(d)}) {
 		return errf(d.Pos, "duplicate declaration of %q", d.Name)
 	}
 	return nil
@@ -94,7 +92,7 @@ func (c *checker) mustConstSize(d *VarDecl) int {
 	return int(v)
 }
 
-func (c *checker) checkArrayDecl(sc *cscope, d *VarDecl) error {
+func (c *checker) checkArrayDecl(d *VarDecl) error {
 	size, ok := EvalConst(d.Size)
 	if !ok {
 		return errf(d.Pos, "array %q size must be a constant expression", d.Name)
@@ -119,55 +117,62 @@ func (c *checker) checkArrayDecl(sc *cscope, d *VarDecl) error {
 	return nil
 }
 
-func (c *checker) checkKernel(globals *cscope, k *Kernel) error {
+func (c *checker) checkKernel(k *Kernel) error {
 	c.pixelLoops = 0
-	c.frozen = map[string]bool{}
-	sc := newScope(globals)
+	c.frozen = c.frozen[:0]
+	params := c.csyms.mark()
 	for _, p := range k.Params {
-		sym := &csym{kind: scalarSym}
+		sym := csym{kind: scalarSym}
 		if p.IsArray {
 			sym.kind = arraySym
 		} else if p.Type != TInt {
 			return errf(p.Pos, "scalar parameter %q must have type int", p.Name)
 		}
-		if !sc.declare(p.Name, sym) {
+		if !c.csyms.declare(params, p.Name, sym) {
 			return errf(p.Pos, "duplicate parameter %q", p.Name)
 		}
 	}
-	return c.checkBlock(sc, k.Body, true)
+	if err := c.checkBlock(k.Body, true); err != nil {
+		return err
+	}
+	c.csyms.pop(params)
+	return nil
 }
 
 // checkBlock validates a statement block. topLevel marks the kernel's
 // outermost block, the only place a pixel loop may appear.
-func (c *checker) checkBlock(sc *cscope, b *BlockStmt, topLevel bool) error {
-	inner := newScope(sc)
+func (c *checker) checkBlock(b *BlockStmt, topLevel bool) error {
+	scope := c.csyms.mark()
 	for _, s := range b.Stmts {
-		if err := c.checkStmt(inner, s, topLevel); err != nil {
+		if err := c.checkStmt(scope, s, topLevel); err != nil {
 			return err
 		}
 	}
+	c.csyms.pop(scope)
 	return nil
 }
 
-func (c *checker) checkStmt(sc *cscope, s Stmt, topLevel bool) error {
+// checkStmt validates a statement of the block whose scope begins at
+// scope.
+func (c *checker) checkStmt(scope int, s Stmt, topLevel bool) error {
 	switch st := s.(type) {
 	case *BlockStmt:
-		return c.checkBlock(sc, st, false)
+		return c.checkBlock(st, false)
 	case *DeclStmt:
-		return c.checkDecl(sc, st.Decl)
+		return c.checkDecl(scope, st.Decl)
 	case *AssignStmt:
-		return c.checkAssign(sc, st)
+		return c.checkAssign(st)
 	case *ForStmt:
-		return c.checkFor(sc, st, topLevel)
+		return c.checkFor(st, topLevel)
 	case *IfStmt:
-		if err := c.checkExpr(sc, st.Cond); err != nil {
+		if err := c.checkExpr(st.Cond); err != nil {
 			return err
 		}
-		if err := c.checkBlock(sc, st.Then, false); err != nil {
+		if err := c.checkBlock(st.Then, false); err != nil {
 			return err
 		}
 		if st.Else != nil {
-			return c.checkBlock(sc, st.Else, false)
+			return c.checkBlock(st.Else, false)
 		}
 		return nil
 	case *ReturnStmt:
@@ -176,12 +181,12 @@ func (c *checker) checkStmt(sc *cscope, s Stmt, topLevel bool) error {
 	return fmt.Errorf("cc: unknown statement %T", s)
 }
 
-func (c *checker) checkDecl(sc *cscope, d *VarDecl) error {
+func (c *checker) checkDecl(scope int, d *VarDecl) error {
 	if d.IsArray {
-		if err := c.checkArrayDecl(sc, d); err != nil {
+		if err := c.checkArrayDecl(d); err != nil {
 			return err
 		}
-		if !sc.declare(d.Name, &csym{kind: arraySym, isConst: d.IsConst, size: c.mustConstSize(d)}) {
+		if !c.csyms.declare(scope, d.Name, csym{kind: arraySym, isConst: d.IsConst, size: c.mustConstSize(d)}) {
 			return errf(d.Pos, "duplicate declaration of %q", d.Name)
 		}
 		return nil
@@ -190,26 +195,26 @@ func (c *checker) checkDecl(sc *cscope, d *VarDecl) error {
 		return errf(d.Pos, "const applies only to arrays (scalar %q)", d.Name)
 	}
 	if d.Init != nil {
-		if err := c.checkExpr(sc, d.Init); err != nil {
+		if err := c.checkExpr(d.Init); err != nil {
 			return err
 		}
 	}
-	if !sc.declare(d.Name, &csym{kind: scalarSym}) {
+	if !c.csyms.declare(scope, d.Name, csym{kind: scalarSym}) {
 		return errf(d.Pos, "duplicate declaration of %q", d.Name)
 	}
 	return nil
 }
 
-func (c *checker) checkAssign(sc *cscope, st *AssignStmt) error {
-	sym := sc.lookup(st.LHS.Name)
-	if sym == nil {
+func (c *checker) checkAssign(st *AssignStmt) error {
+	sym, ok := c.csyms.lookup(st.LHS.Name)
+	if !ok {
 		return errf(st.LHS.Pos, "undeclared variable %q", st.LHS.Name)
 	}
 	if st.LHS.Index == nil {
 		if sym.kind != scalarSym {
 			return errf(st.LHS.Pos, "cannot assign to array %q without an index", st.LHS.Name)
 		}
-		if c.frozen[st.LHS.Name] {
+		if slices.Contains(c.frozen, st.LHS.Name) {
 			return errf(st.LHS.Pos, "cannot assign to loop variable %q inside its loop", st.LHS.Name)
 		}
 	} else {
@@ -219,30 +224,29 @@ func (c *checker) checkAssign(sc *cscope, st *AssignStmt) error {
 		if sym.isConst {
 			return errf(st.LHS.Pos, "cannot assign to const array %q", st.LHS.Name)
 		}
-		if err := c.checkExpr(sc, st.LHS.Index); err != nil {
+		if err := c.checkExpr(st.LHS.Index); err != nil {
 			return err
 		}
 	}
-	return c.checkExpr(sc, st.RHS)
+	return c.checkExpr(st.RHS)
 }
 
-func (c *checker) checkFor(sc *cscope, st *ForStmt, topLevel bool) error {
-	sym := sc.lookup(st.Var)
-	if sym == nil {
+func (c *checker) checkFor(st *ForStmt, topLevel bool) error {
+	sym, ok := c.csyms.lookup(st.Var)
+	if !ok {
 		return errf(st.Pos, "undeclared loop variable %q", st.Var)
 	}
 	if sym.kind != scalarSym {
 		return errf(st.Pos, "loop variable %q must be a scalar", st.Var)
 	}
-	if err := c.checkExpr(sc, st.Init); err != nil {
+	if err := c.checkExpr(st.Init); err != nil {
 		return err
 	}
-	bound, le, err := c.loopBound(st)
+	bound, _, err := c.loopBound(st)
 	if err != nil {
 		return err
 	}
-	_ = le
-	if err := c.checkExpr(sc, bound); err != nil {
+	if err := c.checkExpr(bound); err != nil {
 		return err
 	}
 	trip, isConst := c.constTrip(st)
@@ -252,9 +256,9 @@ func (c *checker) checkFor(sc *cscope, st *ForStmt, topLevel bool) error {
 		if trip <= 0 {
 			return errf(st.Pos, "constant loop over %q never executes", st.Var)
 		}
-		c.frozen[st.Var] = true
-		defer delete(c.frozen, st.Var)
-		return c.checkBlock(sc, st.Body, false)
+		c.freeze(st.Var)
+		defer c.thaw(st.Var)
+		return c.checkBlock(st.Body, false)
 	}
 	// Runtime-trip pixel loop.
 	if !topLevel {
@@ -265,16 +269,15 @@ func (c *checker) checkFor(sc *cscope, st *ForStmt, topLevel bool) error {
 		return errf(st.Pos, "kernel has more than one runtime-bound loop; fuse them or make inner trips constant")
 	}
 	if bv, ok := bound.(*VarRef); ok {
-		bsym := sc.lookup(bv.Name)
-		if bsym == nil || bsym.kind != scalarSym {
+		if bsym, ok := c.csyms.lookup(bv.Name); !ok || bsym.kind != scalarSym {
 			return errf(bv.Pos, "loop bound %q must be a scalar", bv.Name)
 		}
-		c.frozen[bv.Name] = true
-		defer delete(c.frozen, bv.Name)
+		c.freeze(bv.Name)
+		defer c.thaw(bv.Name)
 	}
-	c.frozen[st.Var] = true
-	defer delete(c.frozen, st.Var)
-	return c.checkBlock(sc, st.Body, false)
+	c.freeze(st.Var)
+	defer c.thaw(st.Var)
+	return c.checkBlock(st.Body, false)
 }
 
 // loopBound extracts the bound expression from the loop condition,
@@ -315,13 +318,13 @@ func (c *checker) constTrip(st *ForStmt) (int, bool) {
 	return trip, true
 }
 
-func (c *checker) checkExpr(sc *cscope, e Expr) error {
+func (c *checker) checkExpr(e Expr) error {
 	switch ex := e.(type) {
 	case *IntLit:
 		return nil
 	case *VarRef:
-		sym := sc.lookup(ex.Name)
-		if sym == nil {
+		sym, ok := c.csyms.lookup(ex.Name)
+		if !ok {
 			return errf(ex.Pos, "undeclared variable %q", ex.Name)
 		}
 		if sym.kind != scalarSym {
@@ -329,19 +332,19 @@ func (c *checker) checkExpr(sc *cscope, e Expr) error {
 		}
 		return nil
 	case *IndexExpr:
-		sym := sc.lookup(ex.Name)
-		if sym == nil {
+		sym, ok := c.csyms.lookup(ex.Name)
+		if !ok {
 			return errf(ex.Pos, "undeclared array %q", ex.Name)
 		}
 		if sym.kind != arraySym {
 			return errf(ex.Pos, "cannot index scalar %q", ex.Name)
 		}
-		return c.checkExpr(sc, ex.Index)
+		return c.checkExpr(ex.Index)
 	case *BinaryExpr:
-		if err := c.checkExpr(sc, ex.L); err != nil {
+		if err := c.checkExpr(ex.L); err != nil {
 			return err
 		}
-		if err := c.checkExpr(sc, ex.R); err != nil {
+		if err := c.checkExpr(ex.R); err != nil {
 			return err
 		}
 		if ex.Op == SLASH || ex.Op == PERCENT {
@@ -352,17 +355,17 @@ func (c *checker) checkExpr(sc *cscope, e Expr) error {
 		}
 		return nil
 	case *UnaryExpr:
-		return c.checkExpr(sc, ex.X)
+		return c.checkExpr(ex.X)
 	case *CondExpr:
-		if err := c.checkExpr(sc, ex.Cond); err != nil {
+		if err := c.checkExpr(ex.Cond); err != nil {
 			return err
 		}
-		if err := c.checkExpr(sc, ex.Then); err != nil {
+		if err := c.checkExpr(ex.Then); err != nil {
 			return err
 		}
-		return c.checkExpr(sc, ex.Else)
+		return c.checkExpr(ex.Else)
 	case *CastExpr:
-		return c.checkExpr(sc, ex.X)
+		return c.checkExpr(ex.X)
 	case *CallExpr:
 		arity, ok := builtinArity[ex.Name]
 		if !ok {
@@ -372,7 +375,7 @@ func (c *checker) checkExpr(sc *cscope, e Expr) error {
 			return errf(ex.Pos, "%s expects %d arguments, got %d", ex.Name, arity, len(ex.Args))
 		}
 		for _, a := range ex.Args {
-			if err := c.checkExpr(sc, a); err != nil {
+			if err := c.checkExpr(a); err != nil {
 				return err
 			}
 		}

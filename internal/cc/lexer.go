@@ -184,7 +184,7 @@ func (lx *Lexer) Next() (Token, error) {
 	}
 	if k, ok := oneCharOps[c]; ok {
 		lx.advance()
-		return Token{Kind: k, Text: string(c), Pos: pos}, nil
+		return Token{Kind: k, Text: lx.src[lx.off-1 : lx.off], Pos: pos}, nil
 	}
 	return Token{}, errf(pos, "unexpected character %q", string(c))
 }

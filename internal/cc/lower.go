@@ -3,6 +3,7 @@ package cc
 import (
 	"fmt"
 	"math/bits"
+	"strconv"
 
 	"customfit/internal/ir"
 	"customfit/internal/obs"
@@ -18,20 +19,22 @@ func Compile(src string) ([]*ir.Func, error) {
 // recorded as telemetry spans under sp (or as root spans when sp is
 // nil and a collector is installed).
 func CompileSpan(sp *obs.Span, src string) ([]*ir.Func, error) {
+	ws := workspaces.Get()
+	defer ws.release()
 	psp := obs.Under(sp, "parse").Int("source_bytes", int64(len(src)))
-	file, err := Parse(src)
+	file, err := ws.parse(src)
 	psp.End()
 	if err != nil {
 		return nil, err
 	}
 	ksp := obs.Under(sp, "check")
-	err = Check(file)
+	err = ws.check(file)
 	ksp.End()
 	if err != nil {
 		return nil, err
 	}
 	lsp := obs.Under(sp, "lower")
-	fns, err := LowerFile(file)
+	fns, err := ws.lowerFile(file)
 	lsp.Int("kernels", int64(len(fns))).End()
 	return fns, err
 }
@@ -57,19 +60,56 @@ func CompileKernelSpan(sp *obs.Span, src string) (*ir.Func, error) {
 // gets its own MemRef instances for the file's globals; the simulator
 // binds them by name.
 func LowerFile(f *File) ([]*ir.Func, error) {
+	ws := workspaces.Get()
+	defer ws.release()
+	return ws.lowerFile(f)
+}
+
+// lowerFile is LowerFile in ws. Each function's instructions lie in the
+// workspace's slab until the function owns them, before it verifies.
+func (ws *workspace) lowerFile(f *File) ([]*ir.Func, error) {
+	defer ws.slab.Forget()
 	var out []*ir.Func
 	for _, k := range f.Kernels {
-		fn, err := lowerKernel(f, k)
+		fn, err := ws.lowerKernel(f, k)
 		if err != nil {
 			return nil, err
 		}
+		ws.presizeCFG(fn)
 		fn.RemoveUnreachable()
+		fn.Own()
 		if err := fn.Verify(); err != nil {
 			return nil, fmt.Errorf("cc: internal error lowering %s: %w", k.Name, err)
 		}
 		out = append(out, fn)
 	}
 	return out, nil
+}
+
+// presizeCFG gives each of fn's blocks predecessor and successor lists
+// with room for all its edges, cut from one array, so that computing the
+// CFG makes no list of its own.
+func (ws *workspace) presizeCFG(fn *ir.Func) {
+	edges := 0
+	for _, b := range fn.Blocks {
+		if t := b.Terminator(); t != nil {
+			edges += len(t.Targets)
+			for _, s := range t.Targets {
+				ws.preds[s]++
+			}
+		}
+	}
+	all := make([]*ir.Block, 2*edges)
+	for _, b := range fn.Blocks {
+		if t := b.Terminator(); t != nil && len(t.Targets) > 0 {
+			n := len(t.Targets)
+			b.Succs, all = all[:0:n], all[n:]
+		}
+		if n := int(ws.preds[b]); n > 0 {
+			b.Preds, all = all[:0:n], all[n:]
+		}
+	}
+	clear(ws.preds)
 }
 
 type lsymKind uint8
@@ -87,20 +127,6 @@ type lsym struct {
 	val  int32      // lConstVal
 }
 
-type lscope struct {
-	parent *lscope
-	syms   map[string]*lsym
-}
-
-func (s *lscope) lookup(name string) *lsym {
-	for sc := s; sc != nil; sc = sc.parent {
-		if sym, ok := sc.syms[name]; ok {
-			return sym
-		}
-	}
-	return nil
-}
-
 // MaxLoweredInstrs bounds the instructions one kernel lowers to, and the
 // copies of a loop body nested constant-trip loops make. Only full
 // unrolling multiplies code, nested loops by each trip count in turn,
@@ -111,30 +137,57 @@ func (s *lscope) lookup(name string) *lsym {
 // of lowered until memory or patience runs out.
 const MaxLoweredInstrs = 1 << 14
 
-// lowerer lowers one kernel. Its instructions are cut from slab, which
-// the lowered function owns (ir.Slab): one array per many instructions
-// instead of an object, and an operand list, each. n counts them, and
-// copies is how many times the statement being lowered is, the product
-// of the enclosing constant loops' trip counts.
+// lowerer lowers one kernel in a workspace. n counts the instructions
+// it made, and copies is how many times the statement being lowered is,
+// the product of the enclosing constant loops' trip counts.
+//
+// Blocks are filled one after another: once the lowerer has moved on
+// from a block it never appends to it again. So the current block's
+// instructions collect in open, and leaving the block moves them into a
+// list of their own, exactly sized, cut from the slab.
 type lowerer struct {
-	f       *ir.Func
-	slab    ir.Slab
-	n       int
-	copies  int
-	cur     *ir.Block
-	memSeq  int
-	retSeen bool
+	*workspace
+	f      *ir.Func
+	n      int
+	copies int
+	cur    *ir.Block
+	memSeq int
 }
 
 // add appends in to the current block.
 func (lw *lowerer) add(in *ir.Instr) *ir.Instr {
 	lw.n++
-	return lw.cur.Append(in)
+	lw.open = append(lw.open, in)
+	return in
 }
 
-func lowerKernel(file *File, k *Kernel) (*ir.Func, error) {
-	lw := &lowerer{f: ir.NewFunc(k.Name), copies: 1}
-	globalScope := &lscope{syms: map[string]*lsym{}}
+// enter makes b, a block nothing has been appended to, the current one,
+// and closes the block before it.
+func (lw *lowerer) enter(b *ir.Block) {
+	if lw.cur != nil && len(lw.open) > 0 {
+		lw.cur.Instrs = lw.slab.List(len(lw.open))
+		copy(lw.cur.Instrs, lw.open)
+		clear(lw.open)
+		lw.open = lw.open[:0]
+	}
+	lw.cur = b
+}
+
+// terminated reports whether the current block ends in a terminator.
+func (lw *lowerer) terminated() bool {
+	n := len(lw.open)
+	return n > 0 && lw.open[n-1].Op.IsTerminator()
+}
+
+// lowerKernel lowers k, a kernel of file, into the workspace's slab.
+func (ws *workspace) lowerKernel(file *File, k *Kernel) (*ir.Func, error) {
+	ws.slab.Reset(0, 0)
+	ws.open, ws.targets.buf = ws.open[:0], ws.targets.buf[:0]
+	ws.lsyms.pop(0)
+	lw := &lowerer{workspace: ws, f: ir.NewFunc(k.Name), copies: 1}
+	if n := len(file.Globals) + len(k.Params); n > 0 {
+		lw.f.Mems = make([]*ir.MemRef, 0, n)
+	}
 
 	for _, g := range file.Globals {
 		size, _ := EvalConst(g.Size)
@@ -148,10 +201,9 @@ func lowerKernel(file *File, k *Kernel) (*ir.Func, error) {
 			Init:   constInits(g),
 		}
 		lw.f.AddMem(mem)
-		globalScope.syms[g.Name] = &lsym{kind: lArray, mem: mem}
+		lw.lsyms.push(g.Name, lsym{kind: lArray, mem: mem})
 	}
 
-	paramScope := &lscope{parent: globalScope, syms: map[string]*lsym{}}
 	for _, p := range k.Params {
 		if p.IsArray {
 			mem := &ir.MemRef{
@@ -161,20 +213,21 @@ func lowerKernel(file *File, k *Kernel) (*ir.Func, error) {
 				IsParam: true,
 			}
 			lw.f.AddMem(mem)
-			paramScope.syms[p.Name] = &lsym{kind: lArray, mem: mem}
+			lw.lsyms.push(p.Name, lsym{kind: lArray, mem: mem})
 		} else {
 			pp := lw.f.AddScalarParam(p.Name)
-			paramScope.syms[p.Name] = &lsym{kind: lScalar, reg: pp.Reg}
+			lw.lsyms.push(p.Name, lsym{kind: lScalar, reg: pp.Reg})
 		}
 	}
 
-	lw.cur = lw.f.NewBlock("entry")
-	if err := lw.block(paramScope, k.Body); err != nil {
+	lw.enter(lw.f.NewBlock("entry"))
+	if err := lw.block(k.Body); err != nil {
 		return nil, err
 	}
-	if lw.cur.Terminator() == nil {
+	if !lw.terminated() {
 		lw.branch(ir.OpRet, nil)
 	}
+	lw.enter(nil)
 	return lw.f, nil
 }
 
@@ -217,48 +270,54 @@ func (lw *lowerer) emitTo(dest ir.Reg, src ir.Operand) {
 	lw.add(lw.slab.New(ir.OpMov, dest, src))
 }
 
-// branch appends a terminator of op to the current block.
+// branch appends a terminator of op to the current block, branching to
+// targets.
 func (lw *lowerer) branch(op ir.Op, targets []*ir.Block, args ...ir.Operand) {
-	lw.add(lw.slab.New(op, ir.NoReg, args...)).Targets = targets
+	in := lw.add(lw.slab.New(op, ir.NoReg, args...))
+	if len(targets) > 0 {
+		in.Targets = lw.targets.take(len(targets))
+		copy(in.Targets, targets)
+	}
 }
 
-func (lw *lowerer) block(parent *lscope, b *BlockStmt) error {
-	sc := &lscope{parent: parent, syms: map[string]*lsym{}}
+func (lw *lowerer) block(b *BlockStmt) error {
+	scope := lw.lsyms.mark()
 	for _, s := range b.Stmts {
-		if err := lw.stmt(sc, s); err != nil {
+		if err := lw.stmt(s); err != nil {
 			return err
 		}
 	}
+	lw.lsyms.pop(scope)
 	return nil
 }
 
-func (lw *lowerer) stmt(sc *lscope, s Stmt) error {
+func (lw *lowerer) stmt(s Stmt) error {
 	switch st := s.(type) {
 	case *BlockStmt:
-		return lw.block(sc, st)
+		return lw.block(st)
 	case *DeclStmt:
-		return lw.decl(sc, st.Decl)
+		return lw.decl(st.Decl)
 	case *AssignStmt:
-		return lw.assign(sc, st)
+		return lw.assign(st)
 	case *IfStmt:
-		return lw.ifStmt(sc, st)
+		return lw.ifStmt(st)
 	case *ForStmt:
-		return lw.forStmt(sc, st)
+		return lw.forStmt(st)
 	case *ReturnStmt:
 		lw.branch(ir.OpRet, nil)
-		lw.cur = lw.f.NewBlock("dead")
+		lw.enter(lw.f.NewBlock("dead"))
 		return nil
 	}
 	return fmt.Errorf("cc: unknown statement %T", s)
 }
 
-func (lw *lowerer) decl(sc *lscope, d *VarDecl) error {
+func (lw *lowerer) decl(d *VarDecl) error {
 	if d.IsArray {
 		size, _ := EvalConst(d.Size)
 		name := d.Name
 		if lw.f.MemByName(name) != nil {
 			lw.memSeq++
-			name = fmt.Sprintf("%s$%d", d.Name, lw.memSeq)
+			name = d.Name + "$" + strconv.Itoa(lw.memSeq)
 		}
 		mem := &ir.MemRef{
 			Name:  name,
@@ -269,33 +328,33 @@ func (lw *lowerer) decl(sc *lscope, d *VarDecl) error {
 			Init:  constInits(d),
 		}
 		lw.f.AddMem(mem)
-		sc.syms[d.Name] = &lsym{kind: lArray, mem: mem}
+		lw.lsyms.push(d.Name, lsym{kind: lArray, mem: mem})
 		return nil
 	}
 	home := lw.f.NewReg()
 	init := ir.Imm(0) // CKC zero-initializes scalars (documented divergence from C)
 	if d.Init != nil {
-		v, err := lw.expr(sc, d.Init)
+		v, err := lw.expr(d.Init)
 		if err != nil {
 			return err
 		}
 		init = v
 	}
 	lw.emitTo(home, init)
-	sc.syms[d.Name] = &lsym{kind: lScalar, reg: home}
+	lw.lsyms.push(d.Name, lsym{kind: lScalar, reg: home})
 	return nil
 }
 
-func (lw *lowerer) assign(sc *lscope, st *AssignStmt) error {
-	sym := sc.lookup(st.LHS.Name)
-	if sym == nil {
+func (lw *lowerer) assign(st *AssignStmt) error {
+	sym, ok := lw.lsyms.lookup(st.LHS.Name)
+	if !ok {
 		return errf(st.LHS.Pos, "undeclared variable %q", st.LHS.Name)
 	}
 	// Compute the new value. Compound assignment reads the old value.
 	var old ir.Operand
 	var idx ir.Operand
 	if st.LHS.Index != nil {
-		v, err := lw.expr(sc, st.LHS.Index)
+		v, err := lw.expr(st.LHS.Index)
 		if err != nil {
 			return err
 		}
@@ -308,7 +367,7 @@ func (lw *lowerer) assign(sc *lscope, st *AssignStmt) error {
 			old = lw.load(sym.mem, idx)
 		}
 	}
-	rhs, err := lw.expr(sc, st.RHS)
+	rhs, err := lw.expr(st.RHS)
 	if err != nil {
 		return err
 	}
@@ -361,18 +420,18 @@ func (lw *lowerer) load(mem *ir.MemRef, idx ir.Operand) ir.Operand {
 	return ir.R(dest)
 }
 
-func (lw *lowerer) ifStmt(sc *lscope, st *IfStmt) error {
-	cond, err := lw.expr(sc, st.Cond)
+func (lw *lowerer) ifStmt(st *IfStmt) error {
+	cond, err := lw.expr(st.Cond)
 	if err != nil {
 		return err
 	}
 	if cond.IsImm() {
 		// Statically decided branch: lower only the taken arm.
 		if cond.Imm != 0 {
-			return lw.block(sc, st.Then)
+			return lw.block(st.Then)
 		}
 		if st.Else != nil {
-			return lw.block(sc, st.Else)
+			return lw.block(st.Else)
 		}
 		return nil
 	}
@@ -383,29 +442,29 @@ func (lw *lowerer) ifStmt(sc *lscope, st *IfStmt) error {
 		elseB = lw.f.NewBlock("else")
 	}
 	lw.branch(ir.OpCBr, []*ir.Block{thenB, elseB}, cond)
-	lw.cur = thenB
-	if err := lw.block(sc, st.Then); err != nil {
+	lw.enter(thenB)
+	if err := lw.block(st.Then); err != nil {
 		return err
 	}
-	if lw.cur.Terminator() == nil {
+	if !lw.terminated() {
 		lw.branch(ir.OpBr, []*ir.Block{join})
 	}
 	if st.Else != nil {
-		lw.cur = elseB
-		if err := lw.block(sc, st.Else); err != nil {
+		lw.enter(elseB)
+		if err := lw.block(st.Else); err != nil {
 			return err
 		}
-		if lw.cur.Terminator() == nil {
+		if !lw.terminated() {
 			lw.branch(ir.OpBr, []*ir.Block{join})
 		}
 	}
-	lw.cur = join
+	lw.enter(join)
 	return nil
 }
 
-func (lw *lowerer) forStmt(sc *lscope, st *ForStmt) error {
-	sym := sc.lookup(st.Var)
-	if sym == nil || sym.kind != lScalar {
+func (lw *lowerer) forStmt(st *ForStmt) error {
+	sym, ok := lw.lsyms.lookup(st.Var)
+	if !ok || sym.kind != lScalar {
 		return errf(st.Pos, "loop variable %q must be a declared scalar", st.Var)
 	}
 	bound, le := loopBoundExpr(st)
@@ -417,10 +476,10 @@ func (lw *lowerer) forStmt(sc *lscope, st *ForStmt) error {
 			trip++
 		}
 		if trip <= MaxFullUnroll {
-			return lw.fullUnroll(sc, st, initV, trip)
+			return lw.fullUnroll(st, sym.reg, initV, trip)
 		}
 	}
-	return lw.pixelLoop(sc, st, sym, bound, le)
+	return lw.pixelLoop(st, sym.reg, bound, le)
 }
 
 func loopBoundExpr(st *ForStmt) (Expr, bool) {
@@ -430,67 +489,67 @@ func loopBoundExpr(st *ForStmt) (Expr, bool) {
 
 // fullUnroll expands a constant-trip loop by binding the induction
 // variable to each constant value in turn. The loop variable's home
-// register is left holding its final value, matching C semantics.
-func (lw *lowerer) fullUnroll(sc *lscope, st *ForStmt, init int32, trip int) error {
+// register home is left holding its final value, matching C semantics.
+func (lw *lowerer) fullUnroll(st *ForStmt, home ir.Reg, init int32, trip int) error {
 	if lw.copies*trip > MaxLoweredInstrs {
 		return errf(st.Pos, "constant-trip loops nest to more than %d copies of a body", MaxLoweredInstrs)
 	}
 	lw.copies *= trip
 	defer func() { lw.copies /= trip }()
-	inner := &lscope{parent: sc, syms: map[string]*lsym{}}
-	bind := &lsym{kind: lConstVal}
-	inner.syms[st.Var] = bind
+	scope := lw.lsyms.mark()
+	bind := lw.lsyms.push(st.Var, lsym{kind: lConstVal})
 	for k := 0; k < trip; k++ {
-		bind.val = init + int32(k)
-		if err := lw.block(inner, st.Body); err != nil {
+		lw.lsyms.stack[bind].sym.val = init + int32(k)
+		if err := lw.block(st.Body); err != nil {
 			return err
 		}
 		if lw.n > MaxLoweredInstrs {
 			return errf(st.Pos, "constant-trip loops unroll to more than %d instructions", MaxLoweredInstrs)
 		}
 	}
+	lw.lsyms.pop(scope)
 	// Final value visible after the loop.
-	outer := sc.lookup(st.Var)
-	lw.emitTo(outer.reg, ir.Imm(init+int32(trip)))
+	lw.emitTo(home, ir.Imm(init+int32(trip)))
 	return nil
 }
 
-// pixelLoop lowers the kernel's runtime-trip streaming loop in rotated
-// form and records LoopInfo for the unroller and scheduler.
-func (lw *lowerer) pixelLoop(sc *lscope, st *ForStmt, sym *lsym, bound Expr, le bool) error {
+// pixelLoop lowers the kernel's runtime-trip streaming loop over the
+// induction variable with home register iv in rotated form and records
+// LoopInfo for the unroller and scheduler.
+func (lw *lowerer) pixelLoop(st *ForStmt, iv ir.Reg, bound Expr, le bool) error {
 	if lw.f.Loop != nil {
 		return errf(st.Pos, "kernel has more than one runtime-bound loop")
 	}
-	limit, err := lw.expr(sc, bound)
+	limit, err := lw.expr(bound)
 	if err != nil {
 		return err
 	}
 	if le {
 		limit = lw.emit(ir.OpAdd, limit, ir.Imm(1))
 	}
-	initV, err := lw.expr(sc, st.Init)
+	initV, err := lw.expr(st.Init)
 	if err != nil {
 		return err
 	}
-	lw.emitTo(sym.reg, initV)
+	lw.emitTo(iv, initV)
 
 	pre := lw.cur
 	body := lw.f.NewBlock("loop")
 	exit := lw.f.NewBlock("exit")
-	guard := lw.emit(ir.OpCmpLT, ir.R(sym.reg), limit)
+	guard := lw.emit(ir.OpCmpLT, ir.R(iv), limit)
 	lw.appendCBr(guard, body, exit)
 
-	lw.cur = body
-	if err := lw.block(sc, st.Body); err != nil {
+	lw.enter(body)
+	if err := lw.block(st.Body); err != nil {
 		return err
 	}
-	if lw.cur.Terminator() != nil {
+	if lw.terminated() {
 		return errf(st.Pos, "return inside the pixel loop is not supported")
 	}
 	latch := lw.cur
 	// Control tail: i' = i + 1; i = i'; t = i' < limit; cbr t, body, exit.
-	nxt := lw.emit(ir.OpAdd, ir.R(sym.reg), ir.Imm(1))
-	lw.emitTo(sym.reg, nxt)
+	nxt := lw.emit(ir.OpAdd, ir.R(iv), ir.Imm(1))
+	lw.emitTo(iv, nxt)
 	back := lw.emit(ir.OpCmpLT, nxt, limit)
 	lw.appendCBr(back, body, exit)
 
@@ -499,11 +558,11 @@ func (lw *lowerer) pixelLoop(sc *lscope, st *ForStmt, sym *lsym, bound Expr, le 
 		Header:    body,
 		Latch:     latch,
 		Exit:      exit,
-		IndVar:    sym.reg,
+		IndVar:    iv,
 		Limit:     limit,
 		Step:      1,
 	}
-	lw.cur = exit
+	lw.enter(exit)
 	return nil
 }
 
@@ -520,13 +579,13 @@ func (lw *lowerer) appendCBr(cond ir.Operand, t, f *ir.Block) {
 }
 
 // expr lowers an expression to an operand (immediate when constant).
-func (lw *lowerer) expr(sc *lscope, e Expr) (ir.Operand, error) {
+func (lw *lowerer) expr(e Expr) (ir.Operand, error) {
 	switch ex := e.(type) {
 	case *IntLit:
 		return ir.Imm(ex.Val), nil
 	case *VarRef:
-		sym := sc.lookup(ex.Name)
-		if sym == nil {
+		sym, ok := lw.lsyms.lookup(ex.Name)
+		if !ok {
 			return ir.Operand{}, errf(ex.Pos, "undeclared variable %q", ex.Name)
 		}
 		switch sym.kind {
@@ -537,27 +596,27 @@ func (lw *lowerer) expr(sc *lscope, e Expr) (ir.Operand, error) {
 		}
 		return ir.Operand{}, errf(ex.Pos, "array %q used without an index", ex.Name)
 	case *IndexExpr:
-		sym := sc.lookup(ex.Name)
-		if sym == nil || sym.kind != lArray {
+		sym, ok := lw.lsyms.lookup(ex.Name)
+		if !ok || sym.kind != lArray {
 			return ir.Operand{}, errf(ex.Pos, "undeclared array %q", ex.Name)
 		}
-		idx, err := lw.expr(sc, ex.Index)
+		idx, err := lw.expr(ex.Index)
 		if err != nil {
 			return ir.Operand{}, err
 		}
 		return lw.load(sym.mem, idx), nil
 	case *BinaryExpr:
-		l, err := lw.expr(sc, ex.L)
+		l, err := lw.expr(ex.L)
 		if err != nil {
 			return ir.Operand{}, err
 		}
-		r, err := lw.expr(sc, ex.R)
+		r, err := lw.expr(ex.R)
 		if err != nil {
 			return ir.Operand{}, err
 		}
 		return lw.binOp(ex.Op, l, r, ex.Pos)
 	case *UnaryExpr:
-		x, err := lw.expr(sc, ex.X)
+		x, err := lw.expr(ex.X)
 		if err != nil {
 			return ir.Operand{}, err
 		}
@@ -571,21 +630,21 @@ func (lw *lowerer) expr(sc *lscope, e Expr) (ir.Operand, error) {
 		}
 		return ir.Operand{}, errf(ex.Pos, "unsupported unary operator %s", ex.Op)
 	case *CondExpr:
-		c, err := lw.expr(sc, ex.Cond)
+		c, err := lw.expr(ex.Cond)
 		if err != nil {
 			return ir.Operand{}, err
 		}
-		t, err := lw.expr(sc, ex.Then)
+		t, err := lw.expr(ex.Then)
 		if err != nil {
 			return ir.Operand{}, err
 		}
-		f, err := lw.expr(sc, ex.Else)
+		f, err := lw.expr(ex.Else)
 		if err != nil {
 			return ir.Operand{}, err
 		}
 		return lw.emit(ir.OpSelect, c, t, f), nil
 	case *CastExpr:
-		x, err := lw.expr(sc, ex.X)
+		x, err := lw.expr(ex.X)
 		if err != nil {
 			return ir.Operand{}, err
 		}
@@ -605,16 +664,16 @@ func (lw *lowerer) expr(sc *lscope, e Expr) (ir.Operand, error) {
 		}
 		return ir.Operand{}, errf(ex.Pos, "unsupported cast")
 	case *CallExpr:
-		return lw.builtin(sc, ex)
+		return lw.builtin(ex)
 	}
 	return ir.Operand{}, fmt.Errorf("cc: unknown expression %T", e)
 }
 
-func (lw *lowerer) builtin(sc *lscope, ex *CallExpr) (ir.Operand, error) {
+func (lw *lowerer) builtin(ex *CallExpr) (ir.Operand, error) {
 	var argv [3]ir.Operand // clamp's, the most any builtin takes
 	args := argv[:0]
 	for _, a := range ex.Args {
-		v, err := lw.expr(sc, a)
+		v, err := lw.expr(a)
 		if err != nil {
 			return ir.Operand{}, err
 		}

@@ -358,20 +358,6 @@ func TestLowerVerifiesAllKernels(t *testing.T) {
 	}
 }
 
-func min(a, b int32) int32 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int32) int32 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 func TestLowerUnaryChainSemantics(t *testing.T) {
 	src := `
 		kernel u(int out[], int a) {

@@ -1,31 +1,89 @@
 package cc
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
-// Parser is a recursive-descent parser for CKC.
+// MaxNesting bounds how deeply CKC source nests: statements (blocks,
+// loop bodies, if and else-if chains) and expressions (parentheses,
+// subscripts, call arguments, ternary arms, prefix operators, casts and
+// the operators of a left-associative chain) count together. The
+// parser, the checker and the lowerer each recurse once per level, so
+// past the bound a source is refused with a positioned Error rather
+// than growing the stack until the runtime kills the process. The
+// suite's kernels nest twelve levels deep at most.
+const MaxNesting = 1000
+
+// Parser is a recursive-descent parser for CKC. It pulls its tokens from
+// a Lexer as it goes, looking at most two past the current one (a cast's
+// `( type )`), and cuts the AST's nodes from arrays it owns, so a parse
+// allocates per kind of node rather than per token and per node. It
+// builds its statement and expression lists on a workspace's stacks.
 type Parser struct {
-	toks []Token
-	pos  int
+	*workspace
+	lx Lexer
+	// la holds the current token and the two after it.
+	la [3]Token
+	// lexErr is the lexer's first error; every token from there on
+	// reads as EOF.
+	lexErr error
+	depth  int
+	nodes  nodes
 }
 
-// Parse lexes and parses a CKC translation unit.
+// Parse lexes and parses a CKC translation unit. Of a lexical and a
+// syntax error it reports the lexical one, wherever it lies, as a parse
+// of the whole token stream would.
 func Parse(src string) (*File, error) {
-	toks, err := Lex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &Parser{toks: toks}
-	return p.file()
+	ws := workspaces.Get()
+	defer ws.release()
+	return ws.parse(src)
 }
 
-func (p *Parser) cur() Token  { return p.toks[p.pos] }
-func (p *Parser) next() Token { t := p.toks[p.pos]; p.pos++; return t }
+// parse is Parse in ws.
+func (ws *workspace) parse(src string) (*File, error) {
+	p := &Parser{workspace: ws, lx: Lexer{src: src, line: 1, col: 1}}
+	for i := range p.la {
+		p.la[i] = p.pull()
+	}
+	f, err := p.file()
+	if err != nil {
+		for p.lexErr == nil && p.la[2].Kind != EOF {
+			p.next()
+		}
+	}
+	if p.lexErr != nil {
+		return nil, p.lexErr
+	}
+	return f, err
+}
 
-func (p *Parser) at(k Kind) bool { return p.cur().Kind == k }
+// pull returns the lexer's next token, or EOF once it has failed.
+func (p *Parser) pull() Token {
+	if p.lexErr == nil {
+		t, err := p.lx.Next()
+		if err == nil {
+			return t
+		}
+		p.lexErr = err
+	}
+	return Token{Kind: EOF}
+}
+
+func (p *Parser) cur() Token { return p.la[0] }
+
+func (p *Parser) next() Token {
+	t := p.la[0]
+	p.la[0], p.la[1], p.la[2] = p.la[1], p.la[2], p.pull()
+	return t
+}
+
+func (p *Parser) at(k Kind) bool { return p.la[0].Kind == k }
 
 func (p *Parser) accept(k Kind) bool {
 	if p.at(k) {
-		p.pos++
+		p.next()
 		return true
 	}
 	return false
@@ -36,6 +94,21 @@ func (p *Parser) expect(k Kind) (Token, error) {
 		return Token{}, errf(p.cur().Pos, "expected %s, found %s", k, describe(p.cur()))
 	}
 	return p.next(), nil
+}
+
+// nest enters one more level of nesting, at the current token; the
+// caller leaves it with p.depth-- once the level has parsed.
+func (p *Parser) nest() error {
+	p.depth++
+	return p.within(p.depth)
+}
+
+// within fails, at the current token, when level is past MaxNesting.
+func (p *Parser) within(level int) error {
+	if level > MaxNesting {
+		return errf(p.cur().Pos, "nesting deeper than %d levels", MaxNesting)
+	}
+	return nil
 }
 
 func describe(t Token) string {
@@ -101,8 +174,10 @@ func (p *Parser) kernel() (*Kernel, error) {
 		return nil, err
 	}
 	k := &Kernel{Name: name.Text, Pos: kw.Pos}
+	var buf [16]*ParamDecl
+	params := buf[:0]
 	for !p.at(RPAREN) {
-		if len(k.Params) > 0 {
+		if len(params) > 0 {
 			if _, err := p.expect(COMMA); err != nil {
 				return nil, err
 			}
@@ -115,16 +190,17 @@ func (p *Parser) kernel() (*Kernel, error) {
 		if err != nil {
 			return nil, err
 		}
-		pd := &ParamDecl{Name: pn.Text, Type: ty, Pos: pn.Pos}
+		pd := p.nodes.params.add(ParamDecl{Name: pn.Text, Type: ty, Pos: pn.Pos})
 		if p.accept(LBRACK) {
 			if _, err := p.expect(RBRACK); err != nil {
 				return nil, err
 			}
 			pd.IsArray = true
 		}
-		k.Params = append(k.Params, pd)
+		params = append(params, pd)
 	}
 	p.next() // RPAREN
+	k.Params = slices.Clone(params)
 	body, err := p.block()
 	if err != nil {
 		return nil, err
@@ -136,7 +212,7 @@ func (p *Parser) kernel() (*Kernel, error) {
 // varDecl parses `[const] type name;`, `[const] type name = expr;`,
 // `[const] type name[N];` or `[const] type name[N] = {a, b, ...};`.
 func (p *Parser) varDecl() (*VarDecl, error) {
-	d := &VarDecl{}
+	d := p.nodes.varDecls.add(VarDecl{})
 	if p.accept(KWConst) {
 		d.IsConst = true
 	}
@@ -166,8 +242,9 @@ func (p *Parser) varDecl() (*VarDecl, error) {
 			if _, err := p.expect(LBRACE); err != nil {
 				return nil, err
 			}
+			base := len(p.exprs)
 			for !p.at(RBRACE) {
-				if len(d.Inits) > 0 {
+				if len(p.exprs) > base {
 					if _, err := p.expect(COMMA); err != nil {
 						return nil, err
 					}
@@ -179,9 +256,10 @@ func (p *Parser) varDecl() (*VarDecl, error) {
 				if err != nil {
 					return nil, err
 				}
-				d.Inits = append(d.Inits, e)
+				p.exprs = append(p.exprs, e)
 			}
 			p.next() // RBRACE
+			d.Inits = popList(&p.exprs, base, &p.nodes.exprLists)
 		} else {
 			e, err := p.expr()
 			if err != nil {
@@ -201,7 +279,7 @@ func (p *Parser) block() (*BlockStmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := &BlockStmt{Pos: lb.Pos}
+	base := len(p.stmts)
 	for !p.at(RBRACE) {
 		if p.at(EOF) {
 			return nil, errf(lb.Pos, "unterminated block")
@@ -211,14 +289,23 @@ func (p *Parser) block() (*BlockStmt, error) {
 			return nil, err
 		}
 		if s != nil {
-			b.Stmts = append(b.Stmts, s)
+			p.stmts = append(p.stmts, s)
 		}
 	}
 	p.next() // RBRACE
-	return b, nil
+	return p.nodes.blocks.add(BlockStmt{Stmts: popList(&p.stmts, base, &p.nodes.stmtLists), Pos: lb.Pos}), nil
 }
 
 func (p *Parser) stmt() (Stmt, error) {
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
+	s, err := p.stmtBody()
+	p.depth--
+	return s, err
+}
+
+func (p *Parser) stmtBody() (Stmt, error) {
 	switch {
 	case p.accept(SEMI):
 		return nil, nil
@@ -229,7 +316,7 @@ func (p *Parser) stmt() (Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &DeclStmt{Decl: d}, nil
+		return p.nodes.decls.add(DeclStmt{Decl: d}), nil
 	case p.at(KWFor):
 		return p.forStmt()
 	case p.at(KWIf):
@@ -239,7 +326,7 @@ func (p *Parser) stmt() (Stmt, error) {
 		if _, err := p.expect(SEMI); err != nil {
 			return nil, err
 		}
-		return &ReturnStmt{Pos: t.Pos}, nil
+		return p.nodes.returns.add(ReturnStmt{Pos: t.Pos}), nil
 	case p.at(IDENT):
 		s, err := p.assign()
 		if err != nil {
@@ -269,7 +356,7 @@ func (p *Parser) assign() (*AssignStmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	lv := &LValue{Name: name.Text, Pos: name.Pos}
+	lv := p.nodes.lvalues.add(LValue{Name: name.Text, Pos: name.Pos})
 	if p.accept(LBRACK) {
 		idx, err := p.expr()
 		if err != nil {
@@ -282,19 +369,21 @@ func (p *Parser) assign() (*AssignStmt, error) {
 	}
 	t := p.cur()
 	switch {
-	case t.Kind == PLUSPLUS:
+	case t.Kind == PLUSPLUS, t.Kind == MINUSMINUS:
 		p.next()
-		return &AssignStmt{LHS: lv, Op: PLUSEQ, RHS: &IntLit{Val: 1, Pos: t.Pos}, Pos: t.Pos}, nil
-	case t.Kind == MINUSMINUS:
-		p.next()
-		return &AssignStmt{LHS: lv, Op: MINUSEQ, RHS: &IntLit{Val: 1, Pos: t.Pos}, Pos: t.Pos}, nil
+		op := PLUSEQ
+		if t.Kind == MINUSMINUS {
+			op = MINUSEQ
+		}
+		one := p.nodes.ints.add(IntLit{Val: 1, Pos: t.Pos})
+		return p.nodes.assigns.add(AssignStmt{LHS: lv, Op: op, RHS: one, Pos: t.Pos}), nil
 	case isAssignOp(t.Kind):
 		p.next()
 		rhs, err := p.expr()
 		if err != nil {
 			return nil, err
 		}
-		return &AssignStmt{LHS: lv, Op: t.Kind, RHS: rhs, Pos: t.Pos}, nil
+		return p.nodes.assigns.add(AssignStmt{LHS: lv, Op: t.Kind, RHS: rhs, Pos: t.Pos}), nil
 	}
 	return nil, errf(t.Pos, "expected assignment operator, found %s", describe(t))
 }
@@ -342,16 +431,12 @@ func (p *Parser) forStmt() (Stmt, error) {
 			return nil, err
 		}
 	} else {
-		s, err := p.stmt()
+		body, err = p.stmtAsBlock(kw.Pos)
 		if err != nil {
 			return nil, err
 		}
-		body = &BlockStmt{Pos: kw.Pos}
-		if s != nil {
-			body.Stmts = []Stmt{s}
-		}
 	}
-	return &ForStmt{Var: initStmt.LHS.Name, Init: initStmt.RHS, Cond: cond, Body: body, Pos: kw.Pos}, nil
+	return p.nodes.fors.add(ForStmt{Var: initStmt.LHS.Name, Init: initStmt.RHS, Cond: cond, Body: body, Pos: kw.Pos}), nil
 }
 
 func isLitOne(e Expr) bool {
@@ -371,13 +456,13 @@ func (p *Parser) ifStmt() (Stmt, error) {
 	if _, err := p.expect(RPAREN); err != nil {
 		return nil, err
 	}
-	thenBlk, err := p.stmtAsBlock()
+	thenBlk, err := p.armBlock()
 	if err != nil {
 		return nil, err
 	}
-	st := &IfStmt{Cond: cond, Then: thenBlk, Pos: kw.Pos}
+	st := p.nodes.ifs.add(IfStmt{Cond: cond, Then: thenBlk, Pos: kw.Pos})
 	if p.accept(KWElse) {
-		elseBlk, err := p.stmtAsBlock()
+		elseBlk, err := p.armBlock()
 		if err != nil {
 			return nil, err
 		}
@@ -386,18 +471,25 @@ func (p *Parser) ifStmt() (Stmt, error) {
 	return st, nil
 }
 
-func (p *Parser) stmtAsBlock() (*BlockStmt, error) {
+// armBlock parses an if or else arm: a block, or one statement wrapped
+// in a block of its own at the statement's position.
+func (p *Parser) armBlock() (*BlockStmt, error) {
 	if p.at(LBRACE) {
 		return p.block()
 	}
-	pos := p.cur().Pos
+	return p.stmtAsBlock(p.cur().Pos)
+}
+
+// stmtAsBlock parses one statement and wraps it in a block at pos.
+func (p *Parser) stmtAsBlock(pos Pos) (*BlockStmt, error) {
 	s, err := p.stmt()
 	if err != nil {
 		return nil, err
 	}
-	b := &BlockStmt{Pos: pos}
+	b := p.nodes.blocks.add(BlockStmt{Pos: pos})
 	if s != nil {
-		b.Stmts = []Stmt{s}
+		b.Stmts = p.nodes.stmtLists.take(1)
+		b.Stmts[0] = s
 	}
 	return b, nil
 }
@@ -417,7 +509,15 @@ var binPrec = map[Kind]int{
 	STAR: 10, SLASH: 10, PERCENT: 10,
 }
 
-func (p *Parser) expr() (Expr, error) { return p.ternary() }
+// expr parses an expression one nesting level below the current one.
+func (p *Parser) expr() (Expr, error) {
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
+	e, err := p.ternary()
+	p.depth--
+	return e, err
+}
 
 func (p *Parser) ternary() (Expr, error) {
 	cond, err := p.binary(1)
@@ -428,36 +528,43 @@ func (p *Parser) ternary() (Expr, error) {
 		return cond, nil
 	}
 	q := p.next()
-	thenE, err := p.ternary()
+	thenE, err := p.expr()
 	if err != nil {
 		return nil, err
 	}
 	if _, err := p.expect(COLON); err != nil {
 		return nil, err
 	}
-	elseE, err := p.ternary()
+	elseE, err := p.expr()
 	if err != nil {
 		return nil, err
 	}
-	return &CondExpr{Cond: cond, Then: thenE, Else: elseE, Pos: q.Pos}, nil
+	return p.nodes.conds.add(CondExpr{Cond: cond, Then: thenE, Else: elseE, Pos: q.Pos}), nil
 }
 
+// binary parses a chain of operators of precedence minPrec or higher.
+// The chain is left-associative, so its tree is as deep as it is long:
+// each operator counts one level, and an operand is parsed at the
+// chain's own level.
 func (p *Parser) binary(minPrec int) (Expr, error) {
 	lhs, err := p.unary()
 	if err != nil {
 		return nil, err
 	}
-	for {
+	for level := p.depth + 1; ; level++ {
 		prec, ok := binPrec[p.cur().Kind]
 		if !ok || prec < minPrec {
 			return lhs, nil
+		}
+		if err := p.within(level); err != nil {
+			return nil, err
 		}
 		op := p.next()
 		rhs, err := p.binary(prec + 1)
 		if err != nil {
 			return nil, err
 		}
-		lhs = &BinaryExpr{Op: op.Kind, L: lhs, R: rhs, Pos: op.Pos}
+		lhs = p.nodes.binaries.add(BinaryExpr{Op: op.Kind, L: lhs, R: rhs, Pos: op.Pos})
 	}
 }
 
@@ -466,28 +573,28 @@ func (p *Parser) unary() (Expr, error) {
 	switch t.Kind {
 	case MINUS, TILDE, BANG:
 		p.next()
-		x, err := p.unary()
+		x, err := p.operand()
 		if err != nil {
 			return nil, err
 		}
 		if lit, ok := x.(*IntLit); ok && t.Kind == MINUS {
-			return &IntLit{Val: -lit.Val, Pos: t.Pos}, nil
+			return p.nodes.ints.add(IntLit{Val: -lit.Val, Pos: t.Pos}), nil
 		}
-		return &UnaryExpr{Op: t.Kind, X: x, Pos: t.Pos}, nil
+		return p.nodes.unaries.add(UnaryExpr{Op: t.Kind, X: x, Pos: t.Pos}), nil
 	case PLUS:
 		p.next()
-		return p.unary()
+		return p.operand()
 	case LPAREN:
 		// Either a cast `(type) x` or a parenthesized expression.
-		if isTypeKw(p.toks[p.pos+1].Kind) && p.toks[p.pos+2].Kind == RPAREN {
+		if isTypeKw(p.la[1].Kind) && p.la[2].Kind == RPAREN {
 			p.next()
 			ty := typeOf(p.next().Kind)
 			p.next() // RPAREN
-			x, err := p.unary()
+			x, err := p.operand()
 			if err != nil {
 				return nil, err
 			}
-			return &CastExpr{Type: ty, X: x, Pos: t.Pos}, nil
+			return p.nodes.casts.add(CastExpr{Type: ty, X: x, Pos: t.Pos}), nil
 		}
 		p.next()
 		x, err := p.expr()
@@ -502,20 +609,31 @@ func (p *Parser) unary() (Expr, error) {
 	return p.primary()
 }
 
+// operand parses what a prefix operator or a cast applies to, one
+// nesting level down.
+func (p *Parser) operand() (Expr, error) {
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
+	x, err := p.unary()
+	p.depth--
+	return x, err
+}
+
 func (p *Parser) primary() (Expr, error) {
 	t := p.cur()
 	switch t.Kind {
 	case NUMBER:
 		p.next()
-		return &IntLit{Val: t.Val, Pos: t.Pos}, nil
+		return p.nodes.ints.add(IntLit{Val: t.Val, Pos: t.Pos}), nil
 	case IDENT:
 		p.next()
 		switch {
 		case p.at(LPAREN):
 			p.next()
-			call := &CallExpr{Name: t.Text, Pos: t.Pos}
+			base := len(p.exprs)
 			for !p.at(RPAREN) {
-				if len(call.Args) > 0 {
+				if len(p.exprs) > base {
 					if _, err := p.expect(COMMA); err != nil {
 						return nil, err
 					}
@@ -524,10 +642,11 @@ func (p *Parser) primary() (Expr, error) {
 				if err != nil {
 					return nil, err
 				}
-				call.Args = append(call.Args, a)
+				p.exprs = append(p.exprs, a)
 			}
 			p.next() // RPAREN
-			return call, nil
+			args := popList(&p.exprs, base, &p.nodes.exprLists)
+			return p.nodes.calls.add(CallExpr{Name: t.Text, Args: args, Pos: t.Pos}), nil
 		case p.at(LBRACK):
 			p.next()
 			idx, err := p.expr()
@@ -537,9 +656,9 @@ func (p *Parser) primary() (Expr, error) {
 			if _, err := p.expect(RBRACK); err != nil {
 				return nil, err
 			}
-			return &IndexExpr{Name: t.Text, Index: idx, Pos: t.Pos}, nil
+			return p.nodes.indexes.add(IndexExpr{Name: t.Text, Index: idx, Pos: t.Pos}), nil
 		}
-		return &VarRef{Name: t.Text, Pos: t.Pos}, nil
+		return p.nodes.vars.add(VarRef{Name: t.Text, Pos: t.Pos}), nil
 	}
 	return nil, errf(t.Pos, "expected expression, found %s", describe(t))
 }

@@ -7,7 +7,15 @@
 // constants (the kernels are fixed-point; there is no divide unit in the
 // architecture template).
 //
-// The pipeline is Lex → Parse → Check → Lower, producing an ir.Func.
+// The pipeline is Parse → Check → Lower, producing an ir.Func. The
+// parser pulls its tokens from the Lexer one at a time (Lex, the whole
+// stream at once, is for tools and tests) and cuts the AST's nodes from
+// arrays the parse owns; the checker and the lowerer resolve names on
+// one flat symbol stack each, and the lowerer builds the function in a
+// reused buffer it then copies into one exactly sized slab. So a
+// compile allocates per kernel, kind of node and block rather than per
+// token, node, scope and instruction. Nesting deeper than MaxNesting
+// is refused.
 package cc
 
 import "fmt"

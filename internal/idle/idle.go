@@ -33,6 +33,10 @@ type List[T any] struct {
 	mu    sync.Mutex
 	idle  []entry[T] // oldest first, so ages descend
 	armed bool       // a sentinel is out, its finalizer will tick
+	// onCollect is the sentinels' finalizer, made once so that arming
+	// one allocates the sentinel alone: what a collection costs each
+	// list that has idle arenas, in every allocation count it falls in.
+	onCollect func(*sentinel)
 }
 
 type entry[T any] struct {
@@ -48,8 +52,10 @@ type sentinel struct{ _ *byte }
 // New returns an empty list whose Get makes a T with fresh when it has
 // none; owner prefixes its counters.
 func New[T any](owner string, fresh func() *T) *List[T] {
-	return &List[T]{fresh: fresh,
+	l := &List[T]{fresh: fresh,
 		made: owner + ".arenas_made", reused: owner + ".arenas_reused", aged: owner + ".arenas_aged_out"}
+	l.onCollect = func(*sentinel) { l.tick() }
+	return l
 }
 
 // Get returns an idle T, or a new one.
@@ -90,7 +96,7 @@ func (l *List[T]) Put(v *T) {
 func Wipe[T any](s []T) { clear(s[:cap(s)]) }
 
 func (l *List[T]) arm() {
-	runtime.SetFinalizer(new(sentinel), func(*sentinel) { l.tick() })
+	runtime.SetFinalizer(new(sentinel), l.onCollect)
 }
 
 // tick is one collection gone by: every idle arena is a collection

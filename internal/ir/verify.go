@@ -20,9 +20,9 @@ func (f *Func) Verify() error {
 	if len(f.Blocks) == 0 {
 		return fmt.Errorf("%s: function has no blocks", f.Name)
 	}
-	inFunc := make(map[*Block]bool, len(f.Blocks))
-	for _, b := range f.Blocks {
-		inFunc[b] = true
+	index := make(map[*Block]int, len(f.Blocks))
+	for i, b := range f.Blocks {
+		index[b] = i
 	}
 	memOK := make(map[*MemRef]bool, len(f.Mems))
 	for _, m := range f.Mems {
@@ -40,15 +40,15 @@ func (f *Func) Verify() error {
 				}
 				return fmt.Errorf("%s: block %s has terminator %s mid-block", f.Name, b.Name, in)
 			}
-			if err := f.verifyInstr(b, in, inFunc, memOK); err != nil {
+			if err := f.verifyInstr(b, in, index, memOK); err != nil {
 				return err
 			}
 		}
 	}
-	return f.verifyDefsDominate()
+	return f.verifyDefsDominate(index)
 }
 
-func (f *Func) verifyInstr(b *Block, in *Instr, inFunc map[*Block]bool, memOK map[*MemRef]bool) error {
+func (f *Func) verifyInstr(b *Block, in *Instr, index map[*Block]int, memOK map[*MemRef]bool) error {
 	if in.Op == OpFused {
 		if in.Fused == nil {
 			return fmt.Errorf("%s/%s: %s has nil fused spec", f.Name, b.Name, in)
@@ -110,7 +110,7 @@ func (f *Func) verifyInstr(b *Block, in *Instr, inFunc map[*Block]bool, memOK ma
 		}
 	}
 	for _, t := range in.Targets {
-		if !inFunc[t] {
+		if _, ok := index[t]; !ok {
 			return fmt.Errorf("%s/%s: branch to foreign block %s", f.Name, b.Name, t.Name)
 		}
 	}
@@ -119,42 +119,41 @@ func (f *Func) verifyInstr(b *Block, in *Instr, inFunc map[*Block]bool, memOK ma
 
 // verifyDefsDominate runs a forward "definitely-assigned" dataflow: a
 // register may be used only if it is defined on every path from entry.
-func (f *Func) verifyDefsDominate() error {
+// index maps each block to its position in f.Blocks.
+func (f *Func) verifyDefsDominate(index map[*Block]int) error {
 	f.ComputeCFG()
 	n := f.NumRegs()
-	// in[b] = set of registers definitely defined at entry to b.
-	in := make(map[*Block]*bitset, len(f.Blocks))
-	full := newBitset(n)
-	for i := 0; i < n; i++ {
-		full.set(i)
+	words := (n + 63) / 64
+	// sets holds in[b], the registers definitely defined at entry to
+	// block b, for every block in order, and then cur, a scratch set.
+	sets := make([]uint64, (len(f.Blocks)+1)*words)
+	in := func(i int) bitset { return bitset(sets[i*words : (i+1)*words]) }
+	cur := in(len(f.Blocks))
+	for i := 1; i < len(f.Blocks); i++ {
+		in(i).fill(n) // top = all defined
 	}
-	for _, b := range f.Blocks {
-		in[b] = full.clone() // top = all defined; entry handled below
-	}
-	entrySet := newBitset(n)
 	for _, p := range f.Params {
-		entrySet.set(int(p.Reg))
+		in(0).set(int(p.Reg))
 	}
-	in[f.Entry()] = entrySet
 	changed := true
 	for changed {
 		changed = false
-		for _, b := range f.Blocks {
-			cur := in[b].clone()
+		for i, b := range f.Blocks {
+			copy(cur, in(i))
 			for _, instr := range b.Instrs {
 				if instr.Op.HasDest() {
 					cur.set(int(instr.Dest))
 				}
 			}
 			for _, s := range b.Succs {
-				if in[s].intersectWith(cur) {
+				if in(index[s]).intersectWith(cur) {
 					changed = true
 				}
 			}
 		}
 	}
-	for _, b := range f.Blocks {
-		cur := in[b].clone()
+	for i, b := range f.Blocks {
+		copy(cur, in(i))
 		for _, instr := range b.Instrs {
 			for _, a := range instr.Args {
 				if a.Kind == OperReg && !cur.get(int(a.Reg)) {
@@ -170,25 +169,29 @@ func (f *Func) verifyDefsDominate() error {
 }
 
 // bitset is a minimal dense bitset used by dataflow analyses.
-type bitset struct{ w []uint64 }
+type bitset []uint64
 
-func newBitset(n int) *bitset { return &bitset{w: make([]uint64, (n+63)/64)} }
+func (s bitset) set(i int)      { s[i/64] |= 1 << (uint(i) % 64) }
+func (s bitset) get(i int) bool { return s[i/64]&(1<<(uint(i)%64)) != 0 }
 
-func (s *bitset) set(i int)      { s.w[i/64] |= 1 << (uint(i) % 64) }
-func (s *bitset) get(i int) bool { return s.w[i/64]&(1<<(uint(i)%64)) != 0 }
-
-func (s *bitset) clone() *bitset {
-	return &bitset{w: append([]uint64(nil), s.w...)}
+// fill sets bits 0 to n-1.
+func (s bitset) fill(n int) {
+	for i := range s {
+		s[i] = ^uint64(0)
+	}
+	if r := n % 64; r != 0 {
+		s[len(s)-1] = 1<<r - 1
+	}
 }
 
 // intersectWith intersects s with o in place and reports whether s changed.
-func (s *bitset) intersectWith(o *bitset) bool {
+func (s bitset) intersectWith(o bitset) bool {
 	changed := false
-	for i := range s.w {
-		nw := s.w[i] & o.w[i]
-		if nw != s.w[i] {
+	for i := range s {
+		nw := s[i] & o[i]
+		if nw != s[i] {
 			changed = true
-			s.w[i] = nw
+			s[i] = nw
 		}
 	}
 	return changed

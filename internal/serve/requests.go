@@ -105,6 +105,16 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err.Error())
 		return
 	}
+	if req.Source != "" {
+		// A source that does not compile is the request's fault, like a
+		// malformed arch: refused here with its diagnostic rather than
+		// queued as a job that can only fail. The job compiles it again,
+		// under its own span.
+		if _, err := core.ParseKernel(src); err != nil {
+			writeErr(w, http.StatusBadRequest, err.Error())
+			return
+		}
+	}
 	if req.Unroll <= 0 {
 		req.Unroll = 1
 	}

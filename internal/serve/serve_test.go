@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
@@ -175,6 +176,7 @@ func TestBadRequests(t *testing.T) {
 		{"simulate width", "/v1/simulate", SimulateRequest{Bench: "G", Arch: "2 1 64 1 4 1", Width: maxSimulateWidth + 1}},
 		{"bad arch", "/v1/compile", CompileRequest{Bench: "A", Arch: "banana"}},
 		{"no kernel", "/v1/compile", CompileRequest{Arch: "2 1 64 1 4 1"}},
+		{"source does not compile", "/v1/compile", CompileRequest{Source: "kernel k(int o[]) { o[0] = x; }", Arch: "2 1 64 1 4 1"}},
 		{"fit without cap", "/v1/fit", FitRequest{Benchmarks: []string{"A"}}},
 		{"explore unknown bench", "/v1/explore", ExploreRequest{Benchmarks: []string{"ZZ"}}},
 	}
@@ -193,6 +195,32 @@ func TestBadRequests(t *testing.T) {
 		if resp.StatusCode != http.StatusNotFound {
 			t.Errorf("unknown job: status %d, want 404", resp.StatusCode)
 		}
+	}
+}
+
+// TestCompileDeepSourceRefused posts a megabyte of nested parentheses,
+// under the submit bound, as a kernel: the frontend refuses it (a 400
+// with the diagnostic) instead of recursing until the runtime kills the
+// server, and the server goes on answering. The stack limit makes a
+// regression fail fast instead of growing a goroutine's stack to a
+// gigabyte first.
+func TestCompileDeepSourceRefused(t *testing.T) {
+	defer debug.SetMaxStack(debug.SetMaxStack(64 << 20))
+	_, ts, _ := newTestServer(t, Options{Workers: 1})
+	src := "kernel k(int n) { int x = " + strings.Repeat("(", 1048376) + "1; }"
+	var e ErrorResponse
+	if code := postJSON(t, ts.URL+"/v1/compile", CompileRequest{Source: src, Arch: "2 1 64 1 4 1"}, &e); code != http.StatusBadRequest {
+		t.Fatalf("deep source: status %d, want 400", code)
+	}
+	if !strings.Contains(e.Error, "nesting") {
+		t.Errorf("deep source: error %q, want the nesting diagnostic", e.Error)
+	}
+	var sub SubmitResponse
+	if code := postJSON(t, ts.URL+"/v1/compile", CompileRequest{Bench: "G", Arch: "2 1 64 1 4 1"}, &sub); code != http.StatusAccepted {
+		t.Fatalf("compile after the deep source: status %d, want 202", code)
+	}
+	if st := waitTerminal(t, ts.URL, sub.ID, 30*time.Second); st.State != StateDone {
+		t.Fatalf("compile after the deep source finished %s (%s), want done", st.State, st.Error)
 	}
 }
 
