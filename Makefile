@@ -31,13 +31,14 @@ staticcheck:
 # the job-queueing HTTP server, and the distributed-exploration
 # coordinator (plus the context-cancellation paths threaded through
 # all of them) are the places where data races could hide, and so are
-# the idle-arena list and its three users' one-shot paths (the ageing
+# the idle-arena list and its four users' one-shot paths (the ageing
 # tick runs on the finalizer goroutine; a clustered compile reads the
-# shared kernel itself): run them under the race detector. Explicit
+# shared kernel itself; the frontend takes a workspace per compile):
+# run them under the race detector. Explicit
 # -timeout so a deadlock fails the build with goroutine dumps instead of
 # hanging CI to its job limit.
 race:
-	$(GO) test -race -timeout 20m ./internal/obs/... ./internal/dse/... ./internal/sched/... ./internal/evcache/... ./internal/fleetcache/... ./internal/serve/... ./internal/dist/... ./internal/ops/... ./internal/idle/... ./internal/opt/... ./internal/sim/... ./internal/core/...
+	$(GO) test -race -timeout 20m ./internal/obs/... ./internal/dse/... ./internal/sched/... ./internal/evcache/... ./internal/fleetcache/... ./internal/serve/... ./internal/dist/... ./internal/ops/... ./internal/idle/... ./internal/opt/... ./internal/sim/... ./internal/cc/... ./internal/core/...
 
 # One-iteration pass over the exploration, simulator and frontend
 # benchmarks: catches bit-rot in the benchmark harness without paying

@@ -39,7 +39,7 @@ func main() {
 		seed      = flag.Int64("seed", 1, "random seed for the stochastic strategies")
 		width     = flag.Int("width", 64, "reference workload width")
 	)
-	tool := cli.NewTool("cfp-search", cli.WithCache(), cli.WithPrune(true), cli.WithOps())
+	tool := cli.NewTool("cfp-search", cli.WithCache(), cli.WithOps())
 	flag.Parse()
 	if err := tool.Start(); err != nil {
 		tool.Fatal(err)
@@ -72,7 +72,6 @@ func main() {
 		Ops:       opSet,
 		Width:     *width,
 		Seed:      *seed,
-		Prune:     *tool.Prune,
 		Cache:     cache,
 	})
 	stop()

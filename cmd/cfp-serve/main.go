@@ -12,8 +12,8 @@
 //	POST   /v1/simulate          submit a verified simulation job
 //	POST   /v1/explore           submit a design-space exploration
 //	POST   /v1/fit               submit the custom-fit loop
-//	GET    /v1/jobs/{id}         poll a job (state, progress, result)
-//	GET    /v1/jobs/{id}/events  server-sent progress + done events
+//	GET    /v1/jobs/{id}         poll a job (state, progress, result;
+//	                             ?wait=30s holds it until the job ends)
 //	DELETE /v1/jobs/{id}         cancel a job (prompt: the evaluation
 //	                             stack is context-threaded end to end)
 //	GET    /v1/cache/{shard}/{key}  fleet cache read-through (one entry)
@@ -92,8 +92,8 @@ func main() {
 		olog.Info("draining").Str("tool", "cfp-serve").Dur("timeout", *drainTimeout).Log()
 		dctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 		defer cancel()
-		// Drain jobs first so SSE streams see their done events, then
-		// close the HTTP side.
+		// Drain jobs first so held polls are answered as their jobs
+		// end, then close the HTTP side.
 		if err := srv.Shutdown(dctx); err != nil {
 			olog.Warn("drain timeout, jobs cancelled").Str("tool", "cfp-serve").Log()
 		}

@@ -182,7 +182,6 @@ func TestPublicAPISearch(t *testing.T) {
 		Space:     smallSpace(),
 		Width:     32,
 		Seed:      1,
-		Prune:     true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,9 +1,9 @@
 // Package cli holds small helpers shared by the cfp-* command-line
 // tools: architecture-tuple parsing and the Tool builder that
 // registers the standard cross-cutting flags every tool repeats —
-// telemetry (-trace, -metrics, -pprof), the persistent evaluation
-// cache (-cache-dir, -cache) and bound-guided pruning (-prune) — and
-// owns their lifecycle (start, lazy cache open, flush-on-close).
+// telemetry (-trace, -metrics, -pprof) and the persistent evaluation
+// cache (-cache-dir, -cache) — and owns their lifecycle (start, lazy
+// cache open, flush-on-close).
 package cli
 
 import (
@@ -314,7 +314,7 @@ func (c *CacheConfig) Open() (*evcache.Cache, error) {
 }
 
 // Tool bundles the cross-cutting flag wiring shared by every cfp-*
-// command: telemetry always, plus the evaluation-cache and -prune
+// command: telemetry always, plus the evaluation-cache and custom-op
 // flags for the tools that opt in. Construct it before flag.Parse,
 // Start it after, and defer Close:
 //
@@ -330,8 +330,6 @@ type Tool struct {
 	Telemetry *Telemetry
 	// CacheCfg is non-nil when WithCache registered -cache-dir/-cache.
 	CacheCfg *CacheConfig
-	// Prune is non-nil when WithPrune registered -prune.
-	Prune *bool
 	// OpsSel / OpsN are non-nil when WithOps registered -ops/-ops-n:
 	// the custom-op selector ("off", "auto" or a catalog file path —
 	// resolve with core.ResolveOps) and the auto-mined set size.
@@ -378,15 +376,6 @@ func WithOps() ToolOption {
 			`custom-op axis: "off" (the paper's 6-tuple template), "auto" (mine fused-op candidates from the benchmarks' dataflow graphs), or a catalog FILE of op specs, one "name/nin/lat: step; ..." per line`)
 		t.OpsN = fs.Int("ops-n", 0,
 			"with -ops=auto, keep the top N mined candidates (0 = default)")
-	}
-}
-
-// WithPrune registers -prune with the given default (bound-guided
-// pruning of deterministic search strategies; see sched.LowerBound).
-func WithPrune(def bool) ToolOption {
-	return func(t *Tool, fs *flag.FlagSet) {
-		t.Prune = fs.Bool("prune", def,
-			"bound-guided pruning for the deterministic strategies (exact: identical optima, fewer compiles; see sched.LowerBound)")
 	}
 }
 

@@ -131,19 +131,16 @@ func TestParseArchOpsAndFormatArch(t *testing.T) {
 
 func TestToolFlagRegistrationAndCache(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	tool := NewToolOn(fs, "test-tool", WithCache(), WithPrune(true))
+	tool := NewToolOn(fs, "test-tool", WithCache())
 	dir := t.TempDir()
-	if err := fs.Parse([]string{"-cache-dir", dir, "-prune=false"}); err != nil {
+	if err := fs.Parse([]string{"-cache-dir", dir}); err != nil {
 		t.Fatal(err)
 	}
 	// Every standard cross-cutting flag must be registered exactly once.
-	for _, name := range []string{"trace", "metrics", "pprof", "cache-dir", "cache", "prune", "version"} {
+	for _, name := range []string{"trace", "metrics", "pprof", "cache-dir", "cache", "version"} {
 		if fs.Lookup(name) == nil {
 			t.Errorf("flag -%s not registered", name)
 		}
-	}
-	if tool.Prune == nil || *tool.Prune {
-		t.Error("-prune=false not honored")
 	}
 	if err := tool.Start(); err != nil {
 		t.Fatal(err)

@@ -219,7 +219,6 @@ func TestSearchCompareDefaultSpaceMoves(t *testing.T) {
 		CostCap:   10,
 		Width:     32,
 		Seed:      1,
-		Prune:     true,
 	})
 	if err != nil {
 		t.Fatal(err)

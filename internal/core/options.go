@@ -201,9 +201,6 @@ type SearchOptions struct {
 	Width int
 	// Seed drives the stochastic strategies.
 	Seed int64
-	// Prune enables bound-guided pruning for the deterministic
-	// strategies (exact: identical optima, fewer compiles).
-	Prune bool
 	// CacheDir / Cache as in ExploreOptions.
 	CacheDir string
 	Cache    *evcache.Cache
@@ -266,10 +263,9 @@ func SearchCompare(ctx context.Context, opts SearchOptions) (out []search.Result
 		}
 		return baseline.Time / e.Time
 	}
-	var bound search.Bound
-	if opts.Prune {
-		bound = ev.SpeedupBound(opts.Benchmark, baseline.Time, cost, opts.CostCap)
-	}
+	// The deterministic strategies prune on the bound: exact (the same
+	// optima), with fewer compiles.
+	bound := ev.SpeedupBound(opts.Benchmark, baseline.Time, cost, opts.CostCap)
 	out, err = search.CompareCtx(ctx, space, search.Objective(obj), bound, opts.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrCancelled, err)

@@ -53,7 +53,7 @@ func Studies(ctx context.Context) (string, error) {
 		},
 		func() error {
 			// What `cfp-search -bench D -cost 8 -seed 2026` runs.
-			opts := SearchOptions{Benchmark: bench.ByName("D"), CostCap: 8, Width: 64, Seed: 2026, Prune: true}
+			opts := SearchOptions{Benchmark: bench.ByName("D"), CostCap: 8, Width: 64, Seed: 2026}
 			fmt.Fprintf(&sb, "== Search strategies (paper §1.1 Q3): %s under cost %.1f over the %d-machine search sub-lattice, seed %d, width %d ==\n",
 				opts.Benchmark.Name, opts.CostCap, len(search.SubLattice()), opts.Seed, opts.Width)
 			rs, err := SearchCompare(ctx, opts)

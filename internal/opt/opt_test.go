@@ -2,8 +2,10 @@ package opt
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
+	"customfit/internal/bench"
 	"customfit/internal/cc"
 	"customfit/internal/ir"
 )
@@ -358,6 +360,25 @@ func TestUnrollRejectsOversizedBody(t *testing.T) {
 	}
 	if err := Unroll(fn, MaxUnrolledOps); err == nil {
 		t.Error("Unroll accepted a factor exceeding the op budget")
+	}
+}
+
+// TestUnrollHugeFactorRejected: a factor whose product with the body
+// size overflows an int is refused by the budget like any other, not
+// let through to allocate (or panic on) a wrapped-around size.
+func TestUnrollHugeFactorRejected(t *testing.T) {
+	for _, b := range bench.All() {
+		fn, err := b.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := Optimize(fn); err != nil {
+			t.Fatal(err)
+		}
+		err = Unroll(fn, 1<<62)
+		if err == nil || !strings.Contains(err.Error(), "exceeds budget") {
+			t.Errorf("%s: Unroll(2^62) = %v, want the budget error", b.Name, err)
+		}
 	}
 }
 

@@ -44,7 +44,8 @@ func (ws *workspace) unroll(f *ir.Func, u int) error {
 	}
 	h := l.Header
 	body := h.Body()
-	if len(body)*u > MaxUnrolledOps {
+	// Divide rather than multiply: a huge u wraps len(body)*u around.
+	if u > MaxUnrolledOps/max(len(body), 1) {
 		return fmt.Errorf("opt: unroll %d×%d ops exceeds budget %d", u, len(body), MaxUnrolledOps)
 	}
 	term := h.Terminator()

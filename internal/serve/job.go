@@ -28,18 +28,8 @@ func (s State) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCancelled
 }
 
-// Event is one server-sent event on a job's stream: "progress" carries
-// a snapshot, "done" the terminal JobStatus. ID is the job-scoped SSE
-// event id (monotonically increasing), so a client that reconnects with
-// Last-Event-ID can tell replayed state from new state.
-type Event struct {
-	Name string
-	ID   int64
-	Data json.RawMessage
-}
-
 // JobStatus is the wire form of a job, returned by GET /v1/jobs/{id}
-// and as the "done" SSE event.
+// and DELETE /v1/jobs/{id}.
 type JobStatus struct {
 	ID    string `json:"id"`
 	Kind  string `json:"kind"`
@@ -66,7 +56,7 @@ type Job struct {
 
 	// run does the work; its ctx is cancelled by DELETE and by server
 	// shutdown past the drain deadline. It receives the job itself so
-	// long runners can publish progress. The worker that takes the job
+	// long runners can record progress. The worker that takes the job
 	// off the queue takes run off the job: the closure holds the parsed
 	// request, which a retained job has no use for.
 	run    func(ctx context.Context, j *Job) (json.RawMessage, error)
@@ -94,14 +84,6 @@ type Job struct {
 	hasProgress  bool
 	progressJSON json.RawMessage
 	spans        []obs.WireSpan
-	subs         map[chan Event]struct{}
-	// seq numbers the job's SSE events; progressSeq/doneSeq remember
-	// which ids the latest progress snapshot and the terminal event
-	// carry, so reconnects with Last-Event-ID skip already-seen replays
-	// (the done event is always re-sent — it must never be missed).
-	seq         int64
-	progressSeq int64
-	doneSeq     int64
 }
 
 // Status snapshots the job for the wire.
@@ -120,7 +102,7 @@ func (j *Job) Status() JobStatus {
 }
 
 // setSpans stores the job's captured telemetry spans. Must run before
-// finish so the terminal status (polled or streamed) carries them.
+// finish so the terminal status carries them.
 func (j *Job) setSpans(spans []obs.WireSpan) {
 	j.mu.Lock()
 	j.spans = spans
@@ -158,36 +140,17 @@ func (j *Job) progressData() json.RawMessage {
 	return j.progressJSON
 }
 
-// setProgress records a progress snapshot and publishes it to the
-// subscribers there are. Publishes are lossy (a slow subscriber drops
-// intermediate snapshots, never the terminal event).
+// setProgress records a progress snapshot; a poll encodes it.
 func (j *Job) setProgress(p dse.ProgressInfo) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state.Terminal() {
-		return
-	}
-	j.progress, j.hasProgress, j.progressJSON = p, true, nil
-	j.seq++
-	j.progressSeq = j.seq
-	if len(j.subs) == 0 {
-		return
-	}
-	// Send under the lock: every send and close of a subscriber channel
-	// holds j.mu, so finish can never close a channel mid-send.
-	ev := Event{Name: "progress", ID: j.seq, Data: j.progressData()}
-	for ch := range j.subs {
-		select {
-		case ch <- ev:
-		default:
-		}
+	if !j.state.Terminal() {
+		j.progress, j.hasProgress, j.progressJSON = p, true, nil
 	}
 }
 
-// finish moves the job to a terminal state and wakes every subscriber
-// by closing its channel (the SSE handler then re-reads Status and
-// emits the "done" event, so the terminal notification can never be
-// dropped by a full buffer) and every held poll by closing done.
+// finish moves the job to a terminal state and wakes every held poll by
+// closing done.
 func (j *Job) finish(state State, result json.RawMessage, errMsg string) {
 	j.mu.Lock()
 	if j.state.Terminal() {
@@ -197,57 +160,11 @@ func (j *Job) finish(state State, result json.RawMessage, errMsg string) {
 	j.state = state
 	j.result = result
 	j.errMsg = errMsg
-	j.seq++
-	j.doneSeq = j.seq
-	for ch := range j.subs {
-		close(ch)
-	}
-	j.subs = nil
 	close(j.done)
 	j.mu.Unlock()
 	if j.cancel != nil {
 		j.cancel()
 	}
-}
-
-// subscribe registers an SSE listener. The returned channel delivers
-// progress events and is closed once the job reaches a terminal state
-// (including before the call — a subscriber to a finished job gets an
-// immediately closed channel). afterID is the reconnecting client's
-// Last-Event-ID (0 for a fresh connection): the stored progress
-// snapshot is replayed only when it is newer, so reconnects never see
-// state they already consumed. unsubscribe is idempotent.
-func (j *Job) subscribe(afterID int64) (ch chan Event, unsubscribe func()) {
-	ch = make(chan Event, 8)
-	j.mu.Lock()
-	if j.state.Terminal() {
-		j.mu.Unlock()
-		close(ch)
-		return ch, func() {}
-	}
-	if j.subs == nil {
-		j.subs = make(map[chan Event]struct{})
-	}
-	j.subs[ch] = struct{}{}
-	if data := j.progressData(); data != nil && j.progressSeq > afterID {
-		ch <- Event{Name: "progress", ID: j.progressSeq, Data: data}
-	}
-	j.mu.Unlock()
-	return ch, func() {
-		j.mu.Lock()
-		if _, ok := j.subs[ch]; ok {
-			delete(j.subs, ch)
-		}
-		j.mu.Unlock()
-	}
-}
-
-// doneEventID returns the SSE id of the terminal event (meaningful once
-// the job is terminal; monotonically the largest id the job assigns).
-func (j *Job) doneEventID() int64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.doneSeq
 }
 
 // requestCancel cancels the job: immediately terminal when still

@@ -3,10 +3,10 @@
 // backed by a bounded worker pool and job queue.
 //
 // Every POST /v1/{compile,simulate,explore,fit} submits a job and
-// returns 202 with its id; clients poll GET /v1/jobs/{id} or stream
-// GET /v1/jobs/{id}/events (server-sent events: "progress" snapshots,
-// then one "done" carrying the terminal status). DELETE /v1/jobs/{id}
-// cancels — promptly, because the whole evaluation stack underneath is
+// returns 202 with its id; clients follow it with GET /v1/jobs/{id},
+// which carries the latest progress snapshot and, with ?wait=, holds
+// the answer until the job ends. DELETE /v1/jobs/{id} cancels —
+// promptly, because the whole evaluation stack underneath is
 // context-threaded (see dse.ErrCancelled).
 //
 // Identical explore/fit requests coalesce onto one in-flight job (the
@@ -27,7 +27,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"strconv"
@@ -136,7 +135,6 @@ func New(opts Options) *Server {
 	s.mux.HandleFunc("POST /v1/explore", s.handleExplore)
 	s.mux.HandleFunc("POST /v1/fit", s.handleFit)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobGet)
-	s.mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleJobEvents)
 	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleJobCancel)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -450,55 +448,6 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	writeStatus(w, j.Status())
 }
 
-// handleJobEvents streams SSE: replayed + live "progress" events, then
-// exactly one "done" with the terminal JobStatus. The job finishing
-// closes the subscription channel; the handler then emits "done" from a
-// fresh Status read, so the terminal event cannot be lost to a full
-// buffer. Every event carries an id, and a reconnecting client sending
-// Last-Event-ID (the standard EventSource behavior) skips progress it
-// already consumed; the done event is re-sent regardless, so a client
-// that drops mid-job can never miss the terminal state.
-func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
-	j := s.job(r.PathValue("id"))
-	if j == nil {
-		writeErr(w, http.StatusNotFound, "no such job")
-		return
-	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		writeErr(w, http.StatusInternalServerError, "streaming unsupported")
-		return
-	}
-	// A malformed header is treated as a fresh connection (replay all).
-	lastID, _ := strconv.ParseInt(r.Header.Get("Last-Event-ID"), 10, 64)
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	fl.Flush()
-	ch, unsubscribe := j.subscribe(lastID)
-	defer unsubscribe()
-	for {
-		select {
-		case ev, open := <-ch:
-			if !open {
-				fmt.Fprintf(w, "id: %d\nevent: done\ndata: ", j.doneEventID())
-				// A status that does not encode is sent as before: empty.
-				if parts, err := statusParts(j.Status(), "\n\n"); err == nil {
-					_, _ = parts.WriteTo(w)
-				} else {
-					_, _ = io.WriteString(w, "\n\n")
-				}
-				fl.Flush()
-				return
-			}
-			fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.ID, ev.Name, ev.Data)
-			fl.Flush()
-		case <-r.Context().Done():
-			return
-		}
-	}
-}
-
 // HealthResponse is the GET /healthz body. Beyond liveness it carries
 // what a distributed coordinator (internal/dist) needs for capacity
 // discovery and fleet admission: the job-worker capacity and the
@@ -605,13 +554,13 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// statusParts returns json.Marshal(st) followed by end, in pieces. The
+// statusParts returns json.Marshal(st) and a newline, in pieces. The
 // small members go through encoding/json; the result — which only this
 // package's own runners write, compact and escaped as Marshal leaves it
 // — is handed on as it stands, where Marshal would parse and copy it
-// once more. It is the one encoder of a job's status: polls, cancels and
-// the SSE done event all send these bytes.
-func statusParts(st JobStatus, end string) (net.Buffers, error) {
+// once more. It is the one encoder of a job's status: polls and cancels
+// both send these bytes.
+func statusParts(st JobStatus) (net.Buffers, error) {
 	result, spans := st.Result, st.Spans
 	st.Result, st.Spans = nil, nil
 	head, err := json.Marshal(st)
@@ -629,13 +578,13 @@ func statusParts(st JobStatus, end string) (net.Buffers, error) {
 		}
 		parts = append(parts, []byte(`,"spans":`), sp)
 	}
-	return append(parts, []byte("}"+end)), nil
+	return append(parts, []byte("}\n")), nil
 }
 
 // writeStatus answers 200 with st, as writeJSON would spell it, under a
 // Content-Length.
 func writeStatus(w http.ResponseWriter, st JobStatus) {
-	parts, err := statusParts(st, "\n")
+	parts, err := statusParts(st)
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, err.Error())
 		return

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -113,48 +112,16 @@ func TestCompileSubmitPoll(t *testing.T) {
 	}
 }
 
-func TestSimulateSSE(t *testing.T) {
+func TestSimulate(t *testing.T) {
 	_, ts, _ := newTestServer(t, Options{Workers: 1})
 	var sub SubmitResponse
 	if code := postJSON(t, ts.URL+"/v1/simulate",
 		SimulateRequest{Bench: "A", Arch: "2 1 64 1 4 1", Width: 48}, &sub); code != http.StatusAccepted {
 		t.Fatalf("submit returned %d", code)
 	}
-	resp, err := http.Get(ts.URL + "/v1/jobs/" + sub.ID + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("events content-type %q", ct)
-	}
-	// Read events until "done"; the stream format is
-	// "event: NAME\ndata: JSON\n\n".
-	var doneData string
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	event := ""
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "event: "):
-			event = strings.TrimPrefix(line, "event: ")
-		case strings.HasPrefix(line, "data: ") && event == "done":
-			doneData = strings.TrimPrefix(line, "data: ")
-		}
-		if doneData != "" {
-			break
-		}
-	}
-	if doneData == "" {
-		t.Fatalf("stream ended without a done event (scan err %v)", sc.Err())
-	}
-	var st JobStatus
-	if err := json.Unmarshal([]byte(doneData), &st); err != nil {
-		t.Fatal(err)
-	}
+	st := waitTerminal(t, ts.URL, sub.ID, 30*time.Second)
 	if st.State != StateDone {
-		t.Fatalf("done event carries state %s (%s)", st.State, st.Error)
+		t.Fatalf("job finished %s (%s)", st.State, st.Error)
 	}
 	var res SimulateResult
 	if err := json.Unmarshal(st.Result, &res); err != nil {
@@ -221,6 +188,31 @@ func TestCompileDeepSourceRefused(t *testing.T) {
 	}
 	if st := waitTerminal(t, ts.URL, sub.ID, 30*time.Second); st.State != StateDone {
 		t.Fatalf("compile after the deep source finished %s (%s), want done", st.State, st.Error)
+	}
+}
+
+// TestCompileHugeUnrollFails submits a compile whose unroll factor
+// times the body size overflows an int: the job fails on the op budget
+// instead of the compile allocating the wrapped-around size (or
+// panicking on it) and taking the server down.
+func TestCompileHugeUnrollFails(t *testing.T) {
+	_, ts, _ := newTestServer(t, Options{Workers: 1})
+	var sub SubmitResponse
+	if code := postJSON(t, ts.URL+"/v1/compile",
+		CompileRequest{Bench: "A", Arch: "2 1 64 1 4 1", Unroll: 1 << 62}, &sub); code != http.StatusAccepted {
+		t.Fatalf("submit returned %d, want 202", code)
+	}
+	st := waitTerminal(t, ts.URL, sub.ID, 30*time.Second)
+	if st.State != StateFailed || !strings.Contains(st.Error, "exceeds budget") {
+		t.Fatalf("job finished %s (%s), want failed on the unroll budget", st.State, st.Error)
+	}
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("healthz after the huge unroll: %d, want 200", resp.StatusCode)
 	}
 }
 
@@ -490,166 +482,6 @@ func canonicalJSON(t *testing.T, r *dse.Results) []byte {
 		t.Fatal(err)
 	}
 	return data
-}
-
-// TestJobEventsAfterDone: subscribing to a finished job yields an
-// immediate done event rather than a hang.
-func TestJobEventsAfterDone(t *testing.T) {
-	_, ts, _ := newTestServer(t, Options{Workers: 1})
-	var sub SubmitResponse
-	postJSON(t, ts.URL+"/v1/compile", CompileRequest{Bench: "A", Arch: "2 1 64 1 4 1"}, &sub)
-	waitTerminal(t, ts.URL, sub.ID, 30*time.Second)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/v1/jobs/"+sub.ID+"/events", nil)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	sc := bufio.NewScanner(resp.Body)
-	found := false
-	for sc.Scan() {
-		if strings.HasPrefix(sc.Text(), "event: done") {
-			found = true
-			break
-		}
-	}
-	if !found {
-		t.Fatalf("no done event for finished job (err %v)", sc.Err())
-	}
-}
-
-// readEvent parses the next SSE event ("id: N\nevent: NAME\ndata: JSON")
-// off the scanner, returning ok=false at stream end.
-func readEvent(sc *bufio.Scanner) (id, name, data string, ok bool) {
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "id: "):
-			id = strings.TrimPrefix(line, "id: ")
-		case strings.HasPrefix(line, "event: "):
-			name = strings.TrimPrefix(line, "event: ")
-		case strings.HasPrefix(line, "data: "):
-			data = strings.TrimPrefix(line, "data: ")
-		case line == "" && name != "":
-			return id, name, data, true
-		}
-	}
-	return "", "", "", false
-}
-
-// getEvents opens a job's SSE stream, optionally resuming with
-// Last-Event-ID (the standard EventSource reconnect header).
-func getEvents(t *testing.T, base, id, lastEventID string) *http.Response {
-	t.Helper()
-	req, err := http.NewRequest(http.MethodGet, base+"/v1/jobs/"+id+"/events", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lastEventID != "" {
-		req.Header.Set("Last-Event-ID", lastEventID)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp
-}
-
-// TestSSEReconnectAfterDone pins the reconnect contract: a client that
-// drops after consuming progress (or even after the job finished) and
-// reconnects with Last-Event-ID must still receive the terminal "done"
-// event — it can never be missed — while already-seen progress is not
-// replayed.
-func TestSSEReconnectAfterDone(t *testing.T) {
-	_, ts, _ := newTestServer(t, Options{Workers: 1})
-	var sub SubmitResponse
-	if code := postJSON(t, ts.URL+"/v1/compile",
-		CompileRequest{Bench: "A", Arch: "2 1 64 1 4 1"}, &sub); code != http.StatusAccepted {
-		t.Fatalf("submit returned %d", code)
-	}
-	waitTerminal(t, ts.URL, sub.ID, 30*time.Second)
-
-	// First connection (no Last-Event-ID): exactly one done event, with
-	// an id the client could resume from.
-	resp := getEvents(t, ts.URL, sub.ID, "")
-	defer resp.Body.Close()
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	id, name, data, ok := readEvent(sc)
-	if !ok || name != "done" {
-		t.Fatalf("first event = (%q, %q), want done", name, data)
-	}
-	if id == "" || id == "0" {
-		t.Fatalf("done event id = %q, want a positive SSE id", id)
-	}
-
-	// Reconnect claiming to have seen everything up to the done id
-	// itself: the done event must be re-sent regardless.
-	resp2 := getEvents(t, ts.URL, sub.ID, id)
-	defer resp2.Body.Close()
-	sc2 := bufio.NewScanner(resp2.Body)
-	sc2.Buffer(make([]byte, 1<<20), 1<<20)
-	id2, name2, data2, ok := readEvent(sc2)
-	if !ok || name2 != "done" {
-		t.Fatalf("reconnect event = (%q, %q), want done re-sent", name2, data2)
-	}
-	if id2 != id {
-		t.Errorf("reconnected done id %q, first saw %q", id2, id)
-	}
-	var st JobStatus
-	if err := json.Unmarshal([]byte(data2), &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.State != StateDone {
-		t.Errorf("reconnected done carries state %s", st.State)
-	}
-}
-
-// TestSubscribeReplaySemantics exercises the job-level Last-Event-ID
-// logic directly: stored progress is replayed only to subscribers that
-// have not seen it yet.
-func TestSubscribeReplaySemantics(t *testing.T) {
-	j := &Job{ID: "t", Kind: "explore", state: StateQueued, done: make(chan struct{})}
-	if !j.startRunning() {
-		t.Fatal("startRunning failed")
-	}
-	j.setProgress(dse.ProgressInfo{Done: 1})
-	j.setProgress(dse.ProgressInfo{Done: 2})
-	want, _ := json.Marshal(dse.ProgressInfo{Done: 2})
-
-	// A fresh subscriber (afterID 0) gets the latest snapshot replayed.
-	ch, unsub := j.subscribe(0)
-	select {
-	case ev := <-ch:
-		if ev.Name != "progress" || ev.ID != 2 || string(ev.Data) != string(want) {
-			t.Errorf("fresh subscriber got %+v, want progress id 2", ev)
-		}
-	default:
-		t.Error("fresh subscriber got no replay")
-	}
-	unsub()
-
-	// A reconnecting subscriber that already saw id 2 gets nothing.
-	ch2, unsub2 := j.subscribe(2)
-	select {
-	case ev := <-ch2:
-		t.Errorf("reconnected subscriber got stale replay %+v", ev)
-	default:
-	}
-	unsub2()
-
-	// Finishing assigns the largest id to the terminal event and closes
-	// subscriber channels.
-	ch3, _ := j.subscribe(2)
-	j.finish(StateDone, json.RawMessage(`{}`), "")
-	if _, open := <-ch3; open {
-		t.Error("subscriber channel not closed on finish")
-	}
-	if got := j.doneEventID(); got != 3 {
-		t.Errorf("doneEventID = %d, want 3", got)
-	}
 }
 
 // TestExploreExactArchs pins the shard-dispatch wire contract: an
