@@ -74,8 +74,11 @@ bench-module:
 # FuzzCompileKernel, seeded with the suite's kernels), the worker's
 # reading of an explore request's archs against the strings.Fields
 # spelling and json.Unmarshal into []string (cli's FuzzArchTuple), the
-# traceparent every explore submit carries (obs's FuzzParseTraceParent:
-# no panic, and what it takes re-renders as itself), and the custom-op
+# traceparent header every submit may carry (obs's FuzzParseTraceParent:
+# no panic, and what it takes re-renders as itself), the Prometheus
+# exposition of metrics and adopted spans of any name (obs's
+# FuzzExposition: it lints, declares no family twice, and every span
+# label reads back as its name), and the custom-op
 # codec every explore request's ops catalog and every op-carrying
 # results document reaches (ir's FuzzParseFusedSpec: a spec or an
 # error, never a panic, and what it takes renders to a text that parses
@@ -92,6 +95,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCompileKernel$$' -fuzztime 5s ./internal/cc/
 	$(GO) test -run '^$$' -fuzz '^FuzzArchTuple$$' -fuzztime 5s ./internal/cli/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTraceParent$$' -fuzztime 5s ./internal/obs/
+	$(GO) test -run '^$$' -fuzz '^FuzzExposition$$' -fuzztime 5s ./internal/obs/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseFusedSpec$$' -fuzztime 5s ./internal/ir/
 
 # Extended verify: everything the tier-1 gate runs, plus vet,

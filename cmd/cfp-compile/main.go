@@ -10,8 +10,8 @@
 //
 // Telemetry: -trace FILE writes a Chrome trace of the compilation
 // phases (parse, opt passes, partition, schedule, regalloc, spill),
-// -metrics FILE writes the counter/span dump, -pprof ADDR serves live
-// profiles. See docs/OBSERVABILITY.md.
+// -metrics FILE writes the counters and span totals as Prometheus text
+// exposition, -pprof ADDR serves live profiles. See docs/OBSERVABILITY.md.
 package main
 
 import (

@@ -21,13 +21,15 @@
 //
 // Observability, continued:
 //
-//	cfp-explore -sample 8 -trace trace.json -metrics metrics.json
+//	cfp-explore -sample 8 -trace trace.json -metrics metrics.prom
 //	  -trace FILE    Chrome trace_event JSON of every pipeline span
 //	                 (parse, opt passes, partition, schedule, regalloc,
 //	                 spill, reference sim) — open in chrome://tracing or
 //	                 Perfetto
-//	  -metrics FILE  flat JSON dump: compiles/sec, failures, per-worker
-//	                 busy/queue-wait time, per-phase span totals
+//	  -metrics FILE  Prometheus text exposition (what cfp-serve's
+//	                 /metrics answers): compiles/sec, failures,
+//	                 per-worker busy/queue-wait time, per-phase span
+//	                 totals
 //	  -pprof ADDR    live net/http/pprof endpoint while exploring
 package main
 

@@ -13,8 +13,8 @@
 //	cfp-search -bench D -cost 8 -seed 2026   # the search rows of cfp-explore -studies
 //
 // Telemetry: -trace FILE writes a Chrome trace of every candidate
-// compilation, -metrics FILE writes the counter/span dump, -pprof ADDR
-// serves live profiles. See docs/OBSERVABILITY.md.
+// compilation, -metrics FILE writes the counters and span totals as
+// Prometheus text exposition, -pprof ADDR serves live profiles. See docs/OBSERVABILITY.md.
 package main
 
 import (

@@ -22,7 +22,8 @@
 //	                             only when a cache is attached)
 //	GET    /healthz              liveness (503 while draining), capacity
 //	                             and backend fingerprint
-//	GET    /metrics              obs counters/gauges/span totals as JSON
+//	GET    /metrics              obs counters/gauges/span totals as
+//	                             Prometheus text exposition
 //
 // Identical explore/fit requests coalesce onto one in-flight job, and
 // -cache-dir shares the persistent evaluation cache across every

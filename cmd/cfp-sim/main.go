@@ -8,8 +8,8 @@
 //	cfp-sim -bench A -arch "8 4 256 1 4 2" -width 256 -unroll 2
 //
 // Telemetry: -trace FILE writes a Chrome trace of compile+simulate
-// spans, -metrics FILE writes the counter/span dump, -pprof ADDR serves
-// live profiles. See docs/OBSERVABILITY.md.
+// spans, -metrics FILE writes the counters and span totals as
+// Prometheus text exposition, -pprof ADDR serves live profiles. See docs/OBSERVABILITY.md.
 package main
 
 import (

@@ -259,7 +259,7 @@ func AddTelemetryFlagsTo(fs *flag.FlagSet) *Telemetry {
 	fs.StringVar(&t.TracePath, "trace", "",
 		"write pipeline spans to FILE as Chrome trace_event JSON (open in chrome://tracing or https://ui.perfetto.dev)")
 	fs.StringVar(&t.MetricsPath, "metrics", "",
-		"write a JSON metrics dump (counters, gauges, histograms, per-phase span totals) to FILE on exit")
+		"write the Prometheus text exposition (counters, gauges, histograms, per-span totals; what cfp-serve's /metrics answers) to FILE on exit")
 	fs.StringVar(&t.PprofAddr, "pprof", "",
 		"serve Go net/http/pprof on ADDR (e.g. localhost:6060) for live CPU/heap profiling")
 	return t
@@ -496,10 +496,16 @@ func (t *Telemetry) Stop() error {
 			return err
 		}
 	}
-	if t.MetricsPath != "" {
-		if err := t.collector.WriteMetricsFile(t.MetricsPath); err != nil {
-			return err
-		}
+	if t.MetricsPath == "" {
+		return nil
 	}
-	return nil
+	f, err := os.Create(t.MetricsPath)
+	if err != nil {
+		return err
+	}
+	if err := t.collector.WritePrometheus(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -1,9 +1,12 @@
 package cli
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"strconv"
@@ -11,6 +14,7 @@ import (
 	"testing"
 
 	"customfit/internal/machine"
+	"customfit/internal/obs"
 	"customfit/internal/sched"
 )
 
@@ -212,6 +216,37 @@ func TestCacheModeValidated(t *testing.T) {
 // TestVersionString pins the identity line every tool prints for
 // -version: tool name, Go runtime, and the backend code-generation
 // fingerprint the distributed coordinator gates fleet admission on.
+// TestMetricsFileIsTheExposition: -metrics FILE holds the Prometheus
+// text exposition, the bytes cfp-serve's /metrics answers.
+func TestMetricsFileIsTheExposition(t *testing.T) {
+	fs := flag.NewFlagSet("t", flag.ContinueOnError)
+	tel := AddTelemetryFlagsTo(fs)
+	path := filepath.Join(t.TempDir(), "m.prom")
+	if err := fs.Parse([]string{"-metrics", path}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tel.Start(); err != nil {
+		t.Fatal(err)
+	}
+	obs.GetCounter("sched.arenas_made").Inc()
+	obs.StartSpan("compile").End()
+	if err := tel.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.LintPrometheus(bytes.NewReader(data)); err != nil {
+		t.Fatalf("metrics file does not lint: %v\n%s", err, data)
+	}
+	for _, want := range []string{"\ncfp_sched_arenas_made_total 1\n", `cfp_span_count_total{span="compile"} 1`} {
+		if !bytes.Contains(data, []byte(want)) {
+			t.Errorf("metrics file lacks %q:\n%s", want, data)
+		}
+	}
+}
+
 func TestVersionString(t *testing.T) {
 	v := VersionString("cfp-test")
 	if !strings.HasPrefix(v, "cfp-test ") {

@@ -68,15 +68,16 @@ func (c *client) health(ctx context.Context, workerURL string) (serve.HealthResp
 // no job behind: a DELETE, and a submit caught in flight.
 const reapTimeout = 3 * time.Second
 
-// submit POSTs one shard's exploration and returns the job id. A 400 is
-// permanent (the request itself is broken); 503 and transport errors
-// are retryable.
+// submit POSTs one shard's exploration and returns the job id, with
+// traceparent, when not empty, as the request's traceparent header. A
+// 400 is permanent (the request itself is broken); 503 and transport
+// errors are retryable.
 //
 // Cancelling ctx does not cut the exchange short: once the worker has
 // read the POST it owns a job, and only its answer carries the id a
 // DELETE needs. A submit in flight when ctx ends gets reapTimeout to
 // finish and returns the id, for the caller to cancel.
-func (c *client) submit(ctx context.Context, workerURL string, ereq serve.ExploreRequest) (string, error) {
+func (c *client) submit(ctx context.Context, workerURL string, ereq serve.ExploreRequest, traceparent string) (string, error) {
 	body, err := json.Marshal(ereq)
 	if err != nil {
 		return "", permanent(err)
@@ -93,10 +94,8 @@ func (c *client) submit(ctx context.Context, workerURL string, ereq serve.Explor
 		return "", permanent(err)
 	}
 	req.Header.Set("Content-Type", "application/json")
-	if ereq.TraceParent != "" {
-		// Also as a header, so trace-aware proxies between coordinator
-		// and worker see the propagation (the body field wins server-side).
-		req.Header.Set("traceparent", ereq.TraceParent)
+	if traceparent != "" {
+		req.Header.Set("traceparent", traceparent)
 	}
 	resp, err := c.http.Do(req)
 	if err != nil {
@@ -316,19 +315,19 @@ func (c *client) cancel(workerURL, jobID string) {
 
 // runShard submits one attempt's shard and follows it to a terminal
 // state, returning the decoded shard Results plus the worker-side spans
-// the job captured (non-nil only when ereq carried a TraceParent). Each
-// poll asks the worker to hold its answer until the job ends, for
-// c.poll at most, and the next poll goes out c.poll after the last one
-// did: a worker that holds tells the coordinator when the shard is
-// done, and one that does not is polled every c.poll. Worker death
-// mid-run surfaces as consecutive poll failures (connection errors, a
-// status over maxStatusBytes or one that does not decode) and is
-// reported as a retryable error. When ctx ends, the job is DELETEd before runShard
-// returns. sp is the attempt's dist.shard span, which learns where the
-// shard's time went.
+// the job captured (non-nil only when sp is, whose context the submit
+// carries as its traceparent header). Each poll asks the worker to hold
+// its answer until the job ends, for c.poll at most, and the next poll
+// goes out c.poll after the last one did: a worker that holds tells the
+// coordinator when the shard is done, and one that does not is polled
+// every c.poll. Worker death mid-run surfaces as consecutive poll
+// failures (connection errors, a status over maxStatusBytes or one that
+// does not decode) and is reported as a retryable error. When ctx ends,
+// the job is DELETEd before runShard returns. sp is the attempt's
+// dist.shard span, which learns where the shard's time went.
 func (c *client) runShard(ctx context.Context, a *attempt, ereq serve.ExploreRequest, sp *obs.Span) (*dse.Results, []obs.WireSpan, error) {
 	start := time.Now()
-	jobID, err := c.submit(ctx, a.worker.url, ereq)
+	jobID, err := c.submit(ctx, a.worker.url, ereq, sp.Context().TraceParent())
 	if err != nil {
 		return nil, nil, err
 	}

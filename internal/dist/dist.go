@@ -202,6 +202,9 @@ func Explore(ctx context.Context, opts Options) (*dse.Results, error) {
 	if len(benches) == 0 {
 		return nil, fmt.Errorf("dist: no benchmarks given")
 	}
+	if err := dse.DistinctBenchmarks(benches); err != nil {
+		return nil, err
+	}
 
 	// The coordinator's grid always contains the baseline: every shard's
 	// out-of-grid baseline work is subtracted at merge, and the one grid
@@ -433,11 +436,11 @@ func (c *coordinator) freeWorker(not *workerState) *workerState {
 
 // launch starts one attempt of u on w. The attempt's dist.shard span
 // forks from the run's dist.explore root, and its span context rides
-// the explore request as a traceparent: the worker then records the
-// job's spans into the same trace and ships them back with the result,
-// where AdoptRemote grafts them under this shard span — one fleet, one
-// trace. A disabled coordinator (no collector) sends no traceparent,
-// so workers skip span capture entirely.
+// the explore request's traceparent header (runShard): the worker then
+// records the job's spans into the same trace and ships them back with
+// the result, where AdoptRemote grafts them under this shard span — one
+// fleet, one trace. A disabled coordinator (no collector) sends no
+// traceparent, so workers skip span capture entirely.
 func (c *coordinator) launch(ctx context.Context, u *unit, w *workerState) {
 	c.nextAttempt++
 	a := &attempt{id: c.nextAttempt, u: u, worker: w, start: time.Now()}
@@ -447,10 +450,9 @@ func (c *coordinator) launch(ctx context.Context, u *unit, w *workerState) {
 	sp.Str("bench", u.bench).Int("archs", int64(len(u.tuples))).
 		Str("worker", w.url).Int("unit", int64(u.id))
 	req := serve.ExploreRequest{
-		Benchmarks:  []string{u.bench},
-		Width:       c.opts.Width,
-		Archs:       u.tuples,
-		TraceParent: sp.Context().TraceParent(),
+		Benchmarks: []string{u.bench},
+		Width:      c.opts.Width,
+		Archs:      u.tuples,
 	}
 	if c.cacheOff {
 		req.Cache = "off"

@@ -348,6 +348,31 @@ func TestMinMaxGridRefused(t *testing.T) {
 	}
 }
 
+// TestRepeatedBenchmarkRefused: a benchmark named twice is refused
+// before any shard is submitted, as the local explorer refuses it — the
+// merge keeps one row per name, which both would fill.
+func TestRepeatedBenchmarkRefused(t *testing.T) {
+	installCollector(t)
+	w := newFakeWorker(1)
+	ts := httptest.NewServer(w)
+	t.Cleanup(ts.Close)
+
+	opts := fastOpts(ts.URL)
+	opts.Benchmarks = benchesByName("G", "G")
+	opts.Sample = 64
+	opts.Width = 32
+	// The fake worker never finishes a job: a run that submits ends here.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	_, err := Explore(ctx, opts)
+	if err == nil || !strings.Contains(err.Error(), "G given twice") {
+		t.Fatalf("Explore error = %v, want the repeated benchmark refused", err)
+	}
+	if n := w.submits.Load(); n != 0 {
+		t.Errorf("worker saw %d submits, want 0", n)
+	}
+}
+
 // TestCancellation: cancelling the coordinator's context must abort the
 // run with ErrCancelled and DELETE the in-flight shard jobs — also the
 // job whose submit the worker has accepted but not yet answered when

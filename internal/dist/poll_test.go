@@ -303,7 +303,7 @@ func TestParentPollLoopReadsThisServer(t *testing.T) {
 	ereq := serve.ExploreRequest{Benchmarks: []string{"G"}, Width: 32, Archs: []string{"2 1 64 1 4 1", "4 2 128 2 4 2", "8 2 256 2 2 4"}}
 	cl := &client{http: http.DefaultClient, poll: 5 * time.Millisecond}
 
-	jobID, err := cl.submit(context.Background(), w.URL, ereq)
+	jobID, err := cl.submit(context.Background(), w.URL, ereq, "")
 	if err != nil {
 		t.Fatal(err)
 	}

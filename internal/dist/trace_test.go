@@ -5,12 +5,16 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"customfit/internal/evcache"
 	"customfit/internal/obs"
@@ -44,6 +48,79 @@ func exploreFleetTraced(t *testing.T) *obs.Collector {
 		t.Fatal(err)
 	}
 	return col
+}
+
+// TestShardTraceRidesTheHeader: a traced coordinator sends a shard's
+// dist.shard context as its submit's traceparent header and nowhere
+// else; an untraced one sends no header. The body holds the same
+// members either way.
+func TestShardTraceRidesTheHeader(t *testing.T) {
+	for _, traced := range []bool{true, false} {
+		var col *obs.Collector
+		if traced {
+			col = installCollector(t)
+		} else {
+			obs.Install(nil)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		var mu sync.Mutex
+		var header string
+		var body map[string]json.RawMessage
+		fake := newFakeWorker(1)
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method == http.MethodPost && r.URL.Path == "/v1/explore" {
+				mu.Lock()
+				if body == nil {
+					header = r.Header.Get("traceparent")
+					if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
+						t.Error(err)
+					}
+					cancel() // one submit is all this test reads
+				}
+				mu.Unlock()
+			}
+			fake.ServeHTTP(w, r)
+		}))
+		opts := fastOpts(ts.URL)
+		opts.Benchmarks = benchesByName("G")
+		opts.Sample = 64
+		opts.Width = 32
+		_, err := Explore(ctx, opts)
+		cancel()
+		ts.Close()
+		if err == nil {
+			t.Fatal("Explore against a worker that never finishes returned no error")
+		}
+
+		mu.Lock()
+		var keys []string
+		for k := range body {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		if !slices.Equal(keys, []string{"archs", "benchmarks", "width"}) {
+			t.Errorf("traced=%v: submit body members %v, want archs, benchmarks, width", traced, keys)
+		}
+		if !traced {
+			if header != "" {
+				t.Errorf("untraced coordinator sent traceparent %q", header)
+			}
+			mu.Unlock()
+			continue
+		}
+		sc, ok := obs.ParseTraceParent(header)
+		mu.Unlock()
+		if !ok {
+			t.Fatalf("traced submit's traceparent header %q does not parse", header)
+		}
+		shard := false
+		for _, e := range col.Events() {
+			shard = shard || e.Name == "dist.shard" && e.ID == sc.Span && e.Trace == sc.Trace
+		}
+		if !shard {
+			t.Errorf("traceparent %q names no dist.shard span of the run", header)
+		}
+	}
 }
 
 // TestMergedTraceOneFleetOneTrace is the tentpole acceptance test:
@@ -236,9 +313,9 @@ func promValue(t *testing.T, scrape, name string) float64 {
 }
 
 // TestConcurrentExportDuringExploration races the exporters against a
-// live fleet exploration: scraping /metrics-style output (JSON,
-// Prometheus and Chrome trace) while spans and counters are being
-// recorded must be safe. Meaningful mainly under -race.
+// live fleet exploration: writing the /metrics exposition and the
+// Chrome trace while spans and counters are being recorded must be
+// safe. Meaningful mainly under -race.
 func TestConcurrentExportDuringExploration(t *testing.T) {
 	col := installCollector(t)
 	w1 := startWorker(t, serve.Options{Workers: 2, Collector: col})
@@ -255,7 +332,6 @@ func TestConcurrentExportDuringExploration(t *testing.T) {
 				return
 			default:
 			}
-			_ = col.WriteMetrics(io.Discard)
 			_ = col.WritePrometheus(io.Discard)
 			_ = col.WriteTrace(io.Discard)
 		}

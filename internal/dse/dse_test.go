@@ -75,6 +75,18 @@ func TestExplorerSmallSpace(t *testing.T) {
 	}
 }
 
+// TestRepeatedBenchmarkRefused: a benchmark named twice would give both
+// rows one Results row, which two workers then fill cell by cell at once
+// (a data race under -race); the explorer refuses it before any work.
+func TestRepeatedBenchmarkRefused(t *testing.T) {
+	e := smallExplorer("G", "G")
+	e.Archs = machine.FullSpace()[:40]
+	res, err := e.Run()
+	if err == nil || !strings.Contains(err.Error(), "G given twice") {
+		t.Fatalf("Run = %v, %v; want the repeated benchmark refused", res != nil, err)
+	}
+}
+
 func TestUnrollSweepStopsAtSpill(t *testing.T) {
 	ev := NewEvaluator()
 	ev.Width = 48

@@ -134,6 +134,19 @@ func NewResults(archs []machine.Arch, benches []*bench.Benchmark) *Results {
 	return res
 }
 
+// DistinctBenchmarks refuses a benchmark named twice: Results keeps one
+// row per name, so the two would share it and fill the same cells.
+func DistinctBenchmarks(benches []*bench.Benchmark) error {
+	seen := make(map[string]bool, len(benches))
+	for _, b := range benches {
+		if seen[b.Name] {
+			return fmt.Errorf("dse: benchmark %s given twice", b.Name)
+		}
+		seen[b.Name] = true
+	}
+	return nil
+}
+
 // designPoints is the size of the unclustered design space, which every
 // run's Stats reports and no run changes.
 var designPoints = sync.OnceValue(func() int { return len(machine.DesignSpace()) })
@@ -253,6 +266,9 @@ func (e *Explorer) RunCtx(ctx context.Context) (*Results, error) {
 	benches := e.Benchmarks
 	if benches == nil {
 		benches = bench.All()
+	}
+	if err := DistinctBenchmarks(benches); err != nil {
+		return nil, err
 	}
 
 	ev := NewEvaluator()

@@ -1,9 +1,9 @@
 // Package obs is the toolchain's zero-dependency telemetry subsystem:
 // nestable timed spans over the compilation pipeline, race-safe
 // process-wide counters/histograms/gauges for the parallel explorer and
-// the simulator, and exporters for Chrome trace_event JSON and a flat
-// metrics dump (see docs/OBSERVABILITY.md for the span taxonomy and
-// metric names).
+// the simulator, and exporters for Chrome trace_event JSON and the
+// Prometheus text exposition (see docs/OBSERVABILITY.md for the span
+// taxonomy and metric names).
 //
 // Collection is off by default. Until Install is called every entry
 // point takes the nil-sink fast path: StartSpan returns a nil *Span,

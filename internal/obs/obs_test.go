@@ -1,9 +1,7 @@
 package obs
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"sync"
 	"testing"
@@ -197,58 +195,6 @@ func TestDisabledLoggingAllocatesNothing(t *testing.T) {
 }
 
 var errForAllocTest = errors.New("boom")
-
-func TestMetricsDump(t *testing.T) {
-	c := install(t)
-	fakeClock(c, 250*time.Microsecond)
-	GetCounter("dse.compiles").Add(12)
-	SetGauge("dse.compiles_per_sec", 48.5)
-	GetHistogram("dse.worker_busy_seconds").Observe(1.5)
-	GetHistogram("dse.worker_busy_seconds").Observe(0.5)
-	sp := StartSpan("evaluate")
-	sp.Child("sched").End()
-	sp.End()
-
-	var buf bytes.Buffer
-	if err := c.WriteMetrics(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var out struct {
-		ElapsedSeconds float64            `json:"elapsed_seconds"`
-		Counters       map[string]int64   `json:"counters"`
-		Gauges         map[string]float64 `json:"gauges"`
-		Histograms     map[string]struct {
-			Count int64   `json:"count"`
-			Mean  float64 `json:"mean"`
-		} `json:"histograms"`
-		Spans map[string]struct {
-			Count   int64   `json:"count"`
-			TotalMS float64 `json:"total_ms"`
-		} `json:"spans"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
-		t.Fatalf("metrics dump is not valid JSON: %v\n%s", err, buf.String())
-	}
-	if out.Counters["dse.compiles"] != 12 {
-		t.Errorf("counter = %d, want 12", out.Counters["dse.compiles"])
-	}
-	if out.Gauges["dse.compiles_per_sec"] != 48.5 {
-		t.Errorf("gauge = %v, want 48.5", out.Gauges["dse.compiles_per_sec"])
-	}
-	h := out.Histograms["dse.worker_busy_seconds"]
-	if h.Count != 2 || h.Mean != 1.0 {
-		t.Errorf("histogram = %+v, want count 2 mean 1", h)
-	}
-	if out.Spans["evaluate"].Count != 1 || out.Spans["sched"].Count != 1 {
-		t.Errorf("span totals missing: %+v", out.Spans)
-	}
-	if out.Spans["evaluate"].TotalMS <= 0 {
-		t.Error("span total must be positive")
-	}
-	if out.ElapsedSeconds <= 0 {
-		t.Error("elapsed must be positive")
-	}
-}
 
 func TestDisabledEntryPointsReturnNil(t *testing.T) {
 	Install(nil)

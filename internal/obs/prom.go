@@ -2,8 +2,10 @@ package obs
 
 // Prometheus text exposition (format version 0.0.4) for the collector,
 // plus a standalone format validator used by tests and the fleet smoke
-// check. Metric naming: every family is prefixed "cfp_", dots and other
-// non-identifier runes become underscores, counters gain "_total", and
+// check. This is the one encoding of the collector's metrics: cfp-serve's
+// GET /metrics answers it and every tool's -metrics FILE writes it.
+// Metric naming: every family is prefixed "cfp_", dots and other
+// non-identifier bytes become underscores, counters gain "_total", and
 // histograms export as summaries with p50/p95/p99 quantile labels (see
 // the naming table in docs/OBSERVABILITY.md).
 
@@ -14,6 +16,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // PrometheusContentType is the Content-Type of WritePrometheus output.
@@ -21,9 +24,27 @@ const PrometheusContentType = "text/plain; version=0.0.4; charset=utf-8"
 
 // WritePrometheus renders the collector's counters, gauges, histograms
 // and per-span-name totals in the Prometheus text exposition format.
-// Output is deterministically sorted.
+// Output is deterministically sorted. Two metric names can map to one
+// family name ("a.b" and "a_b"); each family is declared once, by the
+// first metric to claim it — counters, then gauges, then histograms,
+// each in name order — and the others are left out.
 func (c *Collector) WritePrometheus(w io.Writer) error {
 	bw := bufio.NewWriter(w)
+	claimed := map[string]bool{"cfp_span_seconds_total": true, "cfp_span_count_total": true, "cfp_uptime_seconds": true}
+	claim := func(fams ...string) bool {
+		for _, f := range fams {
+			if claimed[f] {
+				return false
+			}
+		}
+		for _, f := range fams {
+			claimed[f] = true
+		}
+		return true
+	}
+	family := func(fam, typ, help string) {
+		fmt.Fprintf(bw, "# HELP %s %s\n# TYPE %s %s\n", fam, promEscape(help, false), fam, typ)
+	}
 
 	c.cmu.Lock()
 	counterNames := sortedKeys(c.counters)
@@ -33,28 +54,24 @@ func (c *Collector) WritePrometheus(w io.Writer) error {
 	}
 	c.cmu.Unlock()
 	for _, name := range counterNames {
-		fam := promName(name) + "_total"
-		fmt.Fprintf(bw, "# HELP %s Counter %s.\n", fam, promHelpEscape(name))
-		fmt.Fprintf(bw, "# TYPE %s counter\n", fam)
-		fmt.Fprintf(bw, "%s %d\n", fam, counterVals[name])
+		if fam := promName(name) + "_total"; claim(fam) {
+			family(fam, "counter", "Counter "+name+".")
+			fmt.Fprintf(bw, "%s %d\n", fam, counterVals[name])
+		}
 	}
 
 	c.gmu.Lock()
-	gaugeNames := make([]string, 0, len(c.gauges))
-	for name := range c.gauges {
-		gaugeNames = append(gaugeNames, name)
-	}
-	sort.Strings(gaugeNames)
+	gaugeNames := sortedKeys(c.gauges)
 	gaugeVals := make(map[string]float64, len(c.gauges))
 	for name, v := range c.gauges {
 		gaugeVals[name] = v
 	}
 	c.gmu.Unlock()
 	for _, name := range gaugeNames {
-		fam := promName(name)
-		fmt.Fprintf(bw, "# HELP %s Gauge %s.\n", fam, promHelpEscape(name))
-		fmt.Fprintf(bw, "# TYPE %s gauge\n", fam)
-		fmt.Fprintf(bw, "%s %s\n", fam, promFloat(gaugeVals[name]))
+		if fam := promName(name); claim(fam) {
+			family(fam, "gauge", "Gauge "+name+".")
+			fmt.Fprintf(bw, "%s %s\n", fam, promFloat(gaugeVals[name]))
+		}
 	}
 
 	c.hmu.Lock()
@@ -65,14 +82,16 @@ func (c *Collector) WritePrometheus(w io.Writer) error {
 	}
 	c.hmu.Unlock()
 	for _, name := range histNames {
+		fam := promName(name)
+		if !claim(fam, fam+"_sum", fam+"_count", fam+"_min", fam+"_max") {
+			continue
+		}
 		h := hists[name]
 		count, sum, min, max := h.Summary()
 		qs := h.Quantiles(0.5, 0.95, 0.99)
-		fam := promName(name)
-		fmt.Fprintf(bw, "# HELP %s Summary %s.\n", fam, promHelpEscape(name))
-		fmt.Fprintf(bw, "# TYPE %s summary\n", fam)
+		family(fam, "summary", "Summary "+name+".")
 		for i, q := range []string{"0.5", "0.95", "0.99"} {
-			fmt.Fprintf(bw, "%s{quantile=%q} %s\n", fam, q, promFloat(qs[i]))
+			fmt.Fprintf(bw, "%s{quantile=%s} %s\n", fam, promEscape(q, true), promFloat(qs[i]))
 		}
 		fmt.Fprintf(bw, "%s_sum %s\n", fam, promFloat(sum))
 		fmt.Fprintf(bw, "%s_count %d\n", fam, count)
@@ -80,41 +99,39 @@ func (c *Collector) WritePrometheus(w io.Writer) error {
 		fmt.Fprintf(bw, "# TYPE %s_max gauge\n%s_max %s\n", fam, fam, promFloat(max))
 	}
 
-	// Per-span-name totals, one family with a span label (mirrors the
-	// "spans" section of the JSON dump).
+	// Per-span-name totals, one family with a span label each. Names
+	// that differ only in invalid bytes quote to one label: one series.
 	type spanAgg struct {
 		count   int64
 		seconds float64
 	}
-	aggs := map[string]spanAgg{}
+	byName := map[string]spanAgg{}
 	for _, e := range c.Events() {
-		a := aggs[e.Name]
+		a := byName[e.Name]
 		a.count++
 		a.seconds += e.Dur.Seconds()
-		aggs[e.Name] = a
+		byName[e.Name] = a
 	}
-	spanNames := make([]string, 0, len(aggs))
-	for name := range aggs {
-		spanNames = append(spanNames, name)
+	aggs := make(map[string]spanAgg, len(byName))
+	for _, name := range sortedKeys(byName) {
+		label := promEscape(name, true)
+		a := aggs[label]
+		a.count += byName[name].count
+		a.seconds += byName[name].seconds
+		aggs[label] = a
 	}
-	sort.Strings(spanNames)
-	if len(spanNames) > 0 {
-		fmt.Fprintf(bw, "# HELP cfp_span_seconds_total Total seconds spent in spans, by span name.\n")
-		fmt.Fprintf(bw, "# TYPE cfp_span_seconds_total counter\n")
-		for _, name := range spanNames {
-			fmt.Fprintf(bw, "cfp_span_seconds_total{span=%q} %s\n",
-				promLabelEscape(name), promFloat(aggs[name].seconds))
+	if labels := sortedKeys(aggs); len(labels) > 0 {
+		family("cfp_span_seconds_total", "counter", "Total seconds spent in spans, by span name.")
+		for _, l := range labels {
+			fmt.Fprintf(bw, "cfp_span_seconds_total{span=%s} %s\n", l, promFloat(aggs[l].seconds))
 		}
-		fmt.Fprintf(bw, "# HELP cfp_span_count_total Completed spans, by span name.\n")
-		fmt.Fprintf(bw, "# TYPE cfp_span_count_total counter\n")
-		for _, name := range spanNames {
-			fmt.Fprintf(bw, "cfp_span_count_total{span=%q} %d\n",
-				promLabelEscape(name), aggs[name].count)
+		family("cfp_span_count_total", "counter", "Completed spans, by span name.")
+		for _, l := range labels {
+			fmt.Fprintf(bw, "cfp_span_count_total{span=%s} %d\n", l, aggs[l].count)
 		}
 	}
 
-	fmt.Fprintf(bw, "# HELP cfp_uptime_seconds Seconds since the collector started.\n")
-	fmt.Fprintf(bw, "# TYPE cfp_uptime_seconds gauge\n")
+	family("cfp_uptime_seconds", "gauge", "Seconds since the collector started.")
 	fmt.Fprintf(bw, "cfp_uptime_seconds %s\n", promFloat(c.now().Seconds()))
 
 	return bw.Flush()
@@ -155,19 +172,38 @@ func promFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// promHelpEscape escapes a HELP text per the exposition format.
-func promHelpEscape(s string) string {
-	s = strings.ReplaceAll(s, `\`, `\\`)
-	return strings.ReplaceAll(s, "\n", `\n`)
+// promEscape escapes s per the exposition format, the one spelling of
+// every HELP text (quoted false) and every label value (quoted true,
+// returned inside its double quotes): a backslash and a newline are
+// escaped, a double quote too in a label value, and each byte that is
+// not valid UTF-8 becomes U+FFFD. Nothing else is escaped.
+func promEscape(s string, quoted bool) string {
+	var b strings.Builder
+	b.Grow(len(s) + 2)
+	if quoted {
+		b.WriteByte('"')
+	}
+	for _, r := range s { // an invalid byte ranges as utf8.RuneError, U+FFFD
+		switch {
+		case r == '\\':
+			b.WriteString(`\\`)
+		case r == '\n':
+			b.WriteString(`\n`)
+		case r == '"' && quoted:
+			b.WriteString(`\"`)
+		default:
+			b.WriteRune(r)
+		}
+	}
+	if quoted {
+		b.WriteByte('"')
+	}
+	return b.String()
 }
 
-// promLabelEscape escapes a label value body; callers quote it with %q,
-// which already handles \, " and newlines, so this is the identity kept
-// for symmetry and future non-%q call sites.
-func promLabelEscape(s string) string { return s }
-
 // LintPrometheus validates r as Prometheus text exposition format
-// (version 0.0.4): name syntax, float sample values, label quoting, a
+// (version 0.0.4): UTF-8 text, name syntax, float sample values, label
+// quoting with no escapes but \\, \" and \n (a HELP text: \\ and \n), a
 // TYPE line preceding every sample's family, and no duplicate TYPE
 // declarations. Returns the first violation with its line number.
 func LintPrometheus(r io.Reader) error {
@@ -179,6 +215,9 @@ func LintPrometheus(r io.Reader) error {
 	for sc.Scan() {
 		lineNo++
 		line := sc.Text()
+		if !utf8.ValidString(line) {
+			return fmt.Errorf("line %d: not valid UTF-8", lineNo)
+		}
 		if line == "" {
 			continue
 		}
@@ -208,6 +247,13 @@ func LintPrometheus(r io.Reader) error {
 			case "HELP":
 				if !validMetricName(fields[2]) {
 					return fmt.Errorf("line %d: invalid metric name %q", lineNo, fields[2])
+				}
+				for i := 0; len(fields) == 4 && i < len(fields[3]); i++ {
+					if fields[3][i] == '\\' {
+						if i++; i == len(fields[3]) || fields[3][i] != '\\' && fields[3][i] != 'n' {
+							return fmt.Errorf("line %d: invalid escape in HELP text", lineNo)
+						}
+					}
 				}
 			}
 			continue
@@ -273,7 +319,9 @@ func splitSample(line string) (name, rest string, err error) {
 		j++
 		for j < len(line) && line[j] != '"' {
 			if line[j] == '\\' {
-				j++
+				if j++; j < len(line) && !strings.ContainsRune(`\"n`, rune(line[j])) {
+					return "", "", fmt.Errorf("invalid escape %q in label value of %q", line[j-1:j+1], line)
+				}
 			}
 			j++
 		}

@@ -42,6 +42,7 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 }
 
 // resolveBenches maps names to benchmarks; empty means the full suite.
+// A name given twice is refused, as the explorer refuses it.
 func resolveBenches(names []string) ([]*bench.Benchmark, error) {
 	if len(names) == 0 {
 		return bench.All(), nil
@@ -54,7 +55,7 @@ func resolveBenches(names []string) ([]*bench.Benchmark, error) {
 		}
 		out = append(out, b)
 	}
-	return out, nil
+	return out, dse.DistinctBenchmarks(out)
 }
 
 // CompileRequest asks for one kernel × architecture compilation.
@@ -156,13 +157,24 @@ type SimulateRequest struct {
 	Bench  string `json:"bench"`
 	Arch   string `json:"arch"`
 	Unroll int    `json:"unroll,omitempty"` // default 1
-	Width  int    `json:"width,omitempty"`  // default 96, at most maxSimulateWidth
+	Width  int    `json:"width,omitempty"`  // default 96, at most maxWidth
 	Seed   int64  `json:"seed,omitempty"`   // default 1
 }
 
-// maxSimulateWidth bounds SimulateRequest.Width: simulated cycles grow
-// with it, and a worker should not be held by one request for minutes.
-const maxSimulateWidth = 4096
+// maxWidth bounds the workload width of a simulate, explore or fit
+// request, which a worker checks at submit: a benchmark case allocates
+// arrays in proportion to it (bench.Benchmark.NewCase) and simulated
+// cycles grow with it, so one request must not exhaust a worker's
+// memory or hold it for minutes.
+const maxWidth = 4096
+
+// checkWidth refuses a width above maxWidth.
+func checkWidth(width int) error {
+	if width > maxWidth {
+		return fmt.Errorf("width %d exceeds %d", width, maxWidth)
+	}
+	return nil
+}
 
 // SimulateResult is a simulate job's payload.
 type SimulateResult struct {
@@ -202,8 +214,8 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	if req.Width <= 0 {
 		req.Width = 96
 	}
-	if req.Width > maxSimulateWidth {
-		writeErr(w, http.StatusBadRequest, fmt.Sprintf("width %d exceeds %d", req.Width, maxSimulateWidth))
+	if err := checkWidth(req.Width); err != nil {
+		writeErr(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if req.Seed == 0 {
@@ -272,7 +284,8 @@ type ExploreRequest struct {
 	Benchmarks []string `json:"benchmarks,omitempty"`
 	// Sample > 1 keeps every Nth machine of the space.
 	Sample int `json:"sample,omitempty"`
-	// Width is the reference workload width (default 96).
+	// Width is the reference workload width (default 96, at most
+	// maxWidth).
 	Width int `json:"width,omitempty"`
 	// Archs, when non-empty, explores exactly these architectures
 	// (positional tuples "a m r p2 l2 c") instead of the sampled full
@@ -294,11 +307,6 @@ type ExploreRequest struct {
 	// Requires Schema >= 2. Part of the coalesce key: requests differing
 	// only in Ops are different work and never share a job.
 	Ops []string `json:"ops,omitempty"`
-	// TraceParent propagates the submitter's trace ("00-<trace>-<span>-01",
-	// same syntax as the traceparent header, which it overrides). The
-	// job's spans then join that trace and come back in JobStatus.Spans.
-	// Excluded from coalescing: it never affects the result.
-	TraceParent string `json:"traceparent,omitempty"`
 	// Cache, when "off", runs this job without the server's shared
 	// evaluation cache — the distributed coordinator propagates its
 	// operator's -cache=off fleet-wide with it. Excluded from
@@ -350,6 +358,9 @@ func (req *exploreBody) resolve() (*exploreJob, int, error) {
 	x := &exploreJob{benches: benches, sample: max(req.Sample, 1), width: req.Width}
 	if x.width <= 0 {
 		x.width = 96
+	}
+	if err := checkWidth(x.width); err != nil {
+		return nil, http.StatusBadRequest, err
 	}
 	if len(req.Ops) > 0 {
 		if x.opSet, err = machine.ParseOpCatalog(req.Ops); err != nil {
@@ -405,17 +416,11 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, code, err.Error())
 		return
 	}
-	remote := remoteContext(r)
-	if req.TraceParent != "" {
-		if sc, ok := obs.ParseTraceParent(req.TraceParent); ok {
-			remote = sc
-		}
-	}
 	cache := s.opts.Cache
 	if req.Cache == "off" {
 		cache = nil
 	}
-	s.respondSubmit(w, remote, "explore", x.key, func(ctx context.Context, j *Job) (json.RawMessage, error) {
+	s.respondSubmit(w, remoteContext(r), "explore", x.key, func(ctx context.Context, j *Job) (json.RawMessage, error) {
 		res, err := core.Explore(ctx, core.ExploreOptions{
 			Benchmarks:  x.benches,
 			Archs:       x.archs,
@@ -445,7 +450,7 @@ type FitRequest struct {
 	// within Range of the best mean speedup, pick the cheapest.
 	Range  float64 `json:"range,omitempty"`
 	Sample int     `json:"sample,omitempty"`
-	Width  int     `json:"width,omitempty"`
+	Width  int     `json:"width,omitempty"` // default 96, at most maxWidth
 	// Cache "off" bypasses the server's shared evaluation cache (see
 	// ExploreRequest.Cache). Excluded from coalescing: result-neutral.
 	Cache string `json:"cache,omitempty"`
@@ -477,6 +482,10 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Width <= 0 {
 		req.Width = 96
+	}
+	if err := checkWidth(req.Width); err != nil {
+		writeErr(w, http.StatusBadRequest, err.Error())
+		return
 	}
 	keyReq := req
 	keyReq.Cache = ""

@@ -19,7 +19,8 @@
 // and write behind to (see internal/fleetcache and docs/DISTRIBUTED.md),
 // with fingerprint-gated admission.
 // GET /healthz reports liveness (503 while draining); GET /metrics
-// dumps the obs collector's counters, gauges and span totals.
+// answers the obs collector's counters, gauges and span totals as
+// Prometheus text exposition.
 package serve
 
 import (
@@ -30,7 +31,6 @@ import (
 	"net"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -525,27 +525,16 @@ func (s *Server) setLiveGauges() {
 	}
 }
 
-// handleMetrics serves the collector in two formats, content-negotiated
-// on Accept: Prometheus text exposition (version 0.0.4) when the client
-// asks for text/plain or openmetrics (or ?format=prometheus), the
-// original JSON dump otherwise. Stock Prometheus sends an Accept header
-// matching the former, so a fleet is scrapeable unconfigured.
+// handleMetrics serves the collector as Prometheus text exposition
+// (version 0.0.4), with live queue and job gauges: the bytes a tool's
+// -metrics FILE holds, and what a stock Prometheus scrapes.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.setLiveGauges()
-	accept := r.Header.Get("Accept")
-	if strings.Contains(accept, "text/plain") || strings.Contains(accept, "openmetrics") ||
-		r.URL.Query().Get("format") == "prometheus" {
-		w.Header().Set("Content-Type", obs.PrometheusContentType)
-		w.WriteHeader(http.StatusOK)
-		_ = s.collector.WritePrometheus(w)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", obs.PrometheusContentType)
 	w.WriteHeader(http.StatusOK)
-	if err := s.collector.WriteMetrics(w); err != nil {
-		// Too late for a status code; the truncated body says enough.
-		return
-	}
+	// Too late for a status code on a write error; the truncated body
+	// says enough.
+	_ = s.collector.WritePrometheus(w)
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime/debug"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -140,7 +142,11 @@ func TestBadRequests(t *testing.T) {
 		body any
 	}{
 		{"unknown bench", "/v1/simulate", SimulateRequest{Bench: "nope", Arch: "2 1 64 1 4 1"}},
-		{"simulate width", "/v1/simulate", SimulateRequest{Bench: "G", Arch: "2 1 64 1 4 1", Width: maxSimulateWidth + 1}},
+		{"simulate width", "/v1/simulate", SimulateRequest{Bench: "G", Arch: "2 1 64 1 4 1", Width: maxWidth + 1}},
+		{"explore width", "/v1/explore", ExploreRequest{Benchmarks: []string{"G"}, Width: maxWidth + 1}},
+		{"fit width", "/v1/fit", FitRequest{Benchmarks: []string{"G"}, CostCap: 8, Width: maxWidth + 1}},
+		{"explore benchmark twice", "/v1/explore", ExploreRequest{Benchmarks: []string{"G", "G"}}},
+		{"fit benchmark twice", "/v1/fit", FitRequest{Benchmarks: []string{"G", "G"}, CostCap: 8}},
 		{"bad arch", "/v1/compile", CompileRequest{Bench: "A", Arch: "banana"}},
 		{"no kernel", "/v1/compile", CompileRequest{Arch: "2 1 64 1 4 1"}},
 		{"source does not compile", "/v1/compile", CompileRequest{Source: "kernel k(int o[]) { o[0] = x; }", Arch: "2 1 64 1 4 1"}},
@@ -280,29 +286,40 @@ func TestCoalescing(t *testing.T) {
 	}
 
 	m := fetchMetrics(t, ts.URL)
-	if m.Counters["serve.jobs_coalesced"] != 1 {
-		t.Errorf("serve.jobs_coalesced = %d, want 1", m.Counters["serve.jobs_coalesced"])
+	if m["cfp_serve_jobs_coalesced_total"] != 1 {
+		t.Errorf("cfp_serve_jobs_coalesced_total = %v, want 1", m["cfp_serve_jobs_coalesced_total"])
 	}
-	if m.Counters["evcache.hits"] == 0 {
+	if m["cfp_evcache_hits_total"] == 0 {
 		t.Error("warm re-explore recorded no evcache hits")
 	}
 }
 
-// metricsDoc mirrors the /metrics JSON shape (obs.WriteMetrics).
-type metricsDoc struct {
-	Counters map[string]int64 `json:"counters"`
-}
-
-func fetchMetrics(t *testing.T, base string) metricsDoc {
+// fetchMetrics scrapes /metrics, checks that the exposition lints, and
+// returns its samples by series: "cfp_evcache_hits_total",
+// `cfp_span_count_total{span="evaluate"}`.
+func fetchMetrics(t *testing.T, base string) map[string]float64 {
 	t.Helper()
 	resp, err := http.Get(base + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var m metricsDoc
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if err := obs.LintPrometheus(bytes.NewReader(data)); err != nil {
+		t.Fatalf("/metrics does not lint: %v", err)
+	}
+	m := map[string]float64{}
+	for _, line := range strings.Split(string(data), "\n") {
+		if i := strings.LastIndexByte(line, ' '); i > 0 && !strings.HasPrefix(line, "#") {
+			v, err := strconv.ParseFloat(line[i+1:], 64)
+			if err != nil {
+				t.Fatalf("sample %q: %v", line, err)
+			}
+			m[line[:i]] = v
+		}
 	}
 	return m
 }
@@ -462,7 +479,7 @@ func TestGoldenExploreViaServer(t *testing.T) {
 			t.Errorf("%s: logical run count %d, golden %d", pass, got.Stats.Runs, want.Stats.Runs)
 		}
 		m := fetchMetrics(t, ts.URL)
-		if wantHits && m.Counters["evcache.hits"] == 0 {
+		if wantHits && m["cfp_evcache_hits_total"] == 0 {
 			t.Error("warm pass recorded no evcache hits")
 		}
 	}

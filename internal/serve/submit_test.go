@@ -12,13 +12,10 @@ import (
 )
 
 // fullSpaceRequest is the explore request of a one-kernel shard over
-// the full space, as the coordinator marshals it.
+// the full space, as the coordinator marshals it (a traced shard's
+// context rides the traceparent header, not the body).
 func fullSpaceRequest(t testing.TB) (ExploreRequest, []byte) {
-	req := ExploreRequest{
-		Benchmarks:  []string{"G"},
-		Width:       96,
-		TraceParent: "00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",
-	}
+	req := ExploreRequest{Benchmarks: []string{"G"}, Width: 96}
 	for _, a := range machine.FullSpace() {
 		req.Archs = append(req.Archs, cli.FormatArch(a))
 	}
@@ -58,7 +55,7 @@ func TestExploreBodyReadsARequest(t *testing.T) {
 		t.Errorf("resolved to %d archs, width %d, sample %d", len(x.archs), x.width, x.sample)
 	}
 
-	// Trace identity and caching leave the key alone; everything else
+	// Caching and a default width leave the key alone; everything else
 	// moves it.
 	keyOf := func(req ExploreRequest) string {
 		t.Helper()
@@ -78,9 +75,9 @@ func TestExploreBodyReadsARequest(t *testing.T) {
 	}
 	base := ExploreRequest{Benchmarks: []string{"G"}, Archs: []string{"8 2 128 1 4 4", "2 1 64 1 4 1"}}
 	same := base
-	same.TraceParent, same.Cache, same.Width = sent.TraceParent, "off", 96
+	same.Cache, same.Width = "off", 96
 	if keyOf(same) != keyOf(base) {
-		t.Error("trace, cache or a default width moved the key")
+		t.Error("cache or a default width moved the key")
 	}
 	for name, edit := range map[string]func(*ExploreRequest){
 		"benchmarks": func(r *ExploreRequest) { r.Benchmarks = []string{"G", "F"} },

@@ -101,27 +101,22 @@ func TestUntracedJobReturnsNoSpans(t *testing.T) {
 	}
 }
 
-// TestTraceParentBodyField: the explore request's traceparent JSON
-// field works without the header (and is excluded from coalescing, so
-// two differently-traced identical requests still coalesce).
-func TestTraceParentBodyField(t *testing.T) {
+// TestTraceParentHeaderOnExplore: an explore submit takes its trace
+// from the traceparent header, as every submit does, and from nothing
+// else — a "traceparent" member in the body is an unknown field, so
+// that job runs untraced. The header is excluded from coalescing: two
+// differently-traced identical requests share one job.
+func TestTraceParentHeaderOnExplore(t *testing.T) {
 	_, ts, _ := newTestServer(t, Options{Workers: 1})
 	const traceHex = "0af7651916cd43dd8448eb211c80319c"
-	req := ExploreRequest{
-		Benchmarks:  []string{"G"},
-		Sample:      12,
-		Width:       32,
-		TraceParent: "00-" + traceHex + "-b7ad6b7169203331-01",
-	}
+	req := ExploreRequest{Benchmarks: []string{"G"}, Sample: 12, Width: 32}
 	var sub SubmitResponse
-	if code := postJSON(t, ts.URL+"/v1/explore", req, &sub); code != http.StatusAccepted {
+	if code := postJSONTraced(t, ts.URL+"/v1/explore", "00-"+traceHex+"-b7ad6b7169203331-01", req, &sub); code != http.StatusAccepted {
 		t.Fatalf("submit returned %d", code)
 	}
 	// An identical request with a different traceparent coalesces.
-	req2 := req
-	req2.TraceParent = "00-ffffffffffffffffffffffffffffffff-b7ad6b7169203331-01"
 	var sub2 SubmitResponse
-	if code := postJSON(t, ts.URL+"/v1/explore", req2, &sub2); code != http.StatusAccepted {
+	if code := postJSONTraced(t, ts.URL+"/v1/explore", "00-ffffffffffffffffffffffffffffffff-b7ad6b7169203331-01", req, &sub2); code != http.StatusAccepted {
 		t.Fatalf("second submit returned %d", code)
 	}
 	if sub2.ID != sub.ID || !sub2.Coalesced {
@@ -132,7 +127,7 @@ func TestTraceParentBodyField(t *testing.T) {
 		t.Fatalf("job finished %s (%s), want done", st.State, st.Error)
 	}
 	if len(st.Spans) == 0 {
-		t.Fatal("body-field traced explore returned no spans")
+		t.Fatal("header-traced explore returned no spans")
 	}
 	names := map[string]bool{}
 	for _, w := range st.Spans {
@@ -145,6 +140,16 @@ func TestTraceParentBodyField(t *testing.T) {
 		if !names[phase] {
 			t.Errorf("traced explore missing %q span (got %v)", phase, names)
 		}
+	}
+
+	var sub3 SubmitResponse
+	body := map[string]any{"benchmarks": []string{"G"}, "sample": 24, "width": 32,
+		"traceparent": "00-" + traceHex + "-b7ad6b7169203331-01"}
+	if code := postJSON(t, ts.URL+"/v1/explore", body, &sub3); code != http.StatusAccepted {
+		t.Fatalf("body-field submit returned %d", code)
+	}
+	if st := waitTerminal(t, ts.URL, sub3.ID, 60*time.Second); st.State != StateDone || len(st.Spans) != 0 {
+		t.Errorf("body-field explore finished %s with %d spans, want done and untraced", st.State, len(st.Spans))
 	}
 }
 
@@ -164,10 +169,9 @@ func TestSpanLimitTruncates(t *testing.T) {
 	if len(st.Spans) != 2 {
 		t.Errorf("got %d spans, want SpanLimit=2", len(st.Spans))
 	}
-	_ = col // dropped-span counter lives on the collector's metrics dump
-	doc := fetchMetrics(t, ts.URL)
-	if doc.Counters["serve.spans_dropped"] <= 0 {
-		t.Errorf("serve.spans_dropped = %d, want > 0", doc.Counters["serve.spans_dropped"])
+	_ = col // dropped-span counter lives on the collector's exposition
+	if n := fetchMetrics(t, ts.URL)["cfp_serve_spans_dropped_total"]; n <= 0 {
+		t.Errorf("cfp_serve_spans_dropped_total = %v, want > 0", n)
 	}
 }
 
@@ -223,64 +227,46 @@ func fetchHealth(t *testing.T, base string) HealthResponse {
 	return h
 }
 
-// TestMetricsContentNegotiation: /metrics answers JSON by default and
-// Prometheus text when asked, and the text parses cleanly.
-func TestMetricsContentNegotiation(t *testing.T) {
+// TestMetricsExposition: /metrics answers the Prometheus text
+// exposition whatever the Accept header says, with the live queue and
+// job gauges, and the text lints.
+func TestMetricsExposition(t *testing.T) {
 	_, ts, _ := newTestServer(t, Options{Workers: 1})
 	var sub SubmitResponse
 	postJSON(t, ts.URL+"/v1/compile", CompileRequest{Bench: "A", Arch: "2 1 64 1 4 1"}, &sub)
 	waitTerminal(t, ts.URL, sub.ID, 30*time.Second)
 
-	// Default: JSON.
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ct := resp.Header.Get("Content-Type")
-	var doc map[string]json.RawMessage
-	err = json.NewDecoder(resp.Body).Decode(&doc)
-	resp.Body.Close()
-	if err != nil || !strings.Contains(ct, "application/json") {
-		t.Fatalf("default /metrics not JSON (ct %q, err %v)", ct, err)
-	}
-
-	// Accept: text/plain → Prometheus exposition.
-	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/metrics", nil)
-	req.Header.Set("Accept", "text/plain")
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "version=0.0.4") {
-		t.Errorf("prometheus content type %q", ct)
-	}
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if err := obs.LintPrometheus(strings.NewReader(out)); err != nil {
-		t.Fatalf("/metrics prometheus output does not lint: %v\n%s", err, out)
-	}
-	for _, want := range []string{
-		"cfp_serve_queue_depth",
-		"cfp_serve_active_workers",
-		"cfp_serve_uptime_seconds",
-		"cfp_serve_jobs_state_done",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("prometheus output missing %q", want)
+	for _, accept := range []string{"", "application/json"} {
+		req, _ := http.NewRequest(http.MethodGet, ts.URL+"/metrics", nil)
+		if accept != "" {
+			req.Header.Set("Accept", accept)
 		}
-	}
-
-	// ?format=prometheus works without the header.
-	resp2, err := http.Get(ts.URL + "/metrics?format=prometheus")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	if ct := resp2.Header.Get("Content-Type"); !strings.Contains(ct, "version=0.0.4") {
-		t.Errorf("?format=prometheus content type %q", ct)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		_, err = buf.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != obs.PrometheusContentType {
+			t.Errorf("Accept %q: content type %q, want %q", accept, ct, obs.PrometheusContentType)
+		}
+		out := buf.String()
+		if err := obs.LintPrometheus(strings.NewReader(out)); err != nil {
+			t.Fatalf("Accept %q: /metrics does not lint: %v\n%s", accept, err, out)
+		}
+		for _, want := range []string{
+			"cfp_serve_queue_depth",
+			"cfp_serve_active_workers",
+			"cfp_serve_uptime_seconds",
+			"cfp_serve_jobs_state_done",
+		} {
+			if !strings.Contains(out, want) {
+				t.Errorf("Accept %q: /metrics missing %q", accept, want)
+			}
+		}
 	}
 }
