@@ -46,6 +46,8 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"log/slog"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -53,7 +55,7 @@ import (
 	"time"
 
 	"customfit/internal/cli"
-	olog "customfit/internal/obs/log"
+	"customfit/internal/obs"
 	"customfit/internal/serve"
 )
 
@@ -84,29 +86,38 @@ func main() {
 		Cache:           cache,
 		MaxJobs:         *maxJobs,
 	})
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	// Bind before logging "listening", so the line names the port
+	// actually bound (-addr :0 picks one) and a taken port logs nothing.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		tool.Fatal(err)
+	}
+	hs := &http.Server{Handler: srv.Handler()}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	go func() {
 		<-ctx.Done()
-		olog.Info("draining").Str("tool", "cfp-serve").Dur("timeout", *drainTimeout).Log()
+		obs.Log().LogAttrs(context.Background(), slog.LevelInfo, "draining",
+			slog.String("tool", "cfp-serve"), slog.Duration("timeout", *drainTimeout))
 		dctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 		defer cancel()
 		// Drain jobs first so held polls are answered as their jobs
 		// end, then close the HTTP side.
 		if err := srv.Shutdown(dctx); err != nil {
-			olog.Warn("drain timeout, jobs cancelled").Str("tool", "cfp-serve").Log()
+			obs.Log().LogAttrs(context.Background(), slog.LevelWarn, "drain timeout, jobs cancelled",
+				slog.String("tool", "cfp-serve"))
 		}
 		hctx, hcancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer hcancel()
 		_ = hs.Shutdown(hctx)
 	}()
 
-	olog.Info("listening").Str("tool", "cfp-serve").Str("addr", "http://"+*addr).
-		Int("workers", int64(*workers)).Int("queue", int64(*queueDepth)).Log()
-	if err := hs.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
+	obs.Log().LogAttrs(ctx, slog.LevelInfo, "listening",
+		slog.String("tool", "cfp-serve"), slog.String("addr", "http://"+ln.Addr().String()),
+		slog.Int("workers", *workers), slog.Int("queue", *queueDepth))
+	if err := hs.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		tool.Fatal(err)
 	}
-	olog.Info("stopped").Str("tool", "cfp-serve").Log()
+	obs.Log().LogAttrs(context.Background(), slog.LevelInfo, "stopped", slog.String("tool", "cfp-serve"))
 }

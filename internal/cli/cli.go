@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof on DefaultServeMux
@@ -24,7 +25,6 @@ import (
 	"customfit/internal/fleetcache"
 	"customfit/internal/machine"
 	"customfit/internal/obs"
-	olog "customfit/internal/obs/log"
 	"customfit/internal/sched"
 )
 
@@ -337,7 +337,7 @@ type Tool struct {
 	OpsN   *int
 
 	// LogFormat and LogLevel hold the -log-format/-log-level values;
-	// Start builds the process-global structured logger from them.
+	// Start installs the process logger (obs.Log) built from them.
 	LogFormat string
 	LogLevel  string
 
@@ -400,12 +400,12 @@ func NewToolOn(fs *flag.FlagSet, name string, opts ...ToolOption) *Tool {
 	return t
 }
 
-// Start brings up everything the parsed flags asked for (telemetry
-// collector, pprof listener). Call after flag.Parse. When -version was
-// given it prints the identity line and exits 0 before starting
-// anything. -cache is validated here, once: everything downstream
-// (CacheConfig.Open, the distributed coordinator) compares the value
-// with "off" and may rely on it being exactly "on" or "off".
+// Start brings up everything the parsed flags asked for (process
+// logger, telemetry collector, pprof listener). Call after flag.Parse.
+// When -version was given it prints the identity line and exits 0
+// before starting anything. -cache is validated here, once: everything
+// downstream (CacheConfig.Open, the distributed coordinator) compares
+// the value with "off" and may rely on it being exactly "on" or "off".
 func (t *Tool) Start() error {
 	if t.version != nil && *t.version {
 		fmt.Println(VersionString(t.Name))
@@ -414,11 +414,19 @@ func (t *Tool) Start() error {
 	if c := t.CacheCfg; c != nil && c.Mode != "on" && c.Mode != "off" {
 		return fmt.Errorf(`cli: -cache=%q: want "on" or "off"`, c.Mode)
 	}
-	lg, err := olog.Setup(os.Stderr, t.LogFormat, t.LogLevel)
-	if err != nil {
-		return fmt.Errorf("cli: %w", err)
+	var lvl slog.Level
+	if err := lvl.UnmarshalText([]byte(t.LogLevel)); err != nil {
+		return fmt.Errorf("cli: log level %q: %w", t.LogLevel, err)
 	}
-	olog.Install(lg)
+	opts := &slog.HandlerOptions{Level: lvl}
+	switch strings.ToLower(t.LogFormat) {
+	case "", "text":
+		obs.SetLogger(slog.New(slog.NewTextHandler(os.Stderr, opts)))
+	case "json":
+		obs.SetLogger(slog.New(slog.NewJSONHandler(os.Stderr, opts)))
+	default:
+		return fmt.Errorf("cli: log format %q: want text or json", t.LogFormat)
+	}
 	return t.Telemetry.Start()
 }
 

@@ -2,9 +2,11 @@ package cli
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -12,6 +14,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"customfit/internal/machine"
 	"customfit/internal/obs"
@@ -209,6 +212,97 @@ func TestCacheModeValidated(t *testing.T) {
 		}
 		if err == nil || !strings.Contains(err.Error(), `"on"`) || !strings.Contains(err.Error(), `"off"`) {
 			t.Errorf("-cache=%q: Start error %v, want one naming \"on\" and \"off\"", tc.mode, err)
+		}
+	}
+}
+
+// startLogged runs Start on a tool given args, with stderr, where the
+// process logger writes, redirected to a file whose path it returns.
+// The logger stays installed until the test ends.
+func startLogged(t *testing.T, args ...string) (string, error) {
+	t.Helper()
+	fs := flag.NewFlagSet("log", flag.ContinueOnError)
+	tool := NewToolOn(fs, "log")
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "stderr")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stderr := os.Stderr
+	os.Stderr = f
+	t.Cleanup(func() {
+		obs.SetLogger(nil)
+		_ = f.Close()
+	})
+	err = tool.Start()
+	os.Stderr = stderr
+	tool.Close()
+	return path, err
+}
+
+// TestLogFlagsTextAndLevels: the default -log-format writes key=value
+// text, and -log-level drops the lines below it.
+func TestLogFlagsTextAndLevels(t *testing.T) {
+	path, err := startLogged(t, "-log-level", "warn")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	obs.Log().LogAttrs(ctx, slog.LevelInfo, "dropped", slog.String("k", "v"))
+	obs.Log().LogAttrs(ctx, slog.LevelWarn, "kept", slog.Int("n", 7))
+	out, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(out, []byte("dropped")) {
+		t.Errorf("info line written at warn level:\n%s", out)
+	}
+	if !bytes.Contains(out, []byte("level=WARN msg=kept n=7\n")) {
+		t.Errorf("warn line missing or not text:\n%s", out)
+	}
+}
+
+// TestLogFlagsJSON: -log-format json (in any case) writes one JSON
+// object per line with every attribute.
+func TestLogFlagsJSON(t *testing.T) {
+	path, err := startLogged(t, "-log-format", "JSON", "-log-level", "debug")
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs.Log().LogAttrs(context.Background(), slog.LevelDebug, "shard dispatched",
+		slog.String("job", "j-42"), slog.Int("archs", 96),
+		slog.Duration("dur", 1500*time.Millisecond), slog.String("err", "boom"))
+	out, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec map[string]any
+	if err := json.Unmarshal(out, &rec); err != nil {
+		t.Fatalf("not one JSON line: %v\n%s", err, out)
+	}
+	if rec["level"] != "DEBUG" || rec["msg"] != "shard dispatched" || rec["job"] != "j-42" ||
+		rec["archs"] != float64(96) || rec["dur"] != float64(1.5e9) || rec["err"] != "boom" {
+		t.Errorf("JSON record missing attrs: %v", rec)
+	}
+}
+
+// TestLogFlagsRejectBadConfig: Start refuses any other format or level
+// with the error text the flags have always had, the level checked
+// first.
+func TestLogFlagsRejectBadConfig(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-log-format", "yaml"}, `cli: log format "yaml": want text or json`},
+		{[]string{"-log-level", "loud"}, `cli: log level "loud": slog: level string "loud": unknown name`},
+		{[]string{"-log-format", "yaml", "-log-level", "loud"}, `cli: log level "loud": slog: level string "loud": unknown name`},
+	} {
+		if _, err := startLogged(t, tc.args...); err == nil || err.Error() != tc.want {
+			t.Errorf("Start with %v: error %v, want %s", tc.args, err, tc.want)
 		}
 	}
 }

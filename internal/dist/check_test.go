@@ -72,7 +72,7 @@ func TestMisorderedShardIsRetried(t *testing.T) {
 	opts.Benchmarks = benchesByName("G")
 	opts.Sample = 24
 	opts.Width = 32
-	opts.HedgeAfter = -1
+	opts.hedgeAfter = -1
 	got, err := Explore(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)

@@ -31,6 +31,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"math/rand"
 	"net/http"
 	"sort"
@@ -42,7 +43,6 @@ import (
 	"customfit/internal/dse"
 	"customfit/internal/machine"
 	"customfit/internal/obs"
-	olog "customfit/internal/obs/log"
 	"customfit/internal/sched"
 	"customfit/internal/serve"
 )
@@ -68,16 +68,16 @@ type Options struct {
 	Sample int
 	// Width is the reference workload width (default 96).
 	Width int
-	// MaxRetries bounds per-shard redispatch attempts (default 4);
+	// maxRetries bounds per-shard redispatch attempts (default 4);
 	// exceeding it fails the whole exploration.
-	MaxRetries int
+	maxRetries int
 	// RetryBackoff is the base backoff before a shard retry (default
 	// 500ms), doubled per retry with ±50% jitter.
 	RetryBackoff time.Duration
-	// HedgeAfter is how long a shard may run with the rest of the fleet
+	// hedgeAfter is how long a shard may run with the rest of the fleet
 	// idle before it is duplicated on another worker (default 30s;
 	// negative disables hedging).
-	HedgeAfter time.Duration
+	hedgeAfter time.Duration
 	// PollInterval is the longest a worker is asked to hold a job-status
 	// poll before answering that the shard still runs (a worker that
 	// holds answers the moment it ends), and the polling period against
@@ -102,14 +102,14 @@ func (o *Options) withDefaults() Options {
 	if out.Width <= 0 {
 		out.Width = 96
 	}
-	if out.MaxRetries <= 0 {
-		out.MaxRetries = 4
+	if out.maxRetries <= 0 {
+		out.maxRetries = 4
 	}
 	if out.RetryBackoff <= 0 {
 		out.RetryBackoff = 500 * time.Millisecond
 	}
-	if out.HedgeAfter == 0 {
-		out.HedgeAfter = 30 * time.Second
+	if out.hedgeAfter == 0 {
+		out.hedgeAfter = 30 * time.Second
 	}
 	if out.PollInterval <= 0 {
 		out.PollInterval = 200 * time.Millisecond
@@ -230,10 +230,10 @@ func Explore(ctx context.Context, opts Options) (*dse.Results, error) {
 	units := partitionUnits(grid, benches, capacity*shardsPerWorker)
 	obs.GetCounter("dist.shards").Add(int64(len(units)))
 	sp.Int("workers", int64(len(fleet))).Int("shards", int64(len(units))).Int("archs", int64(len(grid)))
-	olog.Info("distributed exploration starting").
-		Int("workers", int64(len(fleet))).Int("shards", int64(len(units))).
-		Int("archs", int64(len(grid))).
-		Str("trace", sp.Context().Trace.String()).Log()
+	obs.Log().LogAttrs(ctx, slog.LevelInfo, "distributed exploration starting",
+		slog.Int("workers", len(fleet)), slog.Int("shards", len(units)),
+		slog.Int("archs", len(grid)),
+		slog.String("trace", sp.Context().Trace.String()))
 
 	var opsWire []string
 	if opSet != nil {
@@ -278,9 +278,9 @@ func admitFleet(ctx context.Context, cl *client, urls []string) ([]*workerState,
 			capacity = 1
 		}
 		load := h.Queued + h.Running
-		olog.Debug("worker admitted").
-			Str("worker", url).Int("capacity", int64(capacity)).
-			Int("load", int64(load)).Log()
+		obs.Log().LogAttrs(ctx, slog.LevelDebug, "worker admitted",
+			slog.String("worker", url), slog.Int("capacity", capacity),
+			slog.Int("load", load))
 		fleet = append(fleet, &workerState{url: url, capacity: capacity, load: load})
 	}
 	// Idle-first: dispatch picks the first free worker, so ordering the
@@ -329,8 +329,8 @@ func (c *coordinator) run(ctx context.Context) (*dse.Results, error) {
 
 	c.pending = append(c.pending, c.units...)
 
-	tick := c.opts.HedgeAfter / 4
-	if tick <= 0 || c.opts.HedgeAfter < 0 {
+	tick := c.opts.hedgeAfter / 4
+	if tick <= 0 || c.opts.hedgeAfter < 0 {
 		tick = time.Second
 	}
 	if tick < c.opts.PollInterval {
@@ -521,14 +521,14 @@ func (c *coordinator) handle(oc outcome) error {
 	}
 
 	// Retryable failure: penalize the worker, then retry or hedge-absorb.
-	olog.Warn("shard attempt failed").
-		Int("shard", int64(u.id)).Str("bench", u.bench).
-		Str("worker", w.url).Err(oc.err).Log()
+	obs.Log().LogAttrs(context.Background(), slog.LevelWarn, "shard attempt failed",
+		slog.Int("shard", u.id), slog.String("bench", u.bench),
+		slog.String("worker", w.url), slog.String("err", oc.err.Error()))
 	if w.fails++; w.fails >= 2 && !w.dead {
 		w.dead = true
 		obs.GetCounter("dist.worker_failures").Inc()
-		olog.Warn("worker removed from rotation").
-			Str("worker", w.url).Int("consecutive_failures", int64(w.fails)).Log()
+		obs.Log().LogAttrs(context.Background(), slog.LevelWarn, "worker removed from rotation",
+			slog.String("worker", w.url), slog.Int("consecutive_failures", w.fails))
 	}
 	if u.done || len(u.attempts) > 0 {
 		// A sibling attempt already finished the unit or is still
@@ -537,12 +537,12 @@ func (c *coordinator) handle(oc outcome) error {
 	}
 	u.retries++
 	obs.GetCounter("dist.retries").Inc()
-	if u.retries > c.opts.MaxRetries {
+	if u.retries > c.opts.maxRetries {
 		return fmt.Errorf("dist: shard %d (%s, %d archs) failed %d times, giving up: %w",
 			u.id, u.bench, len(u.tuples), u.retries, oc.err)
 	}
-	olog.Info("shard retry scheduled").
-		Int("shard", int64(u.id)).Int("retry", int64(u.retries)).Log()
+	obs.Log().LogAttrs(context.Background(), slog.LevelInfo, "shard retry scheduled",
+		slog.Int("shard", u.id), slog.Int("retry", u.retries))
 	// Exponential backoff with ±50% jitter, off the loop goroutine.
 	delay := c.opts.RetryBackoff << (u.retries - 1)
 	delay = time.Duration(float64(delay) * (0.5 + c.rng.Float64()))
@@ -584,7 +584,7 @@ func (c *coordinator) check(u *unit, res *dse.Results) error {
 // worker) must not hold the whole run hostage. One hedge per unit;
 // first result wins and the loser is cancelled.
 func (c *coordinator) maybeHedge(ctx context.Context) {
-	if c.opts.HedgeAfter < 0 || len(c.pending) > 0 {
+	if c.opts.hedgeAfter < 0 || len(c.pending) > 0 {
 		return
 	}
 	var oldest *attempt
@@ -593,7 +593,7 @@ func (c *coordinator) maybeHedge(ctx context.Context) {
 			continue
 		}
 		for _, a := range u.attempts {
-			if time.Since(a.start) >= c.opts.HedgeAfter && (oldest == nil || a.start.Before(oldest.start)) {
+			if time.Since(a.start) >= c.opts.hedgeAfter && (oldest == nil || a.start.Before(oldest.start)) {
 				oldest = a
 			}
 		}
@@ -607,10 +607,10 @@ func (c *coordinator) maybeHedge(ctx context.Context) {
 	}
 	oldest.u.hedged = true
 	obs.GetCounter("dist.hedges").Inc()
-	olog.Info("hedging straggler shard").
-		Int("shard", int64(oldest.u.id)).
-		Str("slow_worker", oldest.worker.url).Str("hedge_worker", w.url).
-		Dur("running_for", time.Since(oldest.start)).Log()
+	obs.Log().LogAttrs(ctx, slog.LevelInfo, "hedging straggler shard",
+		slog.Int("shard", oldest.u.id),
+		slog.String("slow_worker", oldest.worker.url), slog.String("hedge_worker", w.url),
+		slog.Duration("running_for", time.Since(oldest.start)))
 	c.launch(ctx, oldest.u, w)
 }
 

@@ -195,7 +195,7 @@ func TestWorkerDiesMidShard(t *testing.T) {
 	opts.Benchmarks = benchesByName("G")
 	opts.Sample = 24
 	opts.Width = 32
-	opts.MaxRetries = 6
+	opts.maxRetries = 6
 	got, err := Explore(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -277,7 +277,7 @@ func TestHedgeStraggler(t *testing.T) {
 	opts.Benchmarks = benchesByName("G")
 	opts.Sample = 24
 	opts.Width = 32
-	opts.HedgeAfter = time.Millisecond
+	opts.hedgeAfter = time.Millisecond
 	got, err := Explore(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)

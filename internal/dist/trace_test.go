@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -212,12 +213,18 @@ func TestMergedTraceOneFleetOneTrace(t *testing.T) {
 
 // TestFleetSmokeArtifacts drives an in-process fleet sharing a cache
 // hub — a cold pass, then a warm pass on a fresh worker that must be
-// served from the fleet tier — and writes the merged Chrome trace plus
-// a Prometheus scrape as files: to $CFP_SMOKE_ARTIFACT_DIR when set
-// (CI uploads them as build artifacts), else a test temp dir,
-// validating both on the way out.
+// served from the fleet tier — and writes the merged Chrome trace, a
+// Prometheus scrape and the JSON log lines as files: to
+// $CFP_SMOKE_ARTIFACT_DIR when set (CI uploads them as build
+// artifacts), else a test temp dir, validating all three on the way
+// out. The log must join to the trace (docs/OBSERVABILITY.md,
+// "Correlated logging"): each pass's starting line and every shard
+// job's finished line carry that pass's dist.explore trace ID.
 func TestFleetSmokeArtifacts(t *testing.T) {
 	col := installCollector(t)
+	logs := &syncBuffer{}
+	obs.SetLogger(slog.New(slog.NewJSONHandler(logs, &slog.HandlerOptions{Level: slog.LevelDebug})))
+	t.Cleanup(func() { obs.SetLogger(nil) })
 	hubCache, err := evcache.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -234,6 +241,7 @@ func TestFleetSmokeArtifacts(t *testing.T) {
 		t.Fatal(err)
 	}
 	cA.SyncRemote()
+	passes := []obs.TraceID{exploreTrace(t, col, nil)}
 
 	// Warm pass on a worker that has never computed anything: its only
 	// source is the fleet tier, so the scrape must show net-cache hits.
@@ -245,6 +253,7 @@ func TestFleetSmokeArtifacts(t *testing.T) {
 	if _, err := Explore(context.Background(), warm); err != nil {
 		t.Fatal(err)
 	}
+	passes = append(passes, exploreTrace(t, col, passes))
 
 	dir := os.Getenv("CFP_SMOKE_ARTIFACT_DIR")
 	if dir == "" {
@@ -292,6 +301,138 @@ func TestFleetSmokeArtifacts(t *testing.T) {
 	if hits := promValue(t, string(pd), "cfp_evcache_net_hits_total"); hits <= 0 {
 		t.Errorf("cfp_evcache_net_hits_total = %g after the warm-fleet pass, want > 0", hits)
 	}
+
+	// A worker logs "job finished" after the status the coordinator
+	// reads says done, so wait for each pass's lines before the file is
+	// written.
+	for i, trace := range passes {
+		deadline := time.Now().Add(10 * time.Second)
+		for !checkPassLog(logs.lines(), trace.String(), nil) && time.Now().Before(deadline) {
+			time.Sleep(5 * time.Millisecond)
+		}
+		checkPassLog(logs.lines(), trace.String(), func(format string, args ...any) {
+			t.Errorf("pass %d: "+format, append([]any{i + 1}, args...)...)
+		})
+	}
+	logPath := filepath.Join(dir, "fleet-log.jsonl")
+	if err := os.WriteFile(logPath, logs.bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// exploreTrace returns the trace ID of the one dist.explore span in
+// col's events whose trace is not among seen.
+func exploreTrace(t *testing.T, col *obs.Collector, seen []obs.TraceID) obs.TraceID {
+	t.Helper()
+	var found []obs.TraceID
+	for _, e := range col.Events() {
+		if e.Name == "dist.explore" && !slices.Contains(seen, e.Trace) {
+			found = append(found, e.Trace)
+		}
+	}
+	if len(found) != 1 {
+		t.Fatalf("%d new dist.explore spans, want 1", len(found))
+	}
+	return found[0]
+}
+
+// checkPassLog reports whether lines hold one exploration's log under
+// trace: exactly one "distributed exploration starting" line, and a
+// "job finished" line with state=done for each of its shards, each
+// with its keys in the order the log has always written them. Lines of
+// other traces are ignored, since other tests share the process
+// logger. With report non-nil, each way the log falls short is
+// reported through it.
+func checkPassLog(lines []logLine, trace string, report func(format string, args ...any)) bool {
+	if report == nil {
+		report = func(string, ...any) {}
+	}
+	keyOrder := map[string][]string{
+		"distributed exploration starting": {"time", "level", "msg", "workers", "shards", "archs", "trace"},
+		"job finished":                     {"time", "level", "msg", "job", "kind", "state", "dur", "trace"},
+	}
+	var starts, done int
+	shards := -1
+	ok := true
+	for _, l := range lines {
+		msg, _ := l.rec["msg"].(string)
+		if l.rec["trace"] != trace || keyOrder[msg] == nil {
+			continue
+		}
+		if !slices.Equal(l.keys, keyOrder[msg]) {
+			report("%q line has keys %v, want %v", msg, l.keys, keyOrder[msg])
+			ok = false
+		}
+		if msg == "distributed exploration starting" {
+			starts++
+			if n, isNum := l.rec["shards"].(float64); isNum {
+				shards = int(n)
+			}
+			continue
+		}
+		if l.rec["state"] != "done" || l.rec["kind"] != "explore" {
+			report("job finished line %v, want kind=explore state=done", l.rec)
+			ok = false
+		}
+		done++
+	}
+	if starts != 1 {
+		report("%d \"distributed exploration starting\" lines with trace %s, want 1", starts, trace)
+		return false
+	}
+	if shards < 1 || done != shards {
+		report("%d \"job finished\" lines with trace %s, want one per shard (%d)", done, trace, shards)
+		return false
+	}
+	return ok
+}
+
+// logLine is one JSON log line: its members, and their keys in the
+// order the line wrote them.
+type logLine struct {
+	rec  map[string]any
+	keys []string
+}
+
+// syncBuffer is an io.Writer the process logger may write from any
+// goroutine while the test reads it.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) bytes() []byte {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return slices.Clone(b.buf.Bytes())
+}
+
+// lines decodes the buffer as JSON lines; a line that does not decode
+// as one object is dropped, which no check can mistake for a match.
+func (b *syncBuffer) lines() []logLine {
+	var out []logLine
+	for _, line := range bytes.Split(b.bytes(), []byte("\n")) {
+		var l logLine
+		if json.Unmarshal(line, &l.rec) != nil {
+			continue
+		}
+		dec := json.NewDecoder(bytes.NewReader(line))
+		_, _ = dec.Token() // the opening brace
+		for dec.More() {
+			key, _ := dec.Token()
+			l.keys = append(l.keys, key.(string))
+			var skip json.RawMessage
+			_ = dec.Decode(&skip)
+		}
+		out = append(out, l)
+	}
+	return out
 }
 
 // promValue extracts a sample value from a Prometheus exposition dump.

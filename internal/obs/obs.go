@@ -5,6 +5,11 @@
 // Prometheus text exposition (see docs/OBSERVABILITY.md for the span
 // taxonomy and metric names).
 //
+// The package also holds the process logger, a log/slog logger beside
+// the collector (Log, SetLogger): until a tool installs one, every line
+// is discarded. Call sites use Logger.LogAttrs with typed attributes,
+// which builds nothing when the level is off.
+//
 // Collection is off by default. Until Install is called every entry
 // point takes the nil-sink fast path: StartSpan returns a nil *Span,
 // GetCounter/GetHistogram return nil, and every method is nil-receiver
@@ -14,6 +19,8 @@
 package obs
 
 import (
+	"io"
+	"log/slog"
 	"math"
 	"sort"
 	"sync"
@@ -35,6 +42,24 @@ func Active() *Collector { return active.Load() }
 
 // Enabled reports whether a collector is installed.
 func Enabled() bool { return active.Load() != nil }
+
+// logger is the installed process logger; nil means discard.
+var logger atomic.Pointer[slog.Logger]
+
+// discard is Log's answer until a logger is installed: no level is
+// enabled, so LogAttrs returns before it builds a record.
+var discard = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(math.MaxInt)}))
+
+// SetLogger sets the process logger. SetLogger(nil) discards again.
+func SetLogger(l *slog.Logger) { logger.Store(l) }
+
+// Log returns the process logger, or one that discards every line.
+func Log() *slog.Logger {
+	if l := logger.Load(); l != nil {
+		return l
+	}
+	return discard
+}
 
 // Collector accumulates spans and metrics for one process (or test).
 type Collector struct {

@@ -3,11 +3,11 @@ package obs
 import (
 	"context"
 	"errors"
+	"io"
+	"log/slog"
 	"sync"
 	"testing"
 	"time"
-
-	olog "customfit/internal/obs/log"
 )
 
 // install swaps in a fresh collector and restores the disabled state
@@ -176,21 +176,45 @@ func TestDisabledPathAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestDisabledLoggingAllocatesNothing pins the nil-logger fast path of
-// obs/log: with no logger installed, a full builder chain must not
-// allocate (the builder API exists precisely to dodge the variadic
-// backing array slog's own call shape would force).
+// TestDisabledLoggingAllocatesNothing pins the discarding logger Log
+// returns until one is installed: the call shapes the serve and dist
+// sites use, typed attributes through LogAttrs and the Enabled guard
+// around a conditional attribute, must not allocate.
 func TestDisabledLoggingAllocatesNothing(t *testing.T) {
-	olog.Install(nil)
+	SetLogger(nil)
+	ctx := context.Background()
 	err := errForAllocTest
 	allocs := testing.AllocsPerRun(1000, func() {
-		olog.Info("job finished").Str("job", "j-1").Int("n", 3).
-			Float("ratio", 0.5).Dur("dur", time.Second).Err(err).Log()
-		olog.Debug("detail").Str("k", "v").Log()
-		olog.Default().Warn("w").Log()
+		Log().LogAttrs(ctx, slog.LevelInfo, "distributed exploration starting",
+			slog.Int("workers", 2), slog.Int("shards", 6), slog.String("trace", "t"))
+		Log().LogAttrs(ctx, slog.LevelDebug, "worker admitted", slog.String("worker", "w"))
+		Log().LogAttrs(ctx, slog.LevelWarn, "draining", slog.Duration("timeout", time.Second))
+		if lg := Log(); lg.Enabled(ctx, slog.LevelInfo) {
+			attrs := []slog.Attr{slog.String("job", "j-1"), slog.Duration("dur", time.Second)}
+			if err != nil {
+				attrs = append(attrs, slog.String("err", err.Error()))
+			}
+			lg.LogAttrs(ctx, slog.LevelInfo, "job finished", attrs...)
+		}
 	})
 	if allocs != 0 {
 		t.Errorf("disabled logging allocates %.1f per op, want 0", allocs)
+	}
+}
+
+// TestSetLogger: Log answers the installed logger, and SetLogger(nil)
+// goes back to discarding at every level.
+func TestSetLogger(t *testing.T) {
+	l := slog.New(slog.NewTextHandler(io.Discard, nil))
+	SetLogger(l)
+	if Log() != l {
+		t.Error("Log does not return the installed logger")
+	}
+	SetLogger(nil)
+	for _, lv := range []slog.Level{slog.LevelDebug, slog.LevelError, slog.Level(1 << 20)} {
+		if Log().Enabled(context.Background(), lv) {
+			t.Errorf("after SetLogger(nil), level %v is enabled", lv)
+		}
 	}
 }
 

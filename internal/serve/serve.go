@@ -28,6 +28,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	"strconv"
@@ -38,7 +39,6 @@ import (
 	"customfit/internal/evcache"
 	"customfit/internal/fleetcache"
 	"customfit/internal/obs"
-	olog "customfit/internal/obs/log"
 	"customfit/internal/sched"
 )
 
@@ -69,9 +69,9 @@ type Options struct {
 	// installing a fresh one if none is active (a server wants its
 	// counters even when the operator asked for no -metrics file).
 	Collector *obs.Collector
-	// SpanLimit bounds the spans returned per traced job (default
+	// spanLimit bounds the spans returned per traced job (default
 	// 16384); overflow is dropped and counted on serve.spans_dropped.
-	SpanLimit int
+	spanLimit int
 }
 
 // Server is the exploration service. Create with New, expose via
@@ -107,8 +107,8 @@ func New(opts Options) *Server {
 	if opts.MaxJobs <= 0 {
 		opts.MaxJobs = 256
 	}
-	if opts.SpanLimit <= 0 {
-		opts.SpanLimit = 16384
+	if opts.spanLimit <= 0 {
+		opts.spanLimit = 16384
 	}
 	col := opts.Collector
 	if col == nil {
@@ -161,7 +161,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.draining = true
 	s.mu.Unlock()
-	olog.Info("draining").Log()
+	obs.Log().LogAttrs(ctx, slog.LevelInfo, "draining")
 	s.closeOnce.Do(func() { close(s.queue) })
 	done := make(chan struct{})
 	go func() {
@@ -211,9 +211,9 @@ func (s *Server) runJob(j *Job) {
 	sp.End()
 	evs := sp.TakeSubtree()
 	if j.remote.Valid() && len(evs) > 0 {
-		if len(evs) > s.opts.SpanLimit {
-			obs.GetCounter("serve.spans_dropped").Add(int64(len(evs) - s.opts.SpanLimit))
-			evs = evs[:s.opts.SpanLimit]
+		if len(evs) > s.opts.spanLimit {
+			obs.GetCounter("serve.spans_dropped").Add(int64(len(evs) - s.opts.spanLimit))
+			evs = evs[:s.opts.spanLimit]
 		}
 		j.setSpans(obs.ToWire(evs))
 	}
@@ -234,11 +234,17 @@ func (s *Server) runJob(j *Job) {
 		j.finish(StateFailed, nil, err.Error())
 		obs.GetCounter("serve.jobs_failed").Inc()
 	}
-	olog.Info("job finished").
-		Str("job", j.ID).Str("kind", j.Kind).Str("state", string(state)).
-		Dur("dur", time.Since(start)).
-		Str("trace", sp.Context().Trace.String()).
-		Err(err).Log()
+	if lg := obs.Log(); lg.Enabled(j.ctx, slog.LevelInfo) {
+		attrs := []slog.Attr{
+			slog.String("job", j.ID), slog.String("kind", j.Kind), slog.String("state", string(state)),
+			slog.Duration("dur", time.Since(start)),
+			slog.String("trace", sp.Context().Trace.String()),
+		}
+		if err != nil {
+			attrs = append(attrs, slog.String("err", err.Error()))
+		}
+		lg.LogAttrs(j.ctx, slog.LevelInfo, "job finished", attrs...)
+	}
 }
 
 // sized returns b in a buffer of its own length when the one it came in
@@ -312,7 +318,8 @@ func (s *Server) submit(kind, coalesceKey string, remote obs.SpanContext, run fu
 		s.mu.Unlock()
 		cancel()
 		obs.GetCounter("serve.queue_rejects").Inc()
-		olog.Warn("queue full, job rejected").Str("kind", kind).Log()
+		obs.Log().LogAttrs(context.Background(), slog.LevelWarn, "queue full, job rejected",
+			slog.String("kind", kind))
 		return nil, false, errQueueFull
 	}
 	s.jobs[id] = j
@@ -323,9 +330,9 @@ func (s *Server) submit(kind, coalesceKey string, remote obs.SpanContext, run fu
 	s.evictLocked()
 	s.mu.Unlock()
 	obs.GetCounter("serve.jobs_submitted").Inc()
-	olog.Debug("job accepted").
-		Str("job", id).Str("kind", kind).
-		Str("trace", remote.Trace.String()).Log()
+	obs.Log().LogAttrs(context.Background(), slog.LevelDebug, "job accepted",
+		slog.String("job", id), slog.String("kind", kind),
+		slog.String("trace", remote.Trace.String()))
 	return j, false, nil
 }
 
@@ -513,7 +520,6 @@ func (s *Server) setLiveGauges() {
 	c := s.collector
 	c.SetGauge("serve.queue_depth", float64(len(s.queue)))
 	c.SetGauge("serve.worker_capacity", float64(s.opts.Workers))
-	c.SetGauge("serve.active_workers", float64(counts[StateRunning]))
 	c.SetGauge("serve.jobs_state_queued", float64(counts[StateQueued]))
 	c.SetGauge("serve.jobs_state_running", float64(counts[StateRunning]))
 	c.SetGauge("serve.jobs_state_done", float64(counts[StateDone]))

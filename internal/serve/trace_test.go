@@ -153,9 +153,9 @@ func TestTraceParentHeaderOnExplore(t *testing.T) {
 	}
 }
 
-// TestSpanLimitTruncates: a tiny SpanLimit drops overflow and counts it.
+// TestSpanLimitTruncates: a tiny spanLimit drops overflow and counts it.
 func TestSpanLimitTruncates(t *testing.T) {
-	_, ts, col := newTestServer(t, Options{Workers: 1, SpanLimit: 2})
+	_, ts, col := newTestServer(t, Options{Workers: 1, spanLimit: 2})
 	tp := "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
 	var sub SubmitResponse
 	if code := postJSONTraced(t, ts.URL+"/v1/compile", tp,
@@ -167,7 +167,7 @@ func TestSpanLimitTruncates(t *testing.T) {
 		t.Fatalf("job finished %s, want done", st.State)
 	}
 	if len(st.Spans) != 2 {
-		t.Errorf("got %d spans, want SpanLimit=2", len(st.Spans))
+		t.Errorf("got %d spans, want spanLimit=2", len(st.Spans))
 	}
 	_ = col // dropped-span counter lives on the collector's exposition
 	if n := fetchMetrics(t, ts.URL)["cfp_serve_spans_dropped_total"]; n <= 0 {
@@ -260,7 +260,6 @@ func TestMetricsExposition(t *testing.T) {
 		}
 		for _, want := range []string{
 			"cfp_serve_queue_depth",
-			"cfp_serve_active_workers",
 			"cfp_serve_uptime_seconds",
 			"cfp_serve_jobs_state_done",
 		} {
