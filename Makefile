@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet staticcheck race check bench bench-smoke bench-module bench-diff fuzz-smoke loc
+.PHONY: build test vet staticcheck race check cells bench bench-smoke bench-module bench-diff fuzz-smoke loc
 
 build:
 	$(GO) build ./...
@@ -103,6 +103,17 @@ fuzz-smoke:
 # benchmark module's own vet and tests and the fuzz smoke (see
 # ROADMAP.md).
 check: build vet staticcheck test race bench-smoke bench-module fuzz-smoke
+
+# Every shipped cell runs: each non-failed cell of results_full.json
+# (8 380) is compiled at its stored unroll factor, run through the
+# physical register assignment on the reference workload and held to
+# the golden model's outputs, its stored cycles and its stored spills
+# (TestAllShippedCellsRun, behind the `cells` build tag so tier 1 runs
+# only its 198-cell slice, TestShippedCellsRun). About half a minute at
+# 2 procs. Not part of `make check`; CI runs it right after.
+cells:
+	$(GO) vet -tags cells .
+	$(GO) test -tags cells -run '^TestAllShippedCellsRun$$' -v -timeout 20m .
 
 # Measure the thirteen layer benchmarks nothing else isolates and record
 # them, with the environment they ran in, as the trajectory document

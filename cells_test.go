@@ -7,6 +7,7 @@ import (
 
 	"customfit/internal/bench"
 	"customfit/internal/core"
+	"customfit/internal/dse"
 	"customfit/internal/dse/dsetest"
 )
 
@@ -17,7 +18,8 @@ import (
 // seed, it compiles the kernel for the cell's machine at the stored
 // unroll factor, runs it on the reference workload through the physical
 // register assignment, and requires the golden model's outputs, the
-// stored cycle count and the stored spill count.
+// stored cycle count and the stored spill count (checkCell). Every cell
+// is TestAllShippedCellsRun's, behind `make cells`.
 func TestShippedCellsRun(t *testing.T) {
 	const perBench = 18
 	res := dsetest.Shipped(t)
@@ -39,38 +41,51 @@ func TestShippedCellsRun(t *testing.T) {
 		}
 		rng.Shuffle(len(cells), func(i, j int) { cells[i], cells[j] = cells[j], cells[i] })
 		for _, i := range cells[:min(perBench, len(cells))] {
-			ev := res.Eval[name][i]
-			c, err := k.Compile(ev.Arch, ev.Unroll)
-			if err != nil {
-				t.Errorf("%s on %v at unroll %d: %v", name, ev.Arch, ev.Unroll, err)
-				continue
-			}
-			tc := b.NewCase(96, 1)
-			want := tc.Golden()
-			st, err := c.RunPhysical(tc.Args, tc.Mem)
-			if err != nil {
-				t.Errorf("%s on %v at unroll %d: %v", name, ev.Arch, ev.Unroll, err)
-				continue
-			}
-			for _, out := range tc.Outputs {
-				got, exp := tc.Mem[out], want[out]
-				if !slices.Equal(got, exp) {
-					at := 0
-					for at < min(len(got), len(exp)) && got[at] == exp[at] {
-						at++
-					}
-					t.Errorf("%s on %v at unroll %d: output %s differs from the golden model first at index %d",
-						name, ev.Arch, ev.Unroll, out, at)
-				}
-			}
-			if st.Cycles != ev.Cycles {
-				t.Errorf("%s on %v at unroll %d: simulated %d cycles, results_full.json holds %d",
-					name, ev.Arch, ev.Unroll, st.Cycles, ev.Cycles)
-			}
-			if c.Spilled != ev.Spilled {
-				t.Errorf("%s on %v at unroll %d: compiled with %d registers spilled, results_full.json holds %d",
-					name, ev.Arch, ev.Unroll, c.Spilled, ev.Spilled)
-			}
+			checkCell(t, k, b, res.Eval[name][i])
 		}
 	}
+}
+
+// checkCell runs one shipped cell: it compiles k, benchmark b's kernel,
+// for ev's machine at ev's unroll factor, runs it on the reference
+// workload through the physical register assignment, and requires the
+// golden model's outputs, ev's cycle count and ev's spill count. It
+// reports whether the cell held; a cell that does not says why on t.
+func checkCell(t *testing.T, k *core.Kernel, b *bench.Benchmark, ev dse.Evaluation) bool {
+	c, err := k.Compile(ev.Arch, ev.Unroll)
+	if err != nil {
+		t.Errorf("%s on %v at unroll %d: %v", b.Name, ev.Arch, ev.Unroll, err)
+		return false
+	}
+	tc := b.NewCase(96, 1)
+	want := tc.Golden()
+	st, err := c.RunPhysical(tc.Args, tc.Mem)
+	if err != nil {
+		t.Errorf("%s on %v at unroll %d: %v", b.Name, ev.Arch, ev.Unroll, err)
+		return false
+	}
+	ok := true
+	for _, out := range tc.Outputs {
+		got, exp := tc.Mem[out], want[out]
+		if !slices.Equal(got, exp) {
+			at := 0
+			for at < min(len(got), len(exp)) && got[at] == exp[at] {
+				at++
+			}
+			t.Errorf("%s on %v at unroll %d: output %s differs from the golden model first at index %d",
+				b.Name, ev.Arch, ev.Unroll, out, at)
+			ok = false
+		}
+	}
+	if st.Cycles != ev.Cycles {
+		t.Errorf("%s on %v at unroll %d: simulated %d cycles, results_full.json holds %d",
+			b.Name, ev.Arch, ev.Unroll, st.Cycles, ev.Cycles)
+		ok = false
+	}
+	if c.Spilled != ev.Spilled {
+		t.Errorf("%s on %v at unroll %d: compiled with %d registers spilled, results_full.json holds %d",
+			b.Name, ev.Arch, ev.Unroll, c.Spilled, ev.Spilled)
+		ok = false
+	}
+	return ok
 }

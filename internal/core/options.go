@@ -176,7 +176,7 @@ func CustomFitCtx(ctx context.Context, opts FitOptions) (*FitResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return pickBest(res, opts.Benchmarks, opts.CostCap, opts.Range)
+	return pickBest(res, opts.CostCap, opts.Range)
 }
 
 // SearchOptions configures a search-strategy comparison (the paper's
@@ -273,37 +273,15 @@ func SearchCompare(ctx context.Context, opts SearchOptions) (out []search.Result
 	return out, nil
 }
 
-// feasible calls yield, in grid order, for every architecture under the
-// cost cap on which every target benchmark compiled, with its mean
-// speedup over those benchmarks.
-func feasible(res *dse.Results, benchmarks []*bench.Benchmark, costCap float64, yield func(i int, mean float64)) {
-	for i := range res.Archs {
-		if res.Cost[i] > costCap {
-			continue
-		}
-		sum, ok := 0.0, true
-		for _, b := range benchmarks {
-			ev := res.Eval[b.Name][i]
-			if ev.Failed {
-				ok = false
-				break
-			}
-			sum += ev.Speedup
-		}
-		if ok {
-			yield(i, sum/float64(len(benchmarks)))
-		}
-	}
-}
-
-// pickBest is the selection step of a fit. Range = 0 is pure
-// specialization: the first feasible architecture with the best mean
-// speedup on the target benchmarks. Range > 0 backs off: among feasible
-// architectures whose mean is within Range of that best, the cheapest
-// (ties broken by higher speedup).
-func pickBest(res *dse.Results, benchmarks []*bench.Benchmark, costCap, rng float64) (*FitResult, error) {
+// pickBest is the selection step of a fit over res, which explored
+// exactly the target benchmarks. Range = 0 is pure specialization: the
+// first feasible architecture with the best mean speedup on them.
+// Range > 0 backs off: among feasible architectures whose mean is
+// within Range of that best, the cheapest (ties broken by higher
+// speedup).
+func pickBest(res *dse.Results, costCap, rng float64) (*FitResult, error) {
 	best, bestMean := -1, -1.0
-	feasible(res, benchmarks, costCap, func(i int, mean float64) {
+	res.Feasible(costCap, res.Benches, func(i int, mean float64) {
 		if mean > bestMean {
 			best, bestMean = i, mean
 		}
@@ -314,7 +292,7 @@ func pickBest(res *dse.Results, benchmarks []*bench.Benchmark, costCap, rng floa
 	if rng > 0 {
 		floor, pickMean := bestMean*(1-rng), 0.0
 		best = -1
-		feasible(res, benchmarks, costCap, func(i int, mean float64) {
+		res.Feasible(costCap, res.Benches, func(i int, mean float64) {
 			if mean < floor {
 				return
 			}
@@ -331,8 +309,8 @@ func pickBest(res *dse.Results, benchmarks []*bench.Benchmark, costCap, rng floa
 		Speedups: map[string]float64{},
 		Results:  res,
 	}
-	for _, b := range benchmarks {
-		out.Speedups[b.Name] = res.Eval[b.Name][best].Speedup
+	for _, b := range res.Benches {
+		out.Speedups[b] = res.Eval[b][best].Speedup
 	}
 	return out, nil
 }

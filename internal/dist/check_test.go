@@ -17,11 +17,9 @@ import (
 	"customfit/internal/serve"
 )
 
-// misorder answers every finished explore of h with its evaluations for
-// the right machines in the wrong order — or, for a one-machine shard,
-// for another machine: a worker whose results merge would put in the
-// wrong cells.
-func misorder(t *testing.T, h http.Handler) http.Handler {
+// rewriteDone relays h, passing the result of every finished explore it
+// answers through edit first: a worker that lies about its shards.
+func rewriteDone(t *testing.T, h http.Handler, edit func(*dse.Results)) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, r)
@@ -37,17 +35,27 @@ func misorder(t *testing.T, h http.Handler) http.Handler {
 			t.Error(err)
 			return
 		}
+		edit(res)
+		if st.Result, err = res.JSON(); err != nil {
+			t.Error(err)
+			return
+		}
+		_ = json.NewEncoder(w).Encode(st)
+	})
+}
+
+// misorder answers every finished explore of h with its evaluations for
+// the right machines in the wrong order — or, for a one-machine shard,
+// for another machine: a worker whose results merge would put in the
+// wrong cells.
+func misorder(t *testing.T, h http.Handler) http.Handler {
+	return rewriteDone(t, h, func(res *dse.Results) {
 		for _, evs := range res.Eval {
 			slices.Reverse(evs)
 			if len(evs) == 1 {
 				evs[0].Arch.Regs *= 2
 			}
 		}
-		if st.Result, err = res.JSON(); err != nil {
-			t.Error(err)
-			return
-		}
-		_ = json.NewEncoder(w).Encode(st)
 	})
 }
 
@@ -89,6 +97,46 @@ func TestMisorderedShardIsRetried(t *testing.T) {
 	}
 	if v := col.Counter("dist.worker_failures").Value(); v != 1 {
 		t.Errorf("dist.worker_failures = %d, want the liar out of rotation", v)
+	}
+}
+
+// TestCoordinatorPricesWhatItMerges: a worker that doubles every Time
+// and Speedup it reports, and leaves the measurements alone, does not
+// move the merged results. The coordinator prices the cells it merges
+// itself, so only a shard's cycles, unroll factors, spills and failures
+// reach them.
+func TestCoordinatorPricesWhatItMerges(t *testing.T) {
+	col := installCollector(t)
+	ls := serve.New(serve.Options{Workers: 2, Collector: col})
+	doubler := httptest.NewServer(rewriteDone(t, ls.Handler(), func(res *dse.Results) {
+		for _, evs := range res.Eval {
+			for i := range evs {
+				evs[i].Time *= 2
+				evs[i].Speedup *= 2
+			}
+		}
+	}))
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		_ = ls.Shutdown(ctx)
+		doubler.Close()
+	})
+
+	opts := fastOpts(doubler.URL)
+	opts.Benchmarks = benchesByName("G", "F")
+	opts.Sample = 24
+	opts.Width = 32
+	got, err := Explore(context.Background(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := core.Explore(context.Background(), core.ExploreOptions{Benchmarks: benchesByName("G", "F"), Sample: 24, Width: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, w := canonicalJSON(t, got), canonicalJSON(t, want); g != w {
+		t.Errorf("merged results take a worker's prices\ndistributed: %.400s\nlocal:       %.400s", g, w)
 	}
 }
 

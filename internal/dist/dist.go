@@ -9,9 +9,10 @@
 // with it the paper's Table-3 logical runs accounting — reproduces
 // per-shard, and the merge subtracts every shard's out-of-grid baseline
 // work (Stats.BaselineRuns) so the merged Runs equals a local run's.
-// Per-cell Evaluations are bit-identical because the whole pipeline is
-// deterministic and speedups are single IEEE divisions against the same
-// baseline time.
+// Per-cell measurements are bit-identical because the whole pipeline is
+// deterministic, and the coordinator prices the merged grid itself with
+// the local run's one pricing step (dse.Results.Price): no cost, time
+// or speedup a worker reports reaches the merge.
 //
 // Robustness is first-class: workers are admitted via /healthz (which
 // also publishes capacity and the backend fingerprint — a
@@ -362,7 +363,7 @@ func (c *coordinator) run(ctx context.Context) (*dse.Results, error) {
 	}
 	stopRun()
 	c.shutdown()
-	return c.merge(start), nil
+	return c.merge(start)
 }
 
 // shutdown ends the loop's side channels and reaps every outstanding
@@ -615,14 +616,16 @@ func (c *coordinator) maybeHedge(ctx context.Context) {
 }
 
 // merge assembles the shard results into the Results a local run over
-// the same grid would have produced. Cell values are copied verbatim
-// (the pipeline is deterministic, so they are bit-identical); costs are
-// computed locally with the default model (same IEEE arithmetic); and
-// Runs is Σ(shard.Runs − shard.BaselineRuns) — each shard's out-of-grid
+// the same grid would have produced. Cells are copied from the shards
+// (the pipeline is deterministic, so their measurements are
+// bit-identical) and priced here, as a local run prices them: the
+// coordinator's grid always holds the baseline. Runs is
+// Σ(shard.Runs − shard.BaselineRuns) — each shard's out-of-grid
 // baseline work is subtracted, leaving exactly the logical runs a
 // single run over the full grid counts (the baseline's own grid cell is
-// inside exactly one shard, where BaselineRuns is 0).
-func (c *coordinator) merge(start time.Time) *dse.Results {
+// inside exactly one shard, where BaselineRuns is 0). Phases.CostModel
+// is the merge's own pricing; a shard's went with its prices.
+func (c *coordinator) merge(start time.Time) (*dse.Results, error) {
 	res := dse.NewResults(c.grid, c.benches)
 	var runs, failures int64
 	var phases dse.PhaseTimes
@@ -636,8 +639,12 @@ func (c *coordinator) merge(start time.Time) *dse.Results {
 		failures += r.Stats.Failures
 		phases.Compile += r.Stats.Phases.Compile
 		phases.Simulate += r.Stats.Phases.Simulate
-		phases.CostModel += r.Stats.Phases.CostModel
 	}
+	t0 := time.Now()
+	if err := res.Price(nil); err != nil {
+		return nil, err
+	}
+	phases.CostModel = time.Since(t0)
 	res.Finish(dse.Stats{Runs: runs, Failures: failures, Phases: phases}, time.Since(start))
-	return res
+	return res, nil
 }

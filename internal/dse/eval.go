@@ -49,8 +49,8 @@ type Evaluation struct {
 	Bench   string
 	Unroll  int     // unroll factor that produced the best time
 	Cycles  int64   // simulated-equivalent cycles on the reference workload
-	Time    float64 // Cycles × cycle-time derating
-	Speedup float64 // baseline time / Time (filled by the explorer)
+	Time    float64 // Cycles × cycle-time derating (see Results.Price)
+	Speedup float64 // baseline time / Time (filled by Results.Price)
 	Spilled int     // registers spilled at the chosen unroll
 	// Failed: no unroll factor compiled, not even 1 — the spill loop
 	// gave up ("register pressure does not fit"). Rare, not impossible:
@@ -85,10 +85,9 @@ type fnEntry struct {
 }
 
 // sweepResult is the architecture-signature-invariant part of one
-// unroll sweep: everything Evaluate computes except the cycle-time
-// derate. runs is how many backend compilations the sweep performed
-// (cache hits re-count them as logical runs, the paper's Table 3
-// accounting). cancelled marks a sweep abandoned mid-way because the
+// unroll sweep: everything Evaluate measures, before it is priced. runs
+// is how many backend compilations the sweep performed (cache hits
+// re-count them as logical runs, the paper's Table 3 accounting). cancelled marks a sweep abandoned mid-way because the
 // context ended; cancelled sweeps are never cached.
 type sweepResult struct {
 	unroll    int
@@ -111,12 +110,12 @@ func sweepOf(ce evcache.Entry) sweepResult {
 }
 
 // evaluation is the measurement the sweep amounts to for arch, one of
-// the machines of its signature class, whose cycle-time derate is
-// derate: the one place a sweep — compiled, found in the cache by an
-// evaluation or answered to a whole benchmark at once (answerCached) —
-// becomes an Evaluation.
-func (sw sweepResult) evaluation(bench string, arch machine.Arch, derate float64) Evaluation {
-	ev := Evaluation{
+// the machines of its signature class: the one place a sweep —
+// compiled, found in the cache by an evaluation or answered to a whole
+// benchmark at once (answerCached) — becomes an Evaluation. It is not
+// priced: Evaluate prices its one cell, Results.Price a whole grid.
+func (sw sweepResult) evaluation(bench string, arch machine.Arch) Evaluation {
+	return Evaluation{
 		Arch:      arch,
 		Bench:     bench,
 		Unroll:    sw.unroll,
@@ -125,14 +124,18 @@ func (sw sweepResult) evaluation(bench string, arch machine.Arch, derate float64
 		Failed:    sw.failed,
 		Cancelled: sw.cancelled,
 	}
-	if !sw.failed && !sw.cancelled {
-		// The derate is the only architecture-specific factor the
-		// backend result does not cover; it is constant and positive
-		// across the sweep, so the min-cycles sweep winner is also the
-		// min-time winner.
-		ev.Time = float64(sw.cycles) * derate
+}
+
+// price sets ev's Time from its cycles and its machine's cycle-time
+// derate: zero for a failed or cancelled cell. The derate is the only
+// architecture-specific factor the backend result does not cover; it
+// is constant and positive across the sweep, so the min-cycles sweep
+// winner is also the min-time winner.
+func (ev *Evaluation) price(derate float64) {
+	ev.Time = 0
+	if !ev.Failed && !ev.Cancelled {
+		ev.Time = float64(ev.Cycles) * derate
 	}
-	return ev
 }
 
 // EvalConfig is the evaluation configuration, declared once and
@@ -328,7 +331,8 @@ func (e *Evaluator) evaluate(ctx context.Context, b *bench.Benchmark, arch machi
 	} else {
 		sw = e.sweepThroughCache(ctx, esp, b, arch, sc)
 	}
-	ev := sw.evaluation(b.Name, arch, machine.DefaultCycleModel.Derate(arch))
+	ev := sw.evaluation(b.Name, arch)
+	ev.price(machine.DefaultCycleModel.Derate(arch))
 	if esp != nil {
 		esp.Int("unroll", int64(ev.Unroll)).Int("cycles", ev.Cycles)
 	}
@@ -484,10 +488,9 @@ type cachedGrid struct {
 	// derived once when several rows share the grid and nil otherwise
 	// (a fleet shard is one row: a table read once saves nothing): the
 	// signature half of the cache keys, end to end (architecture i's is
-	// sig[off[i]:off[i+1]]), and the cycle-time derates.
-	sig    []byte
-	off    []int32
-	derate []float64
+	// sig[off[i]:off[i+1]]).
+	sig []byte
+	off []int32
 }
 
 // newCachedGrid returns the grid of a run of rows benchmarks over
@@ -501,11 +504,9 @@ func (e *Evaluator) newCachedGrid(archs []machine.Arch, rows int) *cachedGrid {
 	if rows > 1 {
 		g.sig = make([]byte, 0, 32*len(archs))
 		g.off = make([]int32, len(archs)+1)
-		g.derate = make([]float64, len(archs))
 		for i, a := range archs {
 			g.sig = sigOf(a).appendKey(g.sig)
 			g.off[i+1] = int32(len(g.sig))
-			g.derate[i] = machine.DefaultCycleModel.Derate(a)
 		}
 	}
 	return g
@@ -519,15 +520,8 @@ func (g *cachedGrid) appendSigKey(b []byte, i int) []byte {
 	return append(b, g.sig[g.off[i]:g.off[i+1]]...)
 }
 
-// derateOf is architecture i's cycle-time derate.
-func (g *cachedGrid) derateOf(i int) float64 {
-	if g.derate == nil {
-		return machine.DefaultCycleModel.Derate(g.archs[i])
-	}
-	return g.derate[i]
-}
-
-// answerCached fills row — b's evaluations on g's architectures — from
+// answerCached fills row — b's evaluations on g's architectures,
+// unpriced (the run prices its grid whole: Results.Price) — from
 // the attached cache when the cache holds all of them, and reports
 // whether it did. The whole row is one batch lookup (evcache.GetAll):
 // the pass that finds the benchmark covered is the pass that answers
@@ -545,7 +539,7 @@ func (e *Evaluator) answerCached(sp *obs.Span, b *bench.Benchmark, g *cachedGrid
 			return g.appendSigKey(append(append(buf, kc...), ':'), i)
 		},
 		func(i int, ce evcache.Entry) {
-			row[i] = sweepOf(ce).evaluation(b.Name, g.archs[i], g.derateOf(i))
+			row[i] = sweepOf(ce).evaluation(b.Name, g.archs[i])
 			runs += ce.Runs
 			if ce.Failed {
 				failed++

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -69,7 +70,8 @@ type PhaseTimes struct {
 	Compile time.Duration
 	// Simulate is time in reference-workload interpreter runs.
 	Simulate time.Duration
-	// CostModel is time computing datapath costs for the space.
+	// CostModel is time in Results.Price: the grid's datapath costs,
+	// cycle times and speedups.
 	CostModel time.Duration
 }
 
@@ -116,22 +118,59 @@ type Results struct {
 
 // NewResults allocates the shell every exploration fills, whether one
 // process runs it (Explorer.RunCtx) or a fleet does (internal/dist's
-// merge): the grid, one zero Evaluation per (benchmark, architecture)
-// cell, and every architecture's cost under machine.DefaultCostModel.
+// merge): the grid and one zero Evaluation per (benchmark,
+// architecture) cell. Price fills in what the cells' cycles cost.
 func NewResults(archs []machine.Arch, benches []*bench.Benchmark) *Results {
-	res := &Results{
-		Archs: archs,
-		Cost:  make([]float64, len(archs)),
-		Eval:  map[string][]Evaluation{},
-	}
+	res := &Results{Archs: archs, Eval: map[string][]Evaluation{}}
 	for _, b := range benches {
 		res.Benches = append(res.Benches, b.Name)
 		res.Eval[b.Name] = make([]Evaluation, len(archs))
 	}
-	for i, a := range archs {
-		res.Cost[i] = machine.DefaultCostModel.Cost(a)
-	}
 	return res
+}
+
+// Price turns the measured cycles of r into what the report compares,
+// under machine.DefaultCostModel and machine.DefaultCycleModel: every
+// machine's Cost, every cell's Time (its Cycles × its machine's
+// cycle-time derate) and Speedup (the baseline's Time on the cell's
+// benchmark ÷ the cell's Time), with zero Time and Speedup for a failed
+// cell. The baseline is the grid's machine.Baseline cell; a grid
+// without one takes base[k] as the baseline's Time on r.Benches[k].
+// The explorer and the distributed merge both end on it.
+func (r *Results) Price(base []float64) error {
+	// One allocation for both: a warm run or a fleet shard is answered
+	// in a few allocations, and each more shows per evaluation.
+	n := len(r.Archs)
+	buf := make([]float64, 2*n)
+	r.Cost = buf[:n:n]
+	derate := buf[n:]
+	for i, a := range r.Archs {
+		r.Cost[i] = machine.DefaultCostModel.Cost(a)
+		derate[i] = machine.DefaultCycleModel.Derate(a)
+	}
+	bi := slices.Index(r.Archs, machine.Baseline)
+	for k, b := range r.Benches {
+		row := r.Eval[b]
+		for i := range row {
+			row[i].price(derate[i])
+		}
+		var bt float64
+		if bi >= 0 {
+			bt = row[bi].Time
+		} else if k < len(base) {
+			bt = base[k]
+		}
+		if bt <= 0 {
+			return fmt.Errorf("dse: baseline failed on %s", b)
+		}
+		for i := range row {
+			row[i].Speedup = 0
+			if row[i].Time > 0 {
+				row[i].Speedup = bt / row[i].Time
+			}
+		}
+	}
+	return nil
 }
 
 // DistinctBenchmarks refuses a benchmark named twice: Results keeps one
@@ -279,7 +318,6 @@ func (e *Explorer) RunCtx(ctx context.Context) (*Results, error) {
 
 	start := time.Now()
 	res := NewResults(archs, benches)
-	costTime := time.Since(start)
 	r := &run{rsp: rsp, ev: ev, benches: benches, archs: archs, res: res}
 	r.sink, r.start, r.total = e.Progress, start, len(benches)*len(archs)
 
@@ -314,40 +352,27 @@ func (e *Explorer) RunCtx(ctx context.Context) (*Results, error) {
 		return nil, cancelledErr(ctx)
 	}
 
-	// Baseline times and speedups. The baseline machine is evaluated
-	// like any other (it is in the space); if absent, evaluate it now
-	// and attribute those runs to Stats.BaselineRuns (grid runs and
-	// out-of-grid baseline runs must stay separable for distributed
-	// merges).
-	baseIdx := -1
-	for i, a := range archs {
-		if a == machine.Baseline {
-			baseIdx = i
-			break
-		}
-	}
+	// The baseline machine is evaluated like any other (it is in the
+	// space); if absent, evaluate it now for Price and attribute those
+	// runs to Stats.BaselineRuns (grid runs and out-of-grid baseline
+	// runs must stay separable for distributed merges).
 	preBaselineRuns := ev.Compilations.Load()
-	for _, b := range benches {
-		var baseTime float64
-		if baseIdx >= 0 {
-			baseTime = res.Eval[b.Name][baseIdx].Time
-		} else {
+	var base []float64
+	if !slices.Contains(archs, machine.Baseline) {
+		base = make([]float64, len(benches))
+		for k, b := range benches {
 			bev := ev.EvaluateCtx(ctx, b, machine.Baseline)
 			if bev.Cancelled {
 				return nil, cancelledErr(ctx)
 			}
-			baseTime = bev.Time
-		}
-		if baseTime <= 0 {
-			return nil, fmt.Errorf("dse: baseline failed on %s", b.Name)
-		}
-		evs := res.Eval[b.Name]
-		for i := range evs {
-			if !evs[i].Failed && evs[i].Time > 0 {
-				evs[i].Speedup = baseTime / evs[i].Time
-			}
+			base[k] = bev.Time
 		}
 	}
+	t0 := time.Now()
+	if err := res.Price(base); err != nil {
+		return nil, err
+	}
+	costTime := time.Since(t0)
 
 	wall := time.Since(start)
 	runs := ev.Compilations.Load()

@@ -43,37 +43,25 @@ func (r *Results) selectFor(target string, costCap, rng float64) *Choice {
 	if evs == nil {
 		return nil
 	}
-	// Feasible candidates under the cost cap.
-	var cands []int
+	// The best own speedup of a feasible candidate sets the floor; the
+	// candidates over it compete.
 	bestOwn := 0.0
-	for i := range evs {
-		if evs[i].Failed || r.Cost[i] > costCap {
-			continue
-		}
-		if !r.allBenchesValid(i) {
-			continue
-		}
-		cands = append(cands, i)
-		if evs[i].Speedup > bestOwn {
-			bestOwn = evs[i].Speedup
-		}
-	}
-	if len(cands) == 0 {
-		return nil
-	}
+	r.Feasible(costCap, DisplayBenches, func(i int, _ float64) {
+		bestOwn = max(bestOwn, evs[i].Speedup)
+	})
 	floor := bestOwn * (1 - rng)
 	if math.IsInf(rng, 1) {
 		floor = 0
 	}
 	best := -1
 	bestScore := -1.0
-	for _, i := range cands {
+	r.Feasible(costCap, DisplayBenches, func(i int, mean float64) {
 		if evs[i].Speedup < floor {
-			continue
+			return
 		}
 		score := r.avgOthers(i, target)
 		if math.IsInf(rng, 1) {
-			score = r.avgAll(i)
+			score = mean
 		}
 		if rng == 0 {
 			// Pure specialization: maximize own speedup; break ties by
@@ -83,35 +71,57 @@ func (r *Results) selectFor(target string, costCap, rng float64) *Choice {
 		if score > bestScore || (score == bestScore && best >= 0 && r.Cost[i] < r.Cost[best]) {
 			best, bestScore = i, score
 		}
-	}
+	})
 	if best < 0 {
 		return nil
 	}
-	ch := &Choice{
-		Target:     target,
-		ArchIdx:    best,
-		OwnSpeedup: evs[best].Speedup,
-		Cost:       r.Cost[best],
-		Speedups:   map[string]float64{},
+	ch := r.choice(target, best)
+	ch.OwnSpeedup = evs[best].Speedup
+	return ch
+}
+
+// Feasible calls yield, in grid order, for every architecture costing
+// at most costCap on which every one of benches compiled, with its mean
+// speedup over benches (summed in their order). It is the one candidate
+// scan of every selection: Tables 8–10, their Range=∞ line and a
+// custom fit. A benchmark r does not hold makes nothing feasible.
+func (r *Results) Feasible(costCap float64, benches []string, yield func(i int, mean float64)) {
+	for _, b := range benches {
+		if r.Eval[b] == nil {
+			return
+		}
 	}
+	for i := range r.Archs {
+		if r.Cost[i] > costCap {
+			continue
+		}
+		sum, ok := 0.0, true
+		for _, b := range benches {
+			ev := &r.Eval[b][i]
+			if ev.Failed {
+				ok = false
+				break
+			}
+			sum += ev.Speedup
+		}
+		if ok {
+			yield(i, sum/float64(len(benches)))
+		}
+	}
+}
+
+// choice is the Table 8/9/10 row for architecture i, selected for
+// target: its cost and its speedups on the displayed benchmarks.
+func (r *Results) choice(target string, i int) *Choice {
+	ch := &Choice{Target: target, ArchIdx: i, Cost: r.Cost[i], Speedups: map[string]float64{}}
 	sum := 0.0
 	for _, b := range DisplayBenches {
-		su := r.Eval[b][best].Speedup
+		su := r.Eval[b][i].Speedup
 		ch.Speedups[b] = su
 		sum += su
 	}
 	ch.Average = sum / float64(len(DisplayBenches))
 	return ch
-}
-
-func (r *Results) allBenchesValid(i int) bool {
-	for _, b := range DisplayBenches {
-		evs := r.Eval[b]
-		if evs == nil || evs[i].Failed {
-			return false
-		}
-	}
-	return true
 }
 
 // avgOthers is the mean speedup at arch i over displayed benchmarks
@@ -131,44 +141,20 @@ func (r *Results) avgOthers(i int, target string) float64 {
 	return sum / float64(n)
 }
 
-func (r *Results) avgAll(i int) float64 {
-	sum := 0.0
-	for _, b := range DisplayBenches {
-		sum += r.Eval[b][i].Speedup
-	}
-	return sum / float64(len(DisplayBenches))
-}
-
 // BestOverall returns the single architecture maximizing average
 // speedup under the cost cap (the Range=∞ bottom line of each table).
 func (r *Results) BestOverall(costCap float64) *Choice {
 	best := -1
 	bestScore := -1.0
-	for i := range r.Archs {
-		if r.Cost[i] > costCap || !r.allBenchesValid(i) {
-			continue
+	r.Feasible(costCap, DisplayBenches, func(i int, mean float64) {
+		if mean > bestScore {
+			best, bestScore = i, mean
 		}
-		score := r.avgAll(i)
-		if score > bestScore {
-			best, bestScore = i, score
-		}
-	}
+	})
 	if best < 0 {
 		return nil
 	}
-	ch := &Choice{
-		Target:   "all",
-		ArchIdx:  best,
-		Cost:     r.Cost[best],
-		Speedups: map[string]float64{},
-	}
-	sum := 0.0
-	for _, b := range DisplayBenches {
-		su := r.Eval[b][best].Speedup
-		ch.Speedups[b] = su
-		sum += su
-	}
-	ch.Average = sum / float64(len(DisplayBenches))
+	ch := r.choice("all", best)
 	ch.OwnSpeedup = ch.Average
 	return ch
 }

@@ -84,8 +84,8 @@ func TestWarmRunAllocs(t *testing.T) {
 // BenchmarkWarmOpen is the disk tier's layer benchmark, one
 // explore_warm operation below the facade: open a directory holding the
 // full space × {D, E, F, G} and answer each kernel's row from it
-// (answerCached: load the shard, one batch lookup, the derates), on one
-// goroutine. Nothing compiles; what is timed is reading and decoding
+// (answerCached: load the shard, one batch lookup; the run prices its
+// grid afterwards, Results.Price), on one goroutine. Nothing compiles; what is timed is reading and decoding
 // four shards and one key derivation and lookup per evaluation.
 //
 // Until the warm path's round two an op here was CacheCovers of each
@@ -108,7 +108,7 @@ func BenchmarkWarmOpen(b *testing.B) {
 		ev.Width, ev.Cache = warmWidth, c
 		grid := ev.newCachedGrid(archs, len(benches))
 		for _, bm := range benches {
-			if covered, failed := ev.answerCached(nil, bm, grid, row); !covered || failed != 0 || row[0].Time <= 0 {
+			if covered, failed := ev.answerCached(nil, bm, grid, row); !covered || failed != 0 || row[0].Cycles <= 0 {
 				b.Fatalf("%s: covered %v, %d failed, first cell %+v", bm.Name, covered, failed, row[0])
 			}
 		}

@@ -110,36 +110,35 @@ func opGains(res *dse.Results) string {
 	hasOps, improved := false, 0
 	for _, n := range res.Benches {
 		evs := res.Eval[n]
-		plain := map[machine.Arch]int64{} // op-free cycles per 6-tuple
-		for _, ev := range evs {
+		plain := map[machine.Arch]int{} // the op-free cell of each 6-tuple
+		for i, ev := range evs {
 			if !ev.Failed && ev.Arch.Ops.Empty() {
-				plain[ev.Arch] = ev.Cycles
+				plain[ev.Arch] = i
 			}
 		}
-		var best *dse.Evaluation
-		var bestWas int64
+		best, twin := -1, -1
 		bestPct := 0.0
 		for i, ev := range evs {
 			if ev.Arch.Ops.Empty() {
 				continue
 			}
 			hasOps = true
-			was, ok := plain[ev.Arch.WithOps(nil, 0)]
-			if ev.Failed || !ok || ev.Cycles >= was {
+			j, ok := plain[ev.Arch.WithOps(nil, 0)]
+			if ev.Failed || !ok || ev.Cycles >= evs[j].Cycles {
 				continue
 			}
-			if pct := 100 * float64(was-ev.Cycles) / float64(was); best == nil || pct > bestPct {
-				best, bestWas, bestPct = &evs[i], was, pct
+			was := evs[j].Cycles
+			if pct := 100 * float64(was-ev.Cycles) / float64(was); best < 0 || pct > bestPct {
+				best, twin, bestPct = i, j, pct
 			}
 		}
-		if best == nil {
+		if best < 0 {
 			fmt.Fprintf(&sb, "%-5s no cycle improvement from the op set\n", n)
 			continue
 		}
 		improved++
 		fmt.Fprintf(&sb, "%-5s cycles %d -> %d  (-%.1f%%)  cost %.2f -> %.2f  on %s\n",
-			n, bestWas, best.Cycles, bestPct,
-			machine.DefaultCostModel.Cost(best.Arch.WithOps(nil, 0)), machine.DefaultCostModel.Cost(best.Arch), best.Arch)
+			n, evs[twin].Cycles, evs[best].Cycles, bestPct, res.Cost[twin], res.Cost[best], evs[best].Arch)
 	}
 	if !hasOps {
 		return ""
