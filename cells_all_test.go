@@ -3,7 +3,10 @@
 package customfit_test
 
 import (
+	"fmt"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -20,7 +23,9 @@ import (
 // through the physical register assignment, and held to the golden
 // model's outputs, its stored cycles and its stored spills. About half
 // a minute on two cores, so it sits behind the cells build tag
-// (`make cells`) and out of `go test ./...`.
+// (`make cells`) and out of `go test ./...`. It logs, per benchmark,
+// how many cells each resource bounds and the stall cycles of them all:
+// the simulator's attribution of the whole space.
 func TestAllShippedCellsRun(t *testing.T) {
 	res := dsetest.Shipped(t)
 	kernels := map[string]*core.Kernel{}
@@ -33,6 +38,9 @@ func TestAllShippedCellsRun(t *testing.T) {
 	}
 	cells := make(chan dse.Evaluation)
 	var ran, mismatched atomic.Int64
+	var mu sync.Mutex
+	bounds := map[string]map[string]int{} // bench -> bound -> cells
+	stalls := map[string]int64{}
 	var wg sync.WaitGroup
 	for w := 0; w < runtime.GOMAXPROCS(0); w++ {
 		wg.Add(1)
@@ -40,9 +48,18 @@ func TestAllShippedCellsRun(t *testing.T) {
 			defer wg.Done()
 			for ev := range cells {
 				ran.Add(1)
-				if !checkCell(t, kernels[ev.Bench], bench.ByName(ev.Bench), ev) {
+				st, ok := checkCell(t, kernels[ev.Bench], bench.ByName(ev.Bench), ev)
+				if !ok {
 					mismatched.Add(1)
+					continue
 				}
+				mu.Lock()
+				if bounds[ev.Bench] == nil {
+					bounds[ev.Bench] = map[string]int{}
+				}
+				bounds[ev.Bench][st.Bound]++
+				stalls[ev.Bench] += st.StallCycles
+				mu.Unlock()
 			}
 		}()
 	}
@@ -55,5 +72,13 @@ func TestAllShippedCellsRun(t *testing.T) {
 	}
 	close(cells)
 	wg.Wait()
+	for _, name := range res.Benches {
+		var line []string
+		for bound, n := range bounds[name] {
+			line = append(line, fmt.Sprintf("%s %d", bound, n))
+		}
+		slices.Sort(line)
+		t.Logf("%s: %s; %d stall cycles", name, strings.Join(line, ", "), stalls[name])
+	}
 	t.Logf("%d cells run, %d mismatched", ran.Load(), mismatched.Load())
 }

@@ -40,11 +40,13 @@ type ExploreOptions struct {
 	// the baseline so speedups stay defined.
 	Sample int
 	// ExactArchs explores exactly Archs as given: Sample is ignored and
-	// the baseline machine is not appended when absent (speedups are
-	// still measured against it — the explorer evaluates an out-of-grid
-	// baseline and accounts those compilations in Stats.BaselineRuns).
-	// Shard dispatch (internal/dist) relies on this to keep distributed
-	// runs accounting-identical to a single local run.
+	// the baseline machine is not appended when absent. Explore still
+	// measures speedups against it: the explorer evaluates an
+	// out-of-grid baseline and accounts those compilations in
+	// Stats.BaselineRuns. Measure prices nothing, so it evaluates no
+	// baseline and BaselineRuns stays zero. Shard dispatch
+	// (internal/dist) relies on this to keep distributed runs
+	// accounting-identical to a single local run.
 	ExactArchs bool
 	// Width is the reference workload width in pixels (default 96).
 	Width int
@@ -102,6 +104,21 @@ func (o *ExploreOptions) openCache() (c *evcache.Cache, ownClose bool, err error
 // are bit-identical to the equivalent dse.Explorer run (warm or cold
 // cache).
 func Explore(ctx context.Context, opts ExploreOptions) (*dse.Results, error) {
+	return explore(ctx, opts, true)
+}
+
+// Measure is Explore short of pricing (dse.Explorer.Measure): the
+// cells' cycles, unroll factors, spills and flags, with no Cost and
+// zero Time and Speedup, and no out-of-grid baseline evaluated. A fleet
+// worker answers the coordinator's shards with it.
+func Measure(ctx context.Context, opts ExploreOptions) (*dse.Results, error) {
+	return explore(ctx, opts, false)
+}
+
+// explore is Explore, or Measure when priced is false. The explorer is
+// called directly, not through a function value, so it stays off the
+// heap.
+func explore(ctx context.Context, opts ExploreOptions, priced bool) (*dse.Results, error) {
 	e := dse.NewExplorer()
 	e.Benchmarks = opts.Benchmarks
 	e.Archs = opts.resolveArchs()
@@ -113,7 +130,13 @@ func Explore(ctx context.Context, opts ExploreOptions) (*dse.Results, error) {
 		return nil, err
 	}
 	e.Cache = cache
-	res, rerr := e.RunCtx(ctx)
+	var res *dse.Results
+	var rerr error
+	if priced {
+		res, rerr = e.RunCtx(ctx)
+	} else {
+		res, rerr = e.Measure(ctx)
+	}
 	if own && cache != nil {
 		if cerr := cache.Close(); rerr == nil && cerr != nil {
 			return nil, cerr

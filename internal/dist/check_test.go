@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -140,20 +142,87 @@ func TestCoordinatorPricesWhatItMerges(t *testing.T) {
 	}
 }
 
+// stripUnpriced relays h with the unpriced member taken out of every
+// explore submit: a worker from before the member, which ignores it and
+// prices its shards.
+func stripUnpriced(t *testing.T, h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && r.URL.Path == "/v1/explore" {
+			var body map[string]json.RawMessage
+			if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
+				t.Error(err)
+			}
+			delete(body, "unpriced")
+			data, err := json.Marshal(body)
+			if err != nil {
+				t.Error(err)
+			}
+			r.Body, r.ContentLength = io.NopCloser(bytes.NewReader(data)), int64(len(data))
+		}
+		h.ServeHTTP(w, r)
+	})
+}
+
+// TestMixedFleetMerges: a fleet of one worker that prices its shards, as
+// one from before the unpriced member does, and one that only measures
+// them merges to the local run: the old worker's prices are replaced and
+// its out-of-grid baseline work subtracted.
+func TestMixedFleetMerges(t *testing.T) {
+	col := installCollector(t)
+	newer := startWorker(t, serve.Options{Workers: 2, Collector: col})
+	ls := serve.New(serve.Options{Workers: 2, Collector: col})
+	var priced atomic.Int64 // shards the old worker answered priced
+	older := httptest.NewServer(stripUnpriced(t, rewriteDone(t, ls.Handler(), func(res *dse.Results) {
+		if res.Cost != nil {
+			priced.Add(1)
+		}
+	})))
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		_ = ls.Shutdown(ctx)
+		older.Close()
+	})
+
+	opts := fastOpts(older.URL, newer.URL)
+	opts.Benchmarks = benchesByName("G", "F")
+	opts.Sample = 24
+	opts.Width = 32
+	opts.hedgeAfter = -1
+	got, err := Explore(context.Background(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := core.Explore(context.Background(), core.ExploreOptions{Benchmarks: benchesByName("G", "F"), Sample: 24, Width: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, w := canonicalJSON(t, got), canonicalJSON(t, want); g != w {
+		t.Errorf("a mixed fleet's merge diverges from the local run\ndistributed: %.400s\nlocal:       %.400s", g, w)
+	}
+	if n, units := priced.Load(), col.Counter("dist.shards").Value(); n == 0 || n >= units {
+		t.Errorf("the old worker priced %d of %d shards, want some but not all", n, units)
+	}
+}
+
 // BenchmarkShardStatus decodes the status of a finished one-kernel shard
-// over the full space (762 machines): G of the shipped results, encoded
-// as serve's status writer encodes it (TestStatusBytesUnchanged holds
-// the writer to json.Encoder's bytes).
+// over the full space (762 machines): G of the shipped results, as a
+// worker answers an unpriced shard (no cost list, every Time and Speedup
+// 0), encoded as serve's status writer encodes it
+// (TestStatusBytesUnchanged holds the writer to json.Encoder's bytes).
 func BenchmarkShardStatus(b *testing.B) {
 	full := dsetest.Shipped(b)
 	shard := &dse.Results{
 		Archs:   full.Archs,
 		Benches: []string{"G"},
-		Cost:    full.Cost,
-		Eval:    map[string][]dse.Evaluation{"G": full.Eval["G"]},
+		Eval:    map[string][]dse.Evaluation{"G": slices.Clone(full.Eval["G"])},
 		Stats:   full.Stats,
 	}
+	for i := range shard.Eval["G"] {
+		shard.Eval["G"][i].Time, shard.Eval["G"][i].Speedup = 0, 0
+	}
 	shard.Stats.Benchmarks, shard.Stats.DesignPoints = 1, len(full.Archs)
+	shard.Stats.BaselineRuns, shard.Stats.Phases.CostModel = 0, 0
 	doc, err := shard.JSON()
 	if err != nil {
 		b.Fatal(err)

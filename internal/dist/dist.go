@@ -7,12 +7,15 @@
 // function as a local run's (machine.Grid), shards are whole
 // backend-signature classes (dse.SigKey) so per-class memoization — and
 // with it the paper's Table-3 logical runs accounting — reproduces
-// per-shard, and the merge subtracts every shard's out-of-grid baseline
-// work (Stats.BaselineRuns) so the merged Runs equals a local run's.
-// Per-cell measurements are bit-identical because the whole pipeline is
-// deterministic, and the coordinator prices the merged grid itself with
-// the local run's one pricing step (dse.Results.Price): no cost, time
-// or speedup a worker reports reaches the merge.
+// per-shard. Workers measure and the coordinator prices: every shard
+// is submitted unpriced (serve.ExploreRequest.Unpriced), so a worker
+// evaluates no out-of-grid baseline and sends no cost, time or speedup,
+// and the coordinator prices the merged grid itself with the local
+// run's one pricing step (dse.Results.Price). A worker too old to know
+// the member prices its shard anyway; the merge subtracts its
+// out-of-grid baseline work (Stats.BaselineRuns) and ignores its prices,
+// so a mixed fleet merges to the same Results. Per-cell measurements
+// are bit-identical because the whole pipeline is deterministic.
 //
 // Robustness is first-class: workers are admitted via /healthz (which
 // also publishes capacity and the backend fingerprint — a
@@ -207,9 +210,9 @@ func Explore(ctx context.Context, opts Options) (*dse.Results, error) {
 		return nil, err
 	}
 
-	// The coordinator's grid always contains the baseline: every shard's
-	// out-of-grid baseline work is subtracted at merge, and the one grid
-	// cell that owns the baseline is counted once.
+	// The coordinator's grid always contains the baseline, so merge can
+	// price every cell, and the one grid cell that owns the baseline is
+	// counted once.
 	grid := machine.Grid(o.Archs, o.Sample, o.Ops)
 	opSet, err := gridOpSet(grid)
 	if err != nil {
@@ -450,10 +453,14 @@ func (c *coordinator) launch(ctx context.Context, u *unit, w *workerState) {
 	sp := c.root.Fork("dist.shard")
 	sp.Str("bench", u.bench).Int("archs", int64(len(u.tuples))).
 		Str("worker", w.url).Int("unit", int64(u.id))
+	// Unpriced: merge prices the whole grid, so a worker sends only what
+	// it measured. A worker that does not know the member prices as
+	// before, and merge prices over it.
 	req := serve.ExploreRequest{
 		Benchmarks: []string{u.bench},
 		Width:      c.opts.Width,
 		Archs:      u.tuples,
+		Unpriced:   true,
 	}
 	if c.cacheOff {
 		req.Cache = "off"
@@ -620,11 +627,12 @@ func (c *coordinator) maybeHedge(ctx context.Context) {
 // (the pipeline is deterministic, so their measurements are
 // bit-identical) and priced here, as a local run prices them: the
 // coordinator's grid always holds the baseline. Runs is
-// Σ(shard.Runs − shard.BaselineRuns) — each shard's out-of-grid
-// baseline work is subtracted, leaving exactly the logical runs a
+// Σ(shard.Runs − shard.BaselineRuns): an unpriced shard evaluates no
+// baseline out of grid, and a priced one from a worker that ignored
+// Unpriced has that work subtracted, leaving exactly the logical runs a
 // single run over the full grid counts (the baseline's own grid cell is
-// inside exactly one shard, where BaselineRuns is 0). Phases.CostModel
-// is the merge's own pricing; a shard's went with its prices.
+// inside exactly one shard). Phases.CostModel is the merge's own
+// pricing.
 func (c *coordinator) merge(start time.Time) (*dse.Results, error) {
 	res := dse.NewResults(c.grid, c.benches)
 	var runs, failures int64

@@ -68,6 +68,14 @@ const workerDoc = `{"archs":[{"A":1,"M":1,"R":64,"P2":1,"L2":8,"C":1}],"benches"
 	`"stats":{"Runs":4,"Architectures":1,"DesignPoints":1,"Benchmarks":1,"WallTime":5,"PerArch":5,"PerRun":1,` +
 	`"Failures":0,"Phases":{"Compile":1,"Simulate":2,"CostModel":3}}}`
 
+// unpricedDoc is workerDoc as a worker answers an unpriced shard: no
+// cost list, and Time, Speedup and the pricing time 0.
+const unpricedDoc = `{"archs":[{"A":1,"M":1,"R":64,"P2":1,"L2":8,"C":1}],"benches":["G"],"cost":null,` +
+	`"eval":{"G":[{"Arch":{"ALUs":1,"MULs":1,"Regs":64,"L2Ports":1,"L2Lat":8,"Clusters":1,"MinMax":false},` +
+	`"Bench":"G","Unroll":2,"Cycles":1234,"Time":0,"Speedup":0,"Spilled":0,"Failed":false}]},` +
+	`"stats":{"Runs":4,"Architectures":1,"DesignPoints":1,"Benchmarks":1,"WallTime":5,"PerArch":5,"PerRun":1,` +
+	`"Failures":0,"Phases":{"Compile":1,"Simulate":2,"CostModel":0}}}`
+
 // checkDecodeStatus holds decodeStatus to json.Unmarshal on one body:
 // what encoding/json decodes, decodeStatus decodes to the same value;
 // what it refuses, decodeStatus refuses too, or passes on with a result
@@ -151,6 +159,7 @@ func FuzzSplitStatus(f *testing.F) {
 	for _, tc := range statusBodies {
 		f.Add([]byte(tc.body))
 	}
+	f.Add([]byte(`{"id":"j1","kind":"explore","state":"done","result":` + unpricedDoc + "}\n"))
 	f.Fuzz(func(t *testing.T, body []byte) { checkDecodeStatus(t, body) })
 }
 

@@ -99,8 +99,8 @@ func TestShardTraceRidesTheHeader(t *testing.T) {
 			keys = append(keys, k)
 		}
 		slices.Sort(keys)
-		if !slices.Equal(keys, []string{"archs", "benchmarks", "width"}) {
-			t.Errorf("traced=%v: submit body members %v, want archs, benchmarks, width", traced, keys)
+		if !slices.Equal(keys, []string{"archs", "benchmarks", "unpriced", "width"}) {
+			t.Errorf("traced=%v: submit body members %v, want archs, benchmarks, unpriced, width", traced, keys)
 		}
 		if !traced {
 			if header != "" {

@@ -18,23 +18,31 @@ import (
 // two encoders and the two decoders equal.
 
 // What the lists of a full-space document come to per element, commas
-// included and rounded up — an archs element, a cost, an evaluation —
-// and an allowance for everything outside the lists.
+// included and rounded up — an archs element, a cost, an evaluation, an
+// evaluation whose Time and Speedup are 0 — and an allowance for
+// everything outside the lists.
 const (
-	archBytes  = 48
-	costBytes  = 20
-	evalBytes  = 212
-	shellBytes = 512
+	archBytes         = 48
+	costBytes         = 20
+	evalBytes         = 212
+	unpricedEvalBytes = 180
+	shellBytes        = 512
 )
 
 // encodedSize estimates the length of out's encoding: three to five
 // percent high on the documents a run produces, so that the buffer
-// neither grows nor is worth trimming (serve's sized). An estimate, not
-// a bound: a document that outgrows it costs append a copy.
+// neither grows nor is worth trimming (serve's sized). A document
+// without costs is taken for unpriced (Results.Price sets them all). An
+// estimate, not a bound: a document that outgrows it costs append a
+// copy.
 func encodedSize(out *resultsJSON) int {
 	n := shellBytes + archBytes*len(out.Archs) + costBytes*len(out.Cost)
+	perEval := evalBytes
+	if out.Cost == nil {
+		perEval = unpricedEvalBytes
+	}
 	for _, evs := range out.Eval {
-		n += evalBytes * len(evs)
+		n += perEval * len(evs)
 	}
 	return n
 }
@@ -54,6 +62,10 @@ func plainString[S string | []byte](s S) bool {
 // appendFloat spells a finite f as encoding/json does: 'f', or 'e' below
 // 1e-6 and from 1e21, with a one-digit negative exponent unpadded.
 func appendFloat(dst []byte, f float64) []byte {
+	if f == 0 && !math.Signbit(f) {
+		// Every Time and Speedup of an unpriced document.
+		return append(dst, '0')
+	}
 	format := byte('f')
 	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'
@@ -351,6 +363,11 @@ func (d *docReader) float() float64 {
 			return 0
 		}
 		i += n
+	}
+	if i == d.i+1 && d.b[d.i] == '0' {
+		// Every Time and Speedup of an unpriced document.
+		d.i = i
+		return 0
 	}
 	f, err := strconv.ParseFloat(string(d.b[d.i:i]), 64)
 	if err != nil {

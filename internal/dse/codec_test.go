@@ -138,6 +138,20 @@ func TestRecordedResultsDocument(t *testing.T) {
 	if slack := cap(again) - len(again); slack < 0 || slack > len(again)/16 {
 		t.Errorf("a %d-byte document was encoded into a %d-byte buffer", len(again), cap(again))
 	}
+	// The same machines unpriced, as a fleet worker answers a shard.
+	res.Cost = nil
+	for _, evs := range res.Eval {
+		for i := range evs {
+			evs[i].Time, evs[i].Speedup = 0, 0
+		}
+	}
+	unpriced, err := res.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slack := cap(unpriced) - len(unpriced); slack < 0 || slack > len(unpriced)/16 {
+		t.Errorf("a %d-byte unpriced document was encoded into a %d-byte buffer", len(unpriced), cap(unpriced))
+	}
 
 	full, err := os.ReadFile(shippedPath)
 	if err != nil {
@@ -191,6 +205,19 @@ func FuzzResultsDocument(f *testing.F) {
 		f.Fatal(err)
 	}
 	add(real)
+	// The same machines as a fleet worker answers an unpriced shard: no
+	// cost list, and every Time and Speedup 0.
+	head.Cost, head.Stats.BaselineRuns, head.Stats.Phases.CostModel = nil, 0, 0
+	for _, evs := range head.Eval {
+		for i := range evs {
+			evs[i].Time, evs[i].Speedup = 0, 0
+		}
+	}
+	unpriced, err := json.Marshal(head)
+	if err != nil {
+		f.Fatal(err)
+	}
+	add(unpriced)
 	for i := range docVariants {
 		add([]byte(docVariants[i].doc()))
 	}

@@ -1,8 +1,10 @@
 package dse
 
 import (
+	"context"
 	"math"
 	"os"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -72,6 +74,50 @@ func TestExplorerSmallSpace(t *testing.T) {
 	}
 	if res.Stats.Runs < int64(len(res.Benches)*len(res.Archs)) {
 		t.Errorf("compilation count %d implausibly low", res.Stats.Runs)
+	}
+}
+
+// TestMeasureThenPriceIsRun: Measure leaves the grid unpriced (no Cost,
+// every Time and Speedup 0) and evaluates no baseline out of grid, and
+// pricing what it measured gives what Run gives, grid and runs alike.
+func TestMeasureThenPriceIsRun(t *testing.T) {
+	for _, archs := range [][]machine.Arch{smallSpace, smallSpace[1:]} {
+		e := smallExplorer("D", "G")
+		e.Archs = archs
+		want, err := e.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		e = smallExplorer("D", "G")
+		e.Archs = archs
+		got, err := e.Measure(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Cost != nil || got.Stats.BaselineRuns != 0 || got.Stats.Runs != want.Stats.Runs-want.Stats.BaselineRuns {
+			t.Errorf("%d machines: measured Cost %v, %d runs of which %d baseline; Run counts %d, %d baseline",
+				len(archs), got.Cost, got.Stats.Runs, got.Stats.BaselineRuns, want.Stats.Runs, want.Stats.BaselineRuns)
+		}
+		for _, b := range got.Benches {
+			for i, ev := range got.Eval[b] {
+				if ev.Time != 0 || ev.Speedup != 0 {
+					t.Errorf("%s on %v measured as priced: %+v", b, ev.Arch, ev)
+				}
+				w := want.Eval[b][i]
+				w.Time, w.Speedup = 0, 0
+				if ev != w {
+					t.Errorf("%s on %v: measured %+v, Run %+v", b, ev.Arch, ev, w)
+				}
+			}
+		}
+		if len(archs) == len(smallSpace) {
+			if err := got.Price(nil); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got.Cost, want.Cost) || !reflect.DeepEqual(got.Eval, want.Eval) {
+				t.Error("measured and priced, the grid differs from Run's")
+			}
+		}
 	}
 }
 

@@ -317,7 +317,18 @@ func (e *Evaluator) EvaluateScratch(b *bench.Benchmark, arch machine.Arch, sc *s
 	return e.evaluate(context.Background(), b, arch, sc)
 }
 
+// evaluate is measure with the cell's Time priced: what the exported
+// Evaluate methods return. An exploration's grid takes measure's cells,
+// which Results.Price prices, or Measure leaves unpriced.
 func (e *Evaluator) evaluate(ctx context.Context, b *bench.Benchmark, arch machine.Arch, sc *sched.Scratch) Evaluation {
+	ev := e.measure(ctx, b, arch, sc)
+	ev.price(machine.DefaultCycleModel.Derate(arch))
+	return ev
+}
+
+// measure resolves one cell's sweep, through the cache unless
+// DisableMemo, and returns its evaluation with zero Time and Speedup.
+func (e *Evaluator) measure(ctx context.Context, b *bench.Benchmark, arch machine.Arch, sc *sched.Scratch) Evaluation {
 	// StartSpanCtx parents the evaluation under the exploration's span
 	// when one rides ctx (each evaluation forks its own track).
 	esp := obs.StartSpanCtx(ctx, "evaluate")
@@ -332,7 +343,6 @@ func (e *Evaluator) evaluate(ctx context.Context, b *bench.Benchmark, arch machi
 		sw = e.sweepThroughCache(ctx, esp, b, arch, sc)
 	}
 	ev := sw.evaluation(b.Name, arch)
-	ev.price(machine.DefaultCycleModel.Derate(arch))
 	if esp != nil {
 		esp.Int("unroll", int64(ev.Unroll)).Int("cycles", ev.Cycles)
 	}

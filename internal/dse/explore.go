@@ -93,11 +93,12 @@ type Stats struct {
 	// context ended. Always zero for a run that completed.
 	Cancelled int64 `json:",omitempty"`
 	// BaselineRuns counts the compilations (logical, like Runs — and
-	// included in it) spent evaluating the baseline machine when it is
-	// not part of the explored grid. Zero whenever the baseline is in
-	// Archs (the full space includes it), so files saved from full runs
-	// are unchanged. The distributed coordinator (internal/dist)
-	// subtracts it when merging shards: every shard evaluates the
+	// included in it) spent evaluating the baseline machine for Price
+	// when it is not part of the explored grid. Zero whenever the
+	// baseline is in Archs (the full space includes it), so files saved
+	// from full runs are unchanged, and zero for Measure, which prices
+	// nothing. The distributed coordinator (internal/dist) subtracts it
+	// when merging shards: a shard priced by a worker evaluates the
 	// baseline for its speedup denominators, but only the shard that
 	// owns the baseline's grid cell may count it.
 	BaselineRuns int64 `json:",omitempty"`
@@ -283,12 +284,29 @@ func (e *Explorer) Run() (*Results, error) {
 	return e.RunCtx(context.Background())
 }
 
-// RunCtx executes the exploration under ctx. Cancelling ctx stops the
-// scheduling of new evaluations immediately, lets in-flight backend
-// compiles finish (each is milliseconds), and returns an error wrapping
-// ErrCancelled; no partial Results are returned. When ctx is never
-// cancelled the Results are bit-identical to Run's.
+// RunCtx executes the exploration under ctx: Measure, then Price. When
+// the grid lacks the baseline machine, the baseline is evaluated out of
+// grid for its times, and those compilations are counted in
+// Stats.BaselineRuns. Cancelling ctx stops the scheduling of new
+// evaluations immediately, lets in-flight backend compiles finish (each
+// is milliseconds), and returns an error wrapping ErrCancelled; no
+// partial Results are returned. When ctx is never cancelled the Results
+// are bit-identical to Run's.
 func (e *Explorer) RunCtx(ctx context.Context) (*Results, error) {
+	return e.explore(ctx, true)
+}
+
+// Measure is RunCtx short of pricing: every cell's cycles, unroll
+// factor, spills and flags, but no Cost (nil), and zero Time and
+// Speedup. It evaluates no baseline out of grid, so Stats.BaselineRuns
+// is zero. A fleet worker measures its shard this way and leaves the
+// pricing to the coordinator's merge (internal/dist).
+func (e *Explorer) Measure(ctx context.Context) (*Results, error) {
+	return e.explore(ctx, false)
+}
+
+// explore is RunCtx, or Measure when priced is false.
+func (e *Explorer) explore(ctx context.Context, priced bool) (*Results, error) {
 	// The run's root span: parented under the context's span when one is
 	// there (a serve.job continuing a coordinator's trace), a standalone
 	// root otherwise. Threading it back through ctx parents every
@@ -353,26 +371,30 @@ func (e *Explorer) RunCtx(ctx context.Context) (*Results, error) {
 	}
 
 	// The baseline machine is evaluated like any other (it is in the
-	// space); if absent, evaluate it now for Price and attribute those
-	// runs to Stats.BaselineRuns (grid runs and out-of-grid baseline
-	// runs must stay separable for distributed merges).
+	// space); if absent and the run prices, evaluate it now for Price
+	// and attribute those runs to Stats.BaselineRuns (grid runs and
+	// out-of-grid baseline runs must stay separable for distributed
+	// merges).
 	preBaselineRuns := ev.Compilations.Load()
-	var base []float64
-	if !slices.Contains(archs, machine.Baseline) {
-		base = make([]float64, len(benches))
-		for k, b := range benches {
-			bev := ev.EvaluateCtx(ctx, b, machine.Baseline)
-			if bev.Cancelled {
-				return nil, cancelledErr(ctx)
+	var costTime time.Duration
+	if priced {
+		var base []float64
+		if !slices.Contains(archs, machine.Baseline) {
+			base = make([]float64, len(benches))
+			for k, b := range benches {
+				bev := ev.EvaluateCtx(ctx, b, machine.Baseline)
+				if bev.Cancelled {
+					return nil, cancelledErr(ctx)
+				}
+				base[k] = bev.Time
 			}
-			base[k] = bev.Time
 		}
+		t0 := time.Now()
+		if err := res.Price(base); err != nil {
+			return nil, err
+		}
+		costTime = time.Since(t0)
 	}
-	t0 := time.Now()
-	if err := res.Price(base); err != nil {
-		return nil, err
-	}
-	costTime := time.Since(t0)
 
 	wall := time.Since(start)
 	runs := ev.Compilations.Load()
@@ -448,7 +470,7 @@ func (r *run) queue(ctx context.Context, workers int, cold []int) {
 					busy += time.Since(t1)
 					continue
 				}
-				evl := r.ev.evaluate(ctx, b, r.archs[j.ai], sc)
+				evl := r.ev.measure(ctx, b, r.archs[j.ai], sc)
 				busy += time.Since(t1)
 				r.res.Eval[b.Name][j.ai] = evl
 				switch {

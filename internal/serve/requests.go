@@ -290,13 +290,21 @@ type ExploreRequest struct {
 	// Archs, when non-empty, explores exactly these architectures
 	// (positional tuples "a m r p2 l2 c") instead of the sampled full
 	// space; Sample must then be unset. The baseline machine is NOT
-	// appended implicitly — shard dispatch needs exact grids — but
-	// speedups are still measured against it (evaluated out of grid
-	// when absent, accounted in Stats.BaselineRuns). This is the wire
-	// form the distributed coordinator (internal/dist) uses to farm
-	// shards out to workers. With a custom-op catalog (Ops) the tuples
-	// may carry an " ops=<hexmask>" suffix (cli.ParseArchOps).
+	// appended implicitly — shard dispatch needs exact grids. A priced
+	// job still measures speedups against it (evaluated out of grid
+	// when absent, accounted in Stats.BaselineRuns); an Unpriced one
+	// evaluates no baseline. This is the wire form the distributed
+	// coordinator (internal/dist) uses to farm shards out to workers.
+	// With a custom-op catalog (Ops) the tuples may carry an
+	// " ops=<hexmask>" suffix (cli.ParseArchOps).
 	Archs []string `json:"archs,omitempty"`
+	// Unpriced asks for the measurements alone (core.Measure): the
+	// result is the same document with "cost":null and every Time and
+	// Speedup 0, and no out-of-grid baseline is evaluated. The
+	// distributed coordinator sends it with every shard, because its
+	// merge prices the whole grid itself. Part of the coalesce key: a
+	// priced and an unpriced job never share work.
+	Unpriced bool `json:"unpriced,omitempty"`
 	// Schema declares the request schema the sender speaks (see
 	// SchemaVersion). Zero means 1, the 6-tuple era; senders set it only
 	// when they use newer fields, keeping classic requests byte-identical
@@ -332,6 +340,7 @@ type exploreJob struct {
 	archs         []machine.Arch
 	opSet         *machine.OpSet
 	sample, width int
+	unpriced      bool
 	key           string
 }
 
@@ -355,7 +364,7 @@ func (req *exploreBody) resolve() (*exploreJob, int, error) {
 	if req.Archs.Len() > 0 && req.Sample > 1 {
 		return nil, http.StatusBadRequest, errors.New("archs and sample are mutually exclusive")
 	}
-	x := &exploreJob{benches: benches, sample: max(req.Sample, 1), width: req.Width}
+	x := &exploreJob{benches: benches, sample: max(req.Sample, 1), width: req.Width, unpriced: req.Unpriced}
 	if x.width <= 0 {
 		x.width = 96
 	}
@@ -380,13 +389,18 @@ func (req *exploreBody) resolve() (*exploreJob, int, error) {
 }
 
 // exploreKey spells exactly the result-affecting fields of x, and ops
-// (the catalog as sent), unambiguously: counts and numbers as varints,
-// strings behind their length, the machines last. Worker counts,
-// caching and trace identity are left out because the pipeline is
-// deterministic regardless of them.
+// (the catalog as sent), unambiguously: whether the job prices as one
+// byte, counts and numbers as varints, strings behind their length, the
+// machines last. Worker counts, caching and trace identity are left out
+// because the pipeline is deterministic regardless of them.
 func exploreKey(x *exploreJob, ops []string) string {
 	key := make([]byte, 0, 64+10*len(x.archs))
 	key = append(key, "explore:"...)
+	priced := byte(1)
+	if x.unpriced {
+		priced = 0
+	}
+	key = append(key, priced)
 	key = binary.AppendUvarint(key, uint64(len(x.benches)))
 	for _, b := range x.benches {
 		key = append(binary.AppendUvarint(key, uint64(len(b.Name))), b.Name...)
@@ -420,8 +434,12 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	if req.Cache == "off" {
 		cache = nil
 	}
+	explore := core.Explore
+	if x.unpriced {
+		explore = core.Measure
+	}
 	s.respondSubmit(w, remoteContext(r), "explore", x.key, func(ctx context.Context, j *Job) (json.RawMessage, error) {
-		res, err := core.Explore(ctx, core.ExploreOptions{
+		res, err := explore(ctx, core.ExploreOptions{
 			Benchmarks:  x.benches,
 			Archs:       x.archs,
 			ExactArchs:  len(x.archs) > 0,

@@ -15,7 +15,7 @@ import (
 // the full space, as the coordinator marshals it (a traced shard's
 // context rides the traceparent header, not the body).
 func fullSpaceRequest(t testing.TB) (ExploreRequest, []byte) {
-	req := ExploreRequest{Benchmarks: []string{"G"}, Width: 96}
+	req := ExploreRequest{Benchmarks: []string{"G"}, Width: 96, Unpriced: true}
 	for _, a := range machine.FullSpace() {
 		req.Archs = append(req.Archs, cli.FormatArch(a))
 	}
@@ -86,6 +86,7 @@ func TestExploreBodyReadsARequest(t *testing.T) {
 		"arch order": func(r *ExploreRequest) { r.Archs = []string{r.Archs[1], r.Archs[0]} },
 		"sample":     func(r *ExploreRequest) { r.Archs, r.Sample = nil, 24 },
 		"ops":        func(r *ExploreRequest) { r.Schema, r.Ops = SchemaVersion, opCatalog },
+		"unpriced":   func(r *ExploreRequest) { r.Unpriced = true },
 	} {
 		other := base
 		other.Archs = slices.Clone(base.Archs)
