@@ -107,10 +107,13 @@ check: build vet staticcheck test race bench-smoke bench-module fuzz-smoke
 # Every shipped cell runs: each non-failed cell of results_full.json
 # (8 380) is compiled at its stored unroll factor, run through the
 # physical register assignment on the reference workload and held to
-# the golden model's outputs, its stored cycles and its stored spills
-# (TestAllShippedCellsRun, behind the `cells` build tag so tier 1 runs
-# only its 198-cell slice, TestShippedCellsRun). About half a minute at
-# 2 procs. Not part of `make check`; CI runs it right after.
+# the golden model's outputs, its stored cycles and spills, and the
+# profile (sim.Profile) of the interpreter's block visits; the same
+# schedule then runs at every shorter L2 latency and must keep its
+# outputs and cycles (TestAllShippedCellsRun, behind the `cells` build
+# tag so tier 1 runs only its 198-cell slice, TestShippedCellsRun).
+# About half a minute at 2 procs. Not part of `make check`; CI runs it
+# right after.
 cells:
 	$(GO) vet -tags cells .
 	$(GO) test -tags cells -run '^TestAllShippedCellsRun$$' -v -timeout 20m .

@@ -12,29 +12,29 @@ import (
 	"testing"
 
 	"customfit/internal/bench"
-	"customfit/internal/core"
 	"customfit/internal/dse"
 	"customfit/internal/dse/dsetest"
+	"customfit/internal/ir"
 )
 
 // TestAllShippedCellsRun is TestShippedCellsRun over every non-failed
 // cell of the shipped results instead of a sample, on GOMAXPROCS
-// goroutines: each cell compiled at its stored unroll factor, run
-// through the physical register assignment, and held to the golden
-// model's outputs, its stored cycles and its stored spills. About half
-// a minute on two cores, so it sits behind the cells build tag
-// (`make cells`) and out of `go test ./...`. It logs, per benchmark,
-// how many cells each resource bounds and the stall cycles of them all:
-// the simulator's attribution of the whole space.
+// goroutines: each cell held by checkCell to the golden model's
+// outputs, its stored cycles and spills, the profile of the explorer's
+// block visits, and the same outputs and cycles at every shorter L2
+// latency. About half a minute on two cores, so it sits behind the
+// cells build tag (`make cells`) and out of `go test ./...`. It logs,
+// per benchmark, how many cells each resource bounds and the stall
+// cycles of them all: the attribution of the whole space.
 func TestAllShippedCellsRun(t *testing.T) {
 	res := dsetest.Shipped(t)
-	kernels := map[string]*core.Kernel{}
+	fns := map[string]*ir.Func{}
 	for _, name := range res.Benches {
-		k, err := core.ParseKernel(bench.ByName(name).Source)
+		fn, err := bench.ByName(name).Compile()
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatal(err)
 		}
-		kernels[name] = k
+		fns[name] = fn
 	}
 	cells := make(chan dse.Evaluation)
 	var ran, mismatched atomic.Int64
@@ -48,7 +48,7 @@ func TestAllShippedCellsRun(t *testing.T) {
 			defer wg.Done()
 			for ev := range cells {
 				ran.Add(1)
-				st, ok := checkCell(t, kernels[ev.Bench], bench.ByName(ev.Bench), ev)
+				st, ok := checkCell(t, fns[ev.Bench], bench.ByName(ev.Bench), ev)
 				if !ok {
 					mismatched.Add(1)
 					continue

@@ -1,15 +1,21 @@
 package customfit_test
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
 	"customfit/internal/bench"
-	"customfit/internal/core"
 	"customfit/internal/dse"
 	"customfit/internal/dse/dsetest"
+	"customfit/internal/ir"
 	"customfit/internal/machine"
+	"customfit/internal/opt"
+	"customfit/internal/sched"
+	"customfit/internal/sim"
 )
 
 // TestShippedCellsRun executes a sample of the shipped results: the
@@ -18,9 +24,11 @@ import (
 // non-failed cells of each of the eleven benchmarks, drawn with a fixed
 // seed, it compiles the kernel for the cell's machine at the stored
 // unroll factor, runs it on the reference workload through the physical
-// register assignment, and requires the golden model's outputs, the
-// stored cycle count and the stored spill count (checkCell). Every cell
-// is TestAllShippedCellsRun's, behind `make cells`.
+// register assignment, and holds the run to the golden model's outputs,
+// the stored cycles and spills, and the profile of the explorer's block
+// visits; and it runs the same schedule at every shorter L2 latency of
+// the space (checkCell). Every cell is TestAllShippedCellsRun's, behind
+// `make cells`.
 func TestShippedCellsRun(t *testing.T) {
 	const perBench = 18
 	res := dsetest.Shipped(t)
@@ -30,9 +38,9 @@ func TestShippedCellsRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(2026))
 	for _, name := range res.Benches {
 		b := bench.ByName(name)
-		k, err := core.ParseKernel(b.Source)
+		fn, err := b.Compile()
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatal(err)
 		}
 		var cells []int
 		for i, ev := range res.Eval[name] {
@@ -42,7 +50,7 @@ func TestShippedCellsRun(t *testing.T) {
 		}
 		rng.Shuffle(len(cells), func(i, j int) { cells[i], cells[j] = cells[j], cells[i] })
 		for _, i := range cells[:min(perBench, len(cells))] {
-			checkCell(t, k, b, res.Eval[name][i])
+			checkCell(t, fn, b, res.Eval[name][i])
 		}
 	}
 }
@@ -56,7 +64,7 @@ func TestShippedCellsRun(t *testing.T) {
 func TestWorstPairRuns(t *testing.T) {
 	res := dsetest.Shipped(t)
 	b := bench.ByName("GF")
-	k, err := core.ParseKernel(b.Source)
+	fn, err := b.Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +85,7 @@ func TestWorstPairRuns(t *testing.T) {
 		if ev.Unroll != 1 {
 			t.Errorf("GF on %s: stored unroll %d, want 1", want.arch, ev.Unroll)
 		}
-		st, ok := checkCell(t, k, b, ev)
+		st, ok := checkCell(t, fn, b, ev)
 		if ok && (st.Bound != want.bound || st.StallCycles != want.stalls || ev.Spilled != want.spilled) {
 			t.Errorf("GF on %s: %s-bound, %d stall cycles, %d spilled; want %s-bound, %d, %d",
 				want.arch, st.Bound, st.StallCycles, ev.Spilled, want.bound, want.stalls, want.spilled)
@@ -85,25 +93,97 @@ func TestWorstPairRuns(t *testing.T) {
 	}
 }
 
-// checkCell runs one shipped cell: it compiles k, benchmark b's kernel,
-// for ev's machine at ev's unroll factor, runs it on the reference
-// workload through the physical register assignment, and requires the
-// golden model's outputs, ev's cycle count and ev's spill count. It
-// returns the run's statistics and whether the cell held; a cell that
-// does not says why on t.
-func checkCell(t *testing.T, k *core.Kernel, b *bench.Benchmark, ev dse.Evaluation) (core.RunStats, bool) {
-	c, err := k.Compile(ev.Arch, ev.Unroll)
+// l2Lats are the design space's L2 latencies.
+var l2Lats = sync.OnceValue(func() []int {
+	var lats []int
+	for _, a := range machine.FullSpace() {
+		if !slices.Contains(lats, a.L2Lat) {
+			lats = append(lats, a.L2Lat)
+		}
+	}
+	return lats
+})
+
+// checkCell runs one shipped cell: it prepares fn, benchmark b's
+// kernel, at ev's unroll factor, counts its block visits on the
+// reference workload with the interpreter as the explorer does,
+// compiles and validates it for ev's machine, and runs it through the
+// physical register assignment. The run must give the golden model's
+// outputs, ev's cycles and spills, and Stats equal field by field to
+// sim.Profile of the schedule and the interpreter's visits: the
+// explorer's premise that the interpreter's visits are the simulator's.
+// Then the same schedule runs at every shorter L2 latency of the space,
+// with loads landing and L2 ports freeing that much sooner, and must
+// give the golden outputs in the same cycles: whether the edge of the
+// space along l2 is bounded by compiling for the longer latency. It
+// returns the run's Stats and whether the cell held; a cell that does
+// not says why on t.
+func checkCell(t *testing.T, fn *ir.Func, b *bench.Benchmark, ev dse.Evaluation) (*sim.Stats, bool) {
+	what := fmt.Sprintf("%s on %v at unroll %d", b.Name, ev.Arch, ev.Unroll)
+	prepared, err := opt.Prepare(fn, ev.Unroll)
 	if err != nil {
-		t.Errorf("%s on %v at unroll %d: %v", b.Name, ev.Arch, ev.Unroll, err)
-		return core.RunStats{}, false
+		t.Errorf("%s: %v", what, err)
+		return nil, false
 	}
 	tc := b.NewCase(96, 1)
 	want := tc.Golden()
-	st, err := c.RunPhysical(tc.Args, tc.Mem)
-	if err != nil {
-		t.Errorf("%s on %v at unroll %d: %v", b.Name, ev.Arch, ev.Unroll, err)
-		return core.RunStats{}, false
+	ref := tc.Clone().Env()
+	ref.Visits = map[string]int64{}
+	if _, err := ir.Interp(prepared, ref); err != nil {
+		t.Errorf("%s: reference run: %v", what, err)
+		return nil, false
 	}
+	res, err := sched.Compile(prepared, ev.Arch)
+	if err == nil {
+		err = sched.Validate(res.Prog)
+	}
+	if err != nil {
+		t.Errorf("%s: %v", what, err)
+		return nil, false
+	}
+	st, err := sim.RunPhysical(res.Prog, tc.Env())
+	if err != nil {
+		t.Errorf("%s: %v", what, err)
+		return nil, false
+	}
+	ok := goldenOutputs(t, what, tc, want)
+	if st.Cycles != ev.Cycles {
+		t.Errorf("%s: simulated %d cycles, results_full.json holds %d", what, st.Cycles, ev.Cycles)
+		ok = false
+	}
+	if res.Spilled != ev.Spilled {
+		t.Errorf("%s: compiled with %d registers spilled, results_full.json holds %d", what, res.Spilled, ev.Spilled)
+		ok = false
+	}
+	if prof := sim.Profile(res.Prog, ref.Visits); !reflect.DeepEqual(prof, st) {
+		t.Errorf("%s: the run's Stats are not the profile of the interpreter's visits\nrun     %+v\nprofile %+v", what, st, prof)
+		ok = false
+	}
+	for _, l2 := range l2Lats() {
+		if l2 >= ev.Arch.L2Lat {
+			continue
+		}
+		short := *res.Prog
+		short.Arch.L2Lat = l2
+		tc := b.NewCase(96, 1)
+		sst, err := sim.RunPhysical(&short, tc.Env())
+		switch {
+		case err != nil:
+			t.Errorf("%s, run at L2 latency %d: %v", what, l2, err)
+			ok = false
+		case !goldenOutputs(t, fmt.Sprintf("%s, run at L2 latency %d", what, l2), tc, want):
+			ok = false
+		case sst.Cycles != ev.Cycles:
+			t.Errorf("%s, run at L2 latency %d: %d cycles, want %d", what, l2, sst.Cycles, ev.Cycles)
+			ok = false
+		}
+	}
+	return st, ok
+}
+
+// goldenOutputs reports whether tc's outputs are want's, and where the
+// first that is not differs on t.
+func goldenOutputs(t *testing.T, what string, tc *bench.Case, want map[string][]int32) bool {
 	ok := true
 	for _, out := range tc.Outputs {
 		got, exp := tc.Mem[out], want[out]
@@ -112,20 +192,9 @@ func checkCell(t *testing.T, k *core.Kernel, b *bench.Benchmark, ev dse.Evaluati
 			for at < min(len(got), len(exp)) && got[at] == exp[at] {
 				at++
 			}
-			t.Errorf("%s on %v at unroll %d: output %s differs from the golden model first at index %d",
-				b.Name, ev.Arch, ev.Unroll, out, at)
+			t.Errorf("%s: output %s differs from the golden model first at index %d", what, out, at)
 			ok = false
 		}
 	}
-	if st.Cycles != ev.Cycles {
-		t.Errorf("%s on %v at unroll %d: simulated %d cycles, results_full.json holds %d",
-			b.Name, ev.Arch, ev.Unroll, st.Cycles, ev.Cycles)
-		ok = false
-	}
-	if c.Spilled != ev.Spilled {
-		t.Errorf("%s on %v at unroll %d: compiled with %d registers spilled, results_full.json holds %d",
-			b.Name, ev.Arch, ev.Unroll, c.Spilled, ev.Spilled)
-		ok = false
-	}
-	return *st, ok
+	return ok
 }

@@ -87,9 +87,12 @@ func main() {
 	fmt.Printf("; bundles=%d ops=%d static IPC=%.2f spilled=%d regs, cost=%.2f derate=%.2f\n",
 		c.Prog.BundleCount(), c.Prog.OpCount(), c.Prog.IPC(), c.Spilled,
 		machine.DefaultCostModel.Cost(arch), machine.DefaultCycleModel.Derate(arch))
-	u := c.Prog.Utilization()
-	fmt.Printf("; utilization: ALU %.0f%%, MUL %.0f%%, L1 %.2f/bundle, L2 %.2f/bundle, bus %.0f%%, moves %.0f%% of ops\n",
-		100*u.ALU, 100*u.MUL, u.L1, u.L2, 100*u.Bus, 100*u.Moves)
+	var issued machine.Charges // a move is what takes a bus
+	for _, sb := range c.Prog.Blocks {
+		issued.Add(machine.IssueCharges(sb.IR.Instrs))
+	}
+	fmt.Printf("; occupancy %s, moves %.0f%% of ops\n",
+		c.Profile().Occupancy(arch), 100*float64(issued.Bus)/float64(c.Prog.OpCount()))
 	if !*quiet {
 		fmt.Print(c.Assembly())
 	}

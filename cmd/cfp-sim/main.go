@@ -93,12 +93,7 @@ func runOne(b *bench.Benchmark, arch machine.Arch, unroll, width int, seed int64
 	fmt.Printf("  time          %.0f (cycle derate %.2f)\n", st.Time, machine.DefaultCycleModel.Derate(arch))
 	fmt.Printf("  operations    %d  (IPC %.2f)\n", st.Ops, st.IPC)
 	fmt.Printf("  mem accesses  %d\n", st.MemAccesses)
-	cu := ""
-	if !arch.Ops.Empty() {
-		cu = fmt.Sprintf("  CU %.0f%%", 100*st.CUOcc)
-	}
-	fmt.Printf("  occupancy     ALU %.0f%%  MUL %.0f%%  L1 %.0f%%  L2 %.0f%%%s  (bound by %s, %d stall cycles)\n",
-		100*st.ALUOcc, 100*st.MULOcc, 100*st.L1Occ, 100*st.L2Occ, cu, st.Bound, st.StallCycles)
+	fmt.Printf("  occupancy     %s\n", st.Occupancy(arch))
 	fmt.Printf("  spilled regs  %d\n", c.Spilled)
 	fmt.Printf("  arch cost     %.2f\n", machine.DefaultCostModel.Cost(arch))
 	if errors == 0 {

@@ -101,7 +101,8 @@ func (k *Kernel) CompileCtx(ctx context.Context, arch machine.Arch, unroll int) 
 // Assembly renders the scheduled VLIW program.
 func (c *Compiled) Assembly() string { return c.Prog.String() }
 
-// RunStats reports a simulation.
+// RunStats reports a run: sim.Stats in the facade's form, every count
+// visit-weighted static (sim.Profile).
 type RunStats struct {
 	Cycles      int64
 	Ops         int64
@@ -111,11 +112,10 @@ type RunStats struct {
 	// Time is Cycles scaled by the architecture's cycle-time derating —
 	// the paper's performance metric.
 	Time float64
-	// Dynamic, cycle-weighted resource occupancy (see sim.Stats):
-	// fractions of available ALU/MUL slot-cycles, L1/L2 port-cycles and
-	// custom-unit cycles (zero on an op-free machine) actually used, plus
-	// the resource that bounded the run: the class whose occupancy here
-	// is the largest.
+	// Resource occupancy (see sim.Stats): fractions of available ALU/MUL
+	// slot-cycles, L1/L2 port-cycles and custom-unit cycles (zero on an
+	// op-free machine) used over the run, plus the resource that bounded
+	// it: the class whose occupancy here is the largest.
 	ALUOcc, MULOcc, L1Occ, L2Occ, CUOcc float64
 	StallCycles                         int64
 	Bound                               string
@@ -142,6 +142,30 @@ func newRunStats(st *sim.Stats, arch machine.Arch) *RunStats {
 		StallCycles: st.StallCycles,
 		Bound:       st.Bound,
 	}
+}
+
+// Occupancy renders the occupancies, the bound and the stall cycles on
+// one line, as the tools print them: "ALU 50%  MUL 12%  L1 25%  L2 0%
+// (bound by alu, 3 stall cycles)", the custom units' share after L2's
+// when arch has custom ops.
+func (st *RunStats) Occupancy(arch machine.Arch) string {
+	cu := ""
+	if !arch.Ops.Empty() {
+		cu = fmt.Sprintf("  CU %.0f%%", 100*st.CUOcc)
+	}
+	return fmt.Sprintf("ALU %.0f%%  MUL %.0f%%  L1 %.0f%%  L2 %.0f%%%s  (bound by %s, %d stall cycles)",
+		100*st.ALUOcc, 100*st.MULOcc, 100*st.L1Occ, 100*st.L2Occ, cu, st.Bound, st.StallCycles)
+}
+
+// Profile is the program image's profile: the Stats of a run that
+// executes every block once (sim.Profile), what the schedule alone
+// keeps busy.
+func (c *Compiled) Profile() *RunStats {
+	once := make(map[string]int64, len(c.Prog.Blocks))
+	for _, sb := range c.Prog.Blocks {
+		once[sb.IR.Name] = 1
+	}
+	return newRunStats(sim.Profile(c.Prog, once), c.Arch)
 }
 
 // Run executes the compiled kernel on the cycle-accurate simulator.

@@ -4,9 +4,9 @@ import "customfit/internal/ir"
 
 // Class is an operation's issue class: what it asks the machine for in
 // the cycle it issues. The scheduler, the validator, the lower bound,
-// the delta cache, the static utilization and the simulator's occupancy
-// counters all take an operation's class, latency and port occupancy
-// from the one description in this file and decide nothing themselves.
+// the delta cache and the resource profile (sim.Profile) all take an
+// operation's class, latency and port occupancy from the one
+// description in this file and decide nothing themselves.
 type Class uint8
 
 const (

@@ -8,7 +8,9 @@
 //
 // A run decodes the program once into flat arrays and executes those
 // without a map lookup or an allocation per cycle; Run and RunPhysical
-// are that one engine under two register-to-slot mappings.
+// are that one engine under two register-to-slot mappings. The engine
+// counts only block visits: what a run kept busy is Profile of the
+// schedule and those visits.
 package sim
 
 import (
@@ -26,13 +28,13 @@ import (
 	"customfit/internal/vliw"
 )
 
-// Stats reports a simulation run. Beyond the raw counts it attributes
-// cycles to datapath resources: the *Busy fields are dynamic,
-// execution-weighted tallies (unlike the static, per-image
-// vliw.Utilization), the *Occ fields normalize them to fractions of the
-// available slot- or port-cycles, and Bound names the resource with the
-// highest occupancy — the best single answer to "what bounded this
-// run".
+// Stats reports a run. Every count is a visit-weighted static count:
+// what one execution of each block issues and keeps busy, read off its
+// schedule and the machine description, times the block's visits
+// (Profile). The *Busy fields tally issue slots and port-cycles, the
+// *Occ fields normalize them to fractions of the available slot- or
+// port-cycles, and Bound names the resource with the highest occupancy
+// — the best single answer to "what bounded this run".
 type Stats struct {
 	Cycles      int64
 	Ops         int64
@@ -57,22 +59,44 @@ type Stats struct {
 	// available slot-cycles (ALU/MUL/CU) or port-cycles (L1/L2).
 	ALUOcc, MULOcc, L1Occ, L2Occ, CUOcc float64
 	// Bound names the issue class (machine.Class: "alu", "mul", "l1",
-	// "l2", "cu", or "none") with the highest dynamic occupancy.
+	// "l2", "cu", or "none") with the highest occupancy.
 	Bound string
 }
 
-// addVisits adds n executions of a block whose single execution is b.
-func (st *Stats) addVisits(b *Stats, n int64) {
-	st.Cycles += n * b.Cycles
-	st.Ops += n * b.Ops
-	st.Bundles += n * b.Bundles
-	st.MemAccesses += n * b.MemAccesses
-	st.ALUBusy += n * b.ALUBusy
-	st.MULBusy += n * b.MULBusy
-	st.L1Busy += n * b.L1Busy
-	st.L2Busy += n * b.L2Busy
-	st.CUBusy += n * b.CUBusy
-	st.StallCycles += n * b.StallCycles
+// Profile returns the complete Stats of a run of prog that executes
+// each block visits[name] times, counted from the schedule alone: a
+// visited block executes all of its cycles (control leaves only after
+// the last), so a run's counts are one execution's weighted by visits.
+// An operation keeps busy what its machine.Class charges, a memory
+// access its port for machine.Occupancy cycles. The stall count relies
+// on a block's ops being in cycle order (vliw.Block). BlockVisits is
+// visits itself.
+func Profile(prog *vliw.Program, visits map[string]int64) *Stats {
+	st := &Stats{Cycles: prog.StaticCycles(visits), BlockVisits: visits}
+	for _, sb := range prog.Blocks {
+		n := visits[sb.IR.Name]
+		if n == 0 {
+			continue
+		}
+		issuing := 0 // cycles that issue an operation
+		for i, op := range sb.Ops {
+			if i == 0 || op.Cycle != sb.Ops[i-1].Cycle {
+				issuing++
+			}
+			ch, occ := machine.ClassOf(op.Instr).Charges(), int64(machine.Occupancy(op.Instr, prog.Arch))
+			st.ALUBusy += n * int64(ch.ALU)
+			st.MULBusy += n * int64(ch.MUL)
+			st.CUBusy += n * int64(ch.CU)
+			st.L1Busy += n * int64(ch.L1) * occ
+			st.L2Busy += n * int64(ch.L2) * occ
+			st.MemAccesses += n * int64(ch.L1+ch.L2)
+		}
+		st.Ops += n * int64(len(sb.Ops))
+		st.Bundles += n * int64(sb.Len)
+		st.StallCycles += n * int64(sb.Len-issuing)
+	}
+	st.finalize(prog.Arch)
+	return st
 }
 
 // finalize computes the occupancy fractions from the busy tallies.
@@ -138,17 +162,14 @@ type dop struct {
 	spec      *ir.FusedSpec
 }
 
-// dblock is one block, decoded. once is the Stats of one execution: a
-// visited block executes all of its cycles (control leaves only after
-// the last; an error abandons the run and its Stats), so a run's totals
-// are these static counts weighted by visits, and the cycle loop counts
-// nothing. A block that is branched to but was never scheduled has
-// missing set; visiting it is the error.
+// dblock is one block, decoded: its cycles are engine.cyc's from first
+// on. A block that is branched to but was never scheduled has missing
+// set; visiting it is the error.
 type dblock struct {
 	name    string
 	first   int32 // index into engine.cyc of the block's cycle 0
+	cycles  int32
 	missing bool
-	once    Stats
 	visits  int64
 }
 
@@ -299,14 +320,13 @@ func run(ctx context.Context, prog *vliw.Program, env *ir.Env, physical bool) (*
 		return nil, err
 	}
 
-	st := &Stats{BlockVisits: map[string]int64{}}
+	visits := map[string]int64{}
 	for i := range e.blocks {
 		if b := &e.blocks[i]; b.visits > 0 {
-			st.BlockVisits[b.name] += b.visits
-			st.addVisits(&b.once, b.visits)
+			visits[b.name] += b.visits
 		}
 	}
-	st.finalize(prog.Arch)
+	st := Profile(prog, visits)
 	if sp != nil {
 		sp.Int("cycles", st.Cycles).Int("ops", st.Ops).Str("bound", st.Bound)
 		obs.GetCounter("sim.runs").Inc()
@@ -358,7 +378,9 @@ func (e *engine) decode(prog *vliw.Program, slot func(ir.Reg) (int32, error), ns
 	var longest int32
 	widest, base := 0, 0
 	for bi, sb := range prog.Blocks {
-		once := Stats{Cycles: int64(sb.Len), Bundles: int64(sb.Len), Ops: int64(len(sb.Ops))}
+		if !slices.IsSortedFunc(sb.Ops, func(a, b vliw.Op) int { return cmp.Compare(a.Cycle, b.Cycle) }) {
+			return fmt.Errorf("block %s: operations out of cycle order", sb.IR.Name)
+		}
 		first := int32(len(e.cyc))
 		sorted = append(sorted[:0], sb.Ops...)
 		slices.SortStableFunc(sorted, func(a, b vliw.Op) int { return cmp.Compare(issueKey(a), issueKey(b)) })
@@ -368,9 +390,6 @@ func (e *engine) decode(prog *vliw.Program, slot func(ir.Reg) (int32, error), ns
 			start := j
 			for j < len(sorted) && sorted[j].Cycle == t {
 				j++
-			}
-			if j == start {
-				once.StallCycles++
 			}
 			widest = max(widest, j-start)
 		}
@@ -389,14 +408,6 @@ func (e *engine) decode(prog *vliw.Program, slot func(ir.Reg) (int32, error), ns
 				continue
 			}
 			d.op = in.Op
-			// What the op keeps busy comes from the machine description;
-			// how it executes is decided below and never reads it.
-			ch, occ := machine.ClassOf(in).Charges(), int64(machine.Occupancy(in, prog.Arch))
-			once.ALUBusy += int64(ch.ALU)
-			once.MULBusy += int64(ch.MUL)
-			once.CUBusy += int64(ch.CU)
-			once.L1Busy += int64(ch.L1) * occ
-			once.L2Busy += int64(ch.L2) * occ
 			switch in.Op {
 			case ir.OpNop:
 				d.kind = kNop
@@ -410,7 +421,6 @@ func (e *engine) decode(prog *vliw.Program, slot func(ir.Reg) (int32, error), ns
 					return fmt.Errorf("block %s: %s of %q, a memory the function does not declare", sb.IR.Name, in.Op, in.Mem.Name)
 				}
 				d.mem, d.off, d.elem, d.l1 = int32(mem), int32(in.Off), in.Elem, in.Mem.Space == ir.L1
-				once.MemAccesses++
 			case ir.OpBr:
 				d.kind, d.then = kBr, blockOf(in.Targets[0])
 			case ir.OpCBr:
@@ -430,7 +440,7 @@ func (e *engine) decode(prog *vliw.Program, slot func(ir.Reg) (int32, error), ns
 				}
 			}
 		}
-		e.blocks[bi] = dblock{name: sb.IR.Name, first: first, once: once}
+		e.blocks[bi] = dblock{name: sb.IR.Name, first: first, cycles: int32(sb.Len)}
 	}
 	e.cyc = append(e.cyc, int32(base))
 	e.sorted, e.delays = sorted, delays
@@ -495,7 +505,7 @@ func (e *engine) exec(ctx context.Context, arch machine.Arch, maxCycles int64) e
 		}
 		b.visits++
 		next := int32(-1)
-		starts := e.cyc[b.first : int64(b.first)+b.once.Cycles+1]
+		starts := e.cyc[b.first : b.first+b.cycles+1]
 		for t := range starts[1:] {
 			// Writes due now become visible before anything issues.
 			if s := now & mask; ringN[s] > 0 {

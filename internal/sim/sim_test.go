@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -284,40 +285,84 @@ func TestDynamicOccupancyHandCounted(t *testing.T) {
 	}
 }
 
-// TestDynamicOccupancyAgreesWithStatic: for a single-block kernel the
-// dynamic ALU occupancy must equal the static slot utilization (every
-// bundle executes the same number of times).
-func TestDynamicOccupancyAgreesWithStatic(t *testing.T) {
-	arch := machine.Arch{ALUs: 4, MULs: 2, Regs: 128, L2Ports: 2, L2Lat: 4, Clusters: 2}
-	prog := compileKernel(t, simSrc, arch, 2)
-	n := int32(16)
-	env := ir.NewEnv(n).
-		Bind("x", make([]int32, n)).Bind("y", make([]int32, n)).Bind("out", make([]int32, n))
-	st, err := Run(prog, env)
+// TestProfileHandCounted checks Profile on a hand-built schedule where
+// every count is done on paper, with no run, then holds Run on the same
+// program to the same Stats. Machine: 4 ALUs, 2 MULs, 1 L2 port of
+// latency 4, 2 clusters, custom op mac. entry (4 cycles) runs once,
+// loop (6 cycles) three times, done (1 cycle) once:
+//
+//	entry 0: mov r0=3              1 ALU
+//	      1: mul r4=r0*2           1 ALU, 1 MUL
+//	      2: (empty)               stall
+//	      3: br loop
+//	loop  0: sub r0-=1, load tab   1 ALU, 1 L1 port-cycle
+//	      1: xmov r2=r0 (c0 -> c1) 1 ALU (the source's slot)
+//	      2: (empty)               stall
+//	      3: mac r3=r1*r2+r0       1 CU, no ALU slot
+//	      4: (empty)               stall
+//	      5: store out, cbr        4 L2 port-cycles
+//	done  0: ret
+//
+// Cycles and bundles 4+3·6+1 = 23, ops 3+3·6+1 = 22, memory accesses
+// 3·2 = 6, stall cycles 1+3·2 = 7; ALU 2+3·2 = 8 of 92 slot-cycles, MUL
+// 1 of 46, L1 3 of 23 port-cycles, L2 3·4 = 12 of 23, CU 3 of 46: bound
+// by L2.
+func TestProfileHandCounted(t *testing.T) {
+	set, err := machine.ParseOpCatalog([]string{"mac/3/2:mul $0 $1;add %0 $2"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.ALUOcc <= 0 || st.ALUOcc > 1 {
-		t.Errorf("ALU occupancy %.4f out of (0,1]", st.ALUOcc)
+	arch := machine.Arch{ALUs: 4, MULs: 2, Regs: 64, L2Ports: 1, L2Lat: 4, Clusters: 2}.WithOps(set, set.FullMask())
+	f := ir.NewFunc("prof")
+	out := f.AddMem(&ir.MemRef{Name: "out", Space: ir.L2, Elem: ir.ElemI32, Size: 4, IsParam: true})
+	tab := f.AddMem(&ir.MemRef{Name: "tab", Space: ir.L1, Elem: ir.ElemI32, Size: 4})
+	entry, loop, done := f.NewBlock("entry"), f.NewBlock("loop"), f.NewBlock("done")
+	r0, r1, r2, r3, r4 := f.NewReg(), f.NewReg(), f.NewReg(), f.NewReg(), f.NewReg()
+	type placed struct {
+		in           *ir.Instr
+		cycle, c, sc int
 	}
-	if st.Bound == "none" {
-		t.Error("a non-trivial run must be bounded by some resource")
+	ops := map[*ir.Block][]placed{
+		entry: {
+			{ir.NewInstr(ir.OpMov, r0, ir.Imm(3)), 0, 0, 0},
+			{ir.NewInstr(ir.OpMul, r4, ir.R(r0), ir.Imm(2)), 1, 0, 0},
+			{&ir.Instr{Op: ir.OpBr, Dest: ir.NoReg, Targets: []*ir.Block{loop}}, 3, 0, 0},
+		},
+		loop: {
+			{ir.NewInstr(ir.OpSub, r0, ir.R(r0), ir.Imm(1)), 0, 0, 0},
+			{&ir.Instr{Op: ir.OpLoad, Dest: r1, Args: []ir.Operand{ir.Imm(0)}, Mem: tab, Elem: ir.ElemI32}, 0, 0, 0},
+			{ir.NewInstr(ir.OpXMov, r2, ir.R(r0)), 1, 1, 0},
+			{&ir.Instr{Op: ir.OpFused, Dest: r3, Args: []ir.Operand{ir.R(r1), ir.R(r2), ir.R(r0)}, Fused: set.Spec(0)}, 3, 1, 1},
+			{&ir.Instr{Op: ir.OpStore, Dest: ir.NoReg, Args: []ir.Operand{ir.Imm(0), ir.R(r3)}, Mem: out, Elem: ir.ElemI32}, 5, 1, 1},
+			{&ir.Instr{Op: ir.OpCBr, Dest: ir.NoReg, Args: []ir.Operand{ir.R(r0)}, Targets: []*ir.Block{loop, done}}, 5, 0, 0},
+		},
+		done: {{&ir.Instr{Op: ir.OpRet, Dest: ir.NoReg}, 0, 0, 0}},
 	}
-	// Weight each block's static op counts by its visit count to get the
-	// expected dynamic ALU tally.
-	var wantALU int64
-	for _, sb := range prog.Blocks {
-		visits := st.BlockVisits[sb.IR.Name]
-		for _, op := range sb.Ops {
-			switch op.Instr.Op {
-			case ir.OpNop, ir.OpBr, ir.OpCBr, ir.OpRet, ir.OpLoad, ir.OpStore:
-			default:
-				wantALU += visits
-			}
+	prog := &vliw.Program{Arch: arch, F: f, RegCluster: make([]int, f.NumRegs())}
+	for _, b := range f.Blocks {
+		sb := &vliw.Block{IR: b, Len: map[*ir.Block]int{entry: 4, loop: 6, done: 1}[b]}
+		for _, p := range ops[b] {
+			b.Append(p.in)
+			sb.Ops = append(sb.Ops, vliw.Op{Instr: p.in, Cycle: p.cycle, Cluster: p.c, SrcCluster: p.sc})
 		}
+		prog.Blocks = append(prog.Blocks, sb)
 	}
-	if st.ALUBusy != wantALU {
-		t.Errorf("dynamic ALU tally %d != visit-weighted static %d", st.ALUBusy, wantALU)
+	visits := map[string]int64{entry.Name: 1, loop.Name: 3, done.Name: 1}
+	want := &Stats{
+		Cycles: 23, Ops: 22, Bundles: 23, BlockVisits: visits, MemAccesses: 6,
+		ALUBusy: 8, MULBusy: 1, L1Busy: 3, L2Busy: 12, CUBusy: 3, StallCycles: 7,
+		ALUOcc: 8.0 / 92, MULOcc: 1.0 / 46, L1Occ: 3.0 / 23, L2Occ: 12.0 / 23, CUOcc: 3.0 / 46,
+		Bound: "l2",
+	}
+	if got := Profile(prog, visits); !reflect.DeepEqual(got, want) {
+		t.Errorf("Profile\n got %+v\nwant %+v", got, want)
+	}
+	got, err := Run(prog, ir.NewEnv().Bind("out", make([]int32, 4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Run\n got %+v\nwant %+v", got, want)
 	}
 }
 

@@ -28,8 +28,10 @@ type Op struct {
 // Block is the schedule of one basic block.
 type Block struct {
 	IR  *ir.Block
-	Len int  // cycles per execution of this block
-	Ops []Op // sorted by (Cycle, Cluster)
+	Len int // cycles per execution of this block
+	// Ops are in cycle order: the scheduler emits a block cycle by
+	// cycle, in no cluster order within a cycle.
+	Ops []Op
 	// SchedPeak is the scheduler's own per-cluster peak live-value
 	// count while building this block (diagnostics; the allocator's
 	// exact measurement is authoritative).
@@ -136,55 +138,4 @@ func (p *Program) IPC() float64 {
 		return 0
 	}
 	return float64(p.OpCount()) / float64(p.BundleCount())
-}
-
-// Utilization summarizes how busy each resource class is across the
-// program image (static slot occupancy, weighted by nothing — per-
-// bundle averages over all blocks).
-type Utilization struct {
-	// ALU is the fraction of ALU issue slots filled (including
-	// multiplies and the source side of inter-cluster moves).
-	ALU float64
-	// MUL is the fraction of multiply-capable slots used by multiplies.
-	MUL float64
-	// L1 and L2 are the fraction of bundles issuing an access to each
-	// memory level.
-	L1, L2 float64
-	// Bus is the fraction of global bus slots used by inter-cluster
-	// moves (0 on single-cluster machines).
-	Bus float64
-	// Moves is the fraction of all operations that are inter-cluster
-	// copies — the clustering tax.
-	Moves float64
-}
-
-// Utilization computes static resource occupancy.
-func (p *Program) Utilization() Utilization {
-	var u Utilization
-	bundles := p.BundleCount()
-	if bundles == 0 {
-		return u
-	}
-	aluSlots := float64(bundles * p.Arch.ALUs)
-	mulSlots := float64(bundles * p.Arch.MULs)
-	busSlots := float64(bundles * p.Arch.Buses())
-	var issued machine.Charges
-	for _, sb := range p.Blocks {
-		for _, op := range sb.Ops {
-			issued.Add(machine.ClassOf(op.Instr).Charges())
-		}
-	}
-	u.ALU = float64(issued.ALU) / aluSlots
-	if mulSlots > 0 {
-		u.MUL = float64(issued.MUL) / mulSlots
-	}
-	u.L1 = float64(issued.L1) / float64(bundles)
-	u.L2 = float64(issued.L2) / float64(bundles)
-	if busSlots > 0 {
-		u.Bus = float64(issued.Bus) / busSlots
-	}
-	if ops := p.OpCount(); ops > 0 {
-		u.Moves = float64(issued.Bus) / float64(ops) // a move is what takes a bus
-	}
-	return u
 }

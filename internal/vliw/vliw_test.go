@@ -76,27 +76,6 @@ func TestBlockFor(t *testing.T) {
 	}
 }
 
-func TestUtilization(t *testing.T) {
-	p, _ := tinyProgram()
-	u := p.Utilization()
-	// 2 ALU ops over 3 bundles × 1 ALU.
-	if u.ALU < 0.6 || u.ALU > 0.7 {
-		t.Errorf("ALU utilization = %f, want ~0.67", u.ALU)
-	}
-	if u.Moves != 0 || u.Bus != 0 {
-		t.Errorf("single-cluster program reports moves/bus usage: %+v", u)
-	}
-
-	// A fused op issues on the custom unit: in a bundle with one add,
-	// the one ALU slot is filled once, not twice.
-	fused := &ir.Instr{Op: ir.OpFused, Dest: p.F.NewReg()}
-	add := ir.NewInstr(ir.OpAdd, p.F.NewReg(), ir.Imm(1), ir.Imm(2))
-	p.Blocks = []*Block{{Len: 1, Ops: []Op{{Instr: fused}, {Instr: add}}}}
-	if u := p.Utilization(); u.ALU != 1 {
-		t.Errorf("ALU utilization of {fused, add} on one ALU = %v, want 1", u.ALU)
-	}
-}
-
 func TestIPCAndEmpty(t *testing.T) {
 	empty := &Program{Arch: machine.Baseline, F: ir.NewFunc("e")}
 	if empty.IPC() != 0 || empty.BundleCount() != 0 || empty.OpCount() != 0 {
