@@ -21,11 +21,12 @@ import (
 // cell of the shipped results instead of a sample, on GOMAXPROCS
 // goroutines: each cell held by checkCell to the golden model's
 // outputs, its stored cycles and spills, the profile of the explorer's
-// block visits, and the same outputs and cycles at every shorter L2
-// latency. About half a minute on two cores, so it sits behind the
+// block visits with no occupancy above 1, and the same outputs and
+// cycles at every shorter L2 latency. About half a minute on two cores, so it sits behind the
 // cells build tag (`make cells`) and out of `go test ./...`. It logs,
-// per benchmark, how many cells each resource bounds and the stall
-// cycles of them all: the attribution of the whole space.
+// per benchmark and over the space, how many cells each resource
+// bounds, and the stall cycles of them all: the attribution of the
+// whole space.
 func TestAllShippedCellsRun(t *testing.T) {
 	res := dsetest.Shipped(t)
 	fns := map[string]*ir.Func{}
@@ -72,13 +73,21 @@ func TestAllShippedCellsRun(t *testing.T) {
 	}
 	close(cells)
 	wg.Wait()
-	for _, name := range res.Benches {
+	census := func(bounds map[string]int) string {
 		var line []string
-		for bound, n := range bounds[name] {
+		for bound, n := range bounds {
 			line = append(line, fmt.Sprintf("%s %d", bound, n))
 		}
 		slices.Sort(line)
-		t.Logf("%s: %s; %d stall cycles", name, strings.Join(line, ", "), stalls[name])
+		return strings.Join(line, ", ")
 	}
+	all := map[string]int{}
+	for _, name := range res.Benches {
+		for bound, n := range bounds[name] {
+			all[bound] += n
+		}
+		t.Logf("%s: %s; %d stall cycles", name, census(bounds[name]), stalls[name])
+	}
+	t.Logf("all: %s", census(all))
 	t.Logf("%d cells run, %d mismatched", ran.Load(), mismatched.Load())
 }

@@ -26,7 +26,7 @@ import (
 // unroll factor, runs it on the reference workload through the physical
 // register assignment, and holds the run to the golden model's outputs,
 // the stored cycles and spills, and the profile of the explorer's block
-// visits; and it runs the same schedule at every shorter L2 latency of
+// visits, no occupancy above 1; and it runs the same schedule at every shorter L2 latency of
 // the space (checkCell). Every cell is TestAllShippedCellsRun's, behind
 // `make cells`.
 func TestShippedCellsRun(t *testing.T) {
@@ -111,7 +111,9 @@ var l2Lats = sync.OnceValue(func() []int {
 // physical register assignment. The run must give the golden model's
 // outputs, ev's cycles and spills, and Stats equal field by field to
 // sim.Profile of the schedule and the interpreter's visits: the
-// explorer's premise that the interpreter's visits are the simulator's.
+// explorer's premise that the interpreter's visits are the simulator's;
+// and no occupancy above 1, which would mean the profile divides by
+// less than the schedule may use.
 // Then the same schedule runs at every shorter L2 latency of the space,
 // with loads landing and L2 ports freeing that much sooner, and must
 // give the golden outputs in the same cycles: whether the edge of the
@@ -158,6 +160,15 @@ func checkCell(t *testing.T, fn *ir.Func, b *bench.Benchmark, ev dse.Evaluation)
 	if prof := sim.Profile(res.Prog, ref.Visits); !reflect.DeepEqual(prof, st) {
 		t.Errorf("%s: the run's Stats are not the profile of the interpreter's visits\nrun     %+v\nprofile %+v", what, st, prof)
 		ok = false
+	}
+	for _, o := range [...]struct {
+		name string
+		occ  float64
+	}{{"ALU", st.ALUOcc}, {"MUL", st.MULOcc}, {"L1", st.L1Occ}, {"L2", st.L2Occ}, {"CU", st.CUOcc}} {
+		if o.occ > 1 {
+			t.Errorf("%s: %s occupancy %g: the run keeps busy more than the machine holds", what, o.name, o.occ)
+			ok = false
+		}
 	}
 	for _, l2 := range l2Lats() {
 		if l2 >= ev.Arch.L2Lat {

@@ -92,7 +92,7 @@ func main() {
 		issued.Add(machine.IssueCharges(sb.IR.Instrs))
 	}
 	fmt.Printf("; occupancy %s, moves %.0f%% of ops\n",
-		c.Profile().Occupancy(arch), 100*float64(issued.Bus)/float64(c.Prog.OpCount()))
+		c.Profile().Occupancy(arch), 100*float64(issued[machine.Bus])/float64(c.Prog.OpCount()))
 	if !*quiet {
 		fmt.Print(c.Assembly())
 	}

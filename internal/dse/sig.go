@@ -19,7 +19,10 @@ import (
 //     (ALUs = ALUsPC × Clusters exactly, by Arch.Validate's
 //     divisibility rule, so the scheduler's scan budget is covered;
 //     MULsPC's min-1 floor means total MULs may differ inside a class,
-//     but the backend never reads the total);
+//     but the backend never reads the total, and neither does the
+//     resource profile: machine.Capacity, which the scheduler, the
+//     validator, the lower bound and sim.Profile read, is equal across
+//     a class (TestSignatureFixesCapacity));
 //   - RegsPC: the pressure throttle's budget and the allocator's
 //     capacity;
 //   - L2Ports, L2Lat: global memory-port occupancy and the dependence

@@ -149,3 +149,55 @@ func TestSigKeyMatchesSprintf(t *testing.T) {
 		t.Fatalf("%d op-enabled architectures, want %d", withOps, 3*len(full))
 	}
 }
+
+// TestSignatureFixesCapacity checks archSig's field list against the
+// machine description instead of trusting it: over the full space,
+// plain, with MinMax and crossed with a two-op catalog, machines of one
+// signature class hold the same in a cycle (machine.Capacity: each
+// cluster's slots, the machine's, the port pools and their holds), so
+// a run's profile is its class's. And every machine holds at least one
+// of whatever each class it can issue takes: every class but none, a
+// move only when clustered, a fused op only with custom ops.
+func TestSignatureFixesCapacity(t *testing.T) {
+	set, err := machine.ParseOpCatalog([]string{
+		"mac/3/2:mul $0 $1;add %0 $2",
+		"add_add/3/1:add $0 $1;add %0 $2",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := machine.FullSpace()
+	archs := append([]machine.Arch(nil), full...)
+	for _, a := range full {
+		archs = append(archs, a.WithMinMax())
+	}
+	archs = append(archs, machine.CrossOps(full, set, []uint64{1, 2, 3})...)
+	reps := map[string]machine.Arch{}
+	for _, a := range archs {
+		if err := a.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		k := a.Capacity()
+		key := SigKey(a)
+		if rep, ok := reps[key]; !ok {
+			reps[key] = a
+		} else if rk := rep.Capacity(); rk != k {
+			t.Errorf("%v and %v share signature %s but not capacity: %+v vs %+v", a, rep, key, k, rk)
+		}
+		for c := machine.ClassNone + 1; c < machine.NumClasses; c++ {
+			issues := !(c == machine.ClassXMov && a.Clusters == 1) && !(c == machine.ClassCU && a.Ops.Empty())
+			holds := true
+			for r, n := range c.Charges() {
+				if n > 0 && (k.Cluster[r] < 1 || k.Machine[r] < 1 || k.Hold[r] < 1) {
+					holds = false
+				}
+			}
+			if holds != issues {
+				t.Errorf("%v: capacity %+v holds class %s: %v, want %v", a, k, c, holds, issues)
+			}
+		}
+	}
+	if len(reps) >= len(archs) {
+		t.Fatalf("%d classes over %d machines: no class has two members to compare", len(reps), len(archs))
+	}
+}

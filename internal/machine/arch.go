@@ -110,14 +110,9 @@ func (a Arch) ALUsPC() int { return a.ALUs / a.Clusters }
 // MULsPC returns IMUL-capable ALUs per cluster. When there are fewer
 // MULs than clusters, each cluster still gets one (the template keeps
 // clusters nearly identical, and at least one IMUL is always present);
-// the cost model accounts for the real total.
-func (a Arch) MULsPC() int {
-	m := a.MULs / a.Clusters
-	if m < 1 {
-		m = 1
-	}
-	return m
-}
+// the cost model accounts for the real total, and Capacity for the
+// slots the schedule can use.
+func (a Arch) MULsPC() int { return max(a.MULs/a.Clusters, 1) }
 
 // RegsPC returns registers per cluster.
 func (a Arch) RegsPC() int { return a.Regs / a.Clusters }
@@ -161,14 +156,7 @@ func (a Arch) Buses() int {
 	if a.Clusters <= 1 {
 		return 0
 	}
-	b := a.Clusters / 2
-	if b < 1 {
-		b = 1
-	}
-	if b > MaxBuses {
-		b = MaxBuses
-	}
-	return b
+	return min(a.Clusters/2, MaxBuses)
 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }

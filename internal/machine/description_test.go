@@ -10,8 +10,8 @@ import (
 // TestDescriptionRows pins the machine description row by row. The
 // expected rows are written by hand from DESIGN.md §4 (paper Table 4),
 // not derived from the table: the scheduler, the validator, the bound,
-// the delta cache, the static utilization and the simulator's counters
-// all read that one table, so this is the oracle that keeps it right.
+// the delta cache and the resource profile all read that one table, so
+// this is the oracle that keeps it right.
 func TestDescriptionRows(t *testing.T) {
 	type row struct {
 		class   Class
@@ -100,6 +100,43 @@ func TestDescriptionRows(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestCapacity pins what a cycle holds on three machines, written by
+// hand from DESIGN.md §4: the baseline; (4 1 64 1 2 2), whose two
+// clusters each get a multiplier though the machine has one MUL; and
+// (16 8 256 4 4 16) with custom ops, whose eight MULs give all sixteen
+// clusters a multiplier, whose eight buses are capped at MaxBuses, and
+// whose four L2 ports give every cluster a path.
+func TestCapacity(t *testing.T) {
+	set, err := ParseOpCatalog([]string{"mac/3/2:mul $0 $1;add %0 $2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		arch Arch
+		want Capacity
+	}{
+		{Baseline, Capacity{
+			Cluster: Charges{ALU: 1, MUL: 1, Bus: 0, L1: 1, L2: 1, CU: 0, Br: 1},
+			Machine: Charges{ALU: 1, MUL: 1, Bus: 0, L1: 1, L2: 1, CU: 0, Br: 1},
+			Hold:    Charges{ALU: 1, MUL: 1, Bus: 1, L1: 1, L2: 8, CU: 1, Br: 1},
+		}},
+		{Arch{ALUs: 4, MULs: 1, Regs: 64, L2Ports: 1, L2Lat: 2, Clusters: 2}, Capacity{
+			Cluster: Charges{ALU: 2, MUL: 1, Bus: 1, L1: 1, L2: 1, CU: 0, Br: 1},
+			Machine: Charges{ALU: 4, MUL: 2, Bus: 1, L1: 1, L2: 1, CU: 0, Br: 1},
+			Hold:    Charges{ALU: 1, MUL: 1, Bus: 1, L1: 1, L2: 2, CU: 1, Br: 1},
+		}},
+		{Arch{ALUs: 16, MULs: 8, Regs: 256, L2Ports: 4, L2Lat: 4, Clusters: 16}.WithOps(set, set.FullMask()), Capacity{
+			Cluster: Charges{ALU: 1, MUL: 1, Bus: 4, L1: 1, L2: 1, CU: 1, Br: 1},
+			Machine: Charges{ALU: 16, MUL: 16, Bus: 4, L1: 1, L2: 4, CU: 16, Br: 1},
+			Hold:    Charges{ALU: 1, MUL: 1, Bus: 1, L1: 1, L2: 4, CU: 1, Br: 1},
+		}},
+	} {
+		if got := c.arch.Capacity(); got != c.want {
+			t.Errorf("%v holds %+v, want %+v", c.arch, got, c.want)
 		}
 	}
 }

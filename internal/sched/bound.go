@@ -43,14 +43,12 @@ var fingerprint = sync.OnceValue(func() string {
 //     ddg.Skeleton (recurrence bound; only when the block ends in a
 //     terminator, whose drain edges make the height an issue-cycle
 //     bound);
-//   - ⌈ALU-class ops / total ALU issue slots⌉ and the multiply analog
-//     (⌈muls / (MULsPC·Clusters)⌉);
-//   - L1 accesses (the single L1 port accepts one access per cycle);
-//   - ⌈L2 accesses · l2 / p2⌉ — each access holds one of the p2
-//     non-pipelined ports for the full l2 latency (falling back to
-//     ⌈L2 accesses / p2⌉ for terminator-less blocks, where occupancy
-//     may drain past the block end);
-//   - branch-unit serialization (one branch per cycle).
+//   - for every resource, ⌈demand · hold / machine-wide capacity⌉
+//     (machine.Capacity): ALU and multiplier slots, the single L1 port,
+//     the p2 non-pipelined L2 ports each held for the full l2 latency,
+//     the one branch unit. A port counts only its issue cycle in a
+//     terminator-less block, where occupancy may drain past the block
+//     end.
 //
 // Every component only ignores constraints the scheduler enforces
 // (pressure throttling, per-cluster memory paths, copy insertion,
@@ -67,35 +65,20 @@ func LowerBound(prep *Prepared, arch machine.Arch) []int {
 	// are theirs.
 	pristine := prep.class(machine.Arch{Clusters: 1}, nil)
 	skels := pristine.skels.get(pristine.g, arch, nil)
-	aluCap := arch.ALUsPC() * arch.Clusters
-	mulCap := arch.MULsPC() * arch.Clusters
+	k := arch.Capacity()
 	out := make([]int, len(skels))
 	for i, sk := range skels {
-		c := pristine.blocks[i].info
 		lb := 0
 		if sk.HasTerm {
 			lb = sk.CriticalPath()
 		} else if len(sk.Heights) > 0 {
 			lb = 1
 		}
-		if v := ceil(c.ALU, aluCap); v > lb {
-			lb = v
-		}
-		if v := ceil(c.MUL, mulCap); v > lb {
-			lb = v
-		}
-		if v := c.L1 * machine.L1Occupancy; v > lb {
-			lb = v
-		}
-		l2 := ceil(c.L2, arch.L2Ports)
-		if sk.HasTerm {
-			l2 = ceil(c.L2*arch.L2Lat, arch.L2Ports)
-		}
-		if l2 > lb {
-			lb = l2
-		}
-		if c.Br > lb {
-			lb = c.Br
+		for r, n := range pristine.blocks[i].info {
+			if sk.HasTerm {
+				n *= k.Hold[r]
+			}
+			lb = max(lb, ceil(n, k.Machine[r]))
 		}
 		out[i] = lb
 	}

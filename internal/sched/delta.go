@@ -120,13 +120,13 @@ func (cs *classState) lookup(bi int, p deltaParams) (cachedBlock, bool) {
 	for i := range ring.entries {
 		e := &ring.entries[i]
 		b := &e.built
-		if info.ALU > 0 && b.aluPC != p.aluPC {
+		if info[machine.ALU] > 0 && b.aluPC != p.aluPC {
 			continue
 		}
-		if info.MUL > 0 && b.mulPC != p.mulPC {
+		if info[machine.MUL] > 0 && b.mulPC != p.mulPC {
 			continue
 		}
-		if info.L2 > 0 && (b.l2Lat != p.l2Lat || b.l2Ports != p.l2Ports) {
+		if info[machine.L2] > 0 && (b.l2Lat != p.l2Lat || b.l2Ports != p.l2Ports) {
 			continue
 		}
 		if e.cert.pressureBound {

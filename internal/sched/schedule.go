@@ -18,14 +18,10 @@ import (
 //
 // The resource model per cycle. What an operation takes when it issues
 // is its class's charges in the machine description (machine.Class);
-// what there is to take:
-//
-//   - per cluster, ALUsPC ALU slots of which MULsPC on a multiplier, one
-//     L1 access path, L2PathsPC L2 access paths and one custom unit;
-//   - globally, the single L1 port and the p2 L2 ports, each busy for
-//     an access's occupancy (machine.Occupancy; L2 is not pipelined,
-//     paper Table 4), Buses() channels for inter-cluster moves, and the
-//     single branch unit.
+// what there is to take is the machine's capacity (machine.Capacity):
+// each cluster's issue slots and memory paths, the buses and the branch
+// unit the clusters share, and the L1 and L2 port pools, each port busy
+// for an access's hold.
 //
 // Priority is latency-weighted critical-path height. Issue is
 // register-pressure throttled: an operation that would push its
@@ -291,7 +287,7 @@ var _ [1<<resKindBits - machine.NumClasses]struct{} // a class fits its bits
 // row-major tables (cycle*clusters + cluster), reused across blocks via
 // the Scratch arena.
 type resources struct {
-	arch machine.Arch
+	k    machine.Capacity // what a cycle holds
 	nc   int
 	rows int // per-cycle rows currently valid (zeroed)
 	// per cycle, per cluster slot counters: bytes, a valid machine has
@@ -299,9 +295,8 @@ type resources struct {
 	alu, mul, l1p, l2p, cu []uint8
 	// per cycle global counters
 	bus, br []uint8
-	// global non-pipelined port free-times
-	l1FreeAt int
-	l2FreeAt []int
+	// the memory levels' port pools: when each port is free
+	l1Free, l2Free []int
 	// refusedAt[res] is 1 + the last cycle tryPlace refused resource
 	// res. Within a cycle slots and port free-times only fill, so a
 	// resource refused once stays refused until the next cycle and a
@@ -310,11 +305,11 @@ type resources struct {
 }
 
 func (rs *resources) reset(arch machine.Arch) {
-	rs.arch = arch
+	rs.k = arch.Capacity()
 	rs.nc = arch.Clusters
 	rs.rows = 0
-	rs.l1FreeAt = 0
-	rs.l2FreeAt = grow(&rs.l2FreeAt, arch.L2Ports)
+	rs.l1Free = grow(&rs.l1Free, rs.k.Machine[machine.L1])
+	rs.l2Free = grow(&rs.l2Free, rs.k.Machine[machine.L2])
 	rs.refusedAt = grow(&rs.refusedAt, rs.nc<<resKindBits)
 }
 
@@ -382,63 +377,61 @@ func (rs *resources) tryPlace(res resource, cycle int) bool {
 
 // reserve takes res at the cycle, if one is free.
 func (rs *resources) reserve(res resource, cycle int) bool {
-	a := rs.arch
+	k := &rs.k
 	c := int(res >> resKindBits)
 	row := cycle * rs.nc
 	switch machine.Class(res & (1<<resKindBits - 1)) {
 	case machine.ClassXMov:
-		if int(rs.alu[row+c]) >= a.ALUsPC() || int(rs.bus[cycle]) >= a.Buses() {
+		if int(rs.alu[row+c]) >= k.Cluster[machine.ALU] || int(rs.bus[cycle]) >= k.Machine[machine.Bus] {
 			return false
 		}
 		rs.alu[row+c]++
 		rs.bus[cycle]++
 	case machine.ClassMul:
-		if int(rs.alu[row+c]) >= a.ALUsPC() || int(rs.mul[row+c]) >= a.MULsPC() {
+		if int(rs.alu[row+c]) >= k.Cluster[machine.ALU] || int(rs.mul[row+c]) >= k.Cluster[machine.MUL] {
 			return false
 		}
 		rs.alu[row+c]++
 		rs.mul[row+c]++
 	case machine.ClassL1:
-		if rs.l1p[row+c] >= 1 || rs.l1FreeAt > cycle {
+		if int(rs.l1p[row+c]) >= k.Cluster[machine.L1] || !reservePort(rs.l1Free, cycle, k.Hold[machine.L1]) {
 			return false
 		}
 		rs.l1p[row+c]++
-		rs.l1FreeAt = cycle + machine.L1Occupancy
 	case machine.ClassL2:
-		if int(rs.l2p[row+c]) >= a.L2PathsPC() {
-			return false
-		}
-		port := -1
-		for i, free := range rs.l2FreeAt {
-			if free <= cycle {
-				port = i
-				break
-			}
-		}
-		if port < 0 {
+		if int(rs.l2p[row+c]) >= k.Cluster[machine.L2] || !reservePort(rs.l2Free, cycle, k.Hold[machine.L2]) {
 			return false
 		}
 		rs.l2p[row+c]++
-		rs.l2FreeAt[port] = cycle + a.L2Lat
 	case machine.ClassCU:
-		// One pipelined unit per cluster; its silicon and register
-		// ports are priced by the cost and derate models.
-		if rs.cu[row+c] >= 1 {
+		if int(rs.cu[row+c]) >= k.Cluster[machine.CU] {
 			return false
 		}
 		rs.cu[row+c]++
 	case machine.ClassBr:
-		if rs.br[cycle] >= 1 {
+		if int(rs.br[cycle]) >= k.Machine[machine.Br] {
 			return false
 		}
 		rs.br[cycle]++
 	case machine.ClassALU:
-		if int(rs.alu[row+c]) >= a.ALUsPC() {
+		if int(rs.alu[row+c]) >= k.Cluster[machine.ALU] {
 			return false
 		}
 		rs.alu[row+c]++
 	}
 	return true
+}
+
+// reservePort holds the first free port of pool, a memory level's port
+// free times, from the cycle for hold cycles, if one is free.
+func reservePort(pool []int, cycle, hold int) bool {
+	for i, free := range pool {
+		if free <= cycle {
+			pool[i] = cycle + hold
+			return true
+		}
+	}
+	return false
 }
 
 // regBlame is one sparse blame contribution: register r occupied a

@@ -117,13 +117,11 @@ type Scratch struct {
 
 	// Validate's tables (see validateBlock): where the schedule put each
 	// instruction, the same by position in the block being checked, what
-	// each cluster issues per cycle, the L2 issue times and when each L2
-	// port is free.
-	issueOf map[*ir.Instr]issue
-	cycles  []int
-	charges []machine.Charges
-	l2Times []int
-	l2Free  []int
+	// each cluster issues per cycle, and when each memory port is free.
+	issueOf  map[*ir.Instr]issue
+	cycles   []int
+	charges  []machine.Charges
+	portFree []int
 
 	// RA is the register allocator's scratch arena, threaded through
 	// regalloc.AllocateWith by the compile driver.
@@ -173,7 +171,6 @@ func (sc *Scratch) release() {
 	idle.Wipe(sc.progBlocks)
 	idle.Wipe(sc.entryBlame)
 	sc.prog, sc.result = vliw.Program{}, Result{}
-	sc.res.arch = machine.Arch{} // names the op catalog
 	clear(sc.issueOf)
 }
 

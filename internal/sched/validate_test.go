@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -75,29 +76,44 @@ func TestValidateCatchesDependenceViolation(t *testing.T) {
 	}
 }
 
+// TestValidateCatchesResourceOversubscription checks the capacity
+// Validate holds a schedule to, on hand-built one-block programs for
+// (4 1 64 1 2 2), whose two clusters have a multiplier each though the
+// machine has one MUL, and which has one L1 port.
 func TestValidateCatchesResourceOversubscription(t *testing.T) {
-	p := compileValid(t)
-	lb := loopBlock(p)
-	// Pile every ALU op of the block into cycle of the first op while
-	// keeping dependence order intact is hard; instead clone one op
-	// several times into the same cycle to blow the ALU limit.
-	var alu *vliw.Op
-	for i := range lb.Ops {
-		if lb.Ops[i].Instr.Op.IsALU() {
-			alu = &lb.Ops[i]
-			break
+	arch := machine.Arch{ALUs: 4, MULs: 1, Regs: 64, L2Ports: 1, L2Lat: 2, Clusters: 2}
+	for _, c := range []struct {
+		name    string
+		op      ir.Op
+		cluster [2]int // where the two ops issue, both at cycle 0
+		want    string // "" for valid
+	}{
+		{"a multiply on each cluster", ir.OpMul, [2]int{0, 1}, ""},
+		{"two multiplies on one cluster", ir.OpMul, [2]int{1, 1}, "cluster 1 issues 2 mul at cycle 0 (max 1)"},
+		{"two L1 loads on two clusters", ir.OpLoad, [2]int{0, 1}, "l1 port busy at cycle 0"},
+	} {
+		f := ir.NewFunc("hand")
+		tab := f.AddMem(&ir.MemRef{Name: "tab", Space: ir.L1, Elem: ir.ElemI32, Size: 4})
+		b := f.NewBlock("entry")
+		sb := &vliw.Block{IR: b, Len: 3}
+		for _, cl := range c.cluster {
+			in := ir.NewInstr(ir.OpMul, f.NewReg(), ir.Imm(3), ir.Imm(5))
+			if c.op == ir.OpLoad {
+				in = &ir.Instr{Op: ir.OpLoad, Dest: f.NewReg(), Args: []ir.Operand{ir.Imm(0)}, Mem: tab, Elem: ir.ElemI32}
+			}
+			b.Append(in)
+			sb.Ops = append(sb.Ops, vliw.Op{Instr: in, Cluster: cl, SrcCluster: cl})
 		}
-	}
-	if alu == nil {
-		t.Skip("no ALU op")
-	}
-	for k := 0; k < 8; k++ {
-		dup := *alu
-		dup.Instr = dup.Instr.Clone()
-		lb.Ops = append(lb.Ops, dup)
-	}
-	if err := Validate(p); err == nil {
-		t.Fatal("oversubscribed schedule validated")
+		ret := &ir.Instr{Op: ir.OpRet, Dest: ir.NoReg}
+		b.Append(ret)
+		sb.Ops = append(sb.Ops, vliw.Op{Instr: ret, Cycle: sb.Len - 1})
+		prog := &vliw.Program{Arch: arch, F: f, RegCluster: make([]int, f.NumRegs()), Blocks: []*vliw.Block{sb}}
+		switch err := Validate(prog); {
+		case err == nil && c.want != "":
+			t.Errorf("%s: validated, want %q", c.name, c.want)
+		case err != nil && (c.want == "" || !strings.HasSuffix(err.Error(), c.want)):
+			t.Errorf("%s: Validate = %v, want %q", c.name, err, c.want)
+		}
 	}
 }
 
@@ -121,6 +137,42 @@ func TestValidateCatchesMissingOp(t *testing.T) {
 	lb.Ops = lb.Ops[:len(lb.Ops)-1]
 	if err := Validate(p); err == nil {
 		t.Fatal("schedule with missing op validated")
+	}
+}
+
+// TestValidateChecksCycleOrder: a block lists its ops in cycle order
+// (vliw.Block), which sim.Profile's stall count and the simulator's
+// decode rely on, and Validate says so when it does not, naming the
+// block, instead of reading the order as a port conflict. F compiled
+// for the baseline, each block's ops listed backwards, is the same
+// schedule out of order.
+func TestValidateChecksCycleOrder(t *testing.T) {
+	fn, err := bench.ByName("F").Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prepared, err := opt.Prepare(fn, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Compile(prepared, machine.Baseline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := res.Prog
+	if err := Validate(prog); err != nil {
+		t.Fatalf("clean program invalid: %v", err)
+	}
+	for i, sb := range prog.Blocks {
+		backwards := *sb
+		backwards.Ops = slices.Clone(sb.Ops)
+		slices.Reverse(backwards.Ops)
+		prog.Blocks[i] = &backwards
+	}
+	err = Validate(prog)
+	if err == nil || !strings.HasPrefix(err.Error(), "validate "+prog.F.Name+"/") ||
+		!strings.Contains(err.Error(), "not in cycle order") {
+		t.Errorf("Validate of the blocks listed backwards = %v, want the block named and its order refused", err)
 	}
 }
 

@@ -70,9 +70,9 @@ func refFinalize(st *Stats, arch machine.Arch, o *refOccTally) {
 	if arch.ALUs > 0 {
 		st.ALUOcc = float64(o.alu) / (cyc * float64(arch.ALUs))
 	}
-	if arch.MULs > 0 {
-		st.MULOcc = float64(o.mul) / (cyc * float64(arch.MULs))
-	}
+	// The multiplier slots a schedule can use: MULsPC on every cluster,
+	// which exceeds MULs when there are fewer MULs than clusters.
+	st.MULOcc = float64(o.mul) / (cyc * float64(arch.MULsPC()*arch.Clusters))
 	st.L1Occ = float64(o.l1) / cyc // single L1 port
 	if arch.L2Ports > 0 {
 		st.L2Occ = float64(o.l2) / (cyc * float64(arch.L2Ports))

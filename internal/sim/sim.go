@@ -32,9 +32,11 @@ import (
 // what one execution of each block issues and keeps busy, read off its
 // schedule and the machine description, times the block's visits
 // (Profile). The *Busy fields tally issue slots and port-cycles, the
-// *Occ fields normalize them to fractions of the available slot- or
-// port-cycles, and Bound names the resource with the highest occupancy
-// — the best single answer to "what bounded this run".
+// *Occ fields normalize them to fractions of the slot- or port-cycles
+// the machine holds (machine.Capacity), and Bound names the resource
+// with the highest occupancy — the best single answer to "what bounded
+// this run". Capacity depends only on the backend signature, so every
+// machine of a signature class reads the same Stats for one schedule.
 type Stats struct {
 	Cycles      int64
 	Ops         int64
@@ -56,9 +58,12 @@ type Stats struct {
 	// StallCycles counts executed cycles that issued no operation.
 	StallCycles int64
 	// ALUOcc..CUOcc are the *Busy tallies normalized to the fraction of
-	// available slot-cycles (ALU/MUL/CU) or port-cycles (L1/L2).
+	// the slot-cycles (ALU/MUL/CU) or port-cycles (L1/L2) the machine
+	// holds. MULOcc's denominator is the multiplier slots the schedule
+	// can use, MULsPC on every cluster, which exceeds MULs when there are
+	// fewer MULs than clusters (the cost model prices the MULs).
 	ALUOcc, MULOcc, L1Occ, L2Occ, CUOcc float64
-	// Bound names the issue class (machine.Class: "alu", "mul", "l1",
+	// Bound names the resource (machine.Resource: "alu", "mul", "l1",
 	// "l2", "cu", or "none") with the highest occupancy.
 	Bound string
 }
@@ -67,68 +72,53 @@ type Stats struct {
 // each block visits[name] times, counted from the schedule alone: a
 // visited block executes all of its cycles (control leaves only after
 // the last), so a run's counts are one execution's weighted by visits.
-// An operation keeps busy what its machine.Class charges, a memory
-// access its port for machine.Occupancy cycles. The stall count relies
-// on a block's ops being in cycle order (vliw.Block). BlockVisits is
-// visits itself.
+// An operation keeps busy what its machine.Class charges for as long as
+// the machine's Capacity says it holds it, and the occupancies divide
+// by what the machine holds; so Profile reads nothing of the
+// architecture outside its backend signature. The stall count relies
+// on a block's ops being in cycle order (vliw.Block, checked by
+// sched.Validate). BlockVisits is visits itself.
 func Profile(prog *vliw.Program, visits map[string]int64) *Stats {
-	st := &Stats{Cycles: prog.StaticCycles(visits), BlockVisits: visits}
+	st := &Stats{Cycles: prog.StaticCycles(visits), BlockVisits: visits, Bound: machine.ClassNone.String()}
+	k, best := prog.Arch.Capacity(), 0.0
+	var busy [machine.NumResources]int64 // resource-cycles
 	for _, sb := range prog.Blocks {
 		n := visits[sb.IR.Name]
 		if n == 0 {
 			continue
 		}
 		issuing := 0 // cycles that issue an operation
+		var ch machine.Charges
 		for i, op := range sb.Ops {
 			if i == 0 || op.Cycle != sb.Ops[i-1].Cycle {
 				issuing++
 			}
-			ch, occ := machine.ClassOf(op.Instr).Charges(), int64(machine.Occupancy(op.Instr, prog.Arch))
-			st.ALUBusy += n * int64(ch.ALU)
-			st.MULBusy += n * int64(ch.MUL)
-			st.CUBusy += n * int64(ch.CU)
-			st.L1Busy += n * int64(ch.L1) * occ
-			st.L2Busy += n * int64(ch.L2) * occ
-			st.MemAccesses += n * int64(ch.L1+ch.L2)
+			ch.Add(machine.ClassOf(op.Instr).Charges())
+		}
+		for r, c := range ch {
+			busy[r] += n * int64(c*k.Hold[r])
 		}
 		st.Ops += n * int64(len(sb.Ops))
 		st.Bundles += n * int64(sb.Len)
+		st.MemAccesses += n * int64(ch[machine.L1]+ch[machine.L2])
 		st.StallCycles += n * int64(sb.Len-issuing)
 	}
-	st.finalize(prog.Arch)
-	return st
-}
-
-// finalize computes the occupancy fractions from the busy tallies.
-func (st *Stats) finalize(arch machine.Arch) {
-	st.Bound = machine.ClassNone.String()
-	if st.Cycles == 0 {
-		return
-	}
-	cyc := float64(st.Cycles)
-	if arch.ALUs > 0 {
-		st.ALUOcc = float64(st.ALUBusy) / (cyc * float64(arch.ALUs))
-	}
-	if arch.MULs > 0 {
-		st.MULOcc = float64(st.MULBusy) / (cyc * float64(arch.MULs))
-	}
-	st.L1Occ = float64(st.L1Busy) / cyc // single L1 port
-	if arch.L2Ports > 0 {
-		st.L2Occ = float64(st.L2Busy) / (cyc * float64(arch.L2Ports))
-	}
-	if !arch.Ops.Empty() {
-		st.CUOcc = float64(st.CUBusy) / (cyc * float64(arch.Clusters))
-	}
-	best := 0.0
-	for _, r := range []struct {
-		class machine.Class
-		occ   float64
-	}{{machine.ClassALU, st.ALUOcc}, {machine.ClassMul, st.MULOcc}, {machine.ClassL1, st.L1Occ}, {machine.ClassL2, st.L2Occ}, {machine.ClassCU, st.CUOcc}} {
-		if r.occ > best {
-			best = r.occ
-			st.Bound = r.class.String()
+	for _, o := range [...]struct {
+		r    machine.Resource
+		busy *int64
+		occ  *float64
+	}{
+		{machine.ALU, &st.ALUBusy, &st.ALUOcc}, {machine.MUL, &st.MULBusy, &st.MULOcc},
+		{machine.L1, &st.L1Busy, &st.L1Occ}, {machine.L2, &st.L2Busy, &st.L2Occ}, {machine.CU, &st.CUBusy, &st.CUOcc},
+	} {
+		if *o.busy = busy[o.r]; st.Cycles > 0 && k.Machine[o.r] > 0 {
+			*o.occ = float64(*o.busy) / (float64(st.Cycles) * float64(k.Machine[o.r]))
+		}
+		if *o.occ > best {
+			st.Bound, best = o.r.String(), *o.occ
 		}
 	}
+	return st
 }
 
 // opKind is what the cycle loop switches on.

@@ -366,6 +366,29 @@ func TestProfileHandCounted(t *testing.T) {
 	}
 }
 
+// TestProfileMULOccupancy: on (4 1 64 1 2 2) each cluster has a
+// multiplier slot, because MULsPC is at least one, though the machine
+// has one MUL. So a cycle in which both clusters multiply keeps every
+// multiplier slot the schedule can use busy: MULOcc reads 1 and the run
+// is MUL-bound. Dividing by MULs instead read 2.
+func TestProfileMULOccupancy(t *testing.T) {
+	arch := machine.Arch{ALUs: 4, MULs: 1, Regs: 64, L2Ports: 1, L2Lat: 2, Clusters: 2}
+	f := ir.NewFunc("muls")
+	b := f.NewBlock("entry")
+	sb := &vliw.Block{IR: b, Len: 1}
+	for c := 0; c < arch.Clusters; c++ {
+		in := ir.NewInstr(ir.OpMul, f.NewReg(), ir.Imm(3), ir.Imm(5))
+		b.Append(in)
+		sb.Ops = append(sb.Ops, vliw.Op{Instr: in, Cycle: 0, Cluster: c, SrcCluster: c})
+	}
+	prog := &vliw.Program{Arch: arch, F: f, RegCluster: make([]int, f.NumRegs()), Blocks: []*vliw.Block{sb}}
+	st := Profile(prog, map[string]int64{b.Name: 1})
+	if st.MULOcc != 1 || st.ALUOcc != 0.5 || st.Bound != "mul" {
+		t.Errorf("two multiplies in one cycle on %v: MULOcc %g, ALUOcc %g, %s-bound; want 1, 0.5, mul-bound",
+			arch, st.MULOcc, st.ALUOcc, st.Bound)
+	}
+}
+
 // TestLatencyViolationVisible: if a schedule reads a result before its
 // producer's latency has elapsed, the simulator exposes the stale value
 // (no interlocks) — this documents why sched.Validate exists.
