@@ -67,9 +67,10 @@ bench-module:
 # codec against encoding/json, which it abbreviates (evcache's
 # parseRecord and appendRecord), the results document's hand-written
 # codec against the same (dse's parseResults and appendResults), the
-# coordinator's cut of a job status against json.Unmarshal of the whole
-# (dist's splitStatus and decodeStatus, the in-place read of a finished
-# result against dse.FromJSON of the bytes cut out), the CKC frontend on
+# measurement document a worker answers an unpriced shard with, as the
+# coordinator reads it off a job status (dist's FuzzSplitStatus:
+# serve.ReadMeasurement refuses or agrees with json.Unmarshal, and
+# serve.AppendMeasurement writes what it read back byte for byte), the CKC frontend on
 # any source: a diagnostic or functions that verify, never a panic (cc's
 # FuzzCompileKernel, seeded with the suite's kernels), the worker's
 # reading of an explore request's archs against the strings.Fields

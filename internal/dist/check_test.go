@@ -19,9 +19,9 @@ import (
 	"customfit/internal/serve"
 )
 
-// rewriteDone relays h, passing the result of every finished explore it
-// answers through edit first: a worker that lies about its shards.
-func rewriteDone(t *testing.T, h http.Handler, edit func(*dse.Results)) http.Handler {
+// editDone relays h, passing the result of every finished explore it
+// answers through edit first.
+func editDone(t *testing.T, h http.Handler, edit func(result []byte) []byte) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, r)
@@ -32,17 +32,78 @@ func rewriteDone(t *testing.T, h http.Handler, edit func(*dse.Results)) http.Han
 			_, _ = w.Write(rec.Body.Bytes())
 			return
 		}
-		res, err := dse.FromJSON(st.Result)
+		st.Result = edit(st.Result)
+		_ = json.NewEncoder(w).Encode(st)
+	})
+}
+
+// schema2 relays h as a worker from before serve.SchemaMeasured: its
+// /healthz advertises no schema, and it refuses a submit that declares
+// a newer one with 409, as such a worker does.
+func schema2(t *testing.T, h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case r.Method == http.MethodGet && r.URL.Path == "/healthz":
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, r)
+			var hr serve.HealthResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &hr); err != nil {
+				t.Error(err)
+			}
+			hr.Schema = 0
+			w.WriteHeader(rec.Code)
+			_ = json.NewEncoder(w).Encode(hr)
+			return
+		case r.Method == http.MethodPost && r.URL.Path == "/v1/explore":
+			body, err := io.ReadAll(r.Body)
+			if err != nil {
+				t.Error(err)
+			}
+			var req serve.ExploreRequest
+			if json.Unmarshal(body, &req) == nil && req.Schema > serve.SchemaOps {
+				w.WriteHeader(http.StatusConflict)
+				_ = json.NewEncoder(w).Encode(serve.ErrorResponse{Error: "request schema exceeds supported 2"})
+				return
+			}
+			r.Body = io.NopCloser(bytes.NewReader(body))
+		}
+		h.ServeHTTP(w, r)
+	})
+}
+
+// rewriteDone relays h as a worker from before serve.SchemaMeasured,
+// passing the results document of every finished explore it answers
+// through edit first: a worker that lies about its shards.
+func rewriteDone(t *testing.T, h http.Handler, edit func(*dse.Results)) http.Handler {
+	return schema2(t, editDone(t, h, func(result []byte) []byte {
+		res, err := dse.FromJSON(result)
 		if err != nil {
 			t.Error(err)
-			return
+			return result
 		}
 		edit(res)
-		if st.Result, err = res.JSON(); err != nil {
+		if result, err = res.JSON(); err != nil {
 			t.Error(err)
-			return
 		}
-		_ = json.NewEncoder(w).Encode(st)
+		return result
+	}))
+}
+
+// rewriteMeasured relays h, passing the measurement document of every
+// finished explore it answers through edit first: a worker of
+// serve.SchemaMeasured that lies about its shards.
+func rewriteMeasured(t *testing.T, h http.Handler, edit func(*serve.Measurement)) http.Handler {
+	return editDone(t, h, func(result []byte) []byte {
+		m, err := serve.ReadMeasurement(result)
+		if err != nil {
+			t.Error(err)
+			return result
+		}
+		edit(m)
+		if result, err = serve.AppendMeasurement(nil, m); err != nil {
+			t.Error(err)
+		}
+		return result
 	})
 }
 
@@ -62,43 +123,60 @@ func misorder(t *testing.T, h http.Handler) http.Handler {
 }
 
 // TestMisorderedShardIsRetried: a shard answered with its evaluations
-// in another order, or for other machines, fails its attempt like a dead
+// in another order, or for other machines — by a worker without schema
+// 3 — or with a measurement of one machine fewer, or of machines whose
+// digest is not the one asked for, fails its attempt like a dead
 // worker: the shard is retried on the honest worker, the liar is taken
 // out of rotation after its second strike, and the run merges == local.
 func TestMisorderedShardIsRetried(t *testing.T) {
-	col := installCollector(t)
-	honest := startWorker(t, serve.Options{Workers: 2, Collector: col})
-	ls := serve.New(serve.Options{Workers: 2, Collector: col})
-	liar := httptest.NewServer(misorder(t, ls.Handler()))
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		_ = ls.Shutdown(ctx)
-		liar.Close()
-	})
+	for name, lie := range map[string]func(http.Handler) http.Handler{
+		"misordered results": func(h http.Handler) http.Handler { return misorder(t, h) },
+		"a cell short": func(h http.Handler) http.Handler {
+			return rewriteMeasured(t, h, func(m *serve.Measurement) {
+				m.Machines--
+				m.Cells = m.Cells[:len(m.Cells)-1]
+			})
+		},
+		"another digest": func(h http.Handler) http.Handler {
+			return rewriteMeasured(t, h, func(m *serve.Measurement) { m.Digest ^= 1 })
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			col := installCollector(t)
+			honest := startWorker(t, serve.Options{Workers: 2, Collector: col})
+			ls := serve.New(serve.Options{Workers: 2, Collector: col})
+			liar := httptest.NewServer(lie(ls.Handler()))
+			t.Cleanup(func() {
+				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+				defer cancel()
+				_ = ls.Shutdown(ctx)
+				liar.Close()
+			})
 
-	// The liar first, so dispatch hands it shards.
-	opts := fastOpts(liar.URL, honest.URL)
-	opts.Benchmarks = benchesByName("G")
-	opts.Sample = 24
-	opts.Width = 32
-	opts.hedgeAfter = -1
-	got, err := Explore(context.Background(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := core.Explore(context.Background(), core.ExploreOptions{Benchmarks: benchesByName("G"), Sample: 24, Width: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if canonicalJSON(t, got) != canonicalJSON(t, want) {
-		t.Error("results after a misordered shard diverge from the local run")
-	}
-	if v := col.Counter("dist.retries").Value(); v < 2 {
-		t.Errorf("dist.retries = %d, want the liar's shards retried", v)
-	}
-	if v := col.Counter("dist.worker_failures").Value(); v != 1 {
-		t.Errorf("dist.worker_failures = %d, want the liar out of rotation", v)
+			// The liar first, so dispatch hands it shards.
+			opts := fastOpts(liar.URL, honest.URL)
+			opts.Benchmarks = benchesByName("G")
+			opts.Sample = 24
+			opts.Width = 32
+			opts.hedgeAfter = -1
+			got, err := Explore(context.Background(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := core.Explore(context.Background(), core.ExploreOptions{Benchmarks: benchesByName("G"), Sample: 24, Width: 32})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if canonicalJSON(t, got) != canonicalJSON(t, want) {
+				t.Error("results after a misordered shard diverge from the local run")
+			}
+			if v := col.Counter("dist.retries").Value(); v < 2 {
+				t.Errorf("dist.retries = %d, want the liar's shards retried", v)
+			}
+			if v := col.Counter("dist.worker_failures").Value(); v != 1 {
+				t.Errorf("dist.worker_failures = %d, want the liar out of rotation", v)
+			}
+		})
 	}
 }
 
@@ -164,9 +242,11 @@ func stripUnpriced(t *testing.T, h http.Handler) http.Handler {
 }
 
 // TestMixedFleetMerges: a fleet of one worker that prices its shards, as
-// one from before the unpriced member does, and one that only measures
-// them merges to the local run: the old worker's prices are replaced and
-// its out-of-grid baseline work subtracted.
+// one from before the unpriced member does, one that answers them
+// unpriced with a results document, as one from before
+// serve.SchemaMeasured does, and one that answers with measurements
+// merges to the local run: the old worker's prices are replaced and its
+// out-of-grid baseline work subtracted.
 func TestMixedFleetMerges(t *testing.T) {
 	col := installCollector(t)
 	newer := startWorker(t, serve.Options{Workers: 2, Collector: col})
@@ -177,14 +257,23 @@ func TestMixedFleetMerges(t *testing.T) {
 			priced.Add(1)
 		}
 	})))
+	ls2 := serve.New(serve.Options{Workers: 2, Collector: col})
+	var unpriced atomic.Int64 // shards the schema-2 worker answered unpriced
+	middle := httptest.NewServer(rewriteDone(t, ls2.Handler(), func(res *dse.Results) {
+		if res.Cost == nil {
+			unpriced.Add(1)
+		}
+	}))
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
 		_ = ls.Shutdown(ctx)
+		_ = ls2.Shutdown(ctx)
 		older.Close()
+		middle.Close()
 	})
 
-	opts := fastOpts(older.URL, newer.URL)
+	opts := fastOpts(older.URL, middle.URL, newer.URL)
 	opts.Benchmarks = benchesByName("G", "F")
 	opts.Sample = 24
 	opts.Width = 32
@@ -203,27 +292,33 @@ func TestMixedFleetMerges(t *testing.T) {
 	if n, units := priced.Load(), col.Counter("dist.shards").Value(); n == 0 || n >= units {
 		t.Errorf("the old worker priced %d of %d shards, want some but not all", n, units)
 	}
+	// Every shard is answered once (no retries, no hedges): the two
+	// older workers' through the fallback, the rest measured.
+	fallbacks, units := col.Counter("dist.status_fallbacks").Value(), col.Counter("dist.shards").Value()
+	if n := unpriced.Load(); n == 0 || fallbacks != priced.Load()+n || fallbacks >= units {
+		t.Errorf("of %d shards the schema-2 worker answered %d unpriced, the old one %d priced, %d read through the fallback; want each worker some",
+			units, n, priced.Load(), fallbacks)
+	}
 }
 
-// BenchmarkShardStatus decodes the status of a finished one-kernel shard
-// over the full space (762 machines): G of the shipped results, as a
-// worker answers an unpriced shard (no cost list, every Time and Speedup
-// 0), encoded as serve's status writer encodes it
-// (TestStatusBytesUnchanged holds the writer to json.Encoder's bytes).
+// BenchmarkShardStatus reads a finished one-kernel shard over the full
+// space (762 machines) off its status: G of the shipped results, as a
+// worker of serve.SchemaMeasured answers an unpriced shard, encoded as
+// serve's status writer encodes it (TestStatusBytesUnchanged and
+// TestMeasuredStatusBytes hold the writer to json.Encoder's bytes).
 func BenchmarkShardStatus(b *testing.B) {
 	full := dsetest.Shipped(b)
 	shard := &dse.Results{
 		Archs:   full.Archs,
 		Benches: []string{"G"},
-		Eval:    map[string][]dse.Evaluation{"G": slices.Clone(full.Eval["G"])},
+		Eval:    map[string][]dse.Evaluation{"G": full.Eval["G"]},
 		Stats:   full.Stats,
 	}
-	for i := range shard.Eval["G"] {
-		shard.Eval["G"][i].Time, shard.Eval["G"][i].Speedup = 0, 0
+	m, err := serve.MeasurementOf(shard)
+	if err != nil {
+		b.Fatal(err)
 	}
-	shard.Stats.Benchmarks, shard.Stats.DesignPoints = 1, len(full.Archs)
-	shard.Stats.BaselineRuns, shard.Stats.Phases.CostModel = 0, 0
-	doc, err := shard.JSON()
+	doc, err := serve.AppendMeasurement(nil, m)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -238,9 +333,12 @@ func BenchmarkShardStatus(b *testing.B) {
 		if i == 0 {
 			b.ResetTimer()
 		}
-		st, res, err := decodeStatus(body.Bytes())
-		if err != nil || st.State != serve.StateDone || res == nil || len(res.Eval["G"]) != len(full.Archs) {
-			b.Fatalf("decoded %s, %v", st.State, err)
+		var st serve.JobStatus
+		if err := json.Unmarshal(body.Bytes(), &st); err != nil || st.State != serve.StateDone {
+			b.Fatalf("decoded %s: %v", st.State, err)
+		}
+		if m, err := readShard(st.Result, true); err != nil || len(m.Cells) != len(full.Archs) {
+			b.Fatalf("read %v", err)
 		}
 	}
 }

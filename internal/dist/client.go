@@ -166,134 +166,22 @@ func readBounded(r io.Reader, size, limit int64) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// decodeStatus decodes a job status body. The result member — nearly
-// all of a finished shard's body — is cut out by splitStatus and read
-// where it lies, by dse.ReadResults when it is a document in the shape a
-// worker writes (res, and st.Result aliases body), and otherwise handed
-// on as it stands for dse.FromJSON to validate when it decodes it; the
-// rest goes through encoding/json. A body splitStatus declines, or whose
-// rest names a result of its own (a repeated member, a key json matches
-// by case or escape), is decoded whole by encoding/json, as every body
-// used to be, and res is nil.
-func decodeStatus(body []byte) (st serve.JobStatus, res *dse.Results, err error) {
-	if rest, result, doc, ok := splitStatus(body); ok {
-		if err := json.Unmarshal(rest, &st); err == nil && st.Result == nil {
-			st.Result = result
-			return st, doc, nil
-		}
-		st = serve.JobStatus{}
+// readShard reads a finished shard's result: the measurement document
+// of a worker sent SchemaMeasured (measured), or else the results
+// document, read as the measurement it holds. A results document that
+// does not decode is a permanent error, as it always was; a measurement
+// document that does not, or results that do not hold one measurement
+// of one list of machines, fail the attempt.
+func readShard(result []byte, measured bool) (*serve.Measurement, error) {
+	if measured {
+		return serve.ReadMeasurement(result)
 	}
-	err = json.Unmarshal(body, &st)
-	return st, nil, err
-}
-
-// splitStatus cuts the top-level member "result" out of a JSON object:
-// rest is body without the member (a copy), result the member's value
-// (a slice of body). It walks the members in front of the result by
-// quotes, escapes and bracket depth only, validating nothing — rest is
-// for encoding/json to validate — and reads the result with
-// dse.ReadResults, which validates what it takes (res); a result it
-// declines is walked over like the other members and left for
-// dse.FromJSON. splitStatus declines (ok false) an object without the
-// member, and any byte between tokens that is not the next token.
-func splitStatus(body []byte) (rest, result []byte, res *dse.Results, ok bool) {
-	if len(body) == 0 || body[0] != '{' {
-		return nil, nil, nil, false
+	obs.GetCounter("dist.status_fallbacks").Inc()
+	res, err := dse.FromJSON(result)
+	if err != nil {
+		return nil, permanent(err)
 	}
-	for i := 1; ; i++ {
-		key := i
-		if i = skipString(body, i); i < 0 || i >= len(body) || body[i] != ':' {
-			return nil, nil, nil, false
-		}
-		val := i + 1
-		if string(body[key:val]) != `"result":` {
-			// Another member, which a result must follow.
-			if i = skipValue(body, val); i < 0 || i >= len(body) || body[i] != ',' {
-				return nil, nil, nil, false
-			}
-			continue
-		}
-		doc, n, read := dse.ReadResults(body[val:])
-		if i = val + n; !read {
-			i = skipValue(body, val)
-		}
-		if i < 0 || i >= len(body) || body[i] != ',' && body[i] != '}' {
-			return nil, nil, nil, false
-		}
-		// The member goes with one of its commas: the one in front, or
-		// for a first member the one behind, if there is one — and then a
-		// member must follow it, or cutting both would hide a trailing
-		// comma from encoding/json.
-		from, to := key, i
-		switch {
-		case key > 1:
-			from--
-		case body[i] == ',':
-			if i+1 >= len(body) || body[i+1] != '"' {
-				return nil, nil, nil, false
-			}
-			to++
-		}
-		rest = make([]byte, 0, len(body)-(to-from))
-		rest = append(append(rest, body[:from]...), body[to:]...)
-		return rest, body[val:i], doc, true
-	}
-}
-
-// skipString returns the offset behind the JSON string that starts at
-// body[i], or -1 if none does or it does not end.
-func skipString(body []byte, i int) int {
-	if i >= len(body) || body[i] != '"' {
-		return -1
-	}
-	for i++; i < len(body); i++ {
-		switch body[i] {
-		case '\\':
-			i++
-		case '"':
-			return i + 1
-		}
-	}
-	return -1
-}
-
-// skipValue returns the offset behind the JSON value that starts at
-// body[i], or -1: a string, an object or array up to its closing
-// bracket (of either kind: brackets are counted, not matched), or a run
-// of the characters numbers and literals are made of.
-func skipValue(body []byte, i int) int {
-	if i >= len(body) {
-		return -1
-	}
-	switch body[i] {
-	case '"':
-		return skipString(body, i)
-	case '{', '[':
-		for depth := 0; i < len(body); i++ {
-			switch body[i] {
-			case '"':
-				if i = skipString(body, i) - 1; i < 0 {
-					return -1
-				}
-			case '{', '[':
-				depth++
-			case '}', ']':
-				if depth--; depth == 0 {
-					return i + 1
-				}
-			}
-		}
-		return -1
-	}
-	start := i
-	for i < len(body) && (body[i] >= 'a' && body[i] <= 'z' || body[i] >= '0' && body[i] <= '9' ||
-		body[i] == '-' || body[i] == '+' || body[i] == '.' || body[i] == 'E') {
-		i++
-	}
-	if i == start {
-		return -1
-	}
-	return i
+	return serve.MeasurementOf(res)
 }
 
 // cancel best-effort DELETEs a job on its own short deadline — it is
@@ -314,7 +202,7 @@ func (c *client) cancel(workerURL, jobID string) {
 }
 
 // runShard submits one attempt's shard and follows it to a terminal
-// state, returning the decoded shard Results plus the worker-side spans
+// state, returning what the shard measured plus the worker-side spans
 // the job captured (non-nil only when sp is, whose context the submit
 // carries as its traceparent header). Each poll asks the worker to hold
 // its answer until the job ends, for c.poll at most, and the next poll
@@ -325,7 +213,8 @@ func (c *client) cancel(workerURL, jobID string) {
 // does not decode) and is reported as a retryable error. When ctx ends,
 // the job is DELETEd before runShard returns. sp is the attempt's
 // dist.shard span, which learns where the shard's time went.
-func (c *client) runShard(ctx context.Context, a *attempt, ereq serve.ExploreRequest, sp *obs.Span) (*dse.Results, []obs.WireSpan, error) {
+func (c *client) runShard(ctx context.Context, a *attempt, ereq serve.ExploreRequest, sp *obs.Span) (*serve.Measurement, []obs.WireSpan, error) {
+	measured := ereq.Unpriced && ereq.Schema >= serve.SchemaMeasured
 	start := time.Now()
 	jobID, err := c.submit(ctx, a.worker.url, ereq, sp.Context().TraceParent())
 	if err != nil {
@@ -356,10 +245,9 @@ func (c *client) runShard(ctx context.Context, a *attempt, ereq serve.ExploreReq
 		polls++
 		body, err := c.pollJob(ctx, a.worker.url, jobID)
 		var st serve.JobStatus
-		var res *dse.Results
 		if err == nil {
 			t0 := time.Now()
-			if st, res, err = decodeStatus(body); err != nil {
+			if err = json.Unmarshal(body, &st); err != nil {
 				err = fmt.Errorf("job %s: %w", jobID, err)
 			}
 			decode += time.Since(t0)
@@ -381,16 +269,13 @@ func (c *client) runShard(ctx context.Context, a *attempt, ereq serve.ExploreReq
 		switch st.State {
 		case serve.StateDone:
 			resultBytes = len(st.Result)
-			if res == nil {
-				obs.GetCounter("dist.status_fallbacks").Inc()
-				t0 := time.Now()
-				res, err = dse.FromJSON(st.Result)
-				decode += time.Since(t0)
-				if err != nil {
-					return nil, nil, permanent(fmt.Errorf("worker %s job %s: %w", a.worker.url, jobID, err))
-				}
+			t0 := time.Now()
+			m, err := readShard(st.Result, measured)
+			decode += time.Since(t0)
+			if err != nil {
+				return nil, nil, fmt.Errorf("worker %s job %s: %w", a.worker.url, jobID, err)
 			}
-			return res, st.Spans, nil
+			return m, st.Spans, nil
 		case serve.StateFailed:
 			// Deterministic pipeline: a failed shard fails everywhere.
 			return nil, nil, permanent(fmt.Errorf("worker %s job %s failed: %s", a.worker.url, jobID, st.Error))

@@ -11,11 +11,16 @@
 // is submitted unpriced (serve.ExploreRequest.Unpriced), so a worker
 // evaluates no out-of-grid baseline and sends no cost, time or speedup,
 // and the coordinator prices the merged grid itself with the local
-// run's one pricing step (dse.Results.Price). A worker too old to know
-// the member prices its shard anyway; the merge subtracts its
-// out-of-grid baseline work (Stats.BaselineRuns) and ignores its prices,
-// so a mixed fleet merges to the same Results. Per-cell measurements
-// are bit-identical because the whole pipeline is deterministic.
+// run's one pricing step (dse.Results.Price). A worker that advertises
+// serve.SchemaMeasured answers with a measurement document: four
+// integers a machine and a digest of the machines measured, which the
+// coordinator places by the grid indices it holds. An older worker
+// answers with a results document, read as the measurement it holds;
+// one too old to know Unpriced prices its shard anyway, and the merge
+// subtracts its out-of-grid baseline work (Stats.BaselineRuns) and
+// ignores its prices, so a mixed fleet merges to the same Results.
+// Per-cell measurements are bit-identical because the whole pipeline
+// is deterministic.
 //
 // Robustness is first-class: workers are admitted via /healthz (which
 // also publishes capacity and the backend fingerprint — a
@@ -133,6 +138,9 @@ type workerState struct {
 	// admission: the fleet is ordered idle-first, so dispatch prefers
 	// workers with no pre-existing traffic.
 	load int
+	// schema is the explore-request schema the worker advertised (0
+	// for one from before serve.SchemaMeasured).
+	schema int
 	// fails counts consecutive failed attempts; two in a row take the
 	// worker out of rotation (dist.worker_failures).
 	fails int
@@ -183,7 +191,7 @@ func (a *attempt) isAborted() bool {
 // outcome is an attempt's terminal report into the coordinator loop.
 type outcome struct {
 	a   *attempt
-	res *dse.Results
+	m   *serve.Measurement
 	err error
 	// requeue re-enqueues a unit after its backoff (a is nil then).
 	requeue *unit
@@ -259,33 +267,42 @@ func Explore(ctx context.Context, opts Options) (*dse.Results, error) {
 	return c.run(ctx)
 }
 
-// admitFleet health-checks every worker and refuses a fleet that cannot
-// produce a correct run: an unreachable or draining worker is an error
-// (the operator listed it explicitly), and so is a backend fingerprint
-// differing from the coordinator's — mixed code generators would merge
-// non-identical shards silently.
+// admitFleet health-checks every worker, all at once, and refuses a
+// fleet that cannot produce a correct run: an unreachable or draining
+// worker is an error (the operator listed it explicitly), and so is a
+// backend fingerprint differing from the coordinator's — mixed code
+// generators would merge non-identical shards silently. Of several
+// refusals, the first worker's in listing order is reported.
 func admitFleet(ctx context.Context, cl *client, urls []string) ([]*workerState, error) {
 	want := sched.Fingerprint()
-	fleet := make([]*workerState, 0, len(urls))
-	for _, raw := range urls {
-		url := strings.TrimRight(raw, "/")
-		h, err := cl.health(ctx, url)
-		if err != nil {
-			return nil, fmt.Errorf("dist: worker %s failed health check: %w", url, err)
+	fleet := make([]*workerState, len(urls))
+	errs := make([]error, len(urls))
+	var wg sync.WaitGroup
+	for i, raw := range urls {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			url := strings.TrimRight(raw, "/")
+			h, err := cl.health(ctx, url)
+			switch {
+			case err != nil:
+				errs[i] = fmt.Errorf("dist: worker %s failed health check: %w", url, err)
+			case h.Fingerprint != want:
+				errs[i] = fmt.Errorf("dist: worker %s backend fingerprint %q does not match coordinator %q; refusing (mixed backends break bit-identical merges)",
+					url, h.Fingerprint, want)
+			default:
+				fleet[i] = &workerState{url: url, capacity: max(h.Workers, 1), load: h.Queued + h.Running, schema: h.Schema}
+			}
+		}()
+	}
+	wg.Wait()
+	for i, w := range fleet {
+		if errs[i] != nil {
+			return nil, errs[i]
 		}
-		if h.Fingerprint != want {
-			return nil, fmt.Errorf("dist: worker %s backend fingerprint %q does not match coordinator %q; refusing (mixed backends break bit-identical merges)",
-				url, h.Fingerprint, want)
-		}
-		capacity := h.Workers
-		if capacity < 1 {
-			capacity = 1
-		}
-		load := h.Queued + h.Running
 		obs.Log().LogAttrs(ctx, slog.LevelDebug, "worker admitted",
-			slog.String("worker", url), slog.Int("capacity", capacity),
-			slog.Int("load", load))
-		fleet = append(fleet, &workerState{url: url, capacity: capacity, load: load})
+			slog.String("worker", w.url), slog.Int("capacity", w.capacity),
+			slog.Int("load", w.load), slog.Int("schema", w.schema))
 	}
 	// Idle-first: dispatch picks the first free worker, so ordering the
 	// fleet by reported load routes shards away from busy nodes. Stable,
@@ -454,7 +471,8 @@ func (c *coordinator) launch(ctx context.Context, u *unit, w *workerState) {
 	sp.Str("bench", u.bench).Int("archs", int64(len(u.tuples))).
 		Str("worker", w.url).Int("unit", int64(u.id))
 	// Unpriced: merge prices the whole grid, so a worker sends only what
-	// it measured. A worker that does not know the member prices as
+	// it measured — as a measurement document when it speaks
+	// SchemaMeasured. A worker that does not know the member prices as
 	// before, and merge prices over it.
 	req := serve.ExploreRequest{
 		Benchmarks: []string{u.bench},
@@ -462,27 +480,30 @@ func (c *coordinator) launch(ctx context.Context, u *unit, w *workerState) {
 		Archs:      u.tuples,
 		Unpriced:   true,
 	}
+	if w.schema >= serve.SchemaMeasured {
+		req.Schema = serve.SchemaMeasured
+	}
 	if c.cacheOff {
 		req.Cache = "off"
 	}
-	// Only shards that actually enable ops carry the catalog and the
-	// explicit schema — op-free shards stay byte-identical to the
-	// 6-tuple era on the wire.
+	// Only shards that actually enable ops carry the catalog, and need
+	// SchemaOps at least — to an older worker, op-free shards stay
+	// byte-identical to the 6-tuple era on the wire.
 	for _, t := range u.tuples {
 		if strings.Contains(t, " ops=") {
 			req.Ops = c.opsWire
-			req.Schema = serve.SchemaVersion
+			req.Schema = max(req.Schema, serve.SchemaOps)
 			break
 		}
 	}
 	c.bg.Add(1)
 	go func() {
 		defer c.bg.Done()
-		res, spans, err := c.client.runShard(ctx, a, req, sp)
+		m, spans, err := c.client.runShard(ctx, a, req, sp)
 		sp.AdoptRemote(spans)
 		sp.End()
 		select {
-		case c.events <- outcome{a: a, res: res, err: err}:
+		case c.events <- outcome{a: a, m: m, err: err}:
 		case <-c.loopDone:
 		}
 	}()
@@ -501,7 +522,7 @@ func (c *coordinator) handle(oc outcome) error {
 	w.inflight--
 	delete(u.attempts, a.id)
 	if oc.err == nil {
-		oc.err = c.check(u, oc.res)
+		oc.err = check(u, oc.m)
 	}
 
 	switch {
@@ -509,7 +530,7 @@ func (c *coordinator) handle(oc outcome) error {
 		w.fails = 0
 		if !u.done {
 			u.done = true
-			u.res = oc.res
+			u.m = oc.m
 			c.doneUnits++
 			// First result wins: reap the losing hedge, if any.
 			for _, loser := range u.attempts {
@@ -569,20 +590,17 @@ func (c *coordinator) handle(oc outcome) error {
 	return nil
 }
 
-// check reports whether res is the shard u asked for: one evaluation
-// per machine of the unit, in the unit's order, of the unit's benchmark.
-// Nothing else in the document is trusted at merge, so a worker that
-// answers for other machines or in another order is caught here.
-func (c *coordinator) check(u *unit, res *dse.Results) error {
-	evs := res.Eval[u.bench]
-	if len(evs) != len(u.indices) {
-		return fmt.Errorf("worker returned %d evaluations of %s for %d archs", len(evs), u.bench, len(u.indices))
+// check reports whether m is the shard u asked for: a measurement of
+// the unit's benchmark on as many machines as the unit has, whose digest
+// is the unit's. Nothing else in the answer is trusted at merge, so a
+// worker that answers for other machines or in another order is caught
+// here.
+func check(u *unit, m *serve.Measurement) error {
+	if len(m.Benches) != 1 || m.Benches[0] != u.bench || m.Machines != len(u.indices) {
+		return fmt.Errorf("worker measured %v on %d machines, want %s on %d", m.Benches, m.Machines, u.bench, len(u.indices))
 	}
-	for k, gi := range u.indices {
-		if evs[k].Arch != c.grid[gi] || evs[k].Bench != u.bench {
-			return fmt.Errorf("worker returned %s on %v as evaluation %d, want %s on %v",
-				evs[k].Bench, evs[k].Arch, k, u.bench, c.grid[gi])
-		}
+	if m.Digest != u.digest {
+		return fmt.Errorf("worker measured machines of digest %016x, want %016x", uint64(m.Digest), uint64(u.digest))
 	}
 	return nil
 }
@@ -622,31 +640,34 @@ func (c *coordinator) maybeHedge(ctx context.Context) {
 	c.launch(ctx, oldest.u, w)
 }
 
-// merge assembles the shard results into the Results a local run over
-// the same grid would have produced. Cells are copied from the shards
-// (the pipeline is deterministic, so their measurements are
-// bit-identical) and priced here, as a local run prices them: the
-// coordinator's grid always holds the baseline. Runs is
-// Σ(shard.Runs − shard.BaselineRuns): an unpriced shard evaluates no
-// baseline out of grid, and a priced one from a worker that ignored
-// Unpriced has that work subtracted, leaving exactly the logical runs a
-// single run over the full grid counts (the baseline's own grid cell is
-// inside exactly one shard). Phases.CostModel is the merge's own
-// pricing.
+// merge assembles the shard measurements into the Results a local run
+// over the same grid would have produced. Each cell is built from the
+// grid machine and benchmark of its unit and the shard's measurement of
+// it (the pipeline is deterministic, so those are bit-identical), and
+// priced here, as a local run prices it: the coordinator's grid always
+// holds the baseline. Runs is the sum of the shards' Measurement.Runs,
+// which leaves out any out-of-grid baseline work (an unpriced shard
+// does none, and a priced one from a worker that ignored Unpriced has
+// it subtracted): exactly the logical runs a single run over the full
+// grid counts (the baseline's own grid cell is inside exactly one
+// shard). Phases.CostModel is the merge's own pricing.
 func (c *coordinator) merge(start time.Time) (*dse.Results, error) {
 	res := dse.NewResults(c.grid, c.benches)
 	var runs, failures int64
 	var phases dse.PhaseTimes
 	for _, u := range c.units {
-		// Every unit is done, and handle checked its result.
-		r := u.res
+		// Every unit is done, and handle checked its measurement.
+		m := u.m
+		evs := res.Eval[u.bench]
 		for k, gi := range u.indices {
-			res.Eval[u.bench][gi] = r.Eval[u.bench][k]
+			cell := m.Cells[k]
+			evs[gi] = dse.Evaluation{Arch: c.grid[gi], Bench: u.bench,
+				Unroll: cell.Unroll, Cycles: cell.Cycles, Spilled: cell.Spilled, Failed: cell.Failed}
 		}
-		runs += r.Stats.Runs - r.Stats.BaselineRuns
-		failures += r.Stats.Failures
-		phases.Compile += r.Stats.Phases.Compile
-		phases.Simulate += r.Stats.Phases.Simulate
+		runs += m.Runs
+		failures += m.Failures
+		phases.Compile += m.Compile
+		phases.Simulate += m.Simulate
 	}
 	t0 := time.Now()
 	if err := res.Price(nil); err != nil {

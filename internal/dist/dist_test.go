@@ -115,7 +115,7 @@ func TestDistributedMatchesLocalSampled(t *testing.T) {
 	if v := col.Counter("dist.shards").Value(); v < 2 {
 		t.Errorf("dist.shards = %d, want at least one shard per fleet slot", v)
 	}
-	// Op-free: every finished status read in place, every tuple scanned.
+	// Every shard answered with a measurement, every tuple scanned.
 	for _, name := range []string{"dist.status_fallbacks", "serve.tuple_fallbacks"} {
 		if v := col.Counter(name).Value(); v != 0 {
 			t.Errorf("%s = %d on an op-free run", name, v)
@@ -318,6 +318,48 @@ func TestFingerprintMismatch(t *testing.T) {
 	_, err := Explore(context.Background(), opts)
 	if err == nil || !strings.Contains(err.Error(), "fingerprint") {
 		t.Fatalf("Explore error = %v, want fingerprint refusal", err)
+	}
+}
+
+// TestAdmissionAsksTheFleetAtOnce: the workers' health checks run
+// concurrently — each of these two answers only once both have been
+// asked — and of several refusals the one of the first worker in
+// listing order is reported, although that worker answers last.
+func TestAdmissionAsksTheFleetAtOnce(t *testing.T) {
+	installCollector(t)
+	var asked atomic.Int64
+	both := make(chan struct{})
+	start := func(fingerprint string, delay time.Duration) *httptest.Server {
+		f := newFakeWorker(1)
+		f.fingerprint = fingerprint
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/healthz" {
+				if asked.Add(1) == 2 {
+					close(both)
+				}
+				select {
+				case <-both:
+				case <-time.After(10 * time.Second):
+					http.Error(w, "asked alone", http.StatusServiceUnavailable)
+					return
+				}
+				time.Sleep(delay)
+			}
+			f.ServeHTTP(w, r)
+		}))
+		t.Cleanup(ts.Close)
+		return ts
+	}
+	first := start("backend-v0;first", 50*time.Millisecond)
+	second := start("backend-v0;second", 0)
+
+	opts := fastOpts(first.URL, second.URL)
+	opts.Benchmarks = benchesByName("G")
+	opts.Sample = 64
+	opts.Width = 32
+	_, err := Explore(context.Background(), opts)
+	if err == nil || !strings.Contains(err.Error(), first.URL) || !strings.Contains(err.Error(), `"backend-v0;first"`) {
+		t.Fatalf("Explore error = %v, want the first worker's fingerprint refused", err)
 	}
 }
 

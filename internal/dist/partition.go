@@ -7,6 +7,7 @@ import (
 	"customfit/internal/cli"
 	"customfit/internal/dse"
 	"customfit/internal/machine"
+	"customfit/internal/serve"
 )
 
 // gridOpSet returns the single custom-op catalog the grid's op-enabled
@@ -35,22 +36,23 @@ func gridOpSet(grid []machine.Arch) (*machine.OpSet, error) {
 // unit is one shard of the (benchmark × architecture) grid: a single
 // benchmark against a subset of the grid built from whole backend
 // signature classes. indices are positions in the coordinator's grid,
-// ascending; tuples is the parallel wire form, shared with the other
-// benchmarks' units of the same chunk. Chunks partition the classes, so
-// no two units of a benchmark share a machine: every unit is its own
-// work.
+// ascending; tuples is the parallel wire form and digest the digest of
+// those machines, both shared with the other benchmarks' units of the
+// same chunk. Chunks partition the classes, so no two units of a
+// benchmark share a machine: every unit is its own work.
 type unit struct {
 	id      int
 	bench   string
 	indices []int
 	tuples  []string
+	digest  serve.Digest
 
 	// Scheduling state, owned by the coordinator loop.
 	retries  int
 	hedged   bool
 	attempts map[int]*attempt
 	done     bool
-	res      *dse.Results
+	m        *serve.Measurement
 }
 
 // partitionUnits shards the exploration. Archs are grouped by backend
@@ -60,8 +62,8 @@ type unit struct {
 // physical sweep per (benchmark, class), every member arch charged the
 // class sweep's logical runs. Each benchmark is split into roughly
 // targetUnits/len(benches) chunks of near-equal arch count (never
-// splitting a class). A chunk's tuples are formatted once, for all the
-// benchmarks' units.
+// splitting a class). A chunk's tuples are formatted and its machines
+// digested once, for all the benchmarks' units.
 func partitionUnits(grid []machine.Arch, benches []*bench.Benchmark, targetUnits int) []*unit {
 	// Signature classes, first-seen order, members in grid order.
 	var classes [][]int
@@ -86,10 +88,13 @@ func partitionUnits(grid []machine.Arch, benches []*bench.Benchmark, targetUnits
 	}
 	chunks := chunkClasses(classes, perBench, len(grid))
 	tuples := make([][]string, len(chunks))
+	digests := make([]serve.Digest, len(chunks))
 	for ci, chunk := range chunks {
 		tuples[ci] = make([]string, len(chunk))
+		digests[ci] = serve.EmptyDigest
 		for k, gi := range chunk {
 			tuples[ci][k] = cli.FormatArch(grid[gi])
+			digests[ci] = digests[ci].Add(grid[gi])
 		}
 	}
 
@@ -101,6 +106,7 @@ func partitionUnits(grid []machine.Arch, benches []*bench.Benchmark, targetUnits
 				bench:    b.Name,
 				indices:  chunk,
 				tuples:   tuples[ci],
+				digest:   digests[ci],
 				attempts: map[int]*attempt{},
 			})
 		}

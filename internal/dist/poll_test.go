@@ -20,147 +20,216 @@ import (
 )
 
 // statusBodies are job status bodies a coordinator may be sent: what
-// serve writes in every state, and shapes the splitter must leave to
-// encoding/json or split without being fooled.
-var statusBodies = []struct {
-	name, body string
-	split      bool // splitStatus takes it
-}{
-	{"queued", `{"id":"j1","kind":"explore","state":"queued"}` + "\n", false},
-	{"running", `{"id":"j1","kind":"explore","state":"running","progress":{"Done":3,"Total":40}}` + "\n", false},
-	{"done", `{"id":"j1","kind":"explore","state":"done","progress":{"Done":40,"Total":40},"result":{"archs":null,"eval":{"G":[{"Bench":"G"}]}}}` + "\n", true},
-	{"done with spans", `{"id":"j1","kind":"explore","state":"done","result":{"archs":[]},"spans":[{"name":"serve.job","attrs":{"id":"j1"}}]}` + "\n", true},
-	{"failed", `{"id":"j1","kind":"explore","state":"failed","error":"dse: baseline failed on G"}` + "\n", false},
-	{"cancelled", `{"id":"j1","kind":"explore","state":"cancelled","error":"cancelled before starting"}` + "\n", false},
-	{"progress naming a result", `{"id":"j1","state":"done","progress":{"note":"\"result\":{","result":1},"result":{"a":1}}`, true},
-	{"quotes and braces in strings", `{"id":"a\"}","error":"}\\","state":"done","result":{"k":"\"}]","l":["}"]}}`, true},
-	{"result first", `{"result":[1,{"x":"]"}],"id":"j1","state":"done"}`, true},
-	{"result alone", `{"result":{"a":{}}}`, true},
-	{"result last", `{"id":"j1","state":"done","result":"a string"}`, true},
-	{"result null", `{"id":"j1","state":"done","result":null}`, true},
-	{"result a number", `{"id":"j1","result":-1.5e+3,"state":"done"}`, true},
-	{"result twice", `{"id":"j1","result":{"a":1},"result":{"a":2}}`, true},
-	{"result by another case", `{"id":"j1","result":{"a":1},"RESULT":{"a":2}}`, true},
-	{"result by escape", `{"id":"j1","\u0072esult":{"a":2}}`, false},
-	{"space after the colon", `{"id":"j1","result": {"a":1}}`, false},
-	{"space before the comma", `{"id":"j1","result":{"a":1} ,"state":"done"}`, false},
-	{"indented", "{\n  \"id\": \"j1\",\n  \"result\": {}\n}", false},
-	{"result not JSON", `{"id":"j1","state":"done","result":{"a":tru}}`, true},
-	{"torn in the result", `{"id":"j1","state":"done","result":{"a":[1,2`, false},
-	{"torn in a string", `{"id":"j1","state":"do`, false},
-	{"brackets crossed", `{"id":"j1","progress":[{"result":1]},"result":{}}`, true},
-	{"closed twice", `{"id":"j1","result":{}}}`, true},
-	{"not an object", `["result",{}]`, false},
-	{"empty", ``, false},
-	{"a worker's document", `{"id":"j1","kind":"explore","state":"done","result":` + workerDoc + "}\n", true},
-	{"a worker's document and spans", `{"id":"j1","state":"done","result":` + workerDoc + `,"spans":[{"name":"serve.job"}]}`, true},
-	{"a worker's document first", `{"result":` + workerDoc + `,"id":"j1","state":"done"}`, true},
-	{"a worker's document torn", `{"id":"j1","state":"done","result":` + workerDoc[:len(workerDoc)-1], false},
-	{"a worker's document, then junk", `{"id":"j1","state":"done","result":` + workerDoc + `x}`, false},
-	{"a worker's document twice", `{"result":` + workerDoc + `,"result":` + workerDoc + `}`, true},
+// serve writes in every state, and shapes encoding/json reads otherwise
+// (the seeds of FuzzSplitStatus).
+var statusBodies = []struct{ name, body string }{
+	{"queued", `{"id":"j1","kind":"explore","state":"queued"}` + "\n"},
+	{"running", `{"id":"j1","kind":"explore","state":"running","progress":{"Done":3,"Total":40}}` + "\n"},
+	{"done", `{"id":"j1","kind":"explore","state":"done","progress":{"Done":40,"Total":40},"result":{"archs":null,"eval":{"G":[{"Bench":"G"}]}}}` + "\n"},
+	{"done with spans", `{"id":"j1","kind":"explore","state":"done","result":{"archs":[]},"spans":[{"name":"serve.job","attrs":{"id":"j1"}}]}` + "\n"},
+	{"failed", `{"id":"j1","kind":"explore","state":"failed","error":"dse: baseline failed on G"}` + "\n"},
+	{"cancelled", `{"id":"j1","kind":"explore","state":"cancelled","error":"cancelled before starting"}` + "\n"},
+	{"progress naming a result", `{"id":"j1","state":"done","progress":{"note":"\"result\":{","result":1},"result":{"a":1}}`},
+	{"quotes and braces in strings", `{"id":"a\"}","error":"}\\","state":"done","result":{"k":"\"}]","l":["}"]}}`},
+	{"result first", `{"result":[1,{"x":"]"}],"id":"j1","state":"done"}`},
+	{"result alone", `{"result":{"a":{}}}`},
+	{"result last", `{"id":"j1","state":"done","result":"a string"}`},
+	{"result null", `{"id":"j1","state":"done","result":null}`},
+	{"result a number", `{"id":"j1","result":-1.5e+3,"state":"done"}`},
+	{"result twice", `{"id":"j1","result":{"a":1},"result":{"a":2}}`},
+	{"result by another case", `{"id":"j1","result":{"a":1},"RESULT":{"a":2}}`},
+	{"result by escape", `{"id":"j1","\u0072esult":{"a":2}}`},
+	{"space after the colon", `{"id":"j1","result": {"a":1}}`},
+	{"space before the comma", `{"id":"j1","result":{"a":1} ,"state":"done"}`},
+	{"indented", "{\n  \"id\": \"j1\",\n  \"result\": {}\n}"},
+	{"result not JSON", `{"id":"j1","state":"done","result":{"a":tru}}`},
+	{"torn in the result", `{"id":"j1","state":"done","result":{"a":[1,2`},
+	{"torn in a string", `{"id":"j1","state":"do`},
+	{"brackets crossed", `{"id":"j1","progress":[{"result":1]},"result":{}}`},
+	{"closed twice", `{"id":"j1","result":{}}}`},
+	{"not an object", `["result",{}]`},
+	{"empty", ``},
+	{"a worker's document", `{"id":"j1","kind":"explore","state":"done","result":` + workerDoc + "}\n"},
+	{"a worker's document and spans", `{"id":"j1","state":"done","result":` + workerDoc + `,"spans":[{"name":"serve.job"}]}`},
+	{"a worker's document first", `{"result":` + workerDoc + `,"id":"j1","state":"done"}`},
+	{"a worker's document torn", `{"id":"j1","state":"done","result":` + workerDoc[:len(workerDoc)-1]},
+	{"a worker's document, then junk", `{"id":"j1","state":"done","result":` + workerDoc + `x}`},
+	{"a worker's document twice", `{"result":` + workerDoc + `,"result":` + workerDoc + `}`},
 }
 
-// workerDoc is a results document in the one shape a worker writes:
-// dse.ReadResults reads it where it lies.
+// workerDoc is a results document in the one shape a worker writes.
 const workerDoc = `{"archs":[{"A":1,"M":1,"R":64,"P2":1,"L2":8,"C":1}],"benches":["G"],"cost":[1],` +
 	`"eval":{"G":[{"Arch":{"ALUs":1,"MULs":1,"Regs":64,"L2Ports":1,"L2Lat":8,"Clusters":1,"MinMax":false},` +
 	`"Bench":"G","Unroll":2,"Cycles":1234,"Time":1234,"Speedup":1,"Spilled":0,"Failed":false}]},` +
 	`"stats":{"Runs":4,"Architectures":1,"DesignPoints":1,"Benchmarks":1,"WallTime":5,"PerArch":5,"PerRun":1,` +
 	`"Failures":0,"Phases":{"Compile":1,"Simulate":2,"CostModel":3}}}`
 
-// unpricedDoc is workerDoc as a worker answers an unpriced shard: no
-// cost list, and Time, Speedup and the pricing time 0.
+// unpricedDoc is workerDoc as a worker answers an unpriced shard of a
+// schema before serve.SchemaMeasured: no cost list, and Time, Speedup
+// and the pricing time 0.
 const unpricedDoc = `{"archs":[{"A":1,"M":1,"R":64,"P2":1,"L2":8,"C":1}],"benches":["G"],"cost":null,` +
 	`"eval":{"G":[{"Arch":{"ALUs":1,"MULs":1,"Regs":64,"L2Ports":1,"L2Lat":8,"Clusters":1,"MinMax":false},` +
 	`"Bench":"G","Unroll":2,"Cycles":1234,"Time":0,"Speedup":0,"Spilled":0,"Failed":false}]},` +
 	`"stats":{"Runs":4,"Architectures":1,"DesignPoints":1,"Benchmarks":1,"WallTime":5,"PerArch":5,"PerRun":1,` +
 	`"Failures":0,"Phases":{"Compile":1,"Simulate":2,"CostModel":0}}}`
 
-// checkDecodeStatus holds decodeStatus to json.Unmarshal on one body:
-// what encoding/json decodes, decodeStatus decodes to the same value;
-// what it refuses, decodeStatus refuses too, or passes on with a result
-// that is not JSON, for dse.FromJSON to refuse. A result read in place
-// is what dse.FromJSON reads from the bytes cut out.
-func checkDecodeStatus(t *testing.T, body []byte) {
+// measuredDoc is workerDoc as a worker answers a shard sent
+// serve.SchemaMeasured: the measurement document.
+const measuredDoc = `{"benches":["G"],"machines":1,"digest":"25abd78ac877e3ff","runs":4,"failures":0,"compile":1,"simulate":2,"cells":[2,1234,0,0]}`
+
+// measurementJSON is a measurement document as encoding/json reads it.
+type measurementJSON struct {
+	Benches  []string `json:"benches"`
+	Machines int      `json:"machines"`
+	Digest   string   `json:"digest"`
+	Runs     int64    `json:"runs"`
+	Failures int64    `json:"failures"`
+	Compile  int64    `json:"compile"`
+	Simulate int64    `json:"simulate"`
+	Cells    []int64  `json:"cells"`
+}
+
+// checkMeasurement holds serve.ReadMeasurement to its codec on data:
+// what it reads, json.Unmarshal reads alike, and serve.AppendMeasurement
+// writes back as data, byte for byte.
+func checkMeasurement(t *testing.T, data []byte) {
 	t.Helper()
-	var want serve.JobStatus
-	werr := json.Unmarshal(body, &want)
-	got, res, gerr := decodeStatus(body)
-	switch {
-	case werr == nil && (gerr != nil || !reflect.DeepEqual(got, want)):
-		t.Fatalf("decodeStatus(%q) = %+v, %v; json.Unmarshal gives %+v", body, got, gerr, want)
-	case werr != nil && gerr == nil && json.Valid(got.Result):
-		t.Fatalf("decodeStatus(%q) = %+v; json.Unmarshal says %v", body, got, werr)
-	}
-	rest, result, cut, ok := splitStatus(body)
-	if !ok {
-		if res != nil {
-			t.Fatalf("decodeStatus(%q) read a result splitStatus does not cut", body)
-		}
+	m, err := serve.ReadMeasurement(data)
+	if err != nil {
 		return
 	}
-	// The cut is the member and at most one comma: rest and result are
-	// the rest of the body, and result lies in it behind its name.
-	if n := len(body) - len(rest) - len(result); n != len(`"result":,`) && n != len(`"result":`) {
-		t.Fatalf("splitStatus(%q) = %q + %q: %d bytes cut", body, rest, result, n)
+	var w measurementJSON
+	if err := json.Unmarshal(data, &w); err != nil {
+		t.Fatalf("ReadMeasurement(%q) = %+v; json.Unmarshal says %v", data, m, err)
 	}
-	if at := offsetIn(body, result); !bytes.HasSuffix(body[:at], []byte(`"result":`)) {
-		t.Fatalf("splitStatus(%q): result %q is not the value of a result member", body, result)
-	}
-	if cut == nil {
-		if res != nil {
-			t.Fatalf("decodeStatus(%q) read a result splitStatus does not read", body)
+	cells := make([]int64, 0, 4*len(m.Cells))
+	for _, c := range m.Cells {
+		failed := int64(0)
+		if c.Failed {
+			failed = 1
 		}
-		return
+		cells = append(cells, int64(c.Unroll), c.Cycles, int64(c.Spilled), failed)
 	}
-	whole, err := dse.FromJSON(result)
-	if err != nil || !reflect.DeepEqual(cut, whole) {
-		t.Fatalf("splitStatus(%q) reads the result as %+v; dse.FromJSON gives %+v, %v", body, cut, whole, err)
+	got := measurementJSON{Benches: m.Benches, Machines: m.Machines, Digest: fmt.Sprintf("%016x", uint64(m.Digest)),
+		Runs: m.Runs, Failures: m.Failures, Compile: int64(m.Compile), Simulate: int64(m.Simulate), Cells: cells}
+	if len(w.Benches) == 0 {
+		w.Benches = nil
 	}
-	if res != nil && !reflect.DeepEqual(res, whole) {
-		t.Fatalf("decodeStatus(%q) reads the result as %+v; dse.FromJSON gives %+v", body, res, whole)
+	if len(w.Cells) == 0 {
+		w.Cells = nil
+	}
+	if len(got.Cells) == 0 {
+		got.Cells = nil
+	}
+	if !reflect.DeepEqual(got, w) {
+		t.Fatalf("ReadMeasurement(%q) = %+v; json.Unmarshal gives %+v", data, got, w)
+	}
+	again, err := serve.AppendMeasurement(nil, m)
+	if err != nil || !bytes.Equal(again, data) {
+		t.Fatalf("ReadMeasurement(%q) re-encodes to %q, %v", data, again, err)
 	}
 }
 
-// offsetIn returns where in body its subslice part starts.
-func offsetIn(body, part []byte) int { return cap(body) - cap(part) }
-
+// TestSplitStatus: a coordinator reads a finished shard off its status
+// in either form — the measurement document of a worker sent
+// serve.SchemaMeasured, and the results document of an older one, read
+// as the same measurement and counted in dist.status_fallbacks — and
+// refuses a measurement document in any other spelling.
 func TestSplitStatus(t *testing.T) {
-	for _, tc := range statusBodies {
-		_, _, res, ok := splitStatus([]byte(tc.body))
-		if ok != tc.split {
-			t.Errorf("%s: splitStatus takes it: %v, want %v", tc.name, ok, tc.split)
-		}
-		if read := strings.Contains(tc.body, workerDoc); ok && read != (res != nil) {
-			t.Errorf("%s: splitStatus reads the result: %v, want %v", tc.name, res != nil, read)
-		}
-		checkDecodeStatus(t, []byte(tc.body))
+	col := installCollector(t)
+	res, err := dse.FromJSON([]byte(workerDoc))
+	if err != nil {
+		t.Fatal(err)
 	}
-	// What the split is for: the result of a finished shard is handed
-	// on where it lies, and read there when it is a worker's document.
-	for _, i := range []int{2, 26} {
-		body := []byte(statusBodies[i].body)
-		st, res, err := decodeStatus(body)
-		if err != nil || len(st.Result) == 0 || &st.Result[0] != &body[offsetIn(body, st.Result)] {
-			t.Errorf("decodeStatus copied the result: %+v, %v", st, err)
+	want, err := serve.MeasurementOf(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := serve.AppendMeasurement(nil, want)
+	if err != nil || string(doc) != measuredDoc {
+		t.Fatalf("workerDoc's measurement document is %s, %v; want %s", doc, err, measuredDoc)
+	}
+	for _, tc := range []struct {
+		name, body string
+		measured   bool
+	}{
+		{"measured", `{"id":"j1","kind":"explore","state":"done","result":` + measuredDoc + "}\n", true},
+		{"measured, with spans", `{"id":"j1","kind":"explore","state":"done","result":` + measuredDoc + `,"spans":[{"name":"serve.job"}]}` + "\n", true},
+		{"priced", statusBodies[26].body, false},
+		{"unpriced", `{"id":"j1","kind":"explore","state":"done","result":` + unpricedDoc + "}\n", false},
+	} {
+		before := col.Counter("dist.status_fallbacks").Value()
+		var st serve.JobStatus
+		if err := json.Unmarshal([]byte(tc.body), &st); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if (res != nil) != (i == 26) {
-			t.Errorf("%s: decodeStatus reads the result: %v", statusBodies[i].name, res != nil)
+		got, err := readShard(st.Result, tc.measured)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: readShard = %+v, %v; want %+v", tc.name, got, err, want)
+		}
+		if n := col.Counter("dist.status_fallbacks").Value() - before; n != 0 == tc.measured {
+			t.Errorf("%s: dist.status_fallbacks moved by %d", tc.name, n)
 		}
 	}
+	// A results document where a measurement was asked for is the
+	// worker's fault, not the run's; a results document that does not
+	// decode fails everywhere.
+	if _, err := readShard([]byte(workerDoc), true); err == nil || isPermanent(err) {
+		t.Errorf("a results document read as a measurement: %v", err)
+	}
+	if _, err := readShard([]byte(`{"archs":1}`), false); !isPermanent(err) {
+		t.Errorf("a results document that does not decode: %v, want a permanent error", err)
+	}
+
+	for _, bad := range []string{
+		strings.Replace(measuredDoc, `,"machines"`, ` ,"machines"`, 1),
+		strings.Replace(measuredDoc, `"runs":4,"failures":0`, `"failures":0,"runs":4`, 1),
+		strings.Replace(measuredDoc, `"runs":4`, `"runs":04`, 1),
+		strings.Replace(measuredDoc, `"runs":4`, `"runs":-4`, 1),
+		strings.Replace(measuredDoc, `"runs":4`, `"runs":4.0`, 1),
+		strings.Replace(measuredDoc, `"digest":"25ab`, `"digest":"25AB`, 1),
+		strings.Replace(measuredDoc, `"digest":"25`, `"digest":"5`, 1),
+		strings.Replace(measuredDoc, `1234,0,0]`, `1234,0,2]`, 1),
+		strings.Replace(measuredDoc, `1234,0,0]`, `1234,0,0,2,1234,0,0]`, 1),
+		strings.Replace(measuredDoc, `"machines":1`, `"machines":2`, 1),
+		strings.Replace(measuredDoc, `["G"]`, `["\u0047"]`, 1),
+		strings.Replace(measuredDoc, `"machines":1`, `"machines":999999999999999999`, 1),
+		measuredDoc + "\n",
+		measuredDoc[:len(measuredDoc)-1],
+		`{}`,
+	} {
+		if m, err := serve.ReadMeasurement([]byte(bad)); err == nil {
+			t.Errorf("ReadMeasurement(%s) = %+v, want an error", bad, m)
+		}
+		checkMeasurement(t, []byte(bad))
+	}
+	checkMeasurement(t, []byte(measuredDoc))
 }
 
-// FuzzSplitStatus: on arbitrary bytes the splitter declines, or cuts
-// out exactly one result member, and decodeStatus — the splitter,
-// encoding/json for the rest, encoding/json for everything when the
-// splitter declines or the rest has a result of its own — agrees with
-// json.Unmarshal of the whole body.
+// FuzzSplitStatus: on arbitrary bytes, read as a job status or as the
+// result of one, serve.ReadMeasurement refuses or agrees with
+// json.Unmarshal, and serve.AppendMeasurement writes what it read back
+// as the same bytes.
 func FuzzSplitStatus(f *testing.F) {
 	for _, tc := range statusBodies {
 		f.Add([]byte(tc.body))
 	}
 	f.Add([]byte(`{"id":"j1","kind":"explore","state":"done","result":` + unpricedDoc + "}\n"))
-	f.Fuzz(func(t *testing.T, body []byte) { checkDecodeStatus(t, body) })
+	f.Add([]byte(`{"id":"j1","kind":"explore","state":"done","result":` + measuredDoc + "}\n"))
+	for _, doc := range []string{
+		measuredDoc,
+		`{"benches":[],"machines":0,"digest":"cbf29ce484222325","runs":0,"failures":0,"compile":0,"simulate":0,"cells":[]}`,
+		`{"benches":["G","DHEF"],"machines":2,"digest":"0123456789abcdef","runs":18,"failures":1,"compile":100200300,"simulate":7,"cells":[2,1234,0,0,0,0,0,1,1,99,12,0,4,100000,300,0]}`,
+	} {
+		f.Add([]byte(doc))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		checkMeasurement(t, body)
+		var st serve.JobStatus
+		if json.Unmarshal(body, &st) == nil {
+			checkMeasurement(t, st.Result)
+		}
+	})
 }
 
 // TestReadBounded: one buffer of the announced size, and never more
@@ -341,15 +410,25 @@ func TestParentPollLoopReadsThisServer(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The same shard through this commit's loop (a second job: the first
-	// is finished, so nothing coalesces).
-	a := &attempt{worker: &workerState{url: w.URL}}
-	res, _, err := cl.runShard(context.Background(), a, ereq, nil)
+	want, err := serve.MeasurementOf(old)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if canonicalJSON(t, old) != canonicalJSON(t, res) {
-		t.Error("the parent's poll loop and this one read different results off one server")
+
+	// The same shard through this commit's loop (a second job: the first
+	// is finished, so nothing coalesces), and once more as a measurement.
+	measured := ereq
+	measured.Unpriced, measured.Schema = true, serve.SchemaMeasured
+	for _, req := range []serve.ExploreRequest{ereq, measured} {
+		a := &attempt{worker: &workerState{url: w.URL}}
+		got, _, err := cl.runShard(context.Background(), a, req, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got.Compile, got.Simulate = want.Compile, want.Simulate
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("schema %d: the parent's poll loop reads %+v off this server, this one %+v", req.Schema, want, got)
+		}
 	}
 }
 

@@ -412,16 +412,6 @@ func (d *docReader) str() []byte {
 // false) anything else, including documents encoding/json would accept;
 // what it accepts it decodes to what json.Unmarshal decodes.
 func parseResults(data []byte) (in resultsJSON, ok bool) {
-	if in, n, ok := readResults(data); ok && n == len(data) {
-		return in, true
-	}
-	return resultsJSON{}, false
-}
-
-// readResults is parseResults on a document that data only starts with:
-// it also reports the document's length, and leaves what follows it to
-// the caller.
-func readResults(data []byte) (in resultsJSON, n int, ok bool) {
 	d := &docReader{b: data}
 	d.lit(`{"archs":`)
 	if !d.take("null") {
@@ -498,10 +488,10 @@ func readResults(data []byte) (in resultsJSON, n int, ok bool) {
 	s.Phases.Simulate = time.Duration(d.int(`,"Simulate":`))
 	s.Phases.CostModel = time.Duration(d.int(`,"CostModel":`))
 	d.lit("}}}")
-	if d.bad {
-		return resultsJSON{}, 0, false
+	if d.bad || d.i != len(data) {
+		return resultsJSON{}, false
 	}
-	return in, d.i, true
+	return in, true
 }
 
 // evals reads one benchmark's evaluations: null, or a list that a run

@@ -97,22 +97,6 @@ func FromJSON(data []byte) (*Results, error) {
 	return in.results()
 }
 
-// ReadResults reads a results document from the front of data, where it
-// may be followed by anything: the Results and the document's length. It
-// reads only the one shape JSON writes for an op-free run (codec.go) and
-// declines (ok false) everything else, which FromJSON decodes once the
-// caller has cut it out. What it reads equals FromJSON's reading of the
-// document.
-func ReadResults(data []byte) (r *Results, n int, ok bool) {
-	in, n, ok := readResults(data)
-	if !ok {
-		return nil, 0, false
-	}
-	// Without ops there is nothing results can refuse.
-	r, _ = in.results()
-	return r, n, true
-}
-
 // results builds the Results in describes.
 func (in *resultsJSON) results() (*Results, error) {
 	r := &Results{

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -120,5 +121,41 @@ func TestFingerprintStableAndDescriptive(t *testing.T) {
 		if !strings.Contains(a, want) {
 			t.Errorf("fingerprint %q missing %q", a, want)
 		}
+	}
+}
+
+// TestLowerBoundPinsItsTerms pins the floor's values, block by block,
+// where different terms bind: pipe at unroll 1 on two machines with an
+// L2 latency of 8. On the baseline, the loop's five L2 accesses each
+// hold the one port for 8 cycles, so the L2 term (5 × 8 / 1 = 40) binds,
+// above the critical path (24) and the ALU term (16); the entry block
+// is its 7 ALU operations on one ALU, the exit its branch. With two L2
+// ports and four ALUs the L2 term falls to 20 and the loop's critical
+// path binds; the entry block's critical path and its four accesses to
+// the one L1 port tie at 4. A floor that dropped
+// the port hold, or a capacity, would read lower here and nowhere be
+// caught by admissibility alone.
+func TestLowerBoundPinsItsTerms(t *testing.T) {
+	prep := NewPrepared(preparePipe(t, 1))
+	for _, tc := range []struct {
+		arch machine.Arch
+		want []int
+	}{
+		{machine.Baseline, []int{7, 40, 1}},
+		{machine.Arch{ALUs: 4, MULs: 2, Regs: 128, L2Ports: 2, L2Lat: 8, Clusters: 1}, []int{4, 24, 1}},
+	} {
+		if got := LowerBound(prep, tc.arch); !slices.Equal(got, tc.want) {
+			t.Errorf("%s: floors %v, want %v", tc.arch, got, tc.want)
+		}
+	}
+	// The loop's terms on the baseline, as the floor reads them.
+	pristine := prep.class(machine.Arch{Clusters: 1}, nil)
+	k := machine.Baseline.Capacity()
+	loop := pristine.blocks[1].info
+	if l2 := loop[machine.L2] * k.Hold[machine.L2] / k.Machine[machine.L2]; l2 != 40 || loop[machine.ALU] != 16 {
+		t.Errorf("loop: L2 term %d, ALU term %d; want 40 and 16", l2, loop[machine.ALU])
+	}
+	if cp := pristine.skels.get(pristine.g, machine.Baseline, nil)[1].CriticalPath(); cp != 24 {
+		t.Errorf("loop: critical path %d, want 24", cp)
 	}
 }

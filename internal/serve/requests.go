@@ -268,14 +268,21 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// SchemaVersion is the newest explore-request schema this server
-// understands. Schema 1 (implicit: the zero Schema field) is the
-// 6-tuple era; schema 2 adds the custom-op fields (Ops, op-enabled
-// arch tuples). Requests declaring a newer schema than the server
-// supports are refused with 409 Conflict rather than silently
-// misinterpreted — an op-aware coordinator must never have its op
-// grids quietly evaluated op-free by an op-unaware worker.
-const SchemaVersion = 2
+// The explore-request schemas. Schema 1 (implicit: the zero Schema
+// field) is the 6-tuple era; SchemaOps adds the custom-op fields (Ops,
+// op-enabled arch tuples); SchemaMeasured answers an Unpriced explore
+// with a measurement document (Measurement) instead of a results
+// document. SchemaVersion, the newest this server understands, is what
+// it advertises in /healthz. Requests declaring a newer schema than the
+// server supports are refused with 409 Conflict rather than silently
+// misinterpreted — an op-aware coordinator must never have its op grids
+// quietly evaluated op-free by an op-unaware worker, nor wait for an
+// answer a worker does not write.
+const (
+	SchemaOps      = 2
+	SchemaMeasured = 3
+	SchemaVersion  = SchemaMeasured
+)
 
 // ExploreRequest asks for a design-space exploration. The zero value is
 // the paper's full Table-3 run (full space × full suite, width 96).
@@ -298,12 +305,14 @@ type ExploreRequest struct {
 	// With a custom-op catalog (Ops) the tuples may carry an
 	// " ops=<hexmask>" suffix (cli.ParseArchOps).
 	Archs []string `json:"archs,omitempty"`
-	// Unpriced asks for the measurements alone (core.Measure): the
-	// result is the same document with "cost":null and every Time and
-	// Speedup 0, and no out-of-grid baseline is evaluated. The
-	// distributed coordinator sends it with every shard, because its
-	// merge prices the whole grid itself. Part of the coalesce key: a
-	// priced and an unpriced job never share work.
+	// Unpriced asks for the measurements alone (core.Measure), and no
+	// out-of-grid baseline is evaluated. Under SchemaMeasured the result
+	// is a measurement document (AppendMeasurement); under an older
+	// schema it is the results document with "cost":null and every Time
+	// and Speedup 0. The distributed coordinator sends it with every
+	// shard, because its merge prices the whole grid itself. Part of the
+	// coalesce key, with the answer's form: jobs that answer differently
+	// never share work.
 	Unpriced bool `json:"unpriced,omitempty"`
 	// Schema declares the request schema the sender speaks (see
 	// SchemaVersion). Zero means 1, the 6-tuple era; senders set it only
@@ -312,8 +321,8 @@ type ExploreRequest struct {
 	Schema int `json:"schema,omitempty"`
 	// Ops is the shared custom-op catalog (codec texts, see
 	// ir.ParseFusedSpec) that the arch tuples' " ops=" masks index into.
-	// Requires Schema >= 2. Part of the coalesce key: requests differing
-	// only in Ops are different work and never share a job.
+	// Requires Schema >= SchemaOps. Part of the coalesce key: requests
+	// differing only in Ops are different work and never share a job.
 	Ops []string `json:"ops,omitempty"`
 	// Cache, when "off", runs this job without the server's shared
 	// evaluation cache — the distributed coordinator propagates its
@@ -341,7 +350,10 @@ type exploreJob struct {
 	opSet         *machine.OpSet
 	sample, width int
 	unpriced      bool
-	key           string
+	// measured: the answer is a measurement document (unpriced, under
+	// SchemaMeasured).
+	measured bool
+	key      string
 }
 
 // resolve checks the request and parses what it names, or says why not
@@ -355,16 +367,17 @@ func (req *exploreBody) resolve() (*exploreJob, int, error) {
 		// 409, not 400: the request is well-formed, this worker is just
 		// too old to honor it — the coordinator should find another.
 		return nil, http.StatusConflict, fmt.Errorf(
-			"request schema %d exceeds supported %d (op-aware request on an op-unaware worker?)",
+			"request schema %d exceeds supported %d (a coordinator newer than this worker?)",
 			req.Schema, SchemaVersion)
 	}
-	if len(req.Ops) > 0 && req.Schema < 2 {
-		return nil, http.StatusBadRequest, errors.New("ops requires schema >= 2")
+	if len(req.Ops) > 0 && req.Schema < SchemaOps {
+		return nil, http.StatusBadRequest, fmt.Errorf("ops requires schema >= %d", SchemaOps)
 	}
 	if req.Archs.Len() > 0 && req.Sample > 1 {
 		return nil, http.StatusBadRequest, errors.New("archs and sample are mutually exclusive")
 	}
-	x := &exploreJob{benches: benches, sample: max(req.Sample, 1), width: req.Width, unpriced: req.Unpriced}
+	x := &exploreJob{benches: benches, sample: max(req.Sample, 1), width: req.Width, unpriced: req.Unpriced,
+		measured: req.Unpriced && req.Schema >= SchemaMeasured}
 	if x.width <= 0 {
 		x.width = 96
 	}
@@ -389,18 +402,22 @@ func (req *exploreBody) resolve() (*exploreJob, int, error) {
 }
 
 // exploreKey spells exactly the result-affecting fields of x, and ops
-// (the catalog as sent), unambiguously: whether the job prices as one
-// byte, counts and numbers as varints, strings behind their length, the
-// machines last. Worker counts, caching and trace identity are left out
-// because the pipeline is deterministic regardless of them.
+// (the catalog as sent), unambiguously: the answer's form (priced,
+// unpriced, measured) as one byte, counts and numbers as varints,
+// strings behind their length, the machines last. Worker counts, caching
+// and trace identity are left out because the pipeline is deterministic
+// regardless of them.
 func exploreKey(x *exploreJob, ops []string) string {
 	key := make([]byte, 0, 64+10*len(x.archs))
 	key = append(key, "explore:"...)
-	priced := byte(1)
-	if x.unpriced {
-		priced = 0
+	form := byte(1)
+	switch {
+	case x.measured:
+		form = 2
+	case x.unpriced:
+		form = 0
 	}
-	key = append(key, priced)
+	key = append(key, form)
 	key = binary.AppendUvarint(key, uint64(len(x.benches)))
 	for _, b := range x.benches {
 		key = append(binary.AppendUvarint(key, uint64(len(b.Name))), b.Name...)
@@ -452,6 +469,13 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 		})
 		if err != nil {
 			return nil, err
+		}
+		if x.measured {
+			m, err := MeasurementOf(res)
+			if err != nil {
+				return nil, err
+			}
+			return AppendMeasurement(nil, m)
 		}
 		// The result is the exact schema dse.Save persists, so a client
 		// can feed it straight back to cfp-explore -load.

@@ -474,6 +474,11 @@ type HealthResponse struct {
 	// Fingerprint is sched.Fingerprint(): the backend's code-generation
 	// identity.
 	Fingerprint string `json:"fingerprint"`
+	// Schema is SchemaVersion, the newest explore-request schema this
+	// server understands: a coordinator asks for a measurement document
+	// (SchemaMeasured) only where it is advertised. Servers before
+	// SchemaMeasured leave it out (0).
+	Schema int `json:"schema,omitempty"`
 }
 
 // jobStateCounts tallies retained jobs by lifecycle state.
@@ -503,6 +508,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Running:     s.jobStateCounts()[StateRunning],
 		Workers:     s.opts.Workers,
 		Fingerprint: sched.Fingerprint(),
+		Schema:      SchemaVersion,
 	}
 	code := http.StatusOK
 	if draining {
