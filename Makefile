@@ -65,8 +65,9 @@ bench-module:
 # replaced (ddg.Builder vs internal/ddg/reference_test.go, on blocks
 # spelled by the bytes), the disk cache's hand-written shard line
 # codec against encoding/json, which it abbreviates (evcache's
-# parseRecord and appendRecord), the results document's hand-written
-# codec against the same (dse's parseResults and appendResults), the
+# parseRecord and appendRecord), the results document (dse's
+# FuzzResultsDocument: what FromJSON reads, JSON writes back as a
+# document that reads and writes again as itself), the
 # measurement document a worker answers an unpriced shard with, as the
 # coordinator reads it off a job status (dist's FuzzSplitStatus:
 # serve.ReadMeasurement refuses or agrees with json.Unmarshal, and

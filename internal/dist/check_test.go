@@ -180,22 +180,27 @@ func TestMisorderedShardIsRetried(t *testing.T) {
 	}
 }
 
-// TestCoordinatorPricesWhatItMerges: a worker that doubles every Time
-// and Speedup it reports, and leaves the measurements alone, does not
+// TestCoordinatorPricesWhatItMerges: a worker that prices its shards,
+// as one from before the unpriced member does, then doubles every Time
+// and Speedup it reports and leaves the measurements alone, does not
 // move the merged results. The coordinator prices the cells it merges
 // itself, so only a shard's cycles, unroll factors, spills and failures
 // reach them.
 func TestCoordinatorPricesWhatItMerges(t *testing.T) {
 	col := installCollector(t)
 	ls := serve.New(serve.Options{Workers: 2, Collector: col})
-	doubler := httptest.NewServer(rewriteDone(t, ls.Handler(), func(res *dse.Results) {
+	var doubled atomic.Int64 // evaluations whose non-zero prices were doubled
+	doubler := httptest.NewServer(stripUnpriced(t, rewriteDone(t, ls.Handler(), func(res *dse.Results) {
 		for _, evs := range res.Eval {
 			for i := range evs {
+				if evs[i].Time != 0 && evs[i].Speedup != 0 {
+					doubled.Add(1)
+				}
 				evs[i].Time *= 2
 				evs[i].Speedup *= 2
 			}
 		}
-	}))
+	})))
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
@@ -217,6 +222,9 @@ func TestCoordinatorPricesWhatItMerges(t *testing.T) {
 	}
 	if g, w := canonicalJSON(t, got), canonicalJSON(t, want); g != w {
 		t.Errorf("merged results take a worker's prices\ndistributed: %.400s\nlocal:       %.400s", g, w)
+	}
+	if doubled.Load() == 0 {
+		t.Error("the worker reported no non-zero prices to double")
 	}
 }
 

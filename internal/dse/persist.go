@@ -15,15 +15,10 @@ import (
 // per-phase time breakdown (Phases) still load, with those fields
 // zero-valued.
 //
-// The document is json.Marshal(resultsJSON{…}) and always has been, but
-// nearly every document read is one this package wrote, in one fixed
-// shape. JSON and FromJSON therefore try the hand-written codec first
-// (codec.go): appendResults writes Marshal's bytes and parseResults reads
-// exactly those. A document outside that shape — custom ops, a name that
-// needs an escape, a float JSON cannot spell; on the read side any
-// departure by a byte, such as whitespace, reordered, unknown or repeated
-// members, or the stats of a file saved before Failures existed — goes
-// through encoding/json whole, which also words every error.
+// JSON writes the document with json.Marshal and FromJSON reads it
+// with json.Unmarshal: there is no other encoder or decoder, so a
+// document with whitespace, reordered or unknown members reads as the
+// one JSON wrote.
 type resultsJSON struct {
 	Archs   []archJSON              `json:"archs"`
 	Benches []string                `json:"benches"`
@@ -76,9 +71,6 @@ func (r *Results) JSON() ([]byte, error) {
 		}
 		out.Archs = append(out.Archs, aj)
 	}
-	if data, ok := appendResults(make([]byte, 0, encodedSize(&out)), &out); ok {
-		return data, nil
-	}
 	data, err := json.Marshal(out)
 	if err != nil {
 		return nil, fmt.Errorf("dse: encode results: %w", err)
@@ -88,11 +80,9 @@ func (r *Results) JSON() ([]byte, error) {
 
 // FromJSON decodes results encoded by JSON (or saved by Save).
 func FromJSON(data []byte) (*Results, error) {
-	in, ok := parseResults(data)
-	if !ok {
-		if err := json.Unmarshal(data, &in); err != nil {
-			return nil, fmt.Errorf("dse: decode results: %w", err)
-		}
+	var in resultsJSON
+	if err := json.Unmarshal(data, &in); err != nil {
+		return nil, fmt.Errorf("dse: decode results: %w", err)
 	}
 	return in.results()
 }
