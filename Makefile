@@ -47,7 +47,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/dse/
 	$(GO) test -run '^$$' -bench BenchmarkSimRun -benchtime 1x ./internal/sim/
 	$(GO) test -run '^$$' -bench 'BenchmarkOneShot|BenchmarkWarmFit' -benchtime 1x ./internal/core/
-	$(GO) test -run '^$$' -bench BenchmarkShardStatus -benchtime 1x ./internal/dist/
+	$(GO) test -run '^$$' -bench 'BenchmarkShardStatus|BenchmarkFleetWarm' -benchtime 1x ./internal/dist/
 	$(GO) test -run '^$$' -bench BenchmarkExploreSubmit -benchtime 1x ./internal/serve/
 	$(GO) test -run '^$$' -bench BenchmarkFrontend -benchtime 1x ./internal/cc/
 
@@ -120,7 +120,7 @@ cells:
 	$(GO) vet -tags cells .
 	$(GO) test -tags cells -run '^TestAllShippedCellsRun$$' -v -timeout 20m .
 
-# Measure the thirteen layer benchmarks nothing else isolates and record
+# Measure the fourteen layer benchmarks nothing else isolates and record
 # them, with the environment they ran in, as the trajectory document
 # (docs/PERFORMANCE.md, "Tracking the numbers"). A record, never a
 # baseline: numbers from another day or host are not comparable.
@@ -128,7 +128,7 @@ bench:
 	( $(GO) test -run '^$$' -bench . -benchmem ./internal/dse/ && \
 	  $(GO) test -run '^$$' -bench BenchmarkSimRun -benchmem ./internal/sim/ && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkOneShot|BenchmarkWarmFit' -benchmem ./internal/core/ && \
-	  $(GO) test -run '^$$' -bench BenchmarkShardStatus -benchmem ./internal/dist/ && \
+	  $(GO) test -run '^$$' -bench 'BenchmarkShardStatus|BenchmarkFleetWarm' -benchmem ./internal/dist/ && \
 	  $(GO) test -run '^$$' -bench BenchmarkExploreSubmit -benchmem ./internal/serve/ && \
 	  $(GO) test -run '^$$' -bench BenchmarkFrontend -benchmem ./internal/cc/ ) | \
 		$(GO) run ./cmd/cfp-benchjson -o BENCH_explore.json
@@ -171,6 +171,7 @@ bench-diff:
 				dse:BenchmarkWarmOpen:100x \
 				sim:BenchmarkSimRun:50x core:BenchmarkOneShot:4x \
 				core:BenchmarkWarmFit:100x dist:BenchmarkShardStatus:200x \
+				dist:BenchmarkFleetWarm:100x \
 				serve:BenchmarkExploreSubmit:500x cc:BenchmarkFrontend:100x; do \
 			set -- $$(echo $$spec | tr : ' '); \
 			for side in $$order; do \

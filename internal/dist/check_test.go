@@ -141,42 +141,75 @@ func TestMisorderedShardIsRetried(t *testing.T) {
 			return rewriteMeasured(t, h, func(m *serve.Measurement) { m.Digest ^= 1 })
 		},
 	} {
-		t.Run(name, func(t *testing.T) {
-			col := installCollector(t)
-			honest := startWorker(t, serve.Options{Workers: 2, Collector: col})
-			ls := serve.New(serve.Options{Workers: 2, Collector: col})
-			liar := httptest.NewServer(lie(ls.Handler()))
-			t.Cleanup(func() {
-				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-				defer cancel()
-				_ = ls.Shutdown(ctx)
-				liar.Close()
-			})
+		t.Run(name, func(t *testing.T) { exploreWithLiar(t, lie, "G") })
+	}
+}
 
-			// The liar first, so dispatch hands it shards.
-			opts := fastOpts(liar.URL, honest.URL)
-			opts.Benchmarks = benchesByName("G")
-			opts.Sample = 24
-			opts.Width = 32
-			opts.hedgeAfter = -1
-			got, err := Explore(context.Background(), opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := core.Explore(context.Background(), core.ExploreOptions{Benchmarks: benchesByName("G"), Sample: 24, Width: 32})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if canonicalJSON(t, got) != canonicalJSON(t, want) {
-				t.Error("results after a misordered shard diverge from the local run")
-			}
-			if v := col.Counter("dist.retries").Value(); v < 2 {
-				t.Errorf("dist.retries = %d, want the liar's shards retried", v)
-			}
-			if v := col.Counter("dist.worker_failures").Value(); v != 1 {
-				t.Errorf("dist.worker_failures = %d, want the liar out of rotation", v)
-			}
+// TestMultiBenchmarkAnswerIsChecked: a shard carries every benchmark of
+// the run, and a measurement that names them in another order, leaves
+// one out, or holds cells for fewer machines than the shard has fails
+// its attempt like a misordered machine list does.
+func TestMultiBenchmarkAnswerIsChecked(t *testing.T) {
+	for name, edit := range map[string]func(*serve.Measurement){
+		"benchmarks in another order": func(m *serve.Measurement) {
+			n := m.Machines
+			slices.Reverse(m.Benches)
+			m.Cells = append(m.Cells[n:], m.Cells[:n]...)
+		},
+		"a benchmark short": func(m *serve.Measurement) {
+			m.Benches = m.Benches[:1]
+			m.Cells = m.Cells[:m.Machines]
+		},
+		"cells for fewer machines": func(m *serve.Measurement) {
+			n := m.Machines
+			m.Machines--
+			m.Cells = append(m.Cells[:n-1:n-1], m.Cells[n:2*n-1]...)
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			exploreWithLiar(t, func(h http.Handler) http.Handler { return rewriteMeasured(t, h, edit) }, "G", "F")
 		})
+	}
+}
+
+// exploreWithLiar explores benches on a fleet of a worker that answers
+// through lie and an honest one, and requires the liar's shards to be
+// retried, the liar to be taken out of rotation after its second
+// strike, and the run to merge to the local one.
+func exploreWithLiar(t *testing.T, lie func(http.Handler) http.Handler, benches ...string) {
+	col := installCollector(t)
+	honest := startWorker(t, serve.Options{Workers: 2, Collector: col})
+	ls := serve.New(serve.Options{Workers: 2, Collector: col})
+	liar := httptest.NewServer(lie(ls.Handler()))
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		_ = ls.Shutdown(ctx)
+		liar.Close()
+	})
+
+	// The liar first, so dispatch hands it shards.
+	opts := fastOpts(liar.URL, honest.URL)
+	opts.Benchmarks = benchesByName(benches...)
+	opts.Sample = 24
+	opts.Width = 32
+	opts.hedgeAfter = -1
+	got, err := Explore(context.Background(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := core.Explore(context.Background(), core.ExploreOptions{Benchmarks: benchesByName(benches...), Sample: 24, Width: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if canonicalJSON(t, got) != canonicalJSON(t, want) {
+		t.Error("results after a lying shard diverge from the local run")
+	}
+	if v := col.Counter("dist.retries").Value(); v < 2 {
+		t.Errorf("dist.retries = %d, want the liar's shards retried", v)
+	}
+	if v := col.Counter("dist.worker_failures").Value(); v != 1 {
+		t.Errorf("dist.worker_failures = %d, want the liar out of rotation", v)
 	}
 }
 

@@ -4,10 +4,12 @@
 // dse.Results bit-identical to a single local run.
 //
 // Determinism is the design center. The grid is resolved by the same
-// function as a local run's (machine.Grid), shards are whole
-// backend-signature classes (dse.SigKey) so per-class memoization — and
-// with it the paper's Table-3 logical runs accounting — reproduces
-// per-shard. Workers measure and the coordinator prices: every shard
+// function as a local run's (machine.Grid), and a shard is one fleet
+// slot's share of it: every benchmark over a chunk of whole
+// backend-signature classes (dse.SignatureClasses), so per-class
+// memoization — and with it the paper's Table-3 logical runs
+// accounting — reproduces per-shard, and each machine crosses the wire
+// once. Workers measure and the coordinator prices: every shard
 // is submitted unpriced (serve.ExploreRequest.Unpriced), so a worker
 // evaluates no out-of-grid baseline and sends no cost, time or speedup,
 // and the coordinator prices the merged grid itself with the local
@@ -33,7 +35,7 @@
 //
 // Telemetry: counters dist.shards, dist.retries, dist.hedges,
 // dist.worker_failures, dist.status_fallbacks; spans dist.explore (root) and dist.shard (one
-// per attempt, attributed with bench, arch count and worker).
+// per attempt, attributed with benchmark count, arch count and worker).
 package dist
 
 import (
@@ -43,6 +45,7 @@ import (
 	"log/slog"
 	"math/rand"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -100,11 +103,6 @@ type Options struct {
 	// cli.Tool.Start has validated to be exactly "on" or "off".
 	CacheMode string
 }
-
-// shardsPerWorker scales the shard count: the grid is cut into roughly
-// fleet-capacity × shardsPerWorker units, small enough to rebalance
-// around a dead worker, large enough to amortize per-shard overhead.
-const shardsPerWorker = 3
 
 func (o *Options) withDefaults() Options {
 	out := *o
@@ -239,7 +237,7 @@ func Explore(ctx context.Context, opts Options) (*dse.Results, error) {
 	for _, w := range fleet {
 		capacity += w.capacity
 	}
-	units := partitionUnits(grid, benches, capacity*shardsPerWorker)
+	units := partitionUnits(grid, capacity)
 	obs.GetCounter("dist.shards").Add(int64(len(units)))
 	sp.Int("workers", int64(len(fleet))).Int("shards", int64(len(units))).Int("archs", int64(len(grid)))
 	obs.Log().LogAttrs(ctx, slog.LevelInfo, "distributed exploration starting",
@@ -251,6 +249,10 @@ func Explore(ctx context.Context, opts Options) (*dse.Results, error) {
 	if opSet != nil {
 		opsWire = opSet.Wire()
 	}
+	names := make([]string, len(benches))
+	for i, b := range benches {
+		names[i] = b.Name
+	}
 	c := &coordinator{
 		opts:     o,
 		client:   cl,
@@ -259,6 +261,7 @@ func Explore(ctx context.Context, opts Options) (*dse.Results, error) {
 		grid:     grid,
 		opsWire:  opsWire,
 		benches:  benches,
+		names:    names,
 		root:     sp,
 		events:   make(chan outcome, len(units)+len(fleet)),
 		loopDone: make(chan struct{}),
@@ -321,6 +324,9 @@ type coordinator struct {
 	units   []*unit
 	grid    []machine.Arch
 	benches []*bench.Benchmark
+	// names are the benchmarks' names in run order: what every shard
+	// asks for and every measurement must list.
+	names []string
 	// opsWire is the grid's shared custom-op catalog in wire form (nil
 	// for op-free grids); shards whose tuples enable ops carry it.
 	opsWire []string
@@ -468,14 +474,14 @@ func (c *coordinator) launch(ctx context.Context, u *unit, w *workerState) {
 	u.attempts[a.id] = a
 	w.inflight++
 	sp := c.root.Fork("dist.shard")
-	sp.Str("bench", u.bench).Int("archs", int64(len(u.tuples))).
+	sp.Int("benches", int64(len(c.names))).Int("archs", int64(len(u.tuples))).
 		Str("worker", w.url).Int("unit", int64(u.id))
 	// Unpriced: merge prices the whole grid, so a worker sends only what
 	// it measured — as a measurement document when it speaks
 	// SchemaMeasured. A worker that does not know the member prices as
 	// before, and merge prices over it.
 	req := serve.ExploreRequest{
-		Benchmarks: []string{u.bench},
+		Benchmarks: c.names,
 		Width:      c.opts.Width,
 		Archs:      u.tuples,
 		Unpriced:   true,
@@ -522,7 +528,7 @@ func (c *coordinator) handle(oc outcome) error {
 	w.inflight--
 	delete(u.attempts, a.id)
 	if oc.err == nil {
-		oc.err = check(u, oc.m)
+		oc.err = check(u, c.names, oc.m)
 	}
 
 	switch {
@@ -546,12 +552,12 @@ func (c *coordinator) handle(oc outcome) error {
 		return nil
 
 	case isPermanent(oc.err):
-		return fmt.Errorf("dist: shard %d (%s, %d archs): %w", u.id, u.bench, len(u.tuples), oc.err)
+		return fmt.Errorf("dist: shard %d (%d archs): %w", u.id, len(u.tuples), oc.err)
 	}
 
 	// Retryable failure: penalize the worker, then retry or hedge-absorb.
 	obs.Log().LogAttrs(context.Background(), slog.LevelWarn, "shard attempt failed",
-		slog.Int("shard", u.id), slog.String("bench", u.bench),
+		slog.Int("shard", u.id),
 		slog.String("worker", w.url), slog.String("err", oc.err.Error()))
 	if w.fails++; w.fails >= 2 && !w.dead {
 		w.dead = true
@@ -567,8 +573,8 @@ func (c *coordinator) handle(oc outcome) error {
 	u.retries++
 	obs.GetCounter("dist.retries").Inc()
 	if u.retries > c.opts.maxRetries {
-		return fmt.Errorf("dist: shard %d (%s, %d archs) failed %d times, giving up: %w",
-			u.id, u.bench, len(u.tuples), u.retries, oc.err)
+		return fmt.Errorf("dist: shard %d (%d archs) failed %d times, giving up: %w",
+			u.id, len(u.tuples), u.retries, oc.err)
 	}
 	obs.Log().LogAttrs(context.Background(), slog.LevelInfo, "shard retry scheduled",
 		slog.Int("shard", u.id), slog.Int("retry", u.retries))
@@ -591,13 +597,13 @@ func (c *coordinator) handle(oc outcome) error {
 }
 
 // check reports whether m is the shard u asked for: a measurement of
-// the unit's benchmark on as many machines as the unit has, whose digest
-// is the unit's. Nothing else in the answer is trusted at merge, so a
-// worker that answers for other machines or in another order is caught
-// here.
-func check(u *unit, m *serve.Measurement) error {
-	if len(m.Benches) != 1 || m.Benches[0] != u.bench || m.Machines != len(u.indices) {
-		return fmt.Errorf("worker measured %v on %d machines, want %s on %d", m.Benches, m.Machines, u.bench, len(u.indices))
+// the run's benchmarks, named in run order, on as many machines as the
+// unit has, whose digest is the unit's. Nothing else in the answer is
+// trusted at merge, so a worker that answers for other benchmarks or
+// machines, or in another order, is caught here.
+func check(u *unit, names []string, m *serve.Measurement) error {
+	if !slices.Equal(m.Benches, names) || m.Machines != len(u.indices) {
+		return fmt.Errorf("worker measured %v on %d machines, want %v on %d", m.Benches, m.Machines, names, len(u.indices))
 	}
 	if m.Digest != u.digest {
 		return fmt.Errorf("worker measured machines of digest %016x, want %016x", uint64(m.Digest), uint64(u.digest))
@@ -641,10 +647,11 @@ func (c *coordinator) maybeHedge(ctx context.Context) {
 }
 
 // merge assembles the shard measurements into the Results a local run
-// over the same grid would have produced. Each cell is built from the
-// grid machine and benchmark of its unit and the shard's measurement of
-// it (the pipeline is deterministic, so those are bit-identical), and
-// priced here, as a local run prices it: the coordinator's grid always
+// over the same grid would have produced. Each cell is built from its
+// grid machine and benchmark and the shard's measurement of the pair,
+// read benchmark-major as serve.Measurement holds its cells (the
+// pipeline is deterministic, so those are bit-identical), and priced
+// here, as a local run prices it: the coordinator's grid always
 // holds the baseline. Runs is the sum of the shards' Measurement.Runs,
 // which leaves out any out-of-grid baseline work (an unpriced shard
 // does none, and a priced one from a worker that ignored Unpriced has
@@ -658,11 +665,13 @@ func (c *coordinator) merge(start time.Time) (*dse.Results, error) {
 	for _, u := range c.units {
 		// Every unit is done, and handle checked its measurement.
 		m := u.m
-		evs := res.Eval[u.bench]
-		for k, gi := range u.indices {
-			cell := m.Cells[k]
-			evs[gi] = dse.Evaluation{Arch: c.grid[gi], Bench: u.bench,
-				Unroll: cell.Unroll, Cycles: cell.Cycles, Spilled: cell.Spilled, Failed: cell.Failed}
+		for bi, name := range c.names {
+			evs, cells := res.Eval[name], m.Cells[bi*len(u.indices):]
+			for k, gi := range u.indices {
+				cell := cells[k]
+				evs[gi] = dse.Evaluation{Arch: c.grid[gi], Bench: name,
+					Unroll: cell.Unroll, Cycles: cell.Cycles, Spilled: cell.Spilled, Failed: cell.Failed}
+			}
 		}
 		runs += m.Runs
 		failures += m.Failures

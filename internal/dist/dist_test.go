@@ -2,11 +2,16 @@ package dist
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -23,7 +28,7 @@ import (
 )
 
 // startWorker spins up a real cfp-serve node behind httptest.
-func startWorker(t *testing.T, opts serve.Options) *httptest.Server {
+func startWorker(t testing.TB, opts serve.Options) *httptest.Server {
 	t.Helper()
 	s := serve.New(opts)
 	ts := httptest.NewServer(s.Handler())
@@ -457,52 +462,134 @@ func TestCancellation(t *testing.T) {
 	}
 }
 
-// TestPartitionInvariants checks the sharding algebra directly: classes
-// stay whole, every grid cell is covered exactly once per benchmark,
-// and the benchmarks' units of one chunk share its tuples, formatted
-// once.
+// TestPartitionInvariants checks the sharding algebra directly: one
+// unit per fleet slot (or per class, when the slots outnumber them),
+// every grid cell in exactly one unit, classes whole and dealt evenly,
+// each machine formatted and digested once, and the same grid and
+// slots cut the same way every time. Every unit carries every
+// benchmark (TestOneUnitPerSlot checks the requests), so this covers
+// every (benchmark, grid cell).
 func TestPartitionInvariants(t *testing.T) {
 	grid := machine.Grid(nil, 8, nil)
-	benches := benchesByName("G", "F")
-	units := partitionUnits(grid, benches, 6)
-
-	classOfUnit := map[string]map[string]int{} // bench -> sig -> unit id
-	covered := map[string]map[int]bool{}
-	for _, u := range units {
-		if classOfUnit[u.bench] == nil {
-			classOfUnit[u.bench] = map[string]int{}
-			covered[u.bench] = map[int]bool{}
+	nclasses := len(dse.SignatureClasses(grid))
+	for _, slots := range []int{1, 2, 3, 6, nclasses, nclasses + 5} {
+		units := partitionUnits(grid, slots)
+		if want := min(slots, nclasses); len(units) != want {
+			t.Fatalf("%d slots: %d units, want %d", slots, len(units), want)
 		}
-		for k, gi := range u.indices {
-			if covered[u.bench][gi] {
-				t.Fatalf("grid cell (%s, %d) covered twice", u.bench, gi)
+		unitOf := map[int]int{}     // grid index -> unit id
+		classOf := map[string]int{} // signature -> unit id
+		classesIn := map[int]int{}  // unit id -> whole classes
+		for _, u := range units {
+			if len(u.tuples) != len(u.indices) {
+				t.Fatalf("unit %d: %d tuples for %d machines", u.id, len(u.tuples), len(u.indices))
 			}
-			covered[u.bench][gi] = true
-			sig := dse.SigKey(grid[gi])
-			if prev, ok := classOfUnit[u.bench][sig]; ok && prev != u.id {
-				t.Fatalf("signature class %q split across units %d and %d", sig, prev, u.id)
+			digest := serve.EmptyDigest
+			for k, gi := range u.indices {
+				if k > 0 && u.indices[k-1] >= gi {
+					t.Fatalf("unit %d: indices %v not ascending", u.id, u.indices)
+				}
+				if prev, ok := unitOf[gi]; ok {
+					t.Fatalf("grid cell %d in units %d and %d", gi, prev, u.id)
+				}
+				unitOf[gi] = u.id
+				sig := dse.SigKey(grid[gi])
+				if prev, ok := classOf[sig]; !ok {
+					classOf[sig] = u.id
+					classesIn[u.id]++
+				} else if prev != u.id {
+					t.Fatalf("signature class %q split across units %d and %d", sig, prev, u.id)
+				}
+				if got, err := cli.ParseArch(u.tuples[k]); err != nil || got != grid[gi] {
+					t.Fatalf("unit %d tuple %q for %v", u.id, u.tuples[k], grid[gi])
+				}
+				digest = digest.Add(grid[gi])
 			}
-			classOfUnit[u.bench][sig] = u.id
-			if got, err := cli.ParseArch(u.tuples[k]); err != nil || got != grid[gi] {
-				t.Fatalf("unit %d tuple %q for %v", u.id, u.tuples[k], grid[gi])
+			if u.digest != digest {
+				t.Errorf("unit %d digest %016x, want %016x", u.id, uint64(u.digest), uint64(digest))
 			}
 		}
-	}
-	for _, b := range benches {
-		if len(covered[b.Name]) != len(grid) {
-			t.Fatalf("%s: %d of %d grid cells covered", b.Name, len(covered[b.Name]), len(grid))
+		// Every cell is in one unit, so the tuples of all units together
+		// format each machine once.
+		if len(unitOf) != len(grid) {
+			t.Fatalf("%d slots: %d of %d grid cells covered", slots, len(unitOf), len(grid))
 		}
-	}
-	perBench := len(units) / len(benches)
-	for i, g := range units[:perBench] {
-		if f := units[perBench+i]; &f.tuples[0] != &g.tuples[0] {
-			t.Errorf("units %d and %d format the tuples of one chunk twice", g.id, f.id)
+		least, most := nclasses, 0
+		for _, u := range units {
+			least, most = min(least, classesIn[u.id]), max(most, classesIn[u.id])
+		}
+		if most-least > 1 {
+			t.Errorf("%d slots: chunks of %d to %d classes, want counts within one", slots, least, most)
+		}
+		if again := partitionUnits(grid, slots); !reflect.DeepEqual(again, units) {
+			t.Errorf("%d slots: the same grid cut two ways", slots)
 		}
 	}
 
 	// A duplicated grid is one class, one unit, both cells dispatched.
-	du := partitionUnits([]machine.Arch{machine.Baseline, machine.Baseline}, benchesByName("G"), 4)
+	du := partitionUnits([]machine.Arch{machine.Baseline, machine.Baseline}, 4)
 	if len(du) != 1 || len(du[0].indices) != 2 {
 		t.Errorf("duplicate-arch grid produced %d units", len(du))
+	}
+}
+
+// TestOneUnitPerSlot: on an idle fleet of a one-slot and a three-slot
+// worker, every slot is handed exactly one unit, and every unit asks
+// for all of the run's benchmarks in run order.
+func TestOneUnitPerSlot(t *testing.T) {
+	installCollector(t)
+	var mu sync.Mutex
+	var asked [][]string
+	start := func(capacity int) (*fakeWorker, *httptest.Server) {
+		f := newFakeWorker(capacity)
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method == http.MethodPost && r.URL.Path == "/v1/explore" {
+				var req serve.ExploreRequest
+				body, err := io.ReadAll(r.Body)
+				if err == nil {
+					err = json.Unmarshal(body, &req)
+				}
+				if err != nil {
+					t.Error(err)
+				}
+				mu.Lock()
+				asked = append(asked, req.Benchmarks)
+				mu.Unlock()
+			}
+			f.ServeHTTP(w, r)
+		}))
+		t.Cleanup(ts.Close)
+		return f, ts
+	}
+	one, oneTS := start(1)
+	three, threeTS := start(3)
+
+	opts := fastOpts(oneTS.URL, threeTS.URL)
+	opts.Benchmarks = benchesByName("G", "F", "DH")
+	opts.Sample = 24
+	opts.Width = 32
+	opts.hedgeAfter = -1
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	// The fake workers never finish a job: once every slot holds one,
+	// nothing more is dispatched, and the run is cancelled.
+	go func() {
+		for one.submits.Load()+three.submits.Load() < 4 {
+			time.Sleep(2 * time.Millisecond)
+		}
+		cancel()
+	}()
+	if _, err := Explore(ctx, opts); !errors.Is(err, dse.ErrCancelled) {
+		t.Fatalf("Explore error = %v, want ErrCancelled", err)
+	}
+	if n1, n3 := one.submits.Load(), three.submits.Load(); n1 != 1 || n3 != 3 {
+		t.Errorf("workers of 1 and 3 slots were handed %d and %d units, want 1 and 3", n1, n3)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, names := range asked {
+		if !slices.Equal(names, []string{"G", "F", "DH"}) {
+			t.Errorf("a unit asked for %v, want [G F DH]", names)
+		}
 	}
 }

@@ -2,12 +2,17 @@ package dist
 
 import (
 	"context"
+	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"customfit/internal/core"
+	"customfit/internal/dse"
 	"customfit/internal/evcache"
 	"customfit/internal/fleetcache"
+	"customfit/internal/machine"
 	"customfit/internal/obs"
 	"customfit/internal/serve"
 )
@@ -147,4 +152,96 @@ func TestCacheModeOffPropagates(t *testing.T) {
 	if n := wCache.Resident(); n != 0 {
 		t.Errorf("worker cache holds %d entries after a -cache=off fleet run, want 0 (untouched)", n)
 	}
+}
+
+// countingTransport counts the coordinator's HTTP requests, and among
+// them its explore submits: one per shard attempt.
+type countingTransport struct {
+	requests, submits atomic.Int64
+}
+
+func (c *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	c.requests.Add(1)
+	if r.Method == http.MethodPost && r.URL.Path == "/v1/explore" {
+		c.submits.Add(1)
+	}
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// BenchmarkFleetWarm is the end-to-end benchmark's fleet_warm operation
+// itself: dist.Explore of the full space × {D, E, F, G} through two
+// one-slot workers whose memory caches read through to a hub, over
+// loopback. The hub serves a directory filled with made-up entries, one
+// per machine and benchmark, shaped like real ones; a round before the
+// timer pulls them into the workers, so nothing compiles. Beside the
+// timing it reports shards/op (explore submits) and requests/op (every
+// coordinator request: admission, submits and polls), which are exact:
+// a poll is held until its shard ends, so each shard takes one.
+func BenchmarkFleetWarm(b *testing.B) {
+	archs := machine.FullSpace()
+	benches := benchesByName("D", "E", "F", "G")
+	const width = 96
+	dir := b.TempDir()
+	fill, err := evcache.Open(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bm := range benches {
+		kc := dse.KernelClass(bm, width, 1)
+		for i, a := range archs {
+			fill.Put(bm.Name, dse.CacheKey(kc, a), evcache.Entry{
+				Unroll: 1 << (i % 4), Cycles: int64(20000 + 7*i), Spilled: i % 5, Runs: int64(i%4 + 1),
+			})
+		}
+	}
+	if err := fill.Close(); err != nil {
+		b.Fatal(err)
+	}
+	hubCache, err := evcache.Open(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { _ = hubCache.Close() })
+	// Each node a collector of its own, as in cfp-serve; the
+	// coordinator's telemetry stays off, as in the end-to-end benchmark.
+	hub := startWorker(b, serve.Options{Workers: 1, Collector: obs.NewCollector(), Cache: hubCache})
+	var workers []string
+	for range 2 {
+		c, err := evcache.Open("")
+		if err != nil {
+			b.Fatal(err)
+		}
+		c.SetRemote(fleetcache.New(hub.URL, nil), evcache.RemoteOptions{})
+		b.Cleanup(func() { _ = c.Close() })
+		w := startWorker(b, serve.Options{Workers: 1, EvalParallelism: 1, Collector: obs.NewCollector(), Cache: c})
+		workers = append(workers, w.URL)
+	}
+	tr := &countingTransport{}
+	opts := Options{
+		Workers:      workers,
+		Benchmarks:   benches,
+		Archs:        archs,
+		Width:        width,
+		PollInterval: 10 * time.Second,
+		Client:       &http.Client{Transport: tr},
+	}
+	b.ReportAllocs()
+	// Round 0 reads the hub through into the workers, outside the count.
+	for i := -1; i < b.N; i++ {
+		if i == 0 {
+			tr.requests.Store(0)
+			tr.submits.Store(0)
+			b.ResetTimer()
+		}
+		res, err := Explore(context.Background(), opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if st := res.Stats; st.Phases.Compile != 0 || st.Failures != 0 {
+			b.Fatalf("not a warm run: %+v", st)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(tr.submits.Load())/float64(b.N), "shards/op")
+	b.ReportMetric(float64(tr.requests.Load())/float64(b.N), "requests/op")
 }

@@ -2,8 +2,8 @@ package dist
 
 import (
 	"fmt"
+	"slices"
 
-	"customfit/internal/bench"
 	"customfit/internal/cli"
 	"customfit/internal/dse"
 	"customfit/internal/machine"
@@ -33,16 +33,14 @@ func gridOpSet(grid []machine.Arch) (*machine.OpSet, error) {
 	return set, nil
 }
 
-// unit is one shard of the (benchmark × architecture) grid: a single
-// benchmark against a subset of the grid built from whole backend
-// signature classes. indices are positions in the coordinator's grid,
-// ascending; tuples is the parallel wire form and digest the digest of
-// those machines, both shared with the other benchmarks' units of the
-// same chunk. Chunks partition the classes, so no two units of a
-// benchmark share a machine: every unit is its own work.
+// unit is one shard of the (benchmark × architecture) grid: every
+// benchmark of the run against a chunk of the grid built from whole
+// backend signature classes. indices are positions in the
+// coordinator's grid, ascending; tuples is the parallel wire form and
+// digest the digest of those machines. Chunks partition the classes,
+// so no two units share a machine: every unit is its own work.
 type unit struct {
 	id      int
-	bench   string
 	indices []int
 	tuples  []string
 	digest  serve.Digest
@@ -55,94 +53,37 @@ type unit struct {
 	m        *serve.Measurement
 }
 
-// partitionUnits shards the exploration. Archs are grouped by backend
-// signature class (dse.SigKey) in first-seen grid order and whole
-// classes are packed into chunks, so every shard reproduces exactly the
-// per-class memoization a local run would have had for its cells: one
-// physical sweep per (benchmark, class), every member arch charged the
-// class sweep's logical runs. Each benchmark is split into roughly
-// targetUnits/len(benches) chunks of near-equal arch count (never
-// splitting a class). A chunk's tuples are formatted and its machines
-// digested once, for all the benchmarks' units.
-func partitionUnits(grid []machine.Arch, benches []*bench.Benchmark, targetUnits int) []*unit {
-	// Signature classes, first-seen order, members in grid order.
-	var classes [][]int
-	classAt := map[string]int{}
-	for i, a := range grid {
-		k := dse.SigKey(a)
-		ci, ok := classAt[k]
-		if !ok {
-			ci = len(classes)
-			classAt[k] = ci
-			classes = append(classes, nil)
-		}
-		classes[ci] = append(classes[ci], i)
+// partitionUnits shards the exploration into one unit per fleet slot.
+// Archs are grouped by backend signature class (dse.SignatureClasses)
+// and the classes, in first-seen grid order, are dealt round-robin
+// into min(slots, #classes) chunks, so every shard reproduces exactly
+// the per-class memoization a local run would have had for its cells:
+// one physical sweep per (benchmark, class), every member arch charged
+// the class sweep's logical runs. Dealing rather than cutting the
+// class list into runs spreads the leading parameters of the grid's
+// order, whose runs differ systematically in cost, over every chunk.
+// Each unit carries every benchmark, so each machine is formatted,
+// digested and sent once. Deterministic: the same grid and slots
+// always shard the same way.
+func partitionUnits(grid []machine.Arch, slots int) []*unit {
+	classes := dse.SignatureClasses(grid)
+	k := min(slots, len(classes))
+	units := make([]*unit, k)
+	for i := range units {
+		units[i] = &unit{id: i, attempts: map[int]*attempt{}}
 	}
-
-	perBench := targetUnits / len(benches)
-	if perBench < 1 {
-		perBench = 1
+	for ci, class := range classes {
+		u := units[ci%k]
+		u.indices = append(u.indices, class...)
 	}
-	if perBench > len(classes) {
-		perBench = len(classes)
-	}
-	chunks := chunkClasses(classes, perBench, len(grid))
-	tuples := make([][]string, len(chunks))
-	digests := make([]serve.Digest, len(chunks))
-	for ci, chunk := range chunks {
-		tuples[ci] = make([]string, len(chunk))
-		digests[ci] = serve.EmptyDigest
-		for k, gi := range chunk {
-			tuples[ci][k] = cli.FormatArch(grid[gi])
-			digests[ci] = digests[ci].Add(grid[gi])
-		}
-	}
-
-	units := make([]*unit, 0, len(benches)*len(chunks))
-	for _, b := range benches {
-		for ci, chunk := range chunks {
-			units = append(units, &unit{
-				id:       len(units),
-				bench:    b.Name,
-				indices:  chunk,
-				tuples:   tuples[ci],
-				digest:   digests[ci],
-				attempts: map[int]*attempt{},
-			})
+	for _, u := range units {
+		slices.Sort(u.indices)
+		u.tuples = make([]string, len(u.indices))
+		u.digest = serve.EmptyDigest
+		for j, gi := range u.indices {
+			u.tuples[j] = cli.FormatArch(grid[gi])
+			u.digest = u.digest.Add(grid[gi])
 		}
 	}
 	return units
-}
-
-// chunkClasses packs whole classes into k chunks of near-equal total
-// arch count, preserving class order. Deterministic: the same grid
-// always shards the same way. k must be ≤ len(classes).
-func chunkClasses(classes [][]int, k, total int) [][]int {
-	chunks := make([][]int, 0, k)
-	remaining := total
-	ci := 0
-	for c := 0; c < k; c++ {
-		chunksLeft := k - c
-		target := (remaining + chunksLeft - 1) / chunksLeft
-		var chunk []int
-		for ci < len(classes) {
-			if c == k-1 {
-				// Last chunk takes everything left.
-				chunk = append(chunk, classes[ci]...)
-				ci++
-				continue
-			}
-			classesLeft := len(classes) - ci
-			// Leave at least one class for each later chunk, and stop
-			// once this chunk has reached its share.
-			if len(chunk) > 0 && (classesLeft <= chunksLeft-1 || len(chunk)+len(classes[ci]) > target) {
-				break
-			}
-			chunk = append(chunk, classes[ci]...)
-			ci++
-		}
-		remaining -= len(chunk)
-		chunks = append(chunks, chunk)
-	}
-	return chunks
 }

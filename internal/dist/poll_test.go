@@ -16,6 +16,7 @@ import (
 
 	"customfit/internal/core"
 	"customfit/internal/dse"
+	"customfit/internal/machine"
 	"customfit/internal/serve"
 )
 
@@ -206,10 +207,11 @@ func TestSplitStatus(t *testing.T) {
 	checkMeasurement(t, []byte(measuredDoc))
 }
 
-// FuzzSplitStatus: on arbitrary bytes, read as a job status or as the
-// result of one, serve.ReadMeasurement refuses or agrees with
+// FuzzSplitStatus: on arbitrary bytes, read as a job status or as
+// the result of one, serve.ReadMeasurement refuses or agrees with
 // json.Unmarshal, and serve.AppendMeasurement writes what it read back
-// as the same bytes.
+// as the same bytes. The last seed is the shape every shard answers
+// with: the run's four benchmarks on the shard's machines.
 func FuzzSplitStatus(f *testing.F) {
 	for _, tc := range statusBodies {
 		f.Add([]byte(tc.body))
@@ -223,6 +225,17 @@ func FuzzSplitStatus(f *testing.F) {
 	} {
 		f.Add([]byte(doc))
 	}
+	four := &serve.Measurement{Benches: []string{"D", "E", "F", "G"}, Machines: 2,
+		Digest: serve.EmptyDigest.Add(machine.Baseline).Add(machine.Baseline.WithMinMax()),
+		Runs:   40, Failures: 1, Compile: 8123456, Simulate: 90817}
+	for i := range 4 * four.Machines {
+		four.Cells = append(four.Cells, serve.Cell{Unroll: 1 << (i % 4), Cycles: int64(20000 + 7*i), Spilled: i % 5, Failed: i == 5})
+	}
+	doc, err := serve.AppendMeasurement(nil, four)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add([]byte(`{"id":"j1","kind":"explore","state":"done","result":` + string(doc) + "}\n"))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		checkMeasurement(t, body)
 		var st serve.JobStatus

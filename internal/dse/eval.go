@@ -496,7 +496,7 @@ type cachedGrid struct {
 	archs []machine.Arch
 	// What a row needs of each architecture and not of the benchmark,
 	// derived once when several rows share the grid and nil otherwise
-	// (a fleet shard is one row: a table read once saves nothing): the
+	// (a run of one row reads the table once, which saves nothing): the
 	// signature half of the cache keys, end to end (architecture i's is
 	// sig[off[i]:off[i+1]]).
 	sig []byte

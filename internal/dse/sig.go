@@ -74,14 +74,33 @@ type keyBuf [96]byte
 
 // SigKey returns the architecture's backend-signature key: the stable
 // string identifying its signature class. Two architectures with equal
-// keys are compiled identically (see archSig), so anything that
-// partitions the design space across evaluators — the distributed
-// coordinator in internal/dist — should keep equal-keyed architectures
-// in one partition: each evaluator's cache then deduplicates their
-// backend work exactly as a single local run would.
+// keys are compiled identically (see archSig).
 func SigKey(a machine.Arch) string {
 	var buf keyBuf
 	return string(sigOf(a).appendKey(buf[:0]))
+}
+
+// SignatureClasses groups archs by backend signature: the classes in
+// first-seen order, each the ascending indices of its members in
+// archs. Members of a class are compiled identically (see archSig), so
+// anything that partitions the design space across evaluators — the
+// distributed coordinator in internal/dist — should keep each class in
+// one partition: each evaluator's cache then deduplicates the class's
+// backend work exactly as a single local run would.
+func SignatureClasses(archs []machine.Arch) [][]int {
+	var classes [][]int
+	at := make(map[archSig]int, len(archs))
+	for i, a := range archs {
+		s := sigOf(a)
+		ci, ok := at[s]
+		if !ok {
+			ci = len(classes)
+			at[s] = ci
+			classes = append(classes, nil)
+		}
+		classes[ci] = append(classes[ci], i)
+	}
+	return classes
 }
 
 // sigOf maps an architecture to its backend signature.

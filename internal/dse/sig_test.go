@@ -2,6 +2,7 @@ package dse
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"customfit/internal/bench"
@@ -199,5 +200,44 @@ func TestSignatureFixesCapacity(t *testing.T) {
 	}
 	if len(reps) >= len(archs) {
 		t.Fatalf("%d classes over %d machines: no class has two members to compare", len(reps), len(archs))
+	}
+}
+
+// TestSignatureClassesGroupBySigKey: SignatureClasses groups a grid as
+// grouping it by the string SigKey does — the same classes, in
+// first-seen order, members in grid order — on the full space and on
+// the full space crossed with a two-op catalog the way an explore with
+// ops crosses it (machine.Grid: op-free and all ops on each machine).
+func TestSignatureClassesGroupBySigKey(t *testing.T) {
+	set, err := machine.ParseOpCatalog([]string{
+		"mac/3/2:mul $0 $1;add %0 $2",
+		"add_add/3/1:add $0 $1;add %0 $2",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, grid := range map[string][]machine.Arch{
+		"full space": machine.FullSpace(),
+		"op-crossed": machine.Grid(nil, 1, set),
+	} {
+		var want [][]int
+		at := map[string]int{}
+		for i, a := range grid {
+			k := SigKey(a)
+			ci, ok := at[k]
+			if !ok {
+				ci = len(want)
+				at[k] = ci
+				want = append(want, nil)
+			}
+			want[ci] = append(want[ci], i)
+		}
+		got := SignatureClasses(grid)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: %d classes, grouping by SigKey gives %d", name, len(got), len(want))
+		}
+		if len(want) >= len(grid) {
+			t.Errorf("%s: %d classes of %d machines group nothing", name, len(want), len(grid))
+		}
 	}
 }
