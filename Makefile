@@ -67,15 +67,18 @@ bench-module:
 # codec against encoding/json, which it abbreviates (evcache's
 # parseRecord and appendRecord), the results document (dse's
 # FuzzResultsDocument: what FromJSON reads, JSON writes back as a
-# document that reads and writes again as itself), the
-# measurement document a worker answers an unpriced shard with, as the
-# coordinator reads it off a job status (dist's FuzzSplitStatus:
-# serve.ReadMeasurement refuses or agrees with json.Unmarshal, and
-# serve.AppendMeasurement writes what it read back byte for byte), the CKC frontend on
+# document that reads and writes again as itself), the job status
+# and measurement document a worker answers an unpriced shard with, as
+# the coordinator reads them (dist's FuzzSplitStatus: the in-place
+# status reader serve.ReadMeasuredStatus declines or agrees with
+# json.Unmarshal and ReadMeasurement, serve.ReadMeasurement refuses or
+# agrees with json.Unmarshal, and serve.AppendMeasurement writes what
+# it read back byte for byte), the CKC frontend on
 # any source: a diagnostic or functions that verify, never a panic (cc's
 # FuzzCompileKernel, seeded with the suite's kernels), the worker's
 # reading of an explore request's archs against the strings.Fields
-# spelling and json.Unmarshal into []string (cli's FuzzArchTuple), the
+# spelling and json.Unmarshal into []string, and cli.AppendArch
+# against FormatArch (cli's FuzzArchTuple), the
 # traceparent header every submit may carry (obs's FuzzParseTraceParent:
 # no panic, and what it takes re-renders as itself), the Prometheus
 # exposition of metrics and adopted spans of any name (obs's

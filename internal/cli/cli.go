@@ -228,17 +228,23 @@ func (l *ArchList) Archs(set *machine.OpSet) (archs []machine.Arch, fallbacks in
 // ParseArchOps reads: "a m r p2 l2 c", plus " ops=<hexmask>" when the
 // architecture enables custom ops.
 func FormatArch(a machine.Arch) string {
-	b := make([]byte, 0, 32)
+	var buf [32]byte
+	return string(AppendArch(buf[:0], a))
+}
+
+// AppendArch appends FormatArch(a) to dst, so that many tuples can be
+// rendered into one buffer.
+func AppendArch(dst []byte, a machine.Arch) []byte {
 	for i, v := range [...]int{a.ALUs, a.MULs, a.Regs, a.L2Ports, a.L2Lat, a.Clusters} {
 		if i > 0 {
-			b = append(b, ' ')
+			dst = append(dst, ' ')
 		}
-		b = strconv.AppendInt(b, int64(v), 10)
+		dst = strconv.AppendInt(dst, int64(v), 10)
 	}
 	if !a.Ops.Empty() {
-		b = strconv.AppendUint(append(b, " ops="...), a.Ops.Mask, 16)
+		dst = strconv.AppendUint(append(dst, " ops="...), a.Ops.Mask, 16)
 	}
-	return string(b)
+	return dst
 }
 
 // Telemetry carries the standard observability flag values and the

@@ -473,6 +473,7 @@ func TestArchTupleReaders(t *testing.T) {
 	set := testCatalog(t)
 	for _, s := range archTupleSeeds {
 		checkArchTuple(t, set, []byte(s))
+		checkAppendArch(t, set, []byte(s))
 		checkArchList(t, set, []byte(s))
 	}
 	// The spelling the coordinator sends is scanned; every other one is
@@ -495,9 +496,30 @@ func TestArchTupleReaders(t *testing.T) {
 	}
 }
 
+// checkAppendArch holds AppendArch to FormatArch on the machine a
+// tuple names, if it names one: behind the tuple itself as a prefix it
+// appends exactly FormatArch's string, which reads back as the machine.
+func checkAppendArch(t *testing.T, set *machine.OpSet, tuple []byte) {
+	t.Helper()
+	for _, s := range []*machine.OpSet{nil, set} {
+		a, err := ParseArchOps(string(tuple), s)
+		if err != nil {
+			continue
+		}
+		want := FormatArch(a)
+		if got := AppendArch(slices.Clip(tuple), a); string(got) != string(tuple)+want {
+			t.Fatalf("AppendArch(%q, %v) = %q, want the prefix and %q", tuple, a, got, want)
+		}
+		if back, err := ParseArchOps(want, s); err != nil || back != a {
+			t.Fatalf("FormatArch(%v) = %q reads back as %v, %v", a, want, back, err)
+		}
+	}
+}
+
 // FuzzArchTuple: on any bytes, as a tuple readArchOps reads what the
 // strings.Fields reference reads, with and without a catalog for an
-// " ops=" suffix; as a list ArchList decodes what json.Unmarshal into
+// " ops=" suffix, and AppendArch renders the machine it names as
+// FormatArch does; as a list ArchList decodes what json.Unmarshal into
 // []string decodes, and its tuples parse as the reference parses them.
 func FuzzArchTuple(f *testing.F) {
 	for _, s := range archTupleSeeds {
@@ -506,6 +528,7 @@ func FuzzArchTuple(f *testing.F) {
 	set := testCatalog(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkArchTuple(t, set, data)
+		checkAppendArch(t, set, data)
 		checkArchList(t, set, data)
 	})
 }

@@ -343,10 +343,15 @@ func TestMixedFleetMerges(t *testing.T) {
 }
 
 // BenchmarkShardStatus reads a finished one-kernel shard over the full
-// space (762 machines) off its status: G of the shipped results, as a
-// worker of serve.SchemaMeasured answers an unpriced shard, encoded as
-// serve's status writer encodes it (TestStatusBytesUnchanged and
-// TestMeasuredStatusBytes hold the writer to json.Encoder's bytes).
+// space (762 machines) off its status as the coordinator reads it
+// (readPoll): G of the shipped results, as a worker of
+// serve.SchemaMeasured answers an unpriced shard, encoded as serve's
+// status writer encodes it (TestStatusBytesUnchanged and
+// TestMeasuredStatusBytes hold the writer to json.Encoder's bytes). The
+// status is read in place (serve.ReadMeasuredStatus) where it was once
+// decoded by json.Unmarshal and its result read again, so the drop in
+// this benchmark's trajectory row at that change is the change's, not
+// the host's.
 func BenchmarkShardStatus(b *testing.B) {
 	full := dsetest.Shipped(b)
 	shard := &dse.Results{
@@ -374,12 +379,9 @@ func BenchmarkShardStatus(b *testing.B) {
 		if i == 0 {
 			b.ResetTimer()
 		}
-		var st serve.JobStatus
-		if err := json.Unmarshal(body.Bytes(), &st); err != nil || st.State != serve.StateDone {
-			b.Fatalf("decoded %s: %v", st.State, err)
-		}
-		if m, err := readShard(st.Result, true); err != nil || len(m.Cells) != len(full.Archs) {
-			b.Fatalf("read %v", err)
+		st, m, err := readPoll(body.Bytes(), true)
+		if err != nil || st.State != serve.StateDone || m == nil || len(m.Cells) != len(full.Archs) {
+			b.Fatalf("read %s, measured in place: %v, %v", st.State, m != nil, err)
 		}
 	}
 }

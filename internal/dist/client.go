@@ -184,6 +184,22 @@ func readShard(result []byte, measured bool) (*serve.Measurement, error) {
 	return serve.MeasurementOf(res)
 }
 
+// readPoll reads one poll's answer. A finished shard of a worker sent
+// SchemaMeasured (measured) is read in place, measurement and all
+// (serve.ReadMeasuredStatus), so its bytes are scanned once; any other
+// body goes through encoding/json, and a done one's result is left to
+// readShard.
+func readPoll(body []byte, measured bool) (serve.JobStatus, *serve.Measurement, error) {
+	if measured {
+		if st, m, ok := serve.ReadMeasuredStatus(body); ok {
+			return st, m, nil
+		}
+	}
+	var st serve.JobStatus
+	err := json.Unmarshal(body, &st)
+	return st, nil, err
+}
+
 // cancel best-effort DELETEs a job on its own short deadline — it is
 // called while the run's context is already cancelled (shutdown) or to
 // reap a hedge loser, so it must not inherit either.
@@ -245,9 +261,10 @@ func (c *client) runShard(ctx context.Context, a *attempt, ereq serve.ExploreReq
 		polls++
 		body, err := c.pollJob(ctx, a.worker.url, jobID)
 		var st serve.JobStatus
+		var m *serve.Measurement
 		if err == nil {
 			t0 := time.Now()
-			if err = json.Unmarshal(body, &st); err != nil {
+			if st, m, err = readPoll(body, measured); err != nil {
 				err = fmt.Errorf("job %s: %w", jobID, err)
 			}
 			decode += time.Since(t0)
@@ -269,11 +286,13 @@ func (c *client) runShard(ctx context.Context, a *attempt, ereq serve.ExploreReq
 		switch st.State {
 		case serve.StateDone:
 			resultBytes = len(st.Result)
-			t0 := time.Now()
-			m, err := readShard(st.Result, measured)
-			decode += time.Since(t0)
-			if err != nil {
-				return nil, nil, fmt.Errorf("worker %s job %s: %w", a.worker.url, jobID, err)
+			if m == nil {
+				t0 := time.Now()
+				m, err = readShard(st.Result, measured)
+				decode += time.Since(t0)
+				if err != nil {
+					return nil, nil, fmt.Errorf("worker %s job %s: %w", a.worker.url, jobID, err)
+				}
 			}
 			return m, st.Spans, nil
 		case serve.StateFailed:

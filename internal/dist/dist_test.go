@@ -533,6 +533,20 @@ func TestPartitionInvariants(t *testing.T) {
 	}
 }
 
+// TestPartitionAllocs: partitioning costs objects per unit, not per
+// machine — the same count on the full space as on its first 100
+// machines, at any number of slots.
+func TestPartitionAllocs(t *testing.T) {
+	grid := machine.FullSpace()
+	for _, slots := range []int{1, 2, 8} {
+		full := testing.AllocsPerRun(20, func() { partitionUnits(grid, slots) })
+		part := testing.AllocsPerRun(20, func() { partitionUnits(grid[:100], slots) })
+		if full != part {
+			t.Errorf("%d slots: partitioning %d machines makes %v objects, 100 machines %v", slots, len(grid), full, part)
+		}
+	}
+}
+
 // TestOneUnitPerSlot: on an idle fleet of a one-slot and a three-slot
 // worker, every slot is handed exactly one unit, and every unit asks
 // for all of the run's benchmarks in run order.

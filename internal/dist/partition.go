@@ -3,6 +3,7 @@ package dist
 import (
 	"fmt"
 	"slices"
+	"strings"
 
 	"customfit/internal/cli"
 	"customfit/internal/dse"
@@ -65,25 +66,41 @@ type unit struct {
 // Each unit carries every benchmark, so each machine is formatted,
 // digested and sent once. Deterministic: the same grid and slots
 // always shard the same way.
+//
+// The units' indices share one array, and their tuples are rendered
+// into one buffer and cut out of one string, so partitioning makes the
+// same few objects a unit whatever the size of the grid.
 func partitionUnits(grid []machine.Arch, slots int) []*unit {
 	classes := dse.SignatureClasses(grid)
 	k := min(slots, len(classes))
 	units := make([]*unit, k)
+	indices := make([]int, 0, len(grid))
+	buf := make([]byte, 0, len(grid)*tupleBytes)
 	for i := range units {
-		units[i] = &unit{id: i, attempts: map[int]*attempt{}}
-	}
-	for ci, class := range classes {
-		u := units[ci%k]
-		u.indices = append(u.indices, class...)
-	}
-	for _, u := range units {
+		u := &unit{id: i, attempts: map[int]*attempt{}, digest: serve.EmptyDigest}
+		at := len(indices)
+		for ci := i; ci < len(classes); ci += k {
+			indices = append(indices, classes[ci]...)
+		}
+		u.indices = indices[at:len(indices):len(indices)]
 		slices.Sort(u.indices)
-		u.tuples = make([]string, len(u.indices))
-		u.digest = serve.EmptyDigest
-		for j, gi := range u.indices {
-			u.tuples[j] = cli.FormatArch(grid[gi])
+		for _, gi := range u.indices {
+			buf = append(cli.AppendArch(buf, grid[gi]), '\n')
 			u.digest = u.digest.Add(grid[gi])
+		}
+		units[i] = u
+	}
+	text, tuples := string(buf), make([]string, len(indices))
+	for _, u := range units {
+		u.tuples, tuples = tuples[:len(u.indices):len(u.indices)], tuples[len(u.indices):]
+		for j := range u.tuples {
+			end := strings.IndexByte(text, '\n')
+			u.tuples[j], text = text[:end], text[end+1:]
 		}
 	}
 	return units
 }
+
+// tupleBytes is room for an op-free tuple of the full space and the
+// newline after it; a longer one grows the buffer on its own.
+const tupleBytes = 20

@@ -22,40 +22,61 @@ import (
 
 // statusBodies are job status bodies a coordinator may be sent: what
 // serve writes in every state, and shapes encoding/json reads otherwise
-// (the seeds of FuzzSplitStatus).
-var statusBodies = []struct{ name, body string }{
-	{"queued", `{"id":"j1","kind":"explore","state":"queued"}` + "\n"},
-	{"running", `{"id":"j1","kind":"explore","state":"running","progress":{"Done":3,"Total":40}}` + "\n"},
-	{"done", `{"id":"j1","kind":"explore","state":"done","progress":{"Done":40,"Total":40},"result":{"archs":null,"eval":{"G":[{"Bench":"G"}]}}}` + "\n"},
-	{"done with spans", `{"id":"j1","kind":"explore","state":"done","result":{"archs":[]},"spans":[{"name":"serve.job","attrs":{"id":"j1"}}]}` + "\n"},
-	{"failed", `{"id":"j1","kind":"explore","state":"failed","error":"dse: baseline failed on G"}` + "\n"},
-	{"cancelled", `{"id":"j1","kind":"explore","state":"cancelled","error":"cancelled before starting"}` + "\n"},
-	{"progress naming a result", `{"id":"j1","state":"done","progress":{"note":"\"result\":{","result":1},"result":{"a":1}}`},
-	{"quotes and braces in strings", `{"id":"a\"}","error":"}\\","state":"done","result":{"k":"\"}]","l":["}"]}}`},
-	{"result first", `{"result":[1,{"x":"]"}],"id":"j1","state":"done"}`},
-	{"result alone", `{"result":{"a":{}}}`},
-	{"result last", `{"id":"j1","state":"done","result":"a string"}`},
-	{"result null", `{"id":"j1","state":"done","result":null}`},
-	{"result a number", `{"id":"j1","result":-1.5e+3,"state":"done"}`},
-	{"result twice", `{"id":"j1","result":{"a":1},"result":{"a":2}}`},
-	{"result by another case", `{"id":"j1","result":{"a":1},"RESULT":{"a":2}}`},
-	{"result by escape", `{"id":"j1","\u0072esult":{"a":2}}`},
-	{"space after the colon", `{"id":"j1","result": {"a":1}}`},
-	{"space before the comma", `{"id":"j1","result":{"a":1} ,"state":"done"}`},
-	{"indented", "{\n  \"id\": \"j1\",\n  \"result\": {}\n}"},
-	{"result not JSON", `{"id":"j1","state":"done","result":{"a":tru}}`},
-	{"torn in the result", `{"id":"j1","state":"done","result":{"a":[1,2`},
-	{"torn in a string", `{"id":"j1","state":"do`},
-	{"brackets crossed", `{"id":"j1","progress":[{"result":1]},"result":{}}`},
-	{"closed twice", `{"id":"j1","result":{}}}`},
-	{"not an object", `["result",{}]`},
-	{"empty", ``},
-	{"a worker's document", `{"id":"j1","kind":"explore","state":"done","result":` + workerDoc + "}\n"},
-	{"a worker's document and spans", `{"id":"j1","state":"done","result":` + workerDoc + `,"spans":[{"name":"serve.job"}]}`},
-	{"a worker's document first", `{"result":` + workerDoc + `,"id":"j1","state":"done"}`},
-	{"a worker's document torn", `{"id":"j1","state":"done","result":` + workerDoc[:len(workerDoc)-1]},
-	{"a worker's document, then junk", `{"id":"j1","state":"done","result":` + workerDoc + `x}`},
-	{"a worker's document twice", `{"result":` + workerDoc + `,"result":` + workerDoc + `}`},
+// (the seeds of FuzzSplitStatus). measured names the bodies
+// serve.ReadMeasuredStatus takes: a finished shard's status in the
+// shape serve writes to a coordinator that sent serve.SchemaMeasured,
+// whatever its strings hold and with any whitespace after it. It
+// declines every other.
+var statusBodies = []struct {
+	name, body string
+	measured   bool
+}{
+	{"queued", `{"id":"j1","kind":"explore","state":"queued"}` + "\n", false},
+	{"running", `{"id":"j1","kind":"explore","state":"running","progress":{"Done":3,"Total":40}}` + "\n", false},
+	{"done", `{"id":"j1","kind":"explore","state":"done","progress":{"Done":40,"Total":40},"result":{"archs":null,"eval":{"G":[{"Bench":"G"}]}}}` + "\n", false},
+	{"done with spans", `{"id":"j1","kind":"explore","state":"done","result":{"archs":[]},"spans":[{"name":"serve.job","attrs":{"id":"j1"}}]}` + "\n", false},
+	{"failed", `{"id":"j1","kind":"explore","state":"failed","error":"dse: baseline failed on G"}` + "\n", false},
+	{"cancelled", `{"id":"j1","kind":"explore","state":"cancelled","error":"cancelled before starting"}` + "\n", false},
+	{"progress naming a result", `{"id":"j1","state":"done","progress":{"note":"\"result\":{","result":1},"result":{"a":1}}`, false},
+	{"quotes and braces in strings", `{"id":"a\"}","error":"}\\","state":"done","result":{"k":"\"}]","l":["}"]}}`, false},
+	{"result first", `{"result":[1,{"x":"]"}],"id":"j1","state":"done"}`, false},
+	{"result alone", `{"result":{"a":{}}}`, false},
+	{"result last", `{"id":"j1","state":"done","result":"a string"}`, false},
+	{"result null", `{"id":"j1","state":"done","result":null}`, false},
+	{"result a number", `{"id":"j1","result":-1.5e+3,"state":"done"}`, false},
+	{"result twice", `{"id":"j1","result":{"a":1},"result":{"a":2}}`, false},
+	{"result by another case", `{"id":"j1","result":{"a":1},"RESULT":{"a":2}}`, false},
+	{"result by escape", `{"id":"j1","\u0072esult":{"a":2}}`, false},
+	{"space after the colon", `{"id":"j1","result": {"a":1}}`, false},
+	{"space before the comma", `{"id":"j1","result":{"a":1} ,"state":"done"}`, false},
+	{"indented", "{\n  \"id\": \"j1\",\n  \"result\": {}\n}", false},
+	{"result not JSON", `{"id":"j1","state":"done","result":{"a":tru}}`, false},
+	{"torn in the result", `{"id":"j1","state":"done","result":{"a":[1,2`, false},
+	{"torn in a string", `{"id":"j1","state":"do`, false},
+	{"brackets crossed", `{"id":"j1","progress":[{"result":1]},"result":{}}`, false},
+	{"closed twice", `{"id":"j1","result":{}}}`, false},
+	{"not an object", `["result",{}]`, false},
+	{"empty", ``, false},
+	{"a worker's document", `{"id":"j1","kind":"explore","state":"done","result":` + workerDoc + "}\n", false},
+	{"a worker's document and spans", `{"id":"j1","state":"done","result":` + workerDoc + `,"spans":[{"name":"serve.job"}]}`, false},
+	{"a worker's document first", `{"result":` + workerDoc + `,"id":"j1","state":"done"}`, false},
+	{"a worker's document torn", `{"id":"j1","state":"done","result":` + workerDoc[:len(workerDoc)-1], false},
+	{"a worker's document, then junk", `{"id":"j1","state":"done","result":` + workerDoc + `x}`, false},
+	{"a worker's document twice", `{"result":` + workerDoc + `,"result":` + workerDoc + `}`, false},
+	{"done, measured", `{"id":"j1","kind":"explore","state":"done","progress":{"Done":40,"Total":40},"result":` + measuredDoc + "}\n", true},
+	{"done, measured, with spans", `{"id":"j1","kind":"explore","state":"done","result":` + measuredDoc + `,"spans":[{"name":"serve.job","attrs":{"id":"j1","n":2}}]}` + "\n", true},
+	{"done, nothing measured", `{"id":"j1","kind":"explore","state":"done","result":` + emptyMeasuredDoc + "}\n", true},
+	{"progress naming a measured result", `{"id":"j1","state":"done","progress":{"note":"\",\"result\":{","result":1},"result":` + measuredDoc + `}`, true},
+	{"quotes and braces in strings, measured", `{"id":"a\"}","error":"},\"result\":\\","state":"done","result":` + measuredDoc + `}`, true},
+	{"a measured result, padded", `{"id":"j1","state":"done","result":` + measuredDoc + "}\r\n\t ", true},
+	{"a measured result twice", `{"id":"j1","result":` + measuredDoc + `,"result":` + measuredDoc + `}`, false},
+	{"a measured result, then junk", `{"id":"j1","state":"done","result":` + measuredDoc + `x}`, false},
+	{"a measured result by another case", `{"id":"j1","Result":{"a":1},"result":` + measuredDoc + `}`, false},
+	{"a measured result first", `{"result":` + measuredDoc + `,"id":"j1","state":"done"}`, false},
+	{"spans before a measured result", `{"id":"j1","spans":[],"result":` + measuredDoc + `}`, false},
+	{"a measured result, then a member", `{"id":"j1","result":` + measuredDoc + `,"spans":null,"state":"done"}`, false},
+	{"a measured result, spans torn", `{"id":"j1","result":` + measuredDoc + `,"spans":[{"name":"x"}}`, false},
+	{"a measured result, unclosed", `{"id":"j1","state":"done","result":` + measuredDoc, false},
 }
 
 // workerDoc is a results document in the one shape a worker writes.
@@ -77,6 +98,9 @@ const unpricedDoc = `{"archs":[{"A":1,"M":1,"R":64,"P2":1,"L2":8,"C":1}],"benche
 // measuredDoc is workerDoc as a worker answers a shard sent
 // serve.SchemaMeasured: the measurement document.
 const measuredDoc = `{"benches":["G"],"machines":1,"digest":"25abd78ac877e3ff","runs":4,"failures":0,"compile":1,"simulate":2,"cells":[2,1234,0,0]}`
+
+// emptyMeasuredDoc is the measurement document of no benchmarks.
+const emptyMeasuredDoc = `{"benches":[],"machines":0,"digest":"cbf29ce484222325","runs":0,"failures":0,"compile":0,"simulate":0,"cells":[]}`
 
 // measurementJSON is a measurement document as encoding/json reads it.
 type measurementJSON struct {
@@ -131,11 +155,36 @@ func checkMeasurement(t *testing.T, data []byte) {
 	}
 }
 
+// checkStatus holds serve.ReadMeasuredStatus to encoding/json on body:
+// what it takes, json.Unmarshal reads as the same status, whose result
+// serve.ReadMeasurement reads as the same measurement. It reports
+// whether the reader took body.
+func checkStatus(t *testing.T, body []byte) bool {
+	t.Helper()
+	st, m, ok := serve.ReadMeasuredStatus(body)
+	if !ok {
+		return false
+	}
+	var want serve.JobStatus
+	if err := json.Unmarshal(body, &want); err != nil {
+		t.Fatalf("ReadMeasuredStatus(%q) = %+v; json.Unmarshal says %v", body, st, err)
+	}
+	if !reflect.DeepEqual(st, want) {
+		t.Fatalf("ReadMeasuredStatus(%q) = %+v; json.Unmarshal gives %+v", body, st, want)
+	}
+	if wm, err := serve.ReadMeasurement(want.Result); err != nil || !reflect.DeepEqual(m, wm) {
+		t.Fatalf("ReadMeasuredStatus(%q) measures %+v; ReadMeasurement of its result %+v, %v", body, m, wm, err)
+	}
+	return true
+}
+
 // TestSplitStatus: a coordinator reads a finished shard off its status
 // in either form — the measurement document of a worker sent
 // serve.SchemaMeasured, and the results document of an older one, read
 // as the same measurement and counted in dist.status_fallbacks — and
-// refuses a measurement document in any other spelling.
+// refuses a measurement document in any other spelling. readPoll reads
+// in place exactly the bodies statusBodies marks measured, and every
+// body as json.Unmarshal reads it.
 func TestSplitStatus(t *testing.T) {
 	col := installCollector(t)
 	res, err := dse.FromJSON([]byte(workerDoc))
@@ -205,10 +254,30 @@ func TestSplitStatus(t *testing.T) {
 		checkMeasurement(t, []byte(bad))
 	}
 	checkMeasurement(t, []byte(measuredDoc))
+
+	// A finished shard of a measured worker is read in place; every
+	// other body goes through encoding/json, as a poll always did.
+	for _, tc := range statusBodies {
+		if got := checkStatus(t, []byte(tc.body)); got != tc.measured {
+			t.Errorf("%s: ReadMeasuredStatus takes it: %v, want %v", tc.name, got, tc.measured)
+		}
+		st, m, err := readPoll([]byte(tc.body), true)
+		var want serve.JobStatus
+		werr := json.Unmarshal([]byte(tc.body), &want)
+		if (m != nil) != tc.measured || (err == nil) != (werr == nil) || err == nil && !reflect.DeepEqual(st, want) {
+			t.Errorf("%s: readPoll = %+v, %v, %v; json.Unmarshal gives %+v, %v", tc.name, st, m != nil, err, want, werr)
+		}
+		if _, m, _ := readPoll([]byte(tc.body), false); m != nil {
+			t.Errorf("%s: read in place for a worker not sent SchemaMeasured", tc.name)
+		}
+	}
 }
 
-// FuzzSplitStatus: on arbitrary bytes, read as a job status or as
-// the result of one, serve.ReadMeasurement refuses or agrees with
+// FuzzSplitStatus: on arbitrary bytes, serve.ReadMeasuredStatus, the
+// coordinator's in-place read of a finished shard's status, declines or
+// agrees with json.Unmarshal and with serve.ReadMeasurement on the
+// result json.Unmarshal finds; and read as a job status or as the
+// result of one, serve.ReadMeasurement refuses or agrees with
 // json.Unmarshal, and serve.AppendMeasurement writes what it read back
 // as the same bytes. The last seed is the shape every shard answers
 // with: the run's four benchmarks on the shard's machines.
@@ -237,6 +306,7 @@ func FuzzSplitStatus(f *testing.F) {
 	}
 	f.Add([]byte(`{"id":"j1","kind":"explore","state":"done","result":` + string(doc) + "}\n"))
 	f.Fuzz(func(t *testing.T, body []byte) {
+		checkStatus(t, body)
 		checkMeasurement(t, body)
 		var st serve.JobStatus
 		if json.Unmarshal(body, &st) == nil {

@@ -1,6 +1,7 @@
 package dse
 
 import (
+	"math/bits"
 	"strconv"
 
 	"customfit/internal/machine"
@@ -87,20 +88,69 @@ func SigKey(a machine.Arch) string {
 // distributed coordinator in internal/dist — should keep each class in
 // one partition: each evaluator's cache then deduplicates the class's
 // backend work exactly as a single local run would.
+//
+// The classes are sub-slices of one array, each capped at its own end
+// so that appending to one copies it rather than overwriting the next.
+// Grouping makes four objects whatever the number of machines: each
+// machine's signature, computed once; its class id, found in an
+// open-addressed table of the classes' first members; and the array,
+// filled once the classes' sizes are counted, and the list of classes.
 func SignatureClasses(archs []machine.Arch) [][]int {
-	var classes [][]int
-	at := make(map[archSig]int, len(archs))
+	n := len(archs)
+	sigs := make([]archSig, n)
+	// first[h] is 1 + the first member of the class whose signature
+	// probes to slot h, 0 for none; at most half the slots are taken.
+	lg := bits.Len(uint(2 * n))
+	work := make([]int, n+1<<lg)
+	ids, first := work[:n], work[n:]
+	classes := 0
 	for i, a := range archs {
-		s := sigOf(a)
-		ci, ok := at[s]
-		if !ok {
-			ci = len(classes)
-			at[s] = ci
-			classes = append(classes, nil)
+		sigs[i] = sigOf(a)
+		h := sigs[i].hash() >> (64 - lg)
+		for first[h] != 0 && sigs[first[h]-1] != sigs[i] {
+			h = (h + 1) & (1<<lg - 1)
 		}
-		classes[ci] = append(classes[ci], i)
+		if first[h] == 0 {
+			first[h] = i + 1
+			ids[i] = classes
+			classes++
+		} else {
+			ids[i] = ids[first[h]-1]
+		}
 	}
-	return classes
+	// The array counts the classes' sizes before it holds their members.
+	members := make([]int, n)
+	for _, ci := range ids {
+		members[ci]++
+	}
+	out := make([][]int, classes)
+	at := 0
+	for ci := range out {
+		size := members[ci]
+		out[ci] = members[at : at : at+size]
+		at += size
+	}
+	for i, ci := range ids {
+		out[ci] = append(out[ci], i)
+	}
+	return out
+}
+
+// hash mixes the signature's fields multiplicatively, for
+// SignatureClasses' table, which indexes by the well-mixed high bits.
+func (s archSig) hash() uint64 {
+	const k = 0x9e3779b97f4a7c15
+	h := uint64(s.Clusters)
+	for _, v := range [...]int{s.ALUsPC, s.MULsPC, s.RegsPC, s.L2Ports, s.L2Lat} {
+		h = (h*k ^ h>>29) + uint64(v)
+	}
+	if s.MinMax {
+		h = (h*k ^ h>>29) + 1
+	}
+	for i := 0; i < len(s.OpsKey); i++ {
+		h = (h*k ^ h>>29) + uint64(s.OpsKey[i])
+	}
+	return h * k
 }
 
 // sigOf maps an architecture to its backend signature.

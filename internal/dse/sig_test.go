@@ -241,3 +241,18 @@ func TestSignatureClassesGroupBySigKey(t *testing.T) {
 		}
 	}
 }
+
+// TestSignatureClassesAllocs: grouping the full space makes four
+// objects, whatever the number of machines, and the classes share one
+// array without one reaching into the next.
+func TestSignatureClassesAllocs(t *testing.T) {
+	grid := machine.FullSpace()
+	if n := testing.AllocsPerRun(20, func() { SignatureClasses(grid) }); n > 4 {
+		t.Errorf("SignatureClasses of %d machines makes %v objects, want at most 4", len(grid), n)
+	}
+	classes := SignatureClasses(grid)
+	grown := append(classes[0], -1)
+	if classes[1][0] == -1 || &grown[0] == &classes[0][0] {
+		t.Errorf("appending to class 0 wrote into class 1: %v", classes[1])
+	}
+}

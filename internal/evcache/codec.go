@@ -23,15 +23,27 @@ import (
 
 // plainKey reports whether JSON spells key as itself between quotes:
 // printable ASCII with none of the five characters json.Marshal escapes.
+// Every loaded shard line asks it of its key, a byte at a time, so it
+// looks each byte up in plainByte.
 func plainKey(key string) bool {
 	for i := 0; i < len(key); i++ {
-		switch c := key[i]; {
-		case c < 0x20, c >= 0x7f, c == '"', c == '\\', c == '<', c == '>', c == '&':
+		if !plainByte[key[i]] {
 			return false
 		}
 	}
 	return true
 }
+
+// plainByte[c] reports whether JSON spells byte c as itself in a string.
+var plainByte = func() (t [256]bool) {
+	for c := 0x20; c < 0x7f; c++ {
+		t[c] = true
+	}
+	for _, c := range `"\<>&` {
+		t[c] = false
+	}
+	return t
+}()
 
 // appendRecord appends the shard line of (key, e), without the newline:
 // byte for byte what json.Marshal makes of the Record.

@@ -127,3 +127,18 @@ func TestWrittenLinesTakeTheFastPath(t *testing.T) {
 		}
 	}
 }
+
+// TestPlainByteTable: the table plainKey looks bytes up in says what
+// the predicate it replaced said, on every byte.
+func TestPlainByteTable(t *testing.T) {
+	for c := 0; c < 256; c++ {
+		want := true
+		switch {
+		case c < 0x20, c >= 0x7f, c == '"', c == '\\', c == '<', c == '>', c == '&':
+			want = false
+		}
+		if got := plainKey(string([]byte{byte(c)})); got != want {
+			t.Errorf("byte %#02x: plain %v, want %v", c, got, want)
+		}
+	}
+}

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"slices"
 	"strconv"
@@ -196,6 +198,17 @@ func plainName[S string | []byte](s S) bool {
 // offset where it departs. What it reads, json.Unmarshal reads alike, and
 // AppendMeasurement writes back byte for byte.
 func ReadMeasurement(data []byte) (*Measurement, error) {
+	m, end := readMeasurement(data)
+	if m == nil || end != len(data) {
+		return nil, fmt.Errorf("serve: measurement document departs from its shape at byte %d of %d", end, len(data))
+	}
+	return m, nil
+}
+
+// readMeasurement reads the measurement document data begins with and
+// returns it with the offset just past its closing brace, or nil and
+// the offset where data departs from the document's shape.
+func readMeasurement(data []byte) (*Measurement, int) {
 	r := &measureReader{b: data}
 	m := &Measurement{}
 	r.lit(`{"benches":[`)
@@ -250,13 +263,90 @@ func ReadMeasurement(data []byte) (*Measurement, error) {
 		r.i = i
 	}
 	r.lit("]}")
-	if !r.bad && r.i != len(data) {
-		r.bad = true
-	}
 	if r.bad {
-		return nil, fmt.Errorf("serve: measurement document departs from its shape at byte %d of %d", r.i, len(data))
+		return nil, r.i
 	}
-	return m, nil
+	return m, r.i
+}
+
+// ReadMeasuredStatus reads a job status whose result is a measurement
+// document, in the shape statusParts writes it: the small members, then
+// "result", then "spans" if there are any, and nothing after the object
+// but whitespace. The members before the result and the spans go
+// through encoding/json; the result is read where it lies, by
+// ReadMeasurement's reader, and st.Result is that stretch of body, not
+// a copy. Any other body — a status without a result, a result of
+// another kind, members in another order or spelling — it declines (ok
+// is false), for the caller to read with json.Unmarshal. What it takes,
+// json.Unmarshal reads as the same status.
+func ReadMeasuredStatus(body []byte) (st JobStatus, m *Measurement, ok bool) {
+	at := resultMember(body)
+	if at < 0 {
+		return st, nil, false
+	}
+	// The head, closed, is an object of its own: a copy, so body stays
+	// as it came. A result or spans member in it, in any spelling
+	// encoding/json matches, would make the head's object differ from
+	// the whole body's.
+	if json.Unmarshal(append(body[:at:at], '}'), &st) != nil || st.Result != nil || st.Spans != nil {
+		return JobStatus{}, nil, false
+	}
+	start := at + len(resultKey)
+	m, n := readMeasurement(body[start:])
+	if m == nil {
+		return JobStatus{}, nil, false
+	}
+	st.Result = body[start : start+n]
+	rest := bytes.TrimRight(body[start+n:], " \t\r\n")
+	if spans, found := bytes.CutPrefix(rest, []byte(spansKey)); found && len(spans) > 0 && spans[len(spans)-1] == '}' {
+		if json.Unmarshal(spans[:len(spans)-1], &st.Spans) != nil {
+			return JobStatus{}, nil, false
+		}
+	} else if string(rest) != "}" {
+		return JobStatus{}, nil, false
+	}
+	return st, m, true
+}
+
+// resultKey and spansKey are how statusParts introduces the result and
+// the spans, and how ReadMeasuredStatus finds them.
+const (
+	resultKey = `,"result":`
+	spansKey  = `,"spans":`
+)
+
+// resultMember returns the offset in body of the first resultKey that
+// separates two members of the top-level object body holds, or -1 for
+// none: a walk over the members that steps over strings and over
+// nested objects and arrays. The object must open on a member's name,
+// as statusParts writes it, so that the comma follows a member.
+func resultMember(body []byte) int {
+	if !bytes.HasPrefix(body, []byte(`{"`)) {
+		return -1
+	}
+	depth, inString := 0, false
+	for i := 0; i < len(body); i++ {
+		c := body[i]
+		switch {
+		case inString:
+			if c == '\\' {
+				i++
+			} else if c == '"' {
+				inString = false
+			}
+		case c == '"':
+			inString = true
+		case c == '{' || c == '[':
+			depth++
+		case c == '}' || c == ']':
+			if depth--; depth == 0 {
+				return -1
+			}
+		case c == ',' && depth == 1 && bytes.HasPrefix(body[i:], []byte(resultKey)):
+			return i
+		}
+	}
+	return -1
 }
 
 // measureReader is a cursor over a measurement document. The first

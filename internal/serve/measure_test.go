@@ -91,6 +91,64 @@ func TestMeasuredStatusBytes(t *testing.T) {
 	}
 }
 
+// TestReadMeasuredStatus: ReadMeasuredStatus reads back what
+// writeStatus sends for a finished measured shard — the status, its
+// result a stretch of the body, and the measurement — and declines the
+// status of any other job, which the coordinator reads with
+// json.Unmarshal.
+func TestReadMeasuredStatus(t *testing.T) {
+	res, m := recordedMeasurement(t)
+	doc, err := AppendMeasurement(nil, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	explored, err := res.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	progress, err := json.Marshal(dse.ProgressInfo{Done: 40, Total: 40, Elapsed: time.Second, RatePerSec: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans := []obs.WireSpan{{Name: "serve.job", TraceID: "0af7651916cd43dd8448eb211c80319c", SpanID: "b7ad6b7169203331", DurUS: 1200,
+		Attrs: map[string]any{"kind": "explore", "note": `"result":{`}}}
+	for _, tc := range []struct {
+		name string
+		st   JobStatus
+		ok   bool
+	}{
+		{"measured", JobStatus{State: StateDone, Progress: progress, Result: doc}, true},
+		{"measured, with spans", JobStatus{State: StateDone, Result: doc, Spans: spans}, true},
+		{"measured, an error naming a result", JobStatus{State: StateDone, Error: `x,"result":{}`, Result: doc}, true},
+		{"a results document", JobStatus{State: StateDone, Progress: progress, Result: explored}, false},
+		{"running", JobStatus{State: StateRunning, Progress: progress}, false},
+		{"failed", JobStatus{State: StateFailed, Error: "dse: baseline failed", Spans: spans}, false},
+	} {
+		tc.st.ID, tc.st.Kind = "j7", "explore"
+		rec := httptest.NewRecorder()
+		writeStatus(rec, tc.st)
+		body := rec.Body.Bytes()
+		st, got, ok := ReadMeasuredStatus(body)
+		if ok != tc.ok {
+			t.Errorf("%s: ReadMeasuredStatus takes it: %v, want %v", tc.name, ok, tc.ok)
+			continue
+		}
+		if !ok {
+			continue
+		}
+		var want JobStatus
+		if err := json.Unmarshal(body, &want); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(st, want) || !reflect.DeepEqual(got, m) {
+			t.Errorf("%s: ReadMeasuredStatus reads %+v; json.Unmarshal %+v", tc.name, st, want)
+		}
+		if i := bytes.Index(body, doc); &st.Result[0] != &body[i] {
+			t.Errorf("%s: the result is a copy, not the body's", tc.name)
+		}
+	}
+}
+
 // TestMeasurementOf: a Results reads as the measurement of its
 // machines, and a Results whose benchmarks were not measured on one list
 // of machines, each evaluation of its own benchmark, does not.

@@ -570,14 +570,14 @@ func statusParts(st JobStatus) (net.Buffers, error) {
 	}
 	parts := net.Buffers{head[:len(head)-1]} // reopened: the "}" goes last
 	if len(result) > 0 {
-		parts = append(parts, []byte(`,"result":`), result)
+		parts = append(parts, []byte(resultKey), result)
 	}
 	if len(spans) > 0 {
 		sp, err := json.Marshal(spans)
 		if err != nil {
 			return nil, err
 		}
-		parts = append(parts, []byte(`,"spans":`), sp)
+		parts = append(parts, []byte(spansKey), sp)
 	}
 	return append(parts, []byte("}\n")), nil
 }
