@@ -32,13 +32,16 @@ staticcheck:
 # coordinator (plus the context-cancellation paths threaded through
 # all of them) are the places where data races could hide, and so are
 # the idle-arena list and its four users' one-shot paths (the ageing
-# tick runs on the finalizer goroutine; a clustered compile reads the
-# shared kernel itself; the frontend takes a workspace per compile):
-# run them under the race detector. Explicit
+# tick runs on the finalizer goroutine; a compile reads the shared
+# kernel itself, clustered or on one cluster; the frontend takes a
+# workspace per compile), and the packages whose tables compile workers
+# share read only (a latency class's packed dependence skeletons, the
+# schedules and allocations the delta cache hands out): run them under
+# the race detector. Explicit
 # -timeout so a deadlock fails the build with goroutine dumps instead of
 # hanging CI to its job limit.
 race:
-	$(GO) test -race -timeout 20m ./internal/obs/... ./internal/dse/... ./internal/sched/... ./internal/evcache/... ./internal/fleetcache/... ./internal/serve/... ./internal/dist/... ./internal/ops/... ./internal/idle/... ./internal/opt/... ./internal/sim/... ./internal/cc/... ./internal/core/...
+	$(GO) test -race -timeout 20m ./internal/obs/... ./internal/dse/... ./internal/sched/... ./internal/evcache/... ./internal/fleetcache/... ./internal/serve/... ./internal/dist/... ./internal/ops/... ./internal/idle/... ./internal/opt/... ./internal/sim/... ./internal/cc/... ./internal/core/... ./internal/ddg/... ./internal/regalloc/... ./internal/vliw/...
 
 # One-iteration pass over the exploration, simulator and frontend
 # benchmarks: catches bit-rot in the benchmark harness without paying

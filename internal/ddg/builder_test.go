@@ -26,7 +26,7 @@ import (
 func rankInvariant(sk *ddg.Skeleton) error {
 	for i := range sk.Heights {
 		for _, e := range sk.Succs(i) {
-			if e.MinDelta < 0 || e.To <= i || sk.Heights[e.To] > sk.Heights[i] {
+			if e.MinDelta < 0 || int(e.To) <= i || sk.Heights[e.To] > sk.Heights[i] {
 				return fmt.Errorf("edge %d -> %+v between heights %d and %d: a successor could outrank its predecessor",
 					i, e, sk.Heights[i], sk.Heights[e.To])
 			}
@@ -208,6 +208,65 @@ func TestBuilderAllocatesNothingWarm(t *testing.T) {
 	build()
 	if n := testing.AllocsPerRun(5, build); n != 0 {
 		t.Errorf("a warm Builder allocates %v times over kernel A's blocks at unroll 8, want 0", n)
+	}
+}
+
+// TestBuildSetMatchesReference: a packed set is every block's skeleton,
+// each the reference's, whatever the builder built before; and each
+// per-instruction table is capped at its own length, so that appending
+// to one block's copies it rather than writing into the next block's.
+func TestBuildSetMatchesReference(t *testing.T) {
+	var bd ddg.Builder
+	for _, bm := range bench.All() {
+		fn, err := bm.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, u := range []int{1, 4} {
+			g, err := opt.Prepare(fn, u)
+			if err != nil {
+				continue // over the unroller's budget
+			}
+			pg, _ := sched.PartitionClone(g, machine.Arch{ALUs: 8, MULs: 2, Regs: 128, L2Ports: 1, L2Lat: 4, Clusters: 4})
+			for _, f := range []*ir.Func{g, pg} {
+				for _, arch := range latencyClasses() {
+					set := bd.BuildSet(f.Blocks, arch)
+					if len(set) != len(f.Blocks) {
+						t.Fatalf("%s u=%d: %d skeletons for %d blocks", bm.Name, u, len(set), len(f.Blocks))
+					}
+					for i, b := range f.Blocks {
+						sk := &set[i]
+						if err := diff(sk, ddg.ReferenceSkeleton(b, arch)); err != nil {
+							t.Fatalf("%s u=%d %s l2=%d: %v", bm.Name, u, b.Name, arch.L2Lat, err)
+						}
+						if cap(sk.NPreds) != len(sk.NPreds) || cap(sk.Heights) != len(sk.Heights) {
+							t.Fatalf("%s u=%d %s: tables of %d/%d reach %d/%d", bm.Name, u, b.Name,
+								len(sk.NPreds), len(sk.Heights), cap(sk.NPreds), cap(sk.Heights))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestBuildSetObjects pins the packing: a warm builder makes a set in
+// three objects — the skeletons, their edges, their per-instruction
+// tables — whether the set has one block or a hundred.
+func TestBuildSetObjects(t *testing.T) {
+	var blocks []*ir.Block
+	for len(blocks) < 100 {
+		for _, c := range indexCases {
+			blocks = append(blocks, decodeBlock(c.data))
+		}
+	}
+	var bd ddg.Builder
+	for _, n := range []int{1, 8, 100} {
+		set := blocks[:n]
+		bd.BuildSet(set, machine.Baseline)
+		if got := testing.AllocsPerRun(10, func() { bd.BuildSet(set, machine.Baseline) }); got != 3 {
+			t.Errorf("a set of %d blocks makes %v objects, want 3", n, got)
+		}
 	}
 }
 
@@ -419,7 +478,7 @@ var indexCases = []struct {
 
 func edge(sk *ddg.Skeleton, from, to int) bool {
 	for _, e := range sk.Succs(from) {
-		if e.To == to {
+		if int(e.To) == to {
 			return true
 		}
 	}

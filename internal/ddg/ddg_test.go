@@ -182,8 +182,8 @@ func TestMemoryEdgesMatchAllPairs(t *testing.T) {
 				d, dep := memDependence(first, later)
 				got := -1
 				for _, e := range sk.Succs(m) {
-					if e.To == i {
-						got = e.MinDelta
+					if int(e.To) == i {
+						got = int(e.MinDelta)
 					}
 				}
 				// A register edge between the pair may only be stronger.

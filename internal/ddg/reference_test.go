@@ -19,8 +19,8 @@ const IndexBound = indexBound
 // RefSkeleton is the Skeleton layout that construction filled.
 type RefSkeleton struct {
 	Succs   [][]SkelEdge
-	NPreds  []int
-	Heights []int
+	NPreds  []int32
+	Heights []int32
 	HasTerm bool
 }
 
@@ -30,8 +30,8 @@ func ReferenceSkeleton(b *ir.Block, arch machine.Arch) *RefSkeleton {
 	n := len(ins)
 	sk := &RefSkeleton{
 		Succs:   make([][]SkelEdge, n),
-		NPreds:  make([]int, n),
-		Heights: make([]int, n),
+		NPreds:  make([]int32, n),
+		Heights: make([]int32, n),
 	}
 	if n == 0 {
 		return sk
@@ -40,14 +40,14 @@ func ReferenceSkeleton(b *ir.Block, arch machine.Arch) *RefSkeleton {
 		// Keep only the strongest constraint between a pair.
 		succs := sk.Succs[from]
 		for i := range succs {
-			if succs[i].To == to {
-				if d > succs[i].MinDelta {
-					succs[i].MinDelta = d
+			if int(succs[i].To) == to {
+				if d > int(succs[i].MinDelta) {
+					succs[i].MinDelta = int32(d)
 				}
 				return
 			}
 		}
-		sk.Succs[from] = append(succs, SkelEdge{To: to, MinDelta: d})
+		sk.Succs[from] = append(succs, SkelEdge{To: int32(to), MinDelta: int32(d)})
 		sk.NPreds[to]++
 	}
 
@@ -159,7 +159,7 @@ func ReferenceSkeleton(b *ir.Block, arch machine.Arch) *RefSkeleton {
 	// sweep (program order is a valid topological order).
 	for i := n - 1; i >= 0; i-- {
 		in := ins[i]
-		h := machine.Latency(in, arch)
+		h := int32(machine.Latency(in, arch))
 		if !in.Op.HasDest() {
 			h = 1
 		}

@@ -6,10 +6,12 @@ import (
 )
 
 // SkelEdge is a dependence edge in index form: the successor's position
-// in the block and the minimum issue-cycle distance.
+// in the block and the minimum issue-cycle distance. Both are 32-bit, as
+// every index and delta of a block is (the builder works in int32): an
+// edge is 8 bytes.
 type SkelEdge struct {
-	To       int
-	MinDelta int
+	To       int32
+	MinDelta int32
 }
 
 // Skeleton is the dependence structure of one basic block with no
@@ -20,9 +22,10 @@ type SkelEdge struct {
 // (block, L2Lat) class is valid for every architecture in that class.
 //
 // A skeleton is four flat arrays and is never modified once built. One
-// returned by BuildSkeleton owns its arrays and can be cached and
-// shared across concurrent compiles; one returned by Builder.Build is a
-// view of the builder's arrays, gone with the builder's next Build.
+// returned by BuildSkeleton or Builder.BuildSet owns its arrays (with
+// the rest of its set) and can be cached and shared across concurrent
+// compiles; one returned by Builder.Build is a view of the builder's
+// arrays, gone with the builder's next Build.
 type Skeleton struct {
 	// edges holds every forward dependence edge, grouped by source
 	// instruction in block order; off[i] and off[i+1] bound i's group.
@@ -30,10 +33,10 @@ type Skeleton struct {
 	edges []SkelEdge
 	off   []int32
 	// NPreds[i] is the number of incoming dependence edges of i.
-	NPreds []int
+	NPreds []int32
 	// Heights[i] is the latency-weighted critical-path distance from i
 	// to the end of the block (the scheduler's priority).
-	Heights []int
+	Heights []int32
 	// HasTerm records whether the final instruction is the block
 	// terminator (carrying the drain edges).
 	HasTerm bool
@@ -50,19 +53,42 @@ func (sk *Skeleton) Succs(i int) []SkelEdge {
 // the same construction.
 func BuildSkeleton(b *ir.Block, arch machine.Arch) *Skeleton {
 	var bd Builder
-	return bd.Build(b, arch).Clone()
+	return &bd.BuildSet([]*ir.Block{b}, arch)[0]
 }
 
-// Clone returns a copy of the skeleton in memory of its own: what turns
-// a Builder's view into a skeleton that can be kept.
-func (sk *Skeleton) Clone() *Skeleton {
-	return &Skeleton{
-		edges:   append([]SkelEdge(nil), sk.edges...),
-		off:     append([]int32(nil), sk.off...),
-		NPreds:  append([]int(nil), sk.NPreds...),
-		Heights: append([]int(nil), sk.Heights...),
-		HasTerm: sk.HasTerm,
+// BuildSet builds the skeletons of blocks under arch's latency class
+// into memory of their own, packed: one array holds every block's
+// edges, one every block's per-instruction tables, and one the
+// skeletons, so a set is three objects however many blocks it has. The
+// builder gathers the blocks' tables in arrays it keeps; the set copies
+// them out at their exact size and cuts each skeleton's tables from the
+// copies, each capped at its own length so that no append through one
+// reaches the next.
+func (bd *Builder) BuildSet(blocks []*ir.Block, arch machine.Arch) []Skeleton {
+	set := make([]Skeleton, len(blocks))
+	edges, ints := bd.setEdges[:0], bd.setInts[:0]
+	for i, b := range blocks {
+		sk := bd.Build(b, arch)
+		edges = append(edges, sk.edges...)
+		ints = append(append(append(ints, sk.off...), sk.NPreds...), sk.Heights...)
+		set[i].HasTerm = sk.HasTerm
 	}
+	bd.setEdges, bd.setInts = edges, ints
+	edges = append(make([]SkelEdge, 0, len(edges)), edges...)
+	ints = append(make([]int32, 0, len(ints)), ints...)
+	cut := func(n int) []int32 {
+		t := ints[:n:n]
+		ints = ints[n:]
+		return t
+	}
+	for i, b := range blocks {
+		sk := &set[i]
+		n := len(b.Instrs)
+		sk.off, sk.NPreds, sk.Heights = cut(n+1), cut(n), cut(n)
+		k := sk.off[n]
+		sk.edges, edges = edges[:k:k], edges[k:]
+	}
+	return set
 }
 
 // indexBound bounds the constant-address index (see Builder): constant
@@ -105,6 +131,11 @@ type Builder struct {
 
 	arrays   []arrayOps
 	sameAddr []int32 // per indexed access: 1 + the previous one of its array, kind and address
+
+	// BuildSet's gathering arrays: the blocks' edges and their
+	// per-instruction tables, one block after another.
+	setEdges []SkelEdge
+	setInts  []int32
 }
 
 type poolEdge struct{ from, to, delta int32 }
@@ -235,7 +266,7 @@ func (bd *Builder) Build(b *ir.Block, arch machine.Arch) *Skeleton {
 	}
 	sk.edges = sk.edges[:len(bd.pool)]
 	for _, e := range bd.pool {
-		sk.edges[bd.last[e.from]] = SkelEdge{To: int(e.to), MinDelta: int(e.delta)}
+		sk.edges[bd.last[e.from]] = SkelEdge{To: e.to, MinDelta: e.delta}
 		bd.last[e.from]++
 	}
 
@@ -243,7 +274,7 @@ func (bd *Builder) Build(b *ir.Block, arch machine.Arch) *Skeleton {
 	// sweep (program order is a valid topological order).
 	for i := n - 1; i >= 0; i-- {
 		in := ins[i]
-		h := machine.Latency(in, arch) // 1 without a result
+		h := int32(machine.Latency(in, arch)) // 1 without a result
 		for _, e := range sk.Succs(i) {
 			if v := e.MinDelta + sk.Heights[e.To]; v > h {
 				h = v
@@ -382,13 +413,13 @@ func (bd *Builder) Forget() {
 func (sk *Skeleton) Materialize(b *ir.Block) *Graph {
 	g := &Graph{Nodes: make([]*Node, len(b.Instrs))}
 	for i, in := range b.Instrs {
-		g.Nodes[i] = &Node{Index: i, Instr: in, Height: sk.Heights[i]}
+		g.Nodes[i] = &Node{Index: i, Instr: in, Height: int(sk.Heights[i])}
 	}
 	for i, from := range g.Nodes {
 		for _, e := range sk.Succs(i) {
 			to := g.Nodes[e.To]
-			from.Succs = append(from.Succs, Edge{To: to, MinDelta: e.MinDelta})
-			to.Preds = append(to.Preds, Edge{To: from, MinDelta: e.MinDelta})
+			from.Succs = append(from.Succs, Edge{To: to, MinDelta: int(e.MinDelta)})
+			to.Preds = append(to.Preds, Edge{To: from, MinDelta: int(e.MinDelta)})
 		}
 	}
 	if sk.HasTerm && len(g.Nodes) > 0 {
@@ -401,9 +432,7 @@ func (sk *Skeleton) Materialize(b *ir.Block) *Graph {
 func (sk *Skeleton) CriticalPath() int {
 	cp := 0
 	for _, h := range sk.Heights {
-		if h > cp {
-			cp = h
-		}
+		cp = max(cp, int(h))
 	}
 	return cp
 }

@@ -270,10 +270,15 @@ func (e *Evaluator) prepare(sp *obs.Span, b *bench.Benchmark, u int) *prepared {
 			p.err = err
 			return
 		}
-		g := fn.Clone()
-		if err := opt.UnrollSpan(sp, g, u); err != nil {
-			p.err = err
-			return
+		// Unroll factor 1 changes nothing, so it takes the optimized
+		// function itself: the kernel, like fn, is never written again.
+		g := fn
+		if u != 1 {
+			g = fn.Clone()
+			if err := opt.UnrollSpan(sp, g, u); err != nil {
+				p.err = err
+				return
+			}
 		}
 		p.kernel = sched.NewPrepared(g)
 		vsp := obs.Under(sp, "sim.reference").Str("bench", b.Name).Int("unroll", int64(u))
@@ -465,7 +470,7 @@ func CacheKey(kernelClass string, a machine.Arch) string {
 // derives one and looks it up where it stands (evcache.DoErrBytes), so
 // the hit path makes no string of it.
 func appendCacheKey(b []byte, kernelClass string, a machine.Arch) []byte {
-	return sigOf(a).appendKey(append(append(b, kernelClass...), ':'))
+	return appendSigKey(append(append(b, kernelClass...), ':'), a)
 }
 
 // kernelClass memoizes KernelClass for this evaluator's workload.
@@ -515,7 +520,7 @@ func (e *Evaluator) newCachedGrid(archs []machine.Arch, rows int) *cachedGrid {
 		g.sig = make([]byte, 0, 32*len(archs))
 		g.off = make([]int32, len(archs)+1)
 		for i, a := range archs {
-			g.sig = sigOf(a).appendKey(g.sig)
+			g.sig = appendSigKey(g.sig, a)
 			g.off[i+1] = int32(len(g.sig))
 		}
 	}
@@ -525,7 +530,7 @@ func (e *Evaluator) newCachedGrid(archs []machine.Arch, rows int) *cachedGrid {
 // appendSigKey appends architecture i's signature key to b.
 func (g *cachedGrid) appendSigKey(b []byte, i int) []byte {
 	if g.off == nil {
-		return sigOf(g.archs[i]).appendKey(b)
+		return appendSigKey(b, g.archs[i])
 	}
 	return append(b, g.sig[g.off[i]:g.off[i+1]]...)
 }

@@ -47,13 +47,16 @@ type archSig struct {
 	OpsKey   string
 }
 
-// appendKey appends to b the signature's rendering as the stable string
+// appendSigKey appends to b a's signature rendered as the stable string
 // that, combined with the kernel-class hash, content-addresses a
 // persistent cache entry (see internal/evcache and Evaluator.Cache):
 // c<clusters>.a<ALUs>.m<MULs>.r<regs>.p<L2 ports>.l<L2 latency>, the
 // per-cluster values, then ".mm" and ".ops{<key>}" where they apply.
-// Every warm evaluation renders one, so it is spelled without fmt.
-func (s archSig) appendKey(b []byte) []byte {
+// Every warm evaluation renders one, so it is spelled without fmt, and
+// the ops key is appended where it stands (machine.OpConfig.AppendKey):
+// with room in b, a key costs no allocation, ops or not.
+func appendSigKey(b []byte, a machine.Arch) []byte {
+	s := shapeOf(a)
 	b = strconv.AppendInt(append(b, 'c'), int64(s.Clusters), 10)
 	b = strconv.AppendInt(append(b, ".a"...), int64(s.ALUsPC), 10)
 	b = strconv.AppendInt(append(b, ".m"...), int64(s.MULsPC), 10)
@@ -63,8 +66,8 @@ func (s archSig) appendKey(b []byte) []byte {
 	if s.MinMax {
 		b = append(b, ".mm"...)
 	}
-	if s.OpsKey != "" {
-		b = append(append(append(b, ".ops{"...), s.OpsKey...), '}')
+	if !a.Ops.Empty() {
+		b = append(a.Ops.AppendKey(append(b, ".ops{"...)), '}')
 	}
 	return b
 }
@@ -78,7 +81,7 @@ type keyBuf [96]byte
 // keys are compiled identically (see archSig).
 func SigKey(a machine.Arch) string {
 	var buf keyBuf
-	return string(sigOf(a).appendKey(buf[:0]))
+	return string(appendSigKey(buf[:0], a))
 }
 
 // SignatureClasses groups archs by backend signature: the classes in
@@ -91,10 +94,12 @@ func SigKey(a machine.Arch) string {
 //
 // The classes are sub-slices of one array, each capped at its own end
 // so that appending to one copies it rather than overwriting the next.
-// Grouping makes four objects whatever the number of machines: each
-// machine's signature, computed once; its class id, found in an
-// open-addressed table of the classes' first members; and the array,
-// filled once the classes' sizes are counted, and the list of classes.
+// Grouping makes four objects whatever the number of machines, with
+// custom ops or without: each machine's signature shape, computed once;
+// its class id, found in an open-addressed table of the classes' first
+// members; and the array, filled once the classes' sizes are counted,
+// and the list of classes. The ops component is compared as the bytes
+// of its key, rendered into buffers on the stack.
 func SignatureClasses(archs []machine.Arch) [][]int {
 	n := len(archs)
 	sigs := make([]archSig, n)
@@ -104,10 +109,12 @@ func SignatureClasses(archs []machine.Arch) [][]int {
 	work := make([]int, n+1<<lg)
 	ids, first := work[:n], work[n:]
 	classes := 0
+	var key, repKey keyBuf
 	for i, a := range archs {
-		sigs[i] = sigOf(a)
-		h := sigs[i].hash() >> (64 - lg)
-		for first[h] != 0 && sigs[first[h]-1] != sigs[i] {
+		sigs[i] = shapeOf(a)
+		ops := a.Ops.AppendKey(key[:0])
+		h := sigs[i].hash(ops) >> (64 - lg)
+		for first[h] != 0 && !sameSig(archs, sigs, first[h]-1, i, ops, repKey[:0]) {
 			h = (h + 1) & (1<<lg - 1)
 		}
 		if first[h] == 0 {
@@ -136,9 +143,20 @@ func SignatureClasses(archs []machine.Arch) [][]int {
 	return out
 }
 
-// hash mixes the signature's fields multiplicatively, for
-// SignatureClasses' table, which indexes by the well-mixed high bits.
-func (s archSig) hash() uint64 {
+// sameSig reports whether machines j and i of archs, with signature
+// shapes sigs, have one signature; ops is i's ops key, and buf room to
+// render j's. The same op config is the same key, unrendered.
+func sameSig(archs []machine.Arch, sigs []archSig, j, i int, ops, buf []byte) bool {
+	if sigs[j] != sigs[i] {
+		return false
+	}
+	return archs[j].Ops == archs[i].Ops || string(archs[j].Ops.AppendKey(buf)) == string(ops)
+}
+
+// hash mixes the signature shape's fields and ops, the bytes of its ops
+// key, multiplicatively, for SignatureClasses' table, which indexes by
+// the well-mixed high bits.
+func (s archSig) hash(ops []byte) uint64 {
 	const k = 0x9e3779b97f4a7c15
 	h := uint64(s.Clusters)
 	for _, v := range [...]int{s.ALUsPC, s.MULsPC, s.RegsPC, s.L2Ports, s.L2Lat} {
@@ -147,14 +165,26 @@ func (s archSig) hash() uint64 {
 	if s.MinMax {
 		h = (h*k ^ h>>29) + 1
 	}
-	for i := 0; i < len(s.OpsKey); i++ {
-		h = (h*k ^ h>>29) + uint64(s.OpsKey[i])
+	for _, c := range ops {
+		h = (h*k ^ h>>29) + uint64(c)
 	}
 	return h * k
 }
 
-// sigOf maps an architecture to its backend signature.
+// sigOf maps an architecture to its backend signature, a comparable
+// value. What runs on every machine of a grid spells it in two halves
+// that allocate nothing: shapeOf, and the ops key as bytes
+// (machine.OpConfig.AppendKey), as appendSigKey and SignatureClasses
+// do.
 func sigOf(a machine.Arch) archSig {
+	s := shapeOf(a)
+	var buf keyBuf
+	s.OpsKey = string(a.Ops.AppendKey(buf[:0]))
+	return s
+}
+
+// shapeOf is a's signature without its ops component: OpsKey empty.
+func shapeOf(a machine.Arch) archSig {
 	return archSig{
 		Clusters: a.Clusters,
 		ALUsPC:   a.ALUsPC(),
@@ -163,6 +193,5 @@ func sigOf(a machine.Arch) archSig {
 		L2Ports:  a.L2Ports,
 		L2Lat:    a.L2Lat,
 		MinMax:   a.MinMax,
-		OpsKey:   a.Ops.Key(),
 	}
 }

@@ -243,12 +243,23 @@ func TestSignatureClassesGroupBySigKey(t *testing.T) {
 }
 
 // TestSignatureClassesAllocs: grouping the full space makes four
-// objects, whatever the number of machines, and the classes share one
-// array without one reaching into the next.
+// objects, whatever the number of machines, and so does grouping it
+// crossed with a two-op catalog (the ops keys are compared as bytes,
+// never made into strings); and the classes share one array without one
+// reaching into the next.
 func TestSignatureClassesAllocs(t *testing.T) {
+	set, err := machine.ParseOpCatalog([]string{
+		"mac/3/2:mul $0 $1;add %0 $2",
+		"add_add/3/1:add $0 $1;add %0 $2",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	grid := machine.FullSpace()
-	if n := testing.AllocsPerRun(20, func() { SignatureClasses(grid) }); n > 4 {
-		t.Errorf("SignatureClasses of %d machines makes %v objects, want at most 4", len(grid), n)
+	for name, g := range map[string][]machine.Arch{"full space": grid, "op-crossed": machine.Grid(nil, 1, set)} {
+		if n := testing.AllocsPerRun(20, func() { SignatureClasses(g) }); n > 4 {
+			t.Errorf("%s: SignatureClasses of %d machines makes %v objects, want at most 4", name, len(g), n)
+		}
 	}
 	classes := SignatureClasses(grid)
 	grown := append(classes[0], -1)

@@ -21,18 +21,22 @@ import (
 // faster spelling of the same function: FuzzShardLine holds the two
 // decoders and the two encoders equal.
 
-// plainKey reports whether JSON spells key as itself between quotes:
+// Plain reports whether JSON spells s as itself between quotes:
 // printable ASCII with none of the five characters json.Marshal escapes.
-// Every loaded shard line asks it of its key, a byte at a time, so it
-// looks each byte up in plainByte.
-func plainKey(key string) bool {
-	for i := 0; i < len(key); i++ {
-		if !plainByte[key[i]] {
+// Every loaded shard line asks it of its key, and serve of every name a
+// measurement document carries, a byte at a time, so it looks each byte
+// up in plainByte.
+func Plain[S string | []byte](s S) bool {
+	for i := 0; i < len(s); i++ {
+		if !plainByte[s[i]] {
 			return false
 		}
 	}
 	return true
 }
+
+// plainKey is Plain of a shard line's key.
+func plainKey(key string) bool { return Plain(key) }
 
 // plainByte[c] reports whether JSON spells byte c as itself in a string.
 var plainByte = func() (t [256]bool) {

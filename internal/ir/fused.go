@@ -57,14 +57,6 @@ func IsStepRef(ref int) bool { return ref < 0 }
 // RefStep decodes a step reference produced by StepRef.
 func RefStep(ref int) int { return ^ref }
 
-// refString renders an operand reference in the codec's syntax.
-func refString(ref int) string {
-	if IsStepRef(ref) {
-		return fmt.Sprintf("%%%d", RefStep(ref))
-	}
-	return fmt.Sprintf("$%d", ref)
-}
-
 // Validate checks internal consistency: operand counts, topological
 // step references, in-range external inputs, and a positive latency.
 func (s *FusedSpec) Validate() error {
@@ -198,22 +190,34 @@ func (s *FusedSpec) MULSteps() int {
 // the display name. Two specs are the same custom op iff their keys are
 // equal; op-set interning, memo signatures, cache keys and the wire
 // protocol all build on it.
-func (s *FusedSpec) Key() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d/%d:", s.NIn, s.Lat)
+func (s *FusedSpec) Key() string { return string(s.AppendKey(nil)) }
+
+// AppendKey appends the spec's Key to b, allocating nothing when b has
+// room for it.
+func (s *FusedSpec) AppendKey(b []byte) []byte {
+	b = strconv.AppendInt(b, int64(s.NIn), 10)
+	b = strconv.AppendInt(append(b, '/'), int64(s.Lat), 10)
+	b = append(b, ':')
 	for i, st := range s.Steps {
 		if i > 0 {
-			b.WriteByte(';')
+			b = append(b, ';')
 		}
-		b.WriteString(st.Op.String())
-		b.WriteByte(' ')
-		b.WriteString(refString(st.A))
+		b = append(append(b, st.Op.String()...), ' ')
+		b = appendRef(b, st.A)
 		if st.Op.NArgs() > 1 {
-			b.WriteByte(' ')
-			b.WriteString(refString(st.B))
+			b = appendRef(append(b, ' '), st.B)
 		}
 	}
-	return b.String()
+	return b
+}
+
+// appendRef appends an operand reference in the codec's syntax to b:
+// %k for step k's result, $i for external input i.
+func appendRef(b []byte, ref int) []byte {
+	if IsStepRef(ref) {
+		return strconv.AppendInt(append(b, '%'), int64(RefStep(ref)), 10)
+	}
+	return strconv.AppendInt(append(b, '$'), int64(ref), 10)
 }
 
 // String renders the full codec form "name/nin/lat: step; step; ...",

@@ -66,17 +66,18 @@ type Instr struct {
 	Off  int32    // constant element offset folded into the address
 	Elem ElemType // access width; normally Mem.Elem
 
+	// Cluster is the executing cluster assigned by the backend's
+	// partitioner (destination cluster for OpXMov). Zero before
+	// partitioning. It stands beside Off and Elem, in the padding their
+	// word leaves, which keeps an Instr at 80 bytes.
+	Cluster int16
+
 	// Control-flow targets (OpBr: 1, OpCBr: 2 = taken/fallthrough).
 	Targets []*Block
 
 	// Fused is the custom-op spec (OpFused only). Specs are immutable
 	// and interned per op set, so Clone shares the pointer.
 	Fused *FusedSpec
-
-	// Cluster is the executing cluster assigned by the backend's
-	// partitioner (destination cluster for OpXMov). Zero before
-	// partitioning.
-	Cluster int16
 }
 
 // NewInstr builds a non-memory, non-control instruction.

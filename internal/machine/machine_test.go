@@ -234,3 +234,43 @@ func TestWithMinMax(t *testing.T) {
 		t.Error("MinMax lost through WithClusters")
 	}
 }
+
+// TestOpConfigAppendKey: AppendKey writes Key's bytes behind whatever
+// the buffer holds — the enabled specs' keys in catalog order, '|'
+// between them, nothing for an empty config — and with room in the
+// buffer it allocates nothing.
+func TestOpConfigAppendKey(t *testing.T) {
+	set, err := ParseOpCatalog([]string{
+		"mac/3/2:mul $0 $1;add %0 $2",
+		"add_add/3/1:add $0 $1;add %0 $2",
+		"sub_add/3/1:sub $0 $1;add %0 $2",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf [256]byte
+	for mask := uint64(0); mask <= set.FullMask(); mask++ {
+		c := OpConfig{Set: set, Mask: mask}
+		want := ""
+		for _, s := range c.Enabled() {
+			if want != "" {
+				want += "|"
+			}
+			want += s.Key()
+		}
+		if got := c.Key(); got != want {
+			t.Errorf("mask %b: Key %q, want %q", mask, got, want)
+		}
+		if got := string(c.AppendKey(append(buf[:0], "x:"...))); got != "x:"+want {
+			t.Errorf("mask %b: AppendKey behind x: gives %q, want %q", mask, got, "x:"+want)
+		}
+		if n := testing.AllocsPerRun(10, func() { c.AppendKey(buf[:0]) }); n != 0 {
+			t.Errorf("mask %b: AppendKey into room makes %v objects", mask, n)
+		}
+	}
+	for i := 0; i < set.Len(); i++ {
+		if s := set.Spec(i); s.Name == "mac" && s.Key() != "3/2:mul $0 $1;add %0 $2" {
+			t.Errorf("mac's key %q, want %q", s.Key(), "3/2:mul $0 $1;add %0 $2")
+		}
+	}
+}

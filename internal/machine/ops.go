@@ -185,20 +185,25 @@ func (c OpConfig) Enabled() []*ir.FusedSpec {
 // empty): the op component of backend signatures, cache keys and wire
 // tuples. Only enabled ops contribute — two configs enabling the same
 // ops out of different catalogs are the same architecture.
-func (c OpConfig) Key() string {
+func (c OpConfig) Key() string { return string(c.AppendKey(nil)) }
+
+// AppendKey appends the config's Key to b: the enabled specs' keys,
+// '|' between them. It allocates nothing when b has room for them.
+func (c OpConfig) AppendKey(b []byte) []byte {
 	if c.Empty() {
-		return ""
+		return b
 	}
-	k := ""
+	first := true
 	for i := 0; i < c.Set.Len(); i++ {
 		if c.Mask&(1<<uint(i)) != 0 {
-			if k != "" {
-				k += "|"
+			if !first {
+				b = append(b, '|')
 			}
-			k += c.Set.Spec(i).Key()
+			first = false
+			b = c.Set.Spec(i).AppendKey(b)
 		}
 	}
-	return k
+	return b
 }
 
 // Validate checks the mask against the catalog.

@@ -101,6 +101,9 @@ type Scratch struct {
 	atPeak, others []int32
 	seen           []bool
 
+	// sortKeyed's copy of the range indices it sorts, with their keys.
+	keys []keyed
+
 	// AllocateReuse's arena-owned Result and its backing arrays.
 	res         Result
 	resMaxLive  []int
@@ -234,7 +237,7 @@ func allocate(prog *vliw.Program, lv *opt.Liveness, sc *Scratch, res *Result) {
 		for t := sb.Len - 1; t >= 0; t-- {
 			at := b0 + t
 			lo := hi
-			for lo > 0 && ops[lo-1].Cycle == t {
+			for lo > 0 && int(ops[lo-1].Cycle) == t {
 				lo--
 			}
 			cyc := ops[lo:hi]
@@ -341,9 +344,9 @@ func allocate(prog *vliw.Program, lv *opt.Liveness, sc *Scratch, res *Result) {
 	// Longest span first. slices.SortFunc runs the same generated
 	// pdqsort as sort.Slice, comparison for comparison, so ranges of
 	// equal span keep the order sort.Slice gave them.
-	longer := func(a, b int32) int { return cmp.Compare(ranges[b].Span(), ranges[a].Span()) }
-	slices.SortFunc(atPeak, longer)
-	slices.SortFunc(others, longer)
+	span := func(ri int32) int { return ranges[ri].Span() }
+	sortKeyed(atPeak, span, byKeyDesc, sc)
+	sortKeyed(others, span, byKeyDesc, sc)
 	victims := append(atPeak, others...)
 	sc.others = others[:0]
 	if res.Fits {
@@ -386,9 +389,7 @@ func allocate(prog *vliw.Program, lv *opt.Liveness, sc *Scratch, res *Result) {
 // overlap test and the merge start behind them, and a merge drops them.
 func colorCluster(idx []int32, ranges []Range, rc int, assign []int, sc *Scratch) int32 {
 	// slices.SortFunc runs sort.Slice's pdqsort, so ties land alike.
-	slices.SortFunc(idx, func(a, b int32) int {
-		return cmp.Compare(ranges[a].Segments[0].Start, ranges[b].Segments[0].Start)
-	})
+	sortKeyed(idx, func(ri int32) int { return ranges[ri].Segments[0].Start }, byKey, sc)
 	busy := sc.growBusy(rc)
 	past := growInts(&sc.past, rc)
 	for _, ri := range idx {
@@ -415,6 +416,37 @@ func colorCluster(idx []int32, ranges []Range, rc int, assign []int, sc *Scratch
 		}
 	}
 	return -1
+}
+
+// keyed is a range index beside the key it is sorted by.
+type keyed struct {
+	key int
+	ri  int32
+}
+
+func byKey(a, b keyed) int     { return cmp.Compare(a.key, b.key) }
+func byKeyDesc(a, b keyed) int { return cmp.Compare(b.key, a.key) }
+
+// sortKeyed sorts idx, range indices, by key under order: byKey
+// ascending, byKeyDesc descending. It reads each key once into a copy
+// of idx in sc and sorts the copy, where the sort's comparisons would
+// otherwise each chase two ranges for their keys. The order compares
+// keys alone, so slices.SortFunc makes the same comparisons at the same
+// positions as on idx itself and the permutation is the same, ties
+// included.
+func sortKeyed(idx []int32, key func(int32) int, order func(a, b keyed) int, sc *Scratch) {
+	if len(idx) < 2 {
+		return
+	}
+	keys := sc.keys[:0]
+	for _, ri := range idx {
+		keys = append(keys, keyed{key(ri), ri})
+	}
+	slices.SortFunc(keys, order)
+	for i, k := range keys {
+		idx[i] = k.ri
+	}
+	sc.keys = keys[:0]
 }
 
 // overlapsAny reports whether any segment in b overlaps any in s (both

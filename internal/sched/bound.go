@@ -60,14 +60,14 @@ func LowerBound(prep *Prepared, arch machine.Arch) []int {
 	if rewritesISA(arch) {
 		return nil
 	}
-	// The single-cluster class's blocks are the pristine ones, with the
-	// cluster stamps partitioning adds: its skeletons and issue charges
-	// are theirs.
+	// The single-cluster class's blocks are the pristine ones, the
+	// kernel's own: its skeletons and issue charges are theirs.
 	pristine := prep.class(machine.Arch{Clusters: 1}, nil)
 	skels := pristine.skels.get(pristine.g, arch, nil)
 	k := arch.Capacity()
 	out := make([]int, len(skels))
-	for i, sk := range skels {
+	for i := range skels {
+		sk := &skels[i]
 		lb := 0
 		if sk.HasTerm {
 			lb = sk.CriticalPath()

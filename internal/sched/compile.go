@@ -146,7 +146,7 @@ func compile(sp *obs.Span, span string, f *ir.Func, prep *Prepared, arch machine
 	if !reuse {
 		blame = make([]int, cs.g.NumRegs())
 	}
-	var skels []*ddg.Skeleton
+	var skels []ddg.Skeleton
 	hits := 0
 	for bi, b := range cs.g.Blocks {
 		var e cachedBlock
@@ -164,7 +164,7 @@ func compile(sp *obs.Span, span string, f *ir.Func, prep *Prepared, arch machine
 				if skels == nil {
 					skels = cs.skels.get(cs.g, arch, &sc.skel)
 				}
-				sk = skels[bi]
+				sk = &skels[bi]
 			}
 			sb := newBlock(b, arch.Clusters)
 			cert, bl, err := scheduleBlock(cs.g, b, arch, cs.pl, cs.lv, capRaw, false, sk, sc, sb)

@@ -22,7 +22,7 @@ type Prepared struct {
 	F *ir.Func
 
 	mu      sync.Mutex
-	classes map[classKey]*classState
+	classes map[string]*classState // by appendClassKey
 }
 
 // NewPrepared wraps an optimized kernel for repeated compilation. The
@@ -31,16 +31,20 @@ func NewPrepared(f *ir.Func) *Prepared {
 	return &Prepared{F: f}
 }
 
-// classKey selects a partition class. Custom-op rewriting, min/max
-// fusion and cluster partitioning are the only transforms that rewrite
-// the instruction stream before scheduling, and each reads exactly one
-// architecture parameter (Ops, MinMax, Clusters). The ops component is
-// the enabled-spec content key, so two masks enabling the same specs
-// share a class.
-type classKey struct {
-	clusters int
-	minmax   bool
-	ops      string
+// appendClassKey appends the key of arch's partition class to b.
+// Custom-op rewriting, min/max fusion and cluster partitioning are the
+// only transforms that rewrite the instruction stream before
+// scheduling, and each reads exactly one architecture parameter
+// (Clusters, MinMax, Ops): the key is a byte for each of the first two
+// (a machine has at most 16 clusters) and then the enabled-spec content
+// key, so two masks enabling the same specs share a class. Spelled into
+// a buffer on the stack, a lookup allocates nothing, ops or not.
+func appendClassKey(b []byte, arch machine.Arch) []byte {
+	minmax := byte(0)
+	if arch.MinMax {
+		minmax = 1
+	}
+	return arch.Ops.AppendKey(append(b, byte(arch.Clusters), minmax))
 }
 
 // classState is what every round 1 over one partition class of a kernel
@@ -51,12 +55,14 @@ type classState struct {
 	once sync.Once
 	// src is the architecture-lowered pre-partition function, what the
 	// spill loop rewrites (a copy of it, when another compile may read
-	// it). It is the kernel itself on a clustered machine with no ISA
-	// rewrite, because partitionClone only reads it, and one copy
-	// otherwise.
+	// it). It is the kernel itself on a machine with no ISA rewrite,
+	// because neither partitionClone nor the one-cluster class writes
+	// it, and one copy otherwise.
 	src *ir.Func
 	// g is src partitioned, with its placement and liveness: src itself
-	// on one cluster, where partitioning only stamps cluster 0.
+	// on one cluster, under an all-zero placement. Partitioning would
+	// only stamp cluster 0 on instructions that carry it already (an
+	// instruction's Cluster is zero until a partitioner sets it).
 	g      *ir.Func
 	pl     *Placement
 	lv     *opt.Liveness
@@ -73,15 +79,16 @@ type classState struct {
 // first use (once per class, off the cache lock) out of sc's tables, or
 // out of a borrowed arena's when sc is nil.
 func (p *Prepared) class(arch machine.Arch, sc *Scratch) *classState {
-	key := classKey{clusters: arch.Clusters, minmax: arch.MinMax, ops: arch.Ops.Key()}
+	var buf [96]byte
+	key := appendClassKey(buf[:0], arch)
 	p.mu.Lock()
-	if p.classes == nil {
-		p.classes = make(map[classKey]*classState)
-	}
-	cs := p.classes[key]
+	cs := p.classes[string(key)]
 	if cs == nil {
+		if p.classes == nil {
+			p.classes = make(map[string]*classState)
+		}
 		cs = &classState{}
-		p.classes[key] = cs
+		p.classes[string(key)] = cs
 	}
 	p.mu.Unlock()
 	cs.once.Do(func() {
@@ -94,16 +101,20 @@ func (p *Prepared) class(arch machine.Arch, sc *Scratch) *classState {
 	return cs
 }
 
-// build lowers f for arch's class and partitions it. The copy keeps
-// every per-compile mutation off the shared kernel (custom-op and
-// min/max rewrites, and on one cluster the partitioner's cluster
-// stamps). A kept class also sizes its per-block schedule rings.
+// build lowers f for arch's class and partitions it. The copy lowerFor
+// makes for an ISA rewrite keeps the custom-op and min/max rewrites off
+// the shared kernel; with none, f is read and never written. A kept
+// class also sizes its per-block schedule rings.
 func (cs *classState) build(f *ir.Func, arch machine.Arch, sc *Scratch, keep bool) {
 	cs.src = f
-	if arch.Clusters <= 1 || rewritesISA(arch) {
+	if rewritesISA(arch) {
 		cs.src = lowerFor(f, arch)
 	}
-	cs.g, cs.pl = partitionFor(cs.src, arch, &sc.part, nil)
+	if arch.Clusters <= 1 {
+		cs.g, cs.pl = cs.src, &Placement{RegCluster: make([]int, cs.src.NumRegs())}
+	} else {
+		cs.g, cs.pl = partitionClone(cs.src, arch, &sc.part, nil)
+	}
 	cs.lv = opt.ComputeLiveness(cs.g)
 	if keep {
 		cs.blocks = make([]blockRing, len(cs.g.Blocks))
@@ -126,16 +137,18 @@ type skelCache struct {
 
 type skelSet struct {
 	once   sync.Once
-	blocks []*ddg.Skeleton
+	blocks []ddg.Skeleton
 }
 
 // get returns the skeletons of f's blocks for arch's latency class,
 // building them on first use — with bd, whose tables are already grown
 // when it is a compile's Scratch builder (no skeleton view of it may be
 // in use), or with a builder of its own when bd is nil. Either way one
-// builder serves all of f's blocks and the cache keeps owned copies.
-// Every call on one cache must pass the same, no longer mutated f.
-func (c *skelCache) get(f *ir.Func, arch machine.Arch, bd *ddg.Builder) []*ddg.Skeleton {
+// builder serves all of f's blocks and the cache keeps them packed
+// (ddg.Builder.BuildSet): a set is a fixed number of objects, and its
+// arrays are shared read only by every compile of the class. Every call
+// on one cache must pass the same, no longer mutated f.
+func (c *skelCache) get(f *ir.Func, arch machine.Arch, bd *ddg.Builder) []ddg.Skeleton {
 	c.mu.Lock()
 	if c.sets == nil {
 		c.sets = make(map[int]*skelSet)
@@ -150,10 +163,7 @@ func (c *skelCache) get(f *ir.Func, arch machine.Arch, bd *ddg.Builder) []*ddg.S
 		if bd == nil {
 			bd = new(ddg.Builder)
 		}
-		s.blocks = make([]*ddg.Skeleton, len(f.Blocks))
-		for i, b := range f.Blocks {
-			s.blocks[i] = bd.Build(b, arch).Clone()
-		}
+		s.blocks = bd.BuildSet(f.Blocks, arch)
 	})
 	return s.blocks
 }

@@ -33,7 +33,7 @@ import (
 // independent of heap layout.
 type readyHeap struct {
 	idx     []int32
-	heights []int
+	heights []int32
 	inOrder bool
 }
 
@@ -143,7 +143,7 @@ func refScheduleBlock(t *testing.T, f *ir.Func, b *ir.Block, arch machine.Arch, 
 	unschedPreds := make([]int32, n)
 	earliest := make([]int32, n)
 	for i, np := range sk.NPreds {
-		unschedPreds[i] = int32(np)
+		unschedPreds[i] = np
 	}
 	ready := readyHeap{heights: sk.Heights, inOrder: inOrder}
 	for i := 0; i < n; i++ {
@@ -198,18 +198,18 @@ func refScheduleBlock(t *testing.T, f *ir.Func, b *ir.Block, arch machine.Arch, 
 		}
 		sb.Ops = append(sb.Ops, vliw.Op{
 			Instr:      in,
-			Cycle:      cycle,
-			Cluster:    pl.Cluster(in),
-			SrcCluster: pl.SrcCluster(in),
+			Cycle:      int32(cycle),
+			Cluster:    int16(pl.Cluster(in)),
+			SrcCluster: int16(pl.SrcCluster(in)),
 		})
 		placed++
 		for _, e := range sk.Succs(int(i)) {
-			if t := int32(cycle + e.MinDelta); t > earliest[e.To] {
+			if t := int32(cycle) + e.MinDelta; t > earliest[e.To] {
 				earliest[e.To] = t
 			}
 			unschedPreds[e.To]--
 			if unschedPreds[e.To] == 0 {
-				ready.push(int32(e.To))
+				ready.push(e.To)
 			}
 		}
 	}
@@ -477,9 +477,9 @@ func TestReadySetVisitsLikeHeap(t *testing.T) {
 	for trial := 0; trial < 400; trial++ {
 		n := 1 + rng.Intn(300)
 		spread := 1 + rng.Intn(12) // few distinct heights: many ties
-		heights := make([]int, n)
+		heights := make([]int32, n)
 		for i := range heights {
-			heights[i] = 1 + rng.Intn(spread)
+			heights[i] = int32(1 + rng.Intn(spread))
 		}
 		inOrder := trial%3 == 0
 		var q readySet

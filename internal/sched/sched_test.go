@@ -258,7 +258,7 @@ func TestClusteringInsertsMovesAndKeepsCorrectness(t *testing.T) {
 			if op.Instr.Op == ir.OpXMov {
 				xmovs++
 			}
-			clustersUsed[op.Cluster] = true
+			clustersUsed[int(op.Cluster)] = true
 		}
 	}
 	if xmovs == 0 {

@@ -170,7 +170,7 @@ type readySet struct {
 
 // init ranks the block's n instructions, reusing sc's buffers. Heights
 // are small non-negative integers, so the ranking is a counting sort.
-func (q *readySet) init(sc *Scratch, heights []int, inOrder bool) {
+func (q *readySet) init(sc *Scratch, heights []int32, inOrder bool) {
 	n := len(heights)
 	q.rank = grow(&sc.rank, n)
 	q.order = grow(&sc.order, n)
@@ -182,15 +182,13 @@ func (q *readySet) init(sc *Scratch, heights []int, inOrder bool) {
 		}
 		return
 	}
-	maxH := 0
+	maxH := int32(0)
 	for _, h := range heights {
-		if h > maxH {
-			maxH = h
-		}
+		maxH = max(maxH, h)
 	}
 	// start[h] = number of instructions taller than h; filling in
 	// program order keeps equal heights in index order.
-	start := grow(&sc.rankStart, maxH+1)
+	start := grow(&sc.rankStart, int(maxH)+1)
 	for _, h := range heights {
 		start[h]++
 	}
@@ -736,7 +734,7 @@ func scheduleBlock(f *ir.Func, b *ir.Block, arch machine.Arch, pl *Placement, lv
 	ready.init(sc, sk.Heights, inOrder)
 	rank := ready.rank
 	for i, np := range sk.NPreds {
-		unschedPreds[i] = int32(np)
+		unschedPreds[i] = np
 		if np == 0 {
 			ready.add(rank[i])
 		}
@@ -766,15 +764,15 @@ func scheduleBlock(f *ir.Func, b *ir.Block, arch machine.Arch, pl *Placement, lv
 		}
 		sb.Ops = append(sb.Ops, vliw.Op{
 			Instr:      in,
-			Cycle:      cycle,
-			Cluster:    pl.Cluster(in),
-			SrcCluster: pl.SrcCluster(in),
+			Cycle:      int32(cycle),
+			Cluster:    int16(pl.Cluster(in)),
+			SrcCluster: int16(pl.SrcCluster(in)),
 		})
 		issued = append(issued, i)
 		placed++
 		for _, e := range sk.Succs(int(i)) {
 			to := rank[e.To]
-			if t := int32(cycle + e.MinDelta); t > cands[to].earliest {
+			if t := int32(cycle) + e.MinDelta; t > cands[to].earliest {
 				cands[to].earliest = t
 			}
 			unschedPreds[e.To]--

@@ -24,9 +24,10 @@ import (
 // Instructions follow ir.Slab's rule: a slab is either owned by the
 // function that points into it or it is a round buffer whose
 // instructions die with the round. Round 1 starts from the partition
-// class, whose instructions are the class's own (the Result, its
-// vliw.Ops and the class point at them), and the skeletons a class keeps
-// are owned copies (ddg.Skeleton.Clone), because workers share them.
+// class, whose instructions are the class's own, or the kernel's where
+// the class copies nothing (the Result, its vliw.Ops and the class point
+// at them), and the skeletons a class keeps
+// are owned copies (ddg.Builder.BuildSet), because workers share them.
 // Every later round builds into round (roundMem) — the partitioned
 // clone's instructions in a round buffer, its blocks, liveness, block
 // schedules and allocation — and the spill loop's working copy with the

@@ -71,7 +71,7 @@ func validateBlock(bi int32, sb *vliw.Block, a machine.Arch, k *machine.Capacity
 		return fmt.Errorf("%d ops scheduled for %d instructions", len(sb.Ops), len(ins))
 	}
 	for _, op := range sb.Ops {
-		sc.issueOf[op.Instr] = issue{bi, op.Cycle}
+		sc.issueOf[op.Instr] = issue{bi, int(op.Cycle)}
 	}
 	cycles := grow(&sc.cycles, len(ins))
 	for i, in := range ins {
@@ -90,7 +90,7 @@ func validateBlock(bi int32, sb *vliw.Block, a machine.Arch, k *machine.Capacity
 			if from == unscheduled || to == unscheduled {
 				return fmt.Errorf("instruction missing from schedule")
 			}
-			if to-from < e.MinDelta {
+			if to-from < int(e.MinDelta) {
 				return fmt.Errorf("dependence violated: %s@%d -> %s@%d needs >= %d",
 					in, from, ins[e.To], to, e.MinDelta)
 			}
@@ -106,16 +106,16 @@ func validateBlock(bi int32, sb *vliw.Block, a machine.Arch, k *machine.Capacity
 	ports := grow(&sc.portFree, k.Machine[machine.L1]+k.Machine[machine.L2])
 	pools := [...][]int{machine.L1: ports[:k.Machine[machine.L1]], machine.L2: ports[k.Machine[machine.L1]:]}
 	for i, op := range sb.Ops {
-		in, cy := op.Instr, op.Cycle
+		in, cy := op.Instr, int(op.Cycle)
 		if cy < 0 || cy >= sb.Len {
 			return fmt.Errorf("%s at cycle %d outside block length %d", in, cy, sb.Len)
 		}
-		if i > 0 && cy < sb.Ops[i-1].Cycle {
+		if i > 0 && cy < int(sb.Ops[i-1].Cycle) {
 			prev := sb.Ops[i-1]
 			return fmt.Errorf("ops not in cycle order: %s at cycle %d listed after %s at cycle %d", in, cy, prev.Instr, prev.Cycle)
 		}
 		ch := machine.ClassOf(in).Charges()
-		charges[op.SrcCluster*sb.Len+cy].Add(ch)
+		charges[int(op.SrcCluster)*sb.Len+cy].Add(ch)
 		for r := machine.L1; r <= machine.L2; r++ {
 			if ch[r] > 0 {
 				if err := takePort(pools[r], r, cy, k.Hold[r], sb.Len); err != nil {

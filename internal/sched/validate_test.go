@@ -102,11 +102,11 @@ func TestValidateCatchesResourceOversubscription(t *testing.T) {
 				in = &ir.Instr{Op: ir.OpLoad, Dest: f.NewReg(), Args: []ir.Operand{ir.Imm(0)}, Mem: tab, Elem: ir.ElemI32}
 			}
 			b.Append(in)
-			sb.Ops = append(sb.Ops, vliw.Op{Instr: in, Cluster: cl, SrcCluster: cl})
+			sb.Ops = append(sb.Ops, vliw.Op{Instr: in, Cluster: int16(cl), SrcCluster: int16(cl)})
 		}
 		ret := &ir.Instr{Op: ir.OpRet, Dest: ir.NoReg}
 		b.Append(ret)
-		sb.Ops = append(sb.Ops, vliw.Op{Instr: ret, Cycle: sb.Len - 1})
+		sb.Ops = append(sb.Ops, vliw.Op{Instr: ret, Cycle: int32(sb.Len - 1)})
 		prog := &vliw.Program{Arch: arch, F: f, RegCluster: make([]int, f.NumRegs()), Blocks: []*vliw.Block{sb}}
 		switch err := Validate(prog); {
 		case err == nil && c.want != "":
@@ -212,12 +212,12 @@ func TestOperandLocality(t *testing.T) {
 		for _, op := range sb.Ops {
 			in := op.Instr
 			for _, a := range in.Args {
-				if in.Op != ir.OpXMov && a.IsReg() && prog.RegCluster[a.Reg] != op.Cluster {
+				if in.Op != ir.OpXMov && a.IsReg() && prog.RegCluster[a.Reg] != int(op.Cluster) {
 					t.Errorf("%s/%s: %s on cluster %d reads %s, homed on %d",
 						prog.F.Name, sb.IR.Name, in, op.Cluster, a.Reg, prog.RegCluster[a.Reg])
 				}
 			}
-			if in.Op.HasDest() && prog.RegCluster[in.Dest] != op.Cluster {
+			if in.Op.HasDest() && prog.RegCluster[in.Dest] != int(op.Cluster) {
 				t.Errorf("%s/%s: %s on cluster %d writes %s, homed on %d",
 					prog.F.Name, sb.IR.Name, in, op.Cluster, in.Dest, prog.RegCluster[in.Dest])
 			}

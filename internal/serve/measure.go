@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"customfit/internal/dse"
+	"customfit/internal/evcache"
 	"customfit/internal/machine"
 )
 
@@ -126,7 +127,7 @@ func AppendMeasurement(dst []byte, m *Measurement) ([]byte, error) {
 	size := len(`{"benches":[],"machines":,"digest":"0123456789abcdef","runs":,"failures":,"compile":,"simulate":,"cells":[]}`) +
 		decimals(int64(m.Machines)) + decimals(m.Runs) + decimals(m.Failures) + decimals(int64(m.Compile)) + decimals(int64(m.Simulate))
 	for _, b := range m.Benches {
-		if !plainName(b) {
+		if !evcache.Plain(b) {
 			return dst, fmt.Errorf("serve: benchmark name %q is not plain", b)
 		}
 		size += len(b) + 3 // quotes and comma
@@ -178,18 +179,6 @@ func decimals(v int64) int {
 		n++
 	}
 	return n
-}
-
-// plainName reports whether JSON spells s as itself between quotes:
-// printable ASCII with none of the characters json.Marshal escapes.
-func plainName[S string | []byte](s S) bool {
-	for i := 0; i < len(s); i++ {
-		switch c := s[i]; {
-		case c < 0x20, c >= 0x7f, c == '"', c == '\\', c == '<', c == '>', c == '&':
-			return false
-		}
-	}
-	return true
 }
 
 // ReadMeasurement reads a measurement document in the one shape
@@ -432,7 +421,7 @@ func (r *measureReader) name() string {
 	for !r.bad && r.i+n < len(r.b) && r.b[r.i+n] != '"' {
 		n++
 	}
-	if r.bad || r.i+n == len(r.b) || !plainName(r.b[r.i:r.i+n]) {
+	if r.bad || r.i+n == len(r.b) || !evcache.Plain(r.b[r.i:r.i+n]) {
 		r.bad = true
 		return ""
 	}

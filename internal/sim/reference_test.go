@@ -650,7 +650,7 @@ func handProgram(f *ir.Func, arch machine.Arch, blocks map[*ir.Block][]handOp, l
 		}
 		sb := &vliw.Block{IR: b, Len: lens[b]}
 		for _, o := range ops {
-			sb.Ops = append(sb.Ops, vliw.Op{Instr: o.in, Cycle: o.cycle})
+			sb.Ops = append(sb.Ops, vliw.Op{Instr: o.in, Cycle: int32(o.cycle)})
 		}
 		prog.Blocks = append(prog.Blocks, sb)
 	}

@@ -378,7 +378,7 @@ func (e *engine) decode(prog *vliw.Program, slot func(ir.Reg) (int32, error), ns
 		for t := 0; t < sb.Len; t++ {
 			e.cyc = append(e.cyc, int32(base+j))
 			start := j
-			for j < len(sorted) && sorted[j].Cycle == t {
+			for j < len(sorted) && int(sorted[j].Cycle) == t {
 				j++
 			}
 			widest = max(widest, j-start)
@@ -450,9 +450,9 @@ func (e *engine) decode(prog *vliw.Program, slot func(ir.Reg) (int32, error), ns
 // non-stores; a stable sort keeps Block.Ops order otherwise.
 func issueKey(op vliw.Op) int {
 	if op.Instr.Op == ir.OpStore {
-		return 2*op.Cycle + 1
+		return 2*int(op.Cycle) + 1
 	}
-	return 2 * op.Cycle
+	return 2 * int(op.Cycle)
 }
 
 // operands resolves in's operands and destination into d.

@@ -343,7 +343,7 @@ func TestProfileHandCounted(t *testing.T) {
 		sb := &vliw.Block{IR: b, Len: map[*ir.Block]int{entry: 4, loop: 6, done: 1}[b]}
 		for _, p := range ops[b] {
 			b.Append(p.in)
-			sb.Ops = append(sb.Ops, vliw.Op{Instr: p.in, Cycle: p.cycle, Cluster: p.c, SrcCluster: p.sc})
+			sb.Ops = append(sb.Ops, vliw.Op{Instr: p.in, Cycle: int32(p.cycle), Cluster: int16(p.c), SrcCluster: int16(p.sc)})
 		}
 		prog.Blocks = append(prog.Blocks, sb)
 	}
@@ -379,7 +379,7 @@ func TestProfileMULOccupancy(t *testing.T) {
 	for c := 0; c < arch.Clusters; c++ {
 		in := ir.NewInstr(ir.OpMul, f.NewReg(), ir.Imm(3), ir.Imm(5))
 		b.Append(in)
-		sb.Ops = append(sb.Ops, vliw.Op{Instr: in, Cycle: 0, Cluster: c, SrcCluster: c})
+		sb.Ops = append(sb.Ops, vliw.Op{Instr: in, Cycle: 0, Cluster: int16(c), SrcCluster: int16(c)})
 	}
 	prog := &vliw.Program{Arch: arch, F: f, RegCluster: make([]int, f.NumRegs()), Blocks: []*vliw.Block{sb}}
 	st := Profile(prog, map[string]int64{b.Name: 1})

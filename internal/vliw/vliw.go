@@ -13,16 +13,18 @@ import (
 	"customfit/internal/machine"
 )
 
-// Op is one operation placed in the schedule.
+// Op is one operation placed in the schedule: 16 bytes, the pointer
+// and three fields at their natural width (the scheduler already keeps
+// a block's cycles in int32, and a machine has at most 16 clusters).
 type Op struct {
 	Instr *ir.Instr
-	Cycle int // issue cycle within the block
+	Cycle int32 // issue cycle within the block
 	// Cluster is the executing cluster (for XMov: the destination
 	// cluster whose register file receives the value).
-	Cluster int
+	Cluster int16
 	// SrcCluster is the cluster whose ALU issue slot an XMov occupies;
 	// equal to Cluster for every other operation.
-	SrcCluster int
+	SrcCluster int16
 }
 
 // Block is the schedule of one basic block.
@@ -111,11 +113,11 @@ func (p *Program) String() string {
 		p.F.Name, p.Arch, p.BundleCount(), p.OpCount())
 	for _, blk := range p.Blocks {
 		fmt.Fprintf(&sb, "%s:  ; %d cycles\n", blk.IR.Name, blk.Len)
-		byCycle := map[int][]Op{}
+		byCycle := map[int32][]Op{}
 		for _, op := range blk.Ops {
 			byCycle[op.Cycle] = append(byCycle[op.Cycle], op)
 		}
-		for c := 0; c < blk.Len; c++ {
+		for c := int32(0); c < int32(blk.Len); c++ {
 			ops := byCycle[c]
 			sort.Slice(ops, func(i, j int) bool { return ops[i].Cluster < ops[j].Cluster })
 			fmt.Fprintf(&sb, "  %4d:", c)
