@@ -9,6 +9,9 @@ import (
 	"customfit/internal/bench"
 	"customfit/internal/dse"
 	"customfit/internal/dse/dsetest"
+	"customfit/internal/ir"
+	"customfit/internal/opt"
+	"customfit/internal/sched"
 )
 
 // median is the middle of xs, the mean of the middle two when their
@@ -72,5 +75,66 @@ func TestFloorGap(t *testing.T) {
 	}
 	if !slices.Equal(got, want) {
 		t.Errorf("median gaps over the floor\n got %s\nwant %s", strings.Join(got, ", "), strings.Join(want, ", "))
+	}
+}
+
+// TestFloorGapAtStoredUnroll pins the cluster tax the floor can see
+// (ROADMAP item 15(a)): on every unspilled shipped cell, the gap over
+// the floor at the unroll factor the cell kept — opt.Prepare,
+// sched.NewPrepared, then sched.LowerBound weighted by the reference
+// workload's block visits, compiling nothing — as its count and median
+// per cluster count. One cluster runs near its floor and clusters do
+// not; a partitioner change moves these on purpose, and says so. The
+// floor must not exceed a cell's stored cycles.
+func TestFloorGapAtStoredUnroll(t *testing.T) {
+	res := dsetest.Shipped(t)
+	type kernel struct {
+		prep   *sched.Prepared
+		visits map[string]int64
+	}
+	gaps := map[int][]float64{}
+	for _, name := range res.Benches {
+		b := bench.ByName(name)
+		fn, err := b.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		byUnroll := map[int]kernel{}
+		for _, cell := range res.Eval[name] {
+			if cell.Failed || cell.Spilled > 0 {
+				continue
+			}
+			k, ok := byUnroll[cell.Unroll]
+			if !ok {
+				g, err := opt.Prepare(fn, cell.Unroll)
+				if err != nil {
+					t.Fatal(err)
+				}
+				env := b.NewCase(96, 1).Clone().Env()
+				env.Visits = map[string]int64{}
+				if _, err := ir.Interp(g, env); err != nil {
+					t.Fatal(err)
+				}
+				k = kernel{sched.NewPrepared(g), env.Visits}
+				byUnroll[cell.Unroll] = k
+			}
+			var floor int64
+			for i, lb := range sched.LowerBound(k.prep, cell.Arch) {
+				floor += int64(lb) * k.visits[k.prep.F.Blocks[i].Name]
+			}
+			if floor <= 0 || floor > cell.Cycles {
+				t.Errorf("%s on %v: floor %d at unroll %d, stored %d cycles", name, cell.Arch, floor, cell.Unroll, cell.Cycles)
+				continue
+			}
+			gaps[cell.Arch.Clusters] = append(gaps[cell.Arch.Clusters], float64(cell.Cycles)/float64(floor))
+		}
+	}
+	var got []string
+	for _, c := range []int{1, 2, 4, 8} {
+		got = append(got, fmt.Sprintf("c=%d %d %.2f", c, len(gaps[c]), median(gaps[c])))
+	}
+	want := []string{"c=1 2154 1.04", "c=2 2027 1.22", "c=4 1705 1.41", "c=8 966 1.44"}
+	if !slices.Equal(got, want) {
+		t.Errorf("unspilled cells and median gap over the floor at the stored unroll\n got %s\nwant %s", strings.Join(got, ", "), strings.Join(want, ", "))
 	}
 }

@@ -18,9 +18,8 @@ import (
 // ablations; the min/max repertoire extension; and the search
 // strategies of §1.1 Q3. Their inputs are pinned here and nowhere else,
 // and each study's heading names them; the block is the same bytes on
-// every run. The ablation flips process-wide compiler switches while it
-// runs, so Studies must not overlap other compiles in the process.
-// Cancelling ctx returns ErrCancelled (wrapped) at the next study.
+// every run. Cancelling ctx returns ErrCancelled (wrapped), at the
+// next study at the latest.
 func Studies(ctx context.Context) (string, error) {
 	const width = 96 // the exploration's reference workload
 	var sb strings.Builder
@@ -42,7 +41,11 @@ func Studies(ctx context.Context) (string, error) {
 		func() error {
 			names, archs := "A F H DHEF", tuples([][6]int{{8, 4, 256, 2, 4, 2}, {16, 4, 512, 4, 2, 4}, {16, 4, 128, 1, 4, 8}})
 			fmt.Fprintf(&sb, "== Compiler ablations: %s × %v, width %d ==\n", names, archs, width)
-			sb.WriteString(dse.SummarizeAblation(dse.RunAblation(suite(names), archs, width)))
+			rs, err := dse.RunAblation(ctx, suite(names), archs, width)
+			if err != nil {
+				return err
+			}
+			sb.WriteString(dse.SummarizeAblation(rs))
 			return nil
 		},
 		func() error {

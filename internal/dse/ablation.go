@@ -1,8 +1,8 @@
 package dse
 
 import (
+	"context"
 	"fmt"
-	"slices"
 	"strings"
 
 	"customfit/internal/bench"
@@ -25,102 +25,85 @@ type AblationResult struct {
 }
 
 // ablationConfigs enumerates the compiler design choices DESIGN.md
-// calls out, each switched off in isolation by its process-wide switch
-// (none for the full pipeline).
+// calls out, each switched off in isolation by a backend variant (the
+// zero one for the full pipeline).
 var ablationConfigs = []struct {
-	name string
-	off  *bool
+	name    string
+	variant sched.Variant
 }{
-	{"full", nil},
-	{"no-reassociation", &opt.AblateReassociation},
-	{"no-licm", &opt.AblateLICM},
-	{"no-if-conversion", &opt.AblateIfConversion},
-	{"no-pressure-throttle", &sched.AblatePressureThrottle},
+	{"full", sched.Variant{}},
+	{"no-reassociation", sched.Variant{Passes: opt.Passes{NoReassociation: true}}},
+	{"no-licm", sched.Variant{Passes: opt.Passes{NoLICM: true}}},
+	{"no-if-conversion", sched.Variant{Passes: opt.Passes{NoIfConversion: true}}},
+	{"no-pressure-throttle", sched.Variant{NoPressureThrottle: true}},
 }
 
 // RunAblation evaluates each benchmark on each machine with each design
-// choice disabled in isolation. It is single-threaded by construction
-// (the ablation switches are globals), and must not overlap other
-// compiles in the process; each switch is reset on the way out, a panic
-// included.
-func RunAblation(benches []*bench.Benchmark, archs []machine.Arch, width int) []AblationResult {
+// choice disabled in isolation: one parallel exploration (Explorer.Measure)
+// of the grid per configuration, under ctx. Results run configuration
+// by configuration, each benchmark by benchmark over archs. Cancelling
+// ctx returns an error wrapping ErrCancelled.
+func RunAblation(ctx context.Context, benches []*bench.Benchmark, archs []machine.Arch, width int) ([]AblationResult, error) {
 	var out []AblationResult
-	baseCycles := map[string]int64{}
+	var full *Results
 	for _, cfg := range ablationConfigs {
-		func() {
-			if cfg.off != nil {
-				*cfg.off = true
-				defer func() { *cfg.off = false }()
-			}
-			ev := NewEvaluator() // fresh caches: prepared IR depends on the switches
-			ev.Width = width
-			for _, b := range benches {
-				for _, a := range archs {
-					e := ev.Evaluate(b, a)
-					r := AblationResult{
-						Config: cfg.name, Bench: b.Name, Arch: a,
-						Cycles: e.Cycles, Unroll: e.Unroll, Failed: e.Failed,
-					}
-					key := b.Name + a.String()
-					if cfg.off == nil {
-						baseCycles[key] = e.Cycles
-					}
-					if base := baseCycles[key]; base > 0 && !e.Failed {
-						r.Slowdown = float64(e.Cycles) / float64(base)
-					}
-					out = append(out, r)
+		res, err := (&Explorer{EvalConfig: EvalConfig{Width: width, Variant: cfg.variant}, Benchmarks: benches, Archs: archs}).Measure(ctx)
+		if err != nil {
+			return nil, err
+		}
+		if full == nil {
+			full = res
+		}
+		for _, b := range benches {
+			for i, e := range res.Eval[b.Name] {
+				r := AblationResult{
+					Config: cfg.name, Bench: b.Name, Arch: e.Arch,
+					Cycles: e.Cycles, Unroll: e.Unroll, Failed: e.Failed,
 				}
+				if base := full.Eval[b.Name][i].Cycles; base > 0 && !e.Failed {
+					r.Slowdown = float64(e.Cycles) / float64(base)
+				}
+				out = append(out, r)
 			}
-		}()
+		}
 	}
-	return out
+	return out, nil
 }
 
-// SummarizeAblation renders the cycle slowdown of each switched-off
-// choice (a column) on each benchmark × machine (a row), and each
-// column's mean over the cells that compiled.
+// SummarizeAblation renders RunAblation's results: the cycle slowdown
+// of each switched-off choice (a column) on each benchmark × machine (a
+// row), and each column's mean over the cells that compiled.
 func SummarizeAblation(results []AblationResult) string {
-	var configs, cells []string
-	byCell := map[string]map[string]AblationResult{}
-	for _, r := range results {
-		cell := fmt.Sprintf("  %-5s %-18s", r.Bench, r.Arch)
-		if byCell[cell] == nil {
-			cells = append(cells, cell)
-			byCell[cell] = map[string]AblationResult{}
-		}
-		if r.Config != "full" && !slices.Contains(configs, r.Config) {
-			configs = append(configs, r.Config)
-		}
-		byCell[cell][r.Config] = r
-	}
+	configs := ablationConfigs[1:]
+	n := len(results) / len(ablationConfigs) // cells a configuration
 	var sb strings.Builder
 	sb.WriteString("ablation: cycle slowdown vs the full pipeline, per benchmark × machine and mean\n")
 	fmt.Fprintf(&sb, "  %-5s %-18s", "bench", "machine")
 	for _, cfg := range configs {
-		fmt.Fprintf(&sb, "  %s", cfg)
+		fmt.Fprintf(&sb, "  %s", cfg.name)
 	}
-	sums, counts := map[string]float64{}, map[string]int{}
-	for _, cell := range cells {
-		sb.WriteString("\n" + cell)
-		for _, cfg := range configs {
+	sums, counts := make([]float64, len(configs)), make([]int, len(configs))
+	for i, cell := range results[:n] {
+		fmt.Fprintf(&sb, "\n  %-5s %-18s", cell.Bench, cell.Arch)
+		for k, cfg := range configs {
 			v := "-"
-			if r := byCell[cell][cfg]; r.Failed {
+			if r := results[(k+1)*n+i]; r.Failed {
 				v = "failed"
 			} else if r.Slowdown > 0 {
 				v = fmt.Sprintf("%.2fx", r.Slowdown)
-				sums[cfg] += r.Slowdown
-				counts[cfg]++
+				sums[k] += r.Slowdown
+				counts[k]++
 			}
-			fmt.Fprintf(&sb, "  %*s", len(cfg), v)
+			fmt.Fprintf(&sb, "  %*s", len(cfg.name), v)
 		}
 	}
 	fmt.Fprintf(&sb, "\n  %-24s", "mean")
-	for _, cfg := range configs {
+	for k, cfg := range configs {
 		v := "-"
-		if counts[cfg] > 0 {
-			v = fmt.Sprintf("%.2fx", sums[cfg]/float64(counts[cfg]))
+		if counts[k] > 0 {
+			v = fmt.Sprintf("%.2fx", sums[k]/float64(counts[k]))
 		}
-		fmt.Fprintf(&sb, "  %*s", len(cfg), v)
+		fmt.Fprintf(&sb, "  %*s", len(cfg.name), v)
 	}
 	sb.WriteString("\n")
 	return sb.String()

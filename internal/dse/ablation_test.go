@@ -1,6 +1,7 @@
 package dse
 
 import (
+	"context"
 	"testing"
 
 	"customfit/internal/bench"
@@ -17,7 +18,10 @@ func TestAblation(t *testing.T) {
 	archs := []machine.Arch{
 		{ALUs: 8, MULs: 4, Regs: 256, L2Ports: 2, L2Lat: 4, Clusters: 2},
 	}
-	results := RunAblation(benches, archs, 48)
+	results, err := RunAblation(context.Background(), benches, archs, 48)
+	if err != nil {
+		t.Fatal(err)
+	}
 	t.Logf("\n%s", SummarizeAblation(results))
 
 	by := map[[2]string]AblationResult{}
@@ -54,17 +58,18 @@ func assertReassociationShortensCriticalPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	arch := machine.Arch{ALUs: 8, MULs: 4, Regs: 256, L2Ports: 2, L2Lat: 4, Clusters: 1}
-	cp := func() int {
-		g, err := opt.Prepare(fn, 4)
-		if err != nil {
+	cp := func(ps opt.Passes) int {
+		g := fn.Clone()
+		if err := opt.OptimizeSpan(nil, g, ps); err != nil {
+			t.Fatal(err)
+		}
+		if err := opt.UnrollSpan(nil, g, 4, ps); err != nil {
 			t.Fatal(err)
 		}
 		return ddg.Build(g.Loop.Header, arch).CriticalPath()
 	}
-	with := cp()
-	opt.AblateReassociation = true
-	without := cp()
-	opt.AblateReassociation = false
+	with := cp(opt.Passes{})
+	without := cp(opt.Passes{NoReassociation: true})
 	if with >= without {
 		t.Errorf("reassociation did not shorten the critical path: %d vs %d", with, without)
 	}

@@ -145,6 +145,9 @@ func (ev *Evaluation) price(derate float64) {
 type EvalConfig struct {
 	// Width is the reference workload width in pixels.
 	Width int
+	// Variant is the backend every evaluation compiles with; the zero
+	// value is the shipped one (see Evaluator.kernelClass).
+	Variant sched.Variant
 	// DisableMemo is the reference path: every evaluation runs real
 	// backend compiles, resolving through no cache at all — not the
 	// attached Cache, not the evaluator's private memory tier
@@ -234,7 +237,7 @@ func (e *Evaluator) optimized(sp *obs.Span, b *bench.Benchmark) (*ir.Func, error
 	ent.once.Do(func() {
 		fn, err := b.CompileSpan(sp)
 		if err == nil {
-			err = opt.OptimizeSpan(sp, fn)
+			err = opt.OptimizeSpan(sp, fn, e.Variant.Passes)
 		}
 		if err != nil {
 			ent.err = err
@@ -275,12 +278,12 @@ func (e *Evaluator) prepare(sp *obs.Span, b *bench.Benchmark, u int) *prepared {
 		g := fn
 		if u != 1 {
 			g = fn.Clone()
-			if err := opt.UnrollSpan(sp, g, u); err != nil {
+			if err := opt.UnrollSpan(sp, g, u, e.Variant.Passes); err != nil {
 				p.err = err
 				return
 			}
 		}
-		p.kernel = sched.NewPrepared(g)
+		p.kernel = &sched.Prepared{F: g, Variant: e.Variant}
 		vsp := obs.Under(sp, "sim.reference").Str("bench", b.Name).Int("unroll", int64(u))
 		t0 := time.Now()
 		p.visits, p.err = e.countVisits(b, g)
@@ -473,13 +476,18 @@ func appendCacheKey(b []byte, kernelClass string, a machine.Arch) []byte {
 	return appendSigKey(append(append(b, kernelClass...), ':'), a)
 }
 
-// kernelClass memoizes KernelClass for this evaluator's workload.
+// kernelClass memoizes KernelClass for this evaluator's workload, with
+// a non-zero Variant hashed in: no key of its sweeps is the shipped
+// backend's.
 func (e *Evaluator) kernelClass(b *bench.Benchmark) string {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	k, ok := e.keys[b.Name]
 	if !ok {
 		k = KernelClass(b, e.Width, workloadSeed)
+		if e.Variant != (sched.Variant{}) {
+			k = fmt.Sprintf("%.12x", sha256.Sum256(fmt.Appendf(nil, "%s\x00variant=%+v", k, e.Variant)))
+		}
 		if e.keys == nil {
 			e.keys = map[string]string{}
 		}

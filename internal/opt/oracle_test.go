@@ -63,10 +63,8 @@ func TestPreparePreservesGeneratedKernels(t *testing.T) {
 				if g.Loop != nil && g.Loop.SingleBlock() {
 					converted++
 				}
-				opt.AblateReassociation = true
-				flat, err := opt.Prepare(fn, u)
-				opt.AblateReassociation = false
-				if err != nil {
+				flat := fn.Clone()
+				if err := opt.OptimizeSpan(nil, flat, opt.Passes{NoReassociation: true}); err != nil {
 					t.Fatal(err)
 				}
 				if flat.String() != g.String() {

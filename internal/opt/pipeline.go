@@ -5,19 +5,18 @@ import (
 	"customfit/internal/obs"
 )
 
-// Ablation switches. Production defaults are all false; the ablation
-// experiments (see EXPERIMENTS.md and bench_test.go) flip them to
-// measure how much each design choice contributes. Not safe to toggle
-// concurrently with compilation.
-var (
-	// AblateReassociation skips reduction-tree rebalancing.
-	AblateReassociation bool
-	// AblateLICM skips loop-invariant code motion.
-	AblateLICM bool
-	// AblateIfConversion skips if-conversion (pixel loops with control
+// Passes switches passes of the pipeline off, each in isolation; the
+// zero value is the shipped pipeline. The compiler ablations (see
+// EXPERIMENTS.md) measure how much each pass contributes.
+type Passes struct {
+	// NoReassociation skips reduction-tree rebalancing.
+	NoReassociation bool
+	// NoLICM skips loop-invariant code motion.
+	NoLICM bool
+	// NoIfConversion skips if-conversion (pixel loops with control
 	// flow then cannot be unrolled).
-	AblateIfConversion bool
-)
+	NoIfConversion bool
+}
 
 // irSize measures a function for span attributes: basic blocks and
 // instructions.
@@ -53,30 +52,30 @@ func tracedPass(parent *obs.Span, name string, f *ir.Func, pass func(*ir.Func)) 
 // The result is the canonical pre-scheduling form: a single-block pixel
 // loop when the kernel's control flow allows it.
 func Optimize(f *ir.Func) error {
-	return OptimizeSpan(nil, f)
+	return OptimizeSpan(nil, f, Passes{})
 }
 
-// OptimizeSpan is Optimize with per-pass telemetry spans nested under
-// sp (or under a fresh root span when sp is nil and a collector is
-// installed).
-func OptimizeSpan(sp *obs.Span, f *ir.Func) (err error) {
-	run(f, func(ws *workspace, f *ir.Func) { err = ws.optimize(sp, f) })
+// OptimizeSpan is Optimize with the passes ps leaves on and per-pass
+// telemetry spans nested under sp (or under a fresh root span when sp
+// is nil and a collector is installed).
+func OptimizeSpan(sp *obs.Span, f *ir.Func, ps Passes) (err error) {
+	run(f, func(ws *workspace, f *ir.Func) { err = ws.optimize(sp, f, ps) })
 	return err
 }
 
-func (ws *workspace) optimize(sp *obs.Span, f *ir.Func) error {
+func (ws *workspace) optimize(sp *obs.Span, f *ir.Func, ps Passes) error {
 	osp := obs.Under(sp, "opt")
 	defer osp.End()
 	tracedPass(osp, "opt.clean", f, ws.cleanFunc)
 	tracedPass(osp, "opt.scalarize", f, ws.scalarize)
-	if !AblateIfConversion {
+	if !ps.NoIfConversion {
 		tracedPass(osp, "opt.ifconvert", f, ws.ifConvert)
 	}
-	if !AblateLICM {
+	if !ps.NoLICM {
 		tracedPass(osp, "opt.licm", f, ws.licm)
 	}
 	tracedPass(osp, "opt.clean", f, ws.cleanFunc)
-	if !AblateReassociation {
+	if !ps.NoReassociation {
 		tracedPass(osp, "opt.reassoc", f, ws.reassociate)
 	}
 	f.RemoveUnreachable()
@@ -84,24 +83,24 @@ func (ws *workspace) optimize(sp *obs.Span, f *ir.Func) error {
 }
 
 // UnrollSpan is the second half of Prepare: it unrolls the pixel loop of
-// the optimized f by u, in place, under an opt.unroll span nested under
-// sp. A factor of 1, and a kernel without a pixel loop, leave f as it
-// is.
-func UnrollSpan(sp *obs.Span, f *ir.Func, u int) (err error) {
+// f, optimized under ps, by u, in place, under an opt.unroll span
+// nested under sp. A factor of 1, and a kernel without a pixel loop,
+// leave f as it is.
+func UnrollSpan(sp *obs.Span, f *ir.Func, u int, ps Passes) (err error) {
 	if u <= 1 || f.Loop == nil {
 		return nil
 	}
-	run(f, func(ws *workspace, f *ir.Func) { err = ws.unrollSpan(sp, f, u) })
+	run(f, func(ws *workspace, f *ir.Func) { err = ws.unrollSpan(sp, f, u, ps) })
 	return err
 }
 
-func (ws *workspace) unrollSpan(sp *obs.Span, f *ir.Func, u int) error {
+func (ws *workspace) unrollSpan(sp *obs.Span, f *ir.Func, u int, ps Passes) error {
 	if u <= 1 || f.Loop == nil {
 		return nil
 	}
 	usp := obs.Under(sp, "opt.unroll").Int("factor", int64(u))
 	b0, i0 := irSize(f)
-	err := ws.unroll(f, u)
+	err := ws.unroll(f, u, ps)
 	b1, i1 := irSize(f)
 	usp.Int("blocks_before", b0).Int("blocks_after", b1).
 		Int("instrs_before", i0).Int("instrs_after", i1).End()
@@ -126,8 +125,8 @@ func PrepareSpan(sp *obs.Span, f *ir.Func, u int) (*ir.Func, error) {
 	g := f.Clone()
 	var err error
 	run(g, func(ws *workspace, g *ir.Func) {
-		if err = ws.optimize(sp, g); err == nil {
-			err = ws.unrollSpan(sp, g, u)
+		if err = ws.optimize(sp, g, Passes{}); err == nil {
+			err = ws.unrollSpan(sp, g, u, Passes{})
 		}
 	})
 	if err != nil {

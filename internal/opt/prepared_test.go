@@ -109,13 +109,13 @@ func TestPrepareSplitMatchesPrepare(t *testing.T) {
 		g := optimized[fn]
 		if g == nil {
 			g = fn.Clone()
-			if err := opt.OptimizeSpan(nil, g); err != nil {
+			if err := opt.OptimizeSpan(nil, g, opt.Passes{}); err != nil {
 				return nil, err
 			}
 			optimized[fn] = g
 		}
 		h := g.Clone()
-		if err := opt.UnrollSpan(nil, h, u); err != nil {
+		if err := opt.UnrollSpan(nil, h, u, opt.Passes{}); err != nil {
 			return nil, err
 		}
 		return h, nil

@@ -24,11 +24,11 @@ const MaxUnrolledOps = 4096
 // the paper's "when the compiler started spilling register contents for
 // a given unrolling, we stopped considering that unrolling factor".
 func Unroll(f *ir.Func, u int) (err error) {
-	run(f, func(ws *workspace, f *ir.Func) { err = ws.unroll(f, u) })
+	run(f, func(ws *workspace, f *ir.Func) { err = ws.unroll(f, u, Passes{}) })
 	return err
 }
 
-func (ws *workspace) unroll(f *ir.Func, u int) error {
+func (ws *workspace) unroll(f *ir.Func, u int, ps Passes) error {
 	if u < 1 {
 		return fmt.Errorf("opt: unroll factor %d", u)
 	}
@@ -142,7 +142,7 @@ func (ws *workspace) unroll(f *ir.Func, u int) error {
 	ws.cleanFunc(f)
 	// Unrolling concatenates the per-copy reduction chains into one long
 	// serial chain; rebalance it so the copies can actually overlap.
-	if !AblateReassociation {
+	if !ps.NoReassociation {
 		ws.reassociate(f)
 	}
 	return f.Verify()

@@ -30,10 +30,10 @@ func lowered(t *testing.T, name string) *ir.Func {
 func TestWorkspaceCarriesNothingOver(t *testing.T) {
 	prepare := func(ws *workspace, name string, u int) *ir.Func {
 		g := lowered(t, name).Clone()
-		if err := ws.optimize(nil, g); err != nil {
+		if err := ws.optimize(nil, g, Passes{}); err != nil {
 			t.Fatal(err)
 		}
-		if err := ws.unrollSpan(nil, g, u); err != nil {
+		if err := ws.unrollSpan(nil, g, u, Passes{}); err != nil {
 			t.Fatal(err)
 		}
 		g.Own() // as run does, before the buffers serve the next function
@@ -197,7 +197,7 @@ func TestPassesLeaveTheNextBufferDead(t *testing.T) {
 			{"reassociate", ws.reassociate},
 			{"unroll", func(f *ir.Func) {
 				f.RemoveUnreachable()
-				if err := ws.unroll(f, 2); err != nil {
+				if err := ws.unroll(f, 2, Passes{}); err != nil {
 					t.Fatal(err)
 				}
 			}},

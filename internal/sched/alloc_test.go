@@ -137,10 +137,11 @@ func TestSpillRoundAllocatesConstant(t *testing.T) {
 	sc := NewScratch()
 	count := func(u int) (allocs float64, instrs int) {
 		work := lowerFor(prepareA(t, u), starvedCell)
-		if _, err := runRound(nil, starvedCell, sc, work, 2); err != nil { // grows the arena
+		budget := Variant{}.liveBudget(starvedCell)
+		if _, err := runRound(nil, starvedCell, sc, work, 2, budget); err != nil { // grows the arena
 			t.Fatal(err)
 		}
-		allocs = testing.AllocsPerRun(5, func() { runRound(nil, starvedCell, sc, work, 2) })
+		allocs = testing.AllocsPerRun(5, func() { runRound(nil, starvedCell, sc, work, 2, budget) })
 		return allocs, work.NumInstrs()
 	}
 	a2, n2 := count(2) // the larger first, so neither run grows the arena

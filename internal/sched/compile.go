@@ -130,14 +130,15 @@ func compile(sp *obs.Span, span string, f *ir.Func, prep *Prepared, arch machine
 		defer PutScratch(sc)
 	}
 	var cs *classState
+	var v Variant
 	if prep != nil {
-		cs = prep.class(arch, sc)
+		cs, v = prep.class(arch, sc), prep.Variant
 	} else {
 		cs = new(classState)
 		cs.build(f, arch, sc, false)
 	}
 
-	capRaw := liveBudget(arch)
+	capRaw := v.liveBudget(arch)
 	params := paramsOf(arch, capRaw)
 	blocks := sc.progBlocks[:0]
 	ids := sc.entryIDs[:0]
@@ -220,7 +221,7 @@ func compile(sp *obs.Span, span string, f *ir.Func, prep *Prepared, arch machine
 			// The spill loop rewrites a copy of src when another compile
 			// may be reading it: every kept class's, and the kernel itself.
 			shared := prep != nil || cs.src == f
-			return spillLoop(csp, f.Name, arch, sc, cs.src, shared, owned, attempt{prog, ra})
+			return spillLoop(csp, f.Name, arch, sc, cs.src, shared, owned, capRaw, attempt{prog, ra})
 		}
 		if reuse {
 			maxLive, assign = cs.allocInsert(ids, ra.MaxLive, ra.Assign)
@@ -254,11 +255,11 @@ type blamed struct {
 	n int
 }
 
-// runRound partitions, schedules and allocates work, the spill loop's
-// rewritten copy of the lowered IR, as spill round iter, all of it in
-// the round's memory (roundMem) and the allocator's arena: the attempt
-// is valid until the next round through sc.
-func runRound(csp *obs.Span, arch machine.Arch, sc *Scratch, work *ir.Func, iter int) (attempt, error) {
+// runRound partitions, schedules under budget cap and allocates work,
+// the spill loop's rewritten copy of the lowered IR, as spill round
+// iter, all of it in the round's memory (roundMem) and the allocator's
+// arena: the attempt is valid until the next round through sc.
+func runRound(csp *obs.Span, arch machine.Arch, sc *Scratch, work *ir.Func, iter, cap int) (attempt, error) {
 	psp := csp.Child("sched.partition").Int("iter", int64(iter))
 	g, pl := partitionFor(work, arch, &sc.part, &sc.round)
 	psp.End()
@@ -269,7 +270,7 @@ func runRound(csp *obs.Span, arch machine.Arch, sc *Scratch, work *ir.Func, iter
 	ssp := csp.Child("sched.schedule").Int("iter", int64(iter))
 	// The cap stays fixed across rounds: shrinking it only multiplies
 	// forced placements. In-order mode plus spilling is what converges.
-	prog, lv, err := scheduleFunc(g, arch, pl, liveBudget(arch), inOrder, sc)
+	prog, lv, err := scheduleFunc(g, arch, pl, cap, inOrder, sc)
 	if err != nil {
 		ssp.End()
 		return attempt{}, err
@@ -278,12 +279,13 @@ func runRound(csp *obs.Span, arch machine.Arch, sc *Scratch, work *ir.Func, iter
 	return attempt{prog, regalloc.AllocateReuse(csp, prog, lv, sc.RA)}, nil
 }
 
-// spillLoop is the schedule → allocate → spill iteration over work, the
-// architecture-lowered pre-partition IR, which it rewrites — a copy of
-// it in the Scratch (workMem), when work is shared. at is round 1, which
-// did not fit. The Result of the round that fits stays in the Scratch
-// unless owned, when it is copied out (roundMem.own).
-func spillLoop(csp *obs.Span, name string, arch machine.Arch, sc *Scratch, work *ir.Func, shared, owned bool, at attempt) (*Result, error) {
+// spillLoop is the schedule → allocate → spill iteration, every round
+// under budget cap, over work, the architecture-lowered pre-partition
+// IR, which it rewrites — a copy of it in the Scratch (workMem), when
+// work is shared. at is round 1, which did not fit. The Result of the
+// round that fits stays in the Scratch unless owned, when it is copied
+// out (roundMem.own).
+func spillLoop(csp *obs.Span, name string, arch machine.Arch, sc *Scratch, work *ir.Func, shared, owned bool, cap int, at attempt) (*Result, error) {
 	spilled := 0
 	sc.alreadySpilled = sc.alreadySpilled[:0]
 	// The loop's copy of work, when it makes one, and the reloads and
@@ -293,7 +295,7 @@ func spillLoop(csp *obs.Span, name string, arch machine.Arch, sc *Scratch, work 
 	for iter := 1; iter <= MaxSpillIterations; iter++ {
 		if iter > 1 {
 			var err error
-			if at, err = runRound(csp, arch, sc, work, iter); err != nil {
+			if at, err = runRound(csp, arch, sc, work, iter, cap); err != nil {
 				return nil, err
 			}
 		}

@@ -20,13 +20,16 @@ import (
 // cache and is safe for concurrent use by many workers.
 type Prepared struct {
 	F *ir.Func
+	// Variant is the backend every compile of F runs under; F was
+	// optimized and unrolled under its Passes.
+	Variant Variant
 
 	mu      sync.Mutex
 	classes map[string]*classState // by appendClassKey
 }
 
-// NewPrepared wraps an optimized kernel for repeated compilation. The
-// caller must not mutate f afterwards.
+// NewPrepared wraps an optimized kernel for repeated compilation by the
+// shipped backend. The caller must not mutate f afterwards.
 func NewPrepared(f *ir.Func) *Prepared {
 	return &Prepared{F: f}
 }

@@ -210,13 +210,13 @@ func TestSpillPathTriggersOnTinyRegfile(t *testing.T) {
 	}
 }
 
-// TestPressureThrottleAblationReachesTheDriver: the ablation switch sets
-// the one live-value budget every round of the compile driver schedules
-// under, so on a register-starved machine it must change what a compile
-// decides — through both entries, kept classes and all.
+// TestPressureThrottleAblationReachesTheDriver: a Prepared's variant
+// sets the one live-value budget every round of the compile driver
+// schedules under, so on a register-starved machine NoPressureThrottle
+// must change what a compile decides — through both entries, kept
+// classes and all.
 func TestPressureThrottleAblationReachesTheDriver(t *testing.T) {
-	prep := NewPrepared(preparePipe(t, 4))
-	compiles := func() (cold, delta string) {
+	compiles := func(prep *Prepared) (cold, delta string) {
 		var c, d strings.Builder
 		res, err := CompilePrepared(nil, prep, spillingCell, nil)
 		scheduleDigest(&c, res, err)
@@ -224,16 +224,14 @@ func TestPressureThrottleAblationReachesTheDriver(t *testing.T) {
 		scheduleDigest(&d, res, err)
 		return c.String(), d.String()
 	}
-	cold, delta := compiles()
-	AblatePressureThrottle = true
-	blindCold, blindDelta := compiles()
-	AblatePressureThrottle = false
+	cold, delta := compiles(NewPrepared(preparePipe(t, 4)))
+	blindCold, blindDelta := compiles(&Prepared{F: preparePipe(t, 4), Variant: Variant{NoPressureThrottle: true}})
 	if blindCold == cold || blindDelta == delta {
-		t.Errorf("the switch left a compile on %s as it was (CompilePrepared changed: %v, CompilePreparedDelta: %v)",
+		t.Errorf("the variant left a compile on %s as it was (CompilePrepared changed: %v, CompilePreparedDelta: %v)",
 			spillingCell, blindCold != cold, blindDelta != delta)
 	}
 	if blindCold != blindDelta {
-		t.Error("with the switch set, the two entries disagree")
+		t.Error("under the variant, the two entries disagree")
 	}
 }
 

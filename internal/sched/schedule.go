@@ -31,20 +31,22 @@ import (
 // of demanding impossible allocations. Pressure the throttle cannot
 // avoid (long-lived loop invariants) is the spill iteration's job.
 func Schedule(f *ir.Func, arch machine.Arch, pl *Placement) (*vliw.Program, error) {
-	return ScheduleWithCap(f, arch, pl, liveBudget(arch))
+	return ScheduleWithCap(f, arch, pl, Variant{}.liveBudget(arch))
 }
 
-// AblatePressureThrottle disables the scheduler's live-value budget,
-// reverting to the classic pressure-blind greedy list scheduler (an
-// ablation switch; see EXPERIMENTS.md).
-var AblatePressureThrottle bool
+// Variant is a backend variant: the shipped compiler with some of its
+// design choices switched off. The zero value is the shipped backend.
+type Variant struct {
+	opt.Passes              // what a Prepared's kernel was optimized and unrolled under
+	NoPressureThrottle bool // no live-value budget: classic pressure-blind greedy
+}
 
 // liveBudget is the per-cluster live-value budget every schedule of the
 // compile driver and Schedule runs under: the register file less
 // pressureReserve, or effectively unlimited — classic pressure-blind
-// greedy — under AblatePressureThrottle.
-func liveBudget(arch machine.Arch) int {
-	if AblatePressureThrottle {
+// greedy — under NoPressureThrottle.
+func (v Variant) liveBudget(arch machine.Arch) int {
+	if v.NoPressureThrottle {
 		return 1 << 20
 	}
 	return arch.RegsPC() - pressureReserve
