@@ -146,9 +146,10 @@ parent_rev = $$([ -z "$$(git status --porcelain)" ] && echo HEAD~1 || echo HEAD)
 
 # The perf gate: this tree against its parent commit, measured side by
 # side. The parent is HEAD when the tree has uncommitted changes and
-# HEAD~1 when it is clean; it is checked out into a git worktree under
-# .bench_build/ (removed again on any exit), the dse, sim, core, dist,
-# serve and cc test binaries are built once per tree, and ten rounds run each benchmark
+# HEAD~1 when it is clean; its files are unpacked from the object store
+# (git archive, as loc reads them) under .bench_build/, so it runs where
+# git worktree cannot. The dse, sim, core, dist, serve and cc test
+# binaries are built once per tree, and ten rounds run each benchmark
 # on both binaries back to back at a fixed iteration count, alternating
 # which tree goes first. cfp-benchjson then judges every (benchmark,
 # metric): counts that repeat exactly on both sides are compared
@@ -160,9 +161,8 @@ parent_rev = $$([ -z "$$(git status --porcelain)" ] && echo HEAD~1 || echo HEAD)
 bench-diff:
 	@set -e; out=$(CURDIR)/.bench_build/bench-diff; \
 	rev=$(parent_rev); \
-	rm -rf $$out; git worktree prune; mkdir -p $$out; \
-	trap 'git worktree remove --force $$out/parent' EXIT; trap 'exit 130' INT TERM; \
-	git worktree add --quiet --detach $$out/parent $$rev; \
+	rm -rf $$out; mkdir -p $$out/parent; \
+	git archive -o $$out/parent.tar $$rev; tar -x -f $$out/parent.tar -C $$out/parent; \
 	echo "bench-diff: parent is $$rev ($$(git rev-parse --short $$rev))"; \
 	src() { [ $$1 = change ] && echo $(CURDIR) || echo $$out/parent; }; \
 	for side in parent change; do for pkg in dse sim core dist serve cc; do \

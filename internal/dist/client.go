@@ -11,7 +11,6 @@ import (
 	"strings"
 	"time"
 
-	"customfit/internal/dse"
 	"customfit/internal/obs"
 	"customfit/internal/serve"
 )
@@ -58,10 +57,25 @@ func (c *client) health(ctx context.Context, workerURL string) (serve.HealthResp
 	if resp.StatusCode != http.StatusOK {
 		return h, fmt.Errorf("healthz: %s", httpError(resp))
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+	if err := decodeBounded(resp, &h); err != nil {
 		return h, fmt.Errorf("healthz: %w", err)
 	}
 	return h, nil
+}
+
+// maxAnswerBytes bounds the /healthz and submit answers a coordinator
+// reads from a worker: a handful of members each, so a worker that
+// streams without end is refused instead of read.
+const maxAnswerBytes = 4096
+
+// decodeBounded decodes resp's JSON body into v, reading at most
+// maxAnswerBytes of it.
+func decodeBounded(resp *http.Response, v any) error {
+	body, err := readBounded(resp.Body, resp.ContentLength, maxAnswerBytes)
+	if err != nil {
+		return err
+	}
+	return json.Unmarshal(body, v)
 }
 
 // reapTimeout bounds the requests a cancelled run still makes to leave
@@ -105,7 +119,7 @@ func (c *client) submit(ctx context.Context, workerURL string, ereq serve.Explor
 	switch {
 	case resp.StatusCode == http.StatusAccepted:
 		var sub serve.SubmitResponse
-		if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
+		if err := decodeBounded(resp, &sub); err != nil {
 			return "", fmt.Errorf("submit: %w", err)
 		}
 		return sub.ID, nil
@@ -117,9 +131,10 @@ func (c *client) submit(ctx context.Context, workerURL string, ereq serve.Explor
 }
 
 // maxStatusBytes bounds the job status a coordinator reads from a
-// worker: the results document of the full op-crossed space over all
-// eleven kernels is under 4 MiB, so this is generous, and a worker
-// cannot make the coordinator allocate more by claiming or sending it.
+// worker: the measurement document of the full op-crossed space over
+// all eleven kernels is well under 1 MiB, so this is generous, and a
+// worker cannot make the coordinator allocate more by claiming or
+// sending it.
 const maxStatusBytes = 64 << 20
 
 // pollJob fetches one job snapshot, as the bytes of its body. The
@@ -166,34 +181,13 @@ func readBounded(r io.Reader, size, limit int64) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// readShard reads a finished shard's result: the measurement document
-// of a worker sent SchemaMeasured (measured), or else the results
-// document, read as the measurement it holds. A results document that
-// does not decode is a permanent error, as it always was; a measurement
-// document that does not, or results that do not hold one measurement
-// of one list of machines, fail the attempt.
-func readShard(result []byte, measured bool) (*serve.Measurement, error) {
-	if measured {
-		return serve.ReadMeasurement(result)
-	}
-	obs.GetCounter("dist.status_fallbacks").Inc()
-	res, err := dse.FromJSON(result)
-	if err != nil {
-		return nil, permanent(err)
-	}
-	return serve.MeasurementOf(res)
-}
-
-// readPoll reads one poll's answer. A finished shard of a worker sent
-// SchemaMeasured (measured) is read in place, measurement and all
-// (serve.ReadMeasuredStatus), so its bytes are scanned once; any other
-// body goes through encoding/json, and a done one's result is left to
-// readShard.
-func readPoll(body []byte, measured bool) (serve.JobStatus, *serve.Measurement, error) {
-	if measured {
-		if st, m, ok := serve.ReadMeasuredStatus(body); ok {
-			return st, m, nil
-		}
+// readPoll reads one poll's answer. A finished shard's status is read
+// in place, measurement and all (serve.ReadMeasuredStatus), so its
+// bytes are scanned once; any other body goes through encoding/json,
+// and a done one's result is left to serve.ReadMeasurement.
+func readPoll(body []byte) (serve.JobStatus, *serve.Measurement, error) {
+	if st, m, ok := serve.ReadMeasuredStatus(body); ok {
+		return st, m, nil
 	}
 	var st serve.JobStatus
 	err := json.Unmarshal(body, &st)
@@ -230,7 +224,6 @@ func (c *client) cancel(workerURL, jobID string) {
 // the job is DELETEd before runShard returns. sp is the attempt's
 // dist.shard span, which learns where the shard's time went.
 func (c *client) runShard(ctx context.Context, a *attempt, ereq serve.ExploreRequest, sp *obs.Span) (*serve.Measurement, []obs.WireSpan, error) {
-	measured := ereq.Unpriced && ereq.Schema >= serve.SchemaMeasured
 	start := time.Now()
 	jobID, err := c.submit(ctx, a.worker.url, ereq, sp.Context().TraceParent())
 	if err != nil {
@@ -264,7 +257,7 @@ func (c *client) runShard(ctx context.Context, a *attempt, ereq serve.ExploreReq
 		var m *serve.Measurement
 		if err == nil {
 			t0 := time.Now()
-			if st, m, err = readPoll(body, measured); err != nil {
+			if st, m, err = readPoll(body); err != nil {
 				err = fmt.Errorf("job %s: %w", jobID, err)
 			}
 			decode += time.Since(t0)
@@ -287,8 +280,11 @@ func (c *client) runShard(ctx context.Context, a *attempt, ereq serve.ExploreReq
 		case serve.StateDone:
 			resultBytes = len(st.Result)
 			if m == nil {
+				// A result that is not a measurement document is the
+				// worker's fault, not the run's: the attempt fails and
+				// is retried.
 				t0 := time.Now()
-				m, err = readShard(st.Result, measured)
+				m, err = serve.ReadMeasurement(st.Result)
 				decode += time.Since(t0)
 				if err != nil {
 					return nil, nil, fmt.Errorf("worker %s job %s: %w", a.worker.url, jobID, err)

@@ -10,23 +10,21 @@
 // memoization — and with it the paper's Table-3 logical runs
 // accounting — reproduces per-shard, and each machine crosses the wire
 // once. Workers measure and the coordinator prices: every shard
-// is submitted unpriced (serve.ExploreRequest.Unpriced), so a worker
-// evaluates no out-of-grid baseline and sends no cost, time or speedup,
-// and the coordinator prices the merged grid itself with the local
-// run's one pricing step (dse.Results.Price). A worker that advertises
-// serve.SchemaMeasured answers with a measurement document: four
-// integers a machine and a digest of the machines measured, which the
-// coordinator places by the grid indices it holds. An older worker
-// answers with a results document, read as the measurement it holds;
-// one too old to know Unpriced prices its shard anyway, and the merge
-// subtracts its out-of-grid baseline work (Stats.BaselineRuns) and
-// ignores its prices, so a mixed fleet merges to the same Results.
+// is submitted unpriced (serve.ExploreRequest.Unpriced) at
+// serve.SchemaVersion, so a worker evaluates no out-of-grid baseline
+// and answers with a measurement document — four integers a machine
+// and a digest of the machines measured — which the coordinator places
+// by the grid indices it holds, and prices the merged grid itself with
+// the local run's one pricing step (dse.Results.Price). Every fleet
+// node is built from one tree: a worker that advertises another
+// request schema is refused at admission, like one of another backend.
 // Per-cell measurements are bit-identical because the whole pipeline
 // is deterministic.
 //
 // Robustness is first-class: workers are admitted via /healthz (which
-// also publishes capacity and the backend fingerprint — a
-// fingerprint-mismatched worker is refused), failed shard attempts
+// also publishes capacity, the backend fingerprint and the request
+// schema — a worker that differs from the coordinator in either is
+// refused), failed shard attempts
 // retry with exponential backoff and jitter on the surviving fleet,
 // a worker that keeps failing is taken out of rotation, stragglers are
 // hedged (the slowest shard is duplicated on an idle worker, first
@@ -34,7 +32,7 @@
 // coordinator's context drains the fleet. See docs/DISTRIBUTED.md.
 //
 // Telemetry: counters dist.shards, dist.retries, dist.hedges,
-// dist.worker_failures, dist.status_fallbacks; spans dist.explore (root) and dist.shard (one
+// dist.worker_failures; spans dist.explore (root) and dist.shard (one
 // per attempt, attributed with benchmark count, arch count and worker).
 package dist
 
@@ -71,9 +69,7 @@ type Options struct {
 	// Ops, when non-nil, crosses the grid with the custom-op catalog
 	// exactly like a local run (core.ExploreOptions.Ops): every machine
 	// is explored op-free and with the full catalog enabled. Shards of
-	// op-enabled architectures carry the catalog and an explicit request
-	// schema on the wire; op-unaware workers refuse them (409) and the
-	// admission fingerprint gate keeps them out of the fleet entirely.
+	// op-enabled architectures carry the catalog on the wire.
 	Ops *machine.OpSet
 	// Sample > 1 keeps every Nth machine, baseline always retained —
 	// identical to a local run's thinning.
@@ -136,9 +132,6 @@ type workerState struct {
 	// admission: the fleet is ordered idle-first, so dispatch prefers
 	// workers with no pre-existing traffic.
 	load int
-	// schema is the explore-request schema the worker advertised (0
-	// for one from before serve.SchemaMeasured).
-	schema int
 	// fails counts consecutive failed attempts; two in a row take the
 	// worker out of rotation (dist.worker_failures).
 	fails int
@@ -233,9 +226,12 @@ func Explore(ctx context.Context, opts Options) (*dse.Results, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Each worker's share is saturated at the grid's size, which no
+	// partition exceeds, so the sum cannot wrap whatever a worker
+	// advertises.
 	capacity := 0
 	for _, w := range fleet {
-		capacity += w.capacity
+		capacity += min(w.capacity, len(grid))
 	}
 	units := partitionUnits(grid, capacity)
 	obs.GetCounter("dist.shards").Add(int64(len(units)))
@@ -274,8 +270,10 @@ func Explore(ctx context.Context, opts Options) (*dse.Results, error) {
 // fleet that cannot produce a correct run: an unreachable or draining
 // worker is an error (the operator listed it explicitly), and so is a
 // backend fingerprint differing from the coordinator's — mixed code
-// generators would merge non-identical shards silently. Of several
-// refusals, the first worker's in listing order is reported.
+// generators would merge non-identical shards silently — or a request
+// schema other than serve.SchemaVersion, which this tree's shards are
+// sent at. Of several refusals, the first worker's in listing order is
+// reported.
 func admitFleet(ctx context.Context, cl *client, urls []string) ([]*workerState, error) {
 	want := sched.Fingerprint()
 	fleet := make([]*workerState, len(urls))
@@ -293,8 +291,11 @@ func admitFleet(ctx context.Context, cl *client, urls []string) ([]*workerState,
 			case h.Fingerprint != want:
 				errs[i] = fmt.Errorf("dist: worker %s backend fingerprint %q does not match coordinator %q; refusing (mixed backends break bit-identical merges)",
 					url, h.Fingerprint, want)
+			case h.Schema != serve.SchemaVersion:
+				errs[i] = fmt.Errorf("dist: worker %s request schema %d does not match coordinator %d; refusing (a fleet is built from one tree)",
+					url, h.Schema, serve.SchemaVersion)
 			default:
-				fleet[i] = &workerState{url: url, capacity: max(h.Workers, 1), load: h.Queued + h.Running, schema: h.Schema}
+				fleet[i] = &workerState{url: url, capacity: max(h.Workers, 1), load: h.Queued + h.Running}
 			}
 		}()
 	}
@@ -305,7 +306,7 @@ func admitFleet(ctx context.Context, cl *client, urls []string) ([]*workerState,
 		}
 		obs.Log().LogAttrs(ctx, slog.LevelDebug, "worker admitted",
 			slog.String("worker", w.url), slog.Int("capacity", w.capacity),
-			slog.Int("load", w.load), slog.Int("schema", w.schema))
+			slog.Int("load", w.load))
 	}
 	// Idle-first: dispatch picks the first free worker, so ordering the
 	// fleet by reported load routes shards away from busy nodes. Stable,
@@ -477,28 +478,21 @@ func (c *coordinator) launch(ctx context.Context, u *unit, w *workerState) {
 	sp.Int("benches", int64(len(c.names))).Int("archs", int64(len(u.tuples))).
 		Str("worker", w.url).Int("unit", int64(u.id))
 	// Unpriced: merge prices the whole grid, so a worker sends only what
-	// it measured — as a measurement document when it speaks
-	// SchemaMeasured. A worker that does not know the member prices as
-	// before, and merge prices over it.
+	// it measured, as a measurement document.
 	req := serve.ExploreRequest{
 		Benchmarks: c.names,
 		Width:      c.opts.Width,
 		Archs:      u.tuples,
 		Unpriced:   true,
-	}
-	if w.schema >= serve.SchemaMeasured {
-		req.Schema = serve.SchemaMeasured
+		Schema:     serve.SchemaVersion,
 	}
 	if c.cacheOff {
 		req.Cache = "off"
 	}
-	// Only shards that actually enable ops carry the catalog, and need
-	// SchemaOps at least — to an older worker, op-free shards stay
-	// byte-identical to the 6-tuple era on the wire.
+	// Only shards that actually enable ops carry the catalog.
 	for _, t := range u.tuples {
 		if strings.Contains(t, " ops=") {
 			req.Ops = c.opsWire
-			req.Schema = max(req.Schema, serve.SchemaOps)
 			break
 		}
 	}
@@ -652,12 +646,11 @@ func (c *coordinator) maybeHedge(ctx context.Context) {
 // read benchmark-major as serve.Measurement holds its cells (the
 // pipeline is deterministic, so those are bit-identical), and priced
 // here, as a local run prices it: the coordinator's grid always
-// holds the baseline. Runs is the sum of the shards' Measurement.Runs,
-// which leaves out any out-of-grid baseline work (an unpriced shard
-// does none, and a priced one from a worker that ignored Unpriced has
-// it subtracted): exactly the logical runs a single run over the full
-// grid counts (the baseline's own grid cell is inside exactly one
-// shard). Phases.CostModel is the merge's own pricing.
+// holds the baseline. Runs is the sum of the shards' Measurement.Runs
+// (an unpriced shard does no out-of-grid baseline work): exactly the
+// logical runs a single run over the full grid counts (the baseline's
+// own grid cell is inside exactly one shard). Phases.CostModel is the
+// merge's own pricing.
 func (c *coordinator) merge(start time.Time) (*dse.Results, error) {
 	res := dse.NewResults(c.grid, c.benches)
 	var runs, failures int64

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -120,11 +121,9 @@ func TestDistributedMatchesLocalSampled(t *testing.T) {
 	if v := col.Counter("dist.shards").Value(); v < 2 {
 		t.Errorf("dist.shards = %d, want at least one shard per fleet slot", v)
 	}
-	// Every shard answered with a measurement, every tuple scanned.
-	for _, name := range []string{"dist.status_fallbacks", "serve.tuple_fallbacks"} {
-		if v := col.Counter(name).Value(); v != 0 {
-			t.Errorf("%s = %d on an op-free run", name, v)
-		}
+	// Every tuple scanned.
+	if v := col.Counter("serve.tuple_fallbacks").Value(); v != 0 {
+		t.Errorf("serve.tuple_fallbacks = %d on an op-free run", v)
 	}
 }
 
@@ -247,7 +246,7 @@ func newFakeWorker(capacity int) *fakeWorker {
 func (f *fakeWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case r.Method == http.MethodGet && r.URL.Path == "/healthz":
-		fmt.Fprintf(w, `{"status":"ok","workers":%d,"fingerprint":%q}`, f.capacity, f.fingerprint)
+		fmt.Fprintf(w, `{"status":"ok","workers":%d,"fingerprint":%q,"schema":%d}`, f.capacity, f.fingerprint, serve.SchemaVersion)
 	case r.Method == http.MethodPost && r.URL.Path == "/v1/explore":
 		id := f.submits.Add(1)
 		if f.onSubmit != nil {
@@ -365,6 +364,97 @@ func TestAdmissionAsksTheFleetAtOnce(t *testing.T) {
 	_, err := Explore(context.Background(), opts)
 	if err == nil || !strings.Contains(err.Error(), first.URL) || !strings.Contains(err.Error(), `"backend-v0;first"`) {
 		t.Fatalf("Explore error = %v, want the first worker's fingerprint refused", err)
+	}
+}
+
+// TestHealthzAdmission: admission reads what two workers of one server
+// advertise. A request schema other than serve.SchemaVersion is refused,
+// naming the first worker and both schemas; a /healthz that streams
+// without end is refused under its cap; and a capacity past any grid
+// neither wraps the fleet's slot count nor stops the run merging ==
+// local. Dispatch believes the capacity, so the first worker is handed
+// every unit at once: the server's queue is made deep enough to hold
+// them, where the default depth would answer 503 until both workers
+// leave rotation.
+func TestHealthzAdmission(t *testing.T) {
+	installCollector(t)
+	s := serve.New(serve.Options{Workers: 2, QueueDepth: 256})
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		_ = s.Shutdown(ctx)
+	})
+	schema := func(v int) func(*serve.HealthResponse) {
+		return func(h *serve.HealthResponse) { h.Schema = v }
+	}
+	refused := func(v int) string {
+		return fmt.Sprintf("request schema %d does not match coordinator %d", v, serve.SchemaVersion)
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(*serve.HealthResponse) // nil: /healthz streams without end
+		// refusal is what the run's error says; "" wants a merge.
+		refusal string
+	}{
+		{"endless healthz", nil, "exceeds"},
+		{"workers past any grid", func(h *serve.HealthResponse) { h.Workers = math.MaxInt64 }, ""},
+		{"no schema", schema(0), refused(0)},
+		{"schema 2", schema(serve.SchemaOps), refused(serve.SchemaOps)},
+		{"a newer schema", schema(serve.SchemaVersion + 1), refused(serve.SchemaVersion + 1)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			proxy := func() *httptest.Server {
+				ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+					if r.URL.Path != "/healthz" {
+						s.Handler().ServeHTTP(w, r)
+						return
+					}
+					if tc.edit == nil {
+						_, _ = io.WriteString(w, `{"status":"ok","fingerprint":"`)
+						for r.Context().Err() == nil {
+							if _, err := io.WriteString(w, strings.Repeat("x", 1024)); err != nil {
+								return
+							}
+						}
+						return
+					}
+					rec := httptest.NewRecorder()
+					s.Handler().ServeHTTP(rec, r)
+					var h serve.HealthResponse
+					if err := json.Unmarshal(rec.Body.Bytes(), &h); err != nil {
+						t.Error(err)
+					}
+					tc.edit(&h)
+					_ = json.NewEncoder(w).Encode(h)
+				}))
+				t.Cleanup(ts.Close)
+				return ts
+			}
+			first, second := proxy(), proxy()
+			opts := fastOpts(first.URL, second.URL)
+			opts.Benchmarks = benchesByName("G")
+			opts.Sample = 24
+			opts.Width = 32
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+			defer cancel()
+			got, err := Explore(ctx, opts)
+			if tc.refusal != "" {
+				if err == nil || !strings.Contains(err.Error(), first.URL) || !strings.Contains(err.Error(), tc.refusal) {
+					t.Fatalf("Explore error = %v, want %s refused: %s", err, first.URL, tc.refusal)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := core.Explore(context.Background(), core.ExploreOptions{Benchmarks: benchesByName("G"), Sample: 24, Width: 32})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if canonicalJSON(t, got) != canonicalJSON(t, want) {
+				t.Error("results diverge from the local run")
+			}
+		})
 	}
 }
 

@@ -24,9 +24,8 @@ import (
 // serve writes in every state, and shapes encoding/json reads otherwise
 // (the seeds of FuzzSplitStatus). measured names the bodies
 // serve.ReadMeasuredStatus takes: a finished shard's status in the
-// shape serve writes to a coordinator that sent serve.SchemaMeasured,
-// whatever its strings hold and with any whitespace after it. It
-// declines every other.
+// shape serve writes to a coordinator, whatever its strings hold and
+// with any whitespace after it. It declines every other.
 var statusBodies = []struct {
 	name, body string
 	measured   bool
@@ -86,17 +85,17 @@ const workerDoc = `{"archs":[{"A":1,"M":1,"R":64,"P2":1,"L2":8,"C":1}],"benches"
 	`"stats":{"Runs":4,"Architectures":1,"DesignPoints":1,"Benchmarks":1,"WallTime":5,"PerArch":5,"PerRun":1,` +
 	`"Failures":0,"Phases":{"Compile":1,"Simulate":2,"CostModel":3}}}`
 
-// unpricedDoc is workerDoc as a worker answers an unpriced shard of a
-// schema before serve.SchemaMeasured: no cost list, and Time, Speedup
-// and the pricing time 0.
+// unpricedDoc is workerDoc as a worker of schema 2 answered an unpriced
+// shard: no cost list, and Time, Speedup and the pricing time 0. No
+// worker a coordinator admits answers it; it stays as hostile input.
 const unpricedDoc = `{"archs":[{"A":1,"M":1,"R":64,"P2":1,"L2":8,"C":1}],"benches":["G"],"cost":null,` +
 	`"eval":{"G":[{"Arch":{"ALUs":1,"MULs":1,"Regs":64,"L2Ports":1,"L2Lat":8,"Clusters":1,"MinMax":false},` +
 	`"Bench":"G","Unroll":2,"Cycles":1234,"Time":0,"Speedup":0,"Spilled":0,"Failed":false}]},` +
 	`"stats":{"Runs":4,"Architectures":1,"DesignPoints":1,"Benchmarks":1,"WallTime":5,"PerArch":5,"PerRun":1,` +
 	`"Failures":0,"Phases":{"Compile":1,"Simulate":2,"CostModel":0}}}`
 
-// measuredDoc is workerDoc as a worker answers a shard sent
-// serve.SchemaMeasured: the measurement document.
+// measuredDoc is workerDoc as a worker answers an unpriced shard: the
+// measurement document.
 const measuredDoc = `{"benches":["G"],"machines":1,"digest":"25abd78ac877e3ff","runs":4,"failures":0,"compile":1,"simulate":2,"cells":[2,1234,0,0]}`
 
 // emptyMeasuredDoc is the measurement document of no benchmarks.
@@ -179,14 +178,11 @@ func checkStatus(t *testing.T, body []byte) bool {
 }
 
 // TestSplitStatus: a coordinator reads a finished shard off its status
-// in either form — the measurement document of a worker sent
-// serve.SchemaMeasured, and the results document of an older one, read
-// as the same measurement and counted in dist.status_fallbacks — and
-// refuses a measurement document in any other spelling. readPoll reads
-// in place exactly the bodies statusBodies marks measured, and every
-// body as json.Unmarshal reads it.
+// as a measurement, and refuses a measurement document in any other
+// spelling, or a results document, as a retryable failure of the
+// attempt. readPoll reads in place exactly the bodies statusBodies marks
+// measured, and every body as json.Unmarshal reads it.
 func TestSplitStatus(t *testing.T) {
-	col := installCollector(t)
 	res, err := dse.FromJSON([]byte(workerDoc))
 	if err != nil {
 		t.Fatal(err)
@@ -199,36 +195,12 @@ func TestSplitStatus(t *testing.T) {
 	if err != nil || string(doc) != measuredDoc {
 		t.Fatalf("workerDoc's measurement document is %s, %v; want %s", doc, err, measuredDoc)
 	}
-	for _, tc := range []struct {
-		name, body string
-		measured   bool
-	}{
-		{"measured", `{"id":"j1","kind":"explore","state":"done","result":` + measuredDoc + "}\n", true},
-		{"measured, with spans", `{"id":"j1","kind":"explore","state":"done","result":` + measuredDoc + `,"spans":[{"name":"serve.job"}]}` + "\n", true},
-		{"priced", statusBodies[26].body, false},
-		{"unpriced", `{"id":"j1","kind":"explore","state":"done","result":` + unpricedDoc + "}\n", false},
-	} {
-		before := col.Counter("dist.status_fallbacks").Value()
-		var st serve.JobStatus
-		if err := json.Unmarshal([]byte(tc.body), &st); err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		got, err := readShard(st.Result, tc.measured)
-		if err != nil || !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: readShard = %+v, %v; want %+v", tc.name, got, err, want)
-		}
-		if n := col.Counter("dist.status_fallbacks").Value() - before; n != 0 == tc.measured {
-			t.Errorf("%s: dist.status_fallbacks moved by %d", tc.name, n)
-		}
-	}
 	// A results document where a measurement was asked for is the
-	// worker's fault, not the run's; a results document that does not
-	// decode fails everywhere.
-	if _, err := readShard([]byte(workerDoc), true); err == nil || isPermanent(err) {
-		t.Errorf("a results document read as a measurement: %v", err)
-	}
-	if _, err := readShard([]byte(`{"archs":1}`), false); !isPermanent(err) {
-		t.Errorf("a results document that does not decode: %v, want a permanent error", err)
+	// worker's fault, not the run's.
+	for _, result := range []string{workerDoc, unpricedDoc} {
+		if _, err := serve.ReadMeasurement([]byte(result)); err == nil || isPermanent(err) {
+			t.Errorf("a results document read as a measurement: %v", err)
+		}
 	}
 
 	for _, bad := range []string{
@@ -255,20 +227,17 @@ func TestSplitStatus(t *testing.T) {
 	}
 	checkMeasurement(t, []byte(measuredDoc))
 
-	// A finished shard of a measured worker is read in place; every
-	// other body goes through encoding/json, as a poll always did.
+	// A finished shard is read in place; every other body goes through
+	// encoding/json.
 	for _, tc := range statusBodies {
 		if got := checkStatus(t, []byte(tc.body)); got != tc.measured {
 			t.Errorf("%s: ReadMeasuredStatus takes it: %v, want %v", tc.name, got, tc.measured)
 		}
-		st, m, err := readPoll([]byte(tc.body), true)
+		st, m, err := readPoll([]byte(tc.body))
 		var want serve.JobStatus
 		werr := json.Unmarshal([]byte(tc.body), &want)
 		if (m != nil) != tc.measured || (err == nil) != (werr == nil) || err == nil && !reflect.DeepEqual(st, want) {
 			t.Errorf("%s: readPoll = %+v, %v, %v; json.Unmarshal gives %+v, %v", tc.name, st, m != nil, err, want, werr)
-		}
-		if _, m, _ := readPoll([]byte(tc.body), false); m != nil {
-			t.Errorf("%s: read in place for a worker not sent SchemaMeasured", tc.name)
 		}
 	}
 }
@@ -457,7 +426,8 @@ func TestWorkerWithoutWait(t *testing.T) {
 // TestParentPollLoopReadsThisServer is version skew the other way: the
 // poll loop of the commit before ?wait= — no parameter, a sleep between
 // polls, the whole envelope through encoding/json — against this
-// commit's server, which answers it as it always did.
+// commit's server, which answers it as it always did, and with the
+// measurement of its answer when this commit's loop asks for one.
 func TestParentPollLoopReadsThisServer(t *testing.T) {
 	installCollector(t)
 	w := startWorker(t, serve.Options{Workers: 1})
@@ -498,20 +468,17 @@ func TestParentPollLoopReadsThisServer(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The same shard through this commit's loop (a second job: the first
-	// is finished, so nothing coalesces), and once more as a measurement.
+	// The same shard through this commit's loop, as a measurement.
 	measured := ereq
-	measured.Unpriced, measured.Schema = true, serve.SchemaMeasured
-	for _, req := range []serve.ExploreRequest{ereq, measured} {
-		a := &attempt{worker: &workerState{url: w.URL}}
-		got, _, err := cl.runShard(context.Background(), a, req, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got.Compile, got.Simulate = want.Compile, want.Simulate
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("schema %d: the parent's poll loop reads %+v off this server, this one %+v", req.Schema, want, got)
-		}
+	measured.Unpriced, measured.Schema = true, serve.SchemaVersion
+	a := &attempt{worker: &workerState{url: w.URL}}
+	got, _, err := cl.runShard(context.Background(), a, measured, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got.Compile, got.Simulate = want.Compile, want.Simulate
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("the parent's poll loop reads %+v off this server, this one %+v", want, got)
 	}
 }
 

@@ -13,8 +13,7 @@ import (
 	"customfit/internal/machine"
 )
 
-// Measurement is the answer to an unpriced explore of schema 3
-// (SchemaMeasured): per benchmark and machine the four numbers a cell
+// Measurement is the answer to an unpriced explore: per benchmark and machine the four numbers a cell
 // is measured by, and the job's work. It leaves out what the submitter
 // already holds — the machines, which it sent, are named only by their
 // Digest — and everything priced, which the submitter prices itself.
@@ -69,9 +68,8 @@ func (d Digest) Add(a machine.Arch) Digest {
 
 // MeasurementOf reads res as a Measurement. The machines are the ones
 // res's evaluations name, which must be the same list for every
-// benchmark, each evaluation of its own benchmark: a coordinator reads
-// the results document of a worker without schema 3 this way, and
-// checks both kinds of answer by one rule.
+// benchmark, each evaluation of its own benchmark: an unpriced
+// explore's results are read this way into the document it answers.
 func MeasurementOf(res *dse.Results) (*Measurement, error) {
 	m := &Measurement{
 		Benches:  res.Benches,

@@ -194,11 +194,12 @@ func TestMeasurementOf(t *testing.T) {
 	}
 }
 
-// TestExploreMeasured: an unpriced explore of SchemaMeasured is answered
-// with the measurement of the results document an unpriced explore of an
-// older schema answers, and the two are different jobs; a priced explore
-// answers the results document whatever its schema, and /healthz
-// advertises the schema.
+// TestExploreMeasured: an unpriced explore is answered with the
+// measurement of the priced explore of the same grid, less what pricing
+// adds: over explicit archs that leave out the baseline, it evaluates no
+// out-of-grid baseline, so its Runs are the priced job's less its
+// BaselineRuns, and its cells are the priced job's. The two are
+// different jobs, and /healthz advertises the schema.
 func TestExploreMeasured(t *testing.T) {
 	s, ts, _ := newTestServer(t, Options{Workers: 1})
 	if h := fetchHealth(t, ts.URL); h.Schema != SchemaVersion || SchemaVersion != SchemaMeasured {
@@ -215,18 +216,16 @@ func TestExploreMeasured(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	unpriced := ExploreRequest{Benchmarks: []string{"G", "F"}, Width: 32, Archs: []string{"2 1 64 1 4 1", "4 1 64 1 4 1", "4 2 128 2 4 2"}, Unpriced: true}
-	measured := unpriced
-	measured.Schema = SchemaMeasured
-	priced := measured
-	priced.Unpriced = false
-	var u, m, again, p SubmitResponse
-	postJSON(t, ts.URL+"/v1/explore", unpriced, &u)
+	priced := ExploreRequest{Benchmarks: []string{"G", "F"}, Width: 32, Archs: []string{"2 1 64 1 4 1", "4 1 64 1 4 1", "4 2 128 2 4 2"},
+		Schema: SchemaMeasured}
+	measured := priced
+	measured.Unpriced = true
+	var m, again, p SubmitResponse
 	postJSON(t, ts.URL+"/v1/explore", measured, &m)
 	postJSON(t, ts.URL+"/v1/explore", measured, &again)
 	postJSON(t, ts.URL+"/v1/explore", priced, &p)
-	if m.Coalesced || m.ID == u.ID || p.ID == m.ID || p.ID == u.ID {
-		t.Errorf("submits got jobs %s (unpriced), %s (measured), %s (priced): the forms shared one", u.ID, m.ID, p.ID)
+	if m.Coalesced || p.Coalesced || p.ID == m.ID {
+		t.Errorf("submits got jobs %s (measured), %s (priced): the forms shared one", m.ID, p.ID)
 	}
 	if !again.Coalesced || again.ID != m.ID {
 		t.Errorf("second measured submit got %+v, want coalesced onto %s", again, m.ID)
@@ -237,19 +236,19 @@ func TestExploreMeasured(t *testing.T) {
 	}
 
 	results := map[string]json.RawMessage{}
-	for _, id := range []string{u.ID, m.ID, p.ID} {
+	for _, id := range []string{m.ID, p.ID} {
 		st := waitTerminal(t, ts.URL, id, 120*time.Second)
 		if st.State != StateDone {
 			t.Fatalf("job %s finished %s (%s)", id, st.State, st.Error)
 		}
 		results[id] = st.Result
 	}
-	if _, err := dse.FromJSON(results[p.ID]); err != nil {
-		t.Errorf("priced explore of schema 3: %v", err)
-	}
-	res, err := dse.FromJSON(results[u.ID])
+	res, err := dse.FromJSON(results[p.ID])
 	if err != nil {
 		t.Fatal(err)
+	}
+	if res.Stats.BaselineRuns <= 0 {
+		t.Errorf("priced BaselineRuns = %d, want > 0 for an out-of-grid baseline", res.Stats.BaselineRuns)
 	}
 	want, err := MeasurementOf(res)
 	if err != nil {
@@ -261,9 +260,18 @@ func TestExploreMeasured(t *testing.T) {
 	}
 	got.Compile, got.Simulate = want.Compile, want.Simulate
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("measured answer %+v, want the unpriced document's %+v", got, want)
+		t.Errorf("measured answer %+v, want the priced document's %+v", got, want)
+	}
+	if got.Runs != res.Stats.Runs-res.Stats.BaselineRuns {
+		t.Errorf("measured Runs %d, want the priced job's %d less its %d baseline runs",
+			got.Runs, res.Stats.Runs, res.Stats.BaselineRuns)
 	}
 	if len(got.Cells) != 6 || got.Runs <= 0 {
 		t.Errorf("%d cells and %d runs for two benchmarks on three machines", len(got.Cells), got.Runs)
+	}
+	for i, c := range got.Cells {
+		if c.Failed || c.Cycles <= 0 {
+			t.Errorf("cell %d: %+v", i, c)
+		}
 	}
 }

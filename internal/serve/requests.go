@@ -270,14 +270,12 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 
 // The explore-request schemas. Schema 1 (implicit: the zero Schema
 // field) is the 6-tuple era; SchemaOps adds the custom-op fields (Ops,
-// op-enabled arch tuples); SchemaMeasured answers an Unpriced explore
-// with a measurement document (Measurement) instead of a results
-// document. SchemaVersion, the newest this server understands, is what
-// it advertises in /healthz. Requests declaring a newer schema than the
-// server supports are refused with 409 Conflict rather than silently
-// misinterpreted — an op-aware coordinator must never have its op grids
-// quietly evaluated op-free by an op-unaware worker, nor wait for an
-// answer a worker does not write.
+// op-enabled arch tuples); SchemaMeasured adds Unpriced, answered with
+// a measurement document (Measurement). SchemaVersion, the newest this
+// server understands, is what it advertises in /healthz, and the only
+// one a coordinator admits a worker at. Requests declaring a newer
+// schema than the server supports are refused with 409 Conflict rather
+// than silently misinterpreted.
 const (
 	SchemaOps      = 2
 	SchemaMeasured = 3
@@ -306,13 +304,11 @@ type ExploreRequest struct {
 	// " ops=<hexmask>" suffix (cli.ParseArchOps).
 	Archs []string `json:"archs,omitempty"`
 	// Unpriced asks for the measurements alone (core.Measure), and no
-	// out-of-grid baseline is evaluated. Under SchemaMeasured the result
-	// is a measurement document (AppendMeasurement); under an older
-	// schema it is the results document with "cost":null and every Time
-	// and Speedup 0. The distributed coordinator sends it with every
-	// shard, because its merge prices the whole grid itself. Part of the
-	// coalesce key, with the answer's form: jobs that answer differently
-	// never share work.
+	// out-of-grid baseline is evaluated; the result is a measurement
+	// document (AppendMeasurement). Requires Schema >= SchemaMeasured.
+	// The distributed coordinator sends it with every shard, because its
+	// merge prices the whole grid itself. Part of the coalesce key: a
+	// priced and an unpriced job never share work.
 	Unpriced bool `json:"unpriced,omitempty"`
 	// Schema declares the request schema the sender speaks (see
 	// SchemaVersion). Zero means 1, the 6-tuple era; senders set it only
@@ -349,9 +345,8 @@ type exploreJob struct {
 	archs         []machine.Arch
 	opSet         *machine.OpSet
 	sample, width int
-	unpriced      bool
-	// measured: the answer is a measurement document (unpriced, under
-	// SchemaMeasured).
+	// measured: the answer is a measurement document (Unpriced), not a
+	// priced results document.
 	measured bool
 	key      string
 }
@@ -373,11 +368,13 @@ func (req *exploreBody) resolve() (*exploreJob, int, error) {
 	if len(req.Ops) > 0 && req.Schema < SchemaOps {
 		return nil, http.StatusBadRequest, fmt.Errorf("ops requires schema >= %d", SchemaOps)
 	}
+	if req.Unpriced && req.Schema < SchemaMeasured {
+		return nil, http.StatusBadRequest, fmt.Errorf("unpriced requires schema >= %d", SchemaMeasured)
+	}
 	if req.Archs.Len() > 0 && req.Sample > 1 {
 		return nil, http.StatusBadRequest, errors.New("archs and sample are mutually exclusive")
 	}
-	x := &exploreJob{benches: benches, sample: max(req.Sample, 1), width: req.Width, unpriced: req.Unpriced,
-		measured: req.Unpriced && req.Schema >= SchemaMeasured}
+	x := &exploreJob{benches: benches, sample: max(req.Sample, 1), width: req.Width, measured: req.Unpriced}
 	if x.width <= 0 {
 		x.width = 96
 	}
@@ -402,8 +399,8 @@ func (req *exploreBody) resolve() (*exploreJob, int, error) {
 }
 
 // exploreKey spells exactly the result-affecting fields of x, and ops
-// (the catalog as sent), unambiguously: the answer's form (priced,
-// unpriced, measured) as one byte, counts and numbers as varints,
+// (the catalog as sent), unambiguously: the answer's form (priced or
+// measured) as one byte, counts and numbers as varints,
 // strings behind their length, the machines last. Worker counts, caching
 // and trace identity are left out because the pipeline is deterministic
 // regardless of them.
@@ -411,11 +408,8 @@ func exploreKey(x *exploreJob, ops []string) string {
 	key := make([]byte, 0, 64+10*len(x.archs))
 	key = append(key, "explore:"...)
 	form := byte(1)
-	switch {
-	case x.measured:
+	if x.measured {
 		form = 2
-	case x.unpriced:
-		form = 0
 	}
 	key = append(key, form)
 	key = binary.AppendUvarint(key, uint64(len(x.benches)))
@@ -452,7 +446,7 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 		cache = nil
 	}
 	explore := core.Explore
-	if x.unpriced {
+	if x.measured {
 		explore = core.Measure
 	}
 	s.respondSubmit(w, remoteContext(r), "explore", x.key, func(ctx context.Context, j *Job) (json.RawMessage, error) {

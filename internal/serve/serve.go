@@ -475,9 +475,9 @@ type HealthResponse struct {
 	// identity.
 	Fingerprint string `json:"fingerprint"`
 	// Schema is SchemaVersion, the newest explore-request schema this
-	// server understands: a coordinator asks for a measurement document
-	// (SchemaMeasured) only where it is advertised. Servers before
-	// SchemaMeasured leave it out (0).
+	// server understands: a coordinator admits only a worker that
+	// advertises its own. Servers before SchemaMeasured leave it out
+	// (0).
 	Schema int `json:"schema,omitempty"`
 }
 

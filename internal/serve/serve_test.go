@@ -543,76 +543,39 @@ func TestExploreExactArchs(t *testing.T) {
 	}
 }
 
-// TestExploreUnpriced pins the unpriced explore: over explicit archs
-// that leave out the baseline it returns the same document with no cost,
-// every Time and Speedup 0 and no out-of-grid baseline evaluated, and
-// the measurements of the priced job over the same archs. A priced and
-// an unpriced submit of one grid are two jobs.
+// TestExploreUnpriced pins what an unpriced explore is now: declared
+// below SchemaMeasured it is refused with a 400 naming the schema it
+// needs (there is no unpriced results document), and declared at
+// SchemaMeasured it is answered with a measurement document, never a
+// results document.
 func TestExploreUnpriced(t *testing.T) {
-	s, ts, _ := newTestServer(t, Options{Workers: 1})
+	_, ts, _ := newTestServer(t, Options{Workers: 1})
+	req := ExploreRequest{Benchmarks: []string{"G"}, Width: 32, Archs: []string{"2 1 64 1 4 1"}, Unpriced: true}
+	for _, schema := range []int{0, SchemaOps} {
+		req.Schema = schema
+		var e ErrorResponse
+		if code := postJSON(t, ts.URL+"/v1/explore", req, &e); code != http.StatusBadRequest || e.Error != "unpriced requires schema >= 3" {
+			t.Errorf("unpriced at schema %d: %d %q, want 400 naming schema 3", schema, code, e.Error)
+		}
+	}
 
-	// Park the single worker, so the submits below are all in flight at
-	// once and only the key decides what coalesces.
-	release := make(chan struct{})
-	blocker, _, err := s.submit("block", "", obs.SpanContext{}, func(ctx context.Context, _ *Job) (json.RawMessage, error) {
-		<-release
-		return json.RawMessage(`{}`), nil
-	})
+	req.Schema = SchemaMeasured
+	var sub SubmitResponse
+	if code := postJSON(t, ts.URL+"/v1/explore", req, &sub); code != http.StatusAccepted {
+		t.Fatalf("unpriced at schema %d: status %d, want 202", SchemaMeasured, code)
+	}
+	st := waitTerminal(t, ts.URL, sub.ID, 60*time.Second)
+	if st.State != StateDone {
+		t.Fatalf("job %s finished %s (%s)", sub.ID, st.State, st.Error)
+	}
+	if bytes.Contains(st.Result, []byte(`"cost"`)) {
+		t.Errorf("unpriced answer is a results document: %.200s", st.Result)
+	}
+	m, err := ReadMeasurement(st.Result)
 	if err != nil {
 		t.Fatal(err)
 	}
-	priced := ExploreRequest{Benchmarks: []string{"G"}, Width: 32, Archs: []string{"2 1 64 1 4 1", "4 1 64 1 4 1"}}
-	unpriced := priced
-	unpriced.Unpriced = true
-	var p, u, again SubmitResponse
-	postJSON(t, ts.URL+"/v1/explore", priced, &p)
-	postJSON(t, ts.URL+"/v1/explore", unpriced, &u)
-	postJSON(t, ts.URL+"/v1/explore", unpriced, &again)
-	if u.Coalesced || u.ID == p.ID {
-		t.Errorf("unpriced submit got %+v, coalesced onto the priced job %s", u, p.ID)
-	}
-	if !again.Coalesced || again.ID != u.ID {
-		t.Errorf("second unpriced submit got %+v, want coalesced onto %s", again, u.ID)
-	}
-	close(release)
-	if st := waitTerminal(t, ts.URL, blocker.ID, 10*time.Second); st.State != StateDone {
-		t.Fatalf("blocker finished %s", st.State)
-	}
-
-	results := map[string]*dse.Results{}
-	for _, id := range []string{p.ID, u.ID} {
-		st := waitTerminal(t, ts.URL, id, 120*time.Second)
-		if st.State != StateDone {
-			t.Fatalf("job %s finished %s (%s)", id, st.State, st.Error)
-		}
-		if id == u.ID && !bytes.Contains(st.Result, []byte(`"cost":null`)) {
-			t.Errorf("unpriced result has a cost: %.200s", st.Result)
-		}
-		res, err := dse.FromJSON(st.Result)
-		if err != nil {
-			t.Fatal(err)
-		}
-		results[id] = res
-	}
-	pr, ur := results[p.ID], results[u.ID]
-	if ur.Stats.BaselineRuns != 0 || pr.Stats.BaselineRuns <= 0 {
-		t.Errorf("BaselineRuns %d unpriced, %d priced; want 0 and > 0", ur.Stats.BaselineRuns, pr.Stats.BaselineRuns)
-	}
-	if ur.Stats.Runs != pr.Stats.Runs-pr.Stats.BaselineRuns {
-		t.Errorf("unpriced Runs %d, want the priced job's %d less its %d baseline runs",
-			ur.Stats.Runs, pr.Stats.Runs, pr.Stats.BaselineRuns)
-	}
-	for i, ev := range ur.Eval["G"] {
-		want := pr.Eval["G"][i]
-		if ev.Time != 0 || ev.Speedup != 0 {
-			t.Errorf("arch %d: unpriced Time %g, Speedup %g, want 0", i, ev.Time, ev.Speedup)
-		}
-		if want.Speedup <= 0 {
-			t.Errorf("arch %d: priced speedup %g, want > 0", i, want.Speedup)
-		}
-		want.Time, want.Speedup = 0, 0
-		if ev != want || ev.Failed || ev.Cycles <= 0 {
-			t.Errorf("arch %d: unpriced %+v, priced %+v", i, ev, want)
-		}
+	if len(m.Cells) != 1 || m.Cells[0].Failed || m.Cells[0].Cycles <= 0 || m.Runs <= 0 {
+		t.Errorf("measurement of one benchmark on one machine: %+v", m)
 	}
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"net/http"
 	"reflect"
 	"slices"
 	"testing"
@@ -15,7 +16,7 @@ import (
 // the full space, as the coordinator marshals it (a traced shard's
 // context rides the traceparent header, not the body).
 func fullSpaceRequest(t testing.TB) (ExploreRequest, []byte) {
-	req := ExploreRequest{Benchmarks: []string{"G"}, Width: 96, Unpriced: true}
+	req := ExploreRequest{Benchmarks: []string{"G"}, Width: 96, Unpriced: true, Schema: SchemaVersion}
 	for _, a := range machine.FullSpace() {
 		req.Archs = append(req.Archs, cli.FormatArch(a))
 	}
@@ -86,13 +87,38 @@ func TestExploreBodyReadsARequest(t *testing.T) {
 		"arch order": func(r *ExploreRequest) { r.Archs = []string{r.Archs[1], r.Archs[0]} },
 		"sample":     func(r *ExploreRequest) { r.Archs, r.Sample = nil, 24 },
 		"ops":        func(r *ExploreRequest) { r.Schema, r.Ops = SchemaVersion, opCatalog },
-		"unpriced":   func(r *ExploreRequest) { r.Unpriced = true },
+		"unpriced":   func(r *ExploreRequest) { r.Unpriced, r.Schema = true, SchemaVersion },
 	} {
 		other := base
 		other.Archs = slices.Clone(base.Archs)
 		edit(&other)
 		if keyOf(other) == keyOf(base) {
 			t.Errorf("requests differing in %s share a key", name)
+		}
+	}
+
+	// Requests that name fields of a newer schema than they declare are
+	// refused, naming the schema they need.
+	for name, tc := range map[string]struct {
+		edit func(*ExploreRequest)
+		err  string
+	}{
+		"ops at schema 1":      {func(r *ExploreRequest) { r.Ops = opCatalog }, "ops requires schema >= 2"},
+		"unpriced at schema 1": {func(r *ExploreRequest) { r.Unpriced = true }, "unpriced requires schema >= 3"},
+		"unpriced at schema 2": {func(r *ExploreRequest) { r.Unpriced, r.Schema = true, SchemaOps }, "unpriced requires schema >= 3"},
+	} {
+		req := base
+		tc.edit(&req)
+		data, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b exploreBody
+		if err := json.Unmarshal(data, &b); err != nil {
+			t.Fatal(err)
+		}
+		if _, code, err := b.resolve(); code != http.StatusBadRequest || err == nil || err.Error() != tc.err {
+			t.Errorf("%s: resolves with %d, %v; want 400, %s", name, code, err, tc.err)
 		}
 	}
 }
