@@ -15,6 +15,7 @@ import (
 	"customfit/internal/dse"
 	"customfit/internal/dse/dsetest"
 	"customfit/internal/ir"
+	"customfit/internal/sched"
 )
 
 // TestAllShippedCellsRun is TestShippedCellsRun over every non-failed
@@ -49,7 +50,7 @@ func TestAllShippedCellsRun(t *testing.T) {
 			defer wg.Done()
 			for ev := range cells {
 				ran.Add(1)
-				st, ok := checkCell(t, fns[ev.Bench], bench.ByName(ev.Bench), ev)
+				st, ok := checkCell(t, fns[ev.Bench], bench.ByName(ev.Bench), ev, sched.Variant{})
 				if !ok {
 					mismatched.Add(1)
 					continue

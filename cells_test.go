@@ -50,7 +50,7 @@ func TestShippedCellsRun(t *testing.T) {
 		}
 		rng.Shuffle(len(cells), func(i, j int) { cells[i], cells[j] = cells[j], cells[i] })
 		for _, i := range cells[:min(perBench, len(cells))] {
-			checkCell(t, fn, b, res.Eval[name][i])
+			checkCell(t, fn, b, res.Eval[name][i], sched.Variant{})
 		}
 	}
 }
@@ -85,7 +85,7 @@ func TestWorstPairRuns(t *testing.T) {
 		if ev.Unroll != 1 {
 			t.Errorf("GF on %s: stored unroll %d, want 1", want.arch, ev.Unroll)
 		}
-		st, ok := checkCell(t, fn, b, ev)
+		st, ok := checkCell(t, fn, b, ev, sched.Variant{})
 		if ok && (st.Bound != want.bound || st.StallCycles != want.stalls || ev.Spilled != want.spilled) {
 			t.Errorf("GF on %s: %s-bound, %d stall cycles, %d spilled; want %s-bound, %d, %d",
 				want.arch, st.Bound, st.StallCycles, ev.Spilled, want.bound, want.stalls, want.spilled)
@@ -104,25 +104,41 @@ var l2Lats = sync.OnceValue(func() []int {
 	return lats
 })
 
-// checkCell runs one shipped cell: it prepares fn, benchmark b's
-// kernel, at ev's unroll factor, counts its block visits on the
-// reference workload with the interpreter as the explorer does,
-// compiles and validates it for ev's machine, and runs it through the
-// physical register assignment. The run must give the golden model's
-// outputs, ev's cycles and spills, and Stats equal field by field to
-// sim.Profile of the schedule and the interpreter's visits: the
-// explorer's premise that the interpreter's visits are the simulator's;
-// and no occupancy above 1, which would mean the profile divides by
-// less than the schedule may use.
+// checkCell runs one explored cell under backend variant v: it prepares
+// fn, benchmark b's kernel, at ev's unroll factor, counts its block
+// visits on the reference workload with the interpreter as the explorer
+// does, compiles and validates it for ev's machine, and runs it through
+// the physical register assignment. The zero variant, a shipped cell,
+// goes through the one-shot path a compile request takes (opt.Prepare,
+// sched.Compile); any other is prepared under v's passes and compiled
+// through a sched.Prepared carrying v, the explorer's path. The run
+// must give the golden model's outputs, ev's cycles and spills, and
+// Stats equal field by field to sim.Profile of the schedule and the
+// interpreter's visits: the explorer's premise that the interpreter's
+// visits are the simulator's; and no occupancy above 1, which would
+// mean the profile divides by less than the schedule may use.
 // Then the same schedule runs at every shorter L2 latency of the space,
 // with loads landing and L2 ports freeing that much sooner, and must
 // give the golden outputs in the same cycles: whether the edge of the
 // space along l2 is bounded by compiling for the longer latency. It
 // returns the run's Stats and whether the cell held; a cell that does
 // not says why on t.
-func checkCell(t *testing.T, fn *ir.Func, b *bench.Benchmark, ev dse.Evaluation) (*sim.Stats, bool) {
+func checkCell(t *testing.T, fn *ir.Func, b *bench.Benchmark, ev dse.Evaluation, v sched.Variant) (*sim.Stats, bool) {
 	what := fmt.Sprintf("%s on %v at unroll %d", b.Name, ev.Arch, ev.Unroll)
-	prepared, err := opt.Prepare(fn, ev.Unroll)
+	shipped := v == (sched.Variant{})
+	if !shipped {
+		what += fmt.Sprintf(" under %+v", v)
+	}
+	var prepared *ir.Func
+	var err error
+	if shipped {
+		prepared, err = opt.Prepare(fn, ev.Unroll)
+	} else {
+		prepared = fn.Clone()
+		if err = opt.OptimizeSpan(nil, prepared, v.Passes); err == nil {
+			err = opt.UnrollSpan(nil, prepared, ev.Unroll, v.Passes)
+		}
+	}
 	if err != nil {
 		t.Errorf("%s: %v", what, err)
 		return nil, false
@@ -135,7 +151,12 @@ func checkCell(t *testing.T, fn *ir.Func, b *bench.Benchmark, ev dse.Evaluation)
 		t.Errorf("%s: reference run: %v", what, err)
 		return nil, false
 	}
-	res, err := sched.Compile(prepared, ev.Arch)
+	var res *sched.Result
+	if shipped {
+		res, err = sched.Compile(prepared, ev.Arch)
+	} else {
+		res, err = sched.CompilePrepared(nil, &sched.Prepared{F: prepared, Variant: v}, ev.Arch, nil)
+	}
 	if err == nil {
 		err = sched.Validate(res.Prog)
 	}
@@ -150,11 +171,11 @@ func checkCell(t *testing.T, fn *ir.Func, b *bench.Benchmark, ev dse.Evaluation)
 	}
 	ok := goldenOutputs(t, what, tc, want)
 	if st.Cycles != ev.Cycles {
-		t.Errorf("%s: simulated %d cycles, results_full.json holds %d", what, st.Cycles, ev.Cycles)
+		t.Errorf("%s: simulated %d cycles, the explorer found %d", what, st.Cycles, ev.Cycles)
 		ok = false
 	}
 	if res.Spilled != ev.Spilled {
-		t.Errorf("%s: compiled with %d registers spilled, results_full.json holds %d", what, res.Spilled, ev.Spilled)
+		t.Errorf("%s: compiled with %d registers spilled, the explorer found %d", what, res.Spilled, ev.Spilled)
 		ok = false
 	}
 	if prof := sim.Profile(res.Prog, ref.Visits); !reflect.DeepEqual(prof, st) {

@@ -13,7 +13,7 @@ import (
 	"customfit/internal/tables"
 )
 
-var update = flag.Bool("update", false, "rewrite EXPERIMENTS.md's report and studies blocks")
+var update = flag.Bool("update", false, "rewrite EXPERIMENTS.md's report and studies blocks, and testdata/constants.txt")
 
 // EXPERIMENTS.md's two printed blocks, each between its two lines.
 const (
@@ -36,9 +36,7 @@ func TestExperimentsReport(t *testing.T) {
 
 // TestExperimentsStudies holds EXPERIMENTS.md's studies block to what
 // `cfp-explore -studies` prints at HEAD: the compile studies on their
-// pinned inputs, compiled afresh. It must not call
-// t.Parallel: the ablation flips process-wide compiler switches, and a
-// compile running beside it would read them.
+// pinned inputs, compiled afresh.
 func TestExperimentsStudies(t *testing.T) {
 	out, err := core.Studies(context.Background())
 	if err != nil {

@@ -138,3 +138,49 @@ func TestFloorGapAtStoredUnroll(t *testing.T) {
 		t.Errorf("unspilled cells and median gap over the floor at the stored unroll\n got %s\nwant %s", strings.Join(got, ", "), strings.Join(want, ", "))
 	}
 }
+
+// TestUnrollBudgetStopsSweeps pins where the unroll budget
+// (opt.MaxUnrolledOps), not the paper's spill rule, ends the sweep
+// (ROADMAP item 18(a)), compiling nothing. Per benchmark it unrolls the
+// optimized kernel at each factor of dse.UnrollFactors until opt refuses
+// one, as the sweep stops at it. Where the budget refuses the sweep's
+// last factor, it counts the unspilled, non-failed shipped cells that
+// kept the largest factor opt accepts: their sweep stopped at the budget
+// (EXPERIMENTS.md, divergence 7).
+func TestUnrollBudgetStopsSweeps(t *testing.T) {
+	res := dsetest.Shipped(t)
+	last := dse.UnrollFactors[len(dse.UnrollFactors)-1]
+	var capped []string
+	total := 0
+	for _, name := range res.Benches {
+		fn, err := bench.ByName(name).Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := opt.Optimize(fn); err != nil {
+			t.Fatal(err)
+		}
+		top := 0
+		for _, u := range dse.UnrollFactors {
+			if opt.Unroll(fn.Clone(), u) != nil {
+				break
+			}
+			top = u
+		}
+		if top == last {
+			continue
+		}
+		n := 0
+		for _, cell := range res.Eval[name] {
+			if !cell.Failed && cell.Spilled == 0 && cell.Unroll == top {
+				n++
+			}
+		}
+		capped = append(capped, fmt.Sprintf("%s %d", name, n))
+		total += n
+	}
+	capped = append(capped, fmt.Sprintf("total %d", total))
+	if want := []string{"C 292", "GEF 142", "DH 539", "DHEF 487", "total 1460"}; !slices.Equal(capped, want) {
+		t.Errorf("unspilled cells at the largest factor the budget accepts\n got %s\nwant %s", strings.Join(capped, ", "), strings.Join(want, ", "))
+	}
+}

@@ -251,9 +251,6 @@ func (c *Cache) SetMaxEntries(n int) {
 	c.evictLocked()
 }
 
-// Dir returns the backing directory ("" when memory-only).
-func (c *Cache) Dir() string { return c.dir }
-
 // Stats returns a snapshot of hit/miss/IO counters.
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()

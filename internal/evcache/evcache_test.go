@@ -177,7 +177,7 @@ func TestLRUEvictsCleanKeepsDirty(t *testing.T) {
 		t.Errorf("%d entries resident after flush, cap is 4", resident)
 	}
 	// ...but evicted entries remain retrievable from disk via reopen.
-	c2, err := Open(c.Dir())
+	c2, err := Open(c.dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,44 +1,37 @@
 package evcache
 
 import (
+	"cmp"
 	"sync"
 	"time"
 
 	"customfit/internal/obs"
 )
 
-// RemoteOptions tunes the remote tier attached by SetRemote. The zero
-// value picks the defaults below.
+// RemoteOptions tunes the remote tier attached by SetRemote: the zero
+// value picks the defaults below, and only the package's tests set one.
 type RemoteOptions struct {
-	// QueueDepth bounds the write-behind queue (default 4096). A full
+	// queueDepth bounds the write-behind queue (default 4096). A full
 	// queue drops new entries (counted on evcache.writebehind_dropped)
 	// instead of ever blocking the evaluate hot path.
-	QueueDepth int
-	// BatchSize caps how many queued entries one flush coalesces
+	queueDepth int
+	// batchSize caps how many queued entries one flush coalesces
 	// (default 256).
-	BatchSize int
-	// FailureThreshold is how many consecutive read-through failures
+	batchSize int
+	// failureThreshold is how many consecutive read-through failures
 	// trip the circuit breaker (default 3).
-	FailureThreshold int
-	// Cooldown is how long a tripped breaker keeps the remote tier out
+	failureThreshold int
+	// cooldown is how long a tripped breaker keeps the remote tier out
 	// of the read path (default 30s). Write-behind keeps trying — its
 	// failures only cost counters, never the job.
-	Cooldown time.Duration
+	cooldown time.Duration
 }
 
 func (o RemoteOptions) withDefaults() RemoteOptions {
-	if o.QueueDepth <= 0 {
-		o.QueueDepth = 4096
-	}
-	if o.BatchSize <= 0 {
-		o.BatchSize = 256
-	}
-	if o.FailureThreshold <= 0 {
-		o.FailureThreshold = 3
-	}
-	if o.Cooldown <= 0 {
-		o.Cooldown = 30 * time.Second
-	}
+	o.queueDepth = cmp.Or(o.queueDepth, 4096)
+	o.batchSize = cmp.Or(o.batchSize, 256)
+	o.failureThreshold = cmp.Or(o.failureThreshold, 3)
+	o.cooldown = cmp.Or(o.cooldown, 30*time.Second)
 	return o
 }
 
@@ -80,14 +73,14 @@ func (c *Cache) SetRemote(r Store, opts RemoteOptions) {
 		stop:  make(chan struct{}),
 		done:  make(chan struct{}),
 	}
-	rs.ch = make(chan wbItem, rs.opts.QueueDepth)
+	rs.ch = make(chan wbItem, rs.opts.queueDepth)
 	c.remote = rs
 	go c.writeBehindLoop(rs)
 }
 
 // remoteLookup is the read-through: consult the remote tier for a key
 // both local levels missed. Failures count toward the circuit breaker;
-// a tripped breaker skips the remote entirely for Cooldown, so a dead
+// a tripped breaker skips the remote entirely for the cooldown, so a dead
 // peer costs one timeout per threshold window, not one per lookup.
 func (c *Cache) remoteLookup(shardName, key string) (Entry, bool) {
 	rs := c.remote
@@ -108,8 +101,8 @@ func (c *Cache) remoteLookup(shardName, key string) (Entry, bool) {
 	if err != nil {
 		c.stats.NetErrors++
 		obs.GetCounter("evcache.net_errors").Inc()
-		if c.netFails++; c.netFails >= rs.opts.FailureThreshold {
-			c.netDownUntil = time.Now().Add(rs.opts.Cooldown)
+		if c.netFails++; c.netFails >= rs.opts.failureThreshold {
+			c.netDownUntil = time.Now().Add(rs.opts.cooldown)
 			c.netFails = 0
 			obs.GetCounter("evcache.net_degraded").Inc()
 		}
@@ -172,10 +165,10 @@ func (c *Cache) writeBehindLoop(rs *remoteState) {
 }
 
 // collectWB coalesces everything already queued behind first (up to
-// BatchSize) into per-shard batches.
+// the batch size) into per-shard batches.
 func (c *Cache) collectWB(rs *remoteState, first wbItem) map[string][]Record {
 	batch := map[string][]Record{first.shard: {{Key: first.key, Entry: first.e}}}
-	for n := 1; n < rs.opts.BatchSize; n++ {
+	for n := 1; n < rs.opts.batchSize; n++ {
 		select {
 		case it := <-rs.ch:
 			batch[it.shard] = append(batch[it.shard], Record{Key: it.key, Entry: it.e})

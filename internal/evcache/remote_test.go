@@ -113,7 +113,7 @@ func TestStoreInterfaceRoundtrip(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	c2, err := Open(c.Dir())
+	c2, err := Open(c.dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestRemoteUnavailableDegrades(t *testing.T) {
 	}
 	remote := newStubStore()
 	remote.setFail(true)
-	c.SetRemote(remote, RemoteOptions{FailureThreshold: 3, Cooldown: time.Hour})
+	c.SetRemote(remote, RemoteOptions{failureThreshold: 3, cooldown: time.Hour})
 	defer c.Close()
 
 	for i := 0; i < 10; i++ {
@@ -246,7 +246,7 @@ func TestRemoteUnavailableDegrades(t *testing.T) {
 	}
 	lookups, _ := remote.calls()
 	if lookups != 3 {
-		t.Errorf("remote consulted %d times, want exactly FailureThreshold=3 before the breaker trips", lookups)
+		t.Errorf("remote consulted %d times, want exactly failureThreshold=3 before the breaker trips", lookups)
 	}
 	st := c.Stats()
 	if st.NetErrors < 3 || st.Computes != 10 {
@@ -300,7 +300,7 @@ func TestTierConcurrentRace(t *testing.T) {
 	for i := 0; i < 25; i++ {
 		remote.set("G", fmt.Sprintf("warm%d", i), testEntry(i))
 	}
-	c.SetRemote(remote, RemoteOptions{QueueDepth: 64, BatchSize: 8})
+	c.SetRemote(remote, RemoteOptions{queueDepth: 64, batchSize: 8})
 
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {

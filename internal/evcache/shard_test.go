@@ -239,7 +239,7 @@ func TestEvictionOrder(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	c2, err := Open(c.Dir())
+	c2, err := Open(c.dir)
 	if err != nil {
 		t.Fatal(err)
 	}

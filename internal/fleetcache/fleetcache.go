@@ -56,8 +56,8 @@ const maxEntryBytes = 1 << 16
 
 // maxPutBytes bounds a POST body, which arrives from outside the
 // process. A record is a few hundred bytes: the limit leaves room for
-// 32 default write-behind batches (evcache.RemoteOptions.BatchSize =
-// 256) at a generous 1 KiB a record.
+// 32 write-behind batches of evcache's 256 entries at a generous 1 KiB
+// a record.
 const maxPutBytes = 8 << 20
 
 // PutRequest is the body of POST /v1/cache/{shard}: a batched put

@@ -10,15 +10,13 @@ import (
 // during if-conversion.
 const MaxIfConvertOps = 64
 
-// IfConvert converts if-then-else diamonds and if-then triangles whose
+// ifConvert converts if-then-else diamonds and if-then triangles whose
 // arms are straight-line pure code into select sequences, then merges
 // the resulting straight-line block chains. This is what collapses a
 // kernel's pixel-loop body into the single basic block the unroller and
 // scheduler need: both arms execute unconditionally and conditional
 // writes become selects — the paper's "if-conversion" source
 // transformation, applied automatically.
-func IfConvert(f *ir.Func) { run(f, (*workspace).ifConvert) }
-
 func (ws *workspace) ifConvert(f *ir.Func) {
 	lv := ws.liveness(f)
 	for changed := true; changed; {

@@ -2,7 +2,15 @@ package opt
 
 import "customfit/internal/ir"
 
-// LICM hoists loop-invariant computations out of the kernel's
+// LICM's notes on a register, dense over the function's registers: how
+// often the loop body defines it (saturating at 2) and whether that
+// definition has been hoisted.
+const (
+	licmDefs    = 3 // mask: 0, 1, or 2 for "more than once"
+	licmHoisted = 4
+)
+
+// licm hoists loop-invariant computations out of the kernel's
 // single-block pixel loop into its preheader: pure ALU operations whose
 // inputs are loop-invariant, and loads from constant tables with
 // invariant addresses.
@@ -12,16 +20,6 @@ import "customfit/internal/ir"
 // which is why benchmark A wants a large register file — and why it
 // collapses on the 16-ALU 128-register machine, where the coefficients
 // no longer fit and get respilled.
-func LICM(f *ir.Func) { run(f, (*workspace).licm) }
-
-// LICM's notes on a register, dense over the function's registers: how
-// often the loop body defines it (saturating at 2) and whether that
-// definition has been hoisted.
-const (
-	licmDefs    = 3 // mask: 0, 1, or 2 for "more than once"
-	licmHoisted = 4
-)
-
 func (ws *workspace) licm(f *ir.Func) {
 	l := f.Loop
 	if l == nil || !l.SingleBlock() || l.Preheader == nil {

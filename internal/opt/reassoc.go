@@ -2,7 +2,7 @@ package opt
 
 import "customfit/internal/ir"
 
-// Reassociate rebalances chains of integer additions inside each block
+// reassociate rebalances chains of integer additions inside each block
 // into binary trees. Two's-complement addition is exactly associative,
 // so the transformation is semantics-preserving bit-for-bit.
 //
@@ -13,8 +13,6 @@ import "customfit/internal/ir"
 // the chain turns an O(n) critical path into O(log n) and lets each
 // product be consumed promptly — both the ILP the paper's speedups
 // require and register pressure a real machine can afford.
-func Reassociate(f *ir.Func) { run(f, (*workspace).reassociate) }
-
 func (ws *workspace) reassociate(f *ir.Func) {
 	lv := ws.liveness(f)
 	// Chains are found among the instructions as the pass finds them,

@@ -32,9 +32,9 @@ func compileFor(t *testing.T, arch machine.Arch, unroll int) *regalloc.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := prepared.Clone()
-	pl := sched.Partition(g, arch)
-	prog, err := sched.Schedule(g, arch, pl)
+	g, pl := sched.PartitionClone(prepared, arch)
+	// The compile driver's budget: the register file less its reserve of 2.
+	prog, err := sched.ScheduleWithCap(g, arch, pl, arch.RegsPC()-2)
 	if err != nil {
 		t.Fatal(err)
 	}

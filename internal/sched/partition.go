@@ -12,7 +12,7 @@ import (
 
 // Placement is the result of cluster partitioning: a home cluster for
 // every virtual register. Instructions carry their executing cluster in
-// ir.Instr.Cluster (set by Partition). For an OpXMov, that is the
+// ir.Instr.Cluster (set by the partitioner). For an OpXMov, that is the
 // destination cluster and the issue slot is charged to the source.
 type Placement struct {
 	RegCluster []int
@@ -41,9 +41,10 @@ func (pl *Placement) SrcCluster(in *ir.Instr) int {
 // spread; the scatter diagrams are very sensitive to this constant.
 const balanceWeight = 8
 
-// Partition assigns every virtual register and instruction to a cluster
-// and inserts explicit OpXMov copies wherever an operation consumes a
-// value homed in another cluster, mutating f in place.
+// PartitionClone assigns every virtual register and instruction of a
+// copy of src to a cluster, and inserts explicit OpXMov copies wherever
+// an operation consumes a value homed in another cluster. src is left untouched: the clone and the assignment
+// are made in one pass over the instruction stream.
 //
 // The policy is a bottom-up greedy in the spirit of the BUG family:
 // walk each block in program (dependence) order; place each value on
@@ -53,15 +54,6 @@ const balanceWeight = 8
 // blocks get a fixed home cluster at their first definition; scalar
 // parameters arrive on cluster 0; the branch unit (and so every branch
 // condition) lives on cluster 0.
-func Partition(f *ir.Func, arch machine.Arch) *Placement {
-	return partition(f, f, nil, arch, new(partScratch), nil)
-}
-
-// PartitionClone partitions a copy of src, leaving src untouched: the
-// clone and the cluster assignment are produced in one fused pass over
-// the instruction stream instead of a deep Clone followed by an
-// in-place Partition — the compile driver's per-spill-iteration path
-// for clustered machines.
 func PartitionClone(src *ir.Func, arch machine.Arch) (*ir.Func, *Placement) {
 	return partitionClone(src, arch, new(partScratch), nil)
 }

@@ -22,7 +22,7 @@ import (
 //
 // (<= and >= fuse identically: on ties both arms are equal.)
 //
-// Returns the number of selects fused. Call before Partition; follow
+// Returns the number of selects fused. Call before partitioning; follow
 // with opt.Clean to sweep compares that became dead.
 func FuseMinMax(f *ir.Func) int {
 	fused := 0

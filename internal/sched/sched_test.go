@@ -278,7 +278,7 @@ func TestPartitionSingleClusterIsIdentity(t *testing.T) {
 	}
 	g := prepared.Clone()
 	before := g.NumInstrs()
-	pl := Partition(g, machine.Baseline)
+	g, pl := partitionFor(g, machine.Baseline, new(partScratch), nil)
 	if g.NumInstrs() != before {
 		t.Errorf("single-cluster partition changed instruction count: %d -> %d", before, g.NumInstrs())
 	}

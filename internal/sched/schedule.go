@@ -12,9 +12,9 @@ import (
 	"customfit/internal/vliw"
 )
 
-// Schedule list-schedules every block of a partitioned function against
-// the architecture's resource model, producing a vliw.Program (without
-// register allocation; see Compile for the full driver).
+// ScheduleWithCap list-schedules every block of a partitioned function
+// against the architecture's resource model, producing a vliw.Program
+// (without register allocation; see Compile for the full driver).
 //
 // The resource model per cycle. What an operation takes when it issues
 // is its class's charges in the machine description (machine.Class);
@@ -25,13 +25,18 @@ import (
 //
 // Priority is latency-weighted critical-path height. Issue is
 // register-pressure throttled: an operation that would push its
-// cluster's live-value count past the register file (minus a small
-// reserve) is deferred while anything else can make progress, which is
-// how schedules degrade gracefully on register-starved machines instead
-// of demanding impossible allocations. Pressure the throttle cannot
-// avoid (long-lived loop invariants) is the spill iteration's job.
-func Schedule(f *ir.Func, arch machine.Arch, pl *Placement) (*vliw.Program, error) {
-	return ScheduleWithCap(f, arch, pl, Variant{}.liveBudget(arch))
+// cluster's live-value count past cap (the compile driver's is the
+// register file less a small reserve) is deferred while anything else
+// can make progress, which is how schedules degrade gracefully on
+// register-starved machines instead of demanding impossible
+// allocations. Pressure the throttle cannot avoid (long-lived loop
+// invariants) is the spill iteration's job.
+func ScheduleWithCap(f *ir.Func, arch machine.Arch, pl *Placement, cap int) (*vliw.Program, error) {
+	if err := arch.Validate(); err != nil {
+		return nil, err
+	}
+	prog, _, err := scheduleFunc(f, arch, pl, cap, false, NewScratch())
+	return prog, err
 }
 
 // Variant is a backend variant: the shipped compiler with some of its
@@ -42,26 +47,14 @@ type Variant struct {
 }
 
 // liveBudget is the per-cluster live-value budget every schedule of the
-// compile driver and Schedule runs under: the register file less
-// pressureReserve, or effectively unlimited — classic pressure-blind
-// greedy — under NoPressureThrottle.
+// compile driver runs under: the register file less pressureReserve, or
+// effectively unlimited — classic pressure-blind greedy — under
+// NoPressureThrottle.
 func (v Variant) liveBudget(arch machine.Arch) int {
 	if v.NoPressureThrottle {
 		return 1 << 20
 	}
 	return arch.RegsPC() - pressureReserve
-}
-
-// ScheduleWithCap schedules with an explicit per-cluster live-value
-// budget: a lower cap serializes the schedule, trading ILP for
-// register pressure exactly the way a production compiler degrades on
-// register-starved machines.
-func ScheduleWithCap(f *ir.Func, arch machine.Arch, pl *Placement, cap int) (*vliw.Program, error) {
-	if err := arch.Validate(); err != nil {
-		return nil, err
-	}
-	prog, _, err := scheduleFunc(f, arch, pl, cap, false, NewScratch())
-	return prog, err
 }
 
 // scheduleFunc is the scheduling engine of the spill rounds: it builds
