@@ -126,7 +126,7 @@ cells:
 	$(GO) vet -tags cells .
 	$(GO) test -tags cells -run '^TestAllShippedCellsRun$$' -v -timeout 20m .
 
-# Measure the fourteen layer benchmarks nothing else isolates and record
+# Measure the fifteen layer benchmarks nothing else isolates and record
 # them, with the environment they ran in, as the trajectory document
 # (docs/PERFORMANCE.md, "Tracking the numbers"). A record, never a
 # baseline: numbers from another day or host are not comparable.
@@ -174,7 +174,7 @@ bench-diff:
 		for spec in dse:BenchmarkEvaluate:192x dse:BenchmarkEvaluateStarved:104x \
 				dse:BenchmarkEvaluateDelta:20000x dse:BenchmarkEvaluateSearch:20000x \
 				dse:BenchmarkExploreOpsSubset:3x dse:BenchmarkPrepare:10x \
-				dse:BenchmarkWarmOpen:100x \
+				dse:BenchmarkWarmOpen:100x dse:BenchmarkEvaluateLosing:30x \
 				sim:BenchmarkSimRun:50x core:BenchmarkOneShot:4x \
 				core:BenchmarkWarmFit:100x dist:BenchmarkShardStatus:200x \
 				dist:BenchmarkFleetWarm:100x \

@@ -52,6 +52,25 @@ func TestKernelClassPinned(t *testing.T) {
 			t.Errorf("KernelClass(%s, 48, 7) = %s, recorded %s", p.name, got, p.w48s7)
 		}
 	}
+	// A non-zero variant keys its sweeps by its fields' %+v spelling
+	// (kernelClass): a field added to sched.Variant re-keys these on
+	// purpose, and re-records them.
+	for _, c := range ablationConfigs[1:] {
+		e := NewEvaluator()
+		e.Variant = c.variant
+		if got := e.kernelClass(bench.ByName("A")); got != variantClassPins[c.name] {
+			t.Errorf("kernelClass(A) under %s = %s, recorded %s", c.name, got, variantClassPins[c.name])
+		}
+	}
+}
+
+// variantClassPins are kernel A's classes (width 96) under the four
+// ablation variants, recorded from the commit that pinned them.
+var variantClassPins = map[string]string{
+	"no-reassociation":     "7c1830687e51f92fc00432a1",
+	"no-licm":              "e5983c0724c615c803af7754",
+	"no-if-conversion":     "d79c2585ba8ed89cfd5f05ea",
+	"no-pressure-throttle": "74d91ef79156fe6bcf053143",
 }
 
 // cachedExplorer is smallExplorer on one worker with c attached: with

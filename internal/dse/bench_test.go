@@ -130,6 +130,55 @@ func BenchmarkEvaluateStarved(b *testing.B) {
 	}
 }
 
+// BenchmarkEvaluateLosing is BenchmarkEvaluate on sweeps whose last
+// compile spills and loses to the smaller unroll the sweep already
+// holds — A on (4 2 256 1 4 4) and (8 4 512 1 4 4), GEF on
+// (8 2 128 1 8 4), one evaluation an op — the compiles the sweep's
+// incumbent stops (sched.Incumbent). Beside runs and cycles it reports
+// the spill rewrites and the stopped compiles (dse.compile_beaten) of
+// one lap, which repeat exactly.
+func BenchmarkEvaluateLosing(b *testing.B) {
+	ev := NewEvaluator()
+	ev.Width = 48
+	ev.DisableMemo = true
+	ev.DisableDelta = true
+	cells := []struct {
+		bench string
+		arch  machine.Arch
+	}{
+		{"A", machine.Arch{ALUs: 4, MULs: 2, Regs: 256, L2Ports: 1, L2Lat: 4, Clusters: 4}},
+		{"A", machine.Arch{ALUs: 8, MULs: 4, Regs: 512, L2Ports: 1, L2Lat: 4, Clusters: 4}},
+		{"GEF", machine.Arch{ALUs: 8, MULs: 2, Regs: 128, L2Ports: 1, L2Lat: 8, Clusters: 4}},
+	}
+	for _, c := range cells {
+		for _, u := range UnrollFactors {
+			ev.prepare(nil, bench.ByName(c.bench), u)
+		}
+	}
+	sc := sched.NewScratch()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := cells[i%len(cells)]
+		ev.EvaluateScratch(bench.ByName(c.bench), c.arch, sc)
+	}
+	b.StopTimer()
+	col := obs.NewCollector()
+	obs.Install(col)
+	before := ev.Compilations.Load()
+	var cycles int64
+	for _, c := range cells {
+		cycles += ev.EvaluateScratch(bench.ByName(c.bench), c.arch, sc).Cycles
+	}
+	runs := ev.Compilations.Load() - before
+	obs.Install(nil)
+	lap := float64(len(cells))
+	b.ReportMetric(float64(runs)/lap, "runs/op")
+	b.ReportMetric(float64(cycles)/lap, "cycles/op")
+	b.ReportMetric(float64(col.Counter("sched.spill_rewritten").Value()), "spill_rewritten/lap")
+	b.ReportMetric(float64(col.Counter("dse.compile_beaten").Value()), "compile_beaten/lap")
+}
+
 // BenchmarkEvaluateDelta measures the steady-state neighbor
 // re-evaluation path the stochastic search strategies sit on: delta
 // compilation enabled, caches warm, cycling through a one-parameter

@@ -647,7 +647,11 @@ func (e *Evaluator) SpeedupBound(b *bench.Benchmark, baselineTime float64, cost 
 // and takes up to ~0.2 s on a 2-core box (kernel GEF at unroll 4 on
 // (8 2 128 1 8 4); docs/PERFORMANCE.md, "Cold path"): that is how long
 // a cancelled sweep can take to return, with cancelled set and failed
-// cleared — abandoned work is not a compile failure. A caller without
+// cleared — abandoned work is not a compile failure. Once the sweep
+// holds a program, each compile gets it as its incumbent: a spill loop
+// that can no longer beat it stops (sched.ErrCannotBeat; that GEF
+// compile at round 9 of its 21), and the sweep ends as it would have
+// at any ending of a compile that spilled. A caller without
 // an arena has the sweep borrow one: each compile's Result is read
 // before the next compile, so the delta path may assemble it in the
 // arena and allocate nothing.
@@ -667,25 +671,29 @@ func (e *Evaluator) runSweep(ctx context.Context, esp *obs.Span, b *bench.Benchm
 		if p.err != nil {
 			break // unrollable limit reached (op budget etc.)
 		}
-		t0 := time.Now()
-		var res *sched.Result
-		var err error
-		if e.DisableDelta {
-			res, err = sched.CompilePrepared(esp, p.kernel, arch, sc)
-		} else {
-			res, err = sched.CompilePreparedDelta(esp, p.kernel, arch, sc)
+		// Only a program under the best cycles so far updates the sweep.
+		var inc sched.Incumbent
+		if !sw.failed {
+			inc = sched.Incumbent{Cycles: sw.cycles, Visits: p.visits}
 		}
+		t0 := time.Now()
+		res, err := sched.CompileToBeat(esp, p.kernel, arch, sc, !e.DisableDelta, inc)
 		e.compileNS.Add(int64(time.Since(t0)))
 		e.Compilations.Add(1)
 		sw.runs++
 		obs.GetCounter("dse.compiles").Inc()
 		if err != nil {
-			if errors.Is(err, sched.ErrNoFit) {
+			switch {
+			case errors.Is(err, sched.ErrNoFit):
 				obs.GetCounter("dse.compile_nofit").Inc()
-				break // paper rule: stop at this unroll and all larger
+			case errors.Is(err, sched.ErrCannotBeat):
+				// It spilled, so however it would have ended, the sweep
+				// would stop here and keep what it holds.
+				obs.GetCounter("dse.compile_beaten").Inc()
+			default:
+				obs.GetCounter("dse.compile_errors").Inc()
 			}
-			obs.GetCounter("dse.compile_errors").Inc()
-			break
+			break // paper rule: stop at this unroll and all larger
 		}
 		cycles := res.Prog.StaticCycles(p.visits)
 		if sw.failed || cycles < sw.cycles {

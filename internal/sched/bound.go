@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"customfit/internal/ir"
 	"customfit/internal/machine"
 )
 
@@ -74,15 +75,54 @@ func LowerBound(prep *Prepared, arch machine.Arch) []int {
 		} else if len(sk.Heights) > 0 {
 			lb = 1
 		}
-		for r, n := range pristine.blocks[i].info {
-			if sk.HasTerm {
-				n *= k.Hold[r]
-			}
-			lb = max(lb, ceil(n, k.Machine[r]))
-		}
-		out[i] = lb
+		out[i] = max(lb, resourceFloor(pristine.blocks[i].info, k, sk.HasTerm))
 	}
 	return out
+}
+
+// resourceFloor is the fewest cycles a block issuing c can take on a
+// machine of capacity k: for every resource, ⌈demand · hold /
+// machine-wide capacity⌉. A port counts its whole hold only in a block
+// that ends in a terminator (term), which drains every port before the
+// block ends; elsewhere occupancy may run past the block end, and a port
+// counts its issue cycle.
+func resourceFloor(c machine.Charges, k machine.Capacity, term bool) int {
+	lb := 0
+	for r, n := range c {
+		if term {
+			n *= k.Hold[r]
+		}
+		lb = max(lb, ceil(n, k.Machine[r]))
+	}
+	return lb
+}
+
+// spillFloor is an admissible floor on the static cycles, under visits,
+// of every program the spill loop can still make of work, its rewritten
+// kernel, on arch: Σ over blocks of visits × resourceFloor. It only
+// rises from round to round, because the rounds ahead only add
+// instructions — reloads and stores, and the copies partitioning
+// inserts — with one exception it leaves out: a constant-table load at
+// an immediate index, which a later rewrite may rematerialize, dropping
+// the hoisted load from its block.
+func spillFloor(work *ir.Func, arch machine.Arch, visits map[string]int64) int64 {
+	k := arch.Capacity()
+	var total int64
+	for _, b := range work.Blocks {
+		n := visits[b.Name]
+		if n == 0 {
+			continue
+		}
+		var c machine.Charges
+		for _, in := range b.Instrs {
+			if in.Op == ir.OpLoad && in.Mem.Const && in.Args[0].IsImm() {
+				continue
+			}
+			c.Add(machine.ClassOf(in).Charges())
+		}
+		total += n * int64(resourceFloor(c, k, b.Terminator() != nil))
+	}
+	return total
 }
 
 func ceil(a, b int) int {

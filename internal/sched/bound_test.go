@@ -5,7 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"customfit/internal/bench"
 	"customfit/internal/cc"
+	"customfit/internal/ir"
 	"customfit/internal/machine"
 	"customfit/internal/opt"
 )
@@ -158,4 +160,79 @@ func TestLowerBoundPinsItsTerms(t *testing.T) {
 	if cp := pristine.skels.get(pristine.g, machine.Baseline, nil)[1].CriticalPath(); cp != 24 {
 		t.Errorf("loop: critical path %d, want 24", cp)
 	}
+}
+
+// TestSpillFloorOnlyRises holds spillFloor to the reason it may end a
+// spill loop: no rewrite of a later round lowers it, in any block. Every
+// kernel's rematerializable constant loads are spilled (the one rewrite
+// that drops an instruction), then a fifth of its registers a round
+// beside them, and each block's floor, weighted by its own visit alone,
+// must not fall.
+func TestSpillFloorOnlyRises(t *testing.T) {
+	arch := machine.Arch{ALUs: 4, MULs: 2, Regs: 64, L2Ports: 1, L2Lat: 4, Clusters: 2}
+	works := []*ir.Func{hoistedTable()}
+	for _, b := range bench.All() {
+		fn, err := b.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		work, err := opt.Prepare(fn, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		works = append(works, work)
+	}
+	for _, work := range works {
+		floors := func() []int64 {
+			out := make([]int64, len(work.Blocks))
+			for i, blk := range work.Blocks {
+				out[i] = spillFloor(work, arch, map[string]int64{blk.Name: 1})
+			}
+			return out
+		}
+		for round := 0; round < 4; round++ {
+			var victims []ir.Reg
+			for _, blk := range work.Blocks {
+				for _, in := range blk.Instrs {
+					if in.Op == ir.OpLoad && in.Mem.Const && in.Args[0].IsImm() && !slices.Contains(victims, in.Dest) {
+						victims = append(victims, in.Dest)
+					}
+				}
+			}
+			// The first round rematerializes alone: stores spilled beside
+			// it would hide a floor that counted the loads it drops.
+			for r := ir.Reg(round); round > 0 && int(r) < work.NumRegs(); r += 5 {
+				if !slices.Contains(victims, r) {
+					victims = append(victims, r)
+				}
+			}
+			before := floors()
+			SpillRewrite(work, victims)
+			for i, f := range floors() {
+				if f < before[i] {
+					t.Errorf("%s round %d block %s: floor %d fell from %d", work.Name, round, work.Blocks[i].Name, f, before[i])
+				}
+			}
+		}
+	}
+}
+
+// hoistedTable is two constant-table loads in an entry block, used in
+// the next: rematerializing them empties the entry of loads. (The
+// benchmarks' hoisted loads feed copies in their own block, so a
+// rewrite only moves them within it.)
+func hoistedTable() *ir.Func {
+	f := ir.NewFunc("hoisted")
+	tab := f.AddMem(&ir.MemRef{Name: "tab", Space: ir.L1, Elem: ir.ElemI32, Size: 2, Const: true})
+	entry, body := f.NewBlock("entry"), f.NewBlock("body")
+	var loads []ir.Reg
+	for i := range 2 {
+		r := f.NewReg()
+		entry.Append(&ir.Instr{Op: ir.OpLoad, Dest: r, Args: []ir.Operand{ir.Imm(int32(i))}, Mem: tab, Elem: ir.ElemI32})
+		loads = append(loads, r)
+	}
+	entry.Append(&ir.Instr{Op: ir.OpBr, Dest: ir.NoReg, Targets: []*ir.Block{body}})
+	body.Append(ir.NewInstr(ir.OpAdd, f.NewReg(), ir.R(loads[0]), ir.R(loads[1])))
+	body.Append(&ir.Instr{Op: ir.OpRet, Dest: ir.NoReg})
+	return f
 }

@@ -24,6 +24,24 @@ const MaxSpillIterations = 32
 // considering this unroll factor and all larger ones.
 var ErrNoFit = errors.New("register pressure does not fit")
 
+// ErrCannotBeat reports that a compile given an Incumbent stopped its
+// spill loop because no round left could beat it (see Incumbent). It
+// comes bare, costing the sweep that discards it nothing; the compile's
+// span records the rounds run and the floor that stopped them.
+var ErrCannotBeat = errors.New("cannot beat the incumbent")
+
+// Incumbent is the best program a caller already holds, which a compile
+// only matters if it beats: its Cycles, as vliw.Program.StaticCycles
+// counts them under Visits, the block visits that will weigh the
+// compile's own program. Given one, a compile stops its spill loop with
+// ErrCannotBeat before a round whose rewritten kernel cannot come in
+// under Cycles (spillFloor); a compile that fits at once runs as
+// without. The zero Incumbent (Cycles 0) bounds nothing.
+type Incumbent struct {
+	Cycles int64
+	Visits map[string]int64
+}
+
 // Result is a completed compilation for one architecture.
 type Result struct {
 	Prog *vliw.Program
@@ -48,7 +66,7 @@ func Compile(prepared *ir.Func, arch machine.Arch) (*Result, error) {
 // compiles once: the partition class is built for this compile alone
 // and caches no skeletons.
 func CompileSpan(sp *obs.Span, prepared *ir.Func, arch machine.Arch) (*Result, error) {
-	return compile(sp, "sched", prepared, nil, arch, nil, false)
+	return compile(sp, "sched", prepared, nil, arch, nil, false, Incumbent{})
 }
 
 // CompilePrepared compiles a shared Prepared kernel for one
@@ -59,7 +77,7 @@ func CompileSpan(sp *obs.Span, prepared *ir.Func, arch machine.Arch) (*Result, e
 // concurrent workers; sc may not (pass nil to borrow one for the call).
 // The prepared IR is not mutated, and the Result owns its memory.
 func CompilePrepared(sp *obs.Span, prep *Prepared, arch machine.Arch, sc *Scratch) (*Result, error) {
-	return compile(sp, "sched", prep.F, prep, arch, sc, false)
+	return CompileToBeat(sp, prep, arch, sc, false, Incumbent{})
 }
 
 // CompilePreparedDelta is CompilePrepared through the delta cache: round
@@ -74,7 +92,19 @@ func CompilePrepared(sp *obs.Span, prep *Prepared, arch machine.Arch, sc *Scratc
 // call borrows one and the Result owns its memory, as CompilePrepared's
 // does.
 func CompilePreparedDelta(sp *obs.Span, prep *Prepared, arch machine.Arch, sc *Scratch) (*Result, error) {
-	return compile(sp, "sched.delta", prep.F, prep, arch, sc, true)
+	return CompileToBeat(sp, prep, arch, sc, true, Incumbent{})
+}
+
+// CompileToBeat is CompilePreparedDelta, or with delta false
+// CompilePrepared, for a caller that holds inc: a compile whose spill
+// loop can no longer beat it ends with ErrCannotBeat. Otherwise its
+// Result is theirs, bit for bit.
+func CompileToBeat(sp *obs.Span, prep *Prepared, arch machine.Arch, sc *Scratch, delta bool, inc Incumbent) (*Result, error) {
+	span := "sched"
+	if delta {
+		span = "sched.delta"
+	}
+	return compile(sp, span, prep.F, prep, arch, sc, delta, inc)
 }
 
 // rewritesISA reports whether lowerFor changes the instruction stream
@@ -113,9 +143,9 @@ func partitionFor(src *ir.Func, arch machine.Arch, ps *partScratch, r *roundMem)
 // for this compile alone. With reuse, blocks a cached schedule proves
 // and an allocation the memo holds are taken from the class (delta.go);
 // without, every block is scheduled. When the allocation does not fit,
-// the spill loop continues from that round. Handed no arena, the call
-// borrows one and returns a Result that owns its memory.
-func compile(sp *obs.Span, span string, f *ir.Func, prep *Prepared, arch machine.Arch, sc *Scratch, reuse bool) (*Result, error) {
+// the spill loop continues from that round, under inc. Handed no arena,
+// the call borrows one and returns a Result that owns its memory.
+func compile(sp *obs.Span, span string, f *ir.Func, prep *Prepared, arch machine.Arch, sc *Scratch, reuse bool, inc Incumbent) (*Result, error) {
 	if err := arch.Validate(); err != nil {
 		return nil, err
 	}
@@ -221,7 +251,7 @@ func compile(sp *obs.Span, span string, f *ir.Func, prep *Prepared, arch machine
 			// The spill loop rewrites a copy of src when another compile
 			// may be reading it: every kept class's, and the kernel itself.
 			shared := prep != nil || cs.src == f
-			return spillLoop(csp, f.Name, arch, sc, cs.src, shared, owned, capRaw, attempt{prog, ra})
+			return spillLoop(csp, f.Name, arch, sc, cs.src, shared, owned, capRaw, attempt{prog, ra}, inc)
 		}
 		if reuse {
 			maxLive, assign = cs.allocInsert(ids, ra.MaxLive, ra.Assign)
@@ -284,8 +314,10 @@ func runRound(csp *obs.Span, arch machine.Arch, sc *Scratch, work *ir.Func, iter
 // IR, which it rewrites — a copy of it in the Scratch (workMem), when
 // work is shared. at is round 1, which did not fit. The Result of the
 // round that fits stays in the Scratch unless owned, when it is copied
-// out (roundMem.own).
-func spillLoop(csp *obs.Span, name string, arch machine.Arch, sc *Scratch, work *ir.Func, shared, owned bool, cap int, at attempt) (*Result, error) {
+// out (roundMem.own). Before each later round, work's spillFloor is held
+// to inc: once it reaches inc.Cycles no round can win, and the loop
+// stops with ErrCannotBeat.
+func spillLoop(csp *obs.Span, name string, arch machine.Arch, sc *Scratch, work *ir.Func, shared, owned bool, cap int, at attempt, inc Incumbent) (*Result, error) {
 	spilled := 0
 	sc.alreadySpilled = sc.alreadySpilled[:0]
 	// The loop's copy of work, when it makes one, and the reloads and
@@ -294,6 +326,12 @@ func spillLoop(csp *obs.Span, name string, arch machine.Arch, sc *Scratch, work 
 	w.rw.slab.Reset(work.Size())
 	for iter := 1; iter <= MaxSpillIterations; iter++ {
 		if iter > 1 {
+			if inc.Cycles > 0 {
+				if floor := spillFloor(work, arch, inc.Visits); floor >= inc.Cycles {
+					csp.Int("iterations", int64(iter-1)).Int("spilled", int64(spilled)).Int("floor", floor)
+					return nil, ErrCannotBeat
+				}
+			}
 			var err error
 			if at, err = runRound(csp, arch, sc, work, iter, cap); err != nil {
 				return nil, err

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"customfit/internal/cc"
@@ -29,7 +30,13 @@ func TestRandomKernelsAcrossRandomMachines(t *testing.T) {
 	}
 	r := rand.New(rand.NewSource(424242))
 	space := machine.FullSpace()
-	trials := 150
+	trials, spilled := 150, 0
+	var starved []machine.Arch
+	for _, a := range space {
+		if a.RegsPC() <= 32 {
+			starved = append(starved, a)
+		}
+	}
 	for trial := 0; trial < trials; trial++ {
 		src := cctest.Kernel(r)
 		fn, err := cc.CompileKernel(src)
@@ -81,5 +88,35 @@ func TestRandomKernelsAcrossRandomMachines(t *testing.T) {
 					trial, arch, u, i, gotPhys[i], ref[i], src)
 			}
 		}
+		// Every floor the spill loop takes is admissible (spillFloor):
+		// under the prepared kernel's visits on this input, a compile
+		// handed the incumbent one cycle above the program's runs to the
+		// end and returns the same program. Few of the drawn machines
+		// spill, so the kernel is held to it on a starved one too, picked
+		// without a draw.
+		env := ir.NewEnv(n).Bind("in", slices.Clone(in)).Bind("out", make([]int32, 2*n+1))
+		env.Visits = map[string]int64{}
+		if _, err := ir.Interp(prepared, env); err != nil {
+			t.Fatalf("trial %d: interp prepared: %v\n%s", trial, err, src)
+		}
+		for _, a := range []machine.Arch{arch, starved[trial%len(starved)]} {
+			res := res
+			if a != arch {
+				if res, err = Compile(prepared, a); err != nil {
+					continue // no program to bound
+				}
+			}
+			if res.Iterations == 1 {
+				continue
+			}
+			spilled++
+			c := res.Prog.StaticCycles(env.Visits)
+			bounded, err := compile(nil, "sched", prepared, nil, a, nil, false, Incumbent{c + 1, env.Visits})
+			if err != nil || bounded.Prog.StaticCycles(env.Visits) != c || bounded.Iterations != res.Iterations {
+				t.Fatalf("trial %d on %s u=%d: under the incumbent %d: %v, %+v; unbounded %d cycles, %d rounds\n%s",
+					trial, a, u, c+1, err, bounded, c, res.Iterations, src)
+			}
+		}
 	}
+	t.Logf("%d compiles with spill rounds held to their floors", spilled)
 }
